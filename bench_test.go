@@ -6,9 +6,13 @@
 package dolxml
 
 import (
+	"fmt"
 	"testing"
 
 	"dolxml/internal/bench"
+	"dolxml/internal/btree"
+	"dolxml/internal/storage"
+	"dolxml/internal/xmark"
 )
 
 // runExperiment executes one named experiment per benchmark iteration.
@@ -66,3 +70,25 @@ func BenchmarkAblation(b *testing.B) { runExperiment(b, "ablation") }
 
 // BenchmarkModes regenerates the footnote-2 mode-correlation comparison.
 func BenchmarkModes(b *testing.B) { runExperiment(b, "modes") }
+
+// BenchmarkIndexBuild builds the tag and the value index of one XMark
+// document, what securexml derives for every snapshot at Seal, at Open and
+// after a structural commit, at the sizes of the repository benchmark's
+// tenants (xmark.Scaled targets 3600 and 20000).
+func BenchmarkIndexBuild(b *testing.B) {
+	for _, target := range []int{3600, 20000} {
+		doc := xmark.Generate(xmark.Scaled(0, target))
+		b.Run(fmt.Sprintf("nodes=%d", doc.Len()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pool := storage.NewBufferPool(storage.NewMemPager(4096), 1<<30/4096)
+				if _, err := btree.BuildFromDocument(pool, doc); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := btree.BuildValueIndex(pool, doc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -8,6 +8,11 @@
 // Keys are composite (tag, node) pairs ordered lexicographically; postings
 // for one tag are therefore stored contiguously in document order, and a
 // tag scan is a ranged leaf walk.
+//
+// An index over a whole document is built bottom up by Load and LoadValues
+// (bulk.go): one sort, every page written once, leaves packed full. Insert
+// adds single keys to an existing tree and is the reference the loaders are
+// tested against.
 package btree
 
 import (
@@ -407,7 +412,6 @@ func (t *Tree) Scan(tag int32, visit func(Posting) bool) error {
 		}
 		n := pageCount(f.Data)
 		done := false
-		advanced := false
 		for i := 0; i < n; i++ {
 			tg, p := leafPostingAt(f.Data, i)
 			if tg < tag {
@@ -417,7 +421,6 @@ func (t *Tree) Scan(tag int32, visit func(Posting) bool) error {
 				done = true
 				break
 			}
-			advanced = true
 			if !visit(p) {
 				done = true
 				break
@@ -430,7 +433,6 @@ func (t *Tree) Scan(tag int32, visit func(Posting) bool) error {
 		if done {
 			return nil
 		}
-		_ = advanced
 		page = next
 	}
 	return nil
@@ -449,15 +451,13 @@ func (t *Tree) Postings(tag int32) ([]Posting, error) {
 // BuildFromDocument indexes every node of doc (keyed by the document's own
 // tag codes) into a fresh tree over pool.
 func BuildFromDocument(pool *storage.BufferPool, doc *xmltree.Document) (*Tree, error) {
-	t, err := New(pool)
-	if err != nil {
-		return nil, err
+	entries := make([]Entry, doc.Len())
+	for n := range entries {
+		entries[n] = Entry{int32(doc.TagIDOf(xmltree.NodeID(n))), docPosting(doc, xmltree.NodeID(n))}
 	}
-	for n := xmltree.NodeID(0); int(n) < doc.Len(); n++ {
-		p := Posting{Node: n, End: doc.End(n), Level: uint16(doc.Level(n))}
-		if err := t.Insert(int32(doc.TagIDOf(n)), p); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return Load(pool, entries)
+}
+
+func docPosting(doc *xmltree.Document, n xmltree.NodeID) Posting {
+	return Posting{Node: n, End: doc.End(n), Level: uint16(doc.Level(n))}
 }

@@ -15,9 +15,10 @@ import (
 // tag *and* text value, so value-constrained NoK subtree roots start from
 // an already-filtered candidate list.
 //
-// Keys are variable length, so pages use a decode–modify–reencode scheme:
+// Keys are variable length, so Insert uses a decode–modify–reencode scheme:
 // a node is read as a whole, mutated in memory, and written back; splits
-// divide entries by half when the encoding outgrows the page.
+// divide entries by half when the encoding outgrows the page. LoadValues
+// builds a whole tree without it, writing each page once.
 type ValueTree struct {
 	pool    *storage.BufferPool
 	root    storage.PageID
@@ -101,36 +102,57 @@ func encodeVNode(data []byte, n *vnode) {
 	for i := range data {
 		data[i] = 0
 	}
+	buf := data[pageHeader:pageHeader]
 	if n.leaf {
-		data[0] = kindLeaf
-		binary.LittleEndian.PutUint16(data[1:3], uint16(len(n.entries)))
-		binary.LittleEndian.PutUint32(data[3:7], uint32(n.next))
-		buf := data[pageHeader:pageHeader]
+		initLeaf(data)
+		setCount(data, len(n.entries))
+		setNext(data, n.next)
 		for _, e := range n.entries {
-			buf = binary.AppendUvarint(buf, uint64(uint32(e.key.tag)))
-			buf = binary.AppendUvarint(buf, uint64(len(e.key.value)))
-			buf = append(buf, e.key.value...)
-			buf = binary.AppendUvarint(buf, uint64(uint32(e.key.node)))
-			buf = binary.AppendUvarint(buf, uint64(uint32(e.p.End)))
-			buf = binary.AppendUvarint(buf, uint64(e.p.Level))
+			buf = appendLeafEntry(buf, e.key, e.p)
 		}
 		return
 	}
-	data[0] = kindInternal
-	binary.LittleEndian.PutUint16(data[1:3], uint16(len(n.children)))
-	binary.LittleEndian.PutUint32(data[3:7], uint32(storage.InvalidPage))
-	buf := data[pageHeader:pageHeader]
+	initInternal(data)
+	setCount(data, len(n.children))
 	for _, c := range n.children {
-		var cb [4]byte
-		binary.LittleEndian.PutUint32(cb[:], uint32(c))
-		buf = append(buf, cb[:]...)
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(c))
 	}
 	for _, k := range n.keys {
-		buf = binary.AppendUvarint(buf, uint64(uint32(k.tag)))
-		buf = binary.AppendUvarint(buf, uint64(len(k.value)))
-		buf = append(buf, k.value...)
-		buf = binary.AppendUvarint(buf, uint64(uint32(k.node)))
+		buf = appendSep(buf, k)
 	}
+}
+
+// appendSep appends a key as an inner page stores it.
+func appendSep(buf []byte, k vkey) []byte {
+	buf = binary.AppendUvarint(buf, uint64(uint32(k.tag)))
+	buf = binary.AppendUvarint(buf, uint64(len(k.value)))
+	buf = append(buf, k.value...)
+	return binary.AppendUvarint(buf, uint64(uint32(k.node)))
+}
+
+// appendLeafEntry appends a key and the rest of its posting as a leaf
+// stores them.
+func appendLeafEntry(buf []byte, k vkey, p Posting) []byte {
+	buf = appendSep(buf, k)
+	buf = binary.AppendUvarint(buf, uint64(uint32(p.End)))
+	return binary.AppendUvarint(buf, uint64(p.Level))
+}
+
+func uvSize(v uint64) int {
+	n := 1
+	for v >= 0x80 {
+		v >>= 7
+		n++
+	}
+	return n
+}
+
+func sepSize(k vkey) int {
+	return uvSize(uint64(uint32(k.tag))) + uvSize(uint64(len(k.value))) + len(k.value) + uvSize(uint64(uint32(k.node)))
+}
+
+func leafEntrySize(k vkey, p Posting) int {
+	return sepSize(k) + uvSize(uint64(uint32(p.End))) + uvSize(uint64(p.Level))
 }
 
 func decodeVNode(data []byte) (*vnode, error) {
@@ -204,24 +226,15 @@ func decodeVNode(data []byte) (*vnode, error) {
 // encodedSize returns the byte size of the node's payload encoding.
 func (t *ValueTree) encodedSize(n *vnode) int {
 	size := 0
-	uv := func(v uint64) int {
-		c := 1
-		for v >= 0x80 {
-			v >>= 7
-			c++
-		}
-		return c
-	}
 	if n.leaf {
 		for _, e := range n.entries {
-			size += uv(uint64(uint32(e.key.tag))) + uv(uint64(len(e.key.value))) + len(e.key.value) +
-				uv(uint64(uint32(e.key.node))) + uv(uint64(uint32(e.p.End))) + uv(uint64(e.p.Level))
+			size += leafEntrySize(e.key, e.p)
 		}
 		return size
 	}
-	size += 4 * len(n.children)
+	size += childPtr * len(n.children)
 	for _, k := range n.keys {
-		size += uv(uint64(uint32(k.tag))) + uv(uint64(len(k.value))) + len(k.value) + uv(uint64(uint32(k.node)))
+		size += sepSize(k)
 	}
 	return size
 }
@@ -247,11 +260,10 @@ func (t *ValueTree) store(p storage.PageID, n *vnode) error {
 // Insert adds a posting for (tag, value, p.Node). The value may be long,
 // but a single entry must fit in a page.
 func (t *ValueTree) Insert(tag int32, value string, p Posting) error {
-	one := &vnode{leaf: true, entries: []vleafEntry{{key: vkey{tag, value, p.Node}, p: p}}}
-	if t.encodedSize(one) > t.capacity {
+	k := vkey{tag, value, p.Node}
+	if leafEntrySize(k, p) > t.capacity {
 		return fmt.Errorf("btree: value of %d bytes exceeds page capacity", len(value))
 	}
-	k := vkey{tag, value, p.Node}
 	promoted, newChild, err := t.insertAt(t.root, t.height, k, p)
 	if err != nil {
 		return err
@@ -423,19 +435,11 @@ func (t *ValueTree) ValuePostings(tag int32, value string) ([]Posting, error) {
 // BuildValueIndex indexes every node of doc that carries a non-empty text
 // value into a fresh ValueTree over pool.
 func BuildValueIndex(pool *storage.BufferPool, doc *xmltree.Document) (*ValueTree, error) {
-	t, err := NewValueTree(pool)
-	if err != nil {
-		return nil, err
-	}
+	var entries []ValueEntry
 	for n := xmltree.NodeID(0); int(n) < doc.Len(); n++ {
-		v := doc.Value(n)
-		if v == "" {
-			continue
-		}
-		p := Posting{Node: n, End: doc.End(n), Level: uint16(doc.Level(n))}
-		if err := t.Insert(int32(doc.TagIDOf(n)), v, p); err != nil {
-			return nil, err
+		if v := doc.Value(n); v != "" {
+			entries = append(entries, ValueEntry{int32(doc.TagIDOf(n)), v, docPosting(doc, n)})
 		}
 	}
-	return t, nil
+	return LoadValues(pool, entries)
 }

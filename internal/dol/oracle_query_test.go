@@ -138,20 +138,14 @@ func flatten(root *onode, numSubjects int) (*xmltree.Document, *acl.Matrix) {
 // from the store itself, not from any document.
 func storeIndex(t *testing.T, pool *storage.BufferPool, st *nok.Store) *btree.Tree {
 	t.Helper()
-	idx, err := btree.New(pool)
+	entries := make([]btree.Entry, st.NumNodes())
+	err := st.ForEachExtent(func(n, end xmltree.NodeID, level int, tag int32) {
+		entries[n] = btree.Entry{Tag: tag, Posting: btree.Posting{Node: n, End: end, Level: uint16(level)}}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var insErr error
-	err = st.ForEachExtent(func(n, end xmltree.NodeID, level int, tag int32) {
-		if insErr != nil {
-			return
-		}
-		insErr = idx.Insert(tag, btree.Posting{Node: n, End: end, Level: uint16(level)})
-	})
-	if err == nil {
-		err = insErr
-	}
+	idx, err := btree.Load(pool, entries)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -227,6 +227,66 @@ func TestSecureSTDMatchesOracle(t *testing.T) {
 	}
 }
 
+// Property: the same, on the access-control shape the directory shortcut is
+// for. Subtree revokes with subtree grants nested inside them give long
+// uniform runs, accessible pages below an inaccessible ancestor, and
+// inaccessible subtrees that end on a page boundary; sparse candidate lists
+// leave most uniform pages without a candidate to pop the level stack. An
+// inaccessible level that closes inside a uniformly accessible page must
+// not reach the pages after it.
+func TestSecureSTDUniformRunsMatchOracle(t *testing.T) {
+	uniform := 0
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		doc := randomDoc(rng, 200+rng.Intn(1200))
+		m := acl.NewMatrix(doc.Len(), 1)
+		for n := 0; n < doc.Len(); n++ {
+			m.Set(xmltree.NodeID(n), 0, true)
+		}
+		for k := 2 + rng.Intn(6); k > 0; k-- {
+			root := xmltree.NodeID(1 + rng.Intn(doc.Len()-1))
+			allowed := k%3 == 0
+			for n := root; n <= doc.End(root); n++ {
+				m.Set(n, 0, allowed)
+			}
+		}
+		ss := buildSecure(t, doc, m, 64+rng.Intn(200))
+		for k := 0; k < ss.Store().NumPages(); k++ {
+			if !ss.Store().PageInfoAt(k).ChangeBit {
+				uniform++
+			}
+		}
+		sparse := func(nodes []xmltree.NodeID) []Item {
+			var keep []xmltree.NodeID
+			for _, n := range nodes {
+				if rng.Intn(4) == 0 {
+					keep = append(keep, n)
+				}
+			}
+			return itemsFor(doc, keep)
+		}
+		eff := bitset.FromIndices(1, 0)
+		ancs, descs := sparse(doc.NodesWithTag("x")), sparse(doc.NodesWithTag("y"))
+		got, err := SecureSTD(context.Background(), ss, eff, ancs, descs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := secureOracle(doc, m, eff, ancs, descs)
+		for _, p := range got {
+			if !want[p] {
+				t.Fatalf("seed %d: pair %v is not valid", seed, p)
+			}
+			delete(want, p)
+		}
+		for p := range want {
+			t.Fatalf("seed %d: %d valid pairs missing, e.g. %v", seed, len(want), p)
+		}
+	}
+	if uniform < 1000 {
+		t.Fatalf("only %d uniform pages over all seeds: the shortcut was not exercised", uniform)
+	}
+}
+
 // SecureSTD must physically read only pages whose change bit is set.
 func TestSecureSTDReadsOnlyMixedPages(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))

@@ -16,9 +16,10 @@ import (
 // inaccessible ancestors of the current position is maintained; a pair
 // (a, d) is valid exactly when the deepest such level at d is shallower
 // than a's level. Pages whose in-memory directory header shows them to be
-// uniformly accessible or uniformly inaccessible are never physically read
-// — uniform pages contribute only directory-derivable stack updates — so
-// each page is loaded at most once, and only when its change bit is set.
+// uniformly accessible or uniformly inaccessible contribute only
+// directory-derivable stack updates and are not physically read, unless an
+// inaccessible ancestor may end inside a uniformly accessible one (see
+// EpsJoiner); each page is loaded at most once.
 //
 // SecureSTD is the drain-everything form of EpsJoiner: it probes every
 // descendant in order, honoring ctx at each page-fetch boundary. The

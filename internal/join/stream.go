@@ -56,9 +56,10 @@ func (j *STDJoiner) Probe(d Item) []Pair {
 // order. The single document-order page pass of SecureSTD becomes a
 // resumable scan: each Probe advances the pass exactly up to its
 // descendant, so early-terminated queries never touch the pages beyond
-// their last descendant. Pages that the in-memory directory proves uniform
-// are still never physically read; only mixed pages (change bit set) incur
-// I/O, and each at most once.
+// their last descendant. A page the in-memory directory proves uniform is
+// not physically read, with one exception: a uniformly accessible page in
+// which an inaccessible ancestor of its first node ends (the directory
+// shows that it may, not where). Every page is read at most once.
 type EpsJoiner struct {
 	st  *nok.Store
 	cb  *dol.Codebook
@@ -115,16 +116,11 @@ func (j *EpsJoiner) pushAnc(a Item) {
 	j.ancStack = append(j.ancStack, a)
 }
 
-// advance outcomes: how the scan reached the probe target.
-const (
-	advMixed   = iota // target's entry was consumed in a mixed page
-	advAcc            // target lies in a uniformly accessible page
-	advDropped        // target lies in a uniformly inaccessible page
-)
-
 // advance runs the document-order pass up to and including node target,
 // applying ancestor pushes and inaccessible-level bookkeeping on the way.
-func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (int, error) {
+// It reports whether the target lies in a uniformly inaccessible page and
+// so joins with nothing.
+func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (dropped bool, err error) {
 	for {
 		if j.entries != nil {
 			// Resume a partially consumed mixed page.
@@ -146,7 +142,7 @@ func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (int, er
 				j.entryIdx++
 			}
 			if j.node > target {
-				return advMixed, nil
+				return false, nil
 			}
 			j.entries = nil
 			j.pageIdx++
@@ -155,23 +151,33 @@ func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (int, er
 		if j.pageIdx >= j.numPages {
 			// Target beyond the last page (defensive; descendants always
 			// lie inside some page).
-			return advAcc, nil
+			return false, nil
 		}
 		pi := j.st.PageInfoAt(j.pageIdx)
-		first := pi.FirstNode
-		last := first + xmltree.NodeID(pi.Count) - 1
+		last := pi.FirstNode + xmltree.NodeID(pi.Count) - 1
 		if !pi.ChangeBit {
 			if j.cb.AccessibleAny(pi.AccessCode, j.eff) {
-				// Uniformly accessible: candidates are processed from
-				// their own region encodings; the page is not read.
+				// Uniformly accessible. The page's first node closes every
+				// open level from its own depth down. A shallower level
+				// still open closes inside the page if the page reaches
+				// that far up, and the directory does not say where: then
+				// the page is read like a mixed one.
+				j.popInacc(int(pi.StartDepth))
+				if j.deepestInacc() >= int(pi.MinDepth) {
+					if err := j.openPage(ctx, pi); err != nil {
+						return false, err
+					}
+					continue
+				}
+				// No inaccessible level opens or closes here: candidates
+				// are processed from their own region encodings and the
+				// page is not read.
 				for j.ai < len(j.ancs) && j.ancs[j.ai].Node <= last && j.ancs[j.ai].Node <= target {
-					a := j.ancs[j.ai]
+					j.pushAnc(j.ancs[j.ai])
 					j.ai++
-					j.popInacc(a.Level)
-					j.pushAnc(a)
 				}
 				if target <= last {
-					return advAcc, nil
+					return false, nil
 				}
 				j.pageIdx++
 				continue
@@ -184,7 +190,7 @@ func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (int, er
 				j.ai++
 			}
 			if target <= last {
-				return advDropped, nil
+				return true, nil
 			}
 			nextStart := 0
 			if j.pageIdx+1 < j.numPages {
@@ -200,16 +206,24 @@ func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (int, er
 			continue
 		}
 		// Mixed page: read and process node by node.
-		es, err := j.st.BlockEntriesCtx(ctx, j.pageIdx)
-		if err != nil {
-			return 0, err
+		if err := j.openPage(ctx, pi); err != nil {
+			return false, err
 		}
-		j.entries = es
-		j.entryIdx = 0
-		j.level = int(pi.StartDepth)
-		j.code = pi.AccessCode
-		j.node = first
 	}
+}
+
+// openPage reads the page at pageIdx and starts the entry cursor on it.
+func (j *EpsJoiner) openPage(ctx context.Context, pi nok.PageInfo) error {
+	es, err := j.st.BlockEntriesCtx(ctx, j.pageIdx)
+	if err != nil {
+		return err
+	}
+	j.entries = es
+	j.entryIdx = 0
+	j.level = int(pi.StartDepth)
+	j.code = pi.AccessCode
+	j.node = pi.FirstNode
+	return nil
 }
 
 // Probe advances the join to descendant d and returns its valid (a, d)
@@ -217,15 +231,9 @@ func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (int, er
 // d, endpoints included, is accessible. Descendants must be probed in
 // strictly increasing Node order.
 func (j *EpsJoiner) Probe(ctx context.Context, d Item) ([]Pair, error) {
-	state, err := j.advance(ctx, d.Node)
-	if err != nil {
+	dropped, err := j.advance(ctx, d.Node)
+	if err != nil || dropped {
 		return nil, err
-	}
-	if state == advDropped {
-		return nil, nil
-	}
-	if state == advAcc {
-		j.popInacc(d.Level)
 	}
 	for len(j.ancStack) > 0 && j.ancStack[len(j.ancStack)-1].End < d.Node {
 		j.ancStack = j.ancStack[:len(j.ancStack)-1]

@@ -85,7 +85,10 @@ type BufferPool struct {
 	dirty map[PageID]struct{}
 }
 
-// NewBufferPool wraps pager with a pool of at most capacity frames.
+// NewBufferPool wraps pager with a pool of at most capacity frames. The
+// frame table grows with the pages buffered, not with capacity: an index
+// pool is given a capacity it never reaches (1 GiB of pages) for a few
+// dozen frames.
 func NewBufferPool(pager Pager, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
@@ -93,7 +96,7 @@ func NewBufferPool(pager Pager, capacity int) *BufferPool {
 	return &BufferPool{
 		pager:    pager,
 		capacity: capacity,
-		frames:   make(map[PageID]*Frame, capacity),
+		frames:   make(map[PageID]*Frame),
 		lru:      list.New(),
 		dirty:    make(map[PageID]struct{}),
 	}
@@ -400,7 +403,7 @@ func (bp *BufferPool) DropAll() error {
 			bp.flushes.Inc()
 		}
 	}
-	bp.frames = make(map[PageID]*Frame, bp.capacity)
+	bp.frames = make(map[PageID]*Frame)
 	bp.lru.Init()
 	bp.dirty = make(map[PageID]struct{})
 	return nil

@@ -64,51 +64,58 @@ func (ix *indexState) ensure(st *nok.Store) error {
 }
 
 // build constructs the tag index (and value index when values are stored)
-// from the frozen store. The index pages live in their own in-memory pool,
-// so builds touch the shared buffer pool only to read structure blocks.
+// from the frozen store: one extent pass collects every key, the bulk
+// loaders sort them and write each index page once. The index pages live in
+// their own in-memory pool, so builds touch the shared buffer pool only to
+// read structure blocks and values.
 func (ix *indexState) build(st *nok.Store) error {
-	pool := storage.NewBufferPool(storage.NewMemPager(ix.pageSize), 1<<30/ix.pageSize)
-	t, err := btree.New(pool)
-	if err != nil {
-		return err
-	}
-	var vt *btree.ValueTree
 	vs := st.Values()
+	// The pass reports a node when its subtree closes; placing it by its ID
+	// hands the loader the tag entries in node order.
+	tags := make([]btree.Entry, st.NumNodes())
+	var values []btree.ValueEntry
 	if vs != nil {
-		vt, err = btree.NewValueTree(pool)
-		if err != nil {
-			return err
-		}
+		values = make([]btree.ValueEntry, 0, vs.NumValues())
 	}
-	var indexErr error
-	err = st.ForEachExtent(func(n, end xmltree.NodeID, level int, tag int32) {
-		if indexErr != nil {
+	var passErr error
+	err := st.ForEachExtent(func(n, end xmltree.NodeID, level int, tag int32) {
+		if passErr != nil {
+			return
+		}
+		if int(n) >= len(tags) {
+			passErr = fmt.Errorf("securexml: extent pass reported node %d of %d", n, len(tags))
 			return
 		}
 		p := btree.Posting{Node: n, End: end, Level: uint16(level)}
-		if err := t.Insert(tag, p); err != nil {
-			indexErr = err
-			return
-		}
-		if vt == nil {
+		tags[n] = btree.Entry{Tag: tag, Posting: p}
+		if vs == nil {
 			return
 		}
 		v, err := vs.Value(n)
 		if err != nil {
-			indexErr = err
+			passErr = err
 			return
 		}
 		if v != "" {
-			if err := vt.Insert(tag, v, p); err != nil {
-				indexErr = err
-			}
+			values = append(values, btree.ValueEntry{Tag: tag, Value: v, Posting: p})
 		}
 	})
 	if err == nil {
-		err = indexErr
+		err = passErr
 	}
 	if err != nil {
 		return err
+	}
+	pool := storage.NewBufferPool(storage.NewMemPager(ix.pageSize), 1<<30/ix.pageSize)
+	t, err := btree.Load(pool, tags)
+	if err != nil {
+		return err
+	}
+	var vt *btree.ValueTree
+	if vs != nil {
+		if vt, err = btree.LoadValues(pool, values); err != nil {
+			return err
+		}
 	}
 	ix.index = t
 	ix.vindex = vt
