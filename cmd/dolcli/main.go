@@ -43,6 +43,7 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -202,8 +203,8 @@ func runQuery(args []string) error {
 	pruned := fs.Bool("pruned", false, "use the pruned-subtree (Gabillon-Bruno) semantics")
 	limit := fs.Int("limit", 0, "stop after this many answers (0 = all)")
 	timeout := fs.Duration("timeout", 0, "abort the query after this duration (0 = none)")
-	noSummaries := fs.Bool("no-summaries", false, "disable structure-aware page skipping")
-	noPathSummary := fs.Bool("no-pathsummary", false, "disable path-summary routing (empty-query detection, path-class candidate filtering, pre-resolved access)")
+	noSummaries := fs.Bool("no-summaries", false, "skip pages on access grounds only (drop the path summary's dead pages from scan masks)")
+	noPathSummary := fs.Bool("no-pathsummary", false, "disable path-summary routing (empty-query detection, path-class candidate filtering, pre-resolved access, structural page skipping)")
 	showStats := fs.Bool("stats", false, "print page-read and cache statistics for the query")
 	analyze := fs.Bool("analyze", false, "trace the query and print per-operator attribution (pages, skips, probes, time) to stderr")
 	fs.Parse(args)
@@ -320,8 +321,8 @@ func explain(args []string) error {
 	admin := fs.Bool("admin", false, "bypass access control")
 	pruned := fs.Bool("pruned", false, "use the pruned-subtree (Gabillon-Bruno) semantics")
 	limit := fs.Int("limit", 0, "plan with an answer limit (0 = all)")
-	noSummaries := fs.Bool("no-summaries", false, "disable structure-aware page skipping")
-	noPathSummary := fs.Bool("no-pathsummary", false, "disable path-summary routing")
+	noSummaries := fs.Bool("no-summaries", false, "skip pages on access grounds only (drop the path summary's dead pages from scan masks)")
+	noPathSummary := fs.Bool("no-pathsummary", false, "disable path-summary routing, structural page skipping included")
 	analyze := fs.Bool("analyze", false, "execute the query once and annotate the plan with per-operator attribution")
 	asJSON := fs.Bool("json", false, "emit JSON instead of the text report")
 	fs.Parse(args)
@@ -462,7 +463,8 @@ func serve(args []string) error {
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintln(w, "ok")
 		})
-		parseOpts := func(r *http.Request) (user, mode string, opts securexml.QueryOptions) {
+		// parseOpts answers 400 itself and returns ok == false on a bad limit.
+		parseOpts := func(w http.ResponseWriter, r *http.Request) (user, mode string, opts securexml.QueryOptions, ok bool) {
 			q := r.URL.Query()
 			opts = securexml.QueryOptions{
 				Unrestricted:       q.Get("admin") != "",
@@ -470,16 +472,24 @@ func serve(args []string) error {
 				DisablePathSummary: q.Get("nopathsummary") != "",
 			}
 			if lim := q.Get("limit"); lim != "" {
-				fmt.Sscanf(lim, "%d", &opts.Limit)
+				n, err := strconv.Atoi(lim)
+				if err != nil || n < 0 {
+					http.Error(w, fmt.Sprintf("limit must be a non-negative integer, got %q", lim), http.StatusBadRequest)
+					return "", "", opts, false
+				}
+				opts.Limit = n
 			}
 			mode = q.Get("mode")
 			if mode == "" {
 				mode = "read"
 			}
-			return q.Get("user"), mode, opts
+			return q.Get("user"), mode, opts, true
 		}
 		mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-			user, mode, opts := parseOpts(r)
+			user, mode, opts, ok := parseOpts(w, r)
+			if !ok {
+				return
+			}
 			var qt *securexml.QueryTrace
 			if logger != nil {
 				// The log line reports pages pinned; the counting trace
@@ -501,7 +511,10 @@ func serve(args []string) error {
 			enc.Encode(ms)
 		})
 		mux.HandleFunc("/explain", func(w http.ResponseWriter, r *http.Request) {
-			user, mode, opts := parseOpts(r)
+			user, mode, opts, ok := parseOpts(w, r)
+			if !ok {
+				return
+			}
 			q := r.URL.Query()
 			asText := q.Get("format") == "text"
 			if q.Get("analyze") != "" {

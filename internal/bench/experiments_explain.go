@@ -144,7 +144,7 @@ func Explain(cfg Config) []*Table {
 	}
 
 	// EXPLAIN alone must pin nothing: plans render from the in-memory
-	// directory, summaries and codebook.
+	// directory, path summary and codebook.
 	if err := env.pool.DropAll(); err == nil {
 		env.pool.ResetStats()
 		for _, q := range workload {

@@ -1,62 +1,69 @@
 package bench
 
 import (
+	"fmt"
 	"testing"
 
 	"dolxml/internal/query"
 	"dolxml/internal/xmark"
 )
 
-// Satellite guarantee for the page-skip work, asserted at bench scale:
-// every Table 1 query returns byte-identical answers with summaries on and
-// off, under both secure semantics and at worker counts 1 and 4, and the
-// enabled runs never read more pages from a cold pool.
+// Struct skip on/off under default routing, asserted at bench scale: every
+// Table 1 query returns byte-identical answers either way, under both
+// secure semantics and at worker counts 1 and 4; from a cold pool the
+// enabled runs never read more pages, and strictly fewer for the child-scan
+// queries Q1–Q3 at 256–1024 B pages.
 func TestPageSkipEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bench-scale equivalence in short mode")
 	}
 	cfg := QuickConfig()
-	cfg.PageSize = cfg.PageSize / 4
 	doc := xmark.Generate(xmark.Scaled(cfg.Seed, cfg.XMarkNodes))
 	m := singleSubjectACL(doc, cfg.Seed+23, 70)
-	env, err := buildQueryEnv(cfg, doc, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := env.ss.ViewSubject(0)
+	for _, pageSize := range []int{256, 512, 1024} {
+		cfg.PageSize = pageSize
+		env, err := buildQueryEnv(cfg, doc, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view := env.ss.ViewSubject(0)
 
-	semantics := []struct {
-		name string
-		opts query.Options
-	}{
-		{"bindings", query.Options{View: view}},
-		{"pruned", query.Options{View: view, Semantics: query.SemanticsPrunedSubtree}},
-	}
+		semantics := []struct {
+			name string
+			opts query.Options
+		}{
+			{"bindings", query.Options{View: view}},
+			{"pruned", query.Options{View: view, Semantics: query.SemanticsPrunedSubtree}},
+		}
 
-	for _, q := range Table1 {
-		pt := query.MustParse(q.Expr)
-		for _, sem := range semantics {
-			off := sem.opts
-			off.Parallelism = 1
-			off.DisableSummarySkip = true
-			want, pagesOff, _, err := env.coldQuery(pt, off)
-			if err != nil {
-				t.Fatalf("%s/%s off: %v", q.Name, sem.name, err)
-			}
-			for _, par := range []int{1, 4} {
-				on := sem.opts
-				on.Parallelism = par
-				got, pagesOn, _, err := env.coldQuery(pt, on)
+		for qi, q := range Table1 {
+			pt := query.MustParse(q.Expr)
+			for _, sem := range semantics {
+				name := fmt.Sprintf("%s/%s/%dB", q.Name, sem.name, pageSize)
+				off := sem.opts
+				off.Parallelism = 1
+				off.DisableSummarySkip = true
+				want, pagesOff, _, err := env.coldQuery(pt, off)
 				if err != nil {
-					t.Fatalf("%s/%s par %d: %v", q.Name, sem.name, par, err)
+					t.Fatalf("%s off: %v", name, err)
 				}
-				if !equalNodes(got.Nodes, want.Nodes) || got.Matches != want.Matches {
-					t.Errorf("%s/%s par %d: summaries changed answers (%d/%d vs %d/%d)",
-						q.Name, sem.name, par, len(got.Nodes), got.Matches, len(want.Nodes), want.Matches)
-				}
-				if par == 1 && pagesOn > pagesOff {
-					t.Errorf("%s/%s: summaries read %d pages, disabled read %d",
-						q.Name, sem.name, pagesOn, pagesOff)
+				for _, par := range []int{1, 4} {
+					on := sem.opts
+					on.Parallelism = par
+					got, pagesOn, _, err := env.coldQuery(pt, on)
+					if err != nil {
+						t.Fatalf("%s par %d: %v", name, par, err)
+					}
+					if !equalNodes(got.Nodes, want.Nodes) || got.Matches != want.Matches {
+						t.Errorf("%s par %d: struct skip changed answers (%d/%d vs %d/%d)",
+							name, par, len(got.Nodes), got.Matches, len(want.Nodes), want.Matches)
+					}
+					if par != 1 {
+						continue
+					}
+					if pagesOn > pagesOff || qi < 3 && pagesOn == pagesOff {
+						t.Errorf("%s: struct skip read %d pages, disabled read %d", name, pagesOn, pagesOff)
+					}
 				}
 			}
 		}

@@ -111,7 +111,6 @@ func Build(pool *storage.BufferPool, doc *xmltree.Document, opts BuildOptions) (
 			return err
 		}
 		s.dir = append(s.dir, pi)
-		s.summaries = append(s.summaries, summarizeBlock(blockEntries, int(pi.StartDepth)))
 		blockEntries = blockEntries[:0]
 		blockBytes = 0
 		return nil
@@ -185,8 +184,8 @@ func writeHeader(data []byte, pi PageInfo, dataLen int) {
 }
 
 // readHeader decodes a block header from data.
-func readHeader(page storage.PageID, data []byte) (PageInfo, int) {
-	pi := PageInfo{
+func readHeader(page storage.PageID, data []byte) PageInfo {
+	return PageInfo{
 		Page:       page,
 		FirstNode:  xmltree.NodeID(binary.LittleEndian.Uint32(data[0:4])),
 		StartDepth: binary.LittleEndian.Uint16(data[4:6]),
@@ -195,5 +194,4 @@ func readHeader(page storage.PageID, data []byte) (PageInfo, int) {
 		AccessCode: binary.LittleEndian.Uint32(data[12:16]),
 		ChangeBit:  data[16]&flagChangeBit != 0,
 	}
-	return pi, int(binary.LittleEndian.Uint16(data[10:12]))
 }

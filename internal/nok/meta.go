@@ -97,30 +97,13 @@ func Open(pool *storage.BufferPool, m Meta) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("nok: reopen block %d: %w", pid, err)
 		}
-		pi, dataLen := readHeader(pid, f.Data)
-		// The structural summary is rebuilt from the block body while the
-		// page is pinned anyway; headers stay the only persisted metadata.
-		entries := make([]Entry, 0, pi.Count)
-		body := f.Data[headerSize : headerSize+dataLen]
-		for len(body) > 0 {
-			e, n, err := decodeEntry(body)
-			if err != nil {
-				pool.Unpin(pid, false)
-				return nil, fmt.Errorf("nok: reopen block %d: %w", pid, err)
-			}
-			entries = append(entries, e)
-			body = body[n:]
-		}
+		pi := readHeader(pid, f.Data)
 		if err := pool.Unpin(pid, false); err != nil {
 			return nil, err
-		}
-		if len(entries) != pi.Count {
-			return nil, fmt.Errorf("nok: reopen block %d: %d entries, header says %d", pid, len(entries), pi.Count)
 		}
 		pi.FirstNode = next
 		next += xmltree.NodeID(pi.Count)
 		s.dir = append(s.dir, pi)
-		s.summaries = append(s.summaries, summarizeBlock(entries, int(pi.StartDepth)))
 	}
 	if len(m.ValueRefs) > 0 {
 		vs := &ValueStore{pool: pool}
@@ -135,7 +118,9 @@ func Open(pool *storage.BufferPool, m Meta) (*Store, error) {
 	}
 	// The path summary is rebuilt from the blocks — like the directory,
 	// storage stays authoritative — and any persisted copy is verified
-	// against the rebuild before the store is trusted.
+	// against the rebuild before the store is trusted. The rebuild is the
+	// one pass that decodes the block bodies (and checks each against its
+	// header's count).
 	if err := s.RebuildPathSummary(); err != nil {
 		return nil, err
 	}

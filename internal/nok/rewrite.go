@@ -129,7 +129,6 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 
 	// Lay out new blocks.
 	var newDir []PageInfo
-	var newSums []PageSummary
 	// warm collects each written block's entries in stored form so the
 	// decode cache can be primed once the rewrite has fully succeeded:
 	// accessibility toggles re-read the region they just rewrote, and
@@ -186,7 +185,6 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 			return err
 		}
 		newDir = append(newDir, pi)
-		newSums = append(newSums, summarizeBlock(blockEntries, blockStartLv))
 		// Snapshot the canonical decoded form: blockEntries is reused, and
 		// the encoding drops Code on codeless entries, so a fresh decode of
 		// this page yields exactly this normalized copy.
@@ -232,22 +230,16 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 		return 0, err
 	}
 
-	// Splice the directory (and the parallel summary slice) and renumber
-	// later blocks.
+	// Splice the directory and renumber later blocks.
 	dir := make([]PageInfo, 0, len(s.dir)-(j-i+1)+len(newDir))
 	dir = append(dir, s.dir[:i]...)
 	dir = append(dir, newDir...)
-	sums := make([]PageSummary, 0, cap(dir))
-	sums = append(sums, s.summaries[:i]...)
-	sums = append(sums, newSums...)
-	sums = append(sums, s.summaries[j+1:]...)
 	for k := j + 1; k < len(s.dir); k++ {
 		pi := s.dir[k]
 		pi.FirstNode += xmltree.NodeID(delta)
 		dir = append(dir, pi)
 	}
 	s.dir = dir
-	s.summaries = sums
 	s.numNodes += delta
 	if s.paths != nil {
 		var spliced *pathsum.Summary

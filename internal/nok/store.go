@@ -79,11 +79,6 @@ type Store struct {
 	// the version table tagged with the new version's sequence.
 	retired []storage.PageID
 
-	// summaries holds the per-block structural summaries (tag-presence
-	// bitmap + depth range), parallel to dir and maintained by the same
-	// paths (Build, RewriteRegion, Open).
-	summaries []PageSummary
-
 	// paths is the global path summary (one node per distinct root-to-tag
 	// label path, with per-block class sets parallel to dir). Installed
 	// summaries are immutable: RewriteRegion replaces the pointer with a
@@ -132,7 +127,7 @@ func (s *Store) TakeRetired() []storage.PageID {
 }
 
 // Freeze returns a read-only clone sharing the current pages, directory,
-// summaries, tag table, values and decode cache. The live store's later
+// path summary, tag table, values and decode cache. The live store's later
 // mutations install fresh slices and maps (and, with a gate, never rewrite
 // a referenced page in place), so the clone keeps serving its version while
 // updates proceed. The clone must not be mutated.
@@ -599,6 +594,20 @@ func (s *Store) PathSummaryBytes() int {
 	return s.paths.Bytes()
 }
 
+// SummaryBytes estimates the in-memory size of the per-block class
+// bitsets — the part of the path summary that drives page skipping (the
+// rest is the class tree); same per-block accounting as pathsum.Bytes.
+func (s *Store) SummaryBytes() int {
+	if s.paths == nil {
+		return 0
+	}
+	n := 0
+	for b := 0; b < s.paths.NumBlocks(); b++ {
+		n += 8 + len(s.paths.Block(b).Bits)*8
+	}
+	return n
+}
+
 // PathSummaryMeta returns the serializable form of the path summary (nil
 // when the store has none) without building a full Meta, whose value-ref
 // list is large — commit paths re-encode just this per seal.
@@ -653,9 +662,6 @@ func (s *Store) scanPathSummary() (*pathsum.Summary, error) {
 // intended for operational sanity checks (e.g. after reopening a store)
 // and for tests.
 func (s *Store) CheckConsistency() error {
-	if len(s.summaries) != len(s.dir) {
-		return fmt.Errorf("nok: %d summaries for %d blocks", len(s.summaries), len(s.dir))
-	}
 	next := xmltree.NodeID(0)
 	depth := -1
 	psb := pathsum.NewBuilder()
@@ -708,9 +714,6 @@ func (s *Store) CheckConsistency() error {
 		if pi.ChangeBit != change {
 			return fmt.Errorf("nok: block %d change bit %v, recomputed %v", i, pi.ChangeBit, change)
 		}
-		if ps := summarizeBlock(entries, int(pi.StartDepth)); ps != s.summaries[i] {
-			return fmt.Errorf("nok: block %d summary %+v, recomputed %+v", i, s.summaries[i], ps)
-		}
 		depth = level
 		next += xmltree.NodeID(pi.Count)
 	}
@@ -725,28 +728,7 @@ func (s *Store) CheckConsistency() error {
 		if err != nil {
 			return fmt.Errorf("nok: path summary recompute: %w", err)
 		}
-		if err := s.paths.VerifyAgainst(rebuilt); err != nil {
-			return err
-		}
-		// Cross-validate against the per-page summaries: every class the
-		// path summary places in a block must have its tag admitted by
-		// that block's tag bitmap (the two structures describe the same
-		// pages and must agree).
-		for b := 0; b < s.paths.NumBlocks(); b++ {
-			var bad error
-			blk := s.paths.Block(b)
-			blk.ForEach(func(id int32) {
-				if bad != nil {
-					return
-				}
-				if tag := s.paths.NodeAt(id).Tag; !s.summaries[b].MayContainTag(tag) {
-					bad = fmt.Errorf("nok: block %d holds path class %d (tag %d) absent from its page summary", b, id, tag)
-				}
-			})
-			if bad != nil {
-				return bad
-			}
-		}
+		return s.paths.VerifyAgainst(rebuilt)
 	}
 	return nil
 }

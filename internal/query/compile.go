@@ -1,0 +1,180 @@
+package query
+
+import (
+	"fmt"
+	"sort"
+
+	"dolxml/internal/btree"
+	"dolxml/internal/obs"
+)
+
+// compiled is one query's plan: every decision evaluation takes before it
+// reads a store page, resolved once from the pattern, the options and
+// in-memory state (page directory, path summary, the view's deny bitmap,
+// the tag and value indexes). Open instantiates cursors from it and Explain
+// renders it, so the plan shown is the plan run.
+type compiled struct {
+	t        *PatternTree
+	subs     []NoKSubtree
+	opts     Options
+	retSlot  int
+	numPages int
+	workers  int
+	// accessSkip, structSkip and pathOn are what the ablation flags leave
+	// on: the view's deny bitmap (§3.3), the path summary's dead pages in
+	// scan masks, and path routing as a whole (emptiness proofs, candidate
+	// routing, pre-resolved verdicts — and the dead pages, which derive
+	// from it).
+	accessSkip, structSkip, pathOn bool
+	shape                          *compiledShape
+	route                          *pathRoute
+	mask                           *skipMask
+	// scans holds one entry per NoK subtree; nil when the query was proven
+	// empty, which happens before any candidate lookup.
+	scans []scanPlan
+}
+
+// scanPlan is the plan of one NoK subtree's match producer.
+type scanPlan struct {
+	// source is sourceDocRoot, "tag-index", "value-index" or
+	// "wildcard-union".
+	source string
+	// cands are the index postings path routing kept. Nil for doc-root:
+	// that single candidate carries the document's subtree end, which costs
+	// a page read, so Open resolves it.
+	cands []btree.Posting
+	// n is the candidate count (1 for doc-root); rejected counts the
+	// postings routing turned away before any I/O.
+	n, rejected int
+	// The fan-out decision.
+	parallel        bool
+	workers, chunks int
+}
+
+// empty reports that compilation proved the query has no answers: the
+// pattern does not embed in the path summary, or every class some pattern
+// node can bind is uniformly denied to the view.
+func (c *compiled) empty() bool {
+	return c.shape != nil && c.shape.emptyStruct || c.route != nil && c.route.emptyAccess
+}
+
+// compile plans the query. It reads the indexes but no store page, and
+// records the compile span and each routed-away candidate on opts.Trace.
+func (ev *Evaluator) compile(t *PatternTree, opts Options) (*compiled, error) {
+	c := &compiled{
+		t:        t,
+		subs:     t.Decompose(),
+		opts:     opts,
+		retSlot:  -1,
+		numPages: ev.store.NumPages(),
+		workers:  opts.workers(),
+	}
+	ret := t.ReturningNode()
+	for i := range c.subs {
+		if s := ev.slotOfNode(c.subs, i, ret); s >= 0 {
+			c.retSlot = s
+			break
+		}
+	}
+	if c.retSlot < 0 {
+		return nil, fmt.Errorf("query: returning node not tracked")
+	}
+
+	c.accessSkip = opts.View != nil && !opts.DisablePageSkip
+	c.pathOn = !opts.DisablePathSummary && ev.store.Paths() != nil
+	c.structSkip = c.pathOn && !opts.DisableSummarySkip
+	if c.accessSkip || c.pathOn {
+		endCompile := opts.Trace.Span(obs.EvCompile)
+		if c.pathOn {
+			c.shape = ev.masks.shapeFor(t.String(), ev.seq, func() *compiledShape {
+				return compileShape(ev.store, t, c.subs)
+			})
+		}
+		c.route = resolvePathAccess(ev.store, t, c.subs, c.shape, opts.View)
+		if !c.empty() {
+			c.mask = fuseMask(ev.store, t, c.shape, opts.View, c.accessSkip, c.structSkip)
+		}
+		endCompile()
+	}
+	if c.empty() {
+		return c, nil
+	}
+
+	c.scans = make([]scanPlan, len(c.subs))
+	for i, sub := range c.subs {
+		sp := &c.scans[i]
+		if i == 0 && t.Root.Axis == AxisChild {
+			sp.source, sp.n = sourceDocRoot, 1
+			continue
+		}
+		cands, source, err := ev.candidates(sub)
+		if err != nil {
+			return nil, err
+		}
+		// Route candidates through the path summary: a posting whose block
+		// holds no class this subtree root can bind cannot contribute an
+		// answer, so it is rejected before any page is read for it.
+		if c.shape != nil && c.shape.candKeep[i] != nil {
+			scanTr := opts.Trace.ForOp(opScan(i))
+			kept := make([]btree.Posting, 0, len(cands))
+			for _, cand := range cands {
+				pi := ev.store.PageIndexOf(cand.Node)
+				if hasBit(c.shape.candKeep[i], pi) {
+					kept = append(kept, cand)
+					continue
+				}
+				sp.rejected++
+				scanTr.CandidateReject(int64(cand.Node), int64(ev.store.PageInfoAt(pi).Page))
+			}
+			cands = kept
+		}
+		sp.source, sp.cands, sp.n = source, cands, len(cands)
+		if c.workers > 1 && sp.n >= minParallelCandidates {
+			// More chunks than workers evens out candidate skew; clamp both
+			// so fewer candidates than workers never spawns idle goroutines.
+			sp.parallel = true
+			sp.chunks = min(c.workers*4, sp.n)
+			sp.workers = min(c.workers, sp.chunks)
+		}
+	}
+	return c, nil
+}
+
+// sourceDocRoot names the anchored top subtree's candidate source.
+const sourceDocRoot = "doc-root"
+
+// minParallelCandidates is the candidate-list size below which fanning out
+// is not worth the goroutine overhead.
+const minParallelCandidates = 16
+
+// candidates returns the index postings for a NoK subtree root ("using B+
+// trees on the subtree root's value or tag names", §4.1) and names their
+// source.
+func (ev *Evaluator) candidates(sub NoKSubtree) ([]btree.Posting, string, error) {
+	if sub.Root.Tag == "*" {
+		// Wildcard root: union of all tags' postings, in document order.
+		var all []btree.Posting
+		for code := 0; code < ev.store.NumTags(); code++ {
+			ps, err := ev.index.Postings(int32(code))
+			if err != nil {
+				return nil, "", err
+			}
+			all = append(all, ps...)
+		}
+		sort.Slice(all, func(i, j int) bool { return all[i].Node < all[j].Node })
+		return all, "wildcard-union", nil
+	}
+	code, ok := ev.store.LookupTag(sub.Root.Tag)
+	if sub.Root.Value != "" && ev.vindex != nil {
+		if !ok {
+			return nil, "value-index", nil
+		}
+		ps, err := ev.vindex.ValuePostings(code, sub.Root.Value)
+		return ps, "value-index", err
+	}
+	if !ok {
+		return nil, "tag-index", nil
+	}
+	ps, err := ev.index.Postings(code)
+	return ps, "tag-index", err
+}

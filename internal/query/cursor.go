@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"dolxml/internal/btree"
 	"dolxml/internal/dol"
 	"dolxml/internal/join"
 	"dolxml/internal/obs"
@@ -122,15 +121,15 @@ func sendMsg(ctx context.Context, out chan<- matchMsg, msg matchMsg) bool {
 // newMatchCursor returns a cursor producing subtree i's matches as tuples,
 // in candidate order. Matches stream out of the ε-NoK matcher as they are
 // found (npmStream), so the first tuple surfaces before the candidate scan
-// finishes — the early-termination property Limit relies on. With enough
-// candidates and workers > 1 the scan fans out across a worker pool.
-func newMatchCursor(parent context.Context, ev *Evaluator, m *matcher, subs []NoKSubtree, i int, cands []btree.Posting, workers int) Cursor {
-	if workers > 1 && len(cands) >= minParallelCandidates {
-		return newParallelMatchCursor(parent, ev, m, subs, i, cands, workers)
+// finishes — the early-termination property Limit relies on. When the plan
+// chose to fan out, the scan runs across a worker pool.
+func newMatchCursor(parent context.Context, ev *Evaluator, m *matcher, subs []NoKSubtree, i int, sp scanPlan) Cursor {
+	if sp.parallel {
+		return newParallelMatchCursor(parent, ev, m, subs, i, sp)
 	}
 	sub := subs[i]
 	return newChanCursor(parent, func(ctx context.Context, out chan<- matchMsg) {
-		for _, c := range cands {
+		for _, c := range sp.cands {
 			stopped, err := m.matchCandidate(ctx, sub, c, func(sm subtreeMatch) bool {
 				return sendMsg(ctx, out, matchMsg{t: ev.tupleFrom(subs, i, sm)})
 			})
@@ -154,17 +153,9 @@ func newMatchCursor(parent context.Context, ev *Evaluator, m *matcher, subs []No
 // has forwarded, so a consumer that stops pulling (Limit, cancellation)
 // stops the workers' page reads after bounded run-ahead instead of
 // matching every candidate.
-func newParallelMatchCursor(parent context.Context, ev *Evaluator, m *matcher, subs []NoKSubtree, i int, cands []btree.Posting, workers int) Cursor {
+func newParallelMatchCursor(parent context.Context, ev *Evaluator, m *matcher, subs []NoKSubtree, i int, sp scanPlan) Cursor {
 	sub := subs[i]
-	// More chunks than workers evens out candidate skew; clamp both so
-	// fewer candidates than workers never spawns idle goroutines.
-	chunks := workers * 4
-	if chunks > len(cands) {
-		chunks = len(cands)
-	}
-	if workers > chunks {
-		workers = chunks
-	}
+	cands, workers, chunks := sp.cands, sp.workers, sp.chunks
 	bounds := func(k int) (int, int) {
 		return k * len(cands) / chunks, (k + 1) * len(cands) / chunks
 	}

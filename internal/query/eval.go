@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"fmt"
 	"runtime"
 	"sort"
 
@@ -42,12 +41,14 @@ type Options struct {
 	DisablePageSkip bool
 	// DisableSummarySkip turns off the structure-aware half of the fused
 	// skip mask: child scans then skip pages only on access-control
-	// grounds, never because the per-page summaries exclude the pattern's
-	// tags. For ablation experiments; answers are identical either way.
+	// grounds, never because the path summary places none of the pattern's
+	// classes on them. For ablation experiments; answers are identical
+	// either way.
 	DisableSummarySkip bool
 	// DisablePathSummary turns off path-summary routing: unsatisfiable
 	// patterns are then discovered by scanning, candidate postings are not
-	// filtered by path class, dead-page bits lose the path refinement, and
+	// filtered by path class, scans skip pages on access grounds only (the
+	// structural dead pages derive from the path summary), and
 	// uniform-class access verdicts are checked per node again. For
 	// ablation experiments; answers are identical either way.
 	DisablePathSummary bool
@@ -89,6 +90,8 @@ type Result struct {
 	Matches int
 	// Skips reports how many page reads the fused skip mask avoided.
 	Skips SkipStats
+	// Plan is the plan the evaluation ran, as Explain renders it.
+	Plan *Plan
 }
 
 // Evaluator evaluates twig queries against one NoK store using a tag
@@ -117,7 +120,7 @@ func NewEvaluator(store *nok.Store, index *btree.Tree) *Evaluator {
 // never assumes "the current store" and concurrent updates cannot change
 // an in-flight query's view.
 type Snapshot struct {
-	// Store is the frozen structure store (pages, directory, summaries,
+	// Store is the frozen structure store (pages, directory, path summary,
 	// codes); it must not be mutated while the snapshot is in use.
 	Store *nok.Store
 	// Index is the tag index over Store.
@@ -176,7 +179,7 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, t *PatternTree, opts Optio
 		nodes = append(nodes, n)
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	return &Result{Nodes: nodes, Matches: a.Matches(), Skips: a.SkipStats()}, nil
+	return &Result{Nodes: nodes, Matches: a.Matches(), Skips: a.SkipStats(), Plan: a.c.plan()}, nil
 }
 
 // Answers is a streaming cursor over a query's answers: the distinct
@@ -186,17 +189,10 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, t *PatternTree, opts Optio
 // releases the pipeline's producers and page pins no matter how far the
 // cursor was drained.
 type Answers struct {
-	p       *pipeline
-	retSlot int
+	p *pipeline
+	// c is the plan the pipeline was instantiated from.
+	c       *compiled
 	matches *int
-	skips   *skipMask
-	trace   *obs.Trace
-	// pathEmpty records that path routing proved the query empty before
-	// any page was pinned; pathClasses counts access verdicts resolved at
-	// the path-class level, pathCands counts candidates it rejected.
-	pathEmpty   bool
-	pathClasses int64
-	pathCands   int64
 }
 
 // Open builds the cursor pipeline for the pattern tree without draining
@@ -204,149 +200,84 @@ type Answers struct {
 // aborts in-flight producers at their next page-fetch boundary.
 func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*Answers, error) {
 	defer opts.Trace.Span(obs.EvOpen)()
-	subs := t.Decompose()
-	ret := t.ReturningNode()
+	c, err := ev.compile(t, opts)
+	if err != nil {
+		return nil, err
+	}
+	if c.empty() {
+		opts.Trace.Mark(obs.EvPathEmpty)
+		return &Answers{p: &pipeline{Cursor: emptyCursor{}, cancel: func() {}}, c: c, matches: new(int)}, nil
+	}
+	subs := c.subs
 
 	// Track bindings for link sources and the returning node.
-	tracked := map[*PatternNode]bool{ret: true}
+	tracked := map[*PatternNode]bool{t.ReturningNode(): true}
 	for _, sub := range subs {
 		if sub.Link != nil {
 			tracked[sub.Link] = true
 		}
 		tracked[sub.Root] = true
 	}
-	var checker AccessChecker
-	if opts.View != nil {
-		checker = opts.View
+	m := &matcher{
+		store:   ev.store,
+		values:  ev.store.Values(),
+		view:    opts.View,
+		tracked: tracked,
+		masks:   c.mask,
+		trace:   opts.Trace,
 	}
-	retSlot := -1
-	for i := range subs {
-		if s := ev.slotOfNode(subs, i, ret); s >= 0 {
-			retSlot = s
-			break
-		}
+	if c.route != nil {
+		m.preAllow = c.route.preAllow
+		m.preAllowRoot = c.route.preAllowRoot
 	}
-	if retSlot < 0 {
-		return nil, fmt.Errorf("query: returning node not tracked")
-	}
-
-	// Compile the query's fused skip mask once: the view's page-deny bitmap
-	// (unless access skipping is ablated) plus the view-independent shape —
-	// per-page tag/depth bits and, when path routing is on, the path
-	// summary's class placement. The shape is memoized per (pattern,
-	// snapshot) when the evaluator carries a MaskCache.
-	accessSkip := opts.View != nil && !opts.DisablePageSkip
-	structSkip := !opts.DisableSummarySkip
-	pathOn := !opts.DisablePathSummary && ev.store.Paths() != nil
-	var (
-		sm    *skipMask
-		shape *compiledShape
-		route *pathRoute
-	)
-	if accessSkip || structSkip || pathOn {
-		endCompile := opts.Trace.Span(obs.EvCompile)
-		if structSkip || pathOn {
-			shape = ev.shapeFor(t, subs, structSkip, pathOn)
-		}
-		if shape != nil && shape.emptyStruct {
-			// The pattern has no embedding in the path summary: no document
-			// node can match it. Return before any candidate lookup — an
-			// anchored top subtree's candidate would otherwise pin pages.
-			endCompile()
-			opts.Trace.Mark(obs.EvPathEmpty)
-			return emptyAnswers(opts, retSlot), nil
-		}
-		route = resolvePathAccess(ev.store, t, subs, shape, opts.View)
-		if route != nil && route.emptyAccess {
-			// Every class some pattern node can bind is uniformly denied to
-			// this view: no accessible answer exists.
-			endCompile()
-			opts.Trace.Mark(obs.EvPathEmpty)
-			a := emptyAnswers(opts, retSlot)
-			a.pathClasses = route.preResolved
-			return a, nil
-		}
-		sm = fuseMask(ev.store, t, shape, opts.View, accessSkip)
-		if sm != nil {
-			sm.trace = opts.Trace
-			// Per-node operator handles: a page skipped while scanning for
-			// pattern node p attributes to p's subtree's scan operator.
-			// Resolved here, before prepare captures the scan closures.
-			if opts.Trace != nil {
-				sm.nodeTrace = make(map[*PatternNode]*obs.Trace, t.Len())
-				for i := range subs {
-					h := opts.Trace.ForOp(opScan(i))
-					var walk func(p *PatternNode)
-					walk = func(p *PatternNode) {
-						sm.nodeTrace[p] = h
-						for _, c := range nokChildren(p) {
-							walk(c)
-						}
+	if c.mask != nil {
+		c.mask.trace = opts.Trace
+		// Per-node operator handles: a page skipped while scanning for
+		// pattern node p attributes to p's subtree's scan operator.
+		// Resolved here, before prepare captures the scan closures.
+		if opts.Trace != nil {
+			c.mask.nodeTrace = make(map[*PatternNode]*obs.Trace, t.Len())
+			for i := range subs {
+				h := opts.Trace.ForOp(opScan(i))
+				var walk func(p *PatternNode)
+				walk = func(p *PatternNode) {
+					c.mask.nodeTrace[p] = h
+					for _, k := range nokChildren(p) {
+						walk(k)
 					}
-					walk(subs[i].Root)
 				}
+				walk(subs[i].Root)
 			}
 		}
-		endCompile()
-	}
-	m := &matcher{
-		store:    ev.store,
-		values:   ev.store.Values(),
-		checker:  checker,
-		pageSkip: !opts.DisablePageSkip,
-		tracked:  tracked,
-		masks:    sm,
-		trace:    opts.Trace,
-	}
-	if route != nil {
-		m.preAllow = route.preAllow
-		m.preAllowRoot = route.preAllowRoot
 	}
 	// Freeze the matcher's derived state so match producers can share it
 	// across workers.
 	m.prepare(subs)
-	workers := opts.workers()
 
 	// Assemble the operator tree bottom-up: per-subtree match producers,
 	// the pruned-subtree root-path filter on the top subtree, one
 	// structural-join operator per cut edge, then dedup and limit.
 	pctx, cancel := context.WithCancel(ctx)
 	var cur Cursor
-	var pathCands int64
 	for i := range subs {
 		// Stamp this subtree's scan operator on every page pin its
 		// candidate lookup and match producers perform: the anchored top
 		// candidate, streaming matches, and parallel chunk workers all run
 		// under sctx.
-		scanTr := opts.Trace.ForOp(opScan(i))
 		sctx := pctx
-		if scanTr != nil {
+		if scanTr := opts.Trace.ForOp(opScan(i)); scanTr != nil {
 			sctx = obs.WithTrace(pctx, scanTr)
 		}
-		cands, err := ev.candidates(sctx, t, subs[i], i == 0)
-		if err != nil {
-			cancel()
-			if cur != nil {
-				cur.Close()
+		sp := c.scans[i]
+		if sp.source == sourceDocRoot {
+			end, err := ev.store.SubtreeEndCtx(sctx, 0)
+			if err != nil {
+				cancel()
+				return nil, err
 			}
-			return nil, err
+			sp.cands = []btree.Posting{{Node: 0, End: end, Level: 0}}
 		}
-		// Route candidates through the path summary: a posting whose block
-		// holds no class this subtree root can bind cannot contribute an
-		// answer, so it is rejected before any page is read for it.
-		if shape != nil && shape.candKeep != nil && shape.candKeep[i] != nil {
-			kept := make([]btree.Posting, 0, len(cands))
-			for _, c := range cands {
-				if hasBit(shape.candKeep[i], ev.store.PageIndexOf(c.Node)) {
-					kept = append(kept, c)
-					continue
-				}
-				pathCands++
-				scanTr.CandidateReject(int64(c.Node), sm.pageIDOf(ev.store.PageIndexOf(c.Node)))
-			}
-			cands = kept
-		}
-		rc := newMatchCursor(sctx, ev, m, subs, i, cands, workers)
+		rc := newMatchCursor(sctx, ev, m, subs, i, sp)
 		if i == 0 {
 			if opts.View != nil && opts.Semantics == SemanticsPrunedSubtree {
 				rc = &pathFilterCursor{ev: ev, view: opts.View, in: rc, tr: opts.Trace.ForOp(opFilter)}
@@ -365,33 +296,12 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 			}
 		}
 	}
-	dd := &dedupCursor{in: cur, retSlot: retSlot, seen: map[xmltree.NodeID]bool{}}
+	dd := &dedupCursor{in: cur, retSlot: c.retSlot, seen: map[xmltree.NodeID]bool{}}
 	var top Cursor = dd
 	if opts.Limit > 0 {
 		top = &limitCursor{in: dd, remaining: opts.Limit}
 	}
-	a := &Answers{
-		p:         &pipeline{Cursor: top, cancel: cancel},
-		retSlot:   retSlot,
-		matches:   &dd.matches,
-		skips:     sm,
-		trace:     opts.Trace,
-		pathCands: pathCands,
-	}
-	if route != nil {
-		a.pathClasses = route.preResolved
-	}
-	return a, nil
-}
-
-// shapeFor compiles (or recalls) the query's view-independent shape.
-func (ev *Evaluator) shapeFor(t *PatternTree, subs []NoKSubtree, structSkip, pathOn bool) *compiledShape {
-	build := func() *compiledShape { return compileShape(ev.store, t, subs, structSkip, pathOn) }
-	if ev.masks == nil {
-		return build()
-	}
-	key := maskKey{pattern: t.String(), structSkip: structSkip, pathOn: pathOn}
-	return ev.masks.shapeFor(key, ev.seq, build)
+	return &Answers{p: &pipeline{Cursor: top, cancel: cancel}, c: c, matches: &dd.matches}, nil
 }
 
 // emptyCursor is the pipeline of a query proven empty at compile time.
@@ -400,18 +310,6 @@ type emptyCursor struct{}
 func (emptyCursor) Next(ctx context.Context) (Tuple, error) { return nil, nil }
 func (emptyCursor) Close() error                            { return nil }
 
-// emptyAnswers builds the Answers of a query proven empty before any page
-// was pinned.
-func emptyAnswers(opts Options, retSlot int) *Answers {
-	return &Answers{
-		p:         &pipeline{Cursor: emptyCursor{}, cancel: func() {}},
-		retSlot:   retSlot,
-		matches:   new(int),
-		trace:     opts.Trace,
-		pathEmpty: true,
-	}
-}
-
 // Next returns the next distinct answer; ok is false once the stream is
 // exhausted or the Limit was reached.
 func (a *Answers) Next(ctx context.Context) (n xmltree.NodeID, ok bool, err error) {
@@ -419,8 +317,8 @@ func (a *Answers) Next(ctx context.Context) (n xmltree.NodeID, ok bool, err erro
 	if err != nil || tp == nil {
 		return xmltree.InvalidNode, false, err
 	}
-	n = tp[a.retSlot].node
-	a.trace.Emit(int64(n))
+	n = tp[a.c.retSlot].node
+	a.c.opts.Trace.Emit(int64(n))
 	return n, true, nil
 }
 
@@ -432,10 +330,14 @@ func (a *Answers) Matches() int { return *a.matches }
 // avoided so far, by cause, plus the path-routing outcomes fixed at Open.
 // Zero when skipping was disabled.
 func (a *Answers) SkipStats() SkipStats {
-	s := a.skips.stats()
-	s.PathCandidates = a.pathCands
-	s.PathClasses = a.pathClasses
-	if a.pathEmpty {
+	s := a.c.mask.stats()
+	for _, sp := range a.c.scans {
+		s.PathCandidates += int64(sp.rejected)
+	}
+	if a.c.route != nil {
+		s.PathClasses = a.c.route.preResolved
+	}
+	if a.c.empty() {
 		s.PathEmpty = 1
 	}
 	return s
@@ -541,38 +443,4 @@ func (ev *Evaluator) tupleFrom(subs []NoKSubtree, i int, sm subtreeMatch) Tuple 
 		}
 	}
 	return tp
-}
-
-// candidates returns the root candidates for a NoK subtree: the document
-// root for an anchored top subtree, otherwise the tag-index postings
-// ("using B+ trees on the subtree root's ... tag names", §4.1).
-func (ev *Evaluator) candidates(ctx context.Context, t *PatternTree, sub NoKSubtree, top bool) ([]btree.Posting, error) {
-	if top && t.Root.Axis == AxisChild {
-		end, err := ev.store.SubtreeEndCtx(ctx, 0)
-		if err != nil {
-			return nil, err
-		}
-		return []btree.Posting{{Node: 0, End: end, Level: 0}}, nil
-	}
-	if sub.Root.Tag == "*" {
-		// Wildcard root: union of all tags' postings, in document order.
-		var all []btree.Posting
-		for code := 0; code < ev.store.NumTags(); code++ {
-			ps, err := ev.index.Postings(int32(code))
-			if err != nil {
-				return nil, err
-			}
-			all = append(all, ps...)
-		}
-		sort.Slice(all, func(i, j int) bool { return all[i].Node < all[j].Node })
-		return all, nil
-	}
-	code, ok := ev.store.LookupTag(sub.Root.Tag)
-	if !ok {
-		return nil, nil
-	}
-	if sub.Root.Value != "" && ev.vindex != nil {
-		return ev.vindex.ValuePostings(code, sub.Root.Value)
-	}
-	return ev.index.Postings(code)
 }

@@ -11,12 +11,12 @@ import (
 	"dolxml/internal/obs"
 )
 
-// explain.go renders the query compiler's already-computed state — the
-// memoized compiledShape, the view's pathRoute verdicts, the fused skip
-// mask, and the operator choices Open would make — into a structured Plan,
-// with zero execution (EXPLAIN), and folds a traced run's event stream
-// into per-operator attribution reconciled exactly against the registry
-// deltas (ANALYZE).
+// explain.go renders the value compile returns — flags, shape, route, mask
+// and the per-subtree candidate and fan-out decisions — into a structured
+// Plan (EXPLAIN), and folds a traced run's event stream into per-operator
+// attribution reconciled exactly against the registry deltas (ANALYZE). It
+// decides nothing itself: Open instantiates its cursors from the same
+// compiled value.
 //
 // Operator identity rides on trace events as an op label (obs.TraceEvent
 // .Op): Open stamps each match producer's context, each join, and the
@@ -45,9 +45,9 @@ const (
 
 // Plan is the structured form of one query's compiled evaluation plan:
 // the pattern tree annotated with mask and routing state, the embedding
-// verdict, and the operator pipeline Open would build. It marshals to
-// JSON and renders as an indented text tree; building it performs no
-// execution and pins no store pages.
+// verdict, and the operator pipeline Open builds. It marshals to JSON and
+// renders as an indented text tree; building it performs no execution and
+// pins no store pages.
 type Plan struct {
 	// Query is the canonical pattern render (PatternTree.String).
 	Query string `json:"query"`
@@ -75,9 +75,7 @@ type Plan struct {
 	// PreResolvedClasses counts path classes whose access verdict was
 	// resolved once from a uniform code instead of per node.
 	PreResolvedClasses int64 `json:"preresolved_classes,omitempty"`
-	// GlobalDeadPages is the query-wide structural dead-page count (depth
-	// bound); AccessDeniedPages the view's page-deny bitmap population.
-	GlobalDeadPages   int `json:"global_dead_pages"`
+	// AccessDeniedPages is the view's page-deny bitmap population.
 	AccessDeniedPages int `json:"access_denied_pages"`
 	// Nodes is the annotated pattern tree, by PatternNode id (preorder).
 	Nodes []PlanNode `json:"nodes"`
@@ -94,9 +92,10 @@ type PlanNode struct {
 	// Subtree is the NoK subtree the node belongs to.
 	Subtree   int  `json:"subtree"`
 	Returning bool `json:"returning,omitempty"`
-	// StructDeadPages counts pages the node's child scans may skip on
-	// structural evidence alone; FusedDeadPages the same after fusing the
-	// view's deny bitmap (what evaluation actually consults).
+	// StructDeadPages counts pages the node's child scans may skip because
+	// the path summary places none of their classes there; FusedDeadPages
+	// the same after fusing the view's deny bitmap (what evaluation
+	// actually consults).
 	StructDeadPages int `json:"struct_dead_pages"`
 	FusedDeadPages  int `json:"fused_dead_pages"`
 	// ClassesDown / ClassesMatched are the path-summary embedding sets
@@ -158,209 +157,140 @@ func popcountSet(w []uint64) int {
 }
 
 // Explain compiles the pattern under the given options and renders the
-// plan without executing it. It mirrors Open's compile path exactly —
-// including the unsatisfiable and uniform-deny short-circuits, which
-// return before any candidate lookup so no store page is pinned (the
-// anchored top subtree's candidate would otherwise pin one). For
-// satisfiable plans the candidate counts come from the tag/value index
-// only; no store page is read.
+// plan without executing it. Compilation reads the tag and value indexes
+// only and leaves the anchored document-root candidate unresolved, so no
+// store page is pinned.
 func (ev *Evaluator) Explain(ctx context.Context, t *PatternTree, opts Options) (*Plan, error) {
-	subs := t.Decompose()
-	accessSkip := opts.View != nil && !opts.DisablePageSkip
-	structSkip := !opts.DisableSummarySkip
-	pathOn := !opts.DisablePathSummary && ev.store.Paths() != nil
-	workers := opts.workers()
+	c, err := ev.compile(t, opts)
+	if err != nil {
+		return nil, err
+	}
+	return c.plan(), nil
+}
 
+// plan renders the compiled value.
+func (c *compiled) plan() *Plan {
+	t, subs, opts := c.t, c.subs, c.opts
+	secure := opts.View != nil
+	pruned := secure && opts.Semantics == SemanticsPrunedSubtree
 	sem := "unsecured"
-	if opts.View != nil {
-		if opts.Semantics == SemanticsPrunedSubtree {
-			sem = "pruned"
-		} else {
-			sem = "bindings"
-		}
+	if pruned {
+		sem = "pruned"
+	} else if secure {
+		sem = "bindings"
 	}
 	plan := &Plan{
-		Query:       t.String(),
-		Semantics:   sem,
-		Parallelism: workers,
-		Limit:       opts.Limit,
-		PathRouting: pathOn,
-		StructSkip:  structSkip,
-		AccessSkip:  accessSkip,
-		TotalPages:  ev.store.NumPages(),
+		Query:         t.String(),
+		Semantics:     sem,
+		Parallelism:   c.workers,
+		Limit:         opts.Limit,
+		PathRouting:   c.pathOn,
+		StructSkip:    c.structSkip,
+		AccessSkip:    c.accessSkip,
+		TotalPages:    c.numPages,
+		Unsatisfiable: c.shape != nil && c.shape.emptyStruct,
+		Nodes:         make([]PlanNode, t.Len()),
+	}
+	if c.route != nil {
+		plan.PreResolvedClasses = c.route.preResolved
+		plan.EmptyAccess = c.route.emptyAccess
 	}
 
-	// Subtree membership, for annotating nodes and labeling scans.
-	subtreeOf := map[*PatternNode]int{}
 	for i := range subs {
 		var walk func(p *PatternNode)
 		walk = func(p *PatternNode) {
-			subtreeOf[p] = i
-			for _, c := range nokChildren(p) {
-				walk(c)
+			plan.Nodes[p.id].Subtree = i
+			for _, k := range nokChildren(p) {
+				walk(k)
 			}
 		}
 		walk(subs[i].Root)
 	}
-	plan.Nodes = make([]PlanNode, t.Len())
 	for _, p := range t.nodes {
-		pn := PlanNode{
-			ID:        p.id,
-			Step:      stepString(p),
-			Subtree:   subtreeOf[p],
-			Returning: p.Returning,
-		}
-		for _, c := range p.Children {
-			pn.Children = append(pn.Children, c.id)
-		}
-		plan.Nodes[p.id] = pn
-	}
-
-	// Mirror Open's compile path: shape, embedding verdict, route, mask.
-	var (
-		shape *compiledShape
-		route *pathRoute
-		sm    *skipMask
-	)
-	if accessSkip || structSkip || pathOn {
-		if structSkip || pathOn {
-			shape = ev.shapeFor(t, subs, structSkip, pathOn)
-		}
-		if shape != nil && shape.emptyStruct {
-			plan.Unsatisfiable = true
-			return plan, nil
-		}
-		route = resolvePathAccess(ev.store, t, subs, shape, opts.View)
-		if route != nil {
-			plan.PreResolvedClasses = route.preResolved
-			if route.emptyAccess {
-				plan.EmptyAccess = true
-				return plan, nil
-			}
-		}
-		sm = fuseMask(ev.store, t, shape, opts.View, accessSkip)
-	}
-	if shape != nil {
-		plan.GlobalDeadPages = popcountSet(shape.global)
-		for _, p := range t.nodes {
-			plan.Nodes[p.id].StructDeadPages = popcountSet(shape.perNode[p.id])
-			if shape.pathOn {
-				plan.Nodes[p.id].ClassesDown = popcountSet(shape.down[p.id])
-				plan.Nodes[p.id].ClassesMatched = popcountSet(shape.matched[p.id])
-			}
+		pn := &plan.Nodes[p.id]
+		pn.ID, pn.Step, pn.Returning = p.id, stepString(p), p.Returning
+		for _, k := range p.Children {
+			pn.Children = append(pn.Children, k.id)
 		}
 	}
-	if sm != nil {
-		plan.AccessDeniedPages = popcountSet(sm.access)
-		for _, p := range t.nodes {
-			plan.Nodes[p.id].FusedDeadPages = popcountSet(sm.nodeBits(p))
-		}
+	if c.empty() {
+		return plan
 	}
-	if route != nil {
-		for _, p := range t.nodes {
-			plan.Nodes[p.id].PreAllowChildren = route.preAllow[p.id]
-			plan.Nodes[p.id].PreAllowRoot = route.preAllowRoot[p.id]
+	if c.mask != nil {
+		plan.AccessDeniedPages = popcountSet(c.mask.access)
+	}
+	for _, p := range t.nodes {
+		pn := &plan.Nodes[p.id]
+		if c.structSkip {
+			pn.StructDeadPages = popcountSet(c.shape.dead[p.id])
+		}
+		if c.shape != nil {
+			pn.ClassesDown = popcountSet(c.shape.down[p.id])
+			pn.ClassesMatched = popcountSet(c.shape.matched[p.id])
+		}
+		pn.FusedDeadPages = popcountSet(c.mask.nodeBits(p))
+		if c.route != nil {
+			pn.PreAllowChildren = c.route.preAllow[p.id]
+			pn.PreAllowRoot = c.route.preAllowRoot[p.id]
 		}
 	}
 
-	// Operator pipeline, mirroring Open's assembly loop. Candidate counts
-	// for the anchored top subtree are known without I/O (the document
-	// root); other subtrees count index postings — no store page is read.
-	secure := opts.View != nil
-	scanAlg := "nok"
+	// Operator pipeline, bottom-up as Open assembles it.
+	scanAlg, joinAlg := "nok", "std"
 	if secure {
 		scanAlg = "eps-nok"
 	}
+	if pruned {
+		joinAlg = "eps-std"
+	}
 	var topLabel string
-	for i := range subs {
-		op := PlanOp{
-			Op:        opScan(i),
-			Kind:      "scan",
-			Subtree:   i,
-			Root:      stepString(subs[i].Root),
-			Algorithm: scanAlg,
-		}
-		if i == 0 && t.Root.Axis == AxisChild {
-			op.Candidates = 1
-			op.CandidateSrc = "doc-root"
-		} else {
-			cands, err := ev.candidates(ctx, t, subs[i], i == 0)
-			if err != nil {
-				return nil, err
-			}
-			switch {
-			case subs[i].Root.Tag == "*":
-				op.CandidateSrc = "wildcard-union"
-			case subs[i].Root.Value != "" && ev.vindex != nil:
-				op.CandidateSrc = "value-index"
-			default:
-				op.CandidateSrc = "tag-index"
-			}
-			kept := len(cands)
-			if shape != nil && shape.candKeep != nil && shape.candKeep[i] != nil {
-				kept = 0
-				for _, c := range cands {
-					if hasBit(shape.candKeep[i], ev.store.PageIndexOf(c.Node)) {
-						kept++
-					}
-				}
-				op.RejectedByPath = len(cands) - kept
-			}
-			op.Candidates = kept
-		}
-		if workers > 1 && op.Candidates >= minParallelCandidates {
-			op.Parallel = true
-			chunks := workers * 4
-			if chunks > op.Candidates {
-				chunks = op.Candidates
-			}
-			w := workers
-			if w > chunks {
-				w = chunks
-			}
-			op.Workers, op.Chunks = w, chunks
-		}
-		label := op.Op
-		plan.Operators = append(plan.Operators, op)
-		if i == 0 {
-			if secure && opts.Semantics == SemanticsPrunedSubtree {
-				plan.Operators = append(plan.Operators, PlanOp{
-					Op:        opFilter,
-					Kind:      "filter",
-					Subtree:   0,
-					Algorithm: "eps-std",
-					Inputs:    []string{label},
-				})
-				label = opFilter
-			}
-			topLabel = label
-		} else {
-			alg := "std"
-			if secure && opts.Semantics == SemanticsPrunedSubtree {
-				alg = "eps-std"
-			}
-			jop := PlanOp{
+	for i, sp := range c.scans {
+		root := stepString(subs[i].Root)
+		plan.Operators = append(plan.Operators, PlanOp{
+			Op:             opScan(i),
+			Kind:           "scan",
+			Subtree:        i,
+			Root:           root,
+			Algorithm:      scanAlg,
+			Candidates:     sp.n,
+			RejectedByPath: sp.rejected,
+			CandidateSrc:   sp.source,
+			Parallel:       sp.parallel,
+			Workers:        sp.workers,
+			Chunks:         sp.chunks,
+		})
+		switch {
+		case i > 0:
+			plan.Operators = append(plan.Operators, PlanOp{
 				Op:        opJoin(i),
 				Kind:      "join",
 				Subtree:   i,
-				Root:      stepString(subs[i].Root),
-				Algorithm: alg,
-				Inputs:    []string{topLabel, label},
-			}
-			plan.Operators = append(plan.Operators, jop)
-			topLabel = jop.Op
+				Root:      root,
+				Algorithm: joinAlg,
+				Inputs:    []string{topLabel, opScan(i)},
+			})
+			topLabel = opJoin(i)
+		case pruned:
+			plan.Operators = append(plan.Operators, PlanOp{
+				Op:        opFilter,
+				Kind:      "filter",
+				Algorithm: "eps-std",
+				Inputs:    []string{opScan(0)},
+			})
+			topLabel = opFilter
+		default:
+			topLabel = opScan(0)
 		}
 	}
 	plan.Operators = append(plan.Operators, PlanOp{
 		Op: opDedup, Kind: "dedup", Subtree: -1, Inputs: []string{topLabel},
 	})
-	topLabel = opDedup
 	if opts.Limit > 0 {
 		plan.Operators = append(plan.Operators, PlanOp{
-			Op: opLimit, Kind: "limit", Subtree: -1, Limit: opts.Limit, Inputs: []string{topLabel},
+			Op: opLimit, Kind: "limit", Subtree: -1, Limit: opts.Limit, Inputs: []string{opDedup},
 		})
 	}
-	return plan, nil
+	return plan
 }
 
 // WriteJSON writes the plan as indented JSON.
@@ -384,8 +314,8 @@ func (p *Plan) WriteText(w io.Writer) error {
 		pr(" limit=%d", p.Limit)
 	}
 	pr("\n")
-	pr("skip: access=%v struct=%v path-routing=%v  pages=%d global-dead=%d access-denied=%d",
-		p.AccessSkip, p.StructSkip, p.PathRouting, p.TotalPages, p.GlobalDeadPages, p.AccessDeniedPages)
+	pr("skip: access=%v struct=%v path-routing=%v  pages=%d access-denied=%d",
+		p.AccessSkip, p.StructSkip, p.PathRouting, p.TotalPages, p.AccessDeniedPages)
 	if p.PreResolvedClasses > 0 {
 		pr(" preresolved-classes=%d", p.PreResolvedClasses)
 	}

@@ -10,30 +10,22 @@ import (
 // resets wholesale (distinct live patterns per snapshot are few).
 const maskCacheCap = 256
 
-// maskKey identifies a compiled shape: the pattern's canonical string plus
-// the ablation flags that change what the shape contains. PatternNode ids
-// are assigned deterministically by the parser, so a shape compiled from
-// one parse of a pattern string applies to any reparse of it.
-type maskKey struct {
-	pattern    string
-	structSkip bool
-	pathOn     bool
-}
-
 type maskEntry struct {
 	seq   uint64
 	shape *compiledShape
 }
 
-// MaskCache memoizes compiled query shapes per snapshot sequence. The
-// facade attaches one cache to each published index state; queries on the
-// same snapshot then compile each distinct pattern once. Entries carry
-// the publishing sequence and hit only on an exact match: every commit
-// (structural or ACL-only) bumps the sequence, so shapes never outlive
-// the page directory and summaries they were computed from.
+// MaskCache memoizes compiled query shapes per snapshot sequence, keyed by
+// the pattern's canonical string (PatternNode ids are assigned
+// deterministically by the parser, so a shape compiled from one parse
+// applies to any reparse). The facade attaches one cache to each published
+// index state; queries on the same snapshot then compile each distinct
+// pattern once. Entries carry the publishing sequence and hit only on an
+// exact match: every commit (structural or ACL-only) bumps the sequence,
+// so shapes never outlive the path summary they were computed from.
 type MaskCache struct {
 	mu      sync.Mutex
-	entries map[maskKey]*maskEntry
+	entries map[string]*maskEntry
 	hits    *obs.Counter
 	misses  *obs.Counter
 }
@@ -41,14 +33,17 @@ type MaskCache struct {
 // NewMaskCache returns an empty cache. hits/misses, when non-nil, receive
 // one increment per lookup outcome.
 func NewMaskCache(hits, misses *obs.Counter) *MaskCache {
-	return &MaskCache{entries: make(map[maskKey]*maskEntry), hits: hits, misses: misses}
+	return &MaskCache{entries: make(map[string]*maskEntry), hits: hits, misses: misses}
 }
 
 // shapeFor returns the memoized shape for key at sequence seq, building
-// and caching it on a miss. build runs under the cache lock: it is pure
-// in-memory work (no page I/O), and serializing concurrent compilations
-// of the same pattern is the point.
-func (mc *MaskCache) shapeFor(key maskKey, seq uint64, build func() *compiledShape) *compiledShape {
+// and caching it on a miss (a nil cache always builds). build runs under
+// the cache lock: it is pure in-memory work (no page I/O), and serializing
+// concurrent compilations of the same pattern is the point.
+func (mc *MaskCache) shapeFor(key string, seq uint64, build func() *compiledShape) *compiledShape {
+	if mc == nil {
+		return build()
+	}
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
 	if e := mc.entries[key]; e != nil && e.seq == seq {
@@ -62,7 +57,7 @@ func (mc *MaskCache) shapeFor(key maskKey, seq uint64, build func() *compiledSha
 	}
 	sh := build()
 	if len(mc.entries) >= maskCacheCap {
-		mc.entries = make(map[maskKey]*maskEntry)
+		mc.entries = make(map[string]*maskEntry)
 	}
 	mc.entries[key] = &maskEntry{seq: seq, shape: sh}
 	return sh

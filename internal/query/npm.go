@@ -7,22 +7,11 @@ import (
 	"strings"
 
 	"dolxml/internal/btree"
+	"dolxml/internal/dol"
 	"dolxml/internal/nok"
 	"dolxml/internal/obs"
 	"dolxml/internal/xmltree"
 )
-
-// AccessChecker abstracts the DOL access decisions the secure matcher
-// needs, bound to one subject view (dol.SubjectView implements it). A nil
-// AccessChecker means non-secure evaluation.
-type AccessChecker interface {
-	// AccessibleCtx reports whether the subject may access node n,
-	// honoring ctx at the page-fetch boundary.
-	AccessibleCtx(ctx context.Context, n xmltree.NodeID) (bool, error)
-	// SkipPage reports, from the in-memory page directory alone, that
-	// every node in block pageIdx is inaccessible.
-	SkipPage(pageIdx int) bool
-}
 
 // binding records where a pattern node matched and at what depth.
 type binding struct {
@@ -48,12 +37,10 @@ type subtreeMatch struct {
 // untracked subtrees existentially — the completion needed for "the nodes
 // in the data tree that match [the returning] node" to all be returned.
 type matcher struct {
-	store   *nok.Store
-	values  *nok.ValueStore
-	checker AccessChecker
-	// pageSkip enables the §3.3 optimization: sibling scans skip whole
-	// blocks that the page directory proves fully inaccessible.
-	pageSkip bool
+	store  *nok.Store
+	values *nok.ValueStore
+	// view makes the access decisions; nil means non-secure evaluation.
+	view *dol.SubjectView
 	// tracked marks the pattern nodes whose bindings must be recorded.
 	tracked map[*PatternNode]bool
 	// hasTracked caches, per pattern node, whether its NoK subtree
@@ -61,9 +48,6 @@ type matcher struct {
 	// matching begins; afterwards the matcher is read-only and may be
 	// shared by parallel workers.
 	hasTracked map[*PatternNode]bool
-	// skipFn caches checker.SkipPage so the hot sibling scan does not
-	// materialize a method value per step.
-	skipFn func(int) bool
 	// masks is the query's compiled skip mask (nil when both access and
 	// structural skipping are disabled).
 	masks *skipMask
@@ -95,9 +79,7 @@ type nodeSkip struct {
 }
 
 // masked is the count-free probe of the fused bitmap.
-func (ns *nodeSkip) masked(i int) bool {
-	return i >= 0 && i>>6 < len(ns.bits) && ns.bits[i>>6]&(1<<(uint(i)&63)) != 0
-}
+func (ns *nodeSkip) masked(i int) bool { return hasBit(ns.bits, i) }
 
 // scanPreAllowed reports that p's child scans carry a pre-resolved allow
 // verdict for every acceptable path class.
@@ -116,9 +98,6 @@ func (m *matcher) rootPreAllowed(root *PatternNode) bool {
 func (m *matcher) prepare(subs []NoKSubtree) {
 	for i := range subs {
 		m.trackedIn(subs[i].Root)
-	}
-	if m.checker != nil {
-		m.skipFn = m.checker.SkipPage
 	}
 	if m.masks != nil {
 		m.scanSkip = make(map[*PatternNode]*nodeSkip)
@@ -331,7 +310,14 @@ func (m *matcher) npmStream(ctx context.Context, proot *PatternNode, u binding, 
 	}
 
 	childLevel := u.level + 1
-	ns := m.scanSkip[proot] // nil when the query compiled no mask
+	// The scan consults proot's fused bitmap, skipping blocks that are
+	// wholly inaccessible (§3.3) or that hold no path class proot's pattern
+	// children can bind; nil when the query compiled no mask for it.
+	ns := m.scanSkip[proot]
+	var skip func(int) bool
+	if ns != nil {
+		skip = ns.fn
+	}
 	v, err := m.store.FirstChildCtx(ctx, u.node)
 	if err != nil {
 		return false, false, err
@@ -346,7 +332,7 @@ func (m *matcher) npmStream(ctx context.Context, proot *PatternNode, u binding, 
 			// prefix up to v, so its directory depths do not describe the
 			// remainder alone.
 			if k := m.store.PageIndexOf(v); m.store.PageInfoAt(k).FirstNode == v && ns.masked(k) {
-				v, err = m.store.NextSiblingFromBlockCtx(ctx, k, childLevel, ns.fn)
+				v, err = m.store.NextSiblingFromBlockCtx(ctx, k, childLevel, skip)
 				if err != nil {
 					return false, false, err
 				}
@@ -360,8 +346,8 @@ func (m *matcher) npmStream(ctx context.Context, proot *PatternNode, u binding, 
 		accessible := true
 		// When path routing proved every class this scan can accept
 		// uniformly allowed, the per-node check is redundant and skipped.
-		if m.checker != nil && !m.scanPreAllowed(proot) {
-			accessible, err = m.checker.AccessibleCtx(ctx, v)
+		if m.view != nil && !m.scanPreAllowed(proot) {
+			accessible, err = m.view.AccessibleCtx(ctx, v)
 			if err != nil {
 				return false, false, err
 			}
@@ -416,38 +402,13 @@ func (m *matcher) npmStream(ctx context.Context, proot *PatternNode, u binding, 
 				break
 			}
 		}
-		v, err = m.nextSibling(ctx, proot, v)
+		v, err = m.store.FollowingSiblingSkipCtx(ctx, v, skip)
 		if err != nil {
 			return false, false, err
 		}
 	}
 	return nMatched == len(s), false, nil
 }
-
-// nextSibling advances the child scan of pattern node proot. With a
-// compiled skip mask the scan consults proot's fused bitmap, skipping
-// blocks that are wholly inaccessible (§3.3) or that the structural
-// summaries prove free of every tag proot's pattern children could match;
-// otherwise the legacy access-only predicate applies.
-func (m *matcher) nextSibling(ctx context.Context, proot *PatternNode, u xmltree.NodeID) (xmltree.NodeID, error) {
-	if ns := m.scanSkip[proot]; ns != nil {
-		return m.store.FollowingSiblingSkipCtx(ctx, u, ns.fn)
-	}
-	if m.checker != nil && m.pageSkip {
-		// prepare normally pre-binds skipFn; fall back locally (without
-		// mutating the shared matcher) for unprepared matchers.
-		skip := m.skipFn
-		if skip == nil {
-			skip = m.checker.SkipPage
-		}
-		return m.store.FollowingSiblingSkipCtx(ctx, u, skip)
-	}
-	return m.store.FollowingSiblingSkipCtx(ctx, u, nil)
-}
-
-// minParallelCandidates is the candidate-list size below which fanning out
-// is not worth the goroutine overhead.
-const minParallelCandidates = 16
 
 // matchCandidate runs ε-NoK matching for one root candidate (normally a
 // tag-index posting), streaming each successful match to emit. It reports
@@ -472,8 +433,8 @@ func (m *matcher) matchCandidate(ctx context.Context, sub NoKSubtree, c btree.Po
 			return false, nil
 		}
 	}
-	if m.checker != nil && !m.rootPreAllowed(sub.Root) {
-		ok, err := m.checker.AccessibleCtx(ctx, c.Node)
+	if m.view != nil && !m.rootPreAllowed(sub.Root) {
+		ok, err := m.view.AccessibleCtx(ctx, c.Node)
 		if err != nil {
 			return false, err
 		}

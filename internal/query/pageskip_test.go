@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,8 @@ import (
 // junkDoc builds a document whose root interleaves a few <a><hit/></a>
 // targets with a long run of <junk/> leaves: at a small page size the run
 // fills many blocks whose MinDepth equals the child-scan level, so only the
-// structural summaries (not the depth directory) can prove them skippable.
+// path summary's class placement (not the depth directory) can prove them
+// skippable.
 func junkDoc(junk int) *xmltree.Document {
 	b := xmltree.NewBuilder()
 	b.Begin("r")
@@ -31,6 +33,21 @@ func junkDoc(junk int) *xmltree.Document {
 	return b.MustFinish()
 }
 
+// wideTagDoc gives the root 300 children with 300 distinct tags — more
+// than the 256-bit per-page tag bitmap this store once kept could hold
+// exactly (it fell back to a Bloom filter there). The path summary has no
+// width limit: every tag is its own class with exact block placement.
+func wideTagDoc() *xmltree.Document {
+	b := xmltree.NewBuilder()
+	b.Begin("root")
+	for i := 0; i < 300; i++ {
+		b.Begin(fmt.Sprintf("t%03d", i))
+		b.End()
+	}
+	b.End()
+	return b.MustFinish()
+}
+
 // coldPages evaluates from a cold pool and returns the result plus the
 // physical pages read.
 func (e *env) coldPages(t *testing.T, pt *PatternTree, opts Options) (*Result, int64) {
@@ -46,41 +63,50 @@ func (e *env) coldPages(t *testing.T, pt *PatternTree, opts Options) (*Result, i
 	return res, e.pool.Stats().Misses
 }
 
-func TestSummarySkipReducesPages(t *testing.T) {
-	doc := junkDoc(2000)
-	e := newEnv(t, doc, allowAll(doc, 1), 256)
-	pt := MustParse("/r/a[hit]")
-	view := e.ss.ViewSubject(0)
-
-	for _, cfg := range []struct {
-		name string
-		opts Options
+// Struct skip on/off under default routing: identical answers, strictly
+// fewer pages with it on, and every structural skip attributed to it.
+func TestStructSkipReducesPages(t *testing.T) {
+	for _, in := range []struct {
+		name     string
+		doc      *xmltree.Document
+		pageSize int
+		expr     string
+		answers  int
 	}{
-		{"no view", Options{Parallelism: 1}},
-		{"bindings", Options{View: view, Parallelism: 1}},
-		{"pruned", Options{View: view, Semantics: SemanticsPrunedSubtree, Parallelism: 1}},
+		{"junk run", junkDoc(2000), 256, "/r/a[hit]", 2},
+		{"300 distinct tags", wideTagDoc(), 128, "/root/t290", 1},
 	} {
-		off := cfg.opts
-		off.DisableSummarySkip = true
-		// Path routing skips the same junk blocks by class; disable it too
-		// so the comparison isolates the per-page summaries.
-		off.DisablePathSummary = true
-		resOff, pagesOff := e.coldPages(t, pt, off)
-		resOn, pagesOn := e.coldPages(t, pt, cfg.opts)
-		if len(resOn.Nodes) != 2 {
-			t.Fatalf("%s: got %d answers, want 2", cfg.name, len(resOn.Nodes))
-		}
-		if !equalIDs(resOn.Nodes, resOff.Nodes) || resOn.Matches != resOff.Matches {
-			t.Fatalf("%s: answers differ with summaries: %v vs %v", cfg.name, resOn.Nodes, resOff.Nodes)
-		}
-		if pagesOn >= pagesOff {
-			t.Fatalf("%s: summaries read %d pages, disabled read %d", cfg.name, pagesOn, pagesOff)
-		}
-		if resOn.Skips.StructPages == 0 {
-			t.Fatalf("%s: no structural skips recorded despite page reduction", cfg.name)
-		}
-		if resOff.Skips.StructPages != 0 {
-			t.Fatalf("%s: disabled run recorded %d structural skips", cfg.name, resOff.Skips.StructPages)
+		e := newEnv(t, in.doc, allowAll(in.doc, 1), in.pageSize)
+		pt := MustParse(in.expr)
+		view := e.ss.ViewSubject(0)
+		for _, cfg := range []struct {
+			name string
+			opts Options
+		}{
+			{"no view", Options{Parallelism: 1}},
+			{"bindings", Options{View: view, Parallelism: 1}},
+			{"pruned", Options{View: view, Semantics: SemanticsPrunedSubtree, Parallelism: 1}},
+		} {
+			name := in.name + "/" + cfg.name
+			off := cfg.opts
+			off.DisableSummarySkip = true
+			resOff, pagesOff := e.coldPages(t, pt, off)
+			resOn, pagesOn := e.coldPages(t, pt, cfg.opts)
+			if len(resOn.Nodes) != in.answers {
+				t.Fatalf("%s: got %d answers, want %d", name, len(resOn.Nodes), in.answers)
+			}
+			if !equalIDs(resOn.Nodes, resOff.Nodes) || resOn.Matches != resOff.Matches {
+				t.Fatalf("%s: answers differ with struct skip: %v vs %v", name, resOn.Nodes, resOff.Nodes)
+			}
+			if pagesOn >= pagesOff {
+				t.Fatalf("%s: struct skip read %d pages, disabled read %d", name, pagesOn, pagesOff)
+			}
+			if resOn.Skips.StructPages == 0 {
+				t.Fatalf("%s: no structural skips recorded despite page reduction", name)
+			}
+			if resOff.Skips.StructPages != 0 {
+				t.Fatalf("%s: disabled run recorded %d structural skips", name, resOff.Skips.StructPages)
+			}
 		}
 	}
 }
@@ -119,10 +145,10 @@ func TestAccessMaskRejectsCandidates(t *testing.T) {
 	}
 }
 
-// Property: summaries on/off, with and without a view, under both secure
-// semantics and several parallelism levels, produce byte-identical results
-// on random documents, patterns and ACLs.
-func TestSummarySkipEquivalence(t *testing.T) {
+// Property: struct skip on, off and routing off, with and without a view,
+// under both secure semantics and several parallelism levels, produce
+// byte-identical results on random documents, patterns and ACLs.
+func TestStructSkipEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		doc := randomDoc(rng, 50+rng.Intn(400))
@@ -145,22 +171,25 @@ func TestSummarySkipEquivalence(t *testing.T) {
 		}
 		for bi, opts := range base {
 			opts.Parallelism = 1
-			opts.DisableSummarySkip = true
+			opts.DisablePathSummary = true
 			want, err := e.ev.Evaluate(pt, opts)
 			if err != nil {
 				t.Fatalf("seed %d base %d: %v", seed, bi, err)
 			}
-			for _, par := range []int{1, 4} {
-				on := opts
-				on.Parallelism = par
-				on.DisableSummarySkip = false
-				got, err := e.ev.Evaluate(pt, on)
-				if err != nil {
-					t.Fatalf("seed %d base %d par %d: %v", seed, bi, par, err)
-				}
-				if !equalIDs(got.Nodes, want.Nodes) || got.Matches != want.Matches {
-					t.Fatalf("seed %d base %d par %d (page %d): summaries changed the result: %v/%d vs %v/%d",
-						seed, bi, par, pageSize, got.Nodes, got.Matches, want.Nodes, want.Matches)
+			for _, structOff := range []bool{false, true} {
+				for _, par := range []int{1, 4} {
+					on := opts
+					on.Parallelism = par
+					on.DisablePathSummary = false
+					on.DisableSummarySkip = structOff
+					got, err := e.ev.Evaluate(pt, on)
+					if err != nil {
+						t.Fatalf("seed %d base %d par %d: %v", seed, bi, par, err)
+					}
+					if !equalIDs(got.Nodes, want.Nodes) || got.Matches != want.Matches {
+						t.Fatalf("seed %d base %d par %d structOff %v (page %d): routing changed the result: %v/%d vs %v/%d",
+							seed, bi, par, structOff, pageSize, got.Nodes, got.Matches, want.Nodes, want.Matches)
+					}
 				}
 			}
 		}

@@ -8,29 +8,19 @@ import (
 	"dolxml/internal/pathsum"
 )
 
-// compiledShape is the view-independent half of a query's compiled skip
-// state: everything derivable from the pattern tree and the store's
-// structural metadata alone (per-page summaries, depth bounds, path
-// summary). Shapes depend only on (pattern string, ablation flags,
-// snapshot), so the facade memoizes them per snapshot sequence in a
-// MaskCache; per-node slices are indexed by PatternNode.id, which is
-// stable across reparses of the same pattern string.
+// compiledShape is the view-independent half of a query's plan: the
+// pattern tree embedded into the store's path summary. Shapes depend only
+// on (pattern string, snapshot), so the facade memoizes them per snapshot
+// sequence in a MaskCache; per-node slices are indexed by PatternNode.id,
+// which is stable across reparses of the same pattern string.
 type compiledShape struct {
-	// words sizes the page bitmaps.
-	words int
 	// emptyStruct is set when the path summary admits no embedding of the
 	// pattern: the query has no answers under any view or semantics.
 	emptyStruct bool
-	// global holds query-wide struct dead-page bits (depth bound), nil
-	// when none apply.
-	global []uint64
-	// perNode holds, by pattern node id, the struct dead-page bits its
-	// child scans may skip (per-page tag summaries fused with path-class
-	// placement); nil entries mean no refinement beyond global.
-	perNode [][]uint64
-	// pathOn records whether path-summary routing contributed; down and
-	// matched are then the per-pattern-node class sets.
-	pathOn bool
+	// dead holds, by pattern node id, the pages a child scan of that node
+	// may skip: those holding no class its pattern children can bind. Nil
+	// for nodes without child-axis children.
+	dead [][]uint64
 	// down[p.id] is the set of path classes reachable for p walking the
 	// pattern top-down; matched[p.id] additionally requires the whole
 	// pattern fragment below p to embed in the summary (matched ⊆ down).
@@ -42,88 +32,15 @@ type compiledShape struct {
 	candKeep [][]uint64
 }
 
-// compileShape builds the view-independent skip state. structSkip gates
-// the per-page tag/depth bits, pathOn the path-summary routing; both do
-// in-memory work only.
-func compileShape(st *nok.Store, t *PatternTree, subs []NoKSubtree, structSkip, pathOn bool) *compiledShape {
-	n := st.NumPages()
-	sh := &compiledShape{words: (n + 63) / 64, perNode: make([][]uint64, t.Len())}
-
-	if structSkip {
-		// Depth bound: a pattern reachable only through child axes from
-		// the document root cannot bind nodes deeper than its deepest
-		// pattern node, so blocks living entirely below that depth are
-		// dead to the query.
-		if maxD, ok := boundedDepth(t); ok {
-			dir := st.Directory()
-			g := make([]uint64, sh.words)
-			for i := 0; i < n; i++ {
-				if int(dir[i].MinDepth) > maxD {
-					g[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-			sh.global = g
-		}
-		// Per-pattern-node refinement: for each node with child-axis
-		// pattern children, the pages whose summaries exclude every tag
-		// those children could match. A wildcard child matches any tag,
-		// so its parent gets no refinement.
-		sums := st.Summaries()
-		var walk func(p *PatternNode)
-		walk = func(p *PatternNode) {
-			for _, c := range p.Children {
-				walk(c)
-			}
-			kids := nokChildren(p)
-			if len(kids) == 0 {
-				return
-			}
-			codes := make([]int32, 0, len(kids))
-			for _, c := range kids {
-				if c.Tag == "*" {
-					return
-				}
-				if code, ok := st.LookupTag(c.Tag); ok {
-					codes = append(codes, code)
-				}
-				// A tag absent from the dictionary matches nowhere and
-				// cannot keep any page alive.
-			}
-			bitsOut := make([]uint64, sh.words)
-			for i := 0; i < n; i++ {
-				mayMatch := false
-				for _, code := range codes {
-					if sums[i].MayContainTag(code) {
-						mayMatch = true
-						break
-					}
-				}
-				if !mayMatch {
-					bitsOut[i>>6] |= 1 << (uint(i) & 63)
-				}
-			}
-			sh.perNode[p.id] = bitsOut
-		}
-		walk(t.Root)
-	}
-	if pathOn {
-		compilePathShape(st, t, subs, sh)
-	}
-	return sh
-}
-
-// compilePathShape embeds the pattern tree into the path summary: a
-// top-down pass computes each pattern node's reachable class set, a
-// bottom-up pass prunes classes under which the remaining fragment cannot
-// embed. An empty set anywhere proves the query unsatisfiable before any
-// I/O; otherwise the matched classes' block placement refines the dead-
-// page bits and routes candidate postings.
-func compilePathShape(st *nok.Store, t *PatternTree, subs []NoKSubtree, sh *compiledShape) {
+// compileShape embeds the pattern tree into the path summary: a top-down
+// pass computes each pattern node's reachable class set, a bottom-up pass
+// prunes classes under which the remaining fragment cannot embed. An empty
+// set anywhere proves the query unsatisfiable before any I/O; otherwise
+// the matched classes' block placement yields the dead-page bits and
+// routes candidate postings. In-memory work only.
+func compileShape(st *nok.Store, t *PatternTree, subs []NoKSubtree) *compiledShape {
+	sh := &compiledShape{dead: make([][]uint64, t.Len())}
 	sum := st.Paths()
-	if sum == nil {
-		return
-	}
-	sh.pathOn = true
 	nc := sum.NumNodes()
 	cw := (nc + 63) / 64
 	if cw == 0 {
@@ -241,10 +158,10 @@ func compilePathShape(st *nok.Store, t *PatternTree, subs []NoKSubtree, sh *comp
 	sh.down, sh.matched = down, matched
 	if empty {
 		sh.emptyStruct = true
-		return
+		return sh
 	}
 
-	n := st.NumPages()
+	tail := uint(sum.NumBlocks()) & 63
 	for _, p := range t.nodes {
 		kids := nokChildren(p)
 		if len(kids) == 0 {
@@ -256,17 +173,14 @@ func compilePathShape(st *nok.Store, t *PatternTree, subs []NoKSubtree, sh *comp
 				keep[i] |= w
 			}
 		}
-		alive := sum.PageBits(keep)
-		dead := sh.perNode[p.id]
-		if dead == nil {
-			dead = make([]uint64, sh.words)
-			sh.perNode[p.id] = dead
+		dead := sum.PageBits(keep)
+		for i := range dead {
+			dead[i] = ^dead[i]
 		}
-		for i := 0; i < n; i++ {
-			if !hasBit(alive, i) {
-				dead[i>>6] |= 1 << (uint(i) & 63)
-			}
+		if tail != 0 {
+			dead[len(dead)-1] &= 1<<tail - 1 // no bits past the last block
 		}
+		sh.dead[p.id] = dead
 	}
 	sh.candKeep = make([][]uint64, len(subs))
 	for i := range subs {
@@ -275,6 +189,7 @@ func compilePathShape(st *nok.Store, t *PatternTree, subs []NoKSubtree, sh *comp
 		}
 		sh.candKeep[i] = sum.PageBits(matched[subs[i].Root.id])
 	}
+	return sh
 }
 
 // pathRoute is the view-dependent half of path routing: access verdicts
@@ -299,13 +214,13 @@ type pathRoute struct {
 }
 
 // resolvePathAccess stamps the view's allow/deny verdicts onto the
-// shape's class sets. Returns nil when path routing is off or no view is
-// set.
+// shape's class sets. Returns nil when path routing is off (nil shape),
+// the shape is already empty, or no view is set.
 func resolvePathAccess(st *nok.Store, t *PatternTree, subs []NoKSubtree, sh *compiledShape, view *dol.SubjectView) *pathRoute {
-	sum := st.Paths()
-	if sum == nil || sh == nil || !sh.pathOn || sh.emptyStruct || view == nil {
+	if sh == nil || sh.emptyStruct || view == nil {
 		return nil
 	}
+	sum := st.Paths()
 	r := &pathRoute{
 		preAllow:     make([]bool, t.Len()),
 		preAllowRoot: make([]bool, t.Len()),

@@ -33,25 +33,22 @@ type SkipStats struct {
 }
 
 // skipMask is one query's compiled page-skip state: the subject view's
-// page-deny bitmap fused with structural bits derived from the per-page
-// summaries, plus per-pattern-node refinements for child scans. Every probe
-// during evaluation is a single uint64-word bitmap test; compilation itself
-// touches only in-memory state (directory, summaries, deny bitmap) and
+// page-deny bitmap fused, per pattern node, with the pages the path summary
+// proves hold no class that node's child scan can bind. Every probe during
+// evaluation is a single uint64-word bitmap test; compilation itself
+// touches only in-memory state (directory, path summary, deny bitmap) and
 // performs no page I/O.
 type skipMask struct {
-	words int
 	// access is the view's page-deny bitmap (nil without a view or with
 	// access skipping disabled). Shared read-only with the view's cache;
-	// used both for skip attribution and for candidate rejection.
+	// used for skip attribution, for candidate rejection, and as the mask
+	// of scans that have no structural refinement.
 	access []uint64
-	// global fuses access with query-wide structural bits (depth bound).
-	global []uint64
 	// perNode maps a pattern node with child-axis children to the fused
-	// mask its child scans consult: global plus the pages whose summaries
-	// exclude every tag those pattern children could match. A scan of p's
-	// children may skip such a page because unmatched siblings are never
-	// descended into — the page can only hold unmatchable siblings and
-	// their subtrees.
+	// mask its child scans consult: access plus the shape's dead pages. A
+	// scan of p's children may skip such a page because unmatched siblings
+	// are never descended into — the page can only hold unmatchable
+	// siblings and their subtrees.
 	perNode map[*PatternNode][]uint64
 	// pages is the store's page directory, for resolving a block index to
 	// its storage page when recording trace events.
@@ -94,10 +91,7 @@ func (sm *skipMask) pageIDOf(i int) int64 {
 // pageDenied reports whether the deny bitmap covers page i (meaning every
 // node on it is inaccessible to the view).
 func (sm *skipMask) pageDenied(i int) bool {
-	if sm == nil || sm.access == nil || i < 0 || i>>6 >= len(sm.access) {
-		return false
-	}
-	return sm.access[i>>6]&(1<<(uint(i)&63)) != 0
+	return sm != nil && hasBit(sm.access, i)
 }
 
 // nodeBits returns the fused bitmap a child scan of pattern node p consults
@@ -109,13 +103,13 @@ func (sm *skipMask) nodeBits(p *PatternNode) []uint64 {
 	if bits := sm.perNode[p]; bits != nil {
 		return bits
 	}
-	return sm.global
+	return sm.access
 }
 
 // scanSkipFn returns the skip predicate a child scan of pattern node p
 // should pass to the store's sibling scans, or nil when nothing can be
 // skipped. The predicate attributes each skip to access control when the
-// deny bitmap alone suffices, otherwise to the structural summary.
+// deny bitmap alone suffices, otherwise to the path summary.
 func (sm *skipMask) scanSkipFn(p *PatternNode) func(int) bool {
 	bits := sm.nodeBits(p)
 	if bits == nil {
@@ -147,92 +141,33 @@ func (sm *skipMask) scanSkipFn(p *PatternNode) func(int) bool {
 	}
 }
 
-// fuseMask combines the query's view-independent shape (depth bound,
-// per-page tag summaries, path-class placement — see compileShape) with
-// the view's page-deny bitmap into the mask evaluation consults.
-// accessSkip gates the §3.3 access-based bits; with it off and an empty
-// shape it returns nil and scans run unassisted. Compilation touches only
-// in-memory state and performs no page I/O.
-func fuseMask(st *nok.Store, t *PatternTree, shape *compiledShape, view *dol.SubjectView, accessSkip bool) *skipMask {
-	accessSkip = accessSkip && view != nil
-	hasShape := false
-	if shape != nil {
-		if shape.global != nil {
-			hasShape = true
-		} else {
-			for _, b := range shape.perNode {
-				if b != nil {
-					hasShape = true
-					break
-				}
-			}
-		}
-	}
-	if !accessSkip && !hasShape {
+// fuseMask combines the view's page-deny bitmap (accessSkip, §3.3) with
+// the shape's per-node dead pages (structSkip) into the mask evaluation
+// consults. With neither it returns nil and scans run unassisted.
+// Compilation touches only in-memory state and performs no page I/O.
+func fuseMask(st *nok.Store, t *PatternTree, shape *compiledShape, view *dol.SubjectView, accessSkip, structSkip bool) *skipMask {
+	if !accessSkip && !structSkip {
 		return nil
 	}
-	n := st.NumPages()
-	words := (n + 63) / 64
-	sm := &skipMask{words: words, pages: st.Directory()}
-
+	sm := &skipMask{pages: st.Directory()}
 	if accessSkip {
 		sm.access = view.PageDenyBits()
 	}
-	if !hasShape {
-		// Access-only mask: the fused global mask is the deny bitmap and no
-		// per-node refinement exists.
-		sm.global = sm.access
+	if !structSkip {
 		return sm
 	}
-
-	global := make([]uint64, words)
-	copy(global, sm.access) // nil access copies nothing
-	if shape.global != nil {
-		for i := range global {
-			global[i] |= shape.global[i]
-		}
-	}
-	sm.global = global
 	sm.perNode = make(map[*PatternNode][]uint64)
 	for _, p := range t.nodes {
-		sb := shape.perNode[p.id]
-		if sb == nil {
+		dead := shape.dead[p.id]
+		if dead == nil {
 			continue
 		}
-		bits := make([]uint64, words)
-		copy(bits, global)
+		bits := make([]uint64, len(dead))
+		copy(bits, sm.access) // nil access copies nothing
 		for i := range bits {
-			bits[i] |= sb[i]
+			bits[i] |= dead[i]
 		}
 		sm.perNode[p] = bits
 	}
 	return sm
-}
-
-// boundedDepth returns the maximum depth any pattern node can bind when the
-// whole pattern is anchored at the document root through child axes only.
-func boundedDepth(t *PatternTree) (int, bool) {
-	if t.Root.Axis != AxisChild {
-		return 0, false
-	}
-	maxD := 0
-	var walk func(p *PatternNode, d int) bool
-	walk = func(p *PatternNode, d int) bool {
-		if d > maxD {
-			maxD = d
-		}
-		for _, c := range p.Children {
-			if c.Axis != AxisChild {
-				return false
-			}
-			if !walk(c, d+1) {
-				return false
-			}
-		}
-		return true
-	}
-	if !walk(t.Root, 0) {
-		return 0, false
-	}
-	return maxD, true
 }

@@ -26,15 +26,15 @@ type QueryOptions struct {
 	// GOMAXPROCS, 1 forces sequential evaluation. Every setting yields the
 	// same answers.
 	Parallelism int
-	// DisableSummarySkip turns off structure-aware page skipping (the
-	// per-page summary half of the fused skip mask), for ablation. Answers
-	// are identical either way; only the pages read differ.
+	// DisableSummarySkip turns off structure-aware page skipping: scans
+	// then skip pages on access grounds only. For ablation. Answers are
+	// identical either way; only the pages read differ.
 	DisableSummarySkip bool
 	// DisablePathSummary turns off path-summary routing: compile-time
-	// empty-query detection, path-class candidate filtering, the path
-	// refinement of the dead-page bits, and pre-resolved access verdicts
-	// on uniform path classes. For ablation; answers are identical either
-	// way, only the pages read and access checks performed differ.
+	// empty-query detection, path-class candidate filtering, structure-
+	// aware page skipping (which derives from it), and pre-resolved access
+	// verdicts on uniform path classes. For ablation; answers are identical
+	// either way, only the pages read and access checks performed differ.
 	DisablePathSummary bool
 	// Trace, when set, receives the query's timestamped event log: every
 	// span, page pin, page skip (with cause), candidate rejection, join

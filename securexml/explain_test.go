@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -129,6 +130,59 @@ func TestStoreAnalyzeReconciles(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The plan EXPLAIN shows is the plan evaluation runs: for Table 1 and the
+// unsatisfiable query under both semantics, sequential and parallel, with
+// and without a limit, Explain's plan — operator list, per-scan candidate
+// and rejected-by-path counts, fan-out decision, node annotations — equals
+// the one ANALYZE embeds, which is rendered from the compiled value the
+// pipeline was instantiated from. EXPLAIN itself pins no store page.
+func TestExplainAgreesWithExecutedPlan(t *testing.T) {
+	s := snapStore(t, snapFixtureXML(t, 8000), StoreOptions{PageSize: 512})
+	defer s.Close()
+	ctx := context.Background()
+
+	queries := append(append([]struct{ name, expr string }{}, table1...),
+		struct{ name, expr string }{"Qunsat", qUnsat})
+	var parallel, routed int
+	for _, q := range queries {
+		for _, pruned := range []bool{false, true} {
+			for _, par := range []int{1, 4} {
+				for _, limit := range []int{0, 10} {
+					name := fmt.Sprintf("%s/pruned=%v/par=%d/limit=%d", q.name, pruned, par, limit)
+					opts := QueryOptions{Pruned: pruned, Parallelism: par, Limit: limit}
+					gets := s.PoolStats().Gets
+					plan, err := s.Explain(ctx, "u", "read", q.expr, opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if d := s.PoolStats().Gets - gets; d != 0 {
+						t.Errorf("%s: EXPLAIN pinned %d store pages", name, d)
+					}
+					an := &QueryAnalysis{}
+					opts.Analyze = an
+					if _, err := s.QueryCtx(ctx, "u", "read", q.expr, opts); err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !reflect.DeepEqual(plan.p, an.an.Plan) {
+						t.Errorf("%s: EXPLAIN and the executed plan differ:\n%s\n-- executed --\n%s", name, plan, an.Plan())
+					}
+					for _, op := range plan.p.Operators {
+						if op.Parallel {
+							parallel++
+						}
+						if op.RejectedByPath > 0 {
+							routed++
+						}
+					}
+				}
+			}
+		}
+	}
+	if parallel == 0 || routed == 0 {
+		t.Errorf("matrix compared %d parallel scans and %d routed ones; want both covered", parallel, routed)
 	}
 }
 

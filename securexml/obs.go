@@ -165,7 +165,7 @@ func (s *Store) initObs() error {
 		"store_nodes":                    "Nodes in the current store snapshot.",
 		"store_pages":                    "Pages in the current store snapshot.",
 		"directory_bytes":                "In-memory page directory size in bytes.",
-		"summary_bytes":                  "In-memory structure summary size in bytes.",
+		"summary_bytes":                  "In-memory size of the per-block path-class bitsets (the page-skipping part of the path summary) in bytes.",
 		"codebook_bytes":                 "In-memory access codebook size in bytes.",
 		"codebook_entries":               "Distinct transition codes in the codebook.",
 		"codebook_subjects":              "Subjects covered by the codebook.",

@@ -304,7 +304,7 @@ func readMeta(dir string) (persistedStore, error) {
 // recovery: update batches whose commit record reached the log but whose
 // pages (or sidecar) did not all reach the store are redone, and torn or
 // uncommitted batches are discarded, restoring the pre-update state. The
-// page summaries, deny bitmaps, decode cache and tag indexes are derived
+// path summary, deny bitmaps, decode cache and tag indexes are derived
 // structures rebuilt here from the recovered pages, so no stale cached
 // view of a rolled-forward or rolled-back page can survive a reopen.
 func Open(dir string, opts StoreOptions) (*Store, error) {

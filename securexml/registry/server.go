@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -255,7 +256,12 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request) (req queryRe
 		opts.Unrestricted = true
 	}
 	if lim := q.Get("limit"); lim != "" {
-		fmt.Sscanf(lim, "%d", &opts.Limit)
+		n, err := strconv.Atoi(lim)
+		if err != nil || n < 0 {
+			http.Error(w, fmt.Sprintf("limit must be a non-negative integer, got %q", lim), http.StatusBadRequest)
+			return req, false
+		}
+		opts.Limit = n
 	}
 	mode := q.Get("mode")
 	if mode == "" {

@@ -98,6 +98,33 @@ func TestServerAuth(t *testing.T) {
 	}
 }
 
+// A malformed or negative limit is a 400 on /query and /explain, never a
+// silently unbounded query; an empty value keeps meaning "no limit".
+func TestServerLimitParam(t *testing.T) {
+	s, ids, ts := newTestServer(t, 1, ServerOptions{})
+	defer s.Shutdown(context.Background())
+	for _, tc := range []struct {
+		limit string
+		want  int
+	}{
+		{"10", http.StatusOK},
+		{"", http.StatusOK},
+		{"abc", http.StatusBadRequest},
+		{"-1", http.StatusBadRequest},
+		{"1e3", http.StatusBadRequest},
+	} {
+		for _, ep := range []string{"/query", "/explain"} {
+			code, body := get(t, ts.URL+ep+"?tenant="+ids[0]+"&user=alice&xpath=//public&limit="+tc.limit, nil)
+			if code != tc.want {
+				t.Errorf("%s limit=%q: status %d, want %d (%s)", ep, tc.limit, code, tc.want, body)
+			}
+			if tc.want == http.StatusBadRequest && !strings.Contains(body, "limit") {
+				t.Errorf("%s limit=%q: message %q does not name the parameter", ep, tc.limit, body)
+			}
+		}
+	}
+}
+
 func TestServerOpenMode(t *testing.T) {
 	s, ids, ts := newTestServer(t, 1, ServerOptions{})
 	defer s.Shutdown(context.Background())

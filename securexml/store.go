@@ -445,14 +445,8 @@ func (s *Store) run(ctx context.Context, user, mode, xpath string, opts QueryOpt
 	tr.Mark(obs.EvDone)
 	if err == nil && opts.Analyze != nil {
 		// Fold the forced trace into per-operator attribution against the
-		// plan Explain computes from the same snapshot — compile state is
-		// deterministic, so the plan matches what EvaluateCtx just built.
-		qo.Trace = nil
-		plan, perr := evaluatorAt(sn).Explain(ctx, pt, qo)
-		if perr != nil {
-			return nil, perr
-		}
-		opts.Analyze.an = query.AnalyzeTrace(plan, tr.Events(), tr.Dropped())
+		// plan the evaluation ran.
+		opts.Analyze.an = query.AnalyzeTrace(res.Plan, tr.Events(), tr.Dropped())
 	}
 	return ms, err
 }
@@ -960,8 +954,8 @@ type Stats struct {
 	CodebookEntries int
 	CodebookBytes   int
 	DirectoryBytes  int
-	// SummaryBytes is the in-memory footprint of the per-page structural
-	// summaries driving structure-aware page skipping.
+	// SummaryBytes is the in-memory footprint of the per-block path-class
+	// bitsets driving structure-aware page skipping (part of the next).
 	SummaryBytes int
 	// PathSummaryBytes is the in-memory footprint of the path summary
 	// (one node per distinct root-to-tag path plus per-block class sets)
@@ -986,9 +980,9 @@ type CacheStats struct {
 
 // SkipStats count the page reads one query avoided, by cause: pages
 // skipped because the directory proves them fully inaccessible to the
-// subject (Access), pages skipped because the per-page structural
-// summaries prove them irrelevant to the pattern (Struct), and root
-// candidates rejected from the directory alone (Candidates).
+// subject (Access), pages skipped because the path summary places none of
+// the pattern's classes on them (Struct), and root candidates rejected
+// from the directory alone (Candidates).
 // PathCandidates counts candidates the path summary rejected before any
 // I/O, PathClasses the access verdicts it resolved at the path-class
 // level, and PathEmpty is 1 when it proved the query empty outright.
