@@ -389,21 +389,16 @@ func (ss *SecureStore) readRegion(i, j int) (entries []nok.Entry, codes []Code, 
 	st := ss.store
 	startLevel = int(st.PageInfoAt(i).StartDepth)
 	for k := i; k <= j; k++ {
-		pi := st.PageInfoAt(k)
-		es, err := st.BlockEntries(k)
-		if err != nil {
+		first := len(entries)
+		if entries, codes, err = st.AppendBlock(entries, codes, k); err != nil {
 			return nil, nil, nil, 0, err
 		}
-		oldCodes = append(oldCodes, pi.AccessCode)
-		cur := pi.AccessCode
-		for _, e := range es {
+		oldCodes = append(oldCodes, st.PageInfoAt(k).AccessCode)
+		for _, e := range entries[first:] {
 			if e.HasCode {
-				cur = e.Code
 				oldCodes = append(oldCodes, e.Code)
 			}
-			codes = append(codes, cur)
 		}
-		entries = append(entries, es...)
 	}
 	return entries, codes, oldCodes, startLevel, nil
 }

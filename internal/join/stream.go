@@ -74,13 +74,14 @@ type EpsJoiner struct {
 	numPages int
 	pageIdx  int // next (or partially consumed) page of the scan
 
-	// Mixed-page cursor; entries is non-nil while a mixed page is being
-	// consumed entry by entry.
-	entries  []nok.Entry
-	entryIdx int
-	level    int
-	code     uint32
-	node     xmltree.NodeID
+	// cur reads the pages the pass cannot settle from the directory. While
+	// such a page is being consumed node by node, node is the next node
+	// to process and last the page's final node; reading is false
+	// otherwise.
+	cur     *nok.Cursor
+	reading bool
+	node    xmltree.NodeID
+	last    xmltree.NodeID
 }
 
 // NewEpsJoiner returns an incremental ε-STD join for the effective subject
@@ -93,6 +94,7 @@ func NewEpsJoiner(ss *dol.SecureStore, effective *bitset.Bitset, ancs []Item) *E
 		eff:      effective,
 		ancs:     ancs,
 		numPages: st.NumPages(),
+		cur:      st.NewCursor(),
 	}
 }
 
@@ -122,29 +124,26 @@ func (j *EpsJoiner) pushAnc(a Item) {
 // so joins with nothing.
 func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (dropped bool, err error) {
 	for {
-		if j.entries != nil {
+		if j.reading {
 			// Resume a partially consumed mixed page.
-			for j.entryIdx < len(j.entries) && j.node <= target {
-				e := j.entries[j.entryIdx]
-				if e.HasCode {
-					j.code = e.Code
+			for ; j.node <= j.last && j.node <= target; j.node++ {
+				info, err := j.cur.Info(ctx, j.node)
+				if err != nil {
+					return false, err
 				}
-				j.popInacc(j.level)
-				if !j.cb.AccessibleAny(j.code, j.eff) {
-					j.inaccLvls = append(j.inaccLvls, j.level)
+				j.popInacc(info.Level)
+				if !j.cb.AccessibleAny(info.Code, j.eff) {
+					j.inaccLvls = append(j.inaccLvls, info.Level)
 				}
 				if j.ai < len(j.ancs) && j.ancs[j.ai].Node == j.node {
 					j.pushAnc(j.ancs[j.ai])
 					j.ai++
 				}
-				j.level = j.level + 1 - e.CloseCount
-				j.node++
-				j.entryIdx++
 			}
 			if j.node > target {
 				return false, nil
 			}
-			j.entries = nil
+			j.reading = false
 			j.pageIdx++
 			continue
 		}
@@ -164,9 +163,7 @@ func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (dropped
 				// the page is read like a mixed one.
 				j.popInacc(int(pi.StartDepth))
 				if j.deepestInacc() >= int(pi.MinDepth) {
-					if err := j.openPage(ctx, pi); err != nil {
-						return false, err
-					}
+					j.openPage(pi)
 					continue
 				}
 				// No inaccessible level opens or closes here: candidates
@@ -206,24 +203,16 @@ func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (dropped
 			continue
 		}
 		// Mixed page: read and process node by node.
-		if err := j.openPage(ctx, pi); err != nil {
-			return false, err
-		}
+		j.openPage(pi)
 	}
 }
 
-// openPage reads the page at pageIdx and starts the entry cursor on it.
-func (j *EpsJoiner) openPage(ctx context.Context, pi nok.PageInfo) error {
-	es, err := j.st.BlockEntriesCtx(ctx, j.pageIdx)
-	if err != nil {
-		return err
-	}
-	j.entries = es
-	j.entryIdx = 0
-	j.level = int(pi.StartDepth)
-	j.code = pi.AccessCode
+// openPage starts the node-by-node pass over the page at pageIdx; the
+// cursor reads it at the first node.
+func (j *EpsJoiner) openPage(pi nok.PageInfo) {
+	j.reading = true
 	j.node = pi.FirstNode
-	return nil
+	j.last = pi.FirstNode + xmltree.NodeID(pi.Count) - 1
 }
 
 // Probe advances the join to descendant d and returns its valid (a, d)

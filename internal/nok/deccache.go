@@ -9,16 +9,16 @@ import (
 )
 
 // DefaultDecodeCacheBudget is the default byte budget of the decoded-block
-// cache (≈ 1 MiB of decoded entries, roughly 25–30 blocks at the default
-// page size).
+// cache (≈ 1 MiB of decoded entries, some 35 blocks at the default page
+// size).
 const DefaultDecodeCacheBudget = 1 << 20
 
-// decEntryOverhead and decEntryCostPerEntry approximate the in-memory cost
-// of one cached block: map bucket + header overhead plus the Entry struct
-// size (24 bytes on 64-bit) per decoded entry.
+// decEntryOverhead and decEntryCostPerEntry are the in-memory cost of one
+// cached block: map bucket + header overhead plus the size of one slot of
+// the positional index per decoded entry.
 const (
 	decEntryOverhead     = 64
-	decEntryCostPerEntry = 24
+	decEntryCostPerEntry = 16
 )
 
 // DecodeCacheStats report the decoded-block cache's behavior, the decode
@@ -35,13 +35,13 @@ type DecodeCacheStats struct {
 	Budget  int64
 }
 
-// decEntry is one cached decoded block. The entries slice is immutable once
+// decEntry is one cached decoded block. The slots slice is immutable once
 // published; stamp is the last-use clock tick, updated atomically so cache
 // hits never take the write lock.
 type decEntry struct {
-	entries []Entry
-	cost    int64
-	stamp   atomic.Int64
+	slots []slot
+	cost  int64
+	stamp atomic.Int64
 }
 
 // decodeCache is a byte-budgeted LRU over decoded blocks. Lookups take the
@@ -68,12 +68,12 @@ func newDecodeCache(budget int64) *decodeCache {
 	return &decodeCache{m: make(map[storage.PageID]*decEntry), budget: budget}
 }
 
-func decodeCost(es []Entry) int64 {
-	return decEntryOverhead + int64(len(es))*decEntryCostPerEntry
+func decodeCost(blk []slot) int64 {
+	return decEntryOverhead + int64(len(blk))*decEntryCostPerEntry
 }
 
 // get returns the cached decoding of the page, bumping its LRU stamp.
-func (c *decodeCache) get(pid storage.PageID) ([]Entry, bool) {
+func (c *decodeCache) get(pid storage.PageID) ([]slot, bool) {
 	c.mu.RLock()
 	e := c.m[pid]
 	c.mu.RUnlock()
@@ -83,13 +83,13 @@ func (c *decodeCache) get(pid storage.PageID) ([]Entry, bool) {
 	}
 	e.stamp.Store(c.clock.Add(1))
 	c.hits.Inc()
-	return e.entries, true
+	return e.slots, true
 }
 
 // put caches a decoded block. The slice becomes shared and must never be
 // mutated. Blocks larger than the whole budget are not cached.
-func (c *decodeCache) put(pid storage.PageID, es []Entry) {
-	cost := decodeCost(es)
+func (c *decodeCache) put(pid storage.PageID, blk []slot) {
+	cost := decodeCost(blk)
 	if cost > c.budget {
 		return
 	}
@@ -98,7 +98,7 @@ func (c *decodeCache) put(pid storage.PageID, es []Entry) {
 	if _, ok := c.m[pid]; ok {
 		return
 	}
-	e := &decEntry{entries: es, cost: cost}
+	e := &decEntry{slots: blk, cost: cost}
 	e.stamp.Store(c.clock.Add(1))
 	c.m[pid] = e
 	c.bytes += cost

@@ -8,7 +8,7 @@ import (
 )
 
 func TestDecodeCacheLRUEviction(t *testing.T) {
-	es := make([]Entry, 10)
+	es := make([]slot, 10)
 	cost := decodeCost(es)
 	c := newDecodeCache(3 * cost) // room for exactly three blocks
 	for pid := storage.PageID(1); pid <= 3; pid++ {
@@ -37,7 +37,7 @@ func TestDecodeCacheLRUEviction(t *testing.T) {
 }
 
 func TestDecodeCacheStatsAndInvalidate(t *testing.T) {
-	es := make([]Entry, 4)
+	es := make([]slot, 4)
 	c := newDecodeCache(1 << 16)
 	if _, ok := c.get(9); ok {
 		t.Fatal("empty cache served a hit")
@@ -57,7 +57,7 @@ func TestDecodeCacheStatsAndInvalidate(t *testing.T) {
 }
 
 func TestDecodeCacheBudgetZeroDisables(t *testing.T) {
-	es := make([]Entry, 4)
+	es := make([]slot, 4)
 	c := newDecodeCache(0)
 	c.put(1, es)
 	if _, ok := c.get(1); ok {
@@ -78,10 +78,10 @@ func TestDecodeCacheBudgetZeroDisables(t *testing.T) {
 // Oversized blocks are passed through uncached rather than evicting the
 // whole cache to make room.
 func TestDecodeCacheOversizedBlock(t *testing.T) {
-	small := make([]Entry, 2)
+	small := make([]slot, 2)
 	c := newDecodeCache(decodeCost(small) + 8)
 	c.put(1, small)
-	c.put(2, make([]Entry, 1000))
+	c.put(2, make([]slot, 1000))
 	if _, ok := c.get(1); !ok {
 		t.Fatal("oversized insert displaced a fitting entry")
 	}

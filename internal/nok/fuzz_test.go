@@ -26,3 +26,50 @@ func FuzzDecodeEntry(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeBlock hardens the block decoder against torn and corrupt
+// pages: arbitrary page bytes under an arbitrary directory record must
+// either fail cleanly or decode to a block whose positional index passes
+// CheckConsistency's recomputation and whose lookups stay in range.
+func FuzzDecodeBlock(f *testing.F) {
+	page := func(pi PageInfo, es ...Entry) []byte {
+		data := make([]byte, 128)
+		body := data[headerSize:headerSize]
+		for _, e := range es {
+			body = appendEntry(body, e)
+		}
+		pi.Count = len(es)
+		writeHeader(data, pi, len(body))
+		return data
+	}
+	good := page(PageInfo{StartDepth: 1, MinDepth: 1, AccessCode: 3},
+		Entry{Tag: 1}, Entry{Tag: 2, CloseCount: 1}, Entry{Tag: 2, CloseCount: 2, HasCode: true, Code: 9}, Entry{Tag: 1, CloseCount: 1})
+	f.Add(good, uint16(4), uint16(1), uint32(3))
+	f.Add(good, uint16(5), uint16(1), uint32(3))
+	f.Add(good[:20], uint16(4), uint16(1), uint32(3))
+	f.Add(page(PageInfo{}, Entry{Tag: 0, CloseCount: 7}), uint16(1), uint16(0), uint32(0))
+	torn := append([]byte(nil), good...)
+	torn[10], torn[11] = 0xFF, 0xFF
+	f.Add(torn, uint16(4), uint16(1), uint32(3))
+	f.Fuzz(func(t *testing.T, data []byte, count, startDepth uint16, code uint32) {
+		pi := PageInfo{Count: int(count), StartDepth: startDepth, AccessCode: code}
+		blk, err := decodeBlock(pi, data)
+		if err != nil {
+			return
+		}
+		if len(blk) != pi.Count {
+			t.Fatalf("decoded %d entries under a directory record of %d", len(blk), pi.Count)
+		}
+		if _, _, _, err := checkIndex(pi, blk); err != nil {
+			t.Fatal(err)
+		}
+		for j := range blk {
+			if next := int(blk[j].next); next <= j || next > len(blk) {
+				t.Fatalf("entry %d of %d has successor offset %d", j, len(blk), next)
+			}
+		}
+		if j := firstUpTo(blk, int(startDepth)); len(blk) > 0 && j != 0 {
+			t.Fatalf("first entry at level ≤ the start depth is %d, want 0", j)
+		}
+	})
+}

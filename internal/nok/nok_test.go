@@ -447,6 +447,38 @@ func TestStoreMatchesOracle(t *testing.T) {
 	}
 }
 
+// blockPositions lists, for every block of s, the node at its first, its
+// middle and its last entry.
+func blockPositions(s *Store) (first, middle, last []xmltree.NodeID) {
+	for i := 0; i < s.NumPages(); i++ {
+		pi := s.PageInfoAt(i)
+		first = append(first, pi.FirstNode)
+		middle = append(middle, pi.FirstNode+xmltree.NodeID(pi.Count/2))
+		last = append(last, pi.FirstNode+xmltree.NodeID(pi.Count-1))
+	}
+	return first, middle, last
+}
+
+// benchPositions runs step over the given node lists as sub-benchmarks:
+// before the positional index a lookup cost grew with the node's offset in
+// its block, which a mixed list averages away.
+func benchPositions(b *testing.B, s *Store, mixed []xmltree.NodeID, step func(xmltree.NodeID) error) {
+	first, middle, last := blockPositions(s)
+	for _, c := range []struct {
+		name  string
+		nodes []xmltree.NodeID
+	}{{"mixed", mixed}, {"first", first}, {"middle", middle}, {"last", last}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := step(c.nodes[i%len(c.nodes)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkFollowingSibling(b *testing.B) {
 	rng := rand.New(rand.NewSource(42))
 	doc := benchDoc(rng, 20000)
@@ -455,14 +487,10 @@ func BenchmarkFollowingSibling(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	children := doc.Children(0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.FollowingSibling(children[i%len(children)]); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchPositions(b, s, doc.Children(0), func(n xmltree.NodeID) error {
+		_, err := s.FollowingSibling(n)
+		return err
+	})
 }
 
 func BenchmarkAccessCodeAt(b *testing.B) {
@@ -477,13 +505,14 @@ func BenchmarkAccessCodeAt(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.AccessCodeAt(xmltree.NodeID(i % doc.Len())); err != nil {
-			b.Fatal(err)
-		}
+	all := make([]xmltree.NodeID, doc.Len())
+	for i := range all {
+		all[i] = xmltree.NodeID(i)
 	}
+	benchPositions(b, s, all, func(n xmltree.NodeID) error {
+		_, err := s.AccessCodeAt(n)
+		return err
+	})
 }
 
 func TestValueStoreStructuralOps(t *testing.T) {

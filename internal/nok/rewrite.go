@@ -3,6 +3,7 @@ package nok
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dolxml/internal/pathsum"
 	"dolxml/internal/storage"
@@ -41,26 +42,30 @@ func (s *Store) allocPage() (*storage.Frame, error) {
 func (s *Store) FreePages() int { return len(s.freeList) }
 
 // BlockEntries decodes the entries of block i exactly as stored: block-first
-// entries never carry inline codes (their code lives in the header). It is
-// the read half of a region rewrite; callers may mutate the returned slice
-// (it is a private copy, never shared with the decode cache).
+// entries never carry inline codes (their code lives in the header). The
+// returned slice is the caller's (never shared with the decode cache).
 func (s *Store) BlockEntries(i int) ([]Entry, error) {
-	return s.BlockEntriesCtx(context.Background(), i)
+	es, _, err := s.AppendBlock(nil, nil, i)
+	return es, err
 }
 
-// BlockEntriesCtx is BlockEntries with cancellation at the page-fetch
-// boundary; the streaming ε-STD join uses it to honor query contexts.
-func (s *Store) BlockEntriesCtx(ctx context.Context, i int) ([]Entry, error) {
+// AppendBlock appends block i's entries, in stored form, to entries and the
+// access code in force at each of them to codes — the read half of a region
+// rewrite, which edits both and hands them back to RewriteRegion.
+func (s *Store) AppendBlock(entries []Entry, codes []uint32, i int) ([]Entry, []uint32, error) {
 	if i < 0 || i >= len(s.dir) {
-		return nil, fmt.Errorf("nok: invalid block %d of %d", i, len(s.dir))
+		return nil, nil, fmt.Errorf("nok: invalid block %d of %d", i, len(s.dir))
 	}
-	es, err := s.blockEntries(ctx, i)
+	blk, err := s.block(context.Background(), i)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out := make([]Entry, len(es))
-	copy(out, es)
-	return out, nil
+	entries, codes = slices.Grow(entries, len(blk)), slices.Grow(codes, len(blk))
+	for k := range blk {
+		entries = append(entries, blk[k].entry())
+		codes = append(codes, blk[k].code)
+	}
+	return entries, codes, nil
 }
 
 // RewriteRegion replaces blocks [i, j] with blocks holding newEntries. The
@@ -129,8 +134,9 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 
 	// Lay out new blocks.
 	var newDir []PageInfo
-	// warm collects each written block's entries in stored form so the
-	// decode cache can be primed once the rewrite has fully succeeded:
+	// warm collects each written block's positional index, built in the
+	// pass that encodes it, so the decode cache can be primed once the
+	// rewrite has fully succeeded:
 	// accessibility toggles re-read the region they just rewrote, and
 	// without priming every toggle pays a full block decode because the
 	// rewrite invalidated the cache. Installed only after the directory
@@ -138,8 +144,8 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 	// that errors halfway, against a directory that still describes the
 	// old blocks.
 	type warmedBlock struct {
-		pid     storage.PageID
-		entries []Entry
+		pid storage.PageID
+		blk []slot
 	}
 	var warm []warmedBlock
 	var (
@@ -173,29 +179,28 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 		}
 		blockEntries[0].HasCode = false
 		blockEntries[0].Code = 0
+		// The index is what a fresh decode of this page yields: the
+		// encoding drops Code on codeless entries, and so does the indexer.
+		var ix indexer
+		ix.init(pi.StartDepth, pi.AccessCode, len(blockEntries))
 		body := frame.Data[headerSize:headerSize]
 		for _, e := range blockEntries {
 			if e.HasCode {
 				pi.ChangeBit = true
 			}
 			body = appendEntry(body, e)
+			ix.add(e)
 		}
 		writeHeader(frame.Data, pi, len(body))
 		if err := s.pool.Unpin(frame.ID(), true); err != nil {
 			return err
 		}
-		newDir = append(newDir, pi)
-		// Snapshot the canonical decoded form: blockEntries is reused, and
-		// the encoding drops Code on codeless entries, so a fresh decode of
-		// this page yields exactly this normalized copy.
-		we := make([]Entry, len(blockEntries))
-		copy(we, blockEntries)
-		for k := range we {
-			if !we[k].HasCode {
-				we[k].Code = 0
-			}
+		blk, err := ix.finish()
+		if err != nil {
+			return err
 		}
-		warm = append(warm, warmedBlock{pid: pi.Page, entries: we})
+		newDir = append(newDir, pi)
+		warm = append(warm, warmedBlock{pid: pi.Page, blk: blk})
 		blockFirst += xmltree.NodeID(len(blockEntries))
 		blockEntries = blockEntries[:0]
 		blockBytes = 0
@@ -254,7 +259,7 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 		}
 	}
 	for _, wb := range warm {
-		s.dec.put(wb.pid, wb.entries)
+		s.dec.put(wb.pid, wb.blk)
 	}
 	return len(newDir), nil
 }

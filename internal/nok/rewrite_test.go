@@ -340,7 +340,7 @@ func TestRewriteRegionWarmsDecodeCache(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := s.decodeBlock(i, f.Data)
+		fresh, err := decodeBlock(s.dir[i], f.Data)
 		if err != nil {
 			t.Fatal(err)
 		}

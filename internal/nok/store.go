@@ -2,7 +2,6 @@ package nok
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
@@ -85,15 +84,16 @@ type Store struct {
 	// copy-on-write clone, so frozen snapshots share it safely.
 	paths *pathsum.Summary
 
-	// dec is the decoded-block cache: navigation primitives (FIRST-CHILD,
-	// FOLLOWING-SIBLING, access lookup) re-scan whole blocks; caching
-	// decoded blocks under a byte budget removes the dominant allocation
-	// from query evaluation without changing I/O behavior (the underlying
-	// pages still flow through the buffer pool and its statistics). Cached
-	// slices are immutable once published. Store mutations (RewriteRegion
-	// and friends) must be externally serialized against readers —
-	// securexml does so behind its store lock — but concurrent readers on
-	// their own are always safe.
+	// dec is the decoded-block cache: each entry is a block's positional
+	// index (see slot), so a navigation step or access lookup in a cached
+	// block is an array read. Caching decoded blocks under a byte budget
+	// takes block decoding out of query evaluation without changing I/O
+	// behavior (the underlying pages still flow through the buffer pool
+	// and its statistics, once per block visit). Cached slices are
+	// immutable once published. Store mutations (RewriteRegion and
+	// friends) must be externally serialized against readers — securexml
+	// does so behind its store lock — but concurrent readers on their own
+	// are always safe.
 	dec *decodeCache
 }
 
@@ -192,69 +192,36 @@ func (s *Store) pageOf(n xmltree.NodeID) int {
 	return i - 1
 }
 
-// readBlock pins the page of directory entry i and returns its frame. The
-// caller must unpin. Cancellation is honored at this page-fetch boundary.
-func (s *Store) readBlock(ctx context.Context, i int) (*storage.Frame, error) {
-	return s.pool.GetCtx(ctx, s.dir[i].Page)
-}
-
-// decodeBlock decodes all entries of the block in frame data. It returns
-// the entries slice. The header is validated against dir[i].
-func (s *Store) decodeBlock(i int, data []byte) ([]Entry, error) {
-	count := int(binary.LittleEndian.Uint16(data[8:10]))
-	dataLen := int(binary.LittleEndian.Uint16(data[10:12]))
-	if count != s.dir[i].Count {
-		return nil, fmt.Errorf("nok: block %d count mismatch: header %d, directory %d", i, count, s.dir[i].Count)
-	}
-	entries := make([]Entry, 0, count)
-	body := data[headerSize : headerSize+dataLen]
-	for len(body) > 0 {
-		e, n, err := decodeEntry(body)
-		if err != nil {
-			return nil, fmt.Errorf("nok: block %d: %w", i, err)
-		}
-		entries = append(entries, e)
-		body = body[n:]
-	}
-	if len(entries) != count {
-		return nil, fmt.Errorf("nok: block %d decoded %d entries, header says %d", i, len(entries), count)
-	}
-	return entries, nil
-}
-
-// blockEntries loads and decodes block i. The returned slice may be shared
-// via the decode cache and must be treated as read-only; use BlockEntries
-// for a mutable copy. The context is consulted at the page-fetch boundary,
-// so a cancelled query stops before pinning another page.
-func (s *Store) blockEntries(ctx context.Context, i int) ([]Entry, error) {
+// block loads block i and returns its decoded positional index — one block
+// visit. The slice is shared via the decode cache and immutable. The
+// context is consulted at the page-fetch boundary, so a cancelled query
+// stops before pinning another page.
+func (s *Store) block(ctx context.Context, i int) ([]slot, error) {
 	pid := s.dir[i].Page
-	if es, ok := s.dec.get(pid); ok {
-		// Keep buffer-pool statistics meaningful: a decode-cache hit is
-		// also a pool hit (the page is logically touched).
-		f, err := s.pool.GetCtx(ctx, pid)
-		if err != nil {
-			return nil, err
-		}
-		if err := s.pool.Unpin(f.ID(), false); err != nil {
-			return nil, err
-		}
-		return es, nil
-	}
-	f, err := s.readBlock(ctx, i)
+	f, err := s.pool.GetCtx(ctx, pid)
 	if err != nil {
 		return nil, err
 	}
-	defer s.pool.Unpin(f.ID(), false)
-	obs.TraceFromContext(ctx).PageDecode(int64(pid))
-	es, err := s.decodeBlock(i, f.Data)
+	// A decode-cache hit still goes through the pool, releasing the pin at
+	// once: the page is logically touched, so the pool's recency and
+	// statistics stay meaningful.
+	blk, ok := s.dec.get(pid)
+	if !ok {
+		obs.TraceFromContext(ctx).PageDecode(int64(pid))
+		if blk, err = decodeBlock(s.dir[i], f.Data); err == nil {
+			s.dec.put(pid, blk)
+		}
+	}
+	if uerr := s.pool.Unpin(pid, false); err == nil {
+		err = uerr
+	}
 	if err != nil {
 		return nil, err
 	}
-	s.dec.put(pid, es)
-	return es, nil
+	return blk, nil
 }
 
-// NodeInfo is the decoded state of one node during a scan.
+// NodeInfo is the decoded state of one node.
 type NodeInfo struct {
 	ID    xmltree.NodeID
 	Entry Entry
@@ -265,30 +232,9 @@ type NodeInfo struct {
 	Code uint32
 }
 
-// scanTo decodes block i up to and including node n, returning n's info.
-// This is the paper's access-lookup procedure (§3.3): the governing
-// transition node is always found within n's own block.
-func (s *Store) scanTo(ctx context.Context, i int, n xmltree.NodeID) (NodeInfo, error) {
-	entries, err := s.blockEntries(ctx, i)
-	if err != nil {
-		return NodeInfo{}, err
-	}
-	info := s.dir[i]
-	level := int(info.StartDepth)
-	code := info.AccessCode
-	id := info.FirstNode
-	for _, e := range entries {
-		if e.HasCode {
-			code = e.Code
-		}
-		if id == n {
-			return NodeInfo{ID: n, Entry: e, Level: level, Code: code}, nil
-		}
-		level = level + 1 - e.CloseCount
-		id++
-	}
-	return NodeInfo{}, fmt.Errorf("nok: node %d not found in block %d", n, i)
-}
+// The navigation primitives below are the stateless form of Cursor: each
+// call is one block visit through a throwaway cursor. Callers that take
+// many steps hold a Cursor instead.
 
 // Info returns the decoded state of node n.
 func (s *Store) Info(n xmltree.NodeID) (NodeInfo, error) {
@@ -297,10 +243,8 @@ func (s *Store) Info(n xmltree.NodeID) (NodeInfo, error) {
 
 // InfoCtx is Info with cancellation at the page-fetch boundary.
 func (s *Store) InfoCtx(ctx context.Context, n xmltree.NodeID) (NodeInfo, error) {
-	if !s.Valid(n) {
-		return NodeInfo{}, fmt.Errorf("nok: invalid node %d", n)
-	}
-	return s.scanTo(ctx, s.pageOf(n), n)
+	c := Cursor{s: s}
+	return c.Info(ctx, n)
 }
 
 // Tag returns the tag code of node n.
@@ -323,8 +267,8 @@ func (s *Store) Level(n xmltree.NodeID) (int, error) {
 
 // AccessCodeAt returns the DOL access code governing node n. Per the
 // paper's design the lookup touches only n's own block (plus the in-memory
-// directory), so when the block is already pinned for navigation the check
-// costs no additional I/O.
+// directory), so when the block is already at hand for navigation the
+// check costs no additional I/O.
 func (s *Store) AccessCodeAt(n xmltree.NodeID) (uint32, error) {
 	return s.AccessCodeAtCtx(context.Background(), n)
 }
@@ -339,46 +283,24 @@ func (s *Store) AccessCodeAtCtx(ctx context.Context, n xmltree.NodeID) (uint32, 
 	return info.Code, nil
 }
 
-// FirstChild returns the first child of n, or InvalidNode if n is a leaf —
-// subroutine FIRST-CHILD of Algorithm 1.
+// FirstChild is Cursor.FirstChild for a single step.
 func (s *Store) FirstChild(n xmltree.NodeID) (xmltree.NodeID, error) {
 	return s.FirstChildCtx(context.Background(), n)
 }
 
 // FirstChildCtx is FirstChild with cancellation at the page-fetch boundary.
 func (s *Store) FirstChildCtx(ctx context.Context, n xmltree.NodeID) (xmltree.NodeID, error) {
-	info, err := s.InfoCtx(ctx, n)
-	if err != nil {
-		return xmltree.InvalidNode, err
-	}
-	if info.Entry.CloseCount > 0 {
-		return xmltree.InvalidNode, nil
-	}
-	return n + 1, nil
+	c := Cursor{s: s}
+	return c.FirstChild(ctx, n)
 }
 
-// FollowingSibling returns the next sibling of n, or InvalidNode —
-// subroutine FOLLOWING-SIBLING of Algorithm 1. The scan skips, via the
-// in-memory directory alone, every block that provably lies strictly inside
-// n's subtree (MinDepth > level(n)).
+// FollowingSibling is Cursor.FollowingSibling for a single step, with no
+// skip predicate.
 func (s *Store) FollowingSibling(n xmltree.NodeID) (xmltree.NodeID, error) {
 	return s.FollowingSiblingSkipCtx(context.Background(), n, nil)
 }
 
-// FollowingSiblingSkip is FollowingSibling extended with a page-skip
-// predicate for secure matching (§3.3): during the cross-block scan, a
-// block for which skip reports true (meaning every node in it is
-// inaccessible, per its in-memory header) is skipped without a physical
-// read when its MinDepth is at least the sibling level — such a block can
-// only contain inaccessible siblings and their descendants, which the
-// secure matcher rejects anyway. When such a block additionally contains a
-// node shallower than the sibling level, the parent's subtree ends inside
-// it and the scan can conclude, again without I/O, that no accessible
-// sibling remains.
-//
-// The returned node is therefore the next sibling that does not lie in a
-// wholly-skipped block; with a nil predicate it is exactly the next
-// sibling.
+// FollowingSiblingSkip is Cursor.FollowingSibling for a single step.
 func (s *Store) FollowingSiblingSkip(n xmltree.NodeID, skip func(pageIdx int) bool) (xmltree.NodeID, error) {
 	return s.FollowingSiblingSkipCtx(context.Background(), n, skip)
 }
@@ -386,104 +308,18 @@ func (s *Store) FollowingSiblingSkip(n xmltree.NodeID, skip func(pageIdx int) bo
 // FollowingSiblingSkipCtx is FollowingSiblingSkip with cancellation at
 // every page-fetch boundary of the cross-block scan.
 func (s *Store) FollowingSiblingSkipCtx(ctx context.Context, n xmltree.NodeID, skip func(pageIdx int) bool) (xmltree.NodeID, error) {
-	if !s.Valid(n) {
-		return xmltree.InvalidNode, fmt.Errorf("nok: invalid node %d", n)
-	}
-	i := s.pageOf(n)
-	entries, err := s.blockEntries(ctx, i)
-	if err != nil {
-		return xmltree.InvalidNode, err
-	}
-	info := s.dir[i]
-	// Locate n within the block and its level.
-	level := int(info.StartDepth)
-	idx := int(n - info.FirstNode)
-	for j := 0; j < idx; j++ {
-		level = level + 1 - entries[j].CloseCount
-	}
-	targetLevel := level
-	// Scan forward within the block for the first node at level ≤ target.
-	id := n
-	for j := idx; j < len(entries); j++ {
-		if j > idx && level <= targetLevel {
-			if level == targetLevel {
-				return id, nil
-			}
-			return xmltree.InvalidNode, nil
-		}
-		level = level + 1 - entries[j].CloseCount
-		id++
-	}
-	// Continue across blocks, skipping those wholly inside the subtree.
-	return s.scanForLevelCtx(ctx, i+1, targetLevel, skip)
+	c := Cursor{s: s}
+	return c.FollowingSibling(ctx, n, skip)
 }
 
-// scanForLevelCtx is the cross-block tail of a sibling scan: starting at
-// directory index k, it returns the first node at exactly targetLevel, or
-// InvalidNode once a shallower node (or a skipped block proving one) shows
-// the enclosing subtree has closed. Blocks for which skip reports true are
-// passed over without a physical read under the §3.3 discipline: when such
-// a block's MinDepth is at least targetLevel it can only hold skippable
-// siblings and their descendants; when it is shallower, the parent subtree
-// ends inside it and the scan concludes with no further sibling.
-func (s *Store) scanForLevelCtx(ctx context.Context, k, targetLevel int, skip func(pageIdx int) bool) (xmltree.NodeID, error) {
-	for ; k < len(s.dir); k++ {
-		pi := s.dir[k]
-		if int(pi.MinDepth) > targetLevel {
-			continue // directory-only skip: block is inside the subtree
-		}
-		if skip != nil && skip(k) {
-			if int(pi.MinDepth) >= targetLevel {
-				continue // only skippable siblings and their subtrees
-			}
-			// The parent subtree ends inside a fully-skipped block: no
-			// eligible sibling remains.
-			return xmltree.InvalidNode, nil
-		}
-		if int(pi.StartDepth) <= targetLevel {
-			if int(pi.StartDepth) == targetLevel {
-				return pi.FirstNode, nil
-			}
-			return xmltree.InvalidNode, nil
-		}
-		bentries, err := s.blockEntries(ctx, k)
-		if err != nil {
-			return xmltree.InvalidNode, err
-		}
-		lvl := int(pi.StartDepth)
-		bid := pi.FirstNode
-		for _, e := range bentries {
-			if lvl <= targetLevel {
-				if lvl == targetLevel {
-					return bid, nil
-				}
-				return xmltree.InvalidNode, nil
-			}
-			lvl = lvl + 1 - e.CloseCount
-			bid++
-		}
-	}
-	return xmltree.InvalidNode, nil
-}
-
-// NextSiblingFromBlockCtx resumes a sibling scan at a block boundary: it
-// returns the first node at exactly targetLevel in blocks blockIdx,
-// blockIdx+1, …, under the same skip discipline as
-// FollowingSiblingSkipCtx — without decoding block blockIdx when the
-// directory or the skip predicate can dispose of it. The ε-NoK matcher
-// uses it when a child scan lands on the first node of a block its skip
-// mask excludes: every node in that block is then known unmatchable, and
-// the block's MinDepth alone decides whether the scan continues past it or
-// the parent's subtree closes inside it.
+// NextSiblingFromBlockCtx is Cursor.NextSiblingFromBlock from a fresh
+// cursor.
 func (s *Store) NextSiblingFromBlockCtx(ctx context.Context, blockIdx, targetLevel int, skip func(pageIdx int) bool) (xmltree.NodeID, error) {
-	if blockIdx < 0 || blockIdx >= len(s.dir) {
-		return xmltree.InvalidNode, fmt.Errorf("nok: invalid block %d of %d", blockIdx, len(s.dir))
-	}
-	return s.scanForLevelCtx(ctx, blockIdx, targetLevel, skip)
+	c := Cursor{s: s}
+	return c.NextSiblingFromBlock(ctx, blockIdx, targetLevel, skip)
 }
 
-// SubtreeEnd returns the last node of n's subtree (n itself for leaves),
-// using the same directory-assisted scan as FollowingSibling.
+// SubtreeEnd is Cursor.SubtreeEnd for a single step.
 func (s *Store) SubtreeEnd(n xmltree.NodeID) (xmltree.NodeID, error) {
 	return s.SubtreeEndCtx(context.Background(), n)
 }
@@ -491,52 +327,8 @@ func (s *Store) SubtreeEnd(n xmltree.NodeID) (xmltree.NodeID, error) {
 // SubtreeEndCtx is SubtreeEnd with cancellation at every page-fetch
 // boundary of the cross-block scan.
 func (s *Store) SubtreeEndCtx(ctx context.Context, n xmltree.NodeID) (xmltree.NodeID, error) {
-	if !s.Valid(n) {
-		return xmltree.InvalidNode, fmt.Errorf("nok: invalid node %d", n)
-	}
-	i := s.pageOf(n)
-	entries, err := s.blockEntries(ctx, i)
-	if err != nil {
-		return xmltree.InvalidNode, err
-	}
-	info := s.dir[i]
-	level := int(info.StartDepth)
-	idx := int(n - info.FirstNode)
-	for j := 0; j < idx; j++ {
-		level = level + 1 - entries[j].CloseCount
-	}
-	targetLevel := level
-	id := n
-	for j := idx; j < len(entries); j++ {
-		if j > idx && level <= targetLevel {
-			return id - 1, nil
-		}
-		level = level + 1 - entries[j].CloseCount
-		id++
-	}
-	for k := i + 1; k < len(s.dir); k++ {
-		pi := s.dir[k]
-		if int(pi.MinDepth) > targetLevel {
-			continue
-		}
-		if int(pi.StartDepth) <= targetLevel {
-			return pi.FirstNode - 1, nil
-		}
-		bentries, err := s.blockEntries(ctx, k)
-		if err != nil {
-			return xmltree.InvalidNode, err
-		}
-		lvl := int(pi.StartDepth)
-		bid := pi.FirstNode
-		for _, e := range bentries {
-			if lvl <= targetLevel {
-				return bid - 1, nil
-			}
-			lvl = lvl + 1 - e.CloseCount
-			bid++
-		}
-	}
-	return xmltree.NodeID(s.numNodes - 1), nil
+	c := Cursor{s: s}
+	return c.SubtreeEnd(ctx, n)
 }
 
 // WalkSubtree calls visit for every node in n's subtree in document order,
@@ -555,24 +347,19 @@ func (s *Store) WalkSubtree(n xmltree.NodeID, visit func(NodeInfo) bool) error {
 		if pi.FirstNode > end {
 			break
 		}
-		entries, err := s.blockEntries(context.Background(), i)
+		blk, err := s.block(context.Background(), i)
 		if err != nil {
 			return err
 		}
-		level := int(pi.StartDepth)
-		code := pi.AccessCode
-		id := pi.FirstNode
-		for _, e := range entries {
-			if e.HasCode {
-				code = e.Code
+		for j := range blk {
+			id := pi.FirstNode + xmltree.NodeID(j)
+			if id < n || id > end {
+				continue
 			}
-			if id >= n && id <= end {
-				if !visit(NodeInfo{ID: id, Entry: e, Level: level, Code: code}) {
-					return nil
-				}
+			sl := &blk[j]
+			if !visit(NodeInfo{ID: id, Entry: sl.entry(), Level: int(sl.level), Code: sl.code}) {
+				return nil
 			}
-			level = level + 1 - e.CloseCount
-			id++
 		}
 	}
 	return nil
@@ -635,17 +422,12 @@ func (s *Store) RebuildPathSummary() error {
 func (s *Store) scanPathSummary() (*pathsum.Summary, error) {
 	b := pathsum.NewBuilder()
 	for i := range s.dir {
-		pi := s.dir[i]
-		entries, err := s.blockEntries(context.Background(), i)
+		blk, err := s.block(context.Background(), i)
 		if err != nil {
 			return nil, err
 		}
-		code := pi.AccessCode
-		for _, e := range entries {
-			if e.HasCode {
-				code = e.Code
-			}
-			b.Entry(e.Tag, e.CloseCount, code)
+		for j := range blk {
+			b.Entry(blk[j].tag, blk[j].closeCount(), blk[j].code)
 		}
 		b.EndBlock()
 	}
@@ -658,9 +440,9 @@ func (s *Store) scanPathSummary() (*pathsum.Summary, error) {
 
 // CheckConsistency cross-validates the in-memory page directory against
 // the on-disk block contents: contiguous node coverage, entry counts,
-// header depths and change bits, and balanced parenthesis structure. It is
-// intended for operational sanity checks (e.g. after reopening a store)
-// and for tests.
+// header depths and change bits, balanced parenthesis structure, and each
+// block's positional index against a recomputation. It is intended for
+// operational sanity checks (e.g. after reopening a store) and for tests.
 func (s *Store) CheckConsistency() error {
 	next := xmltree.NodeID(0)
 	depth := -1
@@ -670,42 +452,32 @@ func (s *Store) CheckConsistency() error {
 		if pi.FirstNode != next {
 			return fmt.Errorf("nok: block %d starts at node %d, want %d", i, pi.FirstNode, next)
 		}
-		entries, err := s.blockEntries(context.Background(), i)
+		blk, err := s.block(context.Background(), i)
 		if err != nil {
 			return err
 		}
-		if len(entries) != pi.Count {
-			return fmt.Errorf("nok: block %d has %d entries, directory says %d", i, len(entries), pi.Count)
+		if len(blk) != pi.Count {
+			return fmt.Errorf("nok: block %d has %d entries, directory says %d", i, len(blk), pi.Count)
 		}
 		if pi.Count == 0 {
 			return fmt.Errorf("nok: block %d is empty", i)
 		}
-		if entries[0].HasCode {
+		if blk[0].hasCode() {
 			return fmt.Errorf("nok: block %d first entry carries an inline code", i)
 		}
 		if depth >= 0 && int(pi.StartDepth) != depth {
 			return fmt.Errorf("nok: block %d starts at depth %d, carry-over is %d", i, pi.StartDepth, depth)
 		}
-		level := int(pi.StartDepth)
-		min := level
-		change := false
-		code := pi.AccessCode
-		for _, e := range entries {
-			if level < min {
-				min = level
+		min, change, level, err := checkIndex(pi, blk)
+		if err != nil {
+			return err
+		}
+		for j := range blk {
+			sl := &blk[j]
+			if int(sl.tag) >= len(s.tags) {
+				return fmt.Errorf("nok: block %d references unknown tag %d", i, sl.tag)
 			}
-			if e.HasCode {
-				change = true
-				code = e.Code
-			}
-			if int(e.Tag) >= len(s.tags) {
-				return fmt.Errorf("nok: block %d references unknown tag %d", i, e.Tag)
-			}
-			psb.Entry(e.Tag, e.CloseCount, code)
-			level = level + 1 - e.CloseCount
-			if level < 0 {
-				return fmt.Errorf("nok: block %d closes below the root", i)
-			}
+			psb.Entry(sl.tag, sl.closeCount(), sl.code)
 		}
 		psb.EndBlock()
 		if int(pi.MinDepth) != min {
@@ -763,21 +535,21 @@ func (s *Store) ForEachExtent(visit func(n, end xmltree.NodeID, level int, tag i
 	defer func() { *stackBuf = stack }()
 	for i := range s.dir {
 		pi := s.dir[i]
-		entries, err := s.blockEntries(context.Background(), i)
+		blk, err := s.block(context.Background(), i)
 		if err != nil {
 			return err
 		}
-		level := int(pi.StartDepth)
-		id := pi.FirstNode
-		for _, e := range entries {
-			stack = append(stack, openNode{id, level, e.Tag})
-			for c := 0; c < e.CloseCount; c++ {
+		for j := range blk {
+			id := pi.FirstNode + xmltree.NodeID(j)
+			stack = append(stack, openNode{id, int(blk[j].level), blk[j].tag})
+			for c := blk[j].closeCount(); c > 0; c-- {
+				if len(stack) == 0 {
+					return fmt.Errorf("nok: unbalanced structure: node %d closes below the root", id)
+				}
 				top := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				visit(top.node, id, top.level, top.tag)
 			}
-			level = level + 1 - e.CloseCount
-			id++
 		}
 	}
 	if len(stack) != 0 {

@@ -7,6 +7,7 @@ import (
 
 	"dolxml/internal/dol"
 	"dolxml/internal/join"
+	"dolxml/internal/nok"
 	"dolxml/internal/obs"
 	"dolxml/internal/xmltree"
 )
@@ -129,8 +130,9 @@ func newMatchCursor(parent context.Context, ev *Evaluator, m *matcher, subs []No
 	}
 	sub := subs[i]
 	return newChanCursor(parent, func(ctx context.Context, out chan<- matchMsg) {
+		cur := ev.store.NewCursor()
 		for _, c := range sp.cands {
-			stopped, err := m.matchCandidate(ctx, sub, c, func(sm subtreeMatch) bool {
+			stopped, err := m.matchCandidate(ctx, cur, sub, c, func(sm subtreeMatch) bool {
 				return sendMsg(ctx, out, matchMsg{t: ev.tupleFrom(subs, i, sm)})
 			})
 			if err != nil {
@@ -180,6 +182,7 @@ func newParallelMatchCursor(parent context.Context, ev *Evaluator, m *matcher, s
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				cur := ev.store.NewCursor()
 				for {
 					select {
 					case sem <- struct{}{}:
@@ -191,7 +194,7 @@ func newParallelMatchCursor(parent context.Context, ev *Evaluator, m *matcher, s
 						return
 					}
 					lo, hi := bounds(k)
-					ms, err := m.matchSubtree(ctx, sub, cands[lo:hi])
+					ms, err := m.matchSubtree(ctx, cur, sub, cands[lo:hi])
 					slots[k] <- chunkRes{ms, err} // cap 1: never blocks
 				}
 			}()
@@ -231,9 +234,10 @@ func newParallelMatchCursor(parent context.Context, ev *Evaluator, m *matcher, s
 // ancestor; since input tuples arrive in candidate (document) order, the
 // joiner's resumable page pass never reads past the last match probed.
 type pathFilterCursor struct {
-	ev   *Evaluator
 	view *dol.SubjectView
 	in   Cursor
+	// cur reads the match roots' blocks for their subtree ends.
+	cur *nok.Cursor
 	// tr is the operator's trace handle; the filter's own page reads run
 	// under a context stamped with it (cached per incoming context so the
 	// per-tuple path does not allocate).
@@ -275,13 +279,14 @@ func (pc *pathFilterCursor) Next(ctx context.Context) (Tuple, error) {
 		case root.node == 0:
 			// The document root itself, when matched, is valid iff
 			// accessible (it has no proper-ancestor path to check).
-			pass, err = pc.view.AccessibleCtx(fctx, 0)
+			info, err := pc.cur.Info(fctx, 0)
 			if err != nil {
 				return nil, err
 			}
+			pass = pc.view.CodeAllowed(info.Code)
 		default:
 			if !pc.opened {
-				rootEnd, err := pc.ev.store.SubtreeEndCtx(fctx, 0)
+				rootEnd, err := pc.cur.SubtreeEnd(fctx, 0)
 				if err != nil {
 					return nil, err
 				}
@@ -289,7 +294,7 @@ func (pc *pathFilterCursor) Next(ctx context.Context) (Tuple, error) {
 					[]join.Item{{Node: 0, End: rootEnd, Level: 0}})
 				pc.opened = true
 			}
-			end, err := pc.ev.store.SubtreeEndCtx(fctx, root.node)
+			end, err := pc.cur.SubtreeEnd(fctx, root.node)
 			if err != nil {
 				return nil, err
 			}
@@ -317,10 +322,12 @@ func (pc *pathFilterCursor) Close() error { return pc.in.Close() }
 // per distinct root, with the ε-STD page pass stopping at the last root
 // probed.
 type joinCursor struct {
-	ev       *Evaluator
-	opts     Options
-	left     Cursor
-	right    Cursor
+	opts  Options
+	left  Cursor
+	right Cursor
+	// cur reads the blocks of the ancestor and right-root bindings for
+	// their subtree ends.
+	cur      *nok.Cursor
 	linkSlot int
 	base     int
 	nSlots   int
@@ -387,7 +394,7 @@ func (jc *joinCursor) open(ctx context.Context) error {
 		if _, ok := ancSet[b.node]; ok {
 			continue
 		}
-		end, err := jc.ev.store.SubtreeEndCtx(jctx, b.node)
+		end, err := jc.cur.SubtreeEnd(jctx, b.node)
 		if err != nil {
 			return err
 		}
@@ -433,7 +440,7 @@ func (jc *joinCursor) Next(ctx context.Context) (Tuple, error) {
 		root := rt[jc.base]
 		if !jc.lastRootValid || root.node != jc.lastRoot {
 			jctx := jc.opCtx(ctx)
-			end, err := jc.ev.store.SubtreeEndCtx(jctx, root.node)
+			end, err := jc.cur.SubtreeEnd(jctx, root.node)
 			if err != nil {
 				return nil, err
 			}

@@ -280,12 +280,12 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 		rc := newMatchCursor(sctx, ev, m, subs, i, sp)
 		if i == 0 {
 			if opts.View != nil && opts.Semantics == SemanticsPrunedSubtree {
-				rc = &pathFilterCursor{ev: ev, view: opts.View, in: rc, tr: opts.Trace.ForOp(opFilter)}
+				rc = &pathFilterCursor{view: opts.View, in: rc, cur: ev.store.NewCursor(), tr: opts.Trace.ForOp(opFilter)}
 			}
 			cur = rc
 		} else {
 			cur = &joinCursor{
-				ev:       ev,
+				cur:      ev.store.NewCursor(),
 				opts:     opts,
 				tr:       opts.Trace.ForOp(opJoin(i)),
 				left:     cur,

@@ -55,6 +55,11 @@ type matcher struct {
 	// skip state its child scans consult. Filled by prepare; read-only
 	// afterwards.
 	scanSkip map[*PatternNode]*nodeSkip
+	// tagCode, indexed by PatternNode.id, is each pattern node's tag
+	// constraint resolved against the store's tag table: a tag code,
+	// tagAny for "*", tagAbsent for a tag the document does not contain.
+	// Filled by prepare.
+	tagCode []int32
 	// preAllow, indexed by PatternNode.id, marks pattern nodes whose child
 	// scans need no per-node access checks: every path class the scan can
 	// accept is uniformly allowed to the view. preAllowRoot is the same
@@ -67,6 +72,12 @@ type matcher struct {
 	// events (page pins and skips are recorded elsewhere).
 	trace *obs.Trace
 }
+
+// Resolved tag constraints that are not tag codes (which are ≥ 0).
+const (
+	tagAny    int32 = -1
+	tagAbsent int32 = -2
+)
 
 // nodeSkip pairs one pattern node's fused skip bitmap with its counting
 // scan predicate. The bitmap answers "is this page dead to the scan?"
@@ -101,20 +112,28 @@ func (m *matcher) prepare(subs []NoKSubtree) {
 	}
 	if m.masks != nil {
 		m.scanSkip = make(map[*PatternNode]*nodeSkip)
-		var walk func(p *PatternNode)
-		walk = func(p *PatternNode) {
-			if len(nokChildren(p)) > 0 {
-				if fn := m.masks.scanSkipFn(p); fn != nil {
-					m.scanSkip[p] = &nodeSkip{bits: m.masks.nodeBits(p), fn: fn}
-				}
-			}
-			for _, c := range p.Children {
-				walk(c)
+	}
+	var walk func(p *PatternNode)
+	walk = func(p *PatternNode) {
+		for len(m.tagCode) <= p.id {
+			m.tagCode = append(m.tagCode, tagAbsent)
+		}
+		if p.Tag == "*" {
+			m.tagCode[p.id] = tagAny
+		} else if code, ok := m.store.LookupTag(p.Tag); ok {
+			m.tagCode[p.id] = code
+		}
+		if m.masks != nil && len(nokChildren(p)) > 0 {
+			if fn := m.masks.scanSkipFn(p); fn != nil {
+				m.scanSkip[p] = &nodeSkip{bits: m.masks.nodeBits(p), fn: fn}
 			}
 		}
-		for i := range subs {
-			walk(subs[i].Root)
+		for _, c := range p.Children {
+			walk(c)
 		}
+	}
+	for i := range subs {
+		walk(subs[i].Root)
 	}
 }
 
@@ -137,13 +156,10 @@ func (m *matcher) trackedIn(p *PatternNode) bool {
 	return v
 }
 
-// matchesNode checks proot's tag constraint against a decoded entry.
-func (m *matcher) matchesNode(proot *PatternNode, e nok.Entry) bool {
-	if proot.Tag == "*" {
-		return true
-	}
-	code, ok := m.store.LookupTag(proot.Tag)
-	return ok && code == e.Tag
+// matchesNode checks proot's tag constraint against a node's tag code.
+func (m *matcher) matchesNode(proot *PatternNode, tag int32) bool {
+	want := m.tagCode[proot.id]
+	return want == tag || want == tagAny
 }
 
 func (m *matcher) matchesValue(ctx context.Context, proot *PatternNode, u xmltree.NodeID) (bool, error) {
@@ -202,7 +218,10 @@ type emitFn func(combo) bool
 // is exactly the batch product — but the first combination surfaces as
 // soon as the first witness of every child has been seen, which is what
 // lets Limit-bounded queries stop their page reads mid-scan.
-func (m *matcher) npmStream(ctx context.Context, proot *PatternNode, u binding, emit emitFn) (bool, bool, error) {
+//
+// cur is the calling goroutine's block cursor: the scan's navigation, tag
+// and access checks of the nodes of one block cost one block visit.
+func (m *matcher) npmStream(ctx context.Context, cur *nok.Cursor, proot *PatternNode, u binding, emit emitFn) (bool, bool, error) {
 	s := nokChildren(proot)
 	if len(s) == 0 {
 		c := combo{}
@@ -318,7 +337,10 @@ func (m *matcher) npmStream(ctx context.Context, proot *PatternNode, u binding, 
 	if ns != nil {
 		skip = ns.fn
 	}
-	v, err := m.store.FirstChildCtx(ctx, u.node)
+	// When path routing proved every class this scan can accept uniformly
+	// allowed, the per-node access check is redundant and skipped.
+	checkAccess := m.view != nil && !m.scanPreAllowed(proot)
+	v, err := cur.FirstChild(ctx, u.node)
 	if err != nil {
 		return false, false, err
 	}
@@ -331,34 +353,27 @@ func (m *matcher) npmStream(ctx context.Context, proot *PatternNode, u binding, 
 			// block-first v qualifies: mid-block, the block also holds the
 			// prefix up to v, so its directory depths do not describe the
 			// remainder alone.
-			if k := m.store.PageIndexOf(v); m.store.PageInfoAt(k).FirstNode == v && ns.masked(k) {
-				v, err = m.store.NextSiblingFromBlockCtx(ctx, k, childLevel, skip)
+			if k := cur.BlockOf(v); ns.masked(k) && m.store.PageInfoAt(k).FirstNode == v {
+				v, err = cur.NextSiblingFromBlock(ctx, k, childLevel, skip)
 				if err != nil {
 					return false, false, err
 				}
 				continue
 			}
 		}
-		info, err := m.store.InfoCtx(ctx, v)
+		info, err := cur.Info(ctx, v)
 		if err != nil {
 			return false, false, err
 		}
-		accessible := true
-		// When path routing proved every class this scan can accept
-		// uniformly allowed, the per-node check is redundant and skipped.
-		if m.view != nil && !m.scanPreAllowed(proot) {
-			accessible, err = m.view.AccessibleCtx(ctx, v)
-			if err != nil {
-				return false, false, err
-			}
-		}
-		if accessible {
+		// The access check while the block is at hand (§3.3): the code in
+		// force came with the node.
+		if !checkAccess || m.view.CodeAllowed(info.Code) {
 			allDone := true
 			for i, pc := range s {
 				if matched[i] && !trackedChild[i] {
 					continue // existential child already satisfied
 				}
-				if !m.matchesNode(pc, info.Entry) {
+				if !m.matchesNode(pc, info.Entry.Tag) {
 					if !matched[i] {
 						allDone = false
 					}
@@ -375,7 +390,7 @@ func (m *matcher) npmStream(ctx context.Context, proot *PatternNode, u binding, 
 					continue
 				}
 				i := i
-				sub, stopped, err := m.npmStream(ctx, pc, binding{v, info.Level}, func(c combo) bool {
+				sub, stopped, err := m.npmStream(ctx, cur, pc, binding{v, info.Level}, func(c combo) bool {
 					if !trackedChild[i] {
 						// Existential fragment: only the fact that it
 						// matched matters, handled below.
@@ -402,7 +417,7 @@ func (m *matcher) npmStream(ctx context.Context, proot *PatternNode, u binding, 
 				break
 			}
 		}
-		v, err = m.store.FollowingSiblingSkipCtx(ctx, v, skip)
+		v, err = cur.FollowingSibling(ctx, v, skip)
 		if err != nil {
 			return false, false, err
 		}
@@ -413,7 +428,7 @@ func (m *matcher) npmStream(ctx context.Context, proot *PatternNode, u binding, 
 // matchCandidate runs ε-NoK matching for one root candidate (normally a
 // tag-index posting), streaming each successful match to emit. It reports
 // whether emit stopped the enumeration early.
-func (m *matcher) matchCandidate(ctx context.Context, sub NoKSubtree, c btree.Posting, emit func(subtreeMatch) bool) (bool, error) {
+func (m *matcher) matchCandidate(ctx context.Context, cur *nok.Cursor, sub NoKSubtree, c btree.Posting, emit func(subtreeMatch) bool) (bool, error) {
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
@@ -421,7 +436,7 @@ func (m *matcher) matchCandidate(ctx context.Context, sub NoKSubtree, c btree.Po
 	// itself be accessible. When the deny bitmap covers the candidate's
 	// whole page, that settles it from the directory alone — no block read.
 	if m.masks != nil {
-		if pi := m.store.PageIndexOf(c.Node); m.masks.pageDenied(pi) {
+		if pi := cur.BlockOf(c.Node); m.masks.pageDenied(pi) {
 			m.masks.candCt.Inc()
 			// Attribute the reject to the operator stamped on ctx (the
 			// owning scan) when the pipeline provided one.
@@ -433,20 +448,14 @@ func (m *matcher) matchCandidate(ctx context.Context, sub NoKSubtree, c btree.Po
 			return false, nil
 		}
 	}
-	if m.view != nil && !m.rootPreAllowed(sub.Root) {
-		ok, err := m.view.AccessibleCtx(ctx, c.Node)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	info, err := m.store.InfoCtx(ctx, c.Node)
+	info, err := cur.Info(ctx, c.Node)
 	if err != nil {
 		return false, err
 	}
-	if !m.matchesNode(sub.Root, info.Entry) {
+	if m.view != nil && !m.rootPreAllowed(sub.Root) && !m.view.CodeAllowed(info.Code) {
+		return false, nil
+	}
+	if !m.matchesNode(sub.Root, info.Entry.Tag) {
 		return false, nil
 	}
 	ok, err := m.matchesValue(ctx, sub.Root, c.Node)
@@ -457,7 +466,7 @@ func (m *matcher) matchCandidate(ctx context.Context, sub NoKSubtree, c btree.Po
 		return false, nil
 	}
 	rootBind := binding{c.Node, int(c.Level)}
-	_, stopped, err := m.npmStream(ctx, sub.Root, rootBind, func(cb combo) bool {
+	_, stopped, err := m.npmStream(ctx, cur, sub.Root, rootBind, func(cb combo) bool {
 		return emit(subtreeMatch{root: rootBind, bindings: cb})
 	})
 	return stopped, err
@@ -466,10 +475,10 @@ func (m *matcher) matchCandidate(ctx context.Context, sub NoKSubtree, c btree.Po
 // matchSubtree collects every match of the given root candidates, in
 // candidate order — the materialized form used by the parallel match
 // cursor's chunk workers.
-func (m *matcher) matchSubtree(ctx context.Context, sub NoKSubtree, candidates []btree.Posting) ([]subtreeMatch, error) {
+func (m *matcher) matchSubtree(ctx context.Context, cur *nok.Cursor, sub NoKSubtree, candidates []btree.Posting) ([]subtreeMatch, error) {
 	var out []subtreeMatch
 	for _, c := range candidates {
-		_, err := m.matchCandidate(ctx, sub, c, func(sm subtreeMatch) bool {
+		_, err := m.matchCandidate(ctx, cur, sub, c, func(sm subtreeMatch) bool {
 			out = append(out, sm)
 			return true
 		})

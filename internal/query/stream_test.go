@@ -6,8 +6,14 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"sync/atomic"
 	"testing"
 
+	"dolxml/internal/btree"
+	"dolxml/internal/dol"
+	"dolxml/internal/nok"
+	"dolxml/internal/obs"
+	"dolxml/internal/storage"
 	"dolxml/internal/xmark"
 	"dolxml/internal/xmltree"
 )
@@ -133,6 +139,13 @@ func TestCancellationMidScan(t *testing.T) {
 	e := newEnv(t, doc, allowAll(doc, 1), 256)
 	pt := MustParse(`//x//y`)
 
+	// What the scan costs when nobody cancels it.
+	g0 := e.pool.Stats().Gets
+	if _, err := e.ev.Evaluate(pt, Options{Parallelism: 1}); err != nil {
+		t.Fatal(err)
+	}
+	fullGets := e.pool.Stats().Gets - g0
+
 	for _, p := range parallelismLevels {
 		ctx, cancel := context.WithCancel(context.Background())
 		a, err := e.ev.Open(ctx, pt, Options{Parallelism: p})
@@ -143,6 +156,7 @@ func TestCancellationMidScan(t *testing.T) {
 			t.Fatalf("p=%d: first answer: ok=%v err=%v", p, ok, err)
 		}
 		cancel()
+		atCancel := e.pool.Stats().Gets
 		if _, _, err := a.Next(ctx); !errors.Is(err, context.Canceled) {
 			t.Fatalf("p=%d: Next after cancel = %v, want context.Canceled", p, err)
 		}
@@ -154,6 +168,12 @@ func TestCancellationMidScan(t *testing.T) {
 		}
 		if got := e.pool.Pinned(); got != 0 {
 			t.Fatalf("p=%d: %d frames still pinned after cancelled scan", p, got)
+		}
+		// The context is consulted at every block entry: a producer caught
+		// mid-block finishes the entry it had begun, if any, and touches
+		// no further block. Two subtrees, up to p workers each.
+		if late, most := e.pool.Stats().Gets-atCancel, int64(2*p); late > most || most >= fullGets {
+			t.Fatalf("p=%d: %d pool Gets after cancellation, want at most %d (a full scan takes %d)", p, late, most, fullGets)
 		}
 	}
 
@@ -209,5 +229,106 @@ func TestLimitOneReadsFewerPages(t *testing.T) {
 	}
 	if got := e.pool.Pinned(); got != 0 {
 		t.Fatalf("%d frames still pinned", got)
+	}
+}
+
+// pinProbe samples how many frames the pool holds pinned each time a page
+// is physically read — on a cold pool, at every block visit, while the
+// visit's own pin is held.
+type pinProbe struct {
+	storage.Pager
+	pool *storage.BufferPool
+	peak atomic.Int64
+}
+
+func (p *pinProbe) ReadPage(id storage.PageID, buf []byte) error {
+	if n := int64(p.pool.Pinned()); n > p.peak.Load() {
+		p.peak.Store(n)
+	}
+	return p.Pager.ReadPage(id, buf)
+}
+
+// A query pins by block visit: from its trace, the page_pin events equal
+// the pool's Gets and stay within a small multiple of the distinct pages
+// touched (they ran to hundreds per page when every navigation step and
+// access check pinned its node's block); and no goroutine of it ever holds
+// more than the one pin of the visit in progress, so the frames pinned at
+// any moment are bounded by the pipeline's goroutines — what lets a
+// bounded pool make a query wait for a frame instead of failing it.
+func TestPinsPerBlockVisit(t *testing.T) {
+	doc := xmark.Generate(xmark.Scaled(5, 6000))
+	m := allowAll(doc, 2)
+	rng := rand.New(rand.NewSource(9))
+	for n := 1; n < doc.Len(); n++ {
+		if rng.Intn(40) == 0 {
+			for v := xmltree.NodeID(n); v <= doc.End(xmltree.NodeID(n)); v++ {
+				m.Set(v, 0, false)
+			}
+		}
+	}
+	probe := &pinProbe{Pager: storage.NewMemPager(1024)}
+	pool := storage.NewBufferPool(probe, 1024)
+	probe.pool = pool
+	ss, err := dol.BuildSecureStore(pool, doc, m, nok.BuildOptions{StoreValues: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The index lives on its own pool, as in securexml: its reads are not
+	// the query's block visits.
+	idx, err := btree.BuildFromDocument(storage.NewBufferPool(storage.NewMemPager(1024), 1024), doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := NewEvaluator(ss.Store(), idx)
+	view := ss.ViewSubject(0)
+	for _, expr := range []string{
+		`/site/regions/africa/item[location][name][quantity]`,
+		`/site/categories/category[name]/description/text/bold`,
+		`//item/name`,
+		`//parlist//parlist`,
+		`//listitem//keyword`,
+	} {
+		pt := MustParse(expr)
+		for _, opts := range []Options{
+			{Parallelism: 1},
+			{Parallelism: 1, View: view},
+			{Parallelism: 1, View: view, Semantics: SemanticsPrunedSubtree},
+		} {
+			if err := pool.DropAll(); err != nil {
+				t.Fatal(err)
+			}
+			probe.peak.Store(0)
+			tr := obs.NewTrace()
+			opts.Trace = tr
+			before := pool.Stats()
+			res, err := ev.EvaluateCtx(obs.WithTrace(context.Background(), tr), pt, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", expr, err)
+			}
+			gets := pool.Stats().Gets - before.Gets
+			pins, distinct := int64(0), map[int64]bool{}
+			for _, e := range tr.Events() {
+				if e.Kind == obs.EvPagePin {
+					pins++
+					distinct[e.Page] = true
+				}
+			}
+			if pins != gets {
+				t.Errorf("%s: trace has %d page_pin events, pool served %d Gets", expr, pins, gets)
+			}
+			if pins > 10*int64(len(distinct)) {
+				t.Errorf("%s (semantics %d): %d pins over %d distinct pages", expr, opts.Semantics, pins, len(distinct))
+			}
+			// One producer per NoK subtree plus the consumer, which runs
+			// the filter and the joins.
+			goroutines := int64(len(pt.Decompose()) + 1)
+			if peak := probe.peak.Load(); peak > goroutines {
+				t.Errorf("%s: %d frames pinned at once by %d goroutines", expr, peak, goroutines)
+			}
+			if got := pool.Pinned(); got != 0 {
+				t.Fatalf("%s: %d frames still pinned", expr, got)
+			}
+			t.Logf("%s (semantics %d, view %v): %d answers, %d pins, %d distinct pages, peak %d pinned", expr, opts.Semantics, opts.View != nil, len(res.Nodes), pins, len(distinct), probe.peak.Load())
+		}
 	}
 }

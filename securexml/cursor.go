@@ -76,9 +76,11 @@ func (s *Store) QueryCtx(ctx context.Context, user, mode, xpath string, opts Que
 // quarantined from reuse until the pin drops. Close is idempotent and must
 // be called exactly once regardless of how far the cursor was drained.
 type QueryCursor struct {
-	s    *Store
-	ref  snapRef
-	a    *query.Answers
+	s   *Store
+	ref snapRef
+	a   *query.Answers
+	// cur reads the answers' blocks for their tags.
+	cur  *nok.Cursor
 	done bool
 	// tr is the effective trace (the caller's, or the slow-query log's
 	// internal one); it must ride every ctx handed to the pipeline so page
@@ -141,7 +143,7 @@ func (s *Store) QueryCursor(ctx context.Context, user, mode, xpath string, opts 
 	if err != nil {
 		return fail(err)
 	}
-	return &QueryCursor{s: s, ref: r, a: a, tr: tr, xpath: xpath, fp: fp, finish: finish}, nil
+	return &QueryCursor{s: s, ref: r, a: a, cur: sn.st.NewCursor(), tr: tr, xpath: xpath, fp: fp, finish: finish}, nil
 }
 
 // Next returns the next answer; ok is false once the stream is exhausted
@@ -155,7 +157,7 @@ func (c *QueryCursor) Next(ctx context.Context) (m Match, ok bool, err error) {
 	}
 	c.s.queryAnswers.Inc()
 	c.answers++
-	return c.s.matchAt(ctx, c.ref.sn.st, n)
+	return matchAt(ctx, c.ref.sn.st, c.cur, n)
 }
 
 // Matches counts the combined pattern-match tuples consumed so far (the
@@ -196,9 +198,9 @@ func (c *QueryCursor) Close() error {
 }
 
 // matchAt converts one result node ID to a Match record against the
-// query's pinned store, honoring ctx.
-func (s *Store) matchAt(ctx context.Context, st *nok.Store, n xmltree.NodeID) (Match, bool, error) {
-	info, err := st.InfoCtx(ctx, n)
+// query's pinned store, reading the node through cur and honoring ctx.
+func matchAt(ctx context.Context, st *nok.Store, cur *nok.Cursor, n xmltree.NodeID) (Match, bool, error) {
+	info, err := cur.Info(ctx, n)
 	if err != nil {
 		return Match{}, false, err
 	}

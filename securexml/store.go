@@ -364,8 +364,9 @@ func (s *Store) subject(name string) (acl.SubjectID, error) {
 // land in the query's trace.
 func (s *Store) matches(ctx context.Context, st *nok.Store, nodes []xmltree.NodeID) ([]Match, error) {
 	out := make([]Match, 0, len(nodes))
+	cur := st.NewCursor()
 	for _, n := range nodes {
-		m, _, err := s.matchAt(ctx, st, n)
+		m, _, err := matchAt(ctx, st, cur, n)
 		if err != nil {
 			return nil, err
 		}
