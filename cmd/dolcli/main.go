@@ -13,8 +13,12 @@
 //	dolcli revoke -store DIR -subject NAME -mode read -xpath '//x' [-node-only] [-durability grouped]
 //	dolcli export -store DIR -user NAME -mode read [-o view.xml]
 //	dolcli stats -store DIR
-//	dolcli serve -store DIR -addr 127.0.0.1:9464 [-slow 100ms] [-snapshot-log 1s] [-recorder 30s] [-access-log -]
-//	dolcli serve -root TENANTS_DIR [-max-open 16] [-pool-budget 67108864] [-tokens tokens.json] [-rate 50] [-access-log access.jsonl]
+//	dolcli serve -root TENANTS_DIR -addr 127.0.0.1:9464 [-max-open 16] [-pool-budget 67108864] [-tokens tokens.json] [-rate 50] [-slow 100ms] [-snapshot-log 1s] [-access-log access.jsonl]
+//	dolcli serve -store DIR [the same flags]
+//
+// serve -store DIR is serve -root over DIR's parent directory, pinned to the
+// one tenant named by DIR's base name (which must be a valid tenant id):
+// the same server, and requests need not say tenant=.
 //
 // The policy file is line-oriented:
 //
@@ -37,15 +41,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
-	"strconv"
+	"path/filepath"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -193,28 +196,49 @@ func applyPolicy(b *securexml.Builder, name string, r *os.File) error {
 	return sc.Err()
 }
 
+// queryFlags are the flags query and explain share, bound straight to the
+// QueryOptions fields they set.
+type queryFlags struct {
+	store, user, mode, xpath string
+	analyze                  bool
+	opts                     securexml.QueryOptions
+}
+
+func (q *queryFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&q.store, "store", "", "store directory")
+	fs.StringVar(&q.user, "user", "", "querying user")
+	fs.StringVar(&q.mode, "mode", "read", "action mode")
+	fs.StringVar(&q.xpath, "xpath", "", "twig query")
+	fs.BoolVar(&q.opts.Unrestricted, "admin", false, "bypass access control")
+	fs.BoolVar(&q.opts.Pruned, "pruned", false, "use the pruned-subtree (Gabillon-Bruno) semantics")
+	fs.IntVar(&q.opts.Limit, "limit", 0, "stop after this many answers (0 = all)")
+	fs.BoolVar(&q.opts.DisableSummarySkip, "no-summaries", false, "skip pages on access grounds only (drop the path summary's dead pages from scan masks)")
+	fs.BoolVar(&q.opts.DisablePathSummary, "no-pathsummary", false, "disable path-summary routing (empty-query detection, path-class candidate filtering, pre-resolved access, structural page skipping)")
+	fs.BoolVar(&q.analyze, "analyze", false, "execute the query once, traced, and report per-operator attribution (pages, skips, probes, time)")
+}
+
+// open validates the parsed flags and opens the store.
+func (q *queryFlags) open(cmd string) (*securexml.Store, error) {
+	if q.store == "" || q.xpath == "" {
+		return nil, fmt.Errorf("%s requires -store and -xpath", cmd)
+	}
+	if !q.opts.Unrestricted && q.user == "" {
+		return nil, fmt.Errorf("%s requires -user (or -admin)", cmd)
+	}
+	if q.analyze {
+		q.opts.Analyze = &securexml.QueryAnalysis{}
+	}
+	return securexml.Open(q.store, securexml.StoreOptions{})
+}
+
 func runQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	storeDir := fs.String("store", "", "store directory")
-	user := fs.String("user", "", "querying user")
-	mode := fs.String("mode", "read", "action mode")
-	xpath := fs.String("xpath", "", "twig query")
-	admin := fs.Bool("admin", false, "bypass access control")
-	pruned := fs.Bool("pruned", false, "use the pruned-subtree (Gabillon-Bruno) semantics")
-	limit := fs.Int("limit", 0, "stop after this many answers (0 = all)")
+	var q queryFlags
+	q.register(fs)
 	timeout := fs.Duration("timeout", 0, "abort the query after this duration (0 = none)")
-	noSummaries := fs.Bool("no-summaries", false, "skip pages on access grounds only (drop the path summary's dead pages from scan masks)")
-	noPathSummary := fs.Bool("no-pathsummary", false, "disable path-summary routing (empty-query detection, path-class candidate filtering, pre-resolved access, structural page skipping)")
 	showStats := fs.Bool("stats", false, "print page-read and cache statistics for the query")
-	analyze := fs.Bool("analyze", false, "trace the query and print per-operator attribution (pages, skips, probes, time) to stderr")
 	fs.Parse(args)
-	if *storeDir == "" || *xpath == "" {
-		return fmt.Errorf("query requires -store and -xpath")
-	}
-	if !*admin && *user == "" {
-		return fmt.Errorf("query requires -user (or -admin)")
-	}
-	s, err := securexml.Open(*storeDir, securexml.StoreOptions{})
+	s, err := q.open("query")
 	if err != nil {
 		return err
 	}
@@ -225,48 +249,10 @@ func runQuery(args []string) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	opts := securexml.QueryOptions{
-		Pruned:             *pruned,
-		Unrestricted:       *admin,
-		Limit:              *limit,
-		DisableSummarySkip: *noSummaries,
-		DisablePathSummary: *noPathSummary,
-	}
-	if *analyze {
-		if *showStats {
-			return fmt.Errorf("-analyze and -stats are mutually exclusive (analyze reports per-operator stats)")
-		}
-		opts.Analyze = &securexml.QueryAnalysis{}
-	}
-	var matches []securexml.Match
 	before := s.MetricsSnapshot()
-	if *showStats {
-		// Drive the streaming cursor so skip counters can be sampled, then
-		// sort into document order to match the batch API's output.
-		cur, err := s.QueryCursor(ctx, *user, *mode, *xpath, opts)
-		if err != nil {
-			return err
-		}
-		for {
-			m, ok, err := cur.Next(ctx)
-			if err != nil {
-				cur.Close()
-				return err
-			}
-			if !ok {
-				break
-			}
-			matches = append(matches, m)
-		}
-		if err := cur.Close(); err != nil {
-			return err
-		}
-		sort.Slice(matches, func(i, j int) bool { return matches[i].Node < matches[j].Node })
-	} else {
-		matches, err = s.QueryCtx(ctx, *user, *mode, *xpath, opts)
-		if err != nil {
-			return err
-		}
+	matches, err := s.QueryCtx(ctx, q.user, q.mode, q.xpath, q.opts)
+	if err != nil {
+		return err
 	}
 	for _, m := range matches {
 		if m.Value != "" {
@@ -277,8 +263,7 @@ func runQuery(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "%d answers\n", len(matches))
 	if *showStats {
-		// Sampled after Close so every pipeline producer has settled. All
-		// numbers come from the store's one metrics registry — the same
+		// All numbers come from the store's one metrics registry — the same
 		// counters MetricsSnapshot, dolcli serve and dolbench report.
 		after := s.MetricsSnapshot()
 		d := func(name string) int64 { return after.Get(name) - before.Get(name) }
@@ -301,10 +286,8 @@ func runQuery(args []string) error {
 			d("query_path_empty_total"), d("query_path_classes_preresolved"))
 		fmt.Fprintf(os.Stderr, "decode cache:     %d hits, %d misses (ratio %.2f)\n", decHits, decMisses, decRatio)
 	}
-	if opts.Analyze.Ready() {
-		if err := opts.Analyze.WriteText(os.Stderr); err != nil {
-			return err
-		}
+	if q.analyze {
+		return q.opts.Analyze.WriteText(os.Stderr)
 	}
 	return nil
 }
@@ -314,88 +297,83 @@ func runQuery(args []string) error {
 // attribution.
 func explain(args []string) error {
 	fs := flag.NewFlagSet("explain", flag.ExitOnError)
-	storeDir := fs.String("store", "", "store directory")
-	user := fs.String("user", "", "querying user")
-	mode := fs.String("mode", "read", "action mode")
-	xpath := fs.String("xpath", "", "twig query")
-	admin := fs.Bool("admin", false, "bypass access control")
-	pruned := fs.Bool("pruned", false, "use the pruned-subtree (Gabillon-Bruno) semantics")
-	limit := fs.Int("limit", 0, "plan with an answer limit (0 = all)")
-	noSummaries := fs.Bool("no-summaries", false, "skip pages on access grounds only (drop the path summary's dead pages from scan masks)")
-	noPathSummary := fs.Bool("no-pathsummary", false, "disable path-summary routing, structural page skipping included")
-	analyze := fs.Bool("analyze", false, "execute the query once and annotate the plan with per-operator attribution")
+	var q queryFlags
+	q.register(fs)
 	asJSON := fs.Bool("json", false, "emit JSON instead of the text report")
 	fs.Parse(args)
-	if *storeDir == "" || *xpath == "" {
-		return fmt.Errorf("explain requires -store and -xpath")
-	}
-	if !*admin && *user == "" {
-		return fmt.Errorf("explain requires -user (or -admin)")
-	}
-	s, err := securexml.Open(*storeDir, securexml.StoreOptions{})
+	s, err := q.open("explain")
 	if err != nil {
 		return err
 	}
 	defer s.Close()
-	opts := securexml.QueryOptions{
-		Pruned:             *pruned,
-		Unrestricted:       *admin,
-		Limit:              *limit,
-		DisableSummarySkip: *noSummaries,
-		DisablePathSummary: *noPathSummary,
-	}
 	ctx := context.Background()
-	if *analyze {
-		an := &securexml.QueryAnalysis{}
-		opts.Analyze = an
-		if _, err := s.QueryCtx(ctx, *user, *mode, *xpath, opts); err != nil {
-			return err
-		}
-		if *asJSON {
-			return an.WriteJSON(os.Stdout)
-		}
-		return an.WriteText(os.Stdout)
+	var text, js func(io.Writer) error
+	if q.analyze {
+		_, err = s.QueryCtx(ctx, q.user, q.mode, q.xpath, q.opts)
+		text, js = q.opts.Analyze.WriteText, q.opts.Analyze.WriteJSON
+	} else {
+		var plan *securexml.Plan
+		plan, err = s.Explain(ctx, q.user, q.mode, q.xpath, q.opts)
+		text, js = plan.WriteText, plan.WriteJSON
 	}
-	plan, err := s.Explain(ctx, *user, *mode, *xpath, opts)
 	if err != nil {
 		return err
 	}
 	if *asJSON {
-		return plan.WriteJSON(os.Stdout)
+		return js(os.Stdout)
 	}
-	return plan.WriteText(os.Stdout)
+	return text(os.Stdout)
 }
 
 func serve(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	storeDir := fs.String("store", "", "store directory (single-tenant mode)")
-	root := fs.String("root", "", "tenant root directory (multi-tenant mode: one store per tenant id)")
+	storeDir := fs.String("store", "", "serve this one store directory: -root over its parent, pinned to its base name as the tenant")
+	root := fs.String("root", "", "tenant root directory (one store per tenant id)")
 	addr := fs.String("addr", "127.0.0.1:9464", "listen address")
 	slow := fs.Duration("slow", 0, "slow-query threshold: queries at least this slow dump their trace to stderr (0 = off)")
 	snapLog := fs.Duration("snapshot-log", 0, "slow-pin threshold: snapshot pins held at least this long are reported to stderr — long pins keep retired page versions alive (0 = off)")
-	maxOpen := fs.Int("max-open", 16, "multi-tenant: max concurrently open stores (LRU beyond)")
-	poolBudget := fs.Int64("pool-budget", 64<<20, "multi-tenant: global buffer-pool byte budget shared across open stores")
-	cacheBudget := fs.Int64("cache-budget", 16<<20, "multi-tenant: global decode-cache byte budget shared across open stores")
-	tokensFile := fs.String("tokens", "", "multi-tenant: JSON file mapping bearer tokens to {\"tenant\",\"subject\",\"admin\"} (omit for open trusted mode)")
-	rate := fs.Float64("rate", 0, "multi-tenant: sustained per-principal queries/sec (token bucket; 0 = unlimited)")
-	burst := fs.Int("burst", 0, "multi-tenant: rate-limit burst depth (default ~rate)")
+	maxOpen := fs.Int("max-open", 16, "max concurrently open stores (LRU beyond; always 1 with -store)")
+	poolBudget := fs.Int64("pool-budget", 64<<20, "global buffer-pool byte budget shared across open stores")
+	cacheBudget := fs.Int64("cache-budget", 16<<20, "global decode-cache byte budget shared across open stores")
+	tokensFile := fs.String("tokens", "", "JSON file mapping bearer tokens to {\"tenant\",\"subject\",\"admin\"} (omit for open trusted mode)")
+	rate := fs.Float64("rate", 0, "sustained per-principal queries/sec (token bucket; 0 = unlimited)")
+	burst := fs.Int("burst", 0, "rate-limit burst depth (default ~rate)")
 	drain := fs.Duration("drain", 10*time.Second, "graceful shutdown: in-flight drain deadline after SIGTERM/SIGINT")
-	recorder := fs.Duration("recorder", 0, "single-tenant: dump the flight-recorder report to stderr at this interval (0 = off; /debug/queries always serves it on demand)")
 	accessLogPath := fs.String("access-log", "", "write one JSON line per /query and /explain request to this file (\"-\" = stderr)")
 	fs.Parse(args)
 	if (*storeDir == "") == (*root == "") {
 		return fmt.Errorf("serve requires exactly one of -store or -root")
 	}
-	var accessLog *os.File
-	if *accessLogPath == "-" {
-		accessLog = os.Stderr
-	} else if *accessLogPath != "" {
-		var err error
-		accessLog, err = os.OpenFile(*accessLogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	sopts := registry.ServerOptions{
+		RatePerSec:   *rate,
+		Burst:        *burst,
+		DrainTimeout: *drain,
+	}
+	if *storeDir != "" {
+		dir, err := filepath.Abs(*storeDir)
 		if err != nil {
 			return err
 		}
-		defer accessLog.Close()
+		*root, *maxOpen, sopts.Tenant = filepath.Dir(dir), 1, filepath.Base(dir)
+	}
+	if *accessLogPath == "-" {
+		sopts.AccessLog = os.Stderr
+	} else if *accessLogPath != "" {
+		f, err := os.OpenFile(*accessLogPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		sopts.AccessLog = f
+	}
+	if *tokensFile != "" {
+		raw, err := os.ReadFile(*tokensFile)
+		if err != nil {
+			return err
+		}
+		if err := json.Unmarshal(raw, &sopts.Tokens); err != nil {
+			return fmt.Errorf("parsing %s: %w", *tokensFile, err)
+		}
 	}
 
 	// SIGTERM/SIGINT begins a graceful shutdown: stop accepting, drain
@@ -404,168 +382,32 @@ func serve(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	var handler http.Handler
-	var shutdown func(context.Context) error
-	if *root != "" {
-		reg, err := registry.New(registry.Options{
-			Root:             *root,
-			MaxOpen:          *maxOpen,
-			PoolBytes:        *poolBudget,
-			DecodeCacheBytes: *cacheBudget,
-			Store: securexml.StoreOptions{
-				SlowQueryThreshold: *slow,
-				SlowPinThreshold:   *snapLog,
-			},
-		})
-		if err != nil {
-			return err
-		}
-		var tokens map[string]registry.Token
-		if *tokensFile != "" {
-			raw, err := os.ReadFile(*tokensFile)
-			if err != nil {
-				return err
-			}
-			if err := json.Unmarshal(raw, &tokens); err != nil {
-				return fmt.Errorf("parsing %s: %w", *tokensFile, err)
-			}
-		}
-		sopts := registry.ServerOptions{
-			Tokens:       tokens,
-			RatePerSec:   *rate,
-			Burst:        *burst,
-			DrainTimeout: *drain,
-		}
-		if accessLog != nil {
-			sopts.AccessLog = accessLog
-		}
-		srv := registry.NewServer(reg, sopts)
-		handler = srv
-		shutdown = srv.Shutdown
-	} else {
-		s, err := securexml.Open(*storeDir, securexml.StoreOptions{
+	reg, err := registry.New(registry.Options{
+		Root:             *root,
+		MaxOpen:          *maxOpen,
+		PoolBytes:        *poolBudget,
+		DecodeCacheBytes: *cacheBudget,
+		Store: securexml.StoreOptions{
 			SlowQueryThreshold: *slow,
 			SlowPinThreshold:   *snapLog,
-		})
+		},
+	})
+	if err != nil {
+		return err
+	}
+	if sopts.Tenant != "" {
+		// A store that cannot be served is a start-up error, not the first
+		// request's: open it now (with MaxOpen 1 it stays open).
+		h, err := reg.Acquire(sopts.Tenant)
 		if err != nil {
 			return err
 		}
-		var logger *accessLogger
-		if accessLog != nil {
-			logger = &accessLogger{w: accessLog}
-		}
-		mux := http.NewServeMux()
-		// DebugHandler carries /debug/vars (JSON), /metrics (Prometheus) and
-		// /debug/queries (the flight recorder).
-		mux.Handle("/debug/vars", s.DebugHandler())
-		mux.Handle("/metrics", s.DebugHandler())
-		mux.Handle("/debug/queries", s.DebugHandler())
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprintln(w, "ok")
-		})
-		// parseOpts answers 400 itself and returns ok == false on a bad limit.
-		parseOpts := func(w http.ResponseWriter, r *http.Request) (user, mode string, opts securexml.QueryOptions, ok bool) {
-			q := r.URL.Query()
-			opts = securexml.QueryOptions{
-				Unrestricted:       q.Get("admin") != "",
-				Pruned:             q.Get("pruned") != "",
-				DisablePathSummary: q.Get("nopathsummary") != "",
-			}
-			if lim := q.Get("limit"); lim != "" {
-				n, err := strconv.Atoi(lim)
-				if err != nil || n < 0 {
-					http.Error(w, fmt.Sprintf("limit must be a non-negative integer, got %q", lim), http.StatusBadRequest)
-					return "", "", opts, false
-				}
-				opts.Limit = n
-			}
-			mode = q.Get("mode")
-			if mode == "" {
-				mode = "read"
-			}
-			return q.Get("user"), mode, opts, true
-		}
-		mux.HandleFunc("/query", func(w http.ResponseWriter, r *http.Request) {
-			user, mode, opts, ok := parseOpts(w, r)
-			if !ok {
-				return
-			}
-			var qt *securexml.QueryTrace
-			if logger != nil {
-				// The log line reports pages pinned; the counting trace
-				// provides them without retaining an event log.
-				qt = securexml.NewCountingQueryTrace()
-				opts.Trace = qt
-			}
-			start := time.Now()
-			ms, err := s.QueryCtx(r.Context(), user, mode, r.URL.Query().Get("xpath"), opts)
-			if err != nil {
-				logger.log("/query", user, r.URL.Query().Get("xpath"), opts, http.StatusBadRequest, time.Since(start), qt, 0)
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			logger.log("/query", user, r.URL.Query().Get("xpath"), opts, http.StatusOK, time.Since(start), qt, len(ms))
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", " ")
-			enc.Encode(ms)
-		})
-		mux.HandleFunc("/explain", func(w http.ResponseWriter, r *http.Request) {
-			user, mode, opts, ok := parseOpts(w, r)
-			if !ok {
-				return
-			}
-			q := r.URL.Query()
-			asText := q.Get("format") == "text"
-			if q.Get("analyze") != "" {
-				an := &securexml.QueryAnalysis{}
-				opts.Analyze = an
-				if _, err := s.QueryCtx(r.Context(), user, mode, q.Get("xpath"), opts); err != nil {
-					http.Error(w, err.Error(), http.StatusBadRequest)
-					return
-				}
-				if asText {
-					w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-					an.WriteText(w)
-					return
-				}
-				w.Header().Set("Content-Type", "application/json; charset=utf-8")
-				an.WriteJSON(w)
-				return
-			}
-			plan, err := s.Explain(r.Context(), user, mode, q.Get("xpath"), opts)
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			if asText {
-				w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-				plan.WriteText(w)
-				return
-			}
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			plan.WriteJSON(w)
-		})
-		if *recorder > 0 {
-			t := time.NewTicker(*recorder)
-			go func() {
-				defer t.Stop()
-				for {
-					select {
-					case <-ctx.Done():
-						return
-					case <-t.C:
-						s.WriteRecorderText(os.Stderr)
-					}
-				}
-			}()
-		}
-		handler = mux
-		shutdown = func(context.Context) error { return s.Close() }
+		h.Close()
 	}
+	srv := registry.NewServer(reg, sopts)
 
 	outer := http.NewServeMux()
-	outer.Handle("/", handler)
+	outer.Handle("/", srv)
 	outer.HandleFunc("/debug/pprof/", pprof.Index)
 	outer.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	outer.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -573,16 +415,17 @@ func serve(args []string) error {
 	outer.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
+		srv.Shutdown(context.Background())
 		return err
 	}
 	httpSrv := &http.Server{Handler: outer}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "dolcli: serving on http://%s (/debug/vars, /metrics, /query, /explain, /debug/queries, /healthz, /debug/pprof/)\n", ln.Addr())
+	fmt.Fprintf(os.Stderr, "dolcli: serving on http://%s (/debug/vars, /metrics, /query, /explain, /debug/queries, /tenants, /healthz, /debug/pprof/)\n", ln.Addr())
 
 	select {
 	case err := <-errc:
-		shutdown(context.Background())
+		srv.Shutdown(context.Background())
 		return err
 	case <-ctx.Done():
 	}
@@ -593,52 +436,7 @@ func serve(args []string) error {
 	if err := httpSrv.Shutdown(sctx); err != nil {
 		fmt.Fprintf(os.Stderr, "dolcli: http drain: %v\n", err)
 	}
-	return shutdown(sctx)
-}
-
-// accessLogger serializes single-store serve's access-log lines: one JSON
-// line per request, each a single Write.
-type accessLogger struct {
-	mu sync.Mutex
-	w  *os.File
-}
-
-// log emits one line; a nil logger is a no-op so handlers call it
-// unconditionally.
-func (l *accessLogger) log(endpoint, user, xpath string, opts securexml.QueryOptions, status int, elapsed time.Duration, qt *securexml.QueryTrace, answers int) {
-	if l == nil {
-		return
-	}
-	fp, _ := securexml.QueryFingerprint(xpath, opts)
-	line := struct {
-		At          string `json:"at"`
-		Endpoint    string `json:"endpoint"`
-		Subject     string `json:"subject"`
-		XPath       string `json:"xpath"`
-		Status      int    `json:"status"`
-		LatencyUs   int64  `json:"latency_us"`
-		Pages       int64  `json:"pages"`
-		Answers     int    `json:"answers"`
-		Fingerprint string `json:"fingerprint,omitempty"`
-	}{
-		At:          time.Now().UTC().Format(time.RFC3339Nano),
-		Endpoint:    endpoint,
-		Subject:     user,
-		XPath:       xpath,
-		Status:      status,
-		LatencyUs:   elapsed.Microseconds(),
-		Pages:       qt.PageReads(),
-		Answers:     answers,
-		Fingerprint: fp,
-	}
-	buf, err := json.Marshal(line)
-	if err != nil {
-		return
-	}
-	buf = append(buf, '\n')
-	l.mu.Lock()
-	l.w.Write(buf)
-	l.mu.Unlock()
+	return srv.Shutdown(sctx)
 }
 
 // setAccess applies an accessibility update to a persisted store: the

@@ -1,11 +1,11 @@
 package query
 
 import (
-	"fmt"
 	"sort"
 
 	"dolxml/internal/btree"
 	"dolxml/internal/obs"
+	"dolxml/internal/xmltree"
 )
 
 // compiled is one query's plan: every decision evaluation takes before it
@@ -14,10 +14,10 @@ import (
 // the tag and value indexes). Open instantiates cursors from it and Explain
 // renders it, so the plan shown is the plan run.
 type compiled struct {
-	t        *PatternTree
-	subs     []NoKSubtree
-	opts     Options
-	retSlot  int
+	t    *PatternTree
+	subs []NoKSubtree
+	opts Options
+	tupleLayout
 	numPages int
 	workers  int
 	// accessSkip, structSkip and pathOn are what the ablation flags leave
@@ -65,20 +65,10 @@ func (ev *Evaluator) compile(t *PatternTree, opts Options) (*compiled, error) {
 		t:        t,
 		subs:     t.Decompose(),
 		opts:     opts,
-		retSlot:  -1,
 		numPages: ev.store.NumPages(),
 		workers:  opts.workers(),
 	}
-	ret := t.ReturningNode()
-	for i := range c.subs {
-		if s := ev.slotOfNode(c.subs, i, ret); s >= 0 {
-			c.retSlot = s
-			break
-		}
-	}
-	if c.retSlot < 0 {
-		return nil, fmt.Errorf("query: returning node not tracked")
-	}
+	c.tupleLayout = layoutOf(t, c.subs)
 
 	c.accessSkip = opts.View != nil && !opts.DisablePageSkip
 	c.pathOn = !opts.DisablePathSummary && ev.store.Paths() != nil
@@ -138,6 +128,98 @@ func (ev *Evaluator) compile(t *PatternTree, opts Options) (*compiled, error) {
 		}
 	}
 	return c, nil
+}
+
+// tupleLayout assigns the pipeline's tuple slots. Only tracked pattern nodes
+// get one: a subtree's root, the link sources of the joins hanging off it,
+// and the returning node. Each subtree's tracked nodes sit side by side in
+// that order, subtrees in decomposition order.
+type tupleLayout struct {
+	// slots[i] lists subtree i's tracked nodes in slot order (its root
+	// first); base[i] is the slot of the first.
+	slots [][]*PatternNode
+	base  []int
+	// width is the number of slots in a tuple.
+	width int
+	// retSlot holds the returning node's binding, and linkSlot[i] (i > 0)
+	// the binding join i takes its ancestors from: subs[i].Link's slot.
+	retSlot  int
+	linkSlot []int
+	// tracked is the set of all slot nodes — the bindings the matcher must
+	// record.
+	tracked map[*PatternNode]bool
+}
+
+func layoutOf(t *PatternTree, subs []NoKSubtree) tupleLayout {
+	l := tupleLayout{
+		slots:    make([][]*PatternNode, len(subs)),
+		base:     make([]int, len(subs)),
+		linkSlot: make([]int, len(subs)),
+		tracked:  map[*PatternNode]bool{},
+	}
+	track := func(i int, p *PatternNode) {
+		if !l.tracked[p] {
+			l.tracked[p] = true
+			l.slots[i] = append(l.slots[i], p)
+		}
+	}
+	for i, sub := range subs {
+		track(i, sub.Root)
+	}
+	// A cut edge's source lies in the subtree the edge hangs off.
+	for _, sub := range subs {
+		if sub.Link != nil {
+			track(sub.Parent, sub.Link)
+		}
+	}
+	ret := t.ReturningNode()
+	var holdsRet func(p *PatternNode) bool
+	holdsRet = func(p *PatternNode) bool {
+		if p == ret {
+			return true
+		}
+		for _, c := range nokChildren(p) {
+			if holdsRet(c) {
+				return true
+			}
+		}
+		return false
+	}
+	for i, sub := range subs {
+		if holdsRet(sub.Root) {
+			track(i, ret)
+		}
+	}
+	slot := make(map[*PatternNode]int, len(l.tracked))
+	for i, row := range l.slots {
+		l.base[i] = l.width
+		for _, p := range row {
+			slot[p] = l.width
+			l.width++
+		}
+	}
+	for i, sub := range subs {
+		if sub.Link != nil {
+			l.linkSlot[i] = slot[sub.Link]
+		}
+	}
+	l.retSlot = slot[ret]
+	return l
+}
+
+// tupleFrom expands subtree i's match into a full-width tuple with only that
+// subtree's slots populated.
+func (l *tupleLayout) tupleFrom(i int, sm subtreeMatch) Tuple {
+	tp := make(Tuple, l.width)
+	for k := range tp {
+		tp[k] = binding{xmltree.InvalidNode, 0}
+	}
+	for k, n := range l.slots[i] {
+		if b, ok := sm.bindings[n]; ok {
+			tp[l.base[i]+k] = b
+		}
+	}
+	return tp
 }
 
 // sourceDocRoot names the anchored top subtree's candidate source.

@@ -13,7 +13,7 @@ import (
 )
 
 // Tuple is one row of the operator pipeline: a full-width binding vector
-// with one slot per tracked pattern node (see Evaluator.slotNodes). Unset
+// with one slot per tracked pattern node (see tupleLayout). Unset
 // slots hold binding{xmltree.InvalidNode, 0}.
 type Tuple []binding
 
@@ -124,16 +124,16 @@ func sendMsg(ctx context.Context, out chan<- matchMsg, msg matchMsg) bool {
 // found (npmStream), so the first tuple surfaces before the candidate scan
 // finishes — the early-termination property Limit relies on. When the plan
 // chose to fan out, the scan runs across a worker pool.
-func newMatchCursor(parent context.Context, ev *Evaluator, m *matcher, subs []NoKSubtree, i int, sp scanPlan) Cursor {
+func newMatchCursor(parent context.Context, store *nok.Store, m *matcher, c *compiled, i int, sp scanPlan) Cursor {
 	if sp.parallel {
-		return newParallelMatchCursor(parent, ev, m, subs, i, sp)
+		return newParallelMatchCursor(parent, store, m, c, i, sp)
 	}
-	sub := subs[i]
+	sub := c.subs[i]
 	return newChanCursor(parent, func(ctx context.Context, out chan<- matchMsg) {
-		cur := ev.store.NewCursor()
-		for _, c := range sp.cands {
-			stopped, err := m.matchCandidate(ctx, cur, sub, c, func(sm subtreeMatch) bool {
-				return sendMsg(ctx, out, matchMsg{t: ev.tupleFrom(subs, i, sm)})
+		cur := store.NewCursor()
+		for _, cand := range sp.cands {
+			stopped, err := m.matchCandidate(ctx, cur, sub, cand, func(sm subtreeMatch) bool {
+				return sendMsg(ctx, out, matchMsg{t: c.tupleFrom(i, sm)})
 			})
 			if err != nil {
 				sendMsg(ctx, out, matchMsg{err: err})
@@ -155,8 +155,8 @@ func newMatchCursor(parent context.Context, ev *Evaluator, m *matcher, subs []No
 // has forwarded, so a consumer that stops pulling (Limit, cancellation)
 // stops the workers' page reads after bounded run-ahead instead of
 // matching every candidate.
-func newParallelMatchCursor(parent context.Context, ev *Evaluator, m *matcher, subs []NoKSubtree, i int, sp scanPlan) Cursor {
-	sub := subs[i]
+func newParallelMatchCursor(parent context.Context, store *nok.Store, m *matcher, c *compiled, i int, sp scanPlan) Cursor {
+	sub := c.subs[i]
 	cands, workers, chunks := sp.cands, sp.workers, sp.chunks
 	bounds := func(k int) (int, int) {
 		return k * len(cands) / chunks, (k + 1) * len(cands) / chunks
@@ -182,7 +182,7 @@ func newParallelMatchCursor(parent context.Context, ev *Evaluator, m *matcher, s
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				cur := ev.store.NewCursor()
+				cur := store.NewCursor()
 				for {
 					select {
 					case sem <- struct{}{}:
@@ -218,7 +218,7 @@ func newParallelMatchCursor(parent context.Context, ev *Evaluator, m *matcher, s
 			}
 			mergeTr.MergeChunk(k, len(res.ms))
 			for _, sm := range res.ms {
-				if !sendMsg(ctx, out, matchMsg{t: ev.tupleFrom(subs, i, sm)}) {
+				if !sendMsg(ctx, out, matchMsg{t: c.tupleFrom(i, sm)}) {
 					return
 				}
 			}

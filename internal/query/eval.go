@@ -210,19 +210,11 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 	}
 	subs := c.subs
 
-	// Track bindings for link sources and the returning node.
-	tracked := map[*PatternNode]bool{t.ReturningNode(): true}
-	for _, sub := range subs {
-		if sub.Link != nil {
-			tracked[sub.Link] = true
-		}
-		tracked[sub.Root] = true
-	}
 	m := &matcher{
 		store:   ev.store,
 		values:  ev.store.Values(),
 		view:    opts.View,
-		tracked: tracked,
+		tracked: c.tracked,
 		masks:   c.mask,
 		trace:   opts.Trace,
 	}
@@ -277,7 +269,7 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 			}
 			sp.cands = []btree.Posting{{Node: 0, End: end, Level: 0}}
 		}
-		rc := newMatchCursor(sctx, ev, m, subs, i, sp)
+		rc := newMatchCursor(sctx, ev.store, m, c, i, sp)
 		if i == 0 {
 			if opts.View != nil && opts.Semantics == SemanticsPrunedSubtree {
 				rc = &pathFilterCursor{view: opts.View, in: rc, cur: ev.store.NewCursor(), tr: opts.Trace.ForOp(opFilter)}
@@ -290,9 +282,9 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 				tr:       opts.Trace.ForOp(opJoin(i)),
 				left:     cur,
 				right:    rc,
-				linkSlot: ev.slotOf(subs, subs[i].Parent, subs[i].Link),
-				base:     ev.slotBase(subs, i),
-				nSlots:   len(ev.slotNodes(subs, i)),
+				linkSlot: c.linkSlot[i],
+				base:     c.base[i],
+				nSlots:   len(c.slots[i]),
 			}
 		}
 	}
@@ -346,101 +338,3 @@ func (a *Answers) SkipStats() SkipStats {
 // Close stops the pipeline's producers, waits for them to exit, and
 // releases every buffer-pool pin they held. Idempotent.
 func (a *Answers) Close() error { return a.p.Close() }
-
-// subtreeContains reports whether pattern node p belongs to subtree i
-// (reachable from its root through child-axis edges).
-func (ev *Evaluator) subtreeContains(subs []NoKSubtree, i int, p *PatternNode) bool {
-	var walk func(x *PatternNode) bool
-	walk = func(x *PatternNode) bool {
-		if x == p {
-			return true
-		}
-		for _, c := range nokChildren(x) {
-			if walk(c) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(subs[i].Root)
-}
-
-func (ev *Evaluator) slotBase(subs []NoKSubtree, i int) int {
-	base := 0
-	for k := 0; k < i; k++ {
-		base += len(ev.slotNodes(subs, k))
-	}
-	return base
-}
-
-// slotNodes lists the pattern nodes of subtree i that occupy tuple slots:
-// the subtree root, link sources inside it, and the returning node when it
-// lies inside.
-func (ev *Evaluator) slotNodes(subs []NoKSubtree, i int) []*PatternNode {
-	sub := subs[i]
-	set := map[*PatternNode]bool{sub.Root: true}
-	order := []*PatternNode{sub.Root}
-	for _, other := range subs {
-		if other.Link != nil && ev.subtreeContains(subs, i, other.Link) && !set[other.Link] {
-			set[other.Link] = true
-			order = append(order, other.Link)
-		}
-	}
-	// Returning node.
-	var ret *PatternNode
-	var findRet func(x *PatternNode)
-	findRet = func(x *PatternNode) {
-		if x.Returning {
-			ret = x
-		}
-		for _, c := range x.Children {
-			findRet(c)
-		}
-	}
-	for _, s := range subs {
-		findRet(s.Root)
-	}
-	if ret != nil && ev.subtreeContains(subs, i, ret) && !set[ret] {
-		set[ret] = true
-		order = append(order, ret)
-	}
-	return order
-}
-
-// slotOf returns the tuple slot of pattern node p within subtree i.
-func (ev *Evaluator) slotOf(subs []NoKSubtree, i int, p *PatternNode) int {
-	s := ev.slotOfNode(subs, i, p)
-	if s < 0 {
-		panic("query: pattern node has no tuple slot")
-	}
-	return s
-}
-
-func (ev *Evaluator) slotOfNode(subs []NoKSubtree, i int, p *PatternNode) int {
-	nodes := ev.slotNodes(subs, i)
-	for k, n := range nodes {
-		if n == p {
-			return ev.slotBase(subs, i) + k
-		}
-	}
-	return -1
-}
-
-// tupleFrom expands a subtree match into a full-width tuple with only this
-// subtree's slots populated.
-func (ev *Evaluator) tupleFrom(subs []NoKSubtree, i int, sm subtreeMatch) Tuple {
-	width := ev.slotBase(subs, len(subs)-1) + len(ev.slotNodes(subs, len(subs)-1))
-	tp := make(Tuple, width)
-	for k := range tp {
-		tp[k] = binding{xmltree.InvalidNode, 0}
-	}
-	base := ev.slotBase(subs, i)
-	for k, n := range ev.slotNodes(subs, i) {
-		if b, ok := sm.bindings[n]; ok {
-			tp[base+k] = b
-		} else if n == subs[i].Root {
-			tp[base+k] = sm.root
-		}
-	}
-	return tp
-}

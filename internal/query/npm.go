@@ -19,11 +19,10 @@ type binding struct {
 	level int
 }
 
-// subtreeMatch is one successful NoK-subtree match: the binding of the
-// subtree root plus a consistent assignment of its tracked pattern nodes
-// (link sources and the returning node).
+// subtreeMatch is one successful NoK-subtree match: a consistent assignment
+// of its tracked pattern nodes (the subtree root, link sources and the
+// returning node).
 type subtreeMatch struct {
-	root     binding
 	bindings map[*PatternNode]binding
 }
 
@@ -467,7 +466,7 @@ func (m *matcher) matchCandidate(ctx context.Context, cur *nok.Cursor, sub NoKSu
 	}
 	rootBind := binding{c.Node, int(c.Level)}
 	_, stopped, err := m.npmStream(ctx, cur, sub.Root, rootBind, func(cb combo) bool {
-		return emit(subtreeMatch{root: rootBind, bindings: cb})
+		return emit(subtreeMatch{bindings: cb})
 	})
 	return stopped, err
 }

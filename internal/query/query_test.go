@@ -1,7 +1,9 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -141,6 +143,78 @@ func TestDecompose(t *testing.T) {
 	}
 	if subs[2].Root.Tag != "f" || subs[2].Link.Tag != "d" || subs[2].Parent != 1 {
 		t.Fatalf("sub2 = root %s link %s parent %d", subs[2].Root.Tag, subs[2].Link.Tag, subs[2].Parent)
+	}
+}
+
+// The compiled tuple layout of Table 1 (and three twigs with interior link
+// sources) is what the per-tuple slot helpers it replaced derived; the
+// expected values were read off those helpers before they were deleted.
+func TestTupleLayout(t *testing.T) {
+	for _, tc := range []struct {
+		name, xpath string
+		slots       [][]string // tag#id per slot, per subtree
+		base        []int
+		width       int
+		retSlot     int
+		linkSlot    []int
+	}{
+		{"Q1", "/site/regions/africa/item[location][name][quantity]",
+			[][]string{{"site#0", "item#3"}}, []int{0}, 2, 1, []int{0}},
+		{"Q2", "/site/categories/category[name]/description/text/bold",
+			[][]string{{"site#0", "bold#6"}}, []int{0}, 2, 1, []int{0}},
+		{"Q3", "/site/categories/category/description/text/bold",
+			[][]string{{"site#0", "bold#5"}}, []int{0}, 2, 1, []int{0}},
+		{"Q4", "//parlist//parlist",
+			[][]string{{"parlist#0"}, {"parlist#1"}}, []int{0, 1}, 2, 1, []int{0, 0}},
+		{"Q5", "//listitem//keyword",
+			[][]string{{"listitem#0"}, {"keyword#1"}}, []int{0, 1}, 2, 1, []int{0, 0}},
+		{"Q6", "//item//emph",
+			[][]string{{"item#0"}, {"emph#1"}}, []int{0, 1}, 2, 1, []int{0, 0}},
+		{"shared link", "/site/regions[//item/name]//parlist/listitem",
+			[][]string{{"site#0", "regions#1"}, {"item#2"}, {"parlist#4", "listitem#5"}}, []int{0, 2, 3}, 5, 4, []int{0, 1, 1}},
+		{"link is returning", "//a/b[//c/d]/e[//f]",
+			[][]string{{"a#0", "b#1", "e#4"}, {"c#2"}, {"f#5"}}, []int{0, 3, 4}, 5, 2, []int{0, 1, 2}},
+		{"chain", "/a/b[c]//d[e]//f",
+			[][]string{{"a#0", "b#1"}, {"d#3"}, {"f#5"}}, []int{0, 2, 3}, 4, 3, []int{0, 1, 2}},
+	} {
+		pt := MustParse(tc.xpath)
+		l := layoutOf(pt, pt.Decompose())
+		slots := make([][]string, len(l.slots))
+		tracked := 0
+		for i, ns := range l.slots {
+			for _, n := range ns {
+				slots[i] = append(slots[i], fmt.Sprintf("%s#%d", n.Tag, n.id))
+				if !l.tracked[n] {
+					t.Errorf("%s: slot node %s#%d is not tracked", tc.name, n.Tag, n.id)
+				}
+				tracked++
+			}
+		}
+		if !reflect.DeepEqual(slots, tc.slots) || !reflect.DeepEqual(l.base, tc.base) ||
+			l.width != tc.width || l.retSlot != tc.retSlot || !reflect.DeepEqual(l.linkSlot, tc.linkSlot) ||
+			len(l.tracked) != tracked {
+			t.Errorf("%s: layout slots %v base %v width %d ret %d link %v tracked %d,\nwant slots %v base %v width %d ret %d link %v",
+				tc.name, slots, l.base, l.width, l.retSlot, l.linkSlot, len(l.tracked),
+				tc.slots, tc.base, tc.width, tc.retSlot, tc.linkSlot)
+		}
+	}
+}
+
+// Expanding a subtree match into a tuple allocates the tuple and nothing
+// else: the layout is a table, not a walk of the pattern per match.
+func TestTupleFromAllocatesOnce(t *testing.T) {
+	pt := MustParse("/site/regions[//item/name]//parlist/listitem")
+	subs := pt.Decompose()
+	l := layoutOf(pt, subs)
+	root := binding{7, 3}
+	sm := subtreeMatch{bindings: combo{subs[2].Root: root, pt.ReturningNode(): {9, 4}}}
+	var tp Tuple
+	if n := testing.AllocsPerRun(100, func() { tp = l.tupleFrom(2, sm) }); n != 1 {
+		t.Errorf("tupleFrom allocates %v times per tuple, want 1", n)
+	}
+	unset := binding{xmltree.InvalidNode, 0}
+	if want := (Tuple{unset, unset, unset, root, {9, 4}}); !reflect.DeepEqual(tp, want) {
+		t.Errorf("tuple = %v, want %v", tp, want)
 	}
 }
 

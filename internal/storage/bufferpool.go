@@ -3,7 +3,6 @@ package storage
 import (
 	"container/list"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
@@ -83,6 +82,13 @@ type BufferPool struct {
 	// grew with pool capacity, not with the update's footprint. Invariant
 	// (under mu): id ∈ dirty ⇔ frames[id].dirty.
 	dirty map[PageID]struct{}
+	// room is how an admission that finds every frame pinned waits instead of
+	// failing: whatever makes a frame evictable or a slot free wakes the
+	// waiters (see wake), but only while waiters > 0, so the hit path pays one
+	// integer compare. pinWaits counts those waits.
+	room     *sync.Cond
+	waiters  int
+	pinWaits obs.Counter
 }
 
 // NewBufferPool wraps pager with a pool of at most capacity frames. The
@@ -93,13 +99,15 @@ func NewBufferPool(pager Pager, capacity int) *BufferPool {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &BufferPool{
+	bp := &BufferPool{
 		pager:    pager,
 		capacity: capacity,
 		frames:   make(map[PageID]*Frame),
 		lru:      list.New(),
 		dirty:    make(map[PageID]struct{}),
 	}
+	bp.room = sync.NewCond(&bp.mu)
+	return bp
 }
 
 // Pager returns the underlying pager.
@@ -139,43 +147,57 @@ func (bp *BufferPool) Get(id PageID) (*Frame, error) {
 // the query layers guarantee that pin counts return to zero on
 // cancellation. A Get that has already passed the check completes its read
 // normally (worst-case cancellation latency is one physical page read).
+//
+// A miss that finds every frame pinned waits for an Unpin rather than
+// failing; cancelling ctx ends the wait with ctx's error, again with no pin
+// held and nothing counted.
 func (bp *BufferPool) GetCtx(ctx context.Context, id PageID) (*Frame, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	tr := obs.TraceFromContext(ctx)
 	bp.mu.Lock()
-	bp.gets.Inc()
-	if f, ok := bp.frames[id]; ok {
-		bp.hits.Inc()
-		bp.pin(f)
-		bp.mu.Unlock()
-		// Recorded per Get, mirroring the gets counter exactly: the
-		// invariant tests hold trace pin events == pool Gets delta.
-		tr.PagePin(int64(id), true)
-		<-f.ready
-		if f.loadErr != nil {
-			// The loader withdrew the frame; the pin died with it.
-			return nil, f.loadErr
+	for {
+		if f, ok := bp.frames[id]; ok {
+			bp.gets.Inc()
+			bp.hits.Inc()
+			bp.pin(f)
+			bp.mu.Unlock()
+			// Recorded per Get, mirroring the gets counter exactly: the
+			// invariant tests hold trace pin events == pool Gets delta.
+			tr.PagePin(int64(id), true)
+			<-f.ready
+			if f.loadErr != nil {
+				// The loader withdrew the frame; the pin died with it.
+				return nil, f.loadErr
+			}
+			return f, nil
 		}
-		return f, nil
+		waited, err := bp.makeRoom(ctx)
+		if err != nil {
+			bp.mu.Unlock()
+			return nil, err
+		}
+		if !waited {
+			break
+		}
+		// The mutex was released while waiting: another getter may have
+		// loaded this very page meanwhile.
 	}
+	bp.gets.Inc()
 	bp.misses.Inc()
-	f, err := bp.newFrame(id)
-	if err != nil {
-		bp.mu.Unlock()
-		return nil, err
-	}
+	f := bp.newFrame(id)
 	f.ready = make(chan struct{})
 	bp.pin(f)
 	bp.mu.Unlock()
 	tr.PagePin(int64(id), false)
 
-	err = bp.pager.ReadPage(id, f.Data)
+	err := bp.pager.ReadPage(id, f.Data)
 	bp.mu.Lock()
 	if err != nil {
 		f.loadErr = err
 		delete(bp.frames, id)
+		bp.wake()
 	}
 	close(f.ready)
 	bp.mu.Unlock()
@@ -193,29 +215,69 @@ func (bp *BufferPool) Allocate() (*Frame, error) {
 	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	bp.gets.Inc()
-	f, err := bp.newFrame(id)
-	if err != nil {
+	if _, err := bp.makeRoom(context.Background()); err != nil {
 		return nil, err
 	}
+	bp.gets.Inc()
+	f := bp.newFrame(id)
 	bp.pin(f)
 	return f, nil
 }
 
-// newFrame installs an empty frame for id, evicting if needed. The frame is
-// born ready (callers that must load it asynchronously replace the channel
-// before releasing the mutex). The loop matters once SetCapacity can shrink
-// a pool below its occupancy: one admission may have to reclaim several
-// frames before the pool is back under budget. Caller holds bp.mu.
-func (bp *BufferPool) newFrame(id PageID) (*Frame, error) {
+// makeRoom brings the pool under capacity so one frame can be admitted,
+// evicting LRU frames and, when every frame is pinned, waiting for an Unpin
+// or a larger capacity. The loop matters once SetCapacity can shrink a pool
+// below its occupancy: one admission may have to reclaim several frames
+// before the pool is back under budget. Caller holds bp.mu; waited reports
+// that it was released meanwhile. A cancelled ctx ends the wait with ctx's
+// error.
+func (bp *BufferPool) makeRoom(ctx context.Context) (waited bool, err error) {
 	for len(bp.frames) >= bp.capacity {
-		if err := bp.evict(); err != nil {
-			return nil, err
+		if bp.lru.Back() != nil {
+			if err := bp.evict(); err != nil {
+				return waited, err
+			}
+			continue
+		}
+		if !waited {
+			waited = true
+			bp.pinWaits.Inc()
+			// Cond.Wait cannot watch a channel, so cancellation wakes every
+			// waiter and each re-checks its own ctx.
+			stop := context.AfterFunc(ctx, func() {
+				bp.mu.Lock()
+				bp.room.Broadcast()
+				bp.mu.Unlock()
+			})
+			defer stop()
+		}
+		bp.waiters++
+		bp.room.Wait()
+		bp.waiters--
+		if err := ctx.Err(); err != nil {
+			return true, err
 		}
 	}
+	return waited, nil
+}
+
+// wake rouses every admission waiting in makeRoom. All of them, not one: a
+// woken waiter may leave without taking the room (its ctx was cancelled, or
+// its page arrived meanwhile), and the rest must not sleep on. Caller holds
+// bp.mu.
+func (bp *BufferPool) wake() {
+	if bp.waiters > 0 {
+		bp.room.Broadcast()
+	}
+}
+
+// newFrame installs an empty frame for id; makeRoom has made room for it.
+// The frame is born ready (callers that must load it asynchronously replace
+// the channel before releasing the mutex). Caller holds bp.mu.
+func (bp *BufferPool) newFrame(id PageID) *Frame {
 	f := &Frame{id: id, Data: make([]byte, bp.pager.PageSize()), ready: closedReady}
 	bp.frames[id] = f
-	return f, nil
+	return f
 }
 
 // SetCapacity re-budgets the pool to at most capacity frames, evicting LRU
@@ -230,6 +292,9 @@ func (bp *BufferPool) SetCapacity(capacity int) error {
 	}
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
+	if capacity > bp.capacity {
+		bp.wake()
+	}
 	bp.capacity = capacity
 	for len(bp.frames) > bp.capacity && bp.lru.Back() != nil {
 		if err := bp.evict(); err != nil {
@@ -267,17 +332,15 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 	f.pins--
 	if f.pins == 0 {
 		f.lruElem = bp.lru.PushFront(id)
+		bp.wake()
 	}
 	return nil
 }
 
 // evict removes the least recently used unpinned frame, writing it back if
-// dirty. Caller holds bp.mu.
+// dirty. Caller holds bp.mu and has checked that the LRU list is not empty.
 func (bp *BufferPool) evict() error {
 	elem := bp.lru.Back()
-	if elem == nil {
-		return errors.New("storage: buffer pool exhausted (all frames pinned)")
-	}
 	id := elem.Value.(PageID)
 	f := bp.frames[id]
 	if f.dirty {
@@ -330,6 +393,7 @@ func (bp *BufferPool) ResetStats() {
 	bp.misses.Reset()
 	bp.evictions.Reset()
 	bp.flushes.Reset()
+	bp.pinWaits.Reset()
 }
 
 // RegisterMetrics registers the pool's counters plus pinned/buffered/
@@ -345,6 +409,7 @@ func (bp *BufferPool) RegisterMetrics(reg *obs.Registry, prefix string) error {
 		{"misses", "Page pins that required a pager read.", &bp.misses},
 		{"evictions", "Frames evicted to make room.", &bp.evictions},
 		{"flushes", "Dirty frames written back on eviction or flush.", &bp.flushes},
+		{"pin_waits_total", "Times an admission found every frame pinned and waited for an unpin.", &bp.pinWaits},
 	} {
 		if err := reg.RegisterCounter(prefix+"_"+m.name, m.c); err != nil {
 			return err

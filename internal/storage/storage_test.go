@@ -217,13 +217,25 @@ func TestBufferPoolPinnedNotEvicted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pool full with a pinned page; next allocation must fail.
-	if _, err := bp.Allocate(); err == nil {
-		t.Fatal("allocation should fail when all frames pinned")
+	f.Data[0] = 7
+	// Pool full with a pinned page: the next allocation waits for the unpin
+	// and never takes the pinned frame.
+	done := make(chan error, 1)
+	go func() {
+		_, err := bp.Allocate()
+		done <- err
+	}()
+	waitForPinWaits(t, bp, 1)
+	if got := bp.Buffered(); got != 1 || f.Data[0] != 7 {
+		t.Fatalf("Buffered = %d, byte = %d while the frame is pinned", got, f.Data[0])
 	}
-	bp.Unpin(f.ID(), false)
-	if _, err := bp.Allocate(); err != nil {
+	bp.Unpin(f.ID(), true)
+	if err := <-done; err != nil {
 		t.Fatalf("allocation after unpin: %v", err)
+	}
+	buf := make([]byte, 64)
+	if err := p.ReadPage(f.ID(), buf); err != nil || buf[0] != 7 {
+		t.Fatalf("dirty page not written back before eviction: %v, byte %d", err, buf[0])
 	}
 }
 

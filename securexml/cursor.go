@@ -2,7 +2,6 @@ package securexml
 
 import (
 	"context"
-	"time"
 
 	"dolxml/internal/nok"
 	"dolxml/internal/obs"
@@ -76,18 +75,16 @@ func (s *Store) QueryCtx(ctx context.Context, user, mode, xpath string, opts Que
 // quarantined from reuse until the pin drops. Close is idempotent and must
 // be called exactly once regardless of how far the cursor was drained.
 type QueryCursor struct {
-	s   *Store
-	ref snapRef
-	a   *query.Answers
+	s *Store
+	// p holds the snapshot pin and the effective trace (the caller's, or the
+	// slow-query log's internal one), which must ride every ctx handed to the
+	// pipeline so page pins during Next are attributed to this query.
+	p prepared
+	a *query.Answers
 	// cur reads the answers' blocks for their tags.
-	cur  *nok.Cursor
-	done bool
-	// tr is the effective trace (the caller's, or the slow-query log's
-	// internal one); it must ride every ctx handed to the pipeline so page
-	// pins during Next are attributed to this query.
-	tr      *obs.Trace
+	cur     *nok.Cursor
+	done    bool
 	xpath   string
-	fp      string
 	answers int64
 	finish  func(fp, xpath string, answers int64, err error)
 }
@@ -96,68 +93,31 @@ type QueryCursor struct {
 // given user under the given action mode. ctx governs the cursor's whole
 // lifetime. On error no snapshot pin is retained.
 func (s *Store) QueryCursor(ctx context.Context, user, mode, xpath string, opts QueryOptions) (*QueryCursor, error) {
-	qo := query.Options{
-		Limit:              opts.Limit,
-		Parallelism:        opts.Parallelism,
-		DisableSummarySkip: opts.DisableSummarySkip,
-		DisablePathSummary: opts.DisablePathSummary,
-		Trace:              opts.Trace.inner(),
-	}
-	tr, finish := s.startQuery(&qo, false)
-	ctx = obs.WithTrace(ctx, tr)
-	endParse := tr.Span(obs.EvParse)
-	pt, err := query.Parse(xpath)
-	endParse()
-	if err != nil {
-		finish("", xpath, 0, err)
-		return nil, err
-	}
-	fp := fingerprintFor(pt, opts)
-	r, err := s.acquireFor(opts)
-	if err != nil {
-		finish(fp, xpath, 0, err)
-		return nil, err
-	}
-	sn := r.sn
-	tr.SnapshotPin(sn.seq)
-	fail := func(err error) (*QueryCursor, error) {
-		tr.SnapshotUnpin(sn.seq, time.Since(r.at))
-		s.release(r)
-		finish(fp, xpath, 0, err)
-		return nil, err
-	}
-	if !opts.Unrestricted {
-		view, err := s.viewAt(sn, user, mode)
-		if err != nil {
-			return fail(err)
+	tr, finish := s.startQuery(opts.Trace.inner(), false)
+	p, err := s.prepare(tr, user, mode, xpath, opts)
+	if err == nil {
+		var a *query.Answers
+		if a, err = p.ev.Open(obs.WithTrace(ctx, tr), p.pt, p.qo); err == nil {
+			return &QueryCursor{s: s, p: p, a: a, cur: p.ref.sn.st.NewCursor(), xpath: xpath, finish: finish}, nil
 		}
-		qo.View = view
-		if opts.Pruned {
-			qo.Semantics = query.SemanticsPrunedSubtree
-		}
+		s.unprepare(&p)
 	}
-	if err := sn.idx.ensure(sn.st); err != nil {
-		return fail(err)
-	}
-	a, err := evaluatorAt(sn).Open(ctx, pt, qo)
-	if err != nil {
-		return fail(err)
-	}
-	return &QueryCursor{s: s, ref: r, a: a, cur: sn.st.NewCursor(), tr: tr, xpath: xpath, fp: fp, finish: finish}, nil
+	finish(p.fp, xpath, 0, err)
+	return nil, err
 }
 
 // Next returns the next answer; ok is false once the stream is exhausted
 // or the Limit was reached. After an error or ok == false, only Close may
 // be called.
 func (c *QueryCursor) Next(ctx context.Context) (m Match, ok bool, err error) {
-	ctx = obs.WithTrace(ctx, c.tr)
+	ctx = obs.WithTrace(ctx, c.p.qo.Trace)
 	n, ok, err := c.a.Next(ctx)
 	if err != nil || !ok {
 		return Match{}, false, err
 	}
 	c.s.queryAnswers.Inc()
 	c.answers++
-	return matchAt(ctx, c.ref.sn.st, c.cur, n)
+	return matchAt(ctx, c.p.ref.sn.st, c.cur, n)
 }
 
 // Matches counts the combined pattern-match tuples consumed so far (the
@@ -190,10 +150,9 @@ func (c *QueryCursor) Close() error {
 	c.s.queryMatches.Add(int64(c.a.Matches()))
 	c.s.recordSkips(c.a.SkipStats())
 	err := c.a.Close()
-	c.tr.SnapshotUnpin(c.ref.sn.seq, time.Since(c.ref.at))
-	c.s.release(c.ref)
-	c.tr.Mark(obs.EvDone)
-	c.finish(c.fp, c.xpath, c.answers, err)
+	c.s.unprepare(&c.p)
+	c.p.qo.Trace.Mark(obs.EvDone)
+	c.finish(c.p.fp, c.xpath, c.answers, err)
 	return err
 }
 

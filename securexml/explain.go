@@ -55,40 +55,16 @@ func (p *Plan) String() string {
 // An unsatisfiable or uniformly denied query reports its short-circuit
 // without pinning any store page.
 func (s *Store) Explain(ctx context.Context, user, mode, xpath string, opts QueryOptions) (*Plan, error) {
-	qo := query.Options{
-		Limit:              opts.Limit,
-		Parallelism:        opts.Parallelism,
-		DisableSummarySkip: opts.DisableSummarySkip,
-		DisablePathSummary: opts.DisablePathSummary,
-	}
-	pt, err := query.Parse(xpath)
+	p, err := s.prepare(nil, user, mode, xpath, opts)
 	if err != nil {
 		return nil, err
 	}
-	r, err := s.acquireFor(opts)
+	defer s.unprepare(&p)
+	plan, err := p.ev.Explain(ctx, p.pt, p.qo)
 	if err != nil {
 		return nil, err
 	}
-	defer s.release(r)
-	sn := r.sn
-	if !opts.Unrestricted {
-		view, err := s.viewAt(sn, user, mode)
-		if err != nil {
-			return nil, err
-		}
-		qo.View = view
-		if opts.Pruned {
-			qo.Semantics = query.SemanticsPrunedSubtree
-		}
-	}
-	if err := sn.idx.ensure(sn.st); err != nil {
-		return nil, err
-	}
-	p, err := evaluatorAt(sn).Explain(ctx, pt, qo)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{p: p}, nil
+	return &Plan{p: plan}, nil
 }
 
 // QueryAnalysis receives the outcome of an ANALYZE run: set

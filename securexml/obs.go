@@ -220,15 +220,14 @@ func sloBurnPermille(over, finished int64, target float64) int64 {
 	return int64(math.Round(float64(over) / float64(finished) / budget * 1000))
 }
 
-// startQuery prepares one query's observability state: it resolves the
-// effective trace — the caller's; a forced full trace when the slow-query
-// log is armed or the query is an ANALYZE; otherwise the always-on
-// counting trace that feeds the flight recorder without retaining events
-// — stamps the start time, and returns the finish hook that records
-// latency, error, SLO and slow-query metrics and files the query's
-// digest with the recorder.
-func (s *Store) startQuery(qo *query.Options, analyze bool) (tr *obs.Trace, finish func(fp, xpath string, answers int64, err error)) {
-	tr = qo.Trace
+// startQuery sets up one query's observability state: it resolves the
+// effective trace — tr when the caller attached one; a forced full trace
+// when the slow-query log is armed or the query is an ANALYZE; otherwise
+// the always-on counting trace that feeds the flight recorder without
+// retaining events — stamps the start time, and returns the finish hook
+// that records latency, error, SLO and slow-query metrics and files the
+// query's digest with the recorder.
+func (s *Store) startQuery(tr *obs.Trace, analyze bool) (_ *obs.Trace, finish func(fp, xpath string, answers int64, err error)) {
 	slow := s.opts.SlowQueryThreshold
 	if tr == nil {
 		if slow > 0 || analyze {
@@ -238,7 +237,6 @@ func (s *Store) startQuery(qo *query.Options, analyze bool) (tr *obs.Trace, fini
 		} else {
 			tr = obs.NewCountingTrace()
 		}
-		qo.Trace = tr
 	}
 	tr.SetDropCounter(s.traceDropped)
 	start := time.Now()

@@ -3,14 +3,15 @@ package registry
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dolxml/securexml"
@@ -47,6 +48,11 @@ type ServerOptions struct {
 	// single Writes serialized by the server, so the writer need not be
 	// goroutine-safe.
 	AccessLog io.Writer
+	// Tenant, when set, pins the server to that one tenant of the registry:
+	// requests need not name it, and a request or token naming any other is
+	// refused. It is how a single store directory is served (dolcli serve
+	// -store DIR = a registry over DIR's parent pinned to DIR's base name).
+	Tenant string
 }
 
 func (o ServerOptions) withDefaults() ServerOptions {
@@ -90,7 +96,8 @@ func (b *bucket) allow(rate float64, burst int, now time.Time) bool {
 //	/explain     — the query's compiled plan; analyze=1 executes once and
 //	               adds per-operator attribution (same auth as /query)
 //	/metrics     — registry metrics + per-tenant store metrics (Prometheus)
-//	/debug/vars  — registry metrics as JSON
+//	/debug/vars  — registry metrics as JSON; with tenant=, that store's
+//	/debug/queries — one tenant's flight recorder (JSON; format=text)
 //	/tenants     — open/draining tenant list as JSON
 //	/healthz     — liveness
 //
@@ -103,7 +110,11 @@ type Server struct {
 	opts ServerOptions
 	mux  *http.ServeMux
 
-	closing  atomic.Bool
+	// admit orders admission against Shutdown: a request joins inflight
+	// under the read lock, Shutdown sets closing under the write lock, so no
+	// request joins once Shutdown has begun to wait.
+	admit    sync.RWMutex
+	closing  bool
 	inflight sync.WaitGroup
 
 	bmu     sync.Mutex
@@ -131,7 +142,12 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 		}
 	})
+	s.mux.HandleFunc("/debug/queries", s.handleStoreDebug)
 	s.mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Query().Get("tenant") != "" {
+			s.handleStoreDebug(w, r)
+			return
+		}
 		w.Header().Set("Content-Type", "application/json; charset=utf-8")
 		if err := s.reg.WriteMetricsJSON(w); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
@@ -149,33 +165,28 @@ func NewServer(reg *Registry, opts ServerOptions) *Server {
 // ServeHTTP implements http.Handler. Requests arriving after Shutdown has
 // begun get 503 without touching the registry.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.closing.Load() {
+	s.admit.RLock()
+	if s.closing {
+		s.admit.RUnlock()
 		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
 		return
 	}
 	s.inflight.Add(1)
+	s.admit.RUnlock()
 	defer s.inflight.Done()
-	// Re-check after joining the in-flight set: Shutdown's closing store
-	// happens-before its Wait, so a request seen here is either refused or
-	// fully drained — never abandoned mid-flight.
-	if s.closing.Load() {
-		http.Error(w, "server shutting down", http.StatusServiceUnavailable)
-		return
-	}
 	s.mux.ServeHTTP(w, r)
 }
 
 // identity resolves the request's auth token into (tenant, subject, admin).
 // In open mode (no token table) the query string is trusted.
-func (s *Server) identity(r *http.Request) (Token, string, error) {
+func (s *Server) identity(r *http.Request, q url.Values) (Token, string, error) {
 	raw := ""
 	if h := r.Header.Get("Authorization"); strings.HasPrefix(h, "Bearer ") {
 		raw = strings.TrimPrefix(h, "Bearer ")
 	} else {
-		raw = r.URL.Query().Get("token")
+		raw = q.Get("token")
 	}
 	if s.opts.Tokens == nil {
-		q := r.URL.Query()
 		key := raw
 		if key == "" {
 			host, _, err := net.SplitHostPort(r.RemoteAddr)
@@ -184,7 +195,11 @@ func (s *Server) identity(r *http.Request) (Token, string, error) {
 			}
 			key = "anon:" + host
 		}
-		return Token{Tenant: q.Get("tenant"), Subject: q.Get("user"), Admin: true}, key, nil
+		tenant := q.Get("tenant")
+		if tenant == "" {
+			tenant = s.opts.Tenant
+		}
+		return Token{Tenant: tenant, Subject: q.Get("user"), Admin: true}, key, nil
 	}
 	tok, ok := s.opts.Tokens[raw]
 	if !ok {
@@ -217,23 +232,43 @@ type queryRequest struct {
 	opts  securexml.QueryOptions
 }
 
-// parseQuery authenticates and parses the request's query parameters. On
-// failure it writes the error response and returns ok == false.
-func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request) (req queryRequest, ok bool) {
-	tok, key, err := s.identity(r)
+// authenticate resolves the request's identity, applies the rate limit and
+// settles which tenant the request addresses; q is the request's parsed
+// query string. On failure it writes the error response and returns
+// ok == false.
+func (s *Server) authenticate(w http.ResponseWriter, r *http.Request, q url.Values) (tok Token, ok bool) {
+	tok, key, err := s.identity(r, q)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusUnauthorized)
-		return req, false
+		return tok, false
 	}
 	if !s.allow(key) {
 		http.Error(w, "rate limit exceeded", http.StatusTooManyRequests)
-		return req, false
+		return tok, false
 	}
-	q := r.URL.Query()
 	// The token binds the identity: explicit parameters may restate it but
 	// not change it. (Open mode issues a fully trusted token above.)
 	if t := q.Get("tenant"); t != "" && t != tok.Tenant {
 		http.Error(w, "token is not valid for this tenant", http.StatusForbidden)
+		return tok, false
+	}
+	if s.opts.Tenant != "" && tok.Tenant != s.opts.Tenant {
+		http.Error(w, "this server serves tenant "+s.opts.Tenant+" only", http.StatusForbidden)
+		return tok, false
+	}
+	if tok.Tenant == "" {
+		http.Error(w, "no tenant specified", http.StatusBadRequest)
+		return tok, false
+	}
+	return tok, true
+}
+
+// parseQuery authenticates and parses the request's query parameters. On
+// failure it writes the error response and returns ok == false.
+func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request) (req queryRequest, ok bool) {
+	q := r.URL.Query()
+	tok, ok := s.authenticate(w, r, q)
+	if !ok {
 		return req, false
 	}
 	user := tok.Subject
@@ -267,11 +302,29 @@ func (s *Server) parseQuery(w http.ResponseWriter, r *http.Request) (req queryRe
 	if mode == "" {
 		mode = "read"
 	}
-	if tok.Tenant == "" {
-		http.Error(w, "no tenant specified", http.StatusBadRequest)
-		return req, false
-	}
 	return queryRequest{tok: tok, user: user, mode: mode, xpath: q.Get("xpath"), opts: opts}, true
+}
+
+// handleStoreDebug serves one tenant's own debug endpoints (/debug/queries,
+// /debug/vars?tenant=) from its store's DebugHandler. The flight recorder
+// shows every subject's queries, so under a token table it takes an admin
+// token of that tenant.
+func (s *Server) handleStoreDebug(w http.ResponseWriter, r *http.Request) {
+	tok, ok := s.authenticate(w, r, r.URL.Query())
+	if !ok {
+		return
+	}
+	if !tok.Admin {
+		http.Error(w, "token may not read this tenant's debug endpoints", http.StatusForbidden)
+		return
+	}
+	h, err := s.reg.Acquire(tok.Tenant)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusNotFound)
+		return
+	}
+	defer h.Close()
+	h.Store().DebugHandler().ServeHTTP(w, r)
 }
 
 // logAccess emits one access-log line (a single serialized Write).
@@ -314,6 +367,22 @@ func (s *Server) logAccess(req queryRequest, endpoint string, status int, elapse
 	s.logMu.Unlock()
 }
 
+// failQuery answers a failed query and logs it under the same status: 400
+// when the request itself was wrong, 503 + Retry-After when it was cancelled
+// or timed out, 500 for anything the store could not do.
+func (s *Server) failQuery(w http.ResponseWriter, req queryRequest, endpoint string, start time.Time, qt *securexml.QueryTrace, err error) {
+	status := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, securexml.ErrBadQuery):
+		status = http.StatusBadRequest
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+		status = http.StatusServiceUnavailable
+		w.Header().Set("Retry-After", "1")
+	}
+	s.logAccess(req, endpoint, status, time.Since(start), qt, 0)
+	http.Error(w, err.Error(), status)
+}
+
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.parseQuery(w, r)
 	if !ok {
@@ -326,7 +395,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	defer h.Close()
 	var qt *securexml.QueryTrace
-	if s.opts.AccessLog != nil && req.opts.Trace == nil {
+	if s.opts.AccessLog != nil {
 		// The log line reports pages pinned; the counting trace provides
 		// them without retaining an event log.
 		qt = securexml.NewCountingQueryTrace()
@@ -335,8 +404,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	ms, err := h.Store().QueryCtx(r.Context(), req.user, req.mode, req.xpath, req.opts)
 	if err != nil {
-		s.logAccess(req, "/query", http.StatusBadRequest, time.Since(start), qt, 0)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.failQuery(w, req, "/query", start, qt, err)
 		return
 	}
 	s.logAccess(req, "/query", http.StatusOK, time.Since(start), qt, len(ms))
@@ -361,29 +429,24 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	}
 	defer h.Close()
 	q := r.URL.Query()
-	asText := q.Get("format") == "text"
 	start := time.Now()
+	var text, js func(io.Writer) error
 	if q.Get("analyze") != "" {
 		an := &securexml.QueryAnalysis{}
 		req.opts.Analyze = an
-		_, err := h.Store().QueryCtx(r.Context(), req.user, req.mode, req.xpath, req.opts)
-		if err != nil {
-			s.logAccess(req, "/explain", http.StatusBadRequest, time.Since(start), nil, 0)
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		s.logAccess(req, "/explain", http.StatusOK, time.Since(start), nil, 0)
-		writeExplain(w, asText, an.WriteText, an.WriteJSON)
-		return
+		_, err = h.Store().QueryCtx(r.Context(), req.user, req.mode, req.xpath, req.opts)
+		text, js = an.WriteText, an.WriteJSON
+	} else {
+		var plan *securexml.Plan
+		plan, err = h.Store().Explain(r.Context(), req.user, req.mode, req.xpath, req.opts)
+		text, js = plan.WriteText, plan.WriteJSON
 	}
-	plan, err := h.Store().Explain(r.Context(), req.user, req.mode, req.xpath, req.opts)
 	if err != nil {
-		s.logAccess(req, "/explain", http.StatusBadRequest, time.Since(start), nil, 0)
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		s.failQuery(w, req, "/explain", start, nil, err)
 		return
 	}
 	s.logAccess(req, "/explain", http.StatusOK, time.Since(start), nil, 0)
-	writeExplain(w, asText, plan.WriteText, plan.WriteJSON)
+	writeExplain(w, q.Get("format") == "text", text, js)
 }
 
 func writeExplain(w http.ResponseWriter, asText bool, text, js func(io.Writer) error) {
@@ -405,7 +468,9 @@ func writeExplain(w http.ResponseWriter, asText bool, text, js func(io.Writer) e
 // its WAL checkpoint lands. Stragglers past the deadline are reported but
 // their stores still close when their last handle does (drain semantics).
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.closing.Store(true)
+	s.admit.Lock()
+	s.closing = true
+	s.admit.Unlock()
 	drained := make(chan struct{})
 	go func() {
 		s.inflight.Wait()

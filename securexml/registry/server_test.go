@@ -2,14 +2,21 @@ package registry
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"dolxml/internal/storage"
+	"dolxml/securexml"
 )
 
 func newTestServer(t *testing.T, tenants int, opts ServerOptions) (*Server, []string, *httptest.Server) {
@@ -98,29 +105,237 @@ func TestServerAuth(t *testing.T) {
 	}
 }
 
-// A malformed or negative limit is a 400 on /query and /explain, never a
-// silently unbounded query; an empty value keeps meaning "no limit".
-func TestServerLimitParam(t *testing.T) {
-	s, ids, ts := newTestServer(t, 1, ServerOptions{})
+// TestServerStatusCodes is the status oracle of the served read path, both
+// endpoints: the client's mistakes (a malformed or negative limit, an XPath
+// that does not parse, an unknown user or mode) are 400 — never a silently
+// unbounded query; a cancelled request is 503 + Retry-After; a store that
+// cannot read its pages is 500; and the access log records the status sent.
+// An empty limit keeps meaning "no limit".
+func TestServerStatusCodes(t *testing.T) {
+	root, ids := buildTenants(t, 1)
+	var fp *storage.FaultPager
+	r, err := New(Options{Root: root, Store: securexml.StoreOptions{
+		WrapPager: func(p storage.Pager) storage.Pager {
+			fp = storage.NewFaultPager(p)
+			return fp
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logBuf syncBuffer
+	s := NewServer(r, ServerOptions{AccessLog: &logBuf})
+	// The injected fault outlives the table, so the final flush fails too.
 	defer s.Shutdown(context.Background())
+
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	// killPager makes every later physical read fail and leaves the pool
+	// one frame, so a query cannot be served from resident pages.
+	killPager := func() {
+		h, err := r.Acquire(ids[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		fp.Arm(storage.Fault{Op: storage.FaultSync, N: 1})
+		if err := fp.Sync(); !errors.Is(err, storage.ErrInjected) {
+			t.Fatalf("arming sync = %v, want the injected fault", err)
+		}
+		if err := h.Store().SetPoolCapacity(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const ok = "user=alice&xpath=//public&analyze=1"
 	for _, tc := range []struct {
-		limit string
-		want  int
+		name, params string
+		ctx          context.Context
+		before       func()
+		want         int
+		logged       bool   // the request reaches the store, so it is logged
+		inBody       string // the message names what was wrong
 	}{
-		{"10", http.StatusOK},
-		{"", http.StatusOK},
-		{"abc", http.StatusBadRequest},
-		{"-1", http.StatusBadRequest},
-		{"1e3", http.StatusBadRequest},
+		{name: "ok", params: ok, want: http.StatusOK, logged: true},
+		{name: "limit 10", params: ok + "&limit=10", want: http.StatusOK, logged: true},
+		{name: "empty limit", params: ok + "&limit=", want: http.StatusOK, logged: true},
+		{name: "limit abc", params: ok + "&limit=abc", want: http.StatusBadRequest, inBody: "limit"},
+		{name: "limit -1", params: ok + "&limit=-1", want: http.StatusBadRequest, inBody: "limit"},
+		{name: "limit 1e3", params: ok + "&limit=1e3", want: http.StatusBadRequest, inBody: "limit"},
+		{name: "bad xpath", params: "user=alice&xpath=///", want: http.StatusBadRequest, logged: true},
+		{name: "unknown user", params: "user=nobody&xpath=//public", want: http.StatusBadRequest, logged: true, inBody: "nobody"},
+		{name: "unknown mode", params: "user=alice&mode=fly&xpath=//public", want: http.StatusBadRequest, logged: true, inBody: "fly"},
+		{name: "cancelled", params: ok, ctx: cancelled, want: http.StatusServiceUnavailable, logged: true},
+		{name: "pager fault", params: ok, before: killPager, want: http.StatusInternalServerError, logged: true},
 	} {
+		if tc.before != nil {
+			tc.before()
+		}
 		for _, ep := range []string{"/query", "/explain"} {
-			code, body := get(t, ts.URL+ep+"?tenant="+ids[0]+"&user=alice&xpath=//public&limit="+tc.limit, nil)
-			if code != tc.want {
-				t.Errorf("%s limit=%q: status %d, want %d (%s)", ep, tc.limit, code, tc.want, body)
+			logged := strings.Count(logBuf.String(), "\n")
+			req := httptest.NewRequest("GET", ep+"?tenant="+ids[0]+"&"+tc.params, nil)
+			if tc.ctx != nil {
+				req = req.WithContext(tc.ctx)
 			}
-			if tc.want == http.StatusBadRequest && !strings.Contains(body, "limit") {
-				t.Errorf("%s limit=%q: message %q does not name the parameter", ep, tc.limit, body)
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			body := rec.Body.String()
+			if rec.Code != tc.want {
+				t.Errorf("%s %s: status %d, want %d (%s)", tc.name, ep, rec.Code, tc.want, body)
 			}
+			if !strings.Contains(body, tc.inBody) {
+				t.Errorf("%s %s: message %q does not name %q", tc.name, ep, body, tc.inBody)
+			}
+			if (rec.Header().Get("Retry-After") != "") != (tc.want == http.StatusServiceUnavailable) {
+				t.Errorf("%s %s: Retry-After = %q with status %d", tc.name, ep, rec.Header().Get("Retry-After"), rec.Code)
+			}
+			lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")[logged:]
+			if !tc.logged {
+				if len(lines) != 0 {
+					t.Errorf("%s %s: logged %q, want nothing", tc.name, ep, lines)
+				}
+				continue
+			}
+			var e struct {
+				Endpoint string `json:"endpoint"`
+				Status   int    `json:"status"`
+			}
+			if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &e) != nil || e.Endpoint != ep || e.Status != rec.Code {
+				t.Errorf("%s %s: access log %q, want one %s line with status %d", tc.name, ep, lines, ep, rec.Code)
+			}
+		}
+	}
+}
+
+// readGate holds a pager's physical reads back while shut.
+type readGate struct {
+	storage.Pager
+	mu   sync.Mutex
+	shut chan struct{} // nil while open
+}
+
+func (g *readGate) ReadPage(id storage.PageID, buf []byte) error {
+	g.mu.Lock()
+	shut := g.shut
+	g.mu.Unlock()
+	if shut != nil {
+		<-shut
+	}
+	return g.Pager.ReadPage(id, buf)
+}
+
+func (g *readGate) set(shut bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if shut {
+		g.shut = make(chan struct{})
+	} else {
+		close(g.shut)
+		g.shut = nil
+	}
+}
+
+// Sixteen concurrent requests on a tenant squeezed to the MinPoolPages floor
+// of 8 frames, with every physical read held back so their pins pile up:
+// the requests that find all 8 frames pinned wait for one instead of
+// failing, and every answer is the one an idle server gives.
+func TestServerSqueezedTenantWaits(t *testing.T) {
+	const requests = 16
+	root := t.TempDir()
+	dir := filepath.Join(root, "wide")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// One section of pages per request, so no two requests share a page.
+	var sb strings.Builder
+	sb.WriteString("<doc>")
+	for k := 0; k < requests; k++ {
+		fmt.Fprintf(&sb, "<s%d>", k)
+		for i := 0; i < 60; i++ {
+			fmt.Fprintf(&sb, "<t%d>value-%d-%d</t%d>", k, k, i, k)
+		}
+		fmt.Fprintf(&sb, "</s%d>", k)
+	}
+	sb.WriteString("</doc>")
+	st, err := securexml.NewBuilder().LoadXMLString(sb.String()).AddUser("alice").Grant("alice", "read", "/doc").
+		Seal(securexml.StoreOptions{PageSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	gate := &readGate{}
+	r, err := New(Options{Root: root, PoolBytes: 1, MinPoolPages: 8, Store: securexml.StoreOptions{
+		WrapPager: func(p storage.Pager) storage.Pager {
+			gate.Pager = p
+			return gate
+		},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(r, ServerOptions{})
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+	defer s.Shutdown(context.Background())
+
+	url := func(k int) string {
+		return fmt.Sprintf("%s/query?tenant=wide&user=alice&xpath=//t%d", ts.URL, k)
+	}
+	want := make([]string, requests)
+	for k := range want {
+		code, body := get(t, url(k), nil)
+		if code != http.StatusOK || !strings.Contains(body, fmt.Sprintf("value-%d-59", k)) {
+			t.Fatalf("idle request %d: %d %s", k, code, body)
+		}
+		want[k] = body
+	}
+	h, err := r.Acquire("wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if got := h.Store().MetricsSnapshot().Get("pool_capacity"); got != 8 {
+		t.Fatalf("pool capacity = %d, want the floor of 8", got)
+	}
+	waits := func() int64 { return h.Store().MetricsSnapshot().Get("pool_pin_waits_total") }
+
+	gate.set(true)
+	type reply struct {
+		code int
+		body string
+	}
+	replies := make([]reply, requests)
+	var wg sync.WaitGroup
+	for k := range replies {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			resp, err := http.Get(url(k))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			replies[k] = reply{resp.StatusCode, string(body)}
+		}(k)
+	}
+	for deadline := time.Now().Add(10 * time.Second); waits() == 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	gate.set(false)
+	wg.Wait()
+	if waits() == 0 {
+		t.Error("pool_pin_waits_total = 0: no request waited for a frame")
+	}
+	for k, got := range replies {
+		if got.code != http.StatusOK || got.body != want[k] {
+			t.Errorf("request %d under pressure: %d %q, want 200 %q", k, got.code, got.body, want[k])
 		}
 	}
 }

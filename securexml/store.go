@@ -2,6 +2,7 @@ package securexml
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -391,49 +392,87 @@ func (s *Store) viewAt(sn *snapshot, user, mode string) (*dol.SubjectView, error
 	return sn.ss.View(effectiveBits(sn.dir, len(s.modes), mi, u)), nil
 }
 
-func (s *Store) run(ctx context.Context, user, mode, xpath string, opts QueryOptions) (ms []Match, err error) {
-	qo := query.Options{
+// ErrBadQuery marks the query failures that are the caller's mistake: an
+// XPath expression that does not parse, an unknown subject, an unknown
+// mode. Test with errors.Is; everything else a query returns is a store or
+// context failure.
+var ErrBadQuery = errors.New("securexml: bad query")
+
+// prepared is one request bound to everything a plan is compiled from: the
+// parsed pattern, a pinned snapshot with its evaluator, and the evaluation
+// options (subject view and semantics included).
+type prepared struct {
+	pt  *query.PatternTree
+	fp  string
+	ref snapRef
+	ev  *query.Evaluator
+	qo  query.Options
+}
+
+// prepare is the one place a request becomes evaluator input: it parses the
+// expression, fingerprints it, pins the snapshot, resolves the subject view
+// and semantics, makes sure the snapshot's indexes exist and maps
+// QueryOptions onto query.Options, recording the parse span and the
+// snapshot pin on tr (the query's effective trace; may be nil). On success
+// the caller owns the pin and must call unprepare; on error nothing is held
+// and p carries whatever was learned (the fingerprint, once parsed).
+func (s *Store) prepare(tr *obs.Trace, user, mode, xpath string, opts QueryOptions) (p prepared, err error) {
+	endParse := tr.Span(obs.EvParse)
+	p.pt, err = query.Parse(xpath)
+	endParse()
+	if err != nil {
+		return p, fmt.Errorf("%w: %w", ErrBadQuery, err)
+	}
+	p.fp = fingerprintFor(p.pt, opts)
+	p.qo = query.Options{
 		Limit:              opts.Limit,
 		Parallelism:        opts.Parallelism,
 		DisableSummarySkip: opts.DisableSummarySkip,
 		DisablePathSummary: opts.DisablePathSummary,
-		Trace:              opts.Trace.inner(),
+		Trace:              tr,
 	}
-	tr, finish := s.startQuery(&qo, opts.Analyze != nil)
-	fp := ""
-	defer func() { finish(fp, xpath, int64(len(ms)), err) }()
-	ctx = obs.WithTrace(ctx, tr)
-	endParse := tr.Span(obs.EvParse)
-	pt, err := query.Parse(xpath)
-	endParse()
-	if err != nil {
-		return nil, err
+	if p.ref, err = s.acquireFor(opts); err != nil {
+		return p, err
 	}
-	fp = fingerprintFor(pt, opts)
-	r, err := s.acquireFor(opts)
-	if err != nil {
-		return nil, err
-	}
-	sn := r.sn
+	sn := p.ref.sn
 	tr.SnapshotPin(sn.seq)
 	defer func() {
-		tr.SnapshotUnpin(sn.seq, time.Since(r.at))
-		s.release(r)
+		if err != nil {
+			s.unprepare(&p)
+		}
 	}()
 	if !opts.Unrestricted {
-		view, err := s.viewAt(sn, user, mode)
-		if err != nil {
-			return nil, err
+		if p.qo.View, err = s.viewAt(sn, user, mode); err != nil {
+			return p, fmt.Errorf("%w: %w", ErrBadQuery, err)
 		}
-		qo.View = view
 		if opts.Pruned {
-			qo.Semantics = query.SemanticsPrunedSubtree
+			p.qo.Semantics = query.SemanticsPrunedSubtree
 		}
 	}
-	if err := sn.idx.ensure(sn.st); err != nil {
+	if err = sn.idx.ensure(sn.st); err != nil {
+		return p, err
+	}
+	p.ev = evaluatorAt(sn)
+	return p, nil
+}
+
+// unprepare drops the snapshot pin prepare took.
+func (s *Store) unprepare(p *prepared) {
+	p.qo.Trace.SnapshotUnpin(p.ref.sn.seq, time.Since(p.ref.at))
+	s.release(p.ref)
+	p.ref = snapRef{}
+}
+
+func (s *Store) run(ctx context.Context, user, mode, xpath string, opts QueryOptions) (ms []Match, err error) {
+	tr, finish := s.startQuery(opts.Trace.inner(), opts.Analyze != nil)
+	p, err := s.prepare(tr, user, mode, xpath, opts)
+	defer func() { finish(p.fp, xpath, int64(len(ms)), err) }()
+	if err != nil {
 		return nil, err
 	}
-	res, err := evaluatorAt(sn).EvaluateCtx(ctx, pt, qo)
+	defer s.unprepare(&p)
+	ctx = obs.WithTrace(ctx, tr)
+	res, err := p.ev.EvaluateCtx(ctx, p.pt, p.qo)
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +481,7 @@ func (s *Store) run(ctx context.Context, user, mode, xpath string, opts QueryOpt
 	s.recordSkips(res.Skips)
 	// Match materialization re-reads answer pages; under ANALYZE those pins
 	// must land in their own attribution bucket, not an operator's.
-	ms, err = s.matches(obs.WithTrace(ctx, tr.ForOp(query.OpOutput)), sn.st, res.Nodes)
+	ms, err = s.matches(obs.WithTrace(ctx, tr.ForOp(query.OpOutput)), p.ref.sn.st, res.Nodes)
 	tr.Mark(obs.EvDone)
 	if err == nil && opts.Analyze != nil {
 		// Fold the forced trace into per-operator attribution against the
