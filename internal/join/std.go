@@ -8,6 +8,8 @@
 package join
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -52,7 +54,7 @@ type Pair struct {
 // SortItems sorts candidates by document order, as the stack-based joins
 // require.
 func SortItems(items []Item) {
-	sort.Slice(items, func(i, j int) bool { return items[i].Node < items[j].Node })
+	slices.SortFunc(items, func(a, b Item) int { return cmp.Compare(a.Node, b.Node) })
 }
 
 // STD performs the Stack-Tree-Desc structural join: it returns every pair

@@ -18,6 +18,7 @@ type STDJoiner struct {
 	ancs  []Item
 	ai    int
 	stack []Item
+	pairs []Pair // Probe's result, reused by the next Probe
 }
 
 // NewSTDJoiner returns an incremental STD join over the sorted ancestor
@@ -27,8 +28,8 @@ func NewSTDJoiner(ancs []Item) *STDJoiner {
 }
 
 // Probe advances the join to descendant d and returns the (a, d) pairs for
-// every stacked ancestor enclosing it. Descendants must be probed in
-// strictly increasing Node order.
+// every stacked ancestor enclosing it, valid until the next Probe.
+// Descendants must be probed in strictly increasing Node order.
 func (j *STDJoiner) Probe(d Item) []Pair {
 	for j.ai < len(j.ancs) && j.ancs[j.ai].Node <= d.Node {
 		a := j.ancs[j.ai]
@@ -41,13 +42,13 @@ func (j *STDJoiner) Probe(d Item) []Pair {
 	for len(j.stack) > 0 && j.stack[len(j.stack)-1].End < d.Node {
 		j.stack = j.stack[:len(j.stack)-1]
 	}
-	var out []Pair
+	j.pairs = j.pairs[:0]
 	for _, a := range j.stack {
 		if a.Node < d.Node && d.Node <= a.End {
-			out = append(out, Pair{Anc: a.Node, Desc: d.Node})
+			j.pairs = append(j.pairs, Pair{Anc: a.Node, Desc: d.Node})
 		}
 	}
-	return out
+	return j.pairs
 }
 
 // EpsJoiner is the incremental form of the secure ε-STD join (paper §4.2,
@@ -69,7 +70,8 @@ type EpsJoiner struct {
 	ai   int
 
 	ancStack  []Item
-	inaccLvls []int // increasing levels of inaccessible ancestors
+	inaccLvls []int  // increasing levels of inaccessible ancestors
+	pairs     []Pair // Probe's result, reused by the next Probe
 
 	numPages int
 	pageIdx  int // next (or partially consumed) page of the scan
@@ -217,8 +219,8 @@ func (j *EpsJoiner) openPage(pi nok.PageInfo) {
 
 // Probe advances the join to descendant d and returns its valid (a, d)
 // pairs: a is a proper ancestor of d and every node on the path from a to
-// d, endpoints included, is accessible. Descendants must be probed in
-// strictly increasing Node order.
+// d, endpoints included, is accessible. The pairs are valid until the next
+// Probe. Descendants must be probed in strictly increasing Node order.
 func (j *EpsJoiner) Probe(ctx context.Context, d Item) ([]Pair, error) {
 	dropped, err := j.advance(ctx, d.Node)
 	if err != nil || dropped {
@@ -228,11 +230,11 @@ func (j *EpsJoiner) Probe(ctx context.Context, d Item) ([]Pair, error) {
 		j.ancStack = j.ancStack[:len(j.ancStack)-1]
 	}
 	m := j.deepestInacc()
-	var out []Pair
+	j.pairs = j.pairs[:0]
 	for _, a := range j.ancStack {
 		if a.Node < d.Node && d.Node <= a.End && m < a.Level {
-			out = append(out, Pair{Anc: a.Node, Desc: d.Node})
+			j.pairs = append(j.pairs, Pair{Anc: a.Node, Desc: d.Node})
 		}
 	}
-	return out, nil
+	return j.pairs, nil
 }

@@ -2,6 +2,7 @@ package nok
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -299,6 +300,28 @@ func TestValuesSpanPages(t *testing.T) {
 		if got != v {
 			t.Errorf("Value(%d) wrong", id)
 		}
+	}
+
+	// The batched read returns the same values — "" for the root, which
+	// has none — pinning each value page once, and keeps no pin.
+	nodes := make([]xmltree.NodeID, doc.Len())
+	for n := range nodes {
+		nodes[n] = xmltree.NodeID(n)
+	}
+	pool := s.Pool()
+	before := pool.Stats().Gets
+	got, err := s.Values().ValuesCtx(context.Background(), nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n, v := range got {
+		if v != want[xmltree.NodeID(n)] {
+			t.Errorf("ValuesCtx[%d] = %q, want %q", n, v, want[xmltree.NodeID(n)])
+		}
+	}
+	// 50 values of 40 bytes, 3 to a 128-byte page.
+	if gets := pool.Stats().Gets - before; gets != 17 || pool.Pinned() != 0 {
+		t.Errorf("ValuesCtx made %d pool Gets and left %d frames pinned, want 17 and 0", gets, pool.Pinned())
 	}
 }
 

@@ -1,8 +1,10 @@
 package nok
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dolxml/internal/storage"
@@ -90,6 +92,40 @@ func (vs *ValueStore) ValueCtx(ctx context.Context, n xmltree.NodeID) (string, e
 	}
 	defer vs.pool.Unpin(r.Page, false)
 	return string(f.Data[r.Off : r.Off+r.Len]), nil
+}
+
+// ValuesCtx returns the text values of the given nodes, which must be in
+// ascending order ("" for a node that has none). Values are laid out in
+// document order, so the answers of one query sit on few pages: each run of
+// consecutive values on one page is read under one pin, and no pin outlives
+// the call.
+func (vs *ValueStore) ValuesCtx(ctx context.Context, nodes []xmltree.NodeID) ([]string, error) {
+	out := make([]string, len(nodes))
+	var held *storage.Frame
+	release := func() {
+		if held != nil {
+			vs.pool.Unpin(held.ID(), false)
+		}
+	}
+	defer release()
+	refs := vs.refs
+	for k, n := range nodes {
+		i, ok := slices.BinarySearchFunc(refs, n, func(r valueRef, n xmltree.NodeID) int { return cmp.Compare(r.Node, n) })
+		refs = refs[i:]
+		if !ok {
+			continue
+		}
+		r := refs[0]
+		if held == nil || held.ID() != r.Page {
+			release()
+			var err error
+			if held, err = vs.pool.GetCtx(ctx, r.Page); err != nil {
+				return nil, err
+			}
+		}
+		out[k] = string(held.Data[r.Off : r.Off+r.Len])
+	}
+	return out, nil
 }
 
 // NumValues returns the number of stored (non-empty) values.

@@ -1,11 +1,11 @@
 package query
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"dolxml/internal/btree"
 	"dolxml/internal/obs"
-	"dolxml/internal/xmltree"
 )
 
 // compiled is one query's plan: every decision evaluation takes before it
@@ -145,9 +145,9 @@ type tupleLayout struct {
 	// the binding join i takes its ancestors from: subs[i].Link's slot.
 	retSlot  int
 	linkSlot []int
-	// tracked is the set of all slot nodes — the bindings the matcher must
-	// record.
-	tracked map[*PatternNode]bool
+	// slotOf, indexed by PatternNode.id, is each node's slot, -1 for the
+	// untracked nodes — the bindings the matcher need not record.
+	slotOf []int
 }
 
 func layoutOf(t *PatternTree, subs []NoKSubtree) tupleLayout {
@@ -155,11 +155,14 @@ func layoutOf(t *PatternTree, subs []NoKSubtree) tupleLayout {
 		slots:    make([][]*PatternNode, len(subs)),
 		base:     make([]int, len(subs)),
 		linkSlot: make([]int, len(subs)),
-		tracked:  map[*PatternNode]bool{},
+		slotOf:   make([]int, t.Len()),
+	}
+	for k := range l.slotOf {
+		l.slotOf[k] = -1
 	}
 	track := func(i int, p *PatternNode) {
-		if !l.tracked[p] {
-			l.tracked[p] = true
+		if l.slotOf[p.id] < 0 {
+			l.slotOf[p.id] = len(l.slots[i]) // within its subtree; rebased below
 			l.slots[i] = append(l.slots[i], p)
 		}
 	}
@@ -190,36 +193,20 @@ func layoutOf(t *PatternTree, subs []NoKSubtree) tupleLayout {
 			track(i, ret)
 		}
 	}
-	slot := make(map[*PatternNode]int, len(l.tracked))
 	for i, row := range l.slots {
 		l.base[i] = l.width
 		for _, p := range row {
-			slot[p] = l.width
+			l.slotOf[p.id] = l.width
 			l.width++
 		}
 	}
 	for i, sub := range subs {
 		if sub.Link != nil {
-			l.linkSlot[i] = slot[sub.Link]
+			l.linkSlot[i] = l.slotOf[sub.Link.id]
 		}
 	}
-	l.retSlot = slot[ret]
+	l.retSlot = l.slotOf[ret.id]
 	return l
-}
-
-// tupleFrom expands subtree i's match into a full-width tuple with only that
-// subtree's slots populated.
-func (l *tupleLayout) tupleFrom(i int, sm subtreeMatch) Tuple {
-	tp := make(Tuple, l.width)
-	for k := range tp {
-		tp[k] = binding{xmltree.InvalidNode, 0}
-	}
-	for k, n := range l.slots[i] {
-		if b, ok := sm.bindings[n]; ok {
-			tp[l.base[i]+k] = b
-		}
-	}
-	return tp
 }
 
 // sourceDocRoot names the anchored top subtree's candidate source.
@@ -243,7 +230,7 @@ func (ev *Evaluator) candidates(sub NoKSubtree) ([]btree.Posting, string, error)
 			}
 			all = append(all, ps...)
 		}
-		sort.Slice(all, func(i, j int) bool { return all[i].Node < all[j].Node })
+		slices.SortFunc(all, func(a, b btree.Posting) int { return cmp.Compare(a.Node, b.Node) })
 		return all, "wildcard-union", nil
 	}
 	code, ok := ev.store.LookupTag(sub.Root.Tag)

@@ -1,7 +1,9 @@
 package query
 
 import (
+	"cmp"
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,7 +16,7 @@ import (
 
 // Tuple is one row of the operator pipeline: a full-width binding vector
 // with one slot per tracked pattern node (see tupleLayout). Unset
-// slots hold binding{xmltree.InvalidNode, 0}.
+// slots hold unbound.
 type Tuple []binding
 
 // Cursor is a pull-based pipeline operator in the Volcano style. Next
@@ -27,23 +29,67 @@ type Cursor interface {
 	Close() error
 }
 
-// matchMsg carries one produced tuple (or a producer error) through a
-// bounded channel.
+// matchMsg carries one batch of produced tuples (never empty), or a
+// producer error, through a bounded channel.
 type matchMsg struct {
-	t   Tuple
+	ts  []Tuple
 	err error
 }
 
-// matchBuf bounds the run-ahead of match producers: small enough that a
-// Limit-terminated query stops its page reads shortly after the limit is
-// hit, large enough to decouple producer I/O from consumer processing.
+// matchBuf bounds the run-ahead of match producers, in messages: small
+// enough that a Limit-terminated query stops its page reads shortly after
+// the limit is hit, large enough to decouple producer I/O from consumer
+// processing.
 const matchBuf = 8
 
+// matchBatch is how many rows a match producer collects before handing them
+// over. A plan with a Limit hands over every row by itself instead (see
+// compiled.batchRows), so that matchBuf bounds its run-ahead in tuples.
+const matchBatch = 64
+
+// batchRows is the number of rows per match hand-off under this plan.
+func (c *compiled) batchRows() int {
+	if c.opts.Limit > 0 {
+		return 1
+	}
+	return matchBatch
+}
+
+// rowBatch collects the rows a matcher completes into one flat chunk of
+// bindings. Rows are values: a batch holds no page pin.
+type rowBatch struct {
+	width, rows int // bindings per row; rows a fresh chunk has room for
+	flat        []binding
+}
+
+// add copies row to the end of the chunk and returns the row count.
+func (b *rowBatch) add(row []binding) int {
+	if b.flat == nil {
+		b.flat = make([]binding, 0, b.rows*b.width)
+	}
+	b.flat = append(b.flat, row...)
+	return len(b.flat) / b.width
+}
+
+// take returns the collected rows as tuples over the chunk, which the batch
+// lets go of; nil when there are none.
+func (b *rowBatch) take() []Tuple {
+	if len(b.flat) == 0 {
+		return nil
+	}
+	ts := make([]Tuple, len(b.flat)/b.width)
+	for k := range ts {
+		ts[k] = b.flat[k*b.width : (k+1)*b.width : (k+1)*b.width]
+	}
+	b.flat = nil
+	return ts
+}
+
 // chanCursor adapts a push-style producer goroutine to the pull Cursor
-// interface through a bounded channel. The producer starts lazily on the
-// first Next, must honor its context, and the channel is closed when it
-// returns — so a join whose left side is empty never starts its right
-// producer at all.
+// interface through a bounded channel of tuple batches. The producer starts
+// lazily on the first Next, must honor its context, and the channel is
+// closed when it returns — so a join whose left side is empty never starts
+// its right producer at all.
 type chanCursor struct {
 	pctx    context.Context
 	cancel  context.CancelFunc
@@ -51,6 +97,8 @@ type chanCursor struct {
 	once    sync.Once
 	started bool
 	out     chan matchMsg
+	// pending is what remains of the batch received last.
+	pending []Tuple
 	wg      sync.WaitGroup
 	closed  bool
 }
@@ -73,21 +121,26 @@ func (c *chanCursor) launch() {
 }
 
 func (c *chanCursor) Next(ctx context.Context) (Tuple, error) {
-	// Checked before the select so a cancelled consumer gets ctx's error
-	// deterministically, even while buffered tuples remain.
+	// Checked first so a cancelled consumer gets ctx's error
+	// deterministically, even while received tuples remain.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	c.launch()
-	select {
-	case msg, ok := <-c.out:
-		if !ok {
-			return nil, nil
+	if len(c.pending) == 0 {
+		c.launch()
+		select {
+		case msg, ok := <-c.out:
+			if !ok || msg.err != nil {
+				return nil, msg.err
+			}
+			c.pending = msg.ts
+		case <-ctx.Done():
+			return nil, ctx.Err()
 		}
-		return msg.t, msg.err
-	case <-ctx.Done():
-		return nil, ctx.Err()
 	}
+	t := c.pending[0]
+	c.pending = c.pending[1:]
+	return t, nil
 }
 
 // Close cancels the producer's context, then drains the channel until the
@@ -120,50 +173,54 @@ func sendMsg(ctx context.Context, out chan<- matchMsg, msg matchMsg) bool {
 }
 
 // newMatchCursor returns a cursor producing subtree i's matches as tuples,
-// in candidate order. Matches stream out of the ε-NoK matcher as they are
-// found (npmStream), so the first tuple surfaces before the candidate scan
-// finishes — the early-termination property Limit relies on. When the plan
+// in candidate order. Rows stream out of the ε-NoK matcher as they are
+// found (npm) and go to the consumer a batch at a time — one at a time
+// under a Limit, so the first tuple surfaces before the candidate scan
+// finishes: the early-termination property Limit relies on. When the plan
 // chose to fan out, the scan runs across a worker pool.
 func newMatchCursor(parent context.Context, store *nok.Store, m *matcher, c *compiled, i int, sp scanPlan) Cursor {
 	if sp.parallel {
 		return newParallelMatchCursor(parent, store, m, c, i, sp)
 	}
-	sub := c.subs[i]
+	root := &m.nodes[c.subs[i].Root.id]
 	return newChanCursor(parent, func(ctx context.Context, out chan<- matchMsg) {
-		cur := store.NewCursor()
+		b := rowBatch{width: c.width, rows: c.batchRows()}
+		ms := m.newState(store.NewCursor(), func(row []binding) bool {
+			return b.add(row) < b.rows || sendMsg(ctx, out, matchMsg{ts: b.take()})
+		})
 		for _, cand := range sp.cands {
-			stopped, err := m.matchCandidate(ctx, cur, sub, cand, func(sm subtreeMatch) bool {
-				return sendMsg(ctx, out, matchMsg{t: c.tupleFrom(i, sm)})
-			})
-			if err != nil {
+			if err := ms.matchCandidate(ctx, root, cand); err != nil {
 				sendMsg(ctx, out, matchMsg{err: err})
 				return
 			}
-			if stopped {
+			if ms.stopped {
 				return
 			}
+		}
+		if ts := b.take(); ts != nil {
+			sendMsg(ctx, out, matchMsg{ts: ts})
 		}
 	})
 }
 
 // newParallelMatchCursor fans candidate matching out over a worker pool
 // that feeds the cursor incrementally: workers claim candidate chunks from
-// an atomic counter and deposit each chunk's matches into its own slot; an
-// emitter forwards the slots in chunk order into the bounded output
-// channel, so the tuple stream is byte-identical to the sequential scan.
-// A semaphore caps how many chunks may be claimed beyond what the emitter
-// has forwarded, so a consumer that stops pulling (Limit, cancellation)
-// stops the workers' page reads after bounded run-ahead instead of
-// matching every candidate.
+// an atomic counter and deposit each chunk's rows, one flat chunk, into its
+// own slot; an emitter forwards the slots in chunk order into the bounded
+// output channel, so the tuple stream is byte-identical to the sequential
+// scan. A semaphore caps how many chunks may be claimed beyond what the
+// emitter has forwarded, so a consumer that stops pulling (Limit,
+// cancellation) stops the workers' page reads after bounded run-ahead
+// instead of matching every candidate.
 func newParallelMatchCursor(parent context.Context, store *nok.Store, m *matcher, c *compiled, i int, sp scanPlan) Cursor {
-	sub := c.subs[i]
+	root := &m.nodes[c.subs[i].Root.id]
 	cands, workers, chunks := sp.cands, sp.workers, sp.chunks
 	bounds := func(k int) (int, int) {
 		return k * len(cands) / chunks, (k + 1) * len(cands) / chunks
 	}
 	return newChanCursor(parent, func(ctx context.Context, out chan<- matchMsg) {
 		type chunkRes struct {
-			ms  []subtreeMatch
+			ts  []Tuple
 			err error
 		}
 		slots := make([]chan chunkRes, chunks)
@@ -177,16 +234,31 @@ func newParallelMatchCursor(parent context.Context, store *nok.Store, m *matcher
 		sem := make(chan struct{}, workers*2)
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		defer wg.Wait()
+		// However the emitter returns, the workers are stopped and waited
+		// for first, and a chunk's error goes out only then: once the
+		// consumer has it, nothing of this scan reads a page any more.
+		wctx, stop := context.WithCancel(ctx)
+		var failed error
+		defer func() {
+			stop()
+			wg.Wait()
+			if failed != nil {
+				sendMsg(ctx, out, matchMsg{err: failed})
+			}
+		}()
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				cur := store.NewCursor()
+				b := rowBatch{width: c.width, rows: matchBatch}
+				ms := m.newState(store.NewCursor(), func(row []binding) bool {
+					b.add(row)
+					return true
+				})
 				for {
 					select {
 					case sem <- struct{}{}:
-					case <-ctx.Done():
+					case <-wctx.Done():
 						return
 					}
 					k := int(next.Add(1)) - 1
@@ -194,8 +266,13 @@ func newParallelMatchCursor(parent context.Context, store *nok.Store, m *matcher
 						return
 					}
 					lo, hi := bounds(k)
-					ms, err := m.matchSubtree(ctx, cur, sub, cands[lo:hi])
-					slots[k] <- chunkRes{ms, err} // cap 1: never blocks
+					var err error
+					for _, cand := range cands[lo:hi] {
+						if err = ms.matchCandidate(wctx, root, cand); err != nil {
+							break
+						}
+					}
+					slots[k] <- chunkRes{b.take(), err} // cap 1: never blocks
 				}
 			}()
 		}
@@ -212,13 +289,17 @@ func newParallelMatchCursor(parent context.Context, store *nok.Store, m *matcher
 			case <-ctx.Done():
 				return
 			}
-			if res.err != nil {
-				sendMsg(ctx, out, matchMsg{err: res.err})
+			if failed = res.err; failed != nil {
 				return
 			}
-			mergeTr.MergeChunk(k, len(res.ms))
-			for _, sm := range res.ms {
-				if !sendMsg(ctx, out, matchMsg{t: c.tupleFrom(i, sm)}) {
+			mergeTr.MergeChunk(k, len(res.ts))
+			// A chunk goes out whole, or under a Limit tuple by tuple.
+			step := len(res.ts)
+			if c.batchRows() == 1 {
+				step = 1
+			}
+			for ts := res.ts; len(ts) > 0; ts = ts[step:] {
+				if !sendMsg(ctx, out, matchMsg{ts: ts[:step]}) {
 					return
 				}
 			}
@@ -236,7 +317,7 @@ func newParallelMatchCursor(parent context.Context, store *nok.Store, m *matcher
 type pathFilterCursor struct {
 	view *dol.SubjectView
 	in   Cursor
-	// cur reads the match roots' blocks for their subtree ends.
+	// cur reads the document root's block when the root itself matched.
 	cur *nok.Cursor
 	// tr is the operator's trace handle; the filter's own page reads run
 	// under a context stamped with it (cached per incoming context so the
@@ -245,7 +326,6 @@ type pathFilterCursor struct {
 	inCtx   context.Context
 	wrapped context.Context
 
-	opened        bool
 	eps           *join.EpsJoiner
 	lastRoot      xmltree.NodeID
 	lastRootValid bool
@@ -285,20 +365,13 @@ func (pc *pathFilterCursor) Next(ctx context.Context) (Tuple, error) {
 			}
 			pass = pc.view.CodeAllowed(info.Code)
 		default:
-			if !pc.opened {
-				rootEnd, err := pc.cur.SubtreeEnd(fctx, 0)
-				if err != nil {
-					return nil, err
-				}
-				pc.eps = join.NewEpsJoiner(pc.view.Store(), pc.view.Effective(),
-					[]join.Item{{Node: 0, End: rootEnd, Level: 0}})
-				pc.opened = true
+			if pc.eps == nil {
+				ss := pc.view.Store()
+				rootEnd := xmltree.NodeID(ss.Store().NumNodes() - 1)
+				pc.eps = join.NewEpsJoiner(ss, pc.view.Effective(), []join.Item{{Node: 0, End: rootEnd, Level: 0}})
 			}
-			end, err := pc.cur.SubtreeEnd(fctx, root.node)
-			if err != nil {
-				return nil, err
-			}
-			pairs, err := pc.eps.Probe(fctx, join.Item{Node: root.node, End: end, Level: root.level})
+			// A subtree root's binding carries its posting's End.
+			pairs, err := pc.eps.Probe(fctx, join.Item{Node: root.node, End: root.end, Level: int(root.level)})
 			if err != nil {
 				return nil, err
 			}
@@ -325,29 +398,35 @@ type joinCursor struct {
 	opts  Options
 	left  Cursor
 	right Cursor
-	// cur reads the blocks of the ancestor and right-root bindings for
-	// their subtree ends.
+	// cur reads the blocks of the link sources that are not subtree roots,
+	// for their subtree ends.
 	cur      *nok.Cursor
 	linkSlot int
 	base     int
 	nSlots   int
 	// tr is the operator's trace handle; the join's own page reads (the
-	// ancestor and right-root SubtreeEnd lookups, the ε-STD page pass) run
-	// under a context stamped with it.
+	// SubtreeEnd lookups, the ε-STD page pass) run under a context stamped
+	// with it.
 	tr      *obs.Trace
 	inCtx   context.Context
 	wrapped context.Context
 
-	opened      bool
-	leftTuples  []Tuple
-	tuplesByAnc map[xmltree.NodeID][]int
+	opened bool
+	// leftTuples is the drained left side, ordered by link binding; the
+	// tuples sharing ancestor ancs[g] are leftTuples[groups[g]:groups[g+1]].
+	leftTuples []Tuple
+	ancs       []join.Item
+	groups     []int
 
 	std *join.STDJoiner
 	eps *join.EpsJoiner
 
+	// lastGroups are the ancestor groups the last right root probed pairs
+	// with, lastRows the left tuples in them.
 	lastRoot      xmltree.NodeID
 	lastRootValid bool
-	lastAncs      []xmltree.NodeID
+	lastGroups    []int
+	lastRows      int
 
 	buf       []Tuple
 	bufIdx    int
@@ -385,30 +464,33 @@ func (jc *joinCursor) open(ctx context.Context) error {
 		jc.rightDone = true
 		return nil
 	}
-	// Distinct ancestor candidates from the link slot.
-	ancSet := map[xmltree.NodeID]join.Item{}
-	jc.tuplesByAnc = map[xmltree.NodeID][]int{}
+	// The ancestor candidates are the distinct link bindings. Ordering the
+	// left side by them — stably, and it mostly arrives ordered — makes
+	// each one's tuples a run, still in arrival order.
+	byLink := func(a, b Tuple) int { return cmp.Compare(a[jc.linkSlot].node, b[jc.linkSlot].node) }
+	if !slices.IsSortedFunc(jc.leftTuples, byLink) {
+		slices.SortStableFunc(jc.leftTuples, byLink)
+	}
 	for ti, tp := range jc.leftTuples {
 		b := tp[jc.linkSlot]
-		jc.tuplesByAnc[b.node] = append(jc.tuplesByAnc[b.node], ti)
-		if _, ok := ancSet[b.node]; ok {
+		if ti > 0 && b.node == jc.leftTuples[ti-1][jc.linkSlot].node {
 			continue
 		}
-		end, err := jc.cur.SubtreeEnd(jctx, b.node)
-		if err != nil {
-			return err
+		if b.end == xmltree.InvalidNode {
+			// Only a subtree root's binding came with its End.
+			var err error
+			if b.end, err = jc.cur.SubtreeEnd(jctx, b.node); err != nil {
+				return err
+			}
 		}
-		ancSet[b.node] = join.Item{Node: b.node, End: end, Level: b.level}
+		jc.ancs = append(jc.ancs, join.Item{Node: b.node, End: b.end, Level: int(b.level)})
+		jc.groups = append(jc.groups, ti)
 	}
-	ancs := make([]join.Item, 0, len(ancSet))
-	for _, it := range ancSet {
-		ancs = append(ancs, it)
-	}
-	join.SortItems(ancs)
+	jc.groups = append(jc.groups, len(jc.leftTuples))
 	if jc.opts.View != nil && jc.opts.Semantics == SemanticsPrunedSubtree {
-		jc.eps = join.NewEpsJoiner(jc.opts.View.Store(), jc.opts.View.Effective(), ancs)
+		jc.eps = join.NewEpsJoiner(jc.opts.View.Store(), jc.opts.View.Effective(), jc.ancs)
 	} else {
-		jc.std = join.NewSTDJoiner(ancs)
+		jc.std = join.NewSTDJoiner(jc.ancs)
 	}
 	return nil
 }
@@ -439,15 +521,10 @@ func (jc *joinCursor) Next(ctx context.Context) (Tuple, error) {
 		}
 		root := rt[jc.base]
 		if !jc.lastRootValid || root.node != jc.lastRoot {
-			jctx := jc.opCtx(ctx)
-			end, err := jc.cur.SubtreeEnd(jctx, root.node)
-			if err != nil {
-				return nil, err
-			}
-			d := join.Item{Node: root.node, End: end, Level: root.level}
+			d := join.Item{Node: root.node, End: root.end, Level: int(root.level)}
 			var pairs []join.Pair
 			if jc.eps != nil {
-				pairs, err = jc.eps.Probe(jctx, d)
+				pairs, err = jc.eps.Probe(jc.opCtx(ctx), d)
 				if err != nil {
 					return nil, err
 				}
@@ -456,18 +533,22 @@ func (jc *joinCursor) Next(ctx context.Context) (Tuple, error) {
 			}
 			jc.tr.JoinProbe(int64(root.node), len(pairs))
 			jc.lastRoot, jc.lastRootValid = root.node, true
-			jc.lastAncs = jc.lastAncs[:0]
+			jc.lastGroups, jc.lastRows = jc.lastGroups[:0], 0
 			for _, p := range pairs {
-				jc.lastAncs = append(jc.lastAncs, p.Anc)
+				g, _ := slices.BinarySearchFunc(jc.ancs, p.Anc, func(a join.Item, n xmltree.NodeID) int { return cmp.Compare(a.Node, n) })
+				jc.lastGroups = append(jc.lastGroups, g)
+				jc.lastRows += jc.groups[g+1] - jc.groups[g]
 			}
 		}
 		// Expand: one output per (left tuple whose link binds a paired
-		// ancestor), with subtree i's slots taken from the right tuple.
-		for _, anc := range jc.lastAncs {
-			for _, ti := range jc.tuplesByAnc[anc] {
-				tp := jc.leftTuples[ti]
-				ntp := make(Tuple, len(tp))
-				copy(ntp, tp)
+		// ancestor), with subtree i's slots taken from the right tuple —
+		// all of them in one chunk.
+		w := len(rt)
+		flat := make([]binding, 0, jc.lastRows*w)
+		for _, g := range jc.lastGroups {
+			for _, tp := range jc.leftTuples[jc.groups[g]:jc.groups[g+1]] {
+				flat = append(flat, tp...)
+				ntp := flat[len(flat)-w : len(flat) : len(flat)]
 				copy(ntp[jc.base:jc.base+jc.nSlots], rt[jc.base:jc.base+jc.nSlots])
 				jc.buf = append(jc.buf, ntp)
 			}

@@ -3,7 +3,7 @@ package query
 import (
 	"context"
 	"runtime"
-	"sort"
+	"slices"
 
 	"dolxml/internal/btree"
 	"dolxml/internal/dol"
@@ -178,7 +178,7 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, t *PatternTree, opts Optio
 		}
 		nodes = append(nodes, n)
 	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
+	slices.Sort(nodes)
 	return &Result{Nodes: nodes, Matches: a.Matches(), Skips: a.SkipStats(), Plan: a.c.plan()}, nil
 }
 
@@ -209,42 +209,7 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 		return &Answers{p: &pipeline{Cursor: emptyCursor{}, cancel: func() {}}, c: c, matches: new(int)}, nil
 	}
 	subs := c.subs
-
-	m := &matcher{
-		store:   ev.store,
-		values:  ev.store.Values(),
-		view:    opts.View,
-		tracked: c.tracked,
-		masks:   c.mask,
-		trace:   opts.Trace,
-	}
-	if c.route != nil {
-		m.preAllow = c.route.preAllow
-		m.preAllowRoot = c.route.preAllowRoot
-	}
-	if c.mask != nil {
-		c.mask.trace = opts.Trace
-		// Per-node operator handles: a page skipped while scanning for
-		// pattern node p attributes to p's subtree's scan operator.
-		// Resolved here, before prepare captures the scan closures.
-		if opts.Trace != nil {
-			c.mask.nodeTrace = make(map[*PatternNode]*obs.Trace, t.Len())
-			for i := range subs {
-				h := opts.Trace.ForOp(opScan(i))
-				var walk func(p *PatternNode)
-				walk = func(p *PatternNode) {
-					c.mask.nodeTrace[p] = h
-					for _, k := range nokChildren(p) {
-						walk(k)
-					}
-				}
-				walk(subs[i].Root)
-			}
-		}
-	}
-	// Freeze the matcher's derived state so match producers can share it
-	// across workers.
-	m.prepare(subs)
+	m := ev.newMatcher(c)
 
 	// Assemble the operator tree bottom-up: per-subtree match producers,
 	// the pruned-subtree root-path filter on the top subtree, one
@@ -294,6 +259,20 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 		top = &limitCursor{in: dd, remaining: opts.Limit}
 	}
 	return &Answers{p: &pipeline{Cursor: top, cancel: cancel}, c: c, matches: &dd.matches}, nil
+}
+
+// newMatcher returns the immutable matcher of plan c, shared by its match
+// producers and their workers.
+func (ev *Evaluator) newMatcher(c *compiled) *matcher {
+	m := &matcher{
+		store:  ev.store,
+		values: ev.store.Values(),
+		view:   c.opts.View,
+		masks:  c.mask,
+		trace:  c.opts.Trace,
+	}
+	m.prepare(c)
+	return m
 }
 
 // emptyCursor is the pipeline of a query proven empty at compile time.

@@ -2,9 +2,6 @@ package query
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"strings"
 
 	"dolxml/internal/btree"
 	"dolxml/internal/dol"
@@ -13,18 +10,16 @@ import (
 	"dolxml/internal/xmltree"
 )
 
-// binding records where a pattern node matched and at what depth.
+// binding records where a pattern node matched and at what depth. end is the
+// last node of the matched node's subtree when the match came with it — a
+// subtree root's, from its index posting — and InvalidNode otherwise.
 type binding struct {
-	node  xmltree.NodeID
-	level int
+	node, end xmltree.NodeID
+	level     int32
 }
 
-// subtreeMatch is one successful NoK-subtree match: a consistent assignment
-// of its tracked pattern nodes (the subtree root, link sources and the
-// returning node).
-type subtreeMatch struct {
-	bindings map[*PatternNode]binding
-}
+// unbound fills the tuple slots no match has written.
+var unbound = binding{node: xmltree.InvalidNode, end: xmltree.InvalidNode}
 
 // matcher runs ε-NoK pattern matching (Algorithm 1 of the paper) over a
 // NoK structure store. Like the paper's recursive NPM it scans each
@@ -35,41 +30,57 @@ type subtreeMatch struct {
 // node and the link sources feeding structural joins), collapsing all
 // untracked subtrees existentially — the completion needed for "the nodes
 // in the data tree that match [the returning] node" to all be returned.
+//
+// A matcher is immutable once prepare has run and is shared by a query's
+// match producers; what a match writes lives in each goroutine's
+// matchState.
 type matcher struct {
 	store  *nok.Store
 	values *nok.ValueStore
 	// view makes the access decisions; nil means non-secure evaluation.
 	view *dol.SubjectView
-	// tracked marks the pattern nodes whose bindings must be recorded.
-	tracked map[*PatternNode]bool
-	// hasTracked caches, per pattern node, whether its NoK subtree
-	// fragment contains a tracked node. It is filled by prepare before
-	// matching begins; afterwards the matcher is read-only and may be
-	// shared by parallel workers.
-	hasTracked map[*PatternNode]bool
 	// masks is the query's compiled skip mask (nil when both access and
 	// structural skipping are disabled).
 	masks *skipMask
-	// scanSkip holds, per pattern node with child-axis children, the fused
-	// skip state its child scans consult. Filled by prepare; read-only
-	// afterwards.
-	scanSkip map[*PatternNode]*nodeSkip
-	// tagCode, indexed by PatternNode.id, is each pattern node's tag
-	// constraint resolved against the store's tag table: a tag code,
-	// tagAny for "*", tagAbsent for a tag the document does not contain.
-	// Filled by prepare.
-	tagCode []int32
-	// preAllow, indexed by PatternNode.id, marks pattern nodes whose child
-	// scans need no per-node access checks: every path class the scan can
-	// accept is uniformly allowed to the view. preAllowRoot is the same
-	// verdict for subtree-root candidates. Both nil when path routing is
-	// off. (A pre-allowed scan may admit off-path nodes; those produce
-	// only join-doomed matches, so answers are unchanged.)
-	preAllow     []bool
-	preAllowRoot []bool
+	// nodes, indexed by PatternNode.id, holds what prepare resolved per
+	// pattern node.
+	nodes []nodePlan
+	// width is the tuple width, depth the deepest child-axis nesting of any
+	// NoK subtree (a lone root is 1) and maxKids the widest child list: the
+	// dimensions of a matchState.
+	width, depth, maxKids int
 	// trace, when non-nil, receives candidate-reject and merge-chunk
 	// events (page pins and skips are recorded elsewhere).
 	trace *obs.Trace
+}
+
+// nodePlan is one pattern node as the matcher sees it.
+type nodePlan struct {
+	p *PatternNode
+	// tag is the node's tag constraint resolved against the store's tag
+	// table: a tag code, tagAny for "*", tagAbsent for a tag the document
+	// does not contain.
+	tag int32
+	// kids are the child-axis children — the children Algorithm 1 matches
+	// within one NoK subtree.
+	kids []*nodePlan
+	// slot is the node's tuple slot, -1 when it is not tracked; frag lists
+	// the slots of the tracked nodes in the node's child-axis fragment,
+	// itself included. A fragment with none is matched existentially.
+	// kidsTracked says that some kid's fragment has one.
+	slot        int
+	frag        []int
+	kidsTracked bool
+	// skip is the fused skip state the node's child scans consult, nil when
+	// the query compiled no mask for it.
+	skip *nodeSkip
+	// checkScan and checkRoot say whether the node's child scans, and the
+	// node as a subtree-root candidate, need the per-node access check:
+	// false without a view, and when path routing proved every class the
+	// scan can accept uniformly allowed. (A pre-allowed scan may admit
+	// off-path nodes; those produce only join-doomed matches, so answers
+	// are unchanged.)
+	checkScan, checkRoot bool
 }
 
 // Resolved tag constraints that are not tag codes (which are ≥ 0).
@@ -91,78 +102,56 @@ type nodeSkip struct {
 // masked is the count-free probe of the fused bitmap.
 func (ns *nodeSkip) masked(i int) bool { return hasBit(ns.bits, i) }
 
-// scanPreAllowed reports that p's child scans carry a pre-resolved allow
-// verdict for every acceptable path class.
-func (m *matcher) scanPreAllowed(p *PatternNode) bool {
-	return m.preAllow != nil && p.id < len(m.preAllow) && m.preAllow[p.id]
-}
-
-// rootPreAllowed is the candidate-root counterpart of scanPreAllowed.
-func (m *matcher) rootPreAllowed(root *PatternNode) bool {
-	return m.preAllowRoot != nil && root.id < len(m.preAllowRoot) && m.preAllowRoot[root.id]
-}
-
-// prepare precomputes every lazily derived field for the given
-// decomposition, leaving the matcher immutable. Required before sharing the
-// matcher across goroutines.
-func (m *matcher) prepare(subs []NoKSubtree) {
-	for i := range subs {
-		m.trackedIn(subs[i].Root)
-	}
-	if m.masks != nil {
-		m.scanSkip = make(map[*PatternNode]*nodeSkip)
-	}
-	var walk func(p *PatternNode)
-	walk = func(p *PatternNode) {
-		for len(m.tagCode) <= p.id {
-			m.tagCode = append(m.tagCode, tagAbsent)
-		}
+// prepare resolves the per-node plans for the compiled query, leaving the
+// matcher immutable.
+func (m *matcher) prepare(c *compiled) {
+	m.nodes = make([]nodePlan, c.t.Len())
+	m.width = c.width
+	// scanTr is the operator handle of the NoK subtree being walked: a page
+	// skipped while scanning for one of its pattern nodes attributes to its
+	// scan operator.
+	var scanTr *obs.Trace
+	var walk func(p *PatternNode, depth int) *nodePlan
+	walk = func(p *PatternNode, depth int) *nodePlan {
+		np := &m.nodes[p.id]
+		*np = nodePlan{p: p, tag: tagAbsent, slot: c.slotOf[p.id], checkScan: m.view != nil, checkRoot: m.view != nil}
 		if p.Tag == "*" {
-			m.tagCode[p.id] = tagAny
+			np.tag = tagAny
 		} else if code, ok := m.store.LookupTag(p.Tag); ok {
-			m.tagCode[p.id] = code
+			np.tag = code
 		}
-		if m.masks != nil && len(nokChildren(p)) > 0 {
-			if fn := m.masks.scanSkipFn(p); fn != nil {
-				m.scanSkip[p] = &nodeSkip{bits: m.masks.nodeBits(p), fn: fn}
+		if c.route != nil {
+			np.checkScan = np.checkScan && !c.route.preAllow[p.id]
+			np.checkRoot = np.checkRoot && !c.route.preAllowRoot[p.id]
+		}
+		if np.slot >= 0 {
+			np.frag = append(np.frag, np.slot)
+		}
+		for _, k := range p.Children {
+			if k.Axis != AxisChild {
+				continue // the root of its own NoK subtree
+			}
+			kp := walk(k, depth+1)
+			np.kids = append(np.kids, kp)
+			np.frag = append(np.frag, kp.frag...)
+			np.kidsTracked = np.kidsTracked || len(kp.frag) > 0
+		}
+		m.depth, m.maxKids = max(m.depth, depth), max(m.maxKids, len(np.kids))
+		if m.masks != nil && len(np.kids) > 0 {
+			if fn := m.masks.scanSkipFn(p, scanTr); fn != nil {
+				np.skip = &nodeSkip{bits: m.masks.nodeBits(p), fn: fn}
 			}
 		}
-		for _, c := range p.Children {
-			walk(c)
-		}
+		return np
 	}
-	for i := range subs {
-		walk(subs[i].Root)
+	for i, sub := range c.subs {
+		scanTr = m.trace.ForOp(opScan(i))
+		walk(sub.Root, 1)
 	}
 }
 
-// trackedIn reports whether p's child-axis pattern fragment contains a
-// tracked node.
-func (m *matcher) trackedIn(p *PatternNode) bool {
-	if v, ok := m.hasTracked[p]; ok {
-		return v
-	}
-	v := m.tracked[p]
-	for _, c := range nokChildren(p) {
-		if m.trackedIn(c) {
-			v = true
-		}
-	}
-	if m.hasTracked == nil {
-		m.hasTracked = make(map[*PatternNode]bool)
-	}
-	m.hasTracked[p] = v
-	return v
-}
-
-// matchesNode checks proot's tag constraint against a node's tag code.
-func (m *matcher) matchesNode(proot *PatternNode, tag int32) bool {
-	want := m.tagCode[proot.id]
-	return want == tag || want == tagAny
-}
-
-func (m *matcher) matchesValue(ctx context.Context, proot *PatternNode, u xmltree.NodeID) (bool, error) {
-	if proot.Value == "" {
+func (m *matcher) matchesValue(ctx context.Context, p *PatternNode, u xmltree.NodeID) (bool, error) {
+	if p.Value == "" {
 		return true, nil
 	}
 	if m.values == nil {
@@ -172,176 +161,126 @@ func (m *matcher) matchesValue(ctx context.Context, proot *PatternNode, u xmltre
 	if err != nil {
 		return false, err
 	}
-	return v == proot.Value, nil
+	return v == p.Value, nil
 }
 
-// combo is one consistent assignment of tracked pattern nodes.
-type combo map[*PatternNode]binding
-
-func comboKey(c combo) string {
-	type kv struct {
-		id int
-		n  xmltree.NodeID
-	}
-	var kvs []kv
-	for p, b := range c {
-		kvs = append(kvs, kv{p.id, b.node})
-	}
-	sort.Slice(kvs, func(i, j int) bool { return kvs[i].id < kvs[j].id })
-	var sb strings.Builder
-	for _, e := range kvs {
-		fmt.Fprintf(&sb, "%d:%d;", e.id, e.n)
-	}
-	return sb.String()
+// matchState is one goroutine's working memory for matching candidates of
+// one NoK subtree: after the first few candidates have sized it, matching
+// allocates nothing.
+type matchState struct {
+	m *matcher
+	// cur is the goroutine's block cursor: a scan's navigation, tag and
+	// access checks of the nodes of one block cost one block visit.
+	cur *nok.Cursor
+	// frames holds one frame per pattern depth. At any moment at most one
+	// fragment per depth is being matched, so a frame is reused by every
+	// data node its depth is tried at.
+	frames []frame
+	// arena stores the rows pattern children reported to their parent
+	// frames, each as the bindings of the child's frag slots; frames refer
+	// to them by offset. Reset per candidate.
+	arena []binding
+	// row is the full-width scratch row the cross products are enumerated
+	// in. Sibling fragments own disjoint slots and a frame overlays only the
+	// slots of its own fragment, so the one row serves every depth.
+	row []binding
+	// emit consumes each completed row of the subtree root; it must copy
+	// what it keeps. Returning false stops the enumeration and unwinds the
+	// whole match, after which stopped is set.
+	emit    func(row []binding) bool
+	stopped bool
 }
 
-// emitFn consumes one completed tracked-binding combination; returning
-// false stops the enumeration (early termination) and unwinds the whole
-// match.
-type emitFn func(combo) bool
+// frame is the state of matching one pattern node's fragment at one data
+// node.
+type frame struct {
+	np *nodePlan
+	u  binding
+	// ci is np's index among its pattern parent's kids.
+	ci int
+	// matched marks the kids matched at least once; complete is set once
+	// all are.
+	matched  []bool
+	nMatched int
+	complete bool
+	// rows lists, per tracked kid, the arena offsets of the rows the kid
+	// has reported so far, in arrival order.
+	rows [][]int32
+}
 
-// npmStream matches proot's NoK fragment at data node u (whose tag, value
-// and accessibility the caller has verified), emitting each distinct
-// tracked-binding combination the moment its last component is discovered
-// instead of materializing a cross product after the child scan. It
-// reports whether the fragment matched and whether the consumer stopped
-// the enumeration early.
+// rowsCap is how many rows per tracked kid a new match state has room for
+// before a frame's list grows on its own.
+const rowsCap = 16
+
+// newState returns a match state over the given cursor whose completed rows
+// go to emit.
+func (m *matcher) newState(cur *nok.Cursor, emit func(row []binding) bool) *matchState {
+	ms := &matchState{m: m, cur: cur, emit: emit, frames: make([]frame, m.depth), row: make([]binding, m.width)}
+	for i := range ms.row {
+		ms.row[i] = unbound
+	}
+	// One backing array per kind, carved by frame and kid.
+	n := m.depth * m.maxKids
+	matched, rows, offs := make([]bool, n), make([][]int32, n), make([]int32, n*rowsCap)
+	for i := range rows {
+		rows[i] = offs[i*rowsCap : i*rowsCap : (i+1)*rowsCap]
+	}
+	for i := range ms.frames {
+		ms.frames[i].matched = matched[i*m.maxKids : (i+1)*m.maxKids]
+		ms.frames[i].rows = rows[i*m.maxKids : (i+1)*m.maxKids]
+	}
+	ms.arena = make([]binding, 0, n*rowsCap)
+	return ms
+}
+
+// npm matches np's NoK fragment at data node u (whose tag, value and
+// accessibility the caller has verified) in frame depth, reporting each
+// distinct row of the fragment's tracked bindings the moment its last
+// component is discovered instead of materializing a cross product after
+// the child scan. It reports whether the fragment matched.
 //
-// Incremental emission rule: a product (c_1, …, c_k) over the tracked
-// children's combos is emitted exactly once, when its last-arriving
-// component arrives. The first time every pattern child is matched, the
-// full cross product of the combos collected so far goes out; every later
-// combo arrival for child i emits only the products that pin child i to
-// the new combo. Per-child dedup happens on arrival (comboKey), matching
-// the pre-product dedup of a batch cross product, so the emitted multiset
-// is exactly the batch product — but the first combination surfaces as
-// soon as the first witness of every child has been seen, which is what
-// lets Limit-bounded queries stop their page reads mid-scan.
+// Incremental emission rule: a product (r_1, …, r_k) over the tracked
+// kids' rows is reported exactly once, when its last-arriving component
+// arrives. The first time every kid is matched, the full cross product of
+// the rows collected so far goes out; every later row of kid i reports only
+// the products that pin kid i to the new row. So the reported multiset is
+// exactly the batch product — but the first row surfaces as soon as the
+// first witness of every kid has been seen, which is what lets
+// Limit-bounded queries stop their page reads mid-scan.
 //
-// cur is the calling goroutine's block cursor: the scan's navigation, tag
-// and access checks of the nodes of one block cost one block visit.
-func (m *matcher) npmStream(ctx context.Context, cur *nok.Cursor, proot *PatternNode, u binding, emit emitFn) (bool, bool, error) {
-	s := nokChildren(proot)
-	if len(s) == 0 {
-		c := combo{}
-		if m.tracked[proot] {
-			c[proot] = u
+// No row is reported twice, so nothing is deduplicated: rows of one kid
+// coming from different data children bind nodes of disjoint subtrees, and
+// the rows one data child yields are distinct by induction — products of
+// distinct rows that differ in at least one component.
+func (ms *matchState) npm(ctx context.Context, depth, ci int, np *nodePlan, u binding) (bool, error) {
+	f := &ms.frames[depth]
+	f.np, f.u, f.ci = np, u, ci
+	kids := np.kids
+	if len(kids) == 0 {
+		if np.slot >= 0 {
+			ms.row[np.slot] = u
+			ms.report(depth)
 		}
-		return true, !emit(c), nil
+		return true, nil
+	}
+	f.nMatched, f.complete = 0, false
+	for i := range kids {
+		f.matched[i], f.rows[i] = false, f.rows[i][:0]
 	}
 
-	trackedChild := make([]bool, len(s))
-	anyTracked := false
-	for i, pc := range s {
-		trackedChild[i] = m.trackedIn(pc)
-		anyTracked = anyTracked || trackedChild[i]
-	}
-
-	var (
-		matched  = make([]bool, len(s))
-		nMatched int
-		complete bool // every pattern child matched at least once
-		combosOf = make([][]combo, len(s))
-		seen     = make([]map[string]bool, len(s))
-		acc      = combo{} // scratch assignment for product enumeration
-	)
-
-	// product emits the cross product of the collected combos, with child
-	// `fixed` (when >= 0) pinned to fixedCombo, adding proot's own binding
-	// when tracked. Returns false when the consumer stopped.
-	product := func(fixed int, fixedCombo combo) bool {
-		var rec func(i int) bool
-		rec = func(i int) bool {
-			if i == len(s) {
-				out := make(combo, len(acc)+1)
-				for p, b := range acc {
-					out[p] = b
-				}
-				if m.tracked[proot] {
-					out[proot] = u
-				}
-				return emit(out)
-			}
-			if !trackedChild[i] {
-				return rec(i + 1)
-			}
-			list := combosOf[i]
-			if i == fixed {
-				list = []combo{fixedCombo}
-			}
-			for _, c := range list {
-				for p, b := range c {
-					acc[p] = b
-				}
-				ok := rec(i + 1)
-				for p := range c {
-					delete(acc, p)
-				}
-				if !ok {
-					return false
-				}
-			}
-			return true
-		}
-		return rec(0)
-	}
-
-	// arrive records a combo from tracked child i, emitting the products
-	// it completes. Returns false when the consumer stopped.
-	arrive := func(i int, c combo) bool {
-		if seen[i] == nil {
-			seen[i] = make(map[string]bool)
-		}
-		k := comboKey(c)
-		if seen[i][k] {
-			return true
-		}
-		seen[i][k] = true
-		combosOf[i] = append(combosOf[i], c)
-		if !matched[i] {
-			matched[i] = true
-			nMatched++
-		}
-		if nMatched < len(s) {
-			return true
-		}
-		if !complete {
-			complete = true
-			return product(-1, nil)
-		}
-		return product(i, c)
-	}
-
-	// existMatch records that untracked child i matched. Returns false
-	// when the consumer stopped.
-	existMatch := func(i int) bool {
-		if matched[i] {
-			return true
-		}
-		matched[i] = true
-		nMatched++
-		if nMatched == len(s) && !complete {
-			complete = true
-			return product(-1, nil)
-		}
-		return true
-	}
-
-	childLevel := u.level + 1
-	// The scan consults proot's fused bitmap, skipping blocks that are
-	// wholly inaccessible (§3.3) or that hold no path class proot's pattern
-	// children can bind; nil when the query compiled no mask for it.
-	ns := m.scanSkip[proot]
+	m, cur := ms.m, ms.cur
+	childLevel := int(u.level) + 1
+	// The scan consults np's fused bitmap, skipping blocks that are wholly
+	// inaccessible (§3.3) or that hold no path class np's pattern children
+	// can bind.
+	ns := np.skip
 	var skip func(int) bool
 	if ns != nil {
 		skip = ns.fn
 	}
-	// When path routing proved every class this scan can accept uniformly
-	// allowed, the per-node access check is redundant and skipped.
-	checkAccess := m.view != nil && !m.scanPreAllowed(proot)
 	v, err := cur.FirstChild(ctx, u.node)
 	if err != nil {
-		return false, false, err
+		return false, err
 	}
 	for v != xmltree.InvalidNode {
 		if ns != nil {
@@ -355,82 +294,142 @@ func (m *matcher) npmStream(ctx context.Context, cur *nok.Cursor, proot *Pattern
 			if k := cur.BlockOf(v); ns.masked(k) && m.store.PageInfoAt(k).FirstNode == v {
 				v, err = cur.NextSiblingFromBlock(ctx, k, childLevel, skip)
 				if err != nil {
-					return false, false, err
+					return false, err
 				}
 				continue
 			}
 		}
 		info, err := cur.Info(ctx, v)
 		if err != nil {
-			return false, false, err
+			return false, err
 		}
 		// The access check while the block is at hand (§3.3): the code in
 		// force came with the node.
-		if !checkAccess || m.view.CodeAllowed(info.Code) {
+		if !np.checkScan || m.view.CodeAllowed(info.Code) {
 			allDone := true
-			for i, pc := range s {
-				if matched[i] && !trackedChild[i] {
+			for i, kp := range kids {
+				tracked := len(kp.frag) > 0
+				if f.matched[i] && !tracked {
 					continue // existential child already satisfied
 				}
-				if !m.matchesNode(pc, info.Entry.Tag) {
-					if !matched[i] {
-						allDone = false
+				if kp.tag == info.Entry.Tag || kp.tag == tagAny {
+					ok, err := m.matchesValue(ctx, kp.p, v)
+					if err != nil {
+						return false, err
 					}
-					continue
-				}
-				ok, err := m.matchesValue(ctx, pc, v)
-				if err != nil {
-					return false, false, err
-				}
-				if !ok {
-					if !matched[i] {
-						allDone = false
+					if ok {
+						// A tracked kid reports its rows into f as it
+						// finds them; an existential one only has to match.
+						sub, err := ms.npm(ctx, depth+1, i, kp, binding{v, xmltree.InvalidNode, int32(info.Level)})
+						if err != nil || ms.stopped {
+							return false, err
+						}
+						if sub && !tracked && !ms.kidMatched(depth, i) {
+							return false, nil
+						}
 					}
-					continue
 				}
-				i := i
-				sub, stopped, err := m.npmStream(ctx, cur, pc, binding{v, info.Level}, func(c combo) bool {
-					if !trackedChild[i] {
-						// Existential fragment: only the fact that it
-						// matched matters, handled below.
-						return true
-					}
-					return arrive(i, c)
-				})
-				if err != nil {
-					return false, false, err
-				}
-				if stopped {
-					return false, true, nil
-				}
-				if sub && !trackedChild[i] && !existMatch(i) {
-					return false, true, nil
-				}
-				if !matched[i] {
+				if !f.matched[i] {
 					allDone = false
 				}
 			}
 			// Early exit: everything matched and no tracked child needs
 			// further enumeration.
-			if allDone && !anyTracked {
+			if allDone && !np.kidsTracked {
 				break
 			}
 		}
 		v, err = cur.FollowingSibling(ctx, v, skip)
 		if err != nil {
-			return false, false, err
+			return false, err
 		}
 	}
-	return nMatched == len(s), false, nil
+	return f.nMatched == len(kids), nil
 }
 
-// matchCandidate runs ε-NoK matching for one root candidate (normally a
-// tag-index posting), streaming each successful match to emit. It reports
-// whether emit stopped the enumeration early.
-func (m *matcher) matchCandidate(ctx context.Context, cur *nok.Cursor, sub NoKSubtree, c btree.Posting, emit func(subtreeMatch) bool) (bool, error) {
-	if err := ctx.Err(); err != nil {
-		return false, err
+// report hands the scratch row, complete for the fragment matched in frame
+// depth, to the parent frame — or to the consumer, from the subtree root.
+// It returns false when the consumer stopped.
+func (ms *matchState) report(depth int) bool {
+	if depth > 0 {
+		return ms.arrive(depth-1, ms.frames[depth].ci)
 	}
+	if !ms.emit(ms.row) {
+		ms.stopped = true
+	}
+	return !ms.stopped
+}
+
+// arrive stores the row kid i just completed in the scratch row and
+// reports the products it completes.
+func (ms *matchState) arrive(depth, i int) bool {
+	f := &ms.frames[depth]
+	off := int32(len(ms.arena))
+	for _, s := range f.np.kids[i].frag {
+		ms.arena = append(ms.arena, ms.row[s])
+	}
+	f.rows[i] = append(f.rows[i], off)
+	if f.complete {
+		return ms.product(depth, 0, i, off)
+	}
+	return ms.kidMatched(depth, i)
+}
+
+// kidMatched records that kid i of frame depth matched; the first time
+// every kid has, the cross product of the rows collected so far goes out.
+func (ms *matchState) kidMatched(depth, i int) bool {
+	f := &ms.frames[depth]
+	if f.matched[i] {
+		return true
+	}
+	f.matched[i] = true
+	f.nMatched++
+	if f.nMatched < len(f.np.kids) {
+		return true
+	}
+	f.complete = true
+	return len(f.np.frag) == 0 || ms.product(depth, 0, -1, 0)
+}
+
+// product enumerates, from kid i on, the cross product of the rows frame
+// depth has collected — kid fixed (when ≥ 0) pinned to the row at fixedOff
+// — by overlaying each row on its fragment's slots of the scratch row, and
+// reports every completed row.
+func (ms *matchState) product(depth, i, fixed int, fixedOff int32) bool {
+	f := &ms.frames[depth]
+	kids := f.np.kids
+	for i < len(kids) && len(kids[i].frag) == 0 {
+		i++
+	}
+	if i == len(kids) {
+		if f.np.slot >= 0 {
+			ms.row[f.np.slot] = f.u
+		}
+		return ms.report(depth)
+	}
+	offs := f.rows[i]
+	if i == fixed {
+		offs = []int32{fixedOff}
+	}
+	for _, off := range offs {
+		for k, s := range kids[i].frag {
+			ms.row[s] = ms.arena[int(off)+k]
+		}
+		if !ms.product(depth, i+1, fixed, fixedOff) {
+			return false
+		}
+	}
+	return true
+}
+
+// matchCandidate runs ε-NoK matching for one candidate (normally a tag-index
+// posting) of the subtree rooted at pattern node root, streaming each row to
+// ms.emit; ms.stopped tells whether emit ended the enumeration early.
+func (ms *matchState) matchCandidate(ctx context.Context, root *nodePlan, c btree.Posting) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	m, cur := ms.m, ms.cur
 	// Pre-condition of Algorithm 1: the data-tree root of the match must
 	// itself be accessible. When the deny bitmap covers the candidate's
 	// whole page, that settles it from the directory alone — no block read.
@@ -444,46 +443,24 @@ func (m *matcher) matchCandidate(ctx context.Context, cur *nok.Cursor, sub NoKSu
 				tr = m.trace
 			}
 			tr.CandidateReject(int64(c.Node), m.masks.pageIDOf(pi))
-			return false, nil
+			return nil
 		}
 	}
 	info, err := cur.Info(ctx, c.Node)
 	if err != nil {
-		return false, err
+		return err
 	}
-	if m.view != nil && !m.rootPreAllowed(sub.Root) && !m.view.CodeAllowed(info.Code) {
-		return false, nil
+	if root.checkRoot && !m.view.CodeAllowed(info.Code) {
+		return nil
 	}
-	if !m.matchesNode(sub.Root, info.Entry.Tag) {
-		return false, nil
+	if root.tag != info.Entry.Tag && root.tag != tagAny {
+		return nil
 	}
-	ok, err := m.matchesValue(ctx, sub.Root, c.Node)
-	if err != nil {
-		return false, err
+	ok, err := m.matchesValue(ctx, root.p, c.Node)
+	if err != nil || !ok {
+		return err
 	}
-	if !ok {
-		return false, nil
-	}
-	rootBind := binding{c.Node, int(c.Level)}
-	_, stopped, err := m.npmStream(ctx, cur, sub.Root, rootBind, func(cb combo) bool {
-		return emit(subtreeMatch{bindings: cb})
-	})
-	return stopped, err
-}
-
-// matchSubtree collects every match of the given root candidates, in
-// candidate order — the materialized form used by the parallel match
-// cursor's chunk workers.
-func (m *matcher) matchSubtree(ctx context.Context, cur *nok.Cursor, sub NoKSubtree, candidates []btree.Posting) ([]subtreeMatch, error) {
-	var out []subtreeMatch
-	for _, c := range candidates {
-		_, err := m.matchCandidate(ctx, cur, sub, c, func(sm subtreeMatch) bool {
-			out = append(out, sm)
-			return true
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	ms.arena = ms.arena[:0]
+	_, err = ms.npm(ctx, 0, 0, root, binding{c.Node, c.End, int32(c.Level)})
+	return err
 }

@@ -184,37 +184,24 @@ func TestTupleLayout(t *testing.T) {
 		for i, ns := range l.slots {
 			for _, n := range ns {
 				slots[i] = append(slots[i], fmt.Sprintf("%s#%d", n.Tag, n.id))
-				if !l.tracked[n] {
-					t.Errorf("%s: slot node %s#%d is not tracked", tc.name, n.Tag, n.id)
+				if l.slotOf[n.id] != tracked {
+					t.Errorf("%s: slot node %s#%d has slot %d, want %d", tc.name, n.Tag, n.id, l.slotOf[n.id], tracked)
 				}
+				tracked++
+			}
+		}
+		for _, s := range l.slotOf {
+			if s < 0 {
 				tracked++
 			}
 		}
 		if !reflect.DeepEqual(slots, tc.slots) || !reflect.DeepEqual(l.base, tc.base) ||
 			l.width != tc.width || l.retSlot != tc.retSlot || !reflect.DeepEqual(l.linkSlot, tc.linkSlot) ||
-			len(l.tracked) != tracked {
-			t.Errorf("%s: layout slots %v base %v width %d ret %d link %v tracked %d,\nwant slots %v base %v width %d ret %d link %v",
-				tc.name, slots, l.base, l.width, l.retSlot, l.linkSlot, len(l.tracked),
+			tracked != pt.Len() {
+			t.Errorf("%s: layout slots %v base %v width %d ret %d link %v slotOf %v,\nwant slots %v base %v width %d ret %d link %v",
+				tc.name, slots, l.base, l.width, l.retSlot, l.linkSlot, l.slotOf,
 				tc.slots, tc.base, tc.width, tc.retSlot, tc.linkSlot)
 		}
-	}
-}
-
-// Expanding a subtree match into a tuple allocates the tuple and nothing
-// else: the layout is a table, not a walk of the pattern per match.
-func TestTupleFromAllocatesOnce(t *testing.T) {
-	pt := MustParse("/site/regions[//item/name]//parlist/listitem")
-	subs := pt.Decompose()
-	l := layoutOf(pt, subs)
-	root := binding{7, 3}
-	sm := subtreeMatch{bindings: combo{subs[2].Root: root, pt.ReturningNode(): {9, 4}}}
-	var tp Tuple
-	if n := testing.AllocsPerRun(100, func() { tp = l.tupleFrom(2, sm) }); n != 1 {
-		t.Errorf("tupleFrom allocates %v times per tuple, want 1", n)
-	}
-	unset := binding{xmltree.InvalidNode, 0}
-	if want := (Tuple{unset, unset, unset, root, {9, 4}}); !reflect.DeepEqual(tp, want) {
-		t.Errorf("tuple = %v, want %v", tp, want)
 	}
 }
 
@@ -636,27 +623,22 @@ func sameAnswers(res *Result, want map[xmltree.NodeID]bool) bool {
 	return true
 }
 
+// BenchmarkEvaluateTwig evaluates each Table 1 twig on the benchmark's
+// document, sequentially, as one subject; run with -benchmem for the
+// allocations per query.
 func BenchmarkEvaluateTwig(b *testing.B) {
-	rng := rand.New(rand.NewSource(17))
-	doc := benchDoc(rng, 50000)
-	m := allowAll(doc, 4)
-	pool := storage.NewBufferPool(storage.NewMemPager(4096), 4096)
-	ss, err := dol.BuildSecureStore(pool, doc, m, nok.BuildOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	idx, err := btree.BuildFromDocument(pool, doc)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ev := NewEvaluator(ss.Store(), idx)
-	pt := MustParse("//x[y]//z")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.Evaluate(pt, Options{View: ss.ViewSubject(0)}); err != nil {
-			b.Fatal(err)
-		}
+	e := xmarkEnv(b)
+	opts := Options{View: e.ss.ViewSubject(0), Parallelism: 1}
+	for _, q := range table1 {
+		pt := MustParse(q.xpath)
+		b.Run(q.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.ev.Evaluate(pt, opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -769,27 +751,4 @@ func TestValueIndexProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// benchDoc builds a random document with realistic bounded depth (~12) for
-// benchmarks; the unconstrained randomDoc drifts toward path-shaped trees
-// whose depth grows linearly with size, which misrepresents join and
-// navigation costs on document-shaped data.
-func benchDoc(rng *rand.Rand, n int) *xmltree.Document {
-	b := xmltree.NewBuilder()
-	b.Begin("r")
-	depth := 1
-	tags := []string{"x", "y", "z"}
-	for i := 1; i < n; i++ {
-		for depth > 1 && (depth >= 12 || rng.Intn(3) == 0) {
-			b.End()
-			depth--
-		}
-		b.Begin(tags[rng.Intn(len(tags))])
-		depth++
-	}
-	for ; depth > 0; depth-- {
-		b.End()
-	}
-	return b.MustFinish()
 }

@@ -53,15 +53,6 @@ type skipMask struct {
 	// pages is the store's page directory, for resolving a block index to
 	// its storage page when recording trace events.
 	pages []nok.PageInfo
-	// trace, when non-nil, receives one page-skip event per skip and one
-	// candidate-reject event per pre-I/O rejection (set from Options.Trace
-	// at Open).
-	trace *obs.Trace
-	// nodeTrace, when populated, maps each pattern node to the ForOp
-	// handle of its subtree's scan operator so skips attribute
-	// per-operator; scanSkipFn resolves it once per closure, falling back
-	// to trace.
-	nodeTrace map[*PatternNode]*obs.Trace
 
 	accessCt obs.Counter
 	structCt obs.Counter
@@ -109,17 +100,14 @@ func (sm *skipMask) nodeBits(p *PatternNode) []uint64 {
 // scanSkipFn returns the skip predicate a child scan of pattern node p
 // should pass to the store's sibling scans, or nil when nothing can be
 // skipped. The predicate attributes each skip to access control when the
-// deny bitmap alone suffices, otherwise to the path summary.
-func (sm *skipMask) scanSkipFn(p *PatternNode) func(int) bool {
+// deny bitmap alone suffices, otherwise to the path summary, and records it
+// on tr (the handle of the scan operator p belongs to; may be nil).
+func (sm *skipMask) scanSkipFn(p *PatternNode, tr *obs.Trace) func(int) bool {
 	bits := sm.nodeBits(p)
 	if bits == nil {
 		return nil
 	}
 	access := sm.access
-	tr := sm.nodeTrace[p]
-	if tr == nil {
-		tr = sm.trace
-	}
 	return func(i int) bool {
 		if i < 0 || i>>6 >= len(bits) {
 			return false

@@ -360,18 +360,28 @@ func (s *Store) subject(name string) (acl.SubjectID, error) {
 	return subjectIn(s.dir, name)
 }
 
-// matches converts result node IDs to Match records against the query's
-// pinned store. It threads ctx so the page reads the conversion performs
-// land in the query's trace.
+// matches converts result node IDs, in document order, to Match records
+// against the query's pinned store. It threads ctx so the page reads the
+// conversion performs land in the query's trace; the values are fetched a
+// page at a time, not a node at a time.
 func (s *Store) matches(ctx context.Context, st *nok.Store, nodes []xmltree.NodeID) ([]Match, error) {
-	out := make([]Match, 0, len(nodes))
+	out := make([]Match, len(nodes))
 	cur := st.NewCursor()
-	for _, n := range nodes {
-		m, _, err := matchAt(ctx, st, cur, n)
+	for i, n := range nodes {
+		info, err := cur.Info(ctx, n)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, m)
+		out[i] = Match{Node: NodeID(n), Tag: st.TagName(info.Entry.Tag)}
+	}
+	if vs := st.Values(); vs != nil {
+		vals, err := vs.ValuesCtx(ctx, nodes)
+		if err != nil {
+			return nil, err
+		}
+		for i, v := range vals {
+			out[i].Value = v
+		}
 	}
 	return out, nil
 }
