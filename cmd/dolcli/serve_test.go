@@ -169,6 +169,8 @@ func TestServeSingleStoreIsOneTenantRoot(t *testing.T) {
 		{"/query?user=nobody&xpath=//public", http.StatusBadRequest, true, "nobody"},
 		{"/debug/queries?format=text", http.StatusOK, false, "//public"},
 		{"/metrics?", http.StatusOK, false, "dolxml_tenant_store_query_total 3"},
+		{"/metrics?", http.StatusOK, false, "dolxml_registry_open_ns_count 1"},
+		{"/metrics?", http.StatusOK, false, "dolxml_tenant_store_sidecar_bytes "},
 	}
 	bodies := map[string][]string{}
 	for _, mode := range []struct {
@@ -200,10 +202,10 @@ func TestServeSingleStoreIsOneTenantRoot(t *testing.T) {
 			if code, body := httpGet(t, base+"/query?tenant=sibling&user=alice&xpath=//public"); code != http.StatusForbidden {
 				t.Errorf("-store served a sibling directory: %d %s", code, body)
 			}
-			if code, body := httpGet(t, base+"/debug/vars"); code != http.StatusOK || !strings.Contains(body, "opens_total") {
+			if code, body := httpGet(t, base+"/debug/vars"); code != http.StatusOK || !strings.Contains(body, "opens_total") || !strings.Contains(body, "open_ns") {
 				t.Errorf("/debug/vars = %d %s, want the registry's metrics", code, body)
 			}
-			if code, body := httpGet(t, base+"/debug/vars?tenant=store"); code != http.StatusOK || !strings.Contains(body, "query_total") {
+			if code, body := httpGet(t, base+"/debug/vars?tenant=store"); code != http.StatusOK || !strings.Contains(body, "query_total") || !strings.Contains(body, "sidecar_bytes") {
 				t.Errorf("/debug/vars?tenant=store = %d %s, want the store's metrics", code, body)
 			}
 		}

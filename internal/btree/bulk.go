@@ -81,29 +81,88 @@ func Load(pool *storage.BufferPool, entries []Entry) (*Tree, error) {
 // sortEntries returns entries ordered by (tag, node). When they arrive in
 // node order a stable bucketing by tag is all it takes.
 func sortEntries(entries []Entry) []Entry {
-	counts := map[int32]int{}
-	for i, e := range entries {
-		if i > 0 && e.Node < entries[i-1].Node {
-			slices.SortFunc(entries, func(a, b Entry) int {
-				return cmp.Or(cmp.Compare(a.Tag, b.Tag), cmp.Compare(a.Node, b.Node))
-			})
-			return entries
+	if slices.IsSortedFunc(entries, func(a, b Entry) int { return cmp.Compare(a.Node, b.Node) }) {
+		if place, ok := tagOrder(entries, func(e Entry) int32 { return e.Tag }); ok {
+			out := make([]Entry, len(entries))
+			for i, at := range place {
+				out[at] = entries[i]
+			}
+			return out
 		}
-		counts[e.Tag]++
 	}
-	tags := make([]int32, 0, len(counts))
-	for tag := range counts {
-		tags = append(tags, tag)
+	slices.SortFunc(entries, func(a, b Entry) int {
+		return cmp.Or(cmp.Compare(a.Tag, b.Tag), cmp.Compare(a.Node, b.Node))
+	})
+	return entries
+}
+
+// tagOrder returns the place of each of the items (at least one) once they
+// are in tag order, those of one tag staying in the order they came in: a
+// counting sort over the span of the tags. A store's tag codes are dense;
+// when the tags lie too far apart to count that way (a fuzzer's do) ok is
+// false.
+func tagOrder[T any](items []T, tag func(T) int32) (place []int32, ok bool) {
+	lo, hi := tag(items[0]), tag(items[0])
+	for _, it := range items {
+		lo, hi = min(lo, tag(it)), max(hi, tag(it))
 	}
-	slices.Sort(tags)
-	at := 0
-	for _, tag := range tags {
-		at, counts[tag] = at+counts[tag], at
+	if int64(hi)-int64(lo) > int64(len(items))+1024 {
+		return nil, false
 	}
-	out := make([]Entry, len(entries))
-	for _, e := range entries {
-		out[counts[e.Tag]] = e
-		counts[e.Tag]++
+	// next[t-lo] is where the next item of tag t goes.
+	next := make([]int32, int(hi-lo)+2)
+	for _, it := range items {
+		next[tag(it)-lo+1]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	place = make([]int32, len(items))
+	for i, it := range items {
+		place[i] = next[tag(it)-lo]
+		next[tag(it)-lo]++
+	}
+	return place, true
+}
+
+// sortValueEntries returns entries ordered by (tag, value, node): bucketed
+// by tag, then each bucket sorted on 16-byte keys — the value's first eight
+// bytes as a big-endian integer (zero-padded, which orders a value before
+// its extensions as strings.Compare does) and the entry's position. The
+// strings are looked at only when two values of one tag share that prefix.
+func sortValueEntries(entries []ValueEntry) []ValueEntry {
+	byValueNode := func(a, b *ValueEntry) int {
+		return cmp.Or(strings.Compare(a.Value, b.Value), cmp.Compare(a.Node, b.Node))
+	}
+	place, ok := tagOrder(entries, func(e ValueEntry) int32 { return e.Tag })
+	if !ok {
+		slices.SortFunc(entries, func(a, b ValueEntry) int { return cmp.Or(cmp.Compare(a.Tag, b.Tag), byValueNode(&a, &b)) })
+		return entries
+	}
+	type sortKey struct {
+		prefix uint64
+		at     int32
+	}
+	keys := make([]sortKey, len(entries))
+	for i, at := range place {
+		var p [8]byte
+		copy(p[:], entries[i].Value)
+		keys[at] = sortKey{binary.BigEndian.Uint64(p[:]), int32(i)}
+	}
+	out := make([]ValueEntry, len(entries))
+	for lo, hi := 0, 0; lo < len(keys); lo = hi {
+		tag := entries[keys[lo].at].Tag
+		for hi = lo; hi < len(keys) && entries[keys[hi].at].Tag == tag; hi++ {
+		}
+		slices.SortFunc(keys[lo:hi], func(a, b sortKey) int {
+			if a.prefix != b.prefix {
+				return cmp.Compare(a.prefix, b.prefix)
+			}
+			return byValueNode(&entries[a.at], &entries[b.at])
+		})
+		for i, k := range keys[lo:hi] {
+			out[lo+i] = entries[k.at]
+		}
 	}
 	return out
 }
@@ -118,9 +177,7 @@ func LoadValues(pool *storage.BufferPool, entries []ValueEntry) (*ValueTree, err
 		return NewValueTree(pool)
 	}
 	t := OpenValueTree(pool, storage.InvalidPage, 0, len(entries))
-	slices.SortFunc(entries, func(a, b ValueEntry) int {
-		return cmp.Or(cmp.Compare(a.Tag, b.Tag), strings.Compare(a.Value, b.Value), cmp.Compare(a.Node, b.Node))
-	})
+	entries = sortValueEntries(entries)
 	for i, e := range entries {
 		if 2*childPtr+sepSize(e.vkey()) > t.capacity {
 			return nil, fmt.Errorf("btree: value of %d bytes exceeds page capacity", len(e.Value))

@@ -1,10 +1,12 @@
 package btree
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -425,4 +427,67 @@ func FuzzLoad(f *testing.F) {
 			sameValueAnswers(t, vgot, vwant, []int32{0, 1, 2, 3, 4, 5, 6, 7, 8}, values)
 		}
 	})
+}
+
+// LoadValues sorts on cheap keys; the order it produces — and with it every
+// leaf, since the packing below the sort is untouched — must be the one the
+// full (tag, value, node) comparison gives. The values are the awkward ones:
+// duplicates, shared 8-byte prefixes, values shorter than the prefix, a
+// value and its extension by zero bytes, bytes above 0x7f.
+func TestLoadValuesOrderMatchesFullComparison(t *testing.T) {
+	stems := []string{"", "a", "ab", "ab\x00", "ab\x00\x00", "abcdefg", "abcdefgh", "abcdefgh\x00", "abcdefghi", "abcdefghZ",
+		"abcdefgh\xff", "\xff", "\xff\xfe", "\xc3\xa9t\xc3\xa9", "\xc3\xa9t\xc3\xa9s longs", "\x00", "\x00\x00\x00\x00\x00\x00\x00\x00\x01",
+		"07/05/2000", "07/05/2001", "07/05/20", "Will ship only within country", "Will ship internationally"}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(2000)
+		entries := make([]ValueEntry, 0, n)
+		for _, node := range rng.Perm(2 * n)[:n] {
+			entries = append(entries, ValueEntry{int32(rng.Intn(6)) - 1, stems[rng.Intn(len(stems))], posting(node)})
+		}
+		if seed%2 == 0 {
+			// Node order, as the index build delivers them.
+			slices.SortFunc(entries, func(a, b ValueEntry) int { return cmp.Compare(a.Node, b.Node) })
+		}
+		if seed%5 == 0 {
+			// Tags too far apart to bucket by counting.
+			for i := range entries {
+				entries[i].Tag <<= 20
+			}
+		}
+		want := slices.Clone(entries)
+		slices.SortFunc(want, func(a, b ValueEntry) int {
+			return cmp.Or(cmp.Compare(a.Tag, b.Tag), strings.Compare(a.Value, b.Value), cmp.Compare(a.Node, b.Node))
+		})
+		if got := sortValueEntries(slices.Clone(entries)); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: sortValueEntries departs from the full comparison", seed)
+		}
+
+		vt, err := LoadValues(memPool(256), entries)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		page := vt.Root()
+		for h := vt.Height(); h > 1; h-- {
+			n, err := vt.load(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			page = n.children[0]
+		}
+		var leaves []ValueEntry
+		for page != storage.InvalidPage {
+			n, err := vt.load(page)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range n.entries {
+				leaves = append(leaves, ValueEntry{e.key.tag, e.key.value, e.p})
+			}
+			page = n.next
+		}
+		if !slices.Equal(leaves, want) {
+			t.Fatalf("seed %d: the leaf chain holds %d entries in another order than the full comparison's %d", seed, len(leaves), len(want))
+		}
+	}
 }

@@ -1,6 +1,12 @@
 package nok
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+
+	"dolxml/internal/storage"
+	"dolxml/internal/xmltree"
+)
 
 // FuzzDecodeEntry hardens the block entry decoder against corrupt pages:
 // arbitrary bytes must either fail cleanly or decode to an entry that
@@ -70,6 +76,40 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 		if j := firstUpTo(blk, int(startDepth)); len(blk) > 0 && j != 0 {
 			t.Fatalf("first entry at level ≤ the start depth is %d, want 0", j)
+		}
+	})
+}
+
+// FuzzValueRefs hardens the sidecar's packed value refs: arbitrary bytes
+// must either fail to decode or to validate, or be exactly the packing of
+// refs that are sorted, inside the document and inside their pages.
+func FuzzValueRefs(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(packValueRefs([]valueRef{{2, 1, 0, 1}, {4, 1, 1, 2}, {5, 7, 0, 300}, {9, 3, 4000, 96}}))
+	f.Add(packValueRefs([]valueRef{{7, 9, 0, 4}, {3, 2, 0, 4}})) // nodes descend
+	f.Add(packValueRefs([]valueRef{{1, 2, 4000, 97}}))           // runs off its page
+	f.Add(packValueRefs([]valueRef{{1, 6, 0, 4}}))               // on a structure page
+	f.Add([]byte{0x02, 0x02, 0x00})                              // cut short
+	f.Add([]byte{0x02, 0x02, 0x00, 0x81, 0x00})                  // padded varint
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		refs, err := unpackValueRefs(data)
+		if err != nil {
+			return
+		}
+		if re := packValueRefs(refs); !bytes.Equal(re, data) {
+			t.Fatalf("%x decodes to %v, which packs to %x", data, refs, re)
+		}
+		m := Meta{NumNodes: 1 << 20, StructurePages: []storage.PageID{0, 6}, ValueRefs: refs}
+		if m.CheckValueRefs(4096) != nil {
+			return
+		}
+		prev := xmltree.NodeID(-1)
+		for i, r := range refs {
+			if r.Node <= prev || int(r.Node) >= m.NumNodes || r.Len == 0 || int(r.Off)+int(r.Len) > 4096 || r.Page == 0 || r.Page == 6 {
+				t.Fatalf("ref %d = %+v after node %d passed validation", i, r, prev)
+			}
+			prev = r.Node
 		}
 	})
 }

@@ -1,9 +1,12 @@
 package nok
 
 import (
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"io"
+	"math"
+	"slices"
 
 	"dolxml/internal/pathsum"
 	"dolxml/internal/storage"
@@ -21,16 +24,114 @@ type Meta struct {
 	// summary from the blocks regardless and verifies this copy against
 	// the rebuild, so a stale or corrupted summary is caught rather than
 	// trusted.
-	PathSummary *pathsum.Meta  `json:"path_summary,omitempty"`
-	ValueRefs   []MetaValueRef `json:"value_refs,omitempty"`
+	PathSummary *pathsum.Meta `json:"path_summary,omitempty"`
+	ValueRefs   ValueRefs     `json:"value_refs,omitempty"`
 }
 
-// MetaValueRef mirrors the value index for serialization.
-type MetaValueRef struct {
-	Node xmltree.NodeID `json:"n"`
-	Page storage.PageID `json:"p"`
-	Off  uint16         `json:"o"`
-	Len  uint16         `json:"l"`
+// ValueRefs is the value index as Meta carries it: the ValueStore's own
+// slice, shared and read-only. Its JSON form is one packed blob (sidecar
+// format 2; base64 in a string): per ref a signed varint node delta, a
+// signed varint page delta, uvarint Off, uvarint Len, the deltas taken from
+// the ref before (from zero for the first). Format 1's array of
+// {"n","p","o","l"} objects is still read. Decoding checks only the
+// encoding; Meta.CheckValueRefs checks what the refs say.
+type ValueRefs []valueRef
+
+// MarshalJSON packs the refs.
+func (v ValueRefs) MarshalJSON() ([]byte, error) {
+	return json.Marshal(packValueRefs(v))
+}
+
+// UnmarshalJSON reads either sidecar format. The blob's string is taken as
+// written, without JSON escapes: base64 needs none.
+func (v *ValueRefs) UnmarshalJSON(b []byte) error {
+	switch {
+	case string(b) == "null":
+		return nil
+	case len(b) > 0 && b[0] == '[':
+		return json.Unmarshal(b, (*[]valueRef)(v))
+	case len(b) < 2 || b[0] != '"':
+		return fmt.Errorf("nok: value refs are neither a packed string nor an array")
+	}
+	blob := make([]byte, base64.StdEncoding.DecodedLen(len(b)-2))
+	n, err := base64.StdEncoding.Decode(blob, b[1:len(b)-1])
+	if err != nil {
+		return fmt.Errorf("nok: value refs: %w", err)
+	}
+	*v, err = unpackValueRefs(blob[:n])
+	return err
+}
+
+func packValueRefs(refs []valueRef) []byte {
+	out := make([]byte, 0, 5*len(refs))
+	var prev valueRef
+	for _, r := range refs {
+		out = binary.AppendVarint(out, int64(r.Node)-int64(prev.Node))
+		out = binary.AppendVarint(out, int64(r.Page)-int64(prev.Page))
+		out = binary.AppendUvarint(out, uint64(r.Off))
+		out = binary.AppendUvarint(out, uint64(r.Len))
+		prev = r
+	}
+	return out
+}
+
+// unpackValueRefs accepts exactly what packValueRefs can produce: every
+// varint complete and in its shortest form, every field within its type,
+// nothing left over.
+func unpackValueRefs(blob []byte) ([]valueRef, error) {
+	refs := make([]valueRef, 0, len(blob)/4)
+	bad := false
+	uvarint := func() uint64 {
+		u, n := binary.Uvarint(blob)
+		if n <= 0 || (n > 1 && blob[n-1] == 0) {
+			bad = true
+			return 0
+		}
+		blob = blob[n:]
+		return u
+	}
+	varint := func() int64 {
+		u := uvarint()
+		if u&1 != 0 {
+			return ^int64(u >> 1)
+		}
+		return int64(u >> 1)
+	}
+	var node, page int64
+	for len(blob) > 0 {
+		node += varint()
+		page += varint()
+		off, length := uvarint(), uvarint()
+		if bad || node < 0 || node > math.MaxInt32 || page < 0 || page > math.MaxUint32 || off > math.MaxUint16 || length > math.MaxUint16 {
+			return nil, fmt.Errorf("nok: value ref %d is malformed", len(refs))
+		}
+		refs = append(refs, valueRef{xmltree.NodeID(node), storage.PageID(page), uint16(off), uint16(length)})
+	}
+	return refs, nil
+}
+
+// CheckValueRefs holds the value refs against the rest of the metadata and
+// the store's page size, whichever format they came in: nodes strictly
+// ascending and inside the document, every value non-empty and inside its
+// page, no value on a structure page. A ref that fails would have a value
+// read slice past its page or serve structure bytes as text.
+func (m Meta) CheckValueRefs(pageSize int) error {
+	prev := xmltree.NodeID(-1)
+	for i, r := range m.ValueRefs {
+		switch {
+		case r.Node <= prev:
+			return fmt.Errorf("nok: value ref %d: node %d does not follow node %d", i, r.Node, prev)
+		case int(r.Node) >= m.NumNodes:
+			return fmt.Errorf("nok: value ref %d: node %d of %d", i, r.Node, m.NumNodes)
+		case r.Len == 0 || int(r.Off)+int(r.Len) > pageSize:
+			return fmt.Errorf("nok: value ref %d: bytes [%d,+%d) of a %d-byte page", i, r.Off, r.Len, pageSize)
+		// Values of consecutive nodes share pages: look a page up when it changes.
+		case (i == 0 || r.Page != m.ValueRefs[i-1].Page) && slices.Contains(m.StructurePages, r.Page):
+			return fmt.Errorf("nok: value ref %d: page %d is a structure page", i, r.Page)
+		}
+		prev = r.Node
+	}
+	return nil
 }
 
 // Meta captures the store's reopen metadata.
@@ -46,9 +147,7 @@ func (s *Store) Meta() Meta {
 		m.StructurePages = append(m.StructurePages, pi.Page)
 	}
 	if s.values != nil {
-		for _, r := range s.values.refs {
-			m.ValueRefs = append(m.ValueRefs, MetaValueRef{Node: r.Node, Page: r.Page, Off: r.Off, Len: r.Len})
-		}
+		m.ValueRefs = s.values.refs
 	}
 	return m
 }
@@ -65,18 +164,15 @@ func (s *Store) StructurePages() []storage.PageID {
 	return out
 }
 
-// WriteMeta serializes the store's metadata as JSON.
-func (s *Store) WriteMeta(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(s.Meta())
-}
-
 // Open reconstructs a Store from metadata and a buffer pool over the
 // original pages, re-reading each block header into the in-memory page
 // directory.
 func Open(pool *storage.BufferPool, m Meta) (*Store, error) {
 	if m.NumNodes <= 0 {
 		return nil, fmt.Errorf("nok: metadata has %d nodes", m.NumNodes)
+	}
+	if err := m.CheckValueRefs(pool.Pager().PageSize()); err != nil {
+		return nil, err
 	}
 	s := &Store{
 		pool:     pool,
@@ -106,11 +202,7 @@ func Open(pool *storage.BufferPool, m Meta) (*Store, error) {
 		s.dir = append(s.dir, pi)
 	}
 	if len(m.ValueRefs) > 0 {
-		vs := &ValueStore{pool: pool}
-		for _, r := range m.ValueRefs {
-			vs.refs = append(vs.refs, valueRef{Node: r.Node, Page: r.Page, Off: r.Off, Len: r.Len})
-		}
-		s.values = vs
+		s.values = &ValueStore{pool: pool, refs: m.ValueRefs}
 	}
 	// Sanity: blocks must cover exactly the advertised node count.
 	if int(next) != s.numNodes {
@@ -134,13 +226,4 @@ func Open(pool *storage.BufferPool, m Meta) (*Store, error) {
 		}
 	}
 	return s, nil
-}
-
-// ReadMeta parses metadata previously produced by WriteMeta.
-func ReadMeta(r io.Reader) (Meta, error) {
-	var m Meta
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return Meta{}, fmt.Errorf("nok: read metadata: %w", err)
-	}
-	return m, nil
 }

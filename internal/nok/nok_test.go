@@ -3,7 +3,9 @@ package nok
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -346,23 +348,28 @@ func TestBuildErrors(t *testing.T) {
 }
 
 func TestMetaReopen(t *testing.T) {
-	doc := fig2doc(t)
+	// fig2doc's shape with text on four nodes.
+	doc := xmltree.MustParseString(
+		`<a><b>beta</b><c/><d>delta</d><e><f/><g>gamma</g><h><i/><j/><k>kappa</k><l/></h></e></a>`)
 	codes := arrayCodes{1, 1, 2, 2, 0, 0, 0, 1, 1, 2, 2, 2}
 	pool := storage.NewBufferPool(storage.NewMemPager(64), 64)
 	s, err := Build(pool, doc, BuildOptions{Codes: codes, StoreValues: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := s.WriteMeta(&buf); err != nil {
+	buf, err := json.Marshal(s.Meta())
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	m, err := ReadMeta(&buf)
-	if err != nil {
+	var m Meta
+	if err := json.Unmarshal(buf, &m); err != nil {
 		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(m.ValueRefs, s.Meta().ValueRefs) || len(m.ValueRefs) == 0 {
+		t.Fatalf("value refs came back as %v, want %v", m.ValueRefs, s.Meta().ValueRefs)
 	}
 	s2, err := Open(pool, m)
 	if err != nil {
@@ -384,6 +391,9 @@ func TestMetaReopen(t *testing.T) {
 		f2, _ := s2.FollowingSibling(n)
 		if f1 != f2 {
 			t.Errorf("reopened sibling at %d differs", n)
+		}
+		if v, err := s2.Values().Value(n); err != nil || v != doc.Value(n) {
+			t.Errorf("reopened value at %d = %q, %v, want %q", n, v, err, doc.Value(n))
 		}
 	}
 }

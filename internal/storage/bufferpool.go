@@ -373,16 +373,19 @@ func (bp *BufferPool) FlushAll() error {
 }
 
 // Stats returns cumulative pool counters. Each field is an atomic load, so
-// Stats never races with concurrent workers (the fields are not sampled at
-// one instant, but each is individually exact).
+// Stats never races with concurrent workers. The fields are not sampled at
+// one instant, but a Get counts itself before it counts its hit or miss and
+// Stats reads in the opposite order, so Hits+Misses <= Gets holds in every
+// sample, with equality once the pool is quiet.
 func (bp *BufferPool) Stats() PoolStats {
-	return PoolStats{
-		Gets:      bp.gets.Load(),
+	st := PoolStats{
 		Hits:      bp.hits.Load(),
 		Misses:    bp.misses.Load(),
 		Evictions: bp.evictions.Load(),
 		Flushes:   bp.flushes.Load(),
 	}
+	st.Gets = bp.gets.Load()
+	return st
 }
 
 // ResetStats zeroes the pool counters (the pager's physical counters are

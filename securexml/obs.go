@@ -82,6 +82,9 @@ func (s *Store) initObs() error {
 	}); err != nil {
 		return err
 	}
+	if err := s.reg.RegisterGauge("sidecar_bytes", s.sidecarBytes.Load); err != nil {
+		return err
+	}
 	s.snapPins = s.reg.Counter("snapshot_pins")
 	s.snapUnpins = s.reg.Counter("snapshot_unpins")
 	s.snapPinUs = s.reg.Histogram("snapshot_pin_us")
@@ -159,6 +162,7 @@ func (s *Store) initObs() error {
 		"snapshot_versions_live":         "Live store versions (1 when quiescent).",
 		"snapshot_oldest_pin_age_us":     "Age of the oldest pinned snapshot in microseconds.",
 		"path_summary_bytes":             "Serialized path-summary size in bytes.",
+		"sidecar_bytes":                  "Size of the last store.json image read at open, saved or journalled with a commit, in bytes.",
 		"io_reads":                       "Physical page reads issued by the pager.",
 		"io_writes":                      "Physical page writes issued by the pager.",
 		"io_allocs":                      "Pages allocated by the pager.",

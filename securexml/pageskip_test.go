@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -191,10 +192,55 @@ func maskedDoc(doc *xmltree.Document, keep []bool) *xmltree.Document {
 	return b.MustFinish()
 }
 
-// After a random sequence of all eight update kinds, every Table 1 query
-// under every semantics must answer exactly what the naive matcher finds
-// among the nodes the user may bind — with struct skip on, off, and with
-// routing off — and again through a saved-and-reopened store.
+// sameAfterReopen saves s into a fresh directory and holds the reopened copy
+// against it: value refs, every node's value, and the Table 1 answers of u0
+// with their values.
+func sameAfterReopen(t *testing.T, s *Store, when string) {
+	t.Helper()
+	dir := t.TempDir()
+	if err := s.Save(dir); err != nil {
+		t.Fatalf("%s: %v", when, err)
+	}
+	re, err := Open(dir, StoreOptions{})
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", when, err)
+	}
+	defer re.Close()
+	live, back := s.cur.Load().st, re.cur.Load().st
+	if want, got := live.Meta().ValueRefs, back.Meta().ValueRefs; !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: %d value refs came back as %d others", when, len(want), len(got))
+	}
+	nodes := make([]xmltree.NodeID, live.NumNodes())
+	for n := range nodes {
+		nodes[n] = xmltree.NodeID(n)
+	}
+	want, err := live.Values().ValuesCtx(context.Background(), nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := back.Values().ValuesCtx(context.Background(), nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: the reopened store holds other values", when)
+	}
+	queries := make([]string, len(table1))
+	for i, q := range table1 {
+		queries[i] = q.expr
+	}
+	if got, want := fingerprint(t, re, []string{"u0"}, queries), fingerprint(t, s, []string{"u0"}, queries); got != want {
+		t.Fatalf("%s: the reopened store answers\n%s\nwant\n%s", when, got, want)
+	}
+}
+
+// After a random sequence of all eight update kinds and vacuums, every
+// Table 1 query under every semantics must answer exactly what the naive
+// matcher finds among the nodes the user may bind — with struct skip on,
+// off, and with routing off — and again through a saved-and-reopened store.
+// After every commit, moreover, a saved copy reopens with the same value
+// refs (inserts, deletes and moves shift and renumber them; the sidecar
+// packs them), the same values and the same answers, values included.
 func TestAnswersMatchNaiveModelAfterRandomUpdates(t *testing.T) {
 	const mode = "read"
 	frags := []string{
@@ -272,10 +318,13 @@ func TestAnswersMatchNaiveModelAfterRandomUpdates(t *testing.T) {
 					n != dst && !doc.IsAncestor(xmltree.NodeID(n), xmltree.NodeID(dst)) {
 					err = s.Move(n, dst, InvalidNode)
 				}
+			case 8:
+				err = s.Vacuum()
 			}
 			if err != nil {
 				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
+			sameAfterReopen(t, s, fmt.Sprintf("seed %d op %d (kind %d)", seed, op, kind))
 		}
 
 		check := func(s *Store, where string) {

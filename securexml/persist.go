@@ -27,6 +27,11 @@ const pageFile = "pages.db"
 // walSuffix names the write-ahead log beside a page file.
 const walSuffix = ".wal"
 
+// sidecarFormat is what every writer emits: format 2 packs nok's value refs
+// into one blob where format 1 had an object per text value. readMeta takes
+// both, so a format-1 store upgrades on its next commit or Save.
+const sidecarFormat = 2
+
 type persistedStore struct {
 	Format   int                   `json:"format"`
 	PageSize int                   `json:"page_size"`
@@ -97,8 +102,7 @@ func writeFileAtomic(path string, data []byte) error {
 }
 
 // The sidecar image is assembled from cached fragments: the expensive
-// pieces (directory, tag table, value index — thousands of JSON entries)
-// change rarely, while the page-ID list changes on EVERY accessibility
+// pieces (directory, tag table, the packed value index) change rarely, while the page-ID list changes on EVERY accessibility
 // update now that rewrites shadow-page into fresh frames. marshalMeta
 // therefore re-encodes only structure_pages (small: one int per page) per
 // commit and splices it between the cached fragments; re-encoding the whole
@@ -151,7 +155,7 @@ func (s *Store) marshalMeta() ([]byte, error) {
 			PageSize int                   `json:"page_size"`
 			Modes    []string              `json:"modes"`
 			Dir      acl.DirectorySnapshot `json:"directory"`
-		}{1, s.opts.PageSize, s.modes, s.dir.Snapshot()})
+		}{sidecarFormat, s.opts.PageSize, s.modes, s.dir.Snapshot()})
 		if err != nil {
 			return nil, err
 		}
@@ -215,6 +219,7 @@ func (s *Store) marshalMeta() ([]byte, error) {
 	buf.WriteString(`},"codebook":"`)
 	buf.WriteString(b64)
 	buf.WriteString(`"}`)
+	s.sidecarBytes.Store(int64(buf.Len()))
 	return buf.Bytes(), nil
 }
 
@@ -284,20 +289,23 @@ func (s *Store) Save(dir string) error {
 	return nil
 }
 
-// readMeta loads and validates the store.json sidecar.
-func readMeta(dir string) (persistedStore, error) {
+// readMeta loads and validates the store.json sidecar, and reports its size.
+func readMeta(dir string) (persistedStore, int, error) {
 	var ps persistedStore
 	b, err := os.ReadFile(filepath.Join(dir, metaFile))
 	if err != nil {
-		return ps, err
+		return ps, 0, err
 	}
 	if err := json.Unmarshal(b, &ps); err != nil {
-		return ps, fmt.Errorf("securexml: corrupt metadata: %w", err)
+		return ps, 0, fmt.Errorf("securexml: corrupt metadata: %w", err)
 	}
-	if ps.Format != 1 {
-		return ps, fmt.Errorf("securexml: unsupported format %d", ps.Format)
+	if ps.Format != 1 && ps.Format != sidecarFormat {
+		return ps, 0, fmt.Errorf("securexml: unsupported format %d", ps.Format)
 	}
-	return ps, nil
+	if err := ps.Nok.CheckValueRefs(ps.PageSize); err != nil {
+		return ps, 0, fmt.Errorf("securexml: corrupt metadata: %w", err)
+	}
+	return ps, len(b), nil
 }
 
 // Open loads a store previously written by Save, first running WAL crash
@@ -309,7 +317,7 @@ func readMeta(dir string) (persistedStore, error) {
 // view of a rolled-forward or rolled-back page can survive a reopen.
 func Open(dir string, opts StoreOptions) (*Store, error) {
 	opts.defaults()
-	ps, err := readMeta(dir)
+	ps, metaLen, err := readMeta(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +356,7 @@ func Open(dir string, opts StoreOptions) (*Store, error) {
 		if info.MetaApplied {
 			// Recovery redid a batch whose sidecar had not landed;
 			// the sink just rewrote store.json — reload it.
-			if ps, err = readMeta(dir); err != nil {
+			if ps, metaLen, err = readMeta(dir); err != nil {
 				pager.Close()
 				return nil, err
 			}
@@ -399,6 +407,7 @@ func Open(dir string, opts StoreOptions) (*Store, error) {
 		maskHits:   obs.NewCounter(),
 		maskMisses: obs.NewCounter(),
 	}
+	s.sidecarBytes.Store(int64(metaLen))
 	s.initSnapshot()
 	if err := s.initObs(); err != nil {
 		return nil, err

@@ -149,24 +149,32 @@ func (fx *recoveryFixture) openWithFaults(t *testing.T) (*Store, *storage.FaultP
 // equal exactly when the two stores answer identically.
 func answerFingerprint(t *testing.T, s *Store) string {
 	t.Helper()
+	return fingerprint(t, s, []string{"u"}, recoveryQueries)
+}
+
+// fingerprint is answerFingerprint for any users and queries.
+func fingerprint(t *testing.T, s *Store, users, queries []string) string {
+	t.Helper()
 	var sb strings.Builder
-	for _, q := range recoveryQueries {
-		for _, pruned := range []bool{false, true} {
-			var ms []Match
-			var err error
-			if pruned {
-				ms, err = s.QueryPruned("u", "read", q)
-			} else {
-				ms, err = s.Query("u", "read", q)
+	for _, u := range users {
+		for _, q := range queries {
+			for _, pruned := range []bool{false, true} {
+				var ms []Match
+				var err error
+				if pruned {
+					ms, err = s.QueryPruned(u, "read", q)
+				} else {
+					ms, err = s.Query(u, "read", q)
+				}
+				if err != nil {
+					t.Fatalf("query %s as %s (pruned=%v): %v", q, u, pruned, err)
+				}
+				fmt.Fprintf(&sb, "%s %s pruned=%v:", u, q, pruned)
+				for _, m := range ms {
+					fmt.Fprintf(&sb, " %d=%s=%q", m.Node, m.Tag, m.Value)
+				}
+				sb.WriteByte('\n')
 			}
-			if err != nil {
-				t.Fatalf("query %s (pruned=%v): %v", q, pruned, err)
-			}
-			fmt.Fprintf(&sb, "%s pruned=%v:", q, pruned)
-			for _, m := range ms {
-				fmt.Fprintf(&sb, " %d=%s=%q", m.Node, m.Tag, m.Value)
-			}
-			sb.WriteByte('\n')
 		}
 	}
 	return sb.String()

@@ -137,6 +137,7 @@ type Registry struct {
 	drains    obs.Counter // evictions deferred behind open handles
 	revives   obs.Counter // draining tenants re-acquired before closing
 	overages  obs.Counter // admissions past MaxOpen (every store busy)
+	openNs    *obs.Histogram
 }
 
 // New creates a registry over root. The root directory must exist; tenant
@@ -164,6 +165,8 @@ func New(opts Options) (*Registry, error) {
 		}
 		r.reg.SetHelp(c.name, c.help)
 	}
+	r.openNs = r.reg.Histogram("open_ns")
+	r.reg.SetHelp("open_ns", "Time to open a tenant store from disk (WAL recovery, consistency check, index build) in nanoseconds.")
 	for _, g := range []struct {
 		name, help string
 		fn         obs.Gauge
@@ -260,10 +263,12 @@ func (r *Registry) Acquire(id string) (*Handle, error) {
 	// PoolPages needs the page size, which lives in the store's meta; open
 	// with a floor and re-budget right after.
 	opts.PoolPages = r.opts.MinPoolPages
+	start := time.Now()
 	st, err := securexml.Open(dir, opts)
 	if err != nil {
 		return nil, err
 	}
+	r.openNs.Observe(time.Since(start).Nanoseconds())
 	r.opens.Inc()
 	t := &tenant{id: id, store: st, refs: 1, done: make(chan struct{})}
 	t.elem = r.lru.PushFront(t)

@@ -238,6 +238,14 @@ func (g *readGate) set(shut bool) {
 // of 8 frames, with every physical read held back so their pins pile up:
 // the requests that find all 8 frames pinned wait for one instead of
 // failing, and every answer is the one an idle server gives.
+//
+// The contention is built, not hoped for. Each request asks for the nodes of
+// its own section, and a section spans several structure pages, so the first
+// page a request reads — the one holding its section's first node — is no
+// other request's. A last idle request over a section of its own, kept apart
+// by padding, leaves the 8 frames holding that section's pages. With the
+// reads then shut, request k pins a frame for its first page and stops in the
+// pager: eight requests take the eight frames, the ninth has to wait.
 func TestServerSqueezedTenantWaits(t *testing.T) {
 	const requests = 16
 	root := t.TempDir()
@@ -245,21 +253,43 @@ func TestServerSqueezedTenantWaits(t *testing.T) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	// One section of pages per request, so no two requests share a page.
 	var sb strings.Builder
+	section := func(name string) {
+		fmt.Fprintf(&sb, "<s%s>", name)
+		for i := 0; i < 300; i++ {
+			fmt.Fprintf(&sb, "<t%s>value-%s-%d</t%s>", name, name, i, name)
+		}
+		fmt.Fprintf(&sb, "</s%s>", name)
+	}
 	sb.WriteString("<doc>")
 	for k := 0; k < requests; k++ {
-		fmt.Fprintf(&sb, "<s%d>", k)
-		for i := 0; i < 60; i++ {
-			fmt.Fprintf(&sb, "<t%d>value-%d-%d</t%d>", k, k, i, k)
-		}
-		fmt.Fprintf(&sb, "</s%d>", k)
+		section(fmt.Sprint(k))
 	}
+	section("pad")
+	section("last")
 	sb.WriteString("</doc>")
 	st, err := securexml.NewBuilder().LoadXMLString(sb.String()).AddUser("alice").Grant("alice", "read", "/doc").
 		Seal(securexml.StoreOptions{PageSize: 256})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The premise: the first nodes of the sixteen sections sit on sixteen
+	// different structure pages.
+	firstPages := map[int64]bool{}
+	for k := 0; k < requests; k++ {
+		tr := securexml.NewQueryTrace()
+		if _, err := st.QueryCtx(context.Background(), "alice", "read", fmt.Sprintf("//t%d", k), securexml.QueryOptions{Trace: tr, Limit: 1}); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range tr.Events() {
+			if e.Kind == "page_pin" {
+				firstPages[e.Page] = true
+				break
+			}
+		}
+	}
+	if len(firstPages) != requests {
+		t.Fatalf("the %d requests start on %d distinct pages", requests, len(firstPages))
 	}
 	if err := st.Save(dir); err != nil {
 		t.Fatal(err)
@@ -283,16 +313,19 @@ func TestServerSqueezedTenantWaits(t *testing.T) {
 	defer ts.Close()
 	defer s.Shutdown(context.Background())
 
-	url := func(k int) string {
-		return fmt.Sprintf("%s/query?tenant=wide&user=alice&xpath=//t%d", ts.URL, k)
+	url := func(name string) string {
+		return fmt.Sprintf("%s/query?tenant=wide&user=alice&xpath=//t%s", ts.URL, name)
 	}
 	want := make([]string, requests)
 	for k := range want {
-		code, body := get(t, url(k), nil)
-		if code != http.StatusOK || !strings.Contains(body, fmt.Sprintf("value-%d-59", k)) {
+		code, body := get(t, url(fmt.Sprint(k)), nil)
+		if code != http.StatusOK || !strings.Contains(body, fmt.Sprintf("value-%d-299", k)) {
 			t.Fatalf("idle request %d: %d %s", k, code, body)
 		}
 		want[k] = body
+	}
+	if code, body := get(t, url("last"), nil); code != http.StatusOK {
+		t.Fatalf("idle request over the last section: %d %s", code, body)
 	}
 	h, err := r.Acquire("wide")
 	if err != nil {
@@ -303,6 +336,7 @@ func TestServerSqueezedTenantWaits(t *testing.T) {
 		t.Fatalf("pool capacity = %d, want the floor of 8", got)
 	}
 	waits := func() int64 { return h.Store().MetricsSnapshot().Get("pool_pin_waits_total") }
+	before := waits()
 
 	gate.set(true)
 	type reply struct {
@@ -315,7 +349,7 @@ func TestServerSqueezedTenantWaits(t *testing.T) {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			resp, err := http.Get(url(k))
+			resp, err := http.Get(url(fmt.Sprint(k)))
 			if err != nil {
 				t.Error(err)
 				return
@@ -325,13 +359,16 @@ func TestServerSqueezedTenantWaits(t *testing.T) {
 			replies[k] = reply{resp.StatusCode, string(body)}
 		}(k)
 	}
-	for deadline := time.Now().Add(10 * time.Second); waits() == 0 && time.Now().Before(deadline); {
+	// Nothing can finish while the reads are shut, so the ninth request to
+	// arrive waits however the sixteen are scheduled; the deadline is for a
+	// broken pool, not a slow box.
+	for deadline := time.Now().Add(time.Minute); waits() == before && time.Now().Before(deadline); {
 		time.Sleep(time.Millisecond)
 	}
 	gate.set(false)
 	wg.Wait()
-	if waits() == 0 {
-		t.Error("pool_pin_waits_total = 0: no request waited for a frame")
+	if waits() == before {
+		t.Error("pool_pin_waits_total did not move: no request waited for a frame")
 	}
 	for k, got := range replies {
 		if got.code != http.StatusOK || got.body != want[k] {

@@ -2,6 +2,7 @@ package securexml
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -64,47 +65,40 @@ func (ix *indexState) ensure(st *nok.Store) error {
 }
 
 // build constructs the tag index (and value index when values are stored)
-// from the frozen store: one extent pass collects every key, the bulk
-// loaders sort them and write each index page once. The index pages live in
-// their own in-memory pool, so builds touch the shared buffer pool only to
-// read structure blocks and values.
+// from the frozen store: one extent pass collects the tag keys, one walk of
+// the value pages the value keys, the bulk loaders sort them and write each
+// index page once. The index pages live in their own in-memory pool, so
+// builds touch the shared buffer pool only to read each structure block and
+// each value page once.
 func (ix *indexState) build(st *nok.Store) error {
-	vs := st.Values()
 	// The pass reports a node when its subtree closes; placing it by its ID
 	// hands the loader the tag entries in node order.
 	tags := make([]btree.Entry, st.NumNodes())
-	var values []btree.ValueEntry
-	if vs != nil {
-		values = make([]btree.ValueEntry, 0, vs.NumValues())
-	}
 	var passErr error
 	err := st.ForEachExtent(func(n, end xmltree.NodeID, level int, tag int32) {
-		if passErr != nil {
-			return
-		}
 		if int(n) >= len(tags) {
 			passErr = fmt.Errorf("securexml: extent pass reported node %d of %d", n, len(tags))
 			return
 		}
-		p := btree.Posting{Node: n, End: end, Level: uint16(level)}
-		tags[n] = btree.Entry{Tag: tag, Posting: p}
-		if vs == nil {
-			return
-		}
-		v, err := vs.Value(n)
-		if err != nil {
-			passErr = err
-			return
-		}
-		if v != "" {
-			values = append(values, btree.ValueEntry{Tag: tag, Value: v, Posting: p})
-		}
+		tags[n] = btree.Entry{Tag: tag, Posting: btree.Posting{Node: n, End: end, Level: uint16(level)}}
 	})
 	if err == nil {
 		err = passErr
 	}
 	if err != nil {
 		return err
+	}
+	// A value's tag and posting are its node's tag entry; they are read off
+	// before Load takes the tag entries over.
+	vs := st.Values()
+	var values []btree.ValueEntry
+	if vs != nil {
+		values = make([]btree.ValueEntry, 0, vs.NumValues())
+		if err := vs.ForEachValue(context.Background(), func(n xmltree.NodeID, v string) {
+			values = append(values, btree.ValueEntry{Tag: tags[n].Tag, Value: v, Posting: tags[n].Posting})
+		}); err != nil {
+			return err
+		}
 	}
 	pool := storage.NewBufferPool(storage.NewMemPager(ix.pageSize), 1<<30/ix.pageSize)
 	t, err := btree.Load(pool, tags)

@@ -217,6 +217,9 @@ type Store struct {
 	metaNokHead []byte
 	metaVals    []byte
 	metaFP      metaHeadState
+	// sidecarBytes is the size of the last sidecar image: the one Open read
+	// or marshalMeta last produced (the sidecar_bytes gauge).
+	sidecarBytes atomic.Int64
 }
 
 // errStoreFailed poisons a store whose in-memory state diverged from disk
