@@ -3,6 +3,7 @@ package join
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -384,4 +385,124 @@ func benchDoc(rng *rand.Rand, n int) *xmltree.Document {
 		b.End()
 	}
 	return b.MustFinish()
+}
+
+// The incremental joiners driven as the query pipeline drives them — an
+// ancestor pushed only once the descendant at hand has reached it, one at a
+// time — pair like the slice-driven forms and like the brute-force oracle,
+// probe by probe.
+func TestIncrementalJoinersMatchSliceForms(t *testing.T) {
+	ctx := context.Background()
+	pairs := 0
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		doc := randomDoc(rng, 20+rng.Intn(300))
+		m := acl.NewMatrix(doc.Len(), 1)
+		for n := 0; n < doc.Len(); n++ {
+			m.Set(xmltree.NodeID(n), 0, rng.Intn(5) > 0)
+		}
+		// Subtree revokes make uniformly denied pages.
+		for k := rng.Intn(3); k > 0; k-- {
+			n := xmltree.NodeID(rng.Intn(doc.Len()))
+			for v := n; v <= doc.End(n); v++ {
+				m.Set(v, 0, false)
+			}
+		}
+		ss := buildSecure(t, doc, m, 64+rng.Intn(200))
+		eff := bitset.FromIndices(1, 0)
+		ancs := itemsFor(doc, doc.NodesWithTag("x"))
+		descs := itemsFor(doc, doc.NodesWithTag("y"))
+		if rng.Intn(2) == 0 {
+			descs = ancs // self join: a == d never pairs
+		}
+
+		wantSTD := STD(ancs, descs)
+		wantEps, err := SecureSTD(ctx, ss, eff, ancs, descs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if oracle := secureOracle(doc, m, eff, ancs, descs); len(wantEps) != len(oracle) {
+			t.Fatalf("seed %d: SecureSTD has %d pairs, the oracle %d", seed, len(wantEps), len(oracle))
+		}
+		pairs += len(wantSTD) + len(wantEps)
+		var std STDJoiner
+		eps := NewEpsJoiner(ss, eff)
+		var gotSTD, gotEps []Pair
+		for _, d := range descs {
+			for ; len(ancs) > 0 && ancs[0].Node <= d.Node; ancs = ancs[1:] {
+				std.Push(ancs[0])
+				eps.Push(ancs[0])
+			}
+			gotSTD = append(gotSTD, std.Probe(d)...)
+			ps, err := eps.Probe(ctx, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotEps = append(gotEps, ps...)
+		}
+		if !slices.Equal(gotSTD, wantSTD) {
+			t.Fatalf("seed %d: incremental STD %v, STD %v", seed, gotSTD, wantSTD)
+		}
+		if !slices.Equal(gotEps, wantEps) {
+			t.Fatalf("seed %d: incremental ε-STD %v, SecureSTD %v", seed, gotEps, wantEps)
+		}
+	}
+	if pairs < 2000 {
+		t.Fatalf("only %d pairs compared", pairs)
+	}
+}
+
+// A uniformly denied page may climb above its first node's depth and open a
+// new, shallower element that stays open into the next page: r/x/p/q…q (q
+// denied, a deep chain), then a denied sibling z of p whose first children w
+// are denied and whose later children y are not. Wherever the page boundaries
+// fall, no (x, y) pair is valid — z lies between — and the pass has to know
+// that from the directory alone once it has skipped the page holding z.
+func TestSecureSTDDeniedPageOpensShallowerLevel(t *testing.T) {
+	skipped := 0
+	for chain := 3; chain < 40; chain += 2 {
+		for kids := 2; kids < 40; kids += 3 {
+			b := xmltree.NewBuilder()
+			b.Begin("r")
+			b.Begin("x")
+			b.Begin("p")
+			for i := 0; i < chain; i++ {
+				b.Begin("q")
+			}
+			for i := 0; i <= chain; i++ {
+				b.End()
+			}
+			b.Begin("z")
+			for _, tag := range []string{"w", "y"} {
+				for i := 0; i < kids; i++ {
+					b.Begin(tag)
+					b.End()
+				}
+			}
+			b.End()
+			b.End()
+			b.End()
+			doc := b.MustFinish()
+			m := acl.NewMatrix(doc.Len(), 1)
+			for n := xmltree.NodeID(0); int(n) < doc.Len(); n++ {
+				m.Set(n, 0, doc.Tag(n) != "q" && doc.Tag(n) != "z" && doc.Tag(n) != "w")
+			}
+			ss := buildSecure(t, doc, m, 64)
+			st := ss.Store()
+			if pi := st.PageInfoAt(st.PageIndexOf(doc.NodesWithTag("z")[0])); !pi.ChangeBit && pi.MinDepth < pi.StartDepth {
+				skipped++
+			}
+			eff := bitset.FromIndices(1, 0)
+			got, err := SecureSTD(context.Background(), ss, eff, itemsFor(doc, doc.NodesWithTag("x")), itemsFor(doc, doc.NodesWithTag("y")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != 0 {
+				t.Fatalf("chain %d, %d children: %d pairs across the denied z, e.g. %v", chain, kids, len(got), got[0])
+			}
+		}
+	}
+	if skipped < 20 {
+		t.Fatalf("z lay on a uniformly denied page that climbs above its start in only %d layouts", skipped)
+	}
 }

@@ -29,9 +29,12 @@ func SecureSTD(ctx context.Context, ss *dol.SecureStore, effective *bitset.Bitse
 	if len(ancs) == 0 || len(descs) == 0 {
 		return nil, nil
 	}
-	j := NewEpsJoiner(ss, effective, ancs)
+	j := NewEpsJoiner(ss, effective)
 	var out []Pair
 	for _, d := range descs {
+		for ; len(ancs) > 0 && ancs[0].Node <= d.Node; ancs = ancs[1:] {
+			j.Push(ancs[0])
+		}
 		pairs, err := j.Probe(ctx, d)
 		if err != nil {
 			return nil, err

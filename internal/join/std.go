@@ -11,29 +11,9 @@ import (
 	"cmp"
 	"slices"
 	"sort"
-	"sync"
 
 	"dolxml/internal/xmltree"
 )
-
-// stackPool recycles the ancestor stacks of the join algorithms: structural
-// joins run once per cut pattern edge per query, and under parallel query
-// traffic the per-join stack allocation shows up. Pooled as *[]Item so the
-// slice header itself does not escape on Put.
-var stackPool = sync.Pool{
-	New: func() any {
-		s := make([]Item, 0, 32)
-		return &s
-	},
-}
-
-func getStack() *[]Item {
-	s := stackPool.Get().(*[]Item)
-	*s = (*s)[:0]
-	return s
-}
-
-func putStack(s *[]Item) { stackPool.Put(s) }
 
 // Item is a join input: a candidate node with its region encoding.
 type Item struct {
@@ -66,11 +46,11 @@ func SortItems(items []Item) {
 // pair per stacked ancestor.
 func STD(ancs, descs []Item) []Pair {
 	var out []Pair
-	stackBuf := getStack()
-	defer func() { putStack(stackBuf) }()
-	j := STDJoiner{ancs: ancs, stack: *stackBuf}
-	defer func() { *stackBuf = j.stack[:0] }()
+	var j STDJoiner
 	for _, d := range descs {
+		for ; len(ancs) > 0 && ancs[0].Node <= d.Node; ancs = ancs[1:] {
+			j.Push(ancs[0])
+		}
 		out = append(out, j.Probe(d)...)
 	}
 	return out

@@ -9,41 +9,47 @@ import (
 	"dolxml/internal/xmltree"
 )
 
+// openStack is the state of a stack merge: the ancestor candidates pushed
+// so far whose regions are still open, outermost first.
+type openStack []Item
+
+// Push stacks ancestor candidate a on those still open at it. Candidates
+// arrive as the merge reaches them: in strictly increasing Node order, each
+// before the first descendant at or after it is probed, so a source that
+// produces them on demand (the query pipeline's left tuple stream) is read no
+// further than the descendant side has got.
+func (s *openStack) Push(a Item) {
+	s.popClosed(a.Node)
+	*s = append(*s, a)
+}
+
+// popClosed pops the ancestors whose region ends before node n.
+func (s *openStack) popClosed(n xmltree.NodeID) {
+	st := *s
+	for len(st) > 0 && st[len(st)-1].End < n {
+		st = st[:len(st)-1]
+	}
+	*s = st
+}
+
 // STDJoiner is the incremental form of the Stack-Tree-Desc join used by the
-// streaming query pipeline: the ancestor list is fixed up front, and
-// descendants arrive one at a time via Probe, in strictly increasing
-// document order. Probing every descendant of a sorted list reproduces
-// STD(ancs, descs) exactly.
+// streaming query pipeline: one merge pass over two document-ordered streams
+// with only the stack of open ancestors in memory. Ancestors arrive via Push
+// and descendants via Probe, in strictly increasing document order; the zero
+// value is ready. Pushing and probing two sorted lists in merge order
+// reproduces STD(ancs, descs) exactly.
 type STDJoiner struct {
-	ancs  []Item
-	ai    int
-	stack []Item
+	openStack
 	pairs []Pair // Probe's result, reused by the next Probe
 }
 
-// NewSTDJoiner returns an incremental STD join over the sorted ancestor
-// candidates (use SortItems).
-func NewSTDJoiner(ancs []Item) *STDJoiner {
-	return &STDJoiner{ancs: ancs}
-}
-
 // Probe advances the join to descendant d and returns the (a, d) pairs for
-// every stacked ancestor enclosing it, valid until the next Probe.
-// Descendants must be probed in strictly increasing Node order.
+// every stacked ancestor enclosing it, outermost first, valid until the
+// next Probe.
 func (j *STDJoiner) Probe(d Item) []Pair {
-	for j.ai < len(j.ancs) && j.ancs[j.ai].Node <= d.Node {
-		a := j.ancs[j.ai]
-		j.ai++
-		for len(j.stack) > 0 && j.stack[len(j.stack)-1].End < a.Node {
-			j.stack = j.stack[:len(j.stack)-1]
-		}
-		j.stack = append(j.stack, a)
-	}
-	for len(j.stack) > 0 && j.stack[len(j.stack)-1].End < d.Node {
-		j.stack = j.stack[:len(j.stack)-1]
-	}
+	j.popClosed(d.Node)
 	j.pairs = j.pairs[:0]
-	for _, a := range j.stack {
+	for _, a := range j.openStack {
 		if a.Node < d.Node && d.Node <= a.End {
 			j.pairs = append(j.pairs, Pair{Anc: a.Node, Desc: d.Node})
 		}
@@ -52,10 +58,9 @@ func (j *STDJoiner) Probe(d Item) []Pair {
 }
 
 // EpsJoiner is the incremental form of the secure ε-STD join (paper §4.2,
-// Gabillon–Bruno semantics): the sorted ancestor list is fixed up front and
-// descendants arrive one at a time via Probe, in strictly increasing Node
-// order. The single document-order page pass of SecureSTD becomes a
-// resumable scan: each Probe advances the pass exactly up to its
+// Gabillon–Bruno semantics): ancestors arrive via Push and descendants via
+// Probe, as for STDJoiner. The single document-order page pass of SecureSTD
+// becomes a resumable scan: each Probe advances the pass exactly up to its
 // descendant, so early-terminated queries never touch the pages beyond
 // their last descendant. A page the in-memory directory proves uniform is
 // not physically read, with one exception: a uniformly accessible page in
@@ -66,10 +71,7 @@ type EpsJoiner struct {
 	cb  *dol.Codebook
 	eff *bitset.Bitset
 
-	ancs []Item
-	ai   int
-
-	ancStack  []Item
+	openStack
 	inaccLvls []int  // increasing levels of inaccessible ancestors
 	pairs     []Pair // Probe's result, reused by the next Probe
 
@@ -87,14 +89,13 @@ type EpsJoiner struct {
 }
 
 // NewEpsJoiner returns an incremental ε-STD join for the effective subject
-// set over the sorted ancestor candidates.
-func NewEpsJoiner(ss *dol.SecureStore, effective *bitset.Bitset, ancs []Item) *EpsJoiner {
+// set.
+func NewEpsJoiner(ss *dol.SecureStore, effective *bitset.Bitset) *EpsJoiner {
 	st := ss.Store()
 	return &EpsJoiner{
 		st:       st,
 		cb:       ss.Codebook(),
 		eff:      effective,
-		ancs:     ancs,
 		numPages: st.NumPages(),
 		cur:      st.NewCursor(),
 	}
@@ -113,17 +114,11 @@ func (j *EpsJoiner) deepestInacc() int {
 	return j.inaccLvls[len(j.inaccLvls)-1]
 }
 
-func (j *EpsJoiner) pushAnc(a Item) {
-	for len(j.ancStack) > 0 && j.ancStack[len(j.ancStack)-1].End < a.Node {
-		j.ancStack = j.ancStack[:len(j.ancStack)-1]
-	}
-	j.ancStack = append(j.ancStack, a)
-}
-
 // advance runs the document-order pass up to and including node target,
-// applying ancestor pushes and inaccessible-level bookkeeping on the way.
-// It reports whether the target lies in a uniformly inaccessible page and
-// so joins with nothing.
+// keeping the inaccessible levels open at it (a pushed candidate that is
+// inaccessible itself needs no care: its own level is open over its whole
+// subtree). It reports whether the target lies in a uniformly inaccessible
+// page and so joins with nothing.
 func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (dropped bool, err error) {
 	for {
 		if j.reading {
@@ -136,10 +131,6 @@ func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (dropped
 				j.popInacc(info.Level)
 				if !j.cb.AccessibleAny(info.Code, j.eff) {
 					j.inaccLvls = append(j.inaccLvls, info.Level)
-				}
-				if j.ai < len(j.ancs) && j.ancs[j.ai].Node == j.node {
-					j.pushAnc(j.ancs[j.ai])
-					j.ai++
 				}
 			}
 			if j.node > target {
@@ -168,26 +159,19 @@ func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (dropped
 					j.openPage(pi)
 					continue
 				}
-				// No inaccessible level opens or closes here: candidates
-				// are processed from their own region encodings and the
-				// page is not read.
-				for j.ai < len(j.ancs) && j.ancs[j.ai].Node <= last && j.ancs[j.ai].Node <= target {
-					j.pushAnc(j.ancs[j.ai])
-					j.ai++
-				}
+				// No inaccessible level opens or closes here: the page is
+				// not read.
 				if target <= last {
 					return false, nil
 				}
 				j.pageIdx++
 				continue
 			}
-			// Uniformly inaccessible: skip candidates (their pairs would
-			// be invalid) and, once the scan moves past the page, record
-			// its still-open nodes as inaccessible path levels, all
-			// derived from the directory.
-			for j.ai < len(j.ancs) && j.ancs[j.ai].Node <= last {
-				j.ai++
-			}
+			// Uniformly inaccessible: nothing in the page joins and, once
+			// the scan moves past it, its still-open nodes are inaccessible
+			// path levels, all derived from the directory: the page's
+			// shallowest node closed every level from its own down, and the
+			// next page's first node hangs under page nodes from there on.
 			if target <= last {
 				return true, nil
 			}
@@ -195,11 +179,9 @@ func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (dropped
 			if j.pageIdx+1 < j.numPages {
 				nextStart = int(j.st.PageInfoAt(j.pageIdx + 1).StartDepth)
 			}
-			j.popInacc(nextStart)
-			for l := int(pi.StartDepth); l < nextStart; l++ {
-				if len(j.inaccLvls) == 0 || j.inaccLvls[len(j.inaccLvls)-1] < l {
-					j.inaccLvls = append(j.inaccLvls, l)
-				}
+			j.popInacc(min(int(pi.MinDepth), nextStart))
+			for l := int(pi.MinDepth); l < nextStart; l++ {
+				j.inaccLvls = append(j.inaccLvls, l)
 			}
 			j.pageIdx++
 			continue
@@ -226,12 +208,10 @@ func (j *EpsJoiner) Probe(ctx context.Context, d Item) ([]Pair, error) {
 	if err != nil || dropped {
 		return nil, err
 	}
-	for len(j.ancStack) > 0 && j.ancStack[len(j.ancStack)-1].End < d.Node {
-		j.ancStack = j.ancStack[:len(j.ancStack)-1]
-	}
+	j.popClosed(d.Node)
 	m := j.deepestInacc()
 	j.pairs = j.pairs[:0]
-	for _, a := range j.ancStack {
+	for _, a := range j.openStack {
 		if a.Node < d.Node && d.Node <= a.End && m < a.Level {
 			j.pairs = append(j.pairs, Pair{Anc: a.Node, Desc: d.Node})
 		}

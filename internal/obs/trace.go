@@ -11,7 +11,7 @@ import (
 )
 
 // EventKind classifies one trace event. Span-ish kinds (parse, compile,
-// open, join_open) carry a duration; page kinds carry the page and the
+// open) carry a duration; page kinds carry the page and the
 // evidence that justified reading or skipping it.
 type EventKind string
 
@@ -45,9 +45,6 @@ const (
 	// summary admits no embedding of the pattern (or every embeddable
 	// class is uniformly denied to the view) — with zero pages pinned.
 	EvPathEmpty EventKind = "path_empty"
-	// EvJoinOpen covers draining a join's left side and building the
-	// joiner.
-	EvJoinOpen EventKind = "join_open"
 	// EvJoinProbe records one structural-join probe (STD or ε-STD).
 	EvJoinProbe EventKind = "join_probe"
 	// EvMerge records one chunk of the parallel match cursor's ordered

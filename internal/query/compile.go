@@ -58,6 +58,13 @@ func (c *compiled) empty() bool {
 	return c.shape != nil && c.shape.emptyStruct || c.route != nil && c.route.emptyAccess
 }
 
+// sortLeft says join i's left input has to be sorted by the link first. The
+// stream under a join is ordered by the root of the subtree joined just
+// before (scan 0's candidates, then join i-1's right roots), which the merge
+// can rely on only when that root is the link: //a//b//c merges as it
+// arrives, //a[//b]//c and //a[b]/c//d sort.
+func (c *compiled) sortLeft(i int) bool { return c.subs[i].Link != c.subs[i-1].Root }
+
 // compile plans the query. It reads the indexes but no store page, and
 // records the compile span and each routed-away candidate on opts.Trace.
 func (ev *Evaluator) compile(t *PatternTree, opts Options) (*compiled, error) {
@@ -119,7 +126,9 @@ func (ev *Evaluator) compile(t *PatternTree, opts Options) (*compiled, error) {
 			cands = kept
 		}
 		sp.source, sp.cands, sp.n = source, cands, len(cands)
-		if c.workers > 1 && sp.n >= minParallelCandidates {
+		// A plan with a Limit scans sequentially: its answers are the first
+		// in document order, and fanning out would only add run-ahead.
+		if c.workers > 1 && sp.n >= minParallelCandidates && opts.Limit == 0 {
 			// More chunks than workers evens out candidate skew; clamp both
 			// so fewer candidates than workers never spawns idle goroutines.
 			sp.parallel = true

@@ -3,6 +3,7 @@ package query
 import (
 	"cmp"
 	"context"
+	"errors"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -43,17 +44,9 @@ type matchMsg struct {
 const matchBuf = 8
 
 // matchBatch is how many rows a match producer collects before handing them
-// over. A plan with a Limit hands over every row by itself instead (see
-// compiled.batchRows), so that matchBuf bounds its run-ahead in tuples.
+// over. A plan with a Limit hands over every row by itself instead, so that
+// matchBuf bounds its run-ahead in tuples.
 const matchBatch = 64
-
-// batchRows is the number of rows per match hand-off under this plan.
-func (c *compiled) batchRows() int {
-	if c.opts.Limit > 0 {
-		return 1
-	}
-	return matchBatch
-}
 
 // rowBatch collects the rows a matcher completes into one flat chunk of
 // bindings. Rows are values: a batch holds no page pin.
@@ -99,7 +92,6 @@ type chanCursor struct {
 	out     chan matchMsg
 	// pending is what remains of the batch received last.
 	pending []Tuple
-	wg      sync.WaitGroup
 	closed  bool
 }
 
@@ -111,9 +103,7 @@ func newChanCursor(parent context.Context, start func(ctx context.Context, out c
 func (c *chanCursor) launch() {
 	c.once.Do(func() {
 		c.started = true
-		c.wg.Add(1)
 		go func() {
-			defer c.wg.Done()
 			defer close(c.out)
 			c.start(c.pctx, c.out)
 		}()
@@ -121,12 +111,12 @@ func (c *chanCursor) launch() {
 }
 
 func (c *chanCursor) Next(ctx context.Context) (Tuple, error) {
-	// Checked first so a cancelled consumer gets ctx's error
-	// deterministically, even while received tuples remain.
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	if len(c.pending) == 0 {
+		// Asked once per batch (and by Answers.Next once per answer), before the
+		// select: a cancelled consumer gets ctx's error though a batch is ready.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		c.launch()
 		select {
 		case msg, ok := <-c.out:
@@ -143,10 +133,9 @@ func (c *chanCursor) Next(ctx context.Context) (Tuple, error) {
 	return t, nil
 }
 
-// Close cancels the producer's context, then drains the channel until the
-// producer closes it — unblocking any in-flight send — and waits for the
-// goroutine to exit, so every buffer-pool pin the producer held is
-// released before Close returns.
+// Close cancels the producer's context, then drains the channel —
+// unblocking any in-flight send — until the producer, returning, closes it:
+// every buffer-pool pin the producer held is released before Close returns.
 func (c *chanCursor) Close() error {
 	if c.closed {
 		return nil
@@ -156,7 +145,6 @@ func (c *chanCursor) Close() error {
 	if c.started {
 		for range c.out {
 		}
-		c.wg.Wait()
 	}
 	return nil
 }
@@ -184,7 +172,10 @@ func newMatchCursor(parent context.Context, store *nok.Store, m *matcher, c *com
 	}
 	root := &m.nodes[c.subs[i].Root.id]
 	return newChanCursor(parent, func(ctx context.Context, out chan<- matchMsg) {
-		b := rowBatch{width: c.width, rows: c.batchRows()}
+		b := rowBatch{width: c.width, rows: matchBatch}
+		if c.opts.Limit > 0 {
+			b.rows = 1
+		}
 		ms := m.newState(store.NewCursor(), func(row []binding) bool {
 			return b.add(row) < b.rows || sendMsg(ctx, out, matchMsg{ts: b.take()})
 		})
@@ -209,9 +200,9 @@ func newMatchCursor(parent context.Context, store *nok.Store, m *matcher, c *com
 // own slot; an emitter forwards the slots in chunk order into the bounded
 // output channel, so the tuple stream is byte-identical to the sequential
 // scan. A semaphore caps how many chunks may be claimed beyond what the
-// emitter has forwarded, so a consumer that stops pulling (Limit,
-// cancellation) stops the workers' page reads after bounded run-ahead
-// instead of matching every candidate.
+// emitter has forwarded, so a consumer that stops pulling (cancellation, a
+// join out of open ancestors) stops the workers' page reads after bounded
+// run-ahead instead of matching every candidate.
 func newParallelMatchCursor(parent context.Context, store *nok.Store, m *matcher, c *compiled, i int, sp scanPlan) Cursor {
 	root := &m.nodes[c.subs[i].Root.id]
 	cands, workers, chunks := sp.cands, sp.workers, sp.chunks
@@ -293,19 +284,30 @@ func newParallelMatchCursor(parent context.Context, store *nok.Store, m *matcher
 				return
 			}
 			mergeTr.MergeChunk(k, len(res.ts))
-			// A chunk goes out whole, or under a Limit tuple by tuple.
-			step := len(res.ts)
-			if c.batchRows() == 1 {
-				step = 1
-			}
-			for ts := res.ts; len(ts) > 0; ts = ts[step:] {
-				if !sendMsg(ctx, out, matchMsg{ts: ts[:step]}) {
-					return
-				}
+			if len(res.ts) > 0 && !sendMsg(ctx, out, matchMsg{ts: res.ts}) {
+				return
 			}
 			<-sem
 		}
 	})
+}
+
+// opTrace stamps an operator's trace handle on the contexts the operator's
+// own page reads run under, cached per incoming context so that the
+// per-tuple path does not allocate.
+type opTrace struct {
+	tr             *obs.Trace
+	inCtx, wrapped context.Context
+}
+
+func (o *opTrace) opCtx(ctx context.Context) context.Context {
+	if o.tr == nil {
+		return ctx
+	}
+	if ctx != o.inCtx {
+		o.inCtx, o.wrapped = ctx, obs.WithTrace(ctx, o.tr)
+	}
+	return o.wrapped
 }
 
 // pathFilterCursor implements the Gabillon–Bruno root-path check on the
@@ -315,33 +317,16 @@ func newParallelMatchCursor(parent context.Context, store *nok.Store, m *matcher
 // ancestor; since input tuples arrive in candidate (document) order, the
 // joiner's resumable page pass never reads past the last match probed.
 type pathFilterCursor struct {
+	opTrace
 	view *dol.SubjectView
 	in   Cursor
 	// cur reads the document root's block when the root itself matched.
 	cur *nok.Cursor
-	// tr is the operator's trace handle; the filter's own page reads run
-	// under a context stamped with it (cached per incoming context so the
-	// per-tuple path does not allocate).
-	tr      *obs.Trace
-	inCtx   context.Context
-	wrapped context.Context
 
 	eps           *join.EpsJoiner
 	lastRoot      xmltree.NodeID
 	lastRootValid bool
 	lastPass      bool
-}
-
-// opCtx returns ctx stamped with the filter's operator handle.
-func (pc *pathFilterCursor) opCtx(ctx context.Context) context.Context {
-	if pc.tr == nil {
-		return ctx
-	}
-	if ctx != pc.inCtx {
-		pc.inCtx = ctx
-		pc.wrapped = obs.WithTrace(ctx, pc.tr)
-	}
-	return pc.wrapped
 }
 
 func (pc *pathFilterCursor) Next(ctx context.Context) (Tuple, error) {
@@ -367,8 +352,8 @@ func (pc *pathFilterCursor) Next(ctx context.Context) (Tuple, error) {
 		default:
 			if pc.eps == nil {
 				ss := pc.view.Store()
-				rootEnd := xmltree.NodeID(ss.Store().NumNodes() - 1)
-				pc.eps = join.NewEpsJoiner(ss, pc.view.Effective(), []join.Item{{Node: 0, End: rootEnd, Level: 0}})
+				pc.eps = join.NewEpsJoiner(ss, pc.view.Effective())
+				pc.eps.Push(join.Item{Node: 0, End: xmltree.NodeID(ss.Store().NumNodes() - 1), Level: 0})
 			}
 			// A subtree root's binding carries its posting's End.
 			pairs, err := pc.eps.Probe(fctx, join.Item{Node: root.node, End: root.end, Level: int(root.level)})
@@ -387,117 +372,102 @@ func (pc *pathFilterCursor) Next(ctx context.Context) (Tuple, error) {
 func (pc *pathFilterCursor) Close() error { return pc.in.Close() }
 
 // joinCursor combines the accumulated left tuples with subtree i's match
-// stream via an incremental structural join on (link binding, subtree-root
-// binding) — STD, or ε-STD under pruned-subtree semantics. The left side
-// is small (already filtered/joined tuples) and is drained on the first
-// Next; the right side streams, and because its match roots arrive in
-// strictly increasing document order the stateful joiner is probed once
-// per distinct root, with the ε-STD page pass stopping at the last root
-// probed.
+// stream by a structural join on (link binding, subtree-root binding) — STD,
+// or ε-STD under pruned-subtree semantics — as the stack merge the algorithm
+// is: both inputs arrive ordered by the joined binding (a sortCursor orders
+// the left one where the plan does not), and the only state is the stack of
+// open ancestors with their left tuples. A left tuple is pulled only once the
+// right root at hand has reached its link, so the ε-STD page pass stops at
+// the last root probed and a consumer that stops pulling (Limit) stops both
+// scans. The right producer never starts on an empty left side and is not
+// pulled once the left is exhausted and every ancestor has closed.
 type joinCursor struct {
-	opts  Options
-	left  Cursor
-	right Cursor
+	opTrace // stamps the join's own page reads: SubtreeEnd lookups, the ε-STD pass
+	left    Cursor
+	right   Cursor
+	// eps joins under pruned-subtree semantics, std (eps nil) otherwise.
+	std join.STDJoiner
+	eps *join.EpsJoiner
 	// cur reads the blocks of the link sources that are not subtree roots,
 	// for their subtree ends.
 	cur      *nok.Cursor
 	linkSlot int
 	base     int
 	nSlots   int
-	// tr is the operator's trace handle; the join's own page reads (the
-	// SubtreeEnd lookups, the ε-STD page pass) run under a context stamped
-	// with it.
-	tr      *obs.Trace
-	inCtx   context.Context
-	wrapped context.Context
 
-	opened bool
-	// leftTuples is the drained left side, ordered by link binding; the
-	// tuples sharing ancestor ancs[g] are leftTuples[groups[g]:groups[g+1]].
-	leftTuples []Tuple
-	ancs       []join.Item
-	groups     []int
+	// next is the left tuple read ahead, nil once the left side is exhausted.
+	primed bool
+	next   Tuple
+	// open mirrors the joiner's stack of ancestors: each entry holds the run
+	// of left tuples sharing that link, in arrival order, as a range of rows.
+	// rows starts over whenever the stack has emptied.
+	open []openAnc
+	rows []Tuple
 
-	std *join.STDJoiner
-	eps *join.EpsJoiner
+	// hits are the runs the last right root probed pairs with, outermost
+	// first, lastRows the left tuples in them.
+	lastRoot xmltree.NodeID
+	hits     []openAnc
+	lastRows int
 
-	// lastGroups are the ancestor groups the last right root probed pairs
-	// with, lastRows the left tuples in them.
-	lastRoot      xmltree.NodeID
-	lastRootValid bool
-	lastGroups    []int
-	lastRows      int
-
-	buf       []Tuple
-	bufIdx    int
-	rightDone bool
+	// buf holds the outputs of the right tuple at hand still to be returned,
+	// chunk the room left in the flat chunk they are carved from.
+	buf    []Tuple
+	bufIdx int
+	chunk  []binding
 }
 
-// opCtx returns ctx stamped with the join's operator handle.
-func (jc *joinCursor) opCtx(ctx context.Context) context.Context {
-	if jc.tr == nil {
-		return ctx
-	}
-	if ctx != jc.inCtx {
-		jc.inCtx = ctx
-		jc.wrapped = obs.WithTrace(ctx, jc.tr)
-	}
-	return jc.wrapped
+// openAnc is one ancestor on the join's stack with its left tuples,
+// joinCursor.rows[lo:hi].
+type openAnc struct {
+	node, end xmltree.NodeID
+	lo, hi    int
 }
 
-func (jc *joinCursor) open(ctx context.Context) error {
-	defer jc.tr.Span(obs.EvJoinOpen)()
-	jctx := jc.opCtx(ctx)
-	jc.opened = true
-	for {
-		t, err := jc.left.Next(ctx)
-		if err != nil {
+// push stacks the link of the left tuple read ahead, with every left tuple
+// sharing it, and reads on to the next link.
+func (jc *joinCursor) push(ctx context.Context) (err error) {
+	b := jc.next[jc.linkSlot]
+	if b.end == xmltree.InvalidNode {
+		// Only a subtree root's binding came with its End.
+		if b.end, err = jc.cur.SubtreeEnd(jc.opCtx(ctx), b.node); err != nil {
 			return err
 		}
-		if t == nil {
-			break
+	}
+	jc.popClosed(b.node)
+	if len(jc.open) == 0 {
+		jc.rows = jc.rows[:0]
+	}
+	lo := len(jc.rows)
+	for jc.next != nil && jc.next[jc.linkSlot].node == b.node {
+		jc.rows = append(jc.rows, jc.next)
+		if jc.next, err = jc.left.Next(ctx); err != nil {
+			return err
 		}
-		jc.leftTuples = append(jc.leftTuples, t)
 	}
-	if len(jc.leftTuples) == 0 {
-		// Empty join: never start the right producer.
-		jc.rightDone = true
-		return nil
-	}
-	// The ancestor candidates are the distinct link bindings. Ordering the
-	// left side by them — stably, and it mostly arrives ordered — makes
-	// each one's tuples a run, still in arrival order.
-	byLink := func(a, b Tuple) int { return cmp.Compare(a[jc.linkSlot].node, b[jc.linkSlot].node) }
-	if !slices.IsSortedFunc(jc.leftTuples, byLink) {
-		slices.SortStableFunc(jc.leftTuples, byLink)
-	}
-	for ti, tp := range jc.leftTuples {
-		b := tp[jc.linkSlot]
-		if ti > 0 && b.node == jc.leftTuples[ti-1][jc.linkSlot].node {
-			continue
-		}
-		if b.end == xmltree.InvalidNode {
-			// Only a subtree root's binding came with its End.
-			var err error
-			if b.end, err = jc.cur.SubtreeEnd(jctx, b.node); err != nil {
-				return err
-			}
-		}
-		jc.ancs = append(jc.ancs, join.Item{Node: b.node, End: b.end, Level: int(b.level)})
-		jc.groups = append(jc.groups, ti)
-	}
-	jc.groups = append(jc.groups, len(jc.leftTuples))
-	if jc.opts.View != nil && jc.opts.Semantics == SemanticsPrunedSubtree {
-		jc.eps = join.NewEpsJoiner(jc.opts.View.Store(), jc.opts.View.Effective(), jc.ancs)
+	jc.open = append(jc.open, openAnc{b.node, b.end, lo, len(jc.rows)})
+	a := join.Item{Node: b.node, End: b.end, Level: int(b.level)}
+	if jc.eps != nil {
+		jc.eps.Push(a)
 	} else {
-		jc.std = join.NewSTDJoiner(jc.ancs)
+		jc.std.Push(a)
 	}
 	return nil
 }
 
-func (jc *joinCursor) Next(ctx context.Context) (Tuple, error) {
-	if !jc.opened {
-		if err := jc.open(ctx); err != nil {
+// popClosed pops the open ancestors that end before node n, as the joiner
+// pops its own.
+func (jc *joinCursor) popClosed(n xmltree.NodeID) {
+	for len(jc.open) > 0 && jc.open[len(jc.open)-1].end < n {
+		jc.open = jc.open[:len(jc.open)-1]
+	}
+}
+
+func (jc *joinCursor) Next(ctx context.Context) (_ Tuple, err error) {
+	jctx := jc.opCtx(ctx)
+	if !jc.primed {
+		jc.primed, jc.lastRoot = true, xmltree.InvalidNode
+		if jc.next, err = jc.left.Next(ctx); err != nil {
 			return nil, err
 		}
 	}
@@ -508,47 +478,54 @@ func (jc *joinCursor) Next(ctx context.Context) (Tuple, error) {
 			return t, nil
 		}
 		jc.buf, jc.bufIdx = jc.buf[:0], 0
-		if jc.rightDone {
+		if jc.next == nil && len(jc.open) == 0 {
+			// No ancestor is open and none will come: whatever the right
+			// side still holds joins with nothing.
 			return nil, nil
 		}
 		rt, err := jc.right.Next(ctx)
-		if err != nil {
+		if err != nil || rt == nil {
 			return nil, err
 		}
-		if rt == nil {
-			jc.rightDone = true
-			return nil, nil
-		}
-		root := rt[jc.base]
-		if !jc.lastRootValid || root.node != jc.lastRoot {
-			d := join.Item{Node: root.node, End: root.end, Level: int(root.level)}
-			var pairs []join.Pair
-			if jc.eps != nil {
-				pairs, err = jc.eps.Probe(jc.opCtx(ctx), d)
-				if err != nil {
+		if root := rt[jc.base]; root.node != jc.lastRoot {
+			for jc.next != nil && jc.next[jc.linkSlot].node <= root.node {
+				if err := jc.push(ctx); err != nil {
 					return nil, err
 				}
-			} else {
+			}
+			d := join.Item{Node: root.node, End: root.end, Level: int(root.level)}
+			var pairs []join.Pair
+			if jc.eps == nil {
 				pairs = jc.std.Probe(d)
+			} else if pairs, err = jc.eps.Probe(jctx, d); err != nil {
+				return nil, err
 			}
 			jc.tr.JoinProbe(int64(root.node), len(pairs))
-			jc.lastRoot, jc.lastRootValid = root.node, true
-			jc.lastGroups, jc.lastRows = jc.lastGroups[:0], 0
+			jc.lastRoot = root.node
+			jc.popClosed(root.node)
+			// The pairs name a subsequence of the open ancestors, in stack
+			// order (ε-STD leaves out those an inaccessible node cuts off).
+			jc.hits, jc.lastRows = jc.hits[:0], 0
+			k := 0
 			for _, p := range pairs {
-				g, _ := slices.BinarySearchFunc(jc.ancs, p.Anc, func(a join.Item, n xmltree.NodeID) int { return cmp.Compare(a.Node, n) })
-				jc.lastGroups = append(jc.lastGroups, g)
-				jc.lastRows += jc.groups[g+1] - jc.groups[g]
+				for jc.open[k].node != p.Anc {
+					k++
+				}
+				jc.hits = append(jc.hits, jc.open[k])
+				jc.lastRows += jc.open[k].hi - jc.open[k].lo
 			}
 		}
 		// Expand: one output per (left tuple whose link binds a paired
-		// ancestor), with subtree i's slots taken from the right tuple —
-		// all of them in one chunk.
+		// ancestor), with subtree i's slots taken from the right tuple. The
+		// outputs are carved from chunks of matchBatch rows or more.
 		w := len(rt)
-		flat := make([]binding, 0, jc.lastRows*w)
-		for _, g := range jc.lastGroups {
-			for _, tp := range jc.leftTuples[jc.groups[g]:jc.groups[g+1]] {
-				flat = append(flat, tp...)
-				ntp := flat[len(flat)-w : len(flat) : len(flat)]
+		if cap(jc.chunk)-len(jc.chunk) < jc.lastRows*w {
+			jc.chunk = make([]binding, 0, max(jc.lastRows, matchBatch)*w)
+		}
+		for _, h := range jc.hits {
+			for _, tp := range jc.rows[h.lo:h.hi] {
+				jc.chunk = append(jc.chunk, tp...)
+				ntp := jc.chunk[len(jc.chunk)-w : len(jc.chunk) : len(jc.chunk)]
 				copy(ntp[jc.base:jc.base+jc.nSlots], rt[jc.base:jc.base+jc.nSlots])
 				jc.buf = append(jc.buf, ntp)
 			}
@@ -556,13 +533,41 @@ func (jc *joinCursor) Next(ctx context.Context) (Tuple, error) {
 	}
 }
 
-func (jc *joinCursor) Close() error {
-	err := jc.left.Close()
-	if err2 := jc.right.Close(); err == nil {
-		err = err2
-	}
-	return err
+func (jc *joinCursor) Close() error { return errors.Join(jc.left.Close(), jc.right.Close()) }
+
+// sortCursor orders its input by one slot: it drains the input on the first
+// Next and sorts it stably, so tuples with equal bindings keep their arrival
+// order. compile puts it under a join whose left input it cannot prove
+// ordered by the link.
+type sortCursor struct {
+	in     Cursor
+	slot   int
+	rows   []Tuple
+	sorted bool
 }
+
+func (sc *sortCursor) Next(ctx context.Context) (Tuple, error) {
+	for !sc.sorted {
+		t, err := sc.in.Next(ctx)
+		if err != nil {
+			return nil, err
+		}
+		if t != nil {
+			sc.rows = append(sc.rows, t)
+			continue
+		}
+		slices.SortStableFunc(sc.rows, func(a, b Tuple) int { return cmp.Compare(a[sc.slot].node, b[sc.slot].node) })
+		sc.sorted = true
+	}
+	if len(sc.rows) == 0 {
+		return nil, nil
+	}
+	t := sc.rows[0]
+	sc.rows = sc.rows[1:]
+	return t, nil
+}
+
+func (sc *sortCursor) Close() error { return sc.in.Close() }
 
 // dedupCursor passes through only the first tuple per distinct
 // returning-node binding, counting every input tuple (Result.Matches).

@@ -7,6 +7,7 @@ import (
 
 	"dolxml/internal/btree"
 	"dolxml/internal/dol"
+	"dolxml/internal/join"
 	"dolxml/internal/nok"
 	"dolxml/internal/obs"
 	"dolxml/internal/xmltree"
@@ -237,20 +238,26 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 		rc := newMatchCursor(sctx, ev.store, m, c, i, sp)
 		if i == 0 {
 			if opts.View != nil && opts.Semantics == SemanticsPrunedSubtree {
-				rc = &pathFilterCursor{view: opts.View, in: rc, cur: ev.store.NewCursor(), tr: opts.Trace.ForOp(opFilter)}
+				rc = &pathFilterCursor{view: opts.View, in: rc, cur: ev.store.NewCursor(), opTrace: opTrace{tr: opts.Trace.ForOp(opFilter)}}
 			}
 			cur = rc
 		} else {
-			cur = &joinCursor{
+			if c.sortLeft(i) {
+				cur = &sortCursor{in: cur, slot: c.linkSlot[i]}
+			}
+			jc := &joinCursor{
 				cur:      ev.store.NewCursor(),
-				opts:     opts,
-				tr:       opts.Trace.ForOp(opJoin(i)),
+				opTrace:  opTrace{tr: opts.Trace.ForOp(opJoin(i))},
 				left:     cur,
 				right:    rc,
 				linkSlot: c.linkSlot[i],
 				base:     c.base[i],
 				nSlots:   len(c.slots[i]),
 			}
+			if opts.View != nil && opts.Semantics == SemanticsPrunedSubtree {
+				jc.eps = join.NewEpsJoiner(opts.View.Store(), opts.View.Effective())
+			}
+			cur = jc
 		}
 	}
 	dd := &dedupCursor{in: cur, retSlot: c.retSlot, seen: map[xmltree.NodeID]bool{}}
@@ -284,6 +291,11 @@ func (emptyCursor) Close() error                            { return nil }
 // Next returns the next distinct answer; ok is false once the stream is
 // exhausted or the Limit was reached.
 func (a *Answers) Next(ctx context.Context) (n xmltree.NodeID, ok bool, err error) {
+	// Asked here once per answer, and below once per hand-off batch: a
+	// cancelled consumer gets ctx's error even while matched tuples remain.
+	if err := ctx.Err(); err != nil {
+		return xmltree.InvalidNode, false, err
+	}
 	tp, err := a.p.Next(ctx)
 	if err != nil || tp == nil {
 		return xmltree.InvalidNode, false, err

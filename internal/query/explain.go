@@ -32,6 +32,7 @@ import (
 // trace events carry, so the ANALYZE fold joins them directly.
 func opScan(i int) string { return fmt.Sprintf("scan%d", i) }
 func opJoin(i int) string { return fmt.Sprintf("join%d", i) }
+func opSort(i int) string { return fmt.Sprintf("sort%d", i) }
 
 const (
 	opFilter = "filter"
@@ -80,7 +81,8 @@ type Plan struct {
 	// Nodes is the annotated pattern tree, by PatternNode id (preorder).
 	Nodes []PlanNode `json:"nodes"`
 	// Operators is the pipeline bottom-up: per-subtree scans, the
-	// pruned-subtree path filter, one join per cut edge, dedup, limit.
+	// pruned-subtree path filter, one join per cut edge (over a sort where
+	// its left input is not ordered by the link), dedup, limit.
 	Operators []PlanOp `json:"operators,omitempty"`
 }
 
@@ -114,11 +116,12 @@ type PlanNode struct {
 type PlanOp struct {
 	// Op is the attribution label stamped on the operator's trace events.
 	Op string `json:"op"`
-	// Kind is "scan", "filter", "join", "dedup", or "limit".
+	// Kind is "scan", "filter", "sort", "join", "dedup", or "limit".
 	Kind string `json:"kind"`
-	// Subtree is the NoK subtree index for scans and joins (-1 otherwise).
+	// Subtree is the NoK subtree index for scans, joins and sorts (else -1).
 	Subtree int `json:"subtree"`
-	// Root is the subtree root's pattern step for scans and joins.
+	// Root is the subtree root's pattern step for scans and joins; for a
+	// sort, the step of the link it orders by.
 	Root string `json:"root,omitempty"`
 	// Algorithm names the operator variant: "nok" / "eps-nok" for scans,
 	// "std" / "eps-std" for joins and the path filter.
@@ -261,6 +264,12 @@ func (c *compiled) plan() *Plan {
 		})
 		switch {
 		case i > 0:
+			if c.sortLeft(i) {
+				plan.Operators = append(plan.Operators, PlanOp{
+					Op: opSort(i), Kind: "sort", Subtree: i, Root: stepString(subs[i].Link), Inputs: []string{topLabel},
+				})
+				topLabel = opSort(i)
+			}
 			plan.Operators = append(plan.Operators, PlanOp{
 				Op:        opJoin(i),
 				Kind:      "join",
@@ -381,6 +390,8 @@ func (p *Plan) WriteText(w io.Writer) error {
 			} else {
 				pr(" streaming")
 			}
+		case "sort":
+			pr(" by %s", op.Root)
 		case "join":
 			pr(" %s link=%s", op.Algorithm, op.Root)
 		case "filter":
@@ -426,7 +437,7 @@ type OpStats struct {
 	// Emits counts answers leaving the pipeline (residual bucket: the
 	// facade records them).
 	Emits int64 `json:"emits,omitempty"`
-	// SpanUs sums span durations stamped with this op (join_open).
+	// SpanUs sums span durations stamped with this op.
 	SpanUs int64 `json:"span_us,omitempty"`
 }
 

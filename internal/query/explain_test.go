@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 
 	"dolxml/internal/acl"
@@ -84,7 +86,8 @@ func TestExplainUnsatisfiableZeroPages(t *testing.T) {
 
 // The plan's operator pipeline must mirror what Open builds: one scan per
 // NoK subtree, the root-path filter only under pruned semantics, one join
-// per cut edge, dedup always, limit when set.
+// per cut edge — over a sort exactly where its link is not the root of the
+// subtree joined just before — dedup always, limit when set.
 func TestExplainOperatorShape(t *testing.T) {
 	doc := miniXMark(t)
 	e := newExplainEnv(t, doc, allowAll(doc, 1), 512)
@@ -95,11 +98,21 @@ func TestExplainOperatorShape(t *testing.T) {
 		expr   string
 		opts   Options
 		filter bool
+		sorts  []string // the sort operators: label, link step, input, consumer
 	}{
-		{"/site/regions/africa/item[location][name]", Options{}, false},
-		{"//item[location]", Options{View: view}, false},
-		{"//item[location]", Options{View: view, Semantics: SemanticsPrunedSubtree}, true},
-		{"/site/categories//description", Options{View: view, Limit: 2}, false},
+		{"/site/regions/africa/item[location][name]", Options{}, false, nil},
+		{"//item[location]", Options{View: view}, false, nil},
+		{"//item[location]", Options{View: view, Semantics: SemanticsPrunedSubtree}, true, nil},
+		// The link is not the root of its subtree.
+		{"/site/categories//description", Options{View: view, Limit: 2}, false,
+			[]string{"sort1 /categories scan0 join1"}},
+		// Chains merge as they arrive.
+		{"//parlist//listitem//keyword", Options{View: view}, false, nil},
+		// The second join's link is joined a second time.
+		{"//parlist[//listitem]//keyword", Options{View: view, Semantics: SemanticsPrunedSubtree}, true,
+			[]string{"sort2 //parlist join1 join2"}},
+		{"//category[name]/description//bold", Options{}, false,
+			[]string{"sort1 /description scan0 join1"}},
 	} {
 		pt := MustParse(tc.expr)
 		plan, err := e.ev.Explain(ctx, pt, tc.opts)
@@ -108,8 +121,16 @@ func TestExplainOperatorShape(t *testing.T) {
 		}
 		subs := pt.Decompose()
 		var scans, joins, filters, dedups, limits int
-		for _, op := range plan.Operators {
+		var sorts []string
+		for k, op := range plan.Operators {
 			switch op.Kind {
+			case "sort":
+				// A sort sits directly under its join, as the join's left input.
+				next := plan.Operators[k+1]
+				if next.Kind != "join" || next.Inputs[0] != op.Op || next.Subtree != op.Subtree {
+					t.Errorf("%s: %s is followed by %+v", tc.expr, op.Op, next)
+				}
+				sorts = append(sorts, fmt.Sprintf("%s %s %s %s", op.Op, op.Root, op.Inputs[0], next.Op))
 			case "scan":
 				scans++
 			case "join":
@@ -125,6 +146,16 @@ func TestExplainOperatorShape(t *testing.T) {
 		if scans != len(subs) || joins != len(subs)-1 || dedups != 1 {
 			t.Errorf("%s: got %d scans / %d joins / %d dedups for %d subtrees",
 				tc.expr, scans, joins, dedups, len(subs))
+		}
+		if !reflect.DeepEqual(sorts, tc.sorts) {
+			t.Errorf("%s: sort operators %q, want %q", tc.expr, sorts, tc.sorts)
+		}
+		var sb strings.Builder
+		if err := plan.WriteText(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Count(sb.String(), "sort by "); got != len(tc.sorts) {
+			t.Errorf("%s: the text plan shows %d sorts, want %d:\n%s", tc.expr, got, len(tc.sorts), sb.String())
 		}
 		wantFilters := 0
 		if tc.filter {

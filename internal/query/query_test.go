@@ -629,13 +629,31 @@ func sameAnswers(res *Result, want map[xmltree.NodeID]bool) bool {
 func BenchmarkEvaluateTwig(b *testing.B) {
 	e := xmarkEnv(b)
 	opts := Options{View: e.ss.ViewSubject(0), Parallelism: 1}
+	// The harness's other two shapes: Q5 under a Limit, and a value
+	// predicate that one person satisfies.
+	email := ""
+	for c := e.doc.FirstChild(e.doc.NodesWithTag("person")[0]); c != xmltree.InvalidNode; c = e.doc.NextSibling(c) {
+		if e.doc.Tag(c) == "emailaddress" {
+			email = e.doc.Value(c)
+		}
+	}
+	type twig struct {
+		name, xpath string
+		limit       int
+	}
+	twigs := []twig{{"Q5lim", "//listitem//keyword", 10}, {"Qval", fmt.Sprintf("/site/people/person[emailaddress='%s']/name", email), 0}}
 	for _, q := range table1 {
+		twigs = append(twigs, twig{q.name, q.xpath, 0})
+	}
+	for _, q := range twigs {
 		pt := MustParse(q.xpath)
+		opts := opts
+		opts.Limit = q.limit
 		b.Run(q.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := e.ev.Evaluate(pt, opts); err != nil {
-					b.Fatal(err)
+				if res, err := e.ev.Evaluate(pt, opts); err != nil || len(res.Nodes) == 0 {
+					b.Fatal(len(res.Nodes), err)
 				}
 			}
 		})

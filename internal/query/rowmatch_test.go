@@ -321,18 +321,19 @@ func xmarkEnv(t testing.TB) *env {
 	return newEnv(t, doc, allowAll(doc, 1), 4096)
 }
 
-// Matching allocates nothing per node or per row: once a match state has
-// grown to the candidates' size, matchCandidate allocates nothing of its own
-// (Q1, whose scan stays inside the block its cursor holds, runs without a
-// single allocation); and a whole evaluation of each Table 1 twig stays
-// within a bound set from the achieved figure (plan, cursors, goroutines,
-// tuple batches, one chunk per joined right tuple, the answer slice) with
-// about half again as headroom.
+// Matching allocates nothing per node, per row or per block visit: once a
+// match state has grown to the candidates' size, a scan of all of them —
+// matcher, cursor, decode cache and buffer pool, whose Unpin links the frame
+// back into the LRU ring through the frame itself — runs without a single
+// allocation; and a whole evaluation of each Table 1 twig stays within a
+// bound set from the achieved figure (plan, cursors, goroutines, tuple
+// batches, a chunk per 64 joined tuples, the answer slice) with about half
+// again as headroom.
 func TestMatchCandidateAllocs(t *testing.T) {
 	e := xmarkEnv(t)
 	ctx := context.Background()
 	opts := Options{View: e.ss.ViewSubject(0), Parallelism: 1}
-	bounds := map[string]float64{"Q1": 300, "Q2": 300, "Q3": 300, "Q4": 950, "Q5": 950, "Q6": 550}
+	bounds := map[string]float64{"Q1": 300, "Q2": 300, "Q3": 300, "Q4": 350, "Q5": 380, "Q6": 280}
 	for _, q := range table1 {
 		pt := MustParse(q.xpath)
 		c, err := e.ev.compile(pt, opts)
@@ -358,14 +359,9 @@ func TestMatchCandidateAllocs(t *testing.T) {
 			if rows == 0 {
 				t.Fatalf("%s subtree %d: no rows", q.name, i)
 			}
-			g0 := e.pool.Stats().Gets
-			n := testing.AllocsPerRun(5, scan)
-			// AllocsPerRun scans once to warm up and then five times. What is
-			// left is the buffer pool's: each block visit ends in an Unpin
-			// that links the frame back into its LRU list, one list element.
-			if visits := float64(e.pool.Stats().Gets-g0) / 6; n != visits {
-				t.Errorf("%s subtree %d: %v allocations per scan of %d candidates (%d rows) on a warm match state, want the pool's %v, one per block visit",
-					q.name, i, n, len(sp.cands), rows/7, visits)
+			if n := testing.AllocsPerRun(5, scan); n != 0 {
+				t.Errorf("%s subtree %d: %v allocations per scan of %d candidates (%d rows) on a warm match state, want none",
+					q.name, i, n, len(sp.cands), rows/7)
 			}
 		}
 		var res *Result

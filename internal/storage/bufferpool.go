@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"sync"
@@ -41,11 +40,14 @@ func (s PoolStats) Sub(o PoolStats) PoolStats {
 
 // Frame is a buffered page. Data is valid while the frame is pinned.
 type Frame struct {
-	id      PageID
-	Data    []byte
-	pins    int
-	dirty   bool
-	lruElem *list.Element // non-nil only while unpinned
+	id    PageID
+	Data  []byte
+	pins  int
+	dirty bool
+	// prev and next link the frame into the pool's LRU ring; non-nil only
+	// while unpinned. The links live in the frame so that an Unpin
+	// allocates nothing.
+	prev, next *Frame
 	// ready is closed once Data holds the page contents. Frames are
 	// published to the pool map before their physical read completes so
 	// that the pool mutex is never held across I/O; concurrent getters of
@@ -66,7 +68,10 @@ type BufferPool struct {
 	pager    Pager
 	capacity int
 	frames   map[PageID]*Frame
-	lru      *list.List // of PageID, front = most recently used
+	// lru is the sentinel of the ring of unpinned frames: lru.next is the
+	// most recently used, lru.prev the eviction victim, the sentinel itself
+	// when none is unpinned.
+	lru Frame
 	// Counters are obs atomics rather than fields of a mutex-guarded
 	// struct: Stats() and the metrics registry read them while workers
 	// update them, without coordinating on bp.mu. They register under
@@ -103,9 +108,9 @@ func NewBufferPool(pager Pager, capacity int) *BufferPool {
 		pager:    pager,
 		capacity: capacity,
 		frames:   make(map[PageID]*Frame),
-		lru:      list.New(),
 		dirty:    make(map[PageID]struct{}),
 	}
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
 	bp.room = sync.NewCond(&bp.mu)
 	return bp
 }
@@ -233,7 +238,7 @@ func (bp *BufferPool) Allocate() (*Frame, error) {
 // error.
 func (bp *BufferPool) makeRoom(ctx context.Context) (waited bool, err error) {
 	for len(bp.frames) >= bp.capacity {
-		if bp.lru.Back() != nil {
+		if bp.lru.prev != &bp.lru {
 			if err := bp.evict(); err != nil {
 				return waited, err
 			}
@@ -296,7 +301,7 @@ func (bp *BufferPool) SetCapacity(capacity int) error {
 		bp.wake()
 	}
 	bp.capacity = capacity
-	for len(bp.frames) > bp.capacity && bp.lru.Back() != nil {
+	for len(bp.frames) > bp.capacity && bp.lru.prev != &bp.lru {
 		if err := bp.evict(); err != nil {
 			return err
 		}
@@ -307,10 +312,15 @@ func (bp *BufferPool) SetCapacity(capacity int) error {
 // pin marks f in use. Caller holds bp.mu.
 func (bp *BufferPool) pin(f *Frame) {
 	f.pins++
-	if f.lruElem != nil {
-		bp.lru.Remove(f.lruElem)
-		f.lruElem = nil
+	if f.next != nil {
+		f.unlink()
 	}
+}
+
+// unlink takes f out of the LRU ring.
+func (f *Frame) unlink() {
+	f.prev.next, f.next.prev = f.next, f.prev
+	f.prev, f.next = nil, nil
 }
 
 // Unpin releases one pin on the frame for page id; dirty records that the
@@ -331,7 +341,8 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 	}
 	f.pins--
 	if f.pins == 0 {
-		f.lruElem = bp.lru.PushFront(id)
+		f.prev, f.next = &bp.lru, bp.lru.next
+		f.prev.next, f.next.prev = f, f
 		bp.wake()
 	}
 	return nil
@@ -340,9 +351,8 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 // evict removes the least recently used unpinned frame, writing it back if
 // dirty. Caller holds bp.mu and has checked that the LRU list is not empty.
 func (bp *BufferPool) evict() error {
-	elem := bp.lru.Back()
-	id := elem.Value.(PageID)
-	f := bp.frames[id]
+	f := bp.lru.prev
+	id := f.id
 	if f.dirty {
 		if err := bp.pager.WritePage(id, f.Data); err != nil {
 			return err
@@ -350,7 +360,7 @@ func (bp *BufferPool) evict() error {
 		delete(bp.dirty, id)
 		bp.flushes.Inc()
 	}
-	bp.lru.Remove(elem)
+	f.unlink()
 	delete(bp.frames, id)
 	bp.evictions.Inc()
 	return nil
@@ -472,7 +482,7 @@ func (bp *BufferPool) DropAll() error {
 		}
 	}
 	bp.frames = make(map[PageID]*Frame)
-	bp.lru.Init()
+	bp.lru.prev, bp.lru.next = &bp.lru, &bp.lru
 	bp.dirty = make(map[PageID]struct{})
 	return nil
 }

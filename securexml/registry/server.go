@@ -408,10 +408,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.logAccess(req, "/query", http.StatusOK, time.Since(start), qt, len(ms))
+	body := appendMatchesJSON(nil, ms)
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	enc.Encode(ms)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	w.Write(body)
 }
 
 // handleExplain serves the compiled query plan without executing the

@@ -70,7 +70,7 @@ type TraceEvent struct {
 	AtMicros int64 `json:"at_us"`
 	// Kind classifies the event: parse, compile_skip_mask, open_pipeline,
 	// page_pin, page_decode, page_skip_access, page_skip_struct,
-	// candidate_reject, join_open, join_probe, merge_chunk, emit, done.
+	// candidate_reject, join_probe, merge_chunk, emit, done.
 	Kind string `json:"kind"`
 	// Op names the plan operator the event belongs to (scan0, join1,
 	// filter, dedup, limit, output); empty for query-level events.
