@@ -280,8 +280,8 @@ func runQuery(args []string) error {
 		fmt.Fprintf(os.Stderr, "pages read:       %d (pool hit ratio %.2f)\n", d("pool_misses"), ratio)
 		fmt.Fprintf(os.Stderr, "pages skipped:    %d structure, %d access\n",
 			d("query_pages_skipped_struct"), d("query_pages_skipped_access"))
-		fmt.Fprintf(os.Stderr, "candidates cut:   %d (%d by path class)\n",
-			d("query_candidates_rejected"), d("query_candidates_rejected_path"))
+		fmt.Fprintf(os.Stderr, "candidates cut:   %d (%d by path class, %d by semi-join)\n",
+			d("query_candidates_rejected"), d("query_candidates_rejected_path"), d("query_candidates_rejected_join"))
 		fmt.Fprintf(os.Stderr, "path routing:     %d empty short-circuits, %d classes pre-resolved\n",
 			d("query_path_empty_total"), d("query_path_classes_preresolved"))
 		fmt.Fprintf(os.Stderr, "decode cache:     %d hits, %d misses (ratio %.2f)\n", decHits, decMisses, decRatio)

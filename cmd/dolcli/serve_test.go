@@ -171,6 +171,8 @@ func TestServeSingleStoreIsOneTenantRoot(t *testing.T) {
 		{"/metrics?", http.StatusOK, false, "dolxml_tenant_store_query_total 3"},
 		{"/metrics?", http.StatusOK, false, "dolxml_registry_open_ns_count 1"},
 		{"/metrics?", http.StatusOK, false, "dolxml_tenant_store_sidecar_bytes "},
+		{"/metrics?", http.StatusOK, false, "dolxml_tenant_store_query_candidates_rejected_join "},
+		{"/metrics?", http.StatusOK, false, "dolxml_tenant_store_plan_memo_bytes "},
 	}
 	bodies := map[string][]string{}
 	for _, mode := range []struct {

@@ -4,9 +4,10 @@ import "testing"
 
 // The pathsummary experiment table must carry no VIOLATION notes: answers
 // byte-identical across routing on/off × semantics × parallelism, routed
-// runs never reading more pages, strict reductions on the descendant
-// twigs, and the unsatisfiable query answered from zero pages. The CI
-// smoke mirrors this via dolbench -exp pathsummary -strict.
+// runs never reading more pages, routing rejecting candidates on the
+// descendant twigs and never leaving more of them to scan, and the
+// unsatisfiable query answered from zero pages. The CI smoke mirrors this
+// via dolbench -exp pathsummary -strict.
 func TestPathSummaryShape(t *testing.T) {
 	tb := runQuick(t, "pathsummary")[0]
 	for _, note := range tb.Notes {
@@ -26,8 +27,19 @@ func TestPathSummaryShape(t *testing.T) {
 		if on[2] == "1" && pOn > pOff {
 			t.Errorf("%s/%s: %d pages with routing vs %d without", on[0], on[1], pOn, pOff)
 		}
-		if on[8] != offRow[8] {
-			t.Errorf("%s/%s: answer counts differ (%s vs %s)", on[0], on[1], on[8], offRow[8])
+		if on[9] != offRow[9] {
+			t.Errorf("%s/%s: answer counts differ (%s vs %s)", on[0], on[1], on[9], offRow[9])
+		}
+		// At quick scale every parlist of Q4 lies on a path that nests
+		// another, so routing has nothing to reject there.
+		if on[0] == "Q5" || on[0] == "Q6" {
+			rejected := cellInt(t, on[5])
+			if rejected == 0 || cellInt(t, offRow[5]) != 0 {
+				t.Errorf("%s/%s: routing rejected %d candidates, %s with routing off", on[0], on[1], rejected, offRow[5])
+			}
+			if removedOn, removedOff := rejected+cellInt(t, on[6]), cellInt(t, offRow[6]); removedOn < removedOff {
+				t.Errorf("%s/%s: %d candidates removed with routing vs %d without", on[0], on[1], removedOn, removedOff)
+			}
 		}
 		if on[0] == "Qunsat" {
 			if pOn != 0 {

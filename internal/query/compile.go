@@ -3,21 +3,24 @@ package query
 import (
 	"cmp"
 	"slices"
+	"strconv"
+	"unsafe"
 
 	"dolxml/internal/btree"
 	"dolxml/internal/obs"
+	"dolxml/internal/xmltree"
 )
 
 // compiled is one query's plan: every decision evaluation takes before it
-// reads a store page, resolved once from the pattern, the options and
-// in-memory state (page directory, path summary, the view's deny bitmap,
-// the tag and value indexes). Open instantiates cursors from it and Explain
-// renders it, so the plan shown is the plan run.
+// reads a store page, resolved from the pattern, the options and in-memory
+// state (page directory, path summary, the view's deny bitmap, the tag and
+// value indexes). The half that depends only on the pattern and the snapshot
+// is the embedded shape, memoized per snapshot; the rest is resolved per
+// request. Open instantiates cursors from it and Explain renders it, so the
+// plan shown is the plan run.
 type compiled struct {
-	t    *PatternTree
-	subs []NoKSubtree
-	opts Options
-	tupleLayout
+	*compiledShape
+	opts     Options
 	numPages int
 	workers  int
 	// accessSkip, structSkip and pathOn are what the ablation flags leave
@@ -26,27 +29,17 @@ type compiled struct {
 	// routing, pre-resolved verdicts — and the dead pages, which derive
 	// from it).
 	accessSkip, structSkip, pathOn bool
-	shape                          *compiledShape
 	route                          *pathRoute
 	mask                           *skipMask
 	// scans holds one entry per NoK subtree; nil when the query was proven
-	// empty, which happens before any candidate lookup.
+	// empty.
 	scans []scanPlan
 }
 
-// scanPlan is the plan of one NoK subtree's match producer.
+// scanPlan is the plan of one NoK subtree's match producer: the shape's
+// candidates and the request's fan-out decision.
 type scanPlan struct {
-	// source is sourceDocRoot, "tag-index", "value-index" or
-	// "wildcard-union".
-	source string
-	// cands are the index postings path routing kept. Nil for doc-root:
-	// that single candidate carries the document's subtree end, which costs
-	// a page read, so Open resolves it.
-	cands []btree.Posting
-	// n is the candidate count (1 for doc-root); rejected counts the
-	// postings routing turned away before any I/O.
-	n, rejected int
-	// The fan-out decision.
+	*shapeScan
 	parallel        bool
 	workers, chunks int
 }
@@ -55,7 +48,7 @@ type scanPlan struct {
 // pattern does not embed in the path summary, or every class some pattern
 // node can bind is uniformly denied to the view.
 func (c *compiled) empty() bool {
-	return c.shape != nil && c.shape.emptyStruct || c.route != nil && c.route.emptyAccess
+	return c.emptyStruct || c.route != nil && c.route.emptyAccess
 }
 
 // sortLeft says join i's left input has to be sorted by the link first. The
@@ -65,78 +58,218 @@ func (c *compiled) empty() bool {
 // arrives, //a[//b]//c and //a[b]/c//d sort.
 func (c *compiled) sortLeft(i int) bool { return c.subs[i].Link != c.subs[i-1].Root }
 
-// compile plans the query. It reads the indexes but no store page, and
-// records the compile span and each routed-away candidate on opts.Trace.
+// compile plans the query: the shape from the memo — built on a miss, and
+// per call by an evaluator without one — plus the view's route and fused
+// mask and the fan-out decisions. It reads the indexes (on a miss) but no
+// store page, and records the compile span and each routed-away candidate
+// on opts.Trace. The plan evaluates the shape's pattern tree, which equals t
+// node for node.
 func (ev *Evaluator) compile(t *PatternTree, opts Options) (*compiled, error) {
 	c := &compiled{
-		t:        t,
-		subs:     t.Decompose(),
 		opts:     opts,
 		numPages: ev.store.NumPages(),
 		workers:  opts.workers(),
 	}
-	c.tupleLayout = layoutOf(t, c.subs)
-
 	c.accessSkip = opts.View != nil && !opts.DisablePageSkip
 	c.pathOn = !opts.DisablePathSummary && ev.store.Paths() != nil
 	c.structSkip = c.pathOn && !opts.DisableSummarySkip
-	if c.accessSkip || c.pathOn {
-		endCompile := opts.Trace.Span(obs.EvCompile)
-		if c.pathOn {
-			c.shape = ev.masks.shapeFor(t.String(), ev.seq, func() *compiledShape {
-				return compileShape(ev.store, t, c.subs)
-			})
-		}
-		c.route = resolvePathAccess(ev.store, t, c.subs, c.shape, opts.View)
-		if !c.empty() {
-			c.mask = fuseMask(ev.store, t, c.shape, opts.View, c.accessSkip, c.structSkip)
-		}
+
+	endCompile := opts.Trace.Span(obs.EvCompile)
+	sh, err := ev.masks.shapeFor(shapeKey(t, c.pathOn), ev.seq, func() (*compiledShape, error) {
+		return ev.buildShape(t, c.pathOn)
+	})
+	if err != nil {
 		endCompile()
+		return nil, err
 	}
+	c.compiledShape = sh
+	c.route = resolvePathAccess(ev.store, sh, opts.View)
+	if !c.empty() {
+		c.mask = fuseMask(ev.store, sh, opts.View, c.accessSkip, c.structSkip)
+	}
+	endCompile()
 	if c.empty() {
 		return c, nil
 	}
 
-	c.scans = make([]scanPlan, len(c.subs))
-	for i, sub := range c.subs {
+	c.scans = make([]scanPlan, len(sh.scans))
+	for i := range sh.scans {
 		sp := &c.scans[i]
-		if i == 0 && t.Root.Axis == AxisChild {
-			sp.source, sp.n = sourceDocRoot, 1
-			continue
-		}
-		cands, source, err := ev.candidates(sub)
-		if err != nil {
-			return nil, err
-		}
-		// Route candidates through the path summary: a posting whose block
-		// holds no class this subtree root can bind cannot contribute an
-		// answer, so it is rejected before any page is read for it.
-		if c.shape != nil && c.shape.candKeep[i] != nil {
+		sp.shapeScan = &sh.scans[i]
+		if len(sp.routed) > 0 && opts.Trace != nil {
 			scanTr := opts.Trace.ForOp(opScan(i))
-			kept := make([]btree.Posting, 0, len(cands))
-			for _, cand := range cands {
-				pi := ev.store.PageIndexOf(cand.Node)
-				if hasBit(c.shape.candKeep[i], pi) {
-					kept = append(kept, cand)
-					continue
-				}
-				sp.rejected++
-				scanTr.CandidateReject(int64(cand.Node), int64(ev.store.PageInfoAt(pi).Page))
+			for _, r := range sp.routed {
+				scanTr.CandidateReject(r.node, r.page)
 			}
-			cands = kept
 		}
-		sp.source, sp.cands, sp.n = source, cands, len(cands)
 		// A plan with a Limit scans sequentially: its answers are the first
 		// in document order, and fanning out would only add run-ahead.
-		if c.workers > 1 && sp.n >= minParallelCandidates && opts.Limit == 0 {
+		if n := len(sp.cands); c.workers > 1 && n >= minParallelCandidates && opts.Limit == 0 {
 			// More chunks than workers evens out candidate skew; clamp both
 			// so fewer candidates than workers never spawns idle goroutines.
 			sp.parallel = true
-			sp.chunks = min(c.workers*4, sp.n)
+			sp.chunks = min(c.workers*4, n)
 			sp.workers = min(c.workers, sp.chunks)
 		}
 	}
 	return c, nil
+}
+
+// shapeKey is the memo key of a pattern's shape: the canonical render, the
+// returning node (the render does not show it: //a[b] and //a/b read alike)
+// and the path-summary flag, so that the ablation arms compare routing and
+// nothing else.
+func shapeKey(t *PatternTree, pathOn bool) string {
+	flag := "|nopath"
+	if pathOn {
+		flag = "|path"
+	}
+	return t.String() + "|" + strconv.Itoa(t.ReturningNode().id) + flag
+}
+
+// buildShape plans the view-independent half of a query over the evaluator's
+// snapshot: decomposition and layout, the path-summary embedding (pathOn),
+// the value-index postings of the value-constrained nodes, and per subtree
+// the candidate postings — routed through the embedding, then reduced by the
+// structural semi-join. It reads the tag and value indexes and no store
+// page.
+func (ev *Evaluator) buildShape(t *PatternTree, pathOn bool) (*compiledShape, error) {
+	sh := &compiledShape{t: t, query: t.String(), subs: t.Decompose()}
+	sh.tupleLayout = layoutOf(t, sh.subs)
+	var candKeep [][]uint64
+	if pathOn {
+		if candKeep = sh.embed(ev.store); sh.emptyStruct {
+			return sh, nil
+		}
+	}
+
+	// One value-index scan per value-constrained node serves both its
+	// membership list and, for a subtree root, the candidates.
+	sh.values = make([][]xmltree.NodeID, t.Len())
+	valued := make([][]btree.Posting, t.Len())
+	if ev.vindex != nil {
+		for _, p := range t.nodes {
+			if p.Value == "" || p.Tag == "*" {
+				continue
+			}
+			if code, ok := ev.store.LookupTag(p.Tag); ok {
+				ps, err := ev.vindex.ValuePostings(code, p.Value)
+				if err != nil {
+					return nil, err
+				}
+				valued[p.id] = ps
+			}
+			nodes := make([]xmltree.NodeID, len(valued[p.id])) // none for a tag the document lacks
+			for k, ps := range valued[p.id] {
+				nodes[k] = ps.Node
+			}
+			sh.values[p.id] = nodes
+			sh.size += int64(len(nodes)) * int64(unsafe.Sizeof(nodes[0]))
+		}
+	}
+
+	sh.scans = make([]shapeScan, len(sh.subs))
+	lists := make([][]btree.Posting, len(sh.subs))
+	for i, sub := range sh.subs {
+		sc := &sh.scans[i]
+		if i == 0 && t.Root.Axis == AxisChild {
+			// The document root's subtree is the document.
+			sc.source = sourceDocRoot
+			lists[i] = []btree.Posting{{Node: 0, End: xmltree.NodeID(ev.store.NumNodes() - 1), Level: 0}}
+			continue
+		}
+		cands, source, err := ev.candidates(sub, valued)
+		if err != nil {
+			return nil, err
+		}
+		sc.source = source
+		// Route candidates through the path summary: a posting whose block
+		// holds no class this subtree root can bind cannot contribute an
+		// answer, so it is rejected before any page is read for it.
+		if candKeep != nil && candKeep[i] != nil {
+			kept := cands[:0]
+			for _, cand := range cands {
+				pi := ev.store.PageIndexOf(cand.Node)
+				if hasBit(candKeep[i], pi) {
+					kept = append(kept, cand)
+					continue
+				}
+				sc.routed = append(sc.routed, routedCand{int64(cand.Node), int64(ev.store.PageInfoAt(pi).Page)})
+			}
+			cands = kept
+		}
+		lists[i] = cands
+	}
+	for i, n := range semiJoin(sh.subs, lists) {
+		sc := &sh.scans[i]
+		sc.cands, sc.rejectedJoin = lists[i], n
+		sh.size += int64(cap(sc.cands))*int64(unsafe.Sizeof(btree.Posting{})) +
+			int64(cap(sc.routed))*int64(unsafe.Sizeof(routedCand{}))
+	}
+	return sh, nil
+}
+
+// semiJoin reduces the candidate lists of a tree of descendant joins
+// (lists[i] holds subtree i's root candidates in document order, each
+// exclusively owned) to the postings that can take part in a joined tuple,
+// in place, and returns how many it removed from each. One bottom-up pass
+// keeps a parent subtree's candidate only if its region holds a candidate of
+// each child subtree joined to it; one top-down pass keeps a child's
+// candidate only if a surviving candidate of its parent encloses it. A join
+// pairs a node bound inside the parent subtree's match — which lies in that
+// match root's region — with a descendant of it, so a posting removed here
+// pairs with nothing under any view; and since tree regions nest or are
+// disjoint, each pass is a linear merge and the two together are the full
+// reduction of the tree of joins. Order is kept: the scans see subsequences
+// of the lists.
+func semiJoin(subs []NoKSubtree, lists [][]btree.Posting) (removed []int) {
+	removed = make([]int, len(lists))
+	for i, l := range lists {
+		removed[i] = len(l)
+	}
+	for i := len(subs) - 1; i > 0; i-- {
+		p := subs[i].Parent
+		lists[p] = keepEnclosing(lists[p], lists[i])
+	}
+	for i := 1; i < len(subs); i++ {
+		lists[i] = keepEnclosed(lists[i], lists[subs[i].Parent])
+	}
+	for i, l := range lists {
+		removed[i] -= len(l)
+	}
+	return removed
+}
+
+// keepEnclosing filters outer, in place, to the postings whose region holds
+// a posting of inner as a proper descendant. Both are in document order.
+func keepEnclosing(outer, inner []btree.Posting) []btree.Posting {
+	kept, j := outer[:0], 0
+	for _, o := range outer {
+		for j < len(inner) && inner[j].Node <= o.Node {
+			j++
+		}
+		if j < len(inner) && inner[j].Node <= o.End {
+			kept = append(kept, o)
+		}
+	}
+	return kept
+}
+
+// keepEnclosed filters inner, in place, to the postings that are proper
+// descendants of a posting of outer. Regions nest or are disjoint, so of the
+// outer postings that start before a node the one reaching furthest encloses
+// it if any does.
+func keepEnclosed(inner, outer []btree.Posting) []btree.Posting {
+	kept, j, reach := inner[:0], 0, xmltree.InvalidNode
+	for _, n := range inner {
+		for ; j < len(outer) && outer[j].Node < n.Node; j++ {
+			reach = max(reach, outer[j].End)
+		}
+		if n.Node <= reach {
+			kept = append(kept, n)
+		}
+	}
+	return kept
 }
 
 // tupleLayout assigns the pipeline's tuple slots. Only tracked pattern nodes
@@ -227,8 +360,9 @@ const minParallelCandidates = 16
 
 // candidates returns the index postings for a NoK subtree root ("using B+
 // trees on the subtree root's value or tag names", §4.1) and names their
-// source.
-func (ev *Evaluator) candidates(sub NoKSubtree) ([]btree.Posting, string, error) {
+// source. valued holds, by pattern node id, the value-index postings already
+// fetched; a value-constrained root's list is handed over, not copied.
+func (ev *Evaluator) candidates(sub NoKSubtree, valued [][]btree.Posting) ([]btree.Posting, string, error) {
 	if sub.Root.Tag == "*" {
 		// Wildcard root: union of all tags' postings, in document order.
 		var all []btree.Posting
@@ -242,14 +376,10 @@ func (ev *Evaluator) candidates(sub NoKSubtree) ([]btree.Posting, string, error)
 		slices.SortFunc(all, func(a, b btree.Posting) int { return cmp.Compare(a.Node, b.Node) })
 		return all, "wildcard-union", nil
 	}
-	code, ok := ev.store.LookupTag(sub.Root.Tag)
 	if sub.Root.Value != "" && ev.vindex != nil {
-		if !ok {
-			return nil, "value-index", nil
-		}
-		ps, err := ev.vindex.ValuePostings(code, sub.Root.Value)
-		return ps, "value-index", err
+		return valued[sub.Root.id], "value-index", nil
 	}
+	code, ok := ev.store.LookupTag(sub.Root.Tag)
 	if !ok {
 		return nil, "tag-index", nil
 	}

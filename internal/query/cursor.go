@@ -48,34 +48,48 @@ const matchBuf = 8
 // matchBuf bounds its run-ahead in tuples.
 const matchBatch = 64
 
-// rowBatch collects the rows a matcher completes into one flat chunk of
-// bindings. Rows are values: a batch holds no page pin.
+// rowBatch collects the rows a matcher completes in flat chunks of bindings
+// and hands them over as tuples carved from those chunks. A chunk is shared
+// by every hand-over it has room for, so a producer that hands each row over
+// by itself (a plan with a Limit) allocates per chunk, not per row. Rows are
+// values: a batch holds no page pin.
 type rowBatch struct {
-	width, rows int // bindings per row; rows a fresh chunk has room for
-	flat        []binding
+	width int // bindings per row
+	// flat is the chunk being filled; flat[start:] are the rows not handed
+	// over yet. hdrs is the chunk their tuple headers are carved from.
+	flat  []binding
+	start int
+	hdrs  []Tuple
 }
 
-// add copies row to the end of the chunk and returns the row count.
+// add copies row to the end of the chunk and returns how many rows wait to
+// be handed over. A full chunk is left to the tuples carved from it: the
+// waiting rows move to a new one.
 func (b *rowBatch) add(row []binding) int {
-	if b.flat == nil {
-		b.flat = make([]binding, 0, b.rows*b.width)
+	if cap(b.flat)-len(b.flat) < b.width {
+		waiting := b.flat[b.start:]
+		b.flat = append(make([]binding, 0, max(2*len(waiting), matchBatch*b.width)), waiting...)
+		b.start = 0
 	}
 	b.flat = append(b.flat, row...)
-	return len(b.flat) / b.width
+	return (len(b.flat) - b.start) / b.width
 }
 
-// take returns the collected rows as tuples over the chunk, which the batch
-// lets go of; nil when there are none.
+// take returns the waiting rows as tuples over the chunk; nil when there are
+// none.
 func (b *rowBatch) take() []Tuple {
-	if len(b.flat) == 0 {
+	n := (len(b.flat) - b.start) / b.width
+	if n == 0 {
 		return nil
 	}
-	ts := make([]Tuple, len(b.flat)/b.width)
-	for k := range ts {
-		ts[k] = b.flat[k*b.width : (k+1)*b.width : (k+1)*b.width]
+	if cap(b.hdrs)-len(b.hdrs) < n {
+		b.hdrs = make([]Tuple, 0, max(n, matchBatch))
 	}
-	b.flat = nil
-	return ts
+	lo := len(b.hdrs)
+	for ; b.start < len(b.flat); b.start += b.width {
+		b.hdrs = append(b.hdrs, b.flat[b.start:b.start+b.width:b.start+b.width])
+	}
+	return b.hdrs[lo:len(b.hdrs):len(b.hdrs)]
 }
 
 // chanCursor adapts a push-style producer goroutine to the pull Cursor
@@ -172,12 +186,12 @@ func newMatchCursor(parent context.Context, store *nok.Store, m *matcher, c *com
 	}
 	root := &m.nodes[c.subs[i].Root.id]
 	return newChanCursor(parent, func(ctx context.Context, out chan<- matchMsg) {
-		b := rowBatch{width: c.width, rows: matchBatch}
+		b, rows := rowBatch{width: c.width}, matchBatch
 		if c.opts.Limit > 0 {
-			b.rows = 1
+			rows = 1
 		}
 		ms := m.newState(store.NewCursor(), func(row []binding) bool {
-			return b.add(row) < b.rows || sendMsg(ctx, out, matchMsg{ts: b.take()})
+			return b.add(row) < rows || sendMsg(ctx, out, matchMsg{ts: b.take()})
 		})
 		for _, cand := range sp.cands {
 			if err := ms.matchCandidate(ctx, root, cand); err != nil {
@@ -241,7 +255,7 @@ func newParallelMatchCursor(parent context.Context, store *nok.Store, m *matcher
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				b := rowBatch{width: c.width, rows: matchBatch}
+				b := rowBatch{width: c.width}
 				ms := m.newState(store.NewCursor(), func(row []binding) bool {
 					b.add(row)
 					return true

@@ -103,8 +103,8 @@ type Evaluator struct {
 	store  *nok.Store
 	index  *btree.Tree
 	vindex *btree.ValueTree
-	// masks, when non-nil, memoizes compiled query shapes for the snapshot
-	// identified by seq (see Snapshot.Masks).
+	// masks, when non-nil, memoizes plan shapes for the snapshot identified
+	// by seq (see Snapshot.Masks).
 	masks *MaskCache
 	seq   uint64
 }
@@ -129,9 +129,9 @@ type Snapshot struct {
 	// Values is the optional (tag, value) index over Store; nil disables
 	// value-constraint index lookups.
 	Values *btree.ValueTree
-	// Masks, when non-nil, memoizes compiled query shapes for this
-	// snapshot; Seq is the publishing sequence stamped on cache entries
-	// (every commit bumps it, so stale shapes can never hit).
+	// Masks, when non-nil, memoizes the view-independent half of query
+	// plans for this snapshot; Seq is the publishing sequence stamped on
+	// cache entries (every commit bumps it, so stale shapes can never hit).
 	Masks *MaskCache
 	Seq   uint64
 }
@@ -218,24 +218,14 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 	pctx, cancel := context.WithCancel(ctx)
 	var cur Cursor
 	for i := range subs {
-		// Stamp this subtree's scan operator on every page pin its
-		// candidate lookup and match producers perform: the anchored top
-		// candidate, streaming matches, and parallel chunk workers all run
-		// under sctx.
+		// Stamp this subtree's scan operator on every page pin its match
+		// producers perform: streaming matches and parallel chunk workers
+		// all run under sctx.
 		sctx := pctx
 		if scanTr := opts.Trace.ForOp(opScan(i)); scanTr != nil {
 			sctx = obs.WithTrace(pctx, scanTr)
 		}
-		sp := c.scans[i]
-		if sp.source == sourceDocRoot {
-			end, err := ev.store.SubtreeEndCtx(sctx, 0)
-			if err != nil {
-				cancel()
-				return nil, err
-			}
-			sp.cands = []btree.Posting{{Node: 0, End: end, Level: 0}}
-		}
-		rc := newMatchCursor(sctx, ev.store, m, c, i, sp)
+		rc := newMatchCursor(sctx, ev.store, m, c, i, c.scans[i])
 		if i == 0 {
 			if opts.View != nil && opts.Semantics == SemanticsPrunedSubtree {
 				rc = &pathFilterCursor{view: opts.View, in: rc, cur: ev.store.NewCursor(), opTrace: opTrace{tr: opts.Trace.ForOp(opFilter)}}
@@ -315,7 +305,8 @@ func (a *Answers) Matches() int { return *a.matches }
 func (a *Answers) SkipStats() SkipStats {
 	s := a.c.mask.stats()
 	for _, sp := range a.c.scans {
-		s.PathCandidates += int64(sp.rejected)
+		s.PathCandidates += int64(len(sp.routed))
+		s.JoinCandidates += int64(sp.rejectedJoin)
 	}
 	if a.c.route != nil {
 		s.PathClasses = a.c.route.preResolved

@@ -107,9 +107,12 @@ type PlanNode struct {
 	// PreAllowChildren / PreAllowRoot are the uniform-class access
 	// preresolution verdicts: child scans (or root-candidate checks) skip
 	// per-node access checks entirely.
-	PreAllowChildren bool  `json:"pre_allow_children,omitempty"`
-	PreAllowRoot     bool  `json:"pre_allow_root,omitempty"`
-	Children         []int `json:"children,omitempty"`
+	PreAllowChildren bool `json:"pre_allow_children,omitempty"`
+	PreAllowRoot     bool `json:"pre_allow_root,omitempty"`
+	// ValueIndex says the node's value test is a lookup in the value-index
+	// postings the plan holds, not a read of the node's stored value.
+	ValueIndex bool  `json:"value_index,omitempty"`
+	Children   []int `json:"children,omitempty"`
 }
 
 // PlanOp is one pipeline operator.
@@ -126,10 +129,12 @@ type PlanOp struct {
 	// Algorithm names the operator variant: "nok" / "eps-nok" for scans,
 	// "std" / "eps-std" for joins and the path filter.
 	Algorithm string `json:"algorithm,omitempty"`
-	// Candidates counts root candidates after path routing;
-	// RejectedByPath the postings routing rejected before any I/O.
+	// Candidates counts the root candidates the scan matches;
+	// RejectedByPath the postings path routing rejected before any I/O, and
+	// RejectedByJoin those the structural semi-join removed after it.
 	Candidates     int    `json:"candidates,omitempty"`
 	RejectedByPath int    `json:"rejected_by_path,omitempty"`
+	RejectedByJoin int    `json:"rejected_by_join,omitempty"`
 	CandidateSrc   string `json:"candidate_source,omitempty"`
 	// Parallel / Workers / Chunks describe the scan fan-out decision.
 	Parallel bool `json:"parallel,omitempty"`
@@ -161,8 +166,7 @@ func popcountSet(w []uint64) int {
 
 // Explain compiles the pattern under the given options and renders the
 // plan without executing it. Compilation reads the tag and value indexes
-// only and leaves the anchored document-root candidate unresolved, so no
-// store page is pinned.
+// only, so no store page is pinned.
 func (ev *Evaluator) Explain(ctx context.Context, t *PatternTree, opts Options) (*Plan, error) {
 	c, err := ev.compile(t, opts)
 	if err != nil {
@@ -183,7 +187,7 @@ func (c *compiled) plan() *Plan {
 		sem = "bindings"
 	}
 	plan := &Plan{
-		Query:         t.String(),
+		Query:         c.query,
 		Semantics:     sem,
 		Parallelism:   c.workers,
 		Limit:         opts.Limit,
@@ -191,7 +195,7 @@ func (c *compiled) plan() *Plan {
 		StructSkip:    c.structSkip,
 		AccessSkip:    c.accessSkip,
 		TotalPages:    c.numPages,
-		Unsatisfiable: c.shape != nil && c.shape.emptyStruct,
+		Unsatisfiable: c.emptyStruct,
 		Nodes:         make([]PlanNode, t.Len()),
 	}
 	if c.route != nil {
@@ -225,12 +229,13 @@ func (c *compiled) plan() *Plan {
 	for _, p := range t.nodes {
 		pn := &plan.Nodes[p.id]
 		if c.structSkip {
-			pn.StructDeadPages = popcountSet(c.shape.dead[p.id])
+			pn.StructDeadPages = popcountSet(c.dead[p.id])
 		}
-		if c.shape != nil {
-			pn.ClassesDown = popcountSet(c.shape.down[p.id])
-			pn.ClassesMatched = popcountSet(c.shape.matched[p.id])
+		if c.pathOn {
+			pn.ClassesDown = popcountSet(c.down[p.id])
+			pn.ClassesMatched = popcountSet(c.matched[p.id])
 		}
+		pn.ValueIndex = c.values[p.id] != nil
 		pn.FusedDeadPages = popcountSet(c.mask.nodeBits(p))
 		if c.route != nil {
 			pn.PreAllowChildren = c.route.preAllow[p.id]
@@ -255,8 +260,9 @@ func (c *compiled) plan() *Plan {
 			Subtree:        i,
 			Root:           root,
 			Algorithm:      scanAlg,
-			Candidates:     sp.n,
-			RejectedByPath: sp.rejected,
+			Candidates:     len(sp.cands),
+			RejectedByPath: len(sp.routed),
+			RejectedByJoin: sp.rejectedJoin,
 			CandidateSrc:   sp.source,
 			Parallel:       sp.parallel,
 			Workers:        sp.workers,
@@ -356,6 +362,9 @@ func (p *Plan) WriteText(w io.Writer) error {
 		if n.PreAllowRoot {
 			pr(" pre-allow-root")
 		}
+		if n.ValueIndex {
+			pr(" value-index")
+		}
 		pr("]\n")
 		for _, c := range n.Children {
 			walkNode(c, depth+1)
@@ -384,6 +393,9 @@ func (p *Plan) WriteText(w io.Writer) error {
 			pr(" %s %s candidates=%d via %s", op.Root, op.Algorithm, op.Candidates, op.CandidateSrc)
 			if op.RejectedByPath > 0 {
 				pr(" (rejected-by-path=%d)", op.RejectedByPath)
+			}
+			if op.RejectedByJoin > 0 {
+				pr(" (rejected-by-join=%d)", op.RejectedByJoin)
 			}
 			if op.Parallel {
 				pr(" parallel workers=%d chunks=%d", op.Workers, op.Chunks)

@@ -103,9 +103,6 @@ func referenceStream(t *testing.T, ev *Evaluator, doc *xmltree.Document, c *comp
 	for i := range c.subs {
 		sp := c.scans[i]
 		sp.parallel = false
-		if sp.source == sourceDocRoot {
-			sp.cands = []btree.Posting{{Node: 0, End: doc.End(0), Level: 0}}
-		}
 		mc := newMatchCursor(ctx, ev.store, m, c, i, sp)
 		if i == 0 {
 			if view != nil {
@@ -230,28 +227,7 @@ func TestStreamingJoinOracle(t *testing.T) {
 				for _, limit := range []int{0, 1, 10} {
 					opts := sem.opts
 					opts.Parallelism, opts.Limit = p, limit
-					a, err := ev.Open(ctx, pt, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					in := a.p.Cursor
-					if lc, ok := in.(*limitCursor); ok {
-						in = lc.in
-					}
-					var got []Tuple
-					for {
-						tp, err := in.(*dedupCursor).in.Next(ctx)
-						if err != nil {
-							t.Fatalf("%s: %v", what, err)
-						}
-						if tp == nil {
-							break
-						}
-						got = append(got, tp)
-					}
-					if err := a.Close(); err != nil {
-						t.Fatal(err)
-					}
+					got := streamBelowDedup(t, ev, pt, opts)
 					if len(got) != len(want) {
 						t.Fatalf("%s p=%d limit=%d: %d tuples, the drained join has %d", what, p, limit, len(got), len(want))
 					}

@@ -2,6 +2,7 @@ package query
 
 import (
 	"context"
+	"slices"
 
 	"dolxml/internal/btree"
 	"dolxml/internal/dol"
@@ -74,6 +75,13 @@ type nodePlan struct {
 	// skip is the fused skip state the node's child scans consult, nil when
 	// the query compiled no mask for it.
 	skip *nodeSkip
+	// vals, when non-nil (empty counts), answers the node's value test: the
+	// nodes the value index lists under its (tag, value), in document order.
+	// below holds the vals of the indexed value tests further down the
+	// node's fragment: the fragment matches at a data node only if that
+	// node's subtree holds a node of each.
+	vals  []xmltree.NodeID
+	below [][]xmltree.NodeID
 	// checkScan and checkRoot say whether the node's child scans, and the
 	// node as a subtree-root candidate, need the per-node access check:
 	// false without a view, and when path routing proved every class the
@@ -127,6 +135,7 @@ func (m *matcher) prepare(c *compiled) {
 		if np.slot >= 0 {
 			np.frag = append(np.frag, np.slot)
 		}
+		np.vals = c.values[p.id]
 		for _, k := range p.Children {
 			if k.Axis != AxisChild {
 				continue // the root of its own NoK subtree
@@ -135,6 +144,10 @@ func (m *matcher) prepare(c *compiled) {
 			np.kids = append(np.kids, kp)
 			np.frag = append(np.frag, kp.frag...)
 			np.kidsTracked = np.kidsTracked || len(kp.frag) > 0
+			if kp.vals != nil {
+				np.below = append(np.below, kp.vals)
+			}
+			np.below = append(np.below, kp.below...)
 		}
 		m.depth, m.maxKids = max(m.depth, depth), max(m.maxKids, len(np.kids))
 		if m.masks != nil && len(np.kids) > 0 {
@@ -150,9 +163,18 @@ func (m *matcher) prepare(c *compiled) {
 	}
 }
 
-func (m *matcher) matchesValue(ctx context.Context, p *PatternNode, u xmltree.NodeID) (bool, error) {
-	if p.Value == "" {
+// matchesValue applies np's value test to data node u: a lookup in the
+// value-index postings the plan holds, which reads no page — the index
+// covers every stored value, so u is listed exactly when its value equals
+// the literal — and a read of u's stored value where the plan has none (a
+// "*" tag, an evaluator without a value index).
+func (m *matcher) matchesValue(ctx context.Context, np *nodePlan, u xmltree.NodeID) (bool, error) {
+	if np.p.Value == "" {
 		return true, nil
+	}
+	if np.vals != nil {
+		_, ok := slices.BinarySearch(np.vals, u)
+		return ok, nil
 	}
 	if m.values == nil {
 		return false, nil
@@ -161,7 +183,20 @@ func (m *matcher) matchesValue(ctx context.Context, p *PatternNode, u xmltree.No
 	if err != nil {
 		return false, err
 	}
-	return v == p.Value, nil
+	return v == np.p.Value, nil
+}
+
+// mayMatchBelow reports whether each indexed value test below np in its
+// fragment has a listed node in (u, hi], where hi bounds u's subtree from
+// above. When one has none, np's fragment cannot match at u, whatever the
+// view: the scan need not descend.
+func (np *nodePlan) mayMatchBelow(u, hi xmltree.NodeID) bool {
+	for _, vals := range np.below {
+		if i, _ := slices.BinarySearch(vals, u+1); i == len(vals) || vals[i] > hi {
+			return false
+		}
+	}
+	return true
 }
 
 // matchState is one goroutine's working memory for matching candidates of
@@ -234,10 +269,11 @@ func (m *matcher) newState(cur *nok.Cursor, emit func(row []binding) bool) *matc
 }
 
 // npm matches np's NoK fragment at data node u (whose tag, value and
-// accessibility the caller has verified) in frame depth, reporting each
-// distinct row of the fragment's tracked bindings the moment its last
-// component is discovered instead of materializing a cross product after
-// the child scan. It reports whether the fragment matched.
+// accessibility the caller has verified, and whose subtree ends at hi or
+// before) in frame depth, reporting each distinct row of the fragment's
+// tracked bindings the moment its last component is discovered instead of
+// materializing a cross product after the child scan. It reports whether the
+// fragment matched.
 //
 // Incremental emission rule: a product (r_1, …, r_k) over the tracked
 // kids' rows is reported exactly once, when its last-arriving component
@@ -252,7 +288,7 @@ func (m *matcher) newState(cur *nok.Cursor, emit func(row []binding) bool) *matc
 // coming from different data children bind nodes of disjoint subtrees, and
 // the rows one data child yields are distinct by induction — products of
 // distinct rows that differ in at least one component.
-func (ms *matchState) npm(ctx context.Context, depth, ci int, np *nodePlan, u binding) (bool, error) {
+func (ms *matchState) npm(ctx context.Context, depth, ci int, np *nodePlan, u binding, hi xmltree.NodeID) (bool, error) {
 	f := &ms.frames[depth]
 	f.np, f.u, f.ci = np, u, ci
 	kids := np.kids
@@ -303,6 +339,9 @@ func (ms *matchState) npm(ctx context.Context, depth, ci int, np *nodePlan, u bi
 		if err != nil {
 			return false, err
 		}
+		// next is v's following sibling once a kid's value tests have asked
+		// for it, to bound v's subtree; the scan then moves on from it.
+		next, haveNext := xmltree.InvalidNode, false
 		// The access check while the block is at hand (§3.3): the code in
 		// force came with the node.
 		if !np.checkScan || m.view.CodeAllowed(info.Code) {
@@ -313,14 +352,29 @@ func (ms *matchState) npm(ctx context.Context, depth, ci int, np *nodePlan, u bi
 					continue // existential child already satisfied
 				}
 				if kp.tag == info.Entry.Tag || kp.tag == tagAny {
-					ok, err := m.matchesValue(ctx, kp.p, v)
+					ok, err := m.matchesValue(ctx, kp, v)
 					if err != nil {
 						return false, err
+					}
+					// v's subtree ends before its following sibling, or
+					// where u's does.
+					vhi := hi
+					if ok && len(kp.below) > 0 {
+						if !haveNext {
+							if next, err = cur.FollowingSibling(ctx, v, skip); err != nil {
+								return false, err
+							}
+							haveNext = true
+						}
+						if next != xmltree.InvalidNode {
+							vhi = next - 1
+						}
+						ok = kp.mayMatchBelow(v, vhi)
 					}
 					if ok {
 						// A tracked kid reports its rows into f as it
 						// finds them; an existential one only has to match.
-						sub, err := ms.npm(ctx, depth+1, i, kp, binding{v, xmltree.InvalidNode, int32(info.Level)})
+						sub, err := ms.npm(ctx, depth+1, i, kp, binding{v, xmltree.InvalidNode, int32(info.Level)}, vhi)
 						if err != nil || ms.stopped {
 							return false, err
 						}
@@ -339,10 +393,12 @@ func (ms *matchState) npm(ctx context.Context, depth, ci int, np *nodePlan, u bi
 				break
 			}
 		}
-		v, err = cur.FollowingSibling(ctx, v, skip)
-		if err != nil {
-			return false, err
+		if !haveNext {
+			if next, err = cur.FollowingSibling(ctx, v, skip); err != nil {
+				return false, err
+			}
 		}
+		v = next
 	}
 	return f.nMatched == len(kids), nil
 }
@@ -446,6 +502,9 @@ func (ms *matchState) matchCandidate(ctx context.Context, root *nodePlan, c btre
 			return nil
 		}
 	}
+	if !root.mayMatchBelow(c.Node, c.End) {
+		return nil
+	}
 	info, err := cur.Info(ctx, c.Node)
 	if err != nil {
 		return err
@@ -456,11 +515,11 @@ func (ms *matchState) matchCandidate(ctx context.Context, root *nodePlan, c btre
 	if root.tag != info.Entry.Tag && root.tag != tagAny {
 		return nil
 	}
-	ok, err := m.matchesValue(ctx, root.p, c.Node)
+	ok, err := m.matchesValue(ctx, root, c.Node)
 	if err != nil || !ok {
 		return err
 	}
 	ms.arena = ms.arena[:0]
-	_, err = ms.npm(ctx, 0, 0, root, binding{c.Node, c.End, int32(c.Level)})
+	_, err = ms.npm(ctx, 0, 0, root, binding{c.Node, c.End, int32(c.Level)}, c.End)
 	return err
 }

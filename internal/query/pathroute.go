@@ -3,17 +3,34 @@ package query
 import (
 	"math/bits"
 
+	"dolxml/internal/btree"
 	"dolxml/internal/dol"
 	"dolxml/internal/nok"
 	"dolxml/internal/pathsum"
+	"dolxml/internal/xmltree"
 )
 
 // compiledShape is the view-independent half of a query's plan: the
-// pattern tree embedded into the store's path summary. Shapes depend only
-// on (pattern string, snapshot), so the facade memoizes them per snapshot
-// sequence in a MaskCache; per-node slices are indexed by PatternNode.id,
-// which is stable across reparses of the same pattern string.
+// decomposition and tuple layout, the pattern tree embedded into the store's
+// path summary, each subtree's candidate postings after path routing and the
+// structural semi-join, and the value-index postings of the value-constrained
+// pattern nodes. It depends only on (pattern, snapshot), so the facade
+// memoizes it per snapshot sequence in a MaskCache; an evaluator without one
+// builds it per query, from the same code. Nothing in it depends on a subject
+// view — route, mask, deny bitmap and access decisions are resolved per
+// request — and it is read-only once built. Per-node slices are indexed by
+// PatternNode.id.
 type compiledShape struct {
+	// t is the tree the shape was built from, and the one a plan on this
+	// shape evaluates: a memo hit serves any reparse of the same pattern.
+	// query is its canonical render.
+	t     *PatternTree
+	query string
+	subs  []NoKSubtree
+	tupleLayout
+
+	// The path-summary embedding, nil with path routing off.
+	//
 	// emptyStruct is set when the path summary admits no embedding of the
 	// pattern: the query has no answers under any view or semantics.
 	emptyStruct bool
@@ -26,20 +43,50 @@ type compiledShape struct {
 	// pattern fragment below p to embed in the summary (matched ⊆ down).
 	down    [][]uint64
 	matched [][]uint64
-	// candKeep[i], when non-nil, is the bitmap of blocks that hold at
-	// least one class subtree i's root can bind: index postings on other
-	// blocks cannot contribute and are rejected before any I/O.
-	candKeep [][]uint64
+
+	// scans holds one entry per NoK subtree; nil when the embedding proved
+	// the query empty, which happens before any index lookup.
+	scans []shapeScan
+	// values[p.id] lists, in document order, the nodes the value index holds
+	// under p's (tag, value): the value index covers every stored value, so
+	// a node passes p's value test exactly when it is listed. Nil for a node
+	// without a value constraint, with a "*" tag, or without a value index.
+	values [][]xmltree.NodeID
+	// size is what the shape holds in memory, for the memo's byte bound.
+	size int64
 }
 
-// compileShape embeds the pattern tree into the path summary: a top-down
-// pass computes each pattern node's reachable class set, a bottom-up pass
-// prunes classes under which the remaining fragment cannot embed. An empty
-// set anywhere proves the query unsatisfiable before any I/O; otherwise
-// the matched classes' block placement yields the dead-page bits and
-// routes candidate postings. In-memory work only.
-func compileShape(st *nok.Store, t *PatternTree, subs []NoKSubtree) *compiledShape {
-	sh := &compiledShape{dead: make([][]uint64, t.Len())}
+// shapeScan is the view-independent half of one NoK subtree's scan plan.
+type shapeScan struct {
+	// source is sourceDocRoot, "tag-index", "value-index" or
+	// "wildcard-union".
+	source string
+	// cands are the index postings, in document order, that path routing
+	// kept and the semi-join did not prove unpairable.
+	cands []btree.Posting
+	// routed are the postings path routing turned away: their blocks hold
+	// no class the subtree root can bind. Kept so that every query reports
+	// them (candidate_reject events, rejected-by-path).
+	routed []routedCand
+	// rejectedJoin counts the routed-in postings the semi-join removed.
+	rejectedJoin int
+}
+
+// routedCand is one posting path routing rejected, with its storage page.
+type routedCand struct{ node, page int64 }
+
+// embed embeds the pattern tree into the path summary: a top-down pass
+// computes each pattern node's reachable class set, a bottom-up pass prunes
+// classes under which the remaining fragment cannot embed. An empty set
+// anywhere proves the query unsatisfiable before any I/O; otherwise the
+// matched classes' block placement yields the dead-page bits and, returned
+// per subtree, the bitmap of blocks that hold at least one class the
+// subtree's root can bind (nil for the anchored document root, which needs
+// no routing): index postings on other blocks cannot contribute. In-memory
+// work only.
+func (sh *compiledShape) embed(st *nok.Store) (candKeep [][]uint64) {
+	t, subs := sh.t, sh.subs
+	sh.dead = make([][]uint64, t.Len())
 	sum := st.Paths()
 	nc := sum.NumNodes()
 	cw := (nc + 63) / 64
@@ -158,7 +205,7 @@ func compileShape(st *nok.Store, t *PatternTree, subs []NoKSubtree) *compiledSha
 	sh.down, sh.matched = down, matched
 	if empty {
 		sh.emptyStruct = true
-		return sh
+		return nil
 	}
 
 	tail := uint(sum.NumBlocks()) & 63
@@ -182,14 +229,14 @@ func compileShape(st *nok.Store, t *PatternTree, subs []NoKSubtree) *compiledSha
 		}
 		sh.dead[p.id] = dead
 	}
-	sh.candKeep = make([][]uint64, len(subs))
+	candKeep = make([][]uint64, len(subs))
 	for i := range subs {
 		if i == 0 && t.Root.Axis == AxisChild {
 			continue // the document root needs no routing
 		}
-		sh.candKeep[i] = sum.PageBits(matched[subs[i].Root.id])
+		candKeep[i] = sum.PageBits(matched[subs[i].Root.id])
 	}
-	return sh
+	return candKeep
 }
 
 // pathRoute is the view-dependent half of path routing: access verdicts
@@ -214,12 +261,13 @@ type pathRoute struct {
 }
 
 // resolvePathAccess stamps the view's allow/deny verdicts onto the
-// shape's class sets. Returns nil when path routing is off (nil shape),
-// the shape is already empty, or no view is set.
-func resolvePathAccess(st *nok.Store, t *PatternTree, subs []NoKSubtree, sh *compiledShape, view *dol.SubjectView) *pathRoute {
-	if sh == nil || sh.emptyStruct || view == nil {
+// shape's class sets. Returns nil when the shape carries no embedding (path
+// routing is off), the embedding is empty, or no view is set.
+func resolvePathAccess(st *nok.Store, sh *compiledShape, view *dol.SubjectView) *pathRoute {
+	if sh.down == nil || sh.emptyStruct || view == nil {
 		return nil
 	}
+	t, subs := sh.t, sh.subs
 	sum := st.Paths()
 	r := &pathRoute{
 		preAllow:     make([]bool, t.Len()),

@@ -24,6 +24,10 @@ type SkipStats struct {
 	// PathCandidates counts root candidates rejected because the path
 	// summary proves their block holds no class the subtree root can bind.
 	PathCandidates int64
+	// JoinCandidates counts root candidates, routed in by the path summary,
+	// that the structural semi-join on the index postings removed: no
+	// posting of a joined subtree lies where they could pair with it.
+	JoinCandidates int64
 	// PathClasses counts path classes whose access verdict the query
 	// resolved once from a uniform code instead of per candidate node.
 	PathClasses int64
@@ -133,7 +137,7 @@ func (sm *skipMask) scanSkipFn(p *PatternNode, tr *obs.Trace) func(int) bool {
 // the shape's per-node dead pages (structSkip) into the mask evaluation
 // consults. With neither it returns nil and scans run unassisted.
 // Compilation touches only in-memory state and performs no page I/O.
-func fuseMask(st *nok.Store, t *PatternTree, shape *compiledShape, view *dol.SubjectView, accessSkip, structSkip bool) *skipMask {
+func fuseMask(st *nok.Store, shape *compiledShape, view *dol.SubjectView, accessSkip, structSkip bool) *skipMask {
 	if !accessSkip && !structSkip {
 		return nil
 	}
@@ -145,7 +149,7 @@ func fuseMask(st *nok.Store, t *PatternTree, shape *compiledShape, view *dol.Sub
 		return sm
 	}
 	sm.perNode = make(map[*PatternNode][]uint64)
-	for _, p := range t.nodes {
+	for _, p := range shape.t.nodes {
 		dead := shape.dead[p.id]
 		if dead == nil {
 			continue

@@ -133,6 +133,7 @@ func (c *QueryCursor) SkipStats() SkipStats {
 		StructPages:    sk.StructPages,
 		Candidates:     sk.Candidates,
 		PathCandidates: sk.PathCandidates,
+		JoinCandidates: sk.JoinCandidates,
 		PathClasses:    sk.PathClasses,
 		PathEmpty:      sk.PathEmpty,
 	}

@@ -57,6 +57,7 @@ func (s *Store) initObs() error {
 		{"codebook_bytes", func(sn *snapshot) int64 { return int64(sn.ss.Codebook().Bytes()) }},
 		{"codebook_entries", func(sn *snapshot) int64 { return int64(sn.ss.Codebook().Len()) }},
 		{"codebook_subjects", func(sn *snapshot) int64 { return int64(sn.ss.Codebook().NumSubjects()) }},
+		{"plan_memo_bytes", func(sn *snapshot) int64 { return sn.idx.masks.Bytes() }},
 	} {
 		fn := g.fn
 		if err := s.reg.RegisterGauge(g.name, func() int64 {
@@ -97,6 +98,7 @@ func (s *Store) initObs() error {
 	s.skipStruct = s.reg.Counter("query_pages_skipped_struct")
 	s.candRejects = s.reg.Counter("query_candidates_rejected")
 	s.pathRejects = s.reg.Counter("query_candidates_rejected_path")
+	s.joinRejects = s.reg.Counter("query_candidates_rejected_join")
 	s.pathEmpties = s.reg.Counter("query_path_empty_total")
 	s.pathClasses = s.reg.Counter("query_path_classes_preresolved")
 	s.queryLatency = s.reg.Histogram("query_latency_us")
@@ -144,6 +146,8 @@ func (s *Store) initObs() error {
 		"query_pages_skipped_struct":     "Pages skipped because the structure summary proved them dead.",
 		"query_candidates_rejected":      "Candidate nodes rejected before matching.",
 		"query_candidates_rejected_path": "Candidates rejected by path-class filtering.",
+		"query_candidates_rejected_join": "Candidates the structural semi-join on the index postings removed.",
+		"plan_memo_bytes":                "Memory held by the current snapshot's memoized plan shapes, in bytes.",
 		"query_path_empty_total":         "Queries proven empty by the path summary alone.",
 		"query_path_classes_preresolved": "Uniform path classes whose access verdict was preresolved.",
 		"query_latency_us":               "Query latency in microseconds.",
@@ -154,8 +158,8 @@ func (s *Store) initObs() error {
 		"slo_queries_over_objective":     "Queries that finished over the SLO latency objective.",
 		"slo_latency_objective_us":       "Configured SLO latency objective in microseconds (0 when unset).",
 		"slo_burn_rate_permille":         "Error-budget burn rate in permille; 1000 burns the budget exactly at the SLO rate.",
-		"skipmask_compile_hits":          "Skip-mask compilations served from the mask cache.",
-		"skipmask_compile_misses":        "Skip-mask compilations that had to run.",
+		"skipmask_compile_hits":          "Plan-memo lookups served from the snapshot's memo.",
+		"skipmask_compile_misses":        "Plan-memo lookups that had to build the plan shape.",
 		"snapshot_pins":                  "Snapshot pins taken by queries and cursors.",
 		"snapshot_unpins":                "Snapshot pins released.",
 		"snapshot_pin_us":                "Snapshot pin hold time in microseconds.",
@@ -205,6 +209,7 @@ func (s *Store) recordSkips(sk query.SkipStats) {
 	s.skipStruct.Add(sk.StructPages)
 	s.candRejects.Add(sk.Candidates)
 	s.pathRejects.Add(sk.PathCandidates)
+	s.joinRejects.Add(sk.JoinCandidates)
 	s.pathEmpties.Add(sk.PathEmpty)
 	s.pathClasses.Add(sk.PathClasses)
 }

@@ -272,7 +272,8 @@ func TestMetricNamesValidAndUnique(t *testing.T) {
 		"query_total", "query_errors", "query_slow_total",
 		"query_answers_total", "query_matches_total", "query_latency_us",
 		"query_pages_skipped_access", "query_pages_skipped_struct",
-		"query_candidates_rejected",
+		"query_candidates_rejected", "query_candidates_rejected_path", "query_candidates_rejected_join",
+		"skipmask_compile_hits", "skipmask_compile_misses", "plan_memo_bytes",
 	})
 	for _, n := range mem.MetricNames() {
 		if strings.HasPrefix(n, "wal_") || n == "commit_wait_us" {

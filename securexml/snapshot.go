@@ -44,11 +44,12 @@ type indexState struct {
 	err      error
 	index    *btree.Tree
 	vindex   *btree.ValueTree
-	// masks memoizes compiled query shapes (skip masks + path routing)
-	// across the snapshots sharing this index state. Entries are stamped
-	// with the publishing sequence and hit only on an exact match, so an
-	// ACL-only commit (which shares the indexState but shadow-pages the
-	// block directory) still recompiles.
+	// masks memoizes the view-independent half of query plans (path
+	// embedding, candidate postings, value-index postings) across the
+	// snapshots sharing this index state. Entries are stamped with the
+	// publishing sequence and hit only on an exact match, so an ACL-only
+	// commit (which shares the indexState but shadow-pages the block
+	// directory) still replans.
 	masks *query.MaskCache
 }
 

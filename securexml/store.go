@@ -187,12 +187,14 @@ type Store struct {
 	skipStruct   *obs.Counter
 	candRejects  *obs.Counter
 	pathRejects  *obs.Counter
+	joinRejects  *obs.Counter
 	pathEmpties  *obs.Counter
 	pathClasses  *obs.Counter
 	queryLatency *obs.Histogram
-	// maskHits/maskMisses count skip-mask (shape) compilations served from
-	// and missed by the per-snapshot MaskCache. They are created before the
-	// first snapshot (whose cache captures them) and registered in initObs.
+	// maskHits/maskMisses count plan-memo lookups — the view-independent
+	// half of a plan, skip masks included — served from and missed by the
+	// per-snapshot MaskCache. They are created before the first snapshot
+	// (whose cache captures them) and registered in initObs.
 	maskHits   *obs.Counter
 	maskMisses *obs.Counter
 	snapPins   *obs.Counter
@@ -1039,11 +1041,15 @@ type CacheStats struct {
 // PathCandidates counts candidates the path summary rejected before any
 // I/O, PathClasses the access verdicts it resolved at the path-class
 // level, and PathEmpty is 1 when it proved the query empty outright.
+// JoinCandidates counts the candidates the structural semi-join on the index
+// postings removed after that: no posting of a joined subtree lies where
+// they could pair with it.
 type SkipStats struct {
 	AccessPages    int64
 	StructPages    int64
 	Candidates     int64
 	PathCandidates int64
+	JoinCandidates int64
 	PathClasses    int64
 	PathEmpty      int64
 }
