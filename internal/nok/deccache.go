@@ -90,12 +90,9 @@ func (c *decodeCache) get(pid storage.PageID) ([]slot, bool) {
 // mutated. Blocks larger than the whole budget are not cached.
 func (c *decodeCache) put(pid storage.PageID, blk []slot) {
 	cost := decodeCost(blk)
-	if cost > c.budget {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.m[pid]; ok {
+	if _, ok := c.m[pid]; ok || cost > c.budget {
 		return
 	}
 	e := &decEntry{slots: blk, cost: cost}

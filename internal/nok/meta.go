@@ -168,6 +168,14 @@ func (s *Store) StructurePages() []storage.PageID {
 // original pages, re-reading each block header into the in-memory page
 // directory.
 func Open(pool *storage.BufferPool, m Meta) (*Store, error) {
+	return OpenScan(pool, m, nil)
+}
+
+// OpenScan is Open handing the caller what its scan of the block bodies
+// sees besides: every node's extent, as ForEachExtent reports them (extent
+// may be nil), the first after the block headers have confirmed m.NumNodes.
+// What was reported before an error is to be thrown away.
+func OpenScan(pool *storage.BufferPool, m Meta, extent func(n, end xmltree.NodeID, level int, tag int32)) (*Store, error) {
 	if m.NumNodes <= 0 {
 		return nil, fmt.Errorf("nok: metadata has %d nodes", m.NumNodes)
 	}
@@ -208,12 +216,13 @@ func Open(pool *storage.BufferPool, m Meta) (*Store, error) {
 	if int(next) != s.numNodes {
 		return nil, fmt.Errorf("nok: blocks cover %d nodes, metadata says %d", next, s.numNodes)
 	}
-	// The path summary is rebuilt from the blocks — like the directory,
-	// storage stays authoritative — and any persisted copy is verified
-	// against the rebuild before the store is trusted. The rebuild is the
-	// one pass that decodes the block bodies (and checks each against its
-	// header's count).
-	if err := s.RebuildPathSummary(); err != nil {
+	// One pass decodes the block bodies: it holds the directory just read
+	// against them (a header that lies about its block is caught here, not
+	// by a query) and rebuilds the path summary — like the directory,
+	// storage stays authoritative — against which any persisted copy is
+	// verified before the store is trusted.
+	var err error
+	if s.paths, err = s.scanPathSummary(extent); err != nil {
 		return nil, err
 	}
 	if m.PathSummary != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -324,6 +325,54 @@ func TestValuesSpanPages(t *testing.T) {
 	// 50 values of 40 bytes, 3 to a 128-byte page.
 	if gets := pool.Stats().Gets - before; gets != 17 || pool.Pinned() != 0 {
 		t.Errorf("ValuesCtx made %d pool Gets and left %d frames pinned, want 17 and 0", gets, pool.Pinned())
+	}
+}
+
+// ValuesCtx gallops from one answer's ref to the next: whatever ascending
+// selection it is asked for — every node, few, runs, nodes that have no
+// value, nodes past the last ref, a node twice — it returns what Value does.
+func TestValuesCtxAscendingSelections(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	b := xmltree.NewBuilder()
+	b.Begin("r")
+	for i := 0; i < 400; i++ {
+		switch {
+		case i >= 380 || rng.Intn(3) == 0: // no value; none at all after the last ref
+			b.Element("e", "")
+		default:
+			b.Element("x", fmt.Sprintf("value-%d", i))
+		}
+	}
+	b.End()
+	doc := b.MustFinish()
+	s := buildStore(t, doc, 128, BuildOptions{StoreValues: true})
+	all := make([]xmltree.NodeID, doc.Len())
+	for n := range all {
+		all[n] = xmltree.NodeID(n)
+	}
+	selections := [][]xmltree.NodeID{nil, all, {0}, {all[len(all)-1]}, {5, 5, 6}}
+	for _, keep := range []int{2, 10, 50, 97} { // sparse to dense
+		var sel []xmltree.NodeID
+		for _, n := range all {
+			if rng.Intn(100) < keep {
+				sel = append(sel, n)
+			}
+		}
+		selections = append(selections, sel)
+	}
+	for i, sel := range selections {
+		got, err := s.Values().ValuesCtx(context.Background(), sel)
+		if err != nil || len(got) != len(sel) {
+			t.Fatalf("selection %d: %d values, %v", i, len(got), err)
+		}
+		for k, n := range sel {
+			if want, _ := s.Values().Value(n); got[k] != want || want != doc.Value(n) {
+				t.Fatalf("selection %d: node %d = %q, Value says %q, the document %q", i, n, got[k], want, doc.Value(n))
+			}
+		}
+		if s.Pool().Pinned() != 0 {
+			t.Fatalf("selection %d left %d frames pinned", i, s.Pool().Pinned())
+		}
 	}
 }
 

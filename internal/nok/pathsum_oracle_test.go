@@ -77,7 +77,7 @@ func TestPathSummaryOracleAfterRandomUpdates(t *testing.T) {
 			if _, err := s.RewriteRegion(i, j, entries, int(pi.StartDepth), pi.AccessCode); err != nil {
 				t.Fatalf("seed %d op %d: rewrite [%d,%d]: %v", seed, op, i, j, err)
 			}
-			fresh, err := s.scanPathSummary()
+			fresh, err := s.scanPathSummary(nil)
 			if err != nil {
 				t.Fatalf("seed %d op %d: rescan: %v", seed, op, err)
 			}
@@ -114,7 +114,7 @@ func TestPathSummaryRebuildFallback(t *testing.T) {
 	if _, err := s.RewriteRegion(0, 0, entries, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := s.scanPathSummary()
+	fresh, err := s.scanPathSummary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

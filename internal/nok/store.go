@@ -410,7 +410,7 @@ func (s *Store) PathSummaryMeta() *pathsum.Meta {
 // path when an incremental rewrite cannot replay cleanly, and the oracle
 // for tests.
 func (s *Store) RebuildPathSummary() error {
-	ps, err := s.scanPathSummary()
+	ps, err := s.scanPathSummary(nil)
 	if err != nil {
 		return err
 	}
@@ -418,20 +418,14 @@ func (s *Store) RebuildPathSummary() error {
 	return nil
 }
 
-// scanPathSummary decodes every block and builds a fresh path summary.
-func (s *Store) scanPathSummary() (*pathsum.Summary, error) {
-	b := pathsum.NewBuilder()
-	for i := range s.dir {
-		blk, err := s.block(context.Background(), i)
-		if err != nil {
-			return nil, err
-		}
-		for j := range blk {
-			b.Entry(blk[j].tag, blk[j].closeCount(), blk[j].code)
-		}
-		b.EndBlock()
+// scanPathSummary builds a fresh path summary from the blocks, in a walk
+// that reports to extent on the way.
+func (s *Store) scanPathSummary(extent func(n, end xmltree.NodeID, level int, tag int32)) (*pathsum.Summary, error) {
+	psb := pathsum.NewBuilder()
+	if err := s.walk(psb, extent); err != nil {
+		return nil, err
 	}
-	ps, err := b.Finish()
+	ps, err := psb.Finish()
 	if err != nil {
 		return nil, fmt.Errorf("nok: path summary scan: %w", err)
 	}
@@ -439,14 +433,57 @@ func (s *Store) scanPathSummary() (*pathsum.Summary, error) {
 }
 
 // CheckConsistency cross-validates the in-memory page directory against
-// the on-disk block contents: contiguous node coverage, entry counts,
-// header depths and change bits, balanced parenthesis structure, and each
-// block's positional index against a recomputation. It is intended for
-// operational sanity checks (e.g. after reopening a store) and for tests.
+// the on-disk block contents (see walk) and the installed path summary
+// against a recomputation. Open has run the same pass; this is the
+// operational sanity check for a store that has been updated since, and for
+// tests.
 func (s *Store) CheckConsistency() error {
+	if s.paths == nil {
+		return s.walk(nil, nil)
+	}
+	rebuilt, err := s.scanPathSummary(nil)
+	if err != nil {
+		return err
+	}
+	return s.paths.VerifyAgainst(rebuilt)
+}
+
+// ForEachExtent reports every node's subtree extent, level and tag code,
+// each when its subtree closes, in a single pass over the structure blocks —
+// the input needed to (re)build a tag index over the store.
+func (s *Store) ForEachExtent(visit func(n, end xmltree.NodeID, level int, tag int32)) error {
+	return s.walk(nil, visit)
+}
+
+// openNode is one still-open subtree during an extent walk.
+type openNode struct {
+	node xmltree.NodeID
+	tag  int32
+}
+
+// extentStackPool recycles the open-subtree stacks of walk: the stack grows
+// to document depth and index rebuilds run it over the whole store.
+var extentStackPool = sync.Pool{
+	New: func() any {
+		s := make([]openNode, 0, 64)
+		return &s
+	},
+}
+
+// walk is the one pass over the structure blocks, in document order. It
+// holds the in-memory page directory against the block contents — contiguous
+// node coverage, entry counts, header depths and change bits, tag codes,
+// balanced parenthesis structure, each block's positional index against a
+// recomputation — and on the way feeds psb (when non-nil) the entries a path
+// summary is built from and reports to extent (when non-nil) each node as
+// its subtree closes.
+func (s *Store) walk(psb *pathsum.Builder, extent func(n, end xmltree.NodeID, level int, tag int32)) error {
+	stackBuf := extentStackPool.Get().(*[]openNode)
+	defer func() { extentStackPool.Put(stackBuf) }()
+	stack := (*stackBuf)[:0]
+	defer func() { *stackBuf = stack }()
 	next := xmltree.NodeID(0)
-	depth := -1
-	psb := pathsum.NewBuilder()
+	depth := 0
 	for i := range s.dir {
 		pi := s.dir[i]
 		if pi.FirstNode != next {
@@ -465,26 +502,42 @@ func (s *Store) CheckConsistency() error {
 		if blk[0].hasCode() {
 			return fmt.Errorf("nok: block %d first entry carries an inline code", i)
 		}
-		if depth >= 0 && int(pi.StartDepth) != depth {
+		if int(pi.StartDepth) != depth {
 			return fmt.Errorf("nok: block %d starts at depth %d, carry-over is %d", i, pi.StartDepth, depth)
 		}
 		min, change, level, err := checkIndex(pi, blk)
 		if err != nil {
 			return err
 		}
-		for j := range blk {
-			sl := &blk[j]
-			if int(sl.tag) >= len(s.tags) {
-				return fmt.Errorf("nok: block %d references unknown tag %d", i, sl.tag)
-			}
-			psb.Entry(sl.tag, sl.closeCount(), sl.code)
-		}
-		psb.EndBlock()
 		if int(pi.MinDepth) != min {
 			return fmt.Errorf("nok: block %d MinDepth %d, recomputed %d", i, pi.MinDepth, min)
 		}
 		if pi.ChangeBit != change {
 			return fmt.Errorf("nok: block %d change bit %v, recomputed %v", i, pi.ChangeBit, change)
+		}
+		for j := range blk {
+			sl := &blk[j]
+			if sl.tag < 0 || int(sl.tag) >= len(s.tags) {
+				return fmt.Errorf("nok: block %d references unknown tag %d", i, sl.tag)
+			}
+			if psb != nil {
+				psb.Entry(sl.tag, sl.closeCount(), sl.code)
+			}
+			if extent == nil {
+				continue
+			}
+			// The stack holds one open subtree per level above the next
+			// entry's: checkIndex has shown that no entry closes more.
+			id := next + xmltree.NodeID(j)
+			stack = append(stack, openNode{id, sl.tag})
+			for c := sl.closeCount(); c > 0; c-- {
+				top := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				extent(top.node, id, len(stack), top.tag)
+			}
+		}
+		if psb != nil {
+			psb.EndBlock()
 		}
 		depth = level
 		next += xmltree.NodeID(pi.Count)
@@ -494,66 +547,6 @@ func (s *Store) CheckConsistency() error {
 	}
 	if depth != 0 {
 		return fmt.Errorf("nok: document ends at depth %d, want 0", depth)
-	}
-	if s.paths != nil {
-		rebuilt, err := psb.Finish()
-		if err != nil {
-			return fmt.Errorf("nok: path summary recompute: %w", err)
-		}
-		return s.paths.VerifyAgainst(rebuilt)
-	}
-	return nil
-}
-
-// openNode is one still-open subtree during an extent walk.
-type openNode struct {
-	node  xmltree.NodeID
-	level int
-	tag   int32
-}
-
-// extentStackPool recycles the open-subtree stacks of ForEachExtent: the
-// stack grows to document depth and index rebuilds run it over the whole
-// store.
-var extentStackPool = sync.Pool{
-	New: func() any {
-		s := make([]openNode, 0, 64)
-		return &s
-	},
-}
-
-// ForEachExtent streams every node with its subtree extent, level and tag
-// code in document order using a single pass over the structure blocks —
-// the input needed to (re)build a tag index over the store.
-func (s *Store) ForEachExtent(visit func(n, end xmltree.NodeID, level int, tag int32)) error {
-	if s.numNodes == 0 {
-		return nil
-	}
-	stackBuf := extentStackPool.Get().(*[]openNode)
-	defer func() { extentStackPool.Put(stackBuf) }()
-	stack := (*stackBuf)[:0]
-	defer func() { *stackBuf = stack }()
-	for i := range s.dir {
-		pi := s.dir[i]
-		blk, err := s.block(context.Background(), i)
-		if err != nil {
-			return err
-		}
-		for j := range blk {
-			id := pi.FirstNode + xmltree.NodeID(j)
-			stack = append(stack, openNode{id, int(blk[j].level), blk[j].tag})
-			for c := blk[j].closeCount(); c > 0; c-- {
-				if len(stack) == 0 {
-					return fmt.Errorf("nok: unbalanced structure: node %d closes below the root", id)
-				}
-				top := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				visit(top.node, id, top.level, top.tag)
-			}
-		}
-	}
-	if len(stack) != 0 {
-		return fmt.Errorf("nok: unbalanced structure: %d subtrees left open", len(stack))
 	}
 	return nil
 }

@@ -111,8 +111,15 @@ func (vs *ValueStore) ValuesCtx(ctx context.Context, nodes []xmltree.NodeID) ([]
 	defer release()
 	refs := vs.refs
 	for k, n := range nodes {
-		i, ok := slices.BinarySearchFunc(refs, n, func(r valueRef, n xmltree.NodeID) int { return cmp.Compare(r.Node, n) })
-		refs = refs[i:]
+		// The next ref is usually near the last one found: gallop to a
+		// window that holds it, then search the window.
+		hi := 1
+		for hi < len(refs) && refs[hi-1].Node < n {
+			hi <<= 1
+		}
+		lo := hi / 2
+		i, ok := slices.BinarySearchFunc(refs[lo:min(hi, len(refs))], n, func(r valueRef, n xmltree.NodeID) int { return cmp.Compare(r.Node, n) })
+		refs = refs[lo+i:]
 		if !ok {
 			continue
 		}
@@ -127,36 +134,6 @@ func (vs *ValueStore) ValuesCtx(ctx context.Context, nodes []xmltree.NodeID) ([]
 		out[k] = string(held.Data[r.Off : r.Off+r.Len])
 	}
 	return out, nil
-}
-
-// ForEachValue calls visit for every stored value in node order — the
-// value half of an index build. Like ValuesCtx it reads each run of
-// consecutive values on one page under one pin; the run's bytes are copied
-// out once and the strings handed to visit share that copy.
-func (vs *ValueStore) ForEachValue(ctx context.Context, visit func(n xmltree.NodeID, v string)) error {
-	for refs := vs.refs; len(refs) > 0; {
-		pid := refs[0].Page
-		lo := int(refs[0].Off)
-		run, hi := 0, lo
-		for run < len(refs) && refs[run].Page == pid {
-			lo = min(lo, int(refs[run].Off))
-			hi = max(hi, int(refs[run].Off)+int(refs[run].Len))
-			run++
-		}
-		f, err := vs.pool.GetCtx(ctx, pid)
-		if err != nil {
-			return err
-		}
-		span := string(f.Data[lo:hi])
-		if err := vs.pool.Unpin(pid, false); err != nil {
-			return err
-		}
-		for _, r := range refs[:run] {
-			visit(r.Node, span[int(r.Off)-lo:int(r.Off)-lo+int(r.Len)])
-		}
-		refs = refs[run:]
-	}
-	return nil
 }
 
 // NumValues returns the number of stored (non-empty) values.

@@ -185,20 +185,25 @@ func (ev *Evaluator) buildShape(t *PatternTree, pathOn bool) (*compiledShape, er
 		sc.source = source
 		// Route candidates through the path summary: a posting whose block
 		// holds no class this subtree root can bind cannot contribute an
-		// answer, so it is rejected before any page is read for it.
-		if candKeep != nil && candKeep[i] != nil {
-			kept := cands[:0]
-			for _, cand := range cands {
-				pi := ev.store.PageIndexOf(cand.Node)
-				if hasBit(candKeep[i], pi) {
-					kept = append(kept, cand)
-					continue
-				}
+		// answer, so it is rejected before any page is read for it. The
+		// index's list may be shared (a flat run is handed out as it lies,
+		// and //a//a asks for one twice): what is kept goes into a list of
+		// the shape's own, which the semi-join may then filter in place.
+		var keep []uint64 // nil: every block may hold a match root
+		if candKeep != nil {
+			keep = candKeep[i]
+		}
+		kept := make([]btree.Posting, 0, len(cands))
+		for _, cand := range cands {
+			if keep == nil {
+				kept = append(kept, cand)
+			} else if pi := ev.store.PageIndexOf(cand.Node); hasBit(keep, pi) {
+				kept = append(kept, cand)
+			} else {
 				sc.routed = append(sc.routed, routedCand{int64(cand.Node), int64(ev.store.PageInfoAt(pi).Page)})
 			}
-			cands = kept
 		}
-		lists[i] = cands
+		lists[i] = kept
 	}
 	for i, n := range semiJoin(sh.subs, lists) {
 		sc := &sh.scans[i]
@@ -211,8 +216,9 @@ func (ev *Evaluator) buildShape(t *PatternTree, pathOn bool) (*compiledShape, er
 
 // semiJoin reduces the candidate lists of a tree of descendant joins
 // (lists[i] holds subtree i's root candidates in document order, each
-// exclusively owned) to the postings that can take part in a joined tuple,
-// in place, and returns how many it removed from each. One bottom-up pass
+// exclusively owned — never an index's own slice) to the postings that can
+// take part in a joined tuple, in place, and returns how many it removed
+// from each. One bottom-up pass
 // keeps a parent subtree's candidate only if its region holds a candidate of
 // each child subtree joined to it; one top-down pass keeps a child's
 // candidate only if a surviving candidate of its parent encloses it. A join
@@ -360,8 +366,8 @@ const minParallelCandidates = 16
 
 // candidates returns the index postings for a NoK subtree root ("using B+
 // trees on the subtree root's value or tag names", §4.1) and names their
-// source. valued holds, by pattern node id, the value-index postings already
-// fetched; a value-constrained root's list is handed over, not copied.
+// source; the caller copies what it keeps. valued holds, by pattern node id,
+// the value-index postings already fetched.
 func (ev *Evaluator) candidates(sub NoKSubtree, valued [][]btree.Posting) ([]btree.Posting, string, error) {
 	if sub.Root.Tag == "*" {
 		// Wildcard root: union of all tags' postings, in document order.

@@ -101,16 +101,30 @@ type Result struct {
 // names", §4.1).
 type Evaluator struct {
 	store  *nok.Store
-	index  *btree.Tree
-	vindex *btree.ValueTree
+	index  TagIndex
+	vindex ValueIndex
 	// masks, when non-nil, memoizes plan shapes for the snapshot identified
 	// by seq (see Snapshot.Masks).
 	masks *MaskCache
 	seq   uint64
 }
 
+// TagIndex hands out the postings of every node with a tag, in document
+// order: a *btree.Tree, or the flat runs a served snapshot keeps. The slice
+// may be shared between callers and is read-only.
+type TagIndex interface {
+	Postings(tag int32) ([]btree.Posting, error)
+}
+
+// ValueIndex hands out the postings of the nodes with a tag and an exact
+// text value, in document order, shared and read-only like a TagIndex's: a
+// *btree.ValueTree, or a served snapshot's value runs.
+type ValueIndex interface {
+	ValuePostings(tag int32, value string) ([]btree.Posting, error)
+}
+
 // NewEvaluator returns an evaluator over the given store and tag index.
-func NewEvaluator(store *nok.Store, index *btree.Tree) *Evaluator {
+func NewEvaluator(store *nok.Store, index TagIndex) *Evaluator {
 	return &Evaluator{store: store, index: index}
 }
 
@@ -125,10 +139,10 @@ type Snapshot struct {
 	// codes); it must not be mutated while the snapshot is in use.
 	Store *nok.Store
 	// Index is the tag index over Store.
-	Index *btree.Tree
+	Index TagIndex
 	// Values is the optional (tag, value) index over Store; nil disables
 	// value-constraint index lookups.
-	Values *btree.ValueTree
+	Values ValueIndex
 	// Masks, when non-nil, memoizes the view-independent half of query
 	// plans for this snapshot; Seq is the publishing sequence stamped on
 	// cache entries (every commit bumps it, so stale shapes can never hit).
@@ -145,7 +159,7 @@ func NewEvaluatorAt(sn Snapshot) *Evaluator {
 // subtree root carries a value constraint, shrinking its candidate list
 // from all same-tag nodes to exact matches. Returns the evaluator for
 // chaining.
-func (ev *Evaluator) WithValueIndex(vt *btree.ValueTree) *Evaluator {
+func (ev *Evaluator) WithValueIndex(vt ValueIndex) *Evaluator {
 	ev.vindex = vt
 	return ev
 }

@@ -186,8 +186,8 @@ type RecoveryInfo struct {
 // OpenWALPager wraps data with a write-ahead log stored in log, first
 // running crash recovery: committed-but-unapplied batches are redone into
 // data (and their metadata delivered to sink, which may be nil), torn or
-// uncommitted tails are discarded. The log is truncated to its header
-// afterwards.
+// uncommitted tails are discarded. The log is left holding its header
+// alone.
 func OpenWALPager(data Pager, log File, sink func([]byte) error) (*WALPager, RecoveryInfo, error) {
 	w := &WALPager{
 		data:     data,
@@ -691,7 +691,8 @@ type walBatch struct {
 }
 
 // recover scans the log, redoes committed-but-unapplied batches, discards
-// torn or uncommitted tails, and truncates the log to its header.
+// torn or uncommitted tails, and truncates the log to its header (where it
+// holds more than that).
 func (w *WALPager) recover() (RecoveryInfo, error) {
 	var info RecoveryInfo
 	size, err := w.log.Size()
@@ -717,6 +718,11 @@ func (w *WALPager) recover() (RecoveryInfo, error) {
 	}
 	if ps := int(binary.LittleEndian.Uint32(buf[8:12])); ps != w.data.PageSize() {
 		return info, fmt.Errorf("storage: wal page size %d, data pager has %d", ps, w.data.PageSize())
+	}
+	if size == walHeaderSize {
+		// A cleanly closed store's log: nothing to redo, discard, truncate
+		// or sync.
+		return info, nil
 	}
 	batches, tail := parseWAL(buf[walHeaderSize:], w.data.PageSize())
 	info.Discarded = tail

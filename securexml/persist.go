@@ -367,12 +367,12 @@ func Open(dir string, opts StoreOptions) (*Store, error) {
 		}
 	}
 	pool := storage.NewBufferPool(pager, opts.PoolPages)
-	st, err := nok.Open(pool, ps.Nok)
+	// One scan of the blocks checks the store (everything CheckConsistency
+	// checks), rebuilds the path summary and yields the tag index's entries.
+	x := &extents{numNodes: ps.Nok.NumNodes}
+	st, err := nok.OpenScan(pool, ps.Nok, x.add)
 	if err != nil {
 		return nil, err
-	}
-	if err := st.CheckConsistency(); err != nil {
-		return nil, fmt.Errorf("securexml: store failed consistency check: %w", err)
 	}
 	applyDecodeCacheBudget(st, opts.DecodeCacheBytes)
 	cbBytes, err := base64.StdEncoding.DecodeString(ps.Codebook)
@@ -412,12 +412,9 @@ func Open(dir string, opts StoreOptions) (*Store, error) {
 	if err := s.initObs(); err != nil {
 		return nil, err
 	}
-	// Build the initial indexes eagerly so Open (not the first query)
-	// reports a build failure, matching the historical reindex-at-open.
-	if sn := s.cur.Load(); sn != nil {
-		if err := sn.idx.ensure(sn.st); err != nil {
-			return nil, err
-		}
+	sn := s.cur.Load()
+	if err := sn.idx.ensure(sn.st, x); err != nil {
+		return nil, err
 	}
 	return s, nil
 }

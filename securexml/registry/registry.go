@@ -166,7 +166,7 @@ func New(opts Options) (*Registry, error) {
 		r.reg.SetHelp(c.name, c.help)
 	}
 	r.openNs = r.reg.Histogram("open_ns")
-	r.reg.SetHelp("open_ns", "Time to open a tenant store from disk (WAL recovery, consistency check, index build) in nanoseconds.")
+	r.reg.SetHelp("open_ns", "Time to open a tenant store from disk (sidecar parse, WAL header check or recovery, one verified scan of the structure blocks yielding path summary and tag runs) in nanoseconds.")
 	for _, g := range []struct {
 		name, help string
 		fn         obs.Gauge

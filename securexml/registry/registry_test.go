@@ -384,6 +384,85 @@ func TestRegistryRace(t *testing.T) {
 	}
 }
 
+// Every open and eviction re-budgets the decode cache of every other open
+// tenant while that tenant's queries decode blocks and offer them to the
+// cache: the budget is read and written under the cache's lock. Run under
+// -race; tenant B's cache is kept too small for its blocks so that its
+// queries keep decoding.
+func TestRebalanceRacesBlockDecodes(t *testing.T) {
+	root, ids := buildTenants(t, 2)
+	big := filepath.Join(root, "big")
+	var sb strings.Builder
+	sb.WriteString("<doc>")
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&sb, "<item><public>p%d</public></item>", i)
+	}
+	sb.WriteString("</doc>")
+	s, err := securexml.NewBuilder().LoadXMLString(sb.String()).AddUser("alice").Grant("alice", "read", "/doc").
+		Seal(securexml.StoreOptions{PageSize: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Save(big); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	// 300 bytes among two or three tenants: no share holds two blocks.
+	r, err := New(Options{Root: root, MaxOpen: 3, DecodeCacheBytes: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeRegistry(t, r)
+	b, err := r.Acquire("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a, err := r.Acquire(ids[0]) // a third tenant's share, held so that it is never the victim
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	decodesBefore := b.Store().DecodeCacheStats().Misses
+	opensBefore := r.MetricsSnapshot().Get("opens_total")
+
+	const rounds = 40
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if ms, err := b.Store().Query("alice", "read", "//public"); err != nil || len(ms) != 400 {
+				t.Errorf("query on the big tenant: %d answers, %v", len(ms), err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			h, err := r.Acquire(ids[1])
+			if err != nil {
+				t.Errorf("acquire: %v", err)
+				return
+			}
+			h.Close()
+			if err := r.Evict(ids[1]); err != nil {
+				t.Errorf("evict: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	if got := r.MetricsSnapshot().Get("opens_total") - opensBefore; got != rounds {
+		t.Fatalf("%d opens in %d rounds", got, rounds)
+	}
+	if got := b.Store().DecodeCacheStats().Misses - decodesBefore; got < 10*rounds {
+		t.Fatalf("the big tenant decoded only %d blocks in %d queries: its cache held them", got, rounds)
+	}
+}
+
 // TestRegistryCloseWaitsForDrain verifies Close blocks on busy tenants
 // until their last handle releases (or the context expires).
 func TestRegistryCloseWaitsForDrain(t *testing.T) {

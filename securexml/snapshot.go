@@ -33,17 +33,20 @@ type snapshot struct {
 }
 
 // indexState holds the tag and value indexes derived from one snapshot's
-// structure. It is built lazily, off every lock, on the first query that
-// needs it — concurrent first queries share one build through the Once —
-// and is reused across snapshots whose structure is unchanged (ACL-only
-// updates never move an extent, so the postings stay valid; pages are
-// resolved through each snapshot's own directory at evaluation time).
+// structure: flat in-memory runs (btree.Runs), not B+-trees — an index that
+// is replaced on every structural commit and never edited needs no pages.
+// It is built off every lock, at Open from the scan that opens the store,
+// otherwise on the first query that needs it — concurrent first queries
+// share one build through the Once — and is reused across snapshots whose
+// structure is unchanged (ACL-only updates never move an extent or a value,
+// so the postings stay valid; pages are resolved through each snapshot's own
+// directory at evaluation time). The value runs are built per tag, by the
+// first value test on that tag.
 type indexState struct {
-	pageSize int
-	once     sync.Once
-	err      error
-	index    *btree.Tree
-	vindex   *btree.ValueTree
+	once   sync.Once
+	err    error
+	index  *btree.Runs
+	vindex query.ValueIndex // a *btree.ValueRuns; nil when no values are stored
 	// masks memoizes the view-independent half of query plans (path
 	// embedding, candidate postings, value-index postings) across the
 	// snapshots sharing this index state. Entries are stamped with the
@@ -53,67 +56,62 @@ type indexState struct {
 	masks *query.MaskCache
 }
 
-func newIndexState(pageSize int, masks *query.MaskCache) *indexState {
-	return &indexState{pageSize: pageSize, masks: masks}
+func newIndexState(masks *query.MaskCache) *indexState {
+	return &indexState{masks: masks}
 }
 
-// ensure builds the indexes from st on first use and returns the build
-// outcome (memoized; a failed build fails every query of this snapshot
-// chain until a structural update publishes a fresh indexState).
-func (ix *indexState) ensure(st *nok.Store) error {
-	ix.once.Do(func() { ix.err = ix.build(st) })
+// extents gathers what an extent pass reports — each node when its subtree
+// closes — by node ID: the tag index's entries in node order.
+type extents struct {
+	numNodes int
+	entries  []btree.Entry // allocated at the first report
+	err      error
+}
+
+func (x *extents) add(n, end xmltree.NodeID, level int, tag int32) {
+	if x.entries == nil {
+		x.entries = make([]btree.Entry, x.numNodes)
+	}
+	if n < 0 || int(n) >= len(x.entries) {
+		x.err = fmt.Errorf("securexml: extent pass reported node %d of %d", n, len(x.entries))
+		return
+	}
+	x.entries[n] = btree.Entry{Tag: tag, Posting: btree.Posting{Node: n, End: end, Level: uint16(level)}}
+}
+
+// ensure builds the indexes on first use and returns the build outcome
+// (memoized; a failed build fails every query of this snapshot chain until
+// a structural update publishes a fresh indexState). x is a finished extent
+// pass over st, or nil to have one made.
+func (ix *indexState) ensure(st *nok.Store, x *extents) error {
+	ix.once.Do(func() { ix.err = ix.build(st, x) })
 	return ix.err
 }
 
-// build constructs the tag index (and value index when values are stored)
-// from the frozen store: one extent pass collects the tag keys, one walk of
-// the value pages the value keys, the bulk loaders sort them and write each
-// index page once. The index pages live in their own in-memory pool, so
-// builds touch the shared buffer pool only to read each structure block and
-// each value page once.
-func (ix *indexState) build(st *nok.Store) error {
-	// The pass reports a node when its subtree closes; placing it by its ID
-	// hands the loader the tag entries in node order.
-	tags := make([]btree.Entry, st.NumNodes())
-	var passErr error
-	err := st.ForEachExtent(func(n, end xmltree.NodeID, level int, tag int32) {
-		if int(n) >= len(tags) {
-			passErr = fmt.Errorf("securexml: extent pass reported node %d of %d", n, len(tags))
-			return
-		}
-		tags[n] = btree.Entry{Tag: tag, Posting: btree.Posting{Node: n, End: end, Level: uint16(level)}}
-	})
-	if err == nil {
-		err = passErr
-	}
-	if err != nil {
-		return err
-	}
-	// A value's tag and posting are its node's tag entry; they are read off
-	// before Load takes the tag entries over.
-	vs := st.Values()
-	var values []btree.ValueEntry
-	if vs != nil {
-		values = make([]btree.ValueEntry, 0, vs.NumValues())
-		if err := vs.ForEachValue(context.Background(), func(n xmltree.NodeID, v string) {
-			values = append(values, btree.ValueEntry{Tag: tags[n].Tag, Value: v, Posting: tags[n].Posting})
-		}); err != nil {
+// build groups an extent pass's entries into the tag runs: the pass reads
+// each structure block once and nothing else. A tag's value run reads the
+// value pages of that tag's nodes once, when first asked for, under no
+// query's context — a cancelled first asker must not fail the tag for
+// everyone after.
+func (ix *indexState) build(st *nok.Store, x *extents) error {
+	if x == nil {
+		x = &extents{numNodes: st.NumNodes()}
+		if err := st.ForEachExtent(x.add); err != nil {
 			return err
 		}
 	}
-	pool := storage.NewBufferPool(storage.NewMemPager(ix.pageSize), 1<<30/ix.pageSize)
-	t, err := btree.Load(pool, tags)
-	if err != nil {
+	if x.err != nil {
+		return x.err
+	}
+	var err error
+	if ix.index, err = btree.NewRuns(x.entries, st.NumTags()); err != nil {
 		return err
 	}
-	var vt *btree.ValueTree
-	if vs != nil {
-		if vt, err = btree.LoadValues(pool, values); err != nil {
-			return err
-		}
+	if vs := st.Values(); vs != nil {
+		ix.vindex = btree.NewValueRuns(ix.index, func(nodes []xmltree.NodeID) ([]string, error) {
+			return vs.ValuesCtx(context.Background(), nodes)
+		})
 	}
-	ix.index = t
-	ix.vindex = vt
 	return nil
 }
 
@@ -218,7 +216,7 @@ func (s *Store) publish(structural bool) {
 	}
 	s.dirShared = true
 	if structural || prev == nil {
-		sn.idx = newIndexState(s.opts.PageSize, query.NewMaskCache(s.maskHits, s.maskMisses))
+		sn.idx = newIndexState(query.NewMaskCache(s.maskHits, s.maskMisses))
 	} else {
 		sn.idx = prev.idx
 	}
@@ -245,7 +243,7 @@ func (s *Store) initSnapshot() {
 		st:  frozen,
 		ss:  s.ss.Freeze(frozen),
 		dir: s.dir,
-		idx: newIndexState(s.opts.PageSize, query.NewMaskCache(s.maskHits, s.maskMisses)),
+		idx: newIndexState(query.NewMaskCache(s.maskHits, s.maskMisses)),
 	})
 }
 

@@ -314,10 +314,9 @@ func (b *Builder) Seal(opts StoreOptions) (*Store, error) {
 	}
 	// Build the initial indexes eagerly so Seal (not the first query)
 	// reports a build failure, matching the historical reindex-at-seal.
-	if sn := s.cur.Load(); sn != nil {
-		if err := sn.idx.ensure(sn.st); err != nil {
-			return nil, err
-		}
+	sn := s.cur.Load()
+	if err := sn.idx.ensure(sn.st, nil); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -464,7 +463,7 @@ func (s *Store) prepare(tr *obs.Trace, user, mode, xpath string, opts QueryOptio
 			p.qo.Semantics = query.SemanticsPrunedSubtree
 		}
 	}
-	if err = sn.idx.ensure(sn.st); err != nil {
+	if err = sn.idx.ensure(sn.st, nil); err != nil {
 		return p, err
 	}
 	p.ev = evaluatorAt(sn)
