@@ -5,8 +5,8 @@
 //	dolbench [-exp name] [-scale quick|default|paper] [-seed N] [-json path] [-strict]
 //
 // With no -exp flag every experiment runs. Experiment names: fig4a fig4b
-// fig5 fig6 storage fig7 joins updates worstcase ablation modes parallel
-// streaming pageskip wal writeload obs.
+// fig5 fig6 storage fig7 joins updates worstcase ablation modes streaming
+// pageskip pathsummary wal writeload obs codebook multitenant explain.
 //
 // With -strict, any table note starting with "VIOLATION" (an experiment's
 // self-check failing, e.g. page skipping reading more pages than its
@@ -16,7 +16,7 @@
 // the given file as indented JSON, so tooling can diff results across
 // commits, e.g.:
 //
-//	dolbench -exp parallel -json BENCH_parallel.json
+//	dolbench -exp streaming -json BENCH_streaming.json
 package main
 
 import (

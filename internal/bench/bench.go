@@ -208,7 +208,7 @@ func WriteTablesJSON(path string, tables []*Table) error {
 // Experiment names accepted by Run.
 var Experiments = []string{
 	"fig4a", "fig4b", "fig5", "fig6", "storage", "fig7", "joins",
-	"updates", "worstcase", "ablation", "modes", "parallel", "streaming",
+	"updates", "worstcase", "ablation", "modes", "streaming",
 	"pageskip", "pathsummary", "wal", "writeload", "obs",
 	"codebook", "multitenant", "explain",
 }
@@ -251,8 +251,6 @@ func run(name string, cfg Config) ([]*Table, error) {
 		return []*Table{Ablation(cfg)}, nil
 	case "modes":
 		return []*Table{Modes(cfg)}, nil
-	case "parallel":
-		return Parallel(cfg), nil
 	case "streaming":
 		return Streaming(cfg), nil
 	case "pageskip":

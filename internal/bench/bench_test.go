@@ -246,21 +246,19 @@ func TestModesShape(t *testing.T) {
 	}
 }
 
-func TestParallelShape(t *testing.T) {
-	tb := runQuick(t, "parallel")[0]
-	if len(tb.Rows) != len(Table1)*len(ParallelWorkerCounts) {
-		t.Fatalf("parallel rows = %d, want %d", len(tb.Rows), len(Table1)*len(ParallelWorkerCounts))
-	}
-	// Determinism: per query, the answer count is identical at every
-	// worker count (runQuick already fails on ERROR notes).
-	answers := map[string]string{}
-	for _, row := range tb.Rows {
-		if prev, ok := answers[row[0]]; ok && prev != row[4] {
-			t.Errorf("%s: answers %s at %s workers differ from %s", row[0], row[4], row[1], prev)
+// A limited query reads no page past its limit: no smaller limit reads more
+// pages than a larger one, and Q4 meets limit 10 in the 4 pages limit 1
+// reads (5 while a scan ran ahead of its consumer).
+func TestStreamingStopsAtTheLimit(t *testing.T) {
+	tb := runQuick(t, "streaming")[0]
+	for _, note := range tb.Notes {
+		if strings.HasPrefix(note, "VIOLATION") {
+			t.Error(note)
 		}
-		answers[row[0]] = row[4]
-		if s := cellFloat(t, row[3]); s <= 0 {
-			t.Errorf("%s: non-positive speedup %f", row[0], s)
+	}
+	for _, row := range tb.Rows {
+		if row[0] == "Q4" && row[1] == "10" && cellInt(t, row[4]) > 4 {
+			t.Errorf("Q4 limit 10 read %s pages, want 4", row[4])
 		}
 	}
 }

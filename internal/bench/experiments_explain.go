@@ -41,10 +41,11 @@ func buildExplainEnv(cfg Config, doc *xmltree.Document, m *acl.Matrix) (*queryEn
 // under test, each breach a "VIOLATION:" note (failing `dolbench
 // -strict`):
 //
-//   - exact attribution: for every query × semantics × parallelism, the
-//     per-operator page buckets ANALYZE folds out of the trace must sum
-//     to precisely the store pool's Gets/Hits deltas — nothing
-//     double-counted, nothing lost — with zero dropped events;
+//   - exact attribution: for every query × semantics, the per-operator
+//     page buckets ANALYZE folds out of the trace must sum to precisely
+//     the store pool's Gets/Hits deltas — nothing double-counted, nothing
+//     lost — with zero dropped events, and a second cold run must pin as
+//     many pages as the first;
 //   - EXPLAIN is free: rendering a plan pins no store page, and the
 //     unsatisfiable query's plan reports the compile-time empty
 //     short-circuit with a zero page budget;
@@ -57,9 +58,9 @@ func Explain(cfg Config) []*Table {
 
 	t := &Table{
 		ID: "explain",
-		Title: fmt.Sprintf("ANALYZE attribution reconciliation, Q1–Q6 + Qunsat × semantics × parallelism (XMark, %d nodes, %d B pages)",
+		Title: fmt.Sprintf("ANALYZE attribution reconciliation, Q1–Q6 + Qunsat × semantics (XMark, %d nodes, %d B pages)",
 			doc.Len(), cfg.PageSize),
-		Columns: []string{"query", "semantics", "par", "pages", "attrPins",
+		Columns: []string{"query", "semantics", "pages", "attrPins",
 			"attrHits", "ops", "events", "answers"},
 	}
 
@@ -84,7 +85,8 @@ func Explain(cfg Config) []*Table {
 	for _, q := range workload {
 		pt := query.MustParse(q.Expr)
 		for _, sem := range semantics {
-			for _, par := range []int{1, 0} {
+			firstGets := int64(-1)
+			for run := 0; run < 2; run++ {
 				if err := env.pool.DropAll(); err != nil {
 					t.Notes = append(t.Notes, "ERROR: "+err.Error())
 					return []*Table{t}
@@ -92,7 +94,6 @@ func Explain(cfg Config) []*Table {
 				env.pool.ResetStats()
 				tr := obs.NewTrace()
 				opts := sem.opts
-				opts.Parallelism = par
 				opts.Trace = tr
 				res, err := env.ev.EvaluateCtx(obs.WithTrace(bg, tr), pt, opts)
 				if err != nil {
@@ -100,6 +101,15 @@ func Explain(cfg Config) []*Table {
 					return []*Table{t}
 				}
 				gets, hits := env.pool.Stats().Gets, env.pool.Stats().Hits
+				tag := q.Name + "/" + sem.name
+				if run > 0 {
+					if gets != firstGets {
+						t.Notes = append(t.Notes, fmt.Sprintf(
+							"VIOLATION: %s pinned %d pages on its second cold run, %d on its first", tag, gets, firstGets))
+					}
+					continue
+				}
+				firstGets = gets
 
 				opts.Trace = nil
 				plan, err := env.ev.Explain(bg, pt, opts)
@@ -110,7 +120,7 @@ func Explain(cfg Config) []*Table {
 				an := query.AnalyzeTrace(plan, tr.Events(), tr.Dropped())
 				tot := an.Totals()
 
-				t.AddRow(q.Name, sem.name, fmt.Sprintf("%d", par),
+				t.AddRow(q.Name, sem.name,
 					fmt.Sprintf("%d", gets),
 					fmt.Sprintf("%d", tot.Pins),
 					fmt.Sprintf("%d", tot.Hits),
@@ -118,7 +128,6 @@ func Explain(cfg Config) []*Table {
 					fmt.Sprintf("%d", an.Events),
 					fmt.Sprintf("%d", len(res.Nodes)))
 
-				tag := fmt.Sprintf("%s/%s/par=%d", q.Name, sem.name, par)
 				if an.Dropped != 0 {
 					t.Notes = append(t.Notes, fmt.Sprintf(
 						"VIOLATION: %s dropped %d trace events; attribution not exact", tag, an.Dropped))

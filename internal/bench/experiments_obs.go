@@ -69,7 +69,7 @@ func Obs(cfg Config) []*Table {
 	}
 	for _, q := range Table1 {
 		pt := query.MustParse(q.Expr)
-		opts := query.Options{View: view, Parallelism: 1}
+		opts := query.Options{View: view}
 
 		// Warm the pool and decode cache, then count the instrumented
 		// operations one evaluation performs.

@@ -93,7 +93,6 @@ func PageSkip(cfg Config) []*Table {
 			var pages [2]int64
 			for i, disable := range []bool{false, true} {
 				opts := sem.opts
-				opts.Parallelism = 1
 				opts.DisableSummarySkip = disable
 				var elapsed time.Duration
 				res[i], pages[i], elapsed, err = env.coldQuery(pt, opts)
@@ -177,7 +176,6 @@ func pageCensus(cfg Config, doc *xmltree.Document) *Table {
 					{}, {Semantics: query.SemanticsPrunedSubtree},
 					{View: view}, {View: view, Semantics: query.SemanticsPrunedSubtree},
 				} {
-					opts.Parallelism = 1
 					res, pages, _, err := env.coldQuery(pt, opts)
 					if err != nil {
 						t.Notes = append(t.Notes, "ERROR: "+err.Error())

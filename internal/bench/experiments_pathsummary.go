@@ -15,8 +15,8 @@ import (
 const unsatisfiableQuery = "/site/people/person/parlist"
 
 // PathSummary measures path-summary routing on the Table 1 workload: every
-// query runs under both secure semantics and both ends of the parallelism
-// range, with routing enabled and disabled, from a cold pool each time.
+// query runs under both secure semantics, with routing enabled and
+// disabled, from a cold pool each time.
 // The disabled arm skips pages on access grounds only, so the deltas show
 // everything the path summary adds on top of the deny bitmap: structural
 // dead pages, path-class candidate filtering, and pre-resolved access
@@ -24,8 +24,7 @@ const unsatisfiableQuery = "/site/people/person/parlist"
 //
 // The guarantees under test, each breach recorded as a "VIOLATION:" note
 // (failing `dolbench -strict`):
-//   - answers are byte-identical across routing on/off, semantics and
-//     parallelism;
+//   - answers are byte-identical across routing on/off;
 //   - routing never reads more pages than the access-mask-only arm;
 //   - on the descendant twigs Q4–Q6, whose index candidates scatter over
 //     the whole document, routing prunes candidates: on at least two of the
@@ -58,9 +57,9 @@ func PathSummary(cfg Config) []*Table {
 
 	t := &Table{
 		ID: "pathsummary",
-		Title: fmt.Sprintf("path-summary routing, Q1–Q6 × semantics × parallelism (XMark, %d nodes, %d B pages)",
+		Title: fmt.Sprintf("path-summary routing, Q1–Q6 × semantics (XMark, %d nodes, %d B pages)",
 			doc.Len(), small.PageSize),
-		Columns: []string{"query", "semantics", "par", "path",
+		Columns: []string{"query", "semantics", "path",
 			"pages", "pathCands", "joinCands", "classes", "time", "answers"},
 	}
 
@@ -87,64 +86,55 @@ func PathSummary(cfg Config) []*Table {
 		descendantTwig := q.Name == "Q4" || q.Name == "Q5" || q.Name == "Q6"
 		routes := descendantTwig
 		for _, sem := range semantics {
-			// Sequential and GOMAXPROCS-wide evaluation must agree; page
-			// gates apply to the deterministic sequential rows only (the
-			// worker pool can race two misses for one page).
-			for _, par := range []int{1, 0} {
-				type arm struct {
-					res   *query.Result
-					pages int64
+			type arm struct {
+				res   *query.Result
+				pages int64
+			}
+			var arms [2]arm // [0] = routing on, [1] = off
+			for i, disable := range []bool{false, true} {
+				opts := sem.opts
+				opts.DisablePathSummary = disable
+				res, pages, elapsed, err := env.coldQuery(pt, opts)
+				if err != nil {
+					t.Notes = append(t.Notes, "ERROR: "+err.Error())
+					return []*Table{t}
 				}
-				var arms [2]arm // [0] = routing on, [1] = off
-				for i, disable := range []bool{false, true} {
-					opts := sem.opts
-					opts.Parallelism = par
-					opts.DisablePathSummary = disable
-					res, pages, elapsed, err := env.coldQuery(pt, opts)
-					if err != nil {
-						t.Notes = append(t.Notes, "ERROR: "+err.Error())
-						return []*Table{t}
-					}
-					arms[i] = arm{res: res, pages: pages}
-					label := "on"
-					if disable {
-						label = "off"
-					}
-					t.AddRow(q.Name, sem.name, fmt.Sprintf("%d", par), label,
-						fmt.Sprintf("%d", pages),
-						fmt.Sprintf("%d", res.Skips.PathCandidates),
-						fmt.Sprintf("%d", res.Skips.JoinCandidates),
-						fmt.Sprintf("%d", res.Skips.PathClasses),
-						elapsed.Round(time.Microsecond).String(),
-						fmt.Sprintf("%d", len(res.Nodes)))
+				arms[i] = arm{res: res, pages: pages}
+				label := "on"
+				if disable {
+					label = "off"
 				}
-				if !equalNodes(arms[0].res.Nodes, arms[1].res.Nodes) {
-					t.Notes = append(t.Notes, fmt.Sprintf(
-						"VIOLATION: %s/%s/par=%d answers differ with path routing enabled",
-						q.Name, sem.name, par))
-				}
-				if par != 1 {
-					continue
-				}
-				if arms[0].pages > arms[1].pages {
-					t.Notes = append(t.Notes, fmt.Sprintf(
-						"VIOLATION: %s/%s read %d pages with path routing vs %d without",
-						q.Name, sem.name, arms[0].pages, arms[1].pages))
-				}
-				if !descendantTwig {
-					continue
-				}
-				// Both arms start from the same postings, so the arm that
-				// removed more of them scans fewer.
-				on, off := arms[0].res.Skips, arms[1].res.Skips
-				if on.PathCandidates+on.JoinCandidates < off.PathCandidates+off.JoinCandidates {
-					t.Notes = append(t.Notes, fmt.Sprintf(
-						"VIOLATION: %s/%s scans more candidates with path routing: %d+%d removed vs %d+%d without",
-						q.Name, sem.name, on.PathCandidates, on.JoinCandidates, off.PathCandidates, off.JoinCandidates))
-				}
-				if on.PathCandidates == 0 || off.PathCandidates != 0 {
-					routes = false
-				}
+				t.AddRow(q.Name, sem.name, label,
+					fmt.Sprintf("%d", pages),
+					fmt.Sprintf("%d", res.Skips.PathCandidates),
+					fmt.Sprintf("%d", res.Skips.JoinCandidates),
+					fmt.Sprintf("%d", res.Skips.PathClasses),
+					elapsed.Round(time.Microsecond).String(),
+					fmt.Sprintf("%d", len(res.Nodes)))
+			}
+			if !equalNodes(arms[0].res.Nodes, arms[1].res.Nodes) {
+				t.Notes = append(t.Notes, fmt.Sprintf(
+					"VIOLATION: %s/%s answers differ with path routing enabled",
+					q.Name, sem.name))
+			}
+			if arms[0].pages > arms[1].pages {
+				t.Notes = append(t.Notes, fmt.Sprintf(
+					"VIOLATION: %s/%s read %d pages with path routing vs %d without",
+					q.Name, sem.name, arms[0].pages, arms[1].pages))
+			}
+			if !descendantTwig {
+				continue
+			}
+			// Both arms start from the same postings, so the arm that
+			// removed more of them scans fewer.
+			on, off := arms[0].res.Skips, arms[1].res.Skips
+			if on.PathCandidates+on.JoinCandidates < off.PathCandidates+off.JoinCandidates {
+				t.Notes = append(t.Notes, fmt.Sprintf(
+					"VIOLATION: %s/%s scans more candidates with path routing: %d+%d removed vs %d+%d without",
+					q.Name, sem.name, on.PathCandidates, on.JoinCandidates, off.PathCandidates, off.JoinCandidates))
+			}
+			if on.PathCandidates == 0 || off.PathCandidates != 0 {
+				routes = false
 			}
 		}
 		if routes {
@@ -161,7 +151,7 @@ func PathSummary(cfg Config) []*Table {
 	// and pin nothing; the access-mask-only arm shows the pages saved.
 	pt := query.MustParse(unsatisfiableQuery)
 	for i, disable := range []bool{false, true} {
-		opts := query.Options{View: view, Parallelism: 1, DisablePathSummary: disable}
+		opts := query.Options{View: view, DisablePathSummary: disable}
 		res, pages, elapsed, err := env.coldQuery(pt, opts)
 		if err != nil {
 			t.Notes = append(t.Notes, "ERROR: "+err.Error())
@@ -171,7 +161,7 @@ func PathSummary(cfg Config) []*Table {
 		if disable {
 			label = "off"
 		}
-		t.AddRow("Qunsat", "bindings", "1", label,
+		t.AddRow("Qunsat", "bindings", label,
 			fmt.Sprintf("%d", pages),
 			fmt.Sprintf("%d", res.Skips.PathCandidates),
 			fmt.Sprintf("%d", res.Skips.JoinCandidates),

@@ -20,7 +20,10 @@ var StreamingLimits = []int{1, 10, 100, 0}
 // read (cold-cache buffer-pool misses), and the answers returned. The
 // reproduction target: at Limit = 1 both time-to-first and pages read sit
 // strictly below the unlimited drain on page-bound queries — the limited
-// cursor stops pulling, so the pipeline's producers stop fetching pages.
+// cursor stops pulling, so the scans stop fetching pages. A query reads the
+// same page sequence whatever its limit and stops in it where the limit is
+// met, so a smaller limit never reads more pages: a breach is a "VIOLATION:"
+// note (failing `dolbench -strict`).
 //
 // The emitted rows are machine-readable via the -json flag of cmd/dolbench
 // (BENCH_streaming.json).
@@ -42,13 +45,19 @@ func Streaming(cfg Config) []*Table {
 	ctx := context.Background()
 	for _, q := range Table1 {
 		pt := query.MustParse(q.Expr)
+		prevPages := int64(0)
 		for _, limit := range StreamingLimits {
-			opts := query.Options{View: view, Parallelism: 1, Limit: limit}
+			opts := query.Options{View: view, Limit: limit}
 			first, total, answers, pages, err := env.streamQuery(ctx, pt, opts)
 			if err != nil {
 				t.Notes = append(t.Notes, "ERROR: "+err.Error())
 				return []*Table{t}
 			}
+			if pages < prevPages {
+				t.Notes = append(t.Notes, fmt.Sprintf(
+					"VIOLATION: %s limit %d read %d pages, a smaller limit read %d", q.Name, limit, pages, prevPages))
+			}
+			prevPages = pages
 			limitLabel := fmt.Sprintf("%d", limit)
 			if limit == 0 {
 				limitLabel = "inf"
@@ -63,7 +72,7 @@ func Streaming(cfg Config) []*Table {
 	t.Notes = append(t.Notes,
 		"cold cache per row: pages = buffer-pool misses over open + drain + close",
 		"limit=inf drains the full answer set; smaller limits stop the cursor early",
-		"sequential pipeline (Parallelism=1), bindings semantics, in-memory pager")
+		"bindings semantics, in-memory pager")
 	return []*Table{t}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // Struct skip on/off under default routing, asserted at bench scale: every
 // Table 1 query returns byte-identical answers either way, under both
-// secure semantics and at worker counts 1 and 4; from a cold pool the
+// secure semantics; from a cold pool the
 // enabled runs never read more pages, and strictly fewer for the child-scan
 // queries Q1–Q3 at 256–1024 B pages.
 func TestPageSkipEquivalence(t *testing.T) {
@@ -41,29 +41,22 @@ func TestPageSkipEquivalence(t *testing.T) {
 			for _, sem := range semantics {
 				name := fmt.Sprintf("%s/%s/%dB", q.Name, sem.name, pageSize)
 				off := sem.opts
-				off.Parallelism = 1
 				off.DisableSummarySkip = true
 				want, pagesOff, _, err := env.coldQuery(pt, off)
 				if err != nil {
 					t.Fatalf("%s off: %v", name, err)
 				}
-				for _, par := range []int{1, 4} {
-					on := sem.opts
-					on.Parallelism = par
-					got, pagesOn, _, err := env.coldQuery(pt, on)
-					if err != nil {
-						t.Fatalf("%s par %d: %v", name, par, err)
-					}
-					if !equalNodes(got.Nodes, want.Nodes) || got.Matches != want.Matches {
-						t.Errorf("%s par %d: struct skip changed answers (%d/%d vs %d/%d)",
-							name, par, len(got.Nodes), got.Matches, len(want.Nodes), want.Matches)
-					}
-					if par != 1 {
-						continue
-					}
-					if pagesOn > pagesOff || qi < 3 && pagesOn == pagesOff {
-						t.Errorf("%s: struct skip read %d pages, disabled read %d", name, pagesOn, pagesOff)
-					}
+				on := sem.opts
+				got, pagesOn, _, err := env.coldQuery(pt, on)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !equalNodes(got.Nodes, want.Nodes) || got.Matches != want.Matches {
+					t.Errorf("%s: struct skip changed answers (%d/%d vs %d/%d)",
+						name, len(got.Nodes), got.Matches, len(want.Nodes), want.Matches)
+				}
+				if pagesOn > pagesOff || qi < 3 && pagesOn == pagesOff {
+					t.Errorf("%s: struct skip read %d pages, disabled read %d", name, pagesOn, pagesOff)
 				}
 			}
 		}

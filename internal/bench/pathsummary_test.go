@@ -3,7 +3,7 @@ package bench
 import "testing"
 
 // The pathsummary experiment table must carry no VIOLATION notes: answers
-// byte-identical across routing on/off × semantics × parallelism, routed
+// byte-identical across routing on/off × semantics, routed
 // runs never reading more pages, routing rejecting candidates on the
 // descendant twigs and never leaving more of them to scan, and the
 // unsatisfiable query answered from zero pages. The CI smoke mirrors this
@@ -15,29 +15,29 @@ func TestPathSummaryShape(t *testing.T) {
 			t.Error(note)
 		}
 	}
-	// Rows interleave routing on/off per query×semantics×parallelism;
-	// compare adjacent pairs.
+	// Rows interleave routing on/off per query×semantics; compare adjacent
+	// pairs.
 	for i := 0; i+1 < len(tb.Rows); i += 2 {
 		on, offRow := tb.Rows[i], tb.Rows[i+1]
-		if on[0] != offRow[0] || on[3] != "on" || offRow[3] != "off" {
+		if on[0] != offRow[0] || on[2] != "on" || offRow[2] != "off" {
 			t.Fatalf("row pairing broken at %d: %v / %v", i, on, offRow)
 		}
-		pOn := cellInt(t, on[4])
-		pOff := cellInt(t, offRow[4])
-		if on[2] == "1" && pOn > pOff {
+		pOn := cellInt(t, on[3])
+		pOff := cellInt(t, offRow[3])
+		if pOn > pOff {
 			t.Errorf("%s/%s: %d pages with routing vs %d without", on[0], on[1], pOn, pOff)
 		}
-		if on[9] != offRow[9] {
-			t.Errorf("%s/%s: answer counts differ (%s vs %s)", on[0], on[1], on[9], offRow[9])
+		if on[8] != offRow[8] {
+			t.Errorf("%s/%s: answer counts differ (%s vs %s)", on[0], on[1], on[8], offRow[8])
 		}
 		// At quick scale every parlist of Q4 lies on a path that nests
 		// another, so routing has nothing to reject there.
 		if on[0] == "Q5" || on[0] == "Q6" {
-			rejected := cellInt(t, on[5])
-			if rejected == 0 || cellInt(t, offRow[5]) != 0 {
-				t.Errorf("%s/%s: routing rejected %d candidates, %s with routing off", on[0], on[1], rejected, offRow[5])
+			rejected := cellInt(t, on[4])
+			if rejected == 0 || cellInt(t, offRow[4]) != 0 {
+				t.Errorf("%s/%s: routing rejected %d candidates, %s with routing off", on[0], on[1], rejected, offRow[4])
 			}
-			if removedOn, removedOff := rejected+cellInt(t, on[6]), cellInt(t, offRow[6]); removedOn < removedOff {
+			if removedOn, removedOff := rejected+cellInt(t, on[5]), cellInt(t, offRow[5]); removedOn < removedOff {
 				t.Errorf("%s/%s: %d candidates removed with routing vs %d without", on[0], on[1], removedOn, removedOff)
 			}
 		}

@@ -45,7 +45,7 @@ type decEntry struct {
 }
 
 // decodeCache is a byte-budgeted LRU over decoded blocks. Lookups take the
-// read lock only (parallel query workers do not serialize on hits); inserts
+// read lock only (concurrent queries do not serialize on hits); inserts
 // and invalidations take the write lock and evict the least-recently-used
 // entries until the budget holds. LRU order comes from per-entry atomic
 // clock stamps, so the eviction scan is O(entries) — tens of entries at

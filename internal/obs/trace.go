@@ -47,9 +47,6 @@ const (
 	EvPathEmpty EventKind = "path_empty"
 	// EvJoinProbe records one structural-join probe (STD or ε-STD).
 	EvJoinProbe EventKind = "join_probe"
-	// EvMerge records one chunk of the parallel match cursor's ordered
-	// merge being forwarded.
-	EvMerge EventKind = "merge_chunk"
 	// EvEmit records one answer leaving the pipeline.
 	EvEmit EventKind = "emit"
 	// EvDone marks the end of the drain (recorded by the facade).
@@ -81,8 +78,8 @@ type TraceEvent struct {
 	Hit bool `json:"hit,omitempty"`
 	// Dur is the span duration for span-ish events.
 	Dur time.Duration `json:"dur_us,omitempty"`
-	// N carries an event-specific count (pairs of a probe, tuples of a
-	// merged chunk).
+	// N carries an event-specific count (pairs of a probe, a snapshot's
+	// sequence number).
 	N int64 `json:"n,omitempty"`
 }
 
@@ -91,8 +88,8 @@ type TraceEvent struct {
 // scans.
 const DefaultTraceLimit = 1 << 20
 
-// Trace is one query's event log. It is safe for concurrent use: parallel
-// match workers and the consumer append through one mutex. A nil *Trace is
+// Trace is one query's event log. It is safe for concurrent use: every
+// append goes through one mutex. A nil *Trace is
 // valid and records nothing, so call sites need no guards beyond the usual
 // pointer check when building events is itself costly.
 //
@@ -261,12 +258,6 @@ func (t *Trace) CandidateReject(node int64, page int64) {
 // JoinProbe records one structural-join probe and its pair count.
 func (t *Trace) JoinProbe(node int64, pairs int) {
 	t.add(TraceEvent{Kind: EvJoinProbe, Page: -1, Node: node, N: int64(pairs)})
-}
-
-// MergeChunk records one ordered-merge chunk forwarded by the parallel
-// match cursor.
-func (t *Trace) MergeChunk(chunk int, tuples int) {
-	t.add(TraceEvent{Kind: EvMerge, Page: -1, Node: int64(chunk), N: int64(tuples)})
 }
 
 // Emit records one answer leaving the pipeline.

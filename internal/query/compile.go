@@ -22,7 +22,6 @@ type compiled struct {
 	*compiledShape
 	opts     Options
 	numPages int
-	workers  int
 	// accessSkip, structSkip and pathOn are what the ablation flags leave
 	// on: the view's deny bitmap (§3.3), the path summary's dead pages in
 	// scan masks, and path routing as a whole (emptiness proofs, candidate
@@ -31,17 +30,6 @@ type compiled struct {
 	accessSkip, structSkip, pathOn bool
 	route                          *pathRoute
 	mask                           *skipMask
-	// scans holds one entry per NoK subtree; nil when the query was proven
-	// empty.
-	scans []scanPlan
-}
-
-// scanPlan is the plan of one NoK subtree's match producer: the shape's
-// candidates and the request's fan-out decision.
-type scanPlan struct {
-	*shapeScan
-	parallel        bool
-	workers, chunks int
 }
 
 // empty reports that compilation proved the query has no answers: the
@@ -60,7 +48,7 @@ func (c *compiled) sortLeft(i int) bool { return c.subs[i].Link != c.subs[i-1].R
 
 // compile plans the query: the shape from the memo — built on a miss, and
 // per call by an evaluator without one — plus the view's route and fused
-// mask and the fan-out decisions. It reads the indexes (on a miss) but no
+// mask. It reads the indexes (on a miss) but no
 // store page, and records the compile span and each routed-away candidate
 // on opts.Trace. The plan evaluates the shape's pattern tree, which equals t
 // node for node.
@@ -68,7 +56,6 @@ func (ev *Evaluator) compile(t *PatternTree, opts Options) (*compiled, error) {
 	c := &compiled{
 		opts:     opts,
 		numPages: ev.store.NumPages(),
-		workers:  opts.workers(),
 	}
 	c.accessSkip = opts.View != nil && !opts.DisablePageSkip
 	c.pathOn = !opts.DisablePathSummary && ev.store.Paths() != nil
@@ -88,28 +75,13 @@ func (ev *Evaluator) compile(t *PatternTree, opts Options) (*compiled, error) {
 		c.mask = fuseMask(ev.store, sh, opts.View, c.accessSkip, c.structSkip)
 	}
 	endCompile()
-	if c.empty() {
+	if c.empty() || opts.Trace == nil {
 		return c, nil
 	}
-
-	c.scans = make([]scanPlan, len(sh.scans))
 	for i := range sh.scans {
-		sp := &c.scans[i]
-		sp.shapeScan = &sh.scans[i]
-		if len(sp.routed) > 0 && opts.Trace != nil {
-			scanTr := opts.Trace.ForOp(opScan(i))
-			for _, r := range sp.routed {
-				scanTr.CandidateReject(r.node, r.page)
-			}
-		}
-		// A plan with a Limit scans sequentially: its answers are the first
-		// in document order, and fanning out would only add run-ahead.
-		if n := len(sp.cands); c.workers > 1 && n >= minParallelCandidates && opts.Limit == 0 {
-			// More chunks than workers evens out candidate skew; clamp both
-			// so fewer candidates than workers never spawns idle goroutines.
-			sp.parallel = true
-			sp.chunks = min(c.workers*4, n)
-			sp.workers = min(c.workers, sp.chunks)
+		scanTr := opts.Trace.ForOp(opScan(i))
+		for _, r := range sh.scans[i].routed {
+			scanTr.CandidateReject(r.node, r.page)
 		}
 	}
 	return c, nil
@@ -359,10 +331,6 @@ func layoutOf(t *PatternTree, subs []NoKSubtree) tupleLayout {
 
 // sourceDocRoot names the anchored top subtree's candidate source.
 const sourceDocRoot = "doc-root"
-
-// minParallelCandidates is the candidate-list size below which fanning out
-// is not worth the goroutine overhead.
-const minParallelCandidates = 16
 
 // candidates returns the index postings for a NoK subtree root ("using B+
 // trees on the subtree root's value or tag names", §4.1) and names their

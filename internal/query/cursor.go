@@ -4,9 +4,8 @@ import (
 	"cmp"
 	"context"
 	"errors"
+	"iter"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"dolxml/internal/dol"
 	"dolxml/internal/join"
@@ -23,35 +22,22 @@ type Tuple []binding
 // Cursor is a pull-based pipeline operator in the Volcano style. Next
 // returns the next tuple, or (nil, nil) once the input is exhausted; after
 // an error or exhaustion the cursor must not be advanced again. Close
-// stops any producer goroutines and releases their resources; it is
-// idempotent and must be called no matter how far the cursor was drained.
+// unwinds the scans suspended mid-match; it is idempotent and must be called
+// no matter how far the cursor was drained.
 type Cursor interface {
 	Next(ctx context.Context) (Tuple, error)
 	Close() error
 }
 
-// matchMsg carries one batch of produced tuples (never empty), or a
-// producer error, through a bounded channel.
-type matchMsg struct {
-	ts  []Tuple
-	err error
-}
-
-// matchBuf bounds the run-ahead of match producers, in messages: small
-// enough that a Limit-terminated query stops its page reads shortly after
-// the limit is hit, large enough to decouple producer I/O from consumer
-// processing.
-const matchBuf = 8
-
-// matchBatch is how many rows a match producer collects before handing them
-// over. A plan with a Limit hands over every row by itself instead, so that
-// matchBuf bounds its run-ahead in tuples.
+// matchBatch is how many rows a scan collects before handing them over, and
+// the least a join's output chunk holds. Under a Limit a scan hands over every
+// row by itself, so the first answer surfaces before its candidate is done.
 const matchBatch = 64
 
 // rowBatch collects the rows a matcher completes in flat chunks of bindings
 // and hands them over as tuples carved from those chunks. A chunk is shared
-// by every hand-over it has room for, so a producer that hands each row over
-// by itself (a plan with a Limit) allocates per chunk, not per row. Rows are
+// by every hand-over it has room for, so a scan that hands each row over by
+// itself (a plan with a Limit) allocates per chunk, not per row. Rows are
 // values: a batch holds no page pin.
 type rowBatch struct {
 	width int // bindings per row
@@ -92,218 +78,69 @@ func (b *rowBatch) take() []Tuple {
 	return b.hdrs[lo:len(b.hdrs):len(b.hdrs)]
 }
 
-// chanCursor adapts a push-style producer goroutine to the pull Cursor
-// interface through a bounded channel of tuple batches. The producer starts
-// lazily on the first Next, must honor its context, and the channel is
-// closed when it returns — so a join whose left side is empty never starts
-// its right producer at all.
-type chanCursor struct {
-	pctx    context.Context
-	cancel  context.CancelFunc
-	start   func(ctx context.Context, out chan<- matchMsg)
-	once    sync.Once
-	started bool
-	out     chan matchMsg
-	// pending is what remains of the batch received last.
+// matchCursor produces one NoK subtree's matches as tuples, in candidate
+// order: a pull iterator over the push-style ε-NoK matcher. The matcher runs
+// only while Next waits for it — nothing is read ahead of what the consumer
+// asked for, a join whose left side is empty never starts its right scan — and
+// a panic in it surfaces in the caller of Next.
+type matchCursor struct {
+	next func() ([]Tuple, bool)
+	stop func()
+	// at is the candidate the matcher has reached, err what ended the scan
+	// early, pending what remains of the batch handed over last.
+	at      int
+	err     error
 	pending []Tuple
-	closed  bool
 }
 
-func newChanCursor(parent context.Context, start func(ctx context.Context, out chan<- matchMsg)) *chanCursor {
-	pctx, cancel := context.WithCancel(parent)
-	return &chanCursor{pctx: pctx, cancel: cancel, start: start, out: make(chan matchMsg, matchBuf)}
-}
-
-func (c *chanCursor) launch() {
-	c.once.Do(func() {
-		c.started = true
-		go func() {
-			defer close(c.out)
-			c.start(c.pctx, c.out)
-		}()
-	})
-}
-
-func (c *chanCursor) Next(ctx context.Context) (Tuple, error) {
-	if len(c.pending) == 0 {
-		// Asked once per batch (and by Answers.Next once per answer), before the
-		// select: a cancelled consumer gets ctx's error though a batch is ready.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		c.launch()
-		select {
-		case msg, ok := <-c.out:
-			if !ok || msg.err != nil {
-				return nil, msg.err
-			}
-			c.pending = msg.ts
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+// newMatchCursor returns the scan of subtree i of plan c. The matcher's page
+// reads run under ctx, which carries the scan's operator handle.
+func newMatchCursor(ctx context.Context, store *nok.Store, m *matcher, c *compiled, i int) *matchCursor {
+	mc := &matchCursor{}
+	root, cands := &m.nodes[c.subs[i].Root.id], c.scans[i].cands
+	rows := matchBatch
+	if c.opts.Limit > 0 {
+		rows = 1
 	}
-	t := c.pending[0]
-	c.pending = c.pending[1:]
-	return t, nil
-}
-
-// Close cancels the producer's context, then drains the channel —
-// unblocking any in-flight send — until the producer, returning, closes it:
-// every buffer-pool pin the producer held is released before Close returns.
-func (c *chanCursor) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	c.cancel()
-	if c.started {
-		for range c.out {
-		}
-	}
-	return nil
-}
-
-// sendMsg sends on the bounded channel, abandoning the send when the
-// producer's context is cancelled. Reports whether the send happened.
-func sendMsg(ctx context.Context, out chan<- matchMsg, msg matchMsg) bool {
-	select {
-	case out <- msg:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// newMatchCursor returns a cursor producing subtree i's matches as tuples,
-// in candidate order. Rows stream out of the ε-NoK matcher as they are
-// found (npm) and go to the consumer a batch at a time — one at a time
-// under a Limit, so the first tuple surfaces before the candidate scan
-// finishes: the early-termination property Limit relies on. When the plan
-// chose to fan out, the scan runs across a worker pool.
-func newMatchCursor(parent context.Context, store *nok.Store, m *matcher, c *compiled, i int, sp scanPlan) Cursor {
-	if sp.parallel {
-		return newParallelMatchCursor(parent, store, m, c, i, sp)
-	}
-	root := &m.nodes[c.subs[i].Root.id]
-	return newChanCursor(parent, func(ctx context.Context, out chan<- matchMsg) {
-		b, rows := rowBatch{width: c.width}, matchBatch
-		if c.opts.Limit > 0 {
-			rows = 1
-		}
+	mc.next, mc.stop = iter.Pull(func(yield func([]Tuple) bool) {
+		b := rowBatch{width: c.width}
 		ms := m.newState(store.NewCursor(), func(row []binding) bool {
-			return b.add(row) < rows || sendMsg(ctx, out, matchMsg{ts: b.take()})
+			return b.add(row) < rows || yield(b.take())
 		})
-		for _, cand := range sp.cands {
-			if err := ms.matchCandidate(ctx, root, cand); err != nil {
-				sendMsg(ctx, out, matchMsg{err: err})
-				return
-			}
-			if ms.stopped {
+		for ; mc.at < len(cands); mc.at++ {
+			if mc.err = ms.matchCandidate(ctx, root, cands[mc.at]); mc.err != nil || ms.stopped {
 				return
 			}
 		}
 		if ts := b.take(); ts != nil {
-			sendMsg(ctx, out, matchMsg{ts: ts})
+			yield(ts)
 		}
 	})
+	return mc
 }
 
-// newParallelMatchCursor fans candidate matching out over a worker pool
-// that feeds the cursor incrementally: workers claim candidate chunks from
-// an atomic counter and deposit each chunk's rows, one flat chunk, into its
-// own slot; an emitter forwards the slots in chunk order into the bounded
-// output channel, so the tuple stream is byte-identical to the sequential
-// scan. A semaphore caps how many chunks may be claimed beyond what the
-// emitter has forwarded, so a consumer that stops pulling (cancellation, a
-// join out of open ancestors) stops the workers' page reads after bounded
-// run-ahead instead of matching every candidate.
-func newParallelMatchCursor(parent context.Context, store *nok.Store, m *matcher, c *compiled, i int, sp scanPlan) Cursor {
-	root := &m.nodes[c.subs[i].Root.id]
-	cands, workers, chunks := sp.cands, sp.workers, sp.chunks
-	bounds := func(k int) (int, int) {
-		return k * len(cands) / chunks, (k + 1) * len(cands) / chunks
+func (mc *matchCursor) Next(ctx context.Context) (Tuple, error) {
+	if len(mc.pending) == 0 {
+		// Asked once per batch (and by Answers.Next once per answer): a
+		// cancelled consumer gets ctx's error, not more matching.
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var ok bool
+		if mc.pending, ok = mc.next(); !ok {
+			return nil, mc.err
+		}
 	}
-	return newChanCursor(parent, func(ctx context.Context, out chan<- matchMsg) {
-		type chunkRes struct {
-			ts  []Tuple
-			err error
-		}
-		slots := make([]chan chunkRes, chunks)
-		for k := range slots {
-			slots[k] = make(chan chunkRes, 1)
-		}
-		// Run-ahead bound: at most 2*workers chunks claimed beyond the
-		// emitter's progress. Tokens are released by the emitter; a worker
-		// that grabs a token after the last chunk was claimed keeps it,
-		// which is harmless — no chunk is left for anyone to wait on.
-		sem := make(chan struct{}, workers*2)
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		// However the emitter returns, the workers are stopped and waited
-		// for first, and a chunk's error goes out only then: once the
-		// consumer has it, nothing of this scan reads a page any more.
-		wctx, stop := context.WithCancel(ctx)
-		var failed error
-		defer func() {
-			stop()
-			wg.Wait()
-			if failed != nil {
-				sendMsg(ctx, out, matchMsg{err: failed})
-			}
-		}()
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				b := rowBatch{width: c.width}
-				ms := m.newState(store.NewCursor(), func(row []binding) bool {
-					b.add(row)
-					return true
-				})
-				for {
-					select {
-					case sem <- struct{}{}:
-					case <-wctx.Done():
-						return
-					}
-					k := int(next.Add(1)) - 1
-					if k >= chunks {
-						return
-					}
-					lo, hi := bounds(k)
-					var err error
-					for _, cand := range cands[lo:hi] {
-						if err = ms.matchCandidate(wctx, root, cand); err != nil {
-							break
-						}
-					}
-					slots[k] <- chunkRes{b.take(), err} // cap 1: never blocks
-				}
-			}()
-		}
-		// Merge events attribute to this scan's operator when the pipeline
-		// stamped one on the producer context, else to the plain trace.
-		mergeTr := obs.TraceFromContext(ctx)
-		if mergeTr == nil {
-			mergeTr = m.trace
-		}
-		for k := 0; k < chunks; k++ {
-			var res chunkRes
-			select {
-			case res = <-slots[k]:
-			case <-ctx.Done():
-				return
-			}
-			if failed = res.err; failed != nil {
-				return
-			}
-			mergeTr.MergeChunk(k, len(res.ts))
-			if len(res.ts) > 0 && !sendMsg(ctx, out, matchMsg{ts: res.ts}) {
-				return
-			}
-			<-sem
-		}
-	})
+	t := mc.pending[0]
+	mc.pending = mc.pending[1:]
+	return t, nil
+}
+
+// Close unwinds a matcher suspended mid-scan. It holds no page pin while
+// suspended: a pin lasts for one block visit.
+func (mc *matchCursor) Close() error {
+	mc.stop()
+	return nil
 }
 
 // opTrace stamps an operator's trace handle on the contexts the operator's
@@ -393,7 +230,7 @@ func (pc *pathFilterCursor) Close() error { return pc.in.Close() }
 // open ancestors with their left tuples. A left tuple is pulled only once the
 // right root at hand has reached its link, so the ε-STD page pass stops at
 // the last root probed and a consumer that stops pulling (Limit) stops both
-// scans. The right producer never starts on an empty left side and is not
+// scans. The right scan never starts on an empty left side and is not
 // pulled once the left is exhausted and every ancestor has closed.
 type joinCursor struct {
 	opTrace // stamps the join's own page reads: SubtreeEnd lookups, the ε-STD pass
@@ -629,21 +466,3 @@ func (lc *limitCursor) Next(ctx context.Context) (Tuple, error) {
 }
 
 func (lc *limitCursor) Close() error { return lc.in.Close() }
-
-// pipeline is the root of an opened operator tree. Close cancels the
-// pipeline context first, so producers blocked on sends or page fetches
-// unwind, then closes the operator tree (which waits for them).
-type pipeline struct {
-	Cursor
-	cancel context.CancelFunc
-	closed bool
-}
-
-func (p *pipeline) Close() error {
-	if p.closed {
-		return nil
-	}
-	p.closed = true
-	p.cancel()
-	return p.Cursor.Close()
-}

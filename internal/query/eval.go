@@ -2,7 +2,6 @@ package query
 
 import (
 	"context"
-	"runtime"
 	"slices"
 
 	"dolxml/internal/btree"
@@ -53,12 +52,6 @@ type Options struct {
 	// uniform-class access verdicts are checked per node again. For
 	// ablation experiments; answers are identical either way.
 	DisablePathSummary bool
-	// Parallelism bounds the worker pool that fans NoK-subtree candidate
-	// matching out across goroutines. 0 (the zero value) means
-	// runtime.GOMAXPROCS(0); 1 forces fully sequential evaluation.
-	// Results are deterministic: every setting produces byte-identical
-	// Result contents.
-	Parallelism int
 	// Limit, when positive, stops evaluation after that many distinct
 	// answers: the cursor pipeline terminates early and the pages beyond
 	// the last match needed are never read. Result.Matches then counts
@@ -66,19 +59,11 @@ type Options struct {
 	Limit int
 	// Trace, when non-nil, records the evaluation's span and page events:
 	// skip-mask compilation, every page skipped (with cause), candidate
-	// rejections, join probes, parallel merge chunks, and emitted answers.
+	// rejections, join probes, and emitted answers.
 	// Carry the same trace in the ctx passed to Open/Next (obs.WithTrace)
 	// so buffer-pool pin events are attributed too — the securexml facade
 	// does both.
 	Trace *obs.Trace
-}
-
-// workers resolves the effective worker count.
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Result is the outcome of evaluating a twig query.
@@ -200,11 +185,11 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, t *PatternTree, opts Optio
 // Answers is a streaming cursor over a query's answers: the distinct
 // bindings of the returning pattern node, in discovery order (not document
 // order — sort after draining if document order matters). It is the public
-// face of the operator pipeline; Close must be called exactly once, and
-// releases the pipeline's producers and page pins no matter how far the
-// cursor was drained.
+// face of the operator pipeline, which runs on the goroutine that calls Next;
+// Close must be called, no matter how far the cursor was drained.
 type Answers struct {
-	p *pipeline
+	// p is the root of the operator tree.
+	p Cursor
 	// c is the plan the pipeline was instantiated from.
 	c       *compiled
 	matches *int
@@ -212,7 +197,7 @@ type Answers struct {
 
 // Open builds the cursor pipeline for the pattern tree without draining
 // it. ctx governs the whole lifetime of the returned cursor: cancelling it
-// aborts in-flight producers at their next page-fetch boundary.
+// aborts the scans at their next page-fetch boundary.
 func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*Answers, error) {
 	defer opts.Trace.Span(obs.EvOpen)()
 	c, err := ev.compile(t, opts)
@@ -221,25 +206,23 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 	}
 	if c.empty() {
 		opts.Trace.Mark(obs.EvPathEmpty)
-		return &Answers{p: &pipeline{Cursor: emptyCursor{}, cancel: func() {}}, c: c, matches: new(int)}, nil
+		return &Answers{p: emptyCursor{}, c: c, matches: new(int)}, nil
 	}
 	subs := c.subs
 	m := ev.newMatcher(c)
 
-	// Assemble the operator tree bottom-up: per-subtree match producers,
-	// the pruned-subtree root-path filter on the top subtree, one
+	// Assemble the operator tree bottom-up: per-subtree scans, the
+	// pruned-subtree root-path filter on the top subtree, one
 	// structural-join operator per cut edge, then dedup and limit.
-	pctx, cancel := context.WithCancel(ctx)
 	var cur Cursor
 	for i := range subs {
-		// Stamp this subtree's scan operator on every page pin its match
-		// producers perform: streaming matches and parallel chunk workers
-		// all run under sctx.
-		sctx := pctx
+		// Stamp this subtree's scan operator on every page pin the scan
+		// performs.
+		sctx := ctx
 		if scanTr := opts.Trace.ForOp(opScan(i)); scanTr != nil {
-			sctx = obs.WithTrace(pctx, scanTr)
+			sctx = obs.WithTrace(ctx, scanTr)
 		}
-		rc := newMatchCursor(sctx, ev.store, m, c, i, c.scans[i])
+		var rc Cursor = newMatchCursor(sctx, ev.store, m, c, i)
 		if i == 0 {
 			if opts.View != nil && opts.Semantics == SemanticsPrunedSubtree {
 				rc = &pathFilterCursor{view: opts.View, in: rc, cur: ev.store.NewCursor(), opTrace: opTrace{tr: opts.Trace.ForOp(opFilter)}}
@@ -269,11 +252,10 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 	if opts.Limit > 0 {
 		top = &limitCursor{in: dd, remaining: opts.Limit}
 	}
-	return &Answers{p: &pipeline{Cursor: top, cancel: cancel}, c: c, matches: &dd.matches}, nil
+	return &Answers{p: top, c: c, matches: &dd.matches}, nil
 }
 
-// newMatcher returns the immutable matcher of plan c, shared by its match
-// producers and their workers.
+// newMatcher returns the immutable matcher of plan c, shared by its scans.
 func (ev *Evaluator) newMatcher(c *compiled) *matcher {
 	m := &matcher{
 		store:  ev.store,
@@ -295,7 +277,7 @@ func (emptyCursor) Close() error                            { return nil }
 // Next returns the next distinct answer; ok is false once the stream is
 // exhausted or the Limit was reached.
 func (a *Answers) Next(ctx context.Context) (n xmltree.NodeID, ok bool, err error) {
-	// Asked here once per answer, and below once per hand-off batch: a
+	// Asked here once per answer, and by each scan once per batch: a
 	// cancelled consumer gets ctx's error even while matched tuples remain.
 	if err := ctx.Err(); err != nil {
 		return xmltree.InvalidNode, false, err
@@ -318,19 +300,20 @@ func (a *Answers) Matches() int { return *a.matches }
 // Zero when skipping was disabled.
 func (a *Answers) SkipStats() SkipStats {
 	s := a.c.mask.stats()
-	for _, sp := range a.c.scans {
-		s.PathCandidates += int64(len(sp.routed))
-		s.JoinCandidates += int64(sp.rejectedJoin)
-	}
 	if a.c.route != nil {
 		s.PathClasses = a.c.route.preResolved
 	}
 	if a.c.empty() {
 		s.PathEmpty = 1
+		return s
+	}
+	for _, sp := range a.c.scans {
+		s.PathCandidates += int64(len(sp.routed))
+		s.JoinCandidates += int64(sp.rejectedJoin)
 	}
 	return s
 }
 
-// Close stops the pipeline's producers, waits for them to exit, and
-// releases every buffer-pool pin they held. Idempotent.
+// Close unwinds the scans suspended mid-match. No buffer-pool pin outlives
+// it (none outlives a Next). Idempotent.
 func (a *Answers) Close() error { return a.p.Close() }

@@ -12,16 +12,16 @@ import (
 )
 
 // explain.go renders the value compile returns — flags, shape, route, mask
-// and the per-subtree candidate and fan-out decisions — into a structured
+// and the per-subtree candidate decisions — into a structured
 // Plan (EXPLAIN), and folds a traced run's event stream into per-operator
 // attribution reconciled exactly against the registry deltas (ANALYZE). It
 // decides nothing itself: Open instantiates its cursors from the same
 // compiled value.
 //
 // Operator identity rides on trace events as an op label (obs.TraceEvent
-// .Op): Open stamps each match producer's context, each join, and the
+// .Op): Open stamps each scan's context, each join, and the
 // pruned-subtree path filter with a handle from Trace.ForOp, so every
-// buffer-pool pin, skip, reject, probe and merge lands in exactly one
+// buffer-pool pin, skip, reject and probe lands in exactly one
 // operator bucket. Events recorded outside any operator (the facade's
 // parse span, answer conversion, snapshot pin) fold into the residual
 // bucket — the partition stays exact by construction, which is what lets
@@ -54,8 +54,6 @@ type Plan struct {
 	Query string `json:"query"`
 	// Semantics is "bindings", "pruned", or "unsecured" (no view).
 	Semantics string `json:"semantics"`
-	// Parallelism is the resolved worker count.
-	Parallelism int `json:"parallelism"`
 	// Limit is the answer limit (0 = none).
 	Limit int `json:"limit,omitempty"`
 	// PathRouting / StructSkip / AccessSkip record which halves of the
@@ -136,10 +134,6 @@ type PlanOp struct {
 	RejectedByPath int    `json:"rejected_by_path,omitempty"`
 	RejectedByJoin int    `json:"rejected_by_join,omitempty"`
 	CandidateSrc   string `json:"candidate_source,omitempty"`
-	// Parallel / Workers / Chunks describe the scan fan-out decision.
-	Parallel bool `json:"parallel,omitempty"`
-	Workers  int  `json:"workers,omitempty"`
-	Chunks   int  `json:"chunks,omitempty"`
 	// Limit is the answer bound for the limit operator.
 	Limit int `json:"limit,omitempty"`
 	// Inputs are the op labels feeding this operator (render tree edges).
@@ -189,7 +183,6 @@ func (c *compiled) plan() *Plan {
 	plan := &Plan{
 		Query:         c.query,
 		Semantics:     sem,
-		Parallelism:   c.workers,
 		Limit:         opts.Limit,
 		PathRouting:   c.pathOn,
 		StructSkip:    c.structSkip,
@@ -264,9 +257,6 @@ func (c *compiled) plan() *Plan {
 			RejectedByPath: len(sp.routed),
 			RejectedByJoin: sp.rejectedJoin,
 			CandidateSrc:   sp.source,
-			Parallel:       sp.parallel,
-			Workers:        sp.workers,
-			Chunks:         sp.chunks,
 		})
 		switch {
 		case i > 0:
@@ -324,7 +314,7 @@ func (p *Plan) WriteText(w io.Writer) error {
 			_, err = fmt.Fprintf(w, format, args...)
 		}
 	}
-	pr("query %s  semantics=%s parallelism=%d", p.Query, p.Semantics, p.Parallelism)
+	pr("query %s  semantics=%s", p.Query, p.Semantics)
 	if p.Limit > 0 {
 		pr(" limit=%d", p.Limit)
 	}
@@ -397,11 +387,6 @@ func (p *Plan) WriteText(w io.Writer) error {
 			if op.RejectedByJoin > 0 {
 				pr(" (rejected-by-join=%d)", op.RejectedByJoin)
 			}
-			if op.Parallel {
-				pr(" parallel workers=%d chunks=%d", op.Workers, op.Chunks)
-			} else {
-				pr(" streaming")
-			}
 		case "sort":
 			pr(" by %s", op.Root)
 		case "join":
@@ -443,9 +428,6 @@ type OpStats struct {
 	// Probes / ProbePairs count structural-join probes and their pairs.
 	Probes     int64 `json:"probes,omitempty"`
 	ProbePairs int64 `json:"probe_pairs,omitempty"`
-	// MergeChunks / MergeTuples count parallel-merge forwarding.
-	MergeChunks int64 `json:"merge_chunks,omitempty"`
-	MergeTuples int64 `json:"merge_tuples,omitempty"`
 	// Emits counts answers leaving the pipeline (residual bucket: the
 	// facade records them).
 	Emits int64 `json:"emits,omitempty"`
@@ -472,9 +454,6 @@ func (s *OpStats) add(e obs.TraceEvent) {
 	case obs.EvJoinProbe:
 		s.Probes++
 		s.ProbePairs += e.N
-	case obs.EvMerge:
-		s.MergeChunks++
-		s.MergeTuples += e.N
 	case obs.EvEmit:
 		s.Emits++
 	default:
@@ -548,8 +527,6 @@ func (an *Analysis) Totals() OpStats {
 		t.CandRejects += b.CandRejects
 		t.Probes += b.Probes
 		t.ProbePairs += b.ProbePairs
-		t.MergeChunks += b.MergeChunks
-		t.MergeTuples += b.MergeTuples
 		t.Emits += b.Emits
 	}
 	return t

@@ -194,63 +194,46 @@ func TestAnalyzeAttributionReconciles(t *testing.T) {
 		"//parlist//parlist",
 	}
 	for _, expr := range exprs {
-		for _, base := range []Options{
+		for _, opts := range []Options{
 			{},
 			{View: view},
 			{View: view, Semantics: SemanticsPrunedSubtree},
 		} {
-			for _, par := range []int{1, 4} {
-				opts := base
-				opts.Parallelism = par
-				name := fmt.Sprintf("%s/sem=%d/view=%v/par=%d", expr, opts.Semantics, opts.View != nil, par)
-				pt := MustParse(expr)
+			name := fmt.Sprintf("%s/sem=%d/view=%v", expr, opts.Semantics, opts.View != nil)
+			pt := MustParse(expr)
 
-				plan, err := e.ev.Explain(ctx, pt, opts)
-				if err != nil {
-					t.Fatalf("%s: explain: %v", name, err)
-				}
-				tr := obs.NewTrace()
-				opts.Trace = tr
-				before := e.pool.Stats()
-				res, err := e.ev.EvaluateCtx(ctx, pt, opts)
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				d := e.pool.Stats().Sub(before)
+			plan, err := e.ev.Explain(ctx, pt, opts)
+			if err != nil {
+				t.Fatalf("%s: explain: %v", name, err)
+			}
+			tr := obs.NewTrace()
+			opts.Trace = tr
+			before := e.pool.Stats()
+			res, err := e.ev.EvaluateCtx(ctx, pt, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			d := e.pool.Stats().Sub(before)
 
-				an := AnalyzeTrace(plan, tr.Events(), tr.Dropped())
-				tot := an.Totals()
-				if tot.Pins != d.Gets || tot.Hits != d.Hits {
-					t.Errorf("%s: attributed pins/hits %d/%d != pool delta %d/%d",
-						name, tot.Pins, tot.Hits, d.Gets, d.Hits)
-				}
-				// Every pin at the evaluator level happens under some
-				// operator's context: the residual bucket must be empty.
-				if an.Other.Pins != 0 {
-					t.Errorf("%s: %d pins in the residual bucket", name, an.Other.Pins)
-				}
-				if got, want := tot.SkipAccess+tot.SkipStruct, res.Skips.AccessPages+res.Skips.StructPages; got != want {
-					t.Errorf("%s: attributed skips %d != result skips %d", name, got, want)
-				}
-				if got, want := tot.CandRejects, res.Skips.Candidates+res.Skips.PathCandidates; got != want {
-					t.Errorf("%s: attributed rejects %d != result rejects %d", name, got, want)
-				}
-				// Merge events only under a plan that chose parallel scans.
-				anyParallel := false
-				for i, op := range plan.Operators {
-					if op.Kind == "scan" && op.Parallel {
-						anyParallel = true
-						if an.Ops[i].MergeChunks == 0 {
-							t.Errorf("%s: parallel scan %s merged no chunks", name, op.Op)
-						}
-					}
-				}
-				if !anyParallel && tot.MergeChunks != 0 {
-					t.Errorf("%s: %d merge events without a parallel scan", name, tot.MergeChunks)
-				}
-				if tr.Dropped() != 0 {
-					t.Errorf("%s: trace dropped %d events", name, tr.Dropped())
-				}
+			an := AnalyzeTrace(plan, tr.Events(), tr.Dropped())
+			tot := an.Totals()
+			if tot.Pins != d.Gets || tot.Hits != d.Hits {
+				t.Errorf("%s: attributed pins/hits %d/%d != pool delta %d/%d",
+					name, tot.Pins, tot.Hits, d.Gets, d.Hits)
+			}
+			// Every pin at the evaluator level happens under some
+			// operator's context: the residual bucket must be empty.
+			if an.Other.Pins != 0 {
+				t.Errorf("%s: %d pins in the residual bucket", name, an.Other.Pins)
+			}
+			if got, want := tot.SkipAccess+tot.SkipStruct, res.Skips.AccessPages+res.Skips.StructPages; got != want {
+				t.Errorf("%s: attributed skips %d != result skips %d", name, got, want)
+			}
+			if got, want := tot.CandRejects, res.Skips.Candidates+res.Skips.PathCandidates; got != want {
+				t.Errorf("%s: attributed rejects %d != result rejects %d", name, got, want)
+			}
+			if tr.Dropped() != 0 {
+				t.Errorf("%s: trace dropped %d events", name, tr.Dropped())
 			}
 		}
 	}
@@ -272,7 +255,7 @@ func TestAnalyzeAttributionRandom(t *testing.T) {
 		}
 		e := newExplainEnv(t, doc, m, 96+rng.Intn(300))
 		pt := randomPattern(rng)
-		opts := Options{Parallelism: 1 + rng.Intn(4)}
+		opts := Options{}
 		if rng.Intn(3) > 0 {
 			opts.View = e.ss.ViewSubject(acl.SubjectID(rng.Intn(subjects)))
 			if rng.Intn(2) == 0 {

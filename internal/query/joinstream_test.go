@@ -89,8 +89,8 @@ func drainCursor(t *testing.T, c Cursor) []Tuple {
 }
 
 // referenceStream evaluates plan c below dedup the old way: every subtree's
-// match stream drained by itself (a sequential scan, the root-path filter
-// on the top one under pruned semantics) and combined by drainedJoin.
+// match stream drained by itself (the root-path filter on the top one under
+// pruned semantics) and combined by drainedJoin.
 func referenceStream(t *testing.T, ev *Evaluator, doc *xmltree.Document, c *compiled) []Tuple {
 	t.Helper()
 	ctx := context.Background()
@@ -101,9 +101,7 @@ func referenceStream(t *testing.T, ev *Evaluator, doc *xmltree.Document, c *comp
 	}
 	var cur []Tuple
 	for i := range c.subs {
-		sp := c.scans[i]
-		sp.parallel = false
-		mc := newMatchCursor(ctx, ev.store, m, c, i, sp)
+		var mc Cursor = newMatchCursor(ctx, ev.store, m, c, i)
 		if i == 0 {
 			if view != nil {
 				mc = &pathFilterCursor{view: view, in: mc, cur: ev.store.NewCursor()}
@@ -136,7 +134,7 @@ var joinTwigs = []string{
 // The streaming join against the drained one it replaces, and against the
 // document oracle: on random bushy and deep recursive documents, for chains
 // and for branches that need the sort operator, without access control and
-// under both semantics, at every worker count and hand-off granularity, the
+// under both semantics, at both hand-off granularities, the
 // tuple stream below dedup is the reference's, tuple for tuple in the same
 // order, and the answers are MatchDocument's on the visible document.
 func TestStreamingJoinOracle(t *testing.T) {
@@ -223,38 +221,36 @@ func TestStreamingJoinOracle(t *testing.T) {
 				}
 			}
 
-			for _, p := range parallelismLevels {
-				for _, limit := range []int{0, 1, 10} {
-					opts := sem.opts
-					opts.Parallelism, opts.Limit = p, limit
-					got := streamBelowDedup(t, ev, pt, opts)
-					if len(got) != len(want) {
-						t.Fatalf("%s p=%d limit=%d: %d tuples, the drained join has %d", what, p, limit, len(got), len(want))
+			for _, limit := range []int{0, 1, 10} {
+				opts := sem.opts
+				opts.Limit = limit
+				got := streamBelowDedup(t, ev, pt, opts)
+				if len(got) != len(want) {
+					t.Fatalf("%s limit=%d: %d tuples, the drained join has %d", what, limit, len(got), len(want))
+				}
+				for k := range got {
+					if !slices.Equal(got[k], want[k]) {
+						t.Fatalf("%s limit=%d: tuple %d is %s, the drained join has %s", what, limit, k, tupleKey(got[k]), tupleKey(want[k]))
 					}
-					for k := range got {
-						if !slices.Equal(got[k], want[k]) {
-							t.Fatalf("%s p=%d limit=%d: tuple %d is %s, the drained join has %s", what, p, limit, k, tupleKey(got[k]), tupleKey(want[k]))
-						}
-					}
+				}
 
-					res, err := ev.EvaluateCtx(ctx, pt, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
+				res, err := ev.EvaluateCtx(ctx, pt, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if limit == 0 && (res.Matches != len(want) || !sameAnswers(res, wantNodes)) {
+					t.Fatalf("%s: Matches %d Nodes %v, want %d tuples, nodes %v", what, res.Matches, res.Nodes, len(want), wantNodes)
+				}
+				if limit > 0 && len(res.Nodes) != min(limit, len(wantNodes)) {
+					t.Fatalf("%s limit=%d: %d answers of the oracle's %d", what, limit, len(res.Nodes), len(wantNodes))
+				}
+				for _, n := range res.Nodes {
+					if !wantNodes[n] {
+						t.Fatalf("%s limit=%d: answer %d is not an oracle answer", what, limit, n)
 					}
-					if limit == 0 && (res.Matches != len(want) || !sameAnswers(res, wantNodes)) {
-						t.Fatalf("%s p=%d: Matches %d Nodes %v, want %d tuples, nodes %v", what, p, res.Matches, res.Nodes, len(want), wantNodes)
-					}
-					if limit > 0 && len(res.Nodes) != min(limit, len(wantNodes)) {
-						t.Fatalf("%s p=%d limit=%d: %d answers of the oracle's %d", what, p, limit, len(res.Nodes), len(wantNodes))
-					}
-					for _, n := range res.Nodes {
-						if !wantNodes[n] {
-							t.Fatalf("%s p=%d limit=%d: answer %d is not an oracle answer", what, p, limit, n)
-						}
-					}
-					if n := pool.Pinned(); n != 0 {
-						t.Fatalf("%s p=%d limit=%d: %d frames still pinned", what, p, limit, n)
-					}
+				}
+				if n := pool.Pinned(); n != 0 {
+					t.Fatalf("%s limit=%d: %d frames still pinned", what, limit, n)
 				}
 			}
 		}
@@ -296,7 +292,7 @@ func TestLimitStopsBothJoinSides(t *testing.T) {
 		tr := obs.NewTrace()
 		ctx := obs.WithTrace(context.Background(), tr)
 		g0 := e.pool.Stats().Gets
-		a, err := e.ev.Open(ctx, pt, Options{View: e.ss.ViewSubject(0), Parallelism: 1, Limit: limit, Trace: tr})
+		a, err := e.ev.Open(ctx, pt, Options{View: e.ss.ViewSubject(0), Limit: limit, Trace: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,10 +329,9 @@ func TestLimitStopsBothJoinSides(t *testing.T) {
 		}
 	}
 	// How far the join pulled the left stream: up to the first link past
-	// the answer. The producer behind it ran at most matchBuf hand-offs of
-	// one row ahead, plus the row it was blocked on and the candidate it
-	// was matching.
-	jc := a.p.Cursor.(*limitCursor).in.(*dedupCursor).in.(*joinCursor)
+	// the answer. The scan behind it stopped in the candidate whose row the
+	// join pulled last.
+	jc := a.p.(*limitCursor).in.(*dedupCursor).in.(*joinCursor)
 	cands := a.c.scans[0].cands
 	position := func(n xmltree.NodeID) int {
 		i, _ := slices.BinarySearchFunc(cands, n, func(p btree.Posting, n xmltree.NodeID) int { return cmp.Compare(p.Node, n) })
@@ -349,7 +344,7 @@ func TestLimitStopsBothJoinSides(t *testing.T) {
 	if pulled > answerAt+1 {
 		t.Errorf("the join pulled %d of %d left tuples; the first answer (node %d) lies after %d candidates", pulled, len(cands), first, answerAt)
 	}
-	if matched := pulled + matchBuf + 2; matched >= len(cands)/2 {
-		t.Errorf("the left scan matched up to %d of %d candidates under Limit 1", matched, len(cands))
+	if left := jc.left.(*matchCursor); left.at != pulled-1 || len(left.pending) != 0 {
+		t.Errorf("the left scan stands at candidate %d with %d rows waiting; the join pulled the row of candidate %d last", left.at, len(left.pending), pulled-1)
 	}
 }

@@ -33,8 +33,7 @@ var unbound = binding{node: xmltree.InvalidNode, end: xmltree.InvalidNode}
 // in the data tree that match [the returning] node" to all be returned.
 //
 // A matcher is immutable once prepare has run and is shared by a query's
-// match producers; what a match writes lives in each goroutine's
-// matchState.
+// scans; what a match writes lives in each scan's matchState.
 type matcher struct {
 	store  *nok.Store
 	values *nok.ValueStore
@@ -50,8 +49,8 @@ type matcher struct {
 	// NoK subtree (a lone root is 1) and maxKids the widest child list: the
 	// dimensions of a matchState.
 	width, depth, maxKids int
-	// trace, when non-nil, receives candidate-reject and merge-chunk
-	// events (page pins and skips are recorded elsewhere).
+	// trace, when non-nil, receives candidate-reject events (page pins and
+	// skips are recorded elsewhere).
 	trace *obs.Trace
 }
 
@@ -199,12 +198,12 @@ func (np *nodePlan) mayMatchBelow(u, hi xmltree.NodeID) bool {
 	return true
 }
 
-// matchState is one goroutine's working memory for matching candidates of
+// matchState is one scan's working memory for matching candidates of
 // one NoK subtree: after the first few candidates have sized it, matching
 // allocates nothing.
 type matchState struct {
 	m *matcher
-	// cur is the goroutine's block cursor: a scan's navigation, tag and
+	// cur is the scan's block cursor: its navigation, tag and
 	// access checks of the nodes of one block cost one block visit.
 	cur *nok.Cursor
 	// frames holds one frame per pattern depth. At any moment at most one

@@ -83,9 +83,9 @@ func TestStructSkipReducesPages(t *testing.T) {
 			name string
 			opts Options
 		}{
-			{"no view", Options{Parallelism: 1}},
-			{"bindings", Options{View: view, Parallelism: 1}},
-			{"pruned", Options{View: view, Semantics: SemanticsPrunedSubtree, Parallelism: 1}},
+			{"no view", Options{}},
+			{"bindings", Options{View: view}},
+			{"pruned", Options{View: view, Semantics: SemanticsPrunedSubtree}},
 		} {
 			name := in.name + "/" + cfg.name
 			off := cfg.opts
@@ -132,8 +132,8 @@ func TestAccessMaskRejectsCandidates(t *testing.T) {
 	pt := MustParse("//x")
 	view := e.ss.ViewSubject(0)
 
-	resOn, pagesOn := e.coldPages(t, pt, Options{View: view, Parallelism: 1})
-	resOff, pagesOff := e.coldPages(t, pt, Options{View: view, Parallelism: 1, DisablePageSkip: true, DisableSummarySkip: true})
+	resOn, pagesOn := e.coldPages(t, pt, Options{View: view})
+	resOff, pagesOff := e.coldPages(t, pt, Options{View: view, DisablePageSkip: true, DisableSummarySkip: true})
 	if !equalIDs(resOn.Nodes, resOff.Nodes) {
 		t.Fatalf("answers differ: %d vs %d nodes", len(resOn.Nodes), len(resOff.Nodes))
 	}
@@ -146,8 +146,7 @@ func TestAccessMaskRejectsCandidates(t *testing.T) {
 }
 
 // Property: struct skip on, off and routing off, with and without a view,
-// under both secure semantics and several parallelism levels, produce
-// byte-identical results on random documents, patterns and ACLs.
+// under both secure semantics, produce byte-identical results on random documents, patterns and ACLs.
 func TestStructSkipEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -170,26 +169,22 @@ func TestStructSkipEquivalence(t *testing.T) {
 			{View: view, Semantics: SemanticsPrunedSubtree},
 		}
 		for bi, opts := range base {
-			opts.Parallelism = 1
 			opts.DisablePathSummary = true
 			want, err := e.ev.Evaluate(pt, opts)
 			if err != nil {
 				t.Fatalf("seed %d base %d: %v", seed, bi, err)
 			}
 			for _, structOff := range []bool{false, true} {
-				for _, par := range []int{1, 4} {
-					on := opts
-					on.Parallelism = par
-					on.DisablePathSummary = false
-					on.DisableSummarySkip = structOff
-					got, err := e.ev.Evaluate(pt, on)
-					if err != nil {
-						t.Fatalf("seed %d base %d par %d: %v", seed, bi, par, err)
-					}
-					if !equalIDs(got.Nodes, want.Nodes) || got.Matches != want.Matches {
-						t.Fatalf("seed %d base %d par %d structOff %v (page %d): routing changed the result: %v/%d vs %v/%d",
-							seed, bi, par, structOff, pageSize, got.Nodes, got.Matches, want.Nodes, want.Matches)
-					}
+				on := opts
+				on.DisablePathSummary = false
+				on.DisableSummarySkip = structOff
+				got, err := e.ev.Evaluate(pt, on)
+				if err != nil {
+					t.Fatalf("seed %d base %d: %v", seed, bi, err)
+				}
+				if !equalIDs(got.Nodes, want.Nodes) || got.Matches != want.Matches {
+					t.Fatalf("seed %d base %d structOff %v (page %d): routing changed the result: %v/%d vs %v/%d",
+						seed, bi, structOff, pageSize, got.Nodes, got.Matches, want.Nodes, want.Matches)
 				}
 			}
 		}

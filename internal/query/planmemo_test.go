@@ -137,7 +137,7 @@ func streamBelowDedup(t *testing.T, ev *Evaluator, pt *PatternTree, opts Options
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := a.p.Cursor
+	in := a.p
 	if lc, ok := in.(*limitCursor); ok {
 		in = lc.in
 	}
@@ -166,7 +166,7 @@ func streamBelowDedup(t *testing.T, ev *Evaluator, pt *PatternTree, opts Options
 // (literals that occur often, never, and once on a node the subject may not
 // read), an evaluator with a plan memo and a value index returns exactly
 // MatchDocument ∩ accessible — under no view, both semantics and two
-// subjects that share the memo, every worker count and limit, on the
+// subjects that share the memo and every limit, on the
 // memo's miss and on its hits — and hands dedup the very tuple stream an
 // evaluator with neither memo nor value index does.
 func TestIndexPrunedPlanOracle(t *testing.T) {
@@ -262,40 +262,36 @@ func TestIndexPrunedPlanOracle(t *testing.T) {
 			for _, n := range MatchDocument(sem.doc, pt) {
 				want[n] = true
 			}
-			ref := sem.opts
-			ref.Parallelism = 1
-			wantStream := streamBelowDedup(t, plain, parse(), ref)
+			wantStream := streamBelowDedup(t, plain, parse(), sem.opts)
 			cases++
 			answers += len(want)
-			for _, p := range parallelismLevels {
-				for _, limit := range []int{0, 1, 10} {
-					opts := sem.opts
-					opts.Parallelism, opts.Limit = p, limit
-					got := streamBelowDedup(t, memo, parse(), opts)
-					if len(got) != len(wantStream) {
-						t.Fatalf("%s p=%d limit=%d: %d tuples, the memo-less evaluator hands over %d", what, p, limit, len(got), len(wantStream))
+			for _, limit := range []int{0, 1, 10} {
+				opts := sem.opts
+				opts.Limit = limit
+				got := streamBelowDedup(t, memo, parse(), opts)
+				if len(got) != len(wantStream) {
+					t.Fatalf("%s limit=%d: %d tuples, the memo-less evaluator hands over %d", what, limit, len(got), len(wantStream))
+				}
+				for k := range got {
+					if !slices.Equal(got[k], wantStream[k]) {
+						t.Fatalf("%s limit=%d: tuple %d is %s, the memo-less evaluator's %s", what, limit, k, tupleKey(got[k]), tupleKey(wantStream[k]))
 					}
-					for k := range got {
-						if !slices.Equal(got[k], wantStream[k]) {
-							t.Fatalf("%s p=%d limit=%d: tuple %d is %s, the memo-less evaluator's %s", what, p, limit, k, tupleKey(got[k]), tupleKey(wantStream[k]))
-						}
-					}
-					res, err := memo.EvaluateCtx(ctx, parse(), opts)
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					joinRejects += int(res.Skips.JoinCandidates)
-					wantLen := len(want)
-					if limit > 0 {
-						wantLen = min(limit, wantLen)
-					}
-					if len(res.Nodes) != wantLen {
-						t.Fatalf("%s p=%d limit=%d: answers %v, the model's %v", what, p, limit, res.Nodes, want)
-					}
-					for _, n := range res.Nodes {
-						if !want[n] {
-							t.Fatalf("%s p=%d limit=%d: answer %d is not one of the model's", what, p, limit, n)
-						}
+				}
+				res, err := memo.EvaluateCtx(ctx, parse(), opts)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				joinRejects += int(res.Skips.JoinCandidates)
+				wantLen := len(want)
+				if limit > 0 {
+					wantLen = min(limit, wantLen)
+				}
+				if len(res.Nodes) != wantLen {
+					t.Fatalf("%s limit=%d: answers %v, the model's %v", what, limit, res.Nodes, want)
+				}
+				for _, n := range res.Nodes {
+					if !want[n] {
+						t.Fatalf("%s limit=%d: answer %d is not one of the model's", what, limit, n)
 					}
 				}
 			}
@@ -433,7 +429,7 @@ func TestValuePredicatePinsNoValuePage(t *testing.T) {
 			t.Fatal(err)
 		}
 		tr := obs.NewTrace()
-		opts := Options{View: e.ss.ViewSubject(0), Parallelism: 1, Trace: tr}
+		opts := Options{View: e.ss.ViewSubject(0), Trace: tr}
 		res, err := ev.EvaluateCtx(obs.WithTrace(context.Background(), tr), MustParse(xpath), opts)
 		if err != nil || len(res.Nodes) != 1 {
 			t.Fatalf("%s: %v, err %v", xpath, res, err)

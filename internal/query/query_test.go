@@ -644,7 +644,7 @@ func (e *env) snapshot(t testing.TB) Snapshot {
 func BenchmarkEvaluateTwig(b *testing.B) {
 	e := xmarkEnv(b)
 	sn := e.snapshot(b)
-	opts := Options{View: e.ss.ViewSubject(0), Parallelism: 1}
+	opts := Options{View: e.ss.ViewSubject(0)}
 	// The harness's other two shapes: Q5 under a Limit, and a value
 	// predicate that one person satisfies.
 	email := ""

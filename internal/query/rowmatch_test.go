@@ -130,7 +130,7 @@ func tupleKey(t Tuple) string {
 // The row matcher against a brute-force oracle: on random recursive
 // documents and twigs with several tracked children under one node, the
 // pipeline below dedup hands over exactly the oracle's tuples, each once,
-// under both semantics, every worker count and both hand-off granularities
+// under both semantics and both hand-off granularities
 // (a Limit makes batches of one); Result.Matches and Result.Nodes follow;
 // every subtree-root binding carries its subtree end; and the rows the
 // matcher emits for one candidate are pairwise distinct — the assertion
@@ -198,67 +198,65 @@ func TestRowMatcherOracle(t *testing.T) {
 			}
 			what := fmt.Sprintf("seed %d %s (view %v, semantics %d)", seed, xpath, sem.opts.View != nil, sem.opts.Semantics)
 
-			for _, p := range parallelismLevels {
-				for _, limit := range []int{0, 1, 10} {
-					opts := sem.opts
-					opts.Parallelism, opts.Limit = p, limit
+			for _, limit := range []int{0, 1, 10} {
+				opts := sem.opts
+				opts.Limit = limit
 
-					// The tuple stream under dedup and limit, drained whole.
-					a, err := ev.Open(ctx, pt, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
-					}
-					in := a.p.Cursor
-					if lc, ok := in.(*limitCursor); ok {
-						in = lc.in
-					}
-					got := map[string]int{}
-					if dc, ok := in.(*dedupCursor); ok { // not a query proven empty
-						for {
-							tp, err := dc.in.Next(ctx)
-							if err != nil {
-								t.Fatalf("%s: %v", what, err)
-							}
-							if tp == nil {
-								break
-							}
-							got[tupleKey(tp)]++
-							for i, base := range layout.base {
-								if b := tp[base]; b.end != doc.End(b.node) {
-									t.Fatalf("%s: subtree %d root %d carries end %d, want %d", what, i, b.node, b.end, doc.End(b.node))
-								}
+				// The tuple stream under dedup and limit, drained whole.
+				a, err := ev.Open(ctx, pt, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				in := a.p
+				if lc, ok := in.(*limitCursor); ok {
+					in = lc.in
+				}
+				got := map[string]int{}
+				if dc, ok := in.(*dedupCursor); ok { // not a query proven empty
+					for {
+						tp, err := dc.in.Next(ctx)
+						if err != nil {
+							t.Fatalf("%s: %v", what, err)
+						}
+						if tp == nil {
+							break
+						}
+						got[tupleKey(tp)]++
+						for i, base := range layout.base {
+							if b := tp[base]; b.end != doc.End(b.node) {
+								t.Fatalf("%s: subtree %d root %d carries end %d, want %d", what, i, b.node, b.end, doc.End(b.node))
 							}
 						}
 					}
-					if err := a.Close(); err != nil {
-						t.Fatal(err)
+				}
+				if err := a.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("%s limit=%d: %d distinct tuples, oracle has %d", what, limit, len(got), len(want))
+				}
+				for k, n := range got {
+					if n != 1 || !want[k] {
+						t.Fatalf("%s limit=%d: tuple %s handed over %d times, in oracle: %v", what, limit, k, n, want[k])
 					}
-					if len(got) != len(want) {
-						t.Fatalf("%s p=%d limit=%d: %d distinct tuples, oracle has %d", what, p, limit, len(got), len(want))
-					}
-					for k, n := range got {
-						if n != 1 || !want[k] {
-							t.Fatalf("%s p=%d limit=%d: tuple %s handed over %d times, in oracle: %v", what, p, limit, k, n, want[k])
-						}
-					}
+				}
 
-					res, err := ev.EvaluateCtx(ctx, pt, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", what, err)
+				res, err := ev.EvaluateCtx(ctx, pt, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				if limit == 0 {
+					if res.Matches != len(want) || !sameAnswers(res, wantNodes) {
+						t.Fatalf("%s: Matches %d Nodes %v, oracle %d tuples, nodes %v", what, res.Matches, res.Nodes, len(want), wantNodes)
 					}
-					if limit == 0 {
-						if res.Matches != len(want) || !sameAnswers(res, wantNodes) {
-							t.Fatalf("%s p=%d: Matches %d Nodes %v, oracle %d tuples, nodes %v", what, p, res.Matches, res.Nodes, len(want), wantNodes)
-						}
-						continue
-					}
-					if len(res.Nodes) != min(limit, len(wantNodes)) || res.Matches > len(want) {
-						t.Fatalf("%s p=%d limit=%d: %d answers from %d tuples, oracle has %d answers in %d tuples", what, p, limit, len(res.Nodes), res.Matches, len(wantNodes), len(want))
-					}
-					for _, n := range res.Nodes {
-						if !wantNodes[n] {
-							t.Fatalf("%s p=%d limit=%d: answer %d is not an oracle answer", what, p, limit, n)
-						}
+					continue
+				}
+				if len(res.Nodes) != min(limit, len(wantNodes)) || res.Matches > len(want) {
+					t.Fatalf("%s limit=%d: %d answers from %d tuples, oracle has %d answers in %d tuples", what, limit, len(res.Nodes), res.Matches, len(wantNodes), len(want))
+				}
+				for _, n := range res.Nodes {
+					if !wantNodes[n] {
+						t.Fatalf("%s limit=%d: answer %d is not an oracle answer", what, limit, n)
 					}
 				}
 			}
@@ -324,7 +322,7 @@ func xmarkEnv(t testing.TB) *env {
 // back into the LRU ring through the frame itself — runs without a single
 // allocation; and a whole evaluation of each of the harness's shapes on a
 // warm plan memo stays within a bound set from the achieved figure (the
-// request's half of the plan, cursors, goroutines, tuple batches, a chunk per
+// request's half of the plan, cursors, coroutines, tuple batches, a chunk per
 // 64 rows handed over or joined, the answer slice) with about half again as
 // headroom. No bound pays for a copy of a posting list, and Q5 under a Limit,
 // whose rows go over one at a time, carves them from shared chunks.
@@ -332,7 +330,7 @@ func TestMatchCandidateAllocs(t *testing.T) {
 	e := xmarkEnv(t)
 	ev := NewEvaluatorAt(e.snapshot(t))
 	ctx := context.Background()
-	opts := Options{View: e.ss.ViewSubject(0), Parallelism: 1}
+	opts := Options{View: e.ss.ViewSubject(0)}
 	email := e.doc.Value(e.doc.NodesWithTag("emailaddress")[0])
 	type twig struct {
 		name, xpath string
@@ -388,10 +386,10 @@ func TestMatchCandidateAllocs(t *testing.T) {
 	}
 }
 
-// A chunk's error reaches the consumer only after the parallel cursor's
-// workers have stopped: from then on the scan reads nothing, with or
-// without a Close, and holds no pin.
-func TestParallelErrorStopsWorkers(t *testing.T) {
+// A scan's page-read error reaches the consumer from the Next that ran into
+// it: from then on the query reads nothing, with or without a Close, and
+// holds no pin.
+func TestScanErrorStopsTheScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	doc := randomDoc(rng, 4000)
 	fp := storage.NewFaultPager(storage.NewMemPager(256))
@@ -406,7 +404,7 @@ func TestParallelErrorStopsWorkers(t *testing.T) {
 	}
 	ev := NewEvaluator(ss.Store(), idx)
 	pt := MustParse(`//x/y`)
-	want, err := ev.Evaluate(pt, Options{Parallelism: 1})
+	want, err := ev.Evaluate(pt, Options{})
 	if err != nil || len(want.Nodes) < 100 {
 		t.Fatalf("%d answers, err %v", len(want.Nodes), err)
 	}
@@ -418,27 +416,22 @@ func TestParallelErrorStopsWorkers(t *testing.T) {
 	if err := fp.Sync(); err == nil {
 		t.Fatal("armed sync did not fail")
 	}
-	for _, p := range parallelismLevels[1:] {
-		ctx := context.Background()
-		a, err := ev.Open(ctx, pt, Options{Parallelism: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.c.scans[0].parallel {
-			t.Fatalf("p=%d: the scan did not fan out", p)
-		}
-		if _, _, err := a.Next(ctx); err == nil {
-			t.Fatalf("p=%d: Next over a dead pager succeeded", p)
-		}
-		atError := pool.Stats().Gets
-		if got := pool.Pinned(); got != 0 {
-			t.Fatalf("p=%d: %d frames pinned after the error", p, got)
-		}
-		if err := a.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if late := pool.Stats().Gets - atError; late != 0 || pool.Pinned() != 0 {
-			t.Fatalf("p=%d: %d pool Gets after the error surfaced, %d frames pinned after Close", p, late, pool.Pinned())
-		}
+	ctx := context.Background()
+	a, err := ev.Open(ctx, pt, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := a.Next(ctx); err == nil {
+		t.Fatal("Next over a dead pager succeeded")
+	}
+	atError := pool.Stats().Gets
+	if got := pool.Pinned(); got != 0 {
+		t.Fatalf("%d frames pinned after the error", got)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if late := pool.Stats().Gets - atError; late != 0 || pool.Pinned() != 0 {
+		t.Fatalf("%d pool Gets after the error surfaced, %d frames pinned after Close", late, pool.Pinned())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -20,8 +21,7 @@ import (
 
 // The public cursor must be a faithful streaming view of Evaluate: draining
 // it yields exactly Result.Nodes (as a set; the cursor streams in discovery
-// order) and the same Matches count, under every semantics and parallelism
-// setting.
+// order) and the same Matches count, under every semantics.
 func TestAnswersCursorEquivalence(t *testing.T) {
 	doc := miniXMark(t)
 	m := allowAll(doc, 2)
@@ -44,47 +44,43 @@ func TestAnswersCursorEquivalence(t *testing.T) {
 	}
 	for _, expr := range queries {
 		pt := MustParse(expr)
-		for _, base := range []Options{
+		for _, opts := range []Options{
 			{},
 			{View: view, Semantics: SemanticsBindings},
 			{View: view, Semantics: SemanticsPrunedSubtree},
 		} {
-			for _, p := range parallelismLevels {
-				opts := base
-				opts.Parallelism = p
-				want, err := e.ev.Evaluate(pt, opts)
+			want, err := e.ev.Evaluate(pt, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", expr, err)
+			}
+			a, err := e.ev.Open(ctx, pt, opts)
+			if err != nil {
+				t.Fatalf("%s open: %v", expr, err)
+			}
+			var got []xmltree.NodeID
+			for {
+				n, ok, err := a.Next(ctx)
 				if err != nil {
-					t.Fatalf("%s: %v", expr, err)
+					t.Fatalf("%s next: %v", expr, err)
 				}
-				a, err := e.ev.Open(ctx, pt, opts)
-				if err != nil {
-					t.Fatalf("%s open: %v", expr, err)
+				if !ok {
+					break
 				}
-				var got []xmltree.NodeID
-				for {
-					n, ok, err := a.Next(ctx)
-					if err != nil {
-						t.Fatalf("%s next: %v", expr, err)
-					}
-					if !ok {
-						break
-					}
-					got = append(got, n)
-				}
-				matches := a.Matches()
-				if err := a.Close(); err != nil {
-					t.Fatalf("%s close: %v", expr, err)
-				}
-				sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-				if !reflect.DeepEqual(got, want.Nodes) {
-					t.Errorf("%s (p=%d): cursor %v, Evaluate %v", expr, p, got, want.Nodes)
-				}
-				if matches != want.Matches {
-					t.Errorf("%s (p=%d): cursor matches %d, Evaluate %d", expr, p, matches, want.Matches)
-				}
-				if got := e.pool.Pinned(); got != 0 {
-					t.Fatalf("%s (p=%d): %d frames still pinned after Close", expr, p, got)
-				}
+				got = append(got, n)
+			}
+			matches := a.Matches()
+			if err := a.Close(); err != nil {
+				t.Fatalf("%s close: %v", expr, err)
+			}
+			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+			if !reflect.DeepEqual(got, want.Nodes) {
+				t.Errorf("%s: cursor %v, Evaluate %v", expr, got, want.Nodes)
+			}
+			if matches != want.Matches {
+				t.Errorf("%s: cursor matches %d, Evaluate %d", expr, matches, want.Matches)
+			}
+			if got := e.pool.Pinned(); got != 0 {
+				t.Fatalf("%s: %d frames still pinned after Close", expr, got)
 			}
 		}
 	}
@@ -131,8 +127,7 @@ func TestLimitTruncates(t *testing.T) {
 }
 
 // Cancelling the context mid-scan must surface ctx.Err() on the next pull
-// and, after Close, leave no buffer-pool frame pinned — producers unwind at
-// the page-fetch boundary before pinning.
+// and, after Close, leave no buffer-pool frame pinned.
 func TestCancellationMidScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	doc := randomDoc(rng, 4000)
@@ -141,44 +136,41 @@ func TestCancellationMidScan(t *testing.T) {
 
 	// What the scan costs when nobody cancels it.
 	g0 := e.pool.Stats().Gets
-	if _, err := e.ev.Evaluate(pt, Options{Parallelism: 1}); err != nil {
+	if _, err := e.ev.Evaluate(pt, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	fullGets := e.pool.Stats().Gets - g0
 
-	for _, p := range parallelismLevels {
-		ctx, cancel := context.WithCancel(context.Background())
-		a, err := e.ev.Open(ctx, pt, Options{Parallelism: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok, err := a.Next(ctx); err != nil || !ok {
-			t.Fatalf("p=%d: first answer: ok=%v err=%v", p, ok, err)
-		}
-		cancel()
-		atCancel := e.pool.Stats().Gets
-		if _, _, err := a.Next(ctx); !errors.Is(err, context.Canceled) {
-			t.Fatalf("p=%d: Next after cancel = %v, want context.Canceled", p, err)
-		}
-		if err := a.Close(); err != nil {
-			t.Fatalf("p=%d: close: %v", p, err)
-		}
-		if err := a.Close(); err != nil {
-			t.Fatalf("p=%d: second close: %v", p, err)
-		}
-		if got := e.pool.Pinned(); got != 0 {
-			t.Fatalf("p=%d: %d frames still pinned after cancelled scan", p, got)
-		}
-		// The context is consulted at every block entry: a producer caught
-		// mid-block finishes the entry it had begun, if any, and touches
-		// no further block. Two subtrees, up to p workers each.
-		if late, most := e.pool.Stats().Gets-atCancel, int64(2*p); late > most || most >= fullGets {
-			t.Fatalf("p=%d: %d pool Gets after cancellation, want at most %d (a full scan takes %d)", p, late, most, fullGets)
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	a, err := e.ev.Open(ctx, pt, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := a.Next(ctx); err != nil || !ok {
+		t.Fatalf("first answer: ok=%v err=%v", ok, err)
+	}
+	cancel()
+	atCancel := e.pool.Stats().Gets
+	if _, _, err := a.Next(ctx); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Next after cancel = %v, want context.Canceled", err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatalf("second close: %v", err)
+	}
+	if got := e.pool.Pinned(); got != 0 {
+		t.Fatalf("%d frames still pinned after cancelled scan", got)
+	}
+	// The context is consulted at every block entry: at most one Get per
+	// scan after the cancel, of two scans.
+	if late, most := e.pool.Stats().Gets-atCancel, int64(2); late > most || most >= fullGets {
+		t.Fatalf("%d pool Gets after cancellation, want at most %d (a full scan takes %d)", late, most, fullGets)
 	}
 
 	// A context cancelled before evaluation starts aborts immediately.
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel = context.WithCancel(context.Background())
 	cancel()
 	if _, err := e.ev.EvaluateCtx(ctx, pt, Options{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EvaluateCtx on cancelled ctx = %v, want context.Canceled", err)
@@ -197,7 +189,7 @@ func TestLimitOneReadsFewerPages(t *testing.T) {
 	doc := xmark.Generate(xmark.Scaled(3, 8000))
 	e := newEnv(t, doc, allowAll(doc, 1), 512)
 	pt := MustParse(`/site/regions/africa/item[location][name][quantity]`)
-	opts := Options{Parallelism: 1}
+	opts := Options{}
 
 	pages := func(o Options) (int64, *Result) {
 		t.Helper()
@@ -252,8 +244,8 @@ func (p *pinProbe) ReadPage(id storage.PageID, buf []byte) error {
 // the pool's Gets and stay within a small multiple of the distinct pages
 // touched (they ran to hundreds per page when every navigation step and
 // access check pinned its node's block); and no goroutine of it ever holds
-// more than the one pin of the visit in progress, so the frames pinned at
-// any moment are bounded by the pipeline's goroutines — what lets a
+// more than the one pin of the visit in progress, and a query runs on one
+// goroutine: it has at most one frame pinned at any moment — what lets a
 // bounded pool make a query wait for a frame instead of failing it.
 func TestPinsPerBlockVisit(t *testing.T) {
 	doc := xmark.Generate(xmark.Scaled(5, 6000))
@@ -290,9 +282,9 @@ func TestPinsPerBlockVisit(t *testing.T) {
 	} {
 		pt := MustParse(expr)
 		for _, opts := range []Options{
-			{Parallelism: 1},
-			{Parallelism: 1, View: view},
-			{Parallelism: 1, View: view, Semantics: SemanticsPrunedSubtree},
+			{},
+			{View: view},
+			{View: view, Semantics: SemanticsPrunedSubtree},
 		} {
 			if err := pool.DropAll(); err != nil {
 				t.Fatal(err)
@@ -319,16 +311,104 @@ func TestPinsPerBlockVisit(t *testing.T) {
 			if pins > 10*int64(len(distinct)) {
 				t.Errorf("%s (semantics %d): %d pins over %d distinct pages", expr, opts.Semantics, pins, len(distinct))
 			}
-			// One producer per NoK subtree plus the consumer, which runs
-			// the filter and the joins.
-			goroutines := int64(len(pt.Decompose()) + 1)
-			if peak := probe.peak.Load(); peak > goroutines {
-				t.Errorf("%s: %d frames pinned at once by %d goroutines", expr, peak, goroutines)
+			if peak := probe.peak.Load(); peak > 1 {
+				t.Errorf("%s: %d frames pinned at once", expr, peak)
 			}
 			if got := pool.Pinned(); got != 0 {
 				t.Fatalf("%s: %d frames still pinned", expr, got)
 			}
 			t.Logf("%s (semantics %d, view %v): %d answers, %d pins, %d distinct pages, peak %d pinned", expr, opts.Semantics, opts.View != nil, len(res.Nodes), pins, len(distinct), probe.peak.Load())
+		}
+	}
+}
+
+// A query runs on the goroutine that calls Next. Between Open and Close the
+// only thing runtime.NumGoroutine sees of it is one suspended coroutine per
+// scan, which never runs beside its caller; the moment Close returns — after
+// a partial drain or a cancelled scan alike, with no wait for anything to
+// exit — the count is what it was before Open.
+func TestQueryLeavesNoGoroutine(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	doc := randomDoc(rng, 4000)
+	e := newEnv(t, doc, allowAll(doc, 1), 256)
+	pt := MustParse(`//x//y`)
+	view := e.ss.ViewSubject(0)
+	for _, sem := range []Semantics{SemanticsBindings, SemanticsPrunedSubtree} {
+		for _, cancelled := range []bool{false, true} {
+			before := runtime.NumGoroutine()
+			ctx, cancel := context.WithCancel(context.Background())
+			a, err := e.ev.Open(ctx, pt, Options{View: view, Semantics: sem})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				if _, ok, err := a.Next(ctx); err != nil || !ok {
+					t.Fatalf("answer %d: ok=%v err=%v", i, ok, err)
+				}
+			}
+			if during, scans := runtime.NumGoroutine(), len(pt.Decompose()); during > before+scans {
+				t.Errorf("semantics %d: %d goroutines mid-drain, %d before Open: more than one coroutine for each of %d scans", sem, during, before, scans)
+			}
+			if cancelled {
+				cancel()
+				if _, _, err := a.Next(ctx); !errors.Is(err, context.Canceled) {
+					t.Fatalf("Next after cancel = %v, want context.Canceled", err)
+				}
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if after := runtime.NumGoroutine(); after != before {
+				t.Errorf("semantics %d, cancelled %v: %d goroutines after Close, %d before Open", sem, cancelled, after, before)
+			}
+			if got := e.pool.Pinned(); got != 0 {
+				t.Errorf("%d frames still pinned", got)
+			}
+			cancel()
+		}
+	}
+}
+
+// What a query reads does not depend on scheduling: two cold-pool runs of
+// each descendant-join twig of Table 1 pin the same pages in the same order
+// under the same operators, whatever GOMAXPROCS is.
+func TestPageSequenceIsDeterministic(t *testing.T) {
+	e := xmarkEnv(t)
+	view := e.ss.ViewSubject(0)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	type pin struct {
+		op   string
+		page int64
+		hit  bool
+	}
+	for _, q := range table1[3:] {
+		pt := MustParse(q.xpath)
+		for _, sem := range []Semantics{SemanticsBindings, SemanticsPrunedSubtree} {
+			var want []pin
+			for _, procs := range []int{1, 1, 8, 8} {
+				runtime.GOMAXPROCS(procs)
+				if err := e.pool.DropAll(); err != nil {
+					t.Fatal(err)
+				}
+				tr := obs.NewTrace()
+				if _, err := e.ev.EvaluateCtx(obs.WithTrace(context.Background(), tr), pt, Options{View: view, Semantics: sem, Trace: tr}); err != nil {
+					t.Fatal(err)
+				}
+				var got []pin
+				for _, ev := range tr.Events() {
+					if ev.Kind == obs.EvPagePin {
+						got = append(got, pin{ev.Op, ev.Page, ev.Hit})
+					}
+				}
+				if len(got) == 0 || tr.Dropped() != 0 {
+					t.Fatalf("%s: %d pins traced, %d events dropped", q.name, len(got), tr.Dropped())
+				}
+				if want == nil {
+					want = got
+				} else if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s (semantics %d, GOMAXPROCS %d): %d pins, not the sequence of the first run (%d pins)", q.name, sem, procs, len(got), len(want))
+				}
+			}
 		}
 	}
 }

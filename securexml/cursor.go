@@ -21,9 +21,9 @@ type QueryOptions struct {
 	// cursor pipeline terminates early: pages beyond the last needed match
 	// are never read.
 	Limit int
-	// Parallelism bounds the candidate-matching worker pool; 0 means
-	// GOMAXPROCS, 1 forces sequential evaluation. Every setting yields the
-	// same answers.
+	// Parallelism is accepted and ignored: a query runs on the goroutine
+	// that asked for it. The field goes when ROADMAP item 2 unfreezes
+	// benchmark/, the one place that still assigns it.
 	Parallelism int
 	// DisableSummarySkip turns off structure-aware page skipping: scans
 	// then skip pages on access grounds only. For ablation. Answers are

@@ -70,9 +70,9 @@ func TestStoreExplainUnsatisfiable(t *testing.T) {
 }
 
 // TestStoreAnalyzeReconciles is the facade acceptance matrix: for Q1–Q6
-// plus the unsatisfiable query, under both semantics, sequential and
-// parallel, ANALYZE's per-operator page attribution must sum exactly to
-// the store pool's pin delta — nothing double-counted, nothing lost.
+// plus the unsatisfiable query, under both semantics, ANALYZE's
+// per-operator page attribution must sum exactly to the store pool's pin
+// delta — nothing double-counted, nothing lost.
 func TestStoreAnalyzeReconciles(t *testing.T) {
 	s := xmarkStore(t, StoreOptions{PageSize: 512})
 	defer s.Close()
@@ -82,61 +82,57 @@ func TestStoreAnalyzeReconciles(t *testing.T) {
 		struct{ name, expr string }{"Qunsat", qUnsat})
 	for _, q := range queries {
 		for _, pruned := range []bool{false, true} {
-			for _, par := range []int{1, 4} {
-				name := fmt.Sprintf("%s/pruned=%v/par=%d", q.name, pruned, par)
-				an := &QueryAnalysis{}
-				before := s.MetricsSnapshot()
-				ms, err := s.QueryCtx(ctx, "u", "read", q.expr, QueryOptions{
-					Pruned: pruned, Parallelism: par, Analyze: an,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
+			name := fmt.Sprintf("%s/pruned=%v", q.name, pruned)
+			an := &QueryAnalysis{}
+			before := s.MetricsSnapshot()
+			ms, err := s.QueryCtx(ctx, "u", "read", q.expr, QueryOptions{Pruned: pruned, Analyze: an})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			after := s.MetricsSnapshot()
+			d := func(metric string) int64 { return after.Get(metric) - before.Get(metric) }
+			if !an.Ready() {
+				t.Fatalf("%s: analysis not filled", name)
+			}
+			tot := an.an.Totals()
+			if tot.Pins != d("pool_gets") || tot.Hits != d("pool_hits") {
+				t.Errorf("%s: attributed pins/hits %d/%d != pool delta %d/%d",
+					name, tot.Pins, tot.Hits, d("pool_gets"), d("pool_hits"))
+			}
+			if an.TotalPages() != tot.Pins {
+				t.Errorf("%s: TotalPages %d != totals %d", name, an.TotalPages(), tot.Pins)
+			}
+			if tot.Emits != int64(len(ms)) {
+				t.Errorf("%s: attributed emits %d != %d answers", name, tot.Emits, len(ms))
+			}
+			if an.an.Dropped != 0 {
+				t.Errorf("%s: analysis trace dropped %d events", name, an.an.Dropped)
+			}
+			if q.name == "Qunsat" {
+				if !an.Plan().Unsatisfiable() || tot.Pins != 0 {
+					t.Errorf("%s: want unsatisfiable 0-page analysis, got %d pins", name, tot.Pins)
 				}
-				after := s.MetricsSnapshot()
-				d := func(metric string) int64 { return after.Get(metric) - before.Get(metric) }
-				if !an.Ready() {
-					t.Fatalf("%s: analysis not filled", name)
-				}
-				tot := an.an.Totals()
-				if tot.Pins != d("pool_gets") || tot.Hits != d("pool_hits") {
-					t.Errorf("%s: attributed pins/hits %d/%d != pool delta %d/%d",
-						name, tot.Pins, tot.Hits, d("pool_gets"), d("pool_hits"))
-				}
-				if an.TotalPages() != tot.Pins {
-					t.Errorf("%s: TotalPages %d != totals %d", name, an.TotalPages(), tot.Pins)
-				}
-				if tot.Emits != int64(len(ms)) {
-					t.Errorf("%s: attributed emits %d != %d answers", name, tot.Emits, len(ms))
-				}
-				if an.an.Dropped != 0 {
-					t.Errorf("%s: analysis trace dropped %d events", name, an.an.Dropped)
-				}
-				if q.name == "Qunsat" {
-					if !an.Plan().Unsatisfiable() || tot.Pins != 0 {
-						t.Errorf("%s: want unsatisfiable 0-page analysis, got %d pins", name, tot.Pins)
-					}
-				} else if p := an.Plan(); !p.EmptyAccess() && p.Operators() == 0 {
-					// Q2–Q6 touch subtrees fully revoked for user u, so
-					// their plans legitimately short-circuit as
-					// access-empty with no operators.
-					t.Errorf("%s: satisfiable plan has no operators", name)
-				}
-				var sb strings.Builder
-				if err := an.WriteText(&sb); err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !strings.Contains(sb.String(), "attribution") {
-					t.Errorf("%s: report lacks attribution table:\n%s", name, sb.String())
-				}
+			} else if p := an.Plan(); !p.EmptyAccess() && p.Operators() == 0 {
+				// Q2–Q6 touch subtrees fully revoked for user u, so
+				// their plans legitimately short-circuit as
+				// access-empty with no operators.
+				t.Errorf("%s: satisfiable plan has no operators", name)
+			}
+			var sb strings.Builder
+			if err := an.WriteText(&sb); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !strings.Contains(sb.String(), "attribution") {
+				t.Errorf("%s: report lacks attribution table:\n%s", name, sb.String())
 			}
 		}
 	}
 }
 
 // The plan EXPLAIN shows is the plan evaluation runs: for Table 1 and the
-// unsatisfiable query under both semantics, sequential and parallel, with
-// and without a limit, Explain's plan — operator list, per-scan candidate
-// and rejected-by-path counts, fan-out decision, node annotations — equals
+// unsatisfiable query under both semantics, with and without a limit,
+// Explain's plan — operator list, per-scan candidate and rejected-by-path
+// counts, node annotations — equals
 // the one ANALYZE embeds, which is rendered from the compiled value the
 // pipeline was instantiated from. EXPLAIN itself pins no store page.
 func TestExplainAgreesWithExecutedPlan(t *testing.T) {
@@ -146,43 +142,38 @@ func TestExplainAgreesWithExecutedPlan(t *testing.T) {
 
 	queries := append(append([]struct{ name, expr string }{}, table1...),
 		struct{ name, expr string }{"Qunsat", qUnsat})
-	var parallel, routed int
+	var routed int
 	for _, q := range queries {
 		for _, pruned := range []bool{false, true} {
-			for _, par := range []int{1, 4} {
-				for _, limit := range []int{0, 10} {
-					name := fmt.Sprintf("%s/pruned=%v/par=%d/limit=%d", q.name, pruned, par, limit)
-					opts := QueryOptions{Pruned: pruned, Parallelism: par, Limit: limit}
-					gets := s.PoolStats().Gets
-					plan, err := s.Explain(ctx, "u", "read", q.expr, opts)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if d := s.PoolStats().Gets - gets; d != 0 {
-						t.Errorf("%s: EXPLAIN pinned %d store pages", name, d)
-					}
-					an := &QueryAnalysis{}
-					opts.Analyze = an
-					if _, err := s.QueryCtx(ctx, "u", "read", q.expr, opts); err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !reflect.DeepEqual(plan.p, an.an.Plan) {
-						t.Errorf("%s: EXPLAIN and the executed plan differ:\n%s\n-- executed --\n%s", name, plan, an.Plan())
-					}
-					for _, op := range plan.p.Operators {
-						if op.Parallel {
-							parallel++
-						}
-						if op.RejectedByPath > 0 {
-							routed++
-						}
+			for _, limit := range []int{0, 10} {
+				name := fmt.Sprintf("%s/pruned=%v/limit=%d", q.name, pruned, limit)
+				opts := QueryOptions{Pruned: pruned, Limit: limit}
+				gets := s.PoolStats().Gets
+				plan, err := s.Explain(ctx, "u", "read", q.expr, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if d := s.PoolStats().Gets - gets; d != 0 {
+					t.Errorf("%s: EXPLAIN pinned %d store pages", name, d)
+				}
+				an := &QueryAnalysis{}
+				opts.Analyze = an
+				if _, err := s.QueryCtx(ctx, "u", "read", q.expr, opts); err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !reflect.DeepEqual(plan.p, an.an.Plan) {
+					t.Errorf("%s: EXPLAIN and the executed plan differ:\n%s\n-- executed --\n%s", name, plan, an.Plan())
+				}
+				for _, op := range plan.p.Operators {
+					if op.RejectedByPath > 0 {
+						routed++
 					}
 				}
 			}
 		}
 	}
-	if parallel == 0 || routed == 0 {
-		t.Errorf("matrix compared %d parallel scans and %d routed ones; want both covered", parallel, routed)
+	if routed == 0 {
+		t.Error("matrix compared no routed scan")
 	}
 }
 

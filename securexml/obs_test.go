@@ -90,8 +90,7 @@ func countKind(evs []TraceEvent, kind string) int64 {
 }
 
 // TestQueryTraceInvariants is the acceptance matrix: for Q1–Q6 under both
-// semantics, sequential and parallel, a traced run's per-page events must
-// exactly account for every page pinned or skipped — trace pins equal the
+// semantics, a traced run's per-page events must exactly account for every page pinned or skipped — trace pins equal the
 // pool's Gets delta (hit flags included), skip events equal the registry's
 // skip-counter deltas, and considered = read + skipped.
 func TestQueryTraceInvariants(t *testing.T) {
@@ -110,69 +109,65 @@ func TestQueryTraceInvariants(t *testing.T) {
 
 	for _, q := range table1 {
 		for _, pruned := range []bool{false, true} {
-			for _, par := range []int{1, 4} {
-				name := fmt.Sprintf("%s/pruned=%v/par=%d", q.name, pruned, par)
-				tr := NewQueryTrace()
-				before := s.MetricsSnapshot()
-				ms, err := s.QueryCtx(ctx, "u", "read", q.expr, QueryOptions{
-					Pruned: pruned, Parallelism: par, Trace: tr,
-				})
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				after := s.MetricsSnapshot()
-				d := func(metric string) int64 { return after.Get(metric) - before.Get(metric) }
-				evs := tr.Events()
+			name := fmt.Sprintf("%s/pruned=%v", q.name, pruned)
+			tr := NewQueryTrace()
+			before := s.MetricsSnapshot()
+			ms, err := s.QueryCtx(ctx, "u", "read", q.expr, QueryOptions{Pruned: pruned, Trace: tr})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			after := s.MetricsSnapshot()
+			d := func(metric string) int64 { return after.Get(metric) - before.Get(metric) }
+			evs := tr.Events()
 
-				pins := countKind(evs, "page_pin")
-				if pins != d("pool_gets") {
-					t.Errorf("%s: trace pins %d != pool gets delta %d", name, pins, d("pool_gets"))
+			pins := countKind(evs, "page_pin")
+			if pins != d("pool_gets") {
+				t.Errorf("%s: trace pins %d != pool gets delta %d", name, pins, d("pool_gets"))
+			}
+			var hits int64
+			for _, e := range evs {
+				if e.Kind == "page_pin" && e.Hit {
+					hits++
 				}
-				var hits int64
-				for _, e := range evs {
-					if e.Kind == "page_pin" && e.Hit {
-						hits++
-					}
-				}
-				if hits != d("pool_hits") || pins-hits != d("pool_misses") {
-					t.Errorf("%s: trace hit/miss %d/%d != pool delta %d/%d",
-						name, hits, pins-hits, d("pool_hits"), d("pool_misses"))
-				}
+			}
+			if hits != d("pool_hits") || pins-hits != d("pool_misses") {
+				t.Errorf("%s: trace hit/miss %d/%d != pool delta %d/%d",
+					name, hits, pins-hits, d("pool_hits"), d("pool_misses"))
+			}
 
-				skipA := countKind(evs, "page_skip_access")
-				skipS := countKind(evs, "page_skip_struct")
-				if skipA != d("query_pages_skipped_access") || skipS != d("query_pages_skipped_struct") {
-					t.Errorf("%s: trace skips %d/%d != registry delta %d/%d", name,
-						skipA, skipS, d("query_pages_skipped_access"), d("query_pages_skipped_struct"))
-				}
-				if countKind(evs, "candidate_reject") != d("query_candidates_rejected") {
-					t.Errorf("%s: trace rejects %d != registry delta %d", name,
-						countKind(evs, "candidate_reject"), d("query_candidates_rejected"))
-				}
+			skipA := countKind(evs, "page_skip_access")
+			skipS := countKind(evs, "page_skip_struct")
+			if skipA != d("query_pages_skipped_access") || skipS != d("query_pages_skipped_struct") {
+				t.Errorf("%s: trace skips %d/%d != registry delta %d/%d", name,
+					skipA, skipS, d("query_pages_skipped_access"), d("query_pages_skipped_struct"))
+			}
+			if countKind(evs, "candidate_reject") != d("query_candidates_rejected") {
+				t.Errorf("%s: trace rejects %d != registry delta %d", name,
+					countKind(evs, "candidate_reject"), d("query_candidates_rejected"))
+			}
 
-				if tr.PageReads() != pins || tr.PageSkips() != skipA+skipS {
-					t.Errorf("%s: accessors disagree with events: reads %d/%d skips %d/%d",
-						name, tr.PageReads(), pins, tr.PageSkips(), skipA+skipS)
-				}
-				if tr.PagesConsidered() != tr.PageReads()+tr.PageSkips() {
-					t.Errorf("%s: considered %d != read %d + skipped %d",
-						name, tr.PagesConsidered(), tr.PageReads(), tr.PageSkips())
-				}
+			if tr.PageReads() != pins || tr.PageSkips() != skipA+skipS {
+				t.Errorf("%s: accessors disagree with events: reads %d/%d skips %d/%d",
+					name, tr.PageReads(), pins, tr.PageSkips(), skipA+skipS)
+			}
+			if tr.PagesConsidered() != tr.PageReads()+tr.PageSkips() {
+				t.Errorf("%s: considered %d != read %d + skipped %d",
+					name, tr.PagesConsidered(), tr.PageReads(), tr.PageSkips())
+			}
 
-				if emits := countKind(evs, "emit"); emits != int64(len(ms)) || emits != d("query_answers_total") {
-					t.Errorf("%s: emits %d, answers %d, registry delta %d", name,
-						emits, len(ms), d("query_answers_total"))
-				}
-				if d("query_total") != 1 {
-					t.Errorf("%s: query_total delta = %d, want 1", name, d("query_total"))
-				}
-				hc := after.Histograms["query_latency_us"].Count - before.Histograms["query_latency_us"].Count
-				if hc != 1 {
-					t.Errorf("%s: latency histogram count delta = %d, want 1", name, hc)
-				}
-				if tr.Dropped() != 0 {
-					t.Errorf("%s: trace dropped %d events", name, tr.Dropped())
-				}
+			if emits := countKind(evs, "emit"); emits != int64(len(ms)) || emits != d("query_answers_total") {
+				t.Errorf("%s: emits %d, answers %d, registry delta %d", name,
+					emits, len(ms), d("query_answers_total"))
+			}
+			if d("query_total") != 1 {
+				t.Errorf("%s: query_total delta = %d, want 1", name, d("query_total"))
+			}
+			hc := after.Histograms["query_latency_us"].Count - before.Histograms["query_latency_us"].Count
+			if hc != 1 {
+				t.Errorf("%s: latency histogram count delta = %d, want 1", name, hc)
+			}
+			if tr.Dropped() != 0 {
+				t.Errorf("%s: trace dropped %d events", name, tr.Dropped())
 			}
 		}
 	}

@@ -174,7 +174,8 @@ func entryAt(t *testing.T, page []byte, j int) (off, n int, hasCode bool) {
 // Every check the parent's Open made in three passes (nok.Open's rebuild,
 // CheckConsistency, the extent pass) the one scan still makes: each
 // corruption of the page file or the sidecar fails Open with an error of
-// the layer that found it, and none panics.
+// the layer that found it, none panics, and a rejected store leaves neither
+// its page file nor its log open.
 func TestOpenRejectsCorruptStores(t *testing.T) {
 	const pageSize = 256
 	dir, _ := churnTenant(t, 3, 12, 3600, pageSize)
@@ -202,7 +203,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			}
 		}
 	}
-	sidecar := func(edit func(nk map[string]json.RawMessage)) func() {
+	sidecar := func(edit func(top, nk map[string]json.RawMessage)) func() {
 		return func() {
 			t.Helper()
 			var top, nk map[string]json.RawMessage
@@ -212,7 +213,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			if err := json.Unmarshal(top["nok"], &nk); err != nil {
 				t.Fatal(err)
 			}
-			edit(nk)
+			edit(top, nk)
 			top["nok"], _ = json.Marshal(nk)
 			raw, _ := json.Marshal(top)
 			if err := os.WriteFile(filepath.Join(dir, metaFile), raw, 0o644); err != nil {
@@ -245,7 +246,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 		{"flipped change bit", page(mid, func(p []byte) []byte { p[16] ^= 1; return p }), "change bit"},
 		{"wrong StartDepth", page(mid, add16(4, 1)), "carry-over"},
 		{"first block below the root", page(0, add16(4, 1)), "carry-over"},
-		{"tag code out of range", sidecar(func(nk map[string]json.RawMessage) {
+		{"tag code out of range", sidecar(func(_, nk map[string]json.RawMessage) {
 			var tags []string
 			json.Unmarshal(nk["tags"], &tags)
 			nk["tags"], _ = json.Marshal(tags[:1])
@@ -269,7 +270,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			p[off+1]--
 			return p
 		}), "ends at depth 1"},
-		{"persisted path summary that disagrees", sidecar(func(nk map[string]json.RawMessage) {
+		{"persisted path summary that disagrees", sidecar(func(_, nk map[string]json.RawMessage) {
 			var ps map[string]json.RawMessage
 			json.Unmarshal(nk["path_summary"], &ps)
 			var parents []int32
@@ -278,14 +279,46 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			ps["p"], _ = json.Marshal(parents)
 			nk["path_summary"], _ = json.Marshal(ps)
 		}), "path summary"},
-		{"node count beyond the blocks", sidecar(func(nk map[string]json.RawMessage) {
+		{"node count beyond the blocks", sidecar(func(_, nk map[string]json.RawMessage) {
 			nk["num_nodes"] = json.RawMessage("1000000000000")
 		}), "nok: blocks cover"},
+		{"codebook that is not base64", sidecar(func(top, _ map[string]json.RawMessage) {
+			top["codebook"] = json.RawMessage(`"!"`)
+		}), "corrupt codebook"},
+		{"codebook that does not parse", sidecar(func(top, _ map[string]json.RawMessage) {
+			top["codebook"] = json.RawMessage(`"/w=="`)
+		}), "corrupt codebook"},
+		{"directory of uneven lengths", sidecar(func(top, _ map[string]json.RawMessage) {
+			var d map[string]json.RawMessage
+			json.Unmarshal(top["directory"], &d)
+			d["is_group"] = json.RawMessage(`[]`)
+			top["directory"], _ = json.Marshal(d)
+		}), "corrupt directory"},
+		{"a mode the codebook has no columns for", sidecar(func(top, _ map[string]json.RawMessage) {
+			var modes []string
+			json.Unmarshal(top["modes"], &modes)
+			top["modes"], _ = json.Marshal(append(modes, "extra"))
+		}), "codebook covers"},
+	}
+	var opened, closed int
+	opts := StoreOptions{
+		WrapPager: func(p storage.Pager) storage.Pager {
+			opened++
+			return &closeCountingPager{Pager: p, closed: &closed}
+		},
+		WrapWALFile: func(f storage.File) storage.File {
+			opened++
+			return &closeCountingFile{File: f, closed: &closed}
+		},
 	}
 	for _, c := range cases {
 		fx.restore(t)
 		c.corrupt()
-		s, err := Open(dir, StoreOptions{})
+		opened, closed = 0, 0
+		s, err := Open(dir, opts)
+		if opened != 2 || closed != 2 {
+			t.Errorf("%s: Open opened %d files and closed %d, want 2 and 2", c.name, opened, closed)
+		}
 		switch {
 		case err == nil:
 			s.Close()
@@ -303,6 +336,22 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 	}
 	s.Close()
 }
+
+// closeCountingPager and closeCountingFile count the Closes that reach the
+// page file and the log.
+type closeCountingPager struct {
+	storage.Pager
+	closed *int
+}
+
+func (p *closeCountingPager) Close() error { *p.closed++; return p.Pager.Close() }
+
+type closeCountingFile struct {
+	storage.File
+	closed *int
+}
+
+func (f *closeCountingFile) Close() error { *f.closed++; return f.File.Close() }
 
 // countingFile counts what recovery does to the log.
 type countingFile struct {

@@ -315,7 +315,7 @@ func readMeta(dir string) (persistedStore, int, error) {
 // path summary, deny bitmaps, decode cache and tag indexes are derived
 // structures rebuilt here from the recovered pages, so no stale cached
 // view of a rolled-forward or rolled-back page can survive a reopen.
-func Open(dir string, opts StoreOptions) (*Store, error) {
+func Open(dir string, opts StoreOptions) (_ *Store, err error) {
 	opts.defaults()
 	ps, metaLen, err := readMeta(dir)
 	if err != nil {
@@ -367,6 +367,13 @@ func Open(dir string, opts StoreOptions) (*Store, error) {
 		}
 	}
 	pool := storage.NewBufferPool(pager, opts.PoolPages)
+	// Nothing has been written: a store that is rejected from here on only
+	// has its page file and its log to close.
+	defer func() {
+		if err != nil {
+			pager.Close()
+		}
+	}()
 	// One scan of the blocks checks the store (everything CheckConsistency
 	// checks), rebuilds the path summary and yields the tag index's entries.
 	x := &extents{numNodes: ps.Nok.NumNodes}
@@ -381,11 +388,11 @@ func Open(dir string, opts StoreOptions) (*Store, error) {
 	}
 	cb := dol.NewCodebook(0)
 	if err := cb.UnmarshalBinary(cbBytes); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("securexml: corrupt codebook: %w", err)
 	}
 	d, err := acl.DirectoryFromSnapshot(ps.Dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("securexml: corrupt directory: %w", err)
 	}
 	if want := d.Len() * len(ps.Modes); cb.NumSubjects() != want {
 		return nil, fmt.Errorf("securexml: codebook covers %d columns, directory needs %d", cb.NumSubjects(), want)

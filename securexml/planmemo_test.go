@@ -155,7 +155,7 @@ func TestPlanMemoSharedUnderCommits(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for r := 0; r < 25; r++ {
-				ms, err := s.QueryCtx(ctx, "u", "read", q, QueryOptions{Parallelism: 1 + g%2})
+				ms, err := s.QueryCtx(ctx, "u", "read", q, QueryOptions{})
 				if err != nil {
 					t.Error(err)
 					return

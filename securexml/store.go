@@ -440,7 +440,6 @@ func (s *Store) prepare(tr *obs.Trace, user, mode, xpath string, opts QueryOptio
 	p.fp = fingerprintFor(p.pt, opts)
 	p.qo = query.Options{
 		Limit:              opts.Limit,
-		Parallelism:        opts.Parallelism,
 		DisableSummarySkip: opts.DisableSummarySkip,
 		DisablePathSummary: opts.DisablePathSummary,
 		Trace:              tr,

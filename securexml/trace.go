@@ -9,7 +9,7 @@ import (
 // QueryTrace records one query's timestamped event log: spans (parse,
 // skip-mask compile, pipeline open, join open), one event per page pinned
 // or skipped (with the evidence that justified it), candidate rejections,
-// join probes, merge chunks and emitted answers. Attach it via
+// join probes and emitted answers. Attach it via
 // QueryOptions.Trace; a single trace may be reused across queries to
 // accumulate events, but is normally per-query. The per-page events
 // exactly account for every buffer-pool pin the query performed:
@@ -70,7 +70,7 @@ type TraceEvent struct {
 	AtMicros int64 `json:"at_us"`
 	// Kind classifies the event: parse, compile_skip_mask, open_pipeline,
 	// page_pin, page_decode, page_skip_access, page_skip_struct,
-	// candidate_reject, join_probe, merge_chunk, emit, done.
+	// candidate_reject, join_probe, emit, done.
 	Kind string `json:"kind"`
 	// Op names the plan operator the event belongs to (scan0, join1,
 	// filter, dedup, limit, output); empty for query-level events.
