@@ -3,6 +3,7 @@ package nok
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 )
 
 // slot is one node of a decoded block's positional index: everything a
@@ -42,94 +43,17 @@ func (sl *slot) entry() Entry {
 	return e
 }
 
-// indexer builds a block's positional index one entry at a time, in
-// document order: init, add every entry, finish. An entry that cannot be
-// indexed makes finish fail; later entries are then ignored.
-type indexer struct {
-	slots []slot // full length from the start; n are filled
-	n     int
-	err   error
-	// top is the offset of the innermost open entry — an entry with
-	// children whose subtree has not closed yet, so its successor is
-	// unknown — or noOpen. Until then an open entry's next field links to
-	// the open entry one level up. (A leaf's successor is simply the entry
-	// after it.)
-	top   int
-	level int // of the next entry
-	code  uint32
-}
-
 // noOpen ends the chain of open entries; no offset reaches it (a block
 // holds at most 0xFFFF entries).
 const noOpen = 0xFFFF
 
-// init starts a block of count entries whose first lies at startDepth
-// under startCode.
-func (ix *indexer) init(startDepth uint16, startCode uint32, count int) {
-	*ix = indexer{slots: make([]slot, count), top: noOpen, level: int(startDepth), code: startCode}
-	if count > 0xFFFF {
-		ix.err = fmt.Errorf("nok: block of %d entries exceeds the format's %d", count, 0xFFFF)
-	}
-}
-
-// add appends one entry. More entries than init announced, or an entry
-// that takes the level outside the format's 16-bit range — below the root,
-// on a corrupt page — fail the block.
-func (ix *indexer) add(e Entry) {
-	j := ix.n
-	if j >= len(ix.slots) || ix.err != nil {
-		if ix.err == nil {
-			ix.err = fmt.Errorf("nok: block holds more than the %d entries announced", len(ix.slots))
-		}
-		return
-	}
-	cf := uint32(e.CloseCount) << 1
-	if e.HasCode {
-		ix.code = e.Code
-		cf |= 1
-	}
-	sl := &ix.slots[j]
-	*sl = slot{tag: e.Tag, code: ix.code, level: uint16(ix.level), cf: cf}
-	if e.CloseCount == 0 {
-		sl.next, ix.top = uint16(ix.top), j
-	} else {
-		// The entry closes itself and the innermost CloseCount−1 open
-		// entries: whatever comes next is the successor of them all.
-		sl.next = uint16(j + 1)
-		top := ix.top
-		for c := e.CloseCount - 1; c > 0 && top != noOpen; c-- {
-			open := &ix.slots[top]
-			top, open.next = int(open.next), uint16(j+1)
-		}
-		ix.top = top
-	}
-	ix.n = j + 1
-	ix.level += 1 - e.CloseCount
-	if ix.level < 0 || ix.level > 0xFFFF {
-		ix.err = fmt.Errorf("nok: entry %d leaves the block at level %d", j, ix.level)
-	}
-}
-
-// finish closes the index: entries still open have no successor in the
-// block.
-func (ix *indexer) finish() ([]slot, error) {
-	if ix.err != nil {
-		return nil, ix.err
-	}
-	if ix.n != len(ix.slots) {
-		return nil, fmt.Errorf("nok: block holds %d entries, %d announced", ix.n, len(ix.slots))
-	}
-	for top := ix.top; top != noOpen; {
-		sl := &ix.slots[top]
-		top, sl.next = int(sl.next), uint16(ix.n)
-	}
-	return ix.slots, nil
-}
-
 // decodeBlock decodes the page bytes of the block the directory describes
-// as pi into its positional index. The header's entry count and body
-// length are checked against the directory record and the page size, so a
-// torn or corrupt page fails the caller instead of panicking.
+// as pi into its positional index — the one place an index is built: a
+// single pass over the body that resolves each node's level, code in force
+// and successor offset as it reads the entry. The header's entry count and
+// body length are checked against the directory record and the page size,
+// and every varint against its field's range, so a torn or corrupt page
+// fails the caller instead of panicking.
 func decodeBlock(pi PageInfo, data []byte) ([]slot, error) {
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("nok: page %d: %d bytes hold no block header", pi.Page, len(data))
@@ -143,21 +67,94 @@ func decodeBlock(pi PageInfo, data []byte) ([]slot, error) {
 	if dataLen > len(data)-headerSize || count > dataLen/2 {
 		return nil, fmt.Errorf("nok: page %d: header claims %d entries in %d bytes, page has %d", pi.Page, count, dataLen, len(data)-headerSize)
 	}
-	var ix indexer
-	ix.init(pi.StartDepth, pi.AccessCode, count)
-	for body := data[headerSize : headerSize+dataLen]; len(body) > 0; {
-		e, n, err := decodeEntry(body)
-		if err != nil {
-			return nil, fmt.Errorf("nok: page %d: %w", pi.Page, err)
+	body := data[headerSize : headerSize+dataLen]
+	slots := make([]slot, count)
+	// top is the offset of the innermost open entry — an entry with
+	// children whose subtree has not closed yet, so its successor is
+	// unknown — or noOpen. Until then an open entry's next field links to
+	// the open entry one level up. (A leaf's successor is simply the entry
+	// after it.)
+	top, level, code := noOpen, int(pi.StartDepth), pi.AccessCode
+	j := 0
+	// Tag, close count and code fit one byte on almost every entry; a longer
+	// varint, or the end of the body, takes the general decoder.
+	for p := 0; p < len(body); j++ {
+		if j == count {
+			return nil, fmt.Errorf("nok: page %d: block holds more than the %d entries announced", pi.Page, count)
 		}
-		ix.add(e)
-		body = body[n:]
+		head := uint64(body[p])
+		if head < 0x80 {
+			p++
+		} else {
+			var n int
+			if head, n = binary.Uvarint(body[p:]); n <= 0 {
+				return nil, fmt.Errorf("nok: page %d: corrupt entry header (uvarint %d)", pi.Page, n)
+			}
+			if head>>1 > math.MaxInt32 {
+				return nil, fmt.Errorf("nok: page %d: tag code %d out of range", pi.Page, head>>1)
+			}
+			p += n
+		}
+		var cc uint64
+		if p < len(body) && body[p] < 0x80 {
+			cc = uint64(body[p])
+			p++
+		} else {
+			var n int
+			if cc, n = binary.Uvarint(body[p:]); n <= 0 {
+				return nil, fmt.Errorf("nok: page %d: corrupt close count (uvarint %d)", pi.Page, n)
+			}
+			if cc > math.MaxInt32 {
+				return nil, fmt.Errorf("nok: page %d: close count %d out of range", pi.Page, cc)
+			}
+			p += n
+		}
+		cf := uint32(cc) << 1
+		if head&1 != 0 {
+			cf |= 1
+			if p < len(body) && body[p] < 0x80 {
+				code = uint32(body[p])
+				p++
+			} else {
+				v, n := binary.Uvarint(body[p:])
+				if n <= 0 {
+					return nil, fmt.Errorf("nok: page %d: corrupt access code (uvarint %d)", pi.Page, n)
+				}
+				if v > math.MaxUint32 {
+					return nil, fmt.Errorf("nok: page %d: access code %d out of range", pi.Page, v)
+				}
+				code = uint32(v)
+				p += n
+			}
+		}
+		sl := &slots[j]
+		*sl = slot{tag: int32(head >> 1), code: code, level: uint16(level), cf: cf}
+		if cc == 0 {
+			sl.next, top = uint16(top), j
+		} else {
+			// The entry closes itself and the innermost cc−1 open entries:
+			// whatever comes next is the successor of them all.
+			sl.next = uint16(j + 1)
+			for c := cc - 1; c > 0 && top != noOpen; c-- {
+				open := &slots[top]
+				top, open.next = int(open.next), uint16(j+1)
+			}
+		}
+		// A level outside the format's 16 bits — below the root, on a
+		// corrupt page — fails the block.
+		if level += 1 - int(cc); uint(level) > 0xFFFF {
+			return nil, fmt.Errorf("nok: page %d: entry %d leaves the block at level %d", pi.Page, j, level)
+		}
 	}
-	blk, err := ix.finish()
-	if err != nil {
-		return nil, fmt.Errorf("nok: page %d: %w", pi.Page, err)
+	if j != count {
+		return nil, fmt.Errorf("nok: page %d: block holds %d entries, %d announced", pi.Page, j, count)
 	}
-	return blk, nil
+	// Entries still open have no successor in the block.
+	for top != noOpen {
+		sl := &slots[top]
+		top, sl.next = int(sl.next), uint16(count)
+	}
+	return slots, nil
 }
 
 // checkIndex recomputes a decoded block's levels, codes in force and

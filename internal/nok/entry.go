@@ -15,11 +15,7 @@
 // (the DOL codebook) lives in package dol.
 package nok
 
-import (
-	"encoding/binary"
-	"fmt"
-	"math"
-)
+import "encoding/binary"
 
 // Entry is one decoded node record from a structure block.
 type Entry struct {
@@ -70,38 +66,4 @@ func uvarintLen(v uint64) int {
 		n++
 	}
 	return n
-}
-
-// decodeEntry decodes one entry from data, returning it and the number of
-// bytes consumed.
-func decodeEntry(data []byte) (Entry, int, error) {
-	head, n := binary.Uvarint(data)
-	if n <= 0 {
-		return Entry{}, 0, fmt.Errorf("nok: corrupt entry header (uvarint %d)", n)
-	}
-	if head>>1 > math.MaxInt32 {
-		return Entry{}, 0, fmt.Errorf("nok: tag code %d out of range", head>>1)
-	}
-	e := Entry{Tag: int32(head >> 1), HasCode: head&1 != 0}
-	cc, m := binary.Uvarint(data[n:])
-	if m <= 0 {
-		return Entry{}, 0, fmt.Errorf("nok: corrupt close count (uvarint %d)", m)
-	}
-	if cc > math.MaxInt32 {
-		return Entry{}, 0, fmt.Errorf("nok: close count %d out of range", cc)
-	}
-	e.CloseCount = int(cc)
-	total := n + m
-	if e.HasCode {
-		code, k := binary.Uvarint(data[total:])
-		if k <= 0 {
-			return Entry{}, 0, fmt.Errorf("nok: corrupt access code (uvarint %d)", k)
-		}
-		if code > math.MaxUint32 {
-			return Entry{}, 0, fmt.Errorf("nok: access code %d out of range", code)
-		}
-		e.Code = uint32(code)
-		total += k
-	}
-	return e, total, nil
 }

@@ -2,33 +2,56 @@ package nok
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"dolxml/internal/storage"
 	"dolxml/internal/xmltree"
 )
 
-// FuzzDecodeEntry hardens the block entry decoder against corrupt pages:
-// arbitrary bytes must either fail cleanly or decode to an entry that
-// re-encodes within the consumed length.
+// entryPage wraps body as the body of a block of count entries that starts
+// deep enough (level 0x8000, under code 7) for any close count a test writes.
+func entryPage(count int, body []byte) (PageInfo, []byte) {
+	pi := PageInfo{Count: count, StartDepth: 0x8000, AccessCode: 7}
+	data := make([]byte, headerSize+len(body))
+	copy(data[headerSize:], body)
+	writeHeader(data, pi, len(body))
+	return pi, data
+}
+
+// FuzzDecodeEntry hardens the entry decoding inside decodeBlock against
+// corrupt pages: arbitrary bytes as the body of a one-entry page must be
+// accepted exactly when the reference entry decoder takes all of them as
+// one entry that keeps the level in range, and then index as that entry.
 func FuzzDecodeEntry(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(appendEntry(nil, Entry{Tag: 5, CloseCount: 3}))
 	f.Add(appendEntry(nil, Entry{Tag: 1 << 20, CloseCount: 1, HasCode: true, Code: 77}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	for _, c := range badEntries {
+		f.Add(c.body)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, n, err := decodeEntry(data)
+		if len(data) > 0x8000 {
+			return
+		}
+		pi, page := entryPage(1, data)
+		blk, err := decodeBlock(pi, page)
+		e, n, refErr := decodeEntry(data)
+		level := int(pi.StartDepth) + 1 - e.CloseCount
+		want := refErr == nil && n == len(data) && level >= 0 && level <= 0xFFFF
+		if (err == nil) != want {
+			t.Fatalf("body %x: decodeBlock says %v; the reference decodes %+v from %d bytes, %v", data, err, e, n, refErr)
+		}
 		if err != nil {
 			return
 		}
-		if n <= 0 || n > len(data) {
-			t.Fatalf("decoded %d bytes of %d", n, len(data))
+		code := pi.AccessCode
+		if e.HasCode {
+			code = e.Code
 		}
-		re := appendEntry(nil, e)
-		if len(re) > n {
-			// Re-encoding may be shorter (non-canonical varints) but
-			// never longer than what was consumed.
-			t.Fatalf("entry %+v re-encodes to %d bytes, consumed %d", e, len(re), n)
+		if got := blk[0]; got.entry() != e || got.code != code || got.level != pi.StartDepth || got.next != 1 {
+			t.Fatalf("body %x indexed as %+v, entry %+v", data, got, e)
 		}
 	})
 }
@@ -36,7 +59,9 @@ func FuzzDecodeEntry(f *testing.F) {
 // FuzzDecodeBlock hardens the block decoder against torn and corrupt
 // pages: arbitrary page bytes under an arbitrary directory record must
 // either fail cleanly or decode to a block whose positional index passes
-// CheckConsistency's recomputation and whose lookups stay in range.
+// CheckConsistency's recomputation and whose lookups stay in range — and
+// the per-entry reference decoder must reach the same verdict and, on
+// accept, the same slots.
 func FuzzDecodeBlock(f *testing.F) {
 	page := func(pi PageInfo, es ...Entry) []byte {
 		data := make([]byte, 128)
@@ -60,8 +85,15 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, count, startDepth uint16, code uint32) {
 		pi := PageInfo{Count: int(count), StartDepth: startDepth, AccessCode: code}
 		blk, err := decodeBlock(pi, data)
+		ref, refErr := refDecodeBlock(pi, data)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("decodeBlock says %v, the reference decoder %v", err, refErr)
+		}
 		if err != nil {
 			return
+		}
+		if !slices.Equal(blk, ref) {
+			t.Fatalf("decoded %+v, the reference decoder %+v", blk, ref)
 		}
 		if len(blk) != pi.Count {
 			t.Fatalf("decoded %d entries under a directory record of %d", len(blk), pi.Count)

@@ -3,8 +3,10 @@ package nok
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -47,35 +49,64 @@ func TestEntryRoundTrip(t *testing.T) {
 		{Tag: 1000, CloseCount: 127},
 		{Tag: 7, CloseCount: 1, HasCode: true, Code: 0},
 		{Tag: 1 << 20, CloseCount: 2, HasCode: true, Code: 1 << 30},
+		{Tag: math.MaxInt32, CloseCount: 0x8001, HasCode: true, Code: math.MaxUint32},
 	}
 	for _, e := range cases {
 		buf := appendEntry(nil, e)
 		if len(buf) != entrySize(e) {
 			t.Errorf("entrySize(%+v) = %d, encoded %d", e, entrySize(e), len(buf))
 		}
-		got, n, err := decodeEntry(buf)
+		blk, err := decodeBlock(entryPage(1, buf))
 		if err != nil {
 			t.Fatalf("decode %+v: %v", e, err)
 		}
-		if n != len(buf) || got != e {
-			t.Errorf("round trip %+v -> %+v (%d bytes)", e, got, n)
+		if got := blk[0].entry(); got != e {
+			t.Errorf("round trip %+v -> %+v", e, got)
 		}
 	}
 }
 
-func TestDecodeEntryErrors(t *testing.T) {
-	if _, _, err := decodeEntry(nil); err == nil {
-		t.Error("empty input should fail")
-	}
+// badEntries are one-entry page bodies decodeBlock must reject, each for
+// the reason it is named after.
+var badEntries = []struct {
+	name string
+	body []byte
+}{
+	{"empty body", nil},
 	// Header present, close count missing.
-	buf := appendEntry(nil, Entry{Tag: 3, CloseCount: 200})
-	if _, _, err := decodeEntry(buf[:1]); err == nil {
-		t.Error("truncated close count should fail")
+	{"truncated close count", appendEntry(nil, Entry{Tag: 3, CloseCount: 200})[:2]},
+	// Code flagged but cut short.
+	{"truncated code", appendEntry(nil, Entry{Tag: 3, CloseCount: 1, HasCode: true, Code: 300})[:3]},
+	{"overlong header varint", append(bytes.Repeat([]byte{0xFF}, 10), 0x01, 0x01)},
+	{"overlong close count varint", append(append([]byte{0x06}, bytes.Repeat([]byte{0xFF}, 10)...), 0x01)},
+	{"overlong code varint", append(append([]byte{0x07, 0x01}, bytes.Repeat([]byte{0xFF}, 10)...), 0x01)},
+	{"tag > MaxInt32", binary.AppendUvarint(binary.AppendUvarint(nil, (math.MaxInt32+1)<<1), 1)},
+	{"close count > MaxInt32", binary.AppendUvarint([]byte{0x06}, math.MaxInt32+1)},
+	{"code > MaxUint32", binary.AppendUvarint([]byte{0x07, 0x01}, math.MaxUint32+1)},
+	{"closes below the root", appendEntry(nil, Entry{Tag: 3, CloseCount: 0x8002})},
+	{"trailing byte", append(appendEntry(nil, Entry{Tag: 3, CloseCount: 1}), 0x00)},
+}
+
+func TestDecodeEntryErrors(t *testing.T) {
+	for _, c := range badEntries {
+		if blk, err := decodeBlock(entryPage(1, c.body)); err == nil {
+			t.Errorf("%s: decoded %+v, want an error", c.name, blk)
+		}
+		if _, err := refDecodeBlock(entryPage(1, c.body)); err == nil {
+			t.Errorf("%s: the reference decoder accepts it", c.name)
+		}
 	}
-	// Code flagged but missing.
-	full := appendEntry(nil, Entry{Tag: 3, CloseCount: 1, HasCode: true, Code: 300})
-	if _, _, err := decodeEntry(full[:len(full)-2]); err == nil {
-		t.Error("truncated code should fail")
+	// Two well-formed entries where the header announces one, and one where
+	// it announces two.
+	two := appendEntry(appendEntry(nil, Entry{Tag: 3}), Entry{Tag: 4, CloseCount: 2, HasCode: true, Code: 300})
+	if _, err := decodeBlock(entryPage(1, two)); err == nil {
+		t.Error("more entries than announced should fail")
+	}
+	if _, err := decodeBlock(entryPage(3, two)); err == nil {
+		t.Error("fewer entries than announced should fail")
+	}
+	if blk, err := decodeBlock(entryPage(2, two)); err != nil || len(blk) != 2 {
+		t.Errorf("two announced entries: %v, %v", blk, err)
 	}
 }
 

@@ -134,9 +134,8 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 
 	// Lay out new blocks.
 	var newDir []PageInfo
-	// warm collects each written block's positional index, built in the
-	// pass that encodes it, so the decode cache can be primed once the
-	// rewrite has fully succeeded:
+	// warm collects each written block's positional index so the decode
+	// cache can be primed once the rewrite has fully succeeded:
 	// accessibility toggles re-read the region they just rewrote, and
 	// without priming every toggle pays a full block decode because the
 	// rewrite invalidated the cache. Installed only after the directory
@@ -179,23 +178,19 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 		}
 		blockEntries[0].HasCode = false
 		blockEntries[0].Code = 0
-		// The index is what a fresh decode of this page yields: the
-		// encoding drops Code on codeless entries, and so does the indexer.
-		var ix indexer
-		ix.init(pi.StartDepth, pi.AccessCode, len(blockEntries))
 		body := frame.Data[headerSize:headerSize]
 		for _, e := range blockEntries {
 			if e.HasCode {
 				pi.ChangeBit = true
 			}
 			body = appendEntry(body, e)
-			ix.add(e)
 		}
 		writeHeader(frame.Data, pi, len(body))
-		if err := s.pool.Unpin(frame.ID(), true); err != nil {
-			return err
+		// The index is a decode of the page just written: what readers get.
+		blk, err := decodeBlock(pi, frame.Data)
+		if uerr := s.pool.Unpin(frame.ID(), true); err == nil {
+			err = uerr
 		}
-		blk, err := ix.finish()
 		if err != nil {
 			return err
 		}

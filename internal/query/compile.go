@@ -108,6 +108,12 @@ func shapeKey(t *PatternTree, pathOn bool) string {
 func (ev *Evaluator) buildShape(t *PatternTree, pathOn bool) (*compiledShape, error) {
 	sh := &compiledShape{t: t, query: t.String(), subs: t.Decompose()}
 	sh.tupleLayout = layoutOf(t, sh.subs)
+	sh.retTag = AnyTag
+	if ret := t.ReturningNode(); ret.Tag != "*" {
+		if code, ok := ev.store.LookupTag(ret.Tag); ok {
+			sh.retTag = code
+		}
+	}
 	var candKeep [][]uint64
 	if pathOn {
 		if candKeep = sh.embed(ev.store); sh.emptyStruct {

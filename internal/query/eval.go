@@ -71,6 +71,10 @@ type Result struct {
 	// Nodes are the distinct bindings of the returning pattern node, in
 	// document order — the "answers returned" of Figure 7.
 	Nodes []xmltree.NodeID
+	// Tag is the tag code of every node in Nodes — the one the pattern's
+	// returning step names and the matcher tested each of them against —
+	// or AnyTag when that step is "*" and only the nodes' blocks can say.
+	Tag int32
 	// Matches counts the combined pattern-match tuples before returning-
 	// node deduplication.
 	Matches int
@@ -79,6 +83,9 @@ type Result struct {
 	// Plan is the plan the evaluation ran, as Explain renders it.
 	Plan *Plan
 }
+
+// AnyTag is the Result.Tag of a pattern whose returning step is "*".
+const AnyTag int32 = -1
 
 // Evaluator evaluates twig queries against one NoK store using a tag
 // index for NoK-subtree root candidates, and optionally a value index for
@@ -179,7 +186,7 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, t *PatternTree, opts Optio
 		nodes = append(nodes, n)
 	}
 	slices.Sort(nodes)
-	return &Result{Nodes: nodes, Matches: a.Matches(), Skips: a.SkipStats(), Plan: a.c.plan()}, nil
+	return &Result{Nodes: nodes, Tag: a.Tag(), Matches: a.Matches(), Skips: a.SkipStats(), Plan: a.c.plan()}, nil
 }
 
 // Answers is a streaming cursor over a query's answers: the distinct
@@ -290,6 +297,9 @@ func (a *Answers) Next(ctx context.Context) (n xmltree.NodeID, ok bool, err erro
 	a.c.opts.Trace.Emit(int64(n))
 	return n, true, nil
 }
+
+// Tag is the tag code of every answer (see Result.Tag), or AnyTag.
+func (a *Answers) Tag() int32 { return a.c.retTag }
 
 // Matches counts the combined pattern-match tuples consumed so far — after
 // a full drain, the Result.Matches of Evaluate.

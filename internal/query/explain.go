@@ -38,8 +38,9 @@ const (
 	opFilter = "filter"
 	opDedup  = "dedup"
 	opLimit  = "limit"
-	// OpOutput is the label the facade stamps on answer-conversion work
-	// (value reads for returned matches) so it attributes to the output
+	// OpOutput is the label the facade stamps on answer-conversion work —
+	// the answers' value pages, and their blocks only when the returning
+	// step is "*" (Result.Tag is AnyTag) — so it attributes to the output
 	// step rather than the residual bucket.
 	OpOutput = "output"
 )

@@ -28,6 +28,10 @@ type compiledShape struct {
 	query string
 	subs  []NoKSubtree
 	tupleLayout
+	// retTag is the tag code every answer carries — the returning step's
+	// own — or AnyTag when that step is "*" (or names a tag the document
+	// lacks, and so has no answers).
+	retTag int32
 
 	// The path-summary embedding, nil with path routing off.
 	//

@@ -81,7 +81,8 @@ type QueryCursor struct {
 	// pipeline so page pins during Next are attributed to this query.
 	p prepared
 	a *query.Answers
-	// cur reads the answers' blocks for their tags.
+	// cur reads the answers' blocks for their tags when the returning step
+	// is "*" (see answerTag).
 	cur     *nok.Cursor
 	done    bool
 	xpath   string
@@ -117,7 +118,7 @@ func (c *QueryCursor) Next(ctx context.Context) (m Match, ok bool, err error) {
 	}
 	c.s.queryAnswers.Inc()
 	c.answers++
-	return matchAt(ctx, c.p.ref.sn.st, c.cur, n)
+	return matchAt(ctx, c.p.ref.sn.st, c.cur, n, c.a.Tag())
 }
 
 // Matches counts the combined pattern-match tuples consumed so far (the
@@ -158,13 +159,13 @@ func (c *QueryCursor) Close() error {
 }
 
 // matchAt converts one result node ID to a Match record against the
-// query's pinned store, reading the node through cur and honoring ctx.
-func matchAt(ctx context.Context, st *nok.Store, cur *nok.Cursor, n xmltree.NodeID) (Match, bool, error) {
-	info, err := cur.Info(ctx, n)
+// query's pinned store, honoring ctx; tag and cur are answerTag's.
+func matchAt(ctx context.Context, st *nok.Store, cur *nok.Cursor, n xmltree.NodeID, tag int32) (Match, bool, error) {
+	code, err := answerTag(ctx, cur, n, tag)
 	if err != nil {
 		return Match{}, false, err
 	}
-	m := Match{Node: NodeID(n), Tag: st.TagName(info.Entry.Tag)}
+	m := Match{Node: NodeID(n), Tag: st.TagName(code)}
 	if vs := st.Values(); vs != nil {
 		v, err := vs.ValueCtx(ctx, n)
 		if err != nil {

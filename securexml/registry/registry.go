@@ -13,8 +13,10 @@ package registry
 import (
 	"container/list"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -81,18 +83,27 @@ func (o Options) withDefaults() Options {
 // unrepresentable.
 var tenantIDRe = regexp.MustCompile(`^[a-z0-9][a-z0-9_-]{0,63}$`)
 
+// ErrNoTenant marks an Acquire of a tenant that does not exist: an ID
+// outside the grammar, or no store directory under the root. ErrClosed marks
+// an Acquire after Close. Test with errors.Is; any other Acquire error is a
+// store that would not open or an eviction that would not finish.
+var (
+	ErrNoTenant = errors.New("registry: no such tenant")
+	ErrClosed   = errors.New("registry: closed")
+)
+
 // TenantPath maps a tenant ID to its store directory under root, rejecting
 // any ID that could escape it. The ID grammar contains no path separators
 // or dots, and the result is additionally verified to resolve to a direct
 // child of root.
 func TenantPath(root, id string) (string, error) {
 	if !tenantIDRe.MatchString(id) {
-		return "", fmt.Errorf("registry: invalid tenant id %q", id)
+		return "", fmt.Errorf("%w: invalid tenant id %q", ErrNoTenant, id)
 	}
 	p := filepath.Join(root, id)
 	// Defense in depth: the joined path must be exactly root/id again.
 	if rel, err := filepath.Rel(root, p); err != nil || rel != id {
-		return "", fmt.Errorf("registry: tenant id %q escapes root", id)
+		return "", fmt.Errorf("%w: tenant id %q escapes root", ErrNoTenant, id)
 	}
 	return p, nil
 }
@@ -221,7 +232,7 @@ func (r *Registry) Acquire(id string) (*Handle, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.closed {
-		return nil, fmt.Errorf("registry: closed")
+		return nil, ErrClosed
 	}
 	r.acquires.Inc()
 	if t, ok := r.tenants[id]; ok {
@@ -265,6 +276,9 @@ func (r *Registry) Acquire(id string) (*Handle, error) {
 	opts.PoolPages = r.opts.MinPoolPages
 	start := time.Now()
 	st, err := securexml.Open(dir, opts)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("%w: %w", ErrNoTenant, err)
+	}
 	if err != nil {
 		return nil, err
 	}

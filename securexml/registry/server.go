@@ -318,9 +318,10 @@ func (s *Server) handleStoreDebug(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "token may not read this tenant's debug endpoints", http.StatusForbidden)
 		return
 	}
+	start := time.Now()
 	h, err := s.reg.Acquire(tok.Tenant)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		s.failRequest(w, queryRequest{tok: tok}, r.URL.Path, start, nil, err)
 		return
 	}
 	defer h.Close()
@@ -367,15 +368,20 @@ func (s *Server) logAccess(req queryRequest, endpoint string, status int, elapse
 	s.logMu.Unlock()
 }
 
-// failQuery answers a failed query and logs it under the same status: 400
-// when the request itself was wrong, 503 + Retry-After when it was cancelled
-// or timed out, 500 for anything the store could not do.
-func (s *Server) failQuery(w http.ResponseWriter, req queryRequest, endpoint string, start time.Time, qt *securexml.QueryTrace, err error) {
+// failRequest answers a request whose tenant could not be acquired or whose
+// query failed, and logs it under the same status: 400 when the request
+// itself was wrong, 404 when it names no tenant, 503 + Retry-After when it
+// was cancelled, timed out or met a registry already closed, 500 for anything
+// a store could not do — its own that would not open or read, or another's
+// that would not close to make room.
+func (s *Server) failRequest(w http.ResponseWriter, req queryRequest, endpoint string, start time.Time, qt *securexml.QueryTrace, err error) {
 	status := http.StatusInternalServerError
 	switch {
 	case errors.Is(err, securexml.ErrBadQuery):
 		status = http.StatusBadRequest
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
+	case errors.Is(err, ErrNoTenant):
+		status = http.StatusNotFound
+	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded), errors.Is(err, ErrClosed):
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
 	}
@@ -388,9 +394,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	start := time.Now()
 	h, err := s.reg.Acquire(req.tok.Tenant)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		s.failRequest(w, req, "/query", start, nil, err)
 		return
 	}
 	defer h.Close()
@@ -401,10 +408,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		qt = securexml.NewCountingQueryTrace()
 		req.opts.Trace = qt
 	}
-	start := time.Now()
 	ms, err := h.Store().QueryCtx(r.Context(), req.user, req.mode, req.xpath, req.opts)
 	if err != nil {
-		s.failQuery(w, req, "/query", start, qt, err)
+		s.failRequest(w, req, "/query", start, qt, err)
 		return
 	}
 	s.logAccess(req, "/query", http.StatusOK, time.Since(start), qt, len(ms))
@@ -422,14 +428,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	start := time.Now()
 	h, err := s.reg.Acquire(req.tok.Tenant)
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
+		s.failRequest(w, req, "/explain", start, nil, err)
 		return
 	}
 	defer h.Close()
 	q := r.URL.Query()
-	start := time.Now()
 	var text, js func(io.Writer) error
 	if q.Get("analyze") != "" {
 		an := &securexml.QueryAnalysis{}
@@ -442,7 +448,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		text, js = plan.WriteText, plan.WriteJSON
 	}
 	if err != nil {
-		s.failQuery(w, req, "/explain", start, nil, err)
+		s.failRequest(w, req, "/explain", start, nil, err)
 		return
 	}
 	s.logAccess(req, "/explain", http.StatusOK, time.Since(start), nil, 0)

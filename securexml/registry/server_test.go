@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,14 +10,18 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"dolxml/internal/storage"
+	"dolxml/internal/xmark"
+	"dolxml/internal/xmltree"
 	"dolxml/securexml"
 )
 
@@ -201,6 +207,147 @@ func TestServerStatusCodes(t *testing.T) {
 			}
 			if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &e) != nil || e.Endpoint != ep || e.Status != rec.Code {
 				t.Errorf("%s %s: access log %q, want one %s line with status %d", tc.name, ep, lines, ep, rec.Code)
+			}
+		}
+	}
+}
+
+// TestServerAcquireStatusCodes is the status oracle of a request whose
+// tenant cannot be pinned, on every endpoint that pins one: a tenant that
+// does not exist (no directory, an ID outside the grammar) is 404, one whose
+// page file is cut short is 500 — the store is there and broken — and a
+// closed registry is 503 + Retry-After; each is logged under the status sent.
+func TestServerAcquireStatusCodes(t *testing.T) {
+	root, ids := buildTenants(t, 2)
+	if err := os.Truncate(filepath.Join(root, ids[1], "pages.db"), 0); err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(Options{Root: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var logBuf syncBuffer
+	s := NewServer(r, ServerOptions{AccessLog: &logBuf})
+	defer s.Shutdown(context.Background())
+	for _, tc := range []struct {
+		name, tenant string
+		before       func()
+		want         int
+	}{
+		{name: "ok", tenant: ids[0], want: http.StatusOK},
+		{name: "absent", tenant: "tenant-99", want: http.StatusNotFound},
+		{name: "bad id", tenant: "../" + ids[0], want: http.StatusNotFound},
+		{name: "truncated page file", tenant: ids[1], want: http.StatusInternalServerError},
+		{name: "closed registry", tenant: ids[0], before: func() { closeRegistry(t, r) }, want: http.StatusServiceUnavailable},
+	} {
+		if tc.before != nil {
+			tc.before()
+		}
+		for _, ep := range []string{"/query", "/explain", "/debug/vars"} {
+			logged := strings.Count(logBuf.String(), "\n")
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest("GET", ep+"?tenant="+url.QueryEscape(tc.tenant)+"&user=alice&xpath=//public", nil))
+			if rec.Code != tc.want {
+				t.Errorf("%s %s: status %d, want %d (%s)", tc.name, ep, rec.Code, tc.want, rec.Body)
+			}
+			if (rec.Header().Get("Retry-After") != "") != (tc.want == http.StatusServiceUnavailable) {
+				t.Errorf("%s %s: Retry-After = %q with status %d", tc.name, ep, rec.Header().Get("Retry-After"), rec.Code)
+			}
+			if ep == "/debug/vars" && tc.want == http.StatusOK {
+				continue // the store's own handler answers; it logs nothing
+			}
+			var e struct {
+				Endpoint, Tenant string
+				Status           int
+			}
+			lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")[logged:]
+			if len(lines) != 1 || json.Unmarshal([]byte(lines[0]), &e) != nil || e.Endpoint != ep || e.Tenant != tc.tenant || e.Status != rec.Code {
+				t.Errorf("%s %s: access log %q, want one %s line for %s with status %d", tc.name, ep, lines, ep, tc.tenant, rec.Code)
+			}
+		}
+	}
+}
+
+// TestWildcardReturningTags: a "*" returning step is the one case a plan
+// cannot name its answers' tags, so the facade reads them from the answers'
+// blocks. Every answer's Tag — through Query, a drained QueryCursor and the
+// /query body — is the document's, for a user who sees everything and one
+// who has lost the //mailbox subtrees, under both semantics.
+func TestWildcardReturningTags(t *testing.T) {
+	doc := xmark.Generate(xmark.Scaled(3, 4000))
+	var xb strings.Builder
+	if err := doc.WriteXML(&xb); err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	st, err := securexml.NewBuilder().LoadXMLString(xb.String()).
+		AddUser("all").Grant("all", "read", "/site").
+		AddUser("some").Grant("some", "read", "/site").Revoke("some", "read", "//mailbox").
+		Seal(securexml.StoreOptions{PageSize: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Save(filepath.Join(root, "xm")); err != nil {
+		t.Fatal(err)
+	}
+	r, err := New(Options{Root: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(r, ServerOptions{})
+	defer s.Shutdown(context.Background())
+	h, err := r.Acquire("xm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	ctx := context.Background()
+	for _, xpath := range []string{"/site/regions/*", "//item/*", "//*[location]", "//open_auction/*/*"} {
+		for _, user := range []string{"all", "some"} {
+			for _, pruned := range []bool{false, true} {
+				name := fmt.Sprintf("%s as %s, pruned=%v", xpath, user, pruned)
+				opts := securexml.QueryOptions{Pruned: pruned}
+				ms, err := h.Store().QueryCtx(ctx, user, "read", xpath, opts)
+				if err != nil || len(ms) == 0 {
+					t.Fatalf("%s: %d answers, %v", name, len(ms), err)
+				}
+				for _, m := range ms {
+					if want := doc.Tag(xmltree.NodeID(m.Node)); m.Tag != want {
+						t.Fatalf("%s: answer %d tagged %q, the document says %q", name, m.Node, m.Tag, want)
+					}
+				}
+				cur, err := h.Store().QueryCursor(ctx, user, "read", xpath, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var streamed []securexml.Match
+				for {
+					m, ok, err := cur.Next(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						break
+					}
+					streamed = append(streamed, m)
+				}
+				if err := cur.Close(); err != nil {
+					t.Fatal(err)
+				}
+				slices.SortFunc(streamed, func(a, b securexml.Match) int { return cmp.Compare(a.Node, b.Node) })
+				if !slices.Equal(streamed, ms) {
+					t.Errorf("%s: the cursor's %d answers are not Query's %d", name, len(streamed), len(ms))
+				}
+				q := url.Values{"tenant": {"xm"}, "user": {user}, "xpath": {xpath}}
+				if pruned {
+					q.Set("pruned", "1")
+				}
+				rec := httptest.NewRecorder()
+				s.ServeHTTP(rec, httptest.NewRequest("GET", "/query?"+q.Encode(), nil))
+				if want := appendMatchesJSON(nil, ms); rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), want) {
+					t.Errorf("%s: /query answered %d with %d bytes, want the %d of Query's answers", name, rec.Code, rec.Body.Len(), len(want))
+				}
 			}
 		}
 	}

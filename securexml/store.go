@@ -364,19 +364,31 @@ func (s *Store) subject(name string) (acl.SubjectID, error) {
 	return subjectIn(s.dir, name)
 }
 
+// answerTag returns the tag code of answer n: the one the plan bound every
+// answer to (query.Result.Tag), or, for a "*" returning step, whose tags no
+// plan knows, the one n's block holds.
+func answerTag(ctx context.Context, cur *nok.Cursor, n xmltree.NodeID, tag int32) (int32, error) {
+	if tag != query.AnyTag {
+		return tag, nil
+	}
+	info, err := cur.Info(ctx, n)
+	return info.Entry.Tag, err
+}
+
 // matches converts result node IDs, in document order, to Match records
-// against the query's pinned store. It threads ctx so the page reads the
-// conversion performs land in the query's trace; the values are fetched a
-// page at a time, not a node at a time.
-func (s *Store) matches(ctx context.Context, st *nok.Store, nodes []xmltree.NodeID) ([]Match, error) {
+// against the query's pinned store; tag is the result's Tag. It threads ctx
+// so the page reads the conversion performs — value pages, fetched a page
+// at a time, not a node at a time; structure pages only under answerTag's
+// "*" case — land in the query's trace.
+func (s *Store) matches(ctx context.Context, st *nok.Store, nodes []xmltree.NodeID, tag int32) ([]Match, error) {
 	out := make([]Match, len(nodes))
 	cur := st.NewCursor()
 	for i, n := range nodes {
-		info, err := cur.Info(ctx, n)
+		code, err := answerTag(ctx, cur, n, tag)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = Match{Node: NodeID(n), Tag: st.TagName(info.Entry.Tag)}
+		out[i] = Match{Node: NodeID(n), Tag: st.TagName(code)}
 	}
 	if vs := st.Values(); vs != nil {
 		vals, err := vs.ValuesCtx(ctx, nodes)
@@ -492,9 +504,10 @@ func (s *Store) run(ctx context.Context, user, mode, xpath string, opts QueryOpt
 	s.queryAnswers.Add(int64(len(res.Nodes)))
 	s.queryMatches.Add(int64(res.Matches))
 	s.recordSkips(res.Skips)
-	// Match materialization re-reads answer pages; under ANALYZE those pins
-	// must land in their own attribution bucket, not an operator's.
-	ms, err = s.matches(obs.WithTrace(ctx, tr.ForOp(query.OpOutput)), p.ref.sn.st, res.Nodes)
+	// Match materialization reads the answers' value pages; under ANALYZE
+	// those pins must land in their own attribution bucket, not an
+	// operator's.
+	ms, err = s.matches(obs.WithTrace(ctx, tr.ForOp(query.OpOutput)), p.ref.sn.st, res.Nodes, res.Tag)
 	tr.Mark(obs.EvDone)
 	if err == nil && opts.Analyze != nil {
 		// Fold the forced trace into per-operator attribution against the
