@@ -2,21 +2,10 @@
 //
 // Usage:
 //
-//	dolbench [-exp name] [-scale quick|default|paper] [-seed N] [-json path] [-strict]
+//	dolbench [-exp name[,name...]] [-scale quick|default|paper] [-seed N]
 //
 // With no -exp flag every experiment runs. Experiment names: fig4a fig4b
-// fig5 fig6 storage fig7 joins updates worstcase ablation modes streaming
-// pageskip pathsummary wal writeload obs codebook multitenant explain.
-//
-// With -strict, any table note starting with "VIOLATION" (an experiment's
-// self-check failing, e.g. page skipping reading more pages than its
-// baseline) makes the run exit non-zero — the CI guard mode.
-//
-// With -json, every table produced by the run is additionally written to
-// the given file as indented JSON, so tooling can diff results across
-// commits, e.g.:
-//
-//	dolbench -exp streaming -json BENCH_streaming.json
+// fig5 fig6 storage fig7 joins updates worstcase ablation modes codebook.
 package main
 
 import (
@@ -33,8 +22,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run ("+strings.Join(bench.Experiments, ", ")+" or all)")
 	scale := flag.String("scale", "default", "dataset scale: quick, default or paper")
 	seed := flag.Int64("seed", 1, "generator seed")
-	jsonPath := flag.String("json", "", "also write the run's tables as JSON to this file")
-	strict := flag.Bool("strict", false, "exit non-zero if any table notes a VIOLATION")
 	flag.Parse()
 
 	var cfg bench.Config
@@ -57,7 +44,6 @@ func main() {
 	if *exp != "all" {
 		names = strings.Split(*exp, ",")
 	}
-	var all []*bench.Table
 	for _, name := range names {
 		start := time.Now()
 		tables, err := bench.Run(strings.TrimSpace(name), cfg)
@@ -68,29 +54,6 @@ func main() {
 		for _, t := range tables {
 			t.Fprint(os.Stdout)
 		}
-		all = append(all, tables...)
 		fmt.Printf("(%s completed in %v)\n\n", name, time.Since(start).Round(time.Millisecond))
-	}
-	if *jsonPath != "" {
-		if err := bench.WriteTablesJSON(*jsonPath, all); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %d tables to %s\n", len(all), *jsonPath)
-	}
-	if *strict {
-		violations := 0
-		for _, t := range all {
-			for _, n := range t.Notes {
-				if strings.HasPrefix(n, "VIOLATION") {
-					fmt.Fprintf(os.Stderr, "%s: %s\n", t.ID, n)
-					violations++
-				}
-			}
-		}
-		if violations > 0 {
-			fmt.Fprintf(os.Stderr, "%d violation(s)\n", violations)
-			os.Exit(1)
-		}
 	}
 }

@@ -13,11 +13,8 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"runtime"
 	"strings"
 
 	"dolxml/internal/synthacl"
@@ -43,9 +40,6 @@ type Config struct {
 	// experiments average over (the synthetic generator has high
 	// variance at a single draw).
 	ACLTrials int
-	// Tenants is how many stores the multitenant experiment serves
-	// through one registry.
-	Tenants int
 	// CodebookSubjects are the population points of the codebook
 	// subject-scaling sweep (ascending).
 	CodebookSubjects []int
@@ -64,7 +58,6 @@ func DefaultConfig() Config {
 		PoolPages:    8192,
 		SampledUsers: 10,
 		ACLTrials:    3,
-		Tenants:      24,
 		CodebookSubjects: []int{
 			10000, 100000, 1000000,
 		},
@@ -83,7 +76,6 @@ func QuickConfig() Config {
 	cfg.QueryRuns = 2
 	cfg.SampledUsers = 4
 	cfg.ACLTrials = 2
-	cfg.Tenants = 8
 	cfg.CodebookSubjects = []int{1000, 10000, 100000}
 	return cfg
 }
@@ -101,38 +93,7 @@ func PaperConfig() Config {
 	cfg.UnixFS = synthacl.UnixFSConfig{Seed: 1, Files: 400000, Users: 182, Groups: 65}
 	cfg.QueryRuns = 5
 	cfg.PoolPages = 65536
-	cfg.Tenants = 32
 	return cfg
-}
-
-// Env records the execution environment and configuration a table was
-// produced under. Run stamps it onto every table, so a BENCH_*.json entry
-// is interpretable without knowing which machine or scale produced it.
-type Env struct {
-	GoVersion  string
-	GOOS       string
-	GOARCH     string
-	NumCPU     int
-	GOMAXPROCS int
-	PageSize   int
-	PoolPages  int
-	XMarkNodes int
-	Seed       int64
-}
-
-// CaptureEnv snapshots the environment for cfg.
-func CaptureEnv(cfg Config) *Env {
-	return &Env{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		PageSize:   cfg.PageSize,
-		PoolPages:  cfg.PoolPages,
-		XMarkNodes: cfg.XMarkNodes,
-		Seed:       cfg.Seed,
-	}
 }
 
 // Table is one experiment's printable result.
@@ -142,9 +103,6 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 	Notes   []string
-	// Env is the environment stamp Run applies; nil only for tables built
-	// outside Run.
-	Env *Env `json:",omitempty"`
 }
 
 // AddRow appends a formatted row.
@@ -190,44 +148,15 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
-// TablesJSON renders tables as indented JSON — the machine-readable twin of
-// Fprint, consumed by tooling that diffs benchmark results across commits.
-func TablesJSON(tables []*Table) ([]byte, error) {
-	return json.MarshalIndent(tables, "", "  ")
-}
-
-// WriteTablesJSON writes tables as JSON to the named file.
-func WriteTablesJSON(path string, tables []*Table) error {
-	data, err := TablesJSON(tables)
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// Experiment names accepted by Run.
+// Experiments are the names Run accepts: one per table or figure of the
+// paper's evaluation.
 var Experiments = []string{
 	"fig4a", "fig4b", "fig5", "fig6", "storage", "fig7", "joins",
-	"updates", "worstcase", "ablation", "modes", "streaming",
-	"pageskip", "pathsummary", "wal", "writeload", "obs",
-	"codebook", "multitenant", "explain",
+	"updates", "worstcase", "ablation", "modes", "codebook",
 }
 
-// Run executes the named experiment and returns its tables, each stamped
-// with the environment it ran under.
+// Run executes the named experiment and returns its tables.
 func Run(name string, cfg Config) ([]*Table, error) {
-	tables, err := run(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	env := CaptureEnv(cfg)
-	for _, t := range tables {
-		t.Env = env
-	}
-	return tables, nil
-}
-
-func run(name string, cfg Config) ([]*Table, error) {
 	switch name {
 	case "fig4a":
 		return []*Table{Fig4a(cfg)}, nil
@@ -251,24 +180,8 @@ func run(name string, cfg Config) ([]*Table, error) {
 		return []*Table{Ablation(cfg)}, nil
 	case "modes":
 		return []*Table{Modes(cfg)}, nil
-	case "streaming":
-		return Streaming(cfg), nil
-	case "pageskip":
-		return PageSkip(cfg), nil
-	case "pathsummary":
-		return PathSummary(cfg), nil
-	case "wal":
-		return WAL(cfg), nil
-	case "writeload":
-		return Writeload(cfg), nil
-	case "obs":
-		return Obs(cfg), nil
 	case "codebook":
 		return []*Table{CodebookScaling(cfg)}, nil
-	case "multitenant":
-		return Multitenant(cfg), nil
-	case "explain":
-		return Explain(cfg), nil
 	default:
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", name, Experiments)
 	}

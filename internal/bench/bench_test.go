@@ -198,16 +198,20 @@ func TestRunAllAndPrint(t *testing.T) {
 		tb.Fprint(&buf)
 	}
 	out := buf.String()
-	for _, id := range []string{"fig4a", "fig4b", "fig5a", "fig5b", "fig6a", "fig6b", "storage", "fig7a", "fig7b", "fig7c", "joinQ4", "joinQ5", "joinQ6", "updates", "worstcase"} {
+	for _, id := range []string{"fig4a", "fig4b", "fig5a", "fig5b", "fig6a", "fig6b", "storage", "fig7a", "fig7b", "fig7c", "joinQ4", "joinQ5", "joinQ6", "updates", "worstcase", "ablation", "modes", "codebook"} {
 		if !strings.Contains(out, "== "+id) {
 			t.Errorf("output missing table %s", id)
 		}
 	}
 }
 
+// A name Run does not list is an error, the extension experiments deleted
+// from this package included.
 func TestRunUnknown(t *testing.T) {
-	if _, err := Run("nope", QuickConfig()); err == nil {
-		t.Fatal("unknown experiment should fail")
+	for _, name := range []string{"nope", "wal"} {
+		if _, err := Run(name, QuickConfig()); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("Run(%q) = %v, want an unknown-experiment error", name, err)
+		}
 	}
 }
 
@@ -246,51 +250,23 @@ func TestModesShape(t *testing.T) {
 	}
 }
 
-// A limited query reads no page past its limit: no smaller limit reads more
-// pages than a larger one, and Q4 meets limit 10 in the 4 pages limit 1
-// reads (5 while a scan ran ahead of its consumer).
-func TestStreamingStopsAtTheLimit(t *testing.T) {
-	tb := runQuick(t, "streaming")[0]
-	for _, note := range tb.Notes {
-		if strings.HasPrefix(note, "VIOLATION") {
-			t.Error(note)
+// Codebook entries follow the rule vocabulary, not the population: between
+// consecutive points with subject ratio R the live entries grow by at most
+// R/2 (~√R under the √S model; a linear codebook would grow by R), and at the
+// largest point the run-length rows take at most 10 % of their dense size.
+func TestCodebookScalingShape(t *testing.T) {
+	tb := runQuick(t, "codebook")[0]
+	for i := 1; i < len(tb.Rows); i++ {
+		prev, cur := tb.Rows[i-1], tb.Rows[i]
+		subjects := cellFloat(t, cur[0]) / cellFloat(t, prev[0])
+		entries := cellFloat(t, cur[3]) / cellFloat(t, prev[3])
+		if entries > subjects/2 {
+			t.Errorf("entries grew %.2fx over a %.0fx subject increase (%s -> %s subjects); want <= %.1fx",
+				entries, subjects, prev[0], cur[0], subjects/2)
 		}
 	}
-	for _, row := range tb.Rows {
-		if row[0] == "Q4" && row[1] == "10" && cellInt(t, row[4]) > 4 {
-			t.Errorf("Q4 limit 10 read %s pages, want 4", row[4])
-		}
-	}
-}
-
-func TestWALShape(t *testing.T) {
-	tables := runQuick(t, "wal")
-	if len(tables) != 2 {
-		t.Fatalf("wal tables = %d, want 2", len(tables))
-	}
-	ops, rec := tables[0], tables[1]
-	for _, tb := range tables {
-		for _, note := range tb.Notes {
-			if strings.HasPrefix(note, "VIOLATION") {
-				t.Errorf("%s: %s", tb.ID, note)
-			}
-		}
-	}
-	if len(ops.Rows) != 4 {
-		t.Fatalf("wal latency rows = %d, want 4", len(ops.Rows))
-	}
-	for _, row := range ops.Rows {
-		if r := cellFloat(t, row[4]); r <= 0 {
-			t.Errorf("%s: non-positive wal/no-wal ratio %f", row[0], r)
-		}
-	}
-	if len(rec.Rows) != 2 {
-		t.Fatalf("wal recovery rows = %d, want 2", len(rec.Rows))
-	}
-	if got := cellInt(t, rec.Rows[0][2]); got != 0 {
-		t.Errorf("clean open redid %d batches", got)
-	}
-	if got := cellInt(t, rec.Rows[1][2]); got != 1 {
-		t.Errorf("crash recovery redid %d batches, want 1", got)
+	top := tb.Rows[len(tb.Rows)-1]
+	if sparse, dense := cellInt(t, top[6]), cellInt(t, top[7]); sparse*10 > dense {
+		t.Errorf("sparse dictionary is %d B of %d B dense at %s subjects; want <= 10%%", sparse, dense, top[0])
 	}
 }

@@ -3,9 +3,12 @@ package query
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"dolxml/internal/acl"
+	"dolxml/internal/synthacl"
+	"dolxml/internal/xmark"
 	"dolxml/internal/xmltree"
 )
 
@@ -187,6 +190,113 @@ func TestStructSkipEquivalence(t *testing.T) {
 						seed, bi, structOff, pageSize, got.Nodes, got.Matches, want.Nodes, want.Matches)
 				}
 			}
+		}
+	}
+}
+
+// Table 1 and a structurally unsatisfiable twig counted in pages, from a cold
+// pool each run, under both secure semantics, over an XMark document whose one
+// subject sees 70 % of the nodes. A Limit stops the scans, so no limit reads
+// more pages than a larger one; struct skip and path routing change no answer
+// and never cost a page, and each saves what it is for.
+func TestTable1PageCounts(t *testing.T) {
+	doc := xmark.Generate(xmark.Scaled(1, 12000))
+	visible := synthacl.Synthetic(doc, synthacl.SynthConfig{
+		Seed: 24, PropagationRatio: 0.3, AccessibilityRatio: 0.7, ForceRootAccessible: true,
+	})
+	m := acl.NewMatrix(doc.Len(), 1)
+	for n := 0; n < doc.Len(); n++ {
+		m.Set(xmltree.NodeID(n), 0, visible.Test(n))
+	}
+	// Every tag of Qunsat exists, in an order no root-to-leaf path has: a
+	// person holds no parlist. Only the path summary can prove it empty.
+	queries := append(table1[:len(table1):len(table1)],
+		struct{ name, xpath string }{"Qunsat", "/site/people/person/parlist"})
+
+	for _, pageSize := range []int{1024, 4096} {
+		e := newEnv(t, doc, m, pageSize)
+		view := e.ss.ViewSubject(0)
+		structSaved := 0
+		for _, q := range queries {
+			pt := MustParse(q.xpath)
+			for _, sem := range []Semantics{SemanticsBindings, SemanticsPrunedSubtree} {
+				name := fmt.Sprintf("%s/semantics %d/%d B pages", q.name, sem, pageSize)
+				opts := Options{View: view, Semantics: sem}
+				full, pages := e.coldPages(t, pt, opts)
+
+				var limited []int64
+				for _, limit := range []int{1, 10, 100} {
+					o := opts
+					o.Limit = limit
+					res, p := e.coldPages(t, pt, o)
+					if want := min(limit, len(full.Nodes)); len(res.Nodes) != want {
+						t.Errorf("%s limit %d: %d answers, want %d", name, limit, len(res.Nodes), want)
+					}
+					limited = append(limited, p)
+				}
+				limited = append(limited, pages)
+				if !slices.IsSorted(limited) {
+					t.Errorf("%s: limits 1, 10, 100 and none read %v pages; a smaller limit read more", name, limited)
+				}
+				// The scan hands its rows over one at a time under a Limit:
+				// Q4 meets limit 10 in the 4 pages limit 1 reads, 5 if it
+				// ran a batch ahead of its consumer.
+				if q.name == "Q4" && sem == SemanticsBindings && pageSize == 4096 && limited[1] > 4 {
+					t.Errorf("%s: limit 10 read %d pages, want 4", name, limited[1])
+				}
+
+				// ablated runs the query with one mechanism off: the answers
+				// must not move and the full run must not have read more.
+				ablated := func(what string, o Options) (*Result, int64) {
+					res, p := e.coldPages(t, pt, o)
+					if !equalIDs(full.Nodes, res.Nodes) || full.Matches != res.Matches {
+						t.Errorf("%s: %s changed the answers (%d/%d vs %d/%d)",
+							name, what, len(full.Nodes), full.Matches, len(res.Nodes), res.Matches)
+					}
+					if pages > p {
+						t.Errorf("%s read %d pages with %s, %d without", name, pages, what, p)
+					}
+					return res, p
+				}
+				o := opts
+				o.DisableSummarySkip = true
+				if _, flatPages := ablated("struct skip", o); pages < flatPages && sem == SemanticsBindings {
+					structSaved++
+				}
+				o = opts
+				o.DisablePathSummary = true
+				unrouted, unroutedPages := ablated("path routing", o)
+				// Both arms start from the same postings, so the one that
+				// removed more of them scans fewer.
+				on, off := full.Skips, unrouted.Skips
+				if on.PathCandidates+on.JoinCandidates < off.PathCandidates+off.JoinCandidates {
+					t.Errorf("%s scans more candidates with path routing: %d+%d removed, %d+%d without", name,
+						on.PathCandidates, on.JoinCandidates, off.PathCandidates, off.JoinCandidates)
+				}
+				if off.PathCandidates != 0 || off.PathEmpty != 0 {
+					t.Errorf("%s with routing off: %d candidates rejected by path, PathEmpty %d", name, off.PathCandidates, off.PathEmpty)
+				}
+				switch q.name {
+				case "Q5", "Q6":
+					// Every parlist of Q4 lies on a path that nests another
+					// at this scale, so routing has nothing to reject there.
+					if on.PathCandidates == 0 {
+						t.Errorf("%s: path routing rejected no candidate", name)
+					}
+				case "Qunsat":
+					if pages != 0 || len(full.Nodes) != 0 || on.PathEmpty != 1 {
+						t.Errorf("%s: %d pages, %d answers, PathEmpty %d with path routing; want 0, 0, 1", name, pages, len(full.Nodes), on.PathEmpty)
+					}
+					if unroutedPages == 0 {
+						t.Errorf("%s read no page without path routing either", name)
+					}
+				}
+			}
+		}
+		// Child scans cross blocks that hold none of their classes in Q1–Q3;
+		// Q4–Q6 have no child scan below the root.
+		if pageSize == 1024 && structSaved < 2 {
+			t.Errorf("struct skip saved pages on %d queries at %d B pages; want at least 2", structSaved, pageSize)
 		}
 	}
 }

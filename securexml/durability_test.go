@@ -18,7 +18,8 @@ import (
 // keyword node an even number of times, so the final state equals the
 // initial state) while two readers drain query cursors the whole time.
 // After a durability barrier the answers must be byte-identical to the
-// pristine fixture, no pins may leak, and a reopen from disk must agree.
+// pristine fixture, no pin and no snapshot version may leak, the log must
+// count one commit per update, and a reopen from disk must agree.
 func TestDurabilityModesConcurrentCommitters(t *testing.T) {
 	fx := buildRecoveryFixture(t, 800, 512)
 	for _, tc := range []struct {
@@ -147,6 +148,9 @@ func TestDurabilityModesConcurrentCommitters(t *testing.T) {
 			snap := s.MetricsSnapshot()
 			if pinned := snap.Get("pool_pinned"); pinned != 0 {
 				t.Fatalf("%d pages still pinned after the run", pinned)
+			}
+			if live := snap.Get("snapshot_versions_live"); live != 1 {
+				t.Fatalf("%d snapshot versions live after the run, want 1", live)
 			}
 			wantCommits := int64(updaters * rounds * 2)
 			if got := snap.Get("wal_commits"); got != wantCommits {

@@ -276,6 +276,24 @@ func TestRecoveryFaultMatrix(t *testing.T) {
 				t.Fatal("add-member changed answers; fixture assumption broken")
 			}
 
+			// The log changes what survives a crash, not what an update
+			// does: the same update from the same disk with the log
+			// disabled leaves the same answers.
+			fx.restore(t)
+			plain, err := Open(fx.dir, StoreOptions{PoolPages: 64, DisableWAL: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := kind.apply(t, plain); err != nil {
+				t.Fatalf("%s without a log: %v", kind.name, err)
+			}
+			if got := answerFingerprint(t, plain); got != post {
+				t.Fatalf("%s: answers differ between the logged and the unlogged store", kind.name)
+			}
+			if err := plain.Close(); err != nil {
+				t.Fatal(err)
+			}
+
 			var points []faultPoint
 			for i := 1; i <= logAppends; i++ {
 				points = append(points,

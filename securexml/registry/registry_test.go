@@ -117,12 +117,24 @@ func TestRegistryLRUEviction(t *testing.T) {
 	defer closeRegistry(t, r)
 
 	want := make(map[string]string)
-	for _, id := range ids {
+	for i, id := range ids {
 		h, err := r.Acquire(id)
 		if err != nil {
 			t.Fatal(err)
 		}
+		// An update committed through the handle is part of what the
+		// eviction has to carry to the next open.
+		first, err := h.Store().QueryUnrestricted("//public")
+		if err != nil || len(first) == 0 {
+			t.Fatalf("tenant %s: %d public nodes, err %v", id, len(first), err)
+		}
+		if err := h.Store().SetAccess("alice", "read", first[0].Node, false, false); err != nil {
+			t.Fatal(err)
+		}
 		want[id] = queryBytes(t, h.Store())
+		if revoked := fmt.Sprintf("t%d-p0", i); strings.Contains(want[id], revoked) {
+			t.Fatalf("tenant %s still shows alice %s after the revoke", id, revoked)
+		}
 		h.Close()
 		if n := r.OpenCount(); n > 3 {
 			t.Fatalf("%d stores open with MaxOpen=3", n)
@@ -132,7 +144,7 @@ func TestRegistryLRUEviction(t *testing.T) {
 	if snap.Get("evictions_total") < 3 {
 		t.Fatalf("evictions_total = %d, want >= 3", snap.Get("evictions_total"))
 	}
-	// Reopened tenants answer identically to their first (pre-eviction) open.
+	// Reopened tenants answer as they did before the eviction, update included.
 	for _, id := range ids {
 		h, err := r.Acquire(id)
 		if err != nil {
