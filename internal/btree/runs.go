@@ -11,41 +11,123 @@ import (
 // Runs is a tag index as flat runs: every posting, grouped by tag, each
 // tag's in document order — what a leaf walk of a loaded Tree yields, held
 // in one slice instead of pages. It suits an index that is replaced, never
-// edited, and small enough to keep in memory: a served snapshot's.
+// edited, and small enough to keep in memory: a served snapshot's. It may
+// hold the same postings grouped a second way, by path class.
 type Runs struct {
+	tags grouping
+	// The grouping by path class, built from classOf (node ID → class) the
+	// first time a class is asked for, against the class numbering
+	// numbering of numClasses classes; classOf is nil without one.
+	classOnce  sync.Once
+	classes    grouping
+	classOf    []int32
+	numClasses int
+	numbering  uint64
+}
+
+// grouping is every posting grouped by a key, each key's in document order:
+// key k's run is postings[start[k]:start[k+1]].
+type grouping struct {
 	postings []Posting
-	// start[t] is where tag t's run begins and start[t+1] where it ends.
-	start []int32
+	start    []int32
+}
+
+// run returns key k's run: shared, not to be written.
+func (g grouping) run(k int32) []Posting {
+	if k < 0 || int(k) >= len(g.start)-1 {
+		return nil
+	}
+	lo, hi := g.start[k], g.start[k+1]
+	return g.postings[lo:hi:hi]
 }
 
 // NewRuns groups by tag the entries of a document's nodes 0, 1, … in that
 // order, tags in [0, numTags): a counting sort.
 func NewRuns(entries []Entry, numTags int) (*Runs, error) {
-	r := &Runs{postings: make([]Posting, len(entries)), start: make([]int32, numTags+1)}
+	g := grouping{postings: make([]Posting, len(entries)), start: make([]int32, numTags+1)}
 	for i, e := range entries {
 		if e.Tag < 0 || int(e.Tag) >= numTags || int(e.Node) != i {
 			return nil, fmt.Errorf("btree: entry %d (tag %d, node %d) is out of place", i, e.Tag, e.Node)
 		}
-		r.start[e.Tag+1]++
+		g.start[e.Tag+1]++
 	}
 	for t := 0; t < numTags; t++ {
-		r.start[t+1] += r.start[t]
+		g.start[t+1] += g.start[t]
 	}
-	next := slices.Clone(r.start)
+	next := slices.Clone(g.start)
 	for _, e := range entries {
-		r.postings[next[e.Tag]] = e.Posting
+		g.postings[next[e.Tag]] = e.Posting
 		next[e.Tag]++
 	}
+	return &Runs{tags: g}, nil
+}
+
+// Classes is the second key of NewClassRuns: Of[i] is node i's path class,
+// in [0, Count), under the class numbering Numbering. A class's nodes carry
+// one tag.
+type Classes struct {
+	Of        []int32
+	Count     int
+	Numbering uint64
+}
+
+// NewClassRuns is NewRuns with the postings to be grouped a second time, by
+// path class, when a class is first asked for: the same counting sort, over
+// the tag runs — a class has one tag, so each class's postings come out of
+// one tag run in its document order. It keeps cl.Of.
+func NewClassRuns(entries []Entry, numTags int, cl Classes) (*Runs, error) {
+	if len(cl.Of) != len(entries) {
+		return nil, fmt.Errorf("btree: %d classes for %d entries", len(cl.Of), len(entries))
+	}
+	for i, c := range cl.Of {
+		if c < 0 || int(c) >= cl.Count {
+			return nil, fmt.Errorf("btree: node %d has class %d of %d", i, c, cl.Count)
+		}
+	}
+	r, err := NewRuns(entries, numTags)
+	if err != nil {
+		return nil, err
+	}
+	r.classOf, r.numClasses, r.numbering = cl.Of, cl.Count, cl.Numbering
 	return r, nil
 }
 
 // Postings returns tag's run: shared, not to be written.
 func (r *Runs) Postings(tag int32) ([]Posting, error) {
-	if tag < 0 || int(tag) >= len(r.start)-1 {
-		return nil, nil
+	return r.tags.run(tag), nil
+}
+
+// ClassPostings returns the postings of a path class, in document order:
+// shared, not to be written. Nil without a class grouping.
+func (r *Runs) ClassPostings(class int32) []Posting {
+	if r.classOf == nil {
+		return nil
 	}
-	lo, hi := r.start[tag], r.start[tag+1]
-	return r.postings[lo:hi:hi], nil
+	r.classOnce.Do(r.groupClasses)
+	return r.classes.run(class)
+}
+
+func (r *Runs) groupClasses() {
+	g := grouping{postings: make([]Posting, len(r.tags.postings)), start: make([]int32, r.numClasses+1)}
+	for _, p := range r.tags.postings {
+		g.start[r.classOf[p.Node]+1]++
+	}
+	for c := 0; c < r.numClasses; c++ {
+		g.start[c+1] += g.start[c]
+	}
+	next := slices.Clone(g.start)
+	for _, p := range r.tags.postings {
+		c := r.classOf[p.Node]
+		g.postings[next[c]] = p
+		next[c]++
+	}
+	r.classes = g
+}
+
+// ClassNumbering reports the class numbering and class count the class
+// grouping is built against; ok is false without one.
+func (r *Runs) ClassNumbering() (numbering uint64, classes int, ok bool) {
+	return r.numbering, r.numClasses, r.classOf != nil
 }
 
 // ValueRuns is a value index over Runs: per tag the postings of the nodes
@@ -70,7 +152,7 @@ type valueRun struct {
 // NewValueRuns returns the value index over tags. load returns the text
 // values of the given nodes, which ascend, "" for a node that has none.
 func NewValueRuns(tags *Runs, load func(nodes []xmltree.NodeID) ([]string, error)) *ValueRuns {
-	return &ValueRuns{tags: tags, load: load, runs: make([]valueRun, len(tags.start)-1)}
+	return &ValueRuns{tags: tags, load: load, runs: make([]valueRun, len(tags.tags.start)-1)}
 }
 
 // ValuePostings returns the postings with the tag and value, in document

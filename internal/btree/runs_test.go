@@ -151,3 +151,55 @@ func TestNewRunsRejectsMisplacedEntries(t *testing.T) {
 		}
 	}
 }
+
+// The class grouping holds each node once, under its class, in document
+// order, beside the tag grouping it leaves as it was; a class outside the
+// count or a class list of another length is refused.
+func TestClassRunsGroupByClass(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	entries, _, _ := randomRunsInput(rng, 900, 6, 0)
+	// A path class names one tag: tag t's classes are 6c + t.
+	classes := make([]int32, len(entries))
+	for i, e := range entries {
+		classes[i] = 6*int32(rng.Intn(6)) + e.Tag
+	}
+	runs, err := NewClassRuns(entries, 6, Classes{Of: classes, Count: 40, Numbering: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, err := NewRuns(entries, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tag := int32(0); tag < 6; tag++ {
+		got, _ := runs.Postings(tag)
+		want, _ := plain.Postings(tag)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("tag %d: the class runs changed the tag run", tag)
+		}
+	}
+	for class := int32(-1); class <= 40; class++ {
+		var want []Posting
+		for i, e := range entries {
+			if classes[i] == class {
+				want = append(want, e.Posting)
+			}
+		}
+		if got := runs.ClassPostings(class); len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("class %d: %v, want %v", class, got, want)
+		}
+	}
+	if n, k, ok := runs.ClassNumbering(); n != 9 || k != 40 || !ok {
+		t.Fatalf("ClassNumbering() = %d, %d, %v", n, k, ok)
+	}
+	if _, _, ok := plain.ClassNumbering(); ok || plain.ClassPostings(0) != nil {
+		t.Fatal("runs without a class grouping report one")
+	}
+	classes[7] = 40
+	if _, err := NewClassRuns(entries, 6, Classes{Of: classes, Count: 40}); err == nil {
+		t.Fatal("a class outside the count was accepted")
+	}
+	if _, err := NewClassRuns(entries, 6, Classes{Of: classes[1:], Count: 41}); err == nil {
+		t.Fatal("a class list shorter than the entries was accepted")
+	}
+}

@@ -114,7 +114,8 @@ func FuzzDecodeBlock(f *testing.F) {
 
 // FuzzValueRefs hardens the sidecar's packed value refs: arbitrary bytes
 // must either fail to decode or to validate, or be exactly the packing of
-// refs that are sorted, inside the document and inside their pages.
+// refs that are sorted, inside the document, inside their pages and inside
+// the page file.
 func FuzzValueRefs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(packValueRefs([]valueRef{{2, 1, 0, 1}, {4, 1, 1, 2}, {5, 7, 0, 300}, {9, 3, 4000, 96}}))
@@ -133,12 +134,12 @@ func FuzzValueRefs(f *testing.F) {
 			t.Fatalf("%x decodes to %v, which packs to %x", data, refs, re)
 		}
 		m := Meta{NumNodes: 1 << 20, StructurePages: []storage.PageID{0, 6}, ValueRefs: refs}
-		if m.CheckValueRefs(4096) != nil {
+		if m.CheckValueRefs(4096, 1<<16) != nil {
 			return
 		}
 		prev := xmltree.NodeID(-1)
 		for i, r := range refs {
-			if r.Node <= prev || int(r.Node) >= m.NumNodes || r.Len == 0 || int(r.Off)+int(r.Len) > 4096 || r.Page == 0 || r.Page == 6 {
+			if r.Node <= prev || int(r.Node) >= m.NumNodes || r.Len == 0 || int(r.Off)+int(r.Len) > 4096 || r.Page == 0 || r.Page == 6 || r.Page >= 1<<16 {
 				t.Fatalf("ref %d = %+v after node %d passed validation", i, r, prev)
 			}
 			prev = r.Node

@@ -110,14 +110,17 @@ func unpackValueRefs(blob []byte) ([]valueRef, error) {
 	return refs, nil
 }
 
-// CheckValueRefs holds the value refs against the rest of the metadata and
-// the store's page size, whichever format they came in: nodes strictly
-// ascending and inside the document, every value non-empty and inside its
-// page, no value on a structure page. A ref that fails would have a value
-// read slice past its page or serve structure bytes as text.
-func (m Meta) CheckValueRefs(pageSize int) error {
+// CheckValueRefs holds the value refs against the rest of the metadata, the
+// store's page size and its page file's page count, whichever format they
+// came in: nodes strictly ascending and inside the document, every value
+// non-empty and inside its page, on a page the file has, no value on a
+// structure page. A ref that fails would have a value read slice past its
+// page, fault past the file's end or serve structure bytes as text.
+func (m Meta) CheckValueRefs(pageSize, numPages int) error {
 	prev := xmltree.NodeID(-1)
 	for i, r := range m.ValueRefs {
+		// Values of consecutive nodes share pages: look a page up when it changes.
+		newPage := i == 0 || r.Page != m.ValueRefs[i-1].Page
 		switch {
 		case r.Node <= prev:
 			return fmt.Errorf("nok: value ref %d: node %d does not follow node %d", i, r.Node, prev)
@@ -125,8 +128,9 @@ func (m Meta) CheckValueRefs(pageSize int) error {
 			return fmt.Errorf("nok: value ref %d: node %d of %d", i, r.Node, m.NumNodes)
 		case r.Len == 0 || int(r.Off)+int(r.Len) > pageSize:
 			return fmt.Errorf("nok: value ref %d: bytes [%d,+%d) of a %d-byte page", i, r.Off, r.Len, pageSize)
-		// Values of consecutive nodes share pages: look a page up when it changes.
-		case (i == 0 || r.Page != m.ValueRefs[i-1].Page) && slices.Contains(m.StructurePages, r.Page):
+		case newPage && int64(r.Page) >= int64(numPages):
+			return fmt.Errorf("nok: value ref %d: page %d is past the end of a %d-page file", i, r.Page, numPages)
+		case newPage && slices.Contains(m.StructurePages, r.Page):
 			return fmt.Errorf("nok: value ref %d: page %d is a structure page", i, r.Page)
 		}
 		prev = r.Node
@@ -172,14 +176,15 @@ func Open(pool *storage.BufferPool, m Meta) (*Store, error) {
 }
 
 // OpenScan is Open handing the caller what its scan of the block bodies
-// sees besides: every node's extent, as ForEachExtent reports them (extent
-// may be nil), the first after the block headers have confirmed m.NumNodes.
-// What was reported before an error is to be thrown away.
-func OpenScan(pool *storage.BufferPool, m Meta, extent func(n, end xmltree.NodeID, level int, tag int32)) (*Store, error) {
+// sees besides: every node's extent and its class in the path summary the
+// scan builds, as ForEachClassExtent reports them (extent may be nil), the
+// first after the block headers have confirmed m.NumNodes. What was reported
+// before an error is to be thrown away.
+func OpenScan(pool *storage.BufferPool, m Meta, extent ExtentFunc) (*Store, error) {
 	if m.NumNodes <= 0 {
 		return nil, fmt.Errorf("nok: metadata has %d nodes", m.NumNodes)
 	}
-	if err := m.CheckValueRefs(pool.Pager().PageSize()); err != nil {
+	if err := m.CheckValueRefs(pool.Pager().PageSize(), pool.Pager().NumPages()); err != nil {
 		return nil, err
 	}
 	s := &Store{

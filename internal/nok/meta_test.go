@@ -52,7 +52,7 @@ func TestValueRefsJSONFormats(t *testing.T) {
 // structure pages, whichever format it came in.
 func TestMetaValidateRejectsBadRefs(t *testing.T) {
 	good := Meta{NumNodes: 10, StructurePages: []storage.PageID{0, 5}, ValueRefs: ValueRefs{{1, 1, 0, 8}, {3, 1, 8, 248}, {9, 2, 0, 1}}}
-	if err := good.CheckValueRefs(256); err != nil {
+	if err := good.CheckValueRefs(256, 8); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -69,14 +69,21 @@ func TestMetaValidateRejectsBadRefs(t *testing.T) {
 		{"offset and length wrapping uint16", 1, valueRef{3, 1, 65535, 2}, "256-byte page"},
 		{"empty value", 1, valueRef{3, 1, 8, 0}, "256-byte page"},
 		{"structure page", 2, valueRef{9, 5, 0, 1}, "structure page"},
+		{"page past the file", 2, valueRef{9, 8, 0, 1}, "past the end of a 8-page file"},
 	} {
 		m := good
 		m.ValueRefs = append(ValueRefs(nil), good.ValueRefs...)
 		m.ValueRefs[c.at] = c.ref
-		if err := m.CheckValueRefs(256); err == nil || !strings.Contains(err.Error(), c.want) {
+		if err := m.CheckValueRefs(256, 8); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: %v, want an error naming %q", c.name, err, c.want)
 		}
-		if _, err := Open(storage.NewBufferPool(storage.NewMemPager(256), 8), m); err == nil || !strings.Contains(err.Error(), c.want) {
+		pager := storage.NewMemPager(256)
+		for pager.NumPages() < 8 {
+			if _, err := pager.Allocate(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := Open(storage.NewBufferPool(pager, 8), m); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: Open: %v, want an error naming %q", c.name, err, c.want)
 		}
 	}

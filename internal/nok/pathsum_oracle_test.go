@@ -3,6 +3,8 @@ package nok
 import (
 	"math/rand"
 	"testing"
+
+	"dolxml/internal/xmltree"
 )
 
 // Oracle property for the incrementally maintained path summary: after any
@@ -87,7 +89,41 @@ func TestPathSummaryOracleAfterRandomUpdates(t *testing.T) {
 			if err := s.CheckConsistency(); err != nil {
 				t.Fatalf("seed %d op %d: %v", seed, op, err)
 			}
+			checkClassExtents(t, s)
 		}
+	}
+}
+
+// checkClassExtents holds the classes ForEachClassExtent reports against the
+// store's summary: a node's class carries its tag, has its parent's class as
+// parent, and is in its block's class set.
+func checkClassExtents(t *testing.T, s *Store) {
+	t.Helper()
+	type ext struct {
+		end        xmltree.NodeID
+		tag, class int32
+	}
+	exts := make([]ext, s.NumNodes())
+	if err := s.ForEachClassExtent(func(n, end xmltree.NodeID, _ int, tag, class int32) {
+		exts[n] = ext{end, tag, class}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	sum := s.Paths()
+	var open []xmltree.NodeID
+	for n := range exts {
+		for len(open) > 0 && exts[open[len(open)-1]].end < xmltree.NodeID(n) {
+			open = open[:len(open)-1]
+		}
+		parent := int32(-1)
+		if len(open) > 0 {
+			parent = exts[open[len(open)-1]].class
+		}
+		e := exts[n]
+		if c := sum.NodeAt(e.class); c.Tag != e.tag || c.Parent != parent || !sum.Block(s.PageIndexOf(xmltree.NodeID(n))).Has(e.class) {
+			t.Fatalf("node %d (tag %d, parent class %d) has class %d = %+v", n, e.tag, parent, e.class, c)
+		}
+		open = append(open, xmltree.NodeID(n))
 	}
 }
 
@@ -124,4 +160,5 @@ func TestPathSummaryRebuildFallback(t *testing.T) {
 	if err := s.CheckConsistency(); err != nil {
 		t.Fatal(err)
 	}
+	checkClassExtents(t, s)
 }

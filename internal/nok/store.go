@@ -418,11 +418,15 @@ func (s *Store) RebuildPathSummary() error {
 	return nil
 }
 
+// ExtentFunc receives one node as its subtree closes: the subtree's first
+// and last node, the node's level, its tag code and its path class.
+type ExtentFunc func(n, end xmltree.NodeID, level int, tag, class int32)
+
 // scanPathSummary builds a fresh path summary from the blocks, in a walk
-// that reports to extent on the way.
-func (s *Store) scanPathSummary(extent func(n, end xmltree.NodeID, level int, tag int32)) (*pathsum.Summary, error) {
+// that reports to extent on the way, with the classes of the summary built.
+func (s *Store) scanPathSummary(extent ExtentFunc) (*pathsum.Summary, error) {
 	psb := pathsum.NewBuilder()
-	if err := s.walk(psb, extent); err != nil {
+	if err := s.walk(psb, nil, extent); err != nil {
 		return nil, err
 	}
 	ps, err := psb.Finish()
@@ -439,7 +443,7 @@ func (s *Store) scanPathSummary(extent func(n, end xmltree.NodeID, level int, ta
 // tests.
 func (s *Store) CheckConsistency() error {
 	if s.paths == nil {
-		return s.walk(nil, nil)
+		return s.walk(nil, nil, nil)
 	}
 	rebuilt, err := s.scanPathSummary(nil)
 	if err != nil {
@@ -452,13 +456,23 @@ func (s *Store) CheckConsistency() error {
 // each when its subtree closes, in a single pass over the structure blocks —
 // the input needed to (re)build a tag index over the store.
 func (s *Store) ForEachExtent(visit func(n, end xmltree.NodeID, level int, tag int32)) error {
-	return s.walk(nil, visit)
+	return s.walk(nil, nil, func(n, end xmltree.NodeID, level int, tag, _ int32) { visit(n, end, level, tag) })
+}
+
+// ForEachClassExtent is ForEachExtent reporting each node's class in the
+// store's own path summary as well: the input of an index grouped by class,
+// numbered as the summary the store's queries embed into.
+func (s *Store) ForEachClassExtent(visit ExtentFunc) error {
+	if s.paths == nil {
+		return fmt.Errorf("nok: store has no path summary")
+	}
+	return s.walk(nil, s.paths, visit)
 }
 
 // openNode is one still-open subtree during an extent walk.
 type openNode struct {
-	node xmltree.NodeID
-	tag  int32
+	node       xmltree.NodeID
+	tag, class int32
 }
 
 // extentStackPool recycles the open-subtree stacks of walk: the stack grows
@@ -476,8 +490,9 @@ var extentStackPool = sync.Pool{
 // balanced parenthesis structure, each block's positional index against a
 // recomputation — and on the way feeds psb (when non-nil) the entries a path
 // summary is built from and reports to extent (when non-nil) each node as
-// its subtree closes.
-func (s *Store) walk(psb *pathsum.Builder, extent func(n, end xmltree.NodeID, level int, tag int32)) error {
+// its subtree closes. A node's class is the one psb gives it, or else its
+// class in sum (-1 when both are nil).
+func (s *Store) walk(psb *pathsum.Builder, sum *pathsum.Summary, extent ExtentFunc) error {
 	stackBuf := extentStackPool.Get().(*[]openNode)
 	defer func() { extentStackPool.Put(stackBuf) }()
 	stack := (*stackBuf)[:0]
@@ -520,8 +535,9 @@ func (s *Store) walk(psb *pathsum.Builder, extent func(n, end xmltree.NodeID, le
 			if sl.tag < 0 || int(sl.tag) >= len(s.tags) {
 				return fmt.Errorf("nok: block %d references unknown tag %d", i, sl.tag)
 			}
+			class := int32(-1)
 			if psb != nil {
-				psb.Entry(sl.tag, sl.closeCount(), sl.code)
+				class = psb.Entry(sl.tag, sl.closeCount(), sl.code)
 			}
 			if extent == nil {
 				continue
@@ -529,11 +545,21 @@ func (s *Store) walk(psb *pathsum.Builder, extent func(n, end xmltree.NodeID, le
 			// The stack holds one open subtree per level above the next
 			// entry's: checkIndex has shown that no entry closes more.
 			id := next + xmltree.NodeID(j)
-			stack = append(stack, openNode{id, sl.tag})
+			if psb == nil && sum != nil {
+				parent := int32(-1)
+				if len(stack) > 0 {
+					parent = stack[len(stack)-1].class
+				}
+				var ok bool
+				if class, ok = sum.ChildOf(parent, sl.tag); !ok {
+					return fmt.Errorf("nok: node %d (tag %d) has no class under class %d", id, sl.tag, parent)
+				}
+			}
+			stack = append(stack, openNode{id, sl.tag, class})
 			for c := sl.closeCount(); c > 0; c-- {
 				top := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				extent(top.node, id, len(stack), top.tag)
+				extent(top.node, id, len(stack), top.tag, top.class)
 			}
 		}
 		if psb != nil {

@@ -50,8 +50,9 @@ func FromMeta(m *Meta) (*Summary, error) {
 			len(m.Tags), len(m.Parents), len(m.Modes), len(m.Codes))
 	}
 	s := &Summary{
-		nodes: make([]Node, n),
-		child: make(map[childKey]int32, n),
+		nodes:     make([]Node, n),
+		child:     make(map[childKey]int32, n),
+		numbering: numberings.Add(1),
 	}
 	for i := 0; i < n; i++ {
 		p := m.Parents[i]

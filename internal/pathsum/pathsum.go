@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // CodeMode classifies the access codes observed across a path class's
@@ -82,6 +83,10 @@ type Summary struct {
 	nodes  []Node
 	child  map[childKey]int32
 	blocks []BlockPaths
+	// numbering identifies the class numbering: a summary built from scratch
+	// (a Builder, FromMeta) starts a new one, and a rewrite's clone keeps its
+	// original's, since it only appends classes.
+	numbering uint64
 
 	childrenOnce sync.Once
 	childrenIdx  [][]int32
@@ -89,6 +94,15 @@ type Summary struct {
 
 // NumNodes returns the number of path classes.
 func (s *Summary) NumNodes() int { return len(s.nodes) }
+
+// numberings hands out numbering identities.
+var numberings atomic.Uint64
+
+// Numbering identifies the summary's class numbering: two summaries with the
+// same Numbering and NumNodes give every (parent, tag) path the same class.
+// Anything keyed by class ids (an index grouped by class) is valid against a
+// summary exactly when both agree.
+func (s *Summary) Numbering() uint64 { return s.numbering }
 
 // NumBlocks returns the number of per-block class sets.
 func (s *Summary) NumBlocks() int { return len(s.blocks) }
@@ -184,7 +198,7 @@ type Builder struct {
 
 // NewBuilder returns a builder for an empty summary.
 func NewBuilder() *Builder {
-	return &Builder{s: &Summary{child: make(map[childKey]int32)}}
+	return &Builder{s: &Summary{child: make(map[childKey]int32), numbering: numberings.Add(1)}}
 }
 
 func (b *Builder) top() int32 {
@@ -194,11 +208,12 @@ func (b *Builder) top() int32 {
 	return b.stack[len(b.stack)-1]
 }
 
-// Entry records one node: its tag, the number of elements its entry
-// closes, and the access code in force at the node.
-func (b *Builder) Entry(tag int32, closeCount int, code uint32) {
+// Entry records one node — its tag, the number of elements its entry
+// closes, and the access code in force at the node — and returns its class
+// (-1 once the builder has failed).
+func (b *Builder) Entry(tag int32, closeCount int, code uint32) int32 {
 	if b.err != nil {
-		return
+		return -1
 	}
 	if !b.open {
 		b.open = true
@@ -212,9 +227,10 @@ func (b *Builder) Entry(tag int32, closeCount int, code uint32) {
 	b.stack = append(b.stack, id)
 	if closeCount > len(b.stack) {
 		b.err = fmt.Errorf("pathsum: entry closes %d elements with %d open", closeCount, len(b.stack))
-		return
+		return -1
 	}
 	b.stack = b.stack[:len(b.stack)-closeCount]
+	return id
 }
 
 // EndBlock seals the entries fed since the previous boundary as one block.
@@ -264,8 +280,9 @@ func (s *Summary) BeginRewrite(i, j int) (*RegionRewrite, error) {
 		return nil, fmt.Errorf("pathsum: rewrite region [%d, %d] of %d blocks", i, j, len(s.blocks))
 	}
 	clone := &Summary{
-		nodes: append([]Node(nil), s.nodes...),
-		child: make(map[childKey]int32, len(s.child)),
+		nodes:     append([]Node(nil), s.nodes...),
+		child:     make(map[childKey]int32, len(s.child)),
+		numbering: s.numbering,
 	}
 	for k, v := range s.child {
 		clone.child[k] = v

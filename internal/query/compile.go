@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"slices"
 	"strconv"
+	"strings"
 	"unsafe"
 
 	"dolxml/internal/btree"
@@ -72,7 +73,8 @@ func (ev *Evaluator) compile(t *PatternTree, opts Options) (*compiled, error) {
 	c.compiledShape = sh
 	c.route = resolvePathAccess(ev.store, sh, opts.View)
 	if !c.empty() {
-		c.mask = fuseMask(ev.store, sh, opts.View, c.accessSkip, c.structSkip)
+		// An index plan scans no children: it consults the deny bitmap alone.
+		c.mask = fuseMask(ev.store, sh, opts.View, c.accessSkip, c.structSkip && sh.index == nil)
 	}
 	endCompile()
 	if c.empty() || opts.Trace == nil {
@@ -92,19 +94,25 @@ func (ev *Evaluator) compile(t *PatternTree, opts Options) (*compiled, error) {
 // and the path-summary flag, so that the ablation arms compare routing and
 // nothing else.
 func shapeKey(t *PatternTree, pathOn bool) string {
-	flag := "|nopath"
+	var sb strings.Builder
+	t.writeTo(&sb)
+	sb.WriteByte('|')
+	sb.WriteString(strconv.Itoa(t.ReturningNode().id))
 	if pathOn {
-		flag = "|path"
+		sb.WriteString("|path")
+	} else {
+		sb.WriteString("|nopath")
 	}
-	return t.String() + "|" + strconv.Itoa(t.ReturningNode().id) + flag
+	return sb.String()
 }
 
 // buildShape plans the view-independent half of a query over the evaluator's
 // snapshot: decomposition and layout, the path-summary embedding (pathOn),
 // the value-index postings of the value-constrained nodes, and per subtree
 // the candidate postings — routed through the embedding, then reduced by the
-// structural semi-join. It reads the tag and value indexes and no store
-// page.
+// structural semi-join — or, for a pattern of child steps from the document
+// root over an index grouped by path class, the anchored index plan. It
+// reads the tag and value indexes and no store page.
 func (ev *Evaluator) buildShape(t *PatternTree, pathOn bool) (*compiledShape, error) {
 	sh := &compiledShape{t: t, query: t.String(), subs: t.Decompose()}
 	sh.tupleLayout = layoutOf(t, sh.subs)
@@ -143,6 +151,13 @@ func (ev *Evaluator) buildShape(t *PatternTree, pathOn bool) (*compiledShape, er
 			}
 			sh.values[p.id] = nodes
 			sh.size += int64(len(nodes)) * int64(unsafe.Sizeof(nodes[0]))
+		}
+	}
+	if pathOn && sh.indexable() {
+		if runs := ev.classRuns(); runs != nil {
+			sh.index = sh.buildIndexShape(runs)
+			sh.size += sh.index.size()
+			return sh, nil
 		}
 	}
 

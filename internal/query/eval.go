@@ -80,9 +80,12 @@ type Result struct {
 	Matches int
 	// Skips reports how many page reads the fused skip mask avoided.
 	Skips SkipStats
-	// Plan is the plan the evaluation ran, as Explain renders it.
-	Plan *Plan
+
+	c *compiled
 }
+
+// Plan renders the plan the evaluation ran, as Explain renders it.
+func (r *Result) Plan() *Plan { return r.c.plan() }
 
 // AnyTag is the Result.Tag of a pattern whose returning step is "*".
 const AnyTag int32 = -1
@@ -186,7 +189,7 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, t *PatternTree, opts Optio
 		nodes = append(nodes, n)
 	}
 	slices.Sort(nodes)
-	return &Result{Nodes: nodes, Tag: a.Tag(), Matches: a.Matches(), Skips: a.SkipStats(), Plan: a.c.plan()}, nil
+	return &Result{Nodes: nodes, Tag: a.Tag(), Matches: a.Matches(), Skips: a.SkipStats(), c: a.c}, nil
 }
 
 // Answers is a streaming cursor over a query's answers: the distinct
@@ -214,6 +217,14 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 	if c.empty() {
 		opts.Trace.Mark(obs.EvPathEmpty)
 		return &Answers{p: emptyCursor{}, c: c, matches: new(int)}, nil
+	}
+	if c.index != nil {
+		ic := &indexCursor{ctx: obs.WithTrace(ctx, opts.Trace.ForOp(opIndex)), c: c, st: ev.store}
+		var top Cursor = ic
+		if opts.Limit > 0 {
+			top = &limitCursor{in: ic, remaining: opts.Limit}
+		}
+		return &Answers{p: top, c: c, matches: &ic.matches}, nil
 	}
 	subs := c.subs
 	m := ev.newMatcher(c)

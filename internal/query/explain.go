@@ -35,6 +35,7 @@ func opJoin(i int) string { return fmt.Sprintf("join%d", i) }
 func opSort(i int) string { return fmt.Sprintf("sort%d", i) }
 
 const (
+	opIndex  = "index"
 	opFilter = "filter"
 	opDedup  = "dedup"
 	opLimit  = "limit"
@@ -81,7 +82,8 @@ type Plan struct {
 	Nodes []PlanNode `json:"nodes"`
 	// Operators is the pipeline bottom-up: per-subtree scans, the
 	// pruned-subtree path filter, one join per cut edge (over a sort where
-	// its left input is not ordered by the link), dedup, limit.
+	// its left input is not ordered by the link), dedup, limit — or an
+	// anchored index plan's index operator, limit.
 	Operators []PlanOp `json:"operators,omitempty"`
 }
 
@@ -118,7 +120,8 @@ type PlanNode struct {
 type PlanOp struct {
 	// Op is the attribution label stamped on the operator's trace events.
 	Op string `json:"op"`
-	// Kind is "scan", "filter", "sort", "join", "dedup", or "limit".
+	// Kind is "scan", "filter", "sort", "join", "dedup", "limit", or
+	// "index" (an anchored index plan).
 	Kind string `json:"kind"`
 	// Subtree is the NoK subtree index for scans, joins and sorts (else -1).
 	Subtree int `json:"subtree"`
@@ -126,15 +129,24 @@ type PlanOp struct {
 	// sort, the step of the link it orders by.
 	Root string `json:"root,omitempty"`
 	// Algorithm names the operator variant: "nok" / "eps-nok" for scans,
-	// "std" / "eps-std" for joins and the path filter.
+	// "std" / "eps-std" for joins and the path filter, "class-merge" for an
+	// index operator.
 	Algorithm string `json:"algorithm,omitempty"`
-	// Candidates counts the root candidates the scan matches;
-	// RejectedByPath the postings path routing rejected before any I/O, and
-	// RejectedByJoin those the structural semi-join removed after it.
+	// Candidates counts the root candidates the scan matches, or the
+	// postings an index operator merges; RejectedByPath the postings path
+	// routing rejected before any I/O, and RejectedByJoin those the
+	// structural semi-join removed after it.
 	Candidates     int    `json:"candidates,omitempty"`
 	RejectedByPath int    `json:"rejected_by_path,omitempty"`
 	RejectedByJoin int    `json:"rejected_by_join,omitempty"`
 	CandidateSrc   string `json:"candidate_source,omitempty"`
+	// ByClass, ByDirectory and OnBlock split an index operator's postings by
+	// where their access decision comes from when one is asked for: the
+	// uniform verdict of their path class, the view's deny bitmap over their
+	// block, or the code in force read from the block.
+	ByClass     int `json:"decided_by_class,omitempty"`
+	ByDirectory int `json:"decided_by_directory,omitempty"`
+	OnBlock     int `json:"decided_on_block,omitempty"`
 	// Limit is the answer bound for the limit operator.
 	Limit int `json:"limit,omitempty"`
 	// Inputs are the op labels feeding this operator (render tree edges).
@@ -222,19 +234,25 @@ func (c *compiled) plan() *Plan {
 	}
 	for _, p := range t.nodes {
 		pn := &plan.Nodes[p.id]
-		if c.structSkip {
-			pn.StructDeadPages = popcountSet(c.dead[p.id])
-		}
 		if c.pathOn {
 			pn.ClassesDown = popcountSet(c.down[p.id])
 			pn.ClassesMatched = popcountSet(c.matched[p.id])
 		}
 		pn.ValueIndex = c.values[p.id] != nil
+		if c.index != nil {
+			continue // no child scan: nothing skips pages or checks
+		}
+		if c.structSkip {
+			pn.StructDeadPages = popcountSet(c.dead[p.id])
+		}
 		pn.FusedDeadPages = popcountSet(c.mask.nodeBits(p))
 		if c.route != nil {
 			pn.PreAllowChildren = c.route.preAllow[p.id]
 			pn.PreAllowRoot = c.route.preAllowRoot[p.id]
 		}
+	}
+	if c.index != nil {
+		return c.indexPlan(plan)
 	}
 
 	// Operator pipeline, bottom-up as Open assembles it.
@@ -294,6 +312,38 @@ func (c *compiled) plan() *Plan {
 	if opts.Limit > 0 {
 		plan.Operators = append(plan.Operators, PlanOp{
 			Op: opLimit, Kind: "limit", Subtree: -1, Limit: opts.Limit, Inputs: []string{opDedup},
+		})
+	}
+	return plan
+}
+
+// indexPlan completes plan with an anchored index plan's operators: the
+// index, then the limit.
+func (c *compiled) indexPlan(plan *Plan) *Plan {
+	op := PlanOp{
+		Op:           opIndex,
+		Kind:         "index",
+		Root:         stepString(c.t.Root),
+		Algorithm:    "class-merge",
+		Candidates:   len(c.index.sweep),
+		CandidateSrc: "path-class",
+	}
+	if c.opts.View != nil {
+		for i := range c.index.sweep {
+			switch c.decisionSource(&c.index.sweep[i]) {
+			case decideByClass:
+				op.ByClass++
+			case decideByDirectory:
+				op.ByDirectory++
+			default:
+				op.OnBlock++
+			}
+		}
+	}
+	plan.Operators = append(plan.Operators, op)
+	if c.opts.Limit > 0 {
+		plan.Operators = append(plan.Operators, PlanOp{
+			Op: opLimit, Kind: "limit", Subtree: -1, Limit: c.opts.Limit, Inputs: []string{opIndex},
 		})
 	}
 	return plan
@@ -387,6 +437,11 @@ func (p *Plan) WriteText(w io.Writer) error {
 			}
 			if op.RejectedByJoin > 0 {
 				pr(" (rejected-by-join=%d)", op.RejectedByJoin)
+			}
+		case "index":
+			pr(" %s %s postings=%d via %s", op.Root, op.Algorithm, op.Candidates, op.CandidateSrc)
+			if op.ByClass+op.ByDirectory+op.OnBlock > 0 {
+				pr(" (decided: class=%d directory=%d block=%d)", op.ByClass, op.ByDirectory, op.OnBlock)
 			}
 		case "sort":
 			pr(" by %s", op.Root)

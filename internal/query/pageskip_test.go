@@ -312,3 +312,76 @@ func equalIDs(a, b []xmltree.NodeID) bool {
 	}
 	return true
 }
+
+// Q1–Q3 and the unsatisfiable twig on the served index, as anchored index
+// plans, against the ε-NoK matcher on the same store, under both secure
+// semantics at 1 and 4 KiB pages: the same answers, no more pages read from
+// a cold pool, and no more pool Gets than there are blocks holding a posting
+// of a class whose access is not uniform — the only postings whose decision
+// needs their block.
+func TestIndexPlanPageCounts(t *testing.T) {
+	doc := xmark.Generate(xmark.Scaled(1, 12000))
+	visible := synthacl.Synthetic(doc, synthacl.SynthConfig{
+		Seed: 24, PropagationRatio: 0.3, AccessibilityRatio: 0.7, ForceRootAccessible: true,
+	})
+	m := acl.NewMatrix(doc.Len(), 1)
+	for n := 0; n < doc.Len(); n++ {
+		m.Set(xmltree.NodeID(n), 0, visible.Test(n))
+	}
+	queries := append(table1[:3:3], struct{ name, xpath string }{"Qunsat", "/site/people/person/parlist"})
+	blockReads := 0
+	for _, pageSize := range []int{1024, 4096} {
+		e := newEnv(t, doc, m, pageSize)
+		served := NewEvaluatorAt(e.servedSnapshot(t))
+		view := e.ss.ViewSubject(0)
+		for _, q := range queries {
+			for _, sem := range []Semantics{SemanticsBindings, SemanticsPrunedSubtree} {
+				name := fmt.Sprintf("%s/semantics %d/%d B pages", q.name, sem, pageSize)
+				pt := MustParse(q.xpath)
+				opts := Options{View: view, Semantics: sem}
+				want, matcherPages := e.coldPages(t, pt, opts)
+				c, err := served.compile(pt, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if c.index == nil && !c.empty() {
+					t.Fatalf("%s: no index plan on the served index", name)
+				}
+				mixed := map[int]bool{}
+				if c.index != nil {
+					for _, sp := range c.index.sweep {
+						if c.route.verdict(sp.class) == vMixed {
+							mixed[e.ss.Store().PageIndexOf(sp.Node)] = true
+						}
+					}
+				}
+				if err := e.pool.DropAll(); err != nil {
+					t.Fatal(err)
+				}
+				e.pool.ResetStats()
+				got, err := served.Evaluate(pt, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				st := e.pool.Stats()
+				if !equalIDs(got.Nodes, want.Nodes) || got.Matches != want.Matches {
+					t.Fatalf("%s: %d answers (%d matches), the matcher's %d (%d)", name, len(got.Nodes), got.Matches, len(want.Nodes), want.Matches)
+				}
+				if st.Misses > matcherPages {
+					t.Errorf("%s: the index plan read %d pages, the matcher %d", name, st.Misses, matcherPages)
+				}
+				if st.Gets > int64(len(mixed)) {
+					t.Errorf("%s: %d pool Gets, %d blocks hold a posting of a mixed class", name, st.Gets, len(mixed))
+				}
+				if e.pool.Pinned() != 0 {
+					t.Errorf("%s: %d frames pinned", name, e.pool.Pinned())
+				}
+				blockReads += int(st.Gets)
+				t.Logf("%s: %d answers, %d pages (matcher %d), %d Gets, %d mixed blocks", name, len(got.Nodes), st.Misses, matcherPages, st.Gets, len(mixed))
+			}
+		}
+	}
+	if blockReads == 0 {
+		t.Error("no index plan decided a posting on its block")
+	}
+}

@@ -49,8 +49,13 @@ type compiledShape struct {
 	matched [][]uint64
 
 	// scans holds one entry per NoK subtree; nil when the embedding proved
-	// the query empty, which happens before any index lookup.
+	// the query empty, which happens before any index lookup, and under an
+	// anchored index plan.
 	scans []shapeScan
+	// index is the anchored index plan that replaces the scans of a pattern
+	// of child steps from the document root, when the evaluator's tag index
+	// groups its postings by the summary's path classes; nil otherwise.
+	index *indexShape
 	// values[p.id] lists, in document order, the nodes the value index holds
 	// under p's (tag, value): the value index covers every stored value, so
 	// a node passes p's value test exactly when it is listed. Nil for a node
@@ -262,6 +267,38 @@ type pathRoute struct {
 	// preResolved counts the distinct path classes whose verdict was
 	// pre-resolved from a uniform code.
 	preResolved int64
+
+	view *dol.SubjectView
+	sum  *pathsum.Summary
+	// state holds each class's verdict once resolved, 0 before.
+	state []uint8
+}
+
+// Class verdicts.
+const (
+	vAllow = 1 + iota
+	vDeny
+	vMixed
+)
+
+// verdict resolves class id's access verdict for the route's view, once:
+// vAllow or vDeny when every occurrence of the class carries one code,
+// vMixed when only each node's own code can say.
+func (r *pathRoute) verdict(id int32) uint8 {
+	if s := r.state[id]; s != 0 {
+		return s
+	}
+	v := uint8(vMixed)
+	if n := r.sum.NodeAt(id); n.Mode == pathsum.CodeUniform {
+		r.preResolved++
+		if r.view.CodeAllowed(n.Code) {
+			v = vAllow
+		} else {
+			v = vDeny
+		}
+	}
+	r.state[id] = v
+	return v
 }
 
 // resolvePathAccess stamps the view's allow/deny verdicts onto the
@@ -273,36 +310,18 @@ func resolvePathAccess(st *nok.Store, sh *compiledShape, view *dol.SubjectView) 
 	}
 	t, subs := sh.t, sh.subs
 	sum := st.Paths()
+	pre := make([]bool, 2*t.Len())
 	r := &pathRoute{
-		preAllow:     make([]bool, t.Len()),
-		preAllowRoot: make([]bool, t.Len()),
-	}
-	const (
-		vAllow = 1
-		vDeny  = 2
-		vMixed = 3
-	)
-	state := make([]uint8, sum.NumNodes())
-	verdict := func(id int32) uint8 {
-		if s := state[id]; s != 0 {
-			return s
-		}
-		v := uint8(vMixed)
-		if n := sum.NodeAt(id); n.Mode == pathsum.CodeUniform {
-			r.preResolved++
-			if view.CodeAllowed(n.Code) {
-				v = vAllow
-			} else {
-				v = vDeny
-			}
-		}
-		state[id] = v
-		return v
+		preAllow:     pre[:t.Len()],
+		preAllowRoot: pre[t.Len():],
+		view:         view,
+		sum:          sum,
+		state:        make([]uint8, sum.NumNodes()),
 	}
 	all := func(set []uint64, want uint8) bool {
 		ok := true
 		forEachSet(set, func(id int32) {
-			if verdict(id) != want {
+			if r.verdict(id) != want {
 				ok = false
 			}
 		})
@@ -316,6 +335,9 @@ func resolvePathAccess(st *nok.Store, sh *compiledShape, view *dol.SubjectView) 
 			r.emptyAccess = true
 			return r
 		}
+	}
+	if sh.index != nil {
+		return r // no scan to spare a check
 	}
 	for _, p := range t.nodes {
 		kids := nokChildren(p)

@@ -111,12 +111,19 @@ func (t *PatternTree) ReturningNode() *PatternNode {
 // String renders the pattern as an XPath-like expression.
 func (t *PatternTree) String() string {
 	var sb strings.Builder
+	t.writeTo(&sb)
+	return sb.String()
+}
+
+// writeTo appends String's render to sb.
+func (t *PatternTree) writeTo(sb *strings.Builder) {
+	sb.Grow(16 * len(t.nodes))
 	var walk func(p *PatternNode, top bool)
 	walk = func(p *PatternNode, top bool) {
 		sb.WriteString(p.Axis.String())
 		sb.WriteString(p.Tag)
 		if p.Value != "" {
-			fmt.Fprintf(&sb, "[.=%q]", p.Value)
+			fmt.Fprintf(sb, "[.=%q]", p.Value)
 		}
 		// Render all but the last child as predicates, the last child as
 		// path continuation — a readable approximation.
@@ -131,7 +138,6 @@ func (t *PatternTree) String() string {
 		}
 	}
 	walk(t.Root, true)
-	return sb.String()
 }
 
 // NoKSubtree is one unit of the pattern decomposition: a maximal pattern

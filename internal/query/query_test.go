@@ -637,13 +637,15 @@ func (e *env) snapshot(t testing.TB) Snapshot {
 // BenchmarkEvaluateTwig evaluates each Table 1 twig and the harness's other
 // two shapes on the benchmark's document, sequentially, as one subject,
 // through an evaluator built as the facade builds it: a snapshot with a
-// value index and a plan memo, which the first evaluation fills. The cold
+// value index and a plan memo, which the first evaluation fills. The
+// matcher arm's tag index is a *btree.Tree, so every shape runs on the ε-NoK
+// matcher; the served arm's is the flat runs grouped by path class a served
+// snapshot keeps, so Q1–Q3 and Qval run as anchored index plans. The cold
 // runs start every evaluation on an empty memo, so their distance to the
 // warm ones is what a memo miss costs. Run with -benchmem for the
 // allocations per query.
 func BenchmarkEvaluateTwig(b *testing.B) {
 	e := xmarkEnv(b)
-	sn := e.snapshot(b)
 	opts := Options{View: e.ss.ViewSubject(0)}
 	// The harness's other two shapes: Q5 under a Limit, and a value
 	// predicate that one person satisfies.
@@ -661,7 +663,7 @@ func BenchmarkEvaluateTwig(b *testing.B) {
 	for _, q := range table1 {
 		twigs = append(twigs, twig{q.name, q.xpath, 0})
 	}
-	run := func(b *testing.B, cold bool) {
+	run := func(b *testing.B, sn Snapshot, cold bool) {
 		for _, q := range twigs {
 			pt := MustParse(q.xpath)
 			opts := opts
@@ -680,8 +682,15 @@ func BenchmarkEvaluateTwig(b *testing.B) {
 			})
 		}
 	}
-	run(b, false)
-	b.Run("cold", func(b *testing.B) { run(b, true) })
+	for _, arm := range []struct {
+		name string
+		sn   Snapshot
+	}{{"matcher", e.snapshot(b)}, {"served", e.servedSnapshot(b)}} {
+		b.Run(arm.name, func(b *testing.B) {
+			run(b, arm.sn, false)
+			b.Run("cold", func(b *testing.B) { run(b, arm.sn, true) })
+		})
+	}
 }
 
 // Property: MatchDocument agrees with the brute-force oracle (non-secure).

@@ -325,10 +325,13 @@ func xmarkEnv(t testing.TB) *env {
 // request's half of the plan, cursors, coroutines, tuple batches, a chunk per
 // 64 rows handed over or joined, the answer slice) with about half again as
 // headroom. No bound pays for a copy of a posting list, and Q5 under a Limit,
-// whose rows go over one at a time, carves them from shared chunks.
+// whose rows go over one at a time, carves them from shared chunks. Q1–Q3
+// and Qval run on the served index, as anchored index plans: the request's
+// half of the plan, the cursor, one decision slice, one tuple chunk and the
+// answer slice.
 func TestMatchCandidateAllocs(t *testing.T) {
 	e := xmarkEnv(t)
-	ev := NewEvaluatorAt(e.snapshot(t))
+	matcher, served := NewEvaluatorAt(e.snapshot(t)), NewEvaluatorAt(e.servedSnapshot(t))
 	ctx := context.Background()
 	opts := Options{View: e.ss.ViewSubject(0)}
 	email := e.doc.Value(e.doc.NodesWithTag("emailaddress")[0])
@@ -336,21 +339,30 @@ func TestMatchCandidateAllocs(t *testing.T) {
 		name, xpath string
 		limit       int
 		bound       float64
+		ev          *Evaluator
 	}
 	twigs := []twig{
-		{"Q5lim", "//listitem//keyword", 10, 180},
-		{"Qval", fmt.Sprintf("/site/people/person[emailaddress='%s']/name", email), 0, 170},
+		{"Q5lim", "//listitem//keyword", 10, 180, matcher},
+		{"Qval", fmt.Sprintf("/site/people/person[emailaddress='%s']/name", email), 0, 25, served},
 	}
-	for i, bound := range []float64{220, 220, 210, 230, 250, 190} {
-		twigs = append(twigs, twig{table1[i].name, table1[i].xpath, 0, bound})
+	for i, bound := range []float64{25, 25, 25, 230, 250, 190} {
+		ev := matcher
+		if i < 3 {
+			ev = served
+		}
+		twigs = append(twigs, twig{table1[i].name, table1[i].xpath, 0, bound, ev})
 	}
 	for _, q := range twigs {
 		pt := MustParse(q.xpath)
 		opts := opts
 		opts.Limit = q.limit
+		ev := q.ev
 		c, err := ev.compile(pt, opts)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if (c.index != nil) != (ev == served) {
+			t.Fatalf("%s: index plan %v on the served index %v", q.name, c.index != nil, ev == served)
 		}
 		m := ev.newMatcher(c)
 		for i, sp := range c.scans {

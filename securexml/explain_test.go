@@ -207,7 +207,7 @@ func TestFlightRecorderAlwaysOn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := s.QueryCtx(ctx, "u", "read", table1[3].expr, QueryOptions{Pruned: true}); err != nil {
+	if _, err := s.QueryCtx(ctx, "u", "read", "//item[location]", QueryOptions{Pruned: true}); err != nil {
 		t.Fatal(err)
 	}
 	// Errors are recorded too (the parse failed, so the fingerprint is
@@ -244,20 +244,29 @@ func TestFlightRecorderAlwaysOn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
+	// Q1 is answered from the class postings, which may read no page; the
+	// scan of //item reads its candidates' blocks.
+	fpItem, err := QueryFingerprint("//item[location]", QueryOptions{Pruned: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := 0
 	for _, fp := range snap.Fingerprints {
-		if fp.Fingerprint == fpQ1 {
-			found = true
+		switch fp.Fingerprint {
+		case fpQ1:
+			found++
 			if fp.Count != 3 {
 				t.Errorf("fingerprint %q count = %d, want 3", fpQ1, fp.Count)
 			}
+		case fpItem:
+			found++
 			if fp.Pages == 0 {
-				t.Errorf("fingerprint %q recorded no pages (counting trace not attached?)", fpQ1)
+				t.Errorf("fingerprint %q recorded no pages (counting trace not attached?)", fpItem)
 			}
 		}
 	}
-	if !found {
-		t.Fatalf("fingerprint %q not aggregated: %s", fpQ1, buf.String())
+	if found != 2 {
+		t.Fatalf("fingerprints %q and %q not aggregated: %s", fpQ1, fpItem, buf.String())
 	}
 
 	// The same snapshot over HTTP, JSON and text.

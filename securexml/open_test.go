@@ -279,6 +279,14 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			ps["p"], _ = json.Marshal(parents)
 			nk["path_summary"], _ = json.Marshal(ps)
 		}), "path summary"},
+		{"value on a page past the end of the page file", sidecar(func(_, nk map[string]json.RawMessage) {
+			var refs nok.ValueRefs
+			if err := json.Unmarshal(nk["value_refs"], &refs); err != nil || len(refs) == 0 {
+				t.Fatalf("%d value refs, %v", len(refs), err)
+			}
+			refs[len(refs)-1].Page = storage.PageID(len(fx.snap[pageFile])/pageSize + 3)
+			nk["value_refs"], _ = json.Marshal(refs)
+		}), "securexml: corrupt metadata"},
 		{"node count beyond the blocks", sidecar(func(_, nk map[string]json.RawMessage) {
 			nk["num_nodes"] = json.RawMessage("1000000000000")
 		}), "nok: blocks cover"},

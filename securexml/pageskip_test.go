@@ -89,8 +89,10 @@ func TestCursorSkipStatsAndDisable(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 
+	// //lib, not /lib: an anchored child path is answered from the class
+	// postings and scans no children; this one scans lib's.
 	drain := func(opts QueryOptions) ([]Match, SkipStats) {
-		cur, err := s.QueryCursor(ctx, "reader", "read", "/lib/book[title]", opts)
+		cur, err := s.QueryCursor(ctx, "reader", "read", "//lib/book[title]", opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +127,7 @@ func TestCursorSkipStatsAndDisable(t *testing.T) {
 	if skOff.StructPages != 0 {
 		t.Fatalf("disabled run recorded %d structural skips", skOff.StructPages)
 	}
-	// The /lib/book child scan crosses the <pad/> run: those pages hold no
+	// The lib/book child scan crosses the <pad/> run: those pages hold no
 	// book class, so the path summary must prove them skippable.
 	if skOn.StructPages == 0 {
 		t.Fatal("struct skip enabled but no structural skips recorded")

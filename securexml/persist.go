@@ -302,9 +302,6 @@ func readMeta(dir string) (persistedStore, int, error) {
 	if ps.Format != 1 && ps.Format != sidecarFormat {
 		return ps, 0, fmt.Errorf("securexml: unsupported format %d", ps.Format)
 	}
-	if err := ps.Nok.CheckValueRefs(ps.PageSize); err != nil {
-		return ps, 0, fmt.Errorf("securexml: corrupt metadata: %w", err)
-	}
 	return ps, len(b), nil
 }
 
@@ -374,6 +371,11 @@ func Open(dir string, opts StoreOptions) (_ *Store, err error) {
 			pager.Close()
 		}
 	}()
+	// The refs are held against the recovered page file: a value on a page
+	// past its end would fail the first query that reads it.
+	if err := ps.Nok.CheckValueRefs(ps.PageSize, pager.NumPages()); err != nil {
+		return nil, fmt.Errorf("securexml: corrupt metadata: %w", err)
+	}
 	// One scan of the blocks checks the store (everything CheckConsistency
 	// checks), rebuilds the path summary and yields the tag index's entries.
 	x := &extents{numNodes: ps.Nok.NumNodes}

@@ -35,12 +35,14 @@ type snapshot struct {
 // indexState holds the tag and value indexes derived from one snapshot's
 // structure: flat in-memory runs (btree.Runs), not B+-trees — an index that
 // is replaced on every structural commit and never edited needs no pages.
-// It is built off every lock, at Open from the scan that opens the store,
-// otherwise on the first query that needs it — concurrent first queries
-// share one build through the Once — and is reused across snapshots whose
-// structure is unchanged (ACL-only updates never move an extent or a value,
-// so the postings stay valid; pages are resolved through each snapshot's own
-// directory at evaluation time). The value runs are built per tag, by the
+// The tag runs are grouped a second time by path class, numbered as the
+// snapshot's path summary numbers them. It is built off every lock, at Open
+// from the scan that opens the store, otherwise on the first query that needs
+// it — concurrent first queries share one build through the Once — and is
+// reused across snapshots whose structure and class numbering are unchanged
+// (ACL-only updates never move an extent or a value, so the postings stay
+// valid; pages are resolved through each snapshot's own directory at
+// evaluation time; see sharesIndex). The value runs are built per tag, by the
 // first value test on that tag.
 type indexState struct {
 	once   sync.Once
@@ -60,51 +62,72 @@ func newIndexState(masks *query.MaskCache) *indexState {
 	return &indexState{masks: masks}
 }
 
+// sharesIndex reports whether a snapshot over next may keep the index state
+// of one over prev: only when the commit between them left the structure
+// alone and the path classes numbered as they were. An ACL-only rewrite
+// whose summary replay fails rebuilds the summary, which numbers the classes
+// afresh.
+func sharesIndex(prev, next *nok.Store, structural bool) bool {
+	if structural {
+		return false
+	}
+	a, b := prev.Paths(), next.Paths()
+	return a.Numbering() == b.Numbering() && a.NumNodes() == b.NumNodes()
+}
+
 // extents gathers what an extent pass reports — each node when its subtree
-// closes — by node ID: the tag index's entries in node order.
+// closes — by node ID: the tag index's entries and the nodes' path classes,
+// in node order.
 type extents struct {
 	numNodes int
-	entries  []btree.Entry // allocated at the first report
+	entries  []btree.Entry // allocated at the first report, with classes
+	classes  []int32
 	err      error
 }
 
-func (x *extents) add(n, end xmltree.NodeID, level int, tag int32) {
+func (x *extents) add(n, end xmltree.NodeID, level int, tag, class int32) {
 	if x.entries == nil {
-		x.entries = make([]btree.Entry, x.numNodes)
+		x.entries, x.classes = make([]btree.Entry, x.numNodes), make([]int32, x.numNodes)
 	}
 	if n < 0 || int(n) >= len(x.entries) {
 		x.err = fmt.Errorf("securexml: extent pass reported node %d of %d", n, len(x.entries))
 		return
 	}
 	x.entries[n] = btree.Entry{Tag: tag, Posting: btree.Posting{Node: n, End: end, Level: uint16(level)}}
+	x.classes[n] = class
 }
 
 // ensure builds the indexes on first use and returns the build outcome
 // (memoized; a failed build fails every query of this snapshot chain until
 // a structural update publishes a fresh indexState). x is a finished extent
-// pass over st, or nil to have one made.
+// pass over st, classes numbered as st's path summary numbers them, or nil
+// to have one made.
 func (ix *indexState) ensure(st *nok.Store, x *extents) error {
 	ix.once.Do(func() { ix.err = ix.build(st, x) })
 	return ix.err
 }
 
-// build groups an extent pass's entries into the tag runs: the pass reads
-// each structure block once and nothing else. A tag's value run reads the
-// value pages of that tag's nodes once, when first asked for, under no
-// query's context — a cancelled first asker must not fail the tag for
-// everyone after.
+// build groups an extent pass's entries into the tag and class runs: the
+// pass reads each structure block once and nothing else. A tag's value run
+// reads the value pages of that tag's nodes once, when first asked for,
+// under no query's context — a cancelled first asker must not fail the tag
+// for everyone after.
 func (ix *indexState) build(st *nok.Store, x *extents) error {
 	if x == nil {
 		x = &extents{numNodes: st.NumNodes()}
-		if err := st.ForEachExtent(x.add); err != nil {
+		if err := st.ForEachClassExtent(x.add); err != nil {
 			return err
 		}
 	}
 	if x.err != nil {
 		return x.err
 	}
+	sum := st.Paths()
 	var err error
-	if ix.index, err = btree.NewRuns(x.entries, st.NumTags()); err != nil {
+	ix.index, err = btree.NewClassRuns(x.entries, st.NumTags(), btree.Classes{
+		Of: x.classes, Count: sum.NumNodes(), Numbering: sum.Numbering(),
+	})
+	if err != nil {
 		return err
 	}
 	if vs := st.Values(); vs != nil {
@@ -215,10 +238,10 @@ func (s *Store) publish(structural bool) {
 		dir: s.dir,
 	}
 	s.dirShared = true
-	if structural || prev == nil {
-		sn.idx = newIndexState(query.NewMaskCache(s.maskHits, s.maskMisses))
-	} else {
+	if prev != nil && sharesIndex(prev.st, frozen, structural) {
 		sn.idx = prev.idx
+	} else {
+		sn.idx = newIndexState(query.NewMaskCache(s.maskHits, s.maskMisses))
 	}
 	s.cur.Store(sn)
 	if prev != nil {

@@ -512,7 +512,7 @@ func (s *Store) run(ctx context.Context, user, mode, xpath string, opts QueryOpt
 	if err == nil && opts.Analyze != nil {
 		// Fold the forced trace into per-operator attribution against the
 		// plan the evaluation ran.
-		opts.Analyze.an = query.AnalyzeTrace(res.Plan, tr.Events(), tr.Dropped())
+		opts.Analyze.an = query.AnalyzeTrace(res.Plan(), tr.Events(), tr.Dropped())
 	}
 	return ms, err
 }
