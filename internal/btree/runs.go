@@ -107,6 +107,14 @@ func (r *Runs) ClassPostings(class int32) []Posting {
 	return r.classes.run(class)
 }
 
+// ClassOf returns node n's path class, -1 without a class grouping.
+func (r *Runs) ClassOf(n xmltree.NodeID) int32 {
+	if r.classOf == nil {
+		return -1
+	}
+	return r.classOf[n]
+}
+
 func (r *Runs) groupClasses() {
 	g := grouping{postings: make([]Posting, len(r.tags.postings)), start: make([]int32, r.numClasses+1)}
 	for _, p := range r.tags.postings {

@@ -277,16 +277,6 @@ const (
 // the v1 framing keeps small stores byte-identical on disk.
 const sparseRowMinSubjects = 256
 
-// CodebookFormatVersion reports the framing of a marshaled codebook: 1 for
-// the dense layout, 2 for the tagged sparse-row layout. Benchmarks and
-// tests use it to assert which encoding a population actually produced.
-func CodebookFormatVersion(data []byte) int {
-	if v, n := binary.Uvarint(data); n > 0 && v == codebookV2Magic {
-		return 2
-	}
-	return 1
-}
-
 // MarshalBinary serializes the codebook. Rows whose run-length encoding is
 // smaller than their dense word encoding are written sparsely, and the
 // whole blob switches to the version-2 framing as soon as one row does —

@@ -86,6 +86,15 @@ func (c *Cursor) Info(ctx context.Context, n xmltree.NodeID) (NodeInfo, error) {
 	return NodeInfo{ID: n, Entry: sl.entry(), Level: int(sl.level), Code: sl.code}, nil
 }
 
+// Code returns the access code in force at node n: Info's Code alone.
+func (c *Cursor) Code(ctx context.Context, n xmltree.NodeID) (uint32, error) {
+	off, err := c.locate(ctx, n)
+	if err != nil {
+		return 0, err
+	}
+	return c.blk[off].code, nil
+}
+
 // FirstChild returns the first child of n, or InvalidNode if n is a leaf —
 // subroutine FIRST-CHILD of Algorithm 1.
 func (c *Cursor) FirstChild(ctx context.Context, n xmltree.NodeID) (xmltree.NodeID, error) {

@@ -71,9 +71,10 @@ func (ev *Evaluator) compile(t *PatternTree, opts Options) (*compiled, error) {
 		return nil, err
 	}
 	c.compiledShape = sh
-	c.route = resolvePathAccess(ev.store, sh, opts.View)
+	c.route = resolvePathAccess(ev.store, sh, opts.View, opts.Semantics == SemanticsPrunedSubtree)
 	if !c.empty() {
-		// An index plan scans no children: it consults the deny bitmap alone.
+		// An index plan scans no children: it consults the directory alone
+		// (the deny bitmap, the blocks' codes).
 		c.mask = fuseMask(ev.store, sh, opts.View, c.accessSkip, c.structSkip && sh.index == nil)
 	}
 	endCompile()
@@ -110,9 +111,9 @@ func shapeKey(t *PatternTree, pathOn bool) string {
 // snapshot: decomposition and layout, the path-summary embedding (pathOn),
 // the value-index postings of the value-constrained nodes, and per subtree
 // the candidate postings — routed through the embedding, then reduced by the
-// structural semi-join — or, for a pattern of child steps from the document
-// root over an index grouped by path class, the anchored index plan. It
-// reads the tag and value indexes and no store page.
+// structural semi-join — or, for a pattern an index plan covers over an
+// index grouped by path class, the index plan. It reads the tag and value
+// indexes and no store page.
 func (ev *Evaluator) buildShape(t *PatternTree, pathOn bool) (*compiledShape, error) {
 	sh := &compiledShape{t: t, query: t.String(), subs: t.Decompose()}
 	sh.tupleLayout = layoutOf(t, sh.subs)
@@ -155,7 +156,7 @@ func (ev *Evaluator) buildShape(t *PatternTree, pathOn bool) (*compiledShape, er
 	}
 	if pathOn && sh.indexable() {
 		if runs := ev.classRuns(); runs != nil {
-			sh.index = sh.buildIndexShape(runs)
+			sh.index = sh.buildIndexShape(ev.store, runs)
 			sh.size += sh.index.size()
 			return sh, nil
 		}

@@ -12,6 +12,13 @@ import (
 // implementation. It returns the distinct bindings of the returning node
 // in document order.
 func MatchDocument(doc *xmltree.Document, t *PatternTree) []xmltree.NodeID {
+	return matchDocument(doc, t, nil)
+}
+
+// matchDocument is MatchDocument with every binding also passing bindable
+// (nil admits any node): the bindings semantics' reference, under which a
+// bound node must be accessible and a descendant step crosses any node.
+func matchDocument(doc *xmltree.Document, t *PatternTree, bindable func(xmltree.NodeID) bool) []xmltree.NodeID {
 	ret := t.ReturningNode()
 
 	// containsRet marks pattern nodes whose subtree holds the returning
@@ -31,7 +38,7 @@ func MatchDocument(doc *xmltree.Document, t *PatternTree) []xmltree.NodeID {
 	mark(t.Root)
 
 	matchesTag := func(p *PatternNode, n xmltree.NodeID) bool {
-		if p.Tag != "*" && doc.Tag(n) != p.Tag {
+		if p.Tag != "*" && doc.Tag(n) != p.Tag || bindable != nil && !bindable(n) {
 			return false
 		}
 		return p.Value == "" || doc.Value(n) == p.Value

@@ -219,7 +219,7 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 		return &Answers{p: emptyCursor{}, c: c, matches: new(int)}, nil
 	}
 	if c.index != nil {
-		ic := &indexCursor{ctx: obs.WithTrace(ctx, opts.Trace.ForOp(opIndex)), c: c, st: ev.store}
+		ic := newIndexCursor(obs.WithTrace(ctx, opts.Trace.ForOp(opIndex)), c, ev.store)
 		var top Cursor = ic
 		if opts.Limit > 0 {
 			top = &limitCursor{in: ic, remaining: opts.Limit}

@@ -83,7 +83,7 @@ type Plan struct {
 	// Operators is the pipeline bottom-up: per-subtree scans, the
 	// pruned-subtree path filter, one join per cut edge (over a sort where
 	// its left input is not ordered by the link), dedup, limit — or an
-	// anchored index plan's index operator, limit.
+	// index plan's index operator, limit.
 	Operators []PlanOp `json:"operators,omitempty"`
 }
 
@@ -121,7 +121,7 @@ type PlanOp struct {
 	// Op is the attribution label stamped on the operator's trace events.
 	Op string `json:"op"`
 	// Kind is "scan", "filter", "sort", "join", "dedup", "limit", or
-	// "index" (an anchored index plan).
+	// "index" (an index plan).
 	Kind string `json:"kind"`
 	// Subtree is the NoK subtree index for scans, joins and sorts (else -1).
 	Subtree int `json:"subtree"`
@@ -129,7 +129,7 @@ type PlanOp struct {
 	// sort, the step of the link it orders by.
 	Root string `json:"root,omitempty"`
 	// Algorithm names the operator variant: "nok" / "eps-nok" for scans,
-	// "std" / "eps-std" for joins and the path filter, "class-merge" for an
+	// "std" / "eps-std" for joins and the path filter, "stack-merge" for an
 	// index operator.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Candidates counts the root candidates the scan matches, or the
@@ -142,11 +142,15 @@ type PlanOp struct {
 	CandidateSrc   string `json:"candidate_source,omitempty"`
 	// ByClass, ByDirectory and OnBlock split an index operator's postings by
 	// where their access decision comes from when one is asked for: the
-	// uniform verdict of their path class, the view's deny bitmap over their
-	// block, or the code in force read from the block.
+	// uniform verdict of their path class, the directory (the view's deny
+	// bitmap over their block, or a block of one code), or the code in force
+	// read from the block. Guards counts, under pruned semantics, the
+	// postings of classes with mixed access that the bindings' root paths
+	// cross unbound, each decided when a posting under it is.
 	ByClass     int `json:"decided_by_class,omitempty"`
 	ByDirectory int `json:"decided_by_directory,omitempty"`
 	OnBlock     int `json:"decided_on_block,omitempty"`
+	Guards      int `json:"guards,omitempty"`
 	// Limit is the answer bound for the limit operator.
 	Limit int `json:"limit,omitempty"`
 	// Inputs are the op labels feeding this operator (render tree edges).
@@ -317,14 +321,14 @@ func (c *compiled) plan() *Plan {
 	return plan
 }
 
-// indexPlan completes plan with an anchored index plan's operators: the
-// index, then the limit.
+// indexPlan completes plan with an index plan's operators: the index, then
+// the limit.
 func (c *compiled) indexPlan(plan *Plan) *Plan {
 	op := PlanOp{
 		Op:           opIndex,
 		Kind:         "index",
 		Root:         stepString(c.t.Root),
-		Algorithm:    "class-merge",
+		Algorithm:    "stack-merge",
 		Candidates:   len(c.index.sweep),
 		CandidateSrc: "path-class",
 	}
@@ -337,6 +341,13 @@ func (c *compiled) indexPlan(plan *Plan) *Plan {
 				op.ByDirectory++
 			default:
 				op.OnBlock++
+			}
+		}
+		if c.opts.Semantics == SemanticsPrunedSubtree {
+			for _, g := range c.index.guardPostings() {
+				if c.route.verdict(g.class) == vMixed {
+					op.Guards++
+				}
 			}
 		}
 	}
@@ -442,6 +453,9 @@ func (p *Plan) WriteText(w io.Writer) error {
 			pr(" %s %s postings=%d via %s", op.Root, op.Algorithm, op.Candidates, op.CandidateSrc)
 			if op.ByClass+op.ByDirectory+op.OnBlock > 0 {
 				pr(" (decided: class=%d directory=%d block=%d)", op.ByClass, op.ByDirectory, op.OnBlock)
+			}
+			if op.Guards > 0 {
+				pr(" guards=%d", op.Guards)
 			}
 		case "sort":
 			pr(" by %s", op.Root)

@@ -313,12 +313,13 @@ func equalIDs(a, b []xmltree.NodeID) bool {
 	return true
 }
 
-// Q1–Q3 and the unsatisfiable twig on the served index, as anchored index
-// plans, against the ε-NoK matcher on the same store, under both secure
-// semantics at 1 and 4 KiB pages: the same answers, no more pages read from
-// a cold pool, and no more pool Gets than there are blocks holding a posting
-// of a class whose access is not uniform — the only postings whose decision
-// needs their block.
+// Table 1's twigs, Q5 under a limit and the unsatisfiable twig on the served
+// index, as index plans, against the ε-NoK matcher and its joins on the same
+// store, under both secure semantics at 1 and 4 KiB pages: the same answers
+// and Matches, no more pages read from a cold pool, no more for Q5 under a
+// limit than for Q5, and no more pool Gets than there are blocks holding a
+// posting of a class whose access is not uniform — the only postings whose
+// decision needs their block — or, under pruned semantics, a guard of one.
 func TestIndexPlanPageCounts(t *testing.T) {
 	doc := xmark.Generate(xmark.Scaled(1, 12000))
 	visible := synthacl.Synthetic(doc, synthacl.SynthConfig{
@@ -328,17 +329,26 @@ func TestIndexPlanPageCounts(t *testing.T) {
 	for n := 0; n < doc.Len(); n++ {
 		m.Set(xmltree.NodeID(n), 0, visible.Test(n))
 	}
-	queries := append(table1[:3:3], struct{ name, xpath string }{"Qunsat", "/site/people/person/parlist"})
-	blockReads := 0
+	type twig struct {
+		name, xpath string
+		limit       int
+	}
+	var queries []twig
+	for _, q := range table1 {
+		queries = append(queries, twig{q.name, q.xpath, 0})
+	}
+	queries = append(queries, twig{"Q5lim", "//listitem//keyword", 10}, twig{"Qunsat", "/site/people/person/parlist", 0})
+	blockReads, guarded := 0, 0
 	for _, pageSize := range []int{1024, 4096} {
 		e := newEnv(t, doc, m, pageSize)
 		served := NewEvaluatorAt(e.servedSnapshot(t))
 		view := e.ss.ViewSubject(0)
-		for _, q := range queries {
-			for _, sem := range []Semantics{SemanticsBindings, SemanticsPrunedSubtree} {
+		for _, sem := range []Semantics{SemanticsBindings, SemanticsPrunedSubtree} {
+			q5Pages := int64(-1)
+			for _, q := range queries {
 				name := fmt.Sprintf("%s/semantics %d/%d B pages", q.name, sem, pageSize)
 				pt := MustParse(q.xpath)
-				opts := Options{View: view, Semantics: sem}
+				opts := Options{View: view, Semantics: sem, Limit: q.limit}
 				want, matcherPages := e.coldPages(t, pt, opts)
 				c, err := served.compile(pt, opts)
 				if err != nil {
@@ -349,7 +359,12 @@ func TestIndexPlanPageCounts(t *testing.T) {
 				}
 				mixed := map[int]bool{}
 				if c.index != nil {
-					for _, sp := range c.index.sweep {
+					postings := c.index.sweep
+					if sem == SemanticsPrunedSubtree {
+						postings = append(slices.Clip(postings), c.index.guardPostings()...)
+						guarded += len(c.index.guardPostings())
+					}
+					for _, sp := range postings {
 						if c.route.verdict(sp.class) == vMixed {
 							mixed[e.ss.Store().PageIndexOf(sp.Node)] = true
 						}
@@ -370,6 +385,14 @@ func TestIndexPlanPageCounts(t *testing.T) {
 				if st.Misses > matcherPages {
 					t.Errorf("%s: the index plan read %d pages, the matcher %d", name, st.Misses, matcherPages)
 				}
+				switch q.name {
+				case "Q5":
+					q5Pages = st.Misses
+				case "Q5lim":
+					if st.Misses > q5Pages {
+						t.Errorf("%s: %d pages under the limit, %d without", name, st.Misses, q5Pages)
+					}
+				}
 				if st.Gets > int64(len(mixed)) {
 					t.Errorf("%s: %d pool Gets, %d blocks hold a posting of a mixed class", name, st.Gets, len(mixed))
 				}
@@ -381,7 +404,7 @@ func TestIndexPlanPageCounts(t *testing.T) {
 			}
 		}
 	}
-	if blockReads == 0 {
-		t.Error("no index plan decided a posting on its block")
+	if blockReads == 0 || guarded == 0 {
+		t.Error("no index plan decided a posting on its block, or none had a guard")
 	}
 }

@@ -50,11 +50,12 @@ type compiledShape struct {
 
 	// scans holds one entry per NoK subtree; nil when the embedding proved
 	// the query empty, which happens before any index lookup, and under an
-	// anchored index plan.
+	// index plan.
 	scans []shapeScan
-	// index is the anchored index plan that replaces the scans of a pattern
-	// of child steps from the document root, when the evaluator's tag index
-	// groups its postings by the summary's path classes; nil otherwise.
+	// index is the index plan that replaces the scans and joins of a pattern
+	// whose descendant steps lie on the path to its returning node and whose
+	// predicates are child steps, when the evaluator's tag index groups its
+	// postings by the summary's path classes; nil otherwise.
 	index *indexShape
 	// values[p.id] lists, in document order, the nodes the value index holds
 	// under p's (tag, value): the value index covers every stored value, so
@@ -270,8 +271,9 @@ type pathRoute struct {
 
 	view *dol.SubjectView
 	sum  *pathsum.Summary
-	// state holds each class's verdict once resolved, 0 before.
-	state []uint8
+	// state holds each class's verdict once resolved, 0 before; path whether
+	// its root path crosses a uniformly denied class (pathDenied), 0 before.
+	state, path []uint8
 }
 
 // Class verdicts.
@@ -301,10 +303,28 @@ func (r *pathRoute) verdict(id int32) uint8 {
 	return v
 }
 
+// pathDenied reports whether class id's root path crosses a uniformly
+// denied class: under pruned semantics no node of the class can be bound.
+func (r *pathRoute) pathDenied(id int32) bool {
+	if r.path == nil {
+		r.path = make([]uint8, len(r.state))
+	}
+	s := &r.path[id]
+	if *s == 0 {
+		*s = vAllow
+		if up := r.sum.NodeAt(id).Parent; up >= 0 && (r.verdict(up) == vDeny || r.pathDenied(up)) {
+			*s = vDeny
+		}
+	}
+	return *s == vDeny
+}
+
 // resolvePathAccess stamps the view's allow/deny verdicts onto the
 // shape's class sets. Returns nil when the shape carries no embedding (path
-// routing is off), the embedding is empty, or no view is set.
-func resolvePathAccess(st *nok.Store, sh *compiledShape, view *dol.SubjectView) *pathRoute {
+// routing is off), the embedding is empty, or no view is set. Under pruned
+// semantics an index plan's pattern node also binds nothing of a class whose
+// root path crosses a uniformly denied class.
+func resolvePathAccess(st *nok.Store, sh *compiledShape, view *dol.SubjectView, pruned bool) *pathRoute {
 	if sh.down == nil || sh.emptyStruct || view == nil {
 		return nil
 	}
@@ -327,17 +347,32 @@ func resolvePathAccess(st *nok.Store, sh *compiledShape, view *dol.SubjectView) 
 		})
 		return ok
 	}
+	pruned = pruned && sh.index != nil
 	for _, p := range t.nodes {
 		// Every binding of p must be accessible (scans and candidate
 		// checks enforce it); all bindable classes uniformly denied means
 		// no answer can exist.
-		if all(sh.matched[p.id], vDeny) {
+		empty := true
+		forEachSet(sh.matched[p.id], func(id int32) {
+			if r.verdict(id) != vDeny && !(pruned && r.pathDenied(id)) {
+				empty = false
+			}
+		})
+		if empty {
 			r.emptyAccess = true
 			return r
 		}
 	}
 	if sh.index != nil {
-		return r // no scan to spare a check
+		// No scan to spare a check. What the plan's merge may ask is
+		// resolved here, so that the plan reads alike before and after it
+		// ran.
+		if pruned {
+			for _, id := range sh.index.guardClasses {
+				r.verdict(id)
+			}
+		}
+		return r
 	}
 	for _, p := range t.nodes {
 		kids := nokChildren(p)

@@ -635,18 +635,19 @@ func (e *env) snapshot(t testing.TB) Snapshot {
 }
 
 // BenchmarkEvaluateTwig evaluates each Table 1 twig and the harness's other
-// two shapes on the benchmark's document, sequentially, as one subject,
-// through an evaluator built as the facade builds it: a snapshot with a
-// value index and a plan memo, which the first evaluation fills. The
-// matcher arm's tag index is a *btree.Tree, so every shape runs on the ε-NoK
-// matcher; the served arm's is the flat runs grouped by path class a served
-// snapshot keeps, so Q1–Q3 and Qval run as anchored index plans. The cold
-// runs start every evaluation on an empty memo, so their distance to the
-// warm ones is what a memo miss costs. Run with -benchmem for the
-// allocations per query.
+// two shapes on the benchmark's document under the harness's ACL burst,
+// sequentially, through an evaluator built as the facade builds it: a
+// snapshot with a value index and a plan memo, which the first evaluation
+// fills. Two views: "open", a subject the burst left everything, and
+// "burst", a group that lost its share of the burst's subtrees. The matcher
+// arm's tag index is a *btree.Tree, so every shape runs on the ε-NoK matcher
+// and its joins; the served arm's is the flat runs grouped by path class a
+// served snapshot keeps, so every shape runs as an index plan. The cold runs
+// start every evaluation on an empty memo, so their distance to the warm ones
+// is what a memo miss costs. Run with -benchmem for the allocations per
+// query.
 func BenchmarkEvaluateTwig(b *testing.B) {
-	e := xmarkEnv(b)
-	opts := Options{View: e.ss.ViewSubject(0)}
+	e := burstEnv(b)
 	// The harness's other two shapes: Q5 under a Limit, and a value
 	// predicate that one person satisfies.
 	email := ""
@@ -663,10 +664,10 @@ func BenchmarkEvaluateTwig(b *testing.B) {
 	for _, q := range table1 {
 		twigs = append(twigs, twig{q.name, q.xpath, 0})
 	}
-	run := func(b *testing.B, sn Snapshot, cold bool) {
+	run := func(b *testing.B, sn Snapshot, view Options, cold bool) {
 		for _, q := range twigs {
 			pt := MustParse(q.xpath)
-			opts := opts
+			opts := view
 			opts.Limit = q.limit
 			b.Run(q.name, func(b *testing.B) {
 				b.ReportAllocs()
@@ -675,20 +676,27 @@ func BenchmarkEvaluateTwig(b *testing.B) {
 					if cold {
 						sn.Masks = NewMaskCache(nil, nil)
 					}
-					if res, err := NewEvaluatorAt(sn).Evaluate(pt, opts); err != nil || len(res.Nodes) == 0 {
-						b.Fatal(len(res.Nodes), err)
+					if _, err := NewEvaluatorAt(sn).Evaluate(pt, opts); err != nil {
+						b.Fatal(err)
 					}
 				}
 			})
 		}
 	}
-	for _, arm := range []struct {
+	for _, view := range []struct {
 		name string
-		sn   Snapshot
-	}{{"matcher", e.snapshot(b)}, {"served", e.servedSnapshot(b)}} {
-		b.Run(arm.name, func(b *testing.B) {
-			run(b, arm.sn, false)
-			b.Run("cold", func(b *testing.B) { run(b, arm.sn, true) })
+		opts Options
+	}{{"open", Options{View: e.ss.ViewSubject(burstGroups)}}, {"burst", Options{View: e.ss.ViewSubject(0)}}} {
+		b.Run(view.name, func(b *testing.B) {
+			for _, arm := range []struct {
+				name string
+				sn   Snapshot
+			}{{"matcher", e.snapshot(b)}, {"served", e.servedSnapshot(b)}} {
+				b.Run(arm.name, func(b *testing.B) {
+					run(b, arm.sn, view.opts, false)
+					b.Run("cold", func(b *testing.B) { run(b, arm.sn, view.opts, true) })
+				})
+			}
 		})
 	}
 }

@@ -97,9 +97,10 @@ func TestIndexRunsSurviveQueries(t *testing.T) {
 // rebuilds the summary, numbering its classes afresh. Here a structural
 // commit first adds a class early in document order (the maintained summary
 // appends it; a rebuild numbers it before every class of /site/categories),
-// then the fallback is forced on an ACL-only commit. Q1–Q3 on the snapshots
-// before and after must answer as the ε-NoK matcher does, the one after from
-// a fresh index state of its own, served by anchored index plans.
+// then the fallback is forced on an ACL-only commit. Q1–Q3 and a descendant
+// twig over Q3's returning class on the snapshots before and after must
+// answer as the ε-NoK matcher does, the one after from a fresh index state
+// of its own, served by index plans.
 func TestClassRunsFollowSummaryNumbering(t *testing.T) {
 	doc := xmark.Generate(xmark.Scaled(1, 6000))
 	s, err := NewBuilder().LoadXMLString(xmarkXML(doc)).
@@ -163,7 +164,7 @@ func TestClassRunsFollowSummaryNumbering(t *testing.T) {
 		t.Fatal("the snapshot after the renumbering shares the index state built for the numbering before it")
 	}
 	for _, sp := range []*Snapshot{before, after} {
-		for _, q := range recoveryQueries[:3] {
+		for _, q := range append(recoveryQueries[:3:3], "//category//bold") {
 			for _, pruned := range []bool{false, true} {
 				opts := QueryOptions{Snapshot: sp, Pruned: pruned}
 				got, err := s.QueryCtx(ctx, "u", "read", q, opts)

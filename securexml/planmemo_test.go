@@ -24,7 +24,9 @@ func TestPlanMemoFollowsItsSnapshot(t *testing.T) {
 	}
 	literal := emails[len(emails)/2].Value
 	qval := fmt.Sprintf("/site/people/person[emailaddress='%s']/name", literal)
-	const qjoin = "//person//city" // not every person has an address
+	// Not every person has an address; the descendant predicate keeps the
+	// query on scans, whose semi-join rejects the others.
+	const qjoin = "//person[//city]"
 	type counts struct{ val, join int }
 	ask := func(what string, sp *Snapshot) counts {
 		t.Helper()
@@ -117,8 +119,9 @@ func TestPlanMemoFollowsItsSnapshot(t *testing.T) {
 }
 
 // Sixteen readers share one memo entry while a writer's ACL commits replace
-// it under them: every answer is one of the two committed states'. Run with
-// -race.
+// it under them: every answer is one of the two committed states'. Half the
+// readers ask under pruned semantics, whose first query on a memo entry
+// builds its guards. Run with -race.
 func TestPlanMemoSharedUnderCommits(t *testing.T) {
 	const q = "//listitem//keyword"
 	s := snapStore(t, snapFixtureXML(t, 1600), StoreOptions{PageSize: 512, PoolPages: 256})
@@ -128,6 +131,10 @@ func TestPlanMemoSharedUnderCommits(t *testing.T) {
 	full, err := s.Query("u", "read", q)
 	if err != nil || len(full) < 2 {
 		t.Fatalf("%d answers, err %v", len(full), err)
+	}
+	pruned, err := s.QueryCtx(ctx, "u", "read", q, QueryOptions{Pruned: true})
+	if err != nil {
+		t.Fatal(err)
 	}
 	toggle := full[len(full)/2].Node
 
@@ -154,14 +161,18 @@ func TestPlanMemoSharedUnderCommits(t *testing.T) {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
+			opts, want := QueryOptions{Pruned: g%2 == 1}, len(full)
+			if opts.Pruned {
+				want = len(pruned)
+			}
 			for r := 0; r < 25; r++ {
-				ms, err := s.QueryCtx(ctx, "u", "read", q, QueryOptions{})
+				ms, err := s.QueryCtx(ctx, "u", "read", q, opts)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				if n := len(ms); n != len(full) && n != len(full)-1 {
-					t.Errorf("%d answers; the committed states have %d and %d", n, len(full), len(full)-1)
+				if n := len(ms); n != want && n != want-1 {
+					t.Errorf("%d answers (pruned %v); the committed states have %d and %d", n, opts.Pruned, want, want-1)
 					return
 				}
 			}
