@@ -6,7 +6,7 @@
 //	dolcli query -store DIR -user NAME -mode read -xpath '//item[name]'
 //	dolcli query -store DIR -admin -xpath '//item'
 //	dolcli query -store DIR -user NAME -xpath '//item' -limit 10 -timeout 5s
-//	dolcli query -store DIR -user NAME -xpath '//item' -stats [-no-summaries]
+//	dolcli query -store DIR -user NAME -xpath '//item' -stats [-no-pathsummary]
 //	dolcli query -store DIR -user NAME -xpath '//item' -analyze
 //	dolcli explain -store DIR -user NAME -xpath '//item' [-analyze] [-json]
 //	dolcli grant  -store DIR -subject NAME -mode read -xpath '//x' [-node-only] [-durability grouped]
@@ -212,8 +212,7 @@ func (q *queryFlags) register(fs *flag.FlagSet) {
 	fs.BoolVar(&q.opts.Unrestricted, "admin", false, "bypass access control")
 	fs.BoolVar(&q.opts.Pruned, "pruned", false, "use the pruned-subtree (Gabillon-Bruno) semantics")
 	fs.IntVar(&q.opts.Limit, "limit", 0, "stop after this many answers (0 = all)")
-	fs.BoolVar(&q.opts.DisableSummarySkip, "no-summaries", false, "skip pages on access grounds only (drop the path summary's dead pages from scan masks)")
-	fs.BoolVar(&q.opts.DisablePathSummary, "no-pathsummary", false, "disable path-summary routing (empty-query detection, path-class candidate filtering, pre-resolved access, structural page skipping)")
+	fs.BoolVar(&q.opts.DisablePathSummary, "no-pathsummary", false, "run the paper's engine alone: no empty-query proof from the path summary, no index plan")
 	fs.BoolVar(&q.analyze, "analyze", false, "execute the query once, traced, and report per-operator attribution (pages, skips, probes, time)")
 }
 
@@ -278,11 +277,9 @@ func runQuery(args []string) error {
 			decRatio = float64(decHits) / float64(decHits+decMisses)
 		}
 		fmt.Fprintf(os.Stderr, "pages read:       %d (pool hit ratio %.2f)\n", d("pool_misses"), ratio)
-		fmt.Fprintf(os.Stderr, "pages skipped:    %d structure, %d access\n",
-			d("query_pages_skipped_struct"), d("query_pages_skipped_access"))
-		fmt.Fprintf(os.Stderr, "candidates cut:   %d (%d by path class, %d by semi-join)\n",
-			d("query_candidates_rejected"), d("query_candidates_rejected_path"), d("query_candidates_rejected_join"))
-		fmt.Fprintf(os.Stderr, "path routing:     %d empty short-circuits, %d classes pre-resolved\n",
+		fmt.Fprintf(os.Stderr, "pages skipped:    %d access\n", d("query_pages_skipped_access"))
+		fmt.Fprintf(os.Stderr, "candidates cut:   %d\n", d("query_candidates_rejected"))
+		fmt.Fprintf(os.Stderr, "path summary:     %d empty short-circuits, %d classes pre-resolved\n",
 			d("query_path_empty_total"), d("query_path_classes_preresolved"))
 		fmt.Fprintf(os.Stderr, "decode cache:     %d hits, %d misses (ratio %.2f)\n", decHits, decMisses, decRatio)
 	}

@@ -162,7 +162,7 @@ func TestServeSingleStoreIsOneTenantRoot(t *testing.T) {
 	}{
 		{"/query?user=alice&xpath=//public", http.StatusOK, true, "hello"},
 		{"/query?user=alice&xpath=//secret", http.StatusOK, true, ""},
-		{"/explain?user=alice&xpath=//public", http.StatusOK, true, "operators"},
+		{"/explain?user=alice&xpath=//public", http.StatusOK, true, `"op": "index"`},
 		{"/explain?user=alice&xpath=//public&format=text", http.StatusOK, true, "pattern:"},
 		{"/query?user=alice&xpath=//public&limit=-1", http.StatusBadRequest, true, "limit"},
 		{"/explain?user=alice&xpath=//public&limit=-1", http.StatusBadRequest, true, "limit"},
@@ -171,7 +171,7 @@ func TestServeSingleStoreIsOneTenantRoot(t *testing.T) {
 		{"/metrics?", http.StatusOK, false, "dolxml_tenant_store_query_total 3"},
 		{"/metrics?", http.StatusOK, false, "dolxml_registry_open_ns_count 1"},
 		{"/metrics?", http.StatusOK, false, "dolxml_tenant_store_sidecar_bytes "},
-		{"/metrics?", http.StatusOK, false, "dolxml_tenant_store_query_candidates_rejected_join "},
+		{"/metrics?", http.StatusOK, false, "dolxml_tenant_store_query_path_classes_preresolved "},
 		{"/metrics?", http.StatusOK, false, "dolxml_tenant_store_plan_memo_bytes "},
 	}
 	bodies := map[string][]string{}

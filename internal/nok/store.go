@@ -382,8 +382,8 @@ func (s *Store) PathSummaryBytes() int {
 }
 
 // SummaryBytes estimates the in-memory size of the per-block class
-// bitsets — the part of the path summary that drives page skipping (the
-// rest is the class tree); same per-block accounting as pathsum.Bytes.
+// bitsets — the part of the path summary beside the class tree; same
+// per-block accounting as pathsum.Bytes.
 func (s *Store) SummaryBytes() int {
 	if s.paths == nil {
 		return 0

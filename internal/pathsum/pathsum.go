@@ -6,9 +6,8 @@
 //
 // The summary is tiny (one node per distinct label path — hundreds for
 // XMark regardless of document size) but global: a query compiler can
-// prove a twig unsatisfiable, route candidate scans to exactly the blocks
-// holding a path class, and pre-resolve an access decision for every
-// occurrence of a class whose codes are uniform — all before touching
+// prove a twig unsatisfiable and pre-resolve an access decision for every
+// occurrence of a class whose codes are uniform — both before touching
 // storage.
 //
 // Summaries are immutable once installed: region rewrites go through
@@ -131,26 +130,6 @@ func (s *Summary) ChildrenOf(p int32) []int32 {
 		s.childrenIdx = idx
 	})
 	return s.childrenIdx[p+1]
-}
-
-// PageBits returns a bitmap over blocks with bit b set when block b holds
-// at least one class from want (a bitset over class IDs).
-func (s *Summary) PageBits(want []uint64) []uint64 {
-	out := make([]uint64, (len(s.blocks)+63)/64)
-	for b := range s.blocks {
-		w := s.blocks[b].Bits
-		n := len(w)
-		if len(want) < n {
-			n = len(want)
-		}
-		for i := 0; i < n; i++ {
-			if w[i]&want[i] != 0 {
-				out[b>>6] |= 1 << (uint(b) & 63)
-				break
-			}
-		}
-	}
-	return out
 }
 
 // Bytes estimates the summary's in-memory footprint.

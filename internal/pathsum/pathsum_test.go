@@ -90,18 +90,6 @@ func TestCodeModeDegradesOnly(t *testing.T) {
 	}
 }
 
-func TestPageBits(t *testing.T) {
-	s := feed(t)
-	a, _ := s.ChildOf(-1, 0)
-	want := make([]uint64, 1)
-	want[0] = 1 << uint(a)
-	got := s.PageBits(want)
-	// Only block 0 holds class a.
-	if got[0] != 1 {
-		t.Fatalf("PageBits(a) = %b, want block 0 only", got[0])
-	}
-}
-
 func TestBuilderRejectsUnbalanced(t *testing.T) {
 	b := NewBuilder()
 	b.Entry(0, 2, 0) // closes more than is open

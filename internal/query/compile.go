@@ -23,14 +23,12 @@ type compiled struct {
 	*compiledShape
 	opts     Options
 	numPages int
-	// accessSkip, structSkip and pathOn are what the ablation flags leave
-	// on: the view's deny bitmap (§3.3), the path summary's dead pages in
-	// scan masks, and path routing as a whole (emptiness proofs, candidate
-	// routing, pre-resolved verdicts — and the dead pages, which derive
-	// from it).
-	accessSkip, structSkip, pathOn bool
-	route                          *pathRoute
-	mask                           *skipMask
+	// accessSkip and pathOn are what the ablation flags leave on: the view's
+	// deny bitmap (§3.3), and the path summary (emptiness proofs and index
+	// plans).
+	accessSkip, pathOn bool
+	route              *pathRoute
+	mask               *skipMask
 }
 
 // empty reports that compilation proved the query has no answers: the
@@ -48,11 +46,10 @@ func (c *compiled) empty() bool {
 func (c *compiled) sortLeft(i int) bool { return c.subs[i].Link != c.subs[i-1].Root }
 
 // compile plans the query: the shape from the memo — built on a miss, and
-// per call by an evaluator without one — plus the view's route and fused
-// mask. It reads the indexes (on a miss) but no
-// store page, and records the compile span and each routed-away candidate
-// on opts.Trace. The plan evaluates the shape's pattern tree, which equals t
-// node for node.
+// per call by an evaluator without one — plus the view's route and skip
+// mask. It reads the indexes (on a miss) but no store page, and records the
+// compile span on opts.Trace. The plan evaluates the shape's pattern tree,
+// which equals t node for node.
 func (ev *Evaluator) compile(t *PatternTree, opts Options) (*compiled, error) {
 	c := &compiled{
 		opts:     opts,
@@ -60,40 +57,26 @@ func (ev *Evaluator) compile(t *PatternTree, opts Options) (*compiled, error) {
 	}
 	c.accessSkip = opts.View != nil && !opts.DisablePageSkip
 	c.pathOn = !opts.DisablePathSummary && ev.store.Paths() != nil
-	c.structSkip = c.pathOn && !opts.DisableSummarySkip
 
-	endCompile := opts.Trace.Span(obs.EvCompile)
+	defer opts.Trace.Span(obs.EvCompile)()
 	sh, err := ev.masks.shapeFor(shapeKey(t, c.pathOn), ev.seq, func() (*compiledShape, error) {
 		return ev.buildShape(t, c.pathOn)
 	})
 	if err != nil {
-		endCompile()
 		return nil, err
 	}
 	c.compiledShape = sh
 	c.route = resolvePathAccess(ev.store, sh, opts.View, opts.Semantics == SemanticsPrunedSubtree)
-	if !c.empty() {
-		// An index plan scans no children: it consults the directory alone
-		// (the deny bitmap, the blocks' codes).
-		c.mask = fuseMask(ev.store, sh, opts.View, c.accessSkip, c.structSkip && sh.index == nil)
-	}
-	endCompile()
-	if c.empty() || opts.Trace == nil {
-		return c, nil
-	}
-	for i := range sh.scans {
-		scanTr := opts.Trace.ForOp(opScan(i))
-		for _, r := range sh.scans[i].routed {
-			scanTr.CandidateReject(r.node, r.page)
-		}
+	if !c.empty() && c.accessSkip {
+		c.mask = &skipMask{access: opts.View.PageDenyBits(), pages: ev.store.Directory()}
 	}
 	return c, nil
 }
 
 // shapeKey is the memo key of a pattern's shape: the canonical render, the
 // returning node (the render does not show it: //a[b] and //a/b read alike)
-// and the path-summary flag, so that the ablation arms compare routing and
-// nothing else.
+// and the path-summary flag, so that the ablation arms compare the two
+// engines and nothing else.
 func shapeKey(t *PatternTree, pathOn bool) string {
 	var sb strings.Builder
 	t.writeTo(&sb)
@@ -109,11 +92,10 @@ func shapeKey(t *PatternTree, pathOn bool) string {
 
 // buildShape plans the view-independent half of a query over the evaluator's
 // snapshot: decomposition and layout, the path-summary embedding (pathOn),
-// the value-index postings of the value-constrained nodes, and per subtree
-// the candidate postings — routed through the embedding, then reduced by the
-// structural semi-join — or, for a pattern an index plan covers over an
-// index grouped by path class, the index plan. It reads the tag and value
-// indexes and no store page.
+// the value-index postings of the value-constrained nodes, and either — for
+// a pattern an index plan covers over an index grouped by path class — the
+// index plan, or per subtree the candidate postings of the paper's scans. It
+// reads the tag and value indexes and no store page.
 func (ev *Evaluator) buildShape(t *PatternTree, pathOn bool) (*compiledShape, error) {
 	sh := &compiledShape{t: t, query: t.String(), subs: t.Decompose()}
 	sh.tupleLayout = layoutOf(t, sh.subs)
@@ -123,9 +105,8 @@ func (ev *Evaluator) buildShape(t *PatternTree, pathOn bool) (*compiledShape, er
 			sh.retTag = code
 		}
 	}
-	var candKeep [][]uint64
 	if pathOn {
-		if candKeep = sh.embed(ev.store); sh.emptyStruct {
+		if sh.embed(ev.store); sh.emptyStruct {
 			return sh, nil
 		}
 	}
@@ -163,113 +144,22 @@ func (ev *Evaluator) buildShape(t *PatternTree, pathOn bool) (*compiledShape, er
 	}
 
 	sh.scans = make([]shapeScan, len(sh.subs))
-	lists := make([][]btree.Posting, len(sh.subs))
 	for i, sub := range sh.subs {
 		sc := &sh.scans[i]
 		if i == 0 && t.Root.Axis == AxisChild {
 			// The document root's subtree is the document.
 			sc.source = sourceDocRoot
-			lists[i] = []btree.Posting{{Node: 0, End: xmltree.NodeID(ev.store.NumNodes() - 1), Level: 0}}
+			sc.cands = []btree.Posting{{Node: 0, End: xmltree.NodeID(ev.store.NumNodes() - 1), Level: 0}}
 			continue
 		}
 		cands, source, err := ev.candidates(sub, valued)
 		if err != nil {
 			return nil, err
 		}
-		sc.source = source
-		// Route candidates through the path summary: a posting whose block
-		// holds no class this subtree root can bind cannot contribute an
-		// answer, so it is rejected before any page is read for it. The
-		// index's list may be shared (a flat run is handed out as it lies,
-		// and //a//a asks for one twice): what is kept goes into a list of
-		// the shape's own, which the semi-join may then filter in place.
-		var keep []uint64 // nil: every block may hold a match root
-		if candKeep != nil {
-			keep = candKeep[i]
-		}
-		kept := make([]btree.Posting, 0, len(cands))
-		for _, cand := range cands {
-			if keep == nil {
-				kept = append(kept, cand)
-			} else if pi := ev.store.PageIndexOf(cand.Node); hasBit(keep, pi) {
-				kept = append(kept, cand)
-			} else {
-				sc.routed = append(sc.routed, routedCand{int64(cand.Node), int64(ev.store.PageInfoAt(pi).Page)})
-			}
-		}
-		lists[i] = kept
-	}
-	for i, n := range semiJoin(sh.subs, lists) {
-		sc := &sh.scans[i]
-		sc.cands, sc.rejectedJoin = lists[i], n
-		sh.size += int64(cap(sc.cands))*int64(unsafe.Sizeof(btree.Posting{})) +
-			int64(cap(sc.routed))*int64(unsafe.Sizeof(routedCand{}))
+		sc.cands, sc.source = cands, source
+		sh.size += int64(cap(cands)) * int64(unsafe.Sizeof(btree.Posting{}))
 	}
 	return sh, nil
-}
-
-// semiJoin reduces the candidate lists of a tree of descendant joins
-// (lists[i] holds subtree i's root candidates in document order, each
-// exclusively owned — never an index's own slice) to the postings that can
-// take part in a joined tuple, in place, and returns how many it removed
-// from each. One bottom-up pass
-// keeps a parent subtree's candidate only if its region holds a candidate of
-// each child subtree joined to it; one top-down pass keeps a child's
-// candidate only if a surviving candidate of its parent encloses it. A join
-// pairs a node bound inside the parent subtree's match — which lies in that
-// match root's region — with a descendant of it, so a posting removed here
-// pairs with nothing under any view; and since tree regions nest or are
-// disjoint, each pass is a linear merge and the two together are the full
-// reduction of the tree of joins. Order is kept: the scans see subsequences
-// of the lists.
-func semiJoin(subs []NoKSubtree, lists [][]btree.Posting) (removed []int) {
-	removed = make([]int, len(lists))
-	for i, l := range lists {
-		removed[i] = len(l)
-	}
-	for i := len(subs) - 1; i > 0; i-- {
-		p := subs[i].Parent
-		lists[p] = keepEnclosing(lists[p], lists[i])
-	}
-	for i := 1; i < len(subs); i++ {
-		lists[i] = keepEnclosed(lists[i], lists[subs[i].Parent])
-	}
-	for i, l := range lists {
-		removed[i] -= len(l)
-	}
-	return removed
-}
-
-// keepEnclosing filters outer, in place, to the postings whose region holds
-// a posting of inner as a proper descendant. Both are in document order.
-func keepEnclosing(outer, inner []btree.Posting) []btree.Posting {
-	kept, j := outer[:0], 0
-	for _, o := range outer {
-		for j < len(inner) && inner[j].Node <= o.Node {
-			j++
-		}
-		if j < len(inner) && inner[j].Node <= o.End {
-			kept = append(kept, o)
-		}
-	}
-	return kept
-}
-
-// keepEnclosed filters inner, in place, to the postings that are proper
-// descendants of a posting of outer. Regions nest or are disjoint, so of the
-// outer postings that start before a node the one reaching furthest encloses
-// it if any does.
-func keepEnclosed(inner, outer []btree.Posting) []btree.Posting {
-	kept, j, reach := inner[:0], 0, xmltree.InvalidNode
-	for _, n := range inner {
-		for ; j < len(outer) && outer[j].Node < n.Node; j++ {
-			reach = max(reach, outer[j].End)
-		}
-		if n.Node <= reach {
-			kept = append(kept, n)
-		}
-	}
-	return kept
 }
 
 // tupleLayout assigns the pipeline's tuple slots. Only tracked pattern nodes
@@ -356,8 +246,8 @@ const sourceDocRoot = "doc-root"
 
 // candidates returns the index postings for a NoK subtree root ("using B+
 // trees on the subtree root's value or tag names", §4.1) and names their
-// source; the caller copies what it keeps. valued holds, by pattern node id,
-// the value-index postings already fetched.
+// source. The list may be the index's own and is read-only. valued holds,
+// by pattern node id, the value-index postings already fetched.
 func (ev *Evaluator) candidates(sub NoKSubtree, valued [][]btree.Posting) ([]btree.Posting, string, error) {
 	if sub.Root.Tag == "*" {
 		// Wildcard root: union of all tags' postings, in document order.

@@ -39,18 +39,10 @@ type Options struct {
 	// DisablePageSkip turns off the §3.3 page-skipping optimization, for
 	// ablation experiments.
 	DisablePageSkip bool
-	// DisableSummarySkip turns off the structure-aware half of the fused
-	// skip mask: child scans then skip pages only on access-control
-	// grounds, never because the path summary places none of the pattern's
-	// classes on them. For ablation experiments; answers are identical
-	// either way.
-	DisableSummarySkip bool
-	// DisablePathSummary turns off path-summary routing: unsatisfiable
-	// patterns are then discovered by scanning, candidate postings are not
-	// filtered by path class, scans skip pages on access grounds only (the
-	// structural dead pages derive from the path summary), and
-	// uniform-class access verdicts are checked per node again. For
-	// ablation experiments; answers are identical either way.
+	// DisablePathSummary runs the paper's engine alone: no emptiness proof
+	// from the path summary (unsatisfiable patterns are discovered by
+	// scanning) and no index plan — every pattern is ε-NoK scans joined by
+	// (ε-)STD. For ablation experiments; answers are identical either way.
 	DisablePathSummary bool
 	// Limit, when positive, stops evaluation after that many distinct
 	// answers: the cursor pipeline terminates early and the pages beyond
@@ -78,7 +70,7 @@ type Result struct {
 	// Matches counts the combined pattern-match tuples before returning-
 	// node deduplication.
 	Matches int
-	// Skips reports how many page reads the fused skip mask avoided.
+	// Skips reports how many page reads the skip mask avoided.
 	Skips SkipStats
 
 	c *compiled
@@ -316,9 +308,9 @@ func (a *Answers) Tag() int32 { return a.c.retTag }
 // a full drain, the Result.Matches of Evaluate.
 func (a *Answers) Matches() int { return *a.matches }
 
-// SkipStats snapshots how many page reads the query's fused skip mask has
-// avoided so far, by cause, plus the path-routing outcomes fixed at Open.
-// Zero when skipping was disabled.
+// SkipStats snapshots how many page reads the query's skip mask has
+// avoided so far, plus the path-summary outcomes fixed at Open. Zero when
+// skipping was disabled.
 func (a *Answers) SkipStats() SkipStats {
 	s := a.c.mask.stats()
 	if a.c.route != nil {
@@ -326,11 +318,6 @@ func (a *Answers) SkipStats() SkipStats {
 	}
 	if a.c.empty() {
 		s.PathEmpty = 1
-		return s
-	}
-	for _, sp := range a.c.scans {
-		s.PathCandidates += int64(len(sp.routed))
-		s.JoinCandidates += int64(sp.rejectedJoin)
 	}
 	return s
 }

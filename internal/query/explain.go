@@ -12,7 +12,7 @@ import (
 )
 
 // explain.go renders the value compile returns — flags, shape, route, mask
-// and the per-subtree candidate decisions — into a structured
+// and the per-subtree candidates — into a structured
 // Plan (EXPLAIN), and folds a traced run's event stream into per-operator
 // attribution reconciled exactly against the registry deltas (ANALYZE). It
 // decides nothing itself: Open instantiates its cursors from the same
@@ -47,8 +47,8 @@ const (
 )
 
 // Plan is the structured form of one query's compiled evaluation plan:
-// the pattern tree annotated with mask and routing state, the embedding
-// verdict, and the operator pipeline Open builds. It marshals to JSON and
+// the pattern tree annotated with its path-summary embedding, the emptiness
+// verdicts, and the operator pipeline Open builds. It marshals to JSON and
 // renders as an indented text tree; building it performs no execution and
 // pins no store pages.
 type Plan struct {
@@ -58,13 +58,12 @@ type Plan struct {
 	Semantics string `json:"semantics"`
 	// Limit is the answer limit (0 = none).
 	Limit int `json:"limit,omitempty"`
-	// PathRouting / StructSkip / AccessSkip record which halves of the
-	// skip machinery are active for this query.
+	// PathRouting records that the path summary is on (emptiness proofs,
+	// index plans), AccessSkip that the view's deny bitmap is (§3.3).
 	PathRouting bool `json:"path_routing"`
-	StructSkip  bool `json:"struct_skip"`
 	AccessSkip  bool `json:"access_skip"`
-	// TotalPages is the store's page count — the denominator for every
-	// dead-page figure below.
+	// TotalPages is the store's page count — the denominator of
+	// AccessDeniedPages.
 	TotalPages int `json:"total_pages"`
 	// Unsatisfiable is set when the path summary admits no embedding of
 	// the pattern: the plan is the 0-page short-circuit and Operators is
@@ -87,29 +86,18 @@ type Plan struct {
 	Operators []PlanOp `json:"operators,omitempty"`
 }
 
-// PlanNode annotates one pattern node with its compiled mask and routing
-// state.
+// PlanNode annotates one pattern node with its path-summary embedding and
+// value test.
 type PlanNode struct {
 	ID   int    `json:"id"`
 	Step string `json:"step"`
 	// Subtree is the NoK subtree the node belongs to.
 	Subtree   int  `json:"subtree"`
 	Returning bool `json:"returning,omitempty"`
-	// StructDeadPages counts pages the node's child scans may skip because
-	// the path summary places none of their classes there; FusedDeadPages
-	// the same after fusing the view's deny bitmap (what evaluation
-	// actually consults).
-	StructDeadPages int `json:"struct_dead_pages"`
-	FusedDeadPages  int `json:"fused_dead_pages"`
 	// ClassesDown / ClassesMatched are the path-summary embedding sets
-	// (matched ⊆ down); zero when routing is off.
+	// (matched ⊆ down); zero when the path summary is off.
 	ClassesDown    int `json:"classes_down,omitempty"`
 	ClassesMatched int `json:"classes_matched,omitempty"`
-	// PreAllowChildren / PreAllowRoot are the uniform-class access
-	// preresolution verdicts: child scans (or root-candidate checks) skip
-	// per-node access checks entirely.
-	PreAllowChildren bool `json:"pre_allow_children,omitempty"`
-	PreAllowRoot     bool `json:"pre_allow_root,omitempty"`
 	// ValueIndex says the node's value test is a lookup in the value-index
 	// postings the plan holds, not a read of the node's stored value.
 	ValueIndex bool  `json:"value_index,omitempty"`
@@ -133,13 +121,9 @@ type PlanOp struct {
 	// index operator.
 	Algorithm string `json:"algorithm,omitempty"`
 	// Candidates counts the root candidates the scan matches, or the
-	// postings an index operator merges; RejectedByPath the postings path
-	// routing rejected before any I/O, and RejectedByJoin those the
-	// structural semi-join removed after it.
-	Candidates     int    `json:"candidates,omitempty"`
-	RejectedByPath int    `json:"rejected_by_path,omitempty"`
-	RejectedByJoin int    `json:"rejected_by_join,omitempty"`
-	CandidateSrc   string `json:"candidate_source,omitempty"`
+	// postings an index operator merges.
+	Candidates   int    `json:"candidates,omitempty"`
+	CandidateSrc string `json:"candidate_source,omitempty"`
 	// ByClass, ByDirectory and OnBlock split an index operator's postings by
 	// where their access decision comes from when one is asked for: the
 	// uniform verdict of their path class, the directory (the view's deny
@@ -202,7 +186,6 @@ func (c *compiled) plan() *Plan {
 		Semantics:     sem,
 		Limit:         opts.Limit,
 		PathRouting:   c.pathOn,
-		StructSkip:    c.structSkip,
 		AccessSkip:    c.accessSkip,
 		TotalPages:    c.numPages,
 		Unsatisfiable: c.emptyStruct,
@@ -243,17 +226,6 @@ func (c *compiled) plan() *Plan {
 			pn.ClassesMatched = popcountSet(c.matched[p.id])
 		}
 		pn.ValueIndex = c.values[p.id] != nil
-		if c.index != nil {
-			continue // no child scan: nothing skips pages or checks
-		}
-		if c.structSkip {
-			pn.StructDeadPages = popcountSet(c.dead[p.id])
-		}
-		pn.FusedDeadPages = popcountSet(c.mask.nodeBits(p))
-		if c.route != nil {
-			pn.PreAllowChildren = c.route.preAllow[p.id]
-			pn.PreAllowRoot = c.route.preAllowRoot[p.id]
-		}
 	}
 	if c.index != nil {
 		return c.indexPlan(plan)
@@ -271,15 +243,13 @@ func (c *compiled) plan() *Plan {
 	for i, sp := range c.scans {
 		root := stepString(subs[i].Root)
 		plan.Operators = append(plan.Operators, PlanOp{
-			Op:             opScan(i),
-			Kind:           "scan",
-			Subtree:        i,
-			Root:           root,
-			Algorithm:      scanAlg,
-			Candidates:     len(sp.cands),
-			RejectedByPath: len(sp.routed),
-			RejectedByJoin: sp.rejectedJoin,
-			CandidateSrc:   sp.source,
+			Op:           opScan(i),
+			Kind:         "scan",
+			Subtree:      i,
+			Root:         root,
+			Algorithm:    scanAlg,
+			Candidates:   len(sp.cands),
+			CandidateSrc: sp.source,
 		})
 		switch {
 		case i > 0:
@@ -381,8 +351,8 @@ func (p *Plan) WriteText(w io.Writer) error {
 		pr(" limit=%d", p.Limit)
 	}
 	pr("\n")
-	pr("skip: access=%v struct=%v path-routing=%v  pages=%d access-denied=%d",
-		p.AccessSkip, p.StructSkip, p.PathRouting, p.TotalPages, p.AccessDeniedPages)
+	pr("skip: access=%v path-routing=%v  pages=%d access-denied=%d",
+		p.AccessSkip, p.PathRouting, p.TotalPages, p.AccessDeniedPages)
 	if p.PreResolvedClasses > 0 {
 		pr(" preresolved-classes=%d", p.PreResolvedClasses)
 	}
@@ -402,17 +372,8 @@ func (p *Plan) WriteText(w io.Writer) error {
 			pr(" (returning)")
 		}
 		pr(" [subtree=%d", n.Subtree)
-		if n.FusedDeadPages > 0 || n.StructDeadPages > 0 {
-			pr(" dead: struct=%d fused=%d", n.StructDeadPages, n.FusedDeadPages)
-		}
 		if n.ClassesDown > 0 || n.ClassesMatched > 0 {
 			pr(" classes: down=%d matched=%d", n.ClassesDown, n.ClassesMatched)
-		}
-		if n.PreAllowChildren {
-			pr(" pre-allow-children")
-		}
-		if n.PreAllowRoot {
-			pr(" pre-allow-root")
 		}
 		if n.ValueIndex {
 			pr(" value-index")
@@ -443,12 +404,6 @@ func (p *Plan) WriteText(w io.Writer) error {
 		switch op.Kind {
 		case "scan":
 			pr(" %s %s candidates=%d via %s", op.Root, op.Algorithm, op.Candidates, op.CandidateSrc)
-			if op.RejectedByPath > 0 {
-				pr(" (rejected-by-path=%d)", op.RejectedByPath)
-			}
-			if op.RejectedByJoin > 0 {
-				pr(" (rejected-by-join=%d)", op.RejectedByJoin)
-			}
 		case "index":
 			pr(" %s %s postings=%d via %s", op.Root, op.Algorithm, op.Candidates, op.CandidateSrc)
 			if op.ByClass+op.ByDirectory+op.OnBlock > 0 {
@@ -489,11 +444,9 @@ type OpStats struct {
 	Pins    int64 `json:"pins"`
 	Hits    int64 `json:"hits"`
 	Decodes int64 `json:"decodes,omitempty"`
-	// SkipAccess / SkipStruct count pages the operator's scans skipped,
-	// by cause; CandRejects root candidates rejected pre-I/O (deny bitmap
-	// or path routing).
+	// SkipAccess counts pages the operator's scans skipped on the deny
+	// bitmap (§3.3); CandRejects root candidates it rejected pre-I/O.
 	SkipAccess  int64 `json:"skip_access,omitempty"`
-	SkipStruct  int64 `json:"skip_struct,omitempty"`
 	CandRejects int64 `json:"cand_rejects,omitempty"`
 	// Probes / ProbePairs count structural-join probes and their pairs.
 	Probes     int64 `json:"probes,omitempty"`
@@ -517,8 +470,6 @@ func (s *OpStats) add(e obs.TraceEvent) {
 		s.Decodes++
 	case obs.EvPageSkipAccess:
 		s.SkipAccess++
-	case obs.EvPageSkipStruct:
-		s.SkipStruct++
 	case obs.EvCandidateReject:
 		s.CandRejects++
 	case obs.EvJoinProbe:
@@ -593,7 +544,6 @@ func (an *Analysis) Totals() OpStats {
 		t.Hits += b.Hits
 		t.Decodes += b.Decodes
 		t.SkipAccess += b.SkipAccess
-		t.SkipStruct += b.SkipStruct
 		t.CandRejects += b.CandRejects
 		t.Probes += b.Probes
 		t.ProbePairs += b.ProbePairs
@@ -625,11 +575,11 @@ func (an *Analysis) WriteText(w io.Writer) error {
 		pr(", %d DROPPED — totals not exact", an.Dropped)
 	}
 	pr("):\n")
-	pr("  %-8s %6s %6s %7s %6s %6s %7s %7s %7s\n",
-		"op", "pins", "hits", "decodes", "skipA", "skipS", "rejects", "probes", "span_us")
+	pr("  %-8s %6s %6s %7s %6s %7s %7s %7s\n",
+		"op", "pins", "hits", "decodes", "skipA", "rejects", "probes", "span_us")
 	row := func(b OpStats) {
-		pr("  %-8s %6d %6d %7d %6d %6d %7d %7d %7d\n",
-			b.Op, b.Pins, b.Hits, b.Decodes, b.SkipAccess, b.SkipStruct, b.CandRejects, b.Probes, b.SpanUs)
+		pr("  %-8s %6d %6d %7d %6d %7d %7d %7d\n",
+			b.Op, b.Pins, b.Hits, b.Decodes, b.SkipAccess, b.CandRejects, b.Probes, b.SpanUs)
 	}
 	for _, b := range an.Ops {
 		row(b)

@@ -226,10 +226,10 @@ func TestAnalyzeAttributionReconciles(t *testing.T) {
 			if an.Other.Pins != 0 {
 				t.Errorf("%s: %d pins in the residual bucket", name, an.Other.Pins)
 			}
-			if got, want := tot.SkipAccess+tot.SkipStruct, res.Skips.AccessPages+res.Skips.StructPages; got != want {
+			if got, want := tot.SkipAccess, res.Skips.AccessPages; got != want {
 				t.Errorf("%s: attributed skips %d != result skips %d", name, got, want)
 			}
-			if got, want := tot.CandRejects, res.Skips.Candidates+res.Skips.PathCandidates; got != want {
+			if got, want := tot.CandRejects, res.Skips.Candidates; got != want {
 				t.Errorf("%s: attributed rejects %d != result rejects %d", name, got, want)
 			}
 			if tr.Dropped() != 0 {

@@ -39,8 +39,8 @@ type matcher struct {
 	values *nok.ValueStore
 	// view makes the access decisions; nil means non-secure evaluation.
 	view *dol.SubjectView
-	// masks is the query's compiled skip mask (nil when both access and
-	// structural skipping are disabled).
+	// masks is the query's skip mask (nil without a view or with access
+	// skipping disabled).
 	masks *skipMask
 	// nodes, indexed by PatternNode.id, holds what prepare resolved per
 	// pattern node.
@@ -71,9 +71,11 @@ type nodePlan struct {
 	slot        int
 	frag        []int
 	kidsTracked bool
-	// skip is the fused skip state the node's child scans consult, nil when
-	// the query compiled no mask for it.
-	skip *nodeSkip
+	// skip is the counting skip predicate the node's child scans hand to
+	// the store's sibling scans, which call it exactly once per block they
+	// actually pass over, so the counters stay an honest census of avoided
+	// reads; nil when the query has no deny bitmap.
+	skip func(int) bool
 	// vals, when non-nil (empty counts), answers the node's value test: the
 	// nodes the value index lists under its (tag, value), in document order.
 	// below holds the vals of the indexed value tests further down the
@@ -81,13 +83,6 @@ type nodePlan struct {
 	// node's subtree holds a node of each.
 	vals  []xmltree.NodeID
 	below [][]xmltree.NodeID
-	// checkScan and checkRoot say whether the node's child scans, and the
-	// node as a subtree-root candidate, need the per-node access check:
-	// false without a view, and when path routing proved every class the
-	// scan can accept uniformly allowed. (A pre-allowed scan may admit
-	// off-path nodes; those produce only join-doomed matches, so answers
-	// are unchanged.)
-	checkScan, checkRoot bool
 }
 
 // Resolved tag constraints that are not tag codes (which are ≥ 0).
@@ -95,19 +90,6 @@ const (
 	tagAny    int32 = -1
 	tagAbsent int32 = -2
 )
-
-// nodeSkip pairs one pattern node's fused skip bitmap with its counting
-// scan predicate. The bitmap answers "is this page dead to the scan?"
-// without touching the skip counters; fn is handed to the store's sibling
-// scans, which call it exactly once per block they actually pass over, so
-// the counters stay an honest census of avoided reads.
-type nodeSkip struct {
-	bits []uint64
-	fn   func(int) bool
-}
-
-// masked is the count-free probe of the fused bitmap.
-func (ns *nodeSkip) masked(i int) bool { return hasBit(ns.bits, i) }
 
 // prepare resolves the per-node plans for the compiled query, leaving the
 // matcher immutable.
@@ -121,15 +103,11 @@ func (m *matcher) prepare(c *compiled) {
 	var walk func(p *PatternNode, depth int) *nodePlan
 	walk = func(p *PatternNode, depth int) *nodePlan {
 		np := &m.nodes[p.id]
-		*np = nodePlan{p: p, tag: tagAbsent, slot: c.slotOf[p.id], checkScan: m.view != nil, checkRoot: m.view != nil}
+		*np = nodePlan{p: p, tag: tagAbsent, slot: c.slotOf[p.id]}
 		if p.Tag == "*" {
 			np.tag = tagAny
 		} else if code, ok := m.store.LookupTag(p.Tag); ok {
 			np.tag = code
-		}
-		if c.route != nil {
-			np.checkScan = np.checkScan && !c.route.preAllow[p.id]
-			np.checkRoot = np.checkRoot && !c.route.preAllowRoot[p.id]
 		}
 		if np.slot >= 0 {
 			np.frag = append(np.frag, np.slot)
@@ -149,10 +127,8 @@ func (m *matcher) prepare(c *compiled) {
 			np.below = append(np.below, kp.below...)
 		}
 		m.depth, m.maxKids = max(m.depth, depth), max(m.maxKids, len(np.kids))
-		if m.masks != nil && len(np.kids) > 0 {
-			if fn := m.masks.scanSkipFn(p, scanTr); fn != nil {
-				np.skip = &nodeSkip{bits: m.masks.nodeBits(p), fn: fn}
-			}
+		if len(np.kids) > 0 {
+			np.skip = m.masks.scanSkipFn(scanTr)
 		}
 		return np
 	}
@@ -305,28 +281,23 @@ func (ms *matchState) npm(ctx context.Context, depth, ci int, np *nodePlan, u bi
 
 	m, cur := ms.m, ms.cur
 	childLevel := int(u.level) + 1
-	// The scan consults np's fused bitmap, skipping blocks that are wholly
-	// inaccessible (§3.3) or that hold no path class np's pattern children
-	// can bind.
-	ns := np.skip
-	var skip func(int) bool
-	if ns != nil {
-		skip = ns.fn
-	}
+	// The scan consults the deny bitmap, skipping blocks that are wholly
+	// inaccessible (§3.3).
+	skip := np.skip
 	v, err := cur.FirstChild(ctx, u.node)
 	if err != nil {
 		return false, err
 	}
 	for v != xmltree.InvalidNode {
-		if ns != nil {
+		if skip != nil {
 			// Block-boundary fast path: when the scan lands on the first
-			// node of a block the fused mask excludes, the whole block is
+			// node of a block the deny bitmap covers, the whole block is
 			// known unmatchable — dispose of it (and any further maskable
 			// blocks) from the directory without pinning a frame. Only a
 			// block-first v qualifies: mid-block, the block also holds the
 			// prefix up to v, so its directory depths do not describe the
 			// remainder alone.
-			if k := cur.BlockOf(v); ns.masked(k) && m.store.PageInfoAt(k).FirstNode == v {
+			if k := cur.BlockOf(v); m.masks.pageDenied(k) && m.store.PageInfoAt(k).FirstNode == v {
 				v, err = cur.NextSiblingFromBlock(ctx, k, childLevel, skip)
 				if err != nil {
 					return false, err
@@ -343,7 +314,7 @@ func (ms *matchState) npm(ctx context.Context, depth, ci int, np *nodePlan, u bi
 		next, haveNext := xmltree.InvalidNode, false
 		// The access check while the block is at hand (§3.3): the code in
 		// force came with the node.
-		if !np.checkScan || m.view.CodeAllowed(info.Code) {
+		if m.view == nil || m.view.CodeAllowed(info.Code) {
 			allDone := true
 			for i, kp := range kids {
 				tracked := len(kp.frag) > 0
@@ -508,7 +479,7 @@ func (ms *matchState) matchCandidate(ctx context.Context, root *nodePlan, c btre
 	if err != nil {
 		return err
 	}
-	if root.checkRoot && !m.view.CodeAllowed(info.Code) {
+	if m.view != nil && !m.view.CodeAllowed(info.Code) {
 		return nil
 	}
 	if root.tag != info.Entry.Tag && root.tag != tagAny {

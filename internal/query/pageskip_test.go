@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"testing"
 
@@ -13,10 +12,8 @@ import (
 )
 
 // junkDoc builds a document whose root interleaves a few <a><hit/></a>
-// targets with a long run of <junk/> leaves: at a small page size the run
-// fills many blocks whose MinDepth equals the child-scan level, so only the
-// path summary's class placement (not the depth directory) can prove them
-// skippable.
+// targets with a long run of <junk/> leaves, so that /r/junk/hit names tags
+// the document has in an order no path has.
 func junkDoc(junk int) *xmltree.Document {
 	b := xmltree.NewBuilder()
 	b.Begin("r")
@@ -36,21 +33,6 @@ func junkDoc(junk int) *xmltree.Document {
 	return b.MustFinish()
 }
 
-// wideTagDoc gives the root 300 children with 300 distinct tags — more
-// than the 256-bit per-page tag bitmap this store once kept could hold
-// exactly (it fell back to a Bloom filter there). The path summary has no
-// width limit: every tag is its own class with exact block placement.
-func wideTagDoc() *xmltree.Document {
-	b := xmltree.NewBuilder()
-	b.Begin("root")
-	for i := 0; i < 300; i++ {
-		b.Begin(fmt.Sprintf("t%03d", i))
-		b.End()
-	}
-	b.End()
-	return b.MustFinish()
-}
-
 // coldPages evaluates from a cold pool and returns the result plus the
 // physical pages read.
 func (e *env) coldPages(t *testing.T, pt *PatternTree, opts Options) (*Result, int64) {
@@ -66,57 +48,10 @@ func (e *env) coldPages(t *testing.T, pt *PatternTree, opts Options) (*Result, i
 	return res, e.pool.Stats().Misses
 }
 
-// Struct skip on/off under default routing: identical answers, strictly
-// fewer pages with it on, and every structural skip attributed to it.
-func TestStructSkipReducesPages(t *testing.T) {
-	for _, in := range []struct {
-		name     string
-		doc      *xmltree.Document
-		pageSize int
-		expr     string
-		answers  int
-	}{
-		{"junk run", junkDoc(2000), 256, "/r/a[hit]", 2},
-		{"300 distinct tags", wideTagDoc(), 128, "/root/t290", 1},
-	} {
-		e := newEnv(t, in.doc, allowAll(in.doc, 1), in.pageSize)
-		pt := MustParse(in.expr)
-		view := e.ss.ViewSubject(0)
-		for _, cfg := range []struct {
-			name string
-			opts Options
-		}{
-			{"no view", Options{}},
-			{"bindings", Options{View: view}},
-			{"pruned", Options{View: view, Semantics: SemanticsPrunedSubtree}},
-		} {
-			name := in.name + "/" + cfg.name
-			off := cfg.opts
-			off.DisableSummarySkip = true
-			resOff, pagesOff := e.coldPages(t, pt, off)
-			resOn, pagesOn := e.coldPages(t, pt, cfg.opts)
-			if len(resOn.Nodes) != in.answers {
-				t.Fatalf("%s: got %d answers, want %d", name, len(resOn.Nodes), in.answers)
-			}
-			if !equalIDs(resOn.Nodes, resOff.Nodes) || resOn.Matches != resOff.Matches {
-				t.Fatalf("%s: answers differ with struct skip: %v vs %v", name, resOn.Nodes, resOff.Nodes)
-			}
-			if pagesOn >= pagesOff {
-				t.Fatalf("%s: struct skip read %d pages, disabled read %d", name, pagesOn, pagesOff)
-			}
-			if resOn.Skips.StructPages == 0 {
-				t.Fatalf("%s: no structural skips recorded despite page reduction", name)
-			}
-			if resOff.Skips.StructPages != 0 {
-				t.Fatalf("%s: disabled run recorded %d structural skips", name, resOff.Skips.StructPages)
-			}
-		}
-	}
-}
-
-// Candidate rejection: when the deny bitmap covers a candidate's whole
-// page, the matcher drops it before any block read, and the answer set is
-// unchanged relative to the unassisted run.
+// §3.3 on the paper's engine: when the deny bitmap covers a candidate's
+// whole page, the matcher drops it before any block read (//x), and a child
+// scan passes over the denied pages from the directory alone (/r/x); the
+// answer set is unchanged relative to the unassisted run.
 func TestAccessMaskRejectsCandidates(t *testing.T) {
 	b := xmltree.NewBuilder()
 	b.Begin("r")
@@ -132,73 +67,31 @@ func TestAccessMaskRejectsCandidates(t *testing.T) {
 		m.Set(xmltree.NodeID(n), 0, false)
 	}
 	e := newEnv(t, doc, m, 256)
-	pt := MustParse("//x")
 	view := e.ss.ViewSubject(0)
-
-	resOn, pagesOn := e.coldPages(t, pt, Options{View: view})
-	resOff, pagesOff := e.coldPages(t, pt, Options{View: view, DisablePageSkip: true, DisableSummarySkip: true})
-	if !equalIDs(resOn.Nodes, resOff.Nodes) {
-		t.Fatalf("answers differ: %d vs %d nodes", len(resOn.Nodes), len(resOff.Nodes))
-	}
-	if resOn.Skips.Candidates == 0 {
-		t.Fatal("no candidates rejected from the deny bitmap")
-	}
-	if pagesOn >= pagesOff {
-		t.Fatalf("mask run read %d pages, unassisted read %d", pagesOn, pagesOff)
-	}
-}
-
-// Property: struct skip on, off and routing off, with and without a view,
-// under both secure semantics, produce byte-identical results on random documents, patterns and ACLs.
-func TestStructSkipEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 25; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		doc := randomDoc(rng, 50+rng.Intn(400))
-		const subjects = 3
-		m := acl.NewMatrix(doc.Len(), subjects)
-		for n := 0; n < doc.Len(); n++ {
-			for s := 0; s < subjects; s++ {
-				m.Set(xmltree.NodeID(n), acl.SubjectID(s), rng.Intn(100) < 70)
-			}
+	for _, expr := range []string{"//x", "/r/x"} {
+		pt := MustParse(expr)
+		resOn, pagesOn := e.coldPages(t, pt, Options{View: view})
+		resOff, pagesOff := e.coldPages(t, pt, Options{View: view, DisablePageSkip: true})
+		if !equalIDs(resOn.Nodes, resOff.Nodes) {
+			t.Fatalf("%s: answers differ: %d vs %d nodes", expr, len(resOn.Nodes), len(resOff.Nodes))
 		}
-		pageSize := 96 + rng.Intn(300)
-		e := newEnv(t, doc, m, pageSize)
-		pt := randomPattern(rng)
-		view := e.ss.ViewSubject(acl.SubjectID(rng.Intn(subjects)))
-
-		base := []Options{
-			{},
-			{View: view},
-			{View: view, Semantics: SemanticsPrunedSubtree},
+		if sk := resOn.Skips; expr == "//x" && sk.Candidates == 0 || expr == "/r/x" && sk.AccessPages == 0 {
+			t.Fatalf("%s: nothing skipped on the deny bitmap: %+v", expr, sk)
 		}
-		for bi, opts := range base {
-			opts.DisablePathSummary = true
-			want, err := e.ev.Evaluate(pt, opts)
-			if err != nil {
-				t.Fatalf("seed %d base %d: %v", seed, bi, err)
-			}
-			for _, structOff := range []bool{false, true} {
-				on := opts
-				on.DisablePathSummary = false
-				on.DisableSummarySkip = structOff
-				got, err := e.ev.Evaluate(pt, on)
-				if err != nil {
-					t.Fatalf("seed %d base %d: %v", seed, bi, err)
-				}
-				if !equalIDs(got.Nodes, want.Nodes) || got.Matches != want.Matches {
-					t.Fatalf("seed %d base %d structOff %v (page %d): routing changed the result: %v/%d vs %v/%d",
-						seed, bi, structOff, pageSize, got.Nodes, got.Matches, want.Nodes, want.Matches)
-				}
-			}
+		if pagesOn >= pagesOff {
+			t.Fatalf("%s: mask run read %d pages, unassisted read %d", expr, pagesOn, pagesOff)
 		}
 	}
 }
 
 // Table 1 and a structurally unsatisfiable twig counted in pages, from a cold
 // pool each run, under both secure semantics, over an XMark document whose one
-// subject sees 70 % of the nodes. A Limit stops the scans, so no limit reads
-// more pages than a larger one; struct skip and path routing change no answer
-// and never cost a page, and each saves what it is for.
+// subject sees 70 % of the nodes, on the paper's engine (a B+-tree tag index
+// has no index plan). A Limit stops the scans, so no limit reads more pages
+// than a larger one. §3.3 page skipping and the path summary change no
+// answer and never cost a page (this ACL denies no whole page, so the deny
+// bitmap saves none here), and the path summary proves Qunsat empty
+// without reading one.
 func TestTable1PageCounts(t *testing.T) {
 	doc := xmark.Generate(xmark.Scaled(1, 12000))
 	visible := synthacl.Synthetic(doc, synthacl.SynthConfig{
@@ -216,7 +109,6 @@ func TestTable1PageCounts(t *testing.T) {
 	for _, pageSize := range []int{1024, 4096} {
 		e := newEnv(t, doc, m, pageSize)
 		view := e.ss.ViewSubject(0)
-		structSaved := 0
 		for _, q := range queries {
 			pt := MustParse(q.xpath)
 			for _, sem := range []Semantics{SemanticsBindings, SemanticsPrunedSubtree} {
@@ -259,44 +151,30 @@ func TestTable1PageCounts(t *testing.T) {
 					return res, p
 				}
 				o := opts
-				o.DisableSummarySkip = true
-				if _, flatPages := ablated("struct skip", o); pages < flatPages && sem == SemanticsBindings {
-					structSaved++
+				o.DisablePageSkip = true
+				if unskipped, p := ablated("page skipping", o); pages < p && full.Skips.AccessPages+full.Skips.Candidates == 0 {
+					t.Errorf("%s: %d pages saved, no skip or reject recorded", name, p-pages)
+				} else if sk := unskipped.Skips; sk.AccessPages+sk.Candidates != 0 {
+					t.Errorf("%s: skipping disabled, yet %+v", name, sk)
 				}
 				o = opts
 				o.DisablePathSummary = true
-				unrouted, unroutedPages := ablated("path routing", o)
-				// Both arms start from the same postings, so the one that
-				// removed more of them scans fewer.
-				on, off := full.Skips, unrouted.Skips
-				if on.PathCandidates+on.JoinCandidates < off.PathCandidates+off.JoinCandidates {
-					t.Errorf("%s scans more candidates with path routing: %d+%d removed, %d+%d without", name,
-						on.PathCandidates, on.JoinCandidates, off.PathCandidates, off.JoinCandidates)
+				off, offPages := ablated("the path summary", o)
+				if off.Skips.PathEmpty != 0 || off.Skips.PathClasses != 0 {
+					t.Errorf("%s with the path summary off: PathEmpty %d, %d classes", name, off.Skips.PathEmpty, off.Skips.PathClasses)
 				}
-				if off.PathCandidates != 0 || off.PathEmpty != 0 {
-					t.Errorf("%s with routing off: %d candidates rejected by path, PathEmpty %d", name, off.PathCandidates, off.PathEmpty)
-				}
-				switch q.name {
-				case "Q5", "Q6":
-					// Every parlist of Q4 lies on a path that nests another
-					// at this scale, so routing has nothing to reject there.
-					if on.PathCandidates == 0 {
-						t.Errorf("%s: path routing rejected no candidate", name)
+				if q.name == "Qunsat" {
+					if pages != 0 || len(full.Nodes) != 0 || full.Skips.PathEmpty != 1 {
+						t.Errorf("%s: %d pages, %d answers, PathEmpty %d with the path summary; want 0, 0, 1", name, pages, len(full.Nodes), full.Skips.PathEmpty)
 					}
-				case "Qunsat":
-					if pages != 0 || len(full.Nodes) != 0 || on.PathEmpty != 1 {
-						t.Errorf("%s: %d pages, %d answers, PathEmpty %d with path routing; want 0, 0, 1", name, pages, len(full.Nodes), on.PathEmpty)
+					if offPages == 0 {
+						t.Errorf("%s read no page without the path summary either", name)
 					}
-					if unroutedPages == 0 {
-						t.Errorf("%s read no page without path routing either", name)
-					}
+				} else if offPages != pages {
+					// A scan takes only the emptiness proof from the summary.
+					t.Errorf("%s: %d pages with the path summary, %d without", name, pages, offPages)
 				}
 			}
-		}
-		// Child scans cross blocks that hold none of their classes in Q1–Q3;
-		// Q4–Q6 have no child scan below the root.
-		if pageSize == 1024 && structSaved < 2 {
-			t.Errorf("struct skip saved pages on %d queries at %d B pages; want at least 2", structSaved, pageSize)
 		}
 	}
 }

@@ -12,11 +12,11 @@ import (
 
 // compiledShape is the view-independent half of a query's plan: the
 // decomposition and tuple layout, the pattern tree embedded into the store's
-// path summary, each subtree's candidate postings after path routing and the
-// structural semi-join, and the value-index postings of the value-constrained
-// pattern nodes. It depends only on (pattern, snapshot), so the facade
-// memoizes it per snapshot sequence in a MaskCache; an evaluator without one
-// builds it per query, from the same code. Nothing in it depends on a subject
+// path summary, the value-index postings of the value-constrained pattern
+// nodes, and either the index plan or each subtree's candidate postings. It
+// depends only on (pattern, snapshot), so the facade memoizes it per
+// snapshot sequence in a MaskCache; an evaluator without one builds it per
+// query, from the same code. Nothing in it depends on a subject
 // view — route, mask, deny bitmap and access decisions are resolved per
 // request — and it is read-only once built. Per-node slices are indexed by
 // PatternNode.id.
@@ -33,15 +33,11 @@ type compiledShape struct {
 	// lacks, and so has no answers).
 	retTag int32
 
-	// The path-summary embedding, nil with path routing off.
+	// The path-summary embedding, nil with the path summary off.
 	//
 	// emptyStruct is set when the path summary admits no embedding of the
 	// pattern: the query has no answers under any view or semantics.
 	emptyStruct bool
-	// dead holds, by pattern node id, the pages a child scan of that node
-	// may skip: those holding no class its pattern children can bind. Nil
-	// for nodes without child-axis children.
-	dead [][]uint64
 	// down[p.id] is the set of path classes reachable for p walking the
 	// pattern top-down; matched[p.id] additionally requires the whole
 	// pattern fragment below p to embed in the summary (matched ⊆ down).
@@ -71,32 +67,18 @@ type shapeScan struct {
 	// source is sourceDocRoot, "tag-index", "value-index" or
 	// "wildcard-union".
 	source string
-	// cands are the index postings, in document order, that path routing
-	// kept and the semi-join did not prove unpairable.
+	// cands are the subtree root's index postings, in document order:
+	// shared with the index, read-only.
 	cands []btree.Posting
-	// routed are the postings path routing turned away: their blocks hold
-	// no class the subtree root can bind. Kept so that every query reports
-	// them (candidate_reject events, rejected-by-path).
-	routed []routedCand
-	// rejectedJoin counts the routed-in postings the semi-join removed.
-	rejectedJoin int
 }
-
-// routedCand is one posting path routing rejected, with its storage page.
-type routedCand struct{ node, page int64 }
 
 // embed embeds the pattern tree into the path summary: a top-down pass
 // computes each pattern node's reachable class set, a bottom-up pass prunes
 // classes under which the remaining fragment cannot embed. An empty set
-// anywhere proves the query unsatisfiable before any I/O; otherwise the
-// matched classes' block placement yields the dead-page bits and, returned
-// per subtree, the bitmap of blocks that hold at least one class the
-// subtree's root can bind (nil for the anchored document root, which needs
-// no routing): index postings on other blocks cannot contribute. In-memory
-// work only.
-func (sh *compiledShape) embed(st *nok.Store) (candKeep [][]uint64) {
-	t, subs := sh.t, sh.subs
-	sh.dead = make([][]uint64, t.Len())
+// anywhere proves the query unsatisfiable before any I/O. In-memory work
+// only.
+func (sh *compiledShape) embed(st *nok.Store) {
+	t := sh.t
 	sum := st.Paths()
 	nc := sum.NumNodes()
 	cw := (nc + 63) / 64
@@ -212,44 +194,10 @@ func (sh *compiledShape) embed(st *nok.Store) (candKeep [][]uint64) {
 		}
 	}
 	upWalk(t.Root)
-	sh.down, sh.matched = down, matched
-	if empty {
-		sh.emptyStruct = true
-		return nil
-	}
-
-	tail := uint(sum.NumBlocks()) & 63
-	for _, p := range t.nodes {
-		kids := nokChildren(p)
-		if len(kids) == 0 {
-			continue
-		}
-		keep := make([]uint64, cw)
-		for _, q := range kids {
-			for i, w := range matched[q.id] {
-				keep[i] |= w
-			}
-		}
-		dead := sum.PageBits(keep)
-		for i := range dead {
-			dead[i] = ^dead[i]
-		}
-		if tail != 0 {
-			dead[len(dead)-1] &= 1<<tail - 1 // no bits past the last block
-		}
-		sh.dead[p.id] = dead
-	}
-	candKeep = make([][]uint64, len(subs))
-	for i := range subs {
-		if i == 0 && t.Root.Axis == AxisChild {
-			continue // the document root needs no routing
-		}
-		candKeep[i] = sum.PageBits(matched[subs[i].Root.id])
-	}
-	return candKeep
+	sh.down, sh.matched, sh.emptyStruct = down, matched, empty
 }
 
-// pathRoute is the view-dependent half of path routing: access verdicts
+// pathRoute is the view-dependent half of the path summary: access verdicts
 // stamped on the summary's path classes for one SubjectView. Resolved per
 // query (it is as cheap as a handful of memoized codebook probes), on top
 // of a memoized shape.
@@ -257,14 +205,6 @@ type pathRoute struct {
 	// emptyAccess is set when every class some pattern node can bind is
 	// uniformly denied: the query has no accessible answers.
 	emptyAccess bool
-	// preAllow[p.id] means every class a child scan of p can accept is
-	// uniformly allowed — the per-child access checks are skipped.
-	preAllow []bool
-	// preAllowRoot[root.id] means every on-path class of a subtree root
-	// is uniformly allowed — the per-candidate root check is skipped.
-	// (Off-path candidates admitted this way produce only join-doomed
-	// matches, so answers are unchanged.)
-	preAllowRoot []bool
 	// preResolved counts the distinct path classes whose verdict was
 	// pre-resolved from a uniform code.
 	preResolved int64
@@ -320,38 +260,21 @@ func (r *pathRoute) pathDenied(id int32) bool {
 }
 
 // resolvePathAccess stamps the view's allow/deny verdicts onto the
-// shape's class sets. Returns nil when the shape carries no embedding (path
-// routing is off), the embedding is empty, or no view is set. Under pruned
-// semantics an index plan's pattern node also binds nothing of a class whose
-// root path crosses a uniformly denied class.
+// shape's class sets. Returns nil when the shape carries no embedding (the
+// path summary is off), the embedding is empty, or no view is set. Under
+// pruned semantics an index plan's pattern node also binds nothing of a
+// class whose root path crosses a uniformly denied class. A scan takes only
+// the emptiness proof from it: the matcher checks each node's access itself.
 func resolvePathAccess(st *nok.Store, sh *compiledShape, view *dol.SubjectView, pruned bool) *pathRoute {
 	if sh.down == nil || sh.emptyStruct || view == nil {
 		return nil
 	}
-	t, subs := sh.t, sh.subs
 	sum := st.Paths()
-	pre := make([]bool, 2*t.Len())
-	r := &pathRoute{
-		preAllow:     pre[:t.Len()],
-		preAllowRoot: pre[t.Len():],
-		view:         view,
-		sum:          sum,
-		state:        make([]uint8, sum.NumNodes()),
-	}
-	all := func(set []uint64, want uint8) bool {
-		ok := true
-		forEachSet(set, func(id int32) {
-			if r.verdict(id) != want {
-				ok = false
-			}
-		})
-		return ok
-	}
+	r := &pathRoute{view: view, sum: sum, state: make([]uint8, sum.NumNodes())}
 	pruned = pruned && sh.index != nil
-	for _, p := range t.nodes {
-		// Every binding of p must be accessible (scans and candidate
-		// checks enforce it); all bindable classes uniformly denied means
-		// no answer can exist.
+	for _, p := range sh.t.nodes {
+		// Every binding of p must be accessible; all bindable classes
+		// uniformly denied means no answer can exist.
 		empty := true
 		forEachSet(sh.matched[p.id], func(id int32) {
 			if r.verdict(id) != vDeny && !(pruned && r.pathDenied(id)) {
@@ -363,32 +286,12 @@ func resolvePathAccess(st *nok.Store, sh *compiledShape, view *dol.SubjectView, 
 			return r
 		}
 	}
-	if sh.index != nil {
-		// No scan to spare a check. What the plan's merge may ask is
-		// resolved here, so that the plan reads alike before and after it
-		// ran.
-		if pruned {
-			for _, id := range sh.index.guardClasses {
-				r.verdict(id)
-			}
+	if pruned {
+		// What the plan's merge may ask is resolved here, so that the plan
+		// reads alike before and after it ran.
+		for _, id := range sh.index.guardClasses {
+			r.verdict(id)
 		}
-		return r
-	}
-	for _, p := range t.nodes {
-		kids := nokChildren(p)
-		if len(kids) == 0 {
-			continue
-		}
-		u := make([]uint64, len(sh.down[kids[0].id]))
-		for _, q := range kids {
-			for i, w := range sh.down[q.id] {
-				u[i] |= w
-			}
-		}
-		r.preAllow[p.id] = all(u, vAllow)
-	}
-	for i := range subs {
-		r.preAllowRoot[subs[i].Root.id] = all(sh.down[subs[i].Root.id], vAllow)
 	}
 	return r
 }

@@ -171,7 +171,7 @@ func streamBelowDedup(t *testing.T, ev *Evaluator, pt *PatternTree, opts Options
 // evaluator with neither memo nor value index does.
 func TestIndexPrunedPlanOracle(t *testing.T) {
 	ctx := context.Background()
-	cases, answers, joinRejects, valueTests := 0, 0, 0, 0
+	cases, answers, valueTests := 0, 0, 0
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		doc := chainDoc(rng, 120+rng.Intn(200))
@@ -281,7 +281,6 @@ func TestIndexPrunedPlanOracle(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
-				joinRejects += int(res.Skips.JoinCandidates)
 				wantLen := len(want)
 				if limit > 0 {
 					wantLen = min(limit, wantLen)
@@ -300,9 +299,9 @@ func TestIndexPrunedPlanOracle(t *testing.T) {
 			t.Fatalf("seed %d %s: %d memo misses and %d hits, want one miss", seed, pt, misses.Load(), hits.Load())
 		}
 	}
-	t.Logf("%d cases, %d answers, %d value predicates, %d candidates removed by the semi-join", cases, answers, valueTests, joinRejects)
-	if answers == 0 || joinRejects == 0 || valueTests == 0 {
-		t.Error("the cases exercised no answer, no semi-join reject or no value predicate")
+	t.Logf("%d cases, %d answers, %d value predicates", cases, answers, valueTests)
+	if answers == 0 || valueTests == 0 {
+		t.Error("the cases exercised no answer or no value predicate")
 	}
 }
 
@@ -325,83 +324,6 @@ func TestMemoKeyTellsReturningNodesApart(t *testing.T) {
 				t.Fatalf("%s returned a %s", q.xpath, e.doc.Tag(n))
 			}
 		}
-	}
-}
-
-// semiJoin against the fixpoint it is the shortcut to: remove a posting that
-// holds no posting of some child list or lies in no posting of its parent
-// list, until nothing changes.
-func TestSemiJoinAgainstQuadraticReference(t *testing.T) {
-	reference := func(subs []NoKSubtree, lists [][]btree.Posting) [][]btree.Posting {
-		inside := func(in, out btree.Posting) bool { return out.Node < in.Node && in.Node <= out.End }
-		for changed := true; changed; {
-			changed = false
-			for i := 1; i < len(subs); i++ {
-				p := subs[i].Parent
-				keepP := slices.DeleteFunc(slices.Clone(lists[p]), func(o btree.Posting) bool {
-					return !slices.ContainsFunc(lists[i], func(in btree.Posting) bool { return inside(in, o) })
-				})
-				keepC := slices.DeleteFunc(slices.Clone(lists[i]), func(in btree.Posting) bool {
-					return !slices.ContainsFunc(lists[p], func(o btree.Posting) bool { return inside(in, o) })
-				})
-				changed = changed || len(keepP) != len(lists[p]) || len(keepC) != len(lists[i])
-				lists[p], lists[i] = keepP, keepC
-			}
-		}
-		return lists
-	}
-	check := func(what string, subs []NoKSubtree, lists [][]btree.Posting) {
-		t.Helper()
-		want := reference(subs, slices.Clone(lists))
-		before := make([]int, len(lists))
-		for i, l := range lists {
-			before[i] = len(l)
-			lists[i] = slices.Clone(l)
-		}
-		removed := semiJoin(subs, lists)
-		for i := range lists {
-			if !slices.Equal(lists[i], want[i]) {
-				t.Fatalf("%s: list %d reduced to %v, want %v", what, i, lists[i], want[i])
-			}
-			if removed[i] != before[i]-len(lists[i]) {
-				t.Fatalf("%s: list %d reported %d removed, lost %d", what, i, removed[i], before[i]-len(lists[i]))
-			}
-		}
-	}
-
-	post := func(n, end int) btree.Posting {
-		return btree.Posting{Node: xmltree.NodeID(n), End: xmltree.NodeID(end)}
-	}
-	pair := []NoKSubtree{{Parent: -1}, {Parent: 0}}
-	nested := []btree.Posting{post(1, 10), post(2, 9), post(3, 3), post(5, 8), post(6, 6), post(12, 12)}
-	check("nested regions joined with themselves", pair, [][]btree.Posting{nested, nested})
-	check("adjacent regions", pair, [][]btree.Posting{
-		{post(1, 3), post(4, 6), post(7, 9)},
-		{post(1, 1), post(4, 4), post(6, 6), post(10, 10)},
-	})
-	check("a descendant that starts where its ancestor does is none", pair, [][]btree.Posting{{post(4, 6)}, {post(4, 4)}})
-	check("empty inner side", pair, [][]btree.Posting{nested, nil})
-	check("empty outer side", pair, [][]btree.Posting{nil, nested})
-	check("a child emptied below empties the chain", []NoKSubtree{{Parent: -1}, {Parent: 0}, {Parent: 1}},
-		[][]btree.Posting{{post(0, 20)}, {post(2, 9), post(11, 15)}, {post(16, 16)}})
-
-	for seed := int64(0); seed < 300; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		doc := chainDoc(rng, 30+rng.Intn(120))
-		subs := []NoKSubtree{{Parent: -1}}
-		for i := 1; i < 2+rng.Intn(3); i++ {
-			subs = append(subs, NoKSubtree{Parent: rng.Intn(i)})
-		}
-		lists := make([][]btree.Posting, len(subs))
-		for i := range lists {
-			keep := 1 + rng.Intn(4)
-			for n := 0; n < doc.Len(); n++ {
-				if rng.Intn(keep) == 0 {
-					lists[i] = append(lists[i], post(n, int(doc.End(xmltree.NodeID(n)))))
-				}
-			}
-		}
-		check(fmt.Sprintf("seed %d", seed), subs, lists)
 	}
 }
 
@@ -484,10 +406,10 @@ func TestValuePruningKeepsSubtreeEnds(t *testing.T) {
 	}
 }
 
-// Explain shows both prunings: a scan's candidates, its rejected-by-path and
-// its rejected-by-join add up to the index postings of its root, in text and
-// in JSON, and a value test answered from the plan's postings is marked
-// value-index on its pattern node.
+// Explain shows what the plan holds: a scan of the paper's engine matches
+// every index posting of its root, in text and in JSON, and a value test
+// answered from the plan's postings is marked value-index on its pattern
+// node.
 func TestExplainShowsIndexPruning(t *testing.T) {
 	e := xmarkEnv(t)
 	ev := NewEvaluatorAt(e.snapshot(t))
@@ -498,18 +420,6 @@ func TestExplainShowsIndexPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	joinRejects := 0
-	for _, op := range plan.Operators {
-		if op.Kind != "scan" {
-			continue
-		}
-		tag := strings.TrimPrefix(op.Root, "//")
-		if got, want := op.Candidates+op.RejectedByPath+op.RejectedByJoin, len(e.doc.NodesWithTag(tag)); got != want {
-			t.Errorf("%s: %d candidates + %d rejected by path + %d by join, the document has %d %s nodes",
-				op.Op, op.Candidates, op.RejectedByPath, op.RejectedByJoin, want, tag)
-		}
-		joinRejects += op.RejectedByJoin
-	}
 	var text, js strings.Builder
 	if err := plan.WriteText(&text); err != nil {
 		t.Fatal(err)
@@ -517,12 +427,24 @@ func TestExplainShowsIndexPruning(t *testing.T) {
 	if err := plan.WriteJSON(&js); err != nil {
 		t.Fatal(err)
 	}
-	if joinRejects == 0 || !strings.Contains(text.String(), "(rejected-by-join=") || !strings.Contains(js.String(), `"rejected_by_join"`) {
-		t.Errorf("%d join rejects; the plan renders as\n%s", joinRejects, text.String())
+	scans := 0
+	for _, op := range plan.Operators {
+		if op.Kind != "scan" {
+			continue
+		}
+		scans++
+		tag := strings.TrimPrefix(op.Root, "//")
+		want := len(e.doc.NodesWithTag(tag))
+		if op.Candidates != want || op.CandidateSrc != "tag-index" {
+			t.Errorf("%s: %d candidates via %s, the document has %d %s nodes", op.Op, op.Candidates, op.CandidateSrc, want, tag)
+		}
+		if !strings.Contains(text.String(), fmt.Sprintf("candidates=%d via tag-index", want)) ||
+			!strings.Contains(js.String(), fmt.Sprintf(`"candidates": %d`, want)) {
+			t.Errorf("%s: the plan does not render its %d candidates:\n%s", op.Op, want, text.String())
+		}
 	}
-	res, err := ev.EvaluateCtx(ctx, MustParse("//listitem//keyword"), opts)
-	if err != nil || res.Skips.JoinCandidates != int64(joinRejects) {
-		t.Errorf("SkipStats.JoinCandidates = %d, the plan shows %d (err %v)", res.Skips.JoinCandidates, joinRejects, err)
+	if scans != 2 {
+		t.Errorf("%d scans; the plan renders as\n%s", scans, text.String())
 	}
 
 	plan, err = ev.Explain(ctx, MustParse("/site/people/person[emailaddress='x']/name"), opts)

@@ -634,18 +634,20 @@ func (e *env) snapshot(t testing.TB) Snapshot {
 	return Snapshot{Store: e.ss.Store(), Index: e.ev.index, Values: vt, Masks: NewMaskCache(nil, nil), Seq: 1}
 }
 
-// BenchmarkEvaluateTwig evaluates each Table 1 twig and the harness's other
-// two shapes on the benchmark's document under the harness's ACL burst,
+// BenchmarkEvaluateTwig evaluates each Table 1 twig, the harness's other
+// two shapes and two with a descendant step in a predicate (Qitemkw,
+// Qparlist) on the benchmark's document under the harness's ACL burst,
 // sequentially, through an evaluator built as the facade builds it: a
 // snapshot with a value index and a plan memo, which the first evaluation
 // fills. Two views: "open", a subject the burst left everything, and
 // "burst", a group that lost its share of the burst's subtrees. The matcher
 // arm's tag index is a *btree.Tree, so every shape runs on the ε-NoK matcher
 // and its joins; the served arm's is the flat runs grouped by path class a
-// served snapshot keeps, so every shape runs as an index plan. The cold runs
+// served snapshot keeps, so every shape but the last two runs as an index
+// plan; those two run on the matcher in both arms. The cold runs
 // start every evaluation on an empty memo, so their distance to the warm ones
-// is what a memo miss costs. Run with -benchmem for the allocations per
-// query.
+// is what a memo miss costs. gets/op counts buffer-pool Gets per query. Run
+// with -benchmem for the allocations per query.
 func BenchmarkEvaluateTwig(b *testing.B) {
 	e := burstEnv(b)
 	// The harness's other two shapes: Q5 under a Limit, and a value
@@ -664,6 +666,7 @@ func BenchmarkEvaluateTwig(b *testing.B) {
 	for _, q := range table1 {
 		twigs = append(twigs, twig{q.name, q.xpath, 0})
 	}
+	twigs = append(twigs, twig{"Qitemkw", "//item[//keyword]", 0}, twig{"Qparlist", "//parlist[//listitem]//keyword", 0})
 	run := func(b *testing.B, sn Snapshot, view Options, cold bool) {
 		for _, q := range twigs {
 			pt := MustParse(q.xpath)
@@ -672,6 +675,7 @@ func BenchmarkEvaluateTwig(b *testing.B) {
 			b.Run(q.name, func(b *testing.B) {
 				b.ReportAllocs()
 				sn := sn
+				gets := e.pool.Stats().Gets
 				for i := 0; i < b.N; i++ {
 					if cold {
 						sn.Masks = NewMaskCache(nil, nil)
@@ -680,6 +684,7 @@ func BenchmarkEvaluateTwig(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
+				b.ReportMetric(float64(e.pool.Stats().Gets-gets)/float64(b.N), "gets/op")
 			})
 		}
 	}

@@ -22,18 +22,18 @@ type QueryOptions struct {
 	// are never read.
 	Limit int
 	// Parallelism is accepted and ignored: a query runs on the goroutine
-	// that asked for it. The field goes when ROADMAP item 2 unfreezes
+	// that asked for it. The field goes when ROADMAP item 1 unfreezes
 	// benchmark/, the one place that still assigns it.
 	Parallelism int
-	// DisableSummarySkip turns off structure-aware page skipping: scans
-	// then skip pages on access grounds only. For ablation. Answers are
-	// identical either way; only the pages read differ.
+	// DisableSummarySkip is accepted and ignored: scans skip pages on
+	// access grounds only. The field goes when ROADMAP item 1 unfreezes
+	// benchmark/, the one place that still assigns it.
 	DisableSummarySkip bool
-	// DisablePathSummary turns off path-summary routing: compile-time
-	// empty-query detection, path-class candidate filtering, structure-
-	// aware page skipping (which derives from it), and pre-resolved access
-	// verdicts on uniform path classes. For ablation; answers are identical
-	// either way, only the pages read and access checks performed differ.
+	// DisablePathSummary runs the paper's engine alone: no compile-time
+	// empty-query proof from the path summary and no index plan, so every
+	// query is ε-NoK scans joined by (ε-)STD. For ablation; answers are
+	// identical either way, only the pages read and access checks performed
+	// differ.
 	DisablePathSummary bool
 	// Trace, when set, receives the query's timestamped event log: every
 	// span, page pin, page skip (with cause), candidate rejection, join
@@ -125,18 +125,15 @@ func (c *QueryCursor) Next(ctx context.Context) (m Match, ok bool, err error) {
 // Result.Matches of a full drain).
 func (c *QueryCursor) Matches() int { return c.a.Matches() }
 
-// SkipStats reports how many page reads the query's fused skip mask has
-// avoided so far, by cause. Valid until Close; snapshot before closing.
+// SkipStats reports how many page reads the query's skip mask has avoided
+// so far. Valid until Close; snapshot before closing.
 func (c *QueryCursor) SkipStats() SkipStats {
 	sk := c.a.SkipStats()
 	return SkipStats{
-		AccessPages:    sk.AccessPages,
-		StructPages:    sk.StructPages,
-		Candidates:     sk.Candidates,
-		PathCandidates: sk.PathCandidates,
-		JoinCandidates: sk.JoinCandidates,
-		PathClasses:    sk.PathClasses,
-		PathEmpty:      sk.PathEmpty,
+		AccessPages: sk.AccessPages,
+		Candidates:  sk.Candidates,
+		PathClasses: sk.PathClasses,
+		PathEmpty:   sk.PathEmpty,
 	}
 }
 

@@ -11,8 +11,8 @@ import (
 )
 
 // Plan is the structured form of one query's compiled evaluation plan:
-// the pattern tree annotated with skip-mask and path-routing state, the
-// path-summary embedding verdict, and the operator pipeline evaluation
+// the pattern tree annotated with its path-summary embedding, the
+// emptiness verdicts, and the operator pipeline evaluation
 // would build — computed by Store.Explain with zero execution. It
 // marshals to JSON (the /explain payload) and renders as an indented
 // text tree.
@@ -50,7 +50,7 @@ func (p *Plan) String() string {
 }
 
 // Explain compiles the query exactly as QueryCtx would — same snapshot
-// acquisition, subject view, skip-mask and path-routing compilation, and
+// acquisition, subject view, path-summary embedding and deny bitmap, and
 // operator selection — and returns the plan without executing anything.
 // An unsatisfiable or uniformly denied query reports its short-circuit
 // without pinning any store page.
@@ -139,9 +139,6 @@ func fingerprintFor(pt *query.PatternTree, opts QueryOptions) string {
 	}
 	if opts.Limit > 0 {
 		fmt.Fprintf(&b, "|limit=%d", opts.Limit)
-	}
-	if opts.DisableSummarySkip {
-		b.WriteString("|nosummary")
 	}
 	if opts.DisablePathSummary {
 		b.WriteString("|nopath")

@@ -135,8 +135,8 @@ func TestStoreAnalyzeReconciles(t *testing.T) {
 
 // The plan EXPLAIN shows is the plan evaluation runs: for Table 1 and the
 // unsatisfiable query under both semantics, with and without a limit,
-// Explain's plan — operator list, per-scan candidate and rejected-by-path
-// counts, node annotations — equals
+// Explain's plan — operator list, per-scan candidate counts, the index
+// operator's decision sources, node annotations — equals
 // the one ANALYZE embeds, which is rendered from the compiled value the
 // pipeline was instantiated from. EXPLAIN itself pins no store page.
 func TestExplainAgreesWithExecutedPlan(t *testing.T) {
@@ -145,10 +145,10 @@ func TestExplainAgreesWithExecutedPlan(t *testing.T) {
 	ctx := context.Background()
 
 	// Table 1 runs as index plans; a descendant predicate keeps a query on
-	// routed scans and joins.
+	// the paper's scans and joins.
 	queries := append(append([]struct{ name, expr string }{}, table1...),
 		struct{ name, expr string }{"Qunsat", qUnsat}, struct{ name, expr string }{"Qpred", qPred})
-	var routed int
+	kinds := map[string]int{}
 	for _, q := range queries {
 		for _, pruned := range []bool{false, true} {
 			for _, limit := range []int{0, 10} {
@@ -171,15 +171,13 @@ func TestExplainAgreesWithExecutedPlan(t *testing.T) {
 					t.Errorf("%s: EXPLAIN and the executed plan differ:\n%s\n-- executed --\n%s", name, plan, an.Plan())
 				}
 				for _, op := range plan.p.Operators {
-					if op.RejectedByPath > 0 {
-						routed++
-					}
+					kinds[op.Kind]++
 				}
 			}
 		}
 	}
-	if routed == 0 {
-		t.Error("matrix compared no routed scan")
+	if kinds["scan"] == 0 || kinds["index"] == 0 {
+		t.Errorf("matrix compared %d scans and %d index operators; want both", kinds["scan"], kinds["index"])
 	}
 }
 
@@ -321,6 +319,9 @@ func TestQueryFingerprintNormalization(t *testing.T) {
 	}
 	if fpL, _ := QueryFingerprint("//item[location]", QueryOptions{Limit: 5}); fpL == fp1 || !strings.Contains(fpL, "|limit=5") {
 		t.Errorf("limit not fingerprinted: %q", fpL)
+	}
+	if fpS, _ := QueryFingerprint("//item[location]", QueryOptions{DisableSummarySkip: true}); fpS != fp1 {
+		t.Errorf("an ignored option changed the fingerprint: %q", fpS)
 	}
 }
 

@@ -12,11 +12,11 @@ import (
 )
 
 // The flat runs are handed to every plan as they lie — //parlist//parlist
-// gets one run for both sides of its join — and plans route and semi-join
-// their candidates in place: they must do so on copies. After the Table 1
-// workload, a value test, value-tested and same-tag subtree roots and a
-// wildcard root, under every semantics and both ablation arms, each tag's
-// run, each class's run and each (tag, value) lookup equals a fresh build's.
+// gets one run for both sides of its join — and no plan may write to them.
+// After the Table 1 workload, a value test, value-tested and same-tag
+// subtree roots and a wildcard root, under every semantics and both
+// ablation arms, each tag's run, each class's run and each (tag, value)
+// lookup equals a fresh build's.
 func TestIndexRunsSurviveQueries(t *testing.T) {
 	dir, qval := churnTenant(t, 2, 31, 3600, 512)
 	s, err := Open(dir, StoreOptions{})

@@ -95,10 +95,7 @@ func (s *Store) initObs() error {
 	s.queryAnswers = s.reg.Counter("query_answers_total")
 	s.queryMatches = s.reg.Counter("query_matches_total")
 	s.skipAccess = s.reg.Counter("query_pages_skipped_access")
-	s.skipStruct = s.reg.Counter("query_pages_skipped_struct")
 	s.candRejects = s.reg.Counter("query_candidates_rejected")
-	s.pathRejects = s.reg.Counter("query_candidates_rejected_path")
-	s.joinRejects = s.reg.Counter("query_candidates_rejected_join")
 	s.pathEmpties = s.reg.Counter("query_path_empty_total")
 	s.pathClasses = s.reg.Counter("query_path_classes_preresolved")
 	s.queryLatency = s.reg.Histogram("query_latency_us")
@@ -143,10 +140,7 @@ func (s *Store) initObs() error {
 		"query_answers_total":            "Answer nodes returned across all queries.",
 		"query_matches_total":            "Combined pattern-match tuples consumed.",
 		"query_pages_skipped_access":     "Pages skipped because the access mask proved them dead.",
-		"query_pages_skipped_struct":     "Pages skipped because the structure summary proved them dead.",
 		"query_candidates_rejected":      "Candidate nodes rejected before matching.",
-		"query_candidates_rejected_path": "Candidates rejected by path-class filtering.",
-		"query_candidates_rejected_join": "Candidates the structural semi-join on the index postings removed.",
 		"plan_memo_bytes":                "Memory held by the current snapshot's memoized plan shapes, in bytes.",
 		"query_path_empty_total":         "Queries proven empty by the path summary alone.",
 		"query_path_classes_preresolved": "Uniform path classes whose access verdict was preresolved.",
@@ -206,10 +200,7 @@ func (s *Store) initObs() error {
 // every reporting surface sees the same numbers.
 func (s *Store) recordSkips(sk query.SkipStats) {
 	s.skipAccess.Add(sk.AccessPages)
-	s.skipStruct.Add(sk.StructPages)
 	s.candRejects.Add(sk.Candidates)
-	s.pathRejects.Add(sk.PathCandidates)
-	s.joinRejects.Add(sk.JoinCandidates)
 	s.pathEmpties.Add(sk.PathEmpty)
 	s.pathClasses.Add(sk.PathClasses)
 }

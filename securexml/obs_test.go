@@ -135,20 +135,20 @@ func TestQueryTraceInvariants(t *testing.T) {
 					name, hits, pins-hits, d("pool_hits"), d("pool_misses"))
 			}
 
+			// Pages are skipped on the deny bitmap alone (§3.3).
 			skipA := countKind(evs, "page_skip_access")
-			skipS := countKind(evs, "page_skip_struct")
-			if skipA != d("query_pages_skipped_access") || skipS != d("query_pages_skipped_struct") {
-				t.Errorf("%s: trace skips %d/%d != registry delta %d/%d", name,
-					skipA, skipS, d("query_pages_skipped_access"), d("query_pages_skipped_struct"))
+			if skipA != d("query_pages_skipped_access") || countKind(evs, "page_skip_struct") != 0 {
+				t.Errorf("%s: trace skips %d (%d structural) != registry delta %d", name,
+					skipA, countKind(evs, "page_skip_struct"), d("query_pages_skipped_access"))
 			}
 			if countKind(evs, "candidate_reject") != d("query_candidates_rejected") {
 				t.Errorf("%s: trace rejects %d != registry delta %d", name,
 					countKind(evs, "candidate_reject"), d("query_candidates_rejected"))
 			}
 
-			if tr.PageReads() != pins || tr.PageSkips() != skipA+skipS {
+			if tr.PageReads() != pins || tr.PageSkips() != skipA {
 				t.Errorf("%s: accessors disagree with events: reads %d/%d skips %d/%d",
-					name, tr.PageReads(), pins, tr.PageSkips(), skipA+skipS)
+					name, tr.PageReads(), pins, tr.PageSkips(), skipA)
 			}
 			if tr.PagesConsidered() != tr.PageReads()+tr.PageSkips() {
 				t.Errorf("%s: considered %d != read %d + skipped %d",
@@ -217,10 +217,9 @@ func TestCursorTraceAccounting(t *testing.T) {
 	if d("query_total") != 1 {
 		t.Errorf("query_total delta = %d, want 1", d("query_total"))
 	}
-	if d("query_pages_skipped_access") != sk.AccessPages || d("query_pages_skipped_struct") != sk.StructPages {
-		t.Errorf("registry skips %d/%d != cursor SkipStats %d/%d",
-			d("query_pages_skipped_access"), d("query_pages_skipped_struct"),
-			sk.AccessPages, sk.StructPages)
+	if d("query_pages_skipped_access") != sk.AccessPages || d("query_candidates_rejected") != sk.Candidates {
+		t.Errorf("registry skips/rejects %d/%d != cursor SkipStats %d/%d",
+			d("query_pages_skipped_access"), d("query_candidates_rejected"), sk.AccessPages, sk.Candidates)
 	}
 	// Close already settled the counters; a second Close must not re-add.
 	if err := cur.Close(); err != nil {
@@ -266,8 +265,8 @@ func TestMetricNamesValidAndUnique(t *testing.T) {
 		"store_nodes", "store_pages", "directory_bytes", "summary_bytes", "codebook_bytes",
 		"query_total", "query_errors", "query_slow_total",
 		"query_answers_total", "query_matches_total", "query_latency_us",
-		"query_pages_skipped_access", "query_pages_skipped_struct",
-		"query_candidates_rejected", "query_candidates_rejected_path", "query_candidates_rejected_join",
+		"query_pages_skipped_access", "query_candidates_rejected",
+		"query_path_empty_total", "query_path_classes_preresolved",
 		"skipmask_compile_hits", "skipmask_compile_misses", "plan_memo_bytes",
 	})
 	for _, n := range mem.MetricNames() {

@@ -17,9 +17,8 @@ import (
 
 // bigStore builds a document wide enough to span many pages at a small page
 // size, with a user who can read everything except <secret> subtrees. A long
-// run of <pad/> leaves sits between two book clusters so whole pages exist
-// that hold no book or title at all — exactly what the path summary's class
-// placement can prove skippable for /lib/book scans.
+// run of <pad/> leaves sits between two book clusters, so whole pages exist
+// that hold no book or title at all.
 func bigStore(t *testing.T, opts StoreOptions) *Store {
 	t.Helper()
 	books := func(sb *strings.Builder, n int) {
@@ -84,58 +83,7 @@ func TestDecodeCacheBytesOption(t *testing.T) {
 	}
 }
 
-func TestCursorSkipStatsAndDisable(t *testing.T) {
-	s := bigStore(t, StoreOptions{PageSize: 256})
-	defer s.Close()
-	ctx := context.Background()
-
-	// A path without a descendant predicate is answered from the class
-	// postings and scans no children; this one scans lib's.
-	drain := func(opts QueryOptions) ([]Match, SkipStats) {
-		cur, err := s.QueryCursor(ctx, "reader", "read", "//lib[//pad]/book[title]", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var ms []Match
-		for {
-			m, ok, err := cur.Next(ctx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			ms = append(ms, m)
-		}
-		sk := cur.SkipStats()
-		if err := cur.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return ms, sk
-	}
-
-	on, skOn := drain(QueryOptions{})
-	off, skOff := drain(QueryOptions{DisableSummarySkip: true})
-	if len(on) != 500 || len(off) != 500 {
-		t.Fatalf("books: %d with struct skip, %d without, want 500", len(on), len(off))
-	}
-	for i := range on {
-		if on[i].Node != off[i].Node {
-			t.Fatalf("answer %d differs: %d vs %d", i, on[i].Node, off[i].Node)
-		}
-	}
-	if skOff.StructPages != 0 {
-		t.Fatalf("disabled run recorded %d structural skips", skOff.StructPages)
-	}
-	// The lib/book child scan crosses the <pad/> run: those pages hold no
-	// book class, so the path summary must prove them skippable.
-	if skOn.StructPages == 0 {
-		t.Fatal("struct skip enabled but no structural skips recorded")
-	}
-}
-
-// The DisableSummarySkip option must not change answers through the batch
-// path either.
+// DisableSummarySkip is accepted and ignored: it changes no answer.
 func TestQueryCtxDisableSummarySkip(t *testing.T) {
 	s := bigStore(t, StoreOptions{PageSize: 256})
 	defer s.Close()
@@ -237,9 +185,10 @@ func sameAfterReopen(t *testing.T, s *Store, when string) {
 }
 
 // After a random sequence of all eight update kinds and vacuums, every
-// Table 1 query under every semantics must answer exactly what the naive
-// matcher finds among the nodes the user may bind — with struct skip on,
-// off, and with routing off — and again through a saved-and-reopened store.
+// Table 1 query and two with a descendant step in a predicate (which the
+// served snapshot scans) under every semantics must answer exactly what the
+// naive matcher finds among the nodes the user may bind — served, and on
+// the paper's engine alone — and again through a saved-and-reopened store.
 // After every commit, moreover, a saved copy reopens with the same value
 // refs (inserts, deletes and moves shift and renumber them; the sidecar
 // packs them), the same values and the same answers, values included.
@@ -329,6 +278,9 @@ func TestAnswersMatchNaiveModelAfterRandomUpdates(t *testing.T) {
 			sameAfterReopen(t, s, fmt.Sprintf("seed %d op %d (kind %d)", seed, op, kind))
 		}
 
+		queries := append(table1[:len(table1):len(table1)],
+			struct{ name, expr string }{"Qitemkw", "//item[//keyword]"},
+			struct{ name, expr string }{"Qparlist", "//parlist[//listitem]//keyword"})
 		check := func(s *Store, where string) {
 			t.Helper()
 			doc := currentDoc(t, s)
@@ -356,7 +308,7 @@ func TestAnswersMatchNaiveModelAfterRandomUpdates(t *testing.T) {
 			}
 			for _, a := range arms {
 				ref := maskedDoc(doc, a.keep)
-				for _, q := range table1 {
+				for _, q := range queries {
 					want := query.MatchDocument(ref, query.MustParse(q.expr))
 					if a.user == "" {
 						total[q.name] = len(want)
@@ -364,11 +316,11 @@ func TestAnswersMatchNaiveModelAfterRandomUpdates(t *testing.T) {
 						narrowed++
 					}
 					for _, ab := range []struct {
-						name             string
-						noStruct, noPath bool
-					}{{"default", false, false}, {"struct skip off", true, false}, {"routing off", false, true}} {
+						name   string
+						noPath bool
+					}{{"served", false}, {"paper's engine", true}} {
 						opts := a.opts
-						opts.DisableSummarySkip, opts.DisablePathSummary = ab.noStruct, ab.noPath
+						opts.DisablePathSummary = ab.noPath
 						ms, err := s.QueryCtx(context.Background(), a.user, mode, q.expr, opts)
 						if err != nil {
 							t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 
 // The plan memo never serves one state's plan to another: the same two
 // queries — a value predicate answered from the value index, and a
-// descendant join whose candidates the semi-join reduces — asked around an
+// descendant predicate the paper's engine scans and joins — asked around an
 // insert of a person carrying the literal, its delete, an ACL toggle and a
 // Vacuum, on the current state and on snapshots pinned along the way, each
 // see the state they run against, whichever state filled the memo last.
@@ -25,7 +25,7 @@ func TestPlanMemoFollowsItsSnapshot(t *testing.T) {
 	literal := emails[len(emails)/2].Value
 	qval := fmt.Sprintf("/site/people/person[emailaddress='%s']/name", literal)
 	// Not every person has an address; the descendant predicate keeps the
-	// query on scans, whose semi-join rejects the others.
+	// query on scans and joins.
 	const qjoin = "//person[//city]"
 	type counts struct{ val, join int }
 	ask := func(what string, sp *Snapshot) counts {
@@ -112,9 +112,9 @@ func TestPlanMemoFollowsItsSnapshot(t *testing.T) {
 	expect("after vacuum", base)
 
 	m := s.MetricsSnapshot()
-	if m.Get("query_candidates_rejected_join") == 0 || m.Get("plan_memo_bytes") == 0 {
-		t.Errorf("query_candidates_rejected_join = %d, plan_memo_bytes = %d; want both positive",
-			m.Get("query_candidates_rejected_join"), m.Get("plan_memo_bytes"))
+	if m.Get("skipmask_compile_hits") == 0 || m.Get("plan_memo_bytes") == 0 {
+		t.Errorf("skipmask_compile_hits = %d, plan_memo_bytes = %d; want both positive",
+			m.Get("skipmask_compile_hits"), m.Get("plan_memo_bytes"))
 	}
 }
 

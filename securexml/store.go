@@ -184,10 +184,7 @@ type Store struct {
 	queryAnswers *obs.Counter
 	queryMatches *obs.Counter
 	skipAccess   *obs.Counter
-	skipStruct   *obs.Counter
 	candRejects  *obs.Counter
-	pathRejects  *obs.Counter
-	joinRejects  *obs.Counter
 	pathEmpties  *obs.Counter
 	pathClasses  *obs.Counter
 	queryLatency *obs.Histogram
@@ -452,7 +449,6 @@ func (s *Store) prepare(tr *obs.Trace, user, mode, xpath string, opts QueryOptio
 	p.fp = fingerprintFor(p.pt, opts)
 	p.qo = query.Options{
 		Limit:              opts.Limit,
-		DisableSummarySkip: opts.DisableSummarySkip,
 		DisablePathSummary: opts.DisablePathSummary,
 		Trace:              tr,
 	}
@@ -1021,11 +1017,11 @@ type Stats struct {
 	CodebookBytes   int
 	DirectoryBytes  int
 	// SummaryBytes is the in-memory footprint of the per-block path-class
-	// bitsets driving structure-aware page skipping (part of the next).
+	// bitsets (part of the next), which only the consistency check reads.
 	SummaryBytes int
 	// PathSummaryBytes is the in-memory footprint of the path summary
 	// (one node per distinct root-to-tag path plus per-block class sets)
-	// driving path routing.
+	// behind emptiness proofs and index plans.
 	PathSummaryBytes int
 	Pool             storage.PoolStats
 	IO               storage.IOStats
@@ -1044,25 +1040,17 @@ type CacheStats struct {
 	Budget    int64
 }
 
-// SkipStats count the page reads one query avoided, by cause: pages
-// skipped because the directory proves them fully inaccessible to the
-// subject (Access), pages skipped because the path summary places none of
-// the pattern's classes on them (Struct), and root candidates rejected
-// from the directory alone (Candidates).
-// PathCandidates counts candidates the path summary rejected before any
-// I/O, PathClasses the access verdicts it resolved at the path-class
-// level, and PathEmpty is 1 when it proved the query empty outright.
-// JoinCandidates counts the candidates the structural semi-join on the index
-// postings removed after that: no posting of a joined subtree lies where
-// they could pair with it.
+// SkipStats count the page reads one query avoided: scan pages skipped
+// because the directory proves them fully inaccessible to the subject
+// (AccessPages, §3.3), and root candidates rejected from the directory
+// alone (Candidates). PathClasses counts the access verdicts the path
+// summary resolved at the path-class level, and PathEmpty is 1 when it
+// proved the query empty outright.
 type SkipStats struct {
-	AccessPages    int64
-	StructPages    int64
-	Candidates     int64
-	PathCandidates int64
-	JoinCandidates int64
-	PathClasses    int64
-	PathEmpty      int64
+	AccessPages int64
+	Candidates  int64
+	PathClasses int64
+	PathEmpty   int64
 }
 
 // Stats collects the store's current statistics against one pinned
