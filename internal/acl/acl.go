@@ -20,8 +20,10 @@ package acl
 
 import (
 	"fmt"
+	"math"
 
 	"dolxml/internal/bitset"
+	"dolxml/internal/wire"
 	"dolxml/internal/xmltree"
 )
 
@@ -212,6 +214,62 @@ func (d *Directory) Snapshot() DirectorySnapshot {
 	}
 	for i, m := range d.memberOf {
 		s.MemberOf[i] = append([]SubjectID(nil), m...)
+	}
+	return s
+}
+
+// AppendBinary appends the snapshot's image in sidecar format 3: the names,
+// the group flags (0 or 1) and each subject's groups, every list a uvarint
+// count and uvarint or length-prefixed entries.
+func (s DirectorySnapshot) AppendBinary(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(len(s.Names)))
+	for _, n := range s.Names {
+		b = wire.AppendString(b, n)
+	}
+	b = wire.AppendUvarint(b, uint64(len(s.IsGroup)))
+	for _, g := range s.IsGroup {
+		if g {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+	}
+	b = wire.AppendUvarint(b, uint64(len(s.MemberOf)))
+	for _, gs := range s.MemberOf {
+		b = wire.AppendUvarint(b, uint64(len(gs)))
+		for _, g := range gs {
+			b = wire.AppendUvarint(b, uint64(g))
+		}
+	}
+	return b
+}
+
+// ReadDirectorySnapshot decodes what AppendBinary wrote. It checks the
+// encoding only; DirectoryFromSnapshot checks the directory.
+func ReadDirectorySnapshot(r *wire.Reader) DirectorySnapshot {
+	var s DirectorySnapshot
+	if n := r.Len(); n > 0 {
+		s.Names = make([]string, n)
+		for i := range s.Names {
+			s.Names[i] = r.String()
+		}
+	}
+	if n := r.Len(); n > 0 {
+		s.IsGroup = make([]bool, n)
+		for i := range s.IsGroup {
+			s.IsGroup[i] = r.Uint(1) == 1
+		}
+	}
+	if n := r.Len(); n > 0 {
+		s.MemberOf = make([][]SubjectID, n)
+		for i := range s.MemberOf {
+			if m := r.Len(); m > 0 {
+				s.MemberOf[i] = make([]SubjectID, m)
+				for j := range s.MemberOf[i] {
+					s.MemberOf[i][j] = SubjectID(r.Uint(math.MaxInt32))
+				}
+			}
+		}
 	}
 	return s
 }

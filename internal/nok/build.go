@@ -75,7 +75,7 @@ func Build(pool *storage.BufferPool, doc *xmltree.Document, opts BuildOptions) (
 		blockFirst   xmltree.NodeID
 		blockMin     int
 	)
-	psb := pathsum.NewBuilder()
+	psb := pathsum.NewBuilder(0)
 	flush := func() error {
 		if len(blockEntries) == 0 {
 			return nil

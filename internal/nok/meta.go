@@ -4,18 +4,23 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"slices"
 
 	"dolxml/internal/pathsum"
 	"dolxml/internal/storage"
+	"dolxml/internal/wire"
 	"dolxml/internal/xmltree"
 )
 
 // Meta is the serializable description of a Store, written beside the page
 // file so a file-backed store can be reopened. The page directory itself is
 // reconstructed from the block headers, which remain authoritative.
+//
+// Sidecar formats 1 and 2 hold Meta as a JSON object; format 3 as the base64
+// of its binary image (AppendBinary). UnmarshalJSON takes either.
 type Meta struct {
 	NumNodes       int              `json:"num_nodes"`
 	Tags           []string         `json:"tags"`
@@ -26,6 +31,85 @@ type Meta struct {
 	// trusted.
 	PathSummary *pathsum.Meta `json:"path_summary,omitempty"`
 	ValueRefs   ValueRefs     `json:"value_refs,omitempty"`
+}
+
+// AppendBinary appends m's image: AppendHead, then AppendTail.
+func (m *Meta) AppendBinary(b []byte) []byte { return m.AppendTail(m.AppendHead(b)) }
+
+// AppendHead appends the part of the image that changes only with the
+// document's shape: the node count, the tag table (each tag length-prefixed)
+// and the packed value refs (length-prefixed; see ValueRefs).
+func (m *Meta) AppendHead(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(m.NumNodes))
+	b = wire.AppendUvarint(b, uint64(len(m.Tags)))
+	for _, t := range m.Tags {
+		b = wire.AppendString(b, t)
+	}
+	return wire.AppendBytes(b, packValueRefs(m.ValueRefs))
+}
+
+// AppendTail appends the part of the image an access update can change: a
+// 0/1 flag and the path summary's image when there is one, then the
+// structure pages. Every commit writes it anew.
+func (m *Meta) AppendTail(b []byte) []byte {
+	if m.PathSummary == nil {
+		b = append(b, 0)
+	} else {
+		b = m.PathSummary.AppendBinary(append(b, 1))
+	}
+	b = wire.AppendUvarint(b, uint64(len(m.StructurePages)))
+	for _, p := range m.StructurePages {
+		b = wire.AppendUvarint(b, uint64(p))
+	}
+	return b
+}
+
+// UnmarshalBinary decodes what AppendBinary wrote, accepting nothing else.
+// Like the JSON forms it checks only the encoding: CheckValueRefs and Open
+// check what the image says.
+func (m *Meta) UnmarshalBinary(img []byte) error {
+	r := wire.NewReader(img)
+	*m = Meta{NumNodes: r.Int()}
+	if n := r.Len(); n > 0 {
+		m.Tags = make([]string, n)
+		for i := range m.Tags {
+			m.Tags[i] = r.String()
+		}
+	}
+	if blob := r.Bytes(); len(blob) > 0 {
+		refs, err := unpackValueRefs(blob)
+		if err != nil {
+			return err
+		}
+		m.ValueRefs = refs
+	}
+	if r.Uint(1) == 1 {
+		m.PathSummary = pathsum.ReadMeta(r)
+	}
+	if n := r.Len(); n > 0 {
+		m.StructurePages = make([]storage.PageID, n)
+		for i := range m.StructurePages {
+			m.StructurePages[i] = storage.PageID(r.Uint(math.MaxUint32))
+		}
+	}
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("nok: metadata image: %w", err)
+	}
+	return nil
+}
+
+// UnmarshalJSON reads Meta from any sidecar format: an object (formats 1
+// and 2) or a string holding the base64 of the binary image (format 3).
+func (m *Meta) UnmarshalJSON(b []byte) error {
+	if len(b) > 0 && b[0] == '"' {
+		var img []byte
+		if err := json.Unmarshal(b, &img); err != nil {
+			return fmt.Errorf("nok: metadata image: %w", err)
+		}
+		return m.UnmarshalBinary(img)
+	}
+	type object Meta
+	return json.Unmarshal(b, (*object)(m))
 }
 
 // ValueRefs is the value index as Meta carries it: the ValueStore's own
@@ -77,38 +161,36 @@ func packValueRefs(refs []valueRef) []byte {
 
 // unpackValueRefs accepts exactly what packValueRefs can produce: every
 // varint complete and in its shortest form, every field within its type,
-// nothing left over.
+// nothing left over. The refs are most of a sidecar, so the loop reads its
+// varints itself, a one-byte one without a call.
 func unpackValueRefs(blob []byte) ([]valueRef, error) {
 	refs := make([]valueRef, 0, len(blob)/4)
-	bad := false
-	uvarint := func() uint64 {
-		u, n := binary.Uvarint(blob)
-		if n <= 0 || (n > 1 && blob[n-1] == 0) {
-			bad = true
-			return 0
-		}
-		blob = blob[n:]
-		return u
-	}
-	varint := func() int64 {
-		u := uvarint()
-		if u&1 != 0 {
-			return ^int64(u >> 1)
-		}
-		return int64(u >> 1)
-	}
 	var node, page int64
 	for len(blob) > 0 {
-		node += varint()
-		page += varint()
-		off, length := uvarint(), uvarint()
-		if bad || node < 0 || node > math.MaxInt32 || page < 0 || page > math.MaxUint32 || off > math.MaxUint16 || length > math.MaxUint16 {
+		var f [4]uint64 // zigzag node delta, zigzag page delta, Off, Len
+		for i := range f {
+			if len(blob) > 0 && blob[0] < 0x80 {
+				f[i], blob = uint64(blob[0]), blob[1:]
+				continue
+			}
+			v, n := binary.Uvarint(blob)
+			if n <= 0 || blob[n-1] == 0 {
+				return nil, fmt.Errorf("nok: value ref %d is malformed", len(refs))
+			}
+			f[i], blob = v, blob[n:]
+		}
+		node += int64(f[0]>>1) ^ -int64(f[0]&1)
+		page += int64(f[1]>>1) ^ -int64(f[1]&1)
+		if node < 0 || node > math.MaxInt32 || page < 0 || page > math.MaxUint32 || f[2] > math.MaxUint16 || f[3] > math.MaxUint16 {
 			return nil, fmt.Errorf("nok: value ref %d is malformed", len(refs))
 		}
-		refs = append(refs, valueRef{xmltree.NodeID(node), storage.PageID(page), uint16(off), uint16(length)})
+		refs = append(refs, valueRef{xmltree.NodeID(node), storage.PageID(page), uint16(f[2]), uint16(f[3])})
 	}
 	return refs, nil
 }
+
+// ErrValueRef is what a CheckValueRefs error wraps.
+var ErrValueRef = errors.New("nok: value ref")
 
 // CheckValueRefs holds the value refs against the rest of the metadata, the
 // store's page size and its page file's page count, whichever format they
@@ -116,6 +198,7 @@ func unpackValueRefs(blob []byte) ([]valueRef, error) {
 // non-empty and inside its page, on a page the file has, no value on a
 // structure page. A ref that fails would have a value read slice past its
 // page, fault past the file's end or serve structure bytes as text.
+// Its errors wrap ErrValueRef.
 func (m Meta) CheckValueRefs(pageSize, numPages int) error {
 	prev := xmltree.NodeID(-1)
 	for i, r := range m.ValueRefs {
@@ -123,15 +206,15 @@ func (m Meta) CheckValueRefs(pageSize, numPages int) error {
 		newPage := i == 0 || r.Page != m.ValueRefs[i-1].Page
 		switch {
 		case r.Node <= prev:
-			return fmt.Errorf("nok: value ref %d: node %d does not follow node %d", i, r.Node, prev)
+			return fmt.Errorf("%w %d: node %d does not follow node %d", ErrValueRef, i, r.Node, prev)
 		case int(r.Node) >= m.NumNodes:
-			return fmt.Errorf("nok: value ref %d: node %d of %d", i, r.Node, m.NumNodes)
+			return fmt.Errorf("%w %d: node %d of %d", ErrValueRef, i, r.Node, m.NumNodes)
 		case r.Len == 0 || int(r.Off)+int(r.Len) > pageSize:
-			return fmt.Errorf("nok: value ref %d: bytes [%d,+%d) of a %d-byte page", i, r.Off, r.Len, pageSize)
+			return fmt.Errorf("%w %d: bytes [%d,+%d) of a %d-byte page", ErrValueRef, i, r.Off, r.Len, pageSize)
 		case newPage && int64(r.Page) >= int64(numPages):
-			return fmt.Errorf("nok: value ref %d: page %d is past the end of a %d-page file", i, r.Page, numPages)
+			return fmt.Errorf("%w %d: page %d is past the end of a %d-page file", ErrValueRef, i, r.Page, numPages)
 		case newPage && slices.Contains(m.StructurePages, r.Page):
-			return fmt.Errorf("nok: value ref %d: page %d is a structure page", i, r.Page)
+			return fmt.Errorf("%w %d: page %d is a structure page", ErrValueRef, i, r.Page)
 		}
 		prev = r.Node
 	}
@@ -179,7 +262,8 @@ func Open(pool *storage.BufferPool, m Meta) (*Store, error) {
 // sees besides: every node's extent and its class in the path summary the
 // scan builds, as ForEachClassExtent reports them (extent may be nil), the
 // first after the block headers have confirmed m.NumNodes. What was reported
-// before an error is to be thrown away.
+// before an error is to be thrown away. The value refs are held against the
+// pool's page file (CheckValueRefs) before anything is read.
 func OpenScan(pool *storage.BufferPool, m Meta, extent ExtentFunc) (*Store, error) {
 	if m.NumNodes <= 0 {
 		return nil, fmt.Errorf("nok: metadata has %d nodes", m.NumNodes)
@@ -227,7 +311,11 @@ func OpenScan(pool *storage.BufferPool, m Meta, extent ExtentFunc) (*Store, erro
 	// storage stays authoritative — against which any persisted copy is
 	// verified before the store is trusted.
 	var err error
-	if s.paths, err = s.scanPathSummary(extent); err != nil {
+	classes := 0
+	if m.PathSummary != nil {
+		classes = len(m.PathSummary.Tags)
+	}
+	if s.paths, err = s.scanPathSummary(classes, extent); err != nil {
 		return nil, err
 	}
 	if m.PathSummary != nil {

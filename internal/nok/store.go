@@ -410,7 +410,11 @@ func (s *Store) PathSummaryMeta() *pathsum.Meta {
 // path when an incremental rewrite cannot replay cleanly, and the oracle
 // for tests.
 func (s *Store) RebuildPathSummary() error {
-	ps, err := s.scanPathSummary(nil)
+	classes := 0
+	if s.paths != nil {
+		classes = s.paths.NumNodes()
+	}
+	ps, err := s.scanPathSummary(classes, nil)
 	if err != nil {
 		return err
 	}
@@ -422,10 +426,11 @@ func (s *Store) RebuildPathSummary() error {
 // and last node, the node's level, its tag code and its path class.
 type ExtentFunc func(n, end xmltree.NodeID, level int, tag, class int32)
 
-// scanPathSummary builds a fresh path summary from the blocks, in a walk
-// that reports to extent on the way, with the classes of the summary built.
-func (s *Store) scanPathSummary(extent ExtentFunc) (*pathsum.Summary, error) {
-	psb := pathsum.NewBuilder()
+// scanPathSummary builds a fresh path summary of about classes path
+// classes from the blocks, in a walk that reports to extent on the way, with
+// the classes of the summary built.
+func (s *Store) scanPathSummary(classes int, extent ExtentFunc) (*pathsum.Summary, error) {
+	psb := pathsum.NewBuilder(min(classes, s.numNodes))
 	if err := s.walk(psb, nil, extent); err != nil {
 		return nil, err
 	}
@@ -445,7 +450,7 @@ func (s *Store) CheckConsistency() error {
 	if s.paths == nil {
 		return s.walk(nil, nil, nil)
 	}
-	rebuilt, err := s.scanPathSummary(nil)
+	rebuilt, err := s.scanPathSummary(s.paths.NumNodes(), nil)
 	if err != nil {
 		return err
 	}

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -120,14 +119,22 @@ func upperBound(i int) int64 {
 	return int64(1) << uint(i)
 }
 
-// nameRE is the canonical metric-name grammar: lowercase_snake, starting
-// with a letter. One grammar everywhere keeps the JSON and Prometheus
-// exports (and the paper-figure metric table in DESIGN.md) in one
-// namespace.
-var nameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
-
-// ValidName reports whether name is a legal metric name.
-func ValidName(name string) bool { return nameRE.MatchString(name) }
+// ValidName reports whether name is a legal metric name: lowercase_snake,
+// starting with a letter (`^[a-z][a-z0-9_]*$`). One grammar everywhere
+// keeps the JSON and Prometheus exports (and the paper-figure metric table
+// in DESIGN.md) in one namespace.
+func ValidName(name string) bool {
+	if name == "" || name[0] < 'a' || name[0] > 'z' {
+		return false
+	}
+	for i := 1; i < len(name); i++ {
+		c := name[i]
+		if (c < 'a' || c > 'z') && (c < '0' || c > '9') && c != '_' {
+			return false
+		}
+	}
+	return true
+}
 
 // Registry holds named metrics. Registration is rare (store construction);
 // lookups during export take a read lock; metric updates never touch the
@@ -139,6 +146,8 @@ type Registry struct {
 	gauges   map[string]Gauge
 	hists    map[string]*Histogram
 	help     map[string]string
+	// helpTable is shared, read-only help text for names help lacks.
+	helpTable map[string]string
 }
 
 // NewRegistry returns an empty registry.
@@ -161,10 +170,22 @@ func (r *Registry) SetHelp(name, text string) {
 	r.help[name] = text
 }
 
-// helpFor returns the help text for name, falling back to a generated
-// sentence. Callers hold at least the read lock.
+// SetHelpTable makes table, which the caller never modifies again, the help
+// text of every name SetHelp has not set: a component that registers many
+// metrics on many registries shares one table instead of copying it.
+func (r *Registry) SetHelpTable(table map[string]string) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.helpTable = table
+}
+
+// helpFor returns the help text for name, falling back to the help table,
+// then to a generated sentence. Callers hold at least the read lock.
 func (r *Registry) helpFor(name string) string {
 	if h, ok := r.help[name]; ok && h != "" {
+		return h
+	}
+	if h := r.helpTable[name]; h != "" {
 		return h
 	}
 	return strings.ReplaceAll(name, "_", " ") + "."

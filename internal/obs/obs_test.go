@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -57,7 +58,24 @@ func TestHistogramSum(t *testing.T) {
 	}
 }
 
+// ValidName is the byte-loop form of the grammar's regexp, which stays here
+// as its reference: the two agree on every string of up to three bytes over
+// letters of both cases, digits and four punctuation marks.
 func TestValidName(t *testing.T) {
+	ref := regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
+	const alphabet = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_ .-"
+	var walk func(name string)
+	walk = func(name string) {
+		if ValidName(name) != ref.MatchString(name) {
+			t.Errorf("ValidName(%q) = %v, the regexp says %v", name, ValidName(name), ref.MatchString(name))
+		}
+		if len(name) < 3 {
+			for i := range len(alphabet) {
+				walk(name + alphabet[i:i+1])
+			}
+		}
+	}
+	walk("")
 	good := []string{"a", "pool_gets", "query_latency_us", "x1_y2"}
 	bad := []string{"", "Pool_gets", "1pool", "pool-gets", "pool gets", "pool.gets", "_pool"}
 	for _, n := range good {
@@ -222,8 +240,8 @@ func TestTraceCountsAndContext(t *testing.T) {
 	done()
 	tr.PagePin(3, true)
 	tr.PagePin(4, false)
-	tr.PageSkip(5, true)
-	tr.PageSkip(6, false)
+	tr.PageSkip(5)
+	tr.PageSkip(6)
 	tr.CandidateReject(42, 6)
 	tr.Emit(42)
 
@@ -246,7 +264,7 @@ func TestTraceCountsAndContext(t *testing.T) {
 		t.Errorf("Dropped = %d", tr.Dropped())
 	}
 	out := tr.String()
-	for _, want := range []string{"page_pin", "page=3", "hit=true", "page_skip_access", "page_skip_struct", "candidate_reject", "emit"} {
+	for _, want := range []string{"page_pin", "page=3", "hit=true", "page_skip_access", "page=6", "candidate_reject", "emit"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace dump missing %q:\n%s", want, out)
 		}
@@ -258,7 +276,7 @@ func TestTraceNilIsSafe(t *testing.T) {
 	tr.Mark(EvParse)
 	tr.Span(EvCompile)()
 	tr.PagePin(1, true)
-	tr.PageSkip(2, false)
+	tr.PageSkip(2)
 	if tr.PageReads() != 0 || tr.PagesConsidered() != 0 || tr.Dropped() != 0 {
 		t.Fatal("nil trace recorded something")
 	}
@@ -299,7 +317,7 @@ func TestTraceConcurrentAppend(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				tr.PagePin(int64(i), i%2 == 0)
-				tr.PageSkip(int64(i), i%3 == 0)
+				tr.PageSkip(int64(i))
 			}
 		}(g)
 	}

@@ -49,12 +49,11 @@ type QueryDigest struct {
 	At int64 `json:"at_us"`
 	// LatencyUs is the end-to-end facade latency.
 	LatencyUs int64 `json:"latency_us"`
-	// Pages / Hits / SkippedAccess / SkippedStruct are the query's page
-	// accounting (from its trace; see Trace.Counts).
+	// Pages / Hits / SkippedAccess are the query's page accounting (from
+	// its trace; see Trace.Counts).
 	Pages         int64 `json:"pages"`
 	Hits          int64 `json:"hits"`
 	SkippedAccess int64 `json:"skipped_access"`
-	SkippedStruct int64 `json:"skipped_struct"`
 	// Answers is the number of matches produced.
 	Answers int64 `json:"answers"`
 	// Err marks a failed query.
@@ -73,7 +72,6 @@ type FingerprintStats struct {
 	Pages         int64  `json:"pages"`
 	Hits          int64  `json:"hits"`
 	SkippedAccess int64  `json:"skipped_access"`
-	SkippedStruct int64  `json:"skipped_struct"`
 	Answers       int64  `json:"answers"`
 	LastAt        int64  `json:"last_at_us"`
 	seq           int64
@@ -162,7 +160,6 @@ func (r *Recorder) Record(d QueryDigest, tr *Trace) {
 	fp.Pages += d.Pages
 	fp.Hits += d.Hits
 	fp.SkippedAccess += d.SkippedAccess
-	fp.SkippedStruct += d.SkippedStruct
 	fp.Answers += d.Answers
 	fp.LastAt = d.At
 	fp.seq = r.seq
@@ -284,7 +281,7 @@ func (r *Recorder) WriteText(w io.Writer) error {
 		}
 		p("  %-60s n=%d err=%d avg=%dus max=%dus pages=%d hits=%d skipped=%d answers=%d\n",
 			f.Fingerprint, f.Count, f.Errors, avg, f.MaxUs,
-			f.Pages, f.Hits, f.SkippedAccess+f.SkippedStruct, f.Answers)
+			f.Pages, f.Hits, f.SkippedAccess, f.Answers)
 	}
 	for i, q := range s.Slowest {
 		p("  slowest[%d]: %s %dus pages=%d answers=%d\n",

@@ -14,6 +14,8 @@ func TestWritePrometheusHelpLines(t *testing.T) {
 	r.Gauge("resident", func() int64 { return 1 })
 	r.Histogram("lat").Observe(1)
 	r.SetHelp("lat", "Latency with a\nnewline and \\ backslash.")
+	r.Counter("writes")
+	r.SetHelpTable(map[string]string{"writes": "Pages written.", "reads": "Overridden by SetHelp."})
 
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb, "dolxml"); err != nil {
@@ -22,6 +24,7 @@ func TestWritePrometheusHelpLines(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		"# HELP dolxml_reads Pages read.\n# TYPE dolxml_reads counter\n",
+		"# HELP dolxml_writes Pages written.\n# TYPE dolxml_writes counter\n",
 		// No SetHelp: fallback derives readable text from the name.
 		"# HELP dolxml_resident resident.\n# TYPE dolxml_resident gauge\n",
 		`# HELP dolxml_lat Latency with a\nnewline and \\ backslash.` + "\n# TYPE dolxml_lat histogram\n",
@@ -67,7 +70,7 @@ func TestTraceForOpStampsEvents(t *testing.T) {
 	tr.PagePin(1, false)
 	scan.PagePin(2, true)
 	join.JoinProbe(7, 3)
-	scan.PageSkip(3, true)
+	scan.PageSkip(3)
 
 	evs := tr.Events()
 	if len(evs) != 4 {
@@ -101,15 +104,15 @@ func TestCountingTrace(t *testing.T) {
 			h := tr.ForOp("scan0")
 			for i := 0; i < 100; i++ {
 				h.PagePin(int64(i), i%2 == 0)
-				h.PageSkip(int64(i), i%3 == 0)
+				h.PageSkip(int64(i))
 				h.Emit(int64(i))
 			}
 		}()
 	}
 	wg.Wait()
-	pins, hits, skipA, skipS, emits := tr.Counts()
-	if pins != 400 || hits != 200 || skipA+skipS != 400 || emits != 400 {
-		t.Fatalf("counts = %d/%d/%d/%d/%d", pins, hits, skipA, skipS, emits)
+	pins, hits, skips, emits := tr.Counts()
+	if pins != 400 || hits != 200 || skips != 400 || emits != 400 {
+		t.Fatalf("counts = %d/%d/%d/%d", pins, hits, skips, emits)
 	}
 	if len(tr.Events()) != 0 {
 		t.Fatalf("counting trace retained %d events", len(tr.Events()))

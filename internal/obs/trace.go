@@ -35,9 +35,6 @@ const (
 	// EvPageSkipAccess records a scan block skipped because the subject
 	// view's deny bitmap proves every node in it inaccessible (§3.3).
 	EvPageSkipAccess EventKind = "page_skip_access"
-	// EvPageSkipStruct records a scan block skipped because the per-page
-	// structural summary excludes every tag the scan could match.
-	EvPageSkipStruct EventKind = "page_skip_struct"
 	// EvCandidateReject records a root candidate rejected from the deny
 	// bitmap alone, before any page was read for it.
 	EvCandidateReject EventKind = "candidate_reject"
@@ -114,8 +111,8 @@ type Trace struct {
 	op   string
 	// counting switches the trace to counter-only mode: add keeps the
 	// atomic tallies below and discards the event itself.
-	counting                             bool
-	cPins, cHits, cSkipA, cSkipS, cEmits atomic.Int64
+	counting                     bool
+	cPins, cHits, cSkips, cEmits atomic.Int64
 }
 
 // NewTrace returns an empty trace starting now.
@@ -185,9 +182,7 @@ func (t *Trace) add(e TraceEvent) {
 				b.cHits.Add(1)
 			}
 		case EvPageSkipAccess:
-			b.cSkipA.Add(1)
-		case EvPageSkipStruct:
-			b.cSkipS.Add(1)
+			b.cSkips.Add(1)
 		case EvEmit:
 			b.cEmits.Add(1)
 		}
@@ -239,15 +234,10 @@ func (t *Trace) PageDecode(page int64) {
 	t.add(TraceEvent{Kind: EvPageDecode, Page: page, Node: -1})
 }
 
-// PageSkip records a scan block passed over without I/O; access tells
-// whether the deny bitmap alone justified it (else the structural
-// summary).
-func (t *Trace) PageSkip(page int64, access bool) {
-	kind := EvPageSkipStruct
-	if access {
-		kind = EvPageSkipAccess
-	}
-	t.add(TraceEvent{Kind: kind, Page: page, Node: -1})
+// PageSkip records a scan block passed over without I/O because the deny
+// bitmap proves it dead.
+func (t *Trace) PageSkip(page int64) {
+	t.add(TraceEvent{Kind: EvPageSkipAccess, Page: page, Node: -1})
 }
 
 // CandidateReject records a root candidate rejected pre-I/O.
@@ -334,15 +324,15 @@ func (t *Trace) PageHits() int64 {
 	return n
 }
 
-// PageSkips counts page-skip events of both causes.
+// PageSkips counts page-skip events.
 func (t *Trace) PageSkips() int64 {
 	if t == nil {
 		return 0
 	}
 	if b := t.base(); b.counting {
-		return b.cSkipA.Load() + b.cSkipS.Load()
+		return b.cSkips.Load()
 	}
-	return t.countKinds(EvPageSkipAccess, EvPageSkipStruct)
+	return t.countKinds(EvPageSkipAccess)
 }
 
 // Emits counts answers that left the pipeline.
@@ -356,8 +346,8 @@ func (t *Trace) Emits() int64 {
 	return t.countKinds(EvEmit)
 }
 
-// PagesConsidered counts every page decision in the trace: pins plus skips
-// of either cause. The metrics-invariant tests hold
+// PagesConsidered counts every page decision in the trace: pins plus
+// skips. The metrics-invariant tests hold
 // PageReads + PageSkips == PagesConsidered against the registry's
 // independently maintained counters.
 func (t *Trace) PagesConsidered() int64 {
@@ -365,21 +355,21 @@ func (t *Trace) PagesConsidered() int64 {
 		return 0
 	}
 	if b := t.base(); b.counting {
-		return b.cPins.Load() + b.cSkipA.Load() + b.cSkipS.Load()
+		return b.cPins.Load() + b.cSkips.Load()
 	}
-	return t.countKinds(EvPagePin, EvPageSkipAccess, EvPageSkipStruct)
+	return t.countKinds(EvPagePin, EvPageSkipAccess)
 }
 
 // Counts returns the trace's page accounting in one pass: pins, pool
-// hits, skips by cause, and emits. It works in both event and counting
+// hits, skips and emits. It works in both event and counting
 // mode and is what the flight recorder folds into a query digest.
-func (t *Trace) Counts() (pins, hits, skipAccess, skipStruct, emits int64) {
+func (t *Trace) Counts() (pins, hits, skips, emits int64) {
 	if t == nil {
 		return
 	}
 	b := t.base()
 	if b.counting {
-		return b.cPins.Load(), b.cHits.Load(), b.cSkipA.Load(), b.cSkipS.Load(), b.cEmits.Load()
+		return b.cPins.Load(), b.cHits.Load(), b.cSkips.Load(), b.cEmits.Load()
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -391,9 +381,7 @@ func (t *Trace) Counts() (pins, hits, skipAccess, skipStruct, emits int64) {
 				hits++
 			}
 		case EvPageSkipAccess:
-			skipAccess++
-		case EvPageSkipStruct:
-			skipStruct++
+			skips++
 		case EvEmit:
 			emits++
 		}

@@ -1,6 +1,11 @@
 package pathsum
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+
+	"dolxml/internal/wire"
+)
 
 // Meta is the serializable form of a Summary, embedded in the store's
 // reopen metadata. Field names are terse because the block list scales
@@ -36,6 +41,73 @@ func (s *Summary) ToMeta() *Meta {
 	}
 	for i, b := range s.blocks {
 		m.Blocks[i] = MetaBlock{Start: b.Start, Bits: append([]uint64(nil), b.Bits...)}
+	}
+	return m
+}
+
+// AppendBinary appends the summary's image in sidecar format 3: the tag,
+// parent, mode and code columns, then the blocks, each a uvarint count and
+// uvarint entries (a parent or a block start stored plus one, so the root
+// context's -1 is 0). Columns that change with access updates (modes,
+// codes) come after those that change only with the document's shape, so a
+// journalled image shares the longest prefix with the one before it.
+func (m *Meta) AppendBinary(b []byte) []byte {
+	b = wire.AppendUvarint(b, uint64(len(m.Tags)))
+	for _, t := range m.Tags {
+		b = wire.AppendUvarint(b, uint64(uint32(t)))
+	}
+	b = wire.AppendUvarint(b, uint64(len(m.Parents)))
+	for _, p := range m.Parents {
+		b = wire.AppendUvarint(b, uint64(uint32(p+1)))
+	}
+	b = wire.AppendUvarint(b, uint64(len(m.Blocks)))
+	for _, blk := range m.Blocks {
+		b = wire.AppendUvarint(b, uint64(uint32(blk.Start+1)))
+		b = wire.AppendUvarint(b, uint64(len(blk.Bits)))
+		for _, w := range blk.Bits {
+			b = wire.AppendUvarint(b, w)
+		}
+	}
+	b = wire.AppendUvarint(b, uint64(len(m.Modes)))
+	for _, md := range m.Modes {
+		b = wire.AppendUvarint(b, uint64(md))
+	}
+	b = wire.AppendUvarint(b, uint64(len(m.Codes)))
+	for _, c := range m.Codes {
+		b = wire.AppendUvarint(b, uint64(c))
+	}
+	return b
+}
+
+// ReadMeta decodes what AppendBinary wrote. It checks the encoding only
+// (every value within its column's type); FromMeta checks the summary.
+func ReadMeta(r *wire.Reader) *Meta {
+	m := &Meta{}
+	m.Tags = make([]int32, r.Len())
+	for i := range m.Tags {
+		m.Tags[i] = int32(r.Uint(math.MaxInt32))
+	}
+	m.Parents = make([]int32, r.Len())
+	for i := range m.Parents {
+		m.Parents[i] = int32(r.Uint(math.MaxUint32)) - 1
+	}
+	m.Blocks = make([]MetaBlock, r.Len())
+	for i := range m.Blocks {
+		m.Blocks[i].Start = int32(r.Uint(math.MaxUint32)) - 1
+		if n := r.Len(); n > 0 {
+			m.Blocks[i].Bits = make([]uint64, n)
+			for j := range m.Blocks[i].Bits {
+				m.Blocks[i].Bits[j] = r.Uvarint()
+			}
+		}
+	}
+	m.Modes = make([]uint8, r.Len())
+	for i := range m.Modes {
+		m.Modes[i] = uint8(r.Uint(math.MaxUint8))
+	}
+	m.Codes = make([]uint32, r.Len())
+	for i := range m.Codes {
+		m.Codes[i] = uint32(r.Uint(math.MaxUint32))
 	}
 	return m
 }

@@ -141,26 +141,30 @@ func (s *Summary) Bytes() int {
 	return n
 }
 
-// addOccurrence interns (parent, tag) and folds one occurrence's
-// code-in-force into the class's mode. Modes only degrade.
-func (s *Summary) addOccurrence(parent, tag, depth int32, code uint32) int32 {
+// intern returns the class of (parent, tag), appending a new one — with no
+// occurrence observed yet — when the path is new.
+func (s *Summary) intern(parent, tag, depth int32) int32 {
 	k := childKey{parent, tag}
 	if id, ok := s.child[k]; ok {
-		n := &s.nodes[id]
-		switch n.Mode {
-		case CodeUnknown:
-			n.Mode, n.Code = CodeUniform, code
-		case CodeUniform:
-			if n.Code != code {
-				n.Mode = CodeMixed
-			}
-		}
 		return id
 	}
 	id := int32(len(s.nodes))
-	s.nodes = append(s.nodes, Node{Tag: tag, Parent: parent, Depth: depth, Mode: CodeUniform, Code: code})
+	s.nodes = append(s.nodes, Node{Tag: tag, Parent: parent, Depth: depth})
 	s.child[k] = id
 	return id
+}
+
+// observe folds one occurrence's code-in-force into the class's mode.
+// Modes only degrade.
+func (n *Node) observe(code uint32) {
+	switch n.Mode {
+	case CodeUnknown:
+		n.Mode, n.Code = CodeUniform, code
+	case CodeUniform:
+		if n.Code != code {
+			n.Mode = CodeMixed
+		}
+	}
 }
 
 // Builder constructs a summary from a stream of NoK entries in document
@@ -173,11 +177,37 @@ type Builder struct {
 	start int32
 	bits  []uint64
 	err   error
+	// recent is a direct-mapped cache in front of s.child, which stays the
+	// authority: slot h(parent, tag) holds a class id plus one, trusted
+	// only when that class's parent and tag match. A document's paths
+	// repeat, so most entries resolve here without a map probe.
+	recent [1 << recentBits]int32
 }
 
-// NewBuilder returns a builder for an empty summary.
-func NewBuilder() *Builder {
-	return &Builder{s: &Summary{child: make(map[childKey]int32), numbering: numberings.Add(1)}}
+const recentBits = 8
+
+// class returns the class of tag under the innermost open element.
+func (b *Builder) class(tag int32) int32 {
+	parent := b.top()
+	h := (uint32(parent)*0x9E3779B1 ^ uint32(tag)*0x85EBCA77) >> (32 - recentBits)
+	if e := b.recent[h] - 1; e >= 0 {
+		if n := &b.s.nodes[e]; n.Parent == parent && n.Tag == tag {
+			return e
+		}
+	}
+	id := b.s.intern(parent, tag, int32(len(b.stack)))
+	b.recent[h] = id + 1
+	return id
+}
+
+// NewBuilder returns a builder for an empty summary that is expected to
+// hold about classes path classes (0 when unknown).
+func NewBuilder(classes int) *Builder {
+	return &Builder{s: &Summary{
+		nodes:     make([]Node, 0, classes),
+		child:     make(map[childKey]int32, classes),
+		numbering: numberings.Add(1),
+	}}
 }
 
 func (b *Builder) top() int32 {
@@ -198,7 +228,8 @@ func (b *Builder) Entry(tag int32, closeCount int, code uint32) int32 {
 		b.open = true
 		b.start = b.top()
 	}
-	id := b.s.addOccurrence(b.top(), tag, int32(len(b.stack)), code)
+	id := b.class(tag)
+	b.s.nodes[id].observe(code)
 	for int(id>>6) >= len(b.bits) {
 		b.bits = append(b.bits, 0)
 	}

@@ -12,7 +12,7 @@ import (
 // class a/b/c degrades to mixed while a and a/b stay uniform.
 func feed(t *testing.T) *Summary {
 	t.Helper()
-	b := NewBuilder()
+	b := NewBuilder(0)
 	b.Entry(0, 0, 7) // <a>
 	b.Entry(1, 0, 7) // <b>
 	b.Entry(2, 2, 7) // <c/></b>
@@ -91,19 +91,19 @@ func TestCodeModeDegradesOnly(t *testing.T) {
 }
 
 func TestBuilderRejectsUnbalanced(t *testing.T) {
-	b := NewBuilder()
+	b := NewBuilder(0)
 	b.Entry(0, 2, 0) // closes more than is open
 	b.EndBlock()
 	if _, err := b.Finish(); err == nil {
 		t.Fatal("over-closing entry not rejected")
 	}
-	b = NewBuilder()
+	b = NewBuilder(0)
 	b.Entry(0, 0, 0)
 	b.EndBlock()
 	if _, err := b.Finish(); err == nil {
 		t.Fatal("unclosed element not rejected")
 	}
-	b = NewBuilder()
+	b = NewBuilder(0)
 	b.Entry(0, 1, 0)
 	if _, err := b.Finish(); err == nil {
 		t.Fatal("unsealed block not rejected")
@@ -195,7 +195,7 @@ func TestVerifyAgainstDetectsDrift(t *testing.T) {
 	}
 	s.nodes[a].Code = 7
 	// Block-count drift.
-	one := NewBuilder()
+	one := NewBuilder(0)
 	one.Entry(0, 1, 7)
 	one.EndBlock()
 	os, err := one.Finish()

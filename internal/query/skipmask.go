@@ -79,7 +79,7 @@ func (sm *skipMask) scanSkipFn(tr *obs.Trace) func(int) bool {
 		}
 		sm.accessCt.Inc()
 		if tr != nil {
-			tr.PageSkip(sm.pageIDOf(i), true)
+			tr.PageSkip(sm.pageIDOf(i))
 		}
 		return true
 	}

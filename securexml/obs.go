@@ -133,47 +133,7 @@ func (s *Store) initObs() error {
 	}); err != nil {
 		return err
 	}
-	for name, help := range map[string]string{
-		"query_total":                    "Queries started.",
-		"query_errors":                   "Queries that finished with an error.",
-		"query_slow_total":               "Queries at or over the slow-query threshold.",
-		"query_answers_total":            "Answer nodes returned across all queries.",
-		"query_matches_total":            "Combined pattern-match tuples consumed.",
-		"query_pages_skipped_access":     "Pages skipped because the access mask proved them dead.",
-		"query_candidates_rejected":      "Candidate nodes rejected before matching.",
-		"plan_memo_bytes":                "Memory held by the current snapshot's memoized plan shapes, in bytes.",
-		"query_path_empty_total":         "Queries proven empty by the path summary alone.",
-		"query_path_classes_preresolved": "Uniform path classes whose access verdict was preresolved.",
-		"query_latency_us":               "Query latency in microseconds.",
-		"query_trace_dropped_total":      "Trace events discarded past a trace's event limit.",
-		"recorder_queries":               "Queries recorded by the flight recorder since open.",
-		"recorder_fingerprints":          "Distinct query fingerprints the recorder currently tracks.",
-		"slo_queries_total":              "Queries counted against the latency SLO.",
-		"slo_queries_over_objective":     "Queries that finished over the SLO latency objective.",
-		"slo_latency_objective_us":       "Configured SLO latency objective in microseconds (0 when unset).",
-		"slo_burn_rate_permille":         "Error-budget burn rate in permille; 1000 burns the budget exactly at the SLO rate.",
-		"skipmask_compile_hits":          "Plan-memo lookups served from the snapshot's memo.",
-		"skipmask_compile_misses":        "Plan-memo lookups that had to build the plan shape.",
-		"snapshot_pins":                  "Snapshot pins taken by queries and cursors.",
-		"snapshot_unpins":                "Snapshot pins released.",
-		"snapshot_pin_us":                "Snapshot pin hold time in microseconds.",
-		"snapshot_versions_live":         "Live store versions (1 when quiescent).",
-		"snapshot_oldest_pin_age_us":     "Age of the oldest pinned snapshot in microseconds.",
-		"path_summary_bytes":             "Serialized path-summary size in bytes.",
-		"sidecar_bytes":                  "Size of the last store.json image read at open, saved or journalled with a commit, in bytes.",
-		"io_reads":                       "Physical page reads issued by the pager.",
-		"io_writes":                      "Physical page writes issued by the pager.",
-		"io_allocs":                      "Pages allocated by the pager.",
-		"store_nodes":                    "Nodes in the current store snapshot.",
-		"store_pages":                    "Pages in the current store snapshot.",
-		"directory_bytes":                "In-memory page directory size in bytes.",
-		"summary_bytes":                  "In-memory size of the per-block path-class bitsets (the page-skipping part of the path summary) in bytes.",
-		"codebook_bytes":                 "In-memory access codebook size in bytes.",
-		"codebook_entries":               "Distinct transition codes in the codebook.",
-		"codebook_subjects":              "Subjects covered by the codebook.",
-	} {
-		s.reg.SetHelp(name, help)
-	}
+	s.reg.SetHelpTable(metricHelp)
 	// The mask-compilation counters predate the registry (the first
 	// snapshot's MaskCache captures them in initSnapshot); register the
 	// existing counters rather than minting fresh ones.
@@ -193,6 +153,47 @@ func (s *Store) initObs() error {
 		return err
 	}
 	return nil
+}
+
+// metricHelp is the help text of the metrics initObs registers itself.
+var metricHelp = map[string]string{
+	"query_total":                    "Queries started.",
+	"query_errors":                   "Queries that finished with an error.",
+	"query_slow_total":               "Queries at or over the slow-query threshold.",
+	"query_answers_total":            "Answer nodes returned across all queries.",
+	"query_matches_total":            "Combined pattern-match tuples consumed.",
+	"query_pages_skipped_access":     "Pages skipped because the access mask proved them dead.",
+	"query_candidates_rejected":      "Candidate nodes rejected before matching.",
+	"plan_memo_bytes":                "Memory held by the current snapshot's memoized plan shapes, in bytes.",
+	"query_path_empty_total":         "Queries proven empty by the path summary alone.",
+	"query_path_classes_preresolved": "Uniform path classes whose access verdict was preresolved.",
+	"query_latency_us":               "Query latency in microseconds.",
+	"query_trace_dropped_total":      "Trace events discarded past a trace's event limit.",
+	"recorder_queries":               "Queries recorded by the flight recorder since open.",
+	"recorder_fingerprints":          "Distinct query fingerprints the recorder currently tracks.",
+	"slo_queries_total":              "Queries counted against the latency SLO.",
+	"slo_queries_over_objective":     "Queries that finished over the SLO latency objective.",
+	"slo_latency_objective_us":       "Configured SLO latency objective in microseconds (0 when unset).",
+	"slo_burn_rate_permille":         "Error-budget burn rate in permille; 1000 burns the budget exactly at the SLO rate.",
+	"skipmask_compile_hits":          "Plan-memo lookups served from the snapshot's memo.",
+	"skipmask_compile_misses":        "Plan-memo lookups that had to build the plan shape.",
+	"snapshot_pins":                  "Snapshot pins taken by queries and cursors.",
+	"snapshot_unpins":                "Snapshot pins released.",
+	"snapshot_pin_us":                "Snapshot pin hold time in microseconds.",
+	"snapshot_versions_live":         "Live store versions (1 when quiescent).",
+	"snapshot_oldest_pin_age_us":     "Age of the oldest pinned snapshot in microseconds.",
+	"path_summary_bytes":             "Serialized path-summary size in bytes.",
+	"sidecar_bytes":                  "Size of the last store.json image read at open, saved or journalled with a commit, in bytes.",
+	"io_reads":                       "Physical page reads issued by the pager.",
+	"io_writes":                      "Physical page writes issued by the pager.",
+	"io_allocs":                      "Pages allocated by the pager.",
+	"store_nodes":                    "Nodes in the current store snapshot.",
+	"store_pages":                    "Pages in the current store snapshot.",
+	"directory_bytes":                "In-memory page directory size in bytes.",
+	"summary_bytes":                  "In-memory size of the per-block path-class bitsets (the page-skipping part of the path summary) in bytes.",
+	"codebook_bytes":                 "In-memory access codebook size in bytes.",
+	"codebook_entries":               "Distinct transition codes in the codebook.",
+	"codebook_subjects":              "Subjects covered by the codebook.",
 }
 
 // recordSkips folds one query's skip counters into the store-wide
@@ -249,15 +250,14 @@ func (s *Store) startQuery(tr *obs.Trace, analyze bool) (_ *obs.Trace, finish fu
 		if obj := s.opts.SLOLatency; obj > 0 && elapsed > obj {
 			s.sloOver.Inc()
 		}
-		pins, hits, skipA, skipS, _ := tr.Counts()
+		pins, hits, skips, _ := tr.Counts()
 		d := obs.QueryDigest{
 			Fingerprint:   fp,
 			XPath:         xpath,
 			LatencyUs:     us,
 			Pages:         pins,
 			Hits:          hits,
-			SkippedAccess: skipA,
-			SkippedStruct: skipS,
+			SkippedAccess: skips,
 			Answers:       answers,
 		}
 		d.Err = err != nil

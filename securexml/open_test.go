@@ -1,6 +1,7 @@
 package securexml
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -83,32 +84,42 @@ func churnTenant(tb testing.TB, docSeed, seed int64, nodes, pageSize int) (dir, 
 }
 
 // BenchmarkOpen sizes a tenant fault: Open of a tenant_churn-sized store
-// (benchmark/main.go's churnNodes) alone, and Open plus the first Qval, the
-// one request shape that builds a value run. ns/op is the mean; the best and
-// the median are reported beside it. Run with -benchtime 200x.
+// (benchmark/main.go's churnNodes) alone, Open plus the first Qval (the one
+// request shape that builds a value run), and readMeta alone (reading and
+// decoding store.json). ns/op is the mean; the best and the median are
+// reported beside it. Run with -benchtime 200x.
 func BenchmarkOpen(b *testing.B) {
 	dir, qval := churnTenant(b, 0, 5000, 3600, 4096)
 	for _, bc := range []struct {
-		name  string
-		query bool
-	}{{"open", false}, {"open+Qval", true}} {
+		name string
+		run  func() (*Store, error)
+	}{
+		{"open", func() (*Store, error) { return Open(dir, StoreOptions{}) }},
+		{"open+Qval", func() (*Store, error) {
+			s, err := Open(dir, StoreOptions{})
+			if err == nil {
+				_, err = s.Query("u00", "read", qval)
+			}
+			return s, err
+		}},
+		{"readMeta", func() (*Store, error) { _, _, err := readMeta(dir); return nil, err }},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			times := make([]time.Duration, 0, b.N)
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
-				s, err := Open(dir, StoreOptions{})
-				if err == nil && bc.query {
-					_, err = s.Query("u00", "read", qval)
-				}
+				s, err := bc.run()
 				times = append(times, time.Since(start))
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.StopTimer()
-				if err := s.Close(); err != nil {
-					b.Fatal(err)
+				if s != nil {
+					b.StopTimer()
+					if err := s.Close(); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
 				}
-				b.StartTimer()
 			}
 			slices.Sort(times)
 			b.ReportMetric(float64(times[0].Microseconds())/1e3, "best-ms")
@@ -187,7 +198,8 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	pages := meta.Nok.StructurePages
-	// page hands edit one structure block's bytes; sidecar, the nok object.
+	// page hands edit one structure block's bytes; sidecar, the decoded
+	// sidecar, which it writes back in format 3.
 	page := func(i int, edit func(p []byte) []byte) func() {
 		return func() {
 			t.Helper()
@@ -203,20 +215,15 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			}
 		}
 	}
-	sidecar := func(edit func(top, nk map[string]json.RawMessage)) func() {
+	sidecar := func(edit func(ps *persistedStore)) func() {
 		return func() {
 			t.Helper()
-			var top, nk map[string]json.RawMessage
-			if err := json.Unmarshal(fx.snap[metaFile], &top); err != nil {
+			ps, err := decodeSidecar(fx.snap[metaFile])
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := json.Unmarshal(top["nok"], &nk); err != nil {
-				t.Fatal(err)
-			}
-			edit(top, nk)
-			top["nok"], _ = json.Marshal(nk)
-			raw, _ := json.Marshal(top)
-			if err := os.WriteFile(filepath.Join(dir, metaFile), raw, 0o644); err != nil {
+			edit(&ps)
+			if err := os.WriteFile(filepath.Join(dir, metaFile), encodeSidecar(ps), 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -240,17 +247,16 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 		name    string
 		corrupt func()
 		want    string
+		early   bool // rejected before the page file opens
 	}{
-		{"stale header count", page(mid, add16(8, -1)), "nok: blocks cover"},
-		{"wrong MinDepth", page(mid, add16(6, 1)), "MinDepth"},
-		{"flipped change bit", page(mid, func(p []byte) []byte { p[16] ^= 1; return p }), "change bit"},
-		{"wrong StartDepth", page(mid, add16(4, 1)), "carry-over"},
-		{"first block below the root", page(0, add16(4, 1)), "carry-over"},
-		{"tag code out of range", sidecar(func(_, nk map[string]json.RawMessage) {
-			var tags []string
-			json.Unmarshal(nk["tags"], &tags)
-			nk["tags"], _ = json.Marshal(tags[:1])
-		}), "unknown tag"},
+		{"stale header count", page(mid, add16(8, -1)), "nok: blocks cover", false},
+		{"wrong MinDepth", page(mid, add16(6, 1)), "MinDepth", false},
+		{"flipped change bit", page(mid, func(p []byte) []byte { p[16] ^= 1; return p }), "change bit", false},
+		{"wrong StartDepth", page(mid, add16(4, 1)), "carry-over", false},
+		{"first block below the root", page(0, add16(4, 1)), "carry-over", false},
+		{"tag code out of range", sidecar(func(ps *persistedStore) {
+			ps.Nok.Tags = ps.Nok.Tags[:1]
+		}), "unknown tag", false},
 		{"inline code on a block's first entry", page(roomy, func(p []byte) []byte {
 			off, n, hasCode := entryAt(t, p, 0)
 			if hasCode || p[off] >= 0x80 {
@@ -261,7 +267,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			q[off] |= 1
 			q = append(q, p[off+n:pageSize-1]...)
 			return add16(10, 1)(q)
-		}), "inline code"},
+		}), "inline code", false},
 		{"document ending at depth 1", page(last, func(p []byte) []byte {
 			off, n, hasCode := entryAt(t, p, int(binary.LittleEndian.Uint16(p[8:]))-1)
 			if hasCode || n != 2 || p[off+1] < 2 {
@@ -269,44 +275,38 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			}
 			p[off+1]--
 			return p
-		}), "ends at depth 1"},
-		{"persisted path summary that disagrees", sidecar(func(_, nk map[string]json.RawMessage) {
-			var ps map[string]json.RawMessage
-			json.Unmarshal(nk["path_summary"], &ps)
-			var parents []int32
-			json.Unmarshal(ps["p"], &parents)
-			parents[len(parents)-1] = 0
-			ps["p"], _ = json.Marshal(parents)
-			nk["path_summary"], _ = json.Marshal(ps)
-		}), "path summary"},
-		{"value on a page past the end of the page file", sidecar(func(_, nk map[string]json.RawMessage) {
-			var refs nok.ValueRefs
-			if err := json.Unmarshal(nk["value_refs"], &refs); err != nil || len(refs) == 0 {
-				t.Fatalf("%d value refs, %v", len(refs), err)
+		}), "ends at depth 1", false},
+		{"persisted path summary that disagrees", sidecar(func(ps *persistedStore) {
+			ps.Nok.PathSummary.Parents[len(ps.Nok.PathSummary.Parents)-1] = 0
+		}), "path summary", false},
+		{"value on a page past the end of the page file", sidecar(func(ps *persistedStore) {
+			refs := slices.Clone(ps.Nok.ValueRefs)
+			if len(refs) == 0 {
+				t.Fatal("no value refs")
 			}
 			refs[len(refs)-1].Page = storage.PageID(len(fx.snap[pageFile])/pageSize + 3)
-			nk["value_refs"], _ = json.Marshal(refs)
-		}), "securexml: corrupt metadata"},
-		{"node count beyond the blocks", sidecar(func(_, nk map[string]json.RawMessage) {
-			nk["num_nodes"] = json.RawMessage("1000000000000")
-		}), "nok: blocks cover"},
-		{"codebook that is not base64", sidecar(func(top, _ map[string]json.RawMessage) {
-			top["codebook"] = json.RawMessage(`"!"`)
-		}), "corrupt codebook"},
-		{"codebook that does not parse", sidecar(func(top, _ map[string]json.RawMessage) {
-			top["codebook"] = json.RawMessage(`"/w=="`)
-		}), "corrupt codebook"},
-		{"directory of uneven lengths", sidecar(func(top, _ map[string]json.RawMessage) {
-			var d map[string]json.RawMessage
-			json.Unmarshal(top["directory"], &d)
-			d["is_group"] = json.RawMessage(`[]`)
-			top["directory"], _ = json.Marshal(d)
-		}), "corrupt directory"},
-		{"a mode the codebook has no columns for", sidecar(func(top, _ map[string]json.RawMessage) {
-			var modes []string
-			json.Unmarshal(top["modes"], &modes)
-			top["modes"], _ = json.Marshal(append(modes, "extra"))
-		}), "codebook covers"},
+			ps.Nok.ValueRefs = refs
+		}), "securexml: corrupt metadata", false},
+		{"node count beyond the blocks", sidecar(func(ps *persistedStore) {
+			ps.Nok.NumNodes = 1000000000000
+		}), "nok: blocks cover", false},
+		// Nothing is opened for a sidecar that does not decode.
+		{"store image that is not base64", func() {
+			_, _, storeB64, _ := splitEnvelope(fx.snap[metaFile])
+			raw := bytes.Replace(fx.snap[metaFile], storeB64, []byte("!"), 1)
+			if err := os.WriteFile(filepath.Join(dir, metaFile), raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}, "securexml: corrupt metadata", true},
+		{"codebook that does not parse", sidecar(func(ps *persistedStore) {
+			ps.Codebook = []byte{0xff}
+		}), "corrupt codebook", false},
+		{"directory of uneven lengths", sidecar(func(ps *persistedStore) {
+			ps.Dir.IsGroup = nil
+		}), "corrupt directory", false},
+		{"a mode the codebook has no columns for", sidecar(func(ps *persistedStore) {
+			ps.Modes = append(ps.Modes, "extra")
+		}), "codebook covers", false},
 	}
 	var opened, closed int
 	opts := StoreOptions{
@@ -324,8 +324,12 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 		c.corrupt()
 		opened, closed = 0, 0
 		s, err := Open(dir, opts)
-		if opened != 2 || closed != 2 {
-			t.Errorf("%s: Open opened %d files and closed %d, want 2 and 2", c.name, opened, closed)
+		want := 2
+		if c.early {
+			want = 0
+		}
+		if opened != want || closed != want {
+			t.Errorf("%s: Open opened %d files and closed %d, want %d and %d", c.name, opened, closed, want, want)
 		}
 		switch {
 		case err == nil:

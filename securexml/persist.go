@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"sync"
 
 	"dolxml/internal/acl"
@@ -14,6 +17,7 @@ import (
 	"dolxml/internal/nok"
 	"dolxml/internal/obs"
 	"dolxml/internal/storage"
+	"dolxml/internal/wire"
 )
 
 // metaFile sits beside the page file and carries everything the pages do
@@ -27,18 +31,43 @@ const pageFile = "pages.db"
 // walSuffix names the write-ahead log beside a page file.
 const walSuffix = ".wal"
 
-// sidecarFormat is what every writer emits: format 2 packs nok's value refs
-// into one blob where format 1 had an object per text value. readMeta takes
-// both, so a format-1 store upgrades on its next commit or Save.
-const sidecarFormat = 2
+// sidecarFormat is what every writer emits. Format 3 is a JSON envelope,
+// {"format":3,"page_size":N,"nok":"<base64>","store":"<base64>"}, around
+// two binary images: nok.Meta's (AppendBinary) and the store's
+// (appendStoreHead: modes, directory, then the codebook). Formats 1 and 2
+// spelled everything out in JSON; readMeta still takes them, so an older
+// store upgrades on its next commit or Save.
+const sidecarFormat = 3
 
+// The canonical format-3 envelope, in the pieces appendEnvelope writes and
+// splitEnvelope recognises.
+const (
+	envelopeHead  = `{"format":3,"page_size":`
+	envelopeNok   = `,"nok":"`
+	envelopeStore = `","store":"`
+	envelopeEnd   = `"}`
+)
+
+// persistedStore is store.json decoded, whichever format it came in.
 type persistedStore struct {
+	PageSize int
+	Modes    []string
+	Dir      acl.DirectorySnapshot
+	Nok      nok.Meta
+	Codebook []byte // Codebook.MarshalBinary
+}
+
+// jsonSidecar is store.json as encoding/json reads it: formats 1 and 2 spell
+// the store out, format 3 carries its two images as base64 strings (the nok
+// one decoded by nok.Meta.UnmarshalJSON).
+type jsonSidecar struct {
 	Format   int                   `json:"format"`
 	PageSize int                   `json:"page_size"`
 	Modes    []string              `json:"modes"`
 	Dir      acl.DirectorySnapshot `json:"directory"`
 	Nok      nok.Meta              `json:"nok"`
-	Codebook string                `json:"codebook"` // base64 of Codebook.MarshalBinary
+	Codebook string                `json:"codebook"`
+	Store    string                `json:"store"`
 }
 
 // metaSink receives the metadata blob of every committed WAL batch — both
@@ -102,12 +131,15 @@ func writeFileAtomic(path string, data []byte) error {
 }
 
 // The sidecar image is assembled from cached fragments: the expensive
-// pieces (directory, tag table, the packed value index) change rarely, while the page-ID list changes on EVERY accessibility
-// update now that rewrites shadow-page into fresh frames. marshalMeta
-// therefore re-encodes only structure_pages (small: one int per page) per
-// commit and splices it between the cached fragments; re-encoding the whole
-// sidecar put milliseconds of JSON work inside the sealing critical section
-// and capped group-commit throughput.
+// pieces (directory, tag table, the packed value index) change rarely, while
+// the page-ID list changes on EVERY accessibility update now that rewrites
+// shadow-page into fresh frames. marshalMeta therefore encodes only the nok
+// image's tail (path summary, structure pages) and the codebook per commit;
+// re-encoding the whole sidecar put milliseconds of work inside the sealing
+// critical section and capped group-commit throughput. The order of the
+// images also keeps what a commit changes at their ends, so the WAL's meta
+// delta record (the suffix after the prefix shared with the previous image)
+// stays short.
 //
 // metaHeadState fingerprints the NoK shape the cached nok fragments were
 // built from, as a backstop for the explicit invalidations: structural
@@ -134,93 +166,88 @@ func (s *Store) metaHeadState() metaHeadState {
 // invalidateMetaHead drops every cached sidecar fragment. Updates that
 // mutate the directory or restructure NoK state (insert/delete/move,
 // vacuum, subject changes) call it under the write lock before sealing;
-// pure accessibility updates need not — their only sidecar change is the
-// always-fresh page-ID list.
+// pure accessibility updates need not — their only sidecar change is in
+// the always-fresh tail.
 func (s *Store) invalidateMetaHead() {
 	s.metaPre = nil
-	s.metaNokHead = nil
-	s.metaVals = nil
+	s.metaNokB64 = nil
+	s.metaNokRest = nil
 }
 
 // marshalMeta serializes the store's current metadata sidecar image — the
 // blob Save writes to store.json and update commits journal in the WAL.
-// The output is byte-assembled from the cached fragments in
-// persistedStore's field order; readMeta decodes it like any other JSON.
-// Caller holds s.mu.
+// The nok image's head is cached as the base64 of its longest prefix that
+// ends on a base64 quantum (a multiple of three bytes) plus the bytes after
+// it, so a commit encodes only those and the tail. Caller holds s.mu.
 func (s *Store) marshalMeta() ([]byte, error) {
 	st := s.ss.Store()
 	if s.metaPre == nil {
-		pre, err := json.Marshal(struct {
-			Format   int                   `json:"format"`
-			PageSize int                   `json:"page_size"`
-			Modes    []string              `json:"modes"`
-			Dir      acl.DirectorySnapshot `json:"directory"`
-		}{sidecarFormat, s.opts.PageSize, s.modes, s.dir.Snapshot()})
-		if err != nil {
-			return nil, err
-		}
-		s.metaPre = pre
+		s.metaPre = appendStoreHead(nil, s.modes, s.dir.Snapshot())
 	}
 	hs := s.metaHeadState()
-	if s.metaNokHead == nil || hs != s.metaFP {
+	if s.metaNokB64 == nil || hs != s.metaFP {
 		m := st.Meta()
-		head, err := json.Marshal(struct {
-			NumNodes int      `json:"num_nodes"`
-			Tags     []string `json:"tags"`
-		}{m.NumNodes, m.Tags})
-		if err != nil {
-			return nil, err
-		}
-		s.metaNokHead = head
-		s.metaVals = nil
-		if len(m.ValueRefs) > 0 {
-			vals, err := json.Marshal(m.ValueRefs)
-			if err != nil {
-				return nil, err
-			}
-			s.metaVals = vals
-		}
+		head := m.AppendHead(nil)
+		k := len(head) / 3 * 3
+		s.metaNokB64 = base64.StdEncoding.AppendEncode([]byte{}, head[:k])
+		s.metaNokRest = head[k:]
 		s.metaFP = hs
 	}
-	pages, err := json.Marshal(st.StructurePages())
-	if err != nil {
-		return nil, err
-	}
-	// The path summary is re-encoded per commit like the page-ID list: ACL
-	// rewrites can degrade class code modes and structural updates change
-	// the class sets, and the summary is small (one node per distinct
-	// label path plus per-block bitsets).
-	var psum []byte
-	if pm := st.PathSummaryMeta(); pm != nil {
-		if psum, err = json.Marshal(pm); err != nil {
-			return nil, err
-		}
-	}
+	tail := &nok.Meta{PathSummary: st.PathSummaryMeta(), StructurePages: st.StructurePages()}
+	nokRest := tail.AppendTail(slices.Clone(s.metaNokRest))
 	cb, err := s.ss.Codebook().MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
-	b64 := base64.StdEncoding.EncodeToString(cb)
-	var buf bytes.Buffer
-	buf.Grow(len(s.metaPre) + len(s.metaNokHead) + len(pages) + len(s.metaVals) + len(b64) + 64)
-	buf.Write(s.metaPre[:len(s.metaPre)-1]) // strip the closing '}'
-	buf.WriteString(`,"nok":`)
-	buf.Write(s.metaNokHead[:len(s.metaNokHead)-1])
-	buf.WriteString(`,"structure_pages":`)
-	buf.Write(pages)
-	if psum != nil {
-		buf.WriteString(`,"path_summary":`)
-		buf.Write(psum)
+	storeImg := wire.AppendBytes(slices.Clone(s.metaPre), cb)
+	out := appendEnvelope(nil, s.opts.PageSize, s.metaNokB64, nokRest, storeImg)
+	s.sidecarBytes.Store(int64(len(out)))
+	return out, nil
+}
+
+// appendEnvelope appends a format-3 store.json. nokB64 is the base64 of
+// the nok image's first bytes, a multiple of three of them, and nokRest the
+// rest of that image.
+func appendEnvelope(b []byte, pageSize int, nokB64, nokRest, storeImg []byte) []byte {
+	enc := base64.StdEncoding
+	b = slices.Grow(b, len(envelopeHead)+len(nokB64)+enc.EncodedLen(len(nokRest))+enc.EncodedLen(len(storeImg))+48)
+	b = append(b, envelopeHead...)
+	b = strconv.AppendInt(b, int64(pageSize), 10)
+	b = append(b, envelopeNok...)
+	b = append(b, nokB64...)
+	b = enc.AppendEncode(b, nokRest)
+	b = append(b, envelopeStore...)
+	b = enc.AppendEncode(b, storeImg)
+	return append(b, envelopeEnd...)
+}
+
+// appendStoreHead appends the store image up to its codebook: the mode
+// names, then the directory's image. The codebook ends the image,
+// length-prefixed (wire.AppendBytes).
+func appendStoreHead(b []byte, modes []string, dir acl.DirectorySnapshot) []byte {
+	b = wire.AppendUvarint(b, uint64(len(modes)))
+	for _, m := range modes {
+		b = wire.AppendString(b, m)
 	}
-	if s.metaVals != nil {
-		buf.WriteString(`,"value_refs":`)
-		buf.Write(s.metaVals)
+	return dir.AppendBinary(b)
+}
+
+// readStoreImage decodes a store image into ps, accepting nothing but what
+// appendStoreHead and the codebook's wire.AppendBytes wrote.
+func (ps *persistedStore) readStoreImage(img []byte) error {
+	r := wire.NewReader(img)
+	if n := r.Len(); n > 0 {
+		ps.Modes = make([]string, n)
+		for i := range ps.Modes {
+			ps.Modes[i] = r.String()
+		}
 	}
-	buf.WriteString(`},"codebook":"`)
-	buf.WriteString(b64)
-	buf.WriteString(`"}`)
-	s.sidecarBytes.Store(int64(buf.Len()))
-	return buf.Bytes(), nil
+	ps.Dir = acl.ReadDirectorySnapshot(r)
+	ps.Codebook = r.Bytes()
+	if err := r.Done(); err != nil {
+		return fmt.Errorf("store image: %w", err)
+	}
+	return nil
 }
 
 // Save persists the store into the directory: the (already file-backed or
@@ -289,20 +316,109 @@ func (s *Store) Save(dir string) error {
 	return nil
 }
 
-// readMeta loads and validates the store.json sidecar, and reports its size.
+// readMeta loads and decodes the store.json sidecar, and reports its size.
 func readMeta(dir string) (persistedStore, int, error) {
-	var ps persistedStore
 	b, err := os.ReadFile(filepath.Join(dir, metaFile))
+	if err != nil {
+		return persistedStore{}, 0, err
+	}
+	ps, err := decodeSidecar(b)
 	if err != nil {
 		return ps, 0, err
 	}
-	if err := json.Unmarshal(b, &ps); err != nil {
-		return ps, 0, fmt.Errorf("securexml: corrupt metadata: %w", err)
-	}
-	if ps.Format != 1 && ps.Format != sidecarFormat {
-		return ps, 0, fmt.Errorf("securexml: unsupported format %d", ps.Format)
-	}
 	return ps, len(b), nil
+}
+
+// decodeSidecar decodes a store.json of any format. The canonical format-3
+// envelope — what every writer emits — is recognised by its bytes and its
+// two images base64-decoded directly; anything else (formats 1 and 2, a
+// format-3 file someone re-indented, or one that does not decode) goes
+// through encoding/json.
+func decodeSidecar(b []byte) (persistedStore, error) {
+	ps := persistedStore{}
+	if pageSize, nokB64, storeB64, ok := splitEnvelope(b); ok {
+		enc := base64.StdEncoding
+		img := make([]byte, enc.DecodedLen(len(nokB64))+enc.DecodedLen(len(storeB64)))
+		n, nokErr := enc.Decode(img, nokB64)
+		m, storeErr := enc.Decode(img[n:], storeB64)
+		// The decoder skips line breaks, which a JSON string cannot hold
+		// raw: text that decodes to fewer bytes than its length says is
+		// left to encoding/json, like an escape (which fails to decode).
+		if nokErr == nil && storeErr == nil && enc.EncodedLen(n) == len(nokB64) && enc.EncodedLen(m) == len(storeB64) {
+			err := ps.Nok.UnmarshalBinary(img[:n])
+			if err == nil {
+				err = ps.readStoreImage(img[n : n+m])
+			}
+			if err != nil {
+				return ps, fmt.Errorf("securexml: corrupt metadata: %w", err)
+			}
+			ps.PageSize = pageSize
+			return ps, nil
+		}
+	}
+	var js jsonSidecar
+	if err := json.Unmarshal(b, &js); err != nil {
+		return ps, fmt.Errorf("securexml: corrupt metadata: %w", err)
+	}
+	ps = persistedStore{PageSize: js.PageSize, Modes: js.Modes, Dir: js.Dir, Nok: js.Nok}
+	switch js.Format {
+	case 1, 2:
+		cb, err := base64.StdEncoding.DecodeString(js.Codebook)
+		if err != nil {
+			return ps, fmt.Errorf("securexml: corrupt codebook: %w", err)
+		}
+		ps.Codebook = cb
+	case sidecarFormat:
+		img, err := base64.StdEncoding.DecodeString(js.Store)
+		if err == nil {
+			err = ps.readStoreImage(img)
+		}
+		if err != nil {
+			return ps, fmt.Errorf("securexml: corrupt metadata: %w", err)
+		}
+	default:
+		return ps, fmt.Errorf("securexml: unsupported format %d", js.Format)
+	}
+	return ps, nil
+}
+
+// splitEnvelope recognises the canonical format-3 envelope appendEnvelope
+// writes, byte for byte, and returns its page size and the text of its two
+// images' strings. ok is false for anything else, even an equivalent JSON
+// text: whitespace, a page size over nine digits or with a leading zero.
+func splitEnvelope(b []byte) (pageSize int, nokB64, storeB64 []byte, ok bool) {
+	rest, ok := bytes.CutPrefix(b, []byte(envelopeHead))
+	if !ok {
+		return 0, nil, nil, false
+	}
+	digits := 0
+	for digits < len(rest) && digits < 9 && '0' <= rest[digits] && rest[digits] <= '9' {
+		pageSize = pageSize*10 + int(rest[digits]-'0')
+		digits++
+	}
+	if digits == 0 || (rest[0] == '0' && digits > 1) {
+		return 0, nil, nil, false
+	}
+	rest = rest[digits:]
+	if nokB64, rest, ok = cutString(rest, envelopeNok); ok {
+		storeB64, rest, ok = cutString(rest, envelopeStore)
+	}
+	if !ok || string(rest) != envelopeEnd {
+		return 0, nil, nil, false
+	}
+	return pageSize, nokB64, storeB64, true
+}
+
+// cutString cuts prefix from b, then the bytes up to the next quote.
+func cutString(b []byte, prefix string) (s, rest []byte, ok bool) {
+	if b, ok = bytes.CutPrefix(b, []byte(prefix)); !ok {
+		return nil, nil, false
+	}
+	i := bytes.IndexByte(b, '"')
+	if i < 0 {
+		return nil, nil, false
+	}
+	return b[:i], b[i:], true
 }
 
 // Open loads a store previously written by Save, first running WAL crash
@@ -371,25 +487,20 @@ func Open(dir string, opts StoreOptions) (_ *Store, err error) {
 			pager.Close()
 		}
 	}()
-	// The refs are held against the recovered page file: a value on a page
-	// past its end would fail the first query that reads it.
-	if err := ps.Nok.CheckValueRefs(ps.PageSize, pager.NumPages()); err != nil {
-		return nil, fmt.Errorf("securexml: corrupt metadata: %w", err)
-	}
 	// One scan of the blocks checks the store (everything CheckConsistency
 	// checks), rebuilds the path summary and yields the tag index's entries.
+	// Before it, the value refs are held against the recovered page file: a
+	// value on a page past its end would fail the first query that reads it.
 	x := &extents{numNodes: ps.Nok.NumNodes}
 	st, err := nok.OpenScan(pool, ps.Nok, x.add)
-	if err != nil {
+	if errors.Is(err, nok.ErrValueRef) {
+		return nil, fmt.Errorf("securexml: corrupt metadata: %w", err)
+	} else if err != nil {
 		return nil, err
 	}
 	applyDecodeCacheBudget(st, opts.DecodeCacheBytes)
-	cbBytes, err := base64.StdEncoding.DecodeString(ps.Codebook)
-	if err != nil {
-		return nil, fmt.Errorf("securexml: corrupt codebook: %w", err)
-	}
 	cb := dol.NewCodebook(0)
-	if err := cb.UnmarshalBinary(cbBytes); err != nil {
+	if err := cb.UnmarshalBinary(ps.Codebook); err != nil {
 		return nil, fmt.Errorf("securexml: corrupt codebook: %w", err)
 	}
 	d, err := acl.DirectoryFromSnapshot(ps.Dir)

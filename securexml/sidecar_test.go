@@ -2,13 +2,21 @@ package securexml
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"dolxml/internal/acl"
 	"dolxml/internal/nok"
+	"dolxml/internal/storage"
+	"dolxml/internal/wire"
 	"dolxml/internal/xmark"
 )
 
@@ -24,7 +32,7 @@ var hospitalQueries = []string{
 // per value ref), and a WAL holding one committed batch — doctors lose ward B
 // — that reached neither the page file nor the sidecar, its commit image in
 // format 1 too. It must open, replay and answer like a store built now, and
-// turn into format 2 with its next commit.
+// turn into format 3 with its next commit.
 func TestFormat1StoreOpensAndUpgrades(t *testing.T) {
 	fx := &recoveryFixture{dir: t.TempDir(), snap: snapshotDir(t, filepath.Join("testdata", "format1"))}
 	fx.restore(t)
@@ -76,11 +84,11 @@ func TestFormat1StoreOpensAndUpgrades(t *testing.T) {
 		t.Fatal(err)
 	}
 	upgraded := sidecar()
-	if !bytes.HasPrefix(upgraded, []byte(`{"format":2,`)) || !bytes.Contains(upgraded, []byte(`"value_refs":"`)) {
-		t.Fatalf("one commit later the sidecar is not format 2: %.80s", upgraded)
+	if _, _, _, ok := splitEnvelope(upgraded); !ok {
+		t.Fatalf("one commit later the sidecar is not format 3: %.80s", upgraded)
 	}
 	if len(upgraded) >= len(saved) {
-		t.Fatalf("format 2 takes %d bytes, format 1 took %d", len(upgraded), len(saved))
+		t.Fatalf("format 3 takes %d bytes, format 1 took %d", len(upgraded), len(saved))
 	}
 	s, err = Open(fx.dir, StoreOptions{})
 	if err != nil {
@@ -95,7 +103,190 @@ func TestFormat1StoreOpensAndUpgrades(t *testing.T) {
 	}
 }
 
-// setValueRefs replaces nok.value_refs in dir's sidecar with the given JSON.
+// A log written before format 3 journals format-2 images. Recovery hands
+// the sink the image as it is, the JSON reader opens it, and the next commit
+// writes format 3.
+func TestFormat2LogReplays(t *testing.T) {
+	fx := buildRecoveryFixture(t, 300, 512)
+	s, fp, _ := fx.openWithFaults(t)
+	// Crash on the first data write: the commit record and its image are
+	// durable, nothing else is.
+	fp.Arm(storage.Fault{Op: storage.FaultWrite, N: 1})
+	target := firstNode(t, s, "/site/regions/africa/item")
+	if err := s.SetAccess("staff", "read", target, false, true); !errors.Is(err, storage.ErrInjected) {
+		t.Fatalf("expected injected fault, got %v", err)
+	}
+	s.Close()
+
+	// Rewrite the batch's meta record (type 3: a type byte, the blob's
+	// length, the blob, a CRC-32 of all three) to carry the image in format 2.
+	logPath := filepath.Join(fx.dir, pageFile+walSuffix)
+	log, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(log, []byte(envelopeHead)) - 5
+	if at < 0 || log[at] != 3 {
+		t.Fatal("no meta record with a format-3 image in the log")
+	}
+	end := at + 5 + int(binary.LittleEndian.Uint32(log[at+1:])) + 4
+	ps, err := decodeSidecar(log[at+5 : end-4])
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := format2Sidecar(t, ps)
+	rec := binary.LittleEndian.AppendUint32([]byte{3}, uint32(len(img)))
+	rec = append(rec, img...)
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
+	if err := os.WriteFile(logPath, slices.Concat(log[:at], rec, log[end:]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err = Open(fx.dir, StoreOptions{PoolPages: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ri := s.Recovery(); ri.Redone != 1 || !ri.MetaApplied {
+		t.Fatalf("recovery info = %+v, want one redone batch with metadata", ri)
+	}
+	if got, err := os.ReadFile(filepath.Join(fx.dir, metaFile)); err != nil || !bytes.Equal(got, img) {
+		t.Fatalf("after replay the sidecar is not the log's format-2 image: %.80s, %v", got, err)
+	}
+	if ok, err := s.UserAccessible("u", "read", target); err != nil || ok {
+		t.Fatalf("the replayed revoke does not hold (accessible=%v, %v)", ok, err)
+	}
+	if err := s.SetAccess("aux", "read", target, true, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(fx.dir, metaFile)); err != nil || !bytes.HasPrefix(got, []byte(envelopeHead)) {
+		t.Fatalf("one commit later the sidecar is not format 3: %.80s, %v", got, err)
+	}
+}
+
+// A format-3 store.json that is still JSON but not byte for byte what the
+// writer emits — re-indented here — misses the direct reader and opens
+// through encoding/json, to the same answers.
+func TestReindentedSidecarOpens(t *testing.T) {
+	dir := t.TempDir()
+	s := hospitalStore(t, StoreOptions{PageSize: 256})
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprint(t, s, hospitalUsers, hospitalQueries)
+	s.Close()
+	path := filepath.Join(dir, metaFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, raw, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, _, ok := splitEnvelope(indented.Bytes()); ok {
+		t.Fatal("the direct reader takes the re-indented sidecar")
+	}
+	direct, err := decodeSidecar(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaJSON, err := decodeSidecar(indented.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeSidecar(viaJSON), encodeSidecar(direct)) || !bytes.Equal(encodeSidecar(direct), raw) {
+		t.Fatal("the two readers decode the sidecar differently")
+	}
+	if err := os.WriteFile(path, indented.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := fingerprint(t, s, hospitalUsers, hospitalQueries); got != want {
+		t.Fatalf("the re-indented store answers\n%s\nwant\n%s", got, want)
+	}
+}
+
+// FuzzSidecarImage hardens the two binary images of a format-3 sidecar:
+// arbitrary bytes decode to an error or to a value that encodes to exactly
+// those bytes, and never panic — alone or inside an envelope.
+func FuzzSidecarImage(f *testing.F) {
+	format1, _, err := readMeta(filepath.Join("testdata", "format1"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	dir, _ := churnTenant(f, 1, 2, 1500, 512)
+	churn, _, err := readMeta(dir)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, ps := range []persistedStore{format1, churn} {
+		f.Add(ps.Nok.AppendBinary(nil), storeImage(ps))
+	}
+	f.Add([]byte{}, []byte{})
+	f.Add([]byte{5, 1, 1, 'a', 2, 0x80, 0x00, 0, 1, 7}, []byte{1, 4, 'r', 'e', 'a', 'd', 0, 0, 0, 0}) // padded varint
+	f.Fuzz(func(t *testing.T, nokImg, storeImg []byte) {
+		var m nok.Meta
+		nokErr := m.UnmarshalBinary(nokImg)
+		if nokErr == nil {
+			if re := m.AppendBinary(nil); !bytes.Equal(re, nokImg) {
+				t.Fatalf("nok image %x decodes to %+v, which encodes to %x", nokImg, m, re)
+			}
+		}
+		var ps persistedStore
+		storeErr := ps.readStoreImage(storeImg)
+		if storeErr == nil {
+			if re := storeImage(ps); !bytes.Equal(re, storeImg) {
+				t.Fatalf("store image %x decodes to %+v, which encodes to %x", storeImg, ps, re)
+			}
+		}
+		_, err := decodeSidecar(appendEnvelope(nil, 4096, nil, nokImg, storeImg))
+		if (err == nil) != (nokErr == nil && storeErr == nil) {
+			t.Fatalf("the envelope decodes with %v; its images with %v and %v", err, nokErr, storeErr)
+		}
+	})
+}
+
+// encodeSidecar is ps as the canonical format-3 store.json marshalMeta
+// writes.
+func encodeSidecar(ps persistedStore) []byte {
+	return appendEnvelope(nil, ps.PageSize, nil, ps.Nok.AppendBinary(nil), storeImage(ps))
+}
+
+// storeImage is ps's store image.
+func storeImage(ps persistedStore) []byte {
+	return wire.AppendBytes(appendStoreHead(nil, ps.Modes, ps.Dir), ps.Codebook)
+}
+
+// format2Sidecar is ps as sidecar format 2 wrote it: every field in JSON,
+// the value refs one packed string in the nok object.
+func format2Sidecar(t *testing.T, ps persistedStore) []byte {
+	t.Helper()
+	b, err := json.Marshal(struct {
+		Format   int                   `json:"format"`
+		PageSize int                   `json:"page_size"`
+		Modes    []string              `json:"modes"`
+		Dir      acl.DirectorySnapshot `json:"directory"`
+		Nok      nok.Meta              `json:"nok"`
+		Codebook []byte                `json:"codebook"`
+	}{2, ps.PageSize, ps.Modes, ps.Dir, ps.Nok, ps.Codebook})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// setValueRefs replaces the value refs in dir's format-3 sidecar. refs is
+// JSON: format 1's array or format 2's packed string. The packed blob is
+// spliced into the nok image as it is, so refs that do not decode reach
+// Open too; a string that is not base64 makes the nok image's text not
+// base64 either.
 func setValueRefs(t *testing.T, dir string, refs []byte) {
 	t.Helper()
 	path := filepath.Join(dir, metaFile)
@@ -103,21 +294,47 @@ func setValueRefs(t *testing.T, dir string, refs []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var top, nk map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &top); err != nil {
+	pageSize, nokB64, storeB64, ok := splitEnvelope(raw)
+	if !ok {
+		t.Fatalf("not a format-3 sidecar: %.80s", raw)
+	}
+	img, err := base64.StdEncoding.DecodeString(string(nokB64))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(top["nok"], &nk); err != nil {
+	// The image opens with the node count, the tags and the refs' blob.
+	r := wire.NewReader(img)
+	r.Int()
+	for n := r.Len(); n > 0; n-- {
+		r.Bytes()
+	}
+	head := img[:len(img)-r.Left()]
+	r.Bytes()
+	if r.Err() != nil {
+		t.Fatal("the nok image does not open with its head")
+	}
+	tail := img[len(img)-r.Left():]
+
+	var decoded nok.ValueRefs
+	if json.Unmarshal(refs, &decoded) == nil {
+		if refs, err = json.Marshal(decoded); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var packed string
+	if err := json.Unmarshal(refs, &packed); err != nil {
 		t.Fatal(err)
 	}
-	nk["value_refs"] = refs
-	if top["nok"], err = json.Marshal(nk); err != nil {
+	blob, err := base64.StdEncoding.DecodeString(packed)
+	text := base64.StdEncoding.EncodeToString(append(wire.AppendBytes(slices.Clone(head), blob), tail...))
+	if err != nil {
+		text = "*" + text
+	}
+	storeImg, err := base64.StdEncoding.DecodeString(string(storeB64))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if raw, err = json.Marshal(top); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	if err := os.WriteFile(path, appendEnvelope(nil, pageSize, []byte(text), nil, storeImg), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -213,8 +213,8 @@ type Store struct {
 	// Cached sidecar fragments (see marshalMeta); guarded by s.mu like the
 	// structures they mirror.
 	metaPre     []byte
-	metaNokHead []byte
-	metaVals    []byte
+	metaNokB64  []byte
+	metaNokRest []byte
 	metaFP      metaHeadState
 	// sidecarBytes is the size of the last sidecar image: the one Open read
 	// or marshalMeta last produced (the sidecar_bytes gauge).

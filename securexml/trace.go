@@ -69,8 +69,8 @@ type TraceEvent struct {
 	// AtMicros is the offset from the trace's start, in microseconds.
 	AtMicros int64 `json:"at_us"`
 	// Kind classifies the event: parse, compile_skip_mask, open_pipeline,
-	// page_pin, page_decode, page_skip_access, page_skip_struct,
-	// candidate_reject, join_probe, emit, done.
+	// page_pin, page_decode, page_skip_access (§3.3: the deny bitmap
+	// proved the page dead), candidate_reject, join_probe, emit, done.
 	Kind string `json:"kind"`
 	// Op names the plan operator the event belongs to (scan0, join1,
 	// filter, dedup, limit, output); empty for query-level events.
