@@ -53,25 +53,21 @@ func NewCodebook(numSubjects int) *Codebook {
 // NumSubjects returns the subject dimension of the codebook.
 func (cb *Codebook) NumSubjects() int { return cb.numSubjects }
 
-// Clone returns a deep copy: entries (each bitset copied), reference
-// counts, the ACL index, the free list and the mutation generation. The
-// clone and the original can then diverge without sharing any mutable
-// state — MVCC snapshots freeze the original while updates mutate the
-// clone. The codebook is small by the paper's compactness claim, so the
-// copy is cheap.
+// Clone returns a copy that can diverge from the original without sharing
+// any mutable state: the entry table, reference counts, the ACL index, the
+// free list and the mutation generation. MVCC snapshots freeze the original
+// while updates mutate the clone. The entries' bitsets are shared: a
+// codebook never modifies a stored bitset in place — the subject-column
+// operations replace each entry with a modified copy. The codebook is small
+// by the paper's compactness claim, so the copy is cheap.
 func (cb *Codebook) Clone() *Codebook {
 	c := &Codebook{
 		numSubjects: cb.numSubjects,
-		entries:     make([]*bitset.Bitset, len(cb.entries)),
+		entries:     append([]*bitset.Bitset(nil), cb.entries...),
 		refs:        append([]int(nil), cb.refs...),
 		index:       make(map[string]Code, len(cb.index)),
 		free:        append([]Code(nil), cb.free...),
 		gen:         cb.gen,
-	}
-	for i, e := range cb.entries {
-		if e != nil {
-			c.entries[i] = e.Clone()
-		}
 	}
 	for k, v := range cb.index {
 		c.index[k] = v
@@ -179,9 +175,11 @@ func (cb *Codebook) AddSubject() acl.SubjectID {
 	s := acl.SubjectID(cb.numSubjects)
 	cb.numSubjects++
 	cb.gen++
-	for _, e := range cb.entries {
+	for c, e := range cb.entries {
 		if e != nil {
+			e = e.Clone()
 			e.Resize(cb.numSubjects)
+			cb.entries[c] = e
 		}
 	}
 	// Keys are unchanged: the new column is all zeroes and Key ignores
@@ -196,6 +194,8 @@ func (cb *Codebook) AddSubjectLike(like acl.SubjectID) (acl.SubjectID, error) {
 		return acl.InvalidSubject, fmt.Errorf("dol: AddSubjectLike(%d) out of range", like)
 	}
 	s := cb.AddSubject()
+	// AddSubject left every entry a copy of this codebook's own, so the
+	// bits are set in place.
 	for c, e := range cb.entries {
 		if e == nil {
 			continue
@@ -225,7 +225,9 @@ func (cb *Codebook) RemoveSubject(s acl.SubjectID) error {
 		if e == nil {
 			continue
 		}
+		e = e.Clone()
 		e.RemoveBit(int(s))
+		cb.entries[c] = e
 		key := e.Key()
 		// First live code with a given key wins the index slot;
 		// duplicates remain addressable but are not re-issued.

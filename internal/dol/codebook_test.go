@@ -37,6 +37,38 @@ func TestCodebookInternCopies(t *testing.T) {
 	}
 }
 
+// A clone shares the entries' bitsets, so a subject-column operation on
+// either side must leave the other's ACLs as they were.
+func TestCodebookCloneSubjectColumns(t *testing.T) {
+	cb := NewCodebook(3)
+	c0 := cb.Intern(bitset.FromIndices(3, 0, 2))
+	c1 := cb.Intern(bitset.FromIndices(3, 1))
+	want := []string{cb.ACL(c0).Key(), cb.ACL(c1).Key()}
+	unmoved := func(op string) {
+		t.Helper()
+		if got := []string{cb.ACL(c0).Key(), cb.ACL(c1).Key()}; got[0] != want[0] || got[1] != want[1] || cb.ACL(c0).Len() != 3 {
+			t.Fatalf("%s on a clone moved the original's ACLs: %q, want %q", op, got, want)
+		}
+	}
+	if _, err := cb.Clone().AddSubjectLike(0); err != nil {
+		t.Fatal(err)
+	}
+	unmoved("AddSubjectLike")
+	removed := cb.Clone()
+	if err := removed.RemoveSubject(1); err != nil {
+		t.Fatal(err)
+	}
+	unmoved("RemoveSubject")
+	if !removed.ACL(c0).Test(1) || removed.ACL(c1).Any() {
+		t.Fatal("RemoveSubject did not shift the clone's columns")
+	}
+	clone := cb.Clone()
+	cb.AddSubject()
+	if clone.ACL(c0).Len() != 3 {
+		t.Fatal("AddSubject on the original resized its clone's entries")
+	}
+}
+
 func TestCodebookAccessible(t *testing.T) {
 	cb := NewCodebook(8)
 	c := cb.Intern(bitset.FromIndices(8, 1, 5))

@@ -28,6 +28,9 @@ type SecureStore struct {
 	// stats is shared by the live store and every frozen clone, so view
 	// counters registered once keep counting across snapshots.
 	stats *viewStats
+
+	// region is the writer's buffer for region rewrites (update.go).
+	region regionBuf
 }
 
 // viewStats holds the view-layer counters, registered under view_* via

@@ -19,36 +19,52 @@ import (
 // transition flags, and rewrite just that region (update locality). Block
 // headers before and after the region are untouched; block-local
 // decodability guarantees nodes outside the region keep their rights.
+//
+// An accessibility update (SetRangeACL and the two calls on it) does work
+// in proportion to its range [lo, hi]: one ACL edit and one codebook
+// lookup per distinct code in it, and, when the new codes leave every
+// block boundary where it was, one path-summary observation per node in
+// it. What stays in proportion to the region — the one or two blocks
+// around a small range — is copying its entries into the writer's
+// buffers, renormalizing their transition flags, walking the entries
+// before lo to learn which elements are open there, encoding each new page
+// once and decoding it once to prime the decode cache. A recode that moves
+// a block boundary replays the region against the summary instead.
 
 // SetNodeAccess grants or revokes subject s on the single node n. Cost: the
 // page read(s) of n's block region plus the corresponding writes, as in the
 // paper's analysis.
 func (ss *SecureStore) SetNodeAccess(n xmltree.NodeID, s acl.SubjectID, allowed bool) error {
-	return ss.SetRangeACL(n, n, func(old *bitset.Bitset) *bitset.Bitset {
-		nw := old.Clone()
-		nw.SetTo(int(s), allowed)
-		return nw
-	})
+	return ss.SetRangeACL(n, n, setBit(s, allowed))
 }
 
 // SetSubtreeAccess grants or revokes subject s on the whole subtree rooted
 // at root. The paper's cost analysis applies: the subtree's nodes are
-// clustered on ~N/B consecutive pages, each read and written once.
+// clustered on ~N/B consecutive pages, each read and written once, and the
+// ACL edit runs once per distinct code among them, not once per node.
 func (ss *SecureStore) SetSubtreeAccess(root xmltree.NodeID, s acl.SubjectID, allowed bool) error {
 	end, err := ss.store.SubtreeEnd(root)
 	if err != nil {
 		return err
 	}
-	return ss.SetRangeACL(root, end, func(old *bitset.Bitset) *bitset.Bitset {
+	return ss.SetRangeACL(root, end, setBit(s, allowed))
+}
+
+// setBit returns the ACL edit that grants or revokes subject s.
+func setBit(s acl.SubjectID, allowed bool) func(*bitset.Bitset) *bitset.Bitset {
+	return func(old *bitset.Bitset) *bitset.Bitset {
 		nw := old.Clone()
 		nw.SetTo(int(s), allowed)
 		return nw
-	})
+	}
 }
 
 // SetRangeACL applies f to the ACL of every node in [lo, hi] and rewrites
-// the affected blocks. On a write-ahead-logged pager the rewrite is one
-// atomic batch: a crash leaves either the old or the new region on disk.
+// the affected blocks. f must depend on the ACL alone and leave it
+// unmodified: it runs once per distinct code in the range, and every node
+// carrying that code gets the one result. On a write-ahead-logged pager
+// the rewrite is one atomic batch: a crash leaves either the old or the
+// new region on disk.
 func (ss *SecureStore) SetRangeACL(lo, hi xmltree.NodeID, f func(*bitset.Bitset) *bitset.Bitset) error {
 	return ss.store.WithTxn(func() error { return ss.setRangeACL(lo, hi, f) })
 }
@@ -64,15 +80,26 @@ func (ss *SecureStore) setRangeACL(lo, hi xmltree.NodeID, f func(*bitset.Bitset)
 		return err
 	}
 	firstNode := st.PageInfoAt(i).FirstNode
-	for k := range entries {
-		n := firstNode + xmltree.NodeID(k)
-		if n >= lo && n <= hi {
-			codes[k] = ss.cb.Intern(f(ss.cb.ACL(codes[k])))
+	from, to := int(lo-firstNode), int(hi-firstNode)
+	// recoded maps an old code to its new one for this call only: once the
+	// rewrite releases the old region's references, a code may be freed
+	// and handed to another ACL.
+	recoded := make(map[Code]Code)
+	var last, lastNew Code
+	for k := from; k <= to; k++ {
+		if old := codes[k]; k == from || old != last {
+			nw, ok := recoded[old]
+			if !ok {
+				nw = ss.cb.Intern(f(ss.cb.ACL(old)))
+				recoded[old] = nw
+			}
+			last, lastNew = old, nw
 		}
+		codes[k] = lastNew
 	}
 	normalizeFlags(entries, codes)
 
-	nblocks, err := st.RewriteRegion(i, j, entries, startLevel, codes[0])
+	nblocks, err := st.RecodeRegion(i, j, entries, startLevel, codes[0], from, to)
 	if err != nil {
 		return err
 	}
@@ -381,13 +408,33 @@ func (ss *SecureStore) RemoveSubject(s acl.SubjectID) error {
 	return ss.cb.RemoveSubject(s)
 }
 
+// regionBuf holds the writer's buffers for a region rewrite. Updates are
+// serialized by their caller (the facade's write lock), so one update at a
+// time reads a region into them, edits it in place and hands it to the
+// rewrite, which keeps none of it.
+type regionBuf struct {
+	entries         []nok.Entry
+	codes, oldCodes []Code
+}
+
+// keptRegionEntries bounds the buffers kept between updates: a region of a
+// few blocks reuses them; a whole-document Vacuum does not pin its copy.
+const keptRegionEntries = 1 << 13
+
 // readRegion decodes blocks [i, j] into a flat entry slice, the code in
 // force at every node, and the list of codes the region references on disk
 // (block headers plus inline transition codes — exactly what the reference
-// counts track).
+// counts track). The slices are the writer's buffers, valid until the next
+// update.
 func (ss *SecureStore) readRegion(i, j int) (entries []nok.Entry, codes []Code, oldCodes []Code, startLevel int, err error) {
 	st := ss.store
 	startLevel = int(st.PageInfoAt(i).StartDepth)
+	entries, codes, oldCodes = ss.region.entries[:0], ss.region.codes[:0], ss.region.oldCodes[:0]
+	defer func() {
+		if cap(entries) <= keptRegionEntries {
+			ss.region = regionBuf{entries, codes, oldCodes}
+		}
+	}()
 	for k := i; k <= j; k++ {
 		first := len(entries)
 		if entries, codes, err = st.AppendBlock(entries, codes, k); err != nil {
@@ -413,14 +460,19 @@ func (ss *SecureStore) readRegion(i, j int) (entries []nok.Entry, codes []Code, 
 // firsts, whose codes were moved into headers) and then releases the old
 // region's codes.
 func (ss *SecureStore) swapRefs(i, nblocks int, regionFirst xmltree.NodeID, entries []nok.Entry, oldCodes []Code) {
-	stripped := make(map[int]bool, nblocks)
 	for k := i; k < i+nblocks; k++ {
-		pi := ss.store.PageInfoAt(k)
-		ss.cb.Retain(pi.AccessCode)
-		stripped[int(pi.FirstNode-regionFirst)] = true
+		ss.cb.Retain(ss.store.PageInfoAt(k).AccessCode)
 	}
+	// Block firsts come in directory order; first is the next one to skip.
+	next, first := i, 0
 	for idx, e := range entries {
-		if e.HasCode && !stripped[idx] {
+		if idx == first {
+			if next++; next < i+nblocks {
+				first = int(ss.store.PageInfoAt(next).FirstNode - regionFirst)
+			}
+			continue
+		}
+		if e.HasCode {
 			ss.cb.Retain(e.Code)
 		}
 	}

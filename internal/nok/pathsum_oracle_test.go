@@ -13,8 +13,11 @@ import (
 // deletes, inline code toggles, multi-block regions, including rewrites
 // whose replay cannot line up and force the rebuild fallback — the
 // maintained summary verifies against one rebuilt from scratch out of the
-// block contents.
+// block contents. Code toggles go through RecodeRegion: those that keep
+// every block boundary take the code-only summary path, those that split a
+// block must not.
 func TestPathSummaryOracleAfterRandomUpdates(t *testing.T) {
+	recoded, split := 0, 0
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		doc := xmlmodel.Doc(rng, 30+rng.Intn(200), xmlmodel.Deep)
@@ -43,9 +46,14 @@ func TestPathSummaryOracleAfterRandomUpdates(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
 				}
+				if b > i {
+					// A later block's first code lives in its header.
+					es[0].HasCode, es[0].Code = true, s.PageInfoAt(b).AccessCode
+				}
 				entries = append(entries, es...)
 			}
 			pi := s.PageInfoAt(i)
+			lo, hi := 0, -1
 
 			switch rng.Intn(4) {
 			case 0: // insert a leaf element
@@ -74,11 +82,37 @@ func TestPathSummaryOracleAfterRandomUpdates(t *testing.T) {
 				at := rng.Intn(len(entries))
 				entries[at].HasCode = true
 				entries[at].Code = uint32(rng.Intn(4))
+				lo, hi = at, at
+				for hi+1 < len(entries) && !entries[hi+1].HasCode {
+					hi++
+				}
 			default: // identity rewrite
 			}
 
-			if _, err := s.RewriteRegion(i, j, entries, int(pi.StartDepth), pi.AccessCode); err != nil {
+			var counts []int
+			for b := i; b <= j; b++ {
+				counts = append(counts, s.PageInfoAt(b).Count)
+			}
+			var n int
+			var err error
+			if lo <= hi {
+				n, err = s.RecodeRegion(i, j, entries, int(pi.StartDepth), pi.AccessCode, lo, hi)
+			} else {
+				n, err = s.RewriteRegion(i, j, entries, int(pi.StartDepth), pi.AccessCode)
+			}
+			if err != nil {
 				t.Fatalf("seed %d op %d: rewrite [%d,%d]: %v", seed, op, i, j, err)
+			}
+			if lo <= hi {
+				kept := n == len(counts)
+				for b := 0; kept && b < n; b++ {
+					kept = s.PageInfoAt(i+b).Count == counts[b]
+				}
+				if kept {
+					recoded++
+				} else {
+					split++
+				}
 			}
 			fresh, err := s.scanPathSummary(0, nil)
 			if err != nil {
@@ -92,6 +126,10 @@ func TestPathSummaryOracleAfterRandomUpdates(t *testing.T) {
 			}
 			checkClassExtents(t, s)
 		}
+	}
+	t.Logf("code toggles: %d kept the layout, %d moved it", recoded, split)
+	if recoded < 10 || split == 0 {
+		t.Fatalf("code toggles kept the layout %d times and moved it %d times; want ≥ 10 and ≥ 1", recoded, split)
 	}
 }
 

@@ -80,22 +80,43 @@ func (s *Store) AppendBlock(entries []Entry, codes []uint32, i int) ([]Entry, []
 // are renumbered, but their on-disk contents remain valid because block
 // headers are positioned by directory order, not by stored node IDs.
 // It returns the number of blocks now occupying the region (directory
-// indices i .. i+n-1).
+// indices i .. i+n-1). newEntries stays the caller's: the rewrite neither
+// keeps nor modifies it.
 //
 // The rewrite runs inside WithTxn: on a write-ahead-logged pager the whole
 // region replacement commits as one atomic batch (joining any batch already
 // open at an outer boundary).
 func (s *Store) RewriteRegion(i, j int, newEntries []Entry, startLevel int, startCode uint32) (int, error) {
+	return s.rewrite(i, j, newEntries, startLevel, startCode, 0, -1)
+}
+
+// RecodeRegion is RewriteRegion for an update that changed nothing but
+// access codes: newEntries holds the region's old tags and close counts,
+// entry for entry, and the code in force differs from the old one at most
+// at offsets [lo, hi] of it. When the new blocks keep the old ones'
+// boundaries, the path summary observes the new codes on the classes of
+// those entries instead of replaying the region.
+func (s *Store) RecodeRegion(i, j int, newEntries []Entry, startLevel int, startCode uint32, lo, hi int) (int, error) {
+	if lo < 0 || hi < lo || hi >= len(newEntries) {
+		return 0, fmt.Errorf("nok: recoded entries [%d,%d] of %d", lo, hi, len(newEntries))
+	}
+	return s.rewrite(i, j, newEntries, startLevel, startCode, lo, hi)
+}
+
+func (s *Store) rewrite(i, j int, newEntries []Entry, startLevel int, startCode uint32, lo, hi int) (int, error) {
 	var n int
 	err := s.WithTxn(func() error {
 		var err error
-		n, err = s.rewriteRegion(i, j, newEntries, startLevel, startCode)
+		n, err = s.rewriteRegion(i, j, newEntries, startLevel, startCode, lo, hi)
 		return err
 	})
 	return n, err
 }
 
-func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, startCode uint32) (int, error) {
+// rewriteRegion lays newEntries out in blocks over [i, j]. Entries [lo, hi]
+// are the recoded ones of a code-only rewrite; hi < lo means the structure
+// may have changed.
+func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, startCode uint32, lo, hi int) (int, error) {
 	if i < 0 || j >= len(s.dir) || i > j {
 		return 0, fmt.Errorf("nok: invalid region [%d,%d] of %d blocks", i, j, len(s.dir))
 	}
@@ -123,17 +144,10 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 	pageSize := s.pool.Pager().PageSize()
 	capBytes := pageSize - headerSize
 
-	// Replay the rewrite against the path summary on a copy-on-write
-	// clone: installed summaries stay immutable for frozen snapshots. A
-	// replay that cannot line up (psr nil or Finish rejecting) falls back
-	// to a full rebuild from the spliced blocks.
-	var psr *pathsum.RegionRewrite
-	if s.paths != nil {
-		psr, _ = s.paths.BeginRewrite(i, j)
-	}
-
-	// Lay out new blocks.
-	var newDir []PageInfo
+	// Lay out new blocks, each a run newEntries[from:to] encoded straight
+	// into its page; the block-first entry's inline code, which the header
+	// carries, is dropped by the encoder.
+	newDir := make([]PageInfo, 0, j-i+2)
 	// warm collects each written block's positional index so the decode
 	// cache can be primed once the rewrite has fully succeeded:
 	// accessibility toggles re-read the region they just rewrote, and
@@ -142,45 +156,18 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 	// splice — priming from inside flush could cache entries for a layout
 	// that errors halfway, against a directory that still describes the
 	// old blocks.
-	type warmedBlock struct {
-		pid storage.PageID
-		blk []slot
-	}
-	var warm []warmedBlock
-	var (
-		blockEntries []Entry
-		blockBytes   int
-		blockFirst   = firstNode
-		level        = startLevel
-		code         = startCode
-		blockStartLv = startLevel
-		blockStartCd = startCode
-		blockMin     = startLevel
-	)
-	flush := func() error {
-		if len(blockEntries) == 0 {
-			return nil
-		}
-		if psr != nil {
-			psr.EndBlock()
-		}
+	warm := make([][]slot, 0, j-i+2)
+	flush := func(pi PageInfo, from, to int) error {
 		frame, err := s.allocPage()
 		if err != nil {
 			return err
 		}
-		pi := PageInfo{
-			Page:       frame.ID(),
-			FirstNode:  blockFirst,
-			Count:      len(blockEntries),
-			StartDepth: uint16(blockStartLv),
-			MinDepth:   uint16(blockMin),
-			AccessCode: blockStartCd,
-		}
-		blockEntries[0].HasCode = false
-		blockEntries[0].Code = 0
+		pi.Page, pi.Count = frame.ID(), to-from
 		body := frame.Data[headerSize:headerSize]
-		for _, e := range blockEntries {
-			if e.HasCode {
+		for k, e := range newEntries[from:to] {
+			if k == 0 {
+				e.HasCode, e.Code = false, 0
+			} else if e.HasCode {
 				pi.ChangeBit = true
 			}
 			body = appendEntry(body, e)
@@ -195,39 +182,48 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 			return err
 		}
 		newDir = append(newDir, pi)
-		warm = append(warm, warmedBlock{pid: pi.Page, blk: blk})
-		blockFirst += xmltree.NodeID(len(blockEntries))
-		blockEntries = blockEntries[:0]
-		blockBytes = 0
+		warm = append(warm, blk)
 		return nil
 	}
-
-	for _, e := range newEntries {
+	var (
+		pi         PageInfo // the open block's header, but for page, count and min depth
+		from       int      // the open block's first entry
+		blockBytes int
+		blockMin   int
+		level      = startLevel
+		code       = startCode
+	)
+	for k, e := range newEntries {
 		if e.HasCode {
 			code = e.Code
 		}
 		sz := entrySize(e)
-		if blockBytes+sz > capBytes && len(blockEntries) > 0 {
-			if err := flush(); err != nil {
+		if blockBytes+sz > capBytes && k > from {
+			pi.MinDepth = uint16(blockMin)
+			if err := flush(pi, from, k); err != nil {
 				return 0, err
 			}
+			from, blockBytes = k, 0
 		}
-		if len(blockEntries) == 0 {
-			blockStartLv = level
-			blockStartCd = code
+		if k == from {
+			pi = PageInfo{FirstNode: firstNode + xmltree.NodeID(k), StartDepth: uint16(level), AccessCode: code}
 			blockMin = level
 		} else if level < blockMin {
 			blockMin = level
 		}
-		if psr != nil {
-			psr.Entry(e.Tag, e.CloseCount, code)
-		}
-		blockEntries = append(blockEntries, e)
 		blockBytes += sz
 		level = level + 1 - e.CloseCount
 	}
-	if err := flush(); err != nil {
+	pi.MinDepth = uint16(blockMin)
+	if err := flush(pi, from, len(newEntries)); err != nil {
 		return 0, err
+	}
+
+	// A code-only rewrite whose blocks kept their boundaries leaves every
+	// block's class set and start context as it was.
+	recode := lo <= hi && len(newDir) == j-i+1
+	for k := 0; recode && k < len(newDir); k++ {
+		recode = newDir[k].Count == s.dir[i+k].Count
 	}
 
 	// Splice the directory and renumber later blocks.
@@ -242,21 +238,60 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 	s.dir = dir
 	s.numNodes += delta
 	if s.paths != nil {
-		var spliced *pathsum.Summary
-		ok := false
-		if psr != nil {
-			spliced, ok = psr.Finish()
-		}
-		if ok {
-			s.paths = spliced
-		} else if err := s.RebuildPathSummary(); err != nil {
+		if err := s.rewritePaths(i, j, newEntries, newDir, startCode, recode, lo, hi); err != nil {
 			return 0, err
 		}
 	}
-	for _, wb := range warm {
-		s.dec.put(wb.pid, wb.blk)
+	for k, blk := range warm {
+		s.dec.put(newDir[k].Page, blk)
 	}
 	return len(newDir), nil
+}
+
+// rewritePaths brings the path summary up to a rewrite of blocks [i, j]
+// into newDir, on a copy-on-write clone: installed summaries stay immutable
+// for frozen snapshots. A code-only rewrite (recode) observes the codes of
+// entries [lo, hi]; any other replays the region's new entries. A replay
+// that cannot line up falls back to a full rebuild from the spliced blocks.
+func (s *Store) rewritePaths(i, j int, newEntries []Entry, newDir []PageInfo, startCode uint32, recode bool, lo, hi int) error {
+	psr, err := s.paths.BeginRewrite(i, j)
+	if err != nil {
+		return s.RebuildPathSummary()
+	}
+	var spliced *pathsum.Summary
+	ok := false
+	code := startCode
+	if recode {
+		for k, e := range newEntries[:hi+1] {
+			if e.HasCode {
+				code = e.Code
+			}
+			if k < lo {
+				psr.Skip(e.Tag, e.CloseCount)
+			} else {
+				psr.Recoded(e.Tag, e.CloseCount, code)
+			}
+		}
+		spliced, ok = psr.FinishRecode()
+	} else {
+		k := 0
+		for _, pi := range newDir {
+			for _, e := range newEntries[k : k+pi.Count] {
+				if e.HasCode {
+					code = e.Code
+				}
+				psr.Entry(e.Tag, e.CloseCount, code)
+			}
+			k += pi.Count
+			psr.EndBlock()
+		}
+		spliced, ok = psr.Finish()
+	}
+	if !ok {
+		return s.RebuildPathSummary()
+	}
+	s.paths = spliced
+	return nil
 }
 
 // InternTag returns the code for tag, adding it to the store's tag table if

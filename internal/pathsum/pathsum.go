@@ -13,6 +13,9 @@
 // Summaries are immutable once installed: region rewrites go through
 // BeginRewrite, which extends a copy-on-write clone and splices its
 // per-block sets, so a frozen store snapshot can share the pointer safely.
+// A clone shares its original's child map until it interns a class of its
+// own, and a rewrite that changed only access codes shares the per-block
+// sets too (FinishRecode).
 package pathsum
 
 import (
@@ -79,9 +82,12 @@ type childKey struct {
 // Summary is the path summary of one store state. Installed summaries are
 // never mutated; updates build a clone via BeginRewrite.
 type Summary struct {
-	nodes  []Node
-	child  map[childKey]int32
-	blocks []BlockPaths
+	nodes []Node
+	child map[childKey]int32
+	// sharedChild marks child as the original's map on a rewrite's clone:
+	// intern copies it before adding the clone's first class of its own.
+	sharedChild bool
+	blocks      []BlockPaths
 	// numbering identifies the class numbering: a summary built from scratch
 	// (a Builder, FromMeta) starts a new one, and a rewrite's clone keeps its
 	// original's, since it only appends classes.
@@ -150,6 +156,13 @@ func (s *Summary) intern(parent, tag, depth int32) int32 {
 	}
 	id := int32(len(s.nodes))
 	s.nodes = append(s.nodes, Node{Tag: tag, Parent: parent, Depth: depth})
+	if s.sharedChild {
+		own := make(map[childKey]int32, len(s.child)+1)
+		for k, v := range s.child {
+			own[k] = v
+		}
+		s.child, s.sharedChild = own, false
+	}
 	s.child[k] = id
 	return id
 }
@@ -228,12 +241,22 @@ func (b *Builder) Entry(tag int32, closeCount int, code uint32) int32 {
 		b.open = true
 		b.start = b.top()
 	}
-	id := b.class(tag)
+	id := b.walk(tag, closeCount)
+	if id < 0 {
+		return -1
+	}
 	b.s.nodes[id].observe(code)
 	for int(id>>6) >= len(b.bits) {
 		b.bits = append(b.bits, 0)
 	}
 	b.bits[id>>6] |= 1 << (uint(id) & 63)
+	return id
+}
+
+// walk resolves the class of one entry and moves the open-element stack
+// past it: the entry opens its element and closes closeCount.
+func (b *Builder) walk(tag int32, closeCount int) int32 {
+	id := b.class(tag)
 	b.stack = append(b.stack, id)
 	if closeCount > len(b.stack) {
 		b.err = fmt.Errorf("pathsum: entry closes %d elements with %d open", closeCount, len(b.stack))
@@ -278,10 +301,23 @@ func (b *Builder) Finish() (*Summary, error) {
 // clone: the caller feeds the region's new entries exactly as written and
 // Finish splices the new block sets between the untouched prefix and
 // suffix. The original summary is never mutated.
+//
+// A rewrite that changed nothing but access codes, and left every block
+// boundary where it was, need not be replayed: its blocks hold the same
+// classes from the same start contexts. The caller then feeds Skip with the
+// region's entries before the first changed one, Recoded with the changed
+// ones, and ends with FinishRecode; only the changed entries' classes
+// observe their codes. Re-observing an unchanged code would not move a
+// mode anyway — every stored code was observed when it was written, and
+// modes only degrade.
 type RegionRewrite struct {
 	orig *Summary
 	b    *Builder
 	i, j int
+	// pending holds the tags of the entries Skip walked past that are
+	// still open, innermost last. Their classes are resolved only if they
+	// are open at the first Recoded entry.
+	pending []int32
 }
 
 // BeginRewrite starts a rewrite of blocks [i, j] of s.
@@ -290,12 +326,10 @@ func (s *Summary) BeginRewrite(i, j int) (*RegionRewrite, error) {
 		return nil, fmt.Errorf("pathsum: rewrite region [%d, %d] of %d blocks", i, j, len(s.blocks))
 	}
 	clone := &Summary{
-		nodes:     append([]Node(nil), s.nodes...),
-		child:     make(map[childKey]int32, len(s.child)),
-		numbering: s.numbering,
-	}
-	for k, v := range s.child {
-		clone.child[k] = v
+		nodes:       append([]Node(nil), s.nodes...),
+		child:       s.child,
+		sharedChild: true,
+		numbering:   s.numbering,
 	}
 	b := &Builder{s: clone}
 	for id := s.blocks[i].Start; id >= 0; id = s.nodes[id].Parent {
@@ -314,6 +348,49 @@ func (r *RegionRewrite) Entry(tag int32, closeCount int, code uint32) {
 
 // EndBlock seals one rewritten block.
 func (r *RegionRewrite) EndBlock() { r.b.EndBlock() }
+
+// Skip walks past one entry before the changed ones of a code-only
+// rewrite, tracking only which elements it leaves open.
+func (r *RegionRewrite) Skip(tag int32, closeCount int) {
+	r.pending = append(r.pending, tag)
+	for ; closeCount > 0; closeCount-- {
+		if n := len(r.pending); n > 0 {
+			r.pending = r.pending[:n-1]
+		} else if n := len(r.b.stack); n > 0 {
+			r.b.stack = r.b.stack[:n-1]
+		} else {
+			r.b.err = errors.New("pathsum: skipped entry closes more elements than are open")
+			return
+		}
+	}
+}
+
+// Recoded walks past one changed entry of a code-only rewrite: its class
+// observes code, the code now in force at it.
+func (r *RegionRewrite) Recoded(tag int32, closeCount int, code uint32) {
+	for _, t := range r.pending {
+		r.b.walk(t, 0)
+	}
+	r.pending = r.pending[:0]
+	if r.b.err != nil {
+		return
+	}
+	if id := r.b.walk(tag, closeCount); id >= 0 {
+		r.b.s.nodes[id].observe(code)
+	}
+}
+
+// FinishRecode returns the clone of a code-only rewrite, which shares the
+// original's block sets. ok=false means an entry did not fit the region's
+// old structure (it closed more elements than were open, or its path is a
+// class the summary lacks), and the caller must rebuild the summary.
+func (r *RegionRewrite) FinishRecode() (*Summary, bool) {
+	if r.b.err != nil || len(r.b.s.nodes) != len(r.orig.nodes) {
+		return nil, false
+	}
+	r.b.s.blocks = r.orig.blocks
+	return r.b.s, true
+}
 
 // Finish verifies the rewritten region exits in the same open-element
 // context the old region did and returns the spliced summary. ok=false

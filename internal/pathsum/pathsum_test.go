@@ -132,6 +132,48 @@ func TestRegionRewriteIdentitySplices(t *testing.T) {
 	}
 }
 
+// A code-only rewrite of block 0 (a b c) that recodes only c: a, walked
+// past, keeps its mode, a/b/c observes the new code, the blocks are
+// shared, and the original summary is untouched.
+func TestRegionRecodeObservesChangedClasses(t *testing.T) {
+	s := feed(t)
+	a, _ := s.ChildOf(-1, 0)
+	ab, _ := s.ChildOf(a, 1)
+	r, err := s.BeginRewrite(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Skip(0, 0)       // <a>, unchanged
+	r.Recoded(1, 0, 8) // <b>, now 8
+	ns, ok := r.FinishRecode()
+	if !ok {
+		t.Fatal("code-only rewrite did not line up")
+	}
+	if n := ns.NodeAt(a); n.Mode != CodeUniform || n.Code != 7 {
+		t.Errorf("class a mode %d code %d, want uniform 7: it was only walked past", n.Mode, n.Code)
+	}
+	if n := ns.NodeAt(ab); n.Mode != CodeMixed {
+		t.Errorf("class a/b mode %d, want mixed (codes 7 and 8)", n.Mode)
+	}
+	if n := s.NodeAt(ab); n.Mode != CodeUniform {
+		t.Error("original summary observed the clone's code")
+	}
+	if ns.NumBlocks() != 2 || &ns.blocks[0] != &s.blocks[0] {
+		t.Error("a code-only rewrite must share the original's block sets")
+	}
+
+	// A recoded entry whose path is no class of the summary: the caller's
+	// claim that only codes changed is wrong, and FinishRecode says so.
+	r, _ = s.BeginRewrite(0, 0)
+	r.Recoded(3, 1, 7)
+	if _, ok := r.FinishRecode(); ok {
+		t.Error("FinishRecode accepted an entry of a new class")
+	}
+	if _, ok := s.ChildOf(-1, 3); ok {
+		t.Error("original summary gained the clone's class")
+	}
+}
+
 func TestRegionRewriteAddsClass(t *testing.T) {
 	s := feed(t)
 	r, err := s.BeginRewrite(1, 1)

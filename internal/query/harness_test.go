@@ -713,7 +713,16 @@ func checkJoinOrder(t *testing.T, what string, ev *Evaluator, doc *xmltree.Docum
 // reduction.
 func TestIndexPlanOracle(t *testing.T) {
 	var st harnessStats
-	for seed := int64(0); seed < 300; seed++ {
+	seeds := make([]int64, 300, 302)
+	for i := range seeds {
+		seeds[i] = int64(i)
+	}
+	// Seeds 287, 420 and 1134 each draw a view for which a wholly
+	// inaccessible page reaches above its first node, the page the ε-STD
+	// join passes from the directory alone: the two past the range keep
+	// that shape checked by more than one draw.
+	seeds = append(seeds, 420, 1134)
+	for _, seed := range seeds {
 		rng := rand.New(rand.NewSource(seed))
 		doc := xmlmodel.Doc(rng, 150+rng.Intn(300), xmlmodel.Mixed)
 		checkTwig(t, fmt.Sprintf("seed %d", seed), drawCase(rng, doc, xmlmodel.Twig(rng, doc), rng.Intn(3) == 0), checks{sweep: true}, &st)

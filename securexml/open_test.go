@@ -26,6 +26,29 @@ import (
 // whose literal is drawn from the document.
 func churnTenant(tb testing.TB, docSeed, seed int64, nodes, pageSize int) (dir, qval string) {
 	tb.Helper()
+	st, doc, rng := churnSeal(tb, docSeed, seed, nodes, pageSize)
+	churnBurst(tb, st, doc, rng)
+	if err := st.Vacuum(); err != nil {
+		tb.Fatal(err)
+	}
+	dir = tb.TempDir()
+	if err := st.Save(dir); err != nil {
+		tb.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	emails := doc.NodesWithTag("emailaddress")
+	if len(emails) == 0 {
+		tb.Fatal("no emailaddress to draw the Qval literal from")
+	}
+	return dir, fmt.Sprintf("/site/people/person[emailaddress='%s']/name", doc.Value(emails[rng.Intn(len(emails))]))
+}
+
+// churnSeal seals churnTenant's store in memory, before its burst, and
+// returns it with the document and the generator the burst draws from.
+func churnSeal(tb testing.TB, docSeed, seed int64, nodes, pageSize int) (*Store, *xmltree.Document, *rand.Rand) {
+	tb.Helper()
 	var xb strings.Builder
 	if err := xmark.Generate(xmark.Scaled(docSeed, nodes)).WriteXML(&xb); err != nil {
 		tb.Fatal(err)
@@ -50,37 +73,34 @@ func churnTenant(tb testing.TB, docSeed, seed int64, nodes, pageSize int) (dir, 
 	if err != nil {
 		tb.Fatal(err)
 	}
+	return st, doc, rng
+}
+
+// churnBurst runs churnTenant's burst on st — 4 subtree revokes per 100
+// nodes, at least 300, shared between correlated groups more often than
+// not — and returns the number of SetAccess calls it made.
+func churnBurst(tb testing.TB, st *Store, doc *xmltree.Document, rng *rand.Rand) int {
+	tb.Helper()
 	var roots []xmltree.NodeID
 	for _, tag := range []string{"item", "person", "open_auction", "closed_auction", "category", "listitem"} {
 		roots = append(roots, doc.NodesWithTag(tag)...)
 	}
+	calls := 0
 	for n := max(doc.Len()*4/100, 300); n > 0; n-- {
 		node, g := NodeID(roots[rng.Intn(len(roots))]), rng.Intn(8)
 		if err := st.SetAccess(fmt.Sprintf("g%d", g), "read", node, false, true); err != nil {
 			tb.Fatal(err)
 		}
+		calls++
 		if rng.Intn(5) < 3 {
 			if err := st.SetAccess(fmt.Sprintf("g%d", g^1), "read", node, false, true); err != nil {
 				tb.Fatal(err)
 			}
+			calls++
 			n--
 		}
 	}
-	if err := st.Vacuum(); err != nil {
-		tb.Fatal(err)
-	}
-	dir = tb.TempDir()
-	if err := st.Save(dir); err != nil {
-		tb.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
-		tb.Fatal(err)
-	}
-	emails := doc.NodesWithTag("emailaddress")
-	if len(emails) == 0 {
-		tb.Fatal("no emailaddress to draw the Qval literal from")
-	}
-	return dir, fmt.Sprintf("/site/people/person[emailaddress='%s']/name", doc.Value(emails[rng.Intn(len(emails))]))
+	return calls
 }
 
 // BenchmarkOpen sizes a tenant fault: Open of a tenant_churn-sized store
