@@ -139,10 +139,13 @@ func (cb *Codebook) Release(c Code) {
 // Refs returns the reference count of code c (0 for freed codes).
 func (cb *Codebook) Refs(c Code) int { return cb.refs[c] }
 
+// live reports whether code c holds an entry.
+func (cb *Codebook) live(c Code) bool { return int(c) < len(cb.entries) && cb.entries[c] != nil }
+
 // ACL returns the access control list for code c. The returned bitset is
 // shared; callers must not modify it.
 func (cb *Codebook) ACL(c Code) *bitset.Bitset {
-	if int(c) >= len(cb.entries) || cb.entries[c] == nil {
+	if !cb.live(c) {
 		panic(fmt.Sprintf("dol: lookup of dead code %d", c))
 	}
 	return cb.entries[c]

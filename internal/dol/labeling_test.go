@@ -1,12 +1,15 @@
 package dol
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"dolxml/internal/acl"
 	"dolxml/internal/bitset"
+	"dolxml/internal/xmlmodel"
 	"dolxml/internal/xmltree"
 )
 
@@ -128,21 +131,14 @@ func TestStreamBuilderSharedCodebook(t *testing.T) {
 }
 
 func TestSetNodeAccessProposition1(t *testing.T) {
-	m := figure1Matrix()
-	l := FromMatrix(m)
+	l, md := FromMatrix(figure1Matrix()), xmlmodel.New(fig2doc(t), figure1Matrix())
 	before := l.NumTransitions()
 	// Grant subject 1 access to node e (index 4), splitting the [e,f,g] run.
 	l.SetNodeAccess(4, 1, true)
-	if err := l.validate(); err != nil {
-		t.Fatal(err)
-	}
+	md.SetAccess(4, 1, true, false)
+	checkLabeling(t, "grant", l, md)
 	if got := l.NumTransitions(); got > before+2 {
 		t.Fatalf("Proposition 1 violated: %d -> %d", before, got)
-	}
-	want := m
-	want.Set(4, 1, true)
-	if !l.Matrix().Equal(want) {
-		t.Fatal("matrix mismatch after SetNodeAccess")
 	}
 }
 
@@ -193,38 +189,21 @@ func TestSetRangeAccessWholeDocument(t *testing.T) {
 }
 
 func TestInsertRange(t *testing.T) {
-	m := figure1Matrix()
-	l := FromMatrix(m)
-	// Fragment of 3 nodes, all accessible to subject 0 only.
+	l, md := FromMatrix(figure1Matrix()), xmlmodel.New(fig2doc(t), figure1Matrix())
+	// Fragment of 3 nodes, all accessible to subject 0 only, after d: before
+	// old node e.
+	frag := xmltree.MustParseString(`<x><y/><z/></x>`)
 	fm := acl.NewMatrix(3, 2)
 	for n := 0; n < 3; n++ {
 		fm.Set(xmltree.NodeID(n), 0, true)
 	}
-	frag := FromMatrix(fm)
-	beforeL, beforeF := l.NumTransitions(), frag.NumTransitions()
-	l.InsertRange(4, frag) // before old node e
-	if err := l.validate(); err != nil {
-		t.Fatal(err)
-	}
-	if l.NumNodes() != 15 {
-		t.Fatalf("NumNodes = %d", l.NumNodes())
-	}
+	fl := FromMatrix(fm)
+	beforeL, beforeF := l.NumTransitions(), fl.NumTransitions()
+	l.InsertRange(4, fl)
+	md.Insert(0, 3, frag, fm)
+	checkLabeling(t, "insert", l, md)
 	if got := l.NumTransitions(); got > beforeL+beforeF+2 {
 		t.Fatalf("insert transition growth: %d -> %d", beforeL, got)
-	}
-	// Expected matrix: rows 0..3 unchanged, 4..6 = fragment, 7.. = old 4...
-	want := acl.NewMatrix(15, 2)
-	for n := 0; n < 4; n++ {
-		want.SetRow(xmltree.NodeID(n), m.Row(xmltree.NodeID(n)))
-	}
-	for n := 0; n < 3; n++ {
-		want.SetRow(xmltree.NodeID(4+n), fm.Row(xmltree.NodeID(n)))
-	}
-	for n := 4; n < 12; n++ {
-		want.SetRow(xmltree.NodeID(3+n), m.Row(xmltree.NodeID(n)))
-	}
-	if !l.Matrix().Equal(want) {
-		t.Fatal("matrix mismatch after InsertRange")
 	}
 }
 
@@ -305,6 +284,19 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// checkLabeling verifies that l validates, keeps exact refcounts and holds
+// md's rows.
+func checkLabeling(t *testing.T, what string, l *Labeling, md *xmlmodel.Model) {
+	t.Helper()
+	if err := l.validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	checkRefs(t, l)
+	if _, want := md.Flatten(); !l.Matrix().Equal(want) {
+		t.Fatalf("%s: the labeling's rows differ from the model's", what)
+	}
+}
+
 // checkRefs verifies the labeling's codebook refcounts equal its
 // transition counts per code.
 func checkRefs(t *testing.T, l *Labeling) {
@@ -324,158 +316,120 @@ func checkRefs(t *testing.T, l *Labeling) {
 	}
 }
 
-// Property: random single-node and range updates keep the labeling
-// equivalent to a shadow matrix, respect Proposition 1, and keep refcounts
-// exact.
-func TestLabelingUpdateProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		numNodes := 1 + rng.Intn(80)
-		numSubjects := 1 + rng.Intn(5)
-		shadow := acl.NewMatrix(numNodes, numSubjects)
-		for n := 0; n < numNodes; n++ {
-			for s := 0; s < numSubjects; s++ {
-				if rng.Intn(3) == 0 {
-					shadow.Set(xmltree.NodeID(n), acl.SubjectID(s), true)
-				}
-			}
-		}
-		l := FromMatrix(shadow)
-		for step := 0; step < 30; step++ {
-			s := acl.SubjectID(rng.Intn(numSubjects))
-			allowed := rng.Intn(2) == 1
-			lo := xmltree.NodeID(rng.Intn(numNodes))
-			hi := lo
-			if rng.Intn(2) == 1 {
-				hi = lo + xmltree.NodeID(rng.Intn(numNodes-int(lo)))
-			}
-			before := l.NumTransitions()
-			l.SetRangeAccess(lo, hi, s, allowed)
-			for n := lo; n <= hi; n++ {
-				shadow.Set(n, s, allowed)
-			}
-			if l.NumTransitions() > before+2 {
-				return false
-			}
-			if err := l.validate(); err != nil {
-				return false
-			}
-		}
-		return l.Matrix().Equal(shadow)
+// checkRows verifies that l validates, keeps exact refcounts, holds rows,
+// and took at most two transitions more than before plus added, those of
+// an inserted fragment (Proposition 1).
+func checkRows(t *testing.T, what string, l *Labeling, rows []*bitset.Bitset, before, added int) {
+	t.Helper()
+	if err := l.validate(); err != nil {
+		t.Fatalf("%s: %v", what, err)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	checkRefs(t, l)
+	if l.NumNodes() != len(rows) {
+		t.Fatalf("%s: %d rows, want %d", what, l.NumNodes(), len(rows))
+	}
+	for n, r := range rows {
+		if !l.ACLAt(xmltree.NodeID(n)).EqualBits(r) {
+			t.Fatalf("%s: row %d differs", what, n)
+		}
+	}
+	if got := l.NumTransitions(); got > before+added+2 {
+		t.Fatalf("%s: %d transitions after %d (+%d inserted)", what, got, before, added)
 	}
 }
 
-// Property: random structural splices (insert/delete) keep the labeling
-// equivalent to a shadow row list.
+// checkSplice checks, on a clone of l, the ranges a Delete or InsertRows
+// draw does not reach: it deletes any range [lo, hi] of l, whose rows are
+// the model's rows pre — every row one time in eight — and inserts a copy
+// of up to ten of pre's rows at any position of what is left, 0 and an
+// empty labeling included. The clone must hold pre's rows spliced the same
+// way.
+func checkSplice(t *testing.T, what string, rng *rand.Rand, l *Labeling, pre *acl.Matrix) {
+	t.Helper()
+	rows := make([]*bitset.Bitset, pre.NumNodes())
+	for n := range rows {
+		rows[n] = pre.Row(xmltree.NodeID(n))
+	}
+	c := l.Clone()
+	lo, hi := 0, len(rows)-1
+	if rng.Intn(8) != 0 {
+		lo = rng.Intn(len(rows))
+		hi = lo + rng.Intn(len(rows)-lo)
+	}
+	before := c.NumTransitions()
+	c.DeleteRange(xmltree.NodeID(lo), xmltree.NodeID(hi))
+	left := slices.Concat(rows[:lo], rows[hi+1:])
+	checkRows(t, fmt.Sprintf("%s, delete [%d, %d] of %d", what, lo, hi, len(rows)), c, left, before, 0)
+
+	a := rng.Intn(len(rows))
+	b := a + rng.Intn(min(len(rows)-a, 10))
+	fm := acl.NewMatrix(b-a+1, pre.NumSubjects())
+	for n := a; n <= b; n++ {
+		fm.SetRow(xmltree.NodeID(n-a), rows[n])
+	}
+	frag, at := FromMatrix(fm), rng.Intn(len(left)+1)
+	before = c.NumTransitions()
+	c.InsertRange(xmltree.NodeID(at), frag)
+	checkRows(t, fmt.Sprintf("%s, insert %d rows at %d of %d", what, b-a+1, at, len(left)), c,
+		slices.Concat(left[:at], rows[a:b+1], left[at:]), before, frag.NumTransitions())
+}
+
+// labelingRun applies, for each of 60 seeds, 25 operations of the kinds
+// drawn on the model of a random document of up to 80 nodes to a labeling
+// of the model's rows: a SetRange to its range, an InsertRows as a range of
+// the fragment's rows at the fragment's position, a Delete as the range of
+// the deleted subtree. After each the labeling validates, its refcounts are
+// exact, it holds the model's rows, and it took at most two transitions
+// more than before plus the fragment's (Proposition 1). Before each
+// InsertRows or Delete, checkSplice deletes and inserts arbitrary ranges on
+// a clone.
+func labelingRun(t *testing.T, kinds ...xmlmodel.Kind) {
+	for seed := int64(0); seed < 60; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		doc := xmlmodel.Doc(rng, 1+rng.Intn(80), xmlmodel.Mixed)
+		m := xmlmodel.ACL(rng, doc, 1+rng.Intn(5))
+		md, l := xmlmodel.New(doc, m), FromMatrix(m)
+		for step := 0; step < 25; step++ {
+			pre, rows := md.Flatten()
+			op := xmlmodel.Op(rng, md, kinds...)
+			what := fmt.Sprintf("seed %d step %d %s", seed, step, op.Kind)
+			if op.Kind == xmlmodel.InsertRows || op.Kind == xmlmodel.Delete {
+				checkSplice(t, what, rng, l, rows)
+			}
+			before, added := l.NumTransitions(), 0
+			switch op.Kind {
+			case xmlmodel.SetRange:
+				l.SetRangeAccess(op.Node, op.Hi, acl.SubjectID(op.Subject), op.Allowed)
+			case xmlmodel.InsertRows:
+				at := op.Parent + 1
+				if op.After != xmltree.InvalidNode {
+					at = pre.End(op.After) + 1
+				}
+				frag := FromMatrix(op.FragACL)
+				added = frag.NumTransitions()
+				l.InsertRange(at, frag)
+			case xmlmodel.Delete:
+				l.DeleteRange(op.Node, pre.End(op.Node))
+			}
+			checkLabeling(t, what, l, md)
+			if got := l.NumTransitions(); got > before+added+2 {
+				t.Fatalf("%s: %d transitions after %d (+%d inserted)", what, got, before, added)
+			}
+		}
+	}
+}
+
+// Node and range access updates.
+func TestLabelingUpdateProperty(t *testing.T) { labelingRun(t, xmlmodel.SetRange) }
+
+// Inserted and deleted ranges.
 func TestLabelingStructuralProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		numSubjects := 1 + rng.Intn(4)
-		randRow := func() *bitset.Bitset {
-			b := bitset.New(numSubjects)
-			for s := 0; s < numSubjects; s++ {
-				if rng.Intn(2) == 1 {
-					b.Set(s)
-				}
-			}
-			return b
-		}
-		var shadow []*bitset.Bitset
-		n0 := 1 + rng.Intn(40)
-		m := acl.NewMatrix(n0, numSubjects)
-		for n := 0; n < n0; n++ {
-			r := randRow()
-			m.SetRow(xmltree.NodeID(n), r)
-			shadow = append(shadow, r)
-		}
-		l := FromMatrix(m)
-		for step := 0; step < 20; step++ {
-			if len(shadow) == 0 || (rng.Intn(2) == 0 && len(shadow) < 200) {
-				// Insert a fragment.
-				fn := 1 + rng.Intn(10)
-				fm := acl.NewMatrix(fn, numSubjects)
-				var rows []*bitset.Bitset
-				for k := 0; k < fn; k++ {
-					r := randRow()
-					fm.SetRow(xmltree.NodeID(k), r)
-					rows = append(rows, r)
-				}
-				at := rng.Intn(len(shadow) + 1)
-				l.InsertRange(xmltree.NodeID(at), FromMatrix(fm))
-				shadow = append(shadow[:at], append(rows, shadow[at:]...)...)
-			} else {
-				lo := rng.Intn(len(shadow))
-				hi := lo + rng.Intn(len(shadow)-lo)
-				l.DeleteRange(xmltree.NodeID(lo), xmltree.NodeID(hi))
-				shadow = append(shadow[:lo], shadow[hi+1:]...)
-			}
-			if err := l.validate(); err != nil {
-				return false
-			}
-			if l.NumNodes() != len(shadow) {
-				return false
-			}
-		}
-		for n, r := range shadow {
-			if !l.ACLAt(xmltree.NodeID(n)).EqualBits(r) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+	labelingRun(t, xmlmodel.InsertRows, xmlmodel.Delete)
 }
 
-// Property: refcounts stay exact across mixed updates.
+// Refcounts stay exact across mixed updates.
 func TestLabelingRefcountProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		numNodes := 5 + rng.Intn(50)
-		m := acl.NewMatrix(numNodes, 3)
-		for n := 0; n < numNodes; n++ {
-			for s := 0; s < 3; s++ {
-				if rng.Intn(2) == 0 {
-					m.Set(xmltree.NodeID(n), acl.SubjectID(s), true)
-				}
-			}
-		}
-		l := FromMatrix(m)
-		for step := 0; step < 25 && l.NumNodes() > 0; step++ {
-			lo := xmltree.NodeID(rng.Intn(l.NumNodes()))
-			hi := lo + xmltree.NodeID(rng.Intn(l.NumNodes()-int(lo)))
-			switch rng.Intn(3) {
-			case 0:
-				l.SetRangeAccess(lo, hi, acl.SubjectID(rng.Intn(3)), rng.Intn(2) == 1)
-			case 1:
-				l.DeleteRange(lo, hi)
-			case 2:
-				fm := acl.NewMatrix(1+rng.Intn(5), 3)
-				l.InsertRange(lo, FromMatrix(fm))
-			}
-		}
-		counts := map[Code]int{}
-		_, codes := l.Transitions()
-		for _, c := range codes {
-			counts[c]++
-		}
-		if l.cb.Len() != len(counts) {
-			return false
-		}
-		for c, want := range counts {
-			if l.cb.Refs(c) != want {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
+	labelingRun(t, xmlmodel.SetRange, xmlmodel.InsertRows, xmlmodel.Delete)
 }
 
 func TestCheckRefsAfterBasicOps(t *testing.T) {

@@ -320,9 +320,11 @@ func (v *SubjectView) PageDenyBits() []uint64 {
 // CodeAllowed resolves the view's access decision for a bare code, through
 // the same memoized cache AccessibleCtx uses, with no I/O. The path-summary
 // compiler uses it to pre-resolve whole path classes whose occurrences all
-// share one code.
+// share one code. A dead code allows nothing: the summary keeps the uniform
+// claim of a class whose every occurrence is gone, and its code may have
+// been released since.
 func (v *SubjectView) CodeAllowed(c Code) bool {
-	return v.accessibleCode(v.cacheFor(), c)
+	return v.ss.cb.live(c) && v.accessibleCode(v.cacheFor(), c)
 }
 
 // InvalidateCache drops the view's memoized decisions. It is not normally

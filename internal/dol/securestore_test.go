@@ -173,47 +173,32 @@ func TestPageFullyInaccessible(t *testing.T) {
 	}
 }
 
+// fig2Model builds the Figure 2 store over the Figure 1 matrix at the page
+// size beside its model.
+func fig2Model(t *testing.T, pageSize int) (*SecureStore, *xmlmodel.Model) {
+	t.Helper()
+	return buildSecure(t, fig2doc(t), figure1Matrix(), pageSize), xmlmodel.New(fig2doc(t), figure1Matrix())
+}
+
 func TestSetNodeAccessPhysical(t *testing.T) {
-	doc := fig2doc(t)
-	m := figure1Matrix()
 	for _, pageSize := range []int{64, 4096} {
-		ss := buildSecure(t, doc, m.Clone(), pageSize)
+		ss, md := fig2Model(t, pageSize)
 		if err := ss.SetNodeAccess(4, 1, true); err != nil {
 			t.Fatal(err)
 		}
-		want := m.Clone()
-		want.Set(4, 1, true)
-		got, err := ss.Matrix()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("pageSize %d: matrix mismatch after SetNodeAccess", pageSize)
-		}
-		checkStoreRefs(t, ss)
+		md.SetAccess(4, 1, true, false)
+		verifyAgainstModel(t, ss, md)
 	}
 }
 
+// Revoke subject 0 on subtree e (nodes 4..11).
 func TestSetSubtreeAccessPhysical(t *testing.T) {
-	doc := fig2doc(t)
-	m := figure1Matrix()
-	ss := buildSecure(t, doc, m.Clone(), 64)
-	// Revoke subject 0 on subtree e (nodes 4..11).
+	ss, md := fig2Model(t, 64)
 	if err := ss.SetSubtreeAccess(4, 0, false); err != nil {
 		t.Fatal(err)
 	}
-	want := m.Clone()
-	for n := xmltree.NodeID(4); n <= 11; n++ {
-		want.Set(n, 0, false)
-	}
-	got, err := ss.Matrix()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatal("matrix mismatch after SetSubtreeAccess")
-	}
-	checkStoreRefs(t, ss)
+	md.SetAccess(4, 0, false, true)
+	verifyAgainstModel(t, ss, md)
 }
 
 func TestSetNodeAccessTransitionGrowth(t *testing.T) {
@@ -276,16 +261,13 @@ func verifyAgainstModel(t *testing.T, ss *SecureStore, md *xmlmodel.Model) {
 }
 
 func TestDeleteSubtreePhysical(t *testing.T) {
-	doc := fig2doc(t)
-	m := figure1Matrix()
-	for _, victim := range []int{7 /* h */, 4 /* e */, 1 /* b */, 11 /* l */} {
+	for _, victim := range []xmltree.NodeID{7 /* h */, 4 /* e */, 1 /* b */, 11 /* l */} {
 		for _, pageSize := range []int{64, 4096} {
-			ss := buildSecure(t, doc, m.Clone(), pageSize)
-			md := xmlmodel.New(doc, m)
-			if err := ss.DeleteSubtree(xmltree.NodeID(victim)); err != nil {
+			ss, md := fig2Model(t, pageSize)
+			if err := ss.DeleteSubtree(victim); err != nil {
 				t.Fatal(err)
 			}
-			md.Delete(xmltree.NodeID(victim))
+			md.Delete(victim)
 			verifyAgainstModel(t, ss, md)
 		}
 	}
@@ -309,8 +291,6 @@ func fragment(t *testing.T, numSubjects int) (*xmltree.Document, *acl.Matrix) {
 }
 
 func TestInsertSubtreePhysical(t *testing.T) {
-	doc := fig2doc(t)
-	m := figure1Matrix()
 	frag, fm := fragment(t, 2)
 	cases := []struct {
 		name   string
@@ -325,8 +305,7 @@ func TestInsertSubtreePhysical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, pageSize := range []int{64, 4096} {
-			ss := buildSecure(t, doc, m.Clone(), pageSize)
-			md := xmlmodel.New(doc, m)
+			ss, md := fig2Model(t, pageSize)
 			if err := ss.InsertSubtree(tc.parent, tc.after, frag, fm); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
@@ -352,8 +331,6 @@ func TestInsertSubtreeErrors(t *testing.T) {
 // <k/><l/></h></e></a> with the sibling after placed before n, past n's
 // subtree — whose ID shifts by the moved range — and at the last child.
 func TestMoveSubtreePhysical(t *testing.T) {
-	doc := fig2doc(t)
-	m := figure1Matrix()
 	for _, tc := range []struct {
 		name             string
 		n, parent, after xmltree.NodeID
@@ -366,8 +343,7 @@ func TestMoveSubtreePhysical(t *testing.T) {
 		{"f under h after l, its last child", 5, 7, 11},
 	} {
 		for _, pageSize := range []int{64, 4096} {
-			ss := buildSecure(t, doc, m.Clone(), pageSize)
-			md := xmlmodel.New(doc, m)
+			ss, md := fig2Model(t, pageSize)
 			if err := ss.MoveSubtree(tc.n, tc.parent, tc.after); err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}

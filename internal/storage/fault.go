@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ErrInjected is the root of every injected failure. Once a fault trips,
@@ -185,14 +186,34 @@ func (p *FaultPager) Close() error { return p.inner.Close() }
 func (p *FaultPager) Stats() IOStats { return p.inner.Stats() }
 
 // FaultFile wraps a File (the WAL log) and fails a chosen append or sync,
-// optionally tearing the failing append in half.
+// optionally tearing the failing append in half. It tracks how much of the
+// log a sync covered, so a crash can lose the rest (LoseUnsynced).
 type FaultFile struct {
 	inner File
 	state faultState
+	// size is the file's size as its appends and truncations left it,
+	// synced the size the last successful Sync made durable.
+	size, synced atomic.Int64
 }
 
-// NewFaultFile wraps f with no fault armed (counting only).
-func NewFaultFile(f File) *FaultFile { return &FaultFile{inner: f} }
+// NewFaultFile wraps f with no fault armed (counting only); the bytes f
+// holds already count as synced.
+func NewFaultFile(f File) *FaultFile {
+	ff := &FaultFile{inner: f}
+	if size, err := f.Size(); err == nil {
+		ff.size.Store(size)
+		ff.synced.Store(size)
+	}
+	return ff
+}
+
+// LoseUnsynced cuts the log back to the size its last successful Sync
+// covered, as a crash loses what no sync made durable.
+func (f *FaultFile) LoseUnsynced() {
+	if synced := f.synced.Load(); f.size.Load() > synced && f.inner.Truncate(synced) == nil {
+		f.size.Store(synced)
+	}
+}
 
 // Arm installs the fault and resets the operation counters.
 func (f *FaultFile) Arm(fault Fault) { f.state.arm(fault) }
@@ -216,10 +237,13 @@ func (f *FaultFile) ReadAt(p []byte, off int64) (int, error) {
 func (f *FaultFile) Append(p []byte) (int, error) {
 	torn, err := f.state.op(FaultWrite)
 	if err == nil {
-		return f.inner.Append(p)
+		n, err := f.inner.Append(p)
+		f.size.Add(int64(n))
+		return n, err
 	}
 	if torn && len(p) > 0 {
 		n, _ := f.inner.Append(p[:(len(p)+1)/2])
+		f.size.Add(int64(n))
 		return n, err
 	}
 	return 0, err
@@ -238,7 +262,14 @@ func (f *FaultFile) Truncate(size int64) error {
 	if err := f.state.observe(); err != nil {
 		return err
 	}
-	return f.inner.Truncate(size)
+	if err := f.inner.Truncate(size); err != nil {
+		return err
+	}
+	f.size.Store(size)
+	if size < f.synced.Load() {
+		f.synced.Store(size)
+	}
+	return nil
 }
 
 // Sync implements File.
@@ -246,7 +277,11 @@ func (f *FaultFile) Sync() error {
 	if _, err := f.state.op(FaultSync); err != nil {
 		return err
 	}
-	return f.inner.Sync()
+	if err := f.inner.Sync(); err != nil {
+		return err
+	}
+	f.synced.Store(f.size.Load())
+	return nil
 }
 
 // Close implements File.

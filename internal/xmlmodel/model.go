@@ -139,17 +139,7 @@ func (m *Model) Hide(bindable []bool) *xmltree.Document {
 // it belongs to, transitively — may access the node, under pruned-subtree
 // semantics when one may access the node and each of its ancestors.
 func (m *Model) Bindable(user int, pruned bool) []bool {
-	eff := make([]bool, m.Subjects())
-	var join func(s int)
-	join = func(s int) {
-		if !eff[s] {
-			eff[s] = true
-			for _, g := range m.MemberOf[s] {
-				join(g)
-			}
-		}
-	}
-	join(user)
+	eff := m.Effective(user)
 	var out []bool
 	var walk func(x *Node, ok bool)
 	walk = func(x *Node, ok bool) {
@@ -164,6 +154,44 @@ func (m *Model) Bindable(user int, pruned bool) []bool {
 	}
 	walk(m.Root, true)
 	return out
+}
+
+// Effective reports per subject whether it is in s's effective set: s and
+// every group s belongs to, transitively.
+func (m *Model) Effective(s int) []bool {
+	eff := make([]bool, m.Subjects())
+	var join func(s int)
+	join = func(s int) {
+		if !eff[s] {
+			eff[s] = true
+			for _, g := range m.MemberOf[s] {
+				join(g)
+			}
+		}
+	}
+	join(s)
+	return eff
+}
+
+// Equal reports whether m and o hold the same document, access rows,
+// subjects and effective sets.
+func (m *Model) Equal(o *Model) bool {
+	a, b := m.Nodes(), o.Nodes()
+	if len(a) != len(b) || !slices.Equal(m.Group, o.Group) {
+		return false
+	}
+	for i, x := range a {
+		y := b[i]
+		if x.Tag != y.Tag || x.Value != y.Value || len(x.Kids) != len(y.Kids) || !x.Row.Equal(y.Row) {
+			return false
+		}
+	}
+	for s := range m.Group {
+		if !slices.Equal(m.Effective(s), o.Effective(s)) {
+			return false
+		}
+	}
+	return true
 }
 
 // detach removes x from its parent's children.
@@ -269,6 +297,8 @@ const (
 	Pin
 	Release
 	Reopen
+	Crash
+	Evict
 )
 
 // Updates are the facade's eight update kinds and Vacuum.
@@ -276,14 +306,17 @@ var Updates = []Kind{SetAccess, AddUser, AddUserLike, AddGroup, AddMember, Inser
 
 func (k Kind) String() string {
 	return [...]string{"set-access", "set-range", "add-user", "add-user-like", "add-group", "add-member",
-		"insert", "insert-rows", "delete", "move", "vacuum", "pin", "release", "reopen"}[k]
+		"insert", "insert-rows", "delete", "move", "vacuum", "pin", "release", "reopen", "crash", "evict"}[k]
 }
 
 // Operation is one operation Op applied to a model. Node, Parent, After
 // and Hi are IDs in the document before it; Subject is the subject granted
 // or revoked, the group a member joins, or the subject added; Other is the
 // subject a new user copies (-1 for none) or the member who joins; Pin is
-// the index of the pin a Release drops.
+// the index of the pin a Release drops. A Crash is an update, Update, that
+// a crash strikes at one of its commit's fault points; Before is the model
+// before it, which the crash may have kept. An Evict changes nothing: a
+// registry evicts the store and opens or revives it.
 type Operation struct {
 	Kind             Kind
 	Node, Hi         xmltree.NodeID
@@ -293,6 +326,8 @@ type Operation struct {
 	Frag             *xmltree.Document
 	FragACL          *acl.Matrix
 	Pin              int
+	Update           *Operation
+	Before           *Model
 }
 
 // Op draws an operation of one of the kinds, applies it to the model and
@@ -303,7 +338,8 @@ type Operation struct {
 // row of its own (InsertRows); deletes take subtrees under a tenth of the
 // document, and only from documents of twenty nodes or more; moves take
 // such a subtree under a node outside it, first or after a sibling before
-// or after the moved range. Members join groups only as users.
+// or after the moved range. Members join groups only as users. A crash
+// draws its update from Updates.
 func Op(rng *rand.Rand, m *Model, kinds ...Kind) Operation {
 	for {
 		op := Operation{Kind: kinds[rng.Intn(len(kinds))], Node: xmltree.InvalidNode, After: xmltree.InvalidNode, Other: -1}
@@ -316,7 +352,7 @@ func Op(rng *rand.Rand, m *Model, kinds ...Kind) Operation {
 			}
 			return xmltree.InvalidNode
 		}
-		if len(nodes) < 2 && op.Kind != AddUser && op.Kind != AddGroup && op.Kind != Insert && op.Kind != InsertRows && op.Kind != Vacuum && op.Kind != Pin && op.Kind != Reopen {
+		if len(nodes) < 2 && !slices.Contains([]Kind{AddUser, AddGroup, Insert, InsertRows, Vacuum, Pin, Reopen, Crash, Evict}, op.Kind) {
 			continue
 		}
 		switch op.Kind {
@@ -386,6 +422,10 @@ func Op(rng *rand.Rand, m *Model, kinds ...Kind) Operation {
 			}
 			op.Pin = rng.Intn(len(m.Pins))
 			m.Pins = slices.Delete(m.Pins, op.Pin, op.Pin+1)
+		case Crash:
+			op.Before = m.Clone()
+			u := Op(rng, m, Updates...)
+			op.Update = &u
 		}
 		return op
 	}

@@ -3,6 +3,7 @@ package securexml
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,10 +19,10 @@ import (
 // keyword node an even number of times, so the final state equals the
 // initial state) while two readers drain query cursors the whole time.
 // After a durability barrier the answers must be byte-identical to the
-// pristine fixture, no pin and no snapshot version may leak, the log must
-// count one commit per update, and a reopen from disk must agree.
+// model, no pin and no snapshot version may leak, the log must count one
+// commit per update, and a reopen from disk must agree.
 func TestDurabilityModesConcurrentCommitters(t *testing.T) {
-	fx := buildRecoveryFixture(t, 800, 512)
+	ms, _, img := crashStore(t, 5, 800)
 	for _, tc := range []struct {
 		name string
 		mode Durability
@@ -32,18 +33,20 @@ func TestDurabilityModesConcurrentCommitters(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			fx.restore(t)
-			s, err := Open(fx.dir, StoreOptions{PoolPages: 64, Durability: tc.mode})
+			img.restore(t, ms.dir)
+			ms.t, ms.opts.Durability = t, tc.mode
+			s, err := Open(ms.dir, ms.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			kws, err := s.Query("u", "read", "//listitem//keyword")
+			ms.s = s
+			kws, err := s.Query("u0", "read", "//listitem//keyword")
 			if err != nil {
 				t.Fatal(err)
 			}
 			const updaters = 3
 			if len(kws) < updaters {
-				t.Fatalf("fixture shows u only %d keywords, need %d", len(kws), updaters)
+				t.Fatalf("fixture shows u0 only %d keywords, need %d", len(kws), updaters)
 			}
 
 			const rounds = 6
@@ -58,37 +61,20 @@ func TestDurabilityModesConcurrentCommitters(t *testing.T) {
 				readWg.Add(1)
 				go func() {
 					defer readWg.Done()
-					ctx := context.Background()
 					for !done.Load() {
-						cur, err := s.QueryCursor(ctx, "u", "read", "//listitem//keyword", QueryOptions{})
+						cur, err := s.QueryCursor(context.Background(), "u0", "read", "//listitem//keyword", QueryOptions{})
+						var got []Match
+						if err == nil {
+							got, err = drainCursor(cur)
+							if cerr := cur.Close(); err == nil {
+								err = cerr
+							}
+						}
+						if err == nil && (len(got) > len(kws) || slices.ContainsFunc(got, func(m Match) bool { return m.Tag != "keyword" })) {
+							err = fmt.Errorf("a reader saw %d answers, not all of them keywords; the fixture holds %d", len(got), len(kws))
+						}
 						if err != nil {
-							errs <- fmt.Errorf("reader open: %w", err)
-							return
-						}
-						n := 0
-						for {
-							m, ok, err := cur.Next(ctx)
-							if err != nil {
-								cur.Close()
-								errs <- fmt.Errorf("reader next: %w", err)
-								return
-							}
-							if !ok {
-								break
-							}
-							if m.Tag != "keyword" {
-								cur.Close()
-								errs <- fmt.Errorf("reader saw tag %q", m.Tag)
-								return
-							}
-							n++
-						}
-						if err := cur.Close(); err != nil {
-							errs <- fmt.Errorf("reader close: %w", err)
-							return
-						}
-						if n > len(kws) {
-							errs <- fmt.Errorf("reader saw %d keywords, fixture holds %d", n, len(kws))
+							errs <- err
 							return
 						}
 					}
@@ -106,7 +92,7 @@ func TestDurabilityModesConcurrentCommitters(t *testing.T) {
 					for r := 0; r < rounds; r++ {
 						for _, allowed := range []bool{false, true} {
 							if tc.mode == DurabilityAsync && r%2 == 0 {
-								c, err := s.SetAccessAsync("staff", "read", node, allowed, false)
+								c, err := s.SetAccessAsync("g0", "read", node, allowed, false)
 								if err != nil {
 									errs <- fmt.Errorf("updater %d: %w", g, err)
 									return
@@ -114,7 +100,7 @@ func TestDurabilityModesConcurrentCommitters(t *testing.T) {
 								pendings = append(pendings, c)
 								continue
 							}
-							if err := s.SetAccess("staff", "read", node, allowed, false); err != nil {
+							if err := s.SetAccess("g0", "read", node, allowed, false); err != nil {
 								errs <- fmt.Errorf("updater %d: %w", g, err)
 								return
 							}
@@ -142,9 +128,7 @@ func TestDurabilityModesConcurrentCommitters(t *testing.T) {
 			if s.Failed() {
 				t.Fatal("store poisoned by concurrent committers")
 			}
-			if got := answerFingerprint(t, s); got != fx.pre {
-				t.Fatal("answers differ from pristine state after even toggle counts")
-			}
+			ms.check("after even toggle counts")
 			snap := s.MetricsSnapshot()
 			if pinned := snap.Get("pool_pinned"); pinned != 0 {
 				t.Fatalf("%d pages still pinned after the run", pinned)
@@ -156,20 +140,10 @@ func TestDurabilityModesConcurrentCommitters(t *testing.T) {
 			if got := snap.Get("wal_commits"); got != wantCommits {
 				t.Fatalf("wal_commits = %d, want %d", got, wantCommits)
 			}
-			if err := s.Close(); err != nil {
-				t.Fatal(err)
-			}
-
-			s2, err := Open(fx.dir, StoreOptions{PoolPages: 64})
-			if err != nil {
-				t.Fatalf("reopen after %s run: %v", tc.name, err)
-			}
-			if got := answerFingerprint(t, s2); got != fx.pre {
-				t.Fatal("reopened store answers differ from pristine state")
-			}
-			if err := s2.Close(); err != nil {
-				t.Fatal(err)
-			}
+			ms.close()
+			ms.s = ms.open(ms.dir)
+			ms.check("reopened")
+			ms.close()
 		})
 	}
 }
@@ -179,21 +153,18 @@ func TestDurabilityModesConcurrentCommitters(t *testing.T) {
 // until the group flush covers it, and Wait/Err settle to nil once the
 // flush lands. AwaitDurable is a full barrier.
 func TestAsyncCommitNotification(t *testing.T) {
-	fx := buildRecoveryFixture(t, 800, 512)
-	fx.restore(t)
-	s, err := Open(fx.dir, StoreOptions{PoolPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	kws, err := s.Query("u", "read", "//listitem//keyword")
+	ms, _, _ := crashStore(t, 5, 800)
+	ms.s = ms.open(ms.dir)
+	defer ms.close()
+	s := ms.s
+	kws, err := s.Query("u0", "read", "//listitem//keyword")
 	if err != nil {
 		t.Fatal(err)
 	}
 	node := kws[0].Node
 
 	s.wp.HoldFlushes()
-	c, err := s.SetAccessAsync("staff", "read", node, false, false)
+	c, err := s.SetAccessAsync("g0", "read", node, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +177,7 @@ func TestAsyncCommitNotification(t *testing.T) {
 		t.Fatalf("pending batches = %d, want 1", n)
 	}
 	// The effect is visible to queries before durability.
-	after, err := s.Query("u", "read", "//listitem//keyword")
+	after, err := s.Query("u0", "read", "//listitem//keyword")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +200,7 @@ func TestAsyncCommitNotification(t *testing.T) {
 	}
 
 	// Grant it back asynchronously and use AwaitDurable as the barrier.
-	c2, err := s.SetAccessAsync("staff", "read", node, true, false)
+	c2, err := s.SetAccessAsync("g0", "read", node, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,9 +215,7 @@ func TestAsyncCommitNotification(t *testing.T) {
 	default:
 		t.Fatal("AwaitDurable returned with an unresolved commit outstanding")
 	}
-	if got := answerFingerprint(t, s); got != fx.pre {
-		t.Fatal("toggle pair changed answers")
-	}
+	ms.check("after the toggle pair")
 }
 
 // TestAsyncDegradesOnMemoryStore: on a store with no WAL there is nothing

@@ -24,8 +24,11 @@ func TestIndexRunsSurviveQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	queries := append([]string{qval, "//listitem//listitem", "//*//keyword", "//person[//emailaddress]//name",
-		"//person[//emailaddress='" + qval[len("/site/people/person[emailaddress='"):len(qval)-len("']/name")] + "']/name"}, recoveryQueries...)
+	queries := []string{qval, "//listitem//listitem", "//*//keyword", "//person[//emailaddress]//name",
+		"//person[//emailaddress='" + qval[len("/site/people/person[emailaddress='"):len(qval)-len("']/name")] + "']/name"}
+	for _, q := range table1 {
+		queries = append(queries, q.expr)
+	}
 	answers := 0
 	for _, q := range queries {
 		for _, opts := range []QueryOptions{{}, {Pruned: true}, {Unrestricted: true}, {DisablePathSummary: true}, {Limit: 3}} {
@@ -134,7 +137,7 @@ func TestClassRunsFollowSummaryNumbering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bolds, err := s.QueryUnrestricted(recoveryQueries[2])
+	bolds, err := s.QueryUnrestricted(table1[2].expr)
 	if err != nil || len(bolds) == 0 {
 		t.Fatalf("%d bolds, %v", len(bolds), err)
 	}
@@ -164,7 +167,7 @@ func TestClassRunsFollowSummaryNumbering(t *testing.T) {
 		t.Fatal("the snapshot after the renumbering shares the index state built for the numbering before it")
 	}
 	for _, sp := range []*Snapshot{before, after} {
-		for _, q := range append(recoveryQueries[:3:3], "//category//bold") {
+		for _, q := range []string{table1[0].expr, table1[1].expr, table1[2].expr, "//category//bold"} {
 			for _, pruned := range []bool{false, true} {
 				opts := QueryOptions{Snapshot: sp, Pruned: pruned}
 				got, err := s.QueryCtx(ctx, "u", "read", q, opts)
@@ -189,8 +192,8 @@ func TestClassRunsFollowSummaryNumbering(t *testing.T) {
 			}
 		}
 	}
-	gotBefore, _ := s.QueryCtx(ctx, "u", "read", recoveryQueries[2], QueryOptions{Snapshot: before})
-	gotAfter, _ := s.QueryCtx(ctx, "u", "read", recoveryQueries[2], QueryOptions{Snapshot: after})
+	gotBefore, _ := s.QueryCtx(ctx, "u", "read", table1[2].expr, QueryOptions{Snapshot: before})
+	gotAfter, _ := s.QueryCtx(ctx, "u", "read", table1[2].expr, QueryOptions{Snapshot: after})
 	if len(gotAfter) != len(gotBefore)-1 {
 		t.Fatalf("Q3 has %d answers before the revoke and %d after", len(gotBefore), len(gotAfter))
 	}

@@ -16,6 +16,7 @@ import (
 	"dolxml/internal/nok"
 	"dolxml/internal/storage"
 	"dolxml/internal/xmark"
+	"dolxml/internal/xmlmodel"
 	"dolxml/internal/xmltree"
 )
 
@@ -210,11 +211,11 @@ func entryAt(t *testing.T, page []byte, j int) (off, n int, hasCode bool) {
 func TestOpenRejectsCorruptStores(t *testing.T) {
 	const pageSize = 256
 	dir, _ := churnTenant(t, 3, 12, 3600, pageSize)
-	fx := &recoveryFixture{dir: dir, snap: snapshotDir(t, dir)}
+	img := readDir(t, dir)
 	var meta struct {
 		Nok nok.Meta `json:"nok"`
 	}
-	if err := json.Unmarshal(fx.snap[metaFile], &meta); err != nil {
+	if err := json.Unmarshal(img[metaFile], &meta); err != nil {
 		t.Fatal(err)
 	}
 	pages := meta.Nok.StructurePages
@@ -238,7 +239,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 	sidecar := func(edit func(ps *persistedStore)) func() {
 		return func() {
 			t.Helper()
-			ps, err := decodeSidecar(fx.snap[metaFile])
+			ps, err := decodeSidecar(img[metaFile])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -257,7 +258,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 	mid, last := len(pages)/2, len(pages)-1
 	// roomy is a block, not the first, with a spare byte after its entries.
 	roomy := slices.IndexFunc(pages[1:], func(pid storage.PageID) bool {
-		p := fx.snap[pageFile][int(pid)*pageSize:]
+		p := img[pageFile][int(pid)*pageSize:]
 		return int(binary.LittleEndian.Uint16(p[10:])) < pageSize-17
 	}) + 1
 	if roomy == 0 {
@@ -304,7 +305,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			if len(refs) == 0 {
 				t.Fatal("no value refs")
 			}
-			refs[len(refs)-1].Page = storage.PageID(len(fx.snap[pageFile])/pageSize + 3)
+			refs[len(refs)-1].Page = storage.PageID(len(img[pageFile])/pageSize + 3)
 			ps.Nok.ValueRefs = refs
 		}), "securexml: corrupt metadata", false},
 		{"node count beyond the blocks", sidecar(func(ps *persistedStore) {
@@ -312,8 +313,8 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 		}), "nok: blocks cover", false},
 		// Nothing is opened for a sidecar that does not decode.
 		{"store image that is not base64", func() {
-			_, _, storeB64, _ := splitEnvelope(fx.snap[metaFile])
-			raw := bytes.Replace(fx.snap[metaFile], storeB64, []byte("!"), 1)
+			_, _, storeB64, _ := splitEnvelope(img[metaFile])
+			raw := bytes.Replace(img[metaFile], storeB64, []byte("!"), 1)
 			if err := os.WriteFile(filepath.Join(dir, metaFile), raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -340,7 +341,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		fx.restore(t)
+		img.restore(t, dir)
 		c.corrupt()
 		opened, closed = 0, 0
 		s, err := Open(dir, opts)
@@ -361,7 +362,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			t.Errorf("%s: %v, want the %q check to fire", c.name, err, c.want)
 		}
 	}
-	fx.restore(t)
+	img.restore(t, dir)
 	s, err := Open(dir, StoreOptions{})
 	if err != nil {
 		t.Fatalf("the untouched store: %v", err)
@@ -398,11 +399,11 @@ func (f *countingFile) Sync() error               { f.syncs++; return f.File.Syn
 // anything beyond its header — a torn tail, an uncommitted batch, a
 // committed batch not yet applied — is still truncated and synced.
 func TestCleanLogOpenNeitherTruncatesNorSyncs(t *testing.T) {
-	fx := buildRecoveryFixture(t, 1500, 512)
+	ms, rng, img := crashStore(t, 3, 1500)
 	open := func(what string) (*Store, *countingFile) {
 		t.Helper()
 		var cf *countingFile
-		s, err := Open(fx.dir, StoreOptions{PoolPages: 64, WrapWALFile: func(f storage.File) storage.File {
+		s, err := Open(ms.dir, StoreOptions{PoolPages: 64, WrapWALFile: func(f storage.File) storage.File {
 			cf = &countingFile{File: f}
 			return cf
 		}})
@@ -415,19 +416,15 @@ func TestCleanLogOpenNeitherTruncatesNorSyncs(t *testing.T) {
 	if cf.truncates != 0 || cf.syncs != 0 || s.Recovery() != (storage.RecoveryInfo{}) {
 		t.Fatalf("opening a clean log: %d truncates, %d syncs, recovery %+v; want none", cf.truncates, cf.syncs, s.Recovery())
 	}
-	if got := answerFingerprint(t, s); got != fx.pre {
-		t.Fatal("the reopened store answers differently")
-	}
+	ms.s = s
+	ms.check("the reopened store")
+	ms.close()
 	// A crash after the commit record is durable and before any data page
 	// is written leaves a committed, unapplied batch behind.
-	s.Close()
-	s, fp, _ := fx.openWithFaults(t)
-	fp.Arm(storage.Fault{Op: storage.FaultWrite, N: 1})
-	if err := s.SetAccess("staff", "read", firstNode(t, s, "//item"), false, true); err == nil {
-		t.Fatal("the update survived its injected fault")
-	}
-	s.Close()
-	committed, err := os.ReadFile(filepath.Join(fx.dir, pageFile+walSuffix))
+	op, post := drawUpdate(rng, ms.md, xmlmodel.SetAccess, true)
+	p := faultPoint{fault: storage.Fault{Op: storage.FaultWrite, N: 1}}
+	ms.crashAt(p.String(), img, p, func(s *Store) (int, error) { return ms.applyArmed(s, post, op, p) })
+	committed, err := os.ReadFile(filepath.Join(ms.dir, pageFile+walSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,11 +435,11 @@ func TestCleanLogOpenNeitherTruncatesNorSyncs(t *testing.T) {
 	}{
 		{"committed-unapplied batch", committed, storage.RecoveryInfo{Redone: 1, MetaApplied: true}},
 		{"uncommitted batch", committed[:len(committed)-21], storage.RecoveryInfo{Discarded: true}},
-		{"torn tail", append(slices.Clone(fx.snap[pageFile+walSuffix]), 1, 2, 3), storage.RecoveryInfo{Discarded: true}},
+		{"torn tail", append(slices.Clone(img[pageFile+walSuffix]), 1, 2, 3), storage.RecoveryInfo{Discarded: true}},
 	}
 	for _, l := range logs {
-		fx.restore(t)
-		if err := os.WriteFile(filepath.Join(fx.dir, pageFile+walSuffix), l.log, 0o644); err != nil {
+		img.restore(t, ms.dir)
+		if err := os.WriteFile(filepath.Join(ms.dir, pageFile+walSuffix), l.log, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		s, cf := open(l.name)

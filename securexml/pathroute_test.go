@@ -195,3 +195,23 @@ func TestMaskCacheCounters(t *testing.T) {
 		t.Errorf("post-commit query recompiled %d times, want 1", got)
 	}
 }
+
+// A path class whose every occurrence is deleted keeps its uniform code
+// claim in the path summary after the codebook released the code; a query
+// over the class answers nothing instead of looking the code up.
+func TestExtinctClassWithReleasedCode(t *testing.T) {
+	s, err := NewBuilder().LoadXMLString(`<r><a><b/></a><c/></r>`).AddUser("u").AddUser("v").
+		Grant("u", "read", "/r").Grant("v", "read", "//b").Seal(StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	for _, user := range []string{"u", "v"} {
+		if ms, err := s.Query(user, "read", "//a/b"); err != nil || len(ms) != 0 {
+			t.Fatalf("%s: %v, %v", user, ms, err)
+		}
+	}
+}

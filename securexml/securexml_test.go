@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"dolxml/internal/xmlmodel"
+	"dolxml/internal/xmltree"
 )
 
 const hospitalXML = `<hospital>
@@ -47,6 +48,44 @@ func hospitalStore(t testing.TB, opts StoreOptions) *Store {
 		t.Fatal(err)
 	}
 	return s
+}
+
+var hospitalQueries = []string{
+	"//patient", "//patient/name", "//billing/amount", "//ward//diagnosis", "/hospital/pharmacy/drug",
+	"//patient[name='Cid']/diagnosis", `/hospital/ward[@name='A']/patient`,
+}
+
+// hospitalModel is the hospital store, with 256-byte pages, beside its
+// model, checked on the hospital queries.
+func hospitalModel(t *testing.T) *modelStore {
+	t.Helper()
+	ms := watch(t, hospitalStore(t, StoreOptions{PageSize: 256}), xmltree.MustParseString(hospitalXML), StoreOptions{})
+	ms.twigs = hospitalQueries
+	return ms
+}
+
+// hospitalRun holds the hospital store to its model over ops operations of
+// the kinds, drawn from seed.
+func hospitalRun(t *testing.T, seed int64, ops int, kinds ...xmlmodel.Kind) {
+	ms := hospitalModel(t)
+	defer ms.close()
+	rng := rand.New(rand.NewSource(seed))
+	for op := 0; op < ops; op++ {
+		ms.step(rng, fmt.Sprintf("op %d", op), kinds...)
+	}
+}
+
+// firstNode is the first node xpath selects, unrestricted.
+func firstNode(t *testing.T, s *Store, xpath string) NodeID {
+	t.Helper()
+	ms, err := s.QueryUnrestricted(xpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ms) == 0 {
+		t.Fatalf("no match for %s", xpath)
+	}
+	return ms[0].Node
 }
 
 func TestSealAndBasicQueries(t *testing.T) {
@@ -187,35 +226,8 @@ func TestAccessibleAndUserAccessible(t *testing.T) {
 	}
 }
 
-func TestSetAccessUpdates(t *testing.T) {
-	s := hospitalStore(t, StoreOptions{})
-	defer s.Close()
-	pats, _ := s.QueryUnrestricted("//patient")
-	target := pats[2].Node // ward B patient
-	ok, _ := s.UserAccessible("alice", "read", target)
-	if ok {
-		t.Fatal("alice should not see ward B yet")
-	}
-	if err := s.SetAccess("alice", "read", target, true, true); err != nil {
-		t.Fatal(err)
-	}
-	ok, _ = s.UserAccessible("alice", "read", target)
-	if !ok {
-		t.Fatal("grant did not take effect")
-	}
-	got, _ := s.Query("alice", "read", "//patient")
-	if len(got) != 3 {
-		t.Fatalf("alice now sees %d patients", len(got))
-	}
-	// Revoke a single node.
-	if err := s.SetAccess("alice", "read", target, false, false); err != nil {
-		t.Fatal(err)
-	}
-	got, _ = s.Query("alice", "read", "//patient")
-	if len(got) != 2 {
-		t.Fatalf("after node revoke alice sees %d patients", len(got))
-	}
-}
+// Grants and revokes on nodes and subtrees, for users and groups.
+func TestSetAccessUpdates(t *testing.T) { hospitalRun(t, 1, 16, xmlmodel.SetAccess) }
 
 func TestSubjectLifecycle(t *testing.T) {
 	s := hospitalStore(t, StoreOptions{})
@@ -250,57 +262,10 @@ func TestSubjectLifecycle(t *testing.T) {
 	}
 }
 
+// Inserted fragments take their parent's access; deleted and moved
+// subtrees take theirs along.
 func TestStructuralUpdates(t *testing.T) {
-	s := hospitalStore(t, StoreOptions{})
-	defer s.Close()
-	wards, _ := s.QueryUnrestricted("/hospital/ward")
-	wardA := wards[0].Node
-
-	// Insert a new patient into ward A; it inherits ward A's ACL, so
-	// alice can see it.
-	if err := s.InsertXML(wardA, InvalidNode,
-		`<patient id="p9"><name>Zoe</name><diagnosis>ok</diagnosis></patient>`); err != nil {
-		t.Fatal(err)
-	}
-	pats, err := s.Query("alice", "read", "//patient")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pats) != 3 {
-		t.Fatalf("alice sees %d patients after insert", len(pats))
-	}
-	names, _ := s.Query("alice", "read", "//patient/name")
-	found := false
-	for _, m := range names {
-		if m.Value == "Zoe" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("inserted patient not queryable: %+v", names)
-	}
-
-	// Delete the new patient again.
-	if err := s.Delete(pats[0].Node); err != nil {
-		t.Fatal(err)
-	}
-	pats, _ = s.Query("alice", "read", "//patient")
-	if len(pats) != 2 {
-		t.Fatalf("alice sees %d patients after delete", len(pats))
-	}
-
-	// Move a patient from ward A to ward B: alice loses nothing she had
-	// (ACLs move with the subtree).
-	pats, _ = s.Query("alice", "read", "//patient")
-	moved := pats[0].Node
-	wards, _ = s.QueryUnrestricted("/hospital/ward")
-	if err := s.Move(moved, wards[1].Node, InvalidNode); err != nil {
-		t.Fatal(err)
-	}
-	pats, _ = s.Query("alice", "read", "//patient")
-	if len(pats) != 2 {
-		t.Fatalf("alice sees %d patients after move (ACL should travel)", len(pats))
-	}
+	hospitalRun(t, 2, 16, xmlmodel.Insert, xmlmodel.Delete, xmlmodel.Move, xmlmodel.SetAccess)
 }
 
 func TestStatsAndMetadata(t *testing.T) {
@@ -329,41 +294,9 @@ func TestStatsAndMetadata(t *testing.T) {
 	}
 }
 
+// Updates, subjects and values survive Save and Open.
 func TestSaveAndOpen(t *testing.T) {
-	dir := t.TempDir()
-	s := hospitalStore(t, StoreOptions{})
-	// Mutate before saving so persisted state includes updates.
-	pats, _ := s.QueryUnrestricted("//patient")
-	if err := s.SetAccess("alice", "read", pats[2].Node, true, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := Open(dir, StoreOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	got, err := re.Query("alice", "read", "//patient")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("reopened store: alice sees %d patients, want 3", len(got))
-	}
-	bills, _ := re.Query("betty", "read", "//billing/amount")
-	if len(bills) != 3 {
-		t.Fatalf("reopened store: betty sees %d amounts", len(bills))
-	}
-	// Values survive.
-	if bills[0].Value != "100" {
-		t.Fatalf("value lost: %+v", bills[0])
-	}
+	hospitalRun(t, 3, 12, xmlmodel.SetAccess, xmlmodel.AddUserLike, xmlmodel.AddMember, xmlmodel.Reopen)
 }
 
 func TestSealFileBacked(t *testing.T) {
@@ -651,28 +584,5 @@ func TestBuilderLocalRulesAndDefaults(t *testing.T) {
 	}
 }
 
-func TestStoreVacuum(t *testing.T) {
-	s := hospitalStore(t, StoreOptions{})
-	defer s.Close()
-	// Make some updates, then vacuum; queries must be unchanged.
-	pats, _ := s.QueryUnrestricted("//patient")
-	for i, p := range pats {
-		if err := s.SetAccess("alice", "read", p.Node, i%2 == 0, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before, err := s.Query("alice", "read", "//patient")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Vacuum(); err != nil {
-		t.Fatal(err)
-	}
-	after, err := s.Query("alice", "read", "//patient")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(before) != len(after) {
-		t.Fatalf("Vacuum changed results: %d -> %d", len(before), len(after))
-	}
-}
+// Vacuum after updates changes no answer.
+func TestStoreVacuum(t *testing.T) { hospitalRun(t, 4, 12, xmlmodel.SetAccess, xmlmodel.Vacuum) }

@@ -5,7 +5,6 @@ import (
 	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
@@ -18,27 +17,22 @@ import (
 	"dolxml/internal/storage"
 	"dolxml/internal/wire"
 	"dolxml/internal/xmark"
+	"dolxml/internal/xmlmodel"
+	"dolxml/internal/xmltree"
 )
-
-var hospitalUsers = []string{"alice", "dave", "betty"}
-
-var hospitalQueries = []string{
-	"//patient", "//patient/name", "//billing/amount", "//ward//diagnosis", "/hospital/pharmacy/drug",
-	"//patient[name='Cid']/diagnosis", `/hospital/ward[@name='A']/patient`,
-}
 
 // testdata/format1 was saved by the commit before sidecar format 2: the
 // hospital store with 256-byte pages, store.json in format 1 (one JSON object
 // per value ref), and a WAL holding one committed batch — doctors lose ward B
 // — that reached neither the page file nor the sidecar, its commit image in
-// format 1 too. It must open, replay and answer like a store built now, and
-// turn into format 3 with its next commit.
+// format 1 too. It must open, replay and answer as the model does, and turn
+// into format 3 with its next commit.
 func TestFormat1StoreOpensAndUpgrades(t *testing.T) {
-	fx := &recoveryFixture{dir: t.TempDir(), snap: snapshotDir(t, filepath.Join("testdata", "format1"))}
-	fx.restore(t)
+	dir := t.TempDir()
+	readDir(t, filepath.Join("testdata", "format1")).restore(t, dir)
 	sidecar := func() []byte {
 		t.Helper()
-		b, err := os.ReadFile(filepath.Join(fx.dir, metaFile))
+		b, err := os.ReadFile(filepath.Join(dir, metaFile))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,37 +46,31 @@ func TestFormat1StoreOpensAndUpgrades(t *testing.T) {
 		t.Fatalf("the fixture's sidecar is not format 1: %.80s", saved)
 	}
 
-	want := hospitalStore(t, StoreOptions{PageSize: 256})
-	defer want.Close()
-	wardB := firstNode(t, want, `/hospital/ward[@name='B']`)
-	if err := want.SetAccess("doctors", "read", wardB, false, true); err != nil {
+	ms := hospitalModel(t)
+	var err error
+	if err := ms.s.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	s, err := Open(fx.dir, StoreOptions{})
-	if err != nil {
+	if ms.s, err = Open(dir, StoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if ri := s.Recovery(); ri.Redone != 1 || !ri.MetaApplied {
+	if ri := ms.s.Recovery(); ri.Redone != 1 || !ri.MetaApplied {
 		t.Fatalf("recovery info = %+v, want one redone batch with metadata", ri)
 	}
 	// Recovery hands the sink the journalled image as it is.
 	if replayed := sidecar(); !isFormat1(replayed) || bytes.Equal(replayed, saved) {
 		t.Fatalf("after replay the sidecar is not the log's format-1 image: %.80s", replayed)
 	}
-	if got, want := fingerprint(t, s, hospitalUsers, hospitalQueries), fingerprint(t, want, hospitalUsers, hospitalQueries); got != want {
-		t.Fatalf("the format-1 store answers\n%s\nwant\n%s", got, want)
-	}
+	wardB := firstNode(t, ms.s, `/hospital/ward[@name='B']`)
+	ms.md.SetAccess(xmltree.NodeID(wardB), ms.subject(ms.md, "doctors"), false, true)
+	ms.check("the format-1 store")
 
-	p1 := firstNode(t, want, `//patient[name='Ann']`)
-	for _, st := range []*Store{s, want} {
-		if err := st.SetAccess("alice", "read", p1, false, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
+	p1 := firstNode(t, ms.s, `//patient[name='Ann']`)
+	if err := ms.s.SetAccess("alice", "read", p1, false, true); err != nil {
 		t.Fatal(err)
 	}
+	ms.md.SetAccess(xmltree.NodeID(p1), ms.subject(ms.md, "alice"), false, true)
+	ms.close()
 	upgraded := sidecar()
 	if _, _, _, ok := splitEnvelope(upgraded); !ok {
 		t.Fatalf("one commit later the sidecar is not format 3: %.80s", upgraded)
@@ -90,15 +78,12 @@ func TestFormat1StoreOpensAndUpgrades(t *testing.T) {
 	if len(upgraded) >= len(saved) {
 		t.Fatalf("format 3 takes %d bytes, format 1 took %d", len(upgraded), len(saved))
 	}
-	s, err = Open(fx.dir, StoreOptions{})
-	if err != nil {
+	if ms.s, err = Open(dir, StoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if got, want := fingerprint(t, s, hospitalUsers, hospitalQueries), fingerprint(t, want, hospitalUsers, hospitalQueries); got != want {
-		t.Fatalf("the upgraded store answers\n%s\nwant\n%s", got, want)
-	}
-	if got := s.MetricsSnapshot().Get("sidecar_bytes"); got != int64(len(upgraded)) {
+	defer ms.close()
+	ms.check("the upgraded store")
+	if got := ms.s.MetricsSnapshot().Get("sidecar_bytes"); got != int64(len(upgraded)) {
 		t.Fatalf("sidecar_bytes = %d, the file has %d", got, len(upgraded))
 	}
 }
@@ -107,20 +92,16 @@ func TestFormat1StoreOpensAndUpgrades(t *testing.T) {
 // the sink the image as it is, the JSON reader opens it, and the next commit
 // writes format 3.
 func TestFormat2LogReplays(t *testing.T) {
-	fx := buildRecoveryFixture(t, 300, 512)
-	s, fp, _ := fx.openWithFaults(t)
+	ms, rng, pristine := crashStore(t, 4, 300)
+	op, post := drawUpdate(rng, ms.md, xmlmodel.SetAccess, true)
 	// Crash on the first data write: the commit record and its image are
 	// durable, nothing else is.
-	fp.Arm(storage.Fault{Op: storage.FaultWrite, N: 1})
-	target := firstNode(t, s, "/site/regions/africa/item")
-	if err := s.SetAccess("staff", "read", target, false, true); !errors.Is(err, storage.ErrInjected) {
-		t.Fatalf("expected injected fault, got %v", err)
-	}
-	s.Close()
+	p := faultPoint{fault: storage.Fault{Op: storage.FaultWrite, N: 1}}
+	ms.crashAt(p.String(), pristine, p, func(s *Store) (int, error) { return ms.applyArmed(s, post, op, p) })
 
 	// Rewrite the batch's meta record (type 3: a type byte, the blob's
 	// length, the blob, a CRC-32 of all three) to carry the image in format 2.
-	logPath := filepath.Join(fx.dir, pageFile+walSuffix)
+	logPath := filepath.Join(ms.dir, pageFile+walSuffix)
 	log, err := os.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
@@ -142,26 +123,18 @@ func TestFormat2LogReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err = Open(fx.dir, StoreOptions{PoolPages: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ri := s.Recovery(); ri.Redone != 1 || !ri.MetaApplied {
+	ms.s = ms.open(ms.dir)
+	if ri := ms.s.Recovery(); ri.Redone != 1 || !ri.MetaApplied {
 		t.Fatalf("recovery info = %+v, want one redone batch with metadata", ri)
 	}
-	if got, err := os.ReadFile(filepath.Join(fx.dir, metaFile)); err != nil || !bytes.Equal(got, img) {
+	if got, err := os.ReadFile(filepath.Join(ms.dir, metaFile)); err != nil || !bytes.Equal(got, img) {
 		t.Fatalf("after replay the sidecar is not the log's format-2 image: %.80s, %v", got, err)
 	}
-	if ok, err := s.UserAccessible("u", "read", target); err != nil || ok {
-		t.Fatalf("the replayed revoke does not hold (accessible=%v, %v)", ok, err)
-	}
-	if err := s.SetAccess("aux", "read", target, true, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := os.ReadFile(filepath.Join(fx.dir, metaFile)); err != nil || !bytes.HasPrefix(got, []byte(envelopeHead)) {
+	ms.md = post
+	ms.check("the replayed store")
+	ms.step(rng, "one commit later", xmlmodel.SetAccess)
+	ms.close()
+	if got, err := os.ReadFile(filepath.Join(ms.dir, metaFile)); err != nil || !bytes.HasPrefix(got, []byte(envelopeHead)) {
 		t.Fatalf("one commit later the sidecar is not format 3: %.80s, %v", got, err)
 	}
 }
@@ -171,12 +144,13 @@ func TestFormat2LogReplays(t *testing.T) {
 // through encoding/json, to the same answers.
 func TestReindentedSidecarOpens(t *testing.T) {
 	dir := t.TempDir()
-	s := hospitalStore(t, StoreOptions{PageSize: 256})
-	if err := s.Save(dir); err != nil {
+	ms := hospitalModel(t)
+	if err := ms.s.Save(dir); err != nil {
 		t.Fatal(err)
 	}
-	want := fingerprint(t, s, hospitalUsers, hospitalQueries)
-	s.Close()
+	if err := ms.s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(dir, metaFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -203,14 +177,11 @@ func TestReindentedSidecarOpens(t *testing.T) {
 	if err := os.WriteFile(path, indented.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s, err = Open(dir, StoreOptions{})
-	if err != nil {
+	if ms.s, err = Open(dir, StoreOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if got := fingerprint(t, s, hospitalUsers, hospitalQueries); got != want {
-		t.Fatalf("the re-indented store answers\n%s\nwant\n%s", got, want)
-	}
+	defer ms.close()
+	ms.check("the re-indented store")
 }
 
 // FuzzSidecarImage hardens the two binary images of a format-3 sidecar:

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"slices"
 	"sort"
 	"strings"
@@ -15,7 +14,6 @@ import (
 	"time"
 
 	"dolxml/internal/acl"
-	"dolxml/internal/query"
 	"dolxml/internal/storage"
 	"dolxml/internal/xmark"
 	"dolxml/internal/xmlmodel"
@@ -87,21 +85,6 @@ func drainSnapCursor(t *testing.T, s *Store, xpath string, opts QueryOptions) (s
 	return strings.Join(lines, "\n"), nil
 }
 
-// queryFingerprint is drainCursor over the one-shot Query path.
-func queryFingerprint(t *testing.T, s *Store, xpath string) string {
-	t.Helper()
-	ms, err := s.Query("u", "read", xpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := make([]string, 0, len(ms))
-	for _, m := range ms {
-		lines = append(lines, fmt.Sprintf("%d=%s=%q", m.Node, m.Tag, m.Value))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
-}
-
 func gauge(t *testing.T, s *Store, name string) int64 {
 	t.Helper()
 	return s.MetricsSnapshot().Get(name)
@@ -134,27 +117,19 @@ func TestInterleavedCursorsAndWriters(t *testing.T) {
 	const q = "//listitem//keyword"
 	ms := newModelStore(t, rand.New(rand.NewSource(11)), 1600, true, StoreOptions{PageSize: 512, PoolPages: 256})
 	defer ms.close()
-	s, u0, g0 := ms.s, slices.Index(ms.names, "u0"), slices.Index(ms.names, "g0")
-	visible := func(md *xmlmodel.Model, xpath string) []xmltree.NodeID {
-		return query.MatchDocument(md.Hide(md.Bindable(u0, false)), query.MustParse(xpath))
-	}
-	fingerprint := func(md *xmlmodel.Model) string {
-		var lines []string
-		nodes := md.Nodes()
-		for _, n := range visible(md, q) {
-			lines = append(lines, fmt.Sprintf("%d=%s=%q", n, nodes[n].Tag, nodes[n].Value))
-		}
-		sort.Strings(lines)
-		return strings.Join(lines, "\n")
-	}
-	keywords, descs := visible(ms.md, q), visible(ms.md, "//description")
+	s, g0 := ms.s, ms.subject(ms.md, "g0")
+	_, keywords := ms.want(ms.md, q, "u0", false)
+	_, descs := ms.want(ms.md, "//description", "u0", false)
 	toggle, parent := NodeID(keywords[0]), NodeID(descs[len(descs)-1])
 	if parent <= toggle {
 		t.Fatalf("fixture order broken: parent %d <= toggle %d", parent, toggle)
 	}
 	const frag = "<parlist><listitem><keyword>snapprobe</keyword></listitem></parlist>"
 	fragRoot := parent + 1 // InsertXML with after=InvalidNode prepends
-	legal := map[string]bool{}
+	// The legal states' answers are computed here: the readers only read
+	// the harness's caches.
+	var legal []*xmlmodel.Model
+	distinct := 0
 	for _, granted := range []bool{true, false} {
 		for _, present := range []bool{false, true} {
 			md := ms.md.Clone()
@@ -167,11 +142,15 @@ func TestInterleavedCursorsAndWriters(t *testing.T) {
 				}
 				md.Insert(xmltree.NodeID(parent), xmltree.InvalidNode, fd, fm)
 			}
-			legal[fingerprint(md)] = true
+			_, answers := ms.want(md, q, "u0", false)
+			if !slices.ContainsFunc(legal, func(o *xmlmodel.Model) bool { _, a := ms.want(o, q, "u0", false); return slices.Equal(a, answers) }) {
+				distinct++
+			}
+			legal = append(legal, md)
 		}
 	}
-	if len(legal) < 3 {
-		t.Fatalf("fixture too degenerate: only %d distinct legal states", len(legal))
+	if distinct < 3 {
+		t.Fatalf("fixture too degenerate: only %d distinct legal states", distinct)
 	}
 
 	const readers, drainsPer = 4, 6
@@ -207,27 +186,16 @@ func TestInterleavedCursorsAndWriters(t *testing.T) {
 			defer rg.Done()
 			for drains := 0; drains < drainsPer; drains++ {
 				cur, err := s.QueryCursor(context.Background(), "u0", "read", q, QueryOptions{})
+				var got []Match
+				if err == nil {
+					got, err = drainCursor(cur)
+					cur.Close()
+				}
+				if err == nil && !slices.ContainsFunc(legal, func(md *xmlmodel.Model) bool { return ms.same(md, q, "u0", false, got) == nil }) {
+					err = fmt.Errorf("reader %d drain %d saw a torn state: %v", r, drains, got)
+				}
 				if err != nil {
 					errs <- err
-					return
-				}
-				var lines []string
-				for {
-					m, ok, err := cur.Next(context.Background())
-					if err != nil {
-						cur.Close()
-						errs <- err
-						return
-					}
-					if !ok {
-						break
-					}
-					lines = append(lines, fmt.Sprintf("%d=%s=%q", m.Node, m.Tag, m.Value))
-				}
-				cur.Close()
-				sort.Strings(lines)
-				if fp := strings.Join(lines, "\n"); !legal[fp] {
-					errs <- fmt.Errorf("reader %d drain %d saw a torn state:\n%s", r, drains, fp)
 					return
 				}
 			}
@@ -252,69 +220,24 @@ func TestInterleavedCursorsAndWriters(t *testing.T) {
 	}
 }
 
-// TestSnapshotRepeatableRead pins an explicit Snapshot and asserts queries
-// carrying it keep answering from that state, byte-identically, across
-// updates that change the current answers — and that closing the handle
-// lets its version retire.
+// Snapshots pinned across updates keep answering the state of their pin,
+// keeping an older version live; a released one refuses queries, and once
+// none is pinned only the current version is live. Pins carry a commit
+// sequence of at least 1, never below an earlier pin's, and some checks
+// must hold a pin to answers the updates since have changed.
 func TestSnapshotRepeatableRead(t *testing.T) {
-	const q = "//listitem//keyword"
-	s := snapStore(t, snapFixtureXML(t, 1200), StoreOptions{PageSize: 512, PoolPages: 256})
-	defer s.Close()
-
-	toggle := firstNode(t, s, "//listitem//keyword")
-	parent := firstNode(t, s, "/site/categories/category/description")
-
-	sp, err := s.Snapshot()
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(12))
+	ms := newModelStore(t, rng, 300, true, StoreOptions{PageSize: 512, PoolPages: 256})
+	defer ms.close()
+	// The drawn twigs answer nothing on this document; two that do.
+	ms.twigs = append(ms.twigs, "//listitem//keyword", "//item//text")
+	for op := 0; op < 16; op++ {
+		ms.step(rng, fmt.Sprintf("op %d", op), xmlmodel.Pin, xmlmodel.Pin, xmlmodel.Release,
+			xmlmodel.SetAccess, xmlmodel.Insert, xmlmodel.Delete, xmlmodel.Move)
 	}
-	pinnedOpts := QueryOptions{Snapshot: sp}
-	before, err := drainSnapCursor(t, s, q, pinnedOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Change the world: revoke the toggle node and insert a fragment.
-	if err := s.SetAccess("staff", "read", toggle, false, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.InsertXML(parent, InvalidNode,
-		"<parlist><listitem><keyword>rrprobe</keyword></listitem></parlist>"); err != nil {
-		t.Fatal(err)
-	}
-
-	now, err := drainSnapCursor(t, s, q, QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if now == before {
-		t.Fatal("updates did not change current answers; fixture too weak")
-	}
-	pinned, err := drainSnapCursor(t, s, q, pinnedOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pinned != before {
-		t.Errorf("pinned snapshot answers drifted:\nbefore:\n%s\nafter updates:\n%s", before, pinned)
-	}
-	if live := gauge(t, s, "snapshot_versions_live"); live < 2 {
-		t.Errorf("snapshot_versions_live = %d with a snapshot pinned across updates, want >= 2", live)
-	}
-	if sp.Seq() < 1 {
-		t.Errorf("snapshot Seq = %d, want >= 1", sp.Seq())
-	}
-
-	if err := sp.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := sp.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if _, err := drainSnapCursor(t, s, q, pinnedOpts); err == nil {
-		t.Error("query against a closed snapshot succeeded")
-	}
-	if live := gauge(t, s, "snapshot_versions_live"); live != 1 {
-		t.Errorf("snapshot_versions_live = %d after snapshot close, want 1", live)
+	t.Logf("%d checks held a pin to answers that have since changed", ms.repeatable)
+	if ms.repeatable == 0 {
+		t.Fatal("no check held a pin to answers the updates had changed since; the configuration tests no repeatable read")
 	}
 }
 
@@ -322,18 +245,18 @@ func TestSnapshotRepeatableRead(t *testing.T) {
 // acceptance: with a cursor opened and deliberately left mid-drain, a
 // structural update must commit promptly instead of blocking until the
 // cursor closes (the pre-MVCC behavior), and the cursor must keep
-// answering from its pinned state afterwards.
+// answering from its pinned state — the model before the update.
 func TestUpdatesDoNotWaitForReaders(t *testing.T) {
 	const q = "//listitem//keyword"
-	s := snapStore(t, snapFixtureXML(t, 1200), StoreOptions{PageSize: 512, PoolPages: 256})
-	defer s.Close()
-
-	wantFP := queryFingerprint(t, s, q)
-	cur, err := s.QueryCursor(context.Background(), "u", "read", q, QueryOptions{})
+	ms := newModelStore(t, rand.New(rand.NewSource(13)), 1200, true, StoreOptions{PageSize: 512, PoolPages: 256})
+	defer ms.close()
+	s := ms.s
+	cur, err := s.QueryCursor(context.Background(), "u0", "read", q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := cur.Next(context.Background()); err != nil || !ok {
+	first, ok, err := cur.Next(context.Background())
+	if err != nil || !ok {
 		t.Fatalf("first Next: ok=%v err=%v", ok, err)
 	}
 
@@ -350,34 +273,15 @@ func TestUpdatesDoNotWaitForReaders(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("update blocked behind an open cursor")
 	}
-
-	// Drain the rest: answers come from the pinned pre-delete state.
-	var lines []string
-	for {
-		m, ok, err := cur.Next(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		lines = append(lines, fmt.Sprintf("%d=%s=%q", m.Node, m.Tag, m.Value))
+	rest, err := drainCursor(cur)
+	if cerr := cur.Close(); err == nil {
+		err = cerr
 	}
-	// Re-add the first answer by re-running against a fresh pinned check:
-	// the drained tail plus the first answer must cover wantFP exactly.
-	if err := cur.Close(); err != nil {
-		t.Fatal(err)
+	if err == nil {
+		err = ms.same(ms.md, q, "u0", false, append(rest, first))
 	}
-	sort.Strings(lines)
-	got := strings.Join(lines, "\n")
-	if !strings.Contains(wantFP, got) && got != wantFP {
-		// The cursor consumed one answer before the fingerprint drain, so
-		// compare as a subset: every drained line must appear in wantFP.
-		for _, ln := range lines {
-			if !strings.Contains(wantFP, ln) {
-				t.Errorf("post-update cursor answer %q not in pinned state", ln)
-			}
-		}
+	if err != nil {
+		t.Fatalf("the cursor pinned before the update: %v", err)
 	}
 	if live := gauge(t, s, "snapshot_versions_live"); live != 1 {
 		t.Errorf("snapshot_versions_live = %d after cursor close, want 1", live)
@@ -385,44 +289,21 @@ func TestUpdatesDoNotWaitForReaders(t *testing.T) {
 }
 
 // TestQueryRacesPoisoningUpdate closes the old lockForQuery TOCTOU window:
-// queries race an update whose group flush dies and poisons the store.
-// Every concurrent query must either fail with the poisoned-store error or
-// answer from a committed state (the pre-update or the sealed post-update
-// fingerprint) — never from half-diverged in-memory state.
+// queries race an update whose flush dies and poisons the store. Every
+// concurrent query must either fail with the poisoned-store error or
+// answer as the model before the update or after it — never from
+// half-diverged in-memory state.
 func TestQueryRacesPoisoningUpdate(t *testing.T) {
 	const q = "//listitem//keyword"
-	xml := snapFixtureXML(t, 1200)
-	dir := t.TempDir()
-	var ff *storage.FaultFile
-	s, err := NewBuilder().
-		LoadXMLString(xml).
-		AddGroup("staff").
-		AddUser("u").
-		AddMember("staff", "u").
-		Grant("staff", "read", "/site").
-		Revoke("staff", "read", "//annotation").
-		Seal(StoreOptions{
-			Path: filepath.Join(dir, "pages.db"), PageSize: 512, PoolPages: 256,
-			WrapWALFile: func(f storage.File) storage.File {
-				ff = storage.NewFaultFile(f)
-				return ff
-			},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	toggle := firstNode(t, s, q)
-	preFP := queryFingerprint(t, s, q)
-	// The sealed-but-unflushed post-update state is also a legal answer:
-	// compute it on a twin store built from the same document.
-	twin := snapStore(t, xml, StoreOptions{PageSize: 512, PoolPages: 256})
-	if err := twin.SetAccess("staff", "read", toggle, false, false); err != nil {
-		t.Fatal(err)
-	}
-	postFP := queryFingerprint(t, twin, q)
-	twin.Close()
+	ms, _, _ := crashStore(t, 6, 1200)
+	ms.s = ms.open(ms.dir)
+	defer ms.s.Close()
+	s, pre := ms.s, ms.md
+	_, keywords := ms.want(pre, q, "u0", false)
+	toggle := keywords[0]
+	post := pre.Clone()
+	post.SetAccess(toggle, ms.subject(pre, "g0"), false, false)
+	ms.want(post, q, "u0", false) // the readers only read the harness's caches
 
 	stop := make(chan struct{})
 	errs := make(chan error, 8)
@@ -437,21 +318,15 @@ func TestQueryRacesPoisoningUpdate(t *testing.T) {
 					return
 				default:
 				}
-				ms, err := s.Query("u", "read", q)
+				got, err := s.Query("u0", "read", q)
 				if err != nil {
 					if !errors.Is(err, errStoreFailed) {
 						errs <- fmt.Errorf("reader %d: unexpected error %w", r, err)
 					}
 					continue
 				}
-				lines := make([]string, 0, len(ms))
-				for _, m := range ms {
-					lines = append(lines, fmt.Sprintf("%d=%s=%q", m.Node, m.Tag, m.Value))
-				}
-				sort.Strings(lines)
-				fp := strings.Join(lines, "\n")
-				if fp != preFP && fp != postFP {
-					errs <- fmt.Errorf("reader %d iteration %d saw a torn state:\n%s", r, i, fp)
+				if ms.same(pre, q, "u0", false, got) != nil && ms.same(post, q, "u0", false, got) != nil {
+					errs <- fmt.Errorf("reader %d iteration %d saw a torn state: %v", r, i, got)
 					return
 				}
 			}
@@ -461,15 +336,15 @@ func TestQueryRacesPoisoningUpdate(t *testing.T) {
 	// Let the readers spin up, then poison: the next log write dies, so
 	// the update's flush fails after its batch sealed.
 	time.Sleep(5 * time.Millisecond)
-	ff.Arm(storage.Fault{Op: storage.FaultWrite, N: 1})
-	if err := s.SetAccess("staff", "read", toggle, false, false); err == nil {
+	ms.ff.Arm(storage.Fault{Op: storage.FaultWrite, N: 1})
+	if err := s.SetAccess("g0", "read", NodeID(toggle), false, false); err == nil {
 		t.Error("poisoning update reported success")
 	}
 	if !s.Failed() {
 		t.Error("store not poisoned after failed flush")
 	}
 	// New queries must now fail fast with the poisoned-store error.
-	if _, err := s.Query("u", "read", q); !errors.Is(err, errStoreFailed) {
+	if _, err := s.Query("u0", "read", q); !errors.Is(err, errStoreFailed) {
 		t.Errorf("query on poisoned store: %v, want errStoreFailed", err)
 	}
 	close(stop)
