@@ -4,138 +4,189 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"dolxml/internal/xmltree"
 )
 
-// Runs is a tag index as flat runs: every posting, grouped by tag, each
-// tag's in document order — what a leaf walk of a loaded Tree yields, held
-// in one slice instead of pages. It suits an index that is replaced, never
-// edited, and small enough to keep in memory: a served snapshot's. It may
-// hold the same postings grouped a second way, by path class.
+// Runs is a tag index as flat runs grouped by path class: every posting
+// once, grouped by its node's class, each class's in document order — one
+// counting sort of a document's nodes, held in one slice instead of pages.
+// A path class names one tag, so a tag's postings are the union of its
+// classes' runs, merged in document order when asked for (Arion et al.'s
+// path partitioning). It suits an index that is replaced, never edited, and
+// small enough to keep in memory: a served snapshot's.
 type Runs struct {
-	tags grouping
-	// The grouping by path class, built from classOf (node ID → class) the
-	// first time a class is asked for, against the class numbering
-	// numbering of numClasses classes; classOf is nil without one.
-	classOnce  sync.Once
-	classes    grouping
-	classOf    []int32
-	numClasses int
-	numbering  uint64
+	// Class c's run is postings[start[c]:start[c+1]]; tag t's classes,
+	// ascending, are tagClass[tagStart[t]:tagStart[t+1]].
+	postings           []Posting
+	start              []int32
+	tagStart, tagClass []int32
+	// numbering is the class numbering the runs are grouped by.
+	numbering uint64
 }
 
-// grouping is every posting grouped by a key, each key's in document order:
-// key k's run is postings[start[k]:start[k+1]].
-type grouping struct {
-	postings []Posting
-	start    []int32
-}
-
-// run returns key k's run: shared, not to be written.
-func (g grouping) run(k int32) []Posting {
-	if k < 0 || int(k) >= len(g.start)-1 {
-		return nil
-	}
-	lo, hi := g.start[k], g.start[k+1]
-	return g.postings[lo:hi:hi]
-}
-
-// NewRuns groups by tag the entries of a document's nodes 0, 1, … in that
-// order, tags in [0, numTags): a counting sort.
-func NewRuns(entries []Entry, numTags int) (*Runs, error) {
-	g := grouping{postings: make([]Posting, len(entries)), start: make([]int32, numTags+1)}
-	for i, e := range entries {
-		if e.Tag < 0 || int(e.Tag) >= numTags || int(e.Node) != i {
-			return nil, fmt.Errorf("btree: entry %d (tag %d, node %d) is out of place", i, e.Tag, e.Node)
-		}
-		g.start[e.Tag+1]++
-	}
-	for t := 0; t < numTags; t++ {
-		g.start[t+1] += g.start[t]
-	}
-	next := slices.Clone(g.start)
-	for _, e := range entries {
-		g.postings[next[e.Tag]] = e.Posting
-		next[e.Tag]++
-	}
-	return &Runs{tags: g}, nil
-}
-
-// Classes is the second key of NewClassRuns: Of[i] is node i's path class,
-// in [0, Count), under the class numbering Numbering. A class's nodes carry
-// one tag.
+// Classes is the grouping key of NewClassRuns: Of[i] is node i's path
+// class, in [0, Count), under the class numbering Numbering.
 type Classes struct {
 	Of        []int32
 	Count     int
 	Numbering uint64
 }
 
-// NewClassRuns is NewRuns with the postings to be grouped a second time, by
-// path class, when a class is first asked for: the same counting sort, over
-// the tag runs — a class has one tag, so each class's postings come out of
-// one tag run in its document order. It keeps cl.Of.
+// NewClassRuns groups by path class the entries of a document's nodes 0,
+// 1, … in that order, tags in [0, numTags): a counting sort. Every node of
+// a class carries one tag. It does not keep cl.Of.
 func NewClassRuns(entries []Entry, numTags int, cl Classes) (*Runs, error) {
 	if len(cl.Of) != len(entries) {
 		return nil, fmt.Errorf("btree: %d classes for %d entries", len(cl.Of), len(entries))
 	}
-	for i, c := range cl.Of {
-		if c < 0 || int(c) >= cl.Count {
+	r := &Runs{postings: make([]Posting, len(entries)), start: make([]int32, cl.Count+1),
+		tagStart: make([]int32, numTags+1), numbering: cl.Numbering}
+	tagOf := make([]int32, cl.Count) // the class's tag + 1, 0 before its first node
+	for i, e := range entries {
+		c := cl.Of[i]
+		switch {
+		case e.Tag < 0 || int(e.Tag) >= numTags || int(e.Node) != i:
+			return nil, fmt.Errorf("btree: entry %d (tag %d, node %d) is out of place", i, e.Tag, e.Node)
+		case c < 0 || int(c) >= cl.Count:
 			return nil, fmt.Errorf("btree: node %d has class %d of %d", i, c, cl.Count)
+		case tagOf[c] == 0:
+			tagOf[c] = e.Tag + 1
+			r.tagStart[e.Tag+1]++
+		case tagOf[c] != e.Tag+1:
+			return nil, fmt.Errorf("btree: class %d holds tags %d and %d", c, tagOf[c]-1, e.Tag)
+		}
+		r.start[c+1]++
+	}
+	for _, offsets := range [][]int32{r.start, r.tagStart} {
+		for k := 1; k < len(offsets); k++ {
+			offsets[k] += offsets[k-1]
 		}
 	}
-	r, err := NewRuns(entries, numTags)
-	if err != nil {
-		return nil, err
+	r.tagClass = make([]int32, r.tagStart[numTags])
+	next := slices.Clone(r.tagStart)
+	for c, t := range tagOf {
+		if t > 0 {
+			r.tagClass[next[t-1]] = int32(c)
+			next[t-1]++
+		}
 	}
-	r.classOf, r.numClasses, r.numbering = cl.Of, cl.Count, cl.Numbering
+	next = slices.Clone(r.start)
+	for i, e := range entries {
+		r.postings[next[cl.Of[i]]] = e.Posting
+		next[cl.Of[i]]++
+	}
 	return r, nil
 }
 
-// Postings returns tag's run: shared, not to be written.
-func (r *Runs) Postings(tag int32) ([]Posting, error) {
-	return r.tags.run(tag), nil
-}
-
 // ClassPostings returns the postings of a path class, in document order:
-// shared, not to be written. Nil without a class grouping.
+// shared, not to be written.
 func (r *Runs) ClassPostings(class int32) []Posting {
-	if r.classOf == nil {
+	if class < 0 || int(class) >= len(r.start)-1 {
 		return nil
 	}
-	r.classOnce.Do(r.groupClasses)
-	return r.classes.run(class)
+	lo, hi := r.start[class], r.start[class+1]
+	return r.postings[lo:hi:hi]
 }
 
-// ClassOf returns node n's path class, -1 without a class grouping.
-func (r *Runs) ClassOf(n xmltree.NodeID) int32 {
-	if r.classOf == nil {
-		return -1
+// Postings returns tag's postings in document order: its one class's run,
+// shared, or its classes' runs merged into a fresh slice; not to be
+// written either way.
+func (r *Runs) Postings(tag int32) ([]Posting, error) {
+	if tag < 0 || int(tag) >= len(r.tagStart)-1 {
+		return nil, nil
 	}
-	return r.classOf[n]
+	classes := r.tagClass[r.tagStart[tag]:r.tagStart[tag+1]]
+	if len(classes) == 1 {
+		return r.ClassPostings(classes[0]), nil
+	}
+	runs, n := make([][]Posting, len(classes)), 0
+	for k, c := range classes {
+		runs[k] = r.ClassPostings(c)
+		n += len(runs[k])
+	}
+	out := make([]Posting, 0, n)
+	Merge(runs, func(run []Posting, _ int) { out = append(out, run...) })
+	return out, nil
 }
 
-func (r *Runs) groupClasses() {
-	g := grouping{postings: make([]Posting, len(r.tags.postings)), start: make([]int32, r.numClasses+1)}
-	for _, p := range r.tags.postings {
-		g.start[r.classOf[p.Node]+1]++
+// Merge hands fn the postings of runs — each run in document order — in
+// document order, in stretches of one run (shared, not to be written) with
+// the run's index: a k-way merge through a min-heap of the runs' next
+// postings, which hands on at once as much of the first run as comes
+// before every other.
+func Merge(runs [][]Posting, fn func(run []Posting, k int)) {
+	if len(runs) == 1 {
+		fn(runs[0], 0)
+		return
 	}
-	for c := 0; c < r.numClasses; c++ {
-		g.start[c+1] += g.start[c]
+	var buf [8]mergeHead
+	h := mergeHeap(buf[:0])
+	for k, run := range runs {
+		if len(run) > 0 {
+			h = append(h, mergeHead{run[0].Node, int32(k), 0})
+		}
 	}
-	next := slices.Clone(g.start)
-	for _, p := range r.tags.postings {
-		c := r.classOf[p.Node]
-		g.postings[next[c]] = p
-		next[c]++
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
-	r.classes = g
+	for len(h) > 0 {
+		top := h[0]
+		run, n := runs[top.k], len(runs[top.k])
+		if len(h) > 1 {
+			next := h[1].node
+			if len(h) > 2 {
+				next = min(next, h[2].node)
+			}
+			n = int(top.at) + 1
+			for n < len(run) && run[n].Node < next {
+				n++
+			}
+		}
+		fn(run[top.at:n:n], int(top.k))
+		if n == len(run) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		} else {
+			h[0].node, h[0].at = run[n].Node, int32(n)
+		}
+		h.down(0)
+	}
 }
 
-// ClassNumbering reports the class numbering and class count the class
-// grouping is built against; ok is false without one.
-func (r *Runs) ClassNumbering() (numbering uint64, classes int, ok bool) {
-	return r.numbering, r.numClasses, r.classOf != nil
+// mergeHead is run k's next posting in a merge: its node and its place.
+type mergeHead struct {
+	node  xmltree.NodeID
+	k, at int32
+}
+
+// mergeHeap is a min-heap of runs by their next node.
+type mergeHeap []mergeHead
+
+func (h mergeHeap) down(i int) {
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && h[c+1].node < h[c].node {
+			c++
+		}
+		if h[i].node <= h[c].node {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+	}
+}
+
+// ClassNumbering reports the class numbering and class count the runs are
+// grouped by.
+func (r *Runs) ClassNumbering() (numbering uint64, classes int) {
+	return r.numbering, len(r.start) - 1
+}
+
+// Bytes is the memory the runs hold: the postings and the offsets.
+func (r *Runs) Bytes() int64 {
+	return int64(cap(r.postings))*int64(unsafe.Sizeof(Posting{})) +
+		int64(cap(r.start)+cap(r.tagStart)+cap(r.tagClass))*int64(unsafe.Sizeof(int32(0)))
 }
 
 // ValueRuns is a value index over Runs: per tag the postings of the nodes
@@ -145,6 +196,8 @@ type ValueRuns struct {
 	tags *Runs
 	load func(nodes []xmltree.NodeID) ([]string, error)
 	runs []valueRun
+	// bytes is what the runs built so far hold.
+	bytes atomic.Int64
 }
 
 // valueRun is one tag's values, ascending, and their postings beside them.
@@ -160,7 +213,7 @@ type valueRun struct {
 // NewValueRuns returns the value index over tags. load returns the text
 // values of the given nodes, which ascend, "" for a node that has none.
 func NewValueRuns(tags *Runs, load func(nodes []xmltree.NodeID) ([]string, error)) *ValueRuns {
-	return &ValueRuns{tags: tags, load: load, runs: make([]valueRun, len(tags.tags.start)-1)}
+	return &ValueRuns{tags: tags, load: load, runs: make([]valueRun, len(tags.tagStart)-1)}
 }
 
 // ValuePostings returns the postings with the tag and value, in document
@@ -203,8 +256,15 @@ func (v *ValueRuns) build(tag int32, r *valueRun) error {
 	}
 	entries = sortValueEntries(entries)
 	r.values, r.postings = make([]string, len(entries)), make([]Posting, len(entries))
+	n := int64(len(entries)) * int64(unsafe.Sizeof("")+unsafe.Sizeof(Posting{}))
 	for i, e := range entries {
 		r.values[i], r.postings[i] = e.Value, e.Posting
+		n += int64(len(e.Value))
 	}
+	v.bytes.Add(n)
 	return nil
 }
+
+// Bytes is the memory the value runs built so far hold: their postings and
+// values. It may be read while runs are being built.
+func (v *ValueRuns) Bytes() int64 { return v.bytes.Load() }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -30,6 +31,17 @@ func randomRunsInput(rng *rand.Rand, n, numTags, valued int) (entries []Entry, v
 		}
 	}
 	return entries, values, append(pool, "", "abcdefgh0", "never stored")
+}
+
+// randomClasses puts each node in one of spread path classes of its tag:
+// tag t's classes are numTags·k + t, for k < spread, so a class has one tag
+// and some classes have no node.
+func randomClasses(rng *rand.Rand, entries []Entry, numTags, spread int) Classes {
+	of := make([]int32, len(entries))
+	for i, e := range entries {
+		of[i] = int32(numTags*rng.Intn(spread)) + e.Tag
+	}
+	return Classes{Of: of, Count: numTags * spread, Numbering: rng.Uint64()}
 }
 
 func loaderOf(values []string, calls *atomic.Int64) func([]xmltree.NodeID) ([]string, error) {
@@ -68,7 +80,7 @@ func TestValueRunsMatchValueTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs, err := NewRuns(entries, numTags)
+		runs, err := NewClassRuns(entries, numTags, randomClasses(rng, entries, numTags, 1+rng.Intn(6)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,8 +109,9 @@ func TestValueRunsMatchValueTree(t *testing.T) {
 // Sixteen first lookups of one tag share one build (run under -race), and a
 // failed build is every later lookup's answer for that tag alone.
 func TestValueRunsBuildOncePerTag(t *testing.T) {
-	entries, values, _ := randomRunsInput(rand.New(rand.NewSource(22)), 2000, 4, 4)
-	runs, err := NewRuns(entries, 4)
+	rng := rand.New(rand.NewSource(22))
+	entries, values, _ := randomRunsInput(rng, 2000, 4, 4)
+	runs, err := NewClassRuns(entries, 4, randomClasses(rng, entries, 4, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,67 +152,116 @@ func TestValueRunsBuildOncePerTag(t *testing.T) {
 	}
 }
 
+// The class runs hold each node once, under its class, each run in
+// document order; a tag's postings, and any classes' merged, are those of
+// every node with the tag, or in the classes, in document order — for a
+// tag with no node and for tags spread over up to twenty classes.
+func TestClassRunsGroupByClass(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	spread := 0
+	for round := 0; round < 40; round++ {
+		n, numTags := rng.Intn(900), 1+rng.Intn(10)
+		// The last tag has no node.
+		entries, _, _ := randomRunsInput(rng, n, max(numTags-1, 1), 0)
+		cl := randomClasses(rng, entries, numTags, 1+rng.Intn(20))
+		runs, err := NewClassRuns(entries, numTags, cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if num, k := runs.ClassNumbering(); num != cl.Numbering || k != cl.Count {
+			t.Fatalf("round %d: ClassNumbering() = %d, %d; want %d, %d", round, num, k, cl.Numbering, cl.Count)
+		}
+		if b := runs.Bytes(); b < int64(n)*12 || b > int64(n)*12+int64(numTags+2*cl.Count+2)*4 {
+			t.Fatalf("round %d: %d bytes for %d postings, %d tags and %d classes", round, b, n, numTags, cl.Count)
+		}
+		held := 0
+		for class := int32(-1); class <= int32(cl.Count); class++ {
+			run := runs.ClassPostings(class)
+			for k, p := range run {
+				if int(p.Node) >= n || cl.Of[p.Node] != class || p != entries[p.Node].Posting || k > 0 && p.Node <= run[k-1].Node {
+					t.Fatalf("round %d: class %d holds %v at %d", round, class, p, k)
+				}
+			}
+			held += len(run)
+		}
+		if held != n {
+			t.Fatalf("round %d: the class runs hold %d postings for %d nodes", round, held, n)
+		}
+		filter := func(keep func(i int) bool) []Posting {
+			var want []Posting
+			for i, e := range entries {
+				if keep(i) {
+					want = append(want, e.Posting)
+				}
+			}
+			return want
+		}
+		for tag := int32(-1); tag <= int32(numTags); tag++ {
+			want := filter(func(i int) bool { return entries[i].Tag == tag })
+			if got, err := runs.Postings(tag); err != nil || !slices.Equal(got, want) {
+				t.Fatalf("round %d: Postings(%d) = %v, %v; want %v", round, tag, got, err, want)
+			}
+			classes := map[int32]bool{}
+			for i := range want {
+				classes[cl.Of[want[i].Node]] = true
+			}
+			spread = max(spread, len(classes))
+		}
+		some := map[int32]bool{}
+		var pick []int32
+		for class := int32(0); class < int32(cl.Count); class++ {
+			if rng.Intn(3) == 0 {
+				some[class] = true
+				pick = append(pick, class)
+			}
+		}
+		rng.Shuffle(len(pick), func(i, j int) { pick[i], pick[j] = pick[j], pick[i] })
+		var got []Posting
+		lists := make([][]Posting, len(pick))
+		for k, c := range pick {
+			lists[k] = runs.ClassPostings(c)
+		}
+		Merge(lists, func(run []Posting, k int) {
+			for _, p := range run {
+				if pick[k] != cl.Of[p.Node] {
+					t.Fatalf("round %d: the merge hands out node %d under class %d", round, p.Node, pick[k])
+				}
+			}
+			got = append(got, run...)
+		})
+		if want := filter(func(i int) bool { return some[cl.Of[i]] }); !slices.Equal(got, want) {
+			t.Fatalf("round %d: the merge of classes %v is %v, want %v", round, pick, got, want)
+		}
+	}
+	if spread < 15 {
+		t.Fatalf("no tag spread over more than %d classes", spread)
+	}
+}
+
+// NewClassRuns refuses entries out of place, classes out of range, a class
+// list of another length and a class of two tags.
 func TestNewRunsRejectsMisplacedEntries(t *testing.T) {
+	one := func(entries []Entry, of ...int32) error {
+		_, err := NewClassRuns(entries, 2, Classes{Of: of, Count: 4})
+		return err
+	}
 	for _, entries := range [][]Entry{
 		{{0, posting(0)}, {0, posting(2)}},
 		{{0, posting(0)}, {0, posting(0)}},
 		{{0, posting(0)}, {2, posting(1)}},
-		{{-1, posting(0)}},
+		{{-1, posting(0)}, {0, posting(1)}},
 	} {
-		if _, err := NewRuns(entries, 2); err == nil {
-			t.Errorf("NewRuns(%v) succeeded", entries)
+		if one(entries, 0, 2) == nil {
+			t.Errorf("the misplaced entries %v were accepted", entries)
 		}
 	}
-}
-
-// The class grouping holds each node once, under its class, in document
-// order, beside the tag grouping it leaves as it was; a class outside the
-// count or a class list of another length is refused.
-func TestClassRunsGroupByClass(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	entries, _, _ := randomRunsInput(rng, 900, 6, 0)
-	// A path class names one tag: tag t's classes are 6c + t.
-	classes := make([]int32, len(entries))
-	for i, e := range entries {
-		classes[i] = 6*int32(rng.Intn(6)) + e.Tag
-	}
-	runs, err := NewClassRuns(entries, 6, Classes{Of: classes, Count: 40, Numbering: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err := NewRuns(entries, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for tag := int32(0); tag < 6; tag++ {
-		got, _ := runs.Postings(tag)
-		want, _ := plain.Postings(tag)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("tag %d: the class runs changed the tag run", tag)
+	entries := []Entry{{0, posting(0)}, {1, posting(1)}}
+	for _, of := range [][]int32{{0, 4}, {-1, 1}, {0}, {0, 1, 2}, {1, 1}} {
+		if one(entries, of...) == nil {
+			t.Errorf("the classes %v were accepted", of)
 		}
 	}
-	for class := int32(-1); class <= 40; class++ {
-		var want []Posting
-		for i, e := range entries {
-			if classes[i] == class {
-				want = append(want, e.Posting)
-			}
-		}
-		if got := runs.ClassPostings(class); len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
-			t.Fatalf("class %d: %v, want %v", class, got, want)
-		}
-	}
-	if n, k, ok := runs.ClassNumbering(); n != 9 || k != 40 || !ok {
-		t.Fatalf("ClassNumbering() = %d, %d, %v", n, k, ok)
-	}
-	if _, _, ok := plain.ClassNumbering(); ok || plain.ClassPostings(0) != nil {
-		t.Fatal("runs without a class grouping report one")
-	}
-	classes[7] = 40
-	if _, err := NewClassRuns(entries, 6, Classes{Of: classes, Count: 40}); err == nil {
-		t.Fatal("a class outside the count was accepted")
-	}
-	if _, err := NewClassRuns(entries, 6, Classes{Of: classes[1:], Count: 41}); err == nil {
-		t.Fatal("a class list shorter than the entries was accepted")
+	if one(entries, 0, 1) != nil {
+		t.Error("two nodes in classes of their own were refused")
 	}
 }

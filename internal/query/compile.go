@@ -95,7 +95,8 @@ func shapeKey(t *PatternTree, pathOn bool) string {
 // the value-index postings of the value-constrained nodes, and either — for
 // a pattern an index plan covers over an index grouped by path class — the
 // index plan, or per subtree the candidate postings of the paper's scans. It
-// reads the tag and value indexes and no store page.
+// reads the tag and value indexes and no store page. Class runs numbered
+// otherwise than the path summary are an error.
 func (ev *Evaluator) buildShape(t *PatternTree, pathOn bool) (*compiledShape, error) {
 	sh := &compiledShape{t: t, query: t.String(), subs: t.Decompose()}
 	sh.tupleLayout = layoutOf(t, sh.subs)
@@ -105,7 +106,12 @@ func (ev *Evaluator) buildShape(t *PatternTree, pathOn bool) (*compiledShape, er
 			sh.retTag = code
 		}
 	}
+	var runs *btree.Runs
 	if pathOn {
+		var err error
+		if runs, err = ev.classRuns(); err != nil {
+			return nil, err
+		}
 		if sh.embed(ev.store); sh.emptyStruct {
 			return sh, nil
 		}
@@ -135,12 +141,10 @@ func (ev *Evaluator) buildShape(t *PatternTree, pathOn bool) (*compiledShape, er
 			sh.size += int64(len(nodes)) * int64(unsafe.Sizeof(nodes[0]))
 		}
 	}
-	if pathOn && sh.indexable() {
-		if runs := ev.classRuns(); runs != nil {
-			sh.index = sh.buildIndexShape(ev.store, runs)
-			sh.size += sh.index.size()
-			return sh, nil
-		}
+	if runs != nil && sh.indexable() {
+		sh.index = sh.buildIndexShape(ev.store, runs)
+		sh.size += sh.index.size()
+		return sh, nil
 	}
 
 	sh.scans = make([]shapeScan, len(sh.subs))

@@ -97,8 +97,11 @@ type Evaluator struct {
 }
 
 // TagIndex hands out the postings of every node with a tag, in document
-// order: a *btree.Tree, or the flat runs a served snapshot keeps. The slice
-// may be shared between callers and is read-only.
+// order: a *btree.Tree, or the flat runs a served snapshot keeps, grouped
+// by path class — a tag's postings merged from its classes' runs, which
+// index plans read directly (numbered as the store's path summary numbers
+// its classes, or compile fails). The slice may be shared between callers
+// and is read-only.
 type TagIndex interface {
 	Postings(tag int32) ([]btree.Posting, error)
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -33,18 +34,20 @@ import (
 // the memo.
 
 // classRuns returns the evaluator's tag index when it is a served
-// snapshot's runs grouped by path class as its store's path summary numbers
-// the classes, else nil.
-func (ev *Evaluator) classRuns() *btree.Runs {
+// snapshot's runs grouped by path class, else nil; runs grouped by another
+// class numbering than the store's path summary are an error, never a
+// silent fall back to the scans.
+func (ev *Evaluator) classRuns() (*btree.Runs, error) {
 	runs, ok := ev.index.(*btree.Runs)
 	if !ok {
-		return nil
+		return nil, nil
 	}
 	sum := ev.store.Paths()
-	if n, k, ok := runs.ClassNumbering(); !ok || sum == nil || n != sum.Numbering() || k != sum.NumNodes() {
-		return nil
+	if n, k := runs.ClassNumbering(); n != sum.Numbering() || k != sum.NumNodes() {
+		return nil, fmt.Errorf("query: the class runs are numbered %d (%d classes), the path summary %d (%d classes)",
+			n, k, sum.Numbering(), sum.NumNodes())
 	}
-	return runs
+	return runs, nil
 }
 
 // indexable reports whether an index plan can answer the shape's pattern:
@@ -144,12 +147,11 @@ type indexAnswer struct {
 	count int
 }
 
-// buildIndexShape gathers each pattern node's postings — its tag run
-// filtered by the classes the embedding matched for it, or the one class's
-// run — kept where its value test lists them, reduces them to the postings
-// that take part in a whole embedding and merges them into one sweep; then
-// it names the guard classes and counts the answers of a view that denies
-// nothing.
+// buildIndexShape gathers each pattern node's postings — the runs of the
+// classes the embedding matched for it, merged, kept where its value test
+// lists them — reduces them to the postings that take part in a whole
+// embedding and merges them into one sweep; then it names the guard classes
+// and counts the answers of a view that denies nothing.
 func (sh *compiledShape) buildIndexShape(st *nok.Store, index *btree.Runs) *indexShape {
 	t, sum := sh.t, st.Paths()
 	n := t.Len()
@@ -199,69 +201,50 @@ func (sh *compiledShape) buildIndexShape(st *nok.Store, index *btree.Runs) *inde
 		})
 		slotCount[p.id] = ix.slots - int(slotBase[p.id])
 	}
-	// Each pattern node's postings come from its class's run when it matched
-	// one, else from its tag run, or for a "*" step its classes' runs; one
-	// array, sized by its classes' runs, holds them all.
-	total := 0
+	// Each pattern node's postings are its matched classes' runs merged in
+	// document order, kept where its value test lists them; one array,
+	// sized by those runs, holds them all.
+	total, most := 0, 0
 	for _, p := range t.nodes {
 		forEachSet(sh.matched[p.id], func(class int32) { total += len(index.ClassPostings(class)) })
+		most = max(most, popcountSet(sh.matched[p.id]))
 	}
 	all := make([]sweepPosting, 0, total)
 	lists := make([][]sweepPosting, n)
+	classes, runs := make([]int32, 0, most), make([][]btree.Posting, 0, most)
 	for _, p := range t.nodes {
 		q, from := int32(p.id), len(all)
-		add := func(ps btree.Posting, class int32) {
-			e := sweepPosting{Posting: ps, class: class, p: q, own: -1, up: -1}
-			if slotOf[q] != nil {
-				e.own = slotOf[q][class]
-			}
-			if par := ix.parent[q]; par >= 0 && !ix.desc[q] {
-				if pc := sum.NodeAt(class).Parent; pc >= 0 {
-					e.up = slotOf[par][pc]
-				}
-				if e.up < 0 {
-					return // its parent class binds nothing
-				}
-			}
-			all = append(all, e)
-		}
-		vals, j := sh.values[p.id], 0
-		take := func(ps btree.Posting, class int32) {
-			if p.Value != "" {
-				for j < len(vals) && vals[j] < ps.Node {
-					j++
-				}
-				if j == len(vals) || vals[j] != ps.Node {
-					return
-				}
-			}
-			add(ps, class)
-		}
-		m := sh.matched[p.id]
-		one := int32(-1)
-		if popcountSet(m) == 1 {
-			forEachSet(m, func(class int32) { one = class })
-		}
-		switch code, ok := st.LookupTag(p.Tag); {
-		case one >= 0:
-			for _, ps := range index.ClassPostings(one) {
-				take(ps, one)
-			}
-		case p.Tag == "*":
-			forEachSet(m, func(class int32) {
-				for _, ps := range index.ClassPostings(class) {
-					add(ps, class)
-				}
-			})
-			slices.SortFunc(all[from:], func(a, b sweepPosting) int { return cmp.Compare(a.Node, b.Node) })
-		case ok:
-			run, _ := index.Postings(code)
+		classes, runs = classes[:0], runs[:0]
+		forEachSet(sh.matched[q], func(class int32) {
+			classes, runs = append(classes, class), append(runs, index.ClassPostings(class))
+		})
+		vals, j := sh.values[q], 0
+		btree.Merge(runs, func(run []btree.Posting, k int) {
+			class := classes[k]
 			for _, ps := range run {
-				if class := index.ClassOf(ps.Node); hasBit(m, int(class)) {
-					take(ps, class)
+				if p.Value != "" {
+					for j < len(vals) && vals[j] < ps.Node {
+						j++
+					}
+					if j == len(vals) || vals[j] != ps.Node {
+						continue
+					}
 				}
+				e := sweepPosting{Posting: ps, class: class, p: q, own: -1, up: -1}
+				if slotOf[q] != nil {
+					e.own = slotOf[q][class]
+				}
+				if par := ix.parent[q]; par >= 0 && !ix.desc[q] {
+					if pc := sum.NodeAt(class).Parent; pc >= 0 {
+						e.up = slotOf[par][pc]
+					}
+					if e.up < 0 {
+						continue // its parent class binds nothing
+					}
+				}
+				all = append(all, e)
 			}
-		}
+		})
 		lists[q] = all[from:len(all):len(all)]
 	}
 	ix.reduce(lists, kids, slotBase, slotCount)

@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"slices"
+	"strings"
 	"testing"
 
 	"dolxml/internal/btree"
@@ -11,8 +12,8 @@ import (
 )
 
 // servedIndex is the tag index a served snapshot keeps for st: flat runs
-// grouped by tag and by path class, with value runs over them (nil when st
-// stores no values).
+// grouped by path class, with value runs over them (nil when st stores no
+// values).
 func servedIndex(t testing.TB, st *nok.Store) (*btree.Runs, ValueIndex) {
 	t.Helper()
 	entries := make([]btree.Entry, st.NumNodes())
@@ -46,9 +47,10 @@ func (e *env) servedSnapshot(t testing.TB) Snapshot {
 }
 
 // Class runs numbered otherwise than the store's path summary — here a
-// summary rebuilt since they were grouped — are never read: the plan falls
-// back to the matcher, and the answers stay.
-func TestClassRunsOfAnotherNumberingFallBack(t *testing.T) {
+// summary rebuilt since they were grouped — are never read: compile and
+// Open fail and read no page, while the paper's engine, which reads no
+// class, still answers over them.
+func TestClassRunsOfAnotherNumberingFail(t *testing.T) {
 	doc := miniXMark(t)
 	e := newEnv(t, doc, allowAll(doc, 1), 256)
 	sn := e.servedSnapshot(t)
@@ -67,12 +69,21 @@ func TestClassRunsOfAnotherNumberingFallBack(t *testing.T) {
 	}
 	sn.Masks = NewMaskCache(nil, nil)
 	ev = NewEvaluatorAt(sn)
-	if c, err := ev.compile(pt, opts); err != nil || c.index != nil {
-		t.Fatalf("an index plan over another numbering's class runs (%v)", err)
+	if _, err := ev.compile(pt, opts); err == nil || !strings.Contains(err.Error(), "numbered") {
+		t.Fatalf("compile over another numbering's class runs: %v", err)
 	}
+	gets := e.pool.Stats().Gets
+	if a, err := ev.Open(context.Background(), pt, opts); err == nil {
+		a.Close()
+		t.Fatal("Open over another numbering's class runs succeeded")
+	}
+	if n := e.pool.Stats().Gets - gets; n != 0 {
+		t.Fatalf("the failed Open read %d pages", n)
+	}
+	opts.DisablePathSummary = true
 	got, err := ev.Evaluate(pt, opts)
 	if err != nil || !slices.Equal(got.Nodes, want.Nodes) {
-		t.Fatalf("answers %v after the rebuild, %v before (%v)", got.Nodes, want.Nodes, err)
+		t.Fatalf("the paper's engine answers %v after the rebuild, %v before (%v)", got.Nodes, want.Nodes, err)
 	}
 }
 

@@ -63,6 +63,10 @@ type modelStore struct {
 	// the tenant answers with afterwards (the eviction configurations set
 	// it).
 	evict func(what string) *Store
+	// renumber rebuilds the live store's path summary before each
+	// operation, numbering its classes afresh (the renumbering
+	// configuration sets it).
+	renumber bool
 	// hidden caches a model's document as each user and semantics binds
 	// it, wants the model's answers on those documents, for the state at
 	// hand.
@@ -197,6 +201,14 @@ func (ms *modelStore) embeddings(xpath string) int {
 func (ms *modelStore) step(rng *rand.Rand, what string, kinds ...xmlmodel.Kind) {
 	t := ms.t
 	t.Helper()
+	if ms.renumber {
+		ms.s.mu.Lock()
+		err := ms.s.ss.Store().RebuildPathSummary()
+		ms.s.mu.Unlock()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
 	op := xmlmodel.Op(rng, ms.md, kinds...)
 	what = fmt.Sprintf("%s %s", what, op.Kind)
 	var err error
@@ -841,6 +853,50 @@ func TestAnswersMatchNaiveModelAfterRandomUpdates(t *testing.T) {
 	t.Logf("access control narrowed %d answer sets", narrowed)
 	if narrowed < 50 {
 		t.Fatalf("access control narrowed only %d answer sets; the operations lost their bite", narrowed)
+	}
+}
+
+// The facade against the model while every operation starts from a path
+// summary rebuilt on the live store — the fallback RewriteRegion takes when
+// a replay cannot line up — so that each commit numbers the classes afresh.
+// No query meets class runs numbered for another summary (that is an
+// error), Table 1's twigs are still served by index plans, and every
+// answer is the model's.
+func TestAnswersMatchNaiveModelWhileRenumbering(t *testing.T) {
+	t.Parallel()
+	rng := rand.New(rand.NewSource(7))
+	ms := newModelStore(t, rng, 600, true, StoreOptions{PageSize: 512})
+	defer ms.close()
+	ms.renumber = true
+	for _, q := range table1 {
+		ms.twigs = append(ms.twigs, q.expr)
+	}
+	ctx := context.Background()
+	renumbered, indexed := 0, 0
+	for op := 0; op < 40; op++ {
+		before := ms.s.cur.Load().st.Paths().Numbering()
+		what := fmt.Sprintf("op %d", op)
+		ms.step(rng, what, facadeOps...)
+		if ms.s.cur.Load().st.Paths().Numbering() != before {
+			renumbered++
+		}
+		for _, q := range table1 {
+			plan, err := ms.s.Explain(ctx, ms.users(ms.md)[0], harnessMode, q.expr, QueryOptions{})
+			if err != nil {
+				t.Fatalf("%s: %s: %v", what, q.expr, err)
+			}
+			if ops := plan.p.Operators; len(ops) > 0 {
+				if ops[0].Kind != "index" {
+					t.Fatalf("%s: %s plans as %s, not as the index", what, q.expr, ops[0].Kind)
+				}
+				indexed++
+			}
+		}
+	}
+	t.Logf("%d of 40 operations published a renumbered summary, %d Table 1 plans were index plans; access control narrowed %d answer sets",
+		renumbered, indexed, ms.narrowed)
+	if renumbered < 20 || indexed < 40 {
+		t.Fatalf("only %d operations published a renumbered summary and %d plans were index plans", renumbered, indexed)
 	}
 }
 

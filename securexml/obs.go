@@ -58,6 +58,7 @@ func (s *Store) initObs() error {
 		{"codebook_entries", func(sn *snapshot) int64 { return int64(sn.ss.Codebook().Len()) }},
 		{"codebook_subjects", func(sn *snapshot) int64 { return int64(sn.ss.Codebook().NumSubjects()) }},
 		{"plan_memo_bytes", func(sn *snapshot) int64 { return sn.idx.masks.Bytes() }},
+		{"index_bytes", func(sn *snapshot) int64 { return sn.idx.bytes() }},
 	} {
 		fn := g.fn
 		if err := s.reg.RegisterGauge(g.name, func() int64 {
@@ -165,6 +166,7 @@ var metricHelp = map[string]string{
 	"query_pages_skipped_access":     "Pages skipped because the access mask proved them dead.",
 	"query_candidates_rejected":      "Candidate nodes rejected before matching.",
 	"plan_memo_bytes":                "Memory held by the current snapshot's memoized plan shapes, in bytes.",
+	"index_bytes":                    "Memory held by the current snapshot's class runs and built value runs, in bytes (0 until built).",
 	"query_path_empty_total":         "Queries proven empty by the path summary alone.",
 	"query_path_classes_preresolved": "Uniform path classes whose access verdict was preresolved.",
 	"query_latency_us":               "Query latency in microseconds.",

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dolxml/internal/acl"
@@ -35,10 +36,10 @@ type snapshot struct {
 // indexState holds the tag and value indexes derived from one snapshot's
 // structure: flat in-memory runs (btree.Runs), not B+-trees — an index that
 // is replaced on every structural commit and never edited needs no pages.
-// The tag runs are grouped a second time by path class, numbered as the
-// snapshot's path summary numbers them. It is built off every lock, at Open
-// from the scan that opens the store, otherwise on the first query that needs
-// it — concurrent first queries share one build through the Once — and is
+// The postings are grouped by path class, numbered as the snapshot's path
+// summary numbers them. It is built off every lock, at Open from the scan
+// that opens the store, otherwise on the first query that needs it —
+// concurrent first queries share one build through the Once — and is
 // reused across snapshots whose structure and class numbering are unchanged
 // (ACL-only updates never move an extent or a value, so the postings stay
 // valid; pages are resolved through each snapshot's own directory at
@@ -49,6 +50,8 @@ type indexState struct {
 	err    error
 	index  *btree.Runs
 	vindex query.ValueIndex // a *btree.ValueRuns; nil when no values are stored
+	// built is set once index and vindex are, for readers outside the Once.
+	built atomic.Bool
 	// masks memoizes the view-independent half of query plans (path
 	// embedding, candidate postings, value-index postings) across the
 	// snapshots sharing this index state. Entries are stamped with the
@@ -107,11 +110,24 @@ func (ix *indexState) ensure(st *nok.Store, x *extents) error {
 	return ix.err
 }
 
-// build groups an extent pass's entries into the tag and class runs: the
-// pass reads each structure block once and nothing else. A tag's value run
-// reads the value pages of that tag's nodes once, when first asked for,
-// under no query's context — a cancelled first asker must not fail the tag
-// for everyone after.
+// bytes is the memory the built runs hold, value runs included; 0 until
+// they are built.
+func (ix *indexState) bytes() int64 {
+	if !ix.built.Load() {
+		return 0
+	}
+	n := ix.index.Bytes()
+	if v, ok := ix.vindex.(*btree.ValueRuns); ok {
+		n += v.Bytes()
+	}
+	return n
+}
+
+// build groups an extent pass's entries into the class runs: the pass reads
+// each structure block once and nothing else. A tag's value run reads the
+// value pages of that tag's nodes once, when first asked for, under no
+// query's context — a cancelled first asker must not fail the tag for
+// everyone after.
 func (ix *indexState) build(st *nok.Store, x *extents) error {
 	if x == nil {
 		x = &extents{numNodes: st.NumNodes()}
@@ -135,6 +151,7 @@ func (ix *indexState) build(st *nok.Store, x *extents) error {
 			return vs.ValuesCtx(context.Background(), nodes)
 		})
 	}
+	ix.built.Store(true)
 	return nil
 }
 

@@ -1023,8 +1023,11 @@ type Stats struct {
 	// (one node per distinct root-to-tag path plus per-block class sets)
 	// behind emptiness proofs and index plans.
 	PathSummaryBytes int
-	Pool             storage.PoolStats
-	IO               storage.IOStats
+	// IndexBytes is the memory held by the tag index's class runs and the
+	// value runs built so far; 0 until the snapshot's index is built.
+	IndexBytes int64
+	Pool       storage.PoolStats
+	IO         storage.IOStats
 	// DecodeCache reports the decoded-block cache's counters.
 	DecodeCache CacheStats
 }
@@ -1078,6 +1081,7 @@ func (s *Store) Stats() (Stats, error) {
 		DirectoryBytes:   sn.st.DirectoryBytes(),
 		SummaryBytes:     sn.st.SummaryBytes(),
 		PathSummaryBytes: sn.st.PathSummaryBytes(),
+		IndexBytes:       sn.idx.bytes(),
 		Pool:             s.pool.Stats(),
 		IO:               s.pool.Pager().Stats(),
 		DecodeCache:      s.DecodeCacheStats(),
