@@ -134,8 +134,8 @@ func TestPathSummaryOracleAfterRandomUpdates(t *testing.T) {
 }
 
 // checkClassExtents holds the classes ForEachClassExtent reports against the
-// store's summary: a node's class carries its tag, has its parent's class as
-// parent, and is in its block's class set.
+// store's summary: a node's class carries its tag and has its parent's class
+// as parent.
 func checkClassExtents(t *testing.T, s *Store) {
 	t.Helper()
 	type ext struct {
@@ -159,7 +159,7 @@ func checkClassExtents(t *testing.T, s *Store) {
 			parent = exts[open[len(open)-1]].class
 		}
 		e := exts[n]
-		if c := sum.NodeAt(e.class); c.Tag != e.tag || c.Parent != parent || !sum.Block(s.PageIndexOf(xmltree.NodeID(n))).Has(e.class) {
+		if c := sum.NodeAt(e.class); c.Tag != e.tag || c.Parent != parent {
 			t.Fatalf("node %d (tag %d, parent class %d) has class %d = %+v", n, e.tag, parent, e.class, c)
 		}
 		open = append(open, xmltree.NodeID(n))

@@ -381,20 +381,6 @@ func (s *Store) PathSummaryBytes() int {
 	return s.paths.Bytes()
 }
 
-// SummaryBytes estimates the in-memory size of the per-block class
-// bitsets — the part of the path summary beside the class tree; same
-// per-block accounting as pathsum.Bytes.
-func (s *Store) SummaryBytes() int {
-	if s.paths == nil {
-		return 0
-	}
-	n := 0
-	for b := 0; b < s.paths.NumBlocks(); b++ {
-		n += 8 + len(s.paths.Block(b).Bits)*8
-	}
-	return n
-}
-
 // PathSummaryMeta returns the serializable form of the path summary (nil
 // when the store has none) without building a full Meta, whose value-ref
 // list is large — commit paths re-encode just this per seal.

@@ -18,10 +18,14 @@ type Meta struct {
 	Blocks  []MetaBlock `json:"b"`
 }
 
-// MetaBlock mirrors BlockPaths.
+// MetaBlock is one structure block: the class it starts in. Words are the
+// bitset of the classes occurring in the block that images written before
+// the summary dropped its per-block class sets carry. Nothing reads them:
+// FromMeta ignores them and ToMeta writes none. They are kept only so that
+// an image decodes to a Meta that encodes back to the same bytes.
 type MetaBlock struct {
 	Start int32    `json:"s"`
-	Bits  []uint64 `json:"w,omitempty"`
+	Words []uint64 `json:"w,omitempty"`
 }
 
 // ToMeta serializes the summary.
@@ -31,7 +35,7 @@ func (s *Summary) ToMeta() *Meta {
 		Parents: make([]int32, len(s.nodes)),
 		Modes:   make([]uint8, len(s.nodes)),
 		Codes:   make([]uint32, len(s.nodes)),
-		Blocks:  make([]MetaBlock, len(s.blocks)),
+		Blocks:  make([]MetaBlock, len(s.starts)),
 	}
 	for i, n := range s.nodes {
 		m.Tags[i] = n.Tag
@@ -39,16 +43,17 @@ func (s *Summary) ToMeta() *Meta {
 		m.Modes[i] = uint8(n.Mode)
 		m.Codes[i] = n.Code
 	}
-	for i, b := range s.blocks {
-		m.Blocks[i] = MetaBlock{Start: b.Start, Bits: append([]uint64(nil), b.Bits...)}
+	for i, start := range s.starts {
+		m.Blocks[i].Start = start
 	}
 	return m
 }
 
 // AppendBinary appends the summary's image in sidecar format 3: the tag,
-// parent, mode and code columns, then the blocks, each a uvarint count and
-// uvarint entries (a parent or a block start stored plus one, so the root
-// context's -1 is 0). Columns that change with access updates (modes,
+// parent, mode and code columns, then the blocks (a uvarint count, then per
+// block its start and its words: a count, 0 since the words went, and the
+// words), all uvarints, a parent or a block start stored plus one, so the
+// root context's -1 is 0. Columns that change with access updates (modes,
 // codes) come after those that change only with the document's shape, so a
 // journalled image shares the longest prefix with the one before it.
 func (m *Meta) AppendBinary(b []byte) []byte {
@@ -63,8 +68,8 @@ func (m *Meta) AppendBinary(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(m.Blocks)))
 	for _, blk := range m.Blocks {
 		b = wire.AppendUvarint(b, uint64(uint32(blk.Start+1)))
-		b = wire.AppendUvarint(b, uint64(len(blk.Bits)))
-		for _, w := range blk.Bits {
+		b = wire.AppendUvarint(b, uint64(len(blk.Words)))
+		for _, w := range blk.Words {
 			b = wire.AppendUvarint(b, w)
 		}
 	}
@@ -95,9 +100,9 @@ func ReadMeta(r *wire.Reader) *Meta {
 	for i := range m.Blocks {
 		m.Blocks[i].Start = int32(r.Uint(math.MaxUint32)) - 1
 		if n := r.Len(); n > 0 {
-			m.Blocks[i].Bits = make([]uint64, n)
-			for j := range m.Blocks[i].Bits {
-				m.Blocks[i].Bits[j] = r.Uvarint()
+			m.Blocks[i].Words = make([]uint64, n)
+			for j := range m.Blocks[i].Words {
+				m.Blocks[i].Words[j] = r.Uvarint()
 			}
 		}
 	}
@@ -148,12 +153,12 @@ func FromMeta(m *Meta) (*Summary, error) {
 		s.nodes[i] = Node{Tag: m.Tags[i], Parent: p, Depth: depth, Mode: CodeMode(m.Modes[i]), Code: m.Codes[i]}
 		s.child[k] = int32(i)
 	}
-	s.blocks = make([]BlockPaths, len(m.Blocks))
+	s.starts = make([]int32, len(m.Blocks))
 	for i, b := range m.Blocks {
 		if b.Start < -1 || int(b.Start) >= n {
 			return nil, fmt.Errorf("pathsum: block %d starts in class %d of %d", i, b.Start, n)
 		}
-		s.blocks[i] = BlockPaths{Start: b.Start, Bits: append([]uint64(nil), b.Bits...)}
+		s.starts[i] = b.Start
 	}
 	return s, nil
 }

@@ -1,8 +1,8 @@
 // Package pathsum maintains a path summary over a NoK block store: one
 // summary node per distinct root-to-tag label path (a DataGuide over
-// element tags, after Arion et al.), with parent links, the access-code
-// mode observed across the path's occurrences, and a per-block bitset of
-// the path classes occurring in each block.
+// element tags, after Arion et al.), with parent links and the access-code
+// mode observed across the path's occurrences, plus for each structure
+// block the class it starts in.
 //
 // The summary is tiny (one node per distinct label path — hundreds for
 // XMark regardless of document size) but global: a query compiler can
@@ -10,18 +10,20 @@
 // occurrence of a class whose codes are uniform — both before touching
 // storage.
 //
-// Summaries are immutable once installed: region rewrites go through
-// BeginRewrite, which extends a copy-on-write clone and splices its
-// per-block sets, so a frozen store snapshot can share the pointer safely.
-// A clone shares its original's child map until it interns a class of its
-// own, and a rewrite that changed only access codes shares the per-block
-// sets too (FinishRecode).
+// The block starts are what a region rewrite resumes from: BeginRewrite
+// reopens the elements open where the region begins, and Finish checks that
+// the new region exits where the old one did. Summaries are immutable once
+// installed: a rewrite extends a copy-on-write clone and splices its block
+// starts, so a frozen store snapshot can share the pointer safely. A clone
+// shares its original's child map until it interns a class of its own, and a
+// rewrite that changed only access codes shares the block starts too
+// (FinishRecode).
 package pathsum
 
 import (
 	"errors"
 	"fmt"
-	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -53,27 +55,6 @@ type Node struct {
 	Code   uint32
 }
 
-// BlockPaths records which path classes occur in one structure block.
-// Start is the class of the innermost element open when the block begins
-// (-1 = document root context); Bits is a bitset over class IDs. Bits may
-// be shorter than the summary's node count — classes discovered after the
-// block was sealed simply cannot occur in it.
-type BlockPaths struct {
-	Start int32
-	Bits  []uint64
-}
-
-// Has reports whether class id occurs in the block.
-func (b BlockPaths) Has(id int32) bool {
-	w := int(id >> 6)
-	return w >= 0 && w < len(b.Bits) && b.Bits[w]&(1<<(uint(id)&63)) != 0
-}
-
-// ForEach calls fn for every class occurring in the block, in id order.
-func (b BlockPaths) ForEach(fn func(id int32)) {
-	forEachBit(b.Bits, fn)
-}
-
 type childKey struct {
 	parent int32
 	tag    int32
@@ -87,7 +68,9 @@ type Summary struct {
 	// sharedChild marks child as the original's map on a rewrite's clone:
 	// intern copies it before adding the clone's first class of its own.
 	sharedChild bool
-	blocks      []BlockPaths
+	// starts holds by structure block the class of the innermost element
+	// open when the block begins (-1 = document root context).
+	starts []int32
 	// numbering identifies the class numbering: a summary built from scratch
 	// (a Builder, FromMeta) starts a new one, and a rewrite's clone keeps its
 	// original's, since it only appends classes.
@@ -109,14 +92,11 @@ var numberings atomic.Uint64
 // summary exactly when both agree.
 func (s *Summary) Numbering() uint64 { return s.numbering }
 
-// NumBlocks returns the number of per-block class sets.
-func (s *Summary) NumBlocks() int { return len(s.blocks) }
+// NumBlocks returns the number of structure blocks.
+func (s *Summary) NumBlocks() int { return len(s.starts) }
 
 // NodeAt returns class id.
 func (s *Summary) NodeAt(id int32) Node { return s.nodes[id] }
-
-// Block returns block b's class set.
-func (s *Summary) Block(b int) BlockPaths { return s.blocks[b] }
 
 // ChildOf returns the class for tag under parent (-1 = root context).
 func (s *Summary) ChildOf(parent, tag int32) (int32, bool) {
@@ -140,11 +120,7 @@ func (s *Summary) ChildrenOf(p int32) []int32 {
 
 // Bytes estimates the summary's in-memory footprint.
 func (s *Summary) Bytes() int {
-	n := len(s.nodes) * 16
-	for i := range s.blocks {
-		n += 8 + len(s.blocks[i].Bits)*8
-	}
-	return n
+	return len(s.nodes)*16 + len(s.starts)*4
 }
 
 // intern returns the class of (parent, tag), appending a new one — with no
@@ -187,8 +163,6 @@ type Builder struct {
 	s     *Summary
 	stack []int32
 	open  bool
-	start int32
-	bits  []uint64
 	err   error
 	// recent is a direct-mapped cache in front of s.child, which stays the
 	// authority: slot h(parent, tag) holds a class id plus one, trusted
@@ -239,17 +213,13 @@ func (b *Builder) Entry(tag int32, closeCount int, code uint32) int32 {
 	}
 	if !b.open {
 		b.open = true
-		b.start = b.top()
+		b.s.starts = append(b.s.starts, b.top())
 	}
 	id := b.walk(tag, closeCount)
 	if id < 0 {
 		return -1
 	}
 	b.s.nodes[id].observe(code)
-	for int(id>>6) >= len(b.bits) {
-		b.bits = append(b.bits, 0)
-	}
-	b.bits[id>>6] |= 1 << (uint(id) & 63)
 	return id
 }
 
@@ -267,20 +237,7 @@ func (b *Builder) walk(tag int32, closeCount int) int32 {
 }
 
 // EndBlock seals the entries fed since the previous boundary as one block.
-func (b *Builder) EndBlock() {
-	if b.err != nil || !b.open {
-		return
-	}
-	w := b.bits
-	for len(w) > 0 && w[len(w)-1] == 0 {
-		w = w[:len(w)-1]
-	}
-	b.s.blocks = append(b.s.blocks, BlockPaths{Start: b.start, Bits: append([]uint64(nil), w...)})
-	b.open = false
-	for i := range b.bits {
-		b.bits[i] = 0
-	}
-}
+func (b *Builder) EndBlock() { b.open = false }
 
 // Finish returns the completed summary. The document must have closed
 // every element and sealed every block.
@@ -299,12 +256,12 @@ func (b *Builder) Finish() (*Summary, error) {
 
 // RegionRewrite replays a region rewrite [i, j] against a copy-on-write
 // clone: the caller feeds the region's new entries exactly as written and
-// Finish splices the new block sets between the untouched prefix and
+// Finish splices the new block starts between the untouched prefix and
 // suffix. The original summary is never mutated.
 //
 // A rewrite that changed nothing but access codes, and left every block
-// boundary where it was, need not be replayed: its blocks hold the same
-// classes from the same start contexts. The caller then feeds Skip with the
+// boundary where it was, need not be replayed: its blocks start in the same
+// classes. The caller then feeds Skip with the
 // region's entries before the first changed one, Recoded with the changed
 // ones, and ends with FinishRecode; only the changed entries' classes
 // observe their codes. Re-observing an unchanged code would not move a
@@ -322,8 +279,8 @@ type RegionRewrite struct {
 
 // BeginRewrite starts a rewrite of blocks [i, j] of s.
 func (s *Summary) BeginRewrite(i, j int) (*RegionRewrite, error) {
-	if i < 0 || j < i || j >= len(s.blocks) {
-		return nil, fmt.Errorf("pathsum: rewrite region [%d, %d] of %d blocks", i, j, len(s.blocks))
+	if i < 0 || j < i || j >= len(s.starts) {
+		return nil, fmt.Errorf("pathsum: rewrite region [%d, %d] of %d blocks", i, j, len(s.starts))
 	}
 	clone := &Summary{
 		nodes:       append([]Node(nil), s.nodes...),
@@ -332,7 +289,7 @@ func (s *Summary) BeginRewrite(i, j int) (*RegionRewrite, error) {
 		numbering:   s.numbering,
 	}
 	b := &Builder{s: clone}
-	for id := s.blocks[i].Start; id >= 0; id = s.nodes[id].Parent {
+	for id := s.starts[i]; id >= 0; id = s.nodes[id].Parent {
 		b.stack = append(b.stack, id)
 	}
 	for l, r := 0, len(b.stack)-1; l < r; l, r = l+1, r-1 {
@@ -381,14 +338,14 @@ func (r *RegionRewrite) Recoded(tag int32, closeCount int, code uint32) {
 }
 
 // FinishRecode returns the clone of a code-only rewrite, which shares the
-// original's block sets. ok=false means an entry did not fit the region's
+// original's block starts. ok=false means an entry did not fit the region's
 // old structure (it closed more elements than were open, or its path is a
 // class the summary lacks), and the caller must rebuild the summary.
 func (r *RegionRewrite) FinishRecode() (*Summary, bool) {
 	if r.b.err != nil || len(r.b.s.nodes) != len(r.orig.nodes) {
 		return nil, false
 	}
-	r.b.s.blocks = r.orig.blocks
+	r.b.s.starts = r.orig.starts
 	return r.b.s, true
 }
 
@@ -401,30 +358,26 @@ func (r *RegionRewrite) Finish() (*Summary, bool) {
 		return nil, false
 	}
 	want := int32(-1)
-	if r.j+1 < len(r.orig.blocks) {
-		want = r.orig.blocks[r.j+1].Start
+	if r.j+1 < len(r.orig.starts) {
+		want = r.orig.starts[r.j+1]
 	}
 	if r.b.top() != want {
 		return nil, false
 	}
 	clone := r.b.s
-	nb := make([]BlockPaths, 0, len(r.orig.blocks)-(r.j-r.i+1)+len(clone.blocks))
-	nb = append(nb, r.orig.blocks[:r.i]...)
-	nb = append(nb, clone.blocks...)
-	nb = append(nb, r.orig.blocks[r.j+1:]...)
-	clone.blocks = nb
+	clone.starts = slices.Concat(r.orig.starts[:r.i], clone.starts, r.orig.starts[r.j+1:])
 	return clone, true
 }
 
 // VerifyAgainst checks a maintained summary s against one rebuilt fresh
 // from the same blocks: every live path must be present with the same
-// depth and per-block occurrences, and every uniform-code claim must hold
-// in storage. Extinct classes (left behind by deletions) are allowed as
-// long as no block still references them; mixed-mode claims are always
-// sound (they promise nothing).
+// depth, every block must start in the same class, and every uniform-code
+// claim must hold in storage. Extinct classes (left behind by deletions)
+// are allowed as long as no block starts in one; mixed-mode claims are
+// always sound (they promise nothing).
 func (s *Summary) VerifyAgainst(rebuilt *Summary) error {
-	if len(s.blocks) != len(rebuilt.blocks) {
-		return fmt.Errorf("pathsum: %d blocks, storage has %d", len(s.blocks), len(rebuilt.blocks))
+	if len(s.starts) != len(rebuilt.starts) {
+		return fmt.Errorf("pathsum: %d blocks, storage has %d", len(s.starts), len(rebuilt.starts))
 	}
 	mapTo := make([]int32, len(s.nodes))
 	mapped := 0
@@ -456,70 +409,17 @@ func (s *Summary) VerifyAgainst(rebuilt *Summary) error {
 	if mapped != len(rebuilt.nodes) {
 		return fmt.Errorf("pathsum: summary is missing %d live path classes", len(rebuilt.nodes)-mapped)
 	}
-	tmp := make([]uint64, (len(rebuilt.nodes)+63)/64)
-	for b := range s.blocks {
-		sb, rb := s.blocks[b], rebuilt.blocks[b]
-		wantStart := int32(-1)
-		if sb.Start >= 0 {
-			if int(sb.Start) >= len(mapTo) || mapTo[sb.Start] < 0 {
-				return fmt.Errorf("pathsum: block %d starts in extinct class %d", b, sb.Start)
+	for b, start := range s.starts {
+		want := int32(-1)
+		if start >= 0 {
+			if int(start) >= len(mapTo) || mapTo[start] < 0 {
+				return fmt.Errorf("pathsum: block %d starts in extinct class %d", b, start)
 			}
-			wantStart = mapTo[sb.Start]
+			want = mapTo[start]
 		}
-		if wantStart != rb.Start {
+		if want != rebuilt.starts[b] {
 			return fmt.Errorf("pathsum: block %d start class mismatch", b)
-		}
-		for i := range tmp {
-			tmp[i] = 0
-		}
-		var bad error
-		forEachBit(sb.Bits, func(id int32) {
-			if bad != nil {
-				return
-			}
-			if int(id) >= len(mapTo) || mapTo[id] < 0 {
-				bad = fmt.Errorf("pathsum: block %d references extinct class %d", b, id)
-				return
-			}
-			m := mapTo[id]
-			tmp[m>>6] |= 1 << (uint(m) & 63)
-		})
-		if bad != nil {
-			return bad
-		}
-		if !bitsEqual(tmp, rb.Bits) {
-			return fmt.Errorf("pathsum: block %d class set disagrees with storage", b)
 		}
 	}
 	return nil
-}
-
-func forEachBit(w []uint64, fn func(id int32)) {
-	for i, word := range w {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			fn(int32(i*64 + b))
-			word &^= 1 << uint(b)
-		}
-	}
-}
-
-func bitsEqual(a, b []uint64) bool {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		var wa, wb uint64
-		if i < len(a) {
-			wa = a[i]
-		}
-		if i < len(b) {
-			wb = b[i]
-		}
-		if wa != wb {
-			return false
-		}
-	}
-	return true
 }

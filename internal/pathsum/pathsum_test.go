@@ -1,7 +1,11 @@
 package pathsum
 
 import (
+	"bytes"
+	"slices"
 	"testing"
+
+	"dolxml/internal/wire"
 )
 
 // feed streams a small two-block document into a fresh builder:
@@ -63,14 +67,9 @@ func TestBuilderClassesAndBlocks(t *testing.T) {
 	if kids := s.ChildrenOf(ab); len(kids) != 1 || kids[0] != abc {
 		t.Errorf("ChildrenOf(a/b) = %v", kids)
 	}
-	// Block 0 holds all three classes and starts in root context; block 1
-	// holds only b and c and starts inside a.
-	b0, b1 := s.Block(0), s.Block(1)
-	if b0.Start != -1 || !b0.Has(a) || !b0.Has(ab) || !b0.Has(abc) {
-		t.Errorf("block 0 wrong: start %d", b0.Start)
-	}
-	if b1.Start != a || b1.Has(a) || !b1.Has(ab) || !b1.Has(abc) {
-		t.Errorf("block 1 wrong: start %d", b1.Start)
+	// Block 0 starts in root context, block 1 inside a.
+	if !slices.Equal(s.starts, []int32{-1, a}) {
+		t.Errorf("block starts %v, want [-1 %d]", s.starts, a)
 	}
 }
 
@@ -158,8 +157,8 @@ func TestRegionRecodeObservesChangedClasses(t *testing.T) {
 	if n := s.NodeAt(ab); n.Mode != CodeUniform {
 		t.Error("original summary observed the clone's code")
 	}
-	if ns.NumBlocks() != 2 || &ns.blocks[0] != &s.blocks[0] {
-		t.Error("a code-only rewrite must share the original's block sets")
+	if ns.NumBlocks() != 2 || &ns.starts[0] != &s.starts[0] {
+		t.Error("a code-only rewrite must share the original's block starts")
 	}
 
 	// A recoded entry whose path is no class of the summary: the caller's
@@ -193,12 +192,8 @@ func TestRegionRewriteAddsClass(t *testing.T) {
 	}
 	a, _ := ns.ChildOf(-1, 0)
 	ab, _ := ns.ChildOf(a, 1)
-	abd, ok := ns.ChildOf(ab, 3)
-	if !ok {
+	if _, ok := ns.ChildOf(ab, 3); !ok {
 		t.Fatal("new class a/b/d missing")
-	}
-	if !ns.Block(1).Has(abd) || ns.Block(0).Has(abd) {
-		t.Fatal("new class placed in the wrong block")
 	}
 	if _, ok := s.ChildOf(ab, 3); ok {
 		t.Fatal("original summary gained the new class")
@@ -247,6 +242,11 @@ func TestVerifyAgainstDetectsDrift(t *testing.T) {
 	if err := s.VerifyAgainst(os); err == nil {
 		t.Fatal("block-count drift not detected")
 	}
+	// A block whose persisted start disagrees with storage.
+	s.starts = []int32{-1, -1}
+	if err := s.VerifyAgainst(fresh); err == nil {
+		t.Fatal("block-start drift not detected")
+	}
 }
 
 func TestMetaRoundTrip(t *testing.T) {
@@ -277,5 +277,36 @@ func TestMetaRoundTrip(t *testing.T) {
 	bad.Modes = bad.Modes[:1]
 	if _, err := FromMeta(bad); err == nil {
 		t.Fatal("column length mismatch accepted")
+	}
+}
+
+// An image written while the summary still kept a class set per block: feed's
+// summary as that encoder wrote it, each block's start followed by its class
+// words (a count, then the words: a, a/b, a/b/c = 7 and a/b, a/b/c = 6). It
+// decodes to a Meta that encodes back to it; the summary drops the words, and
+// its image is the old one with every word count 0 and no words.
+func TestImageWithClassWordsDecodes(t *testing.T) {
+	old := []byte{3, 0, 1, 2, 3, 0, 1, 2, 2, 0, 1, 7, 1, 1, 6, 3, 1, 1, 2, 3, 7, 7, 7}
+	r := wire.NewReader(old)
+	m := ReadMeta(r)
+	if err := r.Done(); err != nil {
+		t.Fatal(err)
+	}
+	if re := m.AppendBinary(nil); !bytes.Equal(re, old) {
+		t.Fatalf("the image re-encodes to %v", re)
+	}
+	got, err := FromMeta(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := got.VerifyAgainst(feed(t)); err != nil {
+		t.Fatalf("the decoded summary drifted: %v", err)
+	}
+	want := []byte{3, 0, 1, 2, 3, 0, 1, 2, 2, 0, 0, 1, 0, 3, 1, 1, 2, 3, 7, 7, 7}
+	if img := got.ToMeta().AppendBinary(nil); !bytes.Equal(img, want) {
+		t.Fatalf("the summary's image is %v, want %v", img, want)
+	}
+	if img := feed(t).ToMeta().AppendBinary(nil); !bytes.Equal(img, want) {
+		t.Fatalf("a built summary's image is %v, want %v", img, want)
 	}
 }

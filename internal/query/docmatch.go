@@ -1,7 +1,7 @@
 package query
 
 import (
-	"sort"
+	"slices"
 
 	"dolxml/internal/xmltree"
 )
@@ -18,121 +18,89 @@ func MatchDocument(doc *xmltree.Document, t *PatternTree) []xmltree.NodeID {
 // matchDocument is MatchDocument with every binding also passing bindable
 // (nil admits any node): the bindings semantics' reference, under which a
 // bound node must be accessible and a descendant step crosses any node.
+//
+// It is linear in the document per pattern node: memo holds by (pattern
+// node, data node) whether the pattern node's subtree embeds at the data
+// node (exists) and whether it embeds at a proper descendant of it (below),
+// 0 while unknown, then 1 for no and 2 for yes.
 func matchDocument(doc *xmltree.Document, t *PatternTree, bindable func(xmltree.NodeID) bool) []xmltree.NodeID {
-	ret := t.ReturningNode()
-
-	// containsRet marks pattern nodes whose subtree holds the returning
-	// node.
-	containsRet := map[*PatternNode]bool{}
-	var mark func(p *PatternNode) bool
-	mark = func(p *PatternNode) bool {
-		v := p == ret
-		for _, c := range p.Children {
-			if mark(c) {
-				v = true
-			}
-		}
-		containsRet[p] = v
-		return v
-	}
-	mark(t.Root)
-
-	matchesTag := func(p *PatternNode, n xmltree.NodeID) bool {
-		if p.Tag != "*" && doc.Tag(n) != p.Tag || bindable != nil && !bindable(n) {
-			return false
-		}
-		return p.Value == "" || doc.Value(n) == p.Value
-	}
-
-	// Existential match memo for (pattern node, data node) pairs.
-	type key struct {
-		p *PatternNode
-		n xmltree.NodeID
-	}
-	memo := map[key]bool{}
-	var exists func(p *PatternNode, n xmltree.NodeID) bool
-	exists = func(p *PatternNode, n xmltree.NodeID) bool {
-		k := key{p, n}
-		if v, ok := memo[k]; ok {
-			return v
-		}
-		memo[k] = false // break cycles defensively; trees have none
-		ok := matchesTag(p, n)
-		if ok {
+	n := doc.Len()
+	memo := make([]uint8, 2*t.Len()*n)
+	var exists, below func(p *PatternNode, v xmltree.NodeID) bool
+	exists = func(p *PatternNode, v xmltree.NodeID) bool {
+		k := p.id*n + int(v)
+		if memo[k] == 0 {
+			ok := (p.Tag == "*" || doc.Tag(v) == p.Tag) && (bindable == nil || bindable(v)) && (p.Value == "" || doc.Value(v) == p.Value)
 			for _, c := range p.Children {
-				found := false
+				if !ok {
+					break
+				}
 				if c.Axis == AxisChild {
-					for v := doc.FirstChild(n); v != xmltree.InvalidNode && !found; v = doc.NextSibling(v) {
-						found = exists(c, v)
+					ok = false
+					for w := doc.FirstChild(v); w != xmltree.InvalidNode && !ok; w = doc.NextSibling(w) {
+						ok = exists(c, w)
 					}
 				} else {
-					for v := n + 1; v <= doc.End(n) && !found; v++ {
-						found = exists(c, v)
-					}
+					ok = below(c, v)
 				}
-				if !found {
-					ok = false
+			}
+			memo[k] = 1
+			if ok {
+				memo[k] = 2
+			}
+		}
+		return memo[k] == 2
+	}
+	below = func(p *PatternNode, v xmltree.NodeID) bool {
+		k := (t.Len()+p.id)*n + int(v)
+		if memo[k] == 0 {
+			memo[k] = 1
+			for w := doc.FirstChild(v); w != xmltree.InvalidNode; w = doc.NextSibling(w) {
+				if exists(p, w) || below(p, w) {
+					memo[k] = 2
 					break
 				}
 			}
 		}
-		memo[k] = ok
-		return ok
+		return memo[k] == 2
 	}
 
-	// Walk the pattern path from the root toward ret, narrowing data
-	// candidates; every node on the path must fully match (its other
-	// branches existentially).
-	var roots []xmltree.NodeID
-	if t.Root.Axis == AxisChild {
-		roots = []xmltree.NodeID{doc.Root()}
-	} else {
-		for n := 0; n < doc.Len(); n++ {
-			roots = append(roots, xmltree.NodeID(n))
+	// Walk the pattern's spine from the root to the returning node,
+	// narrowing the data nodes, in document order, that bind it in a whole
+	// embedding of the pattern.
+	cur := []xmltree.NodeID{}
+	for v := range n {
+		if (t.Root.Axis != AxisChild || xmltree.NodeID(v) == doc.Root()) && exists(t.Root, xmltree.NodeID(v)) {
+			cur = append(cur, xmltree.NodeID(v))
 		}
 	}
-	cur := map[xmltree.NodeID]bool{}
-	for _, r := range roots {
-		if exists(t.Root, r) {
-			cur[r] = true
-		}
-	}
-	p := t.Root
-	for p != ret {
-		// Descend into the child whose subtree holds ret.
-		var next *PatternNode
-		for _, c := range p.Children {
-			if containsRet[c] {
-				next = c
-				break
-			}
-		}
-		if next == nil {
-			break
-		}
-		nxt := map[xmltree.NodeID]bool{}
-		for n := range cur {
-			if next.Axis == AxisChild {
-				for v := doc.FirstChild(n); v != xmltree.InvalidNode; v = doc.NextSibling(v) {
-					if exists(next, v) {
-						nxt[v] = true
-					}
-				}
-			} else {
-				for v := n + 1; v <= doc.End(n); v++ {
-					if exists(next, v) {
-						nxt[v] = true
+	spine := spineOf(t, patternParents(t))
+	for p := t.Root; p != t.ReturningNode(); {
+		k := slices.IndexFunc(p.Children, func(c *PatternNode) bool { return spine[c.id] })
+		next, nxt := p.Children[k], []xmltree.NodeID{}
+		if next.Axis == AxisChild {
+			for _, u := range cur {
+				for w := doc.FirstChild(u); w != xmltree.InvalidNode; w = doc.NextSibling(w) {
+					if exists(next, w) {
+						nxt = append(nxt, w)
 					}
 				}
 			}
+			slices.Sort(nxt)
+		} else {
+			// Of the nodes of cur before v, the one reaching furthest
+			// encloses v if any does.
+			reach, j := xmltree.InvalidNode, 0
+			for v := range xmltree.NodeID(n) {
+				for ; j < len(cur) && cur[j] < v; j++ {
+					reach = max(reach, doc.End(cur[j]))
+				}
+				if v <= reach && exists(next, v) {
+					nxt = append(nxt, v)
+				}
+			}
 		}
-		cur = nxt
-		p = next
+		cur, p = nxt, next
 	}
-	out := make([]xmltree.NodeID, 0, len(cur))
-	for n := range cur {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return cur
 }

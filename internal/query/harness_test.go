@@ -793,6 +793,28 @@ func TestIndexPrunedPlanOracle(t *testing.T) {
 	}
 }
 
+// The served index plan on recursive documents of 5–7k nodes, where the
+// path summary keeps nearly one class per node (Mahfoud & Imine's case):
+// the anchored twigs with a descendant step, whose classes between the ends
+// of a step, and above a descendant root, are the guards pruned semantics
+// checks, under views that deny whole chains.
+func TestDeepIndexPlanOracle(t *testing.T) {
+	var st harnessStats
+	twigs := slices.DeleteFunc(slices.Clone(xmlmodel.Anchored), func(tw string) bool { return !strings.Contains(tw, "//") })
+	for seed := int64(0); seed < 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		doc := xmlmodel.Doc(rng, 5000+rng.Intn(2000), xmlmodel.Deep)
+		xpath := xmlmodel.Instantiate(rng, doc, twigs[int(seed)%len(twigs)])
+		checkTwig(t, fmt.Sprintf("seed %d", seed), drawCase(rng, doc, xpath, false), checks{}, &st)
+	}
+	t.Logf("%+v", st)
+	// A case with too many embeddings for the paper's arms still runs the
+	// served arm when an index plan answers it.
+	if st.skipped != st.servedOnly || st.servedOnly+st.indexPlans < 6 {
+		t.Errorf("%d cases skipped, %d of them on the served arm; %d index plans in the cases run whole", st.skipped, st.servedOnly, st.indexPlans)
+	}
+}
+
 // The row matcher against a brute-force enumeration: on bushy recursive
 // documents whose values are their IDs and twigs with several tracked
 // children under one node, the paper's engine hands dedup exactly the

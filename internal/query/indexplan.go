@@ -100,8 +100,8 @@ type indexShape struct {
 	// pattern node binds it — above a "//" root, between the ends of a "//"
 	// step — whose nodes pruned semantics must also find accessible. Their
 	// postings that are ancestors of the sweep's, in document order, are the
-	// guards: built by the first plan under pruned semantics that asks
-	// (guardPostings), and not in the memo's byte count.
+	// guards. Both are built by the first plan under pruned semantics that
+	// asks (buildGuards), and are not in the memo's byte count.
 	guardClasses []int32
 	guardsOnce   sync.Once
 	guards       []sweepPosting
@@ -150,8 +150,8 @@ type indexAnswer struct {
 // buildIndexShape gathers each pattern node's postings — the runs of the
 // classes the embedding matched for it, merged, kept where its value test
 // lists them — reduces them to the postings that take part in a whole
-// embedding and merges them into one sweep; then it names the guard classes
-// and counts the answers of a view that denies nothing.
+// embedding and merges them into one sweep; then it counts the answers of a
+// view that denies nothing.
 func (sh *compiledShape) buildIndexShape(st *nok.Store, index *btree.Runs) *indexShape {
 	t, sum := sh.t, st.Paths()
 	n := t.Len()
@@ -250,19 +250,11 @@ func (sh *compiledShape) buildIndexShape(st *nok.Store, index *btree.Runs) *inde
 	ix.reduce(lists, kids, slotBase, slotCount)
 	ix.sweep = mergeSweep(lists)
 
-	// The classes each pattern node kept, and their union.
-	cw := (nc + 63) / 64
-	bits := make([]uint64, (n+1)*cw)
-	kept, union := make([][]uint64, n), bits[n*cw:]
+	union := make([]uint64, (nc+63)/64)
 	for _, e := range ix.sweep {
-		if kept[e.p] == nil {
-			kept[e.p] = bits[int(e.p)*cw : int(e.p+1)*cw]
-		}
-		kept[e.p][e.class>>6] |= 1 << (uint(e.class) & 63)
 		union[e.class>>6] |= 1 << (uint(e.class) & 63)
 	}
 	forEachSet(union, func(class int32) { ix.classes = append(ix.classes, class) })
-	ix.guardClasses = ix.gapClasses(kept, cw)
 
 	if !slices.Contains(ix.desc, true) {
 		// Child steps below the root: an answer's bindings are its
@@ -415,32 +407,67 @@ func keepChildren(qs, ps []sweepPosting, last []xmltree.NodeID, base int32) []sw
 	return kept
 }
 
+// guardSet returns the guard classes and guardPostings the guards: the
+// first call of either builds both.
+func (ix *indexShape) guardSet() []int32 {
+	ix.guardsOnce.Do(ix.buildGuards)
+	return ix.guardClasses
+}
+
+func (ix *indexShape) guardPostings() []sweepPosting {
+	ix.guardsOnce.Do(ix.buildGuards)
+	return ix.guards
+}
+
 // gapClasses returns the guard classes. A binding's root path is bound by
 // pattern nodes along child steps; the classes it crosses unbound are every
 // proper ancestor of a "//" root's class and, for a "//" step, those strictly
-// below the outermost class its pattern parent kept on the path. kept holds
-// by pattern node the classes of its postings in the sweep.
-func (ix *indexShape) gapClasses(kept [][]uint64, cw int) []int32 {
+// below the outermost class its pattern parent kept on the path.
+//
+// Each kept class is walked up once, stopping at the first class already
+// marked. Above it a walk before marked the path up to its own bound, and no
+// walk's bound lies above an earlier one's: a kept class has a class its
+// pattern parent kept above it, and the walking nodes lie on the spine, in
+// pattern order. outer memoizes, by class, the outermost class the pattern
+// parent kept on its root path, itself included (-1 for none); a parent
+// precedes its child in the summary's numbering, so one pass in class order
+// fills it.
+func (ix *indexShape) gapClasses() []int32 {
+	nc, n := ix.sum.NumNodes(), len(ix.parent)
+	cw := (nc + 63) / 64
+	bits := make([]uint64, n*cw)
+	kept := make([][]uint64, n) // by pattern node the classes of its postings
+	for _, e := range ix.sweep {
+		if kept[e.p] == nil {
+			kept[e.p] = bits[int(e.p)*cw : int(e.p+1)*cw]
+		}
+		kept[e.p][e.class>>6] |= 1 << (uint(e.class) & 63)
+	}
 	gap := make([]uint64, cw)
-	var path []int32
+	outer := make([]int32, nc)
 	for q, cls := range kept {
-		if cls == nil || ix.parent[q] >= 0 && !ix.desc[q] {
+		par := ix.parent[q]
+		if cls == nil || par >= 0 && !ix.desc[q] {
 			continue
 		}
-		forEachSet(cls, func(class int32) {
-			path = path[:0]
-			for a := ix.sum.NodeAt(class).Parent; a >= 0; a = ix.sum.NodeAt(a).Parent {
-				path = append(path, a)
-			}
-			top := len(path)
-			if par := ix.parent[q]; par >= 0 {
-				for k, a := range path {
-					if hasBit(kept[par], int(a)) {
-						top = k
-					}
+		if par >= 0 {
+			for a := range outer {
+				o := int32(-1)
+				if pa := ix.sum.NodeAt(int32(a)).Parent; pa >= 0 {
+					o = outer[pa]
 				}
+				if o < 0 && hasBit(kept[par], a) {
+					o = int32(a)
+				}
+				outer[a] = o
 			}
-			for _, a := range path[:top] {
+		}
+		forEachSet(cls, func(class int32) {
+			a, top := ix.sum.NodeAt(class).Parent, int32(-1)
+			if par >= 0 && a >= 0 {
+				top = outer[a]
+			}
+			for ; a >= 0 && a != top && !hasBit(gap, int(a)); a = ix.sum.NodeAt(a).Parent {
 				gap[a>>6] |= 1 << (uint(a) & 63)
 			}
 		})
@@ -450,60 +477,57 @@ func (ix *indexShape) gapClasses(kept [][]uint64, cw int) []int32 {
 	return classes
 }
 
-// guardPostings returns the guards, built on the first call: in one pass
+// buildGuards names the guard classes and finds the guards: in one pass
 // over the sweep, a pointer per guard class into its run finds each
 // posting's ancestor of that class, the last posting before it. An ancestor
 // new to the pass starts after every posting before, so the guards come out
 // in document order.
-func (ix *indexShape) guardPostings() []sweepPosting {
-	ix.guardsOnce.Do(func() {
-		if len(ix.guardClasses) == 0 {
-			return
+func (ix *indexShape) buildGuards() {
+	if ix.guardClasses = ix.gapClasses(); len(ix.guardClasses) == 0 {
+		return
+	}
+	nc := ix.sum.NumNodes()
+	gap := make([]bool, nc)
+	for _, a := range ix.guardClasses {
+		gap[a] = true
+	}
+	// up[c] is the innermost guard class strictly above class c, -1 for
+	// none: a parent precedes its child in the summary's numbering. at[a] is
+	// the position in a's run of the current posting's ancestor, last[a] that
+	// of the last guard taken. A guard is taken with every guard above it, so
+	// the walk up from a posting stops at the first ancestor taken before,
+	// and the new guards go out outermost first.
+	up, at, last := make([]int32, nc), make([]int, nc), make([]int, nc)
+	for c := range up {
+		up[c], last[c] = -1, -1
+		if p := ix.sum.NodeAt(int32(c)).Parent; p >= 0 && gap[p] {
+			up[c] = p
+		} else if p >= 0 {
+			up[c] = up[p]
 		}
-		nc := ix.sum.NumNodes()
-		gap := make([]bool, nc)
-		for _, a := range ix.guardClasses {
-			gap[a] = true
-		}
-		// above[c] lists the guard classes on class c's root path, outermost
-		// first; at[a] is the position in a's run of the current posting's
-		// ancestor, last[a] that of the last guard taken.
-		above := make([][]int32, nc)
-		seen := make([]bool, nc)
-		at, last := make([]int, nc), make([]int, nc)
-		for k := range last {
-			last[k] = -1
-		}
-		for _, y := range ix.sweep {
-			if !seen[y.class] {
-				seen[y.class] = true
-				for a := ix.sum.NodeAt(y.class).Parent; a >= 0; a = ix.sum.NodeAt(a).Parent {
-					if gap[a] {
-						above[y.class] = append(above[y.class], a)
-					}
-				}
-				slices.Reverse(above[y.class])
+	}
+	for _, y := range ix.sweep {
+		from := len(ix.guards)
+		for a := up[y.class]; a >= 0; a = up[a] {
+			run, k := ix.runs.ClassPostings(a), at[a]
+			for k+1 < len(run) && run[k+1].Node < y.Node {
+				k++
 			}
-			for _, a := range above[y.class] {
-				run, k := ix.runs.ClassPostings(a), at[a]
-				for k+1 < len(run) && run[k+1].Node < y.Node {
-					k++
-				}
-				if at[a] = k; last[a] != k {
-					last[a] = k
-					ix.guards = append(ix.guards, sweepPosting{Posting: run[k], class: a, p: -1, own: -1, up: -1})
-				}
+			if at[a] = k; last[a] == k {
+				break
 			}
+			last[a] = k
+			ix.guards = append(ix.guards, sweepPosting{Posting: run[k], class: a, p: -1, own: -1, up: -1})
 		}
-	})
-	return ix.guards
+		slices.Reverse(ix.guards[from:])
+	}
 }
 
 // size is what the plan holds in memory.
 func (ix *indexShape) size() int64 {
 	return int64(cap(ix.sweep))*int64(unsafe.Sizeof(sweepPosting{})) +
 		int64(cap(ix.answers))*int64(unsafe.Sizeof(indexAnswer{})) +
-		int64(cap(ix.classes)+cap(ix.guardClasses))*int64(unsafe.Sizeof(int32(0)))
+		int64(cap(ix.classes))*int64(unsafe.Sizeof(int32(0)))
 }
 
 // Access decision sources, as the plan counts them.
@@ -539,7 +563,7 @@ func (c *compiled) needsDecisions() bool {
 	}
 	allowed := func(class int32) bool { return c.route.verdict(class) == vAllow }
 	return slices.ContainsFunc(c.index.classes, func(class int32) bool { return !allowed(class) }) ||
-		c.opts.Semantics == SemanticsPrunedSubtree && slices.ContainsFunc(c.index.guardClasses, func(class int32) bool { return !allowed(class) })
+		c.opts.Semantics == SemanticsPrunedSubtree && slices.ContainsFunc(c.index.guardSet(), func(class int32) bool { return !allowed(class) })
 }
 
 // indexPass is the stack merge of an index plan: one forward pass over the

@@ -2,12 +2,14 @@ package query
 
 import (
 	"context"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
 
 	"dolxml/internal/btree"
 	"dolxml/internal/nok"
+	"dolxml/internal/xmlmodel"
 	"dolxml/internal/xmltree"
 )
 
@@ -44,6 +46,29 @@ func servedIndex(t testing.TB, st *nok.Store) (*btree.Runs, ValueIndex) {
 func (e *env) servedSnapshot(t testing.TB) Snapshot {
 	runs, vi := servedIndex(t, e.ss.Store())
 	return Snapshot{Store: e.ss.Store(), Index: runs, Values: vi, Masks: NewMaskCache(nil, nil), Seq: 1}
+}
+
+// Bindings semantics needs no guards: a plan answered under it builds none,
+// and the first request under pruned semantics builds them.
+func TestGuardsOnlyUnderPrunedSemantics(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	doc := xmlmodel.Doc(rng, 400, xmlmodel.Deep)
+	e := newEnv(t, doc, xmlmodel.ACL(rng, doc, 1), 256)
+	ev := NewEvaluatorAt(e.servedSnapshot(t))
+	opts := Options{View: e.ss.ViewSubject(0)}
+	for _, sem := range []Semantics{SemanticsBindings, SemanticsPrunedSubtree} {
+		opts.Semantics = sem
+		if _, err := ev.Evaluate(MustParse("//a//b"), opts); err != nil {
+			t.Fatal(err)
+		}
+		c, err := ev.compile(MustParse("//a//b"), opts)
+		if err != nil || c.index == nil {
+			t.Fatalf("no index plan (%v)", err)
+		}
+		if built := c.index.guardClasses != nil; built != (sem == SemanticsPrunedSubtree) {
+			t.Fatalf("under semantics %d the guard classes are built: %v", sem, built)
+		}
+	}
 }
 
 // Class runs numbered otherwise than the store's path summary — here a

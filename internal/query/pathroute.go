@@ -289,7 +289,7 @@ func resolvePathAccess(st *nok.Store, sh *compiledShape, view *dol.SubjectView, 
 	if pruned {
 		// What the plan's merge may ask is resolved here, so that the plan
 		// reads alike before and after it ran.
-		for _, id := range sh.index.guardClasses {
+		for _, id := range sh.index.guardSet() {
 			r.verdict(id)
 		}
 	}

@@ -53,7 +53,6 @@ func (s *Store) initObs() error {
 		{"store_nodes", func(sn *snapshot) int64 { return int64(sn.st.NumNodes()) }},
 		{"store_pages", func(sn *snapshot) int64 { return int64(sn.st.NumPages()) }},
 		{"directory_bytes", func(sn *snapshot) int64 { return int64(sn.st.DirectoryBytes()) }},
-		{"summary_bytes", func(sn *snapshot) int64 { return int64(sn.st.SummaryBytes()) }},
 		{"codebook_bytes", func(sn *snapshot) int64 { return int64(sn.ss.Codebook().Bytes()) }},
 		{"codebook_entries", func(sn *snapshot) int64 { return int64(sn.ss.Codebook().Len()) }},
 		{"codebook_subjects", func(sn *snapshot) int64 { return int64(sn.ss.Codebook().NumSubjects()) }},
@@ -192,7 +191,6 @@ var metricHelp = map[string]string{
 	"store_nodes":                    "Nodes in the current store snapshot.",
 	"store_pages":                    "Pages in the current store snapshot.",
 	"directory_bytes":                "In-memory page directory size in bytes.",
-	"summary_bytes":                  "In-memory size of the per-block path-class bitsets (the page-skipping part of the path summary) in bytes.",
 	"codebook_bytes":                 "In-memory access codebook size in bytes.",
 	"codebook_entries":               "Distinct transition codes in the codebook.",
 	"codebook_subjects":              "Subjects covered by the codebook.",

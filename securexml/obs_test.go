@@ -266,7 +266,7 @@ func TestMetricNamesValidAndUnique(t *testing.T) {
 		"decode_cache_hits", "decode_cache_misses", "decode_cache_bytes",
 		"view_checks", "view_decisions_computed", "view_bitmap_builds",
 		"codebook_entries", "codebook_subjects",
-		"store_nodes", "store_pages", "directory_bytes", "summary_bytes", "codebook_bytes",
+		"store_nodes", "store_pages", "directory_bytes", "codebook_bytes",
 		"query_total", "query_errors", "query_slow_total",
 		"query_answers_total", "query_matches_total", "query_latency_us",
 		"query_pages_skipped_access", "query_candidates_rejected",

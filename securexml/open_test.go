@@ -300,6 +300,10 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 		{"persisted path summary that disagrees", sidecar(func(ps *persistedStore) {
 			ps.Nok.PathSummary.Parents[len(ps.Nok.PathSummary.Parents)-1] = 0
 		}), "path summary", false},
+		{"persisted block start that disagrees", sidecar(func(ps *persistedStore) {
+			// Every block but the first starts inside the root element.
+			ps.Nok.PathSummary.Blocks[mid].Start = -1
+		}), "start class mismatch", false},
 		{"value on a page past the end of the page file", sidecar(func(ps *persistedStore) {
 			refs := slices.Clone(ps.Nok.ValueRefs)
 			if len(refs) == 0 {

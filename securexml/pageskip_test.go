@@ -50,8 +50,8 @@ func TestDecodeCacheBytesOption(t *testing.T) {
 	if st.DecodeCache.Budget <= 0 || st.DecodeCache.Entries == 0 {
 		t.Fatalf("default decode cache inactive: %+v", st.DecodeCache)
 	}
-	if st.SummaryBytes <= 0 {
-		t.Fatalf("SummaryBytes = %d, want > 0", st.SummaryBytes)
+	if st.SummaryBytes != 0 || st.PathSummaryBytes <= 0 {
+		t.Fatalf("SummaryBytes = %d, PathSummaryBytes = %d; want 0 and > 0", st.SummaryBytes, st.PathSummaryBytes)
 	}
 	s.Close()
 

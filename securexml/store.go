@@ -1016,12 +1016,12 @@ type Stats struct {
 	CodebookEntries int
 	CodebookBytes   int
 	DirectoryBytes  int
-	// SummaryBytes is the in-memory footprint of the per-block path-class
-	// bitsets (part of the next), which only the consistency check reads.
+	// SummaryBytes is always 0: the path summary keeps no per-block class
+	// sets any more. It stays only because the benchmark harness reads it.
 	SummaryBytes int
 	// PathSummaryBytes is the in-memory footprint of the path summary
-	// (one node per distinct root-to-tag path plus per-block class sets)
-	// behind emptiness proofs and index plans.
+	// (one node per distinct root-to-tag path plus one start class per
+	// block) behind emptiness proofs and index plans.
 	PathSummaryBytes int
 	// IndexBytes is the memory held by the tag index's class runs and the
 	// value runs built so far; 0 until the snapshot's index is built.
@@ -1079,7 +1079,6 @@ func (s *Store) Stats() (Stats, error) {
 		CodebookEntries:  sn.ss.Codebook().Len(),
 		CodebookBytes:    sn.ss.Codebook().Bytes(),
 		DirectoryBytes:   sn.st.DirectoryBytes(),
-		SummaryBytes:     sn.st.SummaryBytes(),
 		PathSummaryBytes: sn.st.PathSummaryBytes(),
 		IndexBytes:       sn.idx.bytes(),
 		Pool:             s.pool.Stats(),
