@@ -173,6 +173,49 @@ func TestPageFullyInaccessible(t *testing.T) {
 	}
 }
 
+// TestViewSeesSplicedChangeBit: a view's page bitmap, built before an
+// update, must not survive one that sets a block's change bit. The grant
+// below is spliced into a block that held no transition, and its new ACL
+// is one the codebook already has: no code is interned or freed, so only
+// the header code swapped at every splice advances the codebook
+// generation the bitmap is keyed by.
+func TestViewSeesSplicedChangeBit(t *testing.T) {
+	b := xmltree.NewBuilder()
+	b.Begin("root")
+	for i := 0; i < 300; i++ {
+		b.Element("x", "")
+	}
+	b.End()
+	doc := b.MustFinish()
+	m := acl.NewMatrix(doc.Len(), 2)
+	for n := 0; n < doc.Len(); n++ {
+		m.Set(xmltree.NodeID(n), 1, true)
+		m.Set(xmltree.NodeID(n), 0, n <= 50)
+	}
+	// Slack in every block, so that the grant is spliced, not laid out.
+	ss, err := BuildSecureStore(storage.NewBufferPool(storage.NewMemPager(128), 256), doc, m, nok.BuildOptions{FillPercent: 90})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := ss.Store()
+	view := ss.ViewSubject(0)
+	i := st.NumPages() / 2
+	if pi := st.PageInfoAt(i); pi.FirstNode <= 50 || pi.ChangeBit || !view.SkipPage(i) {
+		t.Fatalf("block %d (%+v) is not a wholly denied block past the granted run", i, pi)
+	}
+	n := st.PageInfoAt(i).FirstNode + 1
+	if err := ss.SetNodeAccess(n, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	if !st.PageInfoAt(i).ChangeBit {
+		t.Fatalf("granting node %d left block %d's change bit clear", n, i)
+	}
+	if view.SkipPage(i) {
+		t.Fatalf("the view still skips block %d after node %d was granted", i, n)
+	}
+	checkStoreRefs(t, ss)
+}
+
 // fig2Model builds the Figure 2 store over the Figure 1 matrix at the page
 // size beside its model.
 func fig2Model(t *testing.T, pageSize int) (*SecureStore, *xmlmodel.Model) {

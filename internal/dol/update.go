@@ -14,22 +14,32 @@ import (
 // structural updates (insert, delete, move of a subtree), plus subject
 // addition/removal, which are codebook-only operations.
 //
-// All updates share a common mechanism: decode the affected block region,
-// edit the per-node access codes and/or splice entries, re-normalize
+// Structural updates share one mechanism: decode the affected block
+// region, splice entries and edit their access codes, re-normalize
 // transition flags, and rewrite just that region (update locality). Block
 // headers before and after the region are untouched; block-local
 // decodability guarantees nodes outside the region keep their rights.
 //
 // An accessibility update (SetRangeACL and the two calls on it) does work
 // in proportion to its range [lo, hi]: one ACL edit and one codebook
-// lookup per distinct code in it, and, when the new codes leave every
-// block boundary where it was, one path-summary observation per node in
-// it. What stays in proportion to the region — the one or two blocks
-// around a small range — is copying its entries into the writer's
-// buffers, renormalizing their transition flags, walking the entries
-// before lo to learn which elements are open there, encoding each new page
-// once and decoding it once to prime the decode cache. A recode that moves
-// a block boundary replays the region against the summary instead.
+// lookup per distinct code in it. A range inside one block is spliced into
+// it (spliceRange, nok.RecodeBlock): the update reads the range, the entry
+// before it and the one after it, whose transition flag may flip,
+// renormalizes that window alone and swaps the window's code references;
+// the store encodes the window between the old page's other bytes, patches
+// the cached index on the window and has the path summary observe the
+// window's classes. What still runs in proportion to the block is cheap:
+// skipping the bytes and the open elements ahead of the range, and
+// copying the block's cached index.
+//
+// The update lays its region out again, as a structural one does, when
+// the range spans blocks or the spliced block overflows its page. That
+// work is in proportion to the region — the one or two blocks around a
+// small range: copying its entries into the writer's buffers,
+// renormalizing their transition flags, encoding each new page once and
+// decoding it once to prime the decode cache. A relayout that moves a
+// block boundary replays the region against the summary; one that keeps
+// them observes the range's classes as a splice does.
 
 // SetNodeAccess grants or revokes subject s on the single node n. Cost: the
 // page read(s) of n's block region plus the corresponding writes, as in the
@@ -74,29 +84,37 @@ func (ss *SecureStore) setRangeACL(lo, hi xmltree.NodeID, f func(*bitset.Bitset)
 	if !st.Valid(lo) || !st.Valid(hi) || hi < lo {
 		return fmt.Errorf("dol: invalid range [%d,%d]", lo, hi)
 	}
+	// recoded maps an old code to its new one for this call only: once the
+	// rewrite releases the old region's references, a code may be freed
+	// and handed to another ACL.
+	recoded := make(map[Code]Code)
+	recode := func(codes []Code) {
+		var last, lastNew Code
+		for k, old := range codes {
+			if k == 0 || old != last {
+				nw, ok := recoded[old]
+				if !ok {
+					nw = ss.cb.Intern(f(ss.cb.ACL(old)))
+					recoded[old] = nw
+				}
+				last, lastNew = old, nw
+			}
+			codes[k] = lastNew
+		}
+	}
 	i, j := st.PageIndexOf(lo), st.PageIndexOf(hi)
+	if i == j {
+		if spliced, err := ss.spliceRange(i, lo, hi, recode); spliced || err != nil {
+			return err
+		}
+	}
 	entries, codes, oldCodes, startLevel, err := ss.readRegion(i, j)
 	if err != nil {
 		return err
 	}
 	firstNode := st.PageInfoAt(i).FirstNode
 	from, to := int(lo-firstNode), int(hi-firstNode)
-	// recoded maps an old code to its new one for this call only: once the
-	// rewrite releases the old region's references, a code may be freed
-	// and handed to another ACL.
-	recoded := make(map[Code]Code)
-	var last, lastNew Code
-	for k := from; k <= to; k++ {
-		if old := codes[k]; k == from || old != last {
-			nw, ok := recoded[old]
-			if !ok {
-				nw = ss.cb.Intern(f(ss.cb.ACL(old)))
-				recoded[old] = nw
-			}
-			last, lastNew = old, nw
-		}
-		codes[k] = lastNew
-	}
+	recode(codes[from : to+1])
 	normalizeFlags(entries, codes)
 
 	nblocks, err := st.RecodeRegion(i, j, entries, startLevel, codes[0], from, to)
@@ -105,6 +123,54 @@ func (ss *SecureStore) setRangeACL(lo, hi xmltree.NodeID, f func(*bitset.Bitset)
 	}
 	ss.swapRefs(i, nblocks, firstNode, entries, oldCodes)
 	return nil
+}
+
+// spliceRange recodes [lo, hi], a range inside block i, by splicing the
+// block (nok.RecodeBlock). It reads the window the update can change — the
+// range and the entry after it, whose transition flag may flip — plus the
+// entry before it, renormalizes the window's flags and swaps the window's
+// on-disk code references. It reports false, having written nothing, when
+// the spliced block would overflow its page.
+func (ss *SecureStore) spliceRange(i int, lo, hi xmltree.NodeID, recode func([]Code)) (bool, error) {
+	st := ss.store
+	pi := st.PageInfoAt(i)
+	from, to := int(lo-pi.FirstNode), int(hi-pi.FirstNode)
+	first, end := max(from-1, 0), min(to+2, pi.Count)
+	entries, codes, err := st.AppendEntries(ss.region.entries[:0], ss.region.codes[:0], i, first, end)
+	if err != nil {
+		return false, err
+	}
+	// The header's code is swapped even when it stays: every Release
+	// advances the codebook's generation, which is what tells views that
+	// their page bitmaps are stale.
+	oldCodes := append(ss.region.oldCodes[:0], pi.AccessCode)
+	w := from - first
+	for _, e := range entries[w:] {
+		if e.HasCode {
+			oldCodes = append(oldCodes, e.Code)
+		}
+	}
+	ss.keepRegion(entries, codes, oldCodes)
+	recode(codes[w : w+to-from+1])
+	normalizeFlags(entries, codes)
+	head := pi.AccessCode
+	if from == 0 {
+		head = codes[0]
+	}
+	window := entries[w:]
+	if spliced, err := st.RecodeBlock(i, from, window, head); !spliced || err != nil {
+		return false, err
+	}
+	ss.cb.Retain(head)
+	for _, e := range window {
+		if e.HasCode {
+			ss.cb.Retain(e.Code)
+		}
+	}
+	for _, c := range oldCodes {
+		ss.cb.Release(c)
+	}
+	return true, nil
 }
 
 // DeleteSubtree removes the subtree rooted at n from the document. Node IDs
@@ -421,6 +487,14 @@ type regionBuf struct {
 // few blocks reuses them; a whole-document Vacuum does not pin its copy.
 const keptRegionEntries = 1 << 13
 
+// keepRegion keeps the buffers of the update in progress for the next one,
+// unless they outgrew keptRegionEntries.
+func (ss *SecureStore) keepRegion(entries []nok.Entry, codes, oldCodes []Code) {
+	if cap(entries) <= keptRegionEntries {
+		ss.region = regionBuf{entries, codes, oldCodes}
+	}
+}
+
 // readRegion decodes blocks [i, j] into a flat entry slice, the code in
 // force at every node, and the list of codes the region references on disk
 // (block headers plus inline transition codes — exactly what the reference
@@ -430,14 +504,10 @@ func (ss *SecureStore) readRegion(i, j int) (entries []nok.Entry, codes []Code, 
 	st := ss.store
 	startLevel = int(st.PageInfoAt(i).StartDepth)
 	entries, codes, oldCodes = ss.region.entries[:0], ss.region.codes[:0], ss.region.oldCodes[:0]
-	defer func() {
-		if cap(entries) <= keptRegionEntries {
-			ss.region = regionBuf{entries, codes, oldCodes}
-		}
-	}()
+	defer func() { ss.keepRegion(entries, codes, oldCodes) }()
 	for k := i; k <= j; k++ {
 		first := len(entries)
-		if entries, codes, err = st.AppendBlock(entries, codes, k); err != nil {
+		if entries, codes, err = st.AppendEntries(entries, codes, k, 0, st.PageInfoAt(k).Count); err != nil {
 			return nil, nil, nil, 0, err
 		}
 		oldCodes = append(oldCodes, st.PageInfoAt(k).AccessCode)

@@ -59,6 +59,7 @@ func Build(pool *storage.BufferPool, doc *xmltree.Document, opts BuildOptions) (
 		tagIndex: make(map[string]int32),
 		numNodes: doc.Len(),
 		dec:      newDecodeCache(DefaultDecodeCacheBudget),
+		recodes:  new(recodeCounters),
 	}
 	for i, t := range s.tags {
 		s.tagIndex[t] = int32(i)

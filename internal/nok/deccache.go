@@ -165,21 +165,24 @@ func (s *Store) DecodeCacheStats() DecodeCacheStats { return s.dec.stats() }
 
 // RegisterMetrics registers the decode cache's counters and content gauges
 // with reg under prefix (prefix "decode_cache" yields decode_cache_hits,
-// decode_cache_bytes, …).
+// decode_cache_bytes, …), and beside them the two code-only update counts,
+// recode_splices and recode_relayouts.
 func (s *Store) RegisterMetrics(reg *obs.Registry, prefix string) error {
 	c := s.dec
 	for _, m := range []struct {
 		name, help string
 		ctr        *obs.Counter
 	}{
-		{"hits", "Block decodes served from the cache.", &c.hits},
-		{"misses", "Block decodes that had to run.", &c.misses},
-		{"evictions", "Decoded blocks evicted under the byte budget.", &c.evictions},
+		{prefix + "_hits", "Block decodes served from the cache.", &c.hits},
+		{prefix + "_misses", "Block decodes that had to run.", &c.misses},
+		{prefix + "_evictions", "Decoded blocks evicted under the byte budget.", &c.evictions},
+		{"recode_splices", "Code-only updates spliced into their block's page.", &s.recodes.splices},
+		{"recode_relayouts", "Code-only updates that laid their blocks out again.", &s.recodes.relayouts},
 	} {
-		if err := reg.RegisterCounter(prefix+"_"+m.name, m.ctr); err != nil {
+		if err := reg.RegisterCounter(m.name, m.ctr); err != nil {
 			return err
 		}
-		reg.SetHelp(prefix+"_"+m.name, m.help)
+		reg.SetHelp(m.name, m.help)
 	}
 	for _, g := range []struct {
 		name, help string

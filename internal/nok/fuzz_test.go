@@ -146,3 +146,57 @@ func FuzzValueRefs(f *testing.F) {
 		}
 	})
 }
+
+// FuzzRecodeSplice holds the splice against laying the block out again on
+// a document, its codes and a recode decoded from the fuzz bytes: each byte
+// of data is one element — tag a–d in its low two bits, its code in force in
+// the next two, and in the high four how many elements close after it — and
+// block, from and span pick the range, whose codes edit maps as an ACL edit
+// maps them (old code c becomes edit's nibble c). The spliced store must
+// hold the relayout's bytes, and its decode cache a decode of them
+// (checkTwins).
+func FuzzRecodeSplice(f *testing.F) {
+	f.Add([]byte{0x00, 0x05, 0x16, 0x27, 0x08, 0x19, 0x1a, 0x2b}, false, uint16(0), uint16(1), uint16(3), uint32(0x3210))
+	f.Add([]byte{0x00, 0x04, 0x04, 0x18, 0x0c, 0x1d, 0x02, 0x23, 0x11, 0x06}, true, uint16(1), uint16(0), uint16(9), uint32(0x1111))
+	f.Add(bytes.Repeat([]byte{0x01, 0x15, 0x0a, 0x2e}, 60), true, uint16(2), uint16(5), uint16(40), uint32(0x2301))
+	f.Fuzz(func(t *testing.T, data []byte, small bool, block, from, span uint16, edit uint32) {
+		if len(data) == 0 || len(data) > 4000 {
+			return
+		}
+		b := xmltree.NewBuilder()
+		codes := make(arrayCodes, len(data))
+		depth := 0
+		for k, c := range data {
+			b.Begin(string(rune('a' + c&3)))
+			depth++
+			codes[k] = uint32(c >> 2 & 3)
+			// The root closes last, with everything still open.
+			closes := min(int(c>>4), depth-1)
+			if k == len(data)-1 {
+				closes = depth
+			}
+			for ; closes > 0; closes-- {
+				b.End()
+				depth--
+			}
+		}
+		doc := b.MustFinish()
+		pageSize := storage.DefaultPageSize
+		if small {
+			pageSize = 64
+		}
+		sa, sb := recodeTwins(t, doc, codes, pageSize)
+		i := int(block) % sa.NumPages()
+		pi := sa.PageInfoAt(i)
+		lo := int(from) % pi.Count
+		_, old, err := sa.AppendEntries(nil, nil, i, lo, lo+1+int(span)%(pi.Count-lo))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, c := range old {
+			old[k] = edit >> (4 * (c & 7)) & 0xF
+		}
+		applyRecode(t, sa, sb, i, lo, old)
+		checkTwins(t, sa, sb, i)
+	})
+}

@@ -277,6 +277,7 @@ func OpenScan(pool *storage.BufferPool, m Meta, extent ExtentFunc) (*Store, erro
 		tagIndex: make(map[string]int32, len(m.Tags)),
 		numNodes: m.NumNodes,
 		dec:      newDecodeCache(DefaultDecodeCacheBudget),
+		recodes:  new(recodeCounters),
 	}
 	for i, t := range s.tags {
 		s.tagIndex[t] = int32(i)

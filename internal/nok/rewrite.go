@@ -2,10 +2,10 @@ package nok
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
-	"dolxml/internal/pathsum"
 	"dolxml/internal/storage"
 	"dolxml/internal/xmltree"
 )
@@ -45,23 +45,27 @@ func (s *Store) FreePages() int { return len(s.freeList) }
 // entries never carry inline codes (their code lives in the header). The
 // returned slice is the caller's (never shared with the decode cache).
 func (s *Store) BlockEntries(i int) ([]Entry, error) {
-	es, _, err := s.AppendBlock(nil, nil, i)
+	if i < 0 || i >= len(s.dir) {
+		return nil, fmt.Errorf("nok: invalid block %d of %d", i, len(s.dir))
+	}
+	es, _, err := s.AppendEntries(nil, nil, i, 0, s.dir[i].Count)
 	return es, err
 }
 
-// AppendBlock appends block i's entries, in stored form, to entries and the
-// access code in force at each of them to codes — the read half of a region
-// rewrite, which edits both and hands them back to RewriteRegion.
-func (s *Store) AppendBlock(entries []Entry, codes []uint32, i int) ([]Entry, []uint32, error) {
-	if i < 0 || i >= len(s.dir) {
-		return nil, nil, fmt.Errorf("nok: invalid block %d of %d", i, len(s.dir))
+// AppendEntries appends entries [lo, hi) of block i, in stored form, to
+// entries and the access code in force at each of them to codes — the read
+// half of a region rewrite, which edits both and hands them back to
+// RewriteRegion, RecodeRegion or RecodeBlock.
+func (s *Store) AppendEntries(entries []Entry, codes []uint32, i, lo, hi int) ([]Entry, []uint32, error) {
+	if i < 0 || i >= len(s.dir) || lo < 0 || hi < lo || hi > s.dir[i].Count {
+		return nil, nil, fmt.Errorf("nok: invalid entries [%d,%d) of block %d of %d", lo, hi, i, len(s.dir))
 	}
 	blk, err := s.block(context.Background(), i)
 	if err != nil {
 		return nil, nil, err
 	}
-	entries, codes = slices.Grow(entries, len(blk)), slices.Grow(codes, len(blk))
-	for k := range blk {
+	entries, codes = slices.Grow(entries, hi-lo), slices.Grow(codes, hi-lo)
+	for k := lo; k < hi; k++ {
 		entries = append(entries, blk[k].entry())
 		codes = append(codes, blk[k].code)
 	}
@@ -95,12 +99,215 @@ func (s *Store) RewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 // entry for entry, and the code in force differs from the old one at most
 // at offsets [lo, hi] of it. When the new blocks keep the old ones'
 // boundaries, the path summary observes the new codes on the classes of
-// those entries instead of replaying the region.
+// those entries instead of replaying the region. A recode inside one
+// block whose spliced body fits the page is RecodeBlock's.
 func (s *Store) RecodeRegion(i, j int, newEntries []Entry, startLevel int, startCode uint32, lo, hi int) (int, error) {
 	if lo < 0 || hi < lo || hi >= len(newEntries) {
 		return 0, fmt.Errorf("nok: recoded entries [%d,%d] of %d", lo, hi, len(newEntries))
 	}
-	return s.rewrite(i, j, newEntries, startLevel, startCode, lo, hi)
+	n, err := s.rewrite(i, j, newEntries, startLevel, startCode, lo, hi)
+	if err == nil {
+		s.recodes.relayouts.Inc()
+	}
+	return n, err
+}
+
+// RecodeBlock changes access codes inside block i by splicing its page
+// instead of laying the block out again. window holds, in stored form,
+// entries [from, from+len(window)) of the block: their old tags and close
+// counts with their new transition flags and codes. headerCode is the code
+// in force at the block's first entry, a new one only when from is 0. The
+// code in force at the window's last entry must be what it was (unless
+// the window ends the block), so no entry after the window changes.
+//
+// Only the window is encoded again, between the old page's bytes before and
+// after it, on a page from allocPage as every rewrite's (shadow paging under
+// a gate). The decode cache gets the old block's index with codes and
+// transition flags patched on the window: levels, tags and successors
+// cannot change. The bytes are those RecodeRegion writes for the same
+// entries, since the greedy layout keeps a block whole exactly when its
+// entries fit. When the spliced body does not fit the page, RecodeBlock
+// changes nothing and reports false; the caller lays the block out with
+// RecodeRegion, which splits it.
+func (s *Store) RecodeBlock(i, from int, window []Entry, headerCode uint32) (bool, error) {
+	var spliced bool
+	err := s.WithTxn(func() error {
+		var err error
+		spliced, err = s.recodeBlock(i, from, window, headerCode)
+		return err
+	})
+	return spliced, err
+}
+
+func (s *Store) recodeBlock(i, from int, window []Entry, headerCode uint32) (bool, error) {
+	if i < 0 || i >= len(s.dir) {
+		return false, fmt.Errorf("nok: invalid block %d of %d", i, len(s.dir))
+	}
+	pi := s.dir[i]
+	end := from + len(window)
+	if from < 0 || end <= from || end > pi.Count {
+		return false, fmt.Errorf("nok: recoded entries [%d,%d) of block %d's %d", from, end, i, pi.Count)
+	}
+	if from > 0 && headerCode != pi.AccessCode {
+		return false, fmt.Errorf("nok: block %d header code %d changed by a recode from entry %d", i, pi.AccessCode, from)
+	}
+	old := pi.Page
+	f, err := s.pool.Get(old)
+	if err != nil {
+		return false, err
+	}
+	spliced, err := s.splice(i, f, from, window, headerCode)
+	if uerr := s.pool.Unpin(old, false); err == nil {
+		err = uerr
+	}
+	if err == nil && spliced {
+		s.recodes.splices.Inc()
+	}
+	return spliced, err
+}
+
+// splice is RecodeBlock on block i's pinned page f.
+func (s *Store) splice(i int, f *storage.Frame, from int, window []Entry, headerCode uint32) (bool, error) {
+	pi := s.dir[i]
+	blk, ok := s.dec.get(pi.Page)
+	if !ok {
+		var err error
+		if blk, err = decodeBlock(pi, f.Data); err != nil {
+			return false, err
+		}
+	}
+	// Patch a copy of the index: cached slices are immutable.
+	slots := slices.Clone(blk)
+	code := headerCode
+	if from > 0 {
+		code = blk[from-1].code
+	}
+	var buf [128]byte
+	enc := buf[:0]
+	for k, e := range window {
+		sl := &slots[from+k]
+		if e.Tag != sl.tag || e.CloseCount != sl.closeCount() {
+			return false, fmt.Errorf("nok: block %d entry %d recoded as tag %d closing %d, stored as tag %d closing %d", i, from+k, e.Tag, e.CloseCount, sl.tag, sl.closeCount())
+		}
+		sl.cf &^= 1
+		if e.HasCode {
+			if from+k == 0 {
+				return false, fmt.Errorf("nok: block %d first entry recoded with an inline code", i)
+			}
+			sl.cf |= 1
+			code = e.Code
+		}
+		sl.code = code
+		enc = appendEntry(enc, e)
+	}
+	if end := from + len(window); end < len(slots) && code != blk[end-1].code {
+		return false, fmt.Errorf("nok: block %d recode moves the code in force after entry %d from %d to %d", i, end, blk[end-1].code, code)
+	}
+	dataLen := int(binary.LittleEndian.Uint16(f.Data[10:12]))
+	body := f.Data[:headerSize+min(dataLen, len(f.Data)-headerSize)]
+	p := skipEntries(body, headerSize, from)
+	q := skipEntries(body, p, len(window))
+	if q < 0 {
+		return false, fmt.Errorf("nok: page %d: block %d's body ends before its entry %d", pi.Page, i, from+len(window))
+	}
+	n := dataLen - (q - p) + len(enc)
+	if n > s.pool.Pager().PageSize()-headerSize {
+		return false, nil
+	}
+	pi.AccessCode, pi.ChangeBit = headerCode, false
+	for k := 1; k < len(slots) && !pi.ChangeBit; k++ {
+		pi.ChangeBit = slots[k].hasCode()
+	}
+
+	// As in rewriteRegion: the old page is released before the new one is
+	// taken, so an ungated store writes the block back onto its own page.
+	s.invalidateDecoded(pi.Page)
+	s.freePage(pi.Page)
+	nf, err := s.allocPage()
+	if err != nil {
+		return false, err
+	}
+	data := nf.Data
+	if nf != f {
+		copy(data[headerSize:p], f.Data[headerSize:p])
+	}
+	// The suffix moves before the window is written: on the block's own
+	// page the two overlap.
+	copy(data[p+len(enc):], f.Data[q:headerSize+dataLen])
+	copy(data[p:], enc)
+	pi.Page = nf.ID()
+	writeHeader(data, pi, n)
+	if err := s.pool.Unpin(pi.Page, true); err != nil {
+		return false, err
+	}
+
+	// Frozen clones share the directory: replace it, do not edit it.
+	dir := slices.Clone(s.dir)
+	dir[i] = pi
+	s.dir = dir
+	if s.paths != nil {
+		if err := s.observeRecode(i, [][]slot{slots}, from, from+len(window)-1); err != nil {
+			return false, err
+		}
+	}
+	s.dec.put(pi.Page, slots)
+	return true, nil
+}
+
+// skipEntries returns the offset in body of the entry n entries after the
+// one at offset p, or -1 when body ends first.
+func skipEntries(body []byte, p, n int) int {
+	for ; n > 0 && p >= 0; n-- {
+		if p >= len(body) {
+			return -1
+		}
+		// A uvarint's low bit is its first byte's: the transition flag.
+		coded := body[p]&1 != 0
+		p = skipUvarint(body, skipUvarint(body, p))
+		if coded {
+			p = skipUvarint(body, p)
+		}
+	}
+	return p
+}
+
+// skipUvarint returns the offset after the uvarint at p, or -1 when body
+// ends first (or p is -1).
+func skipUvarint(body []byte, p int) int {
+	for ; p >= 0 && p < len(body); p++ {
+		if body[p] < 0x80 {
+			return p + 1
+		}
+	}
+	return -1
+}
+
+// observeRecode brings the path summary up to a code-only rewrite of the
+// blocks from i on that kept their boundaries, given their new indexes:
+// the classes of entries [lo, hi] of the region observe their codes, and
+// the entries before lo are walked past. No class is cloned unless one
+// changes (pathsum.RegionRewrite).
+func (s *Store) observeRecode(i int, blks [][]slot, lo, hi int) error {
+	psr, err := s.paths.BeginRewrite(i, i+len(blks)-1)
+	if err != nil {
+		return s.RebuildPathSummary()
+	}
+	k := 0
+	for _, blk := range blks {
+		for j := 0; j < len(blk) && k <= hi; j, k = j+1, k+1 {
+			if sl := &blk[j]; k < lo {
+				psr.Skip(sl.tag, sl.closeCount())
+			} else {
+				psr.Recoded(sl.tag, sl.closeCount(), sl.code)
+			}
+		}
+	}
+	spliced, ok := psr.FinishRecode()
+	if !ok {
+		return s.RebuildPathSummary()
+	}
+	s.paths = spliced
+	return nil
 }
 
 func (s *Store) rewrite(i, j int, newEntries []Entry, startLevel int, startCode uint32, lo, hi int) (int, error) {
@@ -220,7 +427,7 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 	}
 
 	// A code-only rewrite whose blocks kept their boundaries leaves every
-	// block's class set and start context as it was.
+	// block's start context as it was.
 	recode := lo <= hi && len(newDir) == j-i+1
 	for k := 0; recode && k < len(newDir); k++ {
 		recode = newDir[k].Count == s.dir[i+k].Count
@@ -237,10 +444,16 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 	}
 	s.dir = dir
 	s.numNodes += delta
-	if s.paths != nil {
-		if err := s.rewritePaths(i, j, newEntries, newDir, startCode, recode, lo, hi); err != nil {
-			return 0, err
-		}
+	var err error
+	switch {
+	case s.paths == nil:
+	case recode:
+		err = s.observeRecode(i, warm, lo, hi)
+	default:
+		err = s.rewritePaths(i, j, newEntries, newDir, startCode)
+	}
+	if err != nil {
+		return 0, err
 	}
 	for k, blk := range warm {
 		s.dec.put(newDir[k].Page, blk)
@@ -250,43 +463,26 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 
 // rewritePaths brings the path summary up to a rewrite of blocks [i, j]
 // into newDir, on a copy-on-write clone: installed summaries stay immutable
-// for frozen snapshots. A code-only rewrite (recode) observes the codes of
-// entries [lo, hi]; any other replays the region's new entries. A replay
+// for frozen snapshots. It replays the region's new entries; a replay
 // that cannot line up falls back to a full rebuild from the spliced blocks.
-func (s *Store) rewritePaths(i, j int, newEntries []Entry, newDir []PageInfo, startCode uint32, recode bool, lo, hi int) error {
+func (s *Store) rewritePaths(i, j int, newEntries []Entry, newDir []PageInfo, startCode uint32) error {
 	psr, err := s.paths.BeginRewrite(i, j)
 	if err != nil {
 		return s.RebuildPathSummary()
 	}
-	var spliced *pathsum.Summary
-	ok := false
 	code := startCode
-	if recode {
-		for k, e := range newEntries[:hi+1] {
+	k := 0
+	for _, pi := range newDir {
+		for _, e := range newEntries[k : k+pi.Count] {
 			if e.HasCode {
 				code = e.Code
 			}
-			if k < lo {
-				psr.Skip(e.Tag, e.CloseCount)
-			} else {
-				psr.Recoded(e.Tag, e.CloseCount, code)
-			}
+			psr.Entry(e.Tag, e.CloseCount, code)
 		}
-		spliced, ok = psr.FinishRecode()
-	} else {
-		k := 0
-		for _, pi := range newDir {
-			for _, e := range newEntries[k : k+pi.Count] {
-				if e.HasCode {
-					code = e.Code
-				}
-				psr.Entry(e.Tag, e.CloseCount, code)
-			}
-			k += pi.Count
-			psr.EndBlock()
-		}
-		spliced, ok = psr.Finish()
+		k += pi.Count
+		psr.EndBlock()
 	}
+	spliced, ok := psr.Finish()
 	if !ok {
 		return s.RebuildPathSummary()
 	}

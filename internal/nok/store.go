@@ -95,6 +95,16 @@ type Store struct {
 	// does so behind its store lock — but concurrent readers on their own
 	// are always safe.
 	dec *decodeCache
+
+	// recodes counts how code-only updates were written; shared by
+	// frozen clones, like dec.
+	recodes *recodeCounters
+}
+
+// recodeCounters count the two ways a code-only update is written:
+// spliced into its block (RecodeBlock) or laid out again (RecodeRegion).
+type recodeCounters struct {
+	splices, relayouts obs.Counter
 }
 
 // invalidateDecoded drops a page from the decode cache (after a rewrite).

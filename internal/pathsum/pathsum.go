@@ -17,7 +17,7 @@
 // starts, so a frozen store snapshot can share the pointer safely. A clone
 // shares its original's child map until it interns a class of its own, and a
 // rewrite that changed only access codes shares the block starts too
-// (FinishRecode).
+// (FinishRecode) — or is no clone at all when it moved no class's verdict.
 package pathsum
 
 import (
@@ -226,7 +226,11 @@ func (b *Builder) Entry(tag int32, closeCount int, code uint32) int32 {
 // walk resolves the class of one entry and moves the open-element stack
 // past it: the entry opens its element and closes closeCount.
 func (b *Builder) walk(tag int32, closeCount int) int32 {
-	id := b.class(tag)
+	return b.push(b.class(tag), closeCount)
+}
+
+// push opens class id and closes closeCount elements.
+func (b *Builder) push(id int32, closeCount int) int32 {
 	b.stack = append(b.stack, id)
 	if closeCount > len(b.stack) {
 		b.err = fmt.Errorf("pathsum: entry closes %d elements with %d open", closeCount, len(b.stack))
@@ -266,9 +270,13 @@ func (b *Builder) Finish() (*Summary, error) {
 // ones, and ends with FinishRecode; only the changed entries' classes
 // observe their codes. Re-observing an unchanged code would not move a
 // mode anyway — every stored code was observed when it was written, and
-// modes only degrade.
+// modes only degrade. The clone is taken at the first observation that
+// moves a class's mode or code: a recode that changes no verdict keeps the
+// original summary.
 type RegionRewrite struct {
 	orig *Summary
+	// b builds on orig itself until own gives it a clone: at the first
+	// Entry, or at the first Recoded that changes a class.
 	b    *Builder
 	i, j int
 	// pending holds the tags of the entries Skip walked past that are
@@ -282,24 +290,32 @@ func (s *Summary) BeginRewrite(i, j int) (*RegionRewrite, error) {
 	if i < 0 || j < i || j >= len(s.starts) {
 		return nil, fmt.Errorf("pathsum: rewrite region [%d, %d] of %d blocks", i, j, len(s.starts))
 	}
-	clone := &Summary{
-		nodes:       append([]Node(nil), s.nodes...),
-		child:       s.child,
-		sharedChild: true,
-		numbering:   s.numbering,
-	}
-	b := &Builder{s: clone}
-	for id := s.starts[i]; id >= 0; id = s.nodes[id].Parent {
-		b.stack = append(b.stack, id)
-	}
-	for l, r := 0, len(b.stack)-1; l < r; l, r = l+1, r-1 {
-		b.stack[l], b.stack[r] = b.stack[r], b.stack[l]
+	b := &Builder{s: s}
+	if id := s.starts[i]; id >= 0 {
+		// A class's depth is the number of elements open above it.
+		b.stack = make([]int32, s.nodes[id].Depth+1)
+		for ; id >= 0; id = s.nodes[id].Parent {
+			b.stack[s.nodes[id].Depth] = id
+		}
 	}
 	return &RegionRewrite{orig: s, b: b, i: i, j: j}, nil
 }
 
+// own switches the builder from the original summary to a clone of it.
+func (r *RegionRewrite) own() {
+	if r.b.s == r.orig {
+		r.b.s = &Summary{
+			nodes:       append([]Node(nil), r.orig.nodes...),
+			child:       r.orig.child,
+			sharedChild: true,
+			numbering:   r.orig.numbering,
+		}
+	}
+}
+
 // Entry records one rewritten entry (same contract as Builder.Entry).
 func (r *RegionRewrite) Entry(tag int32, closeCount int, code uint32) {
+	r.own()
 	r.b.Entry(tag, closeCount, code)
 }
 
@@ -326,26 +342,47 @@ func (r *RegionRewrite) Skip(tag int32, closeCount int) {
 // observes code, the code now in force at it.
 func (r *RegionRewrite) Recoded(tag int32, closeCount int, code uint32) {
 	for _, t := range r.pending {
-		r.b.walk(t, 0)
+		r.step(t, 0)
 	}
 	r.pending = r.pending[:0]
-	if r.b.err != nil {
+	id := r.step(tag, closeCount)
+	if id < 0 {
 		return
 	}
-	if id := r.b.walk(tag, closeCount); id >= 0 {
-		r.b.s.nodes[id].observe(code)
+	n := r.b.s.nodes[id]
+	n.observe(code)
+	if n != r.b.s.nodes[id] {
+		r.own()
+		r.b.s.nodes[id] = n
 	}
 }
 
-// FinishRecode returns the clone of a code-only rewrite, which shares the
-// original's block starts. ok=false means an entry did not fit the region's
-// old structure (it closed more elements than were open, or its path is a
-// class the summary lacks), and the caller must rebuild the summary.
+// step walks one entry of a code-only rewrite, whose path must be a class
+// the summary has.
+func (r *RegionRewrite) step(tag int32, closeCount int) int32 {
+	if r.b.err != nil {
+		return -1
+	}
+	id, ok := r.b.s.ChildOf(r.b.top(), tag)
+	if !ok {
+		r.b.err = fmt.Errorf("pathsum: recoded entry of tag %d is no class under class %d", tag, r.b.top())
+		return -1
+	}
+	return r.b.push(id, closeCount)
+}
+
+// FinishRecode returns the summary after a code-only rewrite: the original
+// when no class changed, else the clone, which shares the original's block
+// starts. ok=false means an entry did not fit the region's old structure
+// (it closed more elements than were open, or its path is a class the
+// summary lacks), and the caller must rebuild the summary.
 func (r *RegionRewrite) FinishRecode() (*Summary, bool) {
-	if r.b.err != nil || len(r.b.s.nodes) != len(r.orig.nodes) {
+	if r.b.err != nil {
 		return nil, false
 	}
-	r.b.s.starts = r.orig.starts
+	if r.b.s != r.orig {
+		r.b.s.starts = r.orig.starts
+	}
 	return r.b.s, true
 }
 
@@ -354,6 +391,7 @@ func (r *RegionRewrite) FinishRecode() (*Summary, bool) {
 // means the replay did not line up and the caller must rebuild the
 // summary from storage.
 func (r *RegionRewrite) Finish() (*Summary, bool) {
+	r.own()
 	if r.b.err != nil || r.b.open {
 		return nil, false
 	}

@@ -161,6 +161,15 @@ func TestRegionRecodeObservesChangedClasses(t *testing.T) {
 		t.Error("a code-only rewrite must share the original's block starts")
 	}
 
+	// A recode that moves no class's verdict — a/b is mixed already, a
+	// keeps its uniform code — clones nothing: the summary is the one in.
+	r, _ = ns.BeginRewrite(0, 0)
+	r.Recoded(0, 0, 7)
+	r.Recoded(1, 0, 9)
+	if again, ok := r.FinishRecode(); !ok || again != ns {
+		t.Errorf("a recode that changed no verdict returned %p (ok %v), want the summary it began on, %p", again, ok, ns)
+	}
+
 	// A recoded entry whose path is no class of the summary: the caller's
 	// claim that only codes changed is wrong, and FinishRecode says so.
 	r, _ = s.BeginRewrite(0, 0)

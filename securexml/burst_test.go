@@ -85,14 +85,17 @@ func readBurstGoldens(t *testing.T) []string {
 // BenchmarkSetAccessBurst times churnTenant's burst of subtree revokes
 // through Store.SetAccess — and nothing else: each iteration seals a fresh
 // tenant with the clock stopped, then runs the burst. It reports the best
-// and the median µs per revoke over the iterations, and the bytes and
-// allocations per revoke. Run with -benchtime 10x or more for the medians.
+// and the median µs per revoke over the iterations, the bytes and
+// allocations per revoke, and the share of revokes spliced into their block
+// rather than laid out again. Run with -benchtime 10x or more for the
+// medians.
 func BenchmarkSetAccessBurst(b *testing.B) {
 	for _, tc := range burstTenants {
 		b.Run(tc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			perRevoke := make([]float64, 0, b.N)
 			var bytes, allocs uint64
+			var splices, relayouts int64
 			calls := 0
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -109,6 +112,9 @@ func BenchmarkSetAccessBurst(b *testing.B) {
 				bytes += after.TotalAlloc - before.TotalAlloc
 				allocs += after.Mallocs - before.Mallocs
 				calls += n
+				m := st.MetricsSnapshot()
+				splices += m.Get("recode_splices")
+				relayouts += m.Get("recode_relayouts")
 				if err := st.Close(); err != nil {
 					b.Fatal(err)
 				}
@@ -119,6 +125,7 @@ func BenchmarkSetAccessBurst(b *testing.B) {
 			b.ReportMetric(perRevoke[len(perRevoke)/2], "median-us/revoke")
 			b.ReportMetric(float64(bytes)/float64(calls), "B/revoke")
 			b.ReportMetric(float64(allocs)/float64(calls), "allocs/revoke")
+			b.ReportMetric(float64(splices)/float64(splices+relayouts), "splice-share")
 		})
 	}
 }
