@@ -115,7 +115,7 @@ func FilterLabeled(doc *xmltree.Document, lab *dol.Labeling, effective func(n xm
 				continue
 			}
 			if ct := doc.Tag(c); len(ct) > 0 && ct[0] == '@' {
-				if _, err := fmt.Fprintf(w, " %s=%q", ct[1:], doc.Value(c)); err != nil {
+				if _, err := w.Write(xmltree.AppendAttr(nil, ct[1:], doc.Value(c))); err != nil {
 					return err
 				}
 			} else {

@@ -165,6 +165,30 @@ func TestFilterLabeled(t *testing.T) {
 	}
 }
 
+// TestFilterLabeledAttrRoundTrip writes attributes whose values need
+// escaping and checks that the filtered XML reads back the same values.
+func TestFilterLabeledAttrRoundTrip(t *testing.T) {
+	for _, v := range []string{`a\b`, "\t", "\r\n", `"'`, "<&>", "]]>", "é日本\U0001F600", "\u0085"} {
+		b := xmltree.NewBuilder()
+		b.Begin("r")
+		b.Attr("k", v)
+		b.End()
+		doc := b.MustFinish()
+		lab := dol.FromMatrix(acl.NewMatrix(doc.Len(), 1))
+		var out strings.Builder
+		if err := FilterLabeled(doc, lab, func(xmltree.NodeID) bool { return true }, &out); err != nil {
+			t.Fatal(err)
+		}
+		back, err := xmltree.ParseString(out.String())
+		if err != nil {
+			t.Fatalf("%q written as %s: %v", v, out.String(), err)
+		}
+		if got := back.Value(1); got != v {
+			t.Errorf("%q written as %s reads back %q", v, out.String(), got)
+		}
+	}
+}
+
 func TestFilterLabeledDimensionMismatch(t *testing.T) {
 	doc := xmltree.MustParseString("<a><b/></a>")
 	lab := dol.FromMatrix(acl.NewMatrix(1, 1))

@@ -13,11 +13,11 @@
 package xmltree
 
 import (
-	"encoding/xml"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
+	"unicode/utf8"
 )
 
 // NodeID identifies a node by its document-order (preorder) position.
@@ -37,7 +37,8 @@ type node struct {
 	nextSibling NodeID
 	end         NodeID // last descendant in preorder; end == id for leaves
 	level       int32  // root is level 0
-	value       int32  // index into values, or -1
+	valOff      uint32 // value is text[valOff:valOff+valLen]
+	valLen      uint32
 }
 
 // Document is an immutable ordered tree of elements in document order.
@@ -45,7 +46,7 @@ type Document struct {
 	nodes    []node
 	tags     []string
 	tagIndex map[string]TagID
-	values   []string
+	text     string // every node's value, back to back
 }
 
 // Len returns the number of nodes in the document.
@@ -96,10 +97,8 @@ func (d *Document) NumTags() int { return len(d.tags) }
 // Value returns the text content of node n ("" if none).
 func (d *Document) Value(n NodeID) string {
 	d.check(n)
-	if v := d.nodes[n].value; v >= 0 {
-		return d.values[v]
-	}
-	return ""
+	nd := &d.nodes[n]
+	return d.text[nd.valOff : nd.valOff+nd.valLen]
 }
 
 // Parent returns the parent of n, or InvalidNode for the root.
@@ -244,44 +243,80 @@ func (d *Document) WriteXML(w io.Writer) error {
 	if len(d.nodes) == 0 {
 		return nil
 	}
-	return d.writeNode(w, 0)
-}
-
-func (d *Document) writeNode(w io.Writer, n NodeID) error {
-	tag := d.Tag(n)
-	if _, err := fmt.Fprintf(w, "<%s", tag); err != nil {
-		return err
+	buf, err := d.appendXML(make([]byte, 0, 2*writeChunk), 0, w)
+	if err == nil {
+		_, err = w.Write(buf)
 	}
-	var elemChildren []NodeID
-	for c := d.nodes[n].firstChild; c != InvalidNode; c = d.nodes[c].nextSibling {
-		if ct := d.Tag(c); strings.HasPrefix(ct, "@") {
-			var esc strings.Builder
-			if err := xml.EscapeText(&esc, []byte(d.Value(c))); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, " %s=%q", ct[1:], esc.String()); err != nil {
-				return err
-			}
-		} else {
-			elemChildren = append(elemChildren, c)
-		}
-	}
-	if _, err := io.WriteString(w, ">"); err != nil {
-		return err
-	}
-	if v := d.Value(n); v != "" {
-		if err := xml.EscapeText(w, []byte(v)); err != nil {
-			return err
-		}
-	}
-	for _, c := range elemChildren {
-		if err := d.writeNode(w, c); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintf(w, "</%s>", tag)
 	return err
 }
+
+// writeChunk is how many bytes WriteXML gathers before it writes them.
+const writeChunk = 32 << 10
+
+// appendXML appends n's subtree to buf, handing buf to w whenever it holds
+// writeChunk bytes.
+func (d *Document) appendXML(buf []byte, n NodeID, w io.Writer) ([]byte, error) {
+	tag := d.tags[d.nodes[n].tag]
+	buf = append(append(buf, '<'), tag...)
+	for c := d.nodes[n].firstChild; c != InvalidNode; c = d.nodes[c].nextSibling {
+		if ct := d.tags[d.nodes[c].tag]; strings.HasPrefix(ct, "@") {
+			buf = AppendAttr(buf, ct[1:], d.Value(c))
+		}
+	}
+	buf = appendEscaped(append(buf, '>'), d.Value(n))
+	for c := d.nodes[n].firstChild; c != InvalidNode; c = d.nodes[c].nextSibling {
+		if !strings.HasPrefix(d.tags[d.nodes[c].tag], "@") {
+			var err error
+			if buf, err = d.appendXML(buf, c, w); err != nil {
+				return nil, err
+			}
+		}
+	}
+	buf = append(append(append(buf, '<', '/'), tag...), '>')
+	if len(buf) < writeChunk {
+		return buf, nil
+	}
+	_, err := w.Write(buf)
+	return buf[:0], err
+}
+
+// AppendAttr appends ` name="value"` to buf, the value escaped so that
+// it reads back unchanged.
+func AppendAttr(buf []byte, name, value string) []byte {
+	buf = append(append(append(buf, ' '), name...), '=', '"')
+	return append(appendEscaped(buf, value), '"')
+}
+
+// appendEscaped appends s to buf escaped as xml.EscapeText escapes it:
+// markup, quotes, tab, newline and CR as references, and anything outside
+// XML's character range as U+FFFD.
+func appendEscaped(buf []byte, s string) []byte {
+	last := 0
+	for i, r := range s {
+		esc := "\uFFFD"
+		if r < utf8.RuneSelf {
+			esc = escapes[r]
+		} else if inCharRange(r) && (r != utf8.RuneError || strings.HasPrefix(s[i:], "\uFFFD")) {
+			esc = ""
+		}
+		if esc != "" {
+			_, w := utf8.DecodeRuneInString(s[i:])
+			buf = append(append(buf, s[last:i]...), esc...)
+			last = i + w
+		}
+	}
+	return append(buf, s[last:]...)
+}
+
+// escapes holds what appendEscaped writes for each ASCII byte, or "".
+var escapes = func() (e [utf8.RuneSelf]string) {
+	for c := range 0x20 {
+		e[c] = "\uFFFD"
+	}
+	e['\t'], e['\n'], e['\r'] = "&#x9;", "&#xA;", "&#xD;"
+	e['"'], e['\''], e['&'], e['<'], e['>'] = "&#34;", "&#39;", "&amp;", "&lt;", "&gt;"
+	return e
+}()
 
 // Tags returns the document's tag table in TagID order (a copy).
 func (d *Document) Tags() []string {

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"dolxml/internal/nok"
+	"dolxml/internal/xmltree"
 )
 
 // ExportVisible serializes the document fragment the user may see under
@@ -81,7 +82,7 @@ func (s *Store) ExportVisible(user, mode string, w io.Writer) error {
 			if visible && len(stack) > 0 {
 				top := &stack[len(stack)-1]
 				if top.visible && top.openPending {
-					if _, err := fmt.Fprintf(w, " %s=%q", tag[1:], value); err != nil {
+					if _, err := w.Write(xmltree.AppendAttr(nil, tag[1:], value)); err != nil {
 						walkErr = err
 						return false
 					}

@@ -21,7 +21,6 @@ package securexml
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"dolxml/internal/acl"
 	"dolxml/internal/bitset"
@@ -87,18 +86,21 @@ func (b *Builder) fail(err error) {
 
 // LoadXML parses the document to secure.
 func (b *Builder) LoadXML(r io.Reader) *Builder {
-	doc, err := xmltree.Parse(r)
+	return b.load(xmltree.Parse(r))
+}
+
+// LoadXMLString is LoadXML over a string.
+func (b *Builder) LoadXMLString(s string) *Builder {
+	return b.load(xmltree.ParseString(s))
+}
+
+func (b *Builder) load(doc *xmltree.Document, err error) *Builder {
 	if err != nil {
 		b.fail(err)
 		return b
 	}
 	b.doc = doc
 	return b
-}
-
-// LoadXMLString is LoadXML over a string.
-func (b *Builder) LoadXMLString(s string) *Builder {
-	return b.LoadXML(strings.NewReader(s))
 }
 
 // AddMode registers an action mode name (idempotent) and returns b.

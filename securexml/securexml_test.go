@@ -519,6 +519,42 @@ func TestExportVisibleDeniedRoot(t *testing.T) {
 	}
 }
 
+// TestExportVisibleAttrRoundTrip exports attributes whose values need
+// escaping and checks that the export reads back the same values.
+func TestExportVisibleAttrRoundTrip(t *testing.T) {
+	vals := []string{`a\b`, "\t", "\r\n", `"'`, "<&>", "]]>", "é日本\U0001F600", "\u0085"}
+	b := xmltree.NewBuilder()
+	b.Begin("r")
+	for _, v := range vals {
+		b.Begin("e")
+		b.Attr("k", v)
+		b.End()
+	}
+	b.End()
+	var src strings.Builder
+	if err := b.MustFinish().WriteXML(&src); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewBuilder().LoadXMLString(src.String()).AddUser("u").PermitByDefault().Seal(StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	var out strings.Builder
+	if err := s.ExportVisible("u", "read", &out); err != nil {
+		t.Fatal(err)
+	}
+	back, err := xmltree.ParseString(out.String())
+	if err != nil {
+		t.Fatalf("export does not reparse: %v\n%s", err, out.String())
+	}
+	for i, v := range vals {
+		if got := back.Value(xmltree.NodeID(2 + 2*i)); got != v {
+			t.Errorf("%q exported as %s reads back %q", v, out.String(), got)
+		}
+	}
+}
+
 // countElems counts start tags of the given name, with or without
 // attributes.
 func countElems(doc, tag string) int {
