@@ -29,15 +29,16 @@ import (
 // the store encodes the window between the old page's other bytes, patches
 // the cached index on the window and has the path summary observe the
 // window's classes. What still runs in proportion to the block is cheap:
-// skipping the bytes and the open elements ahead of the range, and
-// copying the block's cached index.
+// moving the page bytes after the window, and, on a flat block, hopping
+// over the range's earlier siblings to find its open elements.
 //
 // The update lays its region out again, as a structural one does, when
 // the range spans blocks or the spliced block overflows its page. That
 // work is in proportion to the region — the one or two blocks around a
 // small range: copying its entries into the writer's buffers,
-// renormalizing their transition flags, encoding each new page once and
-// decoding it once to prime the decode cache. A relayout that moves a
+// renormalizing their transition flags, encoding each new page once — an
+// overflowing block splits evenly, not by spilling an entry onto a page of
+// its own — and decoding it once to prime the decode cache. A relayout that moves a
 // block boundary replays the region against the summary; one that keeps
 // them observes the range's classes as a splice does.
 

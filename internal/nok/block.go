@@ -47,6 +47,27 @@ func (sl *slot) entry() Entry {
 // holds at most 0xFFFF entries).
 const noOpen = 0xFFFF
 
+// markEvery is the spacing of a block's offset marks: marks[m] is the body
+// offset of entry m·markEvery, so the bytes of any entry lie at most
+// markEvery−1 entries past a mark.
+const markEvery = 64
+
+// offsetMarks returns the offset marks of the count entries encoded in
+// body, or nil when body ends first. It skips the varints without decoding
+// them: a splice takes the marks of a cached block on its first visit and
+// keeps them up to date from then on, so the read path's decodeBlock need
+// not record them.
+func offsetMarks(body []byte, count int) []uint16 {
+	marks := make([]uint16, 0, (count+markEvery-1)/markEvery)
+	for p := 0; len(marks) < cap(marks); p = skipEntries(body, p, markEvery) {
+		if p < 0 || p >= len(body) {
+			return nil
+		}
+		marks = append(marks, uint16(p))
+	}
+	return marks
+}
+
 // decodeBlock decodes the page bytes of the block the directory describes
 // as pi into its positional index — the one place an index is built: a
 // single pass over the body that resolves each node's level, code in force

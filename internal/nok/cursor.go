@@ -17,11 +17,13 @@ import (
 // block visits — and consults the context, so a cancelled query stops
 // before the next block is touched.
 //
-// A cursor holds the immutable decoded block, never a pin, and belongs to
-// one goroutine. It is bound to the directory it was created over: a
-// cursor on a store that RewriteRegion then changes must be discarded (the
-// frozen clones queries evaluate against never change). The Store's own
-// navigation methods are this cursor, used once.
+// A cursor holds the decoded block, never a pin, and belongs to one
+// goroutine. It is bound to the directory it was created over: a cursor on
+// a live store that RewriteRegion or RecodeBlock then changes must be
+// discarded — RecodeBlock may patch the very index the cursor holds, since
+// the live store's reads do not mark it shared. The frozen clones queries
+// evaluate against never change, and their reads mark what they hold. The
+// Store's own navigation methods are this cursor, used once.
 type Cursor struct {
 	s *Store
 	// idx is the directory index of the current block, first its

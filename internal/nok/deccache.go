@@ -15,7 +15,8 @@ const DefaultDecodeCacheBudget = 1 << 20
 
 // decEntryOverhead and decEntryCostPerEntry are the in-memory cost of one
 // cached block: map bucket + header overhead plus the size of one slot of
-// the positional index per decoded entry.
+// the positional index per decoded entry. A spliced block's offset marks,
+// 2 bytes per markEvery entries, are left to the overhead.
 const (
 	decEntryOverhead     = 64
 	decEntryCostPerEntry = 16
@@ -35,13 +36,18 @@ type DecodeCacheStats struct {
 	Budget  int64
 }
 
-// decEntry is one cached decoded block. The slots slice is immutable once
-// published; stamp is the last-use clock tick, updated atomically so cache
-// hits never take the write lock.
+// decEntry is one cached decoded block: its positional index and, once a
+// splice has taken them, its offset marks. stamp is the last-use clock
+// tick, updated atomically so cache hits never take the write lock. shared
+// is set the first time a frozen clone reads the entry: from then on the
+// slices are immutable, and only a writer that took an unshared entry out
+// of the cache (take) may patch them in place.
 type decEntry struct {
-	slots []slot
-	cost  int64
-	stamp atomic.Int64
+	slots  []slot
+	marks  []uint16
+	cost   int64
+	stamp  atomic.Int64
+	shared atomic.Bool
 }
 
 // decodeCache is a byte-budgeted LRU over decoded blocks. Lookups take the
@@ -72,10 +78,17 @@ func decodeCost(blk []slot) int64 {
 	return decEntryOverhead + int64(len(blk))*decEntryCostPerEntry
 }
 
-// get returns the cached decoding of the page, bumping its LRU stamp.
-func (c *decodeCache) get(pid storage.PageID) ([]slot, bool) {
+// get returns the cached decoding of the page, bumping its LRU stamp. A
+// snapshot's read (share) marks the entry shared under the read lock,
+// before it can hold the slice, so a writer that takes the entry later sees
+// the mark; the mark is loaded first, so a hit stays write-free after the
+// first.
+func (c *decodeCache) get(pid storage.PageID, share bool) ([]slot, bool) {
 	c.mu.RLock()
 	e := c.m[pid]
+	if e != nil && share && !e.shared.Load() {
+		e.shared.Store(true)
+	}
 	c.mu.RUnlock()
 	if e == nil {
 		c.misses.Inc()
@@ -86,20 +99,36 @@ func (c *decodeCache) get(pid storage.PageID) ([]slot, bool) {
 	return e.slots, true
 }
 
-// put caches a decoded block. The slice becomes shared and must never be
-// mutated. Blocks larger than the whole budget are not cached.
-func (c *decodeCache) put(pid storage.PageID, blk []slot) {
-	cost := decodeCost(blk)
+// put caches a decoded block with its offset marks, or nil; shared says
+// whether a snapshot holds the index already. Blocks larger than the whole
+// budget are not cached.
+func (c *decodeCache) put(pid storage.PageID, slots []slot, marks []uint16, shared bool) {
+	cost := decodeCost(slots)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.m[pid]; ok || cost > c.budget {
 		return
 	}
-	e := &decEntry{slots: blk, cost: cost}
+	e := &decEntry{slots: slots, marks: marks, cost: cost}
+	e.shared.Store(shared)
 	e.stamp.Store(c.clock.Add(1))
 	c.m[pid] = e
 	c.bytes += cost
 	c.evictLocked()
+}
+
+// take removes a page's cached decoding (after a rewrite) and returns it,
+// or nil: no reader can find the entry afterwards, and every reader of a
+// frozen clone that found it before has set its shared mark.
+func (c *decodeCache) take(pid storage.PageID) *decEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.m[pid]
+	if e != nil {
+		c.bytes -= e.cost
+		delete(c.m, pid)
+	}
+	return e
 }
 
 // evictLocked removes least-recently-used entries until bytes ≤ budget.
@@ -117,16 +146,6 @@ func (c *decodeCache) evictLocked() {
 		c.bytes -= c.m[victim].cost
 		delete(c.m, victim)
 		c.evictions.Inc()
-	}
-}
-
-// invalidate drops a page's cached decoding (after a rewrite).
-func (c *decodeCache) invalidate(pid storage.PageID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.m[pid]; ok {
-		c.bytes -= e.cost
-		delete(c.m, pid)
 	}
 }
 

@@ -13,21 +13,21 @@ func TestDecodeCacheLRUEviction(t *testing.T) {
 	cost := decodeCost(es)
 	c := newDecodeCache(3 * cost) // room for exactly three blocks
 	for pid := storage.PageID(1); pid <= 3; pid++ {
-		c.put(pid, es)
+		c.put(pid, es, nil, false)
 	}
 	// Touch 1 and 2 so 3 becomes the least recently used.
-	if _, ok := c.get(1); !ok {
+	if _, ok := c.get(1, false); !ok {
 		t.Fatal("page 1 should be cached")
 	}
-	if _, ok := c.get(2); !ok {
+	if _, ok := c.get(2, false); !ok {
 		t.Fatal("page 2 should be cached")
 	}
-	c.put(4, es)
-	if _, ok := c.get(3); ok {
+	c.put(4, es, nil, false)
+	if _, ok := c.get(3, false); ok {
 		t.Fatal("page 3 should have been evicted as LRU")
 	}
 	for _, pid := range []storage.PageID{1, 2, 4} {
-		if _, ok := c.get(pid); !ok {
+		if _, ok := c.get(pid, false); !ok {
 			t.Fatalf("page %d should have survived eviction", pid)
 		}
 	}
@@ -40,15 +40,15 @@ func TestDecodeCacheLRUEviction(t *testing.T) {
 func TestDecodeCacheStatsAndInvalidate(t *testing.T) {
 	es := make([]slot, 4)
 	c := newDecodeCache(1 << 16)
-	if _, ok := c.get(9); ok {
+	if _, ok := c.get(9, false); ok {
 		t.Fatal("empty cache served a hit")
 	}
-	c.put(9, es)
-	if _, ok := c.get(9); !ok {
+	c.put(9, es, nil, false)
+	if _, ok := c.get(9, false); !ok {
 		t.Fatal("cached page missed")
 	}
-	c.invalidate(9)
-	if _, ok := c.get(9); ok {
+	c.take(9)
+	if _, ok := c.get(9, false); ok {
 		t.Fatal("invalidated page still cached")
 	}
 	st := c.stats()
@@ -60,15 +60,15 @@ func TestDecodeCacheStatsAndInvalidate(t *testing.T) {
 func TestDecodeCacheBudgetZeroDisables(t *testing.T) {
 	es := make([]slot, 4)
 	c := newDecodeCache(0)
-	c.put(1, es)
-	if _, ok := c.get(1); ok {
+	c.put(1, es, nil, false)
+	if _, ok := c.get(1, false); ok {
 		t.Fatal("zero-budget cache retained an entry")
 	}
 	// Shrinking the budget to zero drops existing contents.
 	c2 := newDecodeCache(1 << 16)
-	c2.put(1, es)
+	c2.put(1, es, nil, false)
 	c2.setBudget(0)
-	if _, ok := c2.get(1); ok {
+	if _, ok := c2.get(1, false); ok {
 		t.Fatal("setBudget(0) kept an entry")
 	}
 	if st := c2.stats(); st.Entries != 0 || st.Bytes != 0 || st.Budget != 0 {
@@ -81,12 +81,12 @@ func TestDecodeCacheBudgetZeroDisables(t *testing.T) {
 func TestDecodeCacheOversizedBlock(t *testing.T) {
 	small := make([]slot, 2)
 	c := newDecodeCache(decodeCost(small) + 8)
-	c.put(1, small)
-	c.put(2, make([]slot, 1000))
-	if _, ok := c.get(1); !ok {
+	c.put(1, small, nil, false)
+	c.put(2, make([]slot, 1000), nil, false)
+	if _, ok := c.get(1, false); !ok {
 		t.Fatal("oversized insert displaced a fitting entry")
 	}
-	if _, ok := c.get(2); ok {
+	if _, ok := c.get(2, false); ok {
 		t.Fatal("oversized block should not be cached")
 	}
 }

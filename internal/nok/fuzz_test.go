@@ -2,6 +2,7 @@ package nok
 
 import (
 	"bytes"
+	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -61,7 +62,8 @@ func FuzzDecodeEntry(f *testing.F) {
 // either fail cleanly or decode to a block whose positional index passes
 // CheckConsistency's recomputation and whose lookups stay in range — and
 // the per-entry reference decoder must reach the same verdict and, on
-// accept, the same slots.
+// accept, the same slots, and the offset marks a splice takes must be the
+// entry offsets the reference decoder saw.
 func FuzzDecodeBlock(f *testing.F) {
 	page := func(pi PageInfo, es ...Entry) []byte {
 		data := make([]byte, 128)
@@ -85,7 +87,7 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, count, startDepth uint16, code uint32) {
 		pi := PageInfo{Count: int(count), StartDepth: startDepth, AccessCode: code}
 		blk, err := decodeBlock(pi, data)
-		ref, refErr := refDecodeBlock(pi, data)
+		ref, refMarks, refErr := refDecodeBlock(pi, data)
 		if (err == nil) != (refErr == nil) {
 			t.Fatalf("decodeBlock says %v, the reference decoder %v", err, refErr)
 		}
@@ -94,6 +96,9 @@ func FuzzDecodeBlock(f *testing.F) {
 		}
 		if !slices.Equal(blk, ref) {
 			t.Fatalf("decoded %+v, the reference decoder %+v", blk, ref)
+		}
+		if marks := offsetMarks(data[headerSize:headerSize+int(binary.LittleEndian.Uint16(data[10:12]))], pi.Count); !slices.Equal(marks, refMarks) {
+			t.Fatalf("offset marks %v, the reference decoder's %v", marks, refMarks)
 		}
 		if len(blk) != pi.Count {
 			t.Fatalf("decoded %d entries under a directory record of %d", len(blk), pi.Count)

@@ -93,7 +93,7 @@ func TestDecodeEntryErrors(t *testing.T) {
 		if blk, err := decodeBlock(entryPage(1, c.body)); err == nil {
 			t.Errorf("%s: decoded %+v, want an error", c.name, blk)
 		}
-		if _, err := refDecodeBlock(entryPage(1, c.body)); err == nil {
+		if _, _, err := refDecodeBlock(entryPage(1, c.body)); err == nil {
 			t.Errorf("%s: the reference decoder accepts it", c.name)
 		}
 	}

@@ -125,33 +125,39 @@ func (ix *indexer) finish() ([]slot, error) {
 }
 
 // refDecodeBlock is decodeBlock as it was before the fused loop: header
-// checks, then decodeEntry and indexer.add per entry.
-func refDecodeBlock(pi PageInfo, data []byte) ([]slot, error) {
+// checks, then decodeEntry and indexer.add per entry. It takes the offset
+// marks on its own: the body offset of every markEvery-th entry, counted
+// from the bytes each decodeEntry consumed.
+func refDecodeBlock(pi PageInfo, data []byte) ([]slot, []uint16, error) {
 	if len(data) < headerSize {
-		return nil, fmt.Errorf("nok: page %d: %d bytes hold no block header", pi.Page, len(data))
+		return nil, nil, fmt.Errorf("nok: page %d: %d bytes hold no block header", pi.Page, len(data))
 	}
 	count := int(binary.LittleEndian.Uint16(data[8:10]))
 	dataLen := int(binary.LittleEndian.Uint16(data[10:12]))
 	if count != pi.Count {
-		return nil, fmt.Errorf("nok: page %d count mismatch: header %d, directory %d", pi.Page, count, pi.Count)
+		return nil, nil, fmt.Errorf("nok: page %d count mismatch: header %d, directory %d", pi.Page, count, pi.Count)
 	}
 	// An entry takes at least two bytes.
 	if dataLen > len(data)-headerSize || count > dataLen/2 {
-		return nil, fmt.Errorf("nok: page %d: header claims %d entries in %d bytes, page has %d", pi.Page, count, dataLen, len(data)-headerSize)
+		return nil, nil, fmt.Errorf("nok: page %d: header claims %d entries in %d bytes, page has %d", pi.Page, count, dataLen, len(data)-headerSize)
 	}
 	var ix indexer
 	ix.init(pi.StartDepth, pi.AccessCode, count)
-	for body := data[headerSize : headerSize+dataLen]; len(body) > 0; {
-		e, n, err := decodeEntry(body)
+	var marks []uint16
+	for body, off := data[headerSize:headerSize+dataLen], 0; off < len(body); {
+		if ix.n%markEvery == 0 && ix.n < count {
+			marks = append(marks, uint16(off))
+		}
+		e, n, err := decodeEntry(body[off:])
 		if err != nil {
-			return nil, fmt.Errorf("nok: page %d: %w", pi.Page, err)
+			return nil, nil, fmt.Errorf("nok: page %d: %w", pi.Page, err)
 		}
 		ix.add(e)
-		body = body[n:]
+		off += n
 	}
 	blk, err := ix.finish()
 	if err != nil {
-		return nil, fmt.Errorf("nok: page %d: %w", pi.Page, err)
+		return nil, nil, fmt.Errorf("nok: page %d: %w", pi.Page, err)
 	}
-	return blk, nil
+	return blk, marks, nil
 }

@@ -122,13 +122,17 @@ func (s *Store) RecodeRegion(i, j int, newEntries []Entry, startLevel int, start
 //
 // Only the window is encoded again, between the old page's bytes before and
 // after it, on a page from allocPage as every rewrite's (shadow paging under
-// a gate). The decode cache gets the old block's index with codes and
-// transition flags patched on the window: levels, tags and successors
-// cannot change. The bytes are those RecodeRegion writes for the same
-// entries, since the greedy layout keeps a block whole exactly when its
-// entries fit. When the spliced body does not fit the page, RecodeBlock
-// changes nothing and reports false; the caller lays the block out with
-// RecodeRegion, which splits it.
+// a gate); the offset marks kept with the cached index locate it, taken in
+// one skip over the body on a block's first splice. The decode cache
+// gets the old block's index with codes and transition flags patched on the
+// window — levels, tags and successors cannot change — in place unless a
+// frozen clone has read it, and the marks after the window shifted. The
+// bytes are those RecodeRegion writes for the same entries, since a layout
+// keeps a block whole exactly when its entries fit. When the spliced body
+// does not fit the page, RecodeBlock changes nothing and reports false; the
+// caller lays the block out with RecodeRegion, which splits it. A cursor on
+// the live store must be discarded after a RecodeBlock, as after any
+// rewrite.
 func (s *Store) RecodeBlock(i, from int, window []Entry, headerCode uint32) (bool, error) {
 	var spliced bool
 	err := s.WithTxn(func() error {
@@ -169,74 +173,117 @@ func (s *Store) recodeBlock(i, from int, window []Entry, headerCode uint32) (boo
 // splice is RecodeBlock on block i's pinned page f.
 func (s *Store) splice(i int, f *storage.Frame, from int, window []Entry, headerCode uint32) (bool, error) {
 	pi := s.dir[i]
-	blk, ok := s.dec.get(pi.Page)
-	if !ok {
-		var err error
-		if blk, err = decodeBlock(pi, f.Data); err != nil {
+	end := from + len(window)
+	// The entry leaves the cache: a reader that comes after decodes the old
+	// page, which a gated store never overwrites.
+	ce := s.dec.take(pi.Page)
+	if ce == nil {
+		slots, err := decodeBlock(pi, f.Data)
+		if err != nil {
 			return false, err
 		}
+		ce = &decEntry{slots: slots}
 	}
-	// Patch a copy of the index: cached slices are immutable.
-	slots := slices.Clone(blk)
+	slots := ce.slots
 	code := headerCode
 	if from > 0 {
-		code = blk[from-1].code
+		code = slots[from-1].code
 	}
 	var buf [128]byte
 	enc := buf[:0]
+	coded := false
 	for k, e := range window {
 		sl := &slots[from+k]
 		if e.Tag != sl.tag || e.CloseCount != sl.closeCount() {
 			return false, fmt.Errorf("nok: block %d entry %d recoded as tag %d closing %d, stored as tag %d closing %d", i, from+k, e.Tag, e.CloseCount, sl.tag, sl.closeCount())
 		}
-		sl.cf &^= 1
 		if e.HasCode {
 			if from+k == 0 {
 				return false, fmt.Errorf("nok: block %d first entry recoded with an inline code", i)
 			}
+			code, coded = e.Code, true
+		}
+		enc = appendEntry(enc, e)
+	}
+	if end < len(slots) && code != slots[end-1].code {
+		return false, fmt.Errorf("nok: block %d recode moves the code in force after entry %d from %d to %d", i, end, slots[end-1].code, code)
+	}
+	dataLen := int(binary.LittleEndian.Uint16(f.Data[10:12]))
+	body := f.Data[headerSize : headerSize+min(dataLen, len(f.Data)-headerSize)]
+	marks := ce.marks
+	if marks == nil {
+		marks = offsetMarks(body, len(slots))
+	}
+	// at returns the body offset of entry k, at most markEvery−1 entries
+	// past its mark.
+	at := func(k int) int {
+		if k == len(slots) {
+			return len(body)
+		}
+		if m := k / markEvery; m < len(marks) {
+			return skipEntries(body, int(marks[m]), k%markEvery)
+		}
+		return -1
+	}
+	p, q := at(from), at(end)
+	if p < 0 || q < p {
+		return false, fmt.Errorf("nok: page %d: block %d's body ends before its entry %d", pi.Page, i, end)
+	}
+	n := dataLen - (q - p) + len(enc)
+	if n > s.pool.Pager().PageSize()-headerSize {
+		s.dec.put(pi.Page, slots, marks, ce.shared.Load())
+		return false, nil
+	}
+	// A snapshot holds the index: patch a copy.
+	if ce.shared.Load() {
+		slots, marks = slices.Clone(slots), slices.Clone(marks)
+	}
+	code = headerCode
+	if from > 0 {
+		code = slots[from-1].code
+	}
+	off := p
+	for k, e := range window {
+		sl := &slots[from+k]
+		sl.cf &^= 1
+		if e.HasCode {
 			sl.cf |= 1
 			code = e.Code
 		}
 		sl.code = code
-		enc = appendEntry(enc, e)
+		if (from+k)%markEvery == 0 {
+			marks[(from+k)/markEvery] = uint16(off)
+		}
+		off += entrySize(e)
 	}
-	if end := from + len(window); end < len(slots) && code != blk[end-1].code {
-		return false, fmt.Errorf("nok: block %d recode moves the code in force after entry %d from %d to %d", i, end, blk[end-1].code, code)
+	for m := (end + markEvery - 1) / markEvery; m < len(marks); m++ {
+		marks[m] += uint16(n - dataLen)
 	}
-	dataLen := int(binary.LittleEndian.Uint16(f.Data[10:12]))
-	body := f.Data[:headerSize+min(dataLen, len(f.Data)-headerSize)]
-	p := skipEntries(body, headerSize, from)
-	q := skipEntries(body, p, len(window))
-	if q < 0 {
-		return false, fmt.Errorf("nok: page %d: block %d's body ends before its entry %d", pi.Page, i, from+len(window))
+	// Only a window that dropped the block's transitions and holds none
+	// needs the rest of the block scanned for one.
+	change := coded
+	for k := 1; k < len(slots) && !change && pi.ChangeBit; k++ {
+		change = slots[k].hasCode()
 	}
-	n := dataLen - (q - p) + len(enc)
-	if n > s.pool.Pager().PageSize()-headerSize {
-		return false, nil
-	}
-	pi.AccessCode, pi.ChangeBit = headerCode, false
-	for k := 1; k < len(slots) && !pi.ChangeBit; k++ {
-		pi.ChangeBit = slots[k].hasCode()
-	}
+	pi.AccessCode, pi.ChangeBit = headerCode, change
 
 	// As in rewriteRegion: the old page is released before the new one is
 	// taken, so an ungated store writes the block back onto its own page.
-	s.invalidateDecoded(pi.Page)
 	s.freePage(pi.Page)
 	nf, err := s.allocPage()
 	if err != nil {
 		return false, err
 	}
-	data := nf.Data
+	data := nf.Data[headerSize:]
 	if nf != f {
-		copy(data[headerSize:p], f.Data[headerSize:p])
+		copy(data, body[:p])
 	}
 	// The suffix moves before the window is written: on the block's own
 	// page the two overlap.
-	copy(data[p+len(enc):], f.Data[q:headerSize+dataLen])
+	copy(data[p+len(enc):], body[q:])
 	copy(data[p:], enc)
 	pi.Page = nf.ID()
-	writeHeader(data, pi, n)
+	writeHeader(nf.Data, pi, n)
 	if err := s.pool.Unpin(pi.Page, true); err != nil {
 		return false, err
 	}
@@ -246,11 +293,11 @@ func (s *Store) splice(i int, f *storage.Frame, from int, window []Entry, header
 	dir[i] = pi
 	s.dir = dir
 	if s.paths != nil {
-		if err := s.observeRecode(i, [][]slot{slots}, from, from+len(window)-1); err != nil {
+		if err := s.observeRecode(i, [][]slot{slots}, from, end-1); err != nil {
 			return false, err
 		}
 	}
-	s.dec.put(pi.Page, slots)
+	s.dec.put(pi.Page, slots, marks, false)
 	return true, nil
 }
 
@@ -283,23 +330,24 @@ func skipUvarint(body []byte, p int) int {
 }
 
 // observeRecode brings the path summary up to a code-only rewrite of the
-// blocks from i on that kept their boundaries, given their new indexes:
-// the classes of entries [lo, hi] of the region observe their codes, and
-// the entries before lo are walked past. No class is cloned unless one
-// changes (pathsum.RegionRewrite).
+// blocks from i on that kept their boundaries, given their new indexes: the
+// classes of entries [lo, hi] of the region observe their codes, from the
+// context openAt finds at entry lo. No class is cloned unless one changes
+// (pathsum.RegionRewrite).
 func (s *Store) observeRecode(i int, blks [][]slot, lo, hi int) error {
-	psr, err := s.paths.BeginRewrite(i, i+len(blks)-1)
+	b := 0
+	for ; lo >= len(blks[b]); b++ {
+		lo, hi = lo-len(blks[b]), hi-len(blks[b])
+	}
+	var buf [32]int32
+	tags := openAt(blks[b], lo, buf[:0])
+	psr, err := s.paths.BeginRecode(i+b, int(blks[b][lo].level)-len(tags), tags)
 	if err != nil {
 		return s.RebuildPathSummary()
 	}
-	k := 0
-	for _, blk := range blks {
-		for j := 0; j < len(blk) && k <= hi; j, k = j+1, k+1 {
-			if sl := &blk[j]; k < lo {
-				psr.Skip(sl.tag, sl.closeCount())
-			} else {
-				psr.Recoded(sl.tag, sl.closeCount(), sl.code)
-			}
+	for ; b < len(blks) && hi >= 0; b, lo, hi = b+1, 0, hi-len(blks[b]) {
+		for _, sl := range blks[b][lo:min(hi+1, len(blks[b]))] {
+			psr.Recoded(sl.tag, sl.closeCount(), sl.code)
 		}
 	}
 	spliced, ok := psr.FinishRecode()
@@ -308,6 +356,25 @@ func (s *Store) observeRecode(i int, blks [][]slot, lo, hi int) error {
 	}
 	s.paths = spliced
 	return nil
+}
+
+// openAt appends to tags the tags of the elements of blk open above entry
+// from, outermost first: a descent from the block's first entry that hops
+// over each earlier sibling's subtree by its successor offset. It costs the
+// depth plus the earlier siblings on the path — linear in from only in a
+// flat block, a root with a thousand leaf children say. The elements open
+// at the block's start that are still open at from number its level less
+// the tags found.
+func openAt(blk []slot, from int, tags []int32) []int32 {
+	for j := 0; j < from; {
+		if next := int(blk[j].next); next > from {
+			tags = append(tags, blk[j].tag)
+			j++
+		} else {
+			j = next
+		}
+	}
+	return tags
 }
 
 func (s *Store) rewrite(i, j int, newEntries []Entry, startLevel int, startCode uint32, lo, hi int) (int, error) {
@@ -354,7 +421,8 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 	// Lay out new blocks, each a run newEntries[from:to] encoded straight
 	// into its page; the block-first entry's inline code, which the header
 	// carries, is dropped by the encoder.
-	newDir := make([]PageInfo, 0, j-i+2)
+	ends := blockEnds(newEntries, capBytes, j-i+1)
+	newDir := make([]PageInfo, 0, len(ends))
 	// warm collects each written block's positional index so the decode
 	// cache can be primed once the rewrite has fully succeeded:
 	// accessibility toggles re-read the region they just rewrote, and
@@ -363,7 +431,7 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 	// splice — priming from inside flush could cache entries for a layout
 	// that errors halfway, against a directory that still describes the
 	// old blocks.
-	warm := make([][]slot, 0, j-i+2)
+	warm := make([][]slot, 0, len(ends))
 	flush := func(pi PageInfo, from, to int) error {
 		frame, err := s.allocPage()
 		if err != nil {
@@ -393,24 +461,22 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 		return nil
 	}
 	var (
-		pi         PageInfo // the open block's header, but for page, count and min depth
-		from       int      // the open block's first entry
-		blockBytes int
-		blockMin   int
-		level      = startLevel
-		code       = startCode
+		pi       PageInfo // the open block's header, but for page, count and min depth
+		from     int      // the open block's first entry
+		blockMin int
+		level    = startLevel
+		code     = startCode
 	)
 	for k, e := range newEntries {
 		if e.HasCode {
 			code = e.Code
 		}
-		sz := entrySize(e)
-		if blockBytes+sz > capBytes && k > from {
+		if k == ends[len(newDir)] {
 			pi.MinDepth = uint16(blockMin)
 			if err := flush(pi, from, k); err != nil {
 				return 0, err
 			}
-			from, blockBytes = k, 0
+			from = k
 		}
 		if k == from {
 			pi = PageInfo{FirstNode: firstNode + xmltree.NodeID(k), StartDepth: uint16(level), AccessCode: code}
@@ -418,7 +484,6 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 		} else if level < blockMin {
 			blockMin = level
 		}
-		blockBytes += sz
 		level = level + 1 - e.CloseCount
 	}
 	pi.MinDepth = uint16(blockMin)
@@ -456,9 +521,51 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 		return 0, err
 	}
 	for k, blk := range warm {
-		s.dec.put(newDir[k].Page, blk)
+		s.dec.put(newDir[k].Page, blk, nil, false)
 	}
 	return len(newDir), nil
+}
+
+// blockEnds cuts entries into blocks of at most capBytes encoded bytes and
+// returns the end of each: greedily, every block as full as the page
+// allows, unless that takes more blocks than the region's old ones; then
+// the same number of blocks — the fewest that hold the entries — filled
+// evenly by bytes, each block ending where its next entry's middle would
+// pass the mean of what is left. An overflowing block thus splits in half
+// instead of spilling its last entry onto a page of its own, which the next
+// update that grows the block overflows again. Should the even cut leave
+// its last block over capacity, the greedy one stands.
+func blockEnds(entries []Entry, capBytes, old int) []int {
+	var ends []int
+	total, bytes := 0, 0
+	for k, e := range entries {
+		sz := entrySize(e)
+		if bytes+sz > capBytes && bytes > 0 {
+			ends, bytes = append(ends, k), 0
+		}
+		bytes += sz
+		total += sz
+	}
+	ends = append(ends, len(entries))
+	n := len(ends)
+	if n <= old {
+		return ends
+	}
+	even := make([]int, 0, n)
+	left := total // the bytes of the open block and of those after it
+	bytes = 0
+	for k, e := range entries {
+		sz := entrySize(e)
+		// r blocks are left, the open one included.
+		if r := n - len(even); bytes > 0 && r > 1 && (bytes+sz > capBytes || (2*bytes+sz)*r > 2*left) {
+			even, left, bytes = append(even, k), left-bytes, 0
+		}
+		bytes += sz
+	}
+	if bytes > capBytes {
+		return ends
+	}
+	return append(even, len(entries))
 }
 
 // rewritePaths brings the path summary up to a rewrite of blocks [i, j]

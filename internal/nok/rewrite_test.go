@@ -332,29 +332,8 @@ func TestRewriteRegionWarmsDecodeCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		pid := s.dir[i].Page
-		cached, ok := s.dec.get(pid)
-		if !ok {
-			t.Fatalf("block %d (page %d) not primed after rewrite", i, pid)
-		}
-		f, err := s.pool.Get(pid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fresh, err := decodeBlock(s.dir[i], f.Data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.pool.Unpin(pid, false); err != nil {
-			t.Fatal(err)
-		}
-		if len(cached) != len(fresh) {
-			t.Fatalf("block %d primed %d entries, fresh decode has %d", i, len(cached), len(fresh))
-		}
-		for k := range fresh {
-			if cached[k] != fresh[k] {
-				t.Fatalf("block %d entry %d primed as %+v, decodes as %+v", i, k, cached[k], fresh[k])
-			}
+		if !checkCached(t, s, i) {
+			t.Fatalf("block %d (page %d) not primed after rewrite", i, s.dir[i].Page)
 		}
 	}
 	// The primed region must not cost the toggle path a decode: reading

@@ -2,7 +2,10 @@ package nok
 
 import (
 	"bytes"
+	"context"
+	"encoding/binary"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -49,19 +52,46 @@ func applyRecode(t testing.TB, a, b *Store, i, from int, codes []uint32) recodeO
 	}
 	window := entries[from:min(to+2, len(entries))]
 	out := recodeOutcome{changeBefore: pi.ChangeBit}
+	numbering := a.Paths().Numbering()
 	if out.spliced, err = a.RecodeBlock(i, from, window, inForce[0]); err != nil {
 		t.Fatalf("splice of [%d,%d] in block %d: %v", from, to, i, err)
+	}
+	if a.Paths().Numbering() != numbering {
+		t.Fatalf("the splice of [%d,%d] in block %d rebuilt the path summary", from, to, i)
 	}
 	if !out.spliced {
 		if _, err := a.RecodeRegion(i, i, entries, int(pi.StartDepth), inForce[0], from, to); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := b.RecodeRegion(i, i, entries, int(pi.StartDepth), inForce[0], from, to); err != nil {
+	n, err := b.RecodeRegion(i, i, entries, int(pi.StartDepth), inForce[0], from, to)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if n > 1 {
+		checkEvenSplit(t, b, i, n, entries)
 	}
 	out.after = a.PageInfoAt(i).ChangeBit
 	return out
+}
+
+// checkEvenSplit holds the n blocks from i, which a relayout of entries
+// spread over more blocks than it replaced, to an even split: each holds at
+// least (capacity − 2 × the largest entry) / 2 bytes, so no block is a
+// spill of an entry or two that the next growing update overflows again.
+func checkEvenSplit(t testing.TB, s *Store, i, n int, entries []Entry) {
+	t.Helper()
+	largest := 0
+	for _, e := range entries {
+		largest = max(largest, entrySize(e))
+	}
+	capBytes := s.pool.Pager().PageSize() - headerSize
+	for k := i; k < i+n; k++ {
+		data := pageBytes(t, s, s.dir[k].Page)
+		if got := int(binary.LittleEndian.Uint16(data[10:12])); 2*got < capBytes-2*largest {
+			t.Fatalf("block %d of a %d-block relayout holds %d bytes of %d, the largest entry %d", k, n, got, capBytes, largest)
+		}
+	}
 }
 
 // pageBytes returns a copy of page pid's bytes.
@@ -78,10 +108,38 @@ func pageBytes(t testing.TB, s *Store, pid storage.PageID) []byte {
 	return data
 }
 
+// checkCached holds the decode cache's entry for block i, if it has one,
+// equal to a decode of the block's page: the same index and, once a splice
+// has taken them, the same offset marks. It reports whether the block was
+// cached.
+func checkCached(t testing.TB, s *Store, i int) bool {
+	t.Helper()
+	pi := s.dir[i]
+	s.dec.mu.RLock()
+	e := s.dec.m[pi.Page]
+	s.dec.mu.RUnlock()
+	if e == nil {
+		return false
+	}
+	data := pageBytes(t, s, pi.Page)
+	fresh, err := decodeBlock(pi, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(e.slots, fresh) {
+		t.Fatalf("block %d cached as %+v, decodes as %+v", i, e.slots, fresh)
+	}
+	marks := offsetMarks(data[headerSize:headerSize+int(binary.LittleEndian.Uint16(data[10:12]))], pi.Count)
+	if e.marks != nil && !slices.Equal(e.marks, marks) {
+		t.Fatalf("block %d cached with offset marks %v, its page has %v", i, e.marks, marks)
+	}
+	return true
+}
+
 // checkTwins holds the spliced store against its relayout twin: the same
-// directory and the same bytes on every page, the decode cache's index of
-// block i equal to a decode of its page, the same path-class modes, and a
-// store that passes CheckConsistency.
+// directory and the same bytes on every page, the decode cache's index and
+// offset marks of every cached block equal to a decode of its page, the
+// same path-class modes, and a store that passes CheckConsistency.
 func checkTwins(t testing.TB, a, b *Store, i int) {
 	t.Helper()
 	if !slices.Equal(a.dir, b.dir) {
@@ -92,16 +150,12 @@ func checkTwins(t testing.TB, a, b *Store, i int) {
 			t.Fatalf("block %d (page %d) bytes differ:\nsplice   %x\nrelayout %x", k, pi.Page, pa, pb)
 		}
 	}
-	if cached, ok := a.dec.get(a.dir[i].Page); ok {
-		fresh, err := decodeBlock(a.dir[i], pageBytes(t, a, a.dir[i].Page))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(cached, fresh) {
-			t.Fatalf("block %d cached as %+v, decodes as %+v", i, cached, fresh)
-		}
+	for k := range a.dir {
+		checkCached(t, a, k)
 	}
-	if pa, pb := a.Paths(), b.Paths(); pa.Numbering() == pb.Numbering() && pa.NumNodes() == pb.NumNodes() {
+	// The twins were built apart, so their numberings differ in identity;
+	// a recode adds no class, so they number alike.
+	if pa, pb := a.Paths(), b.Paths(); pa.NumNodes() == pb.NumNodes() {
 		for id := range pa.NumNodes() {
 			if na, nb := pa.NodeAt(int32(id)), pb.NodeAt(int32(id)); na != nb {
 				t.Fatalf("class %d is %+v after the splice, %+v after the relayout", id, na, nb)
@@ -143,9 +197,9 @@ func TestRecodeBlockMatchesRelayout(t *testing.T) {
 		name  string
 		shape xmlmodel.Shape
 	}{{"mixed", xmlmodel.Mixed}, {"deep", xmlmodel.Deep}, {"xmark", xmlmodel.XMark}} {
-		for _, pageSize := range []int{storage.DefaultPageSize, 128} {
+		for _, pageSize := range []int{storage.DefaultPageSize, 96} {
 			for _, gated := range []bool{false, true} {
-				name := shape.name + "/" + map[int]string{storage.DefaultPageSize: "default", 128: "small"}[pageSize]
+				name := shape.name + "/" + map[int]string{storage.DefaultPageSize: "default", 96: "small"}[pageSize]
 				if gated {
 					name += "/gated"
 				}
@@ -286,5 +340,81 @@ func TestRecodeWithoutVerdictChangeKeepsSummary(t *testing.T) {
 	checkTwins(t, a, b, 0)
 	if a.Paths() != mixed {
 		t.Fatal("a recode that changed no class's verdict installed a new summary")
+	}
+}
+
+// recodeLast gives the last entry of block i the code in force code by
+// splicing the block, and returns the bytes the splice allocated.
+func recodeLast(t *testing.T, s *Store, i int, code uint32) uint64 {
+	t.Helper()
+	pi := s.PageInfoAt(i)
+	last := pi.Count - 1
+	window, _, err := s.AppendEntries(nil, nil, i, last, last+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	window[0].HasCode, window[0].Code = true, code
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	spliced, err := s.RecodeBlock(i, last, window, pi.AccessCode)
+	runtime.ReadMemStats(&after)
+	if err != nil || !spliced {
+		t.Fatalf("recoding block %d's last entry: spliced %v, %v", i, spliced, err)
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestSpliceLeavesSnapshotIndex: a frozen clone's cursor holds block i's
+// cached index while the live store splices the block twice. The first
+// splice finds the index shared and patches a copy; the second patches its
+// own copy in place. The clone's cursor still sees the old codes, and so
+// does a fresh read through the clone, which decodes the old page (a gated
+// store never overwrites it).
+func TestSpliceLeavesSnapshotIndex(t *testing.T) {
+	doc := xmlmodel.Doc(rand.New(rand.NewSource(5)), 2000, xmlmodel.XMark)
+	s := buildStore(t, doc, storage.DefaultPageSize, BuildOptions{Codes: make(arrayCodes, doc.Len()), FillPercent: 90})
+	s.SetPageReuseGate(neverReuse{})
+	const i = 0
+	pi := s.PageInfoAt(i)
+	last := pi.FirstNode + xmltree.NodeID(pi.Count-1)
+	snap := s.Freeze()
+	cur := snap.NewCursor()
+	ctx := context.Background()
+	if code, err := cur.Code(ctx, last); err != nil || code != 0 {
+		t.Fatalf("the clone reads code %d (%v) at node %d before any splice", code, err, last)
+	}
+	recodeLast(t, s, i, 1)
+	recodeLast(t, s, i, 2)
+	if code, err := s.AccessCodeAt(last); err != nil || code != 2 {
+		t.Fatalf("the live store reads code %d (%v) at node %d after the splices, want 2", code, err, last)
+	}
+	for n := pi.FirstNode; n <= last; n++ {
+		if code, err := cur.Code(ctx, n); err != nil || code != 0 {
+			t.Fatalf("the clone's cursor reads code %d (%v) at node %d after the splices, want 0", code, err, n)
+		}
+	}
+	for n := pi.FirstNode; n <= last; n++ {
+		if code, err := snap.AccessCodeAt(n); err != nil || code != 0 {
+			t.Fatalf("a fresh read through the clone gets code %d (%v) at node %d, want 0", code, err, n)
+		}
+	}
+}
+
+// TestSpliceCopiesNoUnreadIndex: on a store no clone has read, a one-node
+// recode at the end of a block of 1,500 entries or more patches the cached
+// index in place, finds the entry's bytes from an offset mark and its
+// summary context by descent, and so allocates under 2 KiB — a copy of the
+// index alone is 16 bytes an entry. The first recode moves the node's class
+// to mixed, which clones the summary; the second is measured.
+func TestSpliceCopiesNoUnreadIndex(t *testing.T) {
+	doc := xmlmodel.Doc(rand.New(rand.NewSource(3)), 6000, xmlmodel.XMark)
+	s := buildStore(t, doc, storage.DefaultPageSize, BuildOptions{Codes: make(arrayCodes, doc.Len()), FillPercent: 90})
+	const i = 0
+	if n := s.PageInfoAt(i).Count; n < 1500 {
+		t.Fatalf("block %d holds %d entries", i, n)
+	}
+	recodeLast(t, s, i, 1)
+	if got := recodeLast(t, s, i, 2); got >= 2048 {
+		t.Fatalf("a one-node splice allocated %d bytes", got)
 	}
 }

@@ -90,11 +90,15 @@ type Store struct {
 	// takes block decoding out of query evaluation without changing I/O
 	// behavior (the underlying pages still flow through the buffer pool
 	// and its statistics, once per block visit). Cached slices are
-	// immutable once published. Store mutations (RewriteRegion and
-	// friends) must be externally serialized against readers — securexml
-	// does so behind its store lock — but concurrent readers on their own
-	// are always safe.
+	// immutable once a frozen clone has read them; until then a splice
+	// may patch them in place. Store mutations (RewriteRegion and
+	// friends) must be externally serialized against readers of the live
+	// store — securexml does so behind its store lock — but readers of
+	// frozen clones run beside them.
 	dec *decodeCache
+	// frozen marks a clone from Freeze: its reads mark the decoded blocks
+	// they take shared.
+	frozen bool
 
 	// recodes counts how code-only updates were written; shared by
 	// frozen clones, like dec.
@@ -109,7 +113,7 @@ type recodeCounters struct {
 
 // invalidateDecoded drops a page from the decode cache (after a rewrite).
 func (s *Store) invalidateDecoded(pid storage.PageID) {
-	s.dec.invalidate(pid)
+	s.dec.take(pid)
 }
 
 // PageReuseGate quarantines freed pages until no pinned snapshot can still
@@ -150,6 +154,7 @@ func (s *Store) Freeze() *Store {
 	c.freeList = nil
 	c.retired = nil
 	c.gate = nil
+	c.frozen = true
 	return &c
 }
 
@@ -203,7 +208,8 @@ func (s *Store) pageOf(n xmltree.NodeID) int {
 }
 
 // block loads block i and returns its decoded positional index — one block
-// visit. The slice is shared via the decode cache and immutable. The
+// visit. The slice is shared via the decode cache: immutable on a frozen
+// clone, and on the live store until its next RecodeBlock. The
 // context is consulted at the page-fetch boundary, so a cancelled query
 // stops before pinning another page.
 func (s *Store) block(ctx context.Context, i int) ([]slot, error) {
@@ -215,11 +221,11 @@ func (s *Store) block(ctx context.Context, i int) ([]slot, error) {
 	// A decode-cache hit still goes through the pool, releasing the pin at
 	// once: the page is logically touched, so the pool's recency and
 	// statistics stay meaningful.
-	blk, ok := s.dec.get(pid)
+	blk, ok := s.dec.get(pid, s.frozen)
 	if !ok {
 		obs.TraceFromContext(ctx).PageDecode(int64(pid))
 		if blk, err = decodeBlock(s.dir[i], f.Data); err == nil {
-			s.dec.put(pid, blk)
+			s.dec.put(pid, blk, nil, s.frozen)
 		}
 	}
 	if uerr := s.pool.Unpin(pid, false); err == nil {

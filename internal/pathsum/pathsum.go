@@ -265,24 +265,19 @@ func (b *Builder) Finish() (*Summary, error) {
 //
 // A rewrite that changed nothing but access codes, and left every block
 // boundary where it was, need not be replayed: its blocks start in the same
-// classes. The caller then feeds Skip with the
-// region's entries before the first changed one, Recoded with the changed
-// ones, and ends with FinishRecode; only the changed entries' classes
-// observe their codes. Re-observing an unchanged code would not move a
-// mode anyway — every stored code was observed when it was written, and
-// modes only degrade. The clone is taken at the first observation that
-// moves a class's mode or code: a recode that changes no verdict keeps the
-// original summary.
+// classes. The caller then starts at the first changed entry with
+// BeginRecode, feeds Recoded with the changed entries, and ends with
+// FinishRecode; only the changed entries' classes observe their codes.
+// Re-observing an unchanged code would not move a mode anyway — every
+// stored code was observed when it was written, and modes only degrade.
+// The clone is taken at the first observation that moves a class's mode or
+// code: a recode that changes no verdict keeps the original summary.
 type RegionRewrite struct {
 	orig *Summary
 	// b builds on orig itself until own gives it a clone: at the first
 	// Entry, or at the first Recoded that changes a class.
 	b    *Builder
 	i, j int
-	// pending holds the tags of the entries Skip walked past that are
-	// still open, innermost last. Their classes are resolved only if they
-	// are open at the first Recoded entry.
-	pending []int32
 }
 
 // BeginRewrite starts a rewrite of blocks [i, j] of s.
@@ -299,6 +294,25 @@ func (s *Summary) BeginRewrite(i, j int) (*RegionRewrite, error) {
 		}
 	}
 	return &RegionRewrite{orig: s, b: b, i: i, j: j}, nil
+}
+
+// BeginRecode starts a code-only rewrite at an entry of block i: outer of
+// the elements open where the block starts are still open at the entry,
+// and tags are the tags of the elements the block has opened above it
+// since, outermost first.
+func (s *Summary) BeginRecode(i, outer int, tags []int32) (*RegionRewrite, error) {
+	r, err := s.BeginRewrite(i, i)
+	if err != nil {
+		return nil, err
+	}
+	if outer < 0 || outer > len(r.b.stack) {
+		return nil, fmt.Errorf("pathsum: %d outer elements open in block %d, which starts under %d", outer, i, len(r.b.stack))
+	}
+	r.b.stack = r.b.stack[:outer]
+	for _, t := range tags {
+		r.step(t, 0)
+	}
+	return r, r.b.err
 }
 
 // own switches the builder from the original summary to a clone of it.
@@ -322,29 +336,9 @@ func (r *RegionRewrite) Entry(tag int32, closeCount int, code uint32) {
 // EndBlock seals one rewritten block.
 func (r *RegionRewrite) EndBlock() { r.b.EndBlock() }
 
-// Skip walks past one entry before the changed ones of a code-only
-// rewrite, tracking only which elements it leaves open.
-func (r *RegionRewrite) Skip(tag int32, closeCount int) {
-	r.pending = append(r.pending, tag)
-	for ; closeCount > 0; closeCount-- {
-		if n := len(r.pending); n > 0 {
-			r.pending = r.pending[:n-1]
-		} else if n := len(r.b.stack); n > 0 {
-			r.b.stack = r.b.stack[:n-1]
-		} else {
-			r.b.err = errors.New("pathsum: skipped entry closes more elements than are open")
-			return
-		}
-	}
-}
-
 // Recoded walks past one changed entry of a code-only rewrite: its class
 // observes code, the code now in force at it.
 func (r *RegionRewrite) Recoded(tag int32, closeCount int, code uint32) {
-	for _, t := range r.pending {
-		r.step(t, 0)
-	}
-	r.pending = r.pending[:0]
 	id := r.step(tag, closeCount)
 	if id < 0 {
 		return

@@ -131,25 +131,24 @@ func TestRegionRewriteIdentitySplices(t *testing.T) {
 	}
 }
 
-// A code-only rewrite of block 0 (a b c) that recodes only c: a, walked
-// past, keeps its mode, a/b/c observes the new code, the blocks are
-// shared, and the original summary is untouched.
+// A code-only rewrite of block 0 (a b c) that recodes only b: a, open above
+// it, keeps its mode, a/b observes the new code, the blocks are shared, and
+// the original summary is untouched.
 func TestRegionRecodeObservesChangedClasses(t *testing.T) {
 	s := feed(t)
 	a, _ := s.ChildOf(-1, 0)
 	ab, _ := s.ChildOf(a, 1)
-	r, err := s.BeginRewrite(0, 0)
+	r, err := s.BeginRecode(0, 0, []int32{0}) // under <a>, unchanged
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Skip(0, 0)       // <a>, unchanged
 	r.Recoded(1, 0, 8) // <b>, now 8
 	ns, ok := r.FinishRecode()
 	if !ok {
 		t.Fatal("code-only rewrite did not line up")
 	}
 	if n := ns.NodeAt(a); n.Mode != CodeUniform || n.Code != 7 {
-		t.Errorf("class a mode %d code %d, want uniform 7: it was only walked past", n.Mode, n.Code)
+		t.Errorf("class a mode %d code %d, want uniform 7: it is only open above b", n.Mode, n.Code)
 	}
 	if n := ns.NodeAt(ab); n.Mode != CodeMixed {
 		t.Errorf("class a/b mode %d, want mixed (codes 7 and 8)", n.Mode)
@@ -163,7 +162,7 @@ func TestRegionRecodeObservesChangedClasses(t *testing.T) {
 
 	// A recode that moves no class's verdict — a/b is mixed already, a
 	// keeps its uniform code — clones nothing: the summary is the one in.
-	r, _ = ns.BeginRewrite(0, 0)
+	r, _ = ns.BeginRecode(0, 0, nil)
 	r.Recoded(0, 0, 7)
 	r.Recoded(1, 0, 9)
 	if again, ok := r.FinishRecode(); !ok || again != ns {
@@ -172,10 +171,18 @@ func TestRegionRecodeObservesChangedClasses(t *testing.T) {
 
 	// A recoded entry whose path is no class of the summary: the caller's
 	// claim that only codes changed is wrong, and FinishRecode says so.
-	r, _ = s.BeginRewrite(0, 0)
+	r, _ = s.BeginRecode(0, 0, nil)
 	r.Recoded(3, 1, 7)
 	if _, ok := r.FinishRecode(); ok {
 		t.Error("FinishRecode accepted an entry of a new class")
+	}
+	// A context the block cannot have: more outer elements open than where
+	// it starts, or an open element of no class.
+	if _, err := s.BeginRecode(0, 1, nil); err == nil {
+		t.Error("BeginRecode kept an outer element block 0 does not start under")
+	}
+	if _, err := s.BeginRecode(0, 0, []int32{3}); err == nil {
+		t.Error("BeginRecode opened an element of no class")
 	}
 	if _, ok := s.ChildOf(-1, 3); ok {
 		t.Error("original summary gained the clone's class")

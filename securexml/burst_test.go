@@ -28,13 +28,31 @@ var burstTenants = []struct {
 // testdata/access_burst.sha256, once before Vacuum and once after. Vacuum
 // re-packs every block, so the image before it is the one that shows a
 // change in how SetAccess lays out blocks, codes or the summary; the image
-// after it is what a tenant serves.
+// after it is what a tenant serves. The bursts of seeds 7 and 8 never
+// overflow a block; those of BenchmarkSetAccessBurst's seed 5000 do, and
+// must split each overflowing block evenly: they relay out at least once
+// and end, before Vacuum, with at most maxBlocks blocks.
 func TestAccessBurstLayoutPinned(t *testing.T) {
 	want := readBurstGoldens(t)
 	var got []string
-	for i, tc := range burstTenants {
-		st, doc, rng := churnSeal(t, 0, int64(7+i), tc.nodes, 4096)
+	for _, tc := range []struct {
+		name      string
+		nodes     int
+		seed      int64
+		maxBlocks int // 0: the burst need not relay out
+	}{
+		{"churn", burstTenants[0].nodes, 7, 0},
+		{"15k", burstTenants[1].nodes, 8, 0},
+		{"churn@5000", burstTenants[0].nodes, 5000, 4},
+		{"15k@5000", burstTenants[1].nodes, 5000, 11},
+	} {
+		st, doc, rng := churnSeal(t, 0, tc.seed, tc.nodes, 4096)
 		churnBurst(t, st, doc, rng)
+		relayouts, blocks := st.MetricsSnapshot().Get("recode_relayouts"), st.cur.Load().st.NumPages()
+		t.Logf("%s: %d relayouts, %d blocks after the burst", tc.name, relayouts, blocks)
+		if tc.maxBlocks > 0 && (relayouts == 0 || blocks > tc.maxBlocks) {
+			t.Errorf("%s: %d relayouts left %d blocks, want at least one relayout and at most %d blocks", tc.name, relayouts, blocks, tc.maxBlocks)
+		}
 		for _, stage := range []string{"before-vacuum", "after-vacuum"} {
 			if stage == "after-vacuum" {
 				if err := st.Vacuum(); err != nil {
@@ -86,8 +104,9 @@ func readBurstGoldens(t *testing.T) []string {
 // through Store.SetAccess — and nothing else: each iteration seals a fresh
 // tenant with the clock stopped, then runs the burst. It reports the best
 // and the median µs per revoke over the iterations, the bytes and
-// allocations per revoke, and the share of revokes spliced into their block
-// rather than laid out again. Run with -benchtime 10x or more for the
+// allocations per revoke, the share of revokes spliced into their block
+// rather than laid out again, and the structure blocks the burst leaves
+// (blocks-after, before any Vacuum). Run with -benchtime 10x or more for the
 // medians.
 func BenchmarkSetAccessBurst(b *testing.B) {
 	for _, tc := range burstTenants {
@@ -95,7 +114,7 @@ func BenchmarkSetAccessBurst(b *testing.B) {
 			b.ReportAllocs()
 			perRevoke := make([]float64, 0, b.N)
 			var bytes, allocs uint64
-			var splices, relayouts int64
+			var splices, relayouts, blocks int64
 			calls := 0
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
@@ -115,6 +134,7 @@ func BenchmarkSetAccessBurst(b *testing.B) {
 				m := st.MetricsSnapshot()
 				splices += m.Get("recode_splices")
 				relayouts += m.Get("recode_relayouts")
+				blocks += int64(st.cur.Load().st.NumPages())
 				if err := st.Close(); err != nil {
 					b.Fatal(err)
 				}
@@ -126,6 +146,7 @@ func BenchmarkSetAccessBurst(b *testing.B) {
 			b.ReportMetric(float64(bytes)/float64(calls), "B/revoke")
 			b.ReportMetric(float64(allocs)/float64(calls), "allocs/revoke")
 			b.ReportMetric(float64(splices)/float64(splices+relayouts), "splice-share")
+			b.ReportMetric(float64(blocks)/float64(b.N), "blocks-after")
 		})
 	}
 }
