@@ -344,9 +344,7 @@ func (m *Matrix) Accessible(n xmltree.NodeID, s SubjectID) bool {
 // AccessibleAny reports whether any subject in the effective set may access
 // node n (user + groups semantics).
 func (m *Matrix) AccessibleAny(n xmltree.NodeID, effective *bitset.Bitset) bool {
-	row := m.rows[n].Clone()
-	row.And(effective)
-	return row.Any()
+	return m.rows[n].Intersects(effective)
 }
 
 // Row returns node n's subject vector. The returned bitset is shared with
@@ -386,17 +384,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := &Matrix{subjects: m.subjects, rows: make([]*bitset.Bitset, len(m.rows))}
 	for i, r := range m.rows {
 		c.rows[i] = r.Clone()
-	}
-	return c
-}
-
-// AccessibleCount returns the number of nodes accessible to subject s.
-func (m *Matrix) AccessibleCount(s SubjectID) int {
-	c := 0
-	for _, r := range m.rows {
-		if r.Test(int(s)) {
-			c++
-		}
 	}
 	return c
 }

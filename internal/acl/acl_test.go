@@ -96,10 +96,10 @@ func TestMatrixBasics(t *testing.T) {
 	}
 	m.Set(0, 0, true)
 	m.Set(4, 0, true)
-	if m.AccessibleCount(0) != 2 {
-		t.Fatalf("AccessibleCount = %d", m.AccessibleCount(0))
-	}
 	col := m.Column(0)
+	if col.Count() != 2 {
+		t.Fatalf("subject 0 may access %d nodes", col.Count())
+	}
 	if !col.Test(0) || !col.Test(4) || col.Test(2) {
 		t.Fatal("Column wrong")
 	}
@@ -148,6 +148,15 @@ func TestMatrixSetRowAndEqual(t *testing.T) {
 	}
 }
 
+// grant and revoke add a cascading permit and deny rule.
+func grant(p *Policy, s SubjectID, mode Mode, target xmltree.NodeID) {
+	p.Add(Rule{Subject: s, Mode: mode, Target: target, Effect: Permit, Cascade: true})
+}
+
+func revoke(p *Policy, s SubjectID, mode Mode, target xmltree.NodeID) {
+	p.Add(Rule{Subject: s, Mode: mode, Target: target, Effect: Deny, Cascade: true})
+}
+
 // fig2doc is the 12-node tree of the paper's Figure 2.
 func fig2doc(t testing.TB) *xmltree.Document {
 	t.Helper()
@@ -159,8 +168,8 @@ func TestMaterializeCascade(t *testing.T) {
 	doc := fig2doc(t)
 	p := NewPolicy()
 	// Subject 0: permit everything under the root, deny the subtree at e.
-	p.Grant(0, ModeRead, 0)
-	p.Revoke(0, ModeRead, 4) // e
+	grant(p, 0, ModeRead, 0)
+	revoke(p, 0, ModeRead, 4) // e
 	m, err := p.Materialize(doc, ModeRead, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -181,10 +190,10 @@ func TestMaterializeCascade(t *testing.T) {
 func TestMaterializeMostSpecificOverride(t *testing.T) {
 	doc := fig2doc(t)
 	p := NewPolicy()
-	p.Revoke(0, ModeRead, 0) // deny all
-	p.Grant(0, ModeRead, 4)  // permit subtree e
-	p.Revoke(0, ModeRead, 7) // deny subtree h (inside e)
-	p.Grant(0, ModeRead, 9)  // permit node j's subtree (leaf)
+	revoke(p, 0, ModeRead, 0) // deny all
+	grant(p, 0, ModeRead, 4)  // permit subtree e
+	revoke(p, 0, ModeRead, 7) // deny subtree h (inside e)
+	grant(p, 0, ModeRead, 9)  // permit node j's subtree (leaf)
 	m, err := p.Materialize(doc, ModeRead, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +213,7 @@ func TestMaterializeMostSpecificOverride(t *testing.T) {
 func TestMaterializeNonCascadingLocalRule(t *testing.T) {
 	doc := fig2doc(t)
 	p := NewPolicy()
-	p.Grant(0, ModeRead, 0)
+	grant(p, 0, ModeRead, 0)
 	// Non-cascading deny on e only: descendants keep inherited permit.
 	p.Add(Rule{Subject: 0, Mode: ModeRead, Target: 4, Effect: Deny, Cascade: false})
 	m, err := p.Materialize(doc, ModeRead, 1)
@@ -224,8 +233,8 @@ func TestMaterializeConflictPolicies(t *testing.T) {
 	mk := func(cp ConflictPolicy) bool {
 		p := NewPolicy()
 		p.Conflicts = cp
-		p.Grant(0, ModeRead, 0)
-		p.Revoke(0, ModeRead, 0)
+		grant(p, 0, ModeRead, 0)
+		revoke(p, 0, ModeRead, 0)
 		m, err := p.Materialize(doc, ModeRead, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +279,7 @@ func TestMaterializeDefaults(t *testing.T) {
 func TestMaterializeModeFiltering(t *testing.T) {
 	doc := fig2doc(t)
 	p := NewPolicy()
-	p.Grant(0, ModeWrite, 0)
+	grant(p, 0, ModeWrite, 0)
 	m, err := p.Materialize(doc, ModeRead, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -290,12 +299,12 @@ func TestMaterializeModeFiltering(t *testing.T) {
 func TestMaterializeErrors(t *testing.T) {
 	doc := fig2doc(t)
 	p := NewPolicy()
-	p.Grant(0, ModeRead, 99)
+	grant(p, 0, ModeRead, 99)
 	if _, err := p.Materialize(doc, ModeRead, 1); err == nil {
 		t.Fatal("invalid target should fail")
 	}
 	p2 := NewPolicy()
-	p2.Grant(5, ModeRead, 0)
+	grant(p2, 5, ModeRead, 0)
 	if _, err := p2.Materialize(doc, ModeRead, 2); err == nil {
 		t.Fatal("out-of-range subject should fail")
 	}
@@ -303,7 +312,7 @@ func TestMaterializeErrors(t *testing.T) {
 
 func TestPolicyRulesCopy(t *testing.T) {
 	p := NewPolicy()
-	p.Grant(0, ModeRead, 0)
+	grant(p, 0, ModeRead, 0)
 	r := p.Rules()
 	r[0].Effect = Deny
 	if p.Rules()[0].Effect != Permit {

@@ -1,9 +1,11 @@
 package acl
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
+	"dolxml/internal/bitset"
 	"dolxml/internal/xmltree"
 )
 
@@ -72,16 +74,6 @@ func NewPolicy() *Policy {
 // Add appends a rule.
 func (p *Policy) Add(r Rule) { p.rules = append(p.rules, r) }
 
-// Grant is shorthand for adding a cascading permit rule.
-func (p *Policy) Grant(s SubjectID, mode Mode, target xmltree.NodeID) {
-	p.Add(Rule{Subject: s, Mode: mode, Target: target, Effect: Permit, Cascade: true})
-}
-
-// Revoke is shorthand for adding a cascading deny rule.
-func (p *Policy) Revoke(s SubjectID, mode Mode, target xmltree.NodeID) {
-	p.Add(Rule{Subject: s, Mode: mode, Target: target, Effect: Deny, Cascade: true})
-}
-
 // Rules returns the policy's rules in definition order (a copy).
 func (p *Policy) Rules() []Rule {
 	out := make([]Rule, len(p.rules))
@@ -105,102 +97,141 @@ func (p *Policy) Len() int { return len(p.rules) }
 //
 // Conflicts within a tier are resolved by p.Conflicts.
 func (p *Policy) Materialize(doc *xmltree.Document, mode Mode, numSubjects int) (*Matrix, error) {
-	for i, r := range p.rules {
-		if !doc.Valid(r.Target) {
-			return nil, fmt.Errorf("acl: rule %d targets invalid node %d", i, r.Target)
-		}
-		if int(r.Subject) < 0 || int(r.Subject) >= numSubjects {
-			return nil, fmt.Errorf("acl: rule %d subject %d outside [0,%d)", i, r.Subject, numSubjects)
-		}
-	}
 	m := NewMatrix(doc.Len(), numSubjects)
-
-	// Group rule indices by (target, subject) for this mode.
-	type key struct {
-		target  xmltree.NodeID
-		subject SubjectID
-	}
-	local := make(map[key][]int)   // non-cascading
-	cascade := make(map[key][]int) // cascading
-	subjectsSeen := map[SubjectID]bool{}
-	for i, r := range p.rules {
-		if r.Mode != mode {
-			continue
+	err := p.Runs(doc, mode, numSubjects, func(first xmltree.NodeID, n int, row *bitset.Bitset) {
+		for k := range n {
+			m.SetRow(first+xmltree.NodeID(k), row)
 		}
-		k := key{r.Target, r.Subject}
-		if r.Cascade {
-			cascade[k] = append(cascade[k], i)
-		} else {
-			local[k] = append(local[k], i)
-		}
-		subjectsSeen[r.Subject] = true
-	}
-
-	resolve := func(idxs []int) (Effect, bool) {
-		if len(idxs) == 0 {
-			return Deny, false
-		}
-		switch p.Conflicts {
-		case DenyOverrides:
-			for _, i := range idxs {
-				if p.rules[i].Effect == Deny {
-					return Deny, true
-				}
-			}
-			return Permit, true
-		case PermitOverrides:
-			for _, i := range idxs {
-				if p.rules[i].Effect == Permit {
-					return Permit, true
-				}
-			}
-			return Deny, true
-		default: // LastRuleWins
-			return p.rules[idxs[len(idxs)-1]].Effect, true
-		}
-	}
-
-	// Materialize subject by subject with an explicit DFS carrying the
-	// inherited cascading effect.
-	subjects := make([]SubjectID, 0, len(subjectsSeen))
-	for s := range subjectsSeen {
-		subjects = append(subjects, s)
-	}
-	sort.Slice(subjects, func(i, j int) bool { return subjects[i] < subjects[j] })
-
-	defaultOn := p.DefaultEffect == Permit
-	for s := SubjectID(0); int(s) < numSubjects; s++ {
-		if !subjectsSeen[s] {
-			if defaultOn {
-				for n := 0; n < doc.Len(); n++ {
-					m.Set(xmltree.NodeID(n), s, true)
-				}
-			}
-			continue
-		}
-		type frame struct {
-			node      xmltree.NodeID
-			inherited Effect
-		}
-		stack := []frame{{doc.Root(), p.DefaultEffect}}
-		for len(stack) > 0 {
-			fr := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			inherited := fr.inherited
-			if eff, ok := resolve(cascade[key{fr.node, s}]); ok {
-				inherited = eff
-			}
-			nodeEff := inherited
-			if eff, ok := resolve(local[key{fr.node, s}]); ok {
-				nodeEff = eff
-			}
-			if nodeEff == Permit {
-				m.Set(fr.node, s, true)
-			}
-			for c := doc.FirstChild(fr.node); c != xmltree.InvalidNode; c = doc.NextSibling(c) {
-				stack = append(stack, frame{c, inherited})
-			}
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// Runs sweeps the policy over doc once, in document order, for one action
+// mode, with Materialize's semantics, and hands fn the accessibility rows
+// as runs: row is the row of the n nodes from first on. The runs tile the
+// document from the root; a run ends where the row may change — at a rule
+// target, at the node after a target with local rules, and at the node
+// after a cascading rule's subtree — so neighbouring runs may carry equal
+// rows. row is reused: fn copies what it keeps.
+//
+// The sweep holds one row and a stack of the open cascades, each with the
+// end of its target's subtree and the subjects whose bits it flipped, which
+// it flips back there. A local rule's flips are undone after its node's
+// run. The cost is O(rules log rules + runs), not O(nodes × subjects).
+func (p *Policy) Runs(doc *xmltree.Document, mode Mode, numSubjects int, fn func(first xmltree.NodeID, n int, row *bitset.Bitset)) error {
+	var idx []int // the mode's rules
+	for i, r := range p.rules {
+		if !doc.Valid(r.Target) {
+			return fmt.Errorf("acl: rule %d targets invalid node %d", i, r.Target)
+		}
+		if int(r.Subject) < 0 || int(r.Subject) >= numSubjects {
+			return fmt.Errorf("acl: rule %d subject %d outside [0,%d)", i, r.Subject, numSubjects)
+		}
+		if r.Mode == mode {
+			idx = append(idx, i)
+		}
+	}
+	// By target, cascading before local, then by subject and definition
+	// order: each (target, tier, subject) is one group.
+	tier := func(r *Rule) int {
+		if r.Cascade {
+			return 0
+		}
+		return 1
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		ra, rb := &p.rules[a], &p.rules[b]
+		return cmp.Or(cmp.Compare(ra.Target, rb.Target), tier(ra)-tier(rb), cmp.Compare(ra.Subject, rb.Subject), a-b)
+	})
+
+	row := bitset.New(numSubjects)
+	if p.DefaultEffect == Permit {
+		row.SetRange(0, numSubjects)
+	}
+	type cascade struct {
+		end     xmltree.NodeID // the node after the target's subtree
+		flipped int            // flips[flipped:] are this cascade's and above
+	}
+	var open []cascade
+	var flips []SubjectID
+	undo := func(from int) {
+		for _, s := range flips[from:] {
+			row.SetTo(int(s), !row.Test(int(s)))
+		}
+		flips = flips[:from]
+	}
+	end, i := xmltree.NodeID(doc.Len()), 0
+	for at := xmltree.NodeID(0); at < end; {
+		for len(open) > 0 && open[len(open)-1].end <= at {
+			undo(open[len(open)-1].flipped)
+			open = open[:len(open)-1]
+		}
+		j := i
+		for j < len(idx) && p.rules[idx[j]].Target == at {
+			j++
+		}
+		k := i
+		for k < j && p.rules[idx[k]].Cascade {
+			k++
+		}
+		if k > i {
+			open = append(open, cascade{doc.End(at) + 1, len(flips)})
+			flips = p.apply(row, idx[i:k], flips)
+		}
+		local := len(flips)
+		flips = p.apply(row, idx[k:j], flips)
+		next := end
+		if k < j {
+			next = at + 1
+		}
+		if i = j; i < len(idx) {
+			next = min(next, p.rules[idx[i]].Target)
+		}
+		if len(open) > 0 {
+			next = min(next, open[len(open)-1].end)
+		}
+		fn(at, int(next-at), row)
+		undo(local)
+		at = next
+	}
+	return nil
+}
+
+// apply sets each subject's bit of row to the resolved effect of its rules
+// in rs — one target's rules of one tier, grouped by subject — and appends
+// the subjects whose bits it flipped to flips.
+func (p *Policy) apply(row *bitset.Bitset, rs []int, flips []SubjectID) []SubjectID {
+	for len(rs) > 0 {
+		s, k := p.rules[rs[0]].Subject, 1
+		for k < len(rs) && p.rules[rs[k]].Subject == s {
+			k++
+		}
+		if on := p.resolve(rs[:k]) == Permit; row.Test(int(s)) != on {
+			row.SetTo(int(s), on)
+			flips = append(flips, s)
+		}
+		rs = rs[k:]
+	}
+	return flips
+}
+
+// resolve returns the effect of same-node, same-subject, same-tier rules
+// (indices in definition order) under p.Conflicts.
+func (p *Policy) resolve(rs []int) Effect {
+	if p.Conflicts == LastRuleWins {
+		return p.rules[rs[len(rs)-1]].Effect
+	}
+	wins, loses := Deny, Permit // DenyOverrides
+	if p.Conflicts == PermitOverrides {
+		wins, loses = Permit, Deny
+	}
+	for _, i := range rs {
+		if p.rules[i].Effect == wins {
+			return wins
+		}
+	}
+	return loses
 }

@@ -16,6 +16,7 @@ package dol
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 
 	"dolxml/internal/acl"
 	"dolxml/internal/bitset"
@@ -33,6 +34,7 @@ type Codebook struct {
 	entries     []*bitset.Bitset // code -> ACL; nil for freed codes
 	refs        []int
 	index       map[string]Code // ACL key -> code
+	sharedIndex bool            // index is a Clone's too: ownIndex before a write
 	free        []Code          // freed codes available for reuse
 	// gen counts mutations that may invalidate externally cached access
 	// decisions (entry create/free/rewrite, subject add/remove, reference
@@ -53,26 +55,31 @@ func NewCodebook(numSubjects int) *Codebook {
 // NumSubjects returns the subject dimension of the codebook.
 func (cb *Codebook) NumSubjects() int { return cb.numSubjects }
 
-// Clone returns a copy that can diverge from the original without sharing
-// any mutable state: the entry table, reference counts, the ACL index, the
-// free list and the mutation generation. MVCC snapshots freeze the original
-// while updates mutate the clone. The entries' bitsets are shared: a
-// codebook never modifies a stored bitset in place — the subject-column
-// operations replace each entry with a modified copy. The codebook is small
-// by the paper's compactness claim, so the copy is cheap.
+// Clone returns a copy that can diverge from the original. MVCC snapshots
+// freeze the original while updates mutate the clone. The ACL index is
+// shared copy-on-write: each side copies it at its first insert or delete,
+// so a frozen original's index is never written. The entries' bitsets are
+// shared: a codebook never modifies a stored bitset in place — the
+// subject-column operations replace each entry with a modified copy.
 func (cb *Codebook) Clone() *Codebook {
-	c := &Codebook{
+	cb.sharedIndex = true
+	return &Codebook{
 		numSubjects: cb.numSubjects,
 		entries:     append([]*bitset.Bitset(nil), cb.entries...),
 		refs:        append([]int(nil), cb.refs...),
-		index:       make(map[string]Code, len(cb.index)),
+		index:       cb.index,
+		sharedIndex: true,
 		free:        append([]Code(nil), cb.free...),
 		gen:         cb.gen,
 	}
-	for k, v := range cb.index {
-		c.index[k] = v
+}
+
+// ownIndex gives cb its own copy of an index a Clone shares, before a write.
+func (cb *Codebook) ownIndex() {
+	if cb.sharedIndex {
+		cb.index = maps.Clone(cb.index)
+		cb.sharedIndex = false
 	}
-	return c
 }
 
 // Len returns the number of live entries — the paper's "number of codebook
@@ -96,6 +103,7 @@ func (cb *Codebook) Intern(a *bitset.Bitset) Code {
 		return c
 	}
 	cb.gen++
+	cb.ownIndex()
 	stored := a.Clone()
 	stored.Resize(cb.numSubjects)
 	var c Code
@@ -130,6 +138,7 @@ func (cb *Codebook) Release(c Code) {
 	// decisions and page bitmaps, so the generation always advances.
 	cb.gen++
 	if cb.refs[c] == 0 {
+		cb.ownIndex()
 		delete(cb.index, cb.entries[c].Key())
 		cb.entries[c] = nil
 		cb.free = append(cb.free, c)
@@ -197,6 +206,7 @@ func (cb *Codebook) AddSubjectLike(like acl.SubjectID) (acl.SubjectID, error) {
 		return acl.InvalidSubject, fmt.Errorf("dol: AddSubjectLike(%d) out of range", like)
 	}
 	s := cb.AddSubject()
+	cb.ownIndex()
 	// AddSubject left every entry a copy of this codebook's own, so the
 	// bits are set in place.
 	for c, e := range cb.entries {
@@ -223,7 +233,7 @@ func (cb *Codebook) RemoveSubject(s acl.SubjectID) error {
 	}
 	cb.numSubjects--
 	cb.gen++
-	cb.index = make(map[string]Code, len(cb.entries))
+	cb.index, cb.sharedIndex = make(map[string]Code, len(cb.entries)), false
 	for c, e := range cb.entries {
 		if e == nil {
 			continue

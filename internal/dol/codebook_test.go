@@ -2,6 +2,7 @@ package dol
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -66,6 +67,74 @@ func TestCodebookCloneSubjectColumns(t *testing.T) {
 	cb.AddSubject()
 	if clone.ACL(c0).Len() != 3 {
 		t.Fatal("AddSubject on the original resized its clone's entries")
+	}
+}
+
+// A clone shares its original's ACL index until either side inserts or
+// deletes. The frozen original — what a snapshot reads while the live copy
+// interns and frees — must keep its codes, entries and size; readers race
+// the writer here, so -race sees any write to the shared map.
+func TestCodebookCloneIndexCopyOnWrite(t *testing.T) {
+	frozen := NewCodebook(8)
+	acls := make([]*bitset.Bitset, 6)
+	for i := range acls {
+		acls[i] = bitset.FromIndices(8, i, i+1)
+		frozen.Retain(frozen.Intern(acls[i]))
+	}
+	live := frozen.Clone()
+	if len(live.index) != len(frozen.index) || !live.sharedIndex {
+		t.Fatal("Clone did not share the index")
+	}
+	check := func() {
+		if frozen.Len() != len(acls) || len(frozen.index) != len(acls) {
+			t.Errorf("frozen codebook changed size: Len %d, index %d", frozen.Len(), len(frozen.index))
+			return
+		}
+		for i, a := range acls {
+			if c, ok := frozen.index[a.Key()]; !ok || c != Code(i) || !frozen.ACL(c).EqualBits(a) {
+				t.Errorf("frozen lookup of ACL %d: code %d, %v", i, c, ok)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					check()
+				}
+			}
+		}()
+	}
+	// A hit copies nothing; a freed entry, a new ACL and a new subject
+	// column each write the map, each first on its own clone.
+	if live.Intern(acls[2]) != 2 || !live.sharedIndex {
+		t.Error("an Intern hit copied the index")
+	}
+	live.Release(1)
+	fresh := frozen.Clone()
+	fresh.Retain(fresh.Intern(bitset.FromIndices(8, 7)))
+	if _, err := frozen.Clone().AddSubjectLike(3); err != nil {
+		t.Error(err)
+	}
+	close(stop)
+	wg.Wait()
+	check()
+	if _, ok := live.index[acls[1].Key()]; ok {
+		t.Error("the live copy still indexes its freed entry")
+	}
+	// Either side of a Clone copies at its first write: an insert on the
+	// original does not reach the clone.
+	next := live.Clone()
+	live.Intern(bitset.FromIndices(8, 0))
+	if _, ok := next.index[bitset.FromIndices(8, 0).Key()]; ok {
+		t.Error("an insert on the original reached its clone")
 	}
 }
 

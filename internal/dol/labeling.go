@@ -29,7 +29,7 @@ type Labeling struct {
 func FromMatrix(m *acl.Matrix) *Labeling {
 	sb := NewStreamBuilder(NewCodebook(m.NumSubjects()))
 	for n := 0; n < m.NumNodes(); n++ {
-		sb.Append(m.Row(xmltree.NodeID(n)))
+		sb.AppendRun(m.Row(xmltree.NodeID(n)), 1)
 	}
 	return sb.Finish()
 }
@@ -50,14 +50,13 @@ func FromAccessibleSet(accessible *bitset.Bitset, numNodes int) *Labeling {
 	return sb.Finish()
 }
 
-// StreamBuilder constructs a Labeling one node at a time in document order,
-// as from a SAX stream of a labeled document — the paper's on-the-fly
-// construction property (§2). The codebook may be shared among several
-// labelings (e.g. one labeling per action mode over a common dictionary).
+// StreamBuilder constructs a Labeling in document order, a node or a run
+// of nodes at a time, as from a SAX stream of a labeled document — the
+// paper's on-the-fly construction property (§2). The codebook may be
+// shared among several labelings (e.g. one labeling per action mode over a
+// common dictionary).
 type StreamBuilder struct {
 	l        *Labeling
-	lastKey  string
-	started  bool
 	finished bool
 }
 
@@ -68,22 +67,25 @@ func NewStreamBuilder(cb *Codebook) *StreamBuilder {
 
 // Append adds the next node in document order with the given access control
 // list.
-func (sb *StreamBuilder) Append(a *bitset.Bitset) {
-	if sb.finished {
-		panic("dol: Append after Finish")
+func (sb *StreamBuilder) Append(a *bitset.Bitset) { sb.AppendRun(a, 1) }
+
+// AppendRun adds the next n ≥ 1 nodes in document order, all with the
+// given access control list: one transition, unless the list equals the
+// one in force, and one Intern.
+func (sb *StreamBuilder) AppendRun(a *bitset.Bitset, n int) {
+	if sb.finished || n < 1 {
+		panic("dol: AppendRun after Finish or of no nodes")
 	}
-	key := a.Key()
-	n := xmltree.NodeID(sb.l.numNodes)
-	sb.l.numNodes++
-	if sb.started && key == sb.lastKey {
+	l := sb.l
+	first := xmltree.NodeID(l.numNodes)
+	l.numNodes += n
+	if k := len(l.codes); k > 0 && l.cb.ACL(l.codes[k-1]).EqualBits(a) {
 		return
 	}
-	c := sb.l.cb.Intern(a)
-	sb.l.cb.Retain(c)
-	sb.l.nodes = append(sb.l.nodes, n)
-	sb.l.codes = append(sb.l.codes, c)
-	sb.lastKey = key
-	sb.started = true
+	c := l.cb.Intern(a)
+	l.cb.Retain(c)
+	l.nodes = append(l.nodes, first)
+	l.codes = append(l.codes, c)
 }
 
 // Finish returns the completed labeling.
@@ -146,12 +148,6 @@ func (l *Labeling) Accessible(n xmltree.NodeID, s acl.SubjectID) bool {
 // node n.
 func (l *Labeling) AccessibleAny(n xmltree.NodeID, effective *bitset.Bitset) bool {
 	return l.cb.AccessibleAny(l.CodeInForce(n), effective)
-}
-
-// ACLAt returns the access control list in force at node n (shared with
-// the codebook; callers must not modify it).
-func (l *Labeling) ACLAt(n xmltree.NodeID) *bitset.Bitset {
-	return l.cb.ACL(l.CodeInForce(n))
 }
 
 // Matrix reconstructs the full accessibility matrix the labeling encodes.

@@ -329,7 +329,7 @@ func checkRows(t *testing.T, what string, l *Labeling, rows []*bitset.Bitset, be
 		t.Fatalf("%s: %d rows, want %d", what, l.NumNodes(), len(rows))
 	}
 	for n, r := range rows {
-		if !l.ACLAt(xmltree.NodeID(n)).EqualBits(r) {
+		if !l.Codebook().ACL(l.CodeInForce(xmltree.NodeID(n))).EqualBits(r) {
 			t.Fatalf("%s: row %d differs", what, n)
 		}
 	}

@@ -43,14 +43,19 @@ type viewStats struct {
 	bitmapBuilds obs.Counter
 }
 
-// BuildSecureStore labels doc with the accessibility matrix m and writes
-// the combined structure + access control representation into blocks from
-// pool in a single document-order pass.
+// BuildSecureStore labels doc with the accessibility matrix m and builds
+// the store from the labeling (BuildLabeledStore).
 func BuildSecureStore(pool *storage.BufferPool, doc *xmltree.Document, m *acl.Matrix, opts nok.BuildOptions) (*SecureStore, error) {
-	if m.NumNodes() != doc.Len() {
-		return nil, fmt.Errorf("dol: matrix covers %d nodes, document has %d", m.NumNodes(), doc.Len())
+	return BuildLabeledStore(pool, doc, FromMatrix(m), opts)
+}
+
+// BuildLabeledStore writes doc with the finished labeling lab — the
+// combined structure + access control representation — into blocks from
+// pool in a single document-order pass. The store takes lab's codebook.
+func BuildLabeledStore(pool *storage.BufferPool, doc *xmltree.Document, lab *Labeling, opts nok.BuildOptions) (*SecureStore, error) {
+	if lab.NumNodes() != doc.Len() {
+		return nil, fmt.Errorf("dol: labeling covers %d nodes, document has %d", lab.NumNodes(), doc.Len())
 	}
-	lab := FromMatrix(m)
 	opts.Codes = lab
 	st, err := nok.Build(pool, doc, opts)
 	if err != nil {
@@ -326,11 +331,6 @@ func (v *SubjectView) PageDenyBits() []uint64 {
 func (v *SubjectView) CodeAllowed(c Code) bool {
 	return v.ss.cb.live(c) && v.accessibleCode(v.cacheFor(), c)
 }
-
-// InvalidateCache drops the view's memoized decisions. It is not normally
-// needed — caches self-invalidate via the codebook generation — but lets
-// callers that bypass the codebook release memory eagerly.
-func (v *SubjectView) InvalidateCache() { v.cache.Store(nil) }
 
 // Effective returns the view's effective subject set (shared; read-only).
 func (v *SubjectView) Effective() *bitset.Bitset { return v.effective }

@@ -167,8 +167,9 @@ type Builder struct {
 	// recent is a direct-mapped cache in front of s.child, which stays the
 	// authority: slot h(parent, tag) holds a class id plus one, trusted
 	// only when that class's parent and tag match. A document's paths
-	// repeat, so most entries resolve here without a map probe.
-	recent [1 << recentBits]int32
+	// repeat, so most entries resolve here without a map probe. It is
+	// allocated at the first class lookup: a code-only recode makes none.
+	recent *[1 << recentBits]int32
 }
 
 const recentBits = 8
@@ -177,6 +178,9 @@ const recentBits = 8
 func (b *Builder) class(tag int32) int32 {
 	parent := b.top()
 	h := (uint32(parent)*0x9E3779B1 ^ uint32(tag)*0x85EBCA77) >> (32 - recentBits)
+	if b.recent == nil {
+		b.recent = new([1 << recentBits]int32)
+	}
 	if e := b.recent[h] - 1; e >= 0 {
 		if n := &b.s.nodes[e]; n.Parent == parent && n.Tag == tag {
 			return e

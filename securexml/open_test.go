@@ -50,31 +50,45 @@ func churnTenant(tb testing.TB, docSeed, seed int64, nodes, pageSize int) (dir, 
 // returns it with the document and the generator the burst draws from.
 func churnSeal(tb testing.TB, docSeed, seed int64, nodes, pageSize int) (*Store, *xmltree.Document, *rand.Rand) {
 	tb.Helper()
+	xml := churnXML(tb, docSeed, nodes)
+	doc, err := xmltree.ParseString(xml)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	st, err := churnBuilder(xml, rng).Seal(StoreOptions{PageSize: pageSize})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return st, doc, rng
+}
+
+// churnXML is the XMark document of churnTenant's tenants.
+func churnXML(tb testing.TB, docSeed int64, nodes int) string {
+	tb.Helper()
 	var xb strings.Builder
 	if err := xmark.Generate(xmark.Scaled(docSeed, nodes)).WriteXML(&xb); err != nil {
 		tb.Fatal(err)
 	}
-	doc, err := xmltree.ParseString(xb.String())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	b := NewBuilder().LoadXMLString(xb.String())
+	return xb.String()
+}
+
+// churnBuilder loads xml with churnTenant's subjects: 8 groups granted read
+// on /site, a writer group, and 24 users, each in one group and, drawn from
+// rng, half of them in a second one.
+func churnBuilder(xml string, rng *rand.Rand) *Builder {
+	b := NewBuilder().LoadXMLString(xml)
 	for g := 0; g < 8; g++ {
 		b.AddGroup(fmt.Sprintf("g%d", g)).Grant(fmt.Sprintf("g%d", g), "read", "/site")
 	}
 	b.AddGroup("gw")
-	rng := rand.New(rand.NewSource(seed))
 	for u := 0; u < 24; u++ {
 		b.AddUser(fmt.Sprintf("u%02d", u)).AddMember(fmt.Sprintf("g%d", u%8), fmt.Sprintf("u%02d", u))
 		if rng.Intn(2) == 0 {
 			b.AddMember(fmt.Sprintf("g%d", (u%8+1+rng.Intn(7))%8), fmt.Sprintf("u%02d", u))
 		}
 	}
-	st, err := b.Seal(StoreOptions{PageSize: pageSize})
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return st, doc, rng
+	return b
 }
 
 // churnBurst runs churnTenant's burst on st — 4 subtree revokes per 100

@@ -24,6 +24,7 @@ import (
 
 	"dolxml/internal/acl"
 	"dolxml/internal/bitset"
+	"dolxml/internal/dol"
 	"dolxml/internal/query"
 	"dolxml/internal/xmltree"
 )
@@ -180,72 +181,47 @@ func (b *Builder) PermitByDefault() *Builder {
 	return b
 }
 
-// buildMatrix materializes the combined (subject × mode) accessibility
-// matrix. Bit layout: column subject*numModes + mode, so post-seal subject
-// additions append columns.
-func (b *Builder) buildMatrix() (*acl.Matrix, error) {
-	numSubjects := b.dir.Len()
+// label compiles the rules, checked in rule order, into one policy over
+// combined subjects — bit subject*numModes + mode, so post-seal subject
+// additions append bits — and sweeps it into the labeling's runs.
+func (b *Builder) label() (*dol.Labeling, error) {
 	numModes := len(b.modes)
-	combined := acl.NewMatrix(b.doc.Len(), numSubjects*numModes)
-
-	// Validate every rule before materializing any mode.
+	numBits := b.dir.Len() * numModes
+	p := acl.NewPolicy()
+	p.Conflicts = acl.LastRuleWins
+	if b.defaultOn {
+		p.DefaultEffect = acl.Permit
+	}
 	for ri, r := range b.rules {
-		if _, ok := b.dir.Lookup(r.subject); !ok {
+		s, ok := b.dir.Lookup(r.subject)
+		if !ok {
 			return nil, fmt.Errorf("securexml: rule %d: unknown subject %q", ri, r.subject)
 		}
-		if _, ok := b.modeIdx[r.mode]; !ok {
+		mi, ok := b.modeIdx[r.mode]
+		if !ok {
 			return nil, fmt.Errorf("securexml: rule %d: unknown mode %q", ri, r.mode)
 		}
-		if _, err := query.Parse(r.xpath); err != nil {
+		pt, err := query.Parse(r.xpath)
+		if err != nil {
 			return nil, fmt.Errorf("securexml: rule %d: %w", ri, err)
 		}
-	}
-
-	// Group rule specs per mode into acl policies over plain subjects.
-	for mi, modeName := range b.modes {
-		p := acl.NewPolicy()
-		p.Conflicts = acl.LastRuleWins
-		if b.defaultOn {
-			p.DefaultEffect = acl.Permit
-		}
-		for ri, r := range b.rules {
-			if r.mode != modeName {
-				continue
-			}
-			s, ok := b.dir.Lookup(r.subject)
-			if !ok {
-				return nil, fmt.Errorf("securexml: rule %d: unknown subject %q", ri, r.subject)
-			}
-			if _, ok := b.modeIdx[r.mode]; !ok {
-				return nil, fmt.Errorf("securexml: rule %d: unknown mode %q", ri, r.mode)
-			}
-			pt, err := query.Parse(r.xpath)
-			if err != nil {
-				return nil, fmt.Errorf("securexml: rule %d: %w", ri, err)
-			}
-			for _, target := range query.MatchDocument(b.doc, pt) {
-				p.Add(acl.Rule{
-					Subject: s,
-					Mode:    acl.ModeRead, // single-mode policy per loop
-					Target:  target,
-					Effect:  acl.Effect(r.effect),
-					Cascade: r.cascade,
-				})
-			}
-		}
-		m, err := p.Materialize(b.doc, acl.ModeRead, numSubjects)
-		if err != nil {
-			return nil, err
-		}
-		for n := 0; n < b.doc.Len(); n++ {
-			for s := 0; s < numSubjects; s++ {
-				if m.Accessible(xmltree.NodeID(n), acl.SubjectID(s)) {
-					combined.Set(xmltree.NodeID(n), acl.SubjectID(s*numModes+mi), true)
-				}
-			}
+		for _, target := range query.MatchDocument(b.doc, pt) {
+			p.Add(acl.Rule{
+				Subject: acl.SubjectID(int(s)*numModes + mi),
+				Target:  target,
+				Effect:  acl.Effect(r.effect),
+				Cascade: r.cascade,
+			})
 		}
 	}
-	return combined, nil
+	sb := dol.NewStreamBuilder(dol.NewCodebook(numBits))
+	err := p.Runs(b.doc, acl.ModeRead, numBits, func(_ xmltree.NodeID, n int, row *bitset.Bitset) {
+		sb.AppendRun(row, n)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return sb.Finish(), nil
 }
 
 // effectiveBits expands a user's effective subjects into combined-matrix

@@ -244,7 +244,7 @@ func (b *Builder) Seal(opts StoreOptions) (*Store, error) {
 		return nil, fmt.Errorf("securexml: Seal before LoadXML")
 	}
 	opts.defaults()
-	matrix, err := b.buildMatrix()
+	lab, err := b.label()
 	if err != nil {
 		return nil, err
 	}
@@ -285,7 +285,7 @@ func (b *Builder) Seal(opts StoreOptions) (*Store, error) {
 		pager, wal = wp, wp
 	}
 	pool := storage.NewBufferPool(pager, opts.PoolPages)
-	ss, err := dol.BuildSecureStore(pool, b.doc, matrix, nok.BuildOptions{
+	ss, err := dol.BuildLabeledStore(pool, b.doc, lab, nok.BuildOptions{
 		FillPercent: opts.FillPercent,
 		StoreValues: !opts.DiscardValues,
 	})
