@@ -186,16 +186,3 @@ func Run(name string, cfg Config) ([]*Table, error) {
 		return nil, fmt.Errorf("bench: unknown experiment %q (have %v)", name, Experiments)
 	}
 }
-
-// RunAll executes every experiment.
-func RunAll(cfg Config) ([]*Table, error) {
-	var out []*Table
-	for _, name := range Experiments {
-		ts, err := Run(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ts...)
-	}
-	return out, nil
-}

@@ -32,8 +32,8 @@ type AccessFunc func(xmltree.NodeID) bool
 //
 // Note: because the stream filter does not materialize attribute nodes,
 // its node numbering matches xmltree documents only for attribute-free
-// input; use FilterLabeled (or securexml's ExportVisible) when the
-// accessibility source was built from a parsed document with attributes.
+// input; use securexml's ExportVisible when the accessibility source was
+// built from a parsed document with attributes.
 func Filter(r io.Reader, w io.Writer, accessible AccessFunc) error {
 	dec := xml.NewDecoder(r)
 	enc := xml.NewEncoder(w)
@@ -91,57 +91,6 @@ func Filter(r io.Reader, w io.Writer, accessible AccessFunc) error {
 		return fmt.Errorf("dissem: %d unclosed elements", len(visible))
 	}
 	return enc.Flush()
-}
-
-// FilterLabeled filters the serialized form of a labeled document: doc
-// provides node identities (including attribute nodes), lab and the
-// effective subject set decide visibility, and the visible fragment is
-// written to w. Unlike Filter this walks the already-parsed document, so
-// attribute nodes participate in access control: an element's visible
-// attributes are those whose attribute nodes are accessible.
-func FilterLabeled(doc *xmltree.Document, lab *dol.Labeling, effective func(n xmltree.NodeID) bool, w io.Writer) error {
-	if doc.Len() != lab.NumNodes() {
-		return fmt.Errorf("dissem: labeling covers %d nodes, document has %d", lab.NumNodes(), doc.Len())
-	}
-	var write func(n xmltree.NodeID) error
-	write = func(n xmltree.NodeID) error {
-		tag := doc.Tag(n)
-		if _, err := fmt.Fprintf(w, "<%s", tag); err != nil {
-			return err
-		}
-		var kids []xmltree.NodeID
-		for c := doc.FirstChild(n); c != xmltree.InvalidNode; c = doc.NextSibling(c) {
-			if !effective(c) {
-				continue
-			}
-			if ct := doc.Tag(c); len(ct) > 0 && ct[0] == '@' {
-				if _, err := w.Write(xmltree.AppendAttr(nil, ct[1:], doc.Value(c))); err != nil {
-					return err
-				}
-			} else {
-				kids = append(kids, c)
-			}
-		}
-		if _, err := io.WriteString(w, ">"); err != nil {
-			return err
-		}
-		if v := doc.Value(n); v != "" {
-			if err := xml.EscapeText(w, []byte(v)); err != nil {
-				return err
-			}
-		}
-		for _, c := range kids {
-			if err := write(c); err != nil {
-				return err
-			}
-		}
-		_, err := fmt.Fprintf(w, "</%s>", tag)
-		return err
-	}
-	if doc.Len() == 0 || !effective(0) {
-		return nil
-	}
-	return write(0)
 }
 
 // SubjectAccess adapts a labeling and a single subject to an AccessFunc.

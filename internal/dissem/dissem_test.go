@@ -112,19 +112,16 @@ func TestFilterMatchesPrunedView(t *testing.T) {
 		if got.Len() != wantCount {
 			return false
 		}
-		// Tag multiset must match the visible nodes' tags.
+		// Tag multiset must match the visible nodes' tags: with the sizes
+		// equal, equal counts per visible tag suffice.
 		wantHist := map[string]int{}
 		for n := 0; n < doc.Len(); n++ {
 			if visible(xmltree.NodeID(n)) {
 				wantHist[doc.Tag(xmltree.NodeID(n))]++
 			}
 		}
-		gotHist := got.TagHistogram()
-		if len(gotHist) != len(wantHist) {
-			return false
-		}
 		for k, v := range wantHist {
-			if gotHist[k] != v {
+			if len(got.NodesWithTag(k)) != v {
 				return false
 			}
 		}
@@ -132,68 +129,6 @@ func TestFilterMatchesPrunedView(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFilterLabeled(t *testing.T) {
-	doc := xmltree.MustParseString(`<feed><item level="secret"><body>x</body></item><item level="open"><body>y</body></item></feed>`)
-	// Nodes: feed0 item1 @level2 body3 item4 @level5 body6.
-	m := acl.NewMatrix(doc.Len(), 1)
-	for n := 0; n < doc.Len(); n++ {
-		m.Set(xmltree.NodeID(n), 0, true)
-	}
-	// Deny the first item's subtree and the second item's level attribute.
-	for n := xmltree.NodeID(1); n <= doc.End(1); n++ {
-		m.Set(n, 0, false)
-	}
-	m.Set(5, 0, false)
-	lab := dol.FromMatrix(m)
-	var out strings.Builder
-	err := FilterLabeled(doc, lab, func(n xmltree.NodeID) bool { return lab.Accessible(n, 0) }, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.String()
-	if strings.Contains(got, "secret") || strings.Contains(got, ">x<") {
-		t.Fatalf("denied item leaked: %s", got)
-	}
-	if strings.Contains(got, "level=") {
-		t.Fatalf("denied attribute leaked: %s", got)
-	}
-	if !strings.Contains(got, "<body>y</body>") {
-		t.Fatalf("visible body lost: %s", got)
-	}
-}
-
-// TestFilterLabeledAttrRoundTrip writes attributes whose values need
-// escaping and checks that the filtered XML reads back the same values.
-func TestFilterLabeledAttrRoundTrip(t *testing.T) {
-	for _, v := range []string{`a\b`, "\t", "\r\n", `"'`, "<&>", "]]>", "é日本\U0001F600", "\u0085"} {
-		b := xmltree.NewBuilder()
-		b.Begin("r")
-		b.Attr("k", v)
-		b.End()
-		doc := b.MustFinish()
-		lab := dol.FromMatrix(acl.NewMatrix(doc.Len(), 1))
-		var out strings.Builder
-		if err := FilterLabeled(doc, lab, func(xmltree.NodeID) bool { return true }, &out); err != nil {
-			t.Fatal(err)
-		}
-		back, err := xmltree.ParseString(out.String())
-		if err != nil {
-			t.Fatalf("%q written as %s: %v", v, out.String(), err)
-		}
-		if got := back.Value(1); got != v {
-			t.Errorf("%q written as %s reads back %q", v, out.String(), got)
-		}
-	}
-}
-
-func TestFilterLabeledDimensionMismatch(t *testing.T) {
-	doc := xmltree.MustParseString("<a><b/></a>")
-	lab := dol.FromMatrix(acl.NewMatrix(1, 1))
-	if err := FilterLabeled(doc, lab, func(xmltree.NodeID) bool { return true }, &strings.Builder{}); err == nil {
-		t.Fatal("mismatched labeling should fail")
 	}
 }
 

@@ -156,27 +156,6 @@ func (ss *SecureStore) AccessibleAny(n xmltree.NodeID, effective *bitset.Bitset)
 	return ss.cb.AccessibleAny(c, effective), nil
 }
 
-// PageFullyInaccessible reports, using only the in-memory page directory,
-// whether every node in block pageIdx is inaccessible to the effective
-// subject set — the page-skipping test of §3.3: the header's starting code
-// denies access and the change bit is clear.
-func (ss *SecureStore) PageFullyInaccessible(pageIdx int, effective *bitset.Bitset) bool {
-	pi := ss.store.PageInfoAt(pageIdx)
-	if pi.ChangeBit {
-		return false
-	}
-	return !ss.cb.AccessibleAny(pi.AccessCode, effective)
-}
-
-// PageFullyInaccessibleTo is PageFullyInaccessible for a single subject.
-func (ss *SecureStore) PageFullyInaccessibleTo(pageIdx int, s acl.SubjectID) bool {
-	pi := ss.store.PageInfoAt(pageIdx)
-	if pi.ChangeBit {
-		return false
-	}
-	return !ss.cb.Accessible(pi.AccessCode, s)
-}
-
 // SubjectView binds a SecureStore to one effective subject set, giving the
 // single-argument access predicate the secure query evaluator consumes.
 //
@@ -252,8 +231,9 @@ func (v *SubjectView) accessibleCode(ca *viewCache, c Code) bool {
 }
 
 // buildPageBitmap fills ca.pageDeny from the in-memory page directory: bit
-// i is set exactly when PageFullyInaccessible(i) holds. One pass over the
-// directory (no I/O) turns every later SkipPage call into a bit probe.
+// i is set exactly when block i's change bit is clear and its header code
+// denies the view's subject set — the page-skipping test of §3.3. One pass
+// over the directory (no I/O) turns every later page test into a bit probe.
 func (v *SubjectView) buildPageBitmap(ca *viewCache) {
 	v.ss.stats.bitmapBuilds.Inc()
 	st := v.ss.store
@@ -295,19 +275,6 @@ func (v *SubjectView) AccessibleCtx(ctx context.Context, n xmltree.NodeID) (bool
 		return false, err
 	}
 	return v.accessibleCode(v.cacheFor(), c), nil
-}
-
-// SkipPage reports, from the in-memory directory alone, that every node of
-// block pageIdx is inaccessible to the view's subject set. The answer comes
-// from a lazily built per-view bitmap, so the per-sibling-step test during
-// ε-NoK scans is a single bit probe.
-func (v *SubjectView) SkipPage(pageIdx int) bool {
-	ca := v.cacheFor()
-	ca.pageOnce.Do(func() { v.buildPageBitmap(ca) })
-	if pageIdx < 0 || pageIdx >= len(ca.pageDeny)*64 {
-		return false
-	}
-	return ca.pageDeny[pageIdx/64]&(1<<uint(pageIdx%64)) != 0
 }
 
 // PageDenyBits returns the view's page-deny bitmap — bit i set exactly when
@@ -353,8 +320,13 @@ func (ss *SecureStore) Matrix() (*acl.Matrix, error) {
 	return m, nil
 }
 
-// TransitionCount returns the number of embedded transition entries plus
-// block-initial codes, the physical analogue of Labeling.NumTransitions.
+// TransitionCount returns the number of transition nodes: the nodes, in
+// document order, whose code differs from the preceding node's, the root
+// included. It walks every block and counts code changes, so a block whose
+// first code equals its predecessor's last adds nothing: this is the
+// logical count Labeling.NumTransitions gives at build time and
+// Proposition 1 bounds under updates, not the number of codes the blocks
+// store.
 func (ss *SecureStore) TransitionCount() (int, error) {
 	count := 0
 	var prev Code

@@ -115,8 +115,11 @@ func TestTransitionCountMatchesLabeling(t *testing.T) {
 	}
 }
 
+// TestPageFullyInaccessible checks a view's page-deny bitmap (§3.3 page
+// skipping) against every node of every block, for an effective set and
+// for a single subject: a block is skipped only when all its nodes are
+// denied, and a wholly denied block whose change bit is clear is skipped.
 func TestPageFullyInaccessible(t *testing.T) {
-	// Many-node document where a long middle run is inaccessible.
 	b := xmltree.NewBuilder()
 	b.Begin("root")
 	for i := 0; i < 300; i++ {
@@ -124,52 +127,44 @@ func TestPageFullyInaccessible(t *testing.T) {
 	}
 	b.End()
 	doc := b.MustFinish()
-	m := acl.NewMatrix(doc.Len(), 1)
+	// Subject 0 reaches the first and last 50 nodes, subject 1 [100, 150).
+	m := acl.NewMatrix(doc.Len(), 2)
 	for n := 0; n < doc.Len(); n++ {
-		// First 50 and last 50 accessible.
-		if n < 50 || n > doc.Len()-50 {
-			m.Set(xmltree.NodeID(n), 0, true)
-		}
+		m.Set(xmltree.NodeID(n), 0, n < 50 || n > doc.Len()-50)
+		m.Set(xmltree.NodeID(n), 1, n >= 100 && n < 150)
 	}
 	ss := buildSecure(t, doc, m, 128)
 	st := ss.Store()
 	if st.NumPages() < 4 {
 		t.Fatalf("want multiple pages, got %d", st.NumPages())
 	}
-	eff := bitset.FromIndices(1, 0)
-	sawSkippable := false
-	for i := 0; i < st.NumPages(); i++ {
-		skip := ss.PageFullyInaccessible(i, eff)
-		skipOne := ss.PageFullyInaccessibleTo(i, 0)
-		if skip != skipOne {
-			t.Fatal("effective-set and single-subject skip disagree")
-		}
-		// Verify against ground truth.
-		pi := st.PageInfoAt(i)
-		allDenied := true
-		for k := 0; k < pi.Count; k++ {
-			if m.Accessible(pi.FirstNode+xmltree.NodeID(k), 0) {
-				allDenied = false
-				break
+	for _, eff := range []*bitset.Bitset{bitset.FromIndices(2, 0, 1), bitset.FromIndices(2, 0)} {
+		view := ss.View(eff)
+		nskipped := 0
+		for i := 0; i < st.NumPages(); i++ {
+			skip := skipped(view, i)
+			pi := st.PageInfoAt(i)
+			allDenied := true
+			for n := pi.FirstNode; n < pi.FirstNode+xmltree.NodeID(pi.Count); n++ {
+				if m.Row(n).Intersects(eff) {
+					allDenied = false
+					break
+				}
+			}
+			if skip && !allDenied {
+				t.Fatalf("subjects %v: block %d skipped but has accessible nodes", eff, i)
+			}
+			// Conservative only when the change bit is set.
+			if allDenied && !skip && !pi.ChangeBit {
+				t.Fatalf("subjects %v: block %d wholly denied with a clear change bit but not skipped", eff, i)
+			}
+			if skip {
+				nskipped++
 			}
 		}
-		if skip && !allDenied {
-			t.Fatalf("page %d claimed skippable but has accessible nodes", i)
+		if nskipped == 0 {
+			t.Fatalf("subjects %v: no block skipped; the workload should produce some", eff)
 		}
-		if allDenied && !skip {
-			// Allowed to be conservative only when the change bit is
-			// set; with one subject and a contiguous denied run the
-			// interior pages must be recognized.
-			if !pi.ChangeBit {
-				t.Fatalf("page %d fully denied with clear change bit but not skippable", i)
-			}
-		}
-		if skip {
-			sawSkippable = true
-		}
-	}
-	if !sawSkippable {
-		t.Fatal("no skippable pages found; workload should produce some")
 	}
 }
 
@@ -200,7 +195,7 @@ func TestViewSeesSplicedChangeBit(t *testing.T) {
 	st := ss.Store()
 	view := ss.ViewSubject(0)
 	i := st.NumPages() / 2
-	if pi := st.PageInfoAt(i); pi.FirstNode <= 50 || pi.ChangeBit || !view.SkipPage(i) {
+	if pi := st.PageInfoAt(i); pi.FirstNode <= 50 || pi.ChangeBit || !skipped(view, i) {
 		t.Fatalf("block %d (%+v) is not a wholly denied block past the granted run", i, pi)
 	}
 	n := st.PageInfoAt(i).FirstNode + 1
@@ -210,10 +205,15 @@ func TestViewSeesSplicedChangeBit(t *testing.T) {
 	if !st.PageInfoAt(i).ChangeBit {
 		t.Fatalf("granting node %d left block %d's change bit clear", n, i)
 	}
-	if view.SkipPage(i) {
+	if skipped(view, i) {
 		t.Fatalf("the view still skips block %d after node %d was granted", i, n)
 	}
 	checkStoreRefs(t, ss)
+}
+
+// skipped reports whether bit i of the view's page-deny bitmap is set.
+func skipped(v *SubjectView, i int) bool {
+	return v.PageDenyBits()[i/64]&(1<<uint(i%64)) != 0
 }
 
 // fig2Model builds the Figure 2 store over the Figure 1 matrix at the page
@@ -435,7 +435,8 @@ func TestSubjectOpsPhysical(t *testing.T) {
 }
 
 // Property: random interleavings of accessibility and structural updates
-// keep the physical store equivalent to the model.
+// keep the physical store equivalent to the model, and no update adds more
+// transitions than Proposition 1 allows its kind (prop1Bound).
 func TestSecureStoreUpdateProperty(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -444,8 +445,13 @@ func TestSecureStoreUpdateProperty(t *testing.T) {
 		ss := buildSecure(t, doc, m.Clone(), 64+rng.Intn(128))
 		md := xmlmodel.New(doc, m)
 		for step := 0; step < 12; step++ {
-			if err := ApplyOp(ss, xmlmodel.Op(rng, md, xmlmodel.SetAccess, xmlmodel.SetRange, xmlmodel.InsertRows, xmlmodel.Delete, xmlmodel.Move)); err != nil {
+			before := transitionCount(t, ss)
+			op := xmlmodel.Op(rng, md, xmlmodel.SetAccess, xmlmodel.SetRange, xmlmodel.InsertRows, xmlmodel.Delete, xmlmodel.Move)
+			if err := ApplyOp(ss, op); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
+			if after, bound := transitionCount(t, ss), prop1Bound(op); after > before+bound {
+				t.Fatalf("seed %d step %d %s: %d transitions after %d, at most +%d allowed", seed, step, op.Kind, after, before, bound)
 			}
 		}
 		if err := ss.Store().CheckConsistency(); err != nil {
@@ -453,6 +459,31 @@ func TestSecureStoreUpdateProperty(t *testing.T) {
 		}
 		verifyAgainstModel(t, ss, md)
 	}
+}
+
+// prop1Bound is the most transitions op may add to a store (Proposition 1,
+// DESIGN.md §6): two for an access update; for an insert one more than the
+// fragment's own, whose first node is one of the two; none for a delete;
+// three for a move, a delete and an insert of the subtree's own.
+func prop1Bound(op xmlmodel.Operation) int {
+	switch op.Kind {
+	case xmlmodel.Insert, xmlmodel.InsertRows:
+		return 1 + FromMatrix(op.FragACL).NumTransitions()
+	case xmlmodel.Delete:
+		return 0
+	case xmlmodel.Move:
+		return 3
+	}
+	return 2
+}
+
+func transitionCount(t *testing.T, ss *SecureStore) int {
+	t.Helper()
+	n, err := ss.TransitionCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }
 
 // ApplyOp applies an operation the model drew to ss.

@@ -10,7 +10,6 @@ package join
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"dolxml/internal/xmltree"
 )
@@ -53,28 +52,5 @@ func STD(ancs, descs []Item) []Pair {
 		}
 		out = append(out, j.Probe(d)...)
 	}
-	return out
-}
-
-// SelfOrDescendantSTD is STD with the descendant-or-self axis: pairs where
-// a == d are also emitted when both lists contain the node.
-func SelfOrDescendantSTD(ancs, descs []Item) []Pair {
-	out := STD(ancs, descs)
-	// Add the a == d pairs by merging.
-	ai := 0
-	for _, d := range descs {
-		for ai < len(ancs) && ancs[ai].Node < d.Node {
-			ai++
-		}
-		if ai < len(ancs) && ancs[ai].Node == d.Node {
-			out = append(out, Pair{Anc: d.Node, Desc: d.Node})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Desc != out[j].Desc {
-			return out[i].Desc < out[j].Desc
-		}
-		return out[i].Anc < out[j].Anc
-	})
 	return out
 }

@@ -154,7 +154,7 @@ func checkAgainstModel(t *testing.T, rng *rand.Rand, s *Store, f *flatDoc, doc *
 			info, errs[0] = s.Info(n)
 			fc, errs[1] = s.FirstChild(n)
 			fs, errs[2] = s.FollowingSibling(n)
-			fsSkip, errs[3] = s.FollowingSiblingSkip(n, skip)
+			fsSkip, errs[3] = s.FollowingSiblingSkipCtx(ctx, n, skip)
 			end, errs[4] = s.SubtreeEnd(n)
 		}
 		for _, err := range errs {
@@ -197,8 +197,8 @@ func checkAgainstModel(t *testing.T, rng *rand.Rand, s *Store, f *flatDoc, doc *
 				if got, err := cur.NextSiblingFromBlock(ctx, k, level, sk); err != nil || got != want {
 					t.Fatalf("%s: cursor NextSiblingFromBlock(%d, level %d) = %d, %v; want %d", what, k, level, got, err, want)
 				}
-				if got, err := s.NextSiblingFromBlockCtx(ctx, k, level, sk); err != nil || got != want {
-					t.Fatalf("%s: store NextSiblingFromBlock(%d, level %d) = %d, %v; want %d", what, k, level, got, err, want)
+				if got, err := s.NewCursor().NextSiblingFromBlock(ctx, k, level, sk); err != nil || got != want {
+					t.Fatalf("%s: fresh cursor NextSiblingFromBlock(%d, level %d) = %d, %v; want %d", what, k, level, got, err, want)
 				}
 			}
 		}

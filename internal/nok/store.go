@@ -316,23 +316,11 @@ func (s *Store) FollowingSibling(n xmltree.NodeID) (xmltree.NodeID, error) {
 	return s.FollowingSiblingSkipCtx(context.Background(), n, nil)
 }
 
-// FollowingSiblingSkip is Cursor.FollowingSibling for a single step.
-func (s *Store) FollowingSiblingSkip(n xmltree.NodeID, skip func(pageIdx int) bool) (xmltree.NodeID, error) {
-	return s.FollowingSiblingSkipCtx(context.Background(), n, skip)
-}
-
-// FollowingSiblingSkipCtx is FollowingSiblingSkip with cancellation at
-// every page-fetch boundary of the cross-block scan.
+// FollowingSiblingSkipCtx is Cursor.FollowingSibling for a single step,
+// with cancellation at every page-fetch boundary of the cross-block scan.
 func (s *Store) FollowingSiblingSkipCtx(ctx context.Context, n xmltree.NodeID, skip func(pageIdx int) bool) (xmltree.NodeID, error) {
 	c := Cursor{s: s}
 	return c.FollowingSibling(ctx, n, skip)
-}
-
-// NextSiblingFromBlockCtx is Cursor.NextSiblingFromBlock from a fresh
-// cursor.
-func (s *Store) NextSiblingFromBlockCtx(ctx context.Context, blockIdx, targetLevel int, skip func(pageIdx int) bool) (xmltree.NodeID, error) {
-	c := Cursor{s: s}
-	return c.NextSiblingFromBlock(ctx, blockIdx, targetLevel, skip)
 }
 
 // SubtreeEnd is Cursor.SubtreeEnd for a single step.

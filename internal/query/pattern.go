@@ -185,15 +185,3 @@ func nokChildren(p *PatternNode) []*PatternNode {
 	}
 	return out
 }
-
-// descendantChildren returns p's pattern children connected by the
-// descendant axis (the cut edges).
-func descendantChildren(p *PatternNode) []*PatternNode {
-	var out []*PatternNode
-	for _, c := range p.Children {
-		if c.Axis == AxisDescendant {
-			out = append(out, c)
-		}
-	}
-	return out
-}

@@ -467,19 +467,6 @@ func (w *WALPager) checkpointLocked() error {
 	return nil
 }
 
-// Checkpoint flushes everything queued, delivers any deferred metadata
-// sidecar and truncates the log to a bare header. Close runs it
-// implicitly; long-lived stores using the background flusher otherwise
-// checkpoint whenever the log crosses walTruncateThreshold.
-func (w *WALPager) Checkpoint() error {
-	if err := w.FlushBarrier(); err != nil {
-		return err
-	}
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	return w.checkpointLocked()
-}
-
 // FlushBarrier flushes until no sealed batch remains queued, overriding a
 // test hold. It is the durability barrier behind Sync, Save and direct
 // page access outside batches.

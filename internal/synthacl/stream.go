@@ -6,7 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"dolxml/internal/bitset"
 	"dolxml/internal/dol"
 )
 
@@ -205,37 +204,4 @@ func StreamCodebook(cfg StreamConfig) *StreamResult {
 			BuildTime:   time.Since(start),
 		},
 	}
-}
-
-// StreamCodebookDense replays the same grant stream into a dense Codebook
-// over materialized per-folder bitsets — the small-scale oracle that
-// validates the sparse path. It costs folders×subjects bits of memory, so
-// only use it at populations where that is affordable. It returns the
-// codebook and the final code per folder.
-func StreamCodebookDense(cfg StreamConfig) (*dol.Codebook, []dol.Code) {
-	cfg = cfg.normalized()
-	cb := dol.NewCodebook(cfg.Subjects)
-	folders := cfg.Folders()
-	acls := make([]*bitset.Bitset, len(folders))
-	starts := make([]int, len(folders))
-	for i, f := range folders {
-		acls[i] = bitset.New(cfg.Subjects)
-		starts[i] = f.Lo
-	}
-	codes := make([]dol.Code, len(folders))
-	for i := range codes {
-		codes[i] = cb.Intern(acls[i])
-		cb.Retain(codes[i])
-	}
-	StreamGrants(cfg, func(lo, _, subject int) {
-		i := sort.SearchInts(starts, lo)
-		acls[i].Set(subject)
-		next := cb.Intern(acls[i])
-		if next != codes[i] {
-			cb.Retain(next)
-			cb.Release(codes[i])
-			codes[i] = next
-		}
-	})
-	return cb, codes
 }

@@ -2,33 +2,48 @@ package synthacl
 
 import (
 	"reflect"
+	"sort"
 	"testing"
+
+	"dolxml/internal/bitset"
 )
 
 // TestStreamSparseMatchesDenseOracle replays one grant stream into both the
-// run-length codebook and a dense materialized codebook and requires the
-// same dictionary: equal entry counts and, folder by folder, equal ACLs.
+// run-length codebook and dense per-folder bitsets and requires the same
+// dictionary: as many entries as there are distinct dense ACLs and, folder
+// by folder, equal ACLs.
 func TestStreamSparseMatchesDenseOracle(t *testing.T) {
 	cfg := DefaultStream(42, 3000)
 	cfg.Nodes = 5000
 	res := StreamCodebook(cfg)
-	dense, denseCodes := StreamCodebookDense(cfg)
-	if res.Codebook.Len() != dense.Len() {
-		t.Fatalf("sparse has %d entries, dense oracle %d", res.Codebook.Len(), dense.Len())
+	cfg = cfg.normalized()
+	folders := cfg.Folders()
+	dense := make([]*bitset.Bitset, len(folders))
+	starts := make([]int, len(folders))
+	for i, f := range folders {
+		dense[i] = bitset.New(cfg.Subjects)
+		starts[i] = f.Lo
 	}
-	if len(res.Codes) != len(denseCodes) {
-		t.Fatalf("folder counts differ: %d vs %d", len(res.Codes), len(denseCodes))
+	StreamGrants(cfg, func(lo, _, subject int) { dense[sort.SearchInts(starts, lo)].Set(subject) })
+	distinct := map[string]bool{}
+	for _, a := range dense {
+		distinct[a.Key()] = true
+	}
+	if res.Codebook.Len() != len(distinct) {
+		t.Fatalf("sparse has %d entries, dense oracle %d", res.Codebook.Len(), len(distinct))
+	}
+	if len(res.Codes) != len(dense) {
+		t.Fatalf("folder counts differ: %d vs %d", len(res.Codes), len(dense))
 	}
 	for i := range res.Codes {
-		sparse := res.Codebook.ACL(res.Codes[i])
-		if !sparse.EqualBits(dense.ACL(denseCodes[i])) {
+		if !res.Codebook.ACL(res.Codes[i]).EqualBits(dense[i]) {
 			t.Fatalf("folder %d: sparse and dense ACLs diverge", i)
 		}
 	}
 	// Membership probes through the sparse path.
 	for u := 0; u < cfg.Subjects; u += 97 {
 		for i := 0; i < len(res.Codes); i += 13 {
-			if res.Codebook.Accessible(res.Codes[i], u) != dense.ACL(denseCodes[i]).Test(u) {
+			if res.Codebook.Accessible(res.Codes[i], u) != dense[i].Test(u) {
 				t.Fatalf("folder %d subject %d: Accessible disagrees with oracle", i, u)
 			}
 		}

@@ -29,7 +29,7 @@ func TestSyntheticAccessibilityTracksRatio(t *testing.T) {
 	doc := testDoc(t)
 	for _, ratio := range []float64{0.1, 0.5, 0.9} {
 		acc := Synthetic(doc, SynthConfig{Seed: 7, PropagationRatio: 0.3, AccessibilityRatio: ratio})
-		got := AccessibleFraction(acc, doc.Len())
+		got := float64(acc.Count()) / float64(doc.Len())
 		if math.Abs(got-ratio) > 0.15 {
 			t.Errorf("ratio %.1f: accessible fraction %.3f too far off", ratio, got)
 		}
@@ -81,7 +81,11 @@ func TestLiveLinkShape(t *testing.T) {
 	if doc.MaxDepth() > 20 {
 		t.Errorf("max depth %d exceeds the real system's 19 (+root)", doc.MaxDepth())
 	}
-	avg := doc.AvgDepth()
+	levels := 0
+	for n := 0; n < doc.Len(); n++ {
+		levels += doc.Level(xmltree.NodeID(n))
+	}
+	avg := float64(levels) / float64(doc.Len())
 	if avg < 4 || avg > 12 {
 		t.Errorf("avg depth %.2f far from the real system's 7.9", avg)
 	}
@@ -155,9 +159,8 @@ func TestUnixFSShape(t *testing.T) {
 	if data.Dir.Len() != 28 {
 		t.Fatalf("subjects = %d, want 28", data.Dir.Len())
 	}
-	h := data.Doc.TagHistogram()
 	for _, tag := range []string{"fs", "home", "userdir", "proj", "projdir", "usr", "file"} {
-		if h[tag] == 0 {
+		if len(data.Doc.NodesWithTag(tag)) == 0 {
 			t.Errorf("missing %q entries", tag)
 		}
 	}
@@ -214,15 +217,14 @@ func TestGeneratorsProduceValidMatrices(t *testing.T) {
 		}
 	}
 	// Round trip through DOL must be lossless.
-	lab := dol.FromMatrix(data.Matrices[0])
-	if !lab.Matrix().Equal(data.Matrices[0]) {
-		t.Fatal("LiveLink matrix does not round trip through DOL")
-	}
-
 	fs := UnixFS(UnixFSConfig{Seed: 5, Files: 2000, Users: 8, Groups: 3})
-	lab2 := dol.FromMatrix(fs.Matrices[UnixRead])
-	if !lab2.Matrix().Equal(fs.Matrices[UnixRead]) {
-		t.Fatal("UnixFS matrix does not round trip through DOL")
+	for name, m := range map[string]*acl.Matrix{"LiveLink": data.Matrices[0], "UnixFS": fs.Matrices[UnixRead]} {
+		lab := dol.FromMatrix(m)
+		for n := xmltree.NodeID(0); int(n) < m.NumNodes(); n++ {
+			if !lab.Codebook().ACL(lab.CodeInForce(n)).EqualBits(m.Row(n)) {
+				t.Fatalf("%s matrix does not round trip through DOL at node %d", name, n)
+			}
+		}
 	}
 }
 

@@ -107,12 +107,3 @@ func Synthetic(doc *xmltree.Document, cfg SynthConfig) *bitset.Bitset {
 	}
 	return acc
 }
-
-// AccessibleFraction reports the fraction of set bits in acc over n nodes,
-// a sanity metric for the generators.
-func AccessibleFraction(acc *bitset.Bitset, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(acc.Count()) / float64(n)
-}

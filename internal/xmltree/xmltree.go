@@ -15,7 +15,6 @@ package xmltree
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"unicode/utf8"
 )
@@ -138,13 +137,6 @@ func (d *Document) Level(n NodeID) int {
 	return int(d.nodes[n].level)
 }
 
-// IsAncestor reports whether a is a proper ancestor of n.
-func (d *Document) IsAncestor(a, n NodeID) bool {
-	d.check(a)
-	d.check(n)
-	return a < n && n <= d.nodes[a].end
-}
-
 // Children returns the child IDs of n in sibling order.
 func (d *Document) Children(n NodeID) []NodeID {
 	d.check(n)
@@ -203,16 +195,6 @@ func (d *Document) Path(n NodeID) string {
 	return sb.String()
 }
 
-// TagHistogram returns tag name -> occurrence count, sorted iteration is up
-// to the caller.
-func (d *Document) TagHistogram() map[string]int {
-	h := make(map[string]int, len(d.tags))
-	for i := range d.nodes {
-		h[d.tags[d.nodes[i].tag]]++
-	}
-	return h
-}
-
 // MaxDepth returns the maximum node level plus one (depth of the tree), or
 // 0 for an empty document.
 func (d *Document) MaxDepth() int {
@@ -223,18 +205,6 @@ func (d *Document) MaxDepth() int {
 		}
 	}
 	return int(max) + 1
-}
-
-// AvgDepth returns the mean node level (root = 0).
-func (d *Document) AvgDepth() float64 {
-	if len(d.nodes) == 0 {
-		return 0
-	}
-	var sum int64
-	for i := range d.nodes {
-		sum += int64(d.nodes[i].level)
-	}
-	return float64(sum) / float64(len(d.nodes))
 }
 
 // WriteXML serializes the document as XML to w. Attribute nodes (tags
@@ -322,12 +292,5 @@ var escapes = func() (e [utf8.RuneSelf]string) {
 func (d *Document) Tags() []string {
 	out := make([]string, len(d.tags))
 	copy(out, d.tags)
-	return out
-}
-
-// SortedTags returns the distinct tag names in lexicographic order.
-func (d *Document) SortedTags() []string {
-	out := d.Tags()
-	sort.Strings(out)
 	return out
 }
