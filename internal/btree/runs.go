@@ -28,37 +28,44 @@ type Runs struct {
 }
 
 // Classes is the grouping key of NewClassRuns: Of[i] is node i's path
-// class, in [0, Count), under the class numbering Numbering.
+// class, in [0, len(Tag)), under the class numbering Numbering, and Tag[c]
+// is class c's tag (a path class names one tag).
 type Classes struct {
 	Of        []int32
-	Count     int
+	Tag       []int32
 	Numbering uint64
 }
 
-// NewClassRuns groups by path class the entries of a document's nodes 0,
-// 1, … in that order, tags in [0, numTags): a counting sort. Every node of
-// a class carries one tag. It does not keep cl.Of.
-func NewClassRuns(entries []Entry, numTags int, cl Classes) (*Runs, error) {
-	if len(cl.Of) != len(entries) {
-		return nil, fmt.Errorf("btree: %d classes for %d entries", len(cl.Of), len(entries))
+// NewClassRuns groups by path class the postings of a document's nodes 0,
+// 1, … in that order, class tags in [0, numTags): a counting sort in place.
+// The runs keep postings, reordered, and cl.Of is overwritten with scratch;
+// the caller reads neither afterwards. On an error neither is touched.
+func NewClassRuns(postings []Posting, numTags int, cl Classes) (*Runs, error) {
+	if len(cl.Of) != len(postings) {
+		return nil, fmt.Errorf("btree: %d classes for %d postings", len(cl.Of), len(postings))
 	}
-	r := &Runs{postings: make([]Posting, len(entries)), start: make([]int32, cl.Count+1),
+	count := len(cl.Tag)
+	r := &Runs{postings: postings, start: make([]int32, count+1),
 		tagStart: make([]int32, numTags+1), numbering: cl.Numbering}
-	tagOf := make([]int32, cl.Count) // the class's tag + 1, 0 before its first node
-	for i, e := range entries {
+	for i, p := range postings {
 		c := cl.Of[i]
 		switch {
-		case e.Tag < 0 || int(e.Tag) >= numTags || int(e.Node) != i:
-			return nil, fmt.Errorf("btree: entry %d (tag %d, node %d) is out of place", i, e.Tag, e.Node)
-		case c < 0 || int(c) >= cl.Count:
-			return nil, fmt.Errorf("btree: node %d has class %d of %d", i, c, cl.Count)
-		case tagOf[c] == 0:
-			tagOf[c] = e.Tag + 1
-			r.tagStart[e.Tag+1]++
-		case tagOf[c] != e.Tag+1:
-			return nil, fmt.Errorf("btree: class %d holds tags %d and %d", c, tagOf[c]-1, e.Tag)
+		case int(p.Node) != i:
+			return nil, fmt.Errorf("btree: posting %d (node %d) is out of place", i, p.Node)
+		case c < 0 || int(c) >= count:
+			return nil, fmt.Errorf("btree: node %d has class %d of %d", i, c, count)
 		}
 		r.start[c+1]++
+	}
+	// A class without nodes is listed under no tag.
+	for c, t := range cl.Tag {
+		if r.start[c+1] == 0 {
+			continue
+		}
+		if t < 0 || int(t) >= numTags {
+			return nil, fmt.Errorf("btree: class %d has tag %d of %d", c, t, numTags)
+		}
+		r.tagStart[t+1]++
 	}
 	for _, offsets := range [][]int32{r.start, r.tagStart} {
 		for k := 1; k < len(offsets); k++ {
@@ -67,16 +74,30 @@ func NewClassRuns(entries []Entry, numTags int, cl Classes) (*Runs, error) {
 	}
 	r.tagClass = make([]int32, r.tagStart[numTags])
 	next := slices.Clone(r.tagStart)
-	for c, t := range tagOf {
-		if t > 0 {
-			r.tagClass[next[t-1]] = int32(c)
-			next[t-1]++
+	for c, t := range cl.Tag {
+		if r.start[c+1] > r.start[c] {
+			r.tagClass[next[t]] = int32(c)
+			next[t]++
 		}
 	}
+	// Each node's place in its class's run, in document order; then the
+	// cycles of that permutation, each posting moved once into its place
+	// (a place taken is marked -1).
 	next = slices.Clone(r.start)
-	for i, e := range entries {
-		r.postings[next[cl.Of[i]]] = e.Posting
-		next[cl.Of[i]]++
+	for i, c := range cl.Of {
+		cl.Of[i] = next[c]
+		next[c]++
+	}
+	for i, to := range cl.Of {
+		if to < 0 || int(to) == i {
+			continue
+		}
+		p := postings[i]
+		for int(to) != i {
+			p, postings[to] = postings[to], p
+			to, cl.Of[to] = cl.Of[to], -1
+		}
+		postings[i] = p
 	}
 	return r, nil
 }

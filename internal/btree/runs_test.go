@@ -41,7 +41,20 @@ func randomClasses(rng *rand.Rand, entries []Entry, numTags, spread int) Classes
 	for i, e := range entries {
 		of[i] = int32(numTags*rng.Intn(spread)) + e.Tag
 	}
-	return Classes{Of: of, Count: numTags * spread, Numbering: rng.Uint64()}
+	tag := make([]int32, numTags*spread)
+	for c := range tag {
+		tag[c] = int32(c % numTags)
+	}
+	return Classes{Of: of, Tag: tag, Numbering: rng.Uint64()}
+}
+
+// postingsOf returns the entries' postings, in a slice of their own.
+func postingsOf(entries []Entry) []Posting {
+	ps := make([]Posting, len(entries))
+	for i, e := range entries {
+		ps[i] = e.Posting
+	}
+	return ps
 }
 
 func loaderOf(values []string, calls *atomic.Int64) func([]xmltree.NodeID) ([]string, error) {
@@ -80,7 +93,7 @@ func TestValueRunsMatchValueTree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runs, err := NewClassRuns(entries, numTags, randomClasses(rng, entries, numTags, 1+rng.Intn(6)))
+		runs, err := NewClassRuns(postingsOf(entries), numTags, randomClasses(rng, entries, numTags, 1+rng.Intn(6)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +124,7 @@ func TestValueRunsMatchValueTree(t *testing.T) {
 func TestValueRunsBuildOncePerTag(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	entries, values, _ := randomRunsInput(rng, 2000, 4, 4)
-	runs, err := NewClassRuns(entries, 4, randomClasses(rng, entries, 4, 3))
+	runs, err := NewClassRuns(postingsOf(entries), 4, randomClasses(rng, entries, 4, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,18 +177,20 @@ func TestClassRunsGroupByClass(t *testing.T) {
 		// The last tag has no node.
 		entries, _, _ := randomRunsInput(rng, n, max(numTags-1, 1), 0)
 		cl := randomClasses(rng, entries, numTags, 1+rng.Intn(20))
-		runs, err := NewClassRuns(entries, numTags, cl)
+		in := cl
+		in.Of = slices.Clone(cl.Of)
+		runs, err := NewClassRuns(postingsOf(entries), numTags, in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if num, k := runs.ClassNumbering(); num != cl.Numbering || k != cl.Count {
-			t.Fatalf("round %d: ClassNumbering() = %d, %d; want %d, %d", round, num, k, cl.Numbering, cl.Count)
+		if num, k := runs.ClassNumbering(); num != cl.Numbering || k != len(cl.Tag) {
+			t.Fatalf("round %d: ClassNumbering() = %d, %d; want %d, %d", round, num, k, cl.Numbering, len(cl.Tag))
 		}
-		if b := runs.Bytes(); b < int64(n)*12 || b > int64(n)*12+int64(numTags+2*cl.Count+2)*4 {
-			t.Fatalf("round %d: %d bytes for %d postings, %d tags and %d classes", round, b, n, numTags, cl.Count)
+		if b := runs.Bytes(); b < int64(n)*12 || b > int64(n)*12+int64(numTags+2*len(cl.Tag)+2)*4 {
+			t.Fatalf("round %d: %d bytes for %d postings, %d tags and %d classes", round, b, n, numTags, len(cl.Tag))
 		}
 		held := 0
-		for class := int32(-1); class <= int32(cl.Count); class++ {
+		for class := int32(-1); class <= int32(len(cl.Tag)); class++ {
 			run := runs.ClassPostings(class)
 			for k, p := range run {
 				if int(p.Node) >= n || cl.Of[p.Node] != class || p != entries[p.Node].Posting || k > 0 && p.Node <= run[k-1].Node {
@@ -209,7 +224,7 @@ func TestClassRunsGroupByClass(t *testing.T) {
 		}
 		some := map[int32]bool{}
 		var pick []int32
-		for class := int32(0); class < int32(cl.Count); class++ {
+		for class := int32(0); class < int32(len(cl.Tag)); class++ {
 			if rng.Intn(3) == 0 {
 				some[class] = true
 				pick = append(pick, class)
@@ -238,30 +253,43 @@ func TestClassRunsGroupByClass(t *testing.T) {
 	}
 }
 
-// NewClassRuns refuses entries out of place, classes out of range, a class
-// list of another length and a class of two tags.
+// NewClassRuns refuses postings out of place, classes out of range, a
+// class list of another length and a class with nodes whose tag is out of
+// range — and leaves its input as it was.
 func TestNewRunsRejectsMisplacedEntries(t *testing.T) {
-	one := func(entries []Entry, of ...int32) error {
-		_, err := NewClassRuns(entries, 2, Classes{Of: of, Count: 4})
+	one := func(postings []Posting, tags []int32, of ...int32) error {
+		in := slices.Clone(postings)
+		_, err := NewClassRuns(in, 2, Classes{Of: of, Tag: tags})
+		if err != nil && !slices.Equal(in, postings) {
+			t.Errorf("a refused call reordered its postings %v into %v", postings, in)
+		}
 		return err
 	}
-	for _, entries := range [][]Entry{
-		{{0, posting(0)}, {0, posting(2)}},
-		{{0, posting(0)}, {0, posting(0)}},
-		{{0, posting(0)}, {2, posting(1)}},
-		{{-1, posting(0)}, {0, posting(1)}},
+	tags := []int32{0, 1, 0, 1}
+	for _, ps := range [][]Posting{
+		{posting(0), posting(2)},
+		{posting(0), posting(0)},
+		{posting(1), posting(0)},
 	} {
-		if one(entries, 0, 2) == nil {
-			t.Errorf("the misplaced entries %v were accepted", entries)
+		if one(ps, tags, 0, 2) == nil {
+			t.Errorf("the misplaced postings %v were accepted", ps)
 		}
 	}
-	entries := []Entry{{0, posting(0)}, {1, posting(1)}}
-	for _, of := range [][]int32{{0, 4}, {-1, 1}, {0}, {0, 1, 2}, {1, 1}} {
-		if one(entries, of...) == nil {
+	ps := []Posting{posting(0), posting(1)}
+	for _, of := range [][]int32{{0, 4}, {-1, 1}, {0}, {0, 1, 2}} {
+		if one(ps, tags, of...) == nil {
 			t.Errorf("the classes %v were accepted", of)
 		}
 	}
-	if one(entries, 0, 1) != nil {
+	for _, tags := range [][]int32{{0, 2, 0, 1}, {-1, 1, 0, 1}} {
+		if one(ps, tags, 0, 1) == nil {
+			t.Errorf("the class tags %v were accepted", tags)
+		}
+	}
+	if one(ps, []int32{0, 1, 7, -1}, 0, 1) != nil {
+		t.Error("a tag out of range on a class without nodes was refused")
+	}
+	if one(ps, tags, 1, 0) != nil {
 		t.Error("two nodes in classes of their own were refused")
 	}
 }

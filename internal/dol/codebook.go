@@ -33,9 +33,18 @@ type Codebook struct {
 	numSubjects int
 	entries     []*bitset.Bitset // code -> ACL; nil for freed codes
 	refs        []int
-	index       map[string]Code // ACL key -> code
-	sharedIndex bool            // index is a Clone's too: ownIndex before a write
-	free        []Code          // freed codes available for reuse
+	// index maps an ACL key to its code: the lowest live code with those
+	// bits. It is built at the first Intern or AddSubjectLike (nil until
+	// then: reads need only entries, and a Release has no slot to drop),
+	// and a Clone shares it until either side writes (sharedIndex; see
+	// writableIndex).
+	index       map[string]Code
+	sharedIndex bool
+	// dups records that the index, when built, found live codes sharing
+	// a key (duplicates RemoveSubject left): freeing the code in such a
+	// key's slot drops the index, to be built again with the survivor.
+	dups bool
+	free []Code // freed codes available for reuse
 	// gen counts mutations that may invalidate externally cached access
 	// decisions (entry create/free/rewrite, subject add/remove, reference
 	// releases accompanying block rewrites). SubjectView decision caches
@@ -46,10 +55,7 @@ type Codebook struct {
 
 // NewCodebook returns an empty codebook over numSubjects subjects.
 func NewCodebook(numSubjects int) *Codebook {
-	return &Codebook{
-		numSubjects: numSubjects,
-		index:       make(map[string]Code),
-	}
+	return &Codebook{numSubjects: numSubjects}
 }
 
 // NumSubjects returns the subject dimension of the codebook.
@@ -69,17 +75,41 @@ func (cb *Codebook) Clone() *Codebook {
 		refs:        append([]int(nil), cb.refs...),
 		index:       cb.index,
 		sharedIndex: true,
+		dups:        cb.dups,
 		free:        append([]Code(nil), cb.free...),
 		gen:         cb.gen,
 	}
 }
 
-// ownIndex gives cb its own copy of an index a Clone shares, before a write.
-func (cb *Codebook) ownIndex() {
-	if cb.sharedIndex {
-		cb.index = maps.Clone(cb.index)
-		cb.sharedIndex = false
+// lookupIndex returns the ACL index for reading, building it if it is not
+// built yet: the first live code with a given key wins its slot, so
+// duplicates RemoveSubject left stay addressable but are not re-issued.
+func (cb *Codebook) lookupIndex() map[string]Code {
+	if cb.index == nil {
+		cb.index, cb.sharedIndex, cb.dups = make(map[string]Code, len(cb.entries)), false, false
+		for c, e := range cb.entries {
+			if e == nil {
+				continue
+			}
+			key := e.Key()
+			if _, ok := cb.index[key]; ok {
+				cb.dups = true
+			} else {
+				cb.index[key] = Code(c)
+			}
+		}
 	}
+	return cb.index
+}
+
+// writableIndex returns the ACL index for writing: built, and cb's own copy
+// of an index a Clone shares.
+func (cb *Codebook) writableIndex() map[string]Code {
+	if cb.sharedIndex && cb.index != nil {
+		cb.index = maps.Clone(cb.index)
+	}
+	cb.sharedIndex = false
+	return cb.lookupIndex()
 }
 
 // Len returns the number of live entries — the paper's "number of codebook
@@ -99,11 +129,11 @@ func (cb *Codebook) Gen() uint64 { return cb.gen }
 // references via Retain.
 func (cb *Codebook) Intern(a *bitset.Bitset) Code {
 	key := a.Key()
-	if c, ok := cb.index[key]; ok {
+	if c, ok := cb.lookupIndex()[key]; ok {
 		return c
 	}
 	cb.gen++
-	cb.ownIndex()
+	index := cb.writableIndex()
 	stored := a.Clone()
 	stored.Resize(cb.numSubjects)
 	var c Code
@@ -117,7 +147,7 @@ func (cb *Codebook) Intern(a *bitset.Bitset) Code {
 		cb.entries = append(cb.entries, stored)
 		cb.refs = append(cb.refs, 0)
 	}
-	cb.index[key] = c
+	index[key] = c
 	return c
 }
 
@@ -138,8 +168,20 @@ func (cb *Codebook) Release(c Code) {
 	// decisions and page bitmaps, so the generation always advances.
 	cb.gen++
 	if cb.refs[c] == 0 {
-		cb.ownIndex()
-		delete(cb.index, cb.entries[c].Key())
+		// The slot is c's only if c holds it: a duplicate RemoveSubject
+		// left behind shares its key with the live code in the slot, and
+		// when c holds it a duplicate may live on to take it over. An
+		// index not built yet is built without the freed entry.
+		if cb.index != nil {
+			key := cb.entries[c].Key()
+			if owner, ok := cb.index[key]; ok && owner == c {
+				if cb.dups {
+					cb.index, cb.sharedIndex = nil, false
+				} else {
+					delete(cb.writableIndex(), key)
+				}
+			}
+		}
 		cb.entries[c] = nil
 		cb.free = append(cb.free, c)
 	}
@@ -205,18 +247,21 @@ func (cb *Codebook) AddSubjectLike(like acl.SubjectID) (acl.SubjectID, error) {
 	if int(like) < 0 || int(like) >= cb.numSubjects {
 		return acl.InvalidSubject, fmt.Errorf("dol: AddSubjectLike(%d) out of range", like)
 	}
+	index := cb.writableIndex()
 	s := cb.AddSubject()
-	cb.ownIndex()
 	// AddSubject left every entry a copy of this codebook's own, so the
-	// bits are set in place.
+	// bits are set in place. Codes are visited in ascending order, so the
+	// lowest of duplicates keeps the new key's slot as it held the old.
 	for c, e := range cb.entries {
 		if e == nil {
 			continue
 		}
 		if e.Test(int(like)) {
-			delete(cb.index, e.Key())
+			delete(index, e.Key())
 			e.Set(int(s))
-			cb.index[e.Key()] = Code(c)
+			if _, ok := index[e.Key()]; !ok {
+				index[e.Key()] = Code(c)
+			}
 		}
 	}
 	return s, nil
@@ -233,7 +278,8 @@ func (cb *Codebook) RemoveSubject(s acl.SubjectID) error {
 	}
 	cb.numSubjects--
 	cb.gen++
-	cb.index, cb.sharedIndex = make(map[string]Code, len(cb.entries)), false
+	// Every key changes: the index is built afresh at its next use.
+	cb.index, cb.sharedIndex = nil, false
 	for c, e := range cb.entries {
 		if e == nil {
 			continue
@@ -241,12 +287,6 @@ func (cb *Codebook) RemoveSubject(s acl.SubjectID) error {
 		e = e.Clone()
 		e.RemoveBit(int(s))
 		cb.entries[c] = e
-		key := e.Key()
-		// First live code with a given key wins the index slot;
-		// duplicates remain addressable but are not re-issued.
-		if _, ok := cb.index[key]; !ok {
-			cb.index[key] = Code(c)
-		}
 	}
 	return nil
 }
@@ -383,10 +423,7 @@ func (cb *Codebook) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("dol: corrupt codebook count")
 	}
 	data = data[n:]
-	*cb = Codebook{
-		numSubjects: int(ns),
-		index:       make(map[string]Code),
-	}
+	*cb = Codebook{numSubjects: int(ns)}
 	for i := uint64(0); i < count; i++ {
 		sz, n := binary.Uvarint(data)
 		if n <= 0 {
@@ -414,12 +451,6 @@ func (cb *Codebook) UnmarshalBinary(data []byte) error {
 		data = data[n:]
 		cb.entries = append(cb.entries, &b)
 		cb.refs = append(cb.refs, int(refs))
-		// First entry with a given key wins, matching RemoveSubject's
-		// duplicate handling.
-		key := b.Key()
-		if _, ok := cb.index[key]; !ok {
-			cb.index[key] = Code(i)
-		}
 	}
 	return nil
 }
@@ -440,10 +471,7 @@ func (cb *Codebook) unmarshalV2(data []byte) error {
 		return fmt.Errorf("dol: corrupt codebook v2 count")
 	}
 	data = data[n:]
-	*cb = Codebook{
-		numSubjects: int(ns),
-		index:       make(map[string]Code),
-	}
+	*cb = Codebook{numSubjects: int(ns)}
 	for i := uint64(0); i < count; i++ {
 		tag, n := binary.Uvarint(data)
 		if n <= 0 {
@@ -488,10 +516,6 @@ func (cb *Codebook) unmarshalV2(data []byte) error {
 		data = data[n:]
 		cb.entries = append(cb.entries, b)
 		cb.refs = append(cb.refs, int(refs))
-		key := b.Key()
-		if _, ok := cb.index[key]; !ok {
-			cb.index[key] = Code(i)
-		}
 	}
 	return nil
 }

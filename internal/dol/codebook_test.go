@@ -311,6 +311,75 @@ func TestRemoveSubjectDuplicates(t *testing.T) {
 	}
 }
 
+// Freeing one of two codes RemoveSubject collapsed onto the same bits
+// leaves the other one's bits interned under it: freeing the duplicate
+// keeps the live code's index slot, and freeing the code in the slot hands
+// it to the duplicate — with the index built before the release and with
+// it built only after (as after UnmarshalBinary, which builds none).
+func TestReleaseDuplicateKeepsLiveSlot(t *testing.T) {
+	for _, built := range []bool{true, false} {
+		for _, freeSlot := range []bool{false, true} {
+			cb := NewCodebook(2)
+			cA := cb.Intern(bitset.FromIndices(2, 0))
+			cB := cb.Intern(bitset.FromIndices(2, 0, 1))
+			cb.Retain(cA)
+			cb.Retain(cB)
+			if err := cb.RemoveSubject(1); err != nil {
+				t.Fatal(err)
+			}
+			if built {
+				cb.lookupIndex()
+			} else if cb.index != nil {
+				t.Fatal("RemoveSubject built the index")
+			}
+			freed, live := cB, cA
+			if freeSlot {
+				freed, live = cA, cB
+			}
+			cb.Release(freed)
+			if got := cb.Intern(bitset.FromIndices(1, 0)); got != live {
+				t.Errorf("built=%v: Intern({0}) after freeing code %d = %d, want the live code %d", built, freed, got, live)
+			}
+			if d := cb.Duplicates(); d != 0 {
+				t.Errorf("built=%v: Duplicates() = %d after freeing code %d, want 0", built, d, freed)
+			}
+		}
+	}
+}
+
+// A decoded codebook builds its index at its first write, and the index
+// it builds is the one interning built: a hit returns the stored code, a
+// freed code is not indexed.
+func TestUnmarshalBuildsIndexLazily(t *testing.T) {
+	src := NewCodebook(8)
+	for i := 0; i < 5; i++ {
+		src.Retain(src.Intern(bitset.FromIndices(8, i)))
+	}
+	src.Release(2)
+	data, err := src.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cb Codebook
+	if err := cb.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if cb.index != nil {
+		t.Fatal("UnmarshalBinary built the index")
+	}
+	for i := 0; i < 5; i++ {
+		if i == 2 {
+			continue
+		}
+		if got := cb.Intern(bitset.FromIndices(8, i)); got != Code(i) {
+			t.Fatalf("Intern({%d}) = %d, want %d", i, got, i)
+		}
+	}
+	if got := cb.Intern(bitset.FromIndices(8, 2)); got != 2 || cb.Len() != 5 {
+		t.Fatalf("Intern of the freed ACL = %d with %d live, want the freed code 2 and 5", got, cb.Len())
+	}
+}
+
 func TestCodebookMarshalRoundTrip(t *testing.T) {
 	cb := NewCodebook(5)
 	c0 := cb.Intern(bitset.FromIndices(5, 0, 4))

@@ -320,11 +320,7 @@ func OpenScan(pool *storage.BufferPool, m Meta, extent ExtentFunc) (*Store, erro
 		return nil, err
 	}
 	if m.PathSummary != nil {
-		persisted, err := pathsum.FromMeta(m.PathSummary)
-		if err != nil {
-			return nil, fmt.Errorf("nok: reopen path summary: %w", err)
-		}
-		if err := persisted.VerifyAgainst(s.paths); err != nil {
+		if err := m.PathSummary.VerifyAgainst(s.paths); err != nil {
 			return nil, fmt.Errorf("nok: path summary failed verification: %w", err)
 		}
 	}

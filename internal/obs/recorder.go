@@ -99,7 +99,7 @@ func NewRecorder(ring, fingerprints, topK int) *Recorder {
 	return &Recorder{
 		ringCap: ring,
 		maxFP:   fingerprints,
-		byFP:    make(map[string]*FingerprintStats, fingerprints),
+		byFP:    make(map[string]*FingerprintStats),
 		topK:    topK,
 	}
 }

@@ -21,7 +21,7 @@ type Meta struct {
 // MetaBlock is one structure block: the class it starts in. Words are the
 // bitset of the classes occurring in the block that images written before
 // the summary dropped its per-block class sets carry. Nothing reads them:
-// FromMeta ignores them and ToMeta writes none. They are kept only so that
+// VerifyAgainst ignores them and ToMeta writes none. They are kept only so that
 // an image decodes to a Meta that encodes back to the same bytes.
 type MetaBlock struct {
 	Start int32    `json:"s"`
@@ -85,7 +85,7 @@ func (m *Meta) AppendBinary(b []byte) []byte {
 }
 
 // ReadMeta decodes what AppendBinary wrote. It checks the encoding only
-// (every value within its column's type); FromMeta checks the summary.
+// (every value within its column's type); VerifyAgainst checks the summary.
 func ReadMeta(r *wire.Reader) *Meta {
 	m := &Meta{}
 	m.Tags = make([]int32, r.Len())
@@ -117,48 +117,87 @@ func ReadMeta(r *wire.Reader) *Meta {
 	return m
 }
 
-// FromMeta reconstructs and validates a summary: parents must precede
-// children, the child map must stay canonical (one class per parent+tag),
-// and depths are recomputed from the parent chain.
-func FromMeta(m *Meta) (*Summary, error) {
+// VerifyAgainst checks the persisted summary m against one rebuilt fresh
+// from the blocks: what FromMeta(m) and then VerifyAgainst(rebuilt) check,
+// without building a Summary from m. Depths are not compared: m derives
+// them from its parents, as the rebuilt summary does, so the mapping of
+// m's classes onto rebuilt ones preserves them.
+func (m *Meta) VerifyAgainst(rebuilt *Summary) error {
 	n := len(m.Tags)
 	if len(m.Parents) != n || len(m.Modes) != n || len(m.Codes) != n {
-		return nil, fmt.Errorf("pathsum: meta column lengths disagree (%d/%d/%d/%d)",
+		return fmt.Errorf("pathsum: meta column lengths disagree (%d/%d/%d/%d)",
 			len(m.Tags), len(m.Parents), len(m.Modes), len(m.Codes))
 	}
-	s := &Summary{
-		nodes:     make([]Node, n),
-		child:     make(map[childKey]int32, n),
-		numbering: numberings.Add(1),
+	if len(m.Blocks) != len(rebuilt.starts) {
+		return fmt.Errorf("pathsum: %d blocks, storage has %d", len(m.Blocks), len(rebuilt.starts))
 	}
+	// mapTo[i] is class i's class in rebuilt, -1 for a class storage no
+	// longer has. Two classes of one (parent, tag) map to one rebuilt
+	// class (owner catches them) or are both extinct (extinct does).
+	mapTo := make([]int32, n)
+	owner := make([]int32, len(rebuilt.nodes))
+	for i := range owner {
+		owner[i] = -1
+	}
+	var extinct map[childKey]bool
+	mapped := 0
 	for i := 0; i < n; i++ {
-		p := m.Parents[i]
-		if p < -1 || p >= int32(i) {
-			return nil, fmt.Errorf("pathsum: class %d has parent %d", i, p)
+		p, tag := m.Parents[i], m.Tags[i]
+		switch {
+		case p < -1 || p >= int32(i):
+			return fmt.Errorf("pathsum: class %d has parent %d", i, p)
+		case tag < 0:
+			return fmt.Errorf("pathsum: class %d has tag %d", i, tag)
+		case m.Modes[i] > uint8(CodeMixed):
+			return fmt.Errorf("pathsum: class %d has mode %d", i, m.Modes[i])
 		}
-		if m.Tags[i] < 0 {
-			return nil, fmt.Errorf("pathsum: class %d has tag %d", i, m.Tags[i])
+		rid, ok := int32(-1), false
+		if p == -1 || mapTo[p] >= 0 {
+			parent := int32(-1)
+			if p >= 0 {
+				parent = mapTo[p]
+			}
+			rid, ok = rebuilt.child[childKey{parent, tag}]
 		}
-		if m.Modes[i] > uint8(CodeMixed) {
-			return nil, fmt.Errorf("pathsum: class %d has mode %d", i, m.Modes[i])
+		if !ok {
+			k := childKey{p, tag}
+			if extinct == nil {
+				extinct = make(map[childKey]bool)
+			}
+			if extinct[k] {
+				return fmt.Errorf("pathsum: duplicate class (parent %d, tag %d)", p, tag)
+			}
+			extinct[k] = true
+			mapTo[i] = -1
+			continue
 		}
-		k := childKey{p, m.Tags[i]}
-		if _, dup := s.child[k]; dup {
-			return nil, fmt.Errorf("pathsum: duplicate class (parent %d, tag %d)", p, m.Tags[i])
+		if owner[rid] >= 0 {
+			return fmt.Errorf("pathsum: duplicate class (parent %d, tag %d)", p, tag)
 		}
-		depth := int32(0)
-		if p >= 0 {
-			depth = s.nodes[p].Depth + 1
+		owner[rid], mapTo[i] = int32(i), rid
+		mapped++
+		rn := rebuilt.nodes[rid]
+		if CodeMode(m.Modes[i]) == CodeUniform && (rn.Mode != CodeUniform || rn.Code != m.Codes[i]) {
+			return fmt.Errorf("pathsum: class %d claims uniform code %d, storage disagrees", i, m.Codes[i])
 		}
-		s.nodes[i] = Node{Tag: m.Tags[i], Parent: p, Depth: depth, Mode: CodeMode(m.Modes[i]), Code: m.Codes[i]}
-		s.child[k] = int32(i)
 	}
-	s.starts = make([]int32, len(m.Blocks))
-	for i, b := range m.Blocks {
-		if b.Start < -1 || int(b.Start) >= n {
-			return nil, fmt.Errorf("pathsum: block %d starts in class %d of %d", i, b.Start, n)
-		}
-		s.starts[i] = b.Start
+	if mapped != len(rebuilt.nodes) {
+		return fmt.Errorf("pathsum: summary is missing %d live path classes", len(rebuilt.nodes)-mapped)
 	}
-	return s, nil
+	for b, blk := range m.Blocks {
+		start, want := blk.Start, int32(-1)
+		if start < -1 || int(start) >= n {
+			return fmt.Errorf("pathsum: block %d starts in class %d of %d", b, start, n)
+		}
+		if start >= 0 {
+			if mapTo[start] < 0 {
+				return fmt.Errorf("pathsum: block %d starts in extinct class %d", b, start)
+			}
+			want = mapTo[start]
+		}
+		if want != rebuilt.starts[b] {
+			return fmt.Errorf("pathsum: block %d start class mismatch", b)
+		}
+	}
+	return nil
 }

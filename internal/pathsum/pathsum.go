@@ -72,7 +72,7 @@ type Summary struct {
 	// open when the block begins (-1 = document root context).
 	starts []int32
 	// numbering identifies the class numbering: a summary built from scratch
-	// (a Builder, FromMeta) starts a new one, and a rewrite's clone keeps its
+	// (a Builder) starts a new one, and a rewrite's clone keeps its
 	// original's, since it only appends classes.
 	numbering uint64
 

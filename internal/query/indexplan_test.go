@@ -18,17 +18,21 @@ import (
 // values).
 func servedIndex(t testing.TB, st *nok.Store) (*btree.Runs, ValueIndex) {
 	t.Helper()
-	entries := make([]btree.Entry, st.NumNodes())
+	postings := make([]btree.Posting, st.NumNodes())
 	classes := make([]int32, st.NumNodes())
-	err := st.ForEachClassExtent(func(n, end xmltree.NodeID, level int, tag, class int32) {
-		entries[n] = btree.Entry{Tag: tag, Posting: btree.Posting{Node: n, End: end, Level: uint16(level)}}
+	err := st.ForEachClassExtent(func(n, end xmltree.NodeID, level int, _, class int32) {
+		postings[n] = btree.Posting{Node: n, End: end, Level: uint16(level)}
 		classes[n] = class
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sum := st.Paths()
-	runs, err := btree.NewClassRuns(entries, st.NumTags(), btree.Classes{Of: classes, Count: sum.NumNodes(), Numbering: sum.Numbering()})
+	tags := make([]int32, sum.NumNodes())
+	for c := range tags {
+		tags[c] = sum.NodeAt(int32(c)).Tag
+	}
+	runs, err := btree.NewClassRuns(postings, st.NumTags(), btree.Classes{Of: classes, Tag: tags, Numbering: sum.Numbering()})
 	if err != nil {
 		t.Fatal(err)
 	}

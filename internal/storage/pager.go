@@ -53,15 +53,16 @@ type IOStats struct {
 	Reads  int64 // pages physically read
 	Writes int64 // pages physically written
 	Allocs int64 // pages allocated
+	Syncs  int64 // fsyncs physically issued (a clean Sync issues none)
 }
 
 // Sub returns the difference s - o, for measuring an interval.
 func (s IOStats) Sub(o IOStats) IOStats {
-	return IOStats{Reads: s.Reads - o.Reads, Writes: s.Writes - o.Writes, Allocs: s.Allocs - o.Allocs}
+	return IOStats{Reads: s.Reads - o.Reads, Writes: s.Writes - o.Writes, Allocs: s.Allocs - o.Allocs, Syncs: s.Syncs - o.Syncs}
 }
 
 func (s IOStats) String() string {
-	return fmt.Sprintf("reads=%d writes=%d allocs=%d", s.Reads, s.Writes, s.Allocs)
+	return fmt.Sprintf("reads=%d writes=%d allocs=%d syncs=%d", s.Reads, s.Writes, s.Allocs, s.Syncs)
 }
 
 // MemPager is an in-memory Pager, used in tests and for small documents.
@@ -159,6 +160,10 @@ type FilePager struct {
 	pageSize int
 	numPages int
 	stats    IOStats
+	// dirty records a write or an allocation since the last successful
+	// Sync. A clean Sync issues no fsync: a store that was only read closes
+	// without touching the disk.
+	dirty bool
 }
 
 // OpenFilePager opens (creating if necessary) the file at path as a pager
@@ -200,6 +205,7 @@ func (p *FilePager) Allocate() (PageID, error) {
 	defer p.mu.Unlock()
 	zero := make([]byte, p.pageSize)
 	off := int64(p.numPages) * int64(p.pageSize)
+	p.dirty = true
 	if n, err := p.f.WriteAt(zero, off); err != nil {
 		return InvalidPage, fmt.Errorf("storage: allocate page %d at offset %d: wrote %d of %d bytes: %w",
 			p.numPages, off, n, p.pageSize, err)
@@ -240,6 +246,7 @@ func (p *FilePager) WritePage(id PageID, buf []byte) error {
 		return fmt.Errorf("storage: buffer size %d != page size %d", len(buf), p.pageSize)
 	}
 	off := int64(id) * int64(p.pageSize)
+	p.dirty = true // a failed or short write may have changed the file too
 	if n, err := p.f.WriteAt(buf, off); err != nil {
 		// A short write tears the page; the ID and offset say exactly
 		// which one, which recovery diagnostics depend on.
@@ -250,8 +257,30 @@ func (p *FilePager) WritePage(id PageID, buf []byte) error {
 	return nil
 }
 
-// Sync implements Pager.
-func (p *FilePager) Sync() error { return p.f.Sync() }
+// Sync implements Pager. It fsyncs only when a page was written or
+// allocated since the last Sync that succeeded; a failed fsync leaves the
+// pager dirty, so the next Sync tries again. Pages written by an earlier
+// process are durable already: WAL recovery and every flush fsync the file
+// before the log that covers them is truncated (DESIGN.md §10). The fsync
+// runs outside the lock, so page reads do not wait for it; a write that
+// lands meanwhile marks the pager dirty again.
+func (p *FilePager) Sync() error {
+	p.mu.Lock()
+	if !p.dirty {
+		p.mu.Unlock()
+		return nil
+	}
+	p.dirty = false
+	p.stats.Syncs++
+	p.mu.Unlock()
+	if err := p.f.Sync(); err != nil {
+		p.mu.Lock()
+		p.dirty = true
+		p.mu.Unlock()
+		return err
+	}
+	return nil
+}
 
 // Close implements Pager.
 func (p *FilePager) Close() error { return p.f.Close() }

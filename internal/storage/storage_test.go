@@ -121,6 +121,50 @@ func TestFilePagerPersistence(t *testing.T) {
 	}
 }
 
+// A FilePager fsyncs only what was written or allocated since its last
+// successful Sync: a clean Sync issues nothing (IOStats.Syncs counts the
+// fsyncs issued), and a failed fsync leaves the pager dirty, so the next
+// Sync tries again.
+func TestFilePagerSyncsOnlyWhenDirty(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "pages.db")
+	p, err := OpenFilePager(path, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sync := func(want int64, wantErr bool) {
+		t.Helper()
+		if err := p.Sync(); (err != nil) != wantErr {
+			t.Fatalf("Sync: %v, want an error: %v", err, wantErr)
+		}
+		if got := p.Stats().Syncs; got != want {
+			t.Fatalf("%d fsyncs issued, want %d", got, want)
+		}
+	}
+	sync(0, false) // a freshly opened file is clean
+	id, err := p.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sync(1, false)
+	sync(1, false)
+	buf := make([]byte, 64)
+	if err := p.ReadPage(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	sync(1, false) // a read dirties nothing
+	buf[0] = 1
+	if err := p.WritePage(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	sync(2, false)
+	if err := p.WritePage(id, buf); err != nil {
+		t.Fatal(err)
+	}
+	p.f.Close() // the next fsync fails
+	sync(3, true)
+	sync(4, true)
+}
+
 func TestFilePagerRejectsBadSize(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "odd.db")
 	p, err := OpenFilePager(path, 128)

@@ -43,7 +43,7 @@ func (m Metrics) Get(name string) int64 {
 // work, store shape, and the query-level counters and latency histogram.
 // See DESIGN.md §11 for the name table.
 func (s *Store) MetricsSnapshot() Metrics {
-	snap := s.reg.Snapshot()
+	snap := s.registry().Snapshot()
 	m := Metrics{
 		Counters:   snap.Counters,
 		Gauges:     snap.Gauges,
@@ -56,23 +56,23 @@ func (s *Store) MetricsSnapshot() Metrics {
 }
 
 // MetricNames returns every registered metric name, sorted.
-func (s *Store) MetricNames() []string { return s.reg.Names() }
+func (s *Store) MetricNames() []string { return s.registry().Names() }
 
 // WriteMetricsJSON writes the registry as indented JSON (the /debug/vars
 // payload).
-func (s *Store) WriteMetricsJSON(w io.Writer) error { return s.reg.WriteJSON(w) }
+func (s *Store) WriteMetricsJSON(w io.Writer) error { return s.registry().WriteJSON(w) }
 
 // WriteMetricsPrometheus writes the registry in the Prometheus text
 // exposition format under the dolxml_ prefix (the /metrics payload).
 func (s *Store) WriteMetricsPrometheus(w io.Writer) error {
-	return s.reg.WritePrometheus(w, MetricsPrefix)
+	return s.registry().WritePrometheus(w, MetricsPrefix)
 }
 
 // WriteMetricsPrometheusAs writes the registry in Prometheus text format
 // under an explicit prefix instead of the default dolxml_. Multi-tenant
 // servers use it to split one scrape target by tenant (dolxml_tenant_<id>).
 func (s *Store) WriteMetricsPrometheusAs(w io.Writer, prefix string) error {
-	return s.reg.WritePrometheus(w, prefix)
+	return s.registry().WritePrometheus(w, prefix)
 }
 
 // WriteRecorderJSON writes the flight recorder's snapshot — recent query

@@ -12,14 +12,27 @@ import (
 	"dolxml/internal/storage"
 )
 
-// initObs builds the store's metrics registry and registers every layer's
-// counters under their canonical names (the table in DESIGN.md §11). Called
-// once from Seal and Open, after the pool, secure store and pager exist.
-func (s *Store) initObs() error {
-	s.reg = obs.NewRegistry()
-	if err := s.pool.RegisterMetrics(s.reg, "pool"); err != nil {
-		return err
+// registry returns the store's metrics registry, building it at the first
+// read (MetricsSnapshot, the metric writers): a tenant faulted in to answer
+// a few queries never pays for it. The components' counters count from the
+// start either way; the registry only names them.
+func (s *Store) registry() *obs.Registry {
+	s.regOnce.Do(func() { s.reg = s.newRegistry() })
+	return s.reg
+}
+
+// newRegistry builds the store's metrics registry and registers every
+// layer's counters under their canonical names (the table in DESIGN.md
+// §11). The names are fixed, so a registration error is a programming
+// error, and it panics.
+func (s *Store) newRegistry() *obs.Registry {
+	reg := obs.NewRegistry()
+	must := func(err error) {
+		if err != nil {
+			panic(err)
+		}
 	}
+	must(s.pool.RegisterMetrics(reg, "pool"))
 	pager := s.pool.Pager()
 	for _, g := range []struct {
 		name string
@@ -28,22 +41,15 @@ func (s *Store) initObs() error {
 		{"io_reads", func() int64 { return pager.Stats().Reads }},
 		{"io_writes", func() int64 { return pager.Stats().Writes }},
 		{"io_allocs", func() int64 { return pager.Stats().Allocs }},
+		{"io_syncs", func() int64 { return pager.Stats().Syncs }},
 	} {
-		if err := s.reg.RegisterGauge(g.name, g.fn); err != nil {
-			return err
-		}
+		must(reg.RegisterGauge(g.name, g.fn))
 	}
 	if wp, ok := pager.(*storage.WALPager); ok {
-		if err := wp.RegisterMetrics(s.reg, "wal"); err != nil {
-			return err
-		}
+		must(wp.RegisterMetrics(reg, "wal"))
 	}
-	if err := s.ss.Store().RegisterMetrics(s.reg, "decode_cache"); err != nil {
-		return err
-	}
-	if err := s.ss.RegisterMetrics(s.reg, "view"); err != nil {
-		return err
-	}
+	must(s.ss.Store().RegisterMetrics(reg, "decode_cache"))
+	must(s.ss.RegisterMetrics(reg, "view"))
 	// Store-shape gauges sample the published snapshot: a lock-free,
 	// immutable view, so metric exports never race an update.
 	for _, g := range []struct {
@@ -58,104 +64,70 @@ func (s *Store) initObs() error {
 		{"codebook_subjects", func(sn *snapshot) int64 { return int64(sn.ss.Codebook().NumSubjects()) }},
 		{"plan_memo_bytes", func(sn *snapshot) int64 { return sn.idx.masks.Bytes() }},
 		{"index_bytes", func(sn *snapshot) int64 { return sn.idx.bytes() }},
+		{"path_summary_bytes", func(sn *snapshot) int64 { return int64(sn.st.PathSummaryBytes()) }},
 	} {
 		fn := g.fn
-		if err := s.reg.RegisterGauge(g.name, func() int64 {
+		must(reg.RegisterGauge(g.name, func() int64 {
 			sn := s.cur.Load()
 			if sn == nil {
 				return 0
 			}
 			return fn(sn)
-		}); err != nil {
-			return err
-		}
+		}))
 	}
-	// Snapshot lifecycle metrics: how many versions are live (1 when
-	// quiescent), how long pins are held, and how far behind the oldest
-	// pinned reader is.
-	if err := s.reg.RegisterGauge("snapshot_versions_live", func() int64 {
-		return int64(s.vt.LiveVersions())
-	}); err != nil {
-		return err
-	}
-	if err := s.reg.RegisterGauge("snapshot_oldest_pin_age_us", func() int64 {
-		return s.vt.OldestPinnedAge(time.Now()).Microseconds()
-	}); err != nil {
-		return err
-	}
-	if err := s.reg.RegisterGauge("sidecar_bytes", s.sidecarBytes.Load); err != nil {
-		return err
-	}
-	s.snapPins = s.reg.Counter("snapshot_pins")
-	s.snapUnpins = s.reg.Counter("snapshot_unpins")
-	s.snapPinUs = s.reg.Histogram("snapshot_pin_us")
-	s.queryTotal = s.reg.Counter("query_total")
-	s.queryErrors = s.reg.Counter("query_errors")
-	s.querySlow = s.reg.Counter("query_slow_total")
-	s.queryAnswers = s.reg.Counter("query_answers_total")
-	s.queryMatches = s.reg.Counter("query_matches_total")
-	s.skipAccess = s.reg.Counter("query_pages_skipped_access")
-	s.candRejects = s.reg.Counter("query_candidates_rejected")
-	s.pathEmpties = s.reg.Counter("query_path_empty_total")
-	s.pathClasses = s.reg.Counter("query_path_classes_preresolved")
-	s.queryLatency = s.reg.Histogram("query_latency_us")
-	// The flight recorder and its spill counter: every query — traced or
-	// not — leaves a digest in the bounded ring, and any event a full
-	// trace had to drop past its limit is counted store-wide.
-	s.rec = obs.NewRecorder(0, 0, 0)
-	s.traceDropped = s.reg.Counter("query_trace_dropped_total")
-	if err := s.reg.RegisterGauge("recorder_queries", func() int64 {
-		return s.rec.Total()
-	}); err != nil {
-		return err
-	}
-	if err := s.reg.RegisterGauge("recorder_fingerprints", func() int64 {
-		return int64(s.rec.Fingerprints())
-	}); err != nil {
-		return err
-	}
-	// Per-store SLO accounting: the objective is a latency bound; the burn
-	// rate compares the observed over-objective fraction with the error
-	// budget (1 - target), in permille — 1000 means burning the budget
-	// exactly as fast as the SLO allows.
-	s.sloFinished = s.reg.Counter("slo_queries_total")
-	s.sloOver = s.reg.Counter("slo_queries_over_objective")
-	if err := s.reg.RegisterGauge("slo_latency_objective_us", func() int64 {
-		if d := s.opts.SLOLatency; d > 0 {
-			return d.Microseconds()
-		}
-		return 0
-	}); err != nil {
-		return err
-	}
-	if err := s.reg.RegisterGauge("slo_burn_rate_permille", func() int64 {
-		return sloBurnPermille(s.sloOver.Load(), s.sloFinished.Load(), s.opts.SLOTarget)
-	}); err != nil {
-		return err
-	}
-	s.reg.SetHelpTable(metricHelp)
-	// The mask-compilation counters predate the registry (the first
-	// snapshot's MaskCache captures them in initSnapshot); register the
-	// existing counters rather than minting fresh ones.
-	if err := s.reg.RegisterCounter("skipmask_compile_hits", s.maskHits); err != nil {
-		return err
-	}
-	if err := s.reg.RegisterCounter("skipmask_compile_misses", s.maskMisses); err != nil {
-		return err
-	}
-	if err := s.reg.RegisterGauge("path_summary_bytes", func() int64 {
-		sn := s.cur.Load()
-		if sn == nil {
+	for _, g := range []struct {
+		name string
+		fn   obs.Gauge
+	}{
+		// Snapshot lifecycle: how many versions are live (1 when
+		// quiescent) and how far behind the oldest pinned reader is.
+		{"snapshot_versions_live", func() int64 { return int64(s.vt.LiveVersions()) }},
+		{"snapshot_oldest_pin_age_us", func() int64 { return s.vt.OldestPinnedAge(time.Now()).Microseconds() }},
+		{"sidecar_bytes", s.sidecarBytes.Load},
+		{"recorder_queries", func() int64 { return s.rec.Total() }},
+		{"recorder_fingerprints", func() int64 { return int64(s.rec.Fingerprints()) }},
+		{"slo_latency_objective_us", func() int64 {
+			if d := s.opts.SLOLatency; d > 0 {
+				return d.Microseconds()
+			}
 			return 0
-		}
-		return int64(sn.st.PathSummaryBytes())
-	}); err != nil {
-		return err
+		}},
+		{"slo_burn_rate_permille", func() int64 {
+			return sloBurnPermille(s.sloOver.Load(), s.sloFinished.Load(), s.opts.SLOTarget)
+		}},
+	} {
+		must(reg.RegisterGauge(g.name, g.fn))
 	}
-	return nil
+	for _, c := range []struct {
+		name string
+		c    *obs.Counter
+	}{
+		{"snapshot_pins", &s.snapPins},
+		{"snapshot_unpins", &s.snapUnpins},
+		{"query_total", &s.queryTotal},
+		{"query_errors", &s.queryErrors},
+		{"query_slow_total", &s.querySlow},
+		{"query_answers_total", &s.queryAnswers},
+		{"query_matches_total", &s.queryMatches},
+		{"query_pages_skipped_access", &s.skipAccess},
+		{"query_candidates_rejected", &s.candRejects},
+		{"query_path_empty_total", &s.pathEmpties},
+		{"query_path_classes_preresolved", &s.pathClasses},
+		{"query_trace_dropped_total", &s.traceDropped},
+		{"slo_queries_total", &s.sloFinished},
+		{"slo_queries_over_objective", &s.sloOver},
+		{"skipmask_compile_hits", &s.maskHits},
+		{"skipmask_compile_misses", &s.maskMisses},
+	} {
+		must(reg.RegisterCounter(c.name, c.c))
+	}
+	must(reg.RegisterHistogram("snapshot_pin_us", &s.snapPinUs))
+	must(reg.RegisterHistogram("query_latency_us", &s.queryLatency))
+	reg.SetHelpTable(metricHelp)
+	return reg
 }
 
-// metricHelp is the help text of the metrics initObs registers itself.
+// metricHelp is the help text of the metrics newRegistry registers itself.
 var metricHelp = map[string]string{
 	"query_total":                    "Queries started.",
 	"query_errors":                   "Queries that finished with an error.",
@@ -188,6 +160,7 @@ var metricHelp = map[string]string{
 	"io_reads":                       "Physical page reads issued by the pager.",
 	"io_writes":                      "Physical page writes issued by the pager.",
 	"io_allocs":                      "Pages allocated by the pager.",
+	"io_syncs":                       "fsyncs of the page file the pager issued; a Sync with nothing written since the last one issues none.",
 	"store_nodes":                    "Nodes in the current store snapshot.",
 	"store_pages":                    "Pages in the current store snapshot.",
 	"directory_bytes":                "In-memory page directory size in bytes.",
@@ -239,7 +212,7 @@ func (s *Store) startQuery(tr *obs.Trace, analyze bool) (_ *obs.Trace, finish fu
 			tr = obs.NewCountingTrace()
 		}
 	}
-	tr.SetDropCounter(s.traceDropped)
+	tr.SetDropCounter(&s.traceDropped)
 	start := time.Now()
 	s.queryTotal.Inc()
 	return tr, func(fp, xpath string, answers int64, err error) {

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -411,3 +412,29 @@ func TestSlowQueryLogConcurrent(t *testing.T) {
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
+
+// The registry is built at its first read, and builds the same names
+// whenever that is: before a store's first query or after it.
+func TestMetricNamesSameBeforeAndAfterFirstQuery(t *testing.T) {
+	dir, _ := churnTenant(t, 2, 7, 1500, 512)
+	names := func(query bool) []string {
+		s, err := Open(dir, StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if query {
+			if _, err := s.Query("u00", "read", "//listitem//keyword"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s.MetricNames()
+	}
+	before, after := names(false), names(true)
+	if !slices.Equal(before, after) {
+		t.Fatalf("a store's metric names before its first query:\n%v\nafter it:\n%v", before, after)
+	}
+	if !slices.Contains(before, "io_syncs") {
+		t.Fatalf("io_syncs missing from %v", before)
+	}
+}

@@ -120,9 +120,12 @@ func churnBurst(tb testing.TB, st *Store, doc *xmltree.Document, rng *rand.Rand)
 
 // BenchmarkOpen sizes a tenant fault: Open of a tenant_churn-sized store
 // (benchmark/main.go's churnNodes) alone, Open plus the first Qval (the one
-// request shape that builds a value run), and readMeta alone (reading and
-// decoding store.json). ns/op is the mean; the best and the median are
-// reported beside it. Run with -benchtime 200x.
+// request shape that builds a value run), readMeta alone (reading and
+// decoding store.json), and fault: what a registry eviction costs, the
+// Close of the store opened before — which answered a query, as a visit
+// does — plus the next Open. ns/op is the mean; the best and the median are
+// reported beside it, and for fault the Close half's best and median too.
+// Run with -benchtime 200x.
 func BenchmarkOpen(b *testing.B) {
 	dir, qval := churnTenant(b, 0, 5000, 3600, 4096)
 	for _, bc := range []struct {
@@ -156,11 +159,57 @@ func BenchmarkOpen(b *testing.B) {
 					b.StartTimer()
 				}
 			}
-			slices.Sort(times)
-			b.ReportMetric(float64(times[0].Microseconds())/1e3, "best-ms")
-			b.ReportMetric(float64(times[len(times)/2].Microseconds())/1e3, "median-ms")
+			reportBestMedian(b, times, "", "ms")
 		})
 	}
+	b.Run("fault", func(b *testing.B) {
+		visit := func(s *Store) {
+			if _, err := s.Query("u00", "read", "//listitem//keyword"); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+		prev, err := Open(dir, StoreOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		visit(prev)
+		b.StartTimer()
+		times, closes := make([]time.Duration, 0, b.N), make([]time.Duration, 0, b.N)
+		for i := 0; i < b.N; i++ {
+			start := time.Now()
+			err := prev.Close()
+			closed := time.Now()
+			if err == nil {
+				prev, err = Open(dir, StoreOptions{})
+			}
+			times, closes = append(times, time.Since(start)), append(closes, closed.Sub(start))
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			visit(prev)
+			b.StartTimer()
+		}
+		b.StopTimer()
+		if err := prev.Close(); err != nil {
+			b.Fatal(err)
+		}
+		reportBestMedian(b, times, "", "ms")
+		reportBestMedian(b, closes, "close-", "us")
+	})
+}
+
+// reportBestMedian reports the best and the median of times as
+// <prefix>best-<unit> and <prefix>median-<unit>, unit "ms" or "us".
+func reportBestMedian(b *testing.B, times []time.Duration, prefix, unit string) {
+	per := 1.0
+	if unit == "ms" {
+		per = 1e3
+	}
+	slices.Sort(times)
+	b.ReportMetric(float64(times[0].Microseconds())/per, prefix+"best-"+unit)
+	b.ReportMetric(float64(times[len(times)/2].Microseconds())/per, prefix+"median-"+unit)
 }
 
 // Open reads each structure page twice — its header into the directory, its
@@ -465,5 +514,90 @@ func TestCleanLogOpenNeitherTruncatesNorSyncs(t *testing.T) {
 			t.Errorf("%s: %d truncates, %d syncs, recovery %+v; want some of each and %+v", l.name, cf.truncates, cf.syncs, s.Recovery(), l.want)
 		}
 		s.Close()
+	}
+}
+
+// syncCountingOpen opens dir with the page file's pager and the log in
+// view: the pager's IOStats count the fsyncs it really issues, the
+// countingFile the log's.
+func syncCountingOpen(t *testing.T, dir string) (*Store, storage.Pager, *countingFile) {
+	t.Helper()
+	var data storage.Pager
+	var log *countingFile
+	s, err := Open(dir, StoreOptions{
+		WrapPager:   func(p storage.Pager) storage.Pager { data = p; return p },
+		WrapWALFile: func(f storage.File) storage.File { log = &countingFile{File: f}; return log },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, data, log
+}
+
+// A visit that only reads — Open, every Table 1 shape, Close — makes no
+// fsync of the page file and no sync of the log: the store was durable
+// when it opened, and nothing was written since. (The store's first Open
+// writes its log's header; the visit is a later one, as a registry's are.)
+func TestReadOnlyVisitSyncsNothing(t *testing.T) {
+	dir, qval := churnTenant(t, 1, 31, 3600, 512)
+	first, _, _ := syncCountingOpen(t, dir)
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, data, log := syncCountingOpen(t, dir)
+	for _, q := range append(slices.Clone(table1), struct{ name, expr string }{"Qval", qval}) {
+		if _, err := s.Query("u00", "read", q.expr); err != nil {
+			t.Fatalf("%s: %v", q.name, err)
+		}
+	}
+	if got := s.MetricsSnapshot().Get("io_syncs"); got != 0 {
+		t.Fatalf("io_syncs = %d before Close", got)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := data.Stats(); st.Syncs != 0 || st.Writes != 0 || log.syncs != 0 || log.truncates != 0 {
+		t.Fatalf("a read-only visit issued %d page-file fsyncs, %d page writes, %d log syncs and %d log truncates; want none",
+			st.Syncs, st.Writes, log.syncs, log.truncates)
+	}
+}
+
+// Its counterpart: a visit that updates still leaves its pages durable.
+// The last revoke is committed asynchronously with the flusher held, so it
+// is still queued at Close: Close flushes it and fsyncs the page file, and
+// the reopened store answers with every revoke.
+func TestUpdatedVisitSyncsOnClose(t *testing.T) {
+	dir, _ := churnTenant(t, 1, 32, 3600, 512)
+	s, data, _ := syncCountingOpen(t, dir)
+	const q = "//listitem//keyword"
+	before, err := s.Query("u00", "read", q)
+	if err != nil || len(before) == 0 {
+		t.Fatalf("%d answers before the revoke, %v", len(before), err)
+	}
+	for g := 0; g < 7; g++ {
+		if err := s.SetAccess(fmt.Sprintf("g%d", g), "read", before[0].Node, false, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.wp.HoldFlushes()
+	if _, err := s.SetAccessAsync("g7", "read", before[0].Node, false, true); err != nil {
+		t.Fatal(err)
+	}
+	after, err := s.Query("u00", "read", q)
+	if err != nil || len(after) >= len(before) {
+		t.Fatalf("%d answers after revoking %d's subtree, %d before, %v", len(after), before[0].Node, len(before), err)
+	}
+	synced := data.Stats().Syncs
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := data.Stats().Syncs - synced; n < 1 {
+		t.Fatalf("Close with a commit queued issued %d page-file fsyncs", n)
+	}
+	r, _, _ := syncCountingOpen(t, dir)
+	defer r.Close()
+	got, err := r.Query("u00", "read", q)
+	if err != nil || !slices.Equal(got, after) {
+		t.Fatalf("the reopened store answers %d matches, %v; the updated store answered %d", len(got), err, len(after))
 	}
 }

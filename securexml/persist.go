@@ -515,23 +515,19 @@ func Open(dir string, opts StoreOptions) (_ *Store, err error) {
 		modeIdx[m] = i
 	}
 	s := &Store{
-		opts:       opts,
-		pool:       pool,
-		ss:         dol.OpenSecureStore(st, cb),
-		dir:        d,
-		modes:      ps.Modes,
-		modeIdx:    modeIdx,
-		sink:       sink,
-		recovery:   info,
-		wp:         wal,
-		maskHits:   obs.NewCounter(),
-		maskMisses: obs.NewCounter(),
+		opts:     opts,
+		pool:     pool,
+		ss:       dol.OpenSecureStore(st, cb),
+		dir:      d,
+		modes:    ps.Modes,
+		modeIdx:  modeIdx,
+		sink:     sink,
+		recovery: info,
+		wp:       wal,
+		rec:      obs.NewRecorder(0, 0, 0),
 	}
 	s.sidecarBytes.Store(int64(metaLen))
 	s.initSnapshot()
-	if err := s.initObs(); err != nil {
-		return nil, err
-	}
 	sn := s.cur.Load()
 	if err := sn.idx.ensure(sn.st, x); err != nil {
 		return nil, err

@@ -149,6 +149,7 @@ type Registry struct {
 	revives   obs.Counter // draining tenants re-acquired before closing
 	overages  obs.Counter // admissions past MaxOpen (every store busy)
 	openNs    *obs.Histogram
+	closeNs   *obs.Histogram
 }
 
 // New creates a registry over root. The root directory must exist; tenant
@@ -178,6 +179,8 @@ func New(opts Options) (*Registry, error) {
 	}
 	r.openNs = r.reg.Histogram("open_ns")
 	r.reg.SetHelp("open_ns", "Time to open a tenant store from disk (decoding the store.json images, WAL header check or recovery, one verified scan of the structure blocks yielding path summary and tag runs) in nanoseconds.")
+	r.closeNs = r.reg.Histogram("close_ns")
+	r.reg.SetHelp("close_ns", "Time to close an evicted or drained tenant store (flushing dirty frames and queued commits, the page file's fsync when anything was written, closing its files) in nanoseconds.")
 	for _, g := range []struct {
 		name, help string
 		fn         obs.Gauge
@@ -334,7 +337,9 @@ func (r *Registry) removeLocked(t *tenant) error {
 // closeLocked closes t's store and forgets the tenant. Caller holds r.mu;
 // t must have no handles.
 func (r *Registry) closeLocked(t *tenant) error {
+	start := time.Now()
 	t.closeErr = t.store.Close()
+	r.closeNs.Observe(time.Since(start).Nanoseconds())
 	delete(r.tenants, t.id)
 	close(t.done)
 	return t.closeErr

@@ -359,3 +359,49 @@ func TestRegistryCloseWaitsForDrain(t *testing.T) {
 		t.Fatalf("%d tenants left after final release", n)
 	}
 }
+
+// close_ns observes every Store.Close the registry makes: an idle tenant's
+// at its eviction, a busy one's when its last handle drains it, the rest
+// at the registry's Close — its count is opens minus the stores still open.
+func TestCloseNsCountsEveryClose(t *testing.T) {
+	root, ids := buildTenants(t, 4)
+	r, err := New(Options{Root: root, MaxOpen: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	closes := func() int64 { return r.MetricsSnapshot().Histograms["close_ns"].Count }
+	check := func(when string) {
+		t.Helper()
+		snap := r.MetricsSnapshot()
+		open := snap.Gauges["tenants_open"] + snap.Gauges["tenants_draining"]
+		if got, want := closes(), snap.Counters["opens_total"]-open; got != want {
+			t.Fatalf("%s: close_ns counted %d closes, want %d", when, got, want)
+		}
+	}
+	busy, err := r.Acquire(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids[1:] {
+		h, err := r.Acquire(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		publicValues(t, h.Store())
+		h.Close()
+		check("after " + id)
+	}
+	if err := r.Evict(ids[0]); err != nil {
+		t.Fatal(err)
+	}
+	check("with the busy tenant draining")
+	busy.Close()
+	check("after the drain")
+	closeRegistry(t, r)
+	if c, opens := closes(), r.MetricsSnapshot().Counters["opens_total"]; c != opens || c < 4 {
+		t.Fatalf("after Close: %d closes for %d opens", c, opens)
+	}
+	if h := r.MetricsSnapshot().Histograms["close_ns"]; h.Sum <= 0 {
+		t.Fatalf("close_ns summed %d ns", h.Sum)
+	}
+}

@@ -79,24 +79,25 @@ func sharesIndex(prev, next *nok.Store, structural bool) bool {
 }
 
 // extents gathers what an extent pass reports — each node when its subtree
-// closes — by node ID: the tag index's entries and the nodes' path classes,
-// in node order.
+// closes — by node ID: the tag index's postings and the nodes' path classes,
+// in node order. The class names the tag; the class runs are sorted from
+// these two arrays in place.
 type extents struct {
 	numNodes int
-	entries  []btree.Entry // allocated at the first report, with classes
+	postings []btree.Posting // allocated at the first report, with classes
 	classes  []int32
 	err      error
 }
 
-func (x *extents) add(n, end xmltree.NodeID, level int, tag, class int32) {
-	if x.entries == nil {
-		x.entries, x.classes = make([]btree.Entry, x.numNodes), make([]int32, x.numNodes)
+func (x *extents) add(n, end xmltree.NodeID, level int, _, class int32) {
+	if x.postings == nil {
+		x.postings, x.classes = make([]btree.Posting, x.numNodes), make([]int32, x.numNodes)
 	}
-	if n < 0 || int(n) >= len(x.entries) {
-		x.err = fmt.Errorf("securexml: extent pass reported node %d of %d", n, len(x.entries))
+	if n < 0 || int(n) >= len(x.postings) {
+		x.err = fmt.Errorf("securexml: extent pass reported node %d of %d", n, len(x.postings))
 		return
 	}
-	x.entries[n] = btree.Entry{Tag: tag, Posting: btree.Posting{Node: n, End: end, Level: uint16(level)}}
+	x.postings[n] = btree.Posting{Node: n, End: end, Level: uint16(level)}
 	x.classes[n] = class
 }
 
@@ -139,9 +140,13 @@ func (ix *indexState) build(st *nok.Store, x *extents) error {
 		return x.err
 	}
 	sum := st.Paths()
+	tags := make([]int32, sum.NumNodes())
+	for c := range tags {
+		tags[c] = sum.NodeAt(int32(c)).Tag
+	}
 	var err error
-	ix.index, err = btree.NewClassRuns(x.entries, st.NumTags(), btree.Classes{
-		Of: x.classes, Count: sum.NumNodes(), Numbering: sum.Numbering(),
+	ix.index, err = btree.NewClassRuns(x.postings, st.NumTags(), btree.Classes{
+		Of: x.classes, Tag: tags, Numbering: sum.Numbering(),
 	})
 	if err != nil {
 		return err
@@ -258,7 +263,7 @@ func (s *Store) publish(structural bool) {
 	if prev != nil && sharesIndex(prev.st, frozen, structural) {
 		sn.idx = prev.idx
 	} else {
-		sn.idx = newIndexState(query.NewMaskCache(s.maskHits, s.maskMisses))
+		sn.idx = newIndexState(query.NewMaskCache(&s.maskHits, &s.maskMisses))
 	}
 	s.cur.Store(sn)
 	if prev != nil {
@@ -283,7 +288,7 @@ func (s *Store) initSnapshot() {
 		st:  frozen,
 		ss:  s.ss.Freeze(frozen),
 		dir: s.dir,
-		idx: newIndexState(query.NewMaskCache(s.maskHits, s.maskMisses)),
+		idx: newIndexState(query.NewMaskCache(&s.maskHits, &s.maskMisses)),
 	})
 }
 

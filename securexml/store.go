@@ -173,39 +173,39 @@ type Store struct {
 	// reopening the store runs WAL recovery and rebuilds a consistent
 	// image.
 	failed atomic.Bool
-	// reg is the store-wide metrics registry; every layer registers its
-	// counters into it at construction (initObs), and the query-level
-	// counters below are its members. All surfaces — MetricsSnapshot, the
-	// debug endpoints, dolcli -stats, dolbench — read the same registry.
+	// reg is the store-wide metrics registry, built at its first read
+	// (registry): it names every layer's counters, the query-level ones
+	// below included. All surfaces — MetricsSnapshot, the debug endpoints,
+	// dolcli -stats, dolbench — read the same registry.
+	regOnce      sync.Once
 	reg          *obs.Registry
-	queryTotal   *obs.Counter
-	queryErrors  *obs.Counter
-	querySlow    *obs.Counter
-	queryAnswers *obs.Counter
-	queryMatches *obs.Counter
-	skipAccess   *obs.Counter
-	candRejects  *obs.Counter
-	pathEmpties  *obs.Counter
-	pathClasses  *obs.Counter
-	queryLatency *obs.Histogram
+	queryTotal   obs.Counter
+	queryErrors  obs.Counter
+	querySlow    obs.Counter
+	queryAnswers obs.Counter
+	queryMatches obs.Counter
+	skipAccess   obs.Counter
+	candRejects  obs.Counter
+	pathEmpties  obs.Counter
+	pathClasses  obs.Counter
+	queryLatency obs.Histogram
 	// maskHits/maskMisses count plan-memo lookups — the view-independent
 	// half of a plan, skip masks included — served from and missed by the
-	// per-snapshot MaskCache. They are created before the first snapshot
-	// (whose cache captures them) and registered in initObs.
-	maskHits   *obs.Counter
-	maskMisses *obs.Counter
-	snapPins   *obs.Counter
-	snapUnpins *obs.Counter
-	snapPinUs  *obs.Histogram
+	// per-snapshot MaskCache, which every snapshot's cache shares.
+	maskHits   obs.Counter
+	maskMisses obs.Counter
+	snapPins   obs.Counter
+	snapUnpins obs.Counter
+	snapPinUs  obs.Histogram
 	// rec is the always-on query flight recorder: every query — traced or
 	// not — folds a digest into it (a counting trace supplies the page
 	// accounting when the caller attached no trace). traceDropped counts
 	// events any query trace discarded past its limit; sloFinished/sloOver
 	// drive the error-budget burn gauges.
 	rec          *obs.Recorder
-	traceDropped *obs.Counter
-	sloFinished  *obs.Counter
-	sloOver      *obs.Counter
+	traceDropped obs.Counter
+	sloFinished  obs.Counter
+	sloOver      obs.Counter
 	// slowMu serializes slow-query and slow-pin reports: queries finish
 	// concurrently, and the log writers (bytes.Buffer, log files) need not
 	// be goroutine-safe.
@@ -294,21 +294,17 @@ func (b *Builder) Seal(opts StoreOptions) (*Store, error) {
 	}
 	applyDecodeCacheBudget(ss.Store(), opts.DecodeCacheBytes)
 	s := &Store{
-		opts:       opts,
-		pool:       pool,
-		ss:         ss,
-		dir:        b.dir,
-		modes:      b.modes,
-		modeIdx:    b.modeIdx,
-		sink:       sink,
-		wp:         wal,
-		maskHits:   obs.NewCounter(),
-		maskMisses: obs.NewCounter(),
+		opts:    opts,
+		pool:    pool,
+		ss:      ss,
+		dir:     b.dir,
+		modes:   b.modes,
+		modeIdx: b.modeIdx,
+		sink:    sink,
+		wp:      wal,
+		rec:     obs.NewRecorder(0, 0, 0),
 	}
 	s.initSnapshot()
-	if err := s.initObs(); err != nil {
-		return nil, err
-	}
 	// Build the initial indexes eagerly so Seal (not the first query)
 	// reports a build failure, matching the historical reindex-at-seal.
 	sn := s.cur.Load()
