@@ -9,8 +9,8 @@
 //	dolcli query -store DIR -user NAME -xpath '//item' -stats [-no-pathsummary]
 //	dolcli query -store DIR -user NAME -xpath '//item' -analyze
 //	dolcli explain -store DIR -user NAME -xpath '//item' [-analyze] [-json]
-//	dolcli grant  -store DIR -subject NAME -mode read -xpath '//x' [-node-only] [-durability grouped]
-//	dolcli revoke -store DIR -subject NAME -mode read -xpath '//x' [-node-only] [-durability grouped]
+//	dolcli grant  -store DIR -subject NAME -mode read -xpath '//x' [-node-only] [-durability sync|async]
+//	dolcli revoke -store DIR -subject NAME -mode read -xpath '//x' [-node-only] [-durability sync|async]
 //	dolcli export -store DIR -user NAME -mode read [-o view.xml]
 //	dolcli stats -store DIR
 //	dolcli serve -root TENANTS_DIR -addr 127.0.0.1:9464 [-max-open 16] [-pool-budget 67108864] [-tokens tokens.json] [-rate 50] [-slow 100ms] [-snapshot-log 1s] [-access-log access.jsonl]
@@ -447,7 +447,7 @@ func setAccess(args []string, allowed bool) error {
 	mode := fs.String("mode", "read", "action mode")
 	xpath := fs.String("xpath", "", "target selector")
 	nodeOnly := fs.Bool("node-only", false, "update only the matched nodes, not their subtrees")
-	durability := fs.String("durability", "sync", "commit durability: sync, grouped or async (multi-target updates coalesce their flushes)")
+	durability := fs.String("durability", "sync", "commit durability: sync or async (async multi-target updates share their flushes)")
 	fs.Parse(args)
 	if *storeDir == "" || *subject == "" || *xpath == "" {
 		return fmt.Errorf("grant/revoke require -store, -subject and -xpath")
@@ -482,18 +482,16 @@ func setAccess(args []string, allowed bool) error {
 }
 
 // parseDurability maps the -durability flag onto securexml's modes. Save
-// (and Close) act as durability barriers, so grouped and async commits are
-// always on disk before the command exits.
+// (and Close) act as durability barriers, so async commits are always on
+// disk before the command exits.
 func parseDurability(s string) (securexml.Durability, error) {
 	switch s {
 	case "sync":
 		return securexml.DurabilitySync, nil
-	case "grouped":
-		return securexml.DurabilityGrouped, nil
 	case "async":
 		return securexml.DurabilityAsync, nil
 	default:
-		return 0, fmt.Errorf("unknown durability %q (want sync, grouped or async)", s)
+		return 0, fmt.Errorf("unknown durability %q (want sync or async)", s)
 	}
 }
 

@@ -1,16 +1,17 @@
-// Groupcommit: demonstrates the durability modes on a file-backed store
-// under a burst of accessibility toggles. The same burst — several
+// Groupcommit: demonstrates the two durability modes on a file-backed
+// store under a burst of accessibility toggles. The same burst — several
 // goroutines flipping ACL bits on their own nodes — runs once per mode:
 //
-//   - sync: every SetAccess seals AND flushes its own WAL batch (three
-//     fsyncs per update);
-//   - grouped: updates seal, then block until the shared background flush
-//     covers their batch — concurrent committers split one flush's fsyncs;
+//   - sync: every SetAccess seals its WAL batch and flushes inline before
+//     it returns; an updater that seals while another one flushes waits
+//     for that flush and then flushes every batch sealed meanwhile, so
+//     concurrent updaters share the three fsyncs of one flush;
 //   - async: SetAccessAsync returns as soon as the update is applied and
 //     sealed (already visible to queries); the returned Commit handle
 //     reports durability, and AwaitDurable is the collective barrier.
 //
-// The printed updates/sec per mode shows the group-commit bargain, and the
+// The printed updates/sec and fsyncs/update per mode show the group-commit
+// bargain (a lone sync updater would pay 3.00 fsyncs/update), and the
 // async run demonstrates the notification API: the burst fires a few
 // hundred toggles, then waits on every handle before trusting the clock.
 //
@@ -105,7 +106,7 @@ func burst(s *securexml.Store, async bool) time.Duration {
 		}(w)
 	}
 	wg.Wait()
-	// Collective barrier: a no-op for sync/grouped, and already satisfied
+	// Collective barrier: a no-op for sync, and already satisfied
 	// here for async (every handle resolved), but this is the call a server
 	// would make before acknowledging a snapshot.
 	if err := s.AwaitDurable(); err != nil {
@@ -122,7 +123,6 @@ func main() {
 		async bool
 	}{
 		{"sync", securexml.DurabilitySync, false},
-		{"grouped", securexml.DurabilityGrouped, false},
 		{"async", securexml.DurabilityAsync, true},
 	} {
 		dir, err := os.MkdirTemp("", "groupcommit-"+m.name)
@@ -142,5 +142,5 @@ func main() {
 		}
 		os.RemoveAll(dir)
 	}
-	fmt.Println("\nsync flushes per update; grouped and async amortize one flush across the burst")
+	fmt.Println("\nsync updaters share the flushes they wait for; async amortizes one flush across the burst")
 }

@@ -16,18 +16,20 @@ import (
 // fsyncs instead of paying 3 each — the classic group-commit bargain, and
 // the entire 40–100× WAL write-path gap is fsync-bound.
 //
-// Three durability modes build on the same seal+flush core:
+// Two durability modes build on the same seal+flush core:
 //
-//   - Commit (sync): the committer seals, then runs the flush itself.
-//     With no concurrency this is byte-for-byte the old protocol; with
-//     concurrency the inline flush still drains whatever the queue holds,
-//     so sync committers coalesce too.
-//   - CommitGrouped: seal, kick the flusher goroutine, wait. The caller's
-//     locks can be released between seal and wait, which is how
-//     securexml.Store lets readers run during the flush.
-//   - CommitAsync: seal, kick, return a CommitWaiter immediately. The
-//     batch is visible to reads at once (the queue is a read overlay) and
-//     durable when the waiter resolves.
+//   - sync (Commit, or SealCommit then Flush): the committer seals, then
+//     runs the flush itself. With no concurrency this is byte-for-byte the
+//     single-batch protocol; with concurrency a committer that seals while
+//     another flushes waits on flushMu and then drains whatever the queue
+//     holds, so sync committers coalesce too.
+//   - async (SealCommit then ScheduleFlush): seal, kick the flusher
+//     goroutine, and return the CommitWaiter at once. The batch is visible
+//     to reads at once (the queue is a read overlay) and durable when the
+//     waiter resolves.
+//
+// The caller's locks can be released between seal and flush, which is how
+// securexml.Store lets readers run during the flush.
 //
 // Failure latches: if a flush fails mid-protocol the log's tail state is
 // unknown, so the pager marks itself broken, resolves every queued waiter
@@ -80,19 +82,10 @@ func (b *sealedBatch) resolve(err error) {
 	close(b.done)
 }
 
-func (b *sealedBatch) resolved() bool {
-	select {
-	case <-b.done:
-		return true
-	default:
-		return false
-	}
-}
-
-// CommitWaiter is the durability handle returned by CommitAsync: it
+// CommitWaiter is the durability handle returned by SealCommit: it
 // resolves when the batch's group flush completes (or fails). The batch's
-// effects are already visible to reads when CommitAsync returns; the
-// waiter only reports durability.
+// effects are already visible to reads once it is sealed; the waiter only
+// reports durability.
 type CommitWaiter struct {
 	b *sealedBatch
 }
@@ -156,33 +149,8 @@ func (w *WALPager) ScheduleFlush() {
 	w.kickFlusher()
 }
 
-// CommitAsync implements the asynchronous arm of TxnPager's Commit: the
-// outermost call seals the batch onto the flush queue, schedules a
-// background flush, and returns a CommitWaiter that resolves when the
-// flush makes the batch durable.
-func (w *WALPager) CommitAsync(meta []byte) (*CommitWaiter, error) {
-	cw, err := w.SealCommit(meta)
-	if err != nil {
-		return nil, err
-	}
-	w.ScheduleFlush()
-	return cw, nil
-}
-
-// CommitGrouped seals the batch and blocks until the shared flusher's next
-// flush covers it. Unlike Commit, the flush runs on the flusher goroutine;
-// callers wanting to release their own locks between sealing and waiting
-// should use CommitAsync and Wait separately (securexml does).
-func (w *WALPager) CommitGrouped(meta []byte) error {
-	cw, err := w.CommitAsync(meta)
-	if err != nil {
-		return err
-	}
-	return cw.Wait()
-}
-
 // ensureFlusher lazily starts the flusher goroutine. Stores that only ever
-// use synchronous Commit never start it, keeping their I/O single-threaded
+// commit synchronously never start it, keeping their I/O single-threaded
 // and deterministic (the recovery fault matrix depends on that).
 func (w *WALPager) ensureFlusher() {
 	w.mu.Lock()
@@ -324,13 +292,6 @@ func (w *WALPager) failQueuedLocked(err error) {
 	if w.depth == 0 {
 		w.numPages = w.data.NumPages()
 	}
-}
-
-// failQueued is failQueuedLocked for callers not holding w.mu.
-func (w *WALPager) failQueued(err error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.failQueuedLocked(err)
 }
 
 // flushProtocol runs the durable group flush: journal every batch, fsync

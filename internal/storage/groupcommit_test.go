@@ -37,10 +37,11 @@ func groupFixture(t *testing.T, k int) (*WALPager, *MemPager, *MemFile, *FaultFi
 		if err := w.WritePage(PageID(i), pageBytes(128, byte('A'+i))); err != nil {
 			t.Fatal(err)
 		}
-		cw, err := w.CommitAsync(nil)
+		cw, err := w.SealCommit(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		w.ScheduleFlush()
 		waiters[i] = cw
 	}
 	return w, mem, log, ff, fp, waiters
@@ -56,8 +57,10 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		t.Fatalf("PendingBatches = %d, want %d", got, k)
 	}
 	for _, cw := range waiters {
-		if cw.b.resolved() {
+		select {
+		case <-cw.Done():
 			t.Fatal("waiter resolved before flush")
+		default:
 		}
 	}
 	// Sealed-but-unflushed pages must already be visible through the pager
@@ -278,15 +281,23 @@ func TestGroupCommitConcurrentCommitters(t *testing.T) {
 					switch n % 3 {
 					case 0:
 						err = w.Commit(nil)
-					case 1:
-						err = w.CommitGrouped(nil)
 					default:
-						cw, err = w.CommitAsync(nil)
+						cw, err = w.SealCommit(nil)
 					}
 				}
 				batchMu.Unlock()
+				// Sealed batches flush outside the batch lock: inline (as a
+				// sync committer does once it released its own lock) or on
+				// the background flusher (async).
 				if err == nil && cw != nil {
-					err = cw.Wait()
+					if n%3 == 1 {
+						err = w.Flush()
+					} else {
+						w.ScheduleFlush()
+					}
+					if werr := cw.Wait(); err == nil {
+						err = werr
+					}
 				}
 				if err != nil {
 					errs <- fmt.Errorf("committer %d op %d: %w", g, n, err)
@@ -372,10 +383,11 @@ func TestGroupCommitNumPagesIncludesQueue(t *testing.T) {
 	w.Begin()
 	a, _ := w.Allocate()
 	w.WritePage(a, pageBytes(128, 'q'))
-	cw, err := w.CommitAsync(nil)
+	cw, err := w.SealCommit(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.ScheduleFlush()
 	if got := w.NumPages(); got != 1 {
 		t.Fatalf("NumPages = %d, want 1 (queued allocation)", got)
 	}
@@ -389,10 +401,11 @@ func TestGroupCommitNumPagesIncludesQueue(t *testing.T) {
 		t.Fatalf("allocation after queued batch = %d, want 1", b)
 	}
 	w.WritePage(b, pageBytes(128, 'r'))
-	cw2, err := w.CommitAsync(nil)
+	cw2, err := w.SealCommit(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	w.ScheduleFlush()
 	if err := w.ReleaseFlushes(); err != nil {
 		t.Fatal(err)
 	}

@@ -148,8 +148,8 @@ type WALPager struct {
 	prevLoggedMeta []byte
 	// held pauses flushing (test hook for deterministic group formation).
 	held bool
-	// Flusher goroutine lifecycle: started lazily by the first async or
-	// grouped commit, stopped by Close.
+	// Flusher goroutine lifecycle: started lazily by the first async
+	// commit, stopped by Close.
 	flusherOn bool
 	kick      chan struct{}
 	stop      chan struct{}
@@ -447,29 +447,22 @@ func (w *WALPager) discardLocked() {
 }
 
 // Commit implements TxnPager with synchronous durability: the outermost
-// commit seals the batch, flushes the queue inline (coalescing any batches
-// an async committer queued before it), and returns once its own batch is
-// durable and applied. Nested commits only merge their metadata. See
-// CommitGrouped and CommitAsync for the deferred-durability variants.
+// commit seals the batch, flushes the queue inline (coalescing whatever
+// other batches are queued), and returns once its own batch is durable and
+// applied. Nested commits only merge their metadata. Both error returns of
+// the flush resolve every queued batch, this one included, so the wait
+// cannot hang; a failure in the flush tail, after the waiter resolved nil
+// at the log sync, still surfaces through the flush's return.
 func (w *WALPager) Commit(meta []byte) error {
 	b, err := w.sealForCommit(meta)
 	if err != nil || b == nil {
 		return err
 	}
-	if ferr := w.flushGroup(false); ferr != nil {
-		if !b.resolved() {
-			// The flush died before reaching our batch (e.g. the log broke
-			// on an earlier group): fail it now so the wait below returns.
-			w.failQueued(ferr)
-		}
-		// Even when our batch reached durability (waiter resolved nil at
-		// the log sync), a synchronous committer promised "durable AND
-		// applied": a failure in the flush tail poisons the pager and must
-		// surface here, not be swallowed by the resolved waiter.
-		<-b.done
+	ferr := w.Flush()
+	<-b.done
+	if ferr != nil {
 		return ferr
 	}
-	<-b.done
 	return b.err
 }
 
@@ -556,8 +549,13 @@ func (w *WALPager) appendRecord(rec []byte) error {
 
 // applyImages materializes committed after-images in the data pager:
 // allocate up to finalPages, write every image, sync. Used both by the
-// flush protocol (with the group's merged images) and by recovery redo.
+// flush protocol (with the group's merged images) and by recovery redo. A
+// group that writes and allocates nothing (a subject or membership update
+// changes only the metadata) leaves the data pager alone and syncs nothing.
 func (w *WALPager) applyImages(finalPages int, order []PageID, images map[PageID][]byte) error {
+	if len(order) == 0 && w.data.NumPages() >= finalPages {
+		return nil
+	}
 	for w.data.NumPages() < finalPages {
 		if _, err := w.data.Allocate(); err != nil {
 			return fmt.Errorf("storage: wal apply allocate: %w", err)

@@ -454,9 +454,10 @@ func TestWALMetaDeltaChain(t *testing.T) {
 		if err := w.WritePage(0, pageBytes(128, byte('A'+i))); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := w.CommitAsync(m); err != nil {
+		if _, err := w.SealCommit(m); err != nil {
 			t.Fatal(err)
 		}
+		w.ScheduleFlush()
 	}
 	// Crash at the data sync: the log holds the whole journaled group.
 	fp.Arm(Fault{Op: FaultSync, N: 1})

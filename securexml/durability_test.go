@@ -3,10 +3,15 @@ package securexml
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"dolxml/internal/xmlmodel"
+	"dolxml/internal/xmltree"
 )
 
 // This file covers the durability-mode surface of the group-commit work:
@@ -28,7 +33,6 @@ func TestDurabilityModesConcurrentCommitters(t *testing.T) {
 		mode Durability
 	}{
 		{"sync", DurabilitySync},
-		{"grouped", DurabilityGrouped},
 		{"async", DurabilityAsync},
 	} {
 		tc := tc
@@ -145,6 +149,94 @@ func TestDurabilityModesConcurrentCommitters(t *testing.T) {
 			ms.check("reopened")
 			ms.close()
 		})
+	}
+}
+
+// TestSyncCommittersShareAFlush: a DurabilitySync committer waits for
+// durability only after it sealed, so committers that seal while flushes
+// are held all queue their batches, and the one flush that follows makes
+// the three of them durable together.
+func TestSyncCommittersShareAFlush(t *testing.T) {
+	ms, rng, _ := crashStore(t, 11, 800)
+	// Node-only access changes on three distinct nodes commute: the store
+	// ends at the same model whatever order the committers seal in.
+	post := ms.md
+	var ops []xmlmodel.Operation
+	touched := map[xmltree.NodeID]bool{}
+	for len(ops) < 3 {
+		op, next := drawUpdate(rng, post, xmlmodel.SetAccess, false)
+		if !touched[op.Node] {
+			touched[op.Node] = true
+			ops, post = append(ops, op), next
+		}
+	}
+	ms.s = ms.open(ms.dir)
+	s := ms.s
+	s.wp.HoldFlushes()
+	errs := make(chan error, len(ops))
+	for _, op := range ops {
+		go func() {
+			errs <- s.SetAccess(ms.name(post, op.Subject), harnessMode, NodeID(op.Node), op.Allowed, op.Subtree)
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); s.wp.PendingBatches() < len(ops); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			n := s.wp.PendingBatches()
+			// Let the committers finish before failing.
+			for i := 0; i < len(ops); i++ {
+				if err := s.wp.ReleaseFlushes(); err != nil {
+					t.Error(err)
+				}
+				<-errs
+			}
+			t.Fatalf("%d of %d sync committers sealed while flushes were held: a committer waited for another's flush before sealing", n, len(ops))
+		}
+	}
+	if err := s.wp.ReleaseFlushes(); err != nil {
+		t.Fatal(err)
+	}
+	for range ops {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h := s.MetricsSnapshot().Histograms["wal_group_size"]; h.Count != 1 || h.Sum != 3 {
+		t.Fatalf("wal_group_size recorded %d groups of %d batches in all, want one group of 3", h.Count, h.Sum)
+	}
+	ms.md = post
+	ms.close()
+	ms.s = ms.open(ms.dir)
+	ms.check("reopened after the shared flush")
+	ms.close()
+}
+
+// TestSubjectCommitSyncsOnlyTheLog: a commit that changes no page — a new
+// user lives in the directory and the codebook, journalled as metadata —
+// syncs the log at its commit record and its checkpoint and leaves the page
+// file alone: no write, no sync, and none counted.
+func TestSubjectCommitSyncsOnlyTheLog(t *testing.T) {
+	dir := t.TempDir()
+	sealed := hospitalStore(t, StoreOptions{Path: filepath.Join(dir, pageFile)})
+	if err := sealed.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := sealed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	before := s.MetricsSnapshot()
+	if err := s.AddUser("erin"); err != nil {
+		t.Fatal(err)
+	}
+	after := s.MetricsSnapshot()
+	for name, want := range map[string]int64{"wal_commits": 1, "wal_fsyncs": 2, "io_syncs": 0, "io_writes": 0} {
+		if got := after.Get(name) - before.Get(name); got != want {
+			t.Errorf("AddUser moved %s by %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -93,7 +93,7 @@ func (s *Store) newRegistry() *obs.Registry {
 			return 0
 		}},
 		{"slo_burn_rate_permille", func() int64 {
-			return sloBurnPermille(s.sloOver.Load(), s.sloFinished.Load(), s.opts.SLOTarget)
+			return sloBurnPermille(s.sloOver.Load(), s.sloFinished.Load())
 		}},
 	} {
 		must(reg.RegisterGauge(g.name, g.fn))
@@ -179,19 +179,19 @@ func (s *Store) recordSkips(sk query.SkipStats) {
 	s.pathClasses.Add(sk.PathClasses)
 }
 
+// sloTarget is the availability target the error budget is measured
+// against: one query in a thousand may miss the latency objective before
+// the burn rate exceeds 1000 permille.
+const sloTarget = 0.999
+
 // sloBurnPermille computes the error-budget burn rate: the observed
-// over-objective fraction divided by the budget (1 - target), in
-// permille. 0 before any query finishes or when the target leaves no
-// budget to divide by.
-func sloBurnPermille(over, finished int64, target float64) int64 {
+// over-objective fraction divided by the budget (1 - sloTarget), in
+// permille. 0 before any query finishes.
+func sloBurnPermille(over, finished int64) int64 {
 	if finished == 0 {
 		return 0
 	}
-	budget := 1 - target
-	if budget <= 0 {
-		return 0
-	}
-	return int64(math.Round(float64(over) / float64(finished) / budget * 1000))
+	return int64(math.Round(float64(over) / float64(finished) / (1 - sloTarget) * 1000))
 }
 
 // startQuery sets up one query's observability state: it resolves the

@@ -232,60 +232,96 @@ func TestCursorTraceAccounting(t *testing.T) {
 	}
 }
 
+// storeMetricNames is every name a store's registry holds, memory-backed
+// or file-backed; walMetricNames are the ones a file-backed store adds.
+var (
+	storeMetricNames = []string{
+		"codebook_bytes", "codebook_entries", "codebook_subjects",
+		"decode_cache_budget_bytes", "decode_cache_bytes", "decode_cache_entries",
+		"decode_cache_evictions", "decode_cache_hits", "decode_cache_misses",
+		"directory_bytes", "index_bytes",
+		"io_allocs", "io_reads", "io_syncs", "io_writes",
+		"path_summary_bytes", "plan_memo_bytes",
+		"pool_buffered", "pool_capacity", "pool_evictions", "pool_flushes",
+		"pool_gets", "pool_hits", "pool_misses", "pool_pin_waits_total", "pool_pinned",
+		"query_answers_total", "query_candidates_rejected", "query_errors",
+		"query_latency_us", "query_matches_total", "query_pages_skipped_access",
+		"query_path_classes_preresolved", "query_path_empty_total",
+		"query_slow_total", "query_total", "query_trace_dropped_total",
+		"recode_relayouts", "recode_splices",
+		"recorder_fingerprints", "recorder_queries", "sidecar_bytes",
+		"skipmask_compile_hits", "skipmask_compile_misses",
+		"slo_burn_rate_permille", "slo_latency_objective_us",
+		"slo_queries_over_objective", "slo_queries_total",
+		"snapshot_oldest_pin_age_us", "snapshot_pin_us", "snapshot_pins",
+		"snapshot_unpins", "snapshot_versions_live",
+		"store_nodes", "store_pages",
+		"view_bitmap_builds", "view_checks", "view_decisions_computed",
+	}
+	walMetricNames = []string{
+		"commit_wait_us",
+		"wal_begins", "wal_commits", "wal_fsyncs", "wal_group_size",
+		"wal_log_appends", "wal_log_bytes", "wal_pending_batches", "wal_rollbacks",
+	}
+)
+
 // TestMetricNamesValidAndUnique is the guard test: every registered name
-// is lowercase_snake and unique, and the canonical families are present.
-// A file-backed store must additionally register the WAL family.
+// is lowercase_snake and unique, and a fresh store registers exactly the
+// canonical set — storeMetricNames, plus walMetricNames when file-backed —
+// whether its registry is first read before any query or after one.
 func TestMetricNamesValidAndUnique(t *testing.T) {
 	snake := regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
-	check := func(t *testing.T, s *Store, want []string) {
+	check := func(t *testing.T, what string, s *Store, want []string) {
 		names := s.MetricNames()
 		seen := map[string]bool{}
 		for _, n := range names {
 			if !snake.MatchString(n) {
-				t.Errorf("metric %q is not lowercase_snake", n)
+				t.Errorf("%s: metric %q is not lowercase_snake", what, n)
 			}
 			if !obs.ValidName(n) {
-				t.Errorf("obs.ValidName rejects metric %q, which the grammar's regexp takes", n)
+				t.Errorf("%s: obs.ValidName rejects metric %q, which the grammar's regexp takes", what, n)
 			}
 			if seen[n] {
-				t.Errorf("metric %q registered twice", n)
+				t.Errorf("%s: metric %q registered twice", what, n)
 			}
 			seen[n] = true
 		}
 		for _, w := range want {
 			if !seen[w] {
-				t.Errorf("canonical metric %q missing (have %v)", w, names)
+				t.Errorf("%s: canonical metric %q missing", what, w)
 			}
+			delete(seen, w)
+		}
+		for n := range seen {
+			t.Errorf("%s: metric %q is not in the canonical set", what, n)
 		}
 	}
-
-	mem := bigStore(t, StoreOptions{PageSize: 256})
-	defer mem.Close()
-	check(t, mem, []string{
-		"pool_gets", "pool_hits", "pool_misses", "pool_pinned", "pool_capacity",
-		"io_reads", "io_writes",
-		"decode_cache_hits", "decode_cache_misses", "decode_cache_bytes",
-		"view_checks", "view_decisions_computed", "view_bitmap_builds",
-		"codebook_entries", "codebook_subjects",
-		"store_nodes", "store_pages", "directory_bytes", "codebook_bytes",
-		"query_total", "query_errors", "query_slow_total",
-		"query_answers_total", "query_matches_total", "query_latency_us",
-		"query_pages_skipped_access", "query_candidates_rejected",
-		"query_path_empty_total", "query_path_classes_preresolved",
-		"skipmask_compile_hits", "skipmask_compile_misses", "plan_memo_bytes",
-	})
-	for _, n := range mem.MetricNames() {
-		if strings.HasPrefix(n, "wal_") || n == "commit_wait_us" {
-			t.Errorf("memory-backed store registered %q", n)
+	file := slices.Concat(storeMetricNames, walMetricNames)
+	for _, tc := range []struct {
+		name string
+		opts func() StoreOptions
+		want []string
+	}{
+		{"memory", func() StoreOptions { return StoreOptions{PageSize: 256} }, storeMetricNames},
+		{"file", func() StoreOptions {
+			return StoreOptions{PageSize: 256, Path: filepath.Join(t.TempDir(), "pages.dol")}
+		}, file},
+	} {
+		fresh := bigStore(t, tc.opts())
+		check(t, tc.name+" before any query", fresh, tc.want)
+		if _, err := fresh.Query("reader", "read", "//book[title]"); err != nil {
+			t.Fatal(err)
 		}
-	}
+		check(t, tc.name+" after a query", fresh, tc.want)
+		fresh.Close()
 
-	file := bigStore(t, StoreOptions{PageSize: 256, Path: filepath.Join(t.TempDir(), "pages.dol")})
-	defer file.Close()
-	check(t, file, []string{
-		"wal_begins", "wal_commits", "wal_fsyncs", "wal_log_appends",
-		"wal_group_size", "wal_pending_batches", "commit_wait_us",
-	})
+		queried := bigStore(t, tc.opts())
+		if _, err := queried.Query("reader", "read", "//book[title]"); err != nil {
+			t.Fatal(err)
+		}
+		check(t, tc.name+" first read after a query", queried, tc.want)
+		queried.Close()
+	}
 }
 
 // TestDebugHandlerEndpoints asserts the acceptance criterion that the HTTP

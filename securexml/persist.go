@@ -421,6 +421,40 @@ func cutString(b []byte, prefix string) (s, rest []byte, ok bool) {
 	return b[:i], b[i:], true
 }
 
+// openPager opens the pages a store runs on: a page file at opts.Path, or
+// memory when Path is empty, wrapped by opts.WrapPager. A file-backed store
+// is write-ahead logged: its log at Path+walSuffix (wrapped by
+// opts.WrapWALFile) is opened with crash recovery, which delivers committed
+// metadata to sink and reports what it found. wal is nil without a log.
+func openPager(opts StoreOptions, sink *metaSink) (pager storage.Pager, wal *storage.WALPager, info storage.RecoveryInfo, err error) {
+	if opts.Path == "" {
+		pager = storage.NewMemPager(opts.PageSize)
+	} else if pager, err = storage.OpenFilePager(opts.Path, opts.PageSize); err != nil {
+		return nil, nil, info, err
+	}
+	if opts.WrapPager != nil {
+		pager = opts.WrapPager(pager)
+	}
+	if opts.Path == "" {
+		return pager, nil, info, nil
+	}
+	osf, err := storage.OpenOSFile(opts.Path + walSuffix)
+	if err != nil {
+		pager.Close()
+		return nil, nil, info, err
+	}
+	var log storage.File = osf
+	if opts.WrapWALFile != nil {
+		log = opts.WrapWALFile(log)
+	}
+	if wal, info, err = storage.OpenWALPager(pager, log, sink.deliver); err != nil {
+		log.Close()
+		pager.Close()
+		return nil, nil, info, fmt.Errorf("securexml: wal recovery: %w", err)
+	}
+	return wal, wal, info, nil
+}
+
 // Open loads a store previously written by Save, first running WAL crash
 // recovery: update batches whose commit record reached the log but whose
 // pages (or sidecar) did not all reach the store are redone, and torn or
@@ -437,46 +471,21 @@ func Open(dir string, opts StoreOptions) (_ *Store, err error) {
 	opts.PageSize = ps.PageSize
 	opts.Path = filepath.Join(dir, pageFile)
 
-	var pager storage.Pager
-	fp, err := storage.OpenFilePager(opts.Path, opts.PageSize)
+	sink := &metaSink{dir: dir}
+	pager, wal, info, err := openPager(opts, sink)
 	if err != nil {
 		return nil, err
 	}
-	pager = fp
-	if opts.WrapPager != nil {
-		pager = opts.WrapPager(pager)
-	}
-	sink := &metaSink{dir: dir}
-	var info storage.RecoveryInfo
-	var wal *storage.WALPager
-	if !opts.DisableWAL {
-		osf, err := storage.OpenOSFile(opts.Path + walSuffix)
-		if err != nil {
+	if info.MetaApplied {
+		// Recovery redid a batch whose sidecar had not landed; the sink just
+		// rewrote store.json — reload it.
+		if ps, metaLen, err = readMeta(dir); err != nil {
 			pager.Close()
 			return nil, err
 		}
-		var log storage.File = osf
-		if opts.WrapWALFile != nil {
-			log = opts.WrapWALFile(log)
-		}
-		wp, ri, err := storage.OpenWALPager(pager, log, sink.deliver)
-		if err != nil {
-			log.Close()
+		if ps.PageSize != opts.PageSize {
 			pager.Close()
-			return nil, fmt.Errorf("securexml: wal recovery: %w", err)
-		}
-		pager, info, wal = wp, ri, wp
-		if info.MetaApplied {
-			// Recovery redid a batch whose sidecar had not landed;
-			// the sink just rewrote store.json — reload it.
-			if ps, metaLen, err = readMeta(dir); err != nil {
-				pager.Close()
-				return nil, err
-			}
-			if ps.PageSize != opts.PageSize {
-				pager.Close()
-				return nil, fmt.Errorf("securexml: recovered metadata page size %d, had %d", ps.PageSize, opts.PageSize)
-			}
+			return nil, fmt.Errorf("securexml: recovered metadata page size %d, had %d", ps.PageSize, opts.PageSize)
 		}
 	}
 	pool := storage.NewBufferPool(pager, opts.PoolPages)

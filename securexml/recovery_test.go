@@ -24,7 +24,9 @@ import (
 // crashKinds are the eight update kinds the fault matrix crashes, each
 // with the least its commit must cost — data writes, data syncs, log
 // appends, log syncs — so the matrix keeps as many crash points per kind
-// as the hand-built updates it replaced had.
+// as the hand-built updates it replaced had. Subject and membership
+// updates write no page, so their flush syncs the log alone: the data
+// file has nothing to make durable, and no sync of it can crash.
 var crashKinds = []struct {
 	name    string
 	kind    xmlmodel.Kind
@@ -36,8 +38,8 @@ var crashKinds = []struct {
 	{"insert", xmlmodel.Insert, false, commitOps{2, 1, 6, 2}},
 	{"delete", xmlmodel.Delete, false, commitOps{1, 1, 5, 2}},
 	{"move", xmlmodel.Move, false, commitOps{3, 1, 7, 2}},
-	{"add-user", xmlmodel.AddUserLike, false, commitOps{0, 1, 4, 2}},
-	{"add-member", xmlmodel.AddMember, false, commitOps{0, 1, 4, 2}},
+	{"add-user", xmlmodel.AddUserLike, false, commitOps{0, 0, 4, 2}},
+	{"add-member", xmlmodel.AddMember, false, commitOps{0, 0, 4, 2}},
 	{"vacuum", xmlmodel.Vacuum, false, commitOps{2, 1, 6, 2}},
 }
 
@@ -112,9 +114,7 @@ func sample(pts []faultPoint, n int) []faultPoint {
 // Every fault point of each update kind's commit recovers to exactly the
 // state the protocol demands — the model before the update or after it —
 // having redone exactly the batches it demands; every kind sees both
-// outcomes. The log changes what survives a crash, not what an update
-// does: the update from the same bytes with the log disabled leaves the
-// model after it.
+// outcomes.
 func TestRecoveryFaultMatrix(t *testing.T) {
 	t.Parallel()
 	ms, rng, img := crashStore(t, 7, 500)
@@ -137,21 +137,6 @@ func TestRecoveryFaultMatrix(t *testing.T) {
 				}
 				op, post = drawUpdate(rng, pre, k.kind, k.subtree)
 				c = ms.probe(k.name, img, post, op)
-			}
-			img.restore(t, ms.dir)
-			plain, err := Open(ms.dir, StoreOptions{PoolPages: 64, DisableWAL: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			ms.s = plain
-			if err := ms.apply(plain, post, op); err != nil {
-				t.Fatalf("%s without a log: %v", k.name, err)
-			}
-			if err := ms.diff(post); err != nil {
-				t.Fatalf("%s without a log: %v", k.name, err)
-			}
-			if err := plain.Close(); err != nil {
-				t.Fatal(err)
 			}
 			pts := sample(c.points(), 12)
 			t.Logf("%s: %d log appends, %d log syncs, %d data writes, %d data syncs -> %d crash points",

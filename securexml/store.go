@@ -28,28 +28,17 @@ type StoreOptions struct {
 	PageSize int
 	// PoolPages bounds the buffer pool (default 4096 frames).
 	PoolPages int
-	// FillPercent leaves slack in structure blocks for in-place updates
-	// (default 90).
-	FillPercent int
-	// DiscardValues skips the node value store (structure-only store).
-	DiscardValues bool
 	// DecodeCacheBytes budgets the NoK store's decoded-block cache, which
 	// keeps recently decoded structure blocks in their entry form so hot
 	// scans skip re-parsing (an in-memory complement to the buffer pool).
 	// 0 keeps the default (1 MiB); a negative value disables the cache.
 	DecodeCacheBytes int64
-	// DisableWAL turns off the write-ahead log that file-backed stores
-	// otherwise get, trading crash atomicity of updates for one less file
-	// and fewer fsyncs. Memory-backed stores never have a WAL.
-	DisableWAL bool
-	// Durability selects how update commits reach disk on a write-ahead-
-	// logged store: DurabilitySync (default) blocks each update until its
-	// batch is flushed; DurabilityGrouped blocks until a shared group
-	// flush covers the batch, letting concurrent updaters split the fsync
-	// cost; DurabilityAsync returns as soon as the batch is sealed, with
-	// durability reported through a Commit handle (see SetAccessAsync and
-	// AwaitDurable). Stores without a WAL ignore the setting: their
-	// updates are applied in place and have no deferred flush.
+	// Durability selects how update commits reach disk on a file-backed
+	// store, whose updates are write-ahead logged: DurabilitySync (default)
+	// blocks each update until its batch is flushed; DurabilityAsync returns
+	// as soon as the batch is sealed, with durability reported through a
+	// Commit handle (see SetAccessAsync and AwaitDurable). Memory-backed
+	// stores ignore the setting: they have no log and nothing to flush.
 	Durability Durability
 	// WrapPager, when set, wraps the data pager before the store (and the
 	// WAL) sees it — a seam for fault-injection tests.
@@ -78,28 +67,20 @@ type StoreOptions struct {
 	// registry (slo_latency_objective_us, slo_queries_over_objective,
 	// slo_burn_rate_permille).
 	SLOLatency time.Duration
-	// SLOTarget is the availability target the error budget is measured
-	// against (default 0.999: one query in a thousand may miss the
-	// objective before the burn rate exceeds 1000 permille).
-	SLOTarget float64
 }
 
 // Durability selects when an update commit becomes durable relative to the
-// call that made it. All three modes share the same crash guarantees —
-// recovery replays an exact prefix of the committed batches — they differ
-// only in when the caller learns its batch is in that prefix.
+// call that made it. Both modes share the same crash guarantees — recovery
+// replays an exact prefix of the committed batches — they differ only in
+// when the caller learns its batch is in that prefix.
 type Durability int
 
 const (
 	// DurabilitySync makes each update durable before its call returns:
-	// the committer seals its batch and runs the group flush itself
-	// (coalescing any concurrently sealed batches). Today's semantics,
-	// and the default.
+	// the committer seals its batch and runs the group flush itself. Sync
+	// committers that seal while another one flushes wait for it on the
+	// WAL's flush lock and then share one flush. The default.
 	DurabilitySync Durability = iota
-	// DurabilityGrouped blocks each update until the shared background
-	// flush covers its batch: N concurrent updaters share one log fsync,
-	// one data fsync and one checkpoint instead of paying 3 each.
-	DurabilityGrouped
 	// DurabilityAsync returns as soon as the batch is sealed (its effects
 	// are immediately visible to queries); durability is reported through
 	// the Commit handle of the *Async update variants, or collectively by
@@ -108,18 +89,16 @@ const (
 	DurabilityAsync
 )
 
+// sealFillPercent is how full Seal packs structure blocks; the slack is
+// room for in-place updates.
+const sealFillPercent = 90
+
 func (o *StoreOptions) defaults() {
 	if o.PageSize == 0 {
 		o.PageSize = storage.DefaultPageSize
 	}
 	if o.PoolPages == 0 {
 		o.PoolPages = 4096
-	}
-	if o.FillPercent == 0 {
-		o.FillPercent = 90
-	}
-	if o.SLOTarget == 0 {
-		o.SLOTarget = 0.999
 	}
 }
 
@@ -131,15 +110,9 @@ func (o *StoreOptions) defaults() {
 type Store struct {
 	// mu serializes updates (and snapshot publication) with each other.
 	// Queries do NOT take it: they pin the current snapshot instead.
-	mu sync.RWMutex
-	// commitMu serializes DurabilitySync commits with each other across
-	// their whole seal-and-flush span (see lockUpdate): a Sync commit
-	// keeps the historical one-flush-per-batch I/O behavior instead of
-	// coalescing with concurrent committers. The relaxed modes never take
-	// it — coalescing is exactly what they opt into.
-	commitMu sync.Mutex
-	opts     StoreOptions
-	pool     *storage.BufferPool
+	mu   sync.RWMutex
+	opts StoreOptions
+	pool *storage.BufferPool
 	// ss is the live, mutable secure store; only update paths (under
 	// s.mu) touch it. Queries go through cur's frozen view.
 	ss *dol.SecureStore
@@ -158,10 +131,9 @@ type Store struct {
 	// sink routes committed update metadata (the store.json image carried
 	// in WAL commit records) to the persisted directory, once one is known.
 	sink *metaSink
-	// wp is the write-ahead-logged pager, nil for memory-backed or
-	// DisableWAL stores. Update commits seal into its flush queue under
-	// s.mu and flush after releasing it, so readers never wait out an
-	// updater's fsyncs.
+	// wp is the write-ahead-logged pager, nil for memory-backed stores.
+	// Update commits seal into its flush queue under s.mu and flush after
+	// releasing it, so readers never wait out an updater's fsyncs.
 	wp *storage.WALPager
 	// recovery records what opening the WAL found (zero value when the
 	// store has no WAL or the log was clean).
@@ -249,45 +221,17 @@ func (b *Builder) Seal(opts StoreOptions) (*Store, error) {
 		return nil, err
 	}
 	sink := &metaSink{}
-	var pager storage.Pager
-	var wal *storage.WALPager
-	if opts.Path != "" {
-		fp, err := storage.OpenFilePager(opts.Path, opts.PageSize)
-		if err != nil {
-			return nil, err
-		}
-		pager = fp
-	} else {
-		pager = storage.NewMemPager(opts.PageSize)
-	}
-	if opts.WrapPager != nil {
-		pager = opts.WrapPager(pager)
-	}
-	if opts.Path != "" && !opts.DisableWAL {
-		// The initial bulk build runs outside any batch (the WAL is a
-		// transparent proxy until Begin), so sealing journals nothing;
-		// the log starts mattering at the first update.
-		osf, err := storage.OpenOSFile(opts.Path + walSuffix)
-		if err != nil {
-			pager.Close()
-			return nil, err
-		}
-		var log storage.File = osf
-		if opts.WrapWALFile != nil {
-			log = opts.WrapWALFile(log)
-		}
-		wp, _, err := storage.OpenWALPager(pager, log, sink.deliver)
-		if err != nil {
-			log.Close()
-			pager.Close()
-			return nil, err
-		}
-		pager, wal = wp, wp
+	// The initial bulk build runs outside any batch (the WAL is a
+	// transparent proxy until Begin), so sealing journals nothing; the log
+	// starts mattering at the first update.
+	pager, wal, _, err := openPager(opts, sink)
+	if err != nil {
+		return nil, err
 	}
 	pool := storage.NewBufferPool(pager, opts.PoolPages)
 	ss, err := dol.BuildLabeledStore(pool, b.doc, lab, nok.BuildOptions{
-		FillPercent: opts.FillPercent,
-		StoreValues: !opts.DiscardValues,
+		FillPercent: sealFillPercent,
+		StoreValues: true,
 	})
 	if err != nil {
 		return nil, err
@@ -622,9 +566,9 @@ var closedDone = func() chan struct{} {
 // the metadata sidecar: on a write-ahead-logged pager it opens the
 // outermost batch (the nok/dol layers' own batches nest inside), flushes
 // every dirty buffer-pool frame into it, and moves the batch onto the
-// flush queue — cheap, no I/O. The caller must hold the write lock, and
-// must call finish AFTER releasing it: the expensive flush protocol runs
-// there, outside s.mu, so queries never stall behind an updater's fsyncs.
+// flush queue — cheap, no I/O. update calls it under the write lock and
+// flushes only after releasing it, so queries never stall behind an
+// updater's fsyncs.
 //
 // If the batch is rolled back or sealing fails after page writes were
 // buffered, the in-memory store is ahead of what disk will ever hold; the
@@ -682,58 +626,42 @@ func (s *Store) updateTxn(fn func() error) (*Commit, error) {
 // poisoned the store anyway; a clean validation failure freed nothing.
 func (s *Store) discardRetired() { s.ss.Store().TakeRetired() }
 
-// lockUpdate acquires the write lock for one update running under
-// durability mode d. On a journaled store a DurabilitySync update
-// additionally takes commitMu, held until finish completes its inline
-// flush, so concurrent Sync commits never coalesce into one group. Every
-// lockUpdate must be paired with either failUpdate (update abandoned
-// before updateTxn ran) or s.mu.Unlock-then-finish.
-func (s *Store) lockUpdate(d Durability) {
-	if d == DurabilitySync && s.wp != nil {
-		s.commitMu.Lock()
-	}
+// update is the one path every update takes. Under the write lock, check
+// (nil for updates with nothing to validate) vets the call before anything
+// changes, and body runs as one batch sealed by updateTxn; a committed
+// update publishes its snapshot (structural for updates that reshape the
+// tree). Then, with the lock released, the commit completes according to
+// the durability mode: DurabilityAsync kicks the background flusher and
+// returns; DurabilitySync flushes inline on this goroutine, draining every
+// batch sealed while it waited on the WAL's flush lock, so concurrent
+// blocking committers share one flush.
+func (s *Store) update(d Durability, structural bool, check, body func() error) (*Commit, error) {
 	s.mu.Lock()
-}
-
-// failUpdate abandons an update between lockUpdate and updateTxn: it
-// releases whatever lockUpdate took and passes err through.
-func (s *Store) failUpdate(d Durability, err error) error {
-	s.mu.Unlock()
-	if d == DurabilitySync && s.wp != nil {
-		s.commitMu.Unlock()
-	}
-	return err
-}
-
-// finish completes a sealed update according to the durability mode. It
-// must be called WITHOUT s.mu held — this is where the flush I/O happens
-// (inline for DurabilitySync, on the background flusher for the others).
-func (s *Store) finish(d Durability, c *Commit, err error) (*Commit, error) {
-	if d == DurabilitySync && s.wp != nil {
-		defer s.commitMu.Unlock()
-	}
-	if err != nil {
-		return nil, err
-	}
-	if c.cw == nil {
-		return c, nil
-	}
-	switch d {
-	case DurabilityAsync:
-		s.wp.ScheduleFlush()
-		return c, nil
-	case DurabilityGrouped:
-		s.wp.ScheduleFlush()
-		return c, c.Wait()
-	default: // DurabilitySync: the committer is its own flusher.
-		// Flush's return is authoritative: the waiter resolves at the log
-		// sync, before the apply/checkpoint tail, and a tail failure
-		// poisons the store — a Sync caller must hear about it here.
-		if err := s.wp.Flush(); err != nil {
-			return c, err
+	if check != nil {
+		if err := check(); err != nil {
+			s.mu.Unlock()
+			return nil, err
 		}
-		return c, c.Wait()
 	}
+	c, err := s.updateTxn(body)
+	if err == nil {
+		s.publish(structural)
+	}
+	s.mu.Unlock()
+	if err != nil || c.cw == nil {
+		return c, err
+	}
+	if d == DurabilityAsync {
+		s.wp.ScheduleFlush()
+		return c, nil
+	}
+	// Flush's return is authoritative: the waiter resolves at the log sync,
+	// before the apply/checkpoint tail, and a tail failure poisons the store
+	// — a Sync caller must hear about it here.
+	if err := s.wp.Flush(); err != nil {
+		return c, err
+	}
+	return c, c.Wait()
 }
 
 // AwaitDurable blocks until every update committed so far is durable — the
@@ -774,22 +702,16 @@ func (s *Store) SetAccessAsync(subject, mode string, n NodeID, allowed, wholeSub
 }
 
 func (s *Store) setAccess(d Durability, subject, mode string, n NodeID, allowed, wholeSubtree bool) (*Commit, error) {
-	s.lockUpdate(d)
-	bit, err := s.combinedBit(subject, mode)
-	if err != nil {
-		return nil, s.failUpdate(d, err)
-	}
-	c, err := s.updateTxn(func() error {
+	var bit acl.SubjectID
+	return s.update(d, false, func() (err error) {
+		bit, err = s.combinedBit(subject, mode)
+		return err
+	}, func() error {
 		if wholeSubtree {
 			return s.ss.SetSubtreeAccess(xmltree.NodeID(n), bit, allowed)
 		}
 		return s.ss.SetNodeAccess(xmltree.NodeID(n), bit, allowed)
 	})
-	if err == nil {
-		s.publish(false)
-	}
-	s.mu.Unlock()
-	return s.finish(d, c, err)
 }
 
 // AddUser registers a new user with no access anywhere — a codebook-only
@@ -810,20 +732,17 @@ func (s *Store) AddGroup(name string) error {
 }
 
 func (s *Store) addSubject(name string, group bool, like string) error {
-	d := s.opts.Durability
-	s.lockUpdate(d)
-	var likeID acl.SubjectID = acl.InvalidSubject
-	if like != "" {
-		var err error
-		likeID, err = s.subject(like)
-		if err != nil {
-			return s.failUpdate(d, err)
+	likeID := acl.InvalidSubject
+	_, err := s.update(s.opts.Durability, false, func() (err error) {
+		if like != "" {
+			likeID, err = s.subject(like)
 		}
-	}
-	// Codebook-only update: no pages change, but the commit still journals
-	// the refreshed metadata sidecar so the new subject survives a crash.
-	s.invalidateMetaHead()
-	c, err := s.updateTxn(func() error {
+		return err
+	}, func() error {
+		// Codebook-only update: no pages change, but the commit still
+		// journals the refreshed metadata sidecar so the new subject
+		// survives a crash.
+		s.invalidateMetaHead()
 		dir := s.mutableDir()
 		var err error
 		if group {
@@ -838,43 +757,29 @@ func (s *Store) addSubject(name string, group bool, like string) error {
 		for m := 0; m < numModes; m++ {
 			if likeID == acl.InvalidSubject {
 				s.ss.AddSubject()
-			} else {
-				if _, err := s.ss.AddSubjectLike(acl.SubjectID(int(likeID)*numModes + m)); err != nil {
-					return err
-				}
+			} else if _, err := s.ss.AddSubjectLike(acl.SubjectID(int(likeID)*numModes + m)); err != nil {
+				return err
 			}
 		}
 		return nil
 	})
-	if err == nil {
-		s.publish(false)
-	}
-	s.mu.Unlock()
-	_, err = s.finish(s.opts.Durability, c, err)
 	return err
 }
 
 // AddMember records a group membership on the sealed store (affects only
 // effective-rights expansion, not the encoding).
 func (s *Store) AddMember(group, member string) error {
-	d := s.opts.Durability
-	s.lockUpdate(d)
-	g, err := s.subject(group)
-	if err != nil {
-		return s.failUpdate(d, err)
-	}
-	m, err := s.subject(member)
-	if err != nil {
-		return s.failUpdate(d, err)
-	}
-	// Directory-only update; the commit journals the refreshed sidecar.
-	s.invalidateMetaHead()
-	c, err := s.updateTxn(func() error { return s.mutableDir().AddMember(g, m) })
-	if err == nil {
-		s.publish(false)
-	}
-	s.mu.Unlock()
-	_, err = s.finish(s.opts.Durability, c, err)
+	var g, m acl.SubjectID
+	_, err := s.update(s.opts.Durability, false, func() (err error) {
+		if g, err = s.subject(group); err == nil {
+			m, err = s.subject(member)
+		}
+		return err
+	}, func() error {
+		// Directory-only update; the commit journals the refreshed sidecar.
+		s.invalidateMetaHead()
+		return s.mutableDir().AddMember(g, m)
+	})
 	return err
 }
 
@@ -884,59 +789,46 @@ func (s *Store) AddMember(group, member string) error {
 // every fragment node receives the access control list currently in force
 // at the parent node.
 func (s *Store) InsertXML(parent, after NodeID, fragment string) error {
-	d := s.opts.Durability
-	s.lockUpdate(d)
-	frag, err := xmltree.ParseString(fragment)
-	if err != nil {
-		return s.failUpdate(d, err)
-	}
-	code, err := s.ss.Store().AccessCodeAt(xmltree.NodeID(parent))
-	if err != nil {
-		return s.failUpdate(d, err)
-	}
-	row := s.ss.Codebook().ACL(code)
-	fm := acl.NewMatrix(frag.Len(), s.ss.Codebook().NumSubjects())
-	for n := 0; n < frag.Len(); n++ {
-		fm.SetRow(xmltree.NodeID(n), row)
-	}
-	s.invalidateMetaHead()
-	c, err := s.updateTxn(func() error {
+	var frag *xmltree.Document
+	var fm *acl.Matrix
+	_, err := s.update(s.opts.Durability, true, func() error {
+		var err error
+		if frag, err = xmltree.ParseString(fragment); err != nil {
+			return err
+		}
+		code, err := s.ss.Store().AccessCodeAt(xmltree.NodeID(parent))
+		if err != nil {
+			return err
+		}
+		row := s.ss.Codebook().ACL(code)
+		fm = acl.NewMatrix(frag.Len(), s.ss.Codebook().NumSubjects())
+		for n := 0; n < frag.Len(); n++ {
+			fm.SetRow(xmltree.NodeID(n), row)
+		}
+		return nil
+	}, func() error {
+		s.invalidateMetaHead()
 		return s.ss.InsertSubtree(xmltree.NodeID(parent), xmltree.NodeID(after), frag, fm)
 	})
-	if err == nil {
-		s.publish(true)
-	}
-	s.mu.Unlock()
-	_, err = s.finish(s.opts.Durability, c, err)
 	return err
 }
 
 // Delete removes node n's subtree.
 func (s *Store) Delete(n NodeID) error {
-	s.lockUpdate(s.opts.Durability)
-	s.invalidateMetaHead()
-	c, err := s.updateTxn(func() error { return s.ss.DeleteSubtree(xmltree.NodeID(n)) })
-	if err == nil {
-		s.publish(true)
-	}
-	s.mu.Unlock()
-	_, err = s.finish(s.opts.Durability, c, err)
+	_, err := s.update(s.opts.Durability, true, nil, func() error {
+		s.invalidateMetaHead()
+		return s.ss.DeleteSubtree(xmltree.NodeID(n))
+	})
 	return err
 }
 
 // Move relocates node n's subtree under newParent (after the sibling
 // `after`, or first when InvalidNode), preserving its access controls.
 func (s *Store) Move(n, newParent, after NodeID) error {
-	s.lockUpdate(s.opts.Durability)
-	s.invalidateMetaHead()
-	c, err := s.updateTxn(func() error {
+	_, err := s.update(s.opts.Durability, true, nil, func() error {
+		s.invalidateMetaHead()
 		return s.ss.MoveSubtree(xmltree.NodeID(n), xmltree.NodeID(newParent), xmltree.NodeID(after))
 	})
-	if err == nil {
-		s.publish(true)
-	}
-	s.mu.Unlock()
-	_, err = s.finish(s.opts.Durability, c, err)
 	return err
 }
 
@@ -946,14 +838,10 @@ func (s *Store) Move(n, newParent, after NodeID) error {
 // It is a full-document maintenance pass. Node IDs and extents are
 // unchanged, so published indexes stay shared.
 func (s *Store) Vacuum() error {
-	s.lockUpdate(s.opts.Durability)
-	s.invalidateMetaHead()
-	c, err := s.updateTxn(s.ss.Vacuum)
-	if err == nil {
-		s.publish(false)
-	}
-	s.mu.Unlock()
-	_, err = s.finish(s.opts.Durability, c, err)
+	_, err := s.update(s.opts.Durability, false, nil, func() error {
+		s.invalidateMetaHead()
+		return s.ss.Vacuum()
+	})
 	return err
 }
 
