@@ -200,9 +200,9 @@ func (d *Directory) EffectiveSubjects(s SubjectID) *bitset.Bitset {
 
 // DirectorySnapshot is the serializable form of a Directory.
 type DirectorySnapshot struct {
-	Names    []string      `json:"names"`
-	IsGroup  []bool        `json:"is_group"`
-	MemberOf [][]SubjectID `json:"member_of"`
+	Names    []string
+	IsGroup  []bool
+	MemberOf [][]SubjectID
 }
 
 // Snapshot captures the directory for serialization.

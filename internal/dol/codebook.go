@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"maps"
+	"math"
 
 	"dolxml/internal/acl"
 	"dolxml/internal/bitset"
@@ -310,114 +311,67 @@ func (cb *Codebook) Duplicates() int {
 	return dups
 }
 
-// codebookV2Magic opens the version-2 codebook encoding. Version 1 opens
-// with the subject count, so the magic is a value no real population can
-// reach; decoders dispatch on the first uvarint.
-const codebookV2Magic = uint64(1)<<62 + 2
-
-// maxCodebookSubjects bounds the subject populations the v2 decoder will
+// maxCodebookSubjects bounds the subject populations the decoder will
 // materialize rows for, so a corrupt header cannot demand gigabyte
 // allocations before any row data is validated.
 const maxCodebookSubjects = 1 << 27
 
-// Per-row tags of the v2 encoding.
+// Row headers. Any other header is a dense row's byte count
+// (bitset.MarshalBinary: a 4-byte length, then exactly the words it needs),
+// which is at least minDenseRow: headers 2 and 3 are never written.
 const (
-	rowFreed = 0 // freed code slot, no payload
-	rowDense = 1 // bitset.MarshalBinary bytes (the v1 row format)
-	rowRuns  = 2 // run-length row: bitset.AppendRuns over the set bits
+	rowFreed    = 0 // freed code slot, no payload
+	rowRuns     = 1 // run-length row: bitset.AppendRuns over the set bits
+	minDenseRow = 4 // a dense row of no words
 )
 
 // sparseRowMinSubjects is the population below which rows never encode
-// sparsely: dense rows are already a few dozen bytes there, and staying in
-// the v1 framing keeps small stores byte-identical on disk.
+// sparsely: dense rows are already a few dozen bytes there.
 const sparseRowMinSubjects = 256
 
-// MarshalBinary serializes the codebook. Rows whose run-length encoding is
-// smaller than their dense word encoding are written sparsely, and the
-// whole blob switches to the version-2 framing as soon as one row does —
-// group-correlated ACLs over large subject populations shrink from
-// subjects/8 bytes per row to a few bytes per run. Books whose rows are all
-// dense keep the version-1 bytes, so small stores are unchanged on disk.
+// MarshalBinary serializes the codebook: the subject count, the slot count,
+// then per slot a header, its row and its reference count. A row spanning
+// the whole population of at least sparseRowMinSubjects subjects is written
+// run-length encoded when that is smaller than its dense words, so
+// group-correlated ACLs over large populations take a few bytes per run
+// instead of subjects/8 per row.
 func (cb *Codebook) MarshalBinary() ([]byte, error) {
-	type rowPlan struct {
-		runs []bitset.Run
-		size int // encoded payload size of the chosen form
-	}
-	plans := make([]rowPlan, len(cb.entries))
-	sparse := false
-	for c, e := range cb.entries {
-		if e == nil {
-			continue
-		}
-		// Only rows spanning exactly the subject population may drop their
-		// length; v1-decoded oddballs keep the self-describing dense form.
-		if cb.numSubjects < sparseRowMinSubjects || e.Len() != cb.numSubjects {
-			plans[c] = rowPlan{size: -1}
-			continue
-		}
-		runs := e.Runs()
-		if sz := bitset.RunsSize(runs); sz < 4+8*((e.Len()+63)/64) {
-			plans[c] = rowPlan{runs: runs, size: sz}
-			sparse = true
-		} else {
-			plans[c] = rowPlan{size: -1}
-		}
-	}
-	var out []byte
-	if sparse {
-		out = binary.AppendUvarint(out, codebookV2Magic)
-		out = binary.AppendUvarint(out, uint64(cb.numSubjects))
-		out = binary.AppendUvarint(out, uint64(len(cb.entries)))
-		for c, e := range cb.entries {
-			if e == nil {
-				out = binary.AppendUvarint(out, rowFreed)
-				continue
-			}
-			if plans[c].size >= 0 {
-				out = binary.AppendUvarint(out, rowRuns)
-				out = bitset.AppendRuns(out, plans[c].runs)
-			} else {
-				data, err := e.MarshalBinary()
-				if err != nil {
-					return nil, err
-				}
-				out = binary.AppendUvarint(out, rowDense)
-				out = binary.AppendUvarint(out, uint64(len(data)))
-				out = append(out, data...)
-			}
-			out = binary.AppendUvarint(out, uint64(cb.refs[c]))
-		}
-		return out, nil
-	}
-	out = binary.AppendUvarint(out, uint64(cb.numSubjects))
+	out := binary.AppendUvarint(nil, uint64(cb.numSubjects))
 	out = binary.AppendUvarint(out, uint64(len(cb.entries)))
 	for c, e := range cb.entries {
 		if e == nil {
-			out = binary.AppendUvarint(out, 0)
+			out = binary.AppendUvarint(out, rowFreed)
 			continue
 		}
-		data, err := e.MarshalBinary()
-		if err != nil {
-			return nil, err
+		var runs []bitset.Run
+		sparse := cb.numSubjects >= sparseRowMinSubjects && e.Len() == cb.numSubjects
+		if sparse {
+			runs = e.Runs()
+			sparse = bitset.RunsSize(runs) < minDenseRow+8*((e.Len()+63)/64)
 		}
-		out = binary.AppendUvarint(out, uint64(len(data)))
-		out = append(out, data...)
+		if sparse {
+			out = binary.AppendUvarint(out, rowRuns)
+			out = bitset.AppendRuns(out, runs)
+		} else {
+			data, err := e.MarshalBinary()
+			if err != nil {
+				return nil, err
+			}
+			out = binary.AppendUvarint(out, uint64(len(data)))
+			out = append(out, data...)
+		}
 		out = binary.AppendUvarint(out, uint64(cb.refs[c]))
 	}
 	return out, nil
 }
 
-// UnmarshalBinary restores a codebook serialized by MarshalBinary, accepting
-// both the version-1 (all-dense) and version-2 (sparse-capable) framings.
+// UnmarshalBinary restores a codebook serialized by MarshalBinary.
 func (cb *Codebook) UnmarshalBinary(data []byte) error {
 	ns, n := binary.Uvarint(data)
-	if n <= 0 {
+	if n <= 0 || ns > maxCodebookSubjects {
 		return fmt.Errorf("dol: corrupt codebook header")
 	}
 	data = data[n:]
-	if ns == codebookV2Magic {
-		return cb.unmarshalV2(data)
-	}
 	count, n := binary.Uvarint(data)
 	if n <= 0 {
 		return fmt.Errorf("dol: corrupt codebook count")
@@ -425,97 +379,48 @@ func (cb *Codebook) UnmarshalBinary(data []byte) error {
 	data = data[n:]
 	*cb = Codebook{numSubjects: int(ns)}
 	for i := uint64(0); i < count; i++ {
-		sz, n := binary.Uvarint(data)
+		h, n := binary.Uvarint(data)
 		if n <= 0 {
-			return fmt.Errorf("dol: corrupt codebook entry %d", i)
-		}
-		data = data[n:]
-		if sz == 0 {
-			cb.entries = append(cb.entries, nil)
-			cb.refs = append(cb.refs, 0)
-			cb.free = append(cb.free, Code(i))
-			continue
-		}
-		if uint64(len(data)) < sz {
-			return fmt.Errorf("dol: truncated codebook entry %d", i)
-		}
-		var b bitset.Bitset
-		if err := b.UnmarshalBinary(data[:sz]); err != nil {
-			return err
-		}
-		data = data[sz:]
-		refs, n := binary.Uvarint(data)
-		if n <= 0 {
-			return fmt.Errorf("dol: corrupt refcount for entry %d", i)
-		}
-		data = data[n:]
-		cb.entries = append(cb.entries, &b)
-		cb.refs = append(cb.refs, int(refs))
-	}
-	return nil
-}
-
-// unmarshalV2 decodes the body of a version-2 codebook (the magic uvarint
-// already consumed).
-func (cb *Codebook) unmarshalV2(data []byte) error {
-	ns, n := binary.Uvarint(data)
-	if n <= 0 {
-		return fmt.Errorf("dol: corrupt codebook v2 header")
-	}
-	if ns > maxCodebookSubjects {
-		return fmt.Errorf("dol: codebook v2 claims %d subjects (max %d)", ns, maxCodebookSubjects)
-	}
-	data = data[n:]
-	count, n := binary.Uvarint(data)
-	if n <= 0 {
-		return fmt.Errorf("dol: corrupt codebook v2 count")
-	}
-	data = data[n:]
-	*cb = Codebook{numSubjects: int(ns)}
-	for i := uint64(0); i < count; i++ {
-		tag, n := binary.Uvarint(data)
-		if n <= 0 {
-			return fmt.Errorf("dol: corrupt codebook v2 row %d tag", i)
+			return fmt.Errorf("dol: corrupt codebook row %d header", i)
 		}
 		data = data[n:]
 		var b *bitset.Bitset
-		switch tag {
-		case rowFreed:
+		switch {
+		case h == rowFreed:
 			cb.entries = append(cb.entries, nil)
 			cb.refs = append(cb.refs, 0)
 			cb.free = append(cb.free, Code(i))
 			continue
-		case rowDense:
-			sz, n := binary.Uvarint(data)
-			if n <= 0 {
-				return fmt.Errorf("dol: corrupt codebook v2 row %d size", i)
-			}
-			data = data[n:]
-			if uint64(len(data)) < sz {
-				return fmt.Errorf("dol: truncated codebook v2 row %d", i)
-			}
-			b = new(bitset.Bitset)
-			if err := b.UnmarshalBinary(data[:sz]); err != nil {
-				return err
-			}
-			data = data[sz:]
-		case rowRuns:
+		case h == rowRuns:
 			runs, rest, err := bitset.DecodeRuns(data, uint32(ns))
 			if err != nil {
-				return fmt.Errorf("dol: codebook v2 row %d: %w", i, err)
+				return fmt.Errorf("dol: codebook row %d: %w", i, err)
 			}
-			data = rest
-			b = bitset.FromRuns(int(ns), runs)
+			data, b = rest, bitset.FromRuns(int(ns), runs)
+		case h < minDenseRow:
+			return fmt.Errorf("dol: codebook row %d has header %d", i, h)
+		case uint64(len(data)) < h:
+			return fmt.Errorf("dol: truncated codebook row %d", i)
 		default:
-			return fmt.Errorf("dol: unknown codebook v2 row tag %d", tag)
+			b = new(bitset.Bitset)
+			if err := b.UnmarshalBinary(data[:h]); err != nil {
+				return err
+			}
+			if h != uint64(minDenseRow+8*((b.Len()+63)/64)) {
+				return fmt.Errorf("dol: codebook row %d has %d bytes for %d bits", i, h, b.Len())
+			}
+			data = data[h:]
 		}
 		refs, n := binary.Uvarint(data)
-		if n <= 0 {
-			return fmt.Errorf("dol: corrupt refcount for v2 row %d", i)
+		if n <= 0 || refs > math.MaxInt {
+			return fmt.Errorf("dol: corrupt refcount for codebook row %d", i)
 		}
 		data = data[n:]
 		cb.entries = append(cb.entries, b)
 		cb.refs = append(cb.refs, int(refs))
+	}
+	if len(data) != 0 {
+		return fmt.Errorf("dol: %d bytes after the codebook's last row", len(data))
 	}
 	return nil
 }

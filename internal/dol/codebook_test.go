@@ -1,7 +1,9 @@
 package dol
 
 import (
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -423,6 +425,25 @@ func TestCodebookUnmarshalErrors(t *testing.T) {
 	}
 	if err := cb.UnmarshalBinary([]byte{5}); err == nil {
 		t.Fatal("truncated input should fail")
+	}
+	if err := cb.UnmarshalBinary([]byte{4, 0, 0}); err == nil {
+		t.Fatal("a byte after the last row should fail")
+	}
+	// One row over 4 subjects: header 12, 4 bytes of length, one word, refs.
+	row := []byte{4, 1, 12, 4, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1}
+	if err := cb.UnmarshalBinary(row); err != nil {
+		t.Fatal(err)
+	}
+	if err := cb.UnmarshalBinary(slices.Concat(row[:2], []byte{13}, row[3:15], []byte{0, 1})); err == nil {
+		t.Fatal("a dense row longer than its bits should fail")
+	}
+	if err := cb.UnmarshalBinary(slices.Concat(row[:15], binary.AppendUvarint(nil, 1<<63))); err == nil {
+		t.Fatal("a reference count past int should fail")
+	}
+	for _, retired := range retiredCodebooks() {
+		if err := cb.UnmarshalBinary(retired); err == nil {
+			t.Fatalf("retired framing %x decoded", retired)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package dol
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"dolxml/internal/bitset"
@@ -28,6 +29,9 @@ func FuzzCodebookUnmarshal(f *testing.F) {
 		cb.Release(d)
 	}))
 	f.Add([]byte{0xFF})
+	for _, retired := range retiredCodebooks() {
+		f.Add(retired)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cb Codebook
 		if err := cb.UnmarshalBinary(data); err != nil {
@@ -147,6 +151,19 @@ func FuzzCodebookMeta(f *testing.F) {
 			}
 		}
 	})
+}
+
+// retiredCodebooks are framings no writer emits any more, each of which
+// UnmarshalBinary must reject: the version-2 framing, which opened with a
+// magic uvarint and tagged a dense row 1 and a run row 2, and the row
+// headers 2 and 3, which no dense row can have.
+func retiredCodebooks() [][]byte {
+	v2 := binary.AppendUvarint(nil, 1<<62+2)
+	return [][]byte{
+		append(v2, 4, 2, 2, 1, 0, 0, 1, 1, 12, 4, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1),
+		{4, 1, 2, 1, 0, 0, 1},
+		{4, 1, 3, 4, 0, 0, 1},
+	}
 }
 
 func mustMarshal(t *testing.T, cb *Codebook) []byte {

@@ -1,6 +1,7 @@
 package dol
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
@@ -106,9 +107,9 @@ func TestRunCodebookStats(t *testing.T) {
 	}
 }
 
-// TestCodebookV2SparseRoundTrip exercises the version-2 framing: a
-// wide-population codebook with run-friendly rows must serialize sparsely,
-// decode back to the same dictionary, and shrink materially vs dense rows.
+// TestCodebookV2SparseRoundTrip: a wide-population codebook with
+// run-friendly rows must serialize sparsely, decode back to the same
+// dictionary, and shrink materially vs dense rows.
 func TestCodebookV2SparseRoundTrip(t *testing.T) {
 	const n = 100000
 	cb := NewCodebook(n)
@@ -130,9 +131,6 @@ func TestCodebookV2SparseRoundTrip(t *testing.T) {
 	data, err := cb.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if magic, _ := binary.Uvarint(data); magic != codebookV2Magic {
-		t.Fatalf("wide codebook did not use the v2 framing (leading uvarint %d)", magic)
 	}
 	if len(data) > 1024 {
 		t.Fatalf("sparse serialization is %d bytes; dense rows would be ~%d", len(data), cb.Bytes())
@@ -164,12 +162,13 @@ func TestCodebookV2SparseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if string(again) != string(data) {
-		t.Fatal("v2 marshal is not a fixpoint")
+		t.Fatal("marshal is not a fixpoint")
 	}
 }
 
-// TestCodebookSmallStaysV1 pins the compatibility promise: populations
-// under the sparse threshold keep the version-1 bytes.
+// TestCodebookSmallStaysV1 pins the bytes of a population under the sparse
+// threshold: the subject count, the slot count, then each row dense, its
+// header its byte count.
 func TestCodebookSmallStaysV1(t *testing.T) {
 	cb := NewCodebook(8)
 	c := cb.Intern(mustBits("10100000"))
@@ -178,20 +177,20 @@ func TestCodebookSmallStaysV1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ns, _ := binary.Uvarint(data); ns != 8 {
-		t.Fatalf("small codebook no longer opens with its subject count (got %d)", ns)
+	if want := []byte{8, 1, 12, 8, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1}; !bytes.Equal(data, want) {
+		t.Fatalf("small codebook is %v, want %v", data, want)
 	}
 	var back Codebook
 	if err := back.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
 	if back.Len() != 1 || !back.ACL(c).EqualBits(cb.ACL(c)) {
-		t.Fatal("v1 round-trip broken")
+		t.Fatal("round-trip broken")
 	}
 }
 
 // TestCodebookV2DenseFallback pins that incompressible wide rows stay
-// dense inside the v2 framing and still round-trip.
+// dense beside run-length ones and still round-trip.
 func TestCodebookV2DenseFallback(t *testing.T) {
 	const n = 2048
 	rng := rand.New(rand.NewSource(9))
@@ -212,8 +211,14 @@ func TestCodebookV2DenseFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if magic, _ := binary.Uvarint(data); magic != codebookV2Magic {
-		t.Fatal("mixed codebook should use v2 framing")
+	// Subjects, slots, then the noisy row (code 0): its header is its byte count.
+	r := data
+	for _, want := range []uint64{n, 2, 4 + 8*n/64} {
+		v, k := binary.Uvarint(r)
+		if k <= 0 || v != want {
+			t.Fatalf("codebook opens %x, want uvarint %d", data[:len(data)-len(r)+1], want)
+		}
+		r = r[k:]
 	}
 	var back Codebook
 	if err := back.UnmarshalBinary(data); err != nil {

@@ -1,7 +1,6 @@
 package nok
 
 import (
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -19,18 +18,19 @@ import (
 // file so a file-backed store can be reopened. The page directory itself is
 // reconstructed from the block headers, which remain authoritative.
 //
-// Sidecar formats 1 and 2 hold Meta as a JSON object; format 3 as the base64
-// of its binary image (AppendBinary). UnmarshalJSON takes either.
+// The sidecar holds Meta as the base64 of its binary image (AppendBinary),
+// which UnmarshalJSON reads.
 type Meta struct {
-	NumNodes       int              `json:"num_nodes"`
-	Tags           []string         `json:"tags"`
-	StructurePages []storage.PageID `json:"structure_pages"`
-	// PathSummary is the persisted path summary. Open rebuilds the
-	// summary from the blocks regardless and verifies this copy against
-	// the rebuild, so a stale or corrupted summary is caught rather than
-	// trusted.
-	PathSummary *pathsum.Meta `json:"path_summary,omitempty"`
-	ValueRefs   ValueRefs     `json:"value_refs,omitempty"`
+	NumNodes       int
+	Tags           []string
+	StructurePages []storage.PageID
+	// PathSummary is the persisted path summary, never nil: every store
+	// has one, and UnmarshalBinary rejects an image without it. Open
+	// rebuilds the summary from the blocks regardless and verifies this
+	// copy against the rebuild, so a stale or corrupted summary is caught
+	// rather than trusted.
+	PathSummary *pathsum.Meta
+	ValueRefs   ValueRefs
 }
 
 // AppendBinary appends m's image: AppendHead, then AppendTail.
@@ -49,14 +49,10 @@ func (m *Meta) AppendHead(b []byte) []byte {
 }
 
 // AppendTail appends the part of the image an access update can change: a
-// 0/1 flag and the path summary's image when there is one, then the
-// structure pages. Every commit writes it anew.
+// 1, the path summary's image, then the structure pages. Every commit writes
+// it anew.
 func (m *Meta) AppendTail(b []byte) []byte {
-	if m.PathSummary == nil {
-		b = append(b, 0)
-	} else {
-		b = m.PathSummary.AppendBinary(append(b, 1))
-	}
+	b = m.PathSummary.AppendBinary(append(b, 1))
 	b = wire.AppendUvarint(b, uint64(len(m.StructurePages)))
 	for _, p := range m.StructurePages {
 		b = wire.AppendUvarint(b, uint64(p))
@@ -65,8 +61,8 @@ func (m *Meta) AppendTail(b []byte) []byte {
 }
 
 // UnmarshalBinary decodes what AppendBinary wrote, accepting nothing else.
-// Like the JSON forms it checks only the encoding: CheckValueRefs and Open
-// check what the image says.
+// It checks only the encoding: CheckValueRefs and Open check what the image
+// says.
 func (m *Meta) UnmarshalBinary(img []byte) error {
 	r := wire.NewReader(img)
 	*m = Meta{NumNodes: r.Int()}
@@ -83,9 +79,10 @@ func (m *Meta) UnmarshalBinary(img []byte) error {
 		}
 		m.ValueRefs = refs
 	}
-	if r.Uint(1) == 1 {
-		m.PathSummary = pathsum.ReadMeta(r)
+	if r.Uvarint() != 1 && r.Err() == nil {
+		return fmt.Errorf("nok: metadata image has no path summary")
 	}
+	m.PathSummary = pathsum.ReadMeta(r)
 	if n := r.Len(); n > 0 {
 		m.StructurePages = make([]storage.PageID, n)
 		for i := range m.StructurePages {
@@ -98,53 +95,23 @@ func (m *Meta) UnmarshalBinary(img []byte) error {
 	return nil
 }
 
-// UnmarshalJSON reads Meta from any sidecar format: an object (formats 1
-// and 2) or a string holding the base64 of the binary image (format 3).
+// UnmarshalJSON reads a JSON string holding the base64 of the binary image,
+// as the sidecar's "nok" field has it.
 func (m *Meta) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var img []byte
-		if err := json.Unmarshal(b, &img); err != nil {
-			return fmt.Errorf("nok: metadata image: %w", err)
-		}
-		return m.UnmarshalBinary(img)
+	var img []byte
+	if err := json.Unmarshal(b, &img); err != nil {
+		return fmt.Errorf("nok: metadata image: %w", err)
 	}
-	type object Meta
-	return json.Unmarshal(b, (*object)(m))
+	return m.UnmarshalBinary(img)
 }
 
 // ValueRefs is the value index as Meta carries it: the ValueStore's own
-// slice, shared and read-only. Its JSON form is one packed blob (sidecar
-// format 2; base64 in a string): per ref a signed varint node delta, a
-// signed varint page delta, uvarint Off, uvarint Len, the deltas taken from
-// the ref before (from zero for the first). Format 1's array of
-// {"n","p","o","l"} objects is still read. Decoding checks only the
-// encoding; Meta.CheckValueRefs checks what the refs say.
+// slice, shared and read-only. Its image is one packed blob: per ref a
+// signed varint node delta, a signed varint page delta, uvarint Off, uvarint
+// Len, the deltas taken from the ref before (from zero for the first).
+// Decoding checks only the encoding; Meta.CheckValueRefs checks what the
+// refs say.
 type ValueRefs []valueRef
-
-// MarshalJSON packs the refs.
-func (v ValueRefs) MarshalJSON() ([]byte, error) {
-	return json.Marshal(packValueRefs(v))
-}
-
-// UnmarshalJSON reads either sidecar format. The blob's string is taken as
-// written, without JSON escapes: base64 needs none.
-func (v *ValueRefs) UnmarshalJSON(b []byte) error {
-	switch {
-	case string(b) == "null":
-		return nil
-	case len(b) > 0 && b[0] == '[':
-		return json.Unmarshal(b, (*[]valueRef)(v))
-	case len(b) < 2 || b[0] != '"':
-		return fmt.Errorf("nok: value refs are neither a packed string nor an array")
-	}
-	blob := make([]byte, base64.StdEncoding.DecodedLen(len(b)-2))
-	n, err := base64.StdEncoding.Decode(blob, b[1:len(b)-1])
-	if err != nil {
-		return fmt.Errorf("nok: value refs: %w", err)
-	}
-	*v, err = unpackValueRefs(blob[:n])
-	return err
-}
 
 func packValueRefs(refs []valueRef) []byte {
 	out := make([]byte, 0, 5*len(refs))
@@ -193,12 +160,11 @@ func unpackValueRefs(blob []byte) ([]valueRef, error) {
 var ErrValueRef = errors.New("nok: value ref")
 
 // CheckValueRefs holds the value refs against the rest of the metadata, the
-// store's page size and its page file's page count, whichever format they
-// came in: nodes strictly ascending and inside the document, every value
-// non-empty and inside its page, on a page the file has, no value on a
-// structure page. A ref that fails would have a value read slice past its
-// page, fault past the file's end or serve structure bytes as text.
-// Its errors wrap ErrValueRef.
+// store's page size and its page file's page count: nodes strictly
+// ascending and inside the document, every value non-empty and inside its
+// page, on a page the file has, no value on a structure page. A ref that
+// fails would have a value read slice past its page, fault past the file's
+// end or serve structure bytes as text. Its errors wrap ErrValueRef.
 func (m Meta) CheckValueRefs(pageSize, numPages int) error {
 	prev := xmltree.NodeID(-1)
 	for i, r := range m.ValueRefs {
@@ -224,11 +190,9 @@ func (m Meta) CheckValueRefs(pageSize, numPages int) error {
 // Meta captures the store's reopen metadata.
 func (s *Store) Meta() Meta {
 	m := Meta{
-		NumNodes: s.numNodes,
-		Tags:     append([]string(nil), s.tags...),
-	}
-	if s.paths != nil {
-		m.PathSummary = s.paths.ToMeta()
+		NumNodes:    s.numNodes,
+		Tags:        append([]string(nil), s.tags...),
+		PathSummary: s.paths.ToMeta(),
 	}
 	for _, pi := range s.dir {
 		m.StructurePages = append(m.StructurePages, pi.Page)
@@ -312,17 +276,11 @@ func OpenScan(pool *storage.BufferPool, m Meta, extent ExtentFunc) (*Store, erro
 	// storage stays authoritative — against which any persisted copy is
 	// verified before the store is trusted.
 	var err error
-	classes := 0
-	if m.PathSummary != nil {
-		classes = len(m.PathSummary.Tags)
-	}
-	if s.paths, err = s.scanPathSummary(classes, extent); err != nil {
+	if s.paths, err = s.scanPathSummary(len(m.PathSummary.Tags), extent); err != nil {
 		return nil, err
 	}
-	if m.PathSummary != nil {
-		if err := m.PathSummary.VerifyAgainst(s.paths); err != nil {
-			return nil, fmt.Errorf("nok: path summary failed verification: %w", err)
-		}
+	if err := m.PathSummary.VerifyAgainst(s.paths); err != nil {
+		return nil, fmt.Errorf("nok: path summary failed verification: %w", err)
 	}
 	return s, nil
 }

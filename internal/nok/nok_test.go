@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
@@ -438,15 +437,12 @@ func TestMetaReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf, err := json.Marshal(s.Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
+	want := s.Meta()
 	var m Meta
-	if err := json.Unmarshal(buf, &m); err != nil {
+	if err := m.UnmarshalBinary(want.AppendBinary(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(m.ValueRefs, s.Meta().ValueRefs) || len(m.ValueRefs) == 0 {

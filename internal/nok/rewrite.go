@@ -292,10 +292,8 @@ func (s *Store) splice(i int, f *storage.Frame, from int, window []Entry, header
 	dir := slices.Clone(s.dir)
 	dir[i] = pi
 	s.dir = dir
-	if s.paths != nil {
-		if err := s.observeRecode(i, [][]slot{slots}, from, end-1); err != nil {
-			return false, err
-		}
+	if err := s.observeRecode(i, [][]slot{slots}, from, end-1); err != nil {
+		return false, err
 	}
 	s.dec.put(pi.Page, slots, marks, false)
 	return true, nil
@@ -510,11 +508,9 @@ func (s *Store) rewriteRegion(i, j int, newEntries []Entry, startLevel int, star
 	s.dir = dir
 	s.numNodes += delta
 	var err error
-	switch {
-	case s.paths == nil:
-	case recode:
+	if recode {
 		err = s.observeRecode(i, warm, lo, hi)
-	default:
+	} else {
 		err = s.rewritePaths(i, j, newEntries, newDir, startCode)
 	}
 	if err != nil {

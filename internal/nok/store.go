@@ -79,7 +79,7 @@ type Store struct {
 	retired []storage.PageID
 
 	// paths is the global path summary (one node per distinct root-to-tag
-	// label path, with per-block class sets parallel to dir). Installed
+	// label path, with the class each block of dir starts in). Installed
 	// summaries are immutable: RewriteRegion replaces the pointer with a
 	// copy-on-write clone, so frozen snapshots share it safely.
 	paths *pathsum.Summary
@@ -373,38 +373,24 @@ func (s *Store) WalkSubtree(n xmltree.NodeID, visit func(NodeInfo) bool) error {
 // use with skip hints.
 func (s *Store) PageIndexOf(n xmltree.NodeID) int { return s.pageOf(n) }
 
-// Paths returns the store's path summary, or nil if none is installed.
-// The returned summary is immutable.
+// Paths returns the store's path summary. The returned summary is
+// immutable.
 func (s *Store) Paths() *pathsum.Summary { return s.paths }
 
 // PathSummaryBytes estimates the in-memory size of the path summary.
-func (s *Store) PathSummaryBytes() int {
-	if s.paths == nil {
-		return 0
-	}
-	return s.paths.Bytes()
-}
+func (s *Store) PathSummaryBytes() int { return s.paths.Bytes() }
 
-// PathSummaryMeta returns the serializable form of the path summary (nil
-// when the store has none) without building a full Meta, whose value-ref
-// list is large — commit paths re-encode just this per seal.
-func (s *Store) PathSummaryMeta() *pathsum.Meta {
-	if s.paths == nil {
-		return nil
-	}
-	return s.paths.ToMeta()
-}
+// PathSummaryMeta returns the serializable form of the path summary without
+// building a full Meta, whose value-ref list is large — commit paths
+// re-encode just this per seal.
+func (s *Store) PathSummaryMeta() *pathsum.Meta { return s.paths.ToMeta() }
 
 // RebuildPathSummary reconstructs the path summary from the structure
 // blocks. Build and Open install one automatically; this is the recovery
 // path when an incremental rewrite cannot replay cleanly, and the oracle
 // for tests.
 func (s *Store) RebuildPathSummary() error {
-	classes := 0
-	if s.paths != nil {
-		classes = s.paths.NumNodes()
-	}
-	ps, err := s.scanPathSummary(classes, nil)
+	ps, err := s.scanPathSummary(s.paths.NumNodes(), nil)
 	if err != nil {
 		return err
 	}
@@ -437,9 +423,6 @@ func (s *Store) scanPathSummary(classes int, extent ExtentFunc) (*pathsum.Summar
 // operational sanity check for a store that has been updated since, and for
 // tests.
 func (s *Store) CheckConsistency() error {
-	if s.paths == nil {
-		return s.walk(nil, nil, nil)
-	}
 	rebuilt, err := s.scanPathSummary(s.paths.NumNodes(), nil)
 	if err != nil {
 		return err
@@ -458,9 +441,6 @@ func (s *Store) ForEachExtent(visit func(n, end xmltree.NodeID, level int, tag i
 // store's own path summary as well: the input of an index grouped by class,
 // numbered as the summary the store's queries embed into.
 func (s *Store) ForEachClassExtent(visit ExtentFunc) error {
-	if s.paths == nil {
-		return fmt.Errorf("nok: store has no path summary")
-	}
 	return s.walk(nil, s.paths, visit)
 }
 

@@ -21,12 +21,11 @@ type ValueStore struct {
 	refs []valueRef
 }
 
-// The JSON names are sidecar format 1's (see ValueRefs).
 type valueRef struct {
-	Node xmltree.NodeID `json:"n"`
-	Page storage.PageID `json:"p"`
-	Off  uint16         `json:"o"`
-	Len  uint16         `json:"l"`
+	Node xmltree.NodeID
+	Page storage.PageID
+	Off  uint16
+	Len  uint16
 }
 
 // BuildValues writes the values of nodes 0..numNodes-1 (as reported by

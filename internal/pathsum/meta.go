@@ -8,24 +8,18 @@ import (
 )
 
 // Meta is the serializable form of a Summary, embedded in the store's
-// reopen metadata. Field names are terse because the block list scales
-// with the store.
+// reopen metadata.
 type Meta struct {
-	Tags    []int32     `json:"t"`
-	Parents []int32     `json:"p"`
-	Modes   []uint8     `json:"m"`
-	Codes   []uint32    `json:"c"`
-	Blocks  []MetaBlock `json:"b"`
+	Tags    []int32
+	Parents []int32
+	Modes   []uint8
+	Codes   []uint32
+	Blocks  []MetaBlock
 }
 
-// MetaBlock is one structure block: the class it starts in. Words are the
-// bitset of the classes occurring in the block that images written before
-// the summary dropped its per-block class sets carry. Nothing reads them:
-// VerifyAgainst ignores them and ToMeta writes none. They are kept only so that
-// an image decodes to a Meta that encodes back to the same bytes.
+// MetaBlock is one structure block: the class it starts in.
 type MetaBlock struct {
-	Start int32    `json:"s"`
-	Words []uint64 `json:"w,omitempty"`
+	Start int32
 }
 
 // ToMeta serializes the summary.
@@ -49,13 +43,14 @@ func (s *Summary) ToMeta() *Meta {
 	return m
 }
 
-// AppendBinary appends the summary's image in sidecar format 3: the tag,
-// parent, mode and code columns, then the blocks (a uvarint count, then per
-// block its start and its words: a count, 0 since the words went, and the
-// words), all uvarints, a parent or a block start stored plus one, so the
-// root context's -1 is 0. Columns that change with access updates (modes,
-// codes) come after those that change only with the document's shape, so a
-// journalled image shares the longest prefix with the one before it.
+// AppendBinary appends the summary's image in sidecar format 3: the tag and
+// parent columns, the blocks (a count, then per block its start and a 0,
+// where blocks once counted their class words, kept so the bytes stay as
+// they were), then the mode and code columns, all uvarints, a parent or a
+// block start stored plus one, so the root context's -1 is 0. Columns that
+// change with access updates (modes, codes) come after those that change
+// only with the document's shape, so a journalled image shares the longest
+// prefix with the one before it.
 func (m *Meta) AppendBinary(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(m.Tags)))
 	for _, t := range m.Tags {
@@ -67,11 +62,7 @@ func (m *Meta) AppendBinary(b []byte) []byte {
 	}
 	b = wire.AppendUvarint(b, uint64(len(m.Blocks)))
 	for _, blk := range m.Blocks {
-		b = wire.AppendUvarint(b, uint64(uint32(blk.Start+1)))
-		b = wire.AppendUvarint(b, uint64(len(blk.Words)))
-		for _, w := range blk.Words {
-			b = wire.AppendUvarint(b, w)
-		}
+		b = append(wire.AppendUvarint(b, uint64(uint32(blk.Start+1))), 0)
 	}
 	b = wire.AppendUvarint(b, uint64(len(m.Modes)))
 	for _, md := range m.Modes {
@@ -84,8 +75,9 @@ func (m *Meta) AppendBinary(b []byte) []byte {
 	return b
 }
 
-// ReadMeta decodes what AppendBinary wrote. It checks the encoding only
-// (every value within its column's type); VerifyAgainst checks the summary.
+// ReadMeta decodes what AppendBinary wrote, accepting nothing else: a
+// block's 0 must be 0. It checks the encoding only (every value within its
+// column's type); VerifyAgainst checks the summary.
 func ReadMeta(r *wire.Reader) *Meta {
 	m := &Meta{}
 	m.Tags = make([]int32, r.Len())
@@ -99,12 +91,7 @@ func ReadMeta(r *wire.Reader) *Meta {
 	m.Blocks = make([]MetaBlock, r.Len())
 	for i := range m.Blocks {
 		m.Blocks[i].Start = int32(r.Uint(math.MaxUint32)) - 1
-		if n := r.Len(); n > 0 {
-			m.Blocks[i].Words = make([]uint64, n)
-			for j := range m.Blocks[i].Words {
-				m.Blocks[i].Words[j] = r.Uvarint()
-			}
-		}
+		r.Uint(0)
 	}
 	m.Modes = make([]uint8, r.Len())
 	for i := range m.Modes {

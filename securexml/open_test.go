@@ -275,6 +275,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 	const pageSize = 256
 	dir, _ := churnTenant(t, 3, 12, 3600, pageSize)
 	img := readDir(t, dir)
+	// Decoded as the benchmark's open ladder decodes it.
 	var meta struct {
 		Nok nok.Meta `json:"nok"`
 	}
@@ -282,8 +283,8 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 		t.Fatal(err)
 	}
 	pages := meta.Nok.StructurePages
-	// page hands edit one structure block's bytes; sidecar, the decoded
-	// sidecar, which it writes back in format 3.
+	// page hands edit one structure block's bytes; file writes store.json;
+	// sidecar hands edit the decoded sidecar, which it writes back.
 	page := func(i int, edit func(p []byte) []byte) func() {
 		return func() {
 			t.Helper()
@@ -299,6 +300,18 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			}
 		}
 	}
+	ps, err := decodeSidecar(img[metaFile])
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := func(b []byte) func() {
+		return func() {
+			t.Helper()
+			if err := os.WriteFile(filepath.Join(dir, metaFile), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	sidecar := func(edit func(ps *persistedStore)) func() {
 		return func() {
 			t.Helper()
@@ -307,9 +320,7 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 				t.Fatal(err)
 			}
 			edit(&ps)
-			if err := os.WriteFile(filepath.Join(dir, metaFile), encodeSidecar(ps), 0o644); err != nil {
-				t.Fatal(err)
-			}
+			file(encodeSidecar(ps))()
 		}
 	}
 	add16 := func(off int, d int) func([]byte) []byte {
@@ -327,12 +338,13 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 	if roomy == 0 {
 		t.Fatal("every block is full to the byte")
 	}
-	cases := []struct {
+	type caseT struct {
 		name    string
 		corrupt func()
 		want    string
 		early   bool // rejected before the page file opens
-	}{
+	}
+	cases := []caseT{
 		{"stale header count", page(mid, add16(8, -1)), "nok: blocks cover", false},
 		{"wrong MinDepth", page(mid, add16(6, 1)), "MinDepth", false},
 		{"flipped change bit", page(mid, func(p []byte) []byte { p[16] ^= 1; return p }), "change bit", false},
@@ -395,6 +407,21 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 		{"a mode the codebook has no columns for", sidecar(func(ps *persistedStore) {
 			ps.Modes = append(ps.Modes, "extra")
 		}), "codebook covers", false},
+	}
+	// Every form a reader once took and no writer emits is rejected too.
+	for name, b := range retiredSidecars(t, ps) {
+		cases = append(cases, caseT{name + " sidecar", file(b), "not a format-3 envelope", true})
+	}
+	want := map[string]string{
+		"no path summary": "has no path summary", "class words": "metadata image: malformed",
+		"v2 magic": "corrupt codebook header", "row header 2": "has header 2", "row header 3": "has header 3",
+	}
+	for name, nokImg := range retiredNokImages(ps) {
+		b := appendEnvelope(nil, ps.PageSize, nil, nokImg, storeImage(ps))
+		cases = append(cases, caseT{"nok image with " + name, file(b), want[name], true})
+	}
+	for name, cb := range retiredCodebooks(ps.Codebook) {
+		cases = append(cases, caseT{"codebook with " + name, sidecar(func(ps *persistedStore) { ps.Codebook = cb }), want[name], false})
 	}
 	var opened, closed int
 	opts := StoreOptions{

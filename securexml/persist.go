@@ -3,7 +3,6 @@ package securexml
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -31,16 +30,15 @@ const pageFile = "pages.db"
 // walSuffix names the write-ahead log beside a page file.
 const walSuffix = ".wal"
 
-// sidecarFormat is what every writer emits. Format 3 is a JSON envelope,
+// store.json is sidecar format 3: a JSON envelope,
 // {"format":3,"page_size":N,"nok":"<base64>","store":"<base64>"}, around
 // two binary images: nok.Meta's (AppendBinary) and the store's
-// (appendStoreHead: modes, directory, then the codebook). Formats 1 and 2
-// spelled everything out in JSON; readMeta still takes them, so an older
-// store upgrades on its next commit or Save.
-const sidecarFormat = 3
-
-// The canonical format-3 envelope, in the pieces appendEnvelope writes and
-// splitEnvelope recognises.
+// (appendStoreHead: modes, directory, then the codebook). It is read only
+// in exactly the bytes appendEnvelope writes; anything else, an older
+// format included, is corrupt metadata.
+//
+// The envelope, in the pieces appendEnvelope writes and splitEnvelope
+// recognises.
 const (
 	envelopeHead  = `{"format":3,"page_size":`
 	envelopeNok   = `,"nok":"`
@@ -48,26 +46,13 @@ const (
 	envelopeEnd   = `"}`
 )
 
-// persistedStore is store.json decoded, whichever format it came in.
+// persistedStore is store.json decoded.
 type persistedStore struct {
 	PageSize int
 	Modes    []string
 	Dir      acl.DirectorySnapshot
 	Nok      nok.Meta
 	Codebook []byte // Codebook.MarshalBinary
-}
-
-// jsonSidecar is store.json as encoding/json reads it: formats 1 and 2 spell
-// the store out, format 3 carries its two images as base64 strings (the nok
-// one decoded by nok.Meta.UnmarshalJSON).
-type jsonSidecar struct {
-	Format   int                   `json:"format"`
-	PageSize int                   `json:"page_size"`
-	Modes    []string              `json:"modes"`
-	Dir      acl.DirectorySnapshot `json:"directory"`
-	Nok      nok.Meta              `json:"nok"`
-	Codebook string                `json:"codebook"`
-	Store    string                `json:"store"`
 }
 
 // metaSink receives the metadata blob of every committed WAL batch — both
@@ -329,56 +314,34 @@ func readMeta(dir string) (persistedStore, int, error) {
 	return ps, len(b), nil
 }
 
-// decodeSidecar decodes a store.json of any format. The canonical format-3
-// envelope — what every writer emits — is recognised by its bytes and its
-// two images base64-decoded directly; anything else (formats 1 and 2, a
-// format-3 file someone re-indented, or one that does not decode) goes
-// through encoding/json.
+// decodeSidecar decodes a store.json: the envelope appendEnvelope writes,
+// byte for byte, around two images that decode.
 func decodeSidecar(b []byte) (persistedStore, error) {
 	ps := persistedStore{}
-	if pageSize, nokB64, storeB64, ok := splitEnvelope(b); ok {
-		enc := base64.StdEncoding
-		img := make([]byte, enc.DecodedLen(len(nokB64))+enc.DecodedLen(len(storeB64)))
-		n, nokErr := enc.Decode(img, nokB64)
-		m, storeErr := enc.Decode(img[n:], storeB64)
-		// The decoder skips line breaks, which a JSON string cannot hold
-		// raw: text that decodes to fewer bytes than its length says is
-		// left to encoding/json, like an escape (which fails to decode).
-		if nokErr == nil && storeErr == nil && enc.EncodedLen(n) == len(nokB64) && enc.EncodedLen(m) == len(storeB64) {
-			err := ps.Nok.UnmarshalBinary(img[:n])
-			if err == nil {
-				err = ps.readStoreImage(img[n : n+m])
-			}
-			if err != nil {
-				return ps, fmt.Errorf("securexml: corrupt metadata: %w", err)
-			}
-			ps.PageSize = pageSize
-			return ps, nil
-		}
+	pageSize, nokB64, storeB64, ok := splitEnvelope(b)
+	if !ok {
+		return ps, errors.New("securexml: corrupt metadata: not a format-3 envelope")
 	}
-	var js jsonSidecar
-	if err := json.Unmarshal(b, &js); err != nil {
+	// Strict: padding bits other than zero would decode to the same image.
+	enc := base64.StdEncoding.Strict()
+	img := make([]byte, enc.DecodedLen(len(nokB64))+enc.DecodedLen(len(storeB64)))
+	n, nokErr := enc.Decode(img, nokB64)
+	m, storeErr := enc.Decode(img[n:], storeB64)
+	err := errors.Join(nokErr, storeErr)
+	// The decoder skips line breaks, which a JSON string cannot hold raw.
+	if err == nil && (enc.EncodedLen(n) != len(nokB64) || enc.EncodedLen(m) != len(storeB64)) {
+		err = errors.New("line break in an image")
+	}
+	if err == nil {
+		err = ps.Nok.UnmarshalBinary(img[:n])
+	}
+	if err == nil {
+		err = ps.readStoreImage(img[n : n+m])
+	}
+	if err != nil {
 		return ps, fmt.Errorf("securexml: corrupt metadata: %w", err)
 	}
-	ps = persistedStore{PageSize: js.PageSize, Modes: js.Modes, Dir: js.Dir, Nok: js.Nok}
-	switch js.Format {
-	case 1, 2:
-		cb, err := base64.StdEncoding.DecodeString(js.Codebook)
-		if err != nil {
-			return ps, fmt.Errorf("securexml: corrupt codebook: %w", err)
-		}
-		ps.Codebook = cb
-	case sidecarFormat:
-		img, err := base64.StdEncoding.DecodeString(js.Store)
-		if err == nil {
-			err = ps.readStoreImage(img)
-		}
-		if err != nil {
-			return ps, fmt.Errorf("securexml: corrupt metadata: %w", err)
-		}
-	default:
-		return ps, fmt.Errorf("securexml: unsupported format %d", js.Format)
-	}
+	ps.PageSize = pageSize
 	return ps, nil
 }
 

@@ -2,10 +2,9 @@ package securexml
 
 import (
 	"bytes"
-	"encoding/base64"
 	"encoding/binary"
 	"encoding/json"
-	"hash/crc32"
+	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
@@ -14,195 +13,41 @@ import (
 
 	"dolxml/internal/acl"
 	"dolxml/internal/nok"
-	"dolxml/internal/storage"
+	"dolxml/internal/pathsum"
 	"dolxml/internal/wire"
 	"dolxml/internal/xmark"
-	"dolxml/internal/xmlmodel"
-	"dolxml/internal/xmltree"
 )
 
-// testdata/format1 was saved by the commit before sidecar format 2: the
-// hospital store with 256-byte pages, store.json in format 1 (one JSON object
-// per value ref), and a WAL holding one committed batch — doctors lose ward B
-// — that reached neither the page file nor the sidecar, its commit image in
-// format 1 too. It must open, replay and answer as the model does, and turn
-// into format 3 with its next commit.
-func TestFormat1StoreOpensAndUpgrades(t *testing.T) {
-	dir := t.TempDir()
-	readDir(t, filepath.Join("testdata", "format1")).restore(t, dir)
-	sidecar := func() []byte {
-		t.Helper()
-		b, err := os.ReadFile(filepath.Join(dir, metaFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	isFormat1 := func(b []byte) bool {
-		return bytes.HasPrefix(b, []byte(`{"format":1,`)) && bytes.Contains(b, []byte(`"value_refs":[{"n":`))
-	}
-	saved := sidecar()
-	if !isFormat1(saved) {
-		t.Fatalf("the fixture's sidecar is not format 1: %.80s", saved)
-	}
-
-	ms := hospitalModel(t)
-	var err error
-	if err := ms.s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if ms.s, err = Open(dir, StoreOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	if ri := ms.s.Recovery(); ri.Redone != 1 || !ri.MetaApplied {
-		t.Fatalf("recovery info = %+v, want one redone batch with metadata", ri)
-	}
-	// Recovery hands the sink the journalled image as it is.
-	if replayed := sidecar(); !isFormat1(replayed) || bytes.Equal(replayed, saved) {
-		t.Fatalf("after replay the sidecar is not the log's format-1 image: %.80s", replayed)
-	}
-	wardB := firstNode(t, ms.s, `/hospital/ward[@name='B']`)
-	ms.md.SetAccess(xmltree.NodeID(wardB), ms.subject(ms.md, "doctors"), false, true)
-	ms.check("the format-1 store")
-
-	p1 := firstNode(t, ms.s, `//patient[name='Ann']`)
-	if err := ms.s.SetAccess("alice", "read", p1, false, true); err != nil {
-		t.Fatal(err)
-	}
-	ms.md.SetAccess(xmltree.NodeID(p1), ms.subject(ms.md, "alice"), false, true)
-	ms.close()
-	upgraded := sidecar()
-	if _, _, _, ok := splitEnvelope(upgraded); !ok {
-		t.Fatalf("one commit later the sidecar is not format 3: %.80s", upgraded)
-	}
-	if len(upgraded) >= len(saved) {
-		t.Fatalf("format 3 takes %d bytes, format 1 took %d", len(upgraded), len(saved))
-	}
-	if ms.s, err = Open(dir, StoreOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	defer ms.close()
-	ms.check("the upgraded store")
-	if got := ms.s.MetricsSnapshot().Get("sidecar_bytes"); got != int64(len(upgraded)) {
-		t.Fatalf("sidecar_bytes = %d, the file has %d", got, len(upgraded))
-	}
-}
-
-// A log written before format 3 journals format-2 images. Recovery hands
-// the sink the image as it is, the JSON reader opens it, and the next commit
-// writes format 3.
-func TestFormat2LogReplays(t *testing.T) {
-	ms, rng, pristine := crashStore(t, 4, 300)
-	op, post := drawUpdate(rng, ms.md, xmlmodel.SetAccess, true)
-	// Crash on the first data write: the commit record and its image are
-	// durable, nothing else is.
-	p := faultPoint{fault: storage.Fault{Op: storage.FaultWrite, N: 1}}
-	ms.crashAt(p.String(), pristine, p, func(s *Store) (int, error) { return ms.applyArmed(s, post, op, p) })
-
-	// Rewrite the batch's meta record (type 3: a type byte, the blob's
-	// length, the blob, a CRC-32 of all three) to carry the image in format 2.
-	logPath := filepath.Join(ms.dir, pageFile+walSuffix)
-	log, err := os.ReadFile(logPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	at := bytes.Index(log, []byte(envelopeHead)) - 5
-	if at < 0 || log[at] != 3 {
-		t.Fatal("no meta record with a format-3 image in the log")
-	}
-	end := at + 5 + int(binary.LittleEndian.Uint32(log[at+1:])) + 4
-	ps, err := decodeSidecar(log[at+5 : end-4])
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := format2Sidecar(t, ps)
-	rec := binary.LittleEndian.AppendUint32([]byte{3}, uint32(len(img)))
-	rec = append(rec, img...)
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
-	if err := os.WriteFile(logPath, slices.Concat(log[:at], rec, log[end:]), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	ms.s = ms.open(ms.dir)
-	if ri := ms.s.Recovery(); ri.Redone != 1 || !ri.MetaApplied {
-		t.Fatalf("recovery info = %+v, want one redone batch with metadata", ri)
-	}
-	if got, err := os.ReadFile(filepath.Join(ms.dir, metaFile)); err != nil || !bytes.Equal(got, img) {
-		t.Fatalf("after replay the sidecar is not the log's format-2 image: %.80s, %v", got, err)
-	}
-	ms.md = post
-	ms.check("the replayed store")
-	ms.step(rng, "one commit later", xmlmodel.SetAccess)
-	ms.close()
-	if got, err := os.ReadFile(filepath.Join(ms.dir, metaFile)); err != nil || !bytes.HasPrefix(got, []byte(envelopeHead)) {
-		t.Fatalf("one commit later the sidecar is not format 3: %.80s, %v", got, err)
-	}
-}
-
-// A format-3 store.json that is still JSON but not byte for byte what the
-// writer emits — re-indented here — misses the direct reader and opens
-// through encoding/json, to the same answers.
-func TestReindentedSidecarOpens(t *testing.T) {
-	dir := t.TempDir()
-	ms := hospitalModel(t)
-	if err := ms.s.Save(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := ms.s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, metaFile)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, raw, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, ok := splitEnvelope(indented.Bytes()); ok {
-		t.Fatal("the direct reader takes the re-indented sidecar")
-	}
-	direct, err := decodeSidecar(raw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaJSON, err := decodeSidecar(indented.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeSidecar(viaJSON), encodeSidecar(direct)) || !bytes.Equal(encodeSidecar(direct), raw) {
-		t.Fatal("the two readers decode the sidecar differently")
-	}
-	if err := os.WriteFile(path, indented.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if ms.s, err = Open(dir, StoreOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	defer ms.close()
-	ms.check("the re-indented store")
-}
-
-// FuzzSidecarImage hardens the two binary images of a format-3 sidecar:
+// FuzzSidecarImage hardens store.json and the two binary images inside it:
 // arbitrary bytes decode to an error or to a value that encodes to exactly
-// those bytes, and never panic — alone or inside an envelope.
+// those bytes, and never panic — each image alone, inside an envelope, and
+// as a whole file. The seeds are two current stores and the forms no writer
+// emits any more (retiredSidecars, retiredNokImages, retiredCodebooks).
 func FuzzSidecarImage(f *testing.F) {
-	format1, _, err := readMeta(filepath.Join("testdata", "format1"))
-	if err != nil {
-		f.Fatal(err)
+	var small persistedStore // the retired forms are made from the smaller store
+	for _, nodes := range []int{1500, 300} {
+		dir, _ := churnTenant(f, 1, 2, nodes, 512)
+		ps, _, err := readMeta(dir)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(ps.Nok.AppendBinary(nil), storeImage(ps), encodeSidecar(ps))
+		small = ps
 	}
-	dir, _ := churnTenant(f, 1, 2, 1500, 512)
-	churn, _, err := readMeta(dir)
-	if err != nil {
-		f.Fatal(err)
+	f.Add([]byte{}, []byte{}, []byte{})
+	f.Add([]byte{5, 1, 1, 'a', 2, 0x80, 0x00, 1, 0, 0, 0, 0, 0, 1, 7}, []byte{1, 4, 'r', 'e', 'a', 'd', 0, 0, 0, 0}, []byte(nil)) // padded varint
+	for _, file := range retiredSidecars(f, small) {
+		f.Add([]byte(nil), []byte(nil), file)
 	}
-	for _, ps := range []persistedStore{format1, churn} {
-		f.Add(ps.Nok.AppendBinary(nil), storeImage(ps))
+	for _, img := range retiredNokImages(small) {
+		f.Add(img, storeImage(small), []byte(nil))
 	}
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{5, 1, 1, 'a', 2, 0x80, 0x00, 0, 1, 7}, []byte{1, 4, 'r', 'e', 'a', 'd', 0, 0, 0, 0}) // padded varint
-	f.Fuzz(func(t *testing.T, nokImg, storeImg []byte) {
+	for _, cb := range retiredCodebooks(small.Codebook) {
+		ps := small
+		ps.Codebook = cb
+		f.Add(small.Nok.AppendBinary(nil), storeImage(ps), encodeSidecar(ps))
+	}
+	f.Fuzz(func(t *testing.T, nokImg, storeImg, file []byte) {
 		var m nok.Meta
 		nokErr := m.UnmarshalBinary(nokImg)
 		if nokErr == nil {
@@ -221,6 +66,11 @@ func FuzzSidecarImage(f *testing.F) {
 		if (err == nil) != (nokErr == nil && storeErr == nil) {
 			t.Fatalf("the envelope decodes with %v; its images with %v and %v", err, nokErr, storeErr)
 		}
+		if ps, err := decodeSidecar(file); err == nil {
+			if re := encodeSidecar(ps); !bytes.Equal(re, file) {
+				t.Fatalf("store.json %q decodes to a store whose store.json is %q", file, re)
+			}
+		}
 	})
 }
 
@@ -235,45 +85,145 @@ func storeImage(ps persistedStore) []byte {
 	return wire.AppendBytes(appendStoreHead(nil, ps.Modes, ps.Dir), ps.Codebook)
 }
 
-// format2Sidecar is ps as sidecar format 2 wrote it: every field in JSON,
-// the value refs one packed string in the nok object.
-func format2Sidecar(t *testing.T, ps persistedStore) []byte {
-	t.Helper()
-	b, err := json.Marshal(struct {
-		Format   int                   `json:"format"`
-		PageSize int                   `json:"page_size"`
-		Modes    []string              `json:"modes"`
-		Dir      acl.DirectorySnapshot `json:"directory"`
-		Nok      nok.Meta              `json:"nok"`
-		Codebook []byte                `json:"codebook"`
-	}{2, ps.PageSize, ps.Modes, ps.Dir, ps.Nok, ps.Codebook})
-	if err != nil {
-		t.Fatal(err)
+// retiredSidecars are ps's store.json in the forms readers once took and no
+// writer emits: format 1 (the whole store spelled out in JSON, one object
+// per value ref), format 2 (format 1 with the value refs one packed base64
+// string) and format 3 re-indented.
+func retiredSidecars(tb testing.TB, ps persistedStore) map[string][]byte {
+	tb.Helper()
+	type block struct {
+		S int32 `json:"s"`
+	}
+	type ref struct {
+		N int64 `json:"n"`
+		P int64 `json:"p"`
+		O int64 `json:"o"`
+		L int64 `json:"l"`
+	}
+	sum := ps.Nok.PathSummary
+	blocks := make([]block, len(sum.Blocks))
+	for i, b := range sum.Blocks {
+		blocks[i].S = b.Start
+	}
+	refs := make([]ref, len(ps.Nok.ValueRefs))
+	packed := make([][4]int64, len(refs))
+	for i, r := range ps.Nok.ValueRefs {
+		refs[i] = ref{int64(r.Node), int64(r.Page), int64(r.Off), int64(r.Len)}
+		packed[i] = [4]int64{refs[i].N, refs[i].P, refs[i].O, refs[i].L}
+	}
+	type summary struct {
+		T []int32  `json:"t"`
+		P []int32  `json:"p"`
+		M []uint8  `json:"m"`
+		C []uint32 `json:"c"`
+		B []block  `json:"b"`
+	}
+	type nokMeta struct {
+		NumNodes       int      `json:"num_nodes"`
+		Tags           []string `json:"tags"`
+		StructurePages []uint32 `json:"structure_pages"`
+		PathSummary    summary  `json:"path_summary"`
+		ValueRefs      any      `json:"value_refs"`
+	}
+	type directory struct {
+		Names    []string          `json:"names"`
+		IsGroup  []bool            `json:"is_group"`
+		MemberOf [][]acl.SubjectID `json:"member_of"`
+	}
+	out := map[string][]byte{}
+	for format, valueRefs := range map[int]any{1: refs, 2: packRefs(packed...)} {
+		pages := make([]uint32, len(ps.Nok.StructurePages))
+		for i, p := range ps.Nok.StructurePages {
+			pages[i] = uint32(p)
+		}
+		b, err := json.Marshal(struct {
+			Format   int       `json:"format"`
+			PageSize int       `json:"page_size"`
+			Modes    []string  `json:"modes"`
+			Dir      directory `json:"directory"`
+			Nok      nokMeta   `json:"nok"`
+			Codebook []byte    `json:"codebook"`
+		}{format, ps.PageSize, ps.Modes, directory(ps.Dir),
+			nokMeta{ps.Nok.NumNodes, ps.Nok.Tags, pages, summary{sum.Tags, sum.Parents, sum.Modes, sum.Codes, blocks}, valueRefs},
+			ps.Codebook})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out[fmt.Sprintf("format %d", format)] = b
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, encodeSidecar(ps), "", "  "); err != nil {
+		tb.Fatal(err)
+	}
+	out["format 3 re-indented"] = indented.Bytes()
+	return out
+}
+
+// retiredNokImages are ps's nok image in the forms readers once took and no
+// writer emits: with no path summary (its flag 0) and with the summary's
+// first block carrying a class word.
+func retiredNokImages(ps persistedStore) map[string][]byte {
+	head := ps.Nok.AppendHead(nil)
+	img := ps.Nok.AppendBinary(nil)
+	sum := ps.Nok.PathSummary.AppendBinary(nil)
+	noSummary := slices.Concat(head, []byte{0}, img[len(head)+1+len(sum):])
+	// The blocks follow the tag and parent columns: their count, then the
+	// first block's start and its word count, 0.
+	cols := (&pathsum.Meta{Tags: ps.Nok.PathSummary.Tags, Parents: ps.Nok.PathSummary.Parents}).AppendBinary(nil)
+	at := len(head) + 1 + len(cols) - 3
+	for range 2 {
+		_, n := binary.Uvarint(img[at:])
+		at += n
+	}
+	words := slices.Concat(img[:at], []byte{1, 7}, img[at+1:])
+	return map[string][]byte{"no path summary": noSummary, "class words": words}
+}
+
+// retiredCodebooks are codebook blobs in the framings no writer emits, made
+// from the blob cb: the version-2 framing (its magic, then cb's body) and cb
+// with its first row's header 2 or 3, which no row can have.
+func retiredCodebooks(cb []byte) map[string][]byte {
+	_, a := binary.Uvarint(cb)
+	_, b := binary.Uvarint(cb[a:])
+	_, c := binary.Uvarint(cb[a+b:])
+	out := map[string][]byte{"v2 magic": append(binary.AppendUvarint(nil, 1<<62+2), cb...)}
+	for _, h := range []byte{2, 3} {
+		out[fmt.Sprintf("row header %d", h)] = slices.Concat(cb[:a+b], []byte{h}, cb[a+b+c:])
+	}
+	return out
+}
+
+// packRefs packs value refs, each {node, page, offset, length}, as the nok
+// image holds them: per ref the zigzag varint deltas of its node and its
+// page from the ref before, then its offset and its length as uvarints.
+func packRefs(refs ...[4]int64) []byte {
+	var b []byte
+	var prev [4]int64
+	for _, r := range refs {
+		b = binary.AppendVarint(b, r[0]-prev[0])
+		b = binary.AppendVarint(b, r[1]-prev[1])
+		b = binary.AppendUvarint(b, uint64(r[2]))
+		b = binary.AppendUvarint(b, uint64(r[3]))
+		prev = r
 	}
 	return b
 }
 
-// setValueRefs replaces the value refs in dir's format-3 sidecar. refs is
-// JSON: format 1's array or format 2's packed string. The packed blob is
-// spliced into the nok image as it is, so refs that do not decode reach
-// Open too; a string that is not base64 makes the nok image's text not
-// base64 either.
-func setValueRefs(t *testing.T, dir string, refs []byte) {
+// setValueRefs replaces the packed value refs in dir's sidecar with blob,
+// as it is, so refs that do not decode reach Open too.
+func setValueRefs(t *testing.T, dir string, blob []byte) {
 	t.Helper()
 	path := filepath.Join(dir, metaFile)
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pageSize, nokB64, storeB64, ok := splitEnvelope(raw)
-	if !ok {
-		t.Fatalf("not a format-3 sidecar: %.80s", raw)
-	}
-	img, err := base64.StdEncoding.DecodeString(string(nokB64))
+	ps, err := decodeSidecar(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The image opens with the node count, the tags and the refs' blob.
+	img := ps.Nok.AppendBinary(nil)
 	r := wire.NewReader(img)
 	r.Int()
 	for n := r.Len(); n > 0; n-- {
@@ -284,35 +234,16 @@ func setValueRefs(t *testing.T, dir string, refs []byte) {
 	if r.Err() != nil {
 		t.Fatal("the nok image does not open with its head")
 	}
-	tail := img[len(img)-r.Left():]
-
-	var decoded nok.ValueRefs
-	if json.Unmarshal(refs, &decoded) == nil {
-		if refs, err = json.Marshal(decoded); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var packed string
-	if err := json.Unmarshal(refs, &packed); err != nil {
-		t.Fatal(err)
-	}
-	blob, err := base64.StdEncoding.DecodeString(packed)
-	text := base64.StdEncoding.EncodeToString(append(wire.AppendBytes(slices.Clone(head), blob), tail...))
-	if err != nil {
-		text = "*" + text
-	}
-	storeImg, err := base64.StdEncoding.DecodeString(string(storeB64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, appendEnvelope(nil, pageSize, []byte(text), nil, storeImg), 0o644); err != nil {
+	nokImg := slices.Concat(wire.AppendBytes(slices.Clone(head), blob), img[len(img)-r.Left():])
+	if err := os.WriteFile(path, appendEnvelope(nil, ps.PageSize, nil, nokImg, storeImage(ps)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // A sidecar whose value refs point outside the document, a page or the value
 // pages used to panic the index build inside Open (a length of 60000 sliced a
-// 4096-byte frame). In either format it is now a corrupt-metadata error.
+// 4096-byte frame). It is now a corrupt-metadata error, as are refs that do
+// not decode and a nok image that is not base64.
 func TestOpenRejectsCorruptValueRefs(t *testing.T) {
 	dir := t.TempDir()
 	s := hospitalStore(t, StoreOptions{PageSize: 256})
@@ -320,47 +251,49 @@ func TestOpenRejectsCorruptValueRefs(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	good, err := os.ReadFile(filepath.Join(dir, metaFile))
+	path := filepath.Join(dir, metaFile)
+	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The hospital store: 25 nodes, structure on page 0, values on page 1.
-	const head = `[{"n":2,"p":1,"o":0,"l":1},`
-	cases := []struct{ name, refs string }{
-		{"length past the page", head + `{"n":4,"p":1,"o":1,"l":60000}]`},
-		{"offset plus length wrapping", head + `{"n":4,"p":1,"o":65535,"l":2}]`},
-		{"node past the document", head + `{"n":25,"p":1,"o":1,"l":2}]`},
-		{"nodes out of order", head + `{"n":1,"p":1,"o":1,"l":2}]`},
-		{"node twice", head + `{"n":2,"p":1,"o":1,"l":2}]`},
-		{"value on a structure page", head + `{"n":4,"p":0,"o":1,"l":2}]`},
-	}
-	for _, c := range cases {
-		// The same refs in format 1's array and packed as format 2 has them.
-		var refs nok.ValueRefs
-		if err := json.Unmarshal([]byte(c.refs), &refs); err != nil {
-			t.Fatal(err)
-		}
-		packed, err := json.Marshal(refs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cases = append(cases, struct{ name, refs string }{c.name + ", packed", string(packed)})
-	}
-	cases = append(cases,
-		struct{ name, refs string }{"blob cut short", `"AgIAAQQAAQ=="`},
-		struct{ name, refs string }{"bytes after the last ref", `"AgIAAQQAAQIA"`},
-		struct{ name, refs string }{"not base64", `"AgIA*Q=="`})
-	for _, c := range cases {
-		setValueRefs(t, dir, []byte(c.refs))
+	open := func(name string) {
+		t.Helper()
 		st, err := Open(dir, StoreOptions{})
 		if err == nil {
 			st.Close()
-			t.Errorf("%s: the store opened", c.name)
+			t.Errorf("%s: the store opened", name)
 		} else if !strings.HasPrefix(err.Error(), "securexml: corrupt metadata: ") {
-			t.Errorf("%s: %v, want a corrupt-metadata error", c.name, err)
+			t.Errorf("%s: %v, want a corrupt-metadata error", name, err)
 		}
 	}
-	if err := os.WriteFile(filepath.Join(dir, metaFile), good, 0o644); err != nil {
+	// The hospital store: 25 nodes, structure on page 0, values on page 1.
+	first := [4]int64{2, 1, 0, 1}
+	for _, c := range []struct {
+		name string
+		blob []byte
+	}{
+		{"length past the page", packRefs(first, [4]int64{4, 1, 1, 60000})},
+		{"offset plus length wrapping", packRefs(first, [4]int64{4, 1, 65535, 2})},
+		{"node past the document", packRefs(first, [4]int64{25, 1, 1, 2})},
+		{"nodes out of order", packRefs(first, [4]int64{1, 1, 1, 2})},
+		{"node twice", packRefs(first, [4]int64{2, 1, 1, 2})},
+		{"value on a structure page", packRefs(first, [4]int64{4, 0, 1, 2})},
+		{"blob cut short", []byte{2, 2, 0, 1, 4, 0, 1}},
+		{"bytes after the last ref", []byte{2, 2, 0, 1, 4, 0, 1, 2, 0}},
+		{"a padded varint", []byte{4, 2, 0, 0x81, 0x00}},
+	} {
+		if err := os.WriteFile(path, good, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		setValueRefs(t, dir, c.blob)
+		open(c.name)
+	}
+	_, nokB64, _, _ := splitEnvelope(good)
+	if err := os.WriteFile(path, bytes.Replace(good, nokB64, append([]byte("*"), nokB64...), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	open("not base64")
+	if err := os.WriteFile(path, good, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := Open(dir, StoreOptions{})

@@ -208,7 +208,7 @@ func (s *Store) Recovery() storage.RecoveryInfo { return s.recovery }
 
 // Seal materializes the policy into a DOL-labeled NoK store and returns
 // the queryable Store. The builder must not be reused afterwards.
-func (b *Builder) Seal(opts StoreOptions) (*Store, error) {
+func (b *Builder) Seal(opts StoreOptions) (_ *Store, err error) {
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -228,6 +228,11 @@ func (b *Builder) Seal(opts StoreOptions) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			pager.Close()
+		}
+	}()
 	pool := storage.NewBufferPool(pager, opts.PoolPages)
 	ss, err := dol.BuildLabeledStore(pool, b.doc, lab, nok.BuildOptions{
 		FillPercent: sealFillPercent,
@@ -254,6 +259,17 @@ func (b *Builder) Seal(opts StoreOptions) (*Store, error) {
 	sn := s.cur.Load()
 	if err := sn.idx.ensure(sn.st, nil); err != nil {
 		return nil, err
+	}
+	// Write the bulk build to the page file while the log still passes
+	// writes through: a page left dirty in the pool would be journalled by
+	// the first update, whatever that update changes.
+	if wal != nil {
+		if err := pool.FlushAll(); err != nil {
+			return nil, err
+		}
+		if err := wal.Sync(); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }
