@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"io"
 	"net"
 	"net/http"
@@ -120,7 +121,7 @@ func reopens(t *testing.T, dirs ...string) {
 		if err != nil {
 			t.Fatalf("reopen %s: %v", dir, err)
 		}
-		ms, err := s.Query("alice", "read", "//public")
+		ms, err := s.QueryCtx(context.Background(), "alice", "read", "//public", securexml.QueryOptions{})
 		if err != nil || len(ms) != 1 {
 			t.Fatalf("reopened %s: %v (%d matches)", dir, err, len(ms))
 		}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -84,7 +85,7 @@ func (e *queryEnv) timeQuery(pt *query.PatternTree, opts query.Options, runs int
 		return 0, 0, 0, err
 	}
 	e.pool.ResetStats()
-	res, err := e.ev.Evaluate(pt, opts)
+	res, err := e.ev.EvaluateCtx(context.Background(), pt, opts)
 	if err != nil {
 		return 0, 0, 0, err
 	}
@@ -93,7 +94,7 @@ func (e *queryEnv) timeQuery(pt *query.PatternTree, opts query.Options, runs int
 	best := time.Duration(1<<62 - 1)
 	for i := 0; i < runs; i++ {
 		start := time.Now()
-		if _, err := e.ev.Evaluate(pt, opts); err != nil {
+		if _, err := e.ev.EvaluateCtx(context.Background(), pt, opts); err != nil {
 			return 0, 0, 0, err
 		}
 		if d := time.Since(start); d < best {

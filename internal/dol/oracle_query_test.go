@@ -97,7 +97,7 @@ func TestUpdateSequenceQueryOracle(t *testing.T) {
 		ev = query.NewEvaluator(ss.Store(), storeIndex(t, pool, ss.Store()))
 		for _, tw := range twigs {
 			check := func(opts query.Options, bindable []bool, label string) {
-				res, err := ev.Evaluate(query.MustParse(tw), opts)
+				res, err := ev.EvaluateCtx(context.Background(), query.MustParse(tw), opts)
 				if err != nil {
 					t.Fatalf("trial %d %s %s: %v", trial, tw, label, err)
 				}

@@ -17,7 +17,7 @@ import (
 // state (page directory, path summary, the view's deny bitmap, the tag and
 // value indexes). The half that depends only on the pattern and the snapshot
 // is the embedded shape, memoized per snapshot; the rest is resolved per
-// request. Open instantiates cursors from it and Explain renders it, so the
+// request. open instantiates cursors from it and Explain renders it, so the
 // plan shown is the plan run.
 type compiled struct {
 	*compiledShape
@@ -56,7 +56,7 @@ func (ev *Evaluator) compile(t *PatternTree, opts Options) (*compiled, error) {
 		numPages: ev.store.NumPages(),
 	}
 	c.accessSkip = opts.View != nil && !opts.DisablePageSkip
-	c.pathOn = !opts.DisablePathSummary && ev.store.Paths() != nil
+	c.pathOn = !opts.DisablePathSummary
 
 	defer opts.Trace.Span(obs.EvCompile)()
 	sh, err := ev.masks.shapeFor(shapeKey(t, c.pathOn), ev.seq, func() (*compiledShape, error) {

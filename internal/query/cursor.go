@@ -121,7 +121,7 @@ func newMatchCursor(ctx context.Context, store *nok.Store, m *matcher, c *compil
 
 func (mc *matchCursor) Next(ctx context.Context) (Tuple, error) {
 	if len(mc.pending) == 0 {
-		// Asked once per batch (and by Answers.Next once per answer): a
+		// Asked once per batch (and by answers.next once per answer): a
 		// cancelled consumer gets ctx's error, not more matching.
 		if err := ctx.Err(); err != nil {
 			return nil, err

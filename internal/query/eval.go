@@ -52,7 +52,7 @@ type Options struct {
 	// Trace, when non-nil, records the evaluation's span and page events:
 	// skip-mask compilation, every page skipped (with cause), candidate
 	// rejections, join probes, and emitted answers.
-	// Carry the same trace in the ctx passed to Open/Next (obs.WithTrace)
+	// Carry the same trace in the ctx passed to EvaluateCtx (obs.WithTrace)
 	// so buffer-pool pin events are attributed too — the securexml facade
 	// does both.
 	Trace *obs.Trace
@@ -154,27 +154,22 @@ func (ev *Evaluator) WithValueIndex(vt ValueIndex) *Evaluator {
 	return ev
 }
 
-// Evaluate runs the pattern tree under the given options: it decomposes
+// EvaluateCtx runs the pattern tree under the given options: it decomposes
 // the pattern into NoK subtrees, matches each with (ε-)NoK pattern
-// matching, and combines the matches with (ε-)STD structural joins.
-func (ev *Evaluator) Evaluate(t *PatternTree, opts Options) (*Result, error) {
-	return ev.EvaluateCtx(context.Background(), t, opts)
-}
-
-// EvaluateCtx is Evaluate with cancellation and early termination: it
-// opens the cursor pipeline, drains it (up to opts.Limit answers when
-// set), and assembles the Result. Cancelling ctx aborts the evaluation at
-// the next page-fetch boundary with ctx's error; no buffer-pool frames
-// stay pinned.
+// matching, and combines the matches with (ε-)STD structural joins — a
+// pipeline of cursors it drains on the calling goroutine, up to opts.Limit
+// answers when set, before it assembles the Result. Cancelling ctx aborts
+// the evaluation at the next page-fetch boundary with ctx's error; no
+// buffer-pool frames stay pinned.
 func (ev *Evaluator) EvaluateCtx(ctx context.Context, t *PatternTree, opts Options) (*Result, error) {
-	a, err := ev.Open(ctx, t, opts)
+	a, err := ev.open(ctx, t, opts)
 	if err != nil {
 		return nil, err
 	}
-	defer a.Close()
+	defer a.p.Close()
 	var nodes []xmltree.NodeID
 	for {
-		n, ok, err := a.Next(ctx)
+		n, ok, err := a.next(ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -184,15 +179,22 @@ func (ev *Evaluator) EvaluateCtx(ctx context.Context, t *PatternTree, opts Optio
 		nodes = append(nodes, n)
 	}
 	slices.Sort(nodes)
-	return &Result{Nodes: nodes, Tag: a.Tag(), Matches: a.Matches(), Skips: a.SkipStats(), c: a.c}, nil
+	c := a.c
+	skips := c.mask.stats()
+	if c.route != nil {
+		skips.PathClasses = c.route.preResolved
+	}
+	if c.empty() {
+		skips.PathEmpty = 1
+	}
+	return &Result{Nodes: nodes, Tag: c.retTag, Matches: *a.matches, Skips: skips, c: c}, nil
 }
 
-// Answers is a streaming cursor over a query's answers: the distinct
-// bindings of the returning pattern node, in discovery order (not document
-// order — sort after draining if document order matters). It is the public
-// face of the operator pipeline, which runs on the goroutine that calls Next;
-// Close must be called, no matter how far the cursor was drained.
-type Answers struct {
+// answers is the operator pipeline of one query: the distinct bindings of
+// the returning pattern node, in discovery order, pulled on the goroutine
+// that calls next. Closing p unwinds the scans suspended mid-match; it must
+// be called no matter how far the pipeline was drained.
+type answers struct {
 	// p is the root of the operator tree.
 	p Cursor
 	// c is the plan the pipeline was instantiated from.
@@ -200,10 +202,10 @@ type Answers struct {
 	matches *int
 }
 
-// Open builds the cursor pipeline for the pattern tree without draining
-// it. ctx governs the whole lifetime of the returned cursor: cancelling it
-// aborts the scans at their next page-fetch boundary.
-func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*Answers, error) {
+// open builds the cursor pipeline for the pattern tree without draining
+// it. ctx governs the whole lifetime of the pipeline: cancelling it aborts
+// the scans at their next page-fetch boundary.
+func (ev *Evaluator) open(ctx context.Context, t *PatternTree, opts Options) (*answers, error) {
 	defer opts.Trace.Span(obs.EvOpen)()
 	c, err := ev.compile(t, opts)
 	if err != nil {
@@ -211,7 +213,7 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 	}
 	if c.empty() {
 		opts.Trace.Mark(obs.EvPathEmpty)
-		return &Answers{p: emptyCursor{}, c: c, matches: new(int)}, nil
+		return &answers{p: emptyCursor{}, c: c, matches: new(int)}, nil
 	}
 	if c.index != nil {
 		ic := newIndexCursor(obs.WithTrace(ctx, opts.Trace.ForOp(opIndex)), c, ev.store)
@@ -219,7 +221,7 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 		if opts.Limit > 0 {
 			top = &limitCursor{in: ic, remaining: opts.Limit}
 		}
-		return &Answers{p: top, c: c, matches: &ic.matches}, nil
+		return &answers{p: top, c: c, matches: &ic.matches}, nil
 	}
 	subs := c.subs
 	m := ev.newMatcher(c)
@@ -265,7 +267,7 @@ func (ev *Evaluator) Open(ctx context.Context, t *PatternTree, opts Options) (*A
 	if opts.Limit > 0 {
 		top = &limitCursor{in: dd, remaining: opts.Limit}
 	}
-	return &Answers{p: top, c: c, matches: &dd.matches}, nil
+	return &answers{p: top, c: c, matches: &dd.matches}, nil
 }
 
 // newMatcher returns the immutable matcher of plan c, shared by its scans.
@@ -287,9 +289,9 @@ type emptyCursor struct{}
 func (emptyCursor) Next(ctx context.Context) (Tuple, error) { return nil, nil }
 func (emptyCursor) Close() error                            { return nil }
 
-// Next returns the next distinct answer; ok is false once the stream is
+// next returns the next distinct answer; ok is false once the stream is
 // exhausted or the Limit was reached.
-func (a *Answers) Next(ctx context.Context) (n xmltree.NodeID, ok bool, err error) {
+func (a *answers) next(ctx context.Context) (n xmltree.NodeID, ok bool, err error) {
 	// Asked here once per answer, and by each scan once per batch: a
 	// cancelled consumer gets ctx's error even while matched tuples remain.
 	if err := ctx.Err(); err != nil {
@@ -303,28 +305,3 @@ func (a *Answers) Next(ctx context.Context) (n xmltree.NodeID, ok bool, err erro
 	a.c.opts.Trace.Emit(int64(n))
 	return n, true, nil
 }
-
-// Tag is the tag code of every answer (see Result.Tag), or AnyTag.
-func (a *Answers) Tag() int32 { return a.c.retTag }
-
-// Matches counts the combined pattern-match tuples consumed so far — after
-// a full drain, the Result.Matches of Evaluate.
-func (a *Answers) Matches() int { return *a.matches }
-
-// SkipStats snapshots how many page reads the query's skip mask has
-// avoided so far, plus the path-summary outcomes fixed at Open. Zero when
-// skipping was disabled.
-func (a *Answers) SkipStats() SkipStats {
-	s := a.c.mask.stats()
-	if a.c.route != nil {
-		s.PathClasses = a.c.route.preResolved
-	}
-	if a.c.empty() {
-		s.PathEmpty = 1
-	}
-	return s
-}
-
-// Close unwinds the scans suspended mid-match. No buffer-pool pin outlives
-// it (none outlives a Next). Idempotent.
-func (a *Answers) Close() error { return a.p.Close() }

@@ -15,11 +15,11 @@ import (
 // and the per-subtree candidates — into a structured
 // Plan (EXPLAIN), and folds a traced run's event stream into per-operator
 // attribution reconciled exactly against the registry deltas (ANALYZE). It
-// decides nothing itself: Open instantiates its cursors from the same
+// decides nothing itself: open instantiates its cursors from the same
 // compiled value.
 //
 // Operator identity rides on trace events as an op label (obs.TraceEvent
-// .Op): Open stamps each scan's context, each join, and the
+// .Op): open stamps each scan's context, each join, and the
 // pruned-subtree path filter with a handle from Trace.ForOp, so every
 // buffer-pool pin, skip, reject and probe lands in exactly one
 // operator bucket. Events recorded outside any operator (the facade's
@@ -48,7 +48,7 @@ const (
 
 // Plan is the structured form of one query's compiled evaluation plan:
 // the pattern tree annotated with its path-summary embedding, the emptiness
-// verdicts, and the operator pipeline Open builds. It marshals to JSON and
+// verdicts, and the operator pipeline open builds. It marshals to JSON and
 // renders as an indented text tree; building it performs no execution and
 // pins no store pages.
 type Plan struct {
@@ -231,7 +231,7 @@ func (c *compiled) plan() *Plan {
 		return c.indexPlan(plan)
 	}
 
-	// Operator pipeline, bottom-up as Open assembles it.
+	// Operator pipeline, bottom-up as open assembles it.
 	scanAlg, joinAlg := "nok", "std"
 	if secure {
 		scanAlg = "eps-nok"

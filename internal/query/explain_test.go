@@ -85,7 +85,7 @@ func TestExplainUnsatisfiableZeroPages(t *testing.T) {
 	}
 }
 
-// The plan's operator pipeline must mirror what Open builds: one scan per
+// The plan's operator pipeline must mirror what open builds: one scan per
 // NoK subtree, the root-path filter only under pruned semantics, one join
 // per cut edge — over a sort exactly where its link is not the root of the
 // subtree joined just before — dedup always, limit when set.

@@ -27,7 +27,7 @@ import (
 // plan where one answers it), the paper's engine on the same class runs
 // (DisablePathSummary), and the paper's engine on a *btree.Tree, without
 // and with a value index and plan memo — under no view and both semantics
-// for both subjects, Limit 0, 1 and 10, through the cursor (Open/Next) and,
+// for both subjects, Limit 0, 1 and 10, through the pipeline (open/next) and,
 // on the arms with a plan memo, drained (EvaluateCtx), with the memo's
 // first lookup moving between views from case to case; and it holds every
 // run to the naive model: the
@@ -110,7 +110,7 @@ func drawCase(rng *rand.Rand, doc *xmltree.Document, xpath string, values bool) 
 }
 
 // harnessArm is one evaluator and the options it adds. EvaluateCtx, which
-// is Open and Next drained, runs beside the cursor on the arms marked drain:
+// is open and next drained, runs beside the cursor on the arms marked drain:
 // the two with a plan memo.
 type harnessArm struct {
 	name           string
@@ -406,7 +406,7 @@ func checkSweep(t *testing.T, what string, doc *xmltree.Document, c *compiled, p
 func drainAnswers(t *testing.T, ev *Evaluator, pt *PatternTree, opts Options, pool *storage.BufferPool) ([]xmltree.NodeID, []Tuple, int) {
 	t.Helper()
 	ctx := context.Background()
-	a, err := ev.Open(ctx, pt, opts)
+	a, err := ev.open(ctx, pt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +420,7 @@ func drainAnswers(t *testing.T, ev *Evaluator, pt *PatternTree, opts Options, po
 	rec.in, *in = *in, rec
 	var nodes []xmltree.NodeID
 	for {
-		n, ok, err := a.Next(ctx)
+		n, ok, err := a.next(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -429,8 +429,8 @@ func drainAnswers(t *testing.T, ev *Evaluator, pt *PatternTree, opts Options, po
 		}
 		nodes = append(nodes, n)
 	}
-	matches := a.Matches()
-	if err := a.Close(); err != nil {
+	matches := *a.matches
+	if err := a.p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if n := pool.Pinned(); n != 0 {
@@ -460,7 +460,7 @@ func (r *recorder) Close() error { return r.in.Close() }
 func streamBelowDedup(t *testing.T, ev *Evaluator, pt *PatternTree, opts Options) []Tuple {
 	t.Helper()
 	ctx := context.Background()
-	a, err := ev.Open(ctx, pt, opts)
+	a, err := ev.open(ctx, pt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +482,7 @@ func streamBelowDedup(t *testing.T, ev *Evaluator, pt *PatternTree, opts Options
 		}
 		out = append(out, slices.Clone(tp))
 	}
-	if err := a.Close(); err != nil {
+	if err := a.p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return out
@@ -496,14 +496,14 @@ var errBudget = errors.New("over the harness's row budget")
 func overBudget(t *testing.T, ev *Evaluator, pt *PatternTree) bool {
 	t.Helper()
 	ctx := context.Background()
-	a, err := ev.Open(ctx, pt, Options{})
+	a, err := ev.open(ctx, pt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	left, over := maxRows, false
 	a.p = withBudget(a.p, &left)
 	for {
-		_, ok, err := a.Next(ctx)
+		_, ok, err := a.next(ctx)
 		if errors.Is(err, errBudget) {
 			over = true
 			break
@@ -515,7 +515,7 @@ func overBudget(t *testing.T, ev *Evaluator, pt *PatternTree) bool {
 			break
 		}
 	}
-	if err := a.Close(); err != nil {
+	if err := a.p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return over

@@ -62,7 +62,7 @@ func TestGuardsOnlyUnderPrunedSemantics(t *testing.T) {
 	opts := Options{View: e.ss.ViewSubject(0)}
 	for _, sem := range []Semantics{SemanticsBindings, SemanticsPrunedSubtree} {
 		opts.Semantics = sem
-		if _, err := ev.Evaluate(MustParse("//a//b"), opts); err != nil {
+		if _, err := ev.EvaluateCtx(context.Background(), MustParse("//a//b"), opts); err != nil {
 			t.Fatal(err)
 		}
 		c, err := ev.compile(MustParse("//a//b"), opts)
@@ -77,7 +77,7 @@ func TestGuardsOnlyUnderPrunedSemantics(t *testing.T) {
 
 // Class runs numbered otherwise than the store's path summary — here a
 // summary rebuilt since they were grouped — are never read: compile and
-// Open fail and read no page, while the paper's engine, which reads no
+// open fail and read no page, while the paper's engine, which reads no
 // class, still answers over them.
 func TestClassRunsOfAnotherNumberingFail(t *testing.T) {
 	doc := miniXMark(t)
@@ -89,7 +89,7 @@ func TestClassRunsOfAnotherNumberingFail(t *testing.T) {
 	if c, err := ev.compile(pt, opts); err != nil || c.index == nil {
 		t.Fatalf("no index plan over the runs' own numbering (%v)", err)
 	}
-	want, err := ev.Evaluate(pt, opts)
+	want, err := ev.EvaluateCtx(context.Background(), pt, opts)
 	if err != nil || len(want.Nodes) == 0 {
 		t.Fatalf("%d answers, %v", len(want.Nodes), err)
 	}
@@ -102,15 +102,15 @@ func TestClassRunsOfAnotherNumberingFail(t *testing.T) {
 		t.Fatalf("compile over another numbering's class runs: %v", err)
 	}
 	gets := e.pool.Stats().Gets
-	if a, err := ev.Open(context.Background(), pt, opts); err == nil {
-		a.Close()
-		t.Fatal("Open over another numbering's class runs succeeded")
+	if a, err := ev.open(context.Background(), pt, opts); err == nil {
+		a.p.Close()
+		t.Fatal("open over another numbering's class runs succeeded")
 	}
 	if n := e.pool.Stats().Gets - gets; n != 0 {
-		t.Fatalf("the failed Open read %d pages", n)
+		t.Fatalf("the failed open read %d pages", n)
 	}
 	opts.DisablePathSummary = true
-	got, err := ev.Evaluate(pt, opts)
+	got, err := ev.EvaluateCtx(context.Background(), pt, opts)
 	if err != nil || !slices.Equal(got.Nodes, want.Nodes) {
 		t.Fatalf("the paper's engine answers %v after the rebuild, %v before (%v)", got.Nodes, want.Nodes, err)
 	}

@@ -131,7 +131,7 @@ func TestLimitStopsBothJoinSides(t *testing.T) {
 	doc := xmark.Generate(xmark.Scaled(0, 20000))
 	e := newExplainEnv(t, doc, allowAll(doc, 1), 1024)
 	pt := MustParse(`//listitem//keyword`)
-	run := func(limit int) (gets int64, pins map[string]int64, a *Answers, first xmltree.NodeID) {
+	run := func(limit int) (gets int64, pins map[string]int64, a *answers, first xmltree.NodeID) {
 		t.Helper()
 		if err := e.pool.DropAll(); err != nil {
 			t.Fatal(err)
@@ -139,13 +139,13 @@ func TestLimitStopsBothJoinSides(t *testing.T) {
 		tr := obs.NewTrace()
 		ctx := obs.WithTrace(context.Background(), tr)
 		g0 := e.pool.Stats().Gets
-		a, err := e.ev.Open(ctx, pt, Options{View: e.ss.ViewSubject(0), Limit: limit, Trace: tr})
+		a, err := e.ev.open(ctx, pt, Options{View: e.ss.ViewSubject(0), Limit: limit, Trace: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
 		first = xmltree.InvalidNode
 		for {
-			n, ok, err := a.Next(ctx)
+			n, ok, err := a.next(ctx)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,7 +156,7 @@ func TestLimitStopsBothJoinSides(t *testing.T) {
 				first = n
 			}
 		}
-		if err := a.Close(); err != nil {
+		if err := a.p.Close(); err != nil {
 			t.Fatal(err)
 		}
 		if n := e.pool.Pinned(); n != 0 {

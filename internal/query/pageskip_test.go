@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -41,7 +42,7 @@ func (e *env) coldPages(t *testing.T, pt *PatternTree, opts Options) (*Result, i
 		t.Fatal(err)
 	}
 	e.pool.ResetStats()
-	res, err := e.ev.Evaluate(pt, opts)
+	res, err := e.ev.EvaluateCtx(context.Background(), pt, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +253,7 @@ func TestIndexPlanPageCounts(t *testing.T) {
 					t.Fatal(err)
 				}
 				e.pool.ResetStats()
-				got, err := served.Evaluate(pt, opts)
+				got, err := served.EvaluateCtx(context.Background(), pt, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -21,7 +21,7 @@ func TestMemoKeyTellsReturningNodesApart(t *testing.T) {
 		xpath string
 		tag   string
 	}{{`//item[name]`, "item"}, {`//item/name`, "name"}, {`//item[name]`, "item"}} {
-		res, err := ev.Evaluate(MustParse(q.xpath), Options{})
+		res, err := ev.EvaluateCtx(context.Background(), MustParse(q.xpath), Options{})
 		if err != nil || len(res.Nodes) == 0 {
 			t.Fatalf("%s: result %v, err %v", q.xpath, res, err)
 		}
@@ -105,7 +105,7 @@ func TestValuePruningKeepsSubtreeEnds(t *testing.T) {
 			t.Fatal(err)
 		}
 		e := newEnv(t, doc, allowAll(doc, 1), 64)
-		res, err := NewEvaluatorAt(e.snapshot(t)).Evaluate(MustParse(c.xpath), Options{View: e.ss.ViewSubject(0)})
+		res, err := NewEvaluatorAt(e.snapshot(t)).EvaluateCtx(context.Background(), MustParse(c.xpath), Options{View: e.ss.ViewSubject(0)})
 		if err != nil || len(res.Nodes) != c.want {
 			t.Errorf("%s on %s: %v, err %v; want %d answers", c.xpath, c.xml, res, err, c.want)
 		}

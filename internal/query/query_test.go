@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -401,7 +402,7 @@ func TestEvaluateNonSecureBasics(t *testing.T) {
 		{"//nosuchtag", 0},
 	}
 	for _, tc := range cases {
-		res, err := e.ev.Evaluate(MustParse(tc.expr), Options{})
+		res, err := e.ev.EvaluateCtx(context.Background(), MustParse(tc.expr), Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.expr, err)
 		}
@@ -417,7 +418,7 @@ func TestEvaluateNonSecureBasics(t *testing.T) {
 func TestEvaluateValuePredicate(t *testing.T) {
 	doc := miniXMark(t)
 	e := newEnv(t, doc, allowAll(doc, 1), 4096)
-	res, err := e.ev.Evaluate(MustParse(`//item[location='Kenya']`), Options{})
+	res, err := e.ev.EvaluateCtx(context.Background(), MustParse(`//item[location='Kenya']`), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,14 +441,14 @@ func TestEvaluateSecureBindings(t *testing.T) {
 	e := newEnv(t, doc, m, 4096)
 	q := MustParse("//item[name]")
 
-	res0, err := e.ev.Evaluate(q, Options{View: e.ss.ViewSubject(0)})
+	res0, err := e.ev.EvaluateCtx(context.Background(), q, Options{View: e.ss.ViewSubject(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res0.Nodes) != 3 {
 		t.Fatalf("subject 0 answers = %v", res0.Nodes)
 	}
-	res1, err := e.ev.Evaluate(q, Options{View: e.ss.ViewSubject(1)})
+	res1, err := e.ev.EvaluateCtx(context.Background(), q, Options{View: e.ss.ViewSubject(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,14 +467,14 @@ func TestEvaluateSemanticsDiffer(t *testing.T) {
 	q := MustParse("//k")
 	view := e.ss.ViewSubject(0)
 
-	cho, err := e.ev.Evaluate(q, Options{View: view, Semantics: SemanticsBindings})
+	cho, err := e.ev.EvaluateCtx(context.Background(), q, Options{View: view, Semantics: SemanticsBindings})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cho.Nodes) != 1 {
 		t.Fatalf("bindings semantics answers = %v", cho.Nodes)
 	}
-	gb, err := e.ev.Evaluate(q, Options{View: view, Semantics: SemanticsPrunedSubtree})
+	gb, err := e.ev.EvaluateCtx(context.Background(), q, Options{View: view, Semantics: SemanticsPrunedSubtree})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,11 +493,11 @@ func TestEvaluateJoinSemanticsPruned(t *testing.T) {
 	q := MustParse("//a//c")
 	view := e.ss.ViewSubject(0)
 
-	cho, _ := e.ev.Evaluate(q, Options{View: view, Semantics: SemanticsBindings})
+	cho, _ := e.ev.EvaluateCtx(context.Background(), q, Options{View: view, Semantics: SemanticsBindings})
 	if len(cho.Nodes) != 2 {
 		t.Fatalf("bindings semantics = %v", cho.Nodes)
 	}
-	gb, _ := e.ev.Evaluate(q, Options{View: view, Semantics: SemanticsPrunedSubtree})
+	gb, _ := e.ev.EvaluateCtx(context.Background(), q, Options{View: view, Semantics: SemanticsPrunedSubtree})
 	if len(gb.Nodes) != 1 || doc.Tag(gb.Nodes[0]) != "c" || gb.Nodes[0] != 3 {
 		t.Fatalf("pruned semantics = %v", gb.Nodes)
 	}
@@ -571,7 +572,7 @@ func BenchmarkEvaluateTwig(b *testing.B) {
 					if cold {
 						sn.Masks = NewMaskCache(nil, nil)
 					}
-					if _, err := NewEvaluatorAt(sn).Evaluate(pt, opts); err != nil {
+					if _, err := NewEvaluatorAt(sn).EvaluateCtx(context.Background(), pt, opts); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -638,11 +639,11 @@ func TestValueIndexConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := evWith.Evaluate(pt, Options{})
+	got, err := evWith.EvaluateCtx(context.Background(), pt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := e.ev.Evaluate(pt, Options{})
+	want, err := e.ev.EvaluateCtx(context.Background(), pt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -168,7 +168,7 @@ func TestScanErrorStopsTheScan(t *testing.T) {
 	}
 	ev := NewEvaluator(ss.Store(), idx)
 	pt := MustParse(`//a/b`)
-	want, err := ev.Evaluate(pt, Options{})
+	want, err := ev.EvaluateCtx(context.Background(), pt, Options{})
 	if err != nil || len(want.Nodes) < 100 {
 		t.Fatalf("%d answers, err %v", len(want.Nodes), err)
 	}
@@ -181,18 +181,18 @@ func TestScanErrorStopsTheScan(t *testing.T) {
 		t.Fatal("armed sync did not fail")
 	}
 	ctx := context.Background()
-	a, err := ev.Open(ctx, pt, Options{})
+	a, err := ev.open(ctx, pt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := a.Next(ctx); err == nil {
+	if _, _, err := a.next(ctx); err == nil {
 		t.Fatal("Next over a dead pager succeeded")
 	}
 	atError := pool.Stats().Gets
 	if got := pool.Pinned(); got != 0 {
 		t.Fatalf("%d frames pinned after the error", got)
 	}
-	if err := a.Close(); err != nil {
+	if err := a.p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if late := pool.Stats().Gets - atError; late != 0 || pool.Pinned() != 0 {

@@ -19,7 +19,7 @@ import (
 	"dolxml/internal/xmltree"
 )
 
-// The public cursor is a faithful streaming view of Evaluate on the
+// The answers pipeline is a faithful streaming view of EvaluateCtx on the
 // miniature XMark document: a harness configuration, with one subject
 // denied a third of the nodes.
 func TestAnswersCursorEquivalence(t *testing.T) {
@@ -45,7 +45,7 @@ func TestLimitTruncates(t *testing.T) {
 	doc := miniXMark(t)
 	e := newEnv(t, doc, allowAll(doc, 1), 256)
 	pt := MustParse(`//item/name`)
-	full, err := e.ev.Evaluate(pt, Options{})
+	full, err := e.ev.EvaluateCtx(context.Background(), pt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestLimitTruncates(t *testing.T) {
 		fullSet[n] = true
 	}
 	for limit := 1; limit <= len(full.Nodes)+1; limit++ {
-		res, err := e.ev.Evaluate(pt, Options{Limit: limit})
+		res, err := e.ev.EvaluateCtx(context.Background(), pt, Options{Limit: limit})
 		if err != nil {
 			t.Fatalf("limit %d: %v", limit, err)
 		}
@@ -88,28 +88,28 @@ func TestCancellationMidScan(t *testing.T) {
 
 	// What the scan costs when nobody cancels it.
 	g0 := e.pool.Stats().Gets
-	if _, err := e.ev.Evaluate(pt, Options{}); err != nil {
+	if _, err := e.ev.EvaluateCtx(context.Background(), pt, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	fullGets := e.pool.Stats().Gets - g0
 
 	ctx, cancel := context.WithCancel(context.Background())
-	a, err := e.ev.Open(ctx, pt, Options{})
+	a, err := e.ev.open(ctx, pt, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := a.Next(ctx); err != nil || !ok {
+	if _, ok, err := a.next(ctx); err != nil || !ok {
 		t.Fatalf("first answer: ok=%v err=%v", ok, err)
 	}
 	cancel()
 	atCancel := e.pool.Stats().Gets
-	if _, _, err := a.Next(ctx); !errors.Is(err, context.Canceled) {
+	if _, _, err := a.next(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Next after cancel = %v, want context.Canceled", err)
 	}
-	if err := a.Close(); err != nil {
+	if err := a.p.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if err := a.Close(); err != nil {
+	if err := a.p.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
 	if got := e.pool.Pinned(); got != 0 {
@@ -274,11 +274,11 @@ func TestPinsPerBlockVisit(t *testing.T) {
 	}
 }
 
-// A query runs on the goroutine that calls Next. Between Open and Close the
+// A query runs on the goroutine that calls next. Between open and Close the
 // only thing runtime.NumGoroutine sees of it is one suspended coroutine per
 // scan, which never runs beside its caller; the moment Close returns — after
 // a partial drain or a cancelled scan alike, with no wait for anything to
-// exit — the count is what it was before Open.
+// exit — the count is what it was before open.
 func TestQueryLeavesNoGoroutine(t *testing.T) {
 	doc := xmlmodel.Doc(rand.New(rand.NewSource(11)), 4000, xmlmodel.Mixed)
 	e := newEnv(t, doc, allowAll(doc, 1), 256)
@@ -288,29 +288,29 @@ func TestQueryLeavesNoGoroutine(t *testing.T) {
 		for _, cancelled := range []bool{false, true} {
 			before := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
-			a, err := e.ev.Open(ctx, pt, Options{View: view, Semantics: sem})
+			a, err := e.ev.open(ctx, pt, Options{View: view, Semantics: sem})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 3; i++ {
-				if _, ok, err := a.Next(ctx); err != nil || !ok {
+				if _, ok, err := a.next(ctx); err != nil || !ok {
 					t.Fatalf("answer %d: ok=%v err=%v", i, ok, err)
 				}
 			}
 			if during, scans := runtime.NumGoroutine(), len(pt.Decompose()); during > before+scans {
-				t.Errorf("semantics %d: %d goroutines mid-drain, %d before Open: more than one coroutine for each of %d scans", sem, during, before, scans)
+				t.Errorf("semantics %d: %d goroutines mid-drain, %d before open: more than one coroutine for each of %d scans", sem, during, before, scans)
 			}
 			if cancelled {
 				cancel()
-				if _, _, err := a.Next(ctx); !errors.Is(err, context.Canceled) {
+				if _, _, err := a.next(ctx); !errors.Is(err, context.Canceled) {
 					t.Fatalf("Next after cancel = %v, want context.Canceled", err)
 				}
 			}
-			if err := a.Close(); err != nil {
+			if err := a.p.Close(); err != nil {
 				t.Fatal(err)
 			}
 			if after := runtime.NumGoroutine(); after != before {
-				t.Errorf("semantics %d, cancelled %v: %d goroutines after Close, %d before Open", sem, cancelled, after, before)
+				t.Errorf("semantics %d, cancelled %v: %d goroutines after Close, %d before open", sem, cancelled, after, before)
 			}
 			if got := e.pool.Pinned(); got != 0 {
 				t.Errorf("%d frames still pinned", got)

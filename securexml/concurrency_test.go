@@ -1,6 +1,7 @@
 package securexml
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -22,7 +23,7 @@ func TestConcurrentQueries(t *testing.T) {
 	want := make([][]Match, len(queries))
 	for i, qu := range queries {
 		var err error
-		want[i], err = s.Query(qu.user, qu.mode, qu.expr)
+		want[i], err = s.QueryCtx(context.Background(), qu.user, qu.mode, qu.expr, QueryOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -38,7 +39,7 @@ func TestConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % len(queries)
-				got, err := s.Query(queries[i].user, queries[i].mode, queries[i].expr)
+				got, err := s.QueryCtx(context.Background(), queries[i].user, queries[i].mode, queries[i].expr, QueryOptions{})
 				if err != nil {
 					errs <- err
 					return
@@ -64,11 +65,11 @@ func TestConcurrentMixedSemantics(t *testing.T) {
 	s := hospitalStore(t, StoreOptions{})
 	defer s.Close()
 
-	wantCho, err := s.Query("dave", "read", "//patient")
+	wantCho, err := s.QueryCtx(context.Background(), "dave", "read", "//patient", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantGB, err := s.QueryPruned("dave", "read", "//patient")
+	wantGB, err := s.QueryCtx(context.Background(), "dave", "read", "//patient", QueryOptions{Pruned: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,13 +86,13 @@ func TestConcurrentMixedSemantics(t *testing.T) {
 			for r := 0; r < 15; r++ {
 				switch g % 3 {
 				case 0:
-					got, err := s.Query("dave", "read", "//patient")
+					got, err := s.QueryCtx(context.Background(), "dave", "read", "//patient", QueryOptions{})
 					if err != nil || !reflect.DeepEqual(got, wantCho) {
 						t.Errorf("bindings query diverged: %v %v", got, err)
 						return
 					}
 				case 1:
-					got, err := s.QueryPruned("dave", "read", "//patient")
+					got, err := s.QueryCtx(context.Background(), "dave", "read", "//patient", QueryOptions{Pruned: true})
 					if err != nil || !reflect.DeepEqual(got, wantGB) {
 						t.Errorf("pruned query diverged: %v %v", got, err)
 						return

@@ -15,14 +15,14 @@ import (
 )
 
 // This file covers the durability-mode surface of the group-commit work:
-// concurrent committers under every mode while readers drain cursors (the
-// CI -race job runs these), the async notification contract, and the
+// concurrent committers under every mode while readers query (the CI
+// -race job runs these), the async notification contract, and the
 // graceful degradation of the async API on memory-backed stores.
 
 // TestDurabilityModesConcurrentCommitters hammers one file-backed store
 // per durability mode with three concurrent updaters (each toggling its own
 // keyword node an even number of times, so the final state equals the
-// initial state) while two readers drain query cursors the whole time.
+// initial state) while two readers query the whole time.
 // After a durability barrier the answers must be byte-identical to the
 // model, no pin and no snapshot version may leak, the log must count one
 // commit per update, and a reopen from disk must agree.
@@ -44,7 +44,7 @@ func TestDurabilityModesConcurrentCommitters(t *testing.T) {
 				t.Fatal(err)
 			}
 			ms.s = s
-			kws, err := s.Query("u0", "read", "//listitem//keyword")
+			kws, err := s.QueryCtx(context.Background(), "u0", "read", "//listitem//keyword", QueryOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,22 +58,15 @@ func TestDurabilityModesConcurrentCommitters(t *testing.T) {
 			var updWg, readWg sync.WaitGroup
 			errs := make(chan error, updaters+2)
 
-			// Readers drain cursors for the whole updater run; every match
-			// they see must be a well-formed keyword answer, whatever
-			// interleaving of toggles was live when the cursor started.
+			// Readers query for the whole updater run; every match they see
+			// must be a well-formed keyword answer, whatever interleaving of
+			// toggles was live when the query pinned its snapshot.
 			for r := 0; r < 2; r++ {
 				readWg.Add(1)
 				go func() {
 					defer readWg.Done()
 					for !done.Load() {
-						cur, err := s.QueryCursor(context.Background(), "u0", "read", "//listitem//keyword", QueryOptions{})
-						var got []Match
-						if err == nil {
-							got, err = drainCursor(cur)
-							if cerr := cur.Close(); err == nil {
-								err = cerr
-							}
-						}
+						got, err := s.QueryCtx(context.Background(), "u0", "read", "//listitem//keyword", QueryOptions{})
 						if err == nil && (len(got) > len(kws) || slices.ContainsFunc(got, func(m Match) bool { return m.Tag != "keyword" })) {
 							err = fmt.Errorf("a reader saw %d answers, not all of them keywords; the fixture holds %d", len(got), len(kws))
 						}
@@ -255,7 +248,7 @@ func TestAsyncCommitNotification(t *testing.T) {
 	ms.s = ms.open(ms.dir)
 	defer ms.close()
 	s := ms.s
-	kws, err := s.Query("u0", "read", "//listitem//keyword")
+	kws, err := s.QueryCtx(context.Background(), "u0", "read", "//listitem//keyword", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +268,7 @@ func TestAsyncCommitNotification(t *testing.T) {
 		t.Fatalf("pending batches = %d, want 1", n)
 	}
 	// The effect is visible to queries before durability.
-	after, err := s.Query("u0", "read", "//listitem//keyword")
+	after, err := s.QueryCtx(context.Background(), "u0", "read", "//listitem//keyword", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

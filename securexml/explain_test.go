@@ -332,7 +332,7 @@ func TestSLOBurnRate(t *testing.T) {
 	defer s.Close()
 	const n = 4
 	for i := 0; i < n; i++ {
-		if _, err := s.Query("u", "read", "//parlist//parlist"); err != nil {
+		if _, err := s.QueryCtx(context.Background(), "u", "read", "//parlist//parlist", QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -350,7 +350,7 @@ func TestSLOBurnRate(t *testing.T) {
 
 	relaxed := xmarkStore(t, StoreOptions{PageSize: 512, SLOLatency: time.Hour})
 	defer relaxed.Close()
-	if _, err := relaxed.Query("u", "read", "//parlist//parlist"); err != nil {
+	if _, err := relaxed.QueryCtx(context.Background(), "u", "read", "//parlist//parlist", QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	m = relaxed.MetricsSnapshot()
@@ -372,7 +372,7 @@ func TestSLOBurnRate(t *testing.T) {
 func TestMetricsExpositionLints(t *testing.T) {
 	s := xmarkStore(t, StoreOptions{PageSize: 512, SLOLatency: 250 * time.Millisecond})
 	defer s.Close()
-	if _, err := s.Query("u", "read", "//item//emph"); err != nil {
+	if _, err := s.QueryCtx(context.Background(), "u", "read", "//item//emph", QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(s.DebugHandler())

@@ -27,11 +27,11 @@ import (
 // registry evictions — and after each one the store holds the model's
 // subjects, access matrix, tags and values, decides access on a sample of
 // nodes as the model does, and answers every twig, served and on the
-// paper's engine, through QueryCtx and QueryCursor, exactly as the model
-// does; every pinned snapshot still answers the model state of its pin.
-// The model reads the sealed store's matrix once and evolves on its own
-// from then on. A crash or an eviction is one more operation: the store
-// that comes back must answer as a model state the operation allows.
+// paper's engine, through QueryCtx, exactly as the model does; every
+// pinned snapshot still answers the model state of its pin. The model
+// reads the sealed store's matrix once and evolves on its own from then on.
+// A crash or an eviction is one more operation: the store that comes back
+// must answer as a model state the operation allows.
 
 const harnessMode = "read"
 
@@ -176,24 +176,20 @@ func (ms *modelStore) users(md *xmlmodel.Model) []string {
 	return out
 }
 
-// embeddings counts the twig's embeddings on the paper's engine, or past
-// a deadline returns more than any case keeps: nested descendant steps on
-// a deep same-tag chain have millions.
+// embeddings counts the twig's embeddings on the paper's engine (the
+// query's Result.Matches), or past a deadline returns more than any case
+// keeps: nested descendant steps on a deep same-tag chain have millions.
 func (ms *modelStore) embeddings(xpath string) int {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
-	c, err := ms.s.QueryCursor(ctx, "", harnessMode, xpath, QueryOptions{Unrestricted: true, DisablePathSummary: true})
-	if err != nil {
+	before := ms.s.queryMatches.Load()
+	_, err := ms.s.QueryCtx(ctx, "", harnessMode, xpath, QueryOptions{Unrestricted: true, DisablePathSummary: true})
+	if errors.Is(err, context.DeadlineExceeded) {
+		return math.MaxInt
+	} else if err != nil {
 		ms.t.Fatal(err)
 	}
-	defer c.Close()
-	for {
-		if _, ok, err := c.Next(ctx); err != nil {
-			return math.MaxInt
-		} else if !ok {
-			return c.Matches()
-		}
-	}
+	return int(ms.s.queryMatches.Load() - before)
 }
 
 // step draws an operation of the kinds, applies it to the model and to the
@@ -430,7 +426,7 @@ func (ms *modelStore) check(what string) {
 // every subject and user on eight nodes, a different eight each check;
 // and every twig unrestricted and, under both semantics, for one of u0, u1
 // and the last user added, in turn, on one engine, in turn — served or the
-// paper's — through QueryCtx and QueryCursor.
+// paper's — through QueryCtx.
 func (ms *modelStore) diff(md *xmlmodel.Model) error {
 	s := ms.s
 	names, dir := s.Subjects(), s.cur.Load().dir
@@ -524,31 +520,12 @@ type wantKey struct {
 	xpath string
 }
 
-// expect runs the query through QueryCtx and QueryCursor and holds both
-// to md's answers (same). It returns the number of answers.
+// expect runs the query through QueryCtx and holds it to md's answers
+// (same). It returns the number of answers.
 func (ms *modelStore) expect(md *xmlmodel.Model, xpath, user string, opts QueryOptions) (int, error) {
-	ctx := context.Background()
-	got, err := ms.s.QueryCtx(ctx, user, harnessMode, xpath, opts)
-	if err != nil {
-		return 0, err
-	}
-	c, err := ms.s.QueryCursor(ctx, user, harnessMode, xpath, opts)
-	if err != nil {
-		return 0, err
-	}
-	streamed, err := drainCursor(c)
-	if cerr := c.Close(); err == nil {
-		err = cerr
-	}
-	for _, run := range []struct {
-		how string
-		got []Match
-	}{{"QueryCtx", got}, {"QueryCursor", streamed}} {
-		if err == nil {
-			if err = ms.same(md, xpath, user, opts.Pruned, run.got); err != nil {
-				err = fmt.Errorf("%s %w", run.how, err)
-			}
-		}
+	got, err := ms.s.QueryCtx(context.Background(), user, harnessMode, xpath, opts)
+	if err == nil {
+		err = ms.same(md, xpath, user, opts.Pruned, got)
 	}
 	return len(got), err
 }
@@ -604,17 +581,6 @@ func (ms *modelStore) subject(md *xmlmodel.Model, name string) int {
 		}
 	}
 	return -1
-}
-
-func drainCursor(c *QueryCursor) ([]Match, error) {
-	var out []Match
-	for {
-		m, ok, err := c.Next(context.Background())
-		if err != nil || !ok {
-			return out, err
-		}
-		out = append(out, m)
-	}
 }
 
 // dirImage is the bytes of a store directory's files.

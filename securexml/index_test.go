@@ -226,7 +226,7 @@ func TestIndexBytes(t *testing.T) {
 		t.Fatalf("%d names, %v", len(names), err)
 	}
 	q := "/site/people/person[name='" + names[0].Value + "']/name"
-	if got, err := s.Query("u", "read", q); err != nil || len(got) == 0 {
+	if got, err := s.QueryCtx(context.Background(), "u", "read", q, QueryOptions{}); err != nil || len(got) == 0 {
 		t.Fatalf("%s: %d answers, %v", q, len(got), err)
 	}
 	valued := gauge()
@@ -249,7 +249,7 @@ func TestIndexBytes(t *testing.T) {
 			}
 		}
 	}()
-	if _, err := s.Query("u", "read", q); err != nil {
+	if _, err := s.QueryCtx(context.Background(), "u", "read", q, QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	<-done

@@ -150,7 +150,7 @@ var metricHelp = map[string]string{
 	"slo_burn_rate_permille":         "Error-budget burn rate in permille; 1000 burns the budget exactly at the SLO rate.",
 	"skipmask_compile_hits":          "Plan-memo lookups served from the snapshot's memo.",
 	"skipmask_compile_misses":        "Plan-memo lookups that had to build the plan shape.",
-	"snapshot_pins":                  "Snapshot pins taken by queries and cursors.",
+	"snapshot_pins":                  "Snapshot pins taken by queries and by Store.Snapshot.",
 	"snapshot_unpins":                "Snapshot pins released.",
 	"snapshot_pin_us":                "Snapshot pin hold time in microseconds.",
 	"snapshot_versions_live":         "Live store versions (1 when quiescent).",
@@ -194,17 +194,13 @@ func sloBurnPermille(over, finished int64) int64 {
 	return int64(math.Round(float64(over) / float64(finished) / (1 - sloTarget) * 1000))
 }
 
-// startQuery sets up one query's observability state: it resolves the
-// effective trace — tr when the caller attached one; a forced full trace
-// when the slow-query log is armed or the query is an ANALYZE; otherwise
-// the always-on counting trace that feeds the flight recorder without
-// retaining events — stamps the start time, and returns the finish hook
-// that records latency, error, SLO and slow-query metrics and files the
-// query's digest with the recorder.
-func (s *Store) startQuery(tr *obs.Trace, analyze bool) (_ *obs.Trace, finish func(fp, xpath string, answers int64, err error)) {
-	slow := s.opts.SlowQueryThreshold
+// startQuery resolves one query's effective trace — tr when the caller
+// attached one; a forced full trace when the slow-query log is armed or the
+// query is an ANALYZE; otherwise the always-on counting trace that feeds
+// the flight recorder without retaining events — and counts the query.
+func (s *Store) startQuery(tr *obs.Trace, analyze bool) *obs.Trace {
 	if tr == nil {
-		if slow > 0 || analyze {
+		if s.opts.SlowQueryThreshold > 0 || analyze {
 			// The slow-query log and ANALYZE both need the full event log
 			// that explains the query, so they force tracing on.
 			tr = obs.NewTrace()
@@ -213,46 +209,48 @@ func (s *Store) startQuery(tr *obs.Trace, analyze bool) (_ *obs.Trace, finish fu
 		}
 	}
 	tr.SetDropCounter(&s.traceDropped)
-	start := time.Now()
 	s.queryTotal.Inc()
-	return tr, func(fp, xpath string, answers int64, err error) {
-		elapsed := time.Since(start)
-		us := elapsed.Microseconds()
-		s.queryLatency.Observe(us)
-		s.sloFinished.Inc()
-		if obj := s.opts.SLOLatency; obj > 0 && elapsed > obj {
-			s.sloOver.Inc()
+	return tr
+}
+
+// finishQuery records the latency, error, SLO and slow-query metrics of a
+// query started at start on tr, and files its digest with the recorder.
+func (s *Store) finishQuery(tr *obs.Trace, start time.Time, fp, xpath string, answers int64, err error) {
+	elapsed := time.Since(start)
+	us := elapsed.Microseconds()
+	s.queryLatency.Observe(us)
+	s.sloFinished.Inc()
+	if obj := s.opts.SLOLatency; obj > 0 && elapsed > obj {
+		s.sloOver.Inc()
+	}
+	pins, hits, skips, _ := tr.Counts()
+	s.rec.Record(obs.QueryDigest{
+		Fingerprint:   fp,
+		XPath:         xpath,
+		LatencyUs:     us,
+		Pages:         pins,
+		Hits:          hits,
+		SkippedAccess: skips,
+		Answers:       answers,
+		Err:           err != nil,
+	}, tr)
+	if err != nil {
+		s.queryErrors.Inc()
+		return
+	}
+	if slow := s.opts.SlowQueryThreshold; slow > 0 && elapsed >= slow {
+		s.querySlow.Inc()
+		w := s.opts.SlowQueryLog
+		if w == nil {
+			w = os.Stderr
 		}
-		pins, hits, skips, _ := tr.Counts()
-		d := obs.QueryDigest{
-			Fingerprint:   fp,
-			XPath:         xpath,
-			LatencyUs:     us,
-			Pages:         pins,
-			Hits:          hits,
-			SkippedAccess: skips,
-			Answers:       answers,
-		}
-		d.Err = err != nil
-		s.rec.Record(d, tr)
-		if err != nil {
-			s.queryErrors.Inc()
-			return
-		}
-		if slow > 0 && elapsed >= slow {
-			s.querySlow.Inc()
-			w := s.opts.SlowQueryLog
-			if w == nil {
-				w = os.Stderr
-			}
-			// Render the whole report first and emit it in one locked
-			// write: concurrent queries finish on their own goroutines.
-			var buf bytes.Buffer
-			fmt.Fprintf(&buf, "securexml: slow query (%v >= %v): %s\n", elapsed.Round(time.Microsecond), slow, xpath)
-			tr.WriteTo(&buf)
-			s.slowMu.Lock()
-			w.Write(buf.Bytes())
-			s.slowMu.Unlock()
-		}
+		// Render the whole report first and emit it in one locked write:
+		// concurrent queries finish on their own goroutines.
+		var buf bytes.Buffer
+		fmt.Fprintf(&buf, "securexml: slow query (%v >= %v): %s\n", elapsed.Round(time.Microsecond), slow, xpath)
+		tr.WriteTo(&buf)
+		s.slowMu.Lock()
+		w.Write(buf.Bytes())
+		s.slowMu.Unlock()
 	}
 }

@@ -175,60 +175,42 @@ func TestQueryTraceInvariants(t *testing.T) {
 	}
 }
 
-// TestCursorTraceAccounting checks the streaming path: cursor pins are
-// traced through every Next, and a partial drain still folds its skip and
-// match counters into the registry exactly once, at Close.
+// TestCursorTraceAccounting checks a scan pipeline stopped early by a
+// Limit: the pins of its cursors are traced, and its answer, skip and
+// reject counters land in the registry as the trace counts them.
 func TestCursorTraceAccounting(t *testing.T) {
 	s := xmarkStore(t, StoreOptions{PageSize: 512})
 	defer s.Close()
 	ctx := context.Background()
-	if _, err := s.Query("u", "read", "//item//emph"); err != nil {
+	all, err := s.QueryCtx(ctx, "u", "read", "//item[//name]", QueryOptions{})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(all) <= 5 {
+		t.Fatalf("fixture shows u only %d answers, need more than 5", len(all))
 	}
 
 	tr := NewQueryTrace()
 	before := s.MetricsSnapshot()
-	cur, err := s.QueryCursor(ctx, "u", "read", "//item//emph", QueryOptions{Trace: tr})
+	got, err := s.QueryCtx(ctx, "u", "read", "//item[//name]", QueryOptions{Trace: tr, Limit: 5})
 	if err != nil {
-		t.Fatal(err)
-	}
-	drained := 0
-	for drained < 5 {
-		_, ok, err := cur.Next(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		drained++
-	}
-	sk := cur.SkipStats()
-	if err := cur.Close(); err != nil {
 		t.Fatal(err)
 	}
 	after := s.MetricsSnapshot()
 	d := func(metric string) int64 { return after.Get(metric) - before.Get(metric) }
 
 	if pins := countKind(tr.Events(), "page_pin"); pins != d("pool_gets") {
-		t.Errorf("cursor trace pins %d != pool gets delta %d", pins, d("pool_gets"))
+		t.Errorf("trace pins %d != pool gets delta %d", pins, d("pool_gets"))
 	}
-	if d("query_answers_total") != int64(drained) {
-		t.Errorf("query_answers_total delta = %d, want %d", d("query_answers_total"), drained)
+	if len(got) != 5 || d("query_answers_total") != 5 {
+		t.Errorf("%d answers, query_answers_total delta = %d, want 5", len(got), d("query_answers_total"))
 	}
 	if d("query_total") != 1 {
 		t.Errorf("query_total delta = %d, want 1", d("query_total"))
 	}
-	if d("query_pages_skipped_access") != sk.AccessPages || d("query_candidates_rejected") != sk.Candidates {
-		t.Errorf("registry skips/rejects %d/%d != cursor SkipStats %d/%d",
-			d("query_pages_skipped_access"), d("query_candidates_rejected"), sk.AccessPages, sk.Candidates)
-	}
-	// Close already settled the counters; a second Close must not re-add.
-	if err := cur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if again := s.MetricsSnapshot(); again.Get("query_pages_skipped_access") != after.Get("query_pages_skipped_access") {
-		t.Error("second Close re-recorded skip counters")
+	if skips, rejects := tr.PageSkips(), countKind(tr.Events(), "candidate_reject"); d("query_pages_skipped_access") != skips || d("query_candidates_rejected") != rejects {
+		t.Errorf("registry skips/rejects %d/%d != the trace's %d/%d",
+			d("query_pages_skipped_access"), d("query_candidates_rejected"), skips, rejects)
 	}
 }
 
@@ -309,14 +291,14 @@ func TestMetricNamesValidAndUnique(t *testing.T) {
 	} {
 		fresh := bigStore(t, tc.opts())
 		check(t, tc.name+" before any query", fresh, tc.want)
-		if _, err := fresh.Query("reader", "read", "//book[title]"); err != nil {
+		if _, err := fresh.QueryCtx(context.Background(), "reader", "read", "//book[title]", QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		check(t, tc.name+" after a query", fresh, tc.want)
 		fresh.Close()
 
 		queried := bigStore(t, tc.opts())
-		if _, err := queried.Query("reader", "read", "//book[title]"); err != nil {
+		if _, err := queried.QueryCtx(context.Background(), "reader", "read", "//book[title]", QueryOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		check(t, tc.name+" first read after a query", queried, tc.want)
@@ -331,7 +313,7 @@ func TestMetricNamesValidAndUnique(t *testing.T) {
 func TestDebugHandlerEndpoints(t *testing.T) {
 	s := bigStore(t, StoreOptions{PageSize: 256})
 	defer s.Close()
-	if _, err := s.Query("reader", "read", "//book[title]"); err != nil {
+	if _, err := s.QueryCtx(context.Background(), "reader", "read", "//book[title]", QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(s.DebugHandler())
@@ -392,7 +374,7 @@ func TestSlowQueryLog(t *testing.T) {
 	defer s.Close()
 	// A descendant predicate keeps the query on the matcher, which reads
 	// its candidates' blocks: the report has page pins to show.
-	if _, err := s.Query("reader", "read", "//book[//title]"); err != nil {
+	if _, err := s.QueryCtx(context.Background(), "reader", "read", "//book[//title]", QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -432,7 +414,7 @@ func TestSlowQueryLogConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := s.Query("reader", "read", "//book[title]"); err != nil {
+			if _, err := s.QueryCtx(context.Background(), "reader", "read", "//book[title]", QueryOptions{}); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -460,7 +442,7 @@ func TestMetricNamesSameBeforeAndAfterFirstQuery(t *testing.T) {
 		}
 		defer s.Close()
 		if query {
-			if _, err := s.Query("u00", "read", "//listitem//keyword"); err != nil {
+			if _, err := s.QueryCtx(context.Background(), "u00", "read", "//listitem//keyword", QueryOptions{}); err != nil {
 				t.Fatal(err)
 			}
 		}

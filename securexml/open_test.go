@@ -2,6 +2,7 @@ package securexml
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -136,7 +137,7 @@ func BenchmarkOpen(b *testing.B) {
 		{"open+Qval", func() (*Store, error) {
 			s, err := Open(dir, StoreOptions{})
 			if err == nil {
-				_, err = s.Query("u00", "read", qval)
+				_, err = s.QueryCtx(context.Background(), "u00", "read", qval, QueryOptions{})
 			}
 			return s, err
 		}},
@@ -164,7 +165,7 @@ func BenchmarkOpen(b *testing.B) {
 	}
 	b.Run("fault", func(b *testing.B) {
 		visit := func(s *Store) {
-			if _, err := s.Query("u00", "read", "//listitem//keyword"); err != nil {
+			if _, err := s.QueryCtx(context.Background(), "u00", "read", "//listitem//keyword", QueryOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -235,7 +236,7 @@ func TestOpenScansEachBlockOnce(t *testing.T) {
 		t.Fatalf("Open decoded %d blocks and found %d decoded, want %d and 0", dc.Misses, dc.Hits, blocks)
 	}
 	// The indexes were born from that scan: a query builds nothing.
-	if ms, err := s.Query("u00", "read", "//listitem//keyword"); err != nil || len(ms) == 0 {
+	if ms, err := s.QueryCtx(context.Background(), "u00", "read", "//listitem//keyword", QueryOptions{}); err != nil || len(ms) == 0 {
 		t.Fatalf("Q5 after Open: %d answers, %v", len(ms), err)
 	}
 	if ms, err := s.QueryUnrestricted(qval); err != nil || len(ms) != 1 {
@@ -573,7 +574,7 @@ func TestReadOnlyVisitSyncsNothing(t *testing.T) {
 	}
 	s, data, log := syncCountingOpen(t, dir)
 	for _, q := range append(slices.Clone(table1), struct{ name, expr string }{"Qval", qval}) {
-		if _, err := s.Query("u00", "read", q.expr); err != nil {
+		if _, err := s.QueryCtx(context.Background(), "u00", "read", q.expr, QueryOptions{}); err != nil {
 			t.Fatalf("%s: %v", q.name, err)
 		}
 	}
@@ -597,7 +598,7 @@ func TestUpdatedVisitSyncsOnClose(t *testing.T) {
 	dir, _ := churnTenant(t, 1, 32, 3600, 512)
 	s, data, _ := syncCountingOpen(t, dir)
 	const q = "//listitem//keyword"
-	before, err := s.Query("u00", "read", q)
+	before, err := s.QueryCtx(context.Background(), "u00", "read", q, QueryOptions{})
 	if err != nil || len(before) == 0 {
 		t.Fatalf("%d answers before the revoke, %v", len(before), err)
 	}
@@ -610,7 +611,7 @@ func TestUpdatedVisitSyncsOnClose(t *testing.T) {
 	if _, err := s.SetAccessAsync("g7", "read", before[0].Node, false, true); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s.Query("u00", "read", q)
+	after, err := s.QueryCtx(context.Background(), "u00", "read", q, QueryOptions{})
 	if err != nil || len(after) >= len(before) {
 		t.Fatalf("%d answers after revoking %d's subtree, %d before, %v", len(after), before[0].Node, len(before), err)
 	}
@@ -623,7 +624,7 @@ func TestUpdatedVisitSyncsOnClose(t *testing.T) {
 	}
 	r, _, _ := syncCountingOpen(t, dir)
 	defer r.Close()
-	got, err := r.Query("u00", "read", q)
+	got, err := r.QueryCtx(context.Background(), "u00", "read", q, QueryOptions{})
 	if err != nil || !slices.Equal(got, after) {
 		t.Fatalf("the reopened store answers %d matches, %v; the updated store answered %d", len(got), err, len(after))
 	}

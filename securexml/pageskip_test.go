@@ -40,7 +40,7 @@ func bigStore(t *testing.T, opts StoreOptions) *Store {
 func TestDecodeCacheBytesOption(t *testing.T) {
 	// Default budget: the cache is live and collects entries under load.
 	s := bigStore(t, StoreOptions{PageSize: 256})
-	if _, err := s.Query("reader", "read", "//book[title]"); err != nil {
+	if _, err := s.QueryCtx(context.Background(), "reader", "read", "//book[title]", QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	st, err := s.Stats()
@@ -65,7 +65,7 @@ func TestDecodeCacheBytesOption(t *testing.T) {
 	// Negative disables caching entirely.
 	s = bigStore(t, StoreOptions{PageSize: 256, DecodeCacheBytes: -1})
 	defer s.Close()
-	if _, err := s.Query("reader", "read", "//book[title]"); err != nil {
+	if _, err := s.QueryCtx(context.Background(), "reader", "read", "//book[title]", QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	cs := s.DecodeCacheStats()

@@ -6,11 +6,11 @@ import (
 	"testing"
 )
 
-// Interleave property for path-summary routing under MVCC: streaming
-// cursors pin snapshots while structural writers continuously insert and
-// delete a fragment (each commit rebuilding the maintained path summary
-// incrementally). For every pinned snapshot, a drain with routing enabled
-// must be byte-identical to a drain of the same snapshot with routing
+// Interleave property for path-summary routing under MVCC: readers pin
+// snapshots while structural writers continuously insert and delete a
+// fragment (each commit rebuilding the maintained path summary
+// incrementally). For every pinned snapshot, a query with routing enabled
+// must be byte-identical to a query of the same snapshot with routing
 // disabled — the summary a query compiles against can never mix states.
 // Run with -race in CI.
 func TestPathRoutingUnderConcurrentWriters(t *testing.T) {
@@ -57,13 +57,13 @@ func TestPathRoutingUnderConcurrentWriters(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				on, err := drainSnapCursor(t, s, q, QueryOptions{Snapshot: sp})
+				on, err := answerKey(t, s, q, QueryOptions{Snapshot: sp})
 				if err != nil {
 					sp.Close()
 					t.Error(err)
 					return
 				}
-				off, err := drainSnapCursor(t, s, q, QueryOptions{Snapshot: sp, DisablePathSummary: true})
+				off, err := answerKey(t, s, q, QueryOptions{Snapshot: sp, DisablePathSummary: true})
 				sp.Close()
 				if err != nil {
 					t.Error(err)
@@ -83,11 +83,11 @@ func TestPathRoutingUnderConcurrentWriters(t *testing.T) {
 	// Settled state: the two arms still agree, and the store's maintained
 	// summary still matches a from-scratch rebuild (CheckConsistency runs
 	// the oracle at the nok layer).
-	on, err := drainSnapCursor(t, s, q, QueryOptions{})
+	on, err := answerKey(t, s, q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, err := drainSnapCursor(t, s, q, QueryOptions{DisablePathSummary: true})
+	off, err := answerKey(t, s, q, QueryOptions{DisablePathSummary: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestPathRoutingUnderConcurrentWriters(t *testing.T) {
 
 // A structurally unsatisfiable twig — every tag exists, but no root-to-leaf
 // label path arranges them — must short-circuit at compile time: zero pages
-// pinned, the PathEmpty stat raised, and the store counter incremented.
+// pinned and the store's path-empty counter incremented.
 func TestUnsatisfiableQueryShortCircuit(t *testing.T) {
 	const q = "/site/people/person/parlist"
 	s := snapStore(t, snapFixtureXML(t, 1600), StoreOptions{PageSize: 512})
@@ -114,19 +114,8 @@ func TestUnsatisfiableQueryShortCircuit(t *testing.T) {
 
 	before := s.MetricsSnapshot().Get("query_path_empty_total")
 	tr := NewQueryTrace()
-	cur, err := s.QueryCursor(ctx, "u", "read", q, QueryOptions{Trace: tr})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m, ok, err := cur.Next(ctx); err != nil || ok {
-		t.Fatalf("unsatisfiable query yielded %v (ok=%v, err=%v)", m, ok, err)
-	}
-	sk := cur.SkipStats()
-	if err := cur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if sk.PathEmpty != 1 {
-		t.Errorf("PathEmpty = %d, want 1", sk.PathEmpty)
+	if ms, err := s.QueryCtx(ctx, "u", "read", q, QueryOptions{Trace: tr}); err != nil || len(ms) != 0 {
+		t.Fatalf("unsatisfiable query yielded %v (err %v)", ms, err)
 	}
 	if got := tr.PageReads(); got != 0 {
 		t.Errorf("short-circuited query pinned %d pages, want 0", got)
@@ -154,7 +143,7 @@ func TestMaskCacheCounters(t *testing.T) {
 	defer s.Close()
 
 	counter := func(name string) int64 { return s.MetricsSnapshot().Get(name) }
-	first, err := drainSnapCursor(t, s, q, QueryOptions{})
+	first, err := answerKey(t, s, q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +152,7 @@ func TestMaskCacheCounters(t *testing.T) {
 		t.Fatal("first query compiled no shape")
 	}
 	h0 := counter("skipmask_compile_hits")
-	again, err := drainSnapCursor(t, s, q, QueryOptions{})
+	again, err := answerKey(t, s, q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +173,7 @@ func TestMaskCacheCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	m0 := counter("skipmask_compile_misses")
-	after, err := drainSnapCursor(t, s, q, QueryOptions{})
+	after, err := answerKey(t, s, q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +199,7 @@ func TestExtinctClassWithReleasedCode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, user := range []string{"u", "v"} {
-		if ms, err := s.Query(user, "read", "//a/b"); err != nil || len(ms) != 0 {
+		if ms, err := s.QueryCtx(context.Background(), user, "read", "//a/b", QueryOptions{}); err != nil || len(ms) != 0 {
 			t.Fatalf("%s: %v, %v", user, ms, err)
 		}
 	}

@@ -18,7 +18,7 @@ func TestPlanMemoFollowsItsSnapshot(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 
-	emails, err := s.Query("u", "read", "/site/people/person/emailaddress")
+	emails, err := s.QueryCtx(context.Background(), "u", "read", "/site/people/person/emailaddress", QueryOptions{})
 	if err != nil || len(emails) < 2 {
 		t.Fatalf("%d email addresses, err %v", len(emails), err)
 	}
@@ -92,7 +92,7 @@ func TestPlanMemoFollowsItsSnapshot(t *testing.T) {
 	}
 	expect("after delete", base)
 
-	names, err := s.Query("u", "read", qval)
+	names, err := s.QueryCtx(context.Background(), "u", "read", qval, QueryOptions{})
 	if err != nil || len(names) != 1 {
 		t.Fatal(names, err)
 	}
@@ -128,7 +128,7 @@ func TestPlanMemoSharedUnderCommits(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 
-	full, err := s.Query("u", "read", q)
+	full, err := s.QueryCtx(context.Background(), "u", "read", q, QueryOptions{})
 	if err != nil || len(full) < 2 {
 		t.Fatalf("%d answers, err %v", len(full), err)
 	}

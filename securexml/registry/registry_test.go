@@ -75,7 +75,7 @@ func closeRegistry(t testing.TB, r *Registry) {
 // marker.
 func publicValues(t testing.TB, s *securexml.Store) string {
 	t.Helper()
-	ms, err := s.Query("alice", "read", "//public")
+	ms, err := s.QueryCtx(context.Background(), "alice", "read", "//public", securexml.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestRegistryRace(t *testing.T) {
 					report(fmt.Errorf("acquire %s: %w", id, err))
 					return
 				}
-				ms, err := h.Store().Query("alice", "read", "//public")
+				ms, err := h.Store().QueryCtx(context.Background(), "alice", "read", "//public", securexml.QueryOptions{})
 				if err != nil {
 					report(fmt.Errorf("query %s: %w", id, err))
 					h.Close()
@@ -298,7 +298,7 @@ func TestRebalanceRacesBlockDecodes(t *testing.T) {
 			// A descendant predicate keeps the query on the matcher, which
 			// reads every item's block; a path alone is answered from the
 			// class postings without one.
-			if ms, err := b.Store().Query("alice", "read", "//item[//public]"); err != nil || len(ms) != 400 {
+			if ms, err := b.Store().QueryCtx(context.Background(), "alice", "read", "//item[//public]", securexml.QueryOptions{}); err != nil || len(ms) != 400 {
 				t.Errorf("query on the big tenant: %d answers, %v", len(ms), err)
 				return
 			}

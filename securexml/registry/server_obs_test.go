@@ -180,7 +180,7 @@ func TestPerTenantSLO(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Store().Query("alice", "read", "//public"); err != nil {
+		if _, err := h.Store().QueryCtx(context.Background(), "alice", "read", "//public", securexml.QueryOptions{}); err != nil {
 			h.Close()
 			t.Fatal(err)
 		}

@@ -1,9 +1,12 @@
 package securexml
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,6 +78,63 @@ func hospitalRun(t *testing.T, seed int64, ops int, kinds ...xmlmodel.Kind) {
 	}
 }
 
+// A Limit is the facade's early stop: on a store of many pages, QueryCtx
+// with Limit 1 returns one answer — one of the unlimited query's — and pins
+// fewer pages than the unlimited query does. Neither leaves a page or an
+// old snapshot version pinned.
+func TestQueryCtxLimitStopsEarly(t *testing.T) {
+	const q = "//listitem//keyword"
+	s := snapStore(t, snapFixtureXML(t, 1600), StoreOptions{PageSize: 256})
+	defer s.Close()
+	ctx := context.Background()
+	run := func(limit int) ([]Match, int64) {
+		t.Helper()
+		tr := NewQueryTrace()
+		ms, err := s.QueryCtx(ctx, "u", "read", q, QueryOptions{Limit: limit, Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ms, tr.PageReads()
+	}
+	all, allPins := run(0)
+	if len(all) < 2 {
+		t.Fatalf("u sees %d answers, need at least 2", len(all))
+	}
+	one, onePins := run(1)
+	if len(one) != 1 || !slices.Contains(all, one[0]) {
+		t.Fatalf("Limit 1 answered %v, not one of the unlimited query's %d answers", one, len(all))
+	}
+	if onePins >= allPins {
+		t.Errorf("Limit 1 pinned %d pages, the unlimited query %d: want fewer", onePins, allPins)
+	}
+	if n := s.PoolPinned(); n != 0 {
+		t.Errorf("%d frames pinned after the queries", n)
+	}
+	if live := s.MetricsSnapshot().Get("snapshot_versions_live"); live != 1 {
+		t.Errorf("snapshot_versions_live = %d after the queries, want 1", live)
+	}
+}
+
+// A context cancelled before the call makes QueryCtx return
+// context.Canceled, with no page and no old snapshot version left pinned.
+func TestQueryCtxCancelledBeforeCall(t *testing.T) {
+	s := snapStore(t, snapFixtureXML(t, 1600), StoreOptions{PageSize: 256})
+	defer s.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, opts := range []QueryOptions{{}, {Pruned: true}, {Limit: 1}, {DisablePathSummary: true}} {
+		if ms, err := s.QueryCtx(ctx, "u", "read", "//listitem//keyword", opts); !errors.Is(err, context.Canceled) {
+			t.Errorf("%+v: QueryCtx on a cancelled context = %d answers, %v; want context.Canceled", opts, len(ms), err)
+		}
+	}
+	if n := s.PoolPinned(); n != 0 {
+		t.Errorf("%d frames pinned after the cancelled queries", n)
+	}
+	if live := s.MetricsSnapshot().Get("snapshot_versions_live"); live != 1 {
+		t.Errorf("snapshot_versions_live = %d after the cancelled queries, want 1", live)
+	}
+}
+
 // firstNode is the first node xpath selects, unrestricted.
 func firstNode(t *testing.T, s *Store, xpath string) NodeID {
 	t.Helper()
@@ -101,14 +161,14 @@ func TestSealAndBasicQueries(t *testing.T) {
 	}
 
 	// Dave (doctor) sees all patients but no billing.
-	pats, err := s.Query("dave", "read", "//patient")
+	pats, err := s.QueryCtx(context.Background(), "dave", "read", "//patient", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pats) != 3 {
 		t.Fatalf("dave sees %d patients", len(pats))
 	}
-	bills, err := s.Query("dave", "read", "//billing/amount")
+	bills, err := s.QueryCtx(context.Background(), "dave", "read", "//billing/amount", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +177,7 @@ func TestSealAndBasicQueries(t *testing.T) {
 	}
 
 	// Betty (billing) sees amounts but no diagnoses.
-	bills, err = s.Query("betty", "read", "//billing/amount")
+	bills, err = s.QueryCtx(context.Background(), "betty", "read", "//billing/amount", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,13 +187,13 @@ func TestSealAndBasicQueries(t *testing.T) {
 	if bills[0].Tag != "amount" || bills[0].Value != "100" {
 		t.Fatalf("first amount = %+v", bills[0])
 	}
-	diags, _ := s.Query("betty", "read", "//diagnosis")
+	diags, _ := s.QueryCtx(context.Background(), "betty", "read", "//diagnosis", QueryOptions{})
 	if len(diags) != 0 {
 		t.Fatalf("betty sees %d diagnoses", len(diags))
 	}
 
 	// Alice sees only ward A patients.
-	pats, err = s.Query("alice", "read", "//patient")
+	pats, err = s.QueryCtx(context.Background(), "alice", "read", "//patient", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,11 +202,11 @@ func TestSealAndBasicQueries(t *testing.T) {
 	}
 
 	// Write mode is separate: dave can "write" diagnoses, alice cannot.
-	w, _ := s.Query("dave", "write", "//diagnosis")
+	w, _ := s.QueryCtx(context.Background(), "dave", "write", "//diagnosis", QueryOptions{})
 	if len(w) != 3 {
 		t.Fatalf("dave writes %d diagnoses", len(w))
 	}
-	w, _ = s.Query("alice", "write", "//diagnosis")
+	w, _ = s.QueryCtx(context.Background(), "alice", "write", "//diagnosis", QueryOptions{})
 	if len(w) != 0 {
 		t.Fatalf("alice writes %d diagnoses", len(w))
 	}
@@ -159,11 +219,11 @@ func TestQueryPrunedSemantics(t *testing.T) {
 	// bindings semantics amounts are reachable, and under pruned
 	// semantics... the local (non-cascading) revoke keeps descendants
 	// accessible but the patient node itself blocks root paths.
-	bind, err := s.Query("betty", "read", "//amount")
+	bind, err := s.QueryCtx(context.Background(), "betty", "read", "//amount", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pruned, err := s.QueryPruned("betty", "read", "//amount")
+	pruned, err := s.QueryCtx(context.Background(), "betty", "read", "//amount", QueryOptions{Pruned: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +253,13 @@ func TestErrorsSurface(t *testing.T) {
 
 	s := hospitalStore(t, StoreOptions{})
 	defer s.Close()
-	if _, err := s.Query("ghost", "read", "//patient"); err == nil {
+	if _, err := s.QueryCtx(context.Background(), "ghost", "read", "//patient", QueryOptions{}); err == nil {
 		t.Fatal("unknown user should fail")
 	}
-	if _, err := s.Query("dave", "nosuch", "//patient"); err == nil {
+	if _, err := s.QueryCtx(context.Background(), "dave", "nosuch", "//patient", QueryOptions{}); err == nil {
 		t.Fatal("unknown mode should fail")
 	}
-	if _, err := s.Query("dave", "read", "not an xpath"); err == nil {
+	if _, err := s.QueryCtx(context.Background(), "dave", "read", "not an xpath", QueryOptions{}); err == nil {
 		t.Fatal("bad xpath should fail")
 	}
 }
@@ -236,21 +296,21 @@ func TestSubjectLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// dave2 clones dave's *own* (empty) rights, not his group rights.
-	pats, _ := s.Query("dave2", "read", "//patient")
+	pats, _ := s.QueryCtx(context.Background(), "dave2", "read", "//patient", QueryOptions{})
 	if len(pats) != 0 {
 		t.Fatalf("dave2 sees %d patients without membership", len(pats))
 	}
 	if err := s.AddMember("doctors", "dave2"); err != nil {
 		t.Fatal(err)
 	}
-	pats, _ = s.Query("dave2", "read", "//patient")
+	pats, _ = s.QueryCtx(context.Background(), "dave2", "read", "//patient", QueryOptions{})
 	if len(pats) != 3 {
 		t.Fatalf("dave2 sees %d patients with doctors membership", len(pats))
 	}
 	if err := s.AddUser("newbie"); err != nil {
 		t.Fatal(err)
 	}
-	pats, _ = s.Query("newbie", "read", "//patient")
+	pats, _ = s.QueryCtx(context.Background(), "newbie", "read", "//patient", QueryOptions{})
 	if len(pats) != 0 {
 		t.Fatal("fresh user should see nothing")
 	}
@@ -303,7 +363,7 @@ func TestSealFileBacked(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "pages.db")
 	s := hospitalStore(t, StoreOptions{Path: path})
 	defer s.Close()
-	pats, err := s.Query("dave", "read", "//patient")
+	pats, err := s.QueryCtx(context.Background(), "dave", "read", "//patient", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,14 +436,14 @@ func TestLargeDocumentThroughFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	books, err := s.Query("reader", "read", "//book[title]")
+	books, err := s.QueryCtx(context.Background(), "reader", "read", "//book[title]", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(books) != 2000 {
 		t.Fatalf("reader sees %d books", len(books))
 	}
-	secrets, _ := s.Query("reader", "read", "//secret")
+	secrets, _ := s.QueryCtx(context.Background(), "reader", "read", "//secret", QueryOptions{})
 	if len(secrets) != 0 {
 		t.Fatalf("reader sees %d secrets", len(secrets))
 	}
@@ -413,11 +473,11 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	for g := 0; g < 6; g++ {
 		go func() {
 			for i := 0; i < 50; i++ {
-				if _, err := s.Query("dave", "read", "//patient[name]"); err != nil {
+				if _, err := s.QueryCtx(context.Background(), "dave", "read", "//patient[name]", QueryOptions{}); err != nil {
 					done <- err
 					return
 				}
-				if _, err := s.QueryPruned("betty", "read", "//amount"); err != nil {
+				if _, err := s.QueryCtx(context.Background(), "betty", "read", "//amount", QueryOptions{Pruned: true}); err != nil {
 					done <- err
 					return
 				}
@@ -573,7 +633,7 @@ func TestExportVisibleMatchesPrunedView(t *testing.T) {
 		}
 		got := out.String()
 		for _, tag := range []string{"ward", "patient", "diagnosis", "billing", "amount", "drug"} {
-			pruned, err := s.QueryPruned(user, "read", "//"+tag)
+			pruned, err := s.QueryCtx(context.Background(), user, "read", "//"+tag, QueryOptions{Pruned: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -599,7 +659,7 @@ func TestBuilderLocalRulesAndDefaults(t *testing.T) {
 	}
 	defer s.Close()
 	// v has no rules: open world grants everything.
-	ms, err := s.Query("v", "read", "//c")
+	ms, err := s.QueryCtx(context.Background(), "v", "read", "//c", QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -57,31 +56,18 @@ func snapStore(t *testing.T, xml string, opts StoreOptions) *Store {
 	return s
 }
 
-// drainSnapCursor fully drains one streaming cursor and returns a
-// state-identifying fingerprint of its answers (sorted, so discovery order
-// does not matter).
-func drainSnapCursor(t *testing.T, s *Store, xpath string, opts QueryOptions) (string, error) {
+// answerKey queries as u and returns a state-identifying fingerprint of
+// the answers.
+func answerKey(t *testing.T, s *Store, xpath string, opts QueryOptions) (string, error) {
 	t.Helper()
-	cur, err := s.QueryCursor(context.Background(), "u", "read", xpath, opts)
+	ms, err := s.QueryCtx(context.Background(), "u", "read", xpath, opts)
 	if err != nil {
 		return "", err
 	}
-	var lines []string
-	for {
-		m, ok, err := cur.Next(context.Background())
-		if err != nil {
-			cur.Close()
-			return "", err
-		}
-		if !ok {
-			break
-		}
-		lines = append(lines, fmt.Sprintf("%d=%s=%q", m.Node, m.Tag, m.Value))
+	lines := make([]string, len(ms))
+	for i, m := range ms {
+		lines[i] = fmt.Sprintf("%d=%s=%q", m.Node, m.Tag, m.Value)
 	}
-	if err := cur.Close(); err != nil {
-		return "", err
-	}
-	sort.Strings(lines)
 	return strings.Join(lines, "\n"), nil
 }
 
@@ -95,7 +81,7 @@ func gauge(t *testing.T, s *Store, name string) int64 {
 // IDs — at a spot where inserted fragments inherit readable ACLs.
 func lastVisibleNode(t *testing.T, s *Store, xpath string) NodeID {
 	t.Helper()
-	ms, err := s.Query("u", "read", xpath)
+	ms, err := s.QueryCtx(context.Background(), "u", "read", xpath, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,15 +91,17 @@ func lastVisibleNode(t *testing.T, s *Store, xpath string) NodeID {
 	return ms[len(ms)-1].Node
 }
 
-// TestInterleavedCursorsAndWriters is the core no-torn-updates property, a
-// configuration of the facade harness: streaming cursors drain while one
-// writer toggles u0's group's access to the first keyword u0 reads and
-// another inserts and deletes a fragment under the last description u0
-// reads. Every drain must equal the model's answers in one of the four
-// committed states (toggle on/off × fragment present/absent) — a cursor
-// that observed half an update would produce a fifth. Run with -race; also
-// asserts versions retire once the cursors close.
-func TestInterleavedCursorsAndWriters(t *testing.T) {
+// TestInterleavedSnapshotsAndWriters is the core no-torn-updates property,
+// a configuration of the facade harness: readers query, and pin snapshots
+// they query again after a commit has landed, while one writer toggles
+// u0's group's access to the first keyword u0 reads and another inserts
+// and deletes a fragment under the last description u0 reads. Every answer
+// must equal the model's in one of the four committed states (toggle
+// on/off × fragment present/absent) — a query that observed half an update
+// would produce a fifth — and a pin must answer the same after the commit
+// as before it. Run with -race; also asserts versions retire once the pins
+// drop.
+func TestInterleavedSnapshotsAndWriters(t *testing.T) {
 	const q = "//listitem//keyword"
 	ms := newModelStore(t, rand.New(rand.NewSource(11)), 1600, true, StoreOptions{PageSize: 512, PoolPages: 256})
 	defer ms.close()
@@ -179,22 +167,54 @@ func TestInterleavedCursorsAndWriters(t *testing.T) {
 		}
 		return s.Delete(fragRoot)
 	})
+	ctx := context.Background()
+	check := func(what string, got []Match) error {
+		if !slices.ContainsFunc(legal, func(md *xmlmodel.Model) bool { return ms.same(md, q, "u0", false, got) == nil }) {
+			return fmt.Errorf("%s saw a torn state: %v", what, got)
+		}
+		return nil
+	}
+	// readOnce queries once unpinned and twice through one pin, the second
+	// time after a commit has landed since the pin.
+	readOnce := func(r, drain int) error {
+		what := fmt.Sprintf("reader %d drain %d", r, drain)
+		got, err := s.QueryCtx(ctx, "u0", "read", q, QueryOptions{})
+		if err == nil {
+			err = check(what, got)
+		}
+		if err != nil {
+			return err
+		}
+		sp, err := s.Snapshot()
+		if err != nil {
+			return err
+		}
+		defer sp.Close()
+		before, err := s.QueryCtx(ctx, "u0", "read", q, QueryOptions{Snapshot: sp})
+		if err != nil {
+			return err
+		}
+		for deadline := time.Now().Add(10 * time.Second); s.cur.Load().seq == sp.Seq(); time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("%s: no commit landed after pin %d", what, sp.Seq())
+			}
+		}
+		after, err := s.QueryCtx(ctx, "u0", "read", q, QueryOptions{Snapshot: sp})
+		if err != nil {
+			return err
+		}
+		if !slices.Equal(after, before) {
+			return fmt.Errorf("%s: pin %d answered %v, then after a commit %v", what, sp.Seq(), before, after)
+		}
+		return check(what+" through a pin", before)
+	}
 	var rg sync.WaitGroup
 	for r := 0; r < readers; r++ {
 		rg.Add(1)
 		go func(r int) {
 			defer rg.Done()
 			for drains := 0; drains < drainsPer; drains++ {
-				cur, err := s.QueryCursor(context.Background(), "u0", "read", q, QueryOptions{})
-				var got []Match
-				if err == nil {
-					got, err = drainCursor(cur)
-					cur.Close()
-				}
-				if err == nil && !slices.ContainsFunc(legal, func(md *xmlmodel.Model) bool { return ms.same(md, q, "u0", false, got) == nil }) {
-					err = fmt.Errorf("reader %d drain %d saw a torn state: %v", r, drains, got)
-				}
-				if err != nil {
+				if err := readOnce(r, drains); err != nil {
 					errs <- err
 					return
 				}
@@ -209,10 +229,10 @@ func TestInterleavedCursorsAndWriters(t *testing.T) {
 		t.Error(err)
 	}
 
-	// Version-leak check: with every cursor closed and writers quiescent,
+	// Version-leak check: with every pin dropped and writers quiescent,
 	// exactly the current version must be live and its pins settled.
 	if live := gauge(t, s, "snapshot_versions_live"); live != 1 {
-		t.Errorf("snapshot_versions_live = %d after all cursors closed, want 1", live)
+		t.Errorf("snapshot_versions_live = %d after all pins dropped, want 1", live)
 	}
 	m := s.MetricsSnapshot()
 	if pins, unpins := m.Get("snapshot_pins"), m.Get("snapshot_unpins"); pins != unpins {
@@ -242,25 +262,32 @@ func TestSnapshotRepeatableRead(t *testing.T) {
 }
 
 // TestUpdatesDoNotWaitForReaders is the zero reader-induced writer stalls
-// acceptance: with a cursor opened and deliberately left mid-drain, a
-// structural update must commit promptly instead of blocking until the
-// cursor closes (the pre-MVCC behavior), and the cursor must keep
-// answering from its pinned state — the model before the update.
+// acceptance: with a snapshot pinned and queried, a structural update must
+// commit promptly instead of blocking until the pin drops (the pre-MVCC
+// behavior), and the snapshot must keep answering from its pinned state —
+// the model before the update.
 func TestUpdatesDoNotWaitForReaders(t *testing.T) {
 	const q = "//listitem//keyword"
 	ms := newModelStore(t, rand.New(rand.NewSource(13)), 1200, true, StoreOptions{PageSize: 512, PoolPages: 256})
 	defer ms.close()
 	s := ms.s
-	cur, err := s.QueryCursor(context.Background(), "u0", "read", q, QueryOptions{})
+	sp, err := s.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, ok, err := cur.Next(context.Background())
-	if err != nil || !ok {
-		t.Fatalf("first Next: ok=%v err=%v", ok, err)
+	pinned := func(what string) {
+		t.Helper()
+		got, err := s.QueryCtx(context.Background(), "u0", "read", q, QueryOptions{Snapshot: sp})
+		if err == nil {
+			err = ms.same(ms.md, q, "u0", false, got)
+		}
+		if err != nil {
+			t.Fatalf("the snapshot pinned before the update, %s: %v", what, err)
+		}
 	}
+	pinned("before it")
 
-	// The cursor is open and pinned. The update must not block on it.
+	// The snapshot is pinned. The update must not block on it.
 	done := make(chan error, 1)
 	go func() {
 		done <- s.Delete(firstNode(t, s, "/site/categories/category/description"))
@@ -271,20 +298,14 @@ func TestUpdatesDoNotWaitForReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("update blocked behind an open cursor")
+		t.Fatal("update blocked behind a pinned snapshot")
 	}
-	rest, err := drainCursor(cur)
-	if cerr := cur.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = ms.same(ms.md, q, "u0", false, append(rest, first))
-	}
-	if err != nil {
-		t.Fatalf("the cursor pinned before the update: %v", err)
+	pinned("after it")
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
 	}
 	if live := gauge(t, s, "snapshot_versions_live"); live != 1 {
-		t.Errorf("snapshot_versions_live = %d after cursor close, want 1", live)
+		t.Errorf("snapshot_versions_live = %d after the snapshot closed, want 1", live)
 	}
 }
 
@@ -318,7 +339,7 @@ func TestQueryRacesPoisoningUpdate(t *testing.T) {
 					return
 				default:
 				}
-				got, err := s.Query("u0", "read", q)
+				got, err := s.QueryCtx(context.Background(), "u0", "read", q, QueryOptions{})
 				if err != nil {
 					if !errors.Is(err, errStoreFailed) {
 						errs <- fmt.Errorf("reader %d: unexpected error %w", r, err)
@@ -344,7 +365,7 @@ func TestQueryRacesPoisoningUpdate(t *testing.T) {
 		t.Error("store not poisoned after failed flush")
 	}
 	// New queries must now fail fast with the poisoned-store error.
-	if _, err := s.Query("u0", "read", q); !errors.Is(err, errStoreFailed) {
+	if _, err := s.QueryCtx(context.Background(), "u0", "read", q, QueryOptions{}); !errors.Is(err, errStoreFailed) {
 		t.Errorf("query on poisoned store: %v, want errStoreFailed", err)
 	}
 	close(stop)
@@ -365,7 +386,7 @@ func TestSlowPinLog(t *testing.T) {
 		SlowPinLog:       &buf,
 	})
 	defer s.Close()
-	if _, err := s.Query("u", "read", "//listitem//keyword"); err != nil {
+	if _, err := s.QueryCtx(context.Background(), "u", "read", "//listitem//keyword", QueryOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	s.slowMu.Lock()

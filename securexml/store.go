@@ -317,29 +317,24 @@ func (s *Store) subject(name string) (acl.SubjectID, error) {
 	return subjectIn(s.dir, name)
 }
 
-// answerTag returns the tag code of answer n: the one the plan bound every
-// answer to (query.Result.Tag), or, for a "*" returning step, whose tags no
-// plan knows, the one n's block holds.
-func answerTag(ctx context.Context, cur *nok.Cursor, n xmltree.NodeID, tag int32) (int32, error) {
-	if tag != query.AnyTag {
-		return tag, nil
-	}
-	info, err := cur.Info(ctx, n)
-	return info.Entry.Tag, err
-}
-
 // matches converts result node IDs, in document order, to Match records
 // against the query's pinned store; tag is the result's Tag. It threads ctx
 // so the page reads the conversion performs — value pages, fetched a page
-// at a time, not a node at a time; structure pages only under answerTag's
-// "*" case — land in the query's trace.
+// at a time, not a node at a time; structure pages only for a "*" returning
+// step — land in the query's trace.
 func (s *Store) matches(ctx context.Context, st *nok.Store, nodes []xmltree.NodeID, tag int32) ([]Match, error) {
 	out := make([]Match, len(nodes))
 	cur := st.NewCursor()
 	for i, n := range nodes {
-		code, err := answerTag(ctx, cur, n, tag)
-		if err != nil {
-			return nil, err
+		code := tag
+		if tag == query.AnyTag {
+			// No plan knows the tags a "*" returning step binds; n's block
+			// holds its own.
+			info, err := cur.Info(ctx, n)
+			if err != nil {
+				return nil, err
+			}
+			code = info.Entry.Tag
 		}
 		out[i] = Match{Node: NodeID(n), Tag: st.TagName(code)}
 	}
@@ -440,10 +435,64 @@ func (s *Store) unprepare(p *prepared) {
 	p.ref = snapRef{}
 }
 
-func (s *Store) run(ctx context.Context, user, mode, xpath string, opts QueryOptions) (ms []Match, err error) {
-	tr, finish := s.startQuery(opts.Trace.inner(), opts.Analyze != nil)
+// QueryOptions refine query execution for QueryCtx (and Explain).
+type QueryOptions struct {
+	// Pruned selects the Gabillon–Bruno semantics (§4.2): subtrees rooted
+	// at inaccessible nodes contribute nothing, enforced with ε-STD path
+	// checks. Ignored when Unrestricted.
+	Pruned bool
+	// Unrestricted evaluates without access control (administrative use);
+	// the user and mode arguments are ignored.
+	Unrestricted bool
+	// Limit, when positive, stops evaluation after that many answers. The
+	// operator pipeline stops early: pages beyond the last needed match are
+	// never read.
+	Limit int
+	// Parallelism is accepted and ignored: a query runs on the goroutine
+	// that asked for it. The field goes when ROADMAP item 1 unfreezes
+	// benchmark/, the one place that still assigns it.
+	Parallelism int
+	// DisableSummarySkip is accepted and ignored: scans skip pages on
+	// access grounds only. The field goes when ROADMAP item 1 unfreezes
+	// benchmark/, the one place that still assigns it.
+	DisableSummarySkip bool
+	// DisablePathSummary runs the paper's engine alone: no compile-time
+	// empty-query proof from the path summary and no index plan, so every
+	// query is ε-NoK scans joined by (ε-)STD. For ablation; answers are
+	// identical either way, only the pages read and access checks performed
+	// differ.
+	DisablePathSummary bool
+	// Trace, when set, receives the query's timestamped event log: every
+	// span, page pin, page skip (with cause), candidate rejection, join
+	// probe and emitted answer. Tracing is off (zero cost beyond nil
+	// checks) when unset, unless StoreOptions.SlowQueryThreshold forces an
+	// internal trace.
+	Trace *QueryTrace
+	// Analyze, when set, turns the query into ANALYZE: a full event trace
+	// is forced on (even without Trace), and after execution the analysis
+	// is filled with the compiled plan plus per-operator attribution —
+	// pages, pool hits, skips, rejects, probes and span time per plan
+	// operator, reconciling exactly with the pool's pin delta.
+	Analyze *QueryAnalysis
+	// Snapshot, when set, evaluates the query against that pinned
+	// repeatable-read state (see Store.Snapshot) instead of the current
+	// one: a sequence of queries sharing a Snapshot sees one committed
+	// state regardless of concurrent updates.
+	Snapshot *Snapshot
+}
+
+// QueryCtx evaluates the XPath expression as the given user under the
+// given action mode and returns the answers in document order. It honors
+// ctx: cancellation aborts the evaluation at the next page-fetch boundary
+// with ctx's error, leaving no page pinned. opts select the semantics
+// (Pruned, Unrestricted), stop early (Limit), pin a repeatable-read state
+// (Snapshot) and attach observability (Trace, Analyze); the zero value is
+// the paper's default, Cho et al.'s bindings semantics: every node bound
+// by a match must be accessible to the user or one of their groups.
+func (s *Store) QueryCtx(ctx context.Context, user, mode, xpath string, opts QueryOptions) (ms []Match, err error) {
+	tr, start := s.startQuery(opts.Trace.inner(), opts.Analyze != nil), time.Now()
 	p, err := s.prepare(tr, user, mode, xpath, opts)
-	defer func() { finish(p.fp, xpath, int64(len(ms)), err) }()
+	defer func() { s.finishQuery(tr, start, p.fp, xpath, int64(len(ms)), err) }()
 	if err != nil {
 		return nil, err
 	}
@@ -467,20 +516,6 @@ func (s *Store) run(ctx context.Context, user, mode, xpath string, opts QueryOpt
 		opts.Analyze.an = query.AnalyzeTrace(res.Plan(), tr.Events(), tr.Dropped())
 	}
 	return ms, err
-}
-
-// Query evaluates the XPath expression as the given user under the given
-// action mode, with the paper's default (Cho et al.) semantics: every node
-// bound by a match must be accessible to the user or one of their groups.
-func (s *Store) Query(user, mode, xpath string) ([]Match, error) {
-	return s.QueryCtx(context.Background(), user, mode, xpath, QueryOptions{})
-}
-
-// QueryPruned is Query under the Gabillon–Bruno semantics (§4.2): subtrees
-// rooted at inaccessible nodes contribute nothing, enforced with ε-STD
-// path checks.
-func (s *Store) QueryPruned(user, mode, xpath string) ([]Match, error) {
-	return s.QueryCtx(context.Background(), user, mode, xpath, QueryOptions{Pruned: true})
 }
 
 // QueryUnrestricted evaluates without access control (administrative use).
@@ -941,19 +976,6 @@ type CacheStats struct {
 	Entries   int
 	Bytes     int64
 	Budget    int64
-}
-
-// SkipStats count the page reads one query avoided: scan pages skipped
-// because the directory proves them fully inaccessible to the subject
-// (AccessPages, §3.3), and root candidates rejected from the directory
-// alone (Candidates). PathClasses counts the access verdicts the path
-// summary resolved at the path-class level, and PathEmpty is 1 when it
-// proved the query empty outright.
-type SkipStats struct {
-	AccessPages int64
-	Candidates  int64
-	PathClasses int64
-	PathEmpty   int64
 }
 
 // Stats collects the store's current statistics against one pinned

@@ -1,6 +1,7 @@
 package securexml
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -40,7 +41,7 @@ func TestConcurrentReadersDuringWALUpdates(t *testing.T) {
 	// The toggled subtree and a query answered entirely inside it.
 	regions := firstNode(t, s, "/site/regions")
 	const q = "/site/regions//item"
-	full, err := s.Query("u", "read", q)
+	full, err := s.QueryCtx(context.Background(), "u", "read", q, QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,13 +71,13 @@ func TestConcurrentReadersDuringWALUpdates(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
-				ms, err := s.Query("u", "read", q)
+				ms, err := s.QueryCtx(context.Background(), "u", "read", q, QueryOptions{})
 				if err != nil {
 					errs <- err
 					return
 				}
 				check(ms)
-				ms, err = s.QueryPruned("u", "read", q)
+				ms, err = s.QueryCtx(context.Background(), "u", "read", q, QueryOptions{Pruned: true})
 				if err != nil {
 					errs <- err
 					return
