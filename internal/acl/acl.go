@@ -14,7 +14,7 @@
 //
 // Rule-based policies with hierarchical propagation and the
 // Most-Specific-Override semantics of Jajodia et al. [12] are provided by
-// Policy.Materialize, which computes the "net effect ... captured by an
+// Policy.Runs, which computes the "net effect ... captured by an
 // accessibility function" that DOL then encodes.
 package acl
 
@@ -124,9 +124,6 @@ func (d *Directory) Len() int { return len(d.names) }
 
 // Name returns the name of subject s.
 func (d *Directory) Name(s SubjectID) string { return d.names[s] }
-
-// IsGroup reports whether subject s is a group.
-func (d *Directory) IsGroup(s SubjectID) bool { return d.isGroup[s] }
 
 // Lookup returns the subject with the given name.
 func (d *Directory) Lookup(name string) (SubjectID, bool) {

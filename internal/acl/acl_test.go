@@ -19,8 +19,8 @@ func TestDirectoryBasics(t *testing.T) {
 	if d.Name(alice) != "alice" || d.Name(devs) != "devs" {
 		t.Fatal("names wrong")
 	}
-	if d.IsGroup(alice) || !d.IsGroup(devs) {
-		t.Fatal("IsGroup wrong")
+	if d.isGroup[alice] || !d.isGroup[devs] {
+		t.Fatal("isGroup wrong")
 	}
 	if s, ok := d.Lookup("alice"); !ok || s != alice {
 		t.Fatal("Lookup failed")
@@ -148,6 +148,21 @@ func TestMatrixSetRowAndEqual(t *testing.T) {
 	}
 }
 
+// materialize fills the accessibility matrix of one mode from the policy's
+// runs.
+func materialize(p *Policy, doc *xmltree.Document, mode Mode, numSubjects int) (*Matrix, error) {
+	m := NewMatrix(doc.Len(), numSubjects)
+	err := p.Runs(doc, mode, numSubjects, func(first xmltree.NodeID, n int, row *bitset.Bitset) {
+		for k := range n {
+			m.SetRow(first+xmltree.NodeID(k), row)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
 // grant and revoke add a cascading permit and deny rule.
 func grant(p *Policy, s SubjectID, mode Mode, target xmltree.NodeID) {
 	p.Add(Rule{Subject: s, Mode: mode, Target: target, Effect: Permit, Cascade: true})
@@ -170,7 +185,7 @@ func TestMaterializeCascade(t *testing.T) {
 	// Subject 0: permit everything under the root, deny the subtree at e.
 	grant(p, 0, ModeRead, 0)
 	revoke(p, 0, ModeRead, 4) // e
-	m, err := p.Materialize(doc, ModeRead, 1)
+	m, err := materialize(p, doc, ModeRead, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +209,7 @@ func TestMaterializeMostSpecificOverride(t *testing.T) {
 	grant(p, 0, ModeRead, 4)  // permit subtree e
 	revoke(p, 0, ModeRead, 7) // deny subtree h (inside e)
 	grant(p, 0, ModeRead, 9)  // permit node j's subtree (leaf)
-	m, err := p.Materialize(doc, ModeRead, 1)
+	m, err := materialize(p, doc, ModeRead, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +231,7 @@ func TestMaterializeNonCascadingLocalRule(t *testing.T) {
 	grant(p, 0, ModeRead, 0)
 	// Non-cascading deny on e only: descendants keep inherited permit.
 	p.Add(Rule{Subject: 0, Mode: ModeRead, Target: 4, Effect: Deny, Cascade: false})
-	m, err := p.Materialize(doc, ModeRead, 1)
+	m, err := materialize(p, doc, ModeRead, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +250,7 @@ func TestMaterializeConflictPolicies(t *testing.T) {
 		p.Conflicts = cp
 		grant(p, 0, ModeRead, 0)
 		revoke(p, 0, ModeRead, 0)
-		m, err := p.Materialize(doc, ModeRead, 1)
+		m, err := materialize(p, doc, ModeRead, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +270,7 @@ func TestMaterializeConflictPolicies(t *testing.T) {
 func TestMaterializeDefaults(t *testing.T) {
 	doc := fig2doc(t)
 	p := NewPolicy()
-	m, err := p.Materialize(doc, ModeRead, 2)
+	m, err := materialize(p, doc, ModeRead, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +280,7 @@ func TestMaterializeDefaults(t *testing.T) {
 		}
 	}
 	p.DefaultEffect = Permit
-	m, err = p.Materialize(doc, ModeRead, 2)
+	m, err = materialize(p, doc, ModeRead, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,14 +295,14 @@ func TestMaterializeModeFiltering(t *testing.T) {
 	doc := fig2doc(t)
 	p := NewPolicy()
 	grant(p, 0, ModeWrite, 0)
-	m, err := p.Materialize(doc, ModeRead, 1)
+	m, err := materialize(p, doc, ModeRead, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Accessible(0, 0) {
 		t.Fatal("write rule must not grant read")
 	}
-	mw, err := p.Materialize(doc, ModeWrite, 1)
+	mw, err := materialize(p, doc, ModeWrite, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,26 +315,13 @@ func TestMaterializeErrors(t *testing.T) {
 	doc := fig2doc(t)
 	p := NewPolicy()
 	grant(p, 0, ModeRead, 99)
-	if _, err := p.Materialize(doc, ModeRead, 1); err == nil {
+	if _, err := materialize(p, doc, ModeRead, 1); err == nil {
 		t.Fatal("invalid target should fail")
 	}
 	p2 := NewPolicy()
 	grant(p2, 5, ModeRead, 0)
-	if _, err := p2.Materialize(doc, ModeRead, 2); err == nil {
+	if _, err := materialize(p2, doc, ModeRead, 2); err == nil {
 		t.Fatal("out-of-range subject should fail")
-	}
-}
-
-func TestPolicyRulesCopy(t *testing.T) {
-	p := NewPolicy()
-	grant(p, 0, ModeRead, 0)
-	r := p.Rules()
-	r[0].Effect = Deny
-	if p.Rules()[0].Effect != Permit {
-		t.Fatal("Rules must return a copy")
-	}
-	if p.Len() != 1 {
-		t.Fatal("Len wrong")
 	}
 }
 
@@ -329,7 +331,7 @@ func TestEffectString(t *testing.T) {
 	}
 }
 
-// Property: Materialize with Most-Specific-Override matches a brute-force
+// Property: materialize with Most-Specific-Override matches a brute-force
 // per-node nearest-labeled-ancestor computation on random trees and rules.
 func TestMaterializeMatchesBruteForce(t *testing.T) {
 	f := func(seed int64) bool {
@@ -347,14 +349,14 @@ func TestMaterializeMatchesBruteForce(t *testing.T) {
 				Cascade: true,
 			})
 		}
-		m, err := p.Materialize(doc, ModeRead, 1)
+		m, err := materialize(p, doc, ModeRead, 1)
 		if err != nil {
 			return false
 		}
 		// Brute force: nearest ancestor-or-self with a cascading rule,
 		// last rule at that node wins.
 		lastRule := map[xmltree.NodeID]Effect{}
-		for _, r := range p.Rules() {
+		for _, r := range p.rules {
 			lastRule[r.Target] = r.Effect
 		}
 		for n := 0; n < doc.Len(); n++ {
@@ -410,7 +412,7 @@ func BenchmarkMaterialize(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := p.Materialize(doc, ModeRead, 8); err != nil {
+		if _, err := materialize(p, doc, ModeRead, 8); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -433,7 +435,7 @@ func TestDirectorySnapshotRoundTrip(t *testing.T) {
 	}
 	for i := 0; i < d.Len(); i++ {
 		s := SubjectID(i)
-		if re.Name(s) != d.Name(s) || re.IsGroup(s) != d.IsGroup(s) {
+		if re.Name(s) != d.Name(s) || re.isGroup[s] != d.isGroup[s] {
 			t.Fatalf("subject %d differs after round trip", i)
 		}
 	}

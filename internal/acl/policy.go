@@ -74,20 +74,10 @@ func NewPolicy() *Policy {
 // Add appends a rule.
 func (p *Policy) Add(r Rule) { p.rules = append(p.rules, r) }
 
-// Rules returns the policy's rules in definition order (a copy).
-func (p *Policy) Rules() []Rule {
-	out := make([]Rule, len(p.rules))
-	copy(out, p.rules)
-	return out
-}
-
-// Len returns the number of rules.
-func (p *Policy) Len() int { return len(p.rules) }
-
-// Materialize computes the net effect of the policy over doc for one action
-// mode, producing the accessibility matrix that DOL encodes. Rules for
-// other modes are ignored. numSubjects fixes the matrix's subject
-// dimension.
+// Runs sweeps the policy over doc once, in document order, for one action
+// mode, and hands fn the accessibility rows as runs: row is the row of the
+// n nodes from first on. Rules for other modes are ignored; numSubjects
+// fixes the rows' subject dimension.
 //
 // Semantics: for each subject, a node's accessibility is decided by
 //  1. non-cascading rules targeting the node itself, if any;
@@ -95,23 +85,7 @@ func (p *Policy) Len() int { return len(p.rules) }
 //     (Most-Specific-Override, as in the paper's synthetic workload §5);
 //  3. otherwise the policy default.
 //
-// Conflicts within a tier are resolved by p.Conflicts.
-func (p *Policy) Materialize(doc *xmltree.Document, mode Mode, numSubjects int) (*Matrix, error) {
-	m := NewMatrix(doc.Len(), numSubjects)
-	err := p.Runs(doc, mode, numSubjects, func(first xmltree.NodeID, n int, row *bitset.Bitset) {
-		for k := range n {
-			m.SetRow(first+xmltree.NodeID(k), row)
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// Runs sweeps the policy over doc once, in document order, for one action
-// mode, with Materialize's semantics, and hands fn the accessibility rows
-// as runs: row is the row of the n nodes from first on. The runs tile the
+// Conflicts within a tier are resolved by p.Conflicts. The runs tile the
 // document from the root; a run ends where the row may change — at a rule
 // target, at the node after a target with local rules, and at the node
 // after a cascading rule's subtree — so neighbouring runs may carry equal

@@ -16,8 +16,7 @@ import (
 // kept as the sweep's reference: for every subject that has rules, a DFS
 // from the root carries the inherited cascading effect, and two maps keyed
 // by (target, subject) hold each tier's rules.
-func refMaterialize(p *acl.Policy, doc *xmltree.Document, mode acl.Mode, numSubjects int) (*acl.Matrix, error) {
-	rules := p.Rules()
+func refMaterialize(p *acl.Policy, rules []acl.Rule, doc *xmltree.Document, mode acl.Mode, numSubjects int) (*acl.Matrix, error) {
 	for i, r := range rules {
 		if !doc.Valid(r.Target) {
 			return nil, fmt.Errorf("acl: rule %d targets invalid node %d", i, r.Target)
@@ -118,14 +117,20 @@ func refMaterialize(p *acl.Policy, doc *xmltree.Document, mode acl.Mode, numSubj
 // runsPolicy draws rules over doc that reach every case of the sweep:
 // rules on the root and on the last node, several rules on one (target,
 // subject) in both tiers, local rules on cascade targets, nested and
-// sibling cascades, and rules of a second mode that must be ignored.
-func runsPolicy(rng *rand.Rand, doc *xmltree.Document, subjects int) *acl.Policy {
+// sibling cascades, and rules of a second mode that must be ignored. It
+// returns the policy and its rules in definition order.
+func runsPolicy(rng *rand.Rand, doc *xmltree.Document, subjects int) (*acl.Policy, []acl.Rule) {
 	p := acl.NewPolicy()
 	last := xmltree.NodeID(doc.Len() - 1)
 	var targets []xmltree.NodeID
+	var rules []acl.Rule
+	addRule := func(r acl.Rule) {
+		p.Add(r)
+		rules = append(rules, r)
+	}
 	add := func(target xmltree.NodeID, cascade bool) {
 		targets = append(targets, target)
-		p.Add(acl.Rule{
+		addRule(acl.Rule{
 			Subject: acl.SubjectID(rng.Intn(subjects)),
 			Mode:    acl.Mode(rng.Intn(4) / 3), // one in four for ModeWrite
 			Target:  target,
@@ -142,9 +147,9 @@ func runsPolicy(rng *rand.Rand, doc *xmltree.Document, subjects int) *acl.Policy
 		case 0: // the same target, either tier
 			add(prev, cascade)
 		case 1: // the same (target, subject): repeat a rule with its own effect
-			r := p.Rules()[rng.Intn(p.Len())]
+			r := rules[rng.Intn(len(rules))]
 			r.Effect, r.Cascade = acl.Effect(rng.Intn(2)), cascade
-			p.Add(r)
+			addRule(r)
 		case 2: // nested: a descendant of an earlier target
 			if end := doc.End(prev); end > prev {
 				add(prev+1+xmltree.NodeID(rng.Intn(int(end-prev))), cascade)
@@ -157,35 +162,29 @@ func runsPolicy(rng *rand.Rand, doc *xmltree.Document, subjects int) *acl.Policy
 			add(xmltree.NodeID(rng.Intn(doc.Len())), cascade)
 		}
 	}
-	return p
+	return p, rules
 }
 
-// checkRuns compares Materialize, which fills the matrix from the sweep,
-// with refMaterialize under every conflict policy and both defaults, and
-// checks that the runs tile the document.
-func checkRuns(t *testing.T, doc *xmltree.Document, p *acl.Policy, subjects int) {
+// checkRuns compares the matrix filled from the sweep's runs with
+// refMaterialize under every conflict policy and both defaults, and checks
+// that the runs tile the document.
+func checkRuns(t *testing.T, doc *xmltree.Document, p *acl.Policy, rules []acl.Rule, subjects int) {
 	t.Helper()
 	for _, conflicts := range []acl.ConflictPolicy{acl.DenyOverrides, acl.PermitOverrides, acl.LastRuleWins} {
 		for _, def := range []acl.Effect{acl.Deny, acl.Permit} {
 			p.Conflicts, p.DefaultEffect = conflicts, def
-			want, err := refMaterialize(p, doc, acl.ModeRead, subjects)
+			want, err := refMaterialize(p, rules, doc, acl.ModeRead, subjects)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := p.Materialize(doc, acl.ModeRead, subjects)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for n := 0; n < doc.Len(); n++ {
-				if g, w := got.Row(xmltree.NodeID(n)), want.Row(xmltree.NodeID(n)); !g.EqualBits(w) {
-					t.Fatalf("conflicts %d, default %v, %d rules: node %d of %d has %v, reference %v",
-						conflicts, def, p.Len(), n, doc.Len(), g, w)
-				}
-			}
+			got := acl.NewMatrix(doc.Len(), subjects)
 			next := xmltree.NodeID(0)
-			if err := p.Runs(doc, acl.ModeRead, subjects, func(first xmltree.NodeID, n int, _ *bitset.Bitset) {
+			if err := p.Runs(doc, acl.ModeRead, subjects, func(first xmltree.NodeID, n int, row *bitset.Bitset) {
 				if first != next || n < 1 {
 					t.Fatalf("a run of %d nodes at %d, after runs up to %d", n, first, next)
+				}
+				for k := range n {
+					got.SetRow(first+xmltree.NodeID(k), row)
 				}
 				next += xmltree.NodeID(n)
 			}); err != nil {
@@ -193,6 +192,12 @@ func checkRuns(t *testing.T, doc *xmltree.Document, p *acl.Policy, subjects int)
 			}
 			if int(next) != doc.Len() {
 				t.Fatalf("the runs end at %d of %d nodes", next, doc.Len())
+			}
+			for n := 0; n < doc.Len(); n++ {
+				if g, w := got.Row(xmltree.NodeID(n)), want.Row(xmltree.NodeID(n)); !g.EqualBits(w) {
+					t.Fatalf("conflicts %d, default %v, %d rules: node %d of %d has %v, reference %v",
+						conflicts, def, len(rules), n, doc.Len(), g, w)
+				}
 			}
 		}
 	}
@@ -209,7 +214,8 @@ func TestPolicyRunsMatchReference(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				doc := xmlmodel.Doc(rng, 1+rng.Intn(200), shape)
 				subjects := 1 + rng.Intn(70) // past one word of bits
-				checkRuns(t, doc, runsPolicy(rng, doc, subjects), subjects)
+				p, rules := runsPolicy(rng, doc, subjects)
+				checkRuns(t, doc, p, rules, subjects)
 			})
 		}
 	}
@@ -223,6 +229,7 @@ func FuzzPolicyRuns(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		doc := xmlmodel.Doc(rng, 1+int(size), runsShapes[int(shape)%len(runsShapes)])
 		subjects := 1 + rng.Intn(70)
-		checkRuns(t, doc, runsPolicy(rng, doc, subjects), subjects)
+		p, rules := runsPolicy(rng, doc, subjects)
+		checkRuns(t, doc, p, rules, subjects)
 	})
 }

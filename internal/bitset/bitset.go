@@ -116,16 +116,6 @@ func (b *Bitset) Count() int {
 	return c
 }
 
-// Any reports whether at least one bit is set.
-func (b *Bitset) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Equal reports whether b and o have identical logical length and bits.
 func (b *Bitset) Equal(o *Bitset) bool {
 	if b.n != o.n {
@@ -204,34 +194,6 @@ func (b *Bitset) Intersects(o *Bitset) bool {
 	return false
 }
 
-// And sets b to the bitwise AND of b and o, keeping b's logical length.
-func (b *Bitset) And(o *Bitset) {
-	for i := range b.words {
-		if i < len(o.words) {
-			b.words[i] &= o.words[i]
-		} else {
-			b.words[i] = 0
-		}
-	}
-}
-
-// Or sets b to the bitwise OR of b and o, growing b if o is longer.
-func (b *Bitset) Or(o *Bitset) {
-	b.grow(o.n)
-	for i := range o.words {
-		b.words[i] |= o.words[i]
-	}
-}
-
-// AndNot clears every bit of b that is set in o.
-func (b *Bitset) AndNot(o *Bitset) {
-	for i := range b.words {
-		if i < len(o.words) {
-			b.words[i] &^= o.words[i]
-		}
-	}
-}
-
 // NextSet returns the index of the first set bit at or after i, or -1 if
 // there is none.
 func (b *Bitset) NextSet(i int) int {
@@ -261,24 +223,6 @@ func (b *Bitset) Indices() []int {
 		idx = append(idx, i)
 	}
 	return idx
-}
-
-// RemoveBit deletes bit position i, shifting all higher bits down by one and
-// shrinking the logical length. It is used when a subject is deleted from a
-// DOL codebook.
-func (b *Bitset) RemoveBit(i int) {
-	if i < 0 || i >= b.n {
-		panic(fmt.Sprintf("bitset: RemoveBit(%d) out of range [0,%d)", i, b.n))
-	}
-	w, off := i/wordBits, uint(i%wordBits)
-	low := b.words[w] & ((1 << off) - 1)
-	high := b.words[w] >> (off + 1) << off
-	b.words[w] = low | high
-	for j := w + 1; j < len(b.words); j++ {
-		b.words[j-1] |= (b.words[j] & 1) << (wordBits - 1)
-		b.words[j] >>= 1
-	}
-	b.Resize(b.n - 1)
 }
 
 // String renders the bitset as a left-to-right bit string ("10110"),

@@ -160,38 +160,6 @@ func TestKeyIgnoresTrailingZeros(t *testing.T) {
 	}
 }
 
-func TestLogicOps(t *testing.T) {
-	a := FromIndices(8, 0, 1, 2)
-	b := FromIndices(8, 1, 2, 3)
-
-	and := a.Clone()
-	and.And(b)
-	if got, want := and.String(), "01100000"; got != want {
-		t.Errorf("And = %s, want %s", got, want)
-	}
-
-	or := a.Clone()
-	or.Or(b)
-	if got, want := or.String(), "11110000"; got != want {
-		t.Errorf("Or = %s, want %s", got, want)
-	}
-
-	an := a.Clone()
-	an.AndNot(b)
-	if got, want := an.String(), "10000000"; got != want {
-		t.Errorf("AndNot = %s, want %s", got, want)
-	}
-}
-
-func TestAndWithShorter(t *testing.T) {
-	a := FromIndices(200, 1, 100, 150)
-	b := FromIndices(8, 1)
-	a.And(b)
-	if a.Count() != 1 || !a.Test(1) {
-		t.Fatalf("And with shorter operand wrong: count=%d", a.Count())
-	}
-}
-
 func TestNextSetAndIndices(t *testing.T) {
 	b := FromIndices(200, 3, 64, 130)
 	if got := b.NextSet(0); got != 3 {
@@ -222,41 +190,6 @@ func TestNextSetRespectsLogicalLength(t *testing.T) {
 	if got := b.NextSet(0); got != -1 {
 		t.Fatalf("NextSet found bit beyond logical length: %d", got)
 	}
-}
-
-func TestRemoveBit(t *testing.T) {
-	// bits: 1 0 1 1 0 1 -> remove index 2 -> 1 0 1 0 1
-	b, err := Parse("101101")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.RemoveBit(2)
-	if got, want := b.String(), "10101"; got != want {
-		t.Fatalf("RemoveBit = %s, want %s", got, want)
-	}
-}
-
-func TestRemoveBitAcrossWords(t *testing.T) {
-	b := New(130)
-	b.Set(0)
-	b.Set(64)
-	b.Set(129)
-	b.RemoveBit(0)
-	if b.Len() != 129 {
-		t.Fatalf("Len = %d, want 129", b.Len())
-	}
-	if !b.Test(63) || !b.Test(128) || b.Test(0) {
-		t.Fatalf("RemoveBit shift wrong: %v", b.Indices())
-	}
-}
-
-func TestRemoveBitPanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	New(5).RemoveBit(5)
 }
 
 func TestParseErrors(t *testing.T) {
@@ -303,38 +236,6 @@ func TestUnmarshalErrors(t *testing.T) {
 	}
 }
 
-// Property: RemoveBit(i) behaves like deleting position i from the bit string.
-func TestRemoveBitProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(300)
-		b := New(n)
-		ref := make([]bool, n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(2) == 1 {
-				b.Set(i)
-				ref[i] = true
-			}
-		}
-		i := rng.Intn(n)
-		b.RemoveBit(i)
-		ref = append(ref[:i], ref[i+1:]...)
-		if b.Len() != len(ref) {
-			return false
-		}
-		for j, v := range ref {
-			if b.Test(j) != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: marshal/unmarshal is the identity.
 func TestMarshalProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -94,13 +94,6 @@ func (b *Bitset) SetRange(lo, hi int) {
 	b.words[hw] |= hiMask
 }
 
-// TestRun reports whether bit i is set in the sorted run list. It is the
-// sparse equivalent of Test, used by run-encoded codebook rows.
-func TestRun(runs []Run, i uint32) bool {
-	k := sort.Search(len(runs), func(k int) bool { return runs[k].End() > i })
-	return k < len(runs) && runs[k].Start <= i
-}
-
 // AddRunBit returns a sorted run list equal to runs plus bit s, coalescing
 // with adjacent runs. When s is already set it returns runs unchanged (the
 // same slice); otherwise it returns a fresh slice and leaves runs intact.

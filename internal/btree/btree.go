@@ -108,15 +108,6 @@ func (t *Tree) computeCaps() {
 	}
 }
 
-// Root returns the root page ID (persisted by callers for Open).
-func (t *Tree) Root() storage.PageID { return t.root }
-
-// Height returns the tree height (1 = a single leaf).
-func (t *Tree) Height() int { return t.height }
-
-// Len returns the number of stored keys.
-func (t *Tree) Len() int { return t.numKeys }
-
 func initLeaf(data []byte) {
 	data[0] = kindLeaf
 	binary.LittleEndian.PutUint16(data[1:3], 0)

@@ -22,8 +22,8 @@ func newTree(t testing.TB, pageSize int) (*Tree, *storage.BufferPool) {
 
 func TestEmptyTree(t *testing.T) {
 	tr, _ := newTree(t, 256)
-	if tr.Len() != 0 || tr.Height() != 1 {
-		t.Fatalf("empty tree: len %d height %d", tr.Len(), tr.Height())
+	if tr.numKeys != 0 || tr.height != 1 {
+		t.Fatalf("empty tree: len %d height %d", tr.numKeys, tr.height)
 	}
 	ps, err := tr.Postings(5)
 	if err != nil {
@@ -41,8 +41,8 @@ func TestInsertAndScanSingleLeaf(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Len() != 10 || tr.Height() != 1 {
-		t.Fatalf("len %d height %d", tr.Len(), tr.Height())
+	if tr.numKeys != 10 || tr.height != 1 {
+		t.Fatalf("len %d height %d", tr.numKeys, tr.height)
 	}
 	ps, err := tr.Postings(1)
 	if err != nil {
@@ -78,11 +78,11 @@ func TestSplitsAndHeightGrowth(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tr.Len() != n {
-		t.Fatalf("Len = %d", tr.Len())
+	if tr.numKeys != n {
+		t.Fatalf("Len = %d", tr.numKeys)
 	}
-	if tr.Height() < 3 {
-		t.Fatalf("expected height >= 3 with tiny pages, got %d", tr.Height())
+	if tr.height < 3 {
+		t.Fatalf("expected height >= 3 with tiny pages, got %d", tr.height)
 	}
 	for tag := int32(0); tag < 7; tag++ {
 		ps, err := tr.Postings(tag)
@@ -152,7 +152,7 @@ func TestOpenPersistence(t *testing.T) {
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	re := Open(pool, tr.Root(), tr.Height(), tr.Len())
+	re := Open(pool, tr.root, tr.height, tr.numKeys)
 	ps, err := re.Postings(2)
 	if err != nil {
 		t.Fatal(err)
@@ -171,10 +171,10 @@ func TestBuildFromDocument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tree.Len() != doc.Len() {
-		t.Fatalf("Len = %d, want %d", tree.Len(), doc.Len())
+	if tree.numKeys != doc.Len() {
+		t.Fatalf("Len = %d, want %d", tree.numKeys, doc.Len())
 	}
-	tagB, _ := doc.LookupTag("b")
+	tagB := doc.TagIDOf(doc.NodesWithTag("b")[0])
 	ps, err := tree.Postings(int32(tagB))
 	if err != nil {
 		t.Fatal(err)

@@ -51,8 +51,8 @@ func insertBuiltValues(t testing.TB, pageSize int, entries []ValueEntry) *ValueT
 // which the callers choose to include tags no entry has.
 func sameTagAnswers(t testing.TB, got, want *Tree, lo, hi int32) {
 	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("Len = %d, want %d", got.Len(), want.Len())
+	if got.numKeys != want.numKeys {
+		t.Fatalf("Len = %d, want %d", got.numKeys, want.numKeys)
 	}
 	for tag := lo; tag < hi; tag++ {
 		g, err := got.Postings(tag)
@@ -71,8 +71,8 @@ func sameTagAnswers(t testing.TB, got, want *Tree, lo, hi int32) {
 
 func sameValueAnswers(t testing.TB, got, want *ValueTree, tags []int32, values []string) {
 	t.Helper()
-	if got.Len() != want.Len() {
-		t.Fatalf("Len = %d, want %d", got.Len(), want.Len())
+	if got.numKeys != want.numKeys {
+		t.Fatalf("Len = %d, want %d", got.numKeys, want.numKeys)
 	}
 	for _, tag := range tags {
 		for _, v := range values {
@@ -96,8 +96,8 @@ func sameValueAnswers(t testing.TB, got, want *ValueTree, tags []int32, values [
 // and all leaves but the last are full.
 func checkShape(t testing.TB, tr *Tree) {
 	t.Helper()
-	level := []storage.PageID{tr.Root()}
-	for h := tr.Height(); h > 1; h-- {
+	level := []storage.PageID{tr.root}
+	for h := tr.height; h > 1; h-- {
 		var below []storage.PageID
 		for _, p := range level {
 			f, err := tr.pool.Get(p)
@@ -140,8 +140,8 @@ func checkShape(t testing.TB, tr *Tree) {
 
 func checkValueShape(t testing.TB, vt *ValueTree) {
 	t.Helper()
-	level := []storage.PageID{vt.Root()}
-	for h := vt.Height(); h > 1; h-- {
+	level := []storage.PageID{vt.root}
+	for h := vt.height; h > 1; h-- {
 		var below []storage.PageID
 		for _, p := range level {
 			n, err := vt.load(p)
@@ -205,11 +205,11 @@ func TestLoadMatchesInsert(t *testing.T) {
 		}
 		checkShape(t, got)
 		sameTagAnswers(t, got, want, -1, numTags*3+1)
-		sameTagAnswers(t, Open(pool, got.Root(), got.Height(), got.Len()), want, -1, numTags*3+1)
-		if got.Height() > want.Height() {
-			t.Fatalf("seed %d: loaded height %d above inserted %d", seed, got.Height(), want.Height())
+		sameTagAnswers(t, Open(pool, got.root, got.height, got.numKeys), want, -1, numTags*3+1)
+		if got.height > want.height {
+			t.Fatalf("seed %d: loaded height %d above inserted %d", seed, got.height, want.height)
 		}
-		maxHeight = max(maxHeight, got.Height())
+		maxHeight = max(maxHeight, got.height)
 	}
 	if maxHeight < 3 {
 		t.Fatalf("tallest loaded tree has height %d; the property wants 3 or more covered", maxHeight)
@@ -240,8 +240,8 @@ func TestLoadValuesMatchesInsert(t *testing.T) {
 		}
 		checkValueShape(t, got)
 		sameValueAnswers(t, got, want, tags, values)
-		sameValueAnswers(t, OpenValueTree(pool, got.Root(), got.Height(), got.Len()), want, tags, values)
-		maxHeight = max(maxHeight, got.Height())
+		sameValueAnswers(t, OpenValueTree(pool, got.root, got.height, got.numKeys), want, tags, values)
+		maxHeight = max(maxHeight, got.height)
 	}
 	if maxHeight < 3 {
 		t.Fatalf("tallest loaded tree has height %d; the property wants 3 or more covered", maxHeight)
@@ -275,8 +275,8 @@ func TestLoadBoundarySizes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got.Height() != tc.height || pool.Pager().NumPages() != tc.leaves+tc.inner {
-				t.Fatalf("height %d on %d pages, want %d on %d", got.Height(), pool.Pager().NumPages(), tc.height, tc.leaves+tc.inner)
+			if got.height != tc.height || pool.Pager().NumPages() != tc.leaves+tc.inner {
+				t.Fatalf("height %d on %d pages, want %d on %d", got.height, pool.Pager().NumPages(), tc.height, tc.leaves+tc.inner)
 			}
 			checkShape(t, got)
 			sameTagAnswers(t, got, insertBuilt(t, pageSize, entries), -1, 4)
@@ -303,8 +303,8 @@ func TestLoadValuesBoundarySizes(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if wantLeaf := keys <= 11; (got.Height() == 1) != wantLeaf {
-				t.Fatalf("height %d for %d keys", got.Height(), keys)
+			if wantLeaf := keys <= 11; (got.height == 1) != wantLeaf {
+				t.Fatalf("height %d for %d keys", got.height, keys)
 			}
 			checkValueShape(t, got)
 			sameValueAnswers(t, got, insertBuiltValues(t, pageSize, entries), []int32{0, 1, 2}, values)
@@ -467,8 +467,8 @@ func TestLoadValuesOrderMatchesFullComparison(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		page := vt.Root()
-		for h := vt.Height(); h > 1; h-- {
+		page := vt.root
+		for h := vt.height; h > 1; h-- {
 			n, err := vt.load(page)
 			if err != nil {
 				t.Fatal(err)

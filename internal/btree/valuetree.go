@@ -83,15 +83,6 @@ func OpenValueTree(pool *storage.BufferPool, root storage.PageID, height, numKey
 	}
 }
 
-// Root, Height and Len expose reopen metadata.
-func (t *ValueTree) Root() storage.PageID { return t.root }
-
-// Height returns the tree height (1 = a single leaf).
-func (t *ValueTree) Height() int { return t.height }
-
-// Len returns the number of stored keys.
-func (t *ValueTree) Len() int { return t.numKeys }
-
 // Page encoding. Reuses the fixed header of the posting tree
 // (kind, count, next) and serializes the payload with varints:
 //

@@ -23,8 +23,8 @@ func newValueTree(t testing.TB, pageSize int) (*ValueTree, *storage.BufferPool) 
 
 func TestValueTreeBasics(t *testing.T) {
 	vt, _ := newValueTree(t, 4096)
-	if vt.Len() != 0 || vt.Height() != 1 {
-		t.Fatalf("fresh tree: len %d height %d", vt.Len(), vt.Height())
+	if vt.numKeys != 0 || vt.height != 1 {
+		t.Fatalf("fresh tree: len %d height %d", vt.numKeys, vt.height)
 	}
 	vals := []string{"carved mask", "drum", "silk cloth", "drum"}
 	for i, v := range vals {
@@ -81,8 +81,8 @@ func TestValueTreeSplitsAndOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if vt.Height() < 2 {
-		t.Fatalf("expected splits, height %d", vt.Height())
+	if vt.height < 2 {
+		t.Fatalf("expected splits, height %d", vt.height)
 	}
 	for tag := int32(0); tag < 5; tag++ {
 		for g := 0; g < 40; g++ {
@@ -123,7 +123,7 @@ func TestValueTreePersistence(t *testing.T) {
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	re := OpenValueTree(pool, vt.Root(), vt.Height(), vt.Len())
+	re := OpenValueTree(pool, vt.root, vt.height, vt.numKeys)
 	want, _ := vt.ValuePostings(2, "k3")
 	got, err := re.ValuePostings(2, "k3")
 	if err != nil {
@@ -142,7 +142,7 @@ func TestBuildValueIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagA, _ := doc.LookupTag("a")
+	tagA := doc.TagIDOf(doc.NodesWithTag("a")[0])
 	ps, err := vt.ValuePostings(int32(tagA), "x")
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +151,8 @@ func TestBuildValueIndex(t *testing.T) {
 		t.Fatalf("a=x postings = %v", ps)
 	}
 	// Only valued nodes are indexed.
-	if vt.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", vt.Len())
+	if vt.numKeys != 3 {
+		t.Fatalf("Len = %d, want 3", vt.numKeys)
 	}
 }
 

@@ -136,13 +136,6 @@ func Build(doc *xmltree.Document, acc *bitset.Bitset) *CAM {
 // Len returns the number of CAM labels — the paper's Figure 4 metric.
 func (c *CAM) Len() int { return len(c.labels) }
 
-// Labels returns the CAM labels in document order (a copy).
-func (c *CAM) Labels() []Label {
-	out := make([]Label, len(c.labels))
-	copy(out, c.labels)
-	return out
-}
-
 // Accessible resolves node n's accessibility via the nearest labeled
 // ancestor-or-self.
 func (c *CAM) Accessible(n xmltree.NodeID) (bool, error) {
@@ -158,14 +151,4 @@ func (c *CAM) Accessible(n xmltree.NodeID) (bool, error) {
 		}
 	}
 	return false, fmt.Errorf("cam: node %d has no labeled ancestor (missing root label)", n)
-}
-
-// EstimateBytes returns the storage estimate the DOL paper uses in §5.1.1:
-// each CAM label costs 2 accessibility bits plus pointerBytes of node and
-// child references (the paper charges an "unrealistically" low 10 bytes).
-func (c *CAM) EstimateBytes(pointerBytes int) int {
-	// 2 bits rounded into the pointer budget's padding: charge
-	// pointerBytes + 1 per label, mirroring the paper's arithmetic of
-	// pointers dominating.
-	return len(c.labels) * (pointerBytes + 1)
 }

@@ -46,7 +46,7 @@ func TestSingleExceptionSubtree(t *testing.T) {
 	c := Build(doc, acc)
 	// Optimal: label root (self +, desc +) and c (self -, desc -): 2 labels.
 	if c.Len() != 2 {
-		t.Fatalf("want 2 labels, got %d: %+v", c.Len(), c.Labels())
+		t.Fatalf("want 2 labels, got %d: %+v", c.Len(), c.labels)
 	}
 	for n := 0; n < doc.Len(); n++ {
 		ok, _ := c.Accessible(xmltree.NodeID(n))
@@ -65,7 +65,7 @@ func TestSelfDescSplit(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("want 1 label (self+, desc-), got %d", c.Len())
 	}
-	l := c.Labels()[0]
+	l := c.labels[0]
 	if !l.Self || l.Desc {
 		t.Fatalf("label = %+v", l)
 	}
@@ -76,15 +76,6 @@ func TestAccessibleErrors(t *testing.T) {
 	c := Build(doc, bitset.New(1))
 	if _, err := c.Accessible(9); err == nil {
 		t.Fatal("invalid node should fail")
-	}
-}
-
-func TestEstimateBytes(t *testing.T) {
-	doc := xmltree.MustParseString(`<a><b/></a>`)
-	acc := bitset.FromIndices(2, 0)
-	c := Build(doc, acc)
-	if got := c.EstimateBytes(10); got != c.Len()*11 {
-		t.Fatalf("EstimateBytes = %d", got)
 	}
 }
 

@@ -42,8 +42,9 @@ type Codebook struct {
 	index       map[string]Code
 	sharedIndex bool
 	// dups records that the index, when built, found live codes sharing
-	// a key (duplicates RemoveSubject left): freeing the code in such a
-	// key's slot drops the index, to be built again with the survivor.
+	// a key (UnmarshalBinary accepts duplicate rows): freeing the code in
+	// such a key's slot drops the index, to be built again with the
+	// survivor.
 	dups bool
 	free []Code // freed codes available for reuse
 	// gen counts mutations that may invalidate externally cached access
@@ -84,7 +85,8 @@ func (cb *Codebook) Clone() *Codebook {
 
 // lookupIndex returns the ACL index for reading, building it if it is not
 // built yet: the first live code with a given key wins its slot, so
-// duplicates RemoveSubject left stay addressable but are not re-issued.
+// duplicate rows a decoded codebook holds stay addressable but are not
+// re-issued.
 func (cb *Codebook) lookupIndex() map[string]Code {
 	if cb.index == nil {
 		cb.index, cb.sharedIndex, cb.dups = make(map[string]Code, len(cb.entries)), false, false
@@ -169,10 +171,10 @@ func (cb *Codebook) Release(c Code) {
 	// decisions and page bitmaps, so the generation always advances.
 	cb.gen++
 	if cb.refs[c] == 0 {
-		// The slot is c's only if c holds it: a duplicate RemoveSubject
-		// left behind shares its key with the live code in the slot, and
-		// when c holds it a duplicate may live on to take it over. An
-		// index not built yet is built without the freed entry.
+		// The slot is c's only if c holds it: a duplicate row shares its
+		// key with the live code in the slot, and when c holds it a
+		// duplicate may live on to take it over. An index not built yet
+		// is built without the freed entry.
 		if cb.index != nil {
 			key := cb.entries[c].Key()
 			if owner, ok := cb.index[key]; ok && owner == c {
@@ -187,9 +189,6 @@ func (cb *Codebook) Release(c Code) {
 		cb.free = append(cb.free, c)
 	}
 }
-
-// Refs returns the reference count of code c (0 for freed codes).
-func (cb *Codebook) Refs(c Code) int { return cb.refs[c] }
 
 // live reports whether code c holds an entry.
 func (cb *Codebook) live(c Code) bool { return int(c) < len(cb.entries) && cb.entries[c] != nil }
@@ -266,49 +265,6 @@ func (cb *Codebook) AddSubjectLike(like acl.SubjectID) (acl.SubjectID, error) {
 		}
 	}
 	return s, nil
-}
-
-// RemoveSubject deletes subject s's column. Distinct entries may collapse
-// to equal ACLs afterwards; they are kept as duplicate codes (still
-// correct) and reclaimed lazily, mirroring the paper's lazy redundancy
-// correction (§3.4). The caller must renumber its SubjectIDs: subjects
-// above s shift down by one.
-func (cb *Codebook) RemoveSubject(s acl.SubjectID) error {
-	if int(s) < 0 || int(s) >= cb.numSubjects {
-		return fmt.Errorf("dol: RemoveSubject(%d) out of range", s)
-	}
-	cb.numSubjects--
-	cb.gen++
-	// Every key changes: the index is built afresh at its next use.
-	cb.index, cb.sharedIndex = nil, false
-	for c, e := range cb.entries {
-		if e == nil {
-			continue
-		}
-		e = e.Clone()
-		e.RemoveBit(int(s))
-		cb.entries[c] = e
-	}
-	return nil
-}
-
-// Duplicates returns the number of live entries whose ACL equals that of a
-// lower-numbered live entry — redundancy introduced by RemoveSubject that a
-// lazy compaction pass would reclaim.
-func (cb *Codebook) Duplicates() int {
-	seen := make(map[string]bool, len(cb.entries))
-	dups := 0
-	for _, e := range cb.entries {
-		if e == nil {
-			continue
-		}
-		k := e.Key()
-		if seen[k] {
-			dups++
-		}
-		seen[k] = true
-	}
-	return dups
 }
 
 // maxCodebookSubjects bounds the subject populations the decoder will

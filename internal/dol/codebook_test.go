@@ -57,14 +57,6 @@ func TestCodebookCloneSubjectColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	unmoved("AddSubjectLike")
-	removed := cb.Clone()
-	if err := removed.RemoveSubject(1); err != nil {
-		t.Fatal(err)
-	}
-	unmoved("RemoveSubject")
-	if !removed.ACL(c0).Test(1) || removed.ACL(c1).Any() {
-		t.Fatal("RemoveSubject did not shift the clone's columns")
-	}
 	clone := cb.Clone()
 	cb.AddSubject()
 	if clone.ACL(c0).Len() != 3 {
@@ -160,8 +152,8 @@ func TestCodebookRefCountingAndReuse(t *testing.T) {
 	c0 := cb.Intern(bitset.FromIndices(2, 0))
 	cb.Retain(c0)
 	cb.Retain(c0)
-	if cb.Refs(c0) != 2 {
-		t.Fatalf("Refs = %d", cb.Refs(c0))
+	if cb.refs[c0] != 2 {
+		t.Fatalf("Refs = %d", cb.refs[c0])
 	}
 	cb.Release(c0)
 	if cb.Len() != 1 {
@@ -261,59 +253,47 @@ func TestAddSubjectLike(t *testing.T) {
 	}
 }
 
-func TestRemoveSubject(t *testing.T) {
-	cb := NewCodebook(3)
-	cA := cb.Intern(bitset.FromIndices(3, 0, 1))
-	cB := cb.Intern(bitset.FromIndices(3, 0, 2))
-	cb.Retain(cA)
-	cb.Retain(cB)
-	// Removing subject 1 collapses both to {0, (old 2 -> new 1)}... cA
-	// becomes {0}, cB becomes {0,1}.
-	if err := cb.RemoveSubject(1); err != nil {
-		t.Fatal(err)
-	}
-	if cb.NumSubjects() != 2 {
-		t.Fatalf("NumSubjects = %d", cb.NumSubjects())
-	}
-	if !cb.Accessible(cA, 0) || cb.Accessible(cA, 1) {
-		t.Fatal("cA wrong after removal")
-	}
-	if !cb.Accessible(cB, 0) || !cb.Accessible(cB, 1) {
-		t.Fatal("cB wrong after removal (old subject 2 should shift to 1)")
-	}
-	if err := cb.RemoveSubject(5); err == nil {
-		t.Fatal("out of range removal should fail")
+// removeColumn deletes subject s's column from every entry, shifting the
+// subjects above it down: distinct entries may collapse onto equal bits,
+// the duplicate codes lookupIndex, Release and Vacuum must handle.
+func removeColumn(cb *Codebook, s int) {
+	cb.numSubjects--
+	cb.gen++
+	cb.index, cb.sharedIndex = nil, false
+	for c, e := range cb.entries {
+		if e == nil {
+			continue
+		}
+		var keep []int
+		for _, i := range e.Indices() {
+			if i > s {
+				keep = append(keep, i-1)
+			} else if i < s {
+				keep = append(keep, i)
+			}
+		}
+		cb.entries[c] = bitset.FromIndices(cb.numSubjects, keep...)
 	}
 }
 
-func TestRemoveSubjectDuplicates(t *testing.T) {
-	cb := NewCodebook(2)
-	cA := cb.Intern(bitset.FromIndices(2, 0))
-	cB := cb.Intern(bitset.FromIndices(2, 0, 1))
-	cb.Retain(cA)
-	cb.Retain(cB)
-	if cb.Duplicates() != 0 {
-		t.Fatal("unexpected duplicates")
+// duplicates counts the live entries whose bits equal a lower live
+// entry's.
+func duplicates(cb *Codebook) int {
+	seen := make(map[string]bool, len(cb.entries))
+	dups := 0
+	for _, e := range cb.entries {
+		if e == nil {
+			continue
+		}
+		if seen[e.Key()] {
+			dups++
+		}
+		seen[e.Key()] = true
 	}
-	if err := cb.RemoveSubject(1); err != nil {
-		t.Fatal(err)
-	}
-	// Both entries are now {0}: duplicates appear, kept lazily.
-	if cb.Duplicates() != 1 {
-		t.Fatalf("Duplicates = %d, want 1", cb.Duplicates())
-	}
-	// Both codes still resolve correctly.
-	if !cb.Accessible(cA, 0) || !cb.Accessible(cB, 0) {
-		t.Fatal("codes broken after collapse")
-	}
-	// New interns of the collapsed ACL reuse one canonical code.
-	got := cb.Intern(bitset.FromIndices(1, 0))
-	if got != cA && got != cB {
-		t.Fatalf("intern after collapse returned fresh code %d", got)
-	}
+	return dups
 }
 
-// Freeing one of two codes RemoveSubject collapsed onto the same bits
+// Freeing one of two codes removeColumn collapsed onto the same bits
 // leaves the other one's bits interned under it: freeing the duplicate
 // keeps the live code's index slot, and freeing the code in the slot hands
 // it to the duplicate — with the index built before the release and with
@@ -326,13 +306,9 @@ func TestReleaseDuplicateKeepsLiveSlot(t *testing.T) {
 			cB := cb.Intern(bitset.FromIndices(2, 0, 1))
 			cb.Retain(cA)
 			cb.Retain(cB)
-			if err := cb.RemoveSubject(1); err != nil {
-				t.Fatal(err)
-			}
+			removeColumn(cb, 1)
 			if built {
 				cb.lookupIndex()
-			} else if cb.index != nil {
-				t.Fatal("RemoveSubject built the index")
 			}
 			freed, live := cB, cA
 			if freeSlot {
@@ -342,8 +318,8 @@ func TestReleaseDuplicateKeepsLiveSlot(t *testing.T) {
 			if got := cb.Intern(bitset.FromIndices(1, 0)); got != live {
 				t.Errorf("built=%v: Intern({0}) after freeing code %d = %d, want the live code %d", built, freed, got, live)
 			}
-			if d := cb.Duplicates(); d != 0 {
-				t.Errorf("built=%v: Duplicates() = %d after freeing code %d, want 0", built, d, freed)
+			if d := duplicates(cb); d != 0 {
+				t.Errorf("built=%v: %d duplicates after freeing code %d, want 0", built, d, freed)
 			}
 		}
 	}
@@ -405,8 +381,8 @@ func TestCodebookMarshalRoundTrip(t *testing.T) {
 	if got.NumSubjects() != 5 || got.Len() != cb.Len() {
 		t.Fatalf("dims: %d subjects, %d entries", got.NumSubjects(), got.Len())
 	}
-	if got.Refs(c0) != 2 || got.Refs(c1) != 1 {
-		t.Fatalf("refs lost: %d, %d", got.Refs(c0), got.Refs(c1))
+	if got.refs[c0] != 2 || got.refs[c1] != 1 {
+		t.Fatalf("refs lost: %d, %d", got.refs[c0], got.refs[c1])
 	}
 	if !got.ACL(c0).EqualBits(cb.ACL(c0)) {
 		t.Fatal("ACL bits lost")

@@ -95,7 +95,7 @@ func liveCodes(cb *Codebook) []Code {
 	seen := map[Code]bool{}
 	var out []Code
 	for c := Code(0); int(c) < cb.Cap(); c++ {
-		if cb.Refs(c) > 0 && !seen[c] {
+		if cb.refs[c] > 0 && !seen[c] {
 			seen[c] = true
 			out = append(out, c)
 		}

@@ -131,8 +131,8 @@ func FuzzCodebookMeta(f *testing.F) {
 			if back.entries[c] == nil || !back.entries[c].EqualBits(cb.entries[c]) {
 				t.Fatalf("code %d: ACL changed across round-trip", c)
 			}
-			if back.Refs(Code(c)) != cb.Refs(Code(c)) {
-				t.Fatalf("code %d: refs %d -> %d", c, cb.Refs(Code(c)), back.Refs(Code(c)))
+			if back.refs[Code(c)] != cb.refs[Code(c)] {
+				t.Fatalf("code %d: refs %d -> %d", c, cb.refs[Code(c)], back.refs[Code(c)])
 			}
 		}
 		again, err := back.MarshalBinary()

@@ -42,14 +42,8 @@ func NewRunCodebook(numSubjects int) *RunCodebook {
 	}
 }
 
-// NumSubjects returns the subject dimension of the codebook.
-func (cb *RunCodebook) NumSubjects() int { return cb.numSubjects }
-
 // Len returns the number of live entries.
 func (cb *RunCodebook) Len() int { return len(cb.entries) - len(cb.free) }
-
-// Cap returns the number of code slots ever issued (live + freed).
-func (cb *RunCodebook) Cap() int { return len(cb.entries) }
 
 // Intern returns the code for the ACL described by the sorted, maximal run
 // list, adding an entry with reference count zero if it is new. The runs
@@ -115,29 +109,11 @@ func (cb *RunCodebook) Release(c Code) {
 	}
 }
 
-// Refs returns the reference count of code c (0 for freed codes).
-func (cb *RunCodebook) Refs(c Code) int { return cb.refs[c] }
-
 func (cb *RunCodebook) runs(c Code) []bitset.Run {
 	if int(c) >= len(cb.entries) || cb.entries[c] == nil {
 		panic(fmt.Sprintf("dol: lookup of dead sparse code %d", c))
 	}
 	return cb.entries[c]
-}
-
-// Runs returns the run list for code c. The returned slice is shared;
-// callers must not modify it.
-func (cb *RunCodebook) Runs(c Code) []bitset.Run { return cb.runs(c) }
-
-// ACL materializes code c as a dense bitset; intended for cross-checks
-// against the dense Codebook at small scale, not for the hot path.
-func (cb *RunCodebook) ACL(c Code) *bitset.Bitset {
-	return bitset.FromRuns(cb.numSubjects, cb.runs(c))
-}
-
-// Accessible reports whether subject s is granted by code c.
-func (cb *RunCodebook) Accessible(c Code, s int) bool {
-	return s >= 0 && s < cb.numSubjects && bitset.TestRun(cb.runs(c), uint32(s))
 }
 
 // SparseBytes returns the encoded size of the live entries — the row bytes

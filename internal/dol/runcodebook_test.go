@@ -24,10 +24,10 @@ func TestRunCodebookInternDedup(t *testing.T) {
 	if cb.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", cb.Len())
 	}
-	if cb.Accessible(a, 99) != true || cb.Accessible(a, 100) != false {
-		t.Fatal("Accessible disagrees with run bounds")
+	if acl := bitset.FromRuns(1000, cb.runs(a)); !acl.Test(99) || acl.Test(100) {
+		t.Fatal("the runs disagree with their bounds")
 	}
-	if cb.Accessible(empty, 0) {
+	if bitset.FromRuns(1000, cb.runs(empty)).Test(0) {
 		t.Fatal("empty ACL grants subject 0")
 	}
 }
@@ -52,16 +52,8 @@ func TestRunCodebookWithBitOracle(t *testing.T) {
 		cb.Retain(next)
 		cb.Release(c)
 		c = next
-		if !cb.ACL(c).EqualBits(dense) {
+		if !bitset.FromRuns(n, cb.runs(c)).EqualBits(dense) {
 			t.Fatalf("step %d: sparse ACL diverged from dense oracle", step)
-		}
-		for _, probe := range []int{0, s - 1, s, s + 1, n - 1} {
-			if probe < 0 || probe >= n {
-				continue
-			}
-			if cb.Accessible(c, probe) != dense.Test(probe) {
-				t.Fatalf("step %d: Accessible(%d) = %v, oracle %v", step, probe, !dense.Test(probe), dense.Test(probe))
-			}
 		}
 	}
 	// The chain released every superseded prefix set: exactly the final
@@ -83,8 +75,8 @@ func TestRunCodebookReleaseReusesSlots(t *testing.T) {
 	if b != a {
 		t.Fatalf("freed slot %d not reused (got %d)", a, b)
 	}
-	if cb.Cap() != 1 {
-		t.Fatalf("Cap = %d, want 1", cb.Cap())
+	if len(cb.entries) != 1 {
+		t.Fatalf("%d slots, want 1", len(cb.entries))
 	}
 }
 
@@ -152,8 +144,8 @@ func TestCodebookV2SparseRoundTrip(t *testing.T) {
 		if !back.entries[c].Equal(cb.entries[c]) {
 			t.Fatalf("code %d: ACL changed across round-trip", c)
 		}
-		if back.Refs(Code(c)) != cb.Refs(Code(c)) {
-			t.Fatalf("code %d: refs %d -> %d", c, cb.Refs(Code(c)), back.Refs(Code(c)))
+		if back.refs[Code(c)] != cb.refs[Code(c)] {
+			t.Fatalf("code %d: refs %d -> %d", c, cb.refs[Code(c)], back.refs[Code(c)])
 		}
 	}
 	// Re-marshal is a byte fixpoint.

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"dolxml/internal/acl"
-	"dolxml/internal/bitset"
 	"dolxml/internal/nok"
 	"dolxml/internal/storage"
 	"dolxml/internal/xmltree"
@@ -70,12 +69,10 @@ func TestScaleOracle(t *testing.T) {
 		if hi > subjects {
 			hi = subjects
 		}
-		row := bitset.New(subjects)
-		row.SetRange(lo, hi)
 		sec := sections[gi%len(sections)]
 		for i := sec; i <= doc.End(sec); i++ {
 			or := m.Row(i).Clone()
-			or.Or(row)
+			or.SetRange(lo, hi)
 			m.SetRow(i, or)
 		}
 	}

@@ -146,16 +146,6 @@ func (ss *SecureStore) Accessible(n xmltree.NodeID, s acl.SubjectID) (bool, erro
 	return ss.cb.Accessible(c, s), nil
 }
 
-// AccessibleAny reports whether any subject of the effective set may
-// access node n.
-func (ss *SecureStore) AccessibleAny(n xmltree.NodeID, effective *bitset.Bitset) (bool, error) {
-	c, err := ss.store.AccessCodeAt(n)
-	if err != nil {
-		return false, err
-	}
-	return ss.cb.AccessibleAny(c, effective), nil
-}
-
 // SubjectView binds a SecureStore to one effective subject set, giving the
 // single-argument access predicate the secure query evaluator consumes.
 //

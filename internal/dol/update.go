@@ -444,9 +444,9 @@ func (ss *SecureStore) extractSubtree(n, end xmltree.NodeID) (*xmltree.Document,
 	return frag, m, values, nil
 }
 
-// Vacuum performs the paper's lazy redundancy correction (§3.4): subject
-// deletion can leave distinct codebook entries with identical ACLs and
-// adjacent transition nodes with equal effective lists. Vacuum rewrites
+// Vacuum performs the paper's lazy redundancy correction (§3.4): a
+// codebook can hold distinct entries with identical ACLs, and updates can
+// leave adjacent transition nodes with equal effective lists. Vacuum rewrites
 // the embedded codes canonically (every ACL maps to one code), merging
 // redundant transitions and releasing duplicate codebook entries. It is a
 // full-document pass; run it opportunistically, not per update.
@@ -467,12 +467,6 @@ func (ss *SecureStore) AddSubject() acl.SubjectID { return ss.cb.AddSubject() }
 // Only the codebook changes; no embedded transition codes are touched.
 func (ss *SecureStore) AddSubjectLike(like acl.SubjectID) (acl.SubjectID, error) {
 	return ss.cb.AddSubjectLike(like)
-}
-
-// RemoveSubject deletes a subject's codebook column. Redundant embedded
-// codes that may result are reclaimed lazily (§3.4).
-func (ss *SecureStore) RemoveSubject(s acl.SubjectID) error {
-	return ss.cb.RemoveSubject(s)
 }
 
 // regionBuf holds the writer's buffers for a region rewrite. Updates are

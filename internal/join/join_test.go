@@ -1,6 +1,7 @@
 package join
 
 import (
+	"cmp"
 	"context"
 	"math/rand"
 	"slices"
@@ -21,7 +22,7 @@ func itemsFor(doc *xmltree.Document, nodes []xmltree.NodeID) []Item {
 	for _, n := range nodes {
 		out = append(out, Item{Node: n, End: doc.End(n), Level: doc.Level(n)})
 	}
-	SortItems(out)
+	slices.SortFunc(out, func(a, b Item) int { return cmp.Compare(a.Node, b.Node) })
 	return out
 }
 

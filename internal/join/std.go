@@ -7,12 +7,7 @@
 // each document page at most once.
 package join
 
-import (
-	"cmp"
-	"slices"
-
-	"dolxml/internal/xmltree"
-)
+import "dolxml/internal/xmltree"
 
 // Item is a join input: a candidate node with its region encoding.
 type Item struct {
@@ -30,15 +25,9 @@ type Pair struct {
 	Desc xmltree.NodeID
 }
 
-// SortItems sorts candidates by document order, as the stack-based joins
-// require.
-func SortItems(items []Item) {
-	slices.SortFunc(items, func(a, b Item) int { return cmp.Compare(a.Node, b.Node) })
-}
-
 // STD performs the Stack-Tree-Desc structural join: it returns every pair
 // (a, d) with a ∈ ancs, d ∈ descs and a a proper ancestor of d. Both inputs
-// must be sorted by Node (use SortItems). Output is ordered by descendant.
+// must be sorted by Node. Output is ordered by descendant.
 //
 // The algorithm merges the two sorted lists, maintaining a stack of nested
 // ancestors that enclose the current position; each descendant emits one

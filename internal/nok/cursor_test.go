@@ -397,7 +397,7 @@ func TestCorruptBlockFailsLookup(t *testing.T) {
 		func(data []byte) { data[8]++ },                       // count disagrees
 		func(data []byte) { data[headerSize+1] = 0x7F },       // close count below the root
 	} {
-		f, err := s.Pool().Get(pid)
+		f, err := s.pool.Get(pid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -411,7 +411,7 @@ func TestCorruptBlockFailsLookup(t *testing.T) {
 			t.Error("SubtreeEnd in a corrupt block succeeded")
 		}
 		copy(f.Data, saved)
-		if err := s.Pool().Unpin(pid, false); err != nil {
+		if err := s.pool.Unpin(pid, false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -18,8 +18,8 @@ import (
 // file so a file-backed store can be reopened. The page directory itself is
 // reconstructed from the block headers, which remain authoritative.
 //
-// The sidecar holds Meta as the base64 of its binary image (AppendBinary),
-// which UnmarshalJSON reads.
+// The sidecar holds Meta as the base64 of its binary image (AppendHead,
+// then AppendTail), which UnmarshalJSON reads.
 type Meta struct {
 	NumNodes       int
 	Tags           []string
@@ -32,9 +32,6 @@ type Meta struct {
 	PathSummary *pathsum.Meta
 	ValueRefs   ValueRefs
 }
-
-// AppendBinary appends m's image: AppendHead, then AppendTail.
-func (m *Meta) AppendBinary(b []byte) []byte { return m.AppendTail(m.AppendHead(b)) }
 
 // AppendHead appends the part of the image that changes only with the
 // document's shape: the node count, the tag table (each tag length-prefixed)
@@ -60,7 +57,8 @@ func (m *Meta) AppendTail(b []byte) []byte {
 	return b
 }
 
-// UnmarshalBinary decodes what AppendBinary wrote, accepting nothing else.
+// UnmarshalBinary decodes what AppendHead then AppendTail wrote, accepting
+// nothing else.
 // It checks only the encoding: CheckValueRefs and Open check what the image
 // says.
 func (m *Meta) UnmarshalBinary(img []byte) error {

@@ -309,8 +309,8 @@ func TestValues(t *testing.T) {
 			t.Errorf("Value(%d) = %q, want %q", n, got, doc.Value(xmltree.NodeID(n)))
 		}
 	}
-	if vs.IndexBytes() != 2*refSize {
-		t.Errorf("IndexBytes = %d", vs.IndexBytes())
+	if len(vs.refs) != 2 {
+		t.Errorf("%d value refs, want 2", len(vs.refs))
 	}
 }
 
@@ -342,7 +342,7 @@ func TestValuesSpanPages(t *testing.T) {
 	for n := range nodes {
 		nodes[n] = xmltree.NodeID(n)
 	}
-	pool := s.Pool()
+	pool := s.pool
 	before := pool.Stats().Gets
 	got, err := s.Values().ValuesCtx(context.Background(), nodes)
 	if err != nil {
@@ -401,8 +401,8 @@ func TestValuesCtxAscendingSelections(t *testing.T) {
 				t.Fatalf("selection %d: node %d = %q, Value says %q, the document %q", i, n, got[k], want, doc.Value(n))
 			}
 		}
-		if s.Pool().Pinned() != 0 {
-			t.Fatalf("selection %d left %d frames pinned", i, s.Pool().Pinned())
+		if s.pool.Pinned() != 0 {
+			t.Fatalf("selection %d left %d frames pinned", i, s.pool.Pinned())
 		}
 	}
 }
@@ -442,7 +442,7 @@ func TestMetaReopen(t *testing.T) {
 	}
 	want := s.Meta()
 	var m Meta
-	if err := m.UnmarshalBinary(want.AppendBinary(nil)); err != nil {
+	if err := m.UnmarshalBinary(want.AppendTail(want.AppendHead(nil))); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(m.ValueRefs, s.Meta().ValueRefs) || len(m.ValueRefs) == 0 {
@@ -673,7 +673,7 @@ func TestStoreAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Pool() != pool {
+	if s.pool != pool {
 		t.Fatal("Pool accessor wrong")
 	}
 	if len(s.Directory()) != s.NumPages() {
@@ -689,7 +689,7 @@ func TestStoreAccessors(t *testing.T) {
 	if got := s.PageIndexOf(last); got != s.NumPages()-1 {
 		t.Fatalf("PageIndexOf(last) = %d, want %d", got, s.NumPages()-1)
 	}
-	if s.FreePages() != 0 {
+	if len(s.freeList) != 0 {
 		t.Fatal("fresh store should have no free pages")
 	}
 	if _, err := s.Info(-1); err == nil {

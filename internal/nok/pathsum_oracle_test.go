@@ -42,7 +42,7 @@ func TestPathSummaryOracleAfterRandomUpdates(t *testing.T) {
 			}
 			var entries []Entry
 			for b := i; b <= j; b++ {
-				es, err := s.BlockEntries(b)
+				es, err := blockEntries(s, b)
 				if err != nil {
 					t.Fatalf("seed %d op %d: %v", seed, op, err)
 				}
@@ -178,7 +178,7 @@ func TestPathSummaryRebuildFallback(t *testing.T) {
 	}
 	// Rewrite block 0 so its exit context walks a different label path:
 	// wrap the remainder of the document by renaming the root's tag.
-	entries, err := s.BlockEntries(0)
+	entries, err := blockEntries(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

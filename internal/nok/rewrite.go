@@ -38,20 +38,6 @@ func (s *Store) allocPage() (*storage.Frame, error) {
 	return s.pool.Allocate()
 }
 
-// FreePages returns the number of pages in the reuse list.
-func (s *Store) FreePages() int { return len(s.freeList) }
-
-// BlockEntries decodes the entries of block i exactly as stored: block-first
-// entries never carry inline codes (their code lives in the header). The
-// returned slice is the caller's (never shared with the decode cache).
-func (s *Store) BlockEntries(i int) ([]Entry, error) {
-	if i < 0 || i >= len(s.dir) {
-		return nil, fmt.Errorf("nok: invalid block %d of %d", i, len(s.dir))
-	}
-	es, _, err := s.AppendEntries(nil, nil, i, 0, s.dir[i].Count)
-	return es, err
-}
-
 // AppendEntries appends entries [lo, hi) of block i, in stored form, to
 // entries and the access code in force at each of them to codes — the read
 // half of a region rewrite, which edits both and hands them back to

@@ -1,6 +1,7 @@
 package nok
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,15 @@ import (
 	"dolxml/internal/xmlmodel"
 	"dolxml/internal/xmltree"
 )
+
+// blockEntries decodes the entries of block i exactly as stored.
+func blockEntries(s *Store, i int) ([]Entry, error) {
+	if i < 0 || i >= len(s.dir) {
+		return nil, fmt.Errorf("nok: invalid block %d of %d", i, len(s.dir))
+	}
+	es, _, err := s.AppendEntries(nil, nil, i, 0, s.dir[i].Count)
+	return es, err
+}
 
 // validate cross-checks the in-memory directory against the on-disk block
 // contents and the store's node count.
@@ -20,7 +30,7 @@ func validate(t *testing.T, s *Store) {
 		if pi.FirstNode != next {
 			t.Fatalf("block %d starts at %d, want %d", i, pi.FirstNode, next)
 		}
-		entries, err := s.BlockEntries(i)
+		entries, err := blockEntries(s, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +76,7 @@ func TestRewriteRegionIdentity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < s.NumPages(); i++ {
-			entries, err := s.BlockEntries(i)
+			entries, err := blockEntries(s, i)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -100,7 +110,7 @@ func TestRewriteRegionGrowSplits(t *testing.T) {
 	}
 	before := s.NumPages()
 	// Inflate block 0 by inserting many leaf entries under the root.
-	entries, err := s.BlockEntries(0)
+	entries, err := blockEntries(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,13 +150,13 @@ func TestRewriteRegionShrinkFreesPages(t *testing.T) {
 	// Collapse the last two blocks into the content of just the first of
 	// them.
 	i := s.NumPages() - 2
-	entries, err := s.BlockEntries(i)
+	entries, err := blockEntries(s, i)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Make the region's entries balanced: give the final kept entry all
 	// remaining closes of the document.
-	tail, err := s.BlockEntries(s.NumPages() - 1)
+	tail, err := blockEntries(s, s.NumPages()-1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +175,7 @@ func TestRewriteRegionShrinkFreesPages(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("shrink produced %d blocks", n)
 	}
-	if s.FreePages() == 0 {
+	if len(s.freeList) == 0 {
 		t.Fatal("shrink should free a page")
 	}
 	if s.NumNodes() != doc.Len()-dropped {
@@ -173,7 +183,7 @@ func TestRewriteRegionShrinkFreesPages(t *testing.T) {
 	}
 	// Freed page is reused by a growing rewrite instead of allocating.
 	pagesBefore := pool.Pager().NumPages()
-	entries0, _ := s.BlockEntries(0)
+	entries0, _ := blockEntries(s, 0)
 	var grown []Entry
 	grown = append(grown, entries0[0])
 	for k := 0; k < 20; k++ {
@@ -205,7 +215,7 @@ func TestRewriteRegionErrors(t *testing.T) {
 	if _, err := s.RewriteRegion(0, 0, nil, 0, 0); err == nil {
 		t.Fatal("empty rewrite should fail")
 	}
-	if _, err := s.BlockEntries(99); err == nil {
+	if _, err := blockEntries(s, 99); err == nil {
 		t.Fatal("invalid block should fail")
 	}
 }
@@ -281,7 +291,7 @@ func TestCheckConsistency(t *testing.T) {
 		t.Fatalf("fresh store inconsistent: %v", err)
 	}
 	// Stays consistent after rewrites.
-	entries, _ := s.BlockEntries(0)
+	entries, _ := blockEntries(s, 0)
 	pi := s.PageInfoAt(0)
 	var grown []Entry
 	grown = append(grown, entries[0])
@@ -314,7 +324,7 @@ func TestRewriteRegionWarmsDecodeCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, err := s.BlockEntries(0)
+	entries, err := blockEntries(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +350,7 @@ func TestRewriteRegionWarmsDecodeCache(t *testing.T) {
 	// every rewritten block back is all cache hits.
 	h0 := s.DecodeCacheStats().Hits
 	for i := 0; i < n; i++ {
-		if _, err := s.BlockEntries(i); err != nil {
+		if _, err := blockEntries(s, i); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -158,9 +158,6 @@ func (s *Store) Freeze() *Store {
 	return &c
 }
 
-// Pool returns the buffer pool backing the store.
-func (s *Store) Pool() *storage.BufferPool { return s.pool }
-
 // NumNodes returns the number of nodes in the stored document.
 func (s *Store) NumNodes() int { return s.numNodes }
 

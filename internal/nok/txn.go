@@ -4,8 +4,8 @@ import (
 	"dolxml/internal/storage"
 )
 
-// WithTxn runs fn as one atomic update batch when the store's pager supports
-// write-ahead-logged batches (storage.TxnPager), and plainly otherwise.
+// WithTxn runs fn as one atomic update batch when the store's pager is
+// write-ahead-logged (a *storage.WALPager), and plainly otherwise.
 //
 // On the transactional path the sequence is: open (or join) a batch, run
 // fn, flush every dirty buffer-pool frame into the batch, commit. The
@@ -18,11 +18,11 @@ import (
 //
 // When fn fails, or the flush or commit fails, the batch is rolled back.
 // The in-memory directory may then be ahead of disk; callers that observed
-// buffered writes being discarded (TxnPager implementations report this)
+// buffered writes being discarded (WALPager.LastAbortDirty reports this)
 // must discard the store and reopen it — recovery restores the pre-batch
 // pages.
 func (s *Store) WithTxn(fn func() error) error {
-	tp, ok := s.pool.Pager().(storage.TxnPager)
+	tp, ok := s.pool.Pager().(*storage.WALPager)
 	if !ok {
 		return fn()
 	}

@@ -138,12 +138,6 @@ func (vs *ValueStore) ValuesCtx(ctx context.Context, nodes []xmltree.NodeID) ([]
 // NumValues returns the number of stored (non-empty) values.
 func (vs *ValueStore) NumValues() int { return len(vs.refs) }
 
-// refSize is the in-memory bytes per value index entry.
-const refSize = 4 + 4 + 2 + 2
-
-// IndexBytes estimates the in-memory size of the value index.
-func (vs *ValueStore) IndexBytes() int { return len(vs.refs) * refSize }
-
 // DeleteRange removes the value references of nodes [lo, hi] and shifts the
 // node IDs of later references down, mirroring a structural subtree delete.
 // The freed value bytes are reclaimed lazily (on the next full rebuild).

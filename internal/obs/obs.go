@@ -33,9 +33,6 @@ type Counter struct {
 	v atomic.Int64
 }
 
-// NewCounter returns a fresh counter (equivalent to new(Counter)).
-func NewCounter() *Counter { return &Counter{} }
-
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
@@ -226,17 +223,6 @@ func (r *Registry) RegisterCounter(name string, c *Counter) error {
 	return nil
 }
 
-// Counter registers and returns a new counter under name, panicking on an
-// invalid or duplicate name — registration happens at construction time,
-// where a bad name is a programming error.
-func (r *Registry) Counter(name string) *Counter {
-	c := NewCounter()
-	if err := r.RegisterCounter(name, c); err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // RegisterGauge adds a function-backed gauge under name.
 func (r *Registry) RegisterGauge(name string, g Gauge) error {
 	r.mu.Lock()
@@ -246,14 +232,6 @@ func (r *Registry) RegisterGauge(name string, g Gauge) error {
 	}
 	r.gauges[name] = g
 	return nil
-}
-
-// Gauge registers fn as a gauge under name, panicking on an invalid or
-// duplicate name.
-func (r *Registry) Gauge(name string, fn Gauge) {
-	if err := r.RegisterGauge(name, fn); err != nil {
-		panic(err)
-	}
 }
 
 // RegisterHistogram adds an existing histogram under name.
@@ -295,18 +273,6 @@ func (r *Registry) Names() []string {
 	return names
 }
 
-// CounterValue returns the current value of the named counter (ok reports
-// whether it exists).
-func (r *Registry) CounterValue(name string) (int64, bool) {
-	r.mu.RLock()
-	c := r.counters[name]
-	r.mu.RUnlock()
-	if c == nil {
-		return 0, false
-	}
-	return c.Load(), true
-}
-
 // Snapshot is a point-in-time copy of every registered metric, ready for
 // JSON encoding (the /debug/vars payload) or programmatic diffing around a
 // query.
@@ -314,15 +280,6 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
-}
-
-// Get returns the named counter or gauge value from the snapshot (0 when
-// absent) — the common access path for tests diffing two snapshots.
-func (s Snapshot) Get(name string) int64 {
-	if v, ok := s.Counters[name]; ok {
-		return v
-	}
-	return s.Gauges[name]
 }
 
 // Snapshot captures every registered metric. Gauge functions run while the

@@ -92,14 +92,14 @@ func TestValidName(t *testing.T) {
 
 func TestRegistryRejectsBadAndDuplicateNames(t *testing.T) {
 	r := NewRegistry()
-	if err := r.RegisterCounter("Bad-Name", NewCounter()); err == nil {
+	if err := r.RegisterCounter("Bad-Name", new(Counter)); err == nil {
 		t.Fatal("invalid name accepted")
 	}
-	if err := r.RegisterCounter("dup", NewCounter()); err != nil {
+	if err := r.RegisterCounter("dup", new(Counter)); err != nil {
 		t.Fatal(err)
 	}
 	// Duplicates are rejected across metric kinds, not just within one.
-	if err := r.RegisterCounter("dup", NewCounter()); err == nil {
+	if err := r.RegisterCounter("dup", new(Counter)); err == nil {
 		t.Fatal("duplicate counter accepted")
 	}
 	if err := r.RegisterGauge("dup", func() int64 { return 0 }); err == nil {
@@ -108,19 +108,29 @@ func TestRegistryRejectsBadAndDuplicateNames(t *testing.T) {
 	if err := r.RegisterHistogram("dup", NewHistogram()); err == nil {
 		t.Fatal("histogram shadowing a counter accepted")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Counter() on duplicate name did not panic")
-		}
-	}()
-	r.Counter("dup")
+}
+
+// mustCounter and mustGauge register a new counter and a gauge, panicking
+// on a bad or duplicate name.
+func mustCounter(r *Registry, name string) *Counter {
+	c := new(Counter)
+	if err := r.RegisterCounter(name, c); err != nil {
+		panic(err)
+	}
+	return c
+}
+
+func mustGauge(r *Registry, name string, g Gauge) {
+	if err := r.RegisterGauge(name, g); err != nil {
+		panic(err)
+	}
 }
 
 func TestRegistrySnapshotAndNames(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("reads")
+	c := mustCounter(r, "reads")
 	c.Add(7)
-	r.Gauge("resident", func() int64 { return 3 })
+	mustGauge(r, "resident", func() int64 { return 3 })
 	h := r.Histogram("lat_us")
 	h.Observe(5)
 
@@ -136,23 +146,17 @@ func TestRegistrySnapshotAndNames(t *testing.T) {
 	}
 
 	s := r.Snapshot()
-	if s.Get("reads") != 7 || s.Get("resident") != 3 {
+	if s.Counters["reads"] != 7 || s.Gauges["resident"] != 3 {
 		t.Fatalf("snapshot values: %+v", s)
 	}
 	if s.Histograms["lat_us"].Count != 1 {
 		t.Fatalf("histogram missing from snapshot: %+v", s.Histograms)
 	}
-	if v, ok := r.CounterValue("reads"); !ok || v != 7 {
-		t.Fatalf("CounterValue = %d,%v", v, ok)
-	}
-	if _, ok := r.CounterValue("absent"); ok {
-		t.Fatal("CounterValue found absent metric")
-	}
 }
 
 func TestWriteJSONRoundTrips(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("reads").Add(9)
+	mustCounter(r, "reads").Add(9)
 	r.Histogram("sz").Observe(100)
 	var sb strings.Builder
 	if err := r.WriteJSON(&sb); err != nil {
@@ -172,8 +176,8 @@ func TestWriteJSONRoundTrips(t *testing.T) {
 
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("reads").Add(9)
-	r.Gauge("resident", func() int64 { return 3 })
+	mustCounter(r, "reads").Add(9)
+	mustGauge(r, "resident", func() int64 { return 3 })
 	h := r.Histogram("lat")
 	h.Observe(1)
 	h.Observe(3)
@@ -202,7 +206,7 @@ func TestWritePrometheus(t *testing.T) {
 
 func TestConcurrentCountersAndHistogram(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("n")
+	c := mustCounter(r, "n")
 	h := r.Histogram("v")
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {

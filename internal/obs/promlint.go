@@ -17,7 +17,7 @@ import (
 // samples, families must not interleave, histogram buckets must be
 // cumulative and monotone with a terminal +Inf equal to _count, and names
 // must match the canonical grammar. The exposition tests scrape /metrics
-// in both serve modes through it, and CI smokes can reuse it via the CLI.
+// in both serve modes through it; no production code calls it.
 
 // promNameRE is the exposition name grammar this store emits: the
 // registry's lowercase_snake names under a lowercase prefix.

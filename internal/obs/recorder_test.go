@@ -5,16 +5,17 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestWritePrometheusHelpLines(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("reads").Add(2)
+	mustCounter(r, "reads").Add(2)
 	r.SetHelp("reads", "Pages read.")
-	r.Gauge("resident", func() int64 { return 1 })
+	mustGauge(r, "resident", func() int64 { return 1 })
 	r.Histogram("lat").Observe(1)
 	r.SetHelp("lat", "Latency with a\nnewline and \\ backslash.")
-	r.Counter("writes")
+	mustCounter(r, "writes")
 	r.SetHelpTable(map[string]string{"writes": "Pages written.", "reads": "Overridden by SetHelp."})
 
 	var sb strings.Builder
@@ -124,7 +125,7 @@ func TestCountingTrace(t *testing.T) {
 
 func TestTraceDropCounter(t *testing.T) {
 	var c Counter
-	tr := NewTraceWithLimit(3)
+	tr := &Trace{start: time.Now(), limit: 3}
 	tr.SetDropCounter(&c)
 	for i := 0; i < 10; i++ {
 		tr.PagePin(int64(i), false)

@@ -120,15 +120,6 @@ func NewTrace() *Trace {
 	return &Trace{start: time.Now(), limit: DefaultTraceLimit}
 }
 
-// NewTraceWithLimit returns an empty trace that drops events past limit —
-// for tests exercising the drop path without recording a million events.
-func NewTraceWithLimit(limit int) *Trace {
-	if limit < 0 {
-		limit = 0
-	}
-	return &Trace{start: time.Now(), limit: limit}
-}
-
 // NewCountingTrace returns a trace in counter-only mode: page pins, hits,
 // skips and emits are tallied atomically but no events are retained.
 // Events, WriteTo and Dropped see an empty trace; the count accessors

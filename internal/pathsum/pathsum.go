@@ -92,9 +92,6 @@ var numberings atomic.Uint64
 // summary exactly when both agree.
 func (s *Summary) Numbering() uint64 { return s.numbering }
 
-// NumBlocks returns the number of structure blocks.
-func (s *Summary) NumBlocks() int { return len(s.starts) }
-
 // NodeAt returns class id.
 func (s *Summary) NodeAt(id int32) Node { return s.nodes[id] }
 

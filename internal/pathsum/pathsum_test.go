@@ -36,8 +36,8 @@ func TestBuilderClassesAndBlocks(t *testing.T) {
 	if s.NumNodes() != 3 {
 		t.Fatalf("NumNodes = %d, want 3 (a, a/b, a/b/c)", s.NumNodes())
 	}
-	if s.NumBlocks() != 2 {
-		t.Fatalf("NumBlocks = %d, want 2", s.NumBlocks())
+	if len(s.starts) != 2 {
+		t.Fatalf("%d blocks, want 2", len(s.starts))
 	}
 	a, ok := s.ChildOf(-1, 0)
 	if !ok {
@@ -126,7 +126,7 @@ func TestRegionRewriteIdentitySplices(t *testing.T) {
 		t.Fatalf("identity rewrite changed the summary: %v", err)
 	}
 	// The original is untouched (copy-on-write).
-	if s.NumBlocks() != 2 || s.NumNodes() != 3 {
+	if len(s.starts) != 2 || s.NumNodes() != 3 {
 		t.Fatal("original summary mutated")
 	}
 }
@@ -156,7 +156,7 @@ func TestRegionRecodeObservesChangedClasses(t *testing.T) {
 	if n := s.NodeAt(ab); n.Mode != CodeUniform {
 		t.Error("original summary observed the clone's code")
 	}
-	if ns.NumBlocks() != 2 || &ns.starts[0] != &s.starts[0] {
+	if len(ns.starts) != 2 || &ns.starts[0] != &s.starts[0] {
 		t.Error("a code-only rewrite must share the original's block starts")
 	}
 

@@ -19,25 +19,6 @@ type PoolStats struct {
 	Flushes   int64 // dirty pages written back
 }
 
-// HitRatio returns Hits/Gets, or 0 when no requests have been made.
-func (s PoolStats) HitRatio() float64 {
-	if s.Gets == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Gets)
-}
-
-// Sub returns the difference s - o.
-func (s PoolStats) Sub(o PoolStats) PoolStats {
-	return PoolStats{
-		Gets:      s.Gets - o.Gets,
-		Hits:      s.Hits - o.Hits,
-		Misses:    s.Misses - o.Misses,
-		Evictions: s.Evictions - o.Evictions,
-		Flushes:   s.Flushes - o.Flushes,
-	}
-}
-
 // Frame is a buffered page. Data is valid while the frame is pinned.
 type Frame struct {
 	id    PageID

@@ -82,14 +82,14 @@ func TestPoolStatsConcurrentReaders(t *testing.T) {
 		t.Fatalf("hits %d + misses %d != gets %d", s.Hits, s.Misses, s.Gets)
 	}
 	snap := reg.Snapshot()
-	if snap.Get("pool_gets") != s.Gets || snap.Get("pool_hits") != s.Hits {
+	if snap.Counters["pool_gets"] != s.Gets || snap.Counters["pool_hits"] != s.Hits {
 		t.Fatalf("registry disagrees with Stats(): %+v vs %+v", snap.Counters, s)
 	}
-	if snap.Get("pool_pinned") != 0 {
-		t.Fatalf("pool_pinned = %d after all unpins", snap.Get("pool_pinned"))
+	if snap.Gauges["pool_pinned"] != 0 {
+		t.Fatalf("pool_pinned = %d after all unpins", snap.Gauges["pool_pinned"])
 	}
-	if snap.Get("pool_capacity") != 8 {
-		t.Fatalf("pool_capacity = %d", snap.Get("pool_capacity"))
+	if snap.Gauges["pool_capacity"] != 8 {
+		t.Fatalf("pool_capacity = %d", snap.Gauges["pool_capacity"])
 	}
 }
 
@@ -119,7 +119,8 @@ func TestPoolTracePinAccounting(t *testing.T) {
 			}
 		}
 	}
-	d := bp.Stats().Sub(before)
+	d := bp.Stats()
+	d.Gets, d.Hits, d.Misses = d.Gets-before.Gets, d.Hits-before.Hits, d.Misses-before.Misses
 	if tr.PageReads() != d.Gets {
 		t.Fatalf("trace pins %d != pool gets %d", tr.PageReads(), d.Gets)
 	}

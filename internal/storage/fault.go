@@ -126,9 +126,6 @@ func (p *FaultPager) Arm(f Fault) { p.state.arm(f) }
 // construction), plus whether the fault has tripped.
 func (p *FaultPager) Counts() (writes, syncs int, tripped bool) { return p.state.counts() }
 
-// Inner returns the wrapped pager (the surviving "disk" after a crash).
-func (p *FaultPager) Inner() Pager { return p.inner }
-
 // PageSize implements Pager.
 func (p *FaultPager) PageSize() int { return p.inner.PageSize() }
 
@@ -221,9 +218,6 @@ func (f *FaultFile) Arm(fault Fault) { f.state.arm(fault) }
 // Counts reports the appends and syncs observed since the last Arm, plus
 // whether the fault has tripped.
 func (f *FaultFile) Counts() (appends, syncs int, tripped bool) { return f.state.counts() }
-
-// Inner returns the wrapped file.
-func (f *FaultFile) Inner() File { return f.inner }
 
 // ReadAt implements File.
 func (f *FaultFile) ReadAt(p []byte, off int64) (int, error) {

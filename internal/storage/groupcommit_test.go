@@ -249,7 +249,7 @@ func TestGroupCommitPrefixRecovery(t *testing.T) {
 }
 
 // TestGroupCommitConcurrentCommitters drives mixed-mode committers from
-// many goroutines (batch building serialized, as the TxnPager contract
+// many goroutines (batch building serialized, as WALPager.Begin
 // requires) and checks every page lands and fsyncs were shared.
 func TestGroupCommitConcurrentCommitters(t *testing.T) {
 	const committers = 8

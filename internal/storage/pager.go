@@ -56,11 +56,6 @@ type IOStats struct {
 	Syncs  int64 // fsyncs physically issued (a clean Sync issues none)
 }
 
-// Sub returns the difference s - o, for measuring an interval.
-func (s IOStats) Sub(o IOStats) IOStats {
-	return IOStats{Reads: s.Reads - o.Reads, Writes: s.Writes - o.Writes, Allocs: s.Allocs - o.Allocs, Syncs: s.Syncs - o.Syncs}
-}
-
 func (s IOStats) String() string {
 	return fmt.Sprintf("reads=%d writes=%d allocs=%d syncs=%d", s.Reads, s.Writes, s.Allocs, s.Syncs)
 }

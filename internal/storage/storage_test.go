@@ -349,28 +349,8 @@ func TestBufferPoolDropAllPinned(t *testing.T) {
 	}
 }
 
-func TestPoolStatsHitRatioAndSub(t *testing.T) {
-	var s PoolStats
-	if s.HitRatio() != 0 {
-		t.Fatal("empty HitRatio should be 0")
-	}
-	a := PoolStats{Gets: 10, Hits: 5, Misses: 5}
-	b := PoolStats{Gets: 4, Hits: 2, Misses: 2}
-	d := a.Sub(b)
-	if d.Gets != 6 || d.Hits != 3 {
-		t.Fatalf("Sub = %+v", d)
-	}
-	if a.HitRatio() != 0.5 {
-		t.Fatalf("HitRatio = %v", a.HitRatio())
-	}
-}
-
 func TestIOStatsSubString(t *testing.T) {
 	a := IOStats{Reads: 5, Writes: 3, Allocs: 1}
-	d := a.Sub(IOStats{Reads: 2})
-	if d.Reads != 3 || d.Writes != 3 {
-		t.Fatalf("Sub = %+v", d)
-	}
 	if a.String() == "" {
 		t.Fatal("String empty")
 	}

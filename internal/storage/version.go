@@ -70,8 +70,6 @@ type VersionTable struct {
 	live     map[uint64]*Version
 	pending  []pendingFree
 	reusable []PageID
-	pins     atomic.Int64 // cumulative reader pins (monitoring)
-	unpins   atomic.Int64 // cumulative reader unpins (monitoring)
 }
 
 // NewVersionTable returns a table with an initial current version (seq 1)
@@ -86,31 +84,12 @@ func NewVersionTable() *VersionTable {
 }
 
 // Current returns the current version without pinning it. Callers that
-// need the version to stay valid must Pin instead.
+// need the version to stay valid pin it with TryPin, reloading Current
+// when TryPin fails.
 func (vt *VersionTable) Current() *Version {
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
 	return vt.cur
-}
-
-// Pin takes a reference on the current version and returns it. The caller
-// must Unpin when done. Pin never fails: while the table lock is held the
-// current version always carries the table's own reference.
-func (vt *VersionTable) Pin() *Version {
-	vt.mu.Lock()
-	v := vt.cur
-	v.refs.Add(1)
-	vt.mu.Unlock()
-	vt.pins.Add(1)
-	return v
-}
-
-// CountUnpin records a reader unpin for monitoring and drops the
-// reference. Publisher-side reference drops go through Version.Unpin
-// directly and are not counted as reader traffic.
-func (vt *VersionTable) CountUnpin(v *Version) {
-	vt.unpins.Add(1)
-	v.Unpin()
 }
 
 // Publish registers the successor of the current version and returns it.
@@ -180,14 +159,6 @@ func (vt *VersionTable) LiveVersions() int {
 	return len(vt.live)
 }
 
-// PendingPages returns the number of freed pages still quarantined behind
-// a live version.
-func (vt *VersionTable) PendingPages() int {
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
-	return len(vt.pending) + len(vt.reusable)
-}
-
 // OldestPinnedAge returns how long the oldest non-current live version has
 // been alive, or zero when only the current version is live. It measures
 // retirement lag induced by long-running readers.
@@ -208,7 +179,3 @@ func (vt *VersionTable) OldestPinnedAge(now time.Time) time.Duration {
 	}
 	return now.Sub(oldest.born)
 }
-
-// Pins and Unpins return the cumulative reader pin/unpin counts.
-func (vt *VersionTable) Pins() int64   { return vt.pins.Load() }
-func (vt *VersionTable) Unpins() int64 { return vt.unpins.Load() }

@@ -6,6 +6,16 @@ import (
 	"time"
 )
 
+// pin pins the current version as a reader does: TryPin, and load the
+// current version again when a publish retired the one loaded.
+func pin(vt *VersionTable) *Version {
+	for {
+		if v := vt.Current(); v.TryPin() {
+			return v
+		}
+	}
+}
+
 func TestVersionTablePublishRetiresUnpinned(t *testing.T) {
 	vt := NewVersionTable()
 	if got := vt.LiveVersions(); got != 1 {
@@ -31,7 +41,7 @@ func TestVersionTablePublishRetiresUnpinned(t *testing.T) {
 
 func TestVersionTablePinDefersReuse(t *testing.T) {
 	vt := NewVersionTable()
-	v1 := vt.Pin()
+	v1 := pin(vt)
 	if v1.Seq() != 1 {
 		t.Fatalf("pinned Seq = %d, want 1", v1.Seq())
 	}
@@ -47,7 +57,7 @@ func TestVersionTablePinDefersReuse(t *testing.T) {
 	if vt.OldestPinnedAge(time.Now().Add(time.Second)) <= 0 {
 		t.Fatalf("OldestPinnedAge should be positive while v1 pinned")
 	}
-	vt.CountUnpin(v1)
+	v1.Unpin()
 	if got := vt.LiveVersions(); got != 1 {
 		t.Fatalf("after unpin: LiveVersions = %d, want 1", got)
 	}
@@ -57,28 +67,25 @@ func TestVersionTablePinDefersReuse(t *testing.T) {
 	if vt.OldestPinnedAge(time.Now()) != 0 {
 		t.Fatalf("OldestPinnedAge should be 0 with only the current version live")
 	}
-	if vt.Pins() != 1 || vt.Unpins() != 1 {
-		t.Fatalf("pins/unpins = %d/%d, want 1/1", vt.Pins(), vt.Unpins())
-	}
 }
 
 func TestVersionTableQuarantineOrdering(t *testing.T) {
 	vt := NewVersionTable()
-	r1 := vt.Pin() // pins seq 1
+	r1 := pin(vt) // pins seq 1
 	vt.Publish([]PageID{10})
-	r2 := vt.Pin() // pins seq 2
+	r2 := pin(vt) // pins seq 2
 	vt.Publish([]PageID{20})
 	// minLive is 1: nothing reusable.
 	if got := vt.Harvest(); got != nil {
 		t.Fatalf("Harvest = %v, want nil", got)
 	}
-	vt.CountUnpin(r1)
+	r1.Unpin()
 	// minLive is now 2: page 10 (freed at seq 2) is safe, page 20 (freed at
 	// seq 3) still waits on r2.
 	if got := vt.Harvest(); len(got) != 1 || got[0] != 10 {
 		t.Fatalf("Harvest after r1 unpin = %v, want [10]", got)
 	}
-	vt.CountUnpin(r2)
+	r2.Unpin()
 	if got := vt.Harvest(); len(got) != 1 || got[0] != 20 {
 		t.Fatalf("Harvest after r2 unpin = %v, want [20]", got)
 	}
@@ -113,31 +120,33 @@ func TestVersionTableConcurrentPinUnpin(t *testing.T) {
 					return
 				default:
 				}
-				v := vt.Pin()
+				v := pin(vt)
 				_ = v.Seq()
-				vt.CountUnpin(v)
+				v.Unpin()
 			}
 		}()
 	}
+	var harvested []PageID
 	for i := 0; i < 200; i++ {
 		vt.Publish([]PageID{PageID(i)})
-		vt.Harvest()
+		harvested = append(harvested, vt.Harvest()...)
 	}
 	close(stop)
 	wg.Wait()
 	if got := vt.LiveVersions(); got != 1 {
 		t.Fatalf("LiveVersions after drain = %d, want 1", got)
 	}
-	if vt.Pins() != vt.Unpins() {
-		t.Fatalf("pin/unpin mismatch: %d vs %d", vt.Pins(), vt.Unpins())
-	}
-	// Everything pending must eventually drain once all readers are gone.
+	// With every reader gone, nothing stays quarantined: each page the
+	// publishes freed comes out of Harvest exactly once.
 	vt.Publish(nil)
-	total := 0
-	for _, got := range [][]PageID{vt.Harvest()} {
-		total += len(got)
+	seen := make(map[PageID]bool, 200)
+	for _, p := range append(harvested, vt.Harvest()...) {
+		if seen[p] {
+			t.Fatalf("page %d harvested twice", p)
+		}
+		seen[p] = true
 	}
-	if vt.PendingPages() != 0 && total == 0 {
-		t.Fatalf("pages stuck in quarantine with no live readers")
+	if len(seen) != 200 || len(vt.pending) != 0 {
+		t.Fatalf("%d of 200 pages harvested, %d still pending", len(seen), len(vt.pending))
 	}
 }

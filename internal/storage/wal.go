@@ -43,25 +43,6 @@ import (
 // seal order, the first torn or missing one and everything after it rolls
 // back. There is no interleaving — records are appended batch by batch.
 
-// TxnPager is a Pager with atomic update batches. Begin/Commit nest: only
-// the outermost pair acts, so layered update entry points (securexml over
-// dol over nok) compose into a single atomic batch. Batch building is
-// single-owner: callers serialize Begin..Commit externally (securexml holds
-// its write lock across them); concurrency comes from overlapping one
-// batch's flush with the next batch's build (see groupcommit.go).
-type TxnPager interface {
-	Pager
-	// Begin opens a batch (or joins the enclosing one).
-	Begin() error
-	// Commit seals the batch. meta, when non-nil, is an opaque blob stored
-	// with the commit record and delivered to the recovery sink; the last
-	// non-nil meta of nested commits wins.
-	Commit(meta []byte) error
-	// Rollback abandons the batch. Inside a nesting it poisons the
-	// enclosing batch: the outermost Commit will fail and discard.
-	Rollback() error
-}
-
 // ErrBatchAborted is returned by Commit after an inner Rollback poisoned
 // the batch.
 var ErrBatchAborted = errors.New("storage: update batch aborted")
@@ -203,12 +184,6 @@ func OpenWALPager(data Pager, log File, sink func([]byte) error) (*WALPager, Rec
 	}
 	return w, info, nil
 }
-
-// Data returns the wrapped pager.
-func (w *WALPager) Data() Pager { return w.data }
-
-// Log returns the log file.
-func (w *WALPager) Log() File { return w.log }
 
 // PageSize implements Pager.
 func (w *WALPager) PageSize() int { return w.data.PageSize() }
@@ -386,14 +361,13 @@ func (w *WALPager) Close() error {
 // data pager at flush, keeping the physical counters honest.
 func (w *WALPager) Stats() IOStats { return w.data.Stats() }
 
-// InBatch reports whether an update batch is open.
-func (w *WALPager) InBatch() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.depth > 0
-}
-
-// Begin implements TxnPager.
+// Begin opens an atomic update batch, or joins the enclosing one.
+// Begin/Commit nest: only the outermost pair acts, so layered update entry
+// points (securexml over dol over nok) compose into a single atomic batch.
+// Batch building is single-owner: callers serialize Begin..Commit
+// externally (securexml holds its write lock across them); concurrency
+// comes from overlapping one batch's flush with the next batch's build
+// (see groupcommit.go).
 func (w *WALPager) Begin() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -409,7 +383,8 @@ func (w *WALPager) Begin() error {
 	return nil
 }
 
-// Rollback implements TxnPager.
+// Rollback abandons the batch. Inside a nesting it poisons the enclosing
+// batch: the outermost Commit will fail and discard.
 func (w *WALPager) Rollback() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -446,13 +421,15 @@ func (w *WALPager) discardLocked() {
 	w.numPages = w.queueTopLocked()
 }
 
-// Commit implements TxnPager with synchronous durability: the outermost
-// commit seals the batch, flushes the queue inline (coalescing whatever
-// other batches are queued), and returns once its own batch is durable and
-// applied. Nested commits only merge their metadata. Both error returns of
-// the flush resolve every queued batch, this one included, so the wait
-// cannot hang; a failure in the flush tail, after the waiter resolved nil
-// at the log sync, still surfaces through the flush's return.
+// Commit ends the batch with synchronous durability: the outermost commit
+// seals the batch, flushes the queue inline (coalescing whatever other
+// batches are queued), and returns once its own batch is durable and
+// applied. Nested commits only merge their metadata: meta, when non-nil, is
+// an opaque blob stored with the commit record and delivered to the
+// recovery sink, and the last non-nil meta wins. Both error returns of the
+// flush resolve every queued batch, this one included, so the wait cannot
+// hang; a failure in the flush tail, after the waiter resolved nil at the
+// log sync, still surfaces through the flush's return.
 func (w *WALPager) Commit(meta []byte) error {
 	b, err := w.sealForCommit(meta)
 	if err != nil || b == nil {

@@ -57,7 +57,7 @@ func TestSyntheticExtremes(t *testing.T) {
 		t.Errorf("ratio 1.0: %d of %d accessible", all.Count(), doc.Len())
 	}
 	none := Synthetic(doc, SynthConfig{Seed: 5, PropagationRatio: 0.2, AccessibilityRatio: 0.0})
-	if none.Any() {
+	if none.Count() != 0 {
 		t.Errorf("ratio 0.0: %d accessible", none.Count())
 	}
 }

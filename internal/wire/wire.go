@@ -99,9 +99,6 @@ func (r *Reader) Bytes() []byte {
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.Bytes()) }
 
-// Left returns the number of bytes not read yet.
-func (r *Reader) Left() int { return len(r.buf) }
-
 // Err reports whether a read so far was malformed.
 func (r *Reader) Err() error {
 	if r.bad {

@@ -47,7 +47,7 @@ func TestRejectsWhatNoEncoderWrites(t *testing.T) {
 		if err := r.Done(); !errors.Is(err, ErrMalformed) {
 			t.Errorf("%s: %v, want ErrMalformed", c.name, err)
 		}
-		if r.Uvarint() != 0 || r.Left() != 0 || r.Bytes() != nil {
+		if r.Uvarint() != 0 || len(r.buf) != 0 || r.Bytes() != nil {
 			t.Errorf("%s: reads after the error return data", c.name)
 		}
 	}

@@ -80,19 +80,6 @@ func (d *Document) TagIDOf(n NodeID) TagID {
 	return d.nodes[n].tag
 }
 
-// TagName returns the tag string for an interned tag ID.
-func (d *Document) TagName(t TagID) string { return d.tags[t] }
-
-// LookupTag returns the TagID for a tag name, and whether it occurs in the
-// document at all.
-func (d *Document) LookupTag(tag string) (TagID, bool) {
-	t, ok := d.tagIndex[tag]
-	return t, ok
-}
-
-// NumTags returns the number of distinct tags in the document.
-func (d *Document) NumTags() int { return len(d.tags) }
-
 // Value returns the text content of node n ("" if none).
 func (d *Document) Value(n NodeID) string {
 	d.check(n)
@@ -177,22 +164,6 @@ func (d *Document) NodesWithTag(tag string) []NodeID {
 		}
 	}
 	return out
-}
-
-// Path returns the slash-separated tag path from the root to n, e.g.
-// "/site/regions/africa".
-func (d *Document) Path(n NodeID) string {
-	d.check(n)
-	var parts []string
-	for m := n; m != InvalidNode; m = d.nodes[m].parent {
-		parts = append(parts, d.tags[d.nodes[m].tag])
-	}
-	var sb strings.Builder
-	for i := len(parts) - 1; i >= 0; i-- {
-		sb.WriteByte('/')
-		sb.WriteString(parts[i])
-	}
-	return sb.String()
 }
 
 // MaxDepth returns the maximum node level plus one (depth of the tree), or

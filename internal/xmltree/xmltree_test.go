@@ -128,24 +128,21 @@ func TestNodesWithTagAndPath(t *testing.T) {
 	if d.NodesWithTag("zzz") != nil {
 		t.Error("missing tag should give nil")
 	}
-	if got := d.Path(3); got != "/r/y/x" {
-		t.Errorf("Path = %q", got)
-	}
 }
 
 func TestTagInterning(t *testing.T) {
 	d := MustParseString(`<a><b/><b/><b/></a>`)
-	if d.NumTags() != 2 {
-		t.Fatalf("NumTags = %d, want 2", d.NumTags())
+	if len(d.tags) != 2 {
+		t.Fatalf("%d tags, want 2", len(d.tags))
 	}
-	tb, ok := d.LookupTag("b")
+	tb, ok := d.tagIndex["b"]
 	if !ok {
 		t.Fatal("tag b missing")
 	}
-	if d.TagName(tb) != "b" {
-		t.Fatal("TagName mismatch")
+	if d.tags[tb] != "b" {
+		t.Fatal("tag name mismatch")
 	}
-	if _, ok := d.LookupTag("zzz"); ok {
+	if _, ok := d.tagIndex["zzz"]; ok {
 		t.Fatal("unexpected tag")
 	}
 }
@@ -238,12 +235,12 @@ func parseDiff(s string) string {
 		return fmt.Sprintf("Parse err = %v, encoding/xml err = %v", gerr, werr)
 	case gerr != nil:
 		return ""
-	case got.Len() != want.Len() || got.NumTags() != want.NumTags():
-		return fmt.Sprintf("%d nodes / %d tags, want %d / %d", got.Len(), got.NumTags(), want.Len(), want.NumTags())
+	case got.Len() != want.Len() || len(got.tags) != len(want.tags):
+		return fmt.Sprintf("%d nodes / %d tags, want %d / %d", got.Len(), len(got.tags), want.Len(), len(want.tags))
 	}
-	for t := TagID(0); int(t) < want.NumTags(); t++ {
-		if got.TagName(t) != want.TagName(t) {
-			return fmt.Sprintf("tag %d = %q, want %q", t, got.TagName(t), want.TagName(t))
+	for t, name := range want.tags {
+		if got.tags[t] != name {
+			return fmt.Sprintf("tag %d = %q, want %q", t, got.tags[t], name)
 		}
 	}
 	type nodeView struct {

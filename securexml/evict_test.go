@@ -115,13 +115,13 @@ func evictRun(t *testing.T, mode evictMode) (obs.Snapshot, int64) {
 // and every re-acquire opens it from disk.
 func TestRegistryLRUEviction(t *testing.T) {
 	snap, n := evictRun(t, idle)
-	if got := snap.Get("evictions_total"); got != 2*n {
+	if got := snap.Counters["evictions_total"]; got != 2*n {
 		t.Fatalf("evictions_total = %d, want %d", got, 2*n)
 	}
-	if got := snap.Get("opens_total"); got != 2*n+1 {
+	if got := snap.Counters["opens_total"]; got != 2*n+1 {
 		t.Fatalf("opens_total = %d, want %d", got, 2*n+1)
 	}
-	if got := snap.Get("drains_total") + snap.Get("revives_total"); got != 0 {
+	if got := snap.Counters["drains_total"] + snap.Counters["revives_total"]; got != 0 {
 		t.Fatalf("%d drains and revives of idle tenants", got)
 	}
 }
@@ -131,11 +131,11 @@ func TestRegistryLRUEviction(t *testing.T) {
 func TestRegistryDrainByteIdentical(t *testing.T) {
 	snap, n := evictRun(t, drain)
 	for _, name := range []string{"evictions_total", "drains_total", "revives_total"} {
-		if got := snap.Get(name); got != n {
+		if got := snap.Counters[name]; got != n {
 			t.Fatalf("%s = %d, want %d", name, got, n)
 		}
 	}
-	if got := snap.Get("opens_total"); got != 1 {
+	if got := snap.Counters["opens_total"]; got != 1 {
 		t.Fatalf("opens_total = %d, want 1 (no double open)", got)
 	}
 }
@@ -145,7 +145,7 @@ func TestRegistryDrainByteIdentical(t *testing.T) {
 func TestRegistryPinBlocksEviction(t *testing.T) {
 	snap, n := evictRun(t, pressure)
 	for name, want := range map[string]int64{"overage_admissions_total": n, "evictions_total": n + 1, "opens_total": n + 1, "drains_total": 0} {
-		if got := snap.Get(name); got != want {
+		if got := snap.Counters[name]; got != want {
 			t.Fatalf("%s = %d, want %d", name, got, want)
 		}
 	}

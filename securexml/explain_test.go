@@ -399,12 +399,13 @@ func TestMetricsExpositionLints(t *testing.T) {
 	}
 }
 
-// TestTraceDroppedCounter checks the spill path end to end: a tiny trace
-// limit drops events and the store-wide counter advances at drop time.
+// TestTraceDroppedCounter checks the spill path end to end: a zero Trace
+// keeps no events, so it drops every one, and the store-wide counter
+// advances at drop time.
 func TestTraceDroppedCounter(t *testing.T) {
 	s := xmarkStore(t, StoreOptions{PageSize: 512})
 	defer s.Close()
-	tr := &QueryTrace{t: obs.NewTraceWithLimit(4)}
+	tr := &QueryTrace{t: &obs.Trace{}}
 	if _, err := s.QueryCtx(context.Background(), "u", "read", "//item//emph", QueryOptions{Trace: tr}); err != nil {
 		t.Fatal(err)
 	}

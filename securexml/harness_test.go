@@ -137,9 +137,10 @@ func watch(t *testing.T, s *Store, doc *xmltree.Document, opts StoreOptions) *mo
 	}
 	ms := &modelStore{t: t, s: s, opts: opts, base: names, md: xmlmodel.New(doc, m.SelectSubjects(bits))}
 	dir := s.cur.Load().dir
+	groups := dir.Snapshot().IsGroup
 	for i := range names {
 		id := acl.SubjectID(i)
-		ms.md.Group[i] = dir.IsGroup(id)
+		ms.md.Group[i] = groups[i]
 		for _, g := range dir.EffectiveSubjects(id).Indices() {
 			if g != i {
 				ms.md.AddMember(g, i)
@@ -430,12 +431,13 @@ func (ms *modelStore) check(what string) {
 func (ms *modelStore) diff(md *xmlmodel.Model) error {
 	s := ms.s
 	names, dir := s.Subjects(), s.cur.Load().dir
+	groups := dir.Snapshot().IsGroup
 	if len(names) != md.Subjects() {
 		return fmt.Errorf("the store has %d subjects, the model %d", len(names), md.Subjects())
 	}
 	for i, name := range names {
 		eff := dir.EffectiveSubjects(acl.SubjectID(i))
-		same := name == ms.name(md, i) && dir.IsGroup(acl.SubjectID(i)) == md.Group[i]
+		same := name == ms.name(md, i) && groups[i] == md.Group[i]
 		for j, in := range md.Effective(i) {
 			same = same && eff.Test(j) == in
 		}

@@ -32,10 +32,10 @@ const walSuffix = ".wal"
 
 // store.json is sidecar format 3: a JSON envelope,
 // {"format":3,"page_size":N,"nok":"<base64>","store":"<base64>"}, around
-// two binary images: nok.Meta's (AppendBinary) and the store's
-// (appendStoreHead: modes, directory, then the codebook). It is read only
-// in exactly the bytes appendEnvelope writes; anything else, an older
-// format included, is corrupt metadata.
+// two binary images: nok.Meta's (AppendHead, then AppendTail) and the
+// store's (appendStoreHead: modes, directory, then the codebook). It is
+// read only in exactly the bytes appendEnvelope writes; anything else, an
+// older format included, is corrupt metadata.
 //
 // The envelope, in the pieces appendEnvelope writes and splitEnvelope
 // recognises.

@@ -287,7 +287,7 @@ func TestRebalanceRacesBlockDecodes(t *testing.T) {
 	}
 	defer a.Close()
 	decodesBefore := b.Store().DecodeCacheStats().Misses
-	opensBefore := r.MetricsSnapshot().Get("opens_total")
+	opensBefore := r.MetricsSnapshot().Counters["opens_total"]
 
 	const rounds = 40
 	var wg sync.WaitGroup
@@ -320,7 +320,7 @@ func TestRebalanceRacesBlockDecodes(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := r.MetricsSnapshot().Get("opens_total") - opensBefore; got != rounds {
+	if got := r.MetricsSnapshot().Counters["opens_total"] - opensBefore; got != rounds {
 		t.Fatalf("%d opens in %d rounds", got, rounds)
 	}
 	if got := b.Store().DecodeCacheStats().Misses - decodesBefore; got < 10*rounds {

@@ -31,7 +31,7 @@ func FuzzSidecarImage(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(ps.Nok.AppendBinary(nil), storeImage(ps), encodeSidecar(ps))
+		f.Add(nokImage(&ps.Nok), storeImage(ps), encodeSidecar(ps))
 		small = ps
 	}
 	f.Add([]byte{}, []byte{}, []byte{})
@@ -45,13 +45,13 @@ func FuzzSidecarImage(f *testing.F) {
 	for _, cb := range retiredCodebooks(small.Codebook) {
 		ps := small
 		ps.Codebook = cb
-		f.Add(small.Nok.AppendBinary(nil), storeImage(ps), encodeSidecar(ps))
+		f.Add(nokImage(&small.Nok), storeImage(ps), encodeSidecar(ps))
 	}
 	f.Fuzz(func(t *testing.T, nokImg, storeImg, file []byte) {
 		var m nok.Meta
 		nokErr := m.UnmarshalBinary(nokImg)
 		if nokErr == nil {
-			if re := m.AppendBinary(nil); !bytes.Equal(re, nokImg) {
+			if re := nokImage(&m); !bytes.Equal(re, nokImg) {
 				t.Fatalf("nok image %x decodes to %+v, which encodes to %x", nokImg, m, re)
 			}
 		}
@@ -77,8 +77,11 @@ func FuzzSidecarImage(f *testing.F) {
 // encodeSidecar is ps as the canonical format-3 store.json marshalMeta
 // writes.
 func encodeSidecar(ps persistedStore) []byte {
-	return appendEnvelope(nil, ps.PageSize, nil, ps.Nok.AppendBinary(nil), storeImage(ps))
+	return appendEnvelope(nil, ps.PageSize, nil, nokImage(&ps.Nok), storeImage(ps))
 }
+
+// nokImage is m's nok image, as marshalMeta writes it.
+func nokImage(m *nok.Meta) []byte { return m.AppendTail(m.AppendHead(nil)) }
 
 // storeImage is ps's store image.
 func storeImage(ps persistedStore) []byte {
@@ -164,7 +167,7 @@ func retiredSidecars(tb testing.TB, ps persistedStore) map[string][]byte {
 // first block carrying a class word.
 func retiredNokImages(ps persistedStore) map[string][]byte {
 	head := ps.Nok.AppendHead(nil)
-	img := ps.Nok.AppendBinary(nil)
+	img := nokImage(&ps.Nok)
 	sum := ps.Nok.PathSummary.AppendBinary(nil)
 	noSummary := slices.Concat(head, []byte{0}, img[len(head)+1+len(sum):])
 	// The blocks follow the tag and parent columns: their count, then the
@@ -222,19 +225,19 @@ func setValueRefs(t *testing.T, dir string, blob []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The image opens with the node count, the tags and the refs' blob.
-	img := ps.Nok.AppendBinary(nil)
-	r := wire.NewReader(img)
+	// The image's head is the node count, the tags and the refs' blob.
+	head := ps.Nok.AppendHead(nil)
+	r := wire.NewReader(head)
 	r.Int()
 	for n := r.Len(); n > 0; n-- {
 		r.Bytes()
 	}
-	head := img[:len(img)-r.Left()]
-	r.Bytes()
-	if r.Err() != nil {
-		t.Fatal("the nok image does not open with its head")
+	refs := r.Bytes()
+	if r.Done() != nil {
+		t.Fatal("the nok image's head does not end with the refs' blob")
 	}
-	nokImg := slices.Concat(wire.AppendBytes(slices.Clone(head), blob), img[len(img)-r.Left():])
+	head = head[:len(head)-len(wire.AppendBytes(nil, refs))]
+	nokImg := slices.Concat(wire.AppendBytes(slices.Clone(head), blob), ps.Nok.AppendTail(nil))
 	if err := os.WriteFile(path, appendEnvelope(nil, ps.PageSize, nil, nokImg, storeImage(ps)), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -660,13 +660,13 @@ func (s *Store) updateTxn(fn func() error) (*Commit, error) {
 			if err == nil {
 				return &Commit{s: s, cw: cw}, nil
 			}
-			s.noteAbort(s.wp)
+			s.noteAbort()
 			s.discardRetired()
 			return nil, err
 		}
 	}
 	_ = s.wp.Rollback()
-	s.noteAbort(s.wp)
+	s.noteAbort()
 	s.discardRetired()
 	return nil, runErr
 }
@@ -727,9 +727,8 @@ func (s *Store) AwaitDurable() error {
 
 // noteAbort poisons the store when the pager reports that an abort
 // discarded buffered writes. The caller must hold the write lock.
-func (s *Store) noteAbort(tp storage.TxnPager) {
-	type dirtyReporter interface{ LastAbortDirty() bool }
-	if d, ok := tp.(dirtyReporter); ok && d.LastAbortDirty() {
+func (s *Store) noteAbort() {
+	if s.wp.LastAbortDirty() {
 		s.failed.Store(true)
 	}
 }
