@@ -158,26 +158,6 @@ func (b *Bitset) CopyFrom(o *Bitset) {
 	b.n = o.n
 }
 
-// Key returns a compact string usable as a map key identifying the set of
-// bits (independent of logical length: trailing zero words are dropped).
-// DOL codebooks key their entries by this value.
-func (b *Bitset) Key() string {
-	w := b.words
-	for len(w) > 0 && w[len(w)-1] == 0 {
-		w = w[:len(w)-1]
-	}
-	var sb strings.Builder
-	sb.Grow(len(w) * 8)
-	for _, word := range w {
-		var buf [8]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(word >> uint(8*i))
-		}
-		sb.Write(buf[:])
-	}
-	return sb.String()
-}
-
 // Intersects reports whether b and o share at least one set bit. It is the
 // allocation-free equivalent of Clone+And+Any, used on the access-decision
 // hot path.

@@ -148,18 +148,6 @@ func TestCopyFrom(t *testing.T) {
 	}
 }
 
-func TestKeyIgnoresTrailingZeros(t *testing.T) {
-	a := FromIndices(10, 1, 3)
-	b := FromIndices(500, 1, 3)
-	if a.Key() != b.Key() {
-		t.Fatal("Key should be independent of logical length")
-	}
-	c := FromIndices(10, 1, 4)
-	if a.Key() == c.Key() {
-		t.Fatal("different bit patterns must have different keys")
-	}
-}
-
 func TestNextSetAndIndices(t *testing.T) {
 	b := FromIndices(200, 3, 64, 130)
 	if got := b.NextSet(0); got != 3 {
@@ -261,40 +249,10 @@ func TestMarshalProperty(t *testing.T) {
 	}
 }
 
-// Property: Key is injective on bit patterns (modulo trailing zeros) for
-// random pairs.
-func TestKeyProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := New(128)
-		b := New(128)
-		for i := 0; i < 128; i++ {
-			if rng.Intn(2) == 1 {
-				a.Set(i)
-			}
-			if rng.Intn(2) == 1 {
-				b.Set(i)
-			}
-		}
-		return (a.Key() == b.Key()) == a.EqualBits(b)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkSet(b *testing.B) {
 	bs := New(4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		bs.Set(i % 4096)
-	}
-}
-
-func BenchmarkKey(b *testing.B) {
-	bs := FromIndices(8639, 1, 100, 5000, 8000)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = bs.Key()
 	}
 }

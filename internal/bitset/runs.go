@@ -10,8 +10,8 @@ import (
 // Run is a maximal interval of consecutive set bits: bits
 // [Start, Start+Len) are set. Subject populations are heavily
 // group-correlated, so access control lists over large subject spaces
-// decompose into a handful of runs; the sparse codebook rows introduced for
-// million-subject stores store runs instead of dense words.
+// decompose into a handful of runs; the codebook holds every row as runs
+// instead of dense words.
 type Run struct {
 	Start uint32
 	Len   uint32
@@ -131,6 +131,26 @@ func AddRunBit(runs []Run, s uint32) []Run {
 		out = append(out, runs[k:]...)
 		return out
 	}
+}
+
+// RemoveRunBit returns a sorted run list equal to runs less bit s,
+// splitting the run that holds it. When s is clear it returns runs
+// unchanged (the same slice); otherwise it returns a fresh slice and
+// leaves runs intact.
+func RemoveRunBit(runs []Run, s uint32) []Run {
+	k := sort.Search(len(runs), func(k int) bool { return runs[k].End() > s })
+	if k == len(runs) || runs[k].Start > s {
+		return runs
+	}
+	r := runs[k]
+	out := append(make([]Run, 0, len(runs)+1), runs[:k]...)
+	if s > r.Start {
+		out = append(out, Run{Start: r.Start, Len: s - r.Start})
+	}
+	if s+1 < r.End() {
+		out = append(out, Run{Start: s + 1, Len: r.End() - s - 1})
+	}
+	return append(out, runs[k+1:]...)
 }
 
 // AppendRuns appends a compact encoding of the sorted run list to dst and

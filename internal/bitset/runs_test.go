@@ -3,6 +3,7 @@ package bitset
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -126,6 +127,30 @@ func TestAddRunBit(t *testing.T) {
 			if r.Len == 0 || (i > 0 && got[i-1].End() >= r.Start) {
 				t.Fatalf("AddRunBit produced non-canonical %v", got)
 			}
+		}
+	}
+}
+
+func TestRemoveRunBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		b := New(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(4) != 0 {
+				b.Set(i)
+			}
+		}
+		runs := b.Runs()
+		s := uint32(rng.Intn(n))
+		got := RemoveRunBit(runs, s)
+		if !b.Test(int(s)) && (len(got) != len(runs) || len(runs) > 0 && &got[0] != &runs[0]) {
+			t.Fatalf("RemoveRunBit of clear bit %d did not return the input", s)
+		}
+		want := b.Clone()
+		want.Clear(int(s))
+		if !FromRuns(n, got).EqualBits(want) || !slices.Equal(got, want.Runs()) || !b.EqualBits(FromRuns(n, runs)) {
+			t.Fatalf("RemoveRunBit(%v, %d) = %v", runs, s, got)
 		}
 	}
 }

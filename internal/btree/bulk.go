@@ -176,7 +176,11 @@ func LoadValues(pool *storage.BufferPool, entries []ValueEntry) (*ValueTree, err
 	if len(entries) == 0 {
 		return NewValueTree(pool)
 	}
-	t := OpenValueTree(pool, storage.InvalidPage, 0, len(entries))
+	t, err := valueTreeOn(pool)
+	if err != nil {
+		return nil, err
+	}
+	t.numKeys = len(entries)
 	entries = sortValueEntries(entries)
 	for i, e := range entries {
 		if 2*childPtr+sepSize(e.vkey()) > t.capacity {

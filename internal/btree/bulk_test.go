@@ -240,7 +240,7 @@ func TestLoadValuesMatchesInsert(t *testing.T) {
 		}
 		checkValueShape(t, got)
 		sameValueAnswers(t, got, want, tags, values)
-		sameValueAnswers(t, OpenValueTree(pool, got.root, got.height, got.numKeys), want, tags, values)
+		sameValueAnswers(t, &ValueTree{pool: pool, root: got.root, height: got.height, numKeys: got.numKeys, capacity: got.capacity}, want, tags, values)
 		maxHeight = max(maxHeight, got.height)
 	}
 	if maxHeight < 3 {
@@ -281,6 +281,27 @@ func TestLoadBoundarySizes(t *testing.T) {
 			checkShape(t, got)
 			sameTagAnswers(t, got, insertBuilt(t, pageSize, entries), -1, 4)
 		})
+	}
+}
+
+// NewValueTree, an empty LoadValues and a one-value LoadValues accept the
+// same page sizes: those of at least minValueCapacity bytes of payload.
+func TestValueTreeConstructorsAgreeOnPageSize(t *testing.T) {
+	for pageSize := 16; pageSize <= 80; pageSize++ {
+		_, newErr := NewValueTree(memPool(pageSize))
+		_, emptyErr := LoadValues(memPool(pageSize), nil)
+		one, oneErr := LoadValues(memPool(pageSize), []ValueEntry{{1, "v", posting(3)}})
+		want := pageSize-pageHeader >= minValueCapacity
+		if (newErr == nil) != want || (emptyErr == nil) != want || (oneErr == nil) != want {
+			t.Fatalf("page size %d: NewValueTree %v, empty LoadValues %v, one-value LoadValues %v; want accepted = %v",
+				pageSize, newErr, emptyErr, oneErr, want)
+		}
+		if !want {
+			continue
+		}
+		if got, err := one.ValuePostings(1, "v"); err != nil || len(got) != 1 {
+			t.Fatalf("page size %d: the one value reads back as %v, %v", pageSize, got, err)
+		}
 	}
 }
 

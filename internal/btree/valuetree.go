@@ -59,11 +59,21 @@ type vnode struct {
 	keys     []vkey // len(children)-1 separators
 }
 
+// maxEmptySep is the widest separator of an empty value: its tag, its
+// zero length and its node, the integers at their widest.
+const maxEmptySep = 5 + 1 + 5
+
+// minValueCapacity is the smallest page payload a value tree is built on:
+// an inner page must hold two children and the separator between them,
+// and a leaf one entry (a separator, its end and its level), each for an
+// empty value.
+const minValueCapacity = max(2*childPtr+maxEmptySep, maxEmptySep+5+3)
+
 // NewValueTree creates an empty tree over pool.
 func NewValueTree(pool *storage.BufferPool) (*ValueTree, error) {
-	t := &ValueTree{pool: pool, capacity: pool.Pager().PageSize() - pageHeader}
-	if t.capacity < 64 {
-		return nil, fmt.Errorf("btree: page size %d too small for a value tree", pool.Pager().PageSize())
+	t, err := valueTreeOn(pool)
+	if err != nil {
+		return nil, err
 	}
 	f, err := pool.Allocate()
 	if err != nil {
@@ -75,12 +85,14 @@ func NewValueTree(pool *storage.BufferPool) (*ValueTree, error) {
 	return t, pool.Unpin(f.ID(), true)
 }
 
-// OpenValueTree re-attaches to a persisted tree.
-func OpenValueTree(pool *storage.BufferPool, root storage.PageID, height, numKeys int) *ValueTree {
-	return &ValueTree{
-		pool: pool, root: root, height: height, numKeys: numKeys,
-		capacity: pool.Pager().PageSize() - pageHeader,
+// valueTreeOn returns a tree of no pages over pool, or an error if its
+// pages are too small for one (minValueCapacity).
+func valueTreeOn(pool *storage.BufferPool) (*ValueTree, error) {
+	t := &ValueTree{pool: pool, capacity: pool.Pager().PageSize() - pageHeader}
+	if t.capacity < minValueCapacity {
+		return nil, fmt.Errorf("btree: page size %d too small for a value tree", pool.Pager().PageSize())
 	}
+	return t, nil
 }
 
 // Page encoding. Reuses the fixed header of the posting tree

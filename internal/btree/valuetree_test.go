@@ -123,7 +123,7 @@ func TestValueTreePersistence(t *testing.T) {
 	if err := pool.FlushAll(); err != nil {
 		t.Fatal(err)
 	}
-	re := OpenValueTree(pool, vt.root, vt.height, vt.numKeys)
+	re := &ValueTree{pool: pool, root: vt.root, height: vt.height, numKeys: vt.numKeys, capacity: vt.capacity}
 	want, _ := vt.ValuePostings(2, "k3")
 	got, err := re.ValuePostings(2, "k3")
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"sort"
 
 	"dolxml/internal/acl"
 	"dolxml/internal/bitset"
@@ -28,27 +29,26 @@ import (
 type Code = uint32
 
 // Codebook is the in-memory dictionary of distinct access control lists
-// appearing in a secured tree (§2.1). Entries are reference counted so that
-// updates can garbage-collect lists that no longer occur.
+// appearing in a secured tree (§2.1). Each entry holds its list as runs of
+// granted subjects, the form its row takes on disk once rows are wide
+// (MarshalBinary), so an entry costs a few bytes per run whatever the
+// subject population. Entries are reference counted so that updates can
+// garbage-collect lists that no longer occur.
 type Codebook struct {
 	numSubjects int
-	entries     []*bitset.Bitset // code -> ACL; nil for freed codes
-	refs        []int
-	// index maps an ACL key to its code: the lowest live code with those
-	// bits. It is built at the first Intern or AddSubjectLike (nil until
-	// then: reads need only entries, and a Release has no slot to drop),
-	// and a Clone shares it until either side writes (sharedIndex; see
+	// entries maps a code to its ACL's set subjects as sorted, maximal
+	// runs; nil for freed codes (an empty ACL is a zero-length row). A row
+	// is never written after it is stored: a Clone shares it.
+	entries [][]bitset.Run
+	refs    []int
+	// index maps a row's run encoding (rowKey) to its code, one code per
+	// row. A Clone shares it until either side writes (sharedIndex; see
 	// writableIndex).
 	index       map[string]Code
 	sharedIndex bool
-	// dups records that the index, when built, found live codes sharing
-	// a key (UnmarshalBinary accepts duplicate rows): freeing the code in
-	// such a key's slot drops the index, to be built again with the
-	// survivor.
-	dups bool
-	free []Code // freed codes available for reuse
+	free        []Code // freed codes available for reuse
 	// gen counts mutations that may invalidate externally cached access
-	// decisions (entry create/free/rewrite, subject add/remove, reference
+	// decisions (entry create/free/rewrite, subject add, reference
 	// releases accompanying block rewrites). SubjectView decision caches
 	// key themselves by this value. Mutations and Gen reads must not be
 	// concurrent (securexml serializes them behind its store lock).
@@ -57,7 +57,7 @@ type Codebook struct {
 
 // NewCodebook returns an empty codebook over numSubjects subjects.
 func NewCodebook(numSubjects int) *Codebook {
-	return &Codebook{numSubjects: numSubjects}
+	return &Codebook{numSubjects: numSubjects, index: make(map[string]Code)}
 }
 
 // NumSubjects returns the subject dimension of the codebook.
@@ -66,53 +66,31 @@ func (cb *Codebook) NumSubjects() int { return cb.numSubjects }
 // Clone returns a copy that can diverge from the original. MVCC snapshots
 // freeze the original while updates mutate the clone. The ACL index is
 // shared copy-on-write: each side copies it at its first insert or delete,
-// so a frozen original's index is never written. The entries' bitsets are
-// shared: a codebook never modifies a stored bitset in place — the
-// subject-column operations replace each entry with a modified copy.
+// so a frozen original's index is never written. The rows are shared: a
+// codebook never modifies a stored row in place.
 func (cb *Codebook) Clone() *Codebook {
 	cb.sharedIndex = true
 	return &Codebook{
 		numSubjects: cb.numSubjects,
-		entries:     append([]*bitset.Bitset(nil), cb.entries...),
+		entries:     append([][]bitset.Run(nil), cb.entries...),
 		refs:        append([]int(nil), cb.refs...),
 		index:       cb.index,
 		sharedIndex: true,
-		dups:        cb.dups,
 		free:        append([]Code(nil), cb.free...),
 		gen:         cb.gen,
 	}
 }
 
-// lookupIndex returns the ACL index for reading, building it if it is not
-// built yet: the first live code with a given key wins its slot, so
-// duplicate rows a decoded codebook holds stay addressable but are not
-// re-issued.
-func (cb *Codebook) lookupIndex() map[string]Code {
-	if cb.index == nil {
-		cb.index, cb.sharedIndex, cb.dups = make(map[string]Code, len(cb.entries)), false, false
-		for c, e := range cb.entries {
-			if e == nil {
-				continue
-			}
-			key := e.Key()
-			if _, ok := cb.index[key]; ok {
-				cb.dups = true
-			} else {
-				cb.index[key] = Code(c)
-			}
-		}
+// rowKey is a row's index key: its run encoding.
+func rowKey(row []bitset.Run) string { return string(bitset.AppendRuns(nil, row)) }
+
+// writableIndex returns the ACL index for writing: cb's own copy of an
+// index a Clone shares.
+func (cb *Codebook) writableIndex() map[string]Code {
+	if cb.sharedIndex {
+		cb.index, cb.sharedIndex = maps.Clone(cb.index), false
 	}
 	return cb.index
-}
-
-// writableIndex returns the ACL index for writing: built, and cb's own copy
-// of an index a Clone shares.
-func (cb *Codebook) writableIndex() map[string]Code {
-	if cb.sharedIndex && cb.index != nil {
-		cb.index = maps.Clone(cb.index)
-	}
-	cb.sharedIndex = false
-	return cb.lookupIndex()
 }
 
 // Len returns the number of live entries — the paper's "number of codebook
@@ -127,30 +105,36 @@ func (cb *Codebook) Cap() int { return len(cb.entries) }
 // are valid only while Gen is unchanged.
 func (cb *Codebook) Gen() uint64 { return cb.gen }
 
-// Intern returns the code for the given ACL, adding a new entry (with
-// reference count zero) if it has not been seen. The caller owns acquiring
+// Intern returns the code for the ACL whose set subjects are row, sorted
+// and maximal runs (Bitset.Runs, AddRunBit), adding an entry with
+// reference count zero if it has not been seen. A new entry keeps row, so
+// the caller must not modify it afterwards. The caller owns acquiring
 // references via Retain.
-func (cb *Codebook) Intern(a *bitset.Bitset) Code {
-	key := a.Key()
-	if c, ok := cb.lookupIndex()[key]; ok {
+func (cb *Codebook) Intern(row []bitset.Run) Code {
+	var buf [64]byte // a key that fits is encoded here, and looked up without allocating
+	key := bitset.AppendRuns(buf[:0], row)
+	if c, ok := cb.index[string(key)]; ok {
 		return c
 	}
+	if n := len(row); n > 0 && int(row[n-1].End()) > cb.numSubjects {
+		panic(fmt.Sprintf("dol: ACL grants subject %d of %d", row[n-1].End()-1, cb.numSubjects))
+	}
+	if row == nil {
+		row = []bitset.Run{}
+	}
 	cb.gen++
-	index := cb.writableIndex()
-	stored := a.Clone()
-	stored.Resize(cb.numSubjects)
 	var c Code
 	if n := len(cb.free); n > 0 {
 		c = cb.free[n-1]
 		cb.free = cb.free[:n-1]
-		cb.entries[c] = stored
+		cb.entries[c] = row
 		cb.refs[c] = 0
 	} else {
 		c = Code(len(cb.entries))
-		cb.entries = append(cb.entries, stored)
+		cb.entries = append(cb.entries, row)
 		cb.refs = append(cb.refs, 0)
 	}
-	index[key] = c
+	cb.writableIndex()[string(key)] = c
 	return c
 }
 
@@ -171,20 +155,8 @@ func (cb *Codebook) Release(c Code) {
 	// decisions and page bitmaps, so the generation always advances.
 	cb.gen++
 	if cb.refs[c] == 0 {
-		// The slot is c's only if c holds it: a duplicate row shares its
-		// key with the live code in the slot, and when c holds it a
-		// duplicate may live on to take it over. An index not built yet
-		// is built without the freed entry.
-		if cb.index != nil {
-			key := cb.entries[c].Key()
-			if owner, ok := cb.index[key]; ok && owner == c {
-				if cb.dups {
-					cb.index, cb.sharedIndex = nil, false
-				} else {
-					delete(cb.writableIndex(), key)
-				}
-			}
-		}
+		var buf [64]byte
+		delete(cb.writableIndex(), string(bitset.AppendRuns(buf[:0], cb.entries[c])))
 		cb.entries[c] = nil
 		cb.free = append(cb.free, c)
 	}
@@ -193,25 +165,46 @@ func (cb *Codebook) Release(c Code) {
 // live reports whether code c holds an entry.
 func (cb *Codebook) live(c Code) bool { return int(c) < len(cb.entries) && cb.entries[c] != nil }
 
-// ACL returns the access control list for code c. The returned bitset is
-// shared; callers must not modify it.
-func (cb *Codebook) ACL(c Code) *bitset.Bitset {
+// Row returns the set subjects of code c's ACL as sorted, maximal runs.
+// The row is shared; callers must not modify it.
+func (cb *Codebook) Row(c Code) []bitset.Run {
 	if !cb.live(c) {
 		panic(fmt.Sprintf("dol: lookup of dead code %d", c))
 	}
 	return cb.entries[c]
 }
 
+// ACL returns the access control list for code c as a new bitset over the
+// codebook's subjects.
+func (cb *Codebook) ACL(c Code) *bitset.Bitset {
+	return bitset.FromRuns(cb.numSubjects, cb.Row(c))
+}
+
 // Accessible reports whether subject s is granted by code c — "the s-th bit
 // in that codebook entry" (§3.3).
 func (cb *Codebook) Accessible(c Code, s acl.SubjectID) bool {
-	return cb.ACL(c).Test(int(s))
+	row := cb.Row(c)
+	k := sort.Search(len(row), func(k int) bool { return row[k].End() > uint32(s) })
+	return k < len(row) && row[k].Start <= uint32(s)
 }
 
 // AccessibleAny reports whether any subject of the effective set (user plus
-// transitive groups) is granted by code c.
+// transitive groups) is granted by code c. next is the effective set's
+// first subject at or after the current run's start, so the set is scanned
+// once across the row.
 func (cb *Codebook) AccessibleAny(c Code, effective *bitset.Bitset) bool {
-	return cb.ACL(c).Intersects(effective)
+	next := -1
+	for _, r := range cb.Row(c) {
+		if next < int(r.Start) {
+			if next = effective.NextSet(int(r.Start)); next < 0 {
+				return false
+			}
+		}
+		if next < int(r.End()) {
+			return true
+		}
+	}
+	return false
 }
 
 // Bytes estimates the storage footprint of the codebook: one bit per
@@ -224,45 +217,32 @@ func (cb *Codebook) Bytes() int {
 
 // AddSubject appends a new subject column with no access anywhere (§3.4:
 // adding a subject is a codebook-only operation). It returns the new
-// subject's ID.
+// subject's ID. No row changes: the new column is clear in every one.
 func (cb *Codebook) AddSubject() acl.SubjectID {
 	s := acl.SubjectID(cb.numSubjects)
 	cb.numSubjects++
 	cb.gen++
-	for c, e := range cb.entries {
-		if e != nil {
-			e = e.Clone()
-			e.Resize(cb.numSubjects)
-			cb.entries[c] = e
-		}
-	}
-	// Keys are unchanged: the new column is all zeroes and Key ignores
-	// trailing zero bits.
 	return s
 }
 
 // AddSubjectLike appends a new subject whose rights everywhere match those
-// of existing subject like (§3.4). No embedded codes change.
+// of existing subject like (§3.4). No embedded codes change. Each row that
+// grants like is replaced by one that also grants the new subject; no two
+// rows become equal, since only the new subject's bits change.
 func (cb *Codebook) AddSubjectLike(like acl.SubjectID) (acl.SubjectID, error) {
 	if int(like) < 0 || int(like) >= cb.numSubjects {
 		return acl.InvalidSubject, fmt.Errorf("dol: AddSubjectLike(%d) out of range", like)
 	}
 	index := cb.writableIndex()
 	s := cb.AddSubject()
-	// AddSubject left every entry a copy of this codebook's own, so the
-	// bits are set in place. Codes are visited in ascending order, so the
-	// lowest of duplicates keeps the new key's slot as it held the old.
-	for c, e := range cb.entries {
-		if e == nil {
+	for c, row := range cb.entries {
+		if row == nil || !cb.Accessible(Code(c), like) {
 			continue
 		}
-		if e.Test(int(like)) {
-			delete(index, e.Key())
-			e.Set(int(s))
-			if _, ok := index[e.Key()]; !ok {
-				index[e.Key()] = Code(c)
-			}
-		}
+		delete(index, rowKey(row))
+		row = bitset.AddRunBit(row, uint32(s))
+		cb.entries[c] = row
+		index[rowKey(row)] = Code(c)
 	}
 	return s, nil
 }
@@ -286,30 +266,24 @@ const (
 const sparseRowMinSubjects = 256
 
 // MarshalBinary serializes the codebook: the subject count, the slot count,
-// then per slot a header, its row and its reference count. A row spanning
-// the whole population of at least sparseRowMinSubjects subjects is written
+// then per slot a header, its row and its reference count. A row over a
+// population of at least sparseRowMinSubjects subjects is written
 // run-length encoded when that is smaller than its dense words, so
 // group-correlated ACLs over large populations take a few bytes per run
 // instead of subjects/8 per row.
 func (cb *Codebook) MarshalBinary() ([]byte, error) {
 	out := binary.AppendUvarint(nil, uint64(cb.numSubjects))
 	out = binary.AppendUvarint(out, uint64(len(cb.entries)))
-	for c, e := range cb.entries {
-		if e == nil {
+	for c, row := range cb.entries {
+		switch {
+		case row == nil:
 			out = binary.AppendUvarint(out, rowFreed)
 			continue
-		}
-		var runs []bitset.Run
-		sparse := cb.numSubjects >= sparseRowMinSubjects && e.Len() == cb.numSubjects
-		if sparse {
-			runs = e.Runs()
-			sparse = bitset.RunsSize(runs) < minDenseRow+8*((e.Len()+63)/64)
-		}
-		if sparse {
+		case cb.numSubjects >= sparseRowMinSubjects && bitset.RunsSize(row) < minDenseRow+8*((cb.numSubjects+63)/64):
 			out = binary.AppendUvarint(out, rowRuns)
-			out = bitset.AppendRuns(out, runs)
-		} else {
-			data, err := e.MarshalBinary()
+			out = bitset.AppendRuns(out, row)
+		default:
+			data, err := bitset.FromRuns(cb.numSubjects, row).MarshalBinary()
 			if err != nil {
 				return nil, err
 			}
@@ -321,7 +295,9 @@ func (cb *Codebook) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary restores a codebook serialized by MarshalBinary.
+// UnmarshalBinary restores a codebook serialized by MarshalBinary. It
+// builds the index as it goes, and refuses an image in which two live
+// slots hold equal rows: no writer issues two codes for one ACL.
 func (cb *Codebook) UnmarshalBinary(data []byte) error {
 	ns, n := binary.Uvarint(data)
 	if n <= 0 || ns > maxCodebookSubjects {
@@ -333,14 +309,14 @@ func (cb *Codebook) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("dol: corrupt codebook count")
 	}
 	data = data[n:]
-	*cb = Codebook{numSubjects: int(ns)}
+	*cb = Codebook{numSubjects: int(ns), index: make(map[string]Code)}
 	for i := uint64(0); i < count; i++ {
 		h, n := binary.Uvarint(data)
 		if n <= 0 {
 			return fmt.Errorf("dol: corrupt codebook row %d header", i)
 		}
 		data = data[n:]
-		var b *bitset.Bitset
+		var row []bitset.Run
 		switch {
 		case h == rowFreed:
 			cb.entries = append(cb.entries, nil)
@@ -348,31 +324,38 @@ func (cb *Codebook) UnmarshalBinary(data []byte) error {
 			cb.free = append(cb.free, Code(i))
 			continue
 		case h == rowRuns:
-			runs, rest, err := bitset.DecodeRuns(data, uint32(ns))
-			if err != nil {
+			var err error
+			if row, data, err = bitset.DecodeRuns(data, uint32(ns)); err != nil {
 				return fmt.Errorf("dol: codebook row %d: %w", i, err)
 			}
-			data, b = rest, bitset.FromRuns(int(ns), runs)
 		case h < minDenseRow:
 			return fmt.Errorf("dol: codebook row %d has header %d", i, h)
 		case uint64(len(data)) < h:
 			return fmt.Errorf("dol: truncated codebook row %d", i)
 		default:
-			b = new(bitset.Bitset)
+			b := new(bitset.Bitset)
 			if err := b.UnmarshalBinary(data[:h]); err != nil {
 				return err
 			}
-			if h != uint64(minDenseRow+8*((b.Len()+63)/64)) {
-				return fmt.Errorf("dol: codebook row %d has %d bytes for %d bits", i, h, b.Len())
+			if b.Len() != int(ns) || h != uint64(minDenseRow+8*((ns+63)/64)) {
+				return fmt.Errorf("dol: codebook row %d has %d bytes for %d of %d bits", i, h, b.Len(), ns)
 			}
-			data = data[h:]
+			row, data = b.Runs(), data[h:]
 		}
 		refs, n := binary.Uvarint(data)
 		if n <= 0 || refs > math.MaxInt {
 			return fmt.Errorf("dol: corrupt refcount for codebook row %d", i)
 		}
 		data = data[n:]
-		cb.entries = append(cb.entries, b)
+		key := rowKey(row)
+		if c, ok := cb.index[key]; ok {
+			return fmt.Errorf("dol: codebook rows %d and %d are equal", c, i)
+		}
+		cb.index[key] = Code(i)
+		if row == nil {
+			row = []bitset.Run{}
+		}
+		cb.entries = append(cb.entries, row)
 		cb.refs = append(cb.refs, int(refs))
 	}
 	if len(data) != 0 {

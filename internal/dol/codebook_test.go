@@ -1,6 +1,7 @@
 package dol
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"slices"
@@ -12,44 +13,60 @@ import (
 	"dolxml/internal/bitset"
 )
 
-func TestCodebookInternDedup(t *testing.T) {
-	cb := NewCodebook(4)
-	a := bitset.FromIndices(4, 0, 2)
-	b := bitset.FromIndices(4, 0, 2)
-	c := bitset.FromIndices(4, 1)
+// intern interns a dense ACL, as the builders do.
+func intern(cb *Codebook, a *bitset.Bitset) Code { return cb.Intern(a.Runs()) }
+
+// checkInternDedup interns a, an equal row, a distinct row c and the empty
+// ACL: equal rows share a code, the others do not, and the stored row
+// grants subject granted but not subject no.
+func checkInternDedup(t *testing.T, subjects int, a, same, c []bitset.Run, granted, no acl.SubjectID) {
+	t.Helper()
+	cb := NewCodebook(subjects)
 	ca := cb.Intern(a)
-	if got := cb.Intern(b); got != ca {
+	if got := cb.Intern(same); got != ca {
 		t.Fatalf("equal ACLs got different codes %d vs %d", got, ca)
 	}
-	cc := cb.Intern(c)
-	if cc == ca {
+	if cc := cb.Intern(c); cc == ca {
 		t.Fatal("distinct ACLs share a code")
 	}
-	if cb.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", cb.Len())
+	empty := cb.Intern(nil)
+	if cb.Len() != 3 || cb.Intern([]bitset.Run{}) != empty {
+		t.Fatalf("Len = %d, want 3 with one empty ACL", cb.Len())
 	}
+	if !cb.Accessible(ca, granted) || cb.Accessible(ca, no) || cb.Accessible(empty, 0) {
+		t.Fatal("the rows disagree with their bounds")
+	}
+}
+
+func TestCodebookInternDedup(t *testing.T) {
+	checkInternDedup(t, 4, bitset.FromIndices(4, 0, 2).Runs(), bitset.FromIndices(4, 0, 2).Runs(), bitset.FromIndices(4, 1).Runs(), 2, 1)
+}
+
+// Run rows over a wide population dedup as dense-sized ones do.
+func TestRunCodebookInternDedup(t *testing.T) {
+	checkInternDedup(t, 1000, []bitset.Run{{Start: 0, Len: 100}}, []bitset.Run{{Start: 0, Len: 100}}, []bitset.Run{{Start: 0, Len: 101}}, 99, 100)
 }
 
 func TestCodebookInternCopies(t *testing.T) {
 	cb := NewCodebook(4)
 	a := bitset.FromIndices(4, 0)
-	c := cb.Intern(a)
+	c := intern(cb, a)
 	a.Set(3) // mutate caller's bitset
-	if cb.ACL(c).Test(3) {
+	if cb.Accessible(c, 3) {
 		t.Fatal("codebook aliases caller's bitset")
 	}
 }
 
-// A clone shares the entries' bitsets, so a subject-column operation on
+// A clone shares the entries' rows, so a subject-column operation on
 // either side must leave the other's ACLs as they were.
 func TestCodebookCloneSubjectColumns(t *testing.T) {
 	cb := NewCodebook(3)
-	c0 := cb.Intern(bitset.FromIndices(3, 0, 2))
-	c1 := cb.Intern(bitset.FromIndices(3, 1))
-	want := []string{cb.ACL(c0).Key(), cb.ACL(c1).Key()}
+	c0 := intern(cb, bitset.FromIndices(3, 0, 2))
+	c1 := intern(cb, bitset.FromIndices(3, 1))
+	want := []string{cb.ACL(c0).String(), cb.ACL(c1).String()}
 	unmoved := func(op string) {
 		t.Helper()
-		if got := []string{cb.ACL(c0).Key(), cb.ACL(c1).Key()}; got[0] != want[0] || got[1] != want[1] || cb.ACL(c0).Len() != 3 {
+		if got := []string{cb.ACL(c0).String(), cb.ACL(c1).String()}; got[0] != want[0] || got[1] != want[1] || cb.NumSubjects() != 3 {
 			t.Fatalf("%s on a clone moved the original's ACLs: %q, want %q", op, got, want)
 		}
 	}
@@ -59,8 +76,8 @@ func TestCodebookCloneSubjectColumns(t *testing.T) {
 	unmoved("AddSubjectLike")
 	clone := cb.Clone()
 	cb.AddSubject()
-	if clone.ACL(c0).Len() != 3 {
-		t.Fatal("AddSubject on the original resized its clone's entries")
+	if clone.NumSubjects() != 3 || clone.ACL(c0).Len() != 3 {
+		t.Fatal("AddSubject on the original resized its clone")
 	}
 }
 
@@ -73,7 +90,7 @@ func TestCodebookCloneIndexCopyOnWrite(t *testing.T) {
 	acls := make([]*bitset.Bitset, 6)
 	for i := range acls {
 		acls[i] = bitset.FromIndices(8, i, i+1)
-		frozen.Retain(frozen.Intern(acls[i]))
+		frozen.Retain(intern(frozen, acls[i]))
 	}
 	live := frozen.Clone()
 	if len(live.index) != len(frozen.index) || !live.sharedIndex {
@@ -85,7 +102,7 @@ func TestCodebookCloneIndexCopyOnWrite(t *testing.T) {
 			return
 		}
 		for i, a := range acls {
-			if c, ok := frozen.index[a.Key()]; !ok || c != Code(i) || !frozen.ACL(c).EqualBits(a) {
+			if c, ok := frozen.index[rowKey(a.Runs())]; !ok || c != Code(i) || !frozen.ACL(c).EqualBits(a) {
 				t.Errorf("frozen lookup of ACL %d: code %d, %v", i, c, ok)
 			}
 		}
@@ -108,33 +125,33 @@ func TestCodebookCloneIndexCopyOnWrite(t *testing.T) {
 	}
 	// A hit copies nothing; a freed entry, a new ACL and a new subject
 	// column each write the map, each first on its own clone.
-	if live.Intern(acls[2]) != 2 || !live.sharedIndex {
+	if intern(live, acls[2]) != 2 || !live.sharedIndex {
 		t.Error("an Intern hit copied the index")
 	}
 	live.Release(1)
 	fresh := frozen.Clone()
-	fresh.Retain(fresh.Intern(bitset.FromIndices(8, 7)))
+	fresh.Retain(intern(fresh, bitset.FromIndices(8, 7)))
 	if _, err := frozen.Clone().AddSubjectLike(3); err != nil {
 		t.Error(err)
 	}
 	close(stop)
 	wg.Wait()
 	check()
-	if _, ok := live.index[acls[1].Key()]; ok {
+	if _, ok := live.index[rowKey(acls[1].Runs())]; ok {
 		t.Error("the live copy still indexes its freed entry")
 	}
 	// Either side of a Clone copies at its first write: an insert on the
 	// original does not reach the clone.
 	next := live.Clone()
-	live.Intern(bitset.FromIndices(8, 0))
-	if _, ok := next.index[bitset.FromIndices(8, 0).Key()]; ok {
+	intern(live, bitset.FromIndices(8, 0))
+	if _, ok := next.index[rowKey(bitset.FromIndices(8, 0).Runs())]; ok {
 		t.Error("an insert on the original reached its clone")
 	}
 }
 
 func TestCodebookAccessible(t *testing.T) {
 	cb := NewCodebook(8)
-	c := cb.Intern(bitset.FromIndices(8, 1, 5))
+	c := intern(cb, bitset.FromIndices(8, 1, 5))
 	if !cb.Accessible(c, 1) || !cb.Accessible(c, 5) || cb.Accessible(c, 0) {
 		t.Fatal("Accessible wrong")
 	}
@@ -149,7 +166,7 @@ func TestCodebookAccessible(t *testing.T) {
 
 func TestCodebookRefCountingAndReuse(t *testing.T) {
 	cb := NewCodebook(2)
-	c0 := cb.Intern(bitset.FromIndices(2, 0))
+	c0 := intern(cb, bitset.FromIndices(2, 0))
 	cb.Retain(c0)
 	cb.Retain(c0)
 	if cb.refs[c0] != 2 {
@@ -160,24 +177,38 @@ func TestCodebookRefCountingAndReuse(t *testing.T) {
 		t.Fatal("entry freed too early")
 	}
 	cb.Release(c0)
-	if cb.Len() != 0 {
-		t.Fatal("entry not freed at zero refs")
+	if cb.Len() != 0 || len(cb.index) != 0 {
+		t.Fatalf("entry not freed at zero refs: %d live, %d indexed", cb.Len(), len(cb.index))
 	}
 	// Freed code is reused.
-	c1 := cb.Intern(bitset.FromIndices(2, 1))
-	if c1 != c0 {
-		t.Fatalf("freed code not reused: got %d, want %d", c1, c0)
+	c1 := intern(cb, bitset.FromIndices(2, 1))
+	if c1 != c0 || cb.Cap() != 1 {
+		t.Fatalf("freed code not reused: got %d of %d slots, want %d of 1", c1, cb.Cap(), c0)
 	}
 	// Re-interning the freed ACL makes a fresh entry.
-	c2 := cb.Intern(bitset.FromIndices(2, 0))
-	if c2 == c1 {
+	if c2 := intern(cb, bitset.FromIndices(2, 0)); c2 == c1 {
 		t.Fatal("distinct ACLs share a code after reuse")
+	}
+}
+
+// A freed run row leaves no entry, index key or runs behind, and its slot
+// is the next one issued.
+func TestRunCodebookReleaseReusesSlots(t *testing.T) {
+	cb := NewCodebook(100)
+	a := cb.Intern([]bitset.Run{{Start: 1, Len: 2}})
+	cb.Retain(a)
+	cb.Release(a)
+	if cb.Len() != 0 || len(cb.index) != 0 || cb.entries[a] != nil {
+		t.Fatalf("free of last ref left Len=%d, %d indexed, row %v", cb.Len(), len(cb.index), cb.entries[a])
+	}
+	if b := cb.Intern([]bitset.Run{{Start: 5, Len: 1}}); b != a || cb.Cap() != 1 {
+		t.Fatalf("freed slot %d not reused (got %d of %d slots)", a, b, cb.Cap())
 	}
 }
 
 func TestCodebookReleasePanics(t *testing.T) {
 	cb := NewCodebook(2)
-	c := cb.Intern(bitset.New(2))
+	c := intern(cb, bitset.New(2))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -188,7 +219,7 @@ func TestCodebookReleasePanics(t *testing.T) {
 
 func TestCodebookACLDeadPanics(t *testing.T) {
 	cb := NewCodebook(2)
-	c := cb.Intern(bitset.New(2))
+	c := intern(cb, bitset.New(2))
 	cb.Retain(c)
 	cb.Release(c)
 	defer func() {
@@ -202,7 +233,7 @@ func TestCodebookACLDeadPanics(t *testing.T) {
 func TestCodebookBytes(t *testing.T) {
 	cb := NewCodebook(8639) // LiveLink subject count
 	for i := 0; i < 10; i++ {
-		c := cb.Intern(bitset.FromIndices(8639, i))
+		c := intern(cb, bitset.FromIndices(8639, i))
 		cb.Retain(c)
 	}
 	want := 10 * ((8639 + 7) / 8)
@@ -211,9 +242,24 @@ func TestCodebookBytes(t *testing.T) {
 	}
 }
 
+// A two-run row over 2^20 subjects stays two runs in memory, serializes in
+// its run encoding, and Bytes still counts it as the paper's dense 2^17.
+func TestRunCodebookStats(t *testing.T) {
+	cb := NewCodebook(1 << 20)
+	runs := []bitset.Run{{Start: 0, Len: 4096}, {Start: 500000, Len: 2}}
+	cb.Retain(cb.Intern(runs))
+	if got := cb.Bytes(); got != (1<<20)/8 || !slices.Equal(cb.Row(0), runs) {
+		t.Fatalf("Bytes = %d with row %v, want %d with %v", got, cb.Row(0), (1<<20)/8, runs)
+	}
+	sparse := len(bitset.AppendRuns(nil, runs))
+	if data := mustMarshal(t, cb); len(data) > sparse+16 || cb.Bytes() < 1000*sparse {
+		t.Fatalf("sparse row not materially smaller: %d bytes serialized, run encoding %d, dense %d", len(data), sparse, cb.Bytes())
+	}
+}
+
 func TestAddSubject(t *testing.T) {
 	cb := NewCodebook(2)
-	c := cb.Intern(bitset.FromIndices(2, 0))
+	c := intern(cb, bitset.FromIndices(2, 0))
 	cb.Retain(c)
 	s := cb.AddSubject()
 	if s != 2 || cb.NumSubjects() != 3 {
@@ -223,15 +269,15 @@ func TestAddSubject(t *testing.T) {
 		t.Fatal("new subject should have no access")
 	}
 	// Existing code still resolvable by its (unchanged) key.
-	if got := cb.Intern(bitset.FromIndices(3, 0)); got != c {
+	if got := intern(cb, bitset.FromIndices(3, 0)); got != c {
 		t.Fatalf("key changed after AddSubject: %d vs %d", got, c)
 	}
 }
 
 func TestAddSubjectLike(t *testing.T) {
 	cb := NewCodebook(2)
-	cGrant := cb.Intern(bitset.FromIndices(2, 0))
-	cDeny := cb.Intern(bitset.FromIndices(2, 1))
+	cGrant := intern(cb, bitset.FromIndices(2, 0))
+	cDeny := intern(cb, bitset.FromIndices(2, 1))
 	cb.Retain(cGrant)
 	cb.Retain(cDeny)
 	s, err := cb.AddSubjectLike(0)
@@ -245,7 +291,7 @@ func TestAddSubjectLike(t *testing.T) {
 		t.Fatal("clone should inherit subject 0's denials")
 	}
 	// Index must be consistent: interning the updated ACL finds the code.
-	if got := cb.Intern(bitset.FromIndices(3, 0, 2)); got != cGrant {
+	if got := intern(cb, bitset.FromIndices(3, 0, 2)); got != cGrant {
 		t.Fatalf("index stale after AddSubjectLike: %d vs %d", got, cGrant)
 	}
 	if _, err := cb.AddSubjectLike(99); err == nil {
@@ -253,129 +299,20 @@ func TestAddSubjectLike(t *testing.T) {
 	}
 }
 
-// removeColumn deletes subject s's column from every entry, shifting the
-// subjects above it down: distinct entries may collapse onto equal bits,
-// the duplicate codes lookupIndex, Release and Vacuum must handle.
-func removeColumn(cb *Codebook, s int) {
-	cb.numSubjects--
-	cb.gen++
-	cb.index, cb.sharedIndex = nil, false
-	for c, e := range cb.entries {
-		if e == nil {
-			continue
-		}
-		var keep []int
-		for _, i := range e.Indices() {
-			if i > s {
-				keep = append(keep, i-1)
-			} else if i < s {
-				keep = append(keep, i)
-			}
-		}
-		cb.entries[c] = bitset.FromIndices(cb.numSubjects, keep...)
-	}
-}
-
-// duplicates counts the live entries whose bits equal a lower live
-// entry's.
-func duplicates(cb *Codebook) int {
-	seen := make(map[string]bool, len(cb.entries))
-	dups := 0
-	for _, e := range cb.entries {
-		if e == nil {
-			continue
-		}
-		if seen[e.Key()] {
-			dups++
-		}
-		seen[e.Key()] = true
-	}
-	return dups
-}
-
-// Freeing one of two codes removeColumn collapsed onto the same bits
-// leaves the other one's bits interned under it: freeing the duplicate
-// keeps the live code's index slot, and freeing the code in the slot hands
-// it to the duplicate — with the index built before the release and with
-// it built only after (as after UnmarshalBinary, which builds none).
-func TestReleaseDuplicateKeepsLiveSlot(t *testing.T) {
-	for _, built := range []bool{true, false} {
-		for _, freeSlot := range []bool{false, true} {
-			cb := NewCodebook(2)
-			cA := cb.Intern(bitset.FromIndices(2, 0))
-			cB := cb.Intern(bitset.FromIndices(2, 0, 1))
-			cb.Retain(cA)
-			cb.Retain(cB)
-			removeColumn(cb, 1)
-			if built {
-				cb.lookupIndex()
-			}
-			freed, live := cB, cA
-			if freeSlot {
-				freed, live = cA, cB
-			}
-			cb.Release(freed)
-			if got := cb.Intern(bitset.FromIndices(1, 0)); got != live {
-				t.Errorf("built=%v: Intern({0}) after freeing code %d = %d, want the live code %d", built, freed, got, live)
-			}
-			if d := duplicates(cb); d != 0 {
-				t.Errorf("built=%v: %d duplicates after freeing code %d, want 0", built, d, freed)
-			}
-		}
-	}
-}
-
-// A decoded codebook builds its index at its first write, and the index
-// it builds is the one interning built: a hit returns the stored code, a
-// freed code is not indexed.
-func TestUnmarshalBuildsIndexLazily(t *testing.T) {
-	src := NewCodebook(8)
-	for i := 0; i < 5; i++ {
-		src.Retain(src.Intern(bitset.FromIndices(8, i)))
-	}
-	src.Release(2)
-	data, err := src.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cb Codebook
-	if err := cb.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if cb.index != nil {
-		t.Fatal("UnmarshalBinary built the index")
-	}
-	for i := 0; i < 5; i++ {
-		if i == 2 {
-			continue
-		}
-		if got := cb.Intern(bitset.FromIndices(8, i)); got != Code(i) {
-			t.Fatalf("Intern({%d}) = %d, want %d", i, got, i)
-		}
-	}
-	if got := cb.Intern(bitset.FromIndices(8, 2)); got != 2 || cb.Len() != 5 {
-		t.Fatalf("Intern of the freed ACL = %d with %d live, want the freed code 2 and 5", got, cb.Len())
-	}
-}
-
 func TestCodebookMarshalRoundTrip(t *testing.T) {
 	cb := NewCodebook(5)
-	c0 := cb.Intern(bitset.FromIndices(5, 0, 4))
+	c0 := intern(cb, bitset.FromIndices(5, 0, 4))
 	cb.Retain(c0)
 	cb.Retain(c0)
-	c1 := cb.Intern(bitset.FromIndices(5, 2))
+	c1 := intern(cb, bitset.FromIndices(5, 2))
 	cb.Retain(c1)
 	// Free one to exercise nil-slot serialization.
-	c2 := cb.Intern(bitset.FromIndices(5, 3))
+	c2 := intern(cb, bitset.FromIndices(5, 3))
 	cb.Retain(c2)
 	cb.Release(c2)
 
-	data, err := cb.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
 	var got Codebook
-	if err := got.UnmarshalBinary(data); err != nil {
+	if err := got.UnmarshalBinary(mustMarshal(t, cb)); err != nil {
 		t.Fatal(err)
 	}
 	if got.NumSubjects() != 5 || got.Len() != cb.Len() {
@@ -388,9 +325,128 @@ func TestCodebookMarshalRoundTrip(t *testing.T) {
 		t.Fatal("ACL bits lost")
 	}
 	// Freed slot must be reusable after round trip.
-	c3 := got.Intern(bitset.FromIndices(5, 1))
-	if c3 != c2 {
+	if c3 := intern(&got, bitset.FromIndices(5, 1)); c3 != c2 {
 		t.Fatalf("free list lost: got %d, want %d", c3, c2)
+	}
+}
+
+// A decoded codebook's index is the one interning built: a hit returns the
+// stored code, a freed code is not indexed but reused. The decoder builds
+// it while decoding, where it refuses equal rows; no write is needed first.
+func TestUnmarshalBuildsIndexLazily(t *testing.T) {
+	src := NewCodebook(8)
+	for i := 0; i < 5; i++ {
+		src.Retain(intern(src, bitset.FromIndices(8, i)))
+	}
+	src.Release(2)
+	var cb Codebook
+	if err := cb.UnmarshalBinary(mustMarshal(t, src)); err != nil {
+		t.Fatal(err)
+	}
+	if len(cb.index) != 4 {
+		t.Fatalf("decoded index holds %d rows, want the 4 live ones", len(cb.index))
+	}
+	for i := 0; i < 5; i++ {
+		if i == 2 {
+			continue
+		}
+		if got := intern(&cb, bitset.FromIndices(8, i)); got != Code(i) {
+			t.Fatalf("Intern({%d}) = %d, want %d", i, got, i)
+		}
+	}
+	if got := intern(&cb, bitset.FromIndices(8, 2)); got != 2 || cb.Len() != 5 {
+		t.Fatalf("Intern of the freed ACL = %d with %d live, want the freed code 2 and 5", got, cb.Len())
+	}
+}
+
+// TestCodebookV2SparseRoundTrip: a wide-population codebook with
+// run-friendly rows must serialize sparsely, decode back to the same
+// dictionary, and shrink materially vs dense rows.
+func TestCodebookV2SparseRoundTrip(t *testing.T) {
+	const n = 100000
+	cb := NewCodebook(n)
+	g1 := bitset.New(n)
+	g1.SetRange(0, 5000)
+	cb.Retain(intern(cb, g1))
+	g2 := bitset.New(n)
+	g2.SetRange(40000, 41000)
+	g2.Set(99999)
+	cb.Retain(intern(cb, g2))
+	freed := intern(cb, bitset.FromIndices(n, 7))
+	cb.Retain(freed)
+	cb.Release(freed) // leaves a freed slot in the stream
+	data := mustMarshal(t, cb)
+	if len(data) > 1024 {
+		t.Fatalf("sparse serialization is %d bytes; dense rows would be ~%d", len(data), cb.Bytes())
+	}
+	var back Codebook
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if back.NumSubjects() != n || back.Len() != cb.Len() || back.Cap() != cb.Cap() {
+		t.Fatalf("round-trip shape: subjects=%d len=%d cap=%d", back.NumSubjects(), back.Len(), back.Cap())
+	}
+	sameEntries(t, cb, &back)
+	// Re-marshal is a byte fixpoint.
+	if !bytes.Equal(mustMarshal(t, &back), data) {
+		t.Fatal("marshal is not a fixpoint")
+	}
+}
+
+// TestCodebookSmallStaysV1 pins the bytes of a population under the sparse
+// threshold: the subject count, the slot count, then each row dense, its
+// header its byte count.
+func TestCodebookSmallStaysV1(t *testing.T) {
+	cb := NewCodebook(8)
+	c := intern(cb, mustBits("10100000"))
+	cb.Retain(c)
+	data := mustMarshal(t, cb)
+	if want := []byte{8, 1, 12, 8, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1}; !bytes.Equal(data, want) {
+		t.Fatalf("small codebook is %v, want %v", data, want)
+	}
+	var back Codebook
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if back.Len() != 1 || !back.ACL(c).EqualBits(cb.ACL(c)) {
+		t.Fatal("round-trip broken")
+	}
+}
+
+// TestCodebookV2DenseFallback pins that incompressible wide rows stay
+// dense beside run-length ones and still round-trip.
+func TestCodebookV2DenseFallback(t *testing.T) {
+	const n = 2048
+	rng := rand.New(rand.NewSource(9))
+	cb := NewCodebook(n)
+	noisy := bitset.New(n)
+	for i := 0; i < n; i++ {
+		if rng.Intn(2) == 0 {
+			noisy.Set(i)
+		}
+	}
+	nc := intern(cb, noisy)
+	cb.Retain(nc)
+	sparse := bitset.New(n)
+	sparse.SetRange(0, 64)
+	sc := intern(cb, sparse)
+	cb.Retain(sc)
+	data := mustMarshal(t, cb)
+	// Subjects, slots, then the noisy row (code 0): its header is its byte count.
+	r := data
+	for _, want := range []uint64{n, 2, 4 + 8*n/64} {
+		v, k := binary.Uvarint(r)
+		if k <= 0 || v != want {
+			t.Fatalf("codebook opens %x, want uvarint %d", data[:len(data)-len(r)+1], want)
+		}
+		r = r[k:]
+	}
+	var back Codebook
+	if err := back.UnmarshalBinary(data); err != nil {
+		t.Fatal(err)
+	}
+	if !back.ACL(nc).EqualBits(noisy) || !back.ACL(sc).EqualBits(sparse) {
+		t.Fatal("mixed dense/sparse rows did not round-trip")
 	}
 }
 
@@ -413,8 +469,14 @@ func TestCodebookUnmarshalErrors(t *testing.T) {
 	if err := cb.UnmarshalBinary(slices.Concat(row[:2], []byte{13}, row[3:15], []byte{0, 1})); err == nil {
 		t.Fatal("a dense row longer than its bits should fail")
 	}
+	if err := cb.UnmarshalBinary(slices.Concat(row[:3], []byte{3}, row[4:])); err == nil {
+		t.Fatal("a dense row of 3 bits in a 4-subject codebook should fail")
+	}
 	if err := cb.UnmarshalBinary(slices.Concat(row[:15], binary.AppendUvarint(nil, 1<<63))); err == nil {
 		t.Fatal("a reference count past int should fail")
+	}
+	if err := cb.UnmarshalBinary(duplicateRows()); err == nil {
+		t.Fatal("two live slots holding equal rows should fail")
 	}
 	for _, retired := range retiredCodebooks() {
 		if err := cb.UnmarshalBinary(retired); err == nil {
@@ -424,59 +486,78 @@ func TestCodebookUnmarshalErrors(t *testing.T) {
 }
 
 // Property: a codebook behaves as a content-addressed dictionary — under
-// random interleavings of Intern/Retain/Release, live codes always decode
-// to the ACL they were interned with, and Len matches a shadow model.
+// random interleavings of Intern/Retain/Release and of one-bit grants to a
+// live code (AddRunBit, as the streamed build interns them), live codes
+// always decode to the ACL they were interned with, every subject and
+// effective set is decided as the dense ACL decides it, and Len matches a
+// shadow model.
 func TestCodebookModelProperty(t *testing.T) {
+	const n = 70 // two words, so runs and sets cross a word boundary
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		cb := NewCodebook(6)
+		cb := NewCodebook(n)
 		type live struct {
 			code Code
-			key  string
+			acl  *bitset.Bitset
 			refs int
 		}
 		var lives []live
+		add := func(c Code, a *bitset.Bitset) bool {
+			cb.Retain(c)
+			for i := range lives {
+				if lives[i].code == c {
+					lives[i].refs++
+					return lives[i].acl.EqualBits(a)
+				}
+			}
+			lives = append(lives, live{c, a, 1})
+			return true
+		}
+		release := func(i int) {
+			cb.Release(lives[i].code)
+			if lives[i].refs--; lives[i].refs == 0 {
+				lives = append(lives[:i], lives[i+1:]...)
+			}
+		}
 		for step := 0; step < 200; step++ {
-			switch rng.Intn(3) {
+			op, k := rng.Intn(4), 0
+			if op > 0 && len(lives) == 0 {
+				continue
+			} else if op > 0 {
+				k = rng.Intn(len(lives))
+			}
+			switch op {
 			case 0: // intern + retain
-				a := bitset.New(6)
-				for i := 0; i < 6; i++ {
-					if rng.Intn(2) == 1 {
-						a.Set(i)
-					}
+				a := bitset.New(n)
+				for s := rng.Intn(n); s < n; s += 1 + rng.Intn(8) {
+					a.SetRange(s, min(n, s+rng.Intn(4)))
 				}
-				c := cb.Intern(a)
-				cb.Retain(c)
-				found := false
-				for i := range lives {
-					if lives[i].code == c {
-						if lives[i].key != a.Key() {
-							return false
-						}
-						lives[i].refs++
-						found = true
-					}
-				}
-				if !found {
-					lives = append(lives, live{c, a.Key(), 1})
+				if !add(intern(cb, a), a) {
+					return false
 				}
 			case 1: // release a random live code
-				if len(lives) == 0 {
-					continue
-				}
-				i := rng.Intn(len(lives))
-				cb.Release(lives[i].code)
-				lives[i].refs--
-				if lives[i].refs == 0 {
-					lives = append(lives[:i], lives[i+1:]...)
-				}
-			case 2: // verify a random live code
-				if len(lives) == 0 {
-					continue
-				}
-				i := rng.Intn(len(lives))
-				if cb.ACL(lives[i].code).Key() != lives[i].key {
+				release(k)
+			case 2: // grant one subject to a random live code
+				l, s := lives[k], rng.Intn(n)
+				a := l.acl.Clone()
+				a.Set(s)
+				next := cb.Intern(bitset.AddRunBit(cb.Row(l.code), uint32(s)))
+				if !add(next, a) || (l.acl.Test(s) != (next == l.code)) {
 					return false
+				}
+				release(slices.IndexFunc(lives, func(x live) bool { return x.code == l.code }))
+			case 3: // verify a random live code
+				l, eff := lives[k], bitset.New(n)
+				for j := rng.Intn(4); j > 0; j-- {
+					eff.Set(rng.Intn(n))
+				}
+				if !cb.ACL(l.code).EqualBits(l.acl) || cb.AccessibleAny(l.code, eff) != l.acl.Intersects(eff) {
+					return false
+				}
+				for s := 0; s < n; s++ {
+					if cb.Accessible(l.code, acl.SubjectID(s)) != l.acl.Test(s) {
+						return false
+					}
 				}
 			}
 		}
@@ -487,11 +568,43 @@ func TestCodebookModelProperty(t *testing.T) {
 	}
 }
 
+// A chain of one-bit grants (AddRunBit, as the streamed build interns
+// them) follows a dense oracle, and releasing each superseded row leaves
+// exactly one live entry.
+func TestRunCodebookWithBitOracle(t *testing.T) {
+	const n = 500
+	rng := rand.New(rand.NewSource(3))
+	cb := NewCodebook(n)
+	dense := bitset.New(n)
+	c := cb.Intern(nil)
+	cb.Retain(c)
+	for step := 0; step < 400; step++ {
+		s := rng.Intn(n)
+		next := cb.Intern(bitset.AddRunBit(cb.Row(c), uint32(s)))
+		if dense.Test(s) {
+			if next != c {
+				t.Fatalf("step %d: granting set bit %d changed code %d -> %d", step, s, c, next)
+			}
+			continue
+		}
+		dense.Set(s)
+		cb.Retain(next)
+		cb.Release(c)
+		c = next
+		if !cb.ACL(c).EqualBits(dense) {
+			t.Fatalf("step %d: run row diverged from dense oracle", step)
+		}
+	}
+	if cb.Len() != 1 {
+		t.Fatalf("Len = %d after chained grants, want 1 (slot reuse broken)", cb.Len())
+	}
+}
+
 func TestCodeTypeMatchesACLSubjectID(t *testing.T) {
 	// Compile-time-ish sanity that codebook subject indexing matches
 	// acl.SubjectID semantics.
 	cb := NewCodebook(3)
-	c := cb.Intern(bitset.FromIndices(3, 2))
+	c := intern(cb, bitset.FromIndices(3, 2))
 	var s acl.SubjectID = 2
 	if !cb.Accessible(c, s) {
 		t.Fatal("SubjectID indexing mismatch")

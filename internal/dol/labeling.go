@@ -2,6 +2,7 @@ package dol
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dolxml/internal/acl"
@@ -80,10 +81,11 @@ func (sb *StreamBuilder) AppendRun(a *bitset.Bitset, n int) {
 	l := sb.l
 	first := xmltree.NodeID(l.numNodes)
 	l.numNodes += n
-	if k := len(l.codes); k > 0 && l.cb.ACL(l.codes[k-1]).EqualBits(a) {
+	row := a.Runs()
+	if k := len(l.codes); k > 0 && slices.Equal(l.cb.Row(l.codes[k-1]), row) {
 		return
 	}
-	c := l.cb.Intern(a)
+	c := l.cb.Intern(row)
 	l.cb.Retain(c)
 	l.nodes = append(l.nodes, first)
 	l.codes = append(l.codes, c)

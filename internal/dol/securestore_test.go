@@ -472,11 +472,7 @@ func ApplyOp(ss *SecureStore, op xmlmodel.Operation) error {
 		}
 		return ss.SetNodeAccess(op.Node, s, op.Allowed)
 	case xmlmodel.SetRange:
-		return ss.SetRangeACL(op.Node, op.Hi, func(old *bitset.Bitset) *bitset.Bitset {
-			nw := old.Clone()
-			nw.SetTo(op.Subject, op.Allowed)
-			return nw
-		})
+		return ss.SetRangeACL(op.Node, op.Hi, setBit(s, op.Allowed))
 	case xmlmodel.AddUser:
 		ss.AddSubject()
 	case xmlmodel.AddUserLike:
@@ -518,49 +514,36 @@ func BenchmarkSetNodeAccess(b *testing.B) {
 	}
 }
 
-func TestVacuumReclaimsDuplicates(t *testing.T) {
+// Vacuum leaves a store as a fresh build of its matrix: a revoke and a
+// grant of one subject over a subtree that spans blocks on 64-byte pages,
+// then Vacuum, keep every right and leave the fresh labeling's transitions
+// and codebook entries.
+func TestVacuumAfterRevokeAndGrant(t *testing.T) {
 	doc := fig2doc(t)
 	m := figure1Matrix()
 	ss := buildSecure(t, doc, m, 64)
-	// Removing subject 1 collapses {0,1} and {0} style entries into
-	// duplicates that only Vacuum reclaims.
-	removeColumn(ss.cb, 1)
-	dupsBefore := duplicates(ss.Codebook())
-	if dupsBefore == 0 {
-		t.Fatal("test premise: removal should create duplicates")
+	for _, allowed := range []bool{false, true} {
+		if err := ss.SetSubtreeAccess(4, 0, allowed); err != nil {
+			t.Fatal(err)
+		}
 	}
-	trBefore, err := ss.TransitionCount()
-	if err != nil {
-		t.Fatal(err)
+	for n := 4; n < doc.Len(); n++ {
+		m.Set(xmltree.NodeID(n), 0, true)
 	}
 	if err := ss.Vacuum(); err != nil {
 		t.Fatal(err)
-	}
-	if got := duplicates(ss.Codebook()); got != 0 {
-		t.Fatalf("duplicates after Vacuum = %d", got)
-	}
-	trAfter, err := ss.TransitionCount()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trAfter > trBefore {
-		t.Fatalf("Vacuum increased transitions %d -> %d", trBefore, trAfter)
-	}
-	// Accessibility is preserved: subject 0 unchanged, old subject 2
-	// is now subject 1... figure1Matrix has 2 subjects, so after removing
-	// subject 1 only subject 0 remains.
-	want := acl.NewMatrix(doc.Len(), 1)
-	for n := 0; n < doc.Len(); n++ {
-		if m.Accessible(xmltree.NodeID(n), 0) {
-			want.Set(xmltree.NodeID(n), 0, true)
-		}
 	}
 	got, err := ss.Matrix()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(want) {
+	if !got.Equal(m) {
 		t.Fatal("Vacuum changed accessibility")
+	}
+	fresh := FromMatrix(m)
+	if tr, err := ss.TransitionCount(); err != nil || tr != fresh.NumTransitions() || ss.Codebook().Len() != fresh.Codebook().Len() {
+		t.Fatalf("after Vacuum: %d transitions, %d entries (%v); a fresh build has %d, %d",
+			tr, ss.Codebook().Len(), err, fresh.NumTransitions(), fresh.Codebook().Len())
 	}
 	checkStoreRefs(t, ss)
 }

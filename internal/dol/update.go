@@ -12,7 +12,7 @@ import (
 // This file implements the update operations of paper §3.4 on the physical
 // representation: accessibility updates (single node and whole subtree) and
 // structural updates (insert, delete, move of a subtree), plus subject
-// addition/removal, which are codebook-only operations.
+// addition, a codebook-only operation.
 //
 // Structural updates share one mechanism: decode the affected block
 // region, splice entries and edit their access codes, re-normalize
@@ -62,25 +62,26 @@ func (ss *SecureStore) SetSubtreeAccess(root xmltree.NodeID, s acl.SubjectID, al
 }
 
 // setBit returns the ACL edit that grants or revokes subject s.
-func setBit(s acl.SubjectID, allowed bool) func(*bitset.Bitset) *bitset.Bitset {
-	return func(old *bitset.Bitset) *bitset.Bitset {
-		nw := old.Clone()
-		nw.SetTo(int(s), allowed)
-		return nw
+func setBit(s acl.SubjectID, allowed bool) func([]bitset.Run) []bitset.Run {
+	if allowed {
+		return func(row []bitset.Run) []bitset.Run { return bitset.AddRunBit(row, uint32(s)) }
 	}
+	return func(row []bitset.Run) []bitset.Run { return bitset.RemoveRunBit(row, uint32(s)) }
 }
 
 // SetRangeACL applies f to the ACL of every node in [lo, hi] and rewrites
-// the affected blocks. f must depend on the ACL alone and leave it
-// unmodified: it runs once per distinct code in the range, and every node
-// carrying that code gets the one result. On a write-ahead-logged pager
+// the affected blocks. f gets the codebook row of the ACL (Codebook.Row),
+// which it must leave unmodified, and returns the new row for Intern; it
+// must depend on the ACL alone: it runs once per distinct code in the
+// range, and every node carrying that code gets the one result. On a
+// write-ahead-logged pager
 // the rewrite is one atomic batch: a crash leaves either the old or the
 // new region on disk.
-func (ss *SecureStore) SetRangeACL(lo, hi xmltree.NodeID, f func(*bitset.Bitset) *bitset.Bitset) error {
+func (ss *SecureStore) SetRangeACL(lo, hi xmltree.NodeID, f func([]bitset.Run) []bitset.Run) error {
 	return ss.store.WithTxn(func() error { return ss.setRangeACL(lo, hi, f) })
 }
 
-func (ss *SecureStore) setRangeACL(lo, hi xmltree.NodeID, f func(*bitset.Bitset) *bitset.Bitset) error {
+func (ss *SecureStore) setRangeACL(lo, hi xmltree.NodeID, f func([]bitset.Run) []bitset.Run) error {
 	st := ss.store
 	if !st.Valid(lo) || !st.Valid(hi) || hi < lo {
 		return fmt.Errorf("dol: invalid range [%d,%d]", lo, hi)
@@ -95,7 +96,7 @@ func (ss *SecureStore) setRangeACL(lo, hi xmltree.NodeID, f func(*bitset.Bitset)
 			if k == 0 || old != last {
 				nw, ok := recoded[old]
 				if !ok {
-					nw = ss.cb.Intern(f(ss.cb.ACL(old)))
+					nw = ss.cb.Intern(f(ss.cb.Row(old)))
 					recoded[old] = nw
 				}
 				last, lastNew = old, nw
@@ -296,7 +297,7 @@ func (ss *SecureStore) insertSubtree(parent, after xmltree.NodeID, frag *xmltree
 			Tag:        st.InternTag(frag.Tag(fn)),
 			CloseCount: frag.CloseCount(fn),
 		}
-		fragCodes[k] = ss.cb.Intern(fragMatrix.Row(fn))
+		fragCodes[k] = ss.cb.Intern(fragMatrix.Row(fn).Runs())
 	}
 	fragEntries[len(fragEntries)-1].CloseCount += transferred
 
@@ -444,19 +445,14 @@ func (ss *SecureStore) extractSubtree(n, end xmltree.NodeID) (*xmltree.Document,
 	return frag, m, values, nil
 }
 
-// Vacuum performs the paper's lazy redundancy correction (§3.4): a
-// codebook can hold distinct entries with identical ACLs, and updates can
-// leave adjacent transition nodes with equal effective lists. Vacuum rewrites
-// the embedded codes canonically (every ACL maps to one code), merging
-// redundant transitions and releasing duplicate codebook entries. It is a
+// Vacuum performs the paper's lazy redundancy correction (§3.4): updates
+// can leave adjacent transition nodes with equal effective lists. Vacuum
+// lays the whole document out again with every ACL unchanged, which drops
+// each transition whose code equals its predecessor's. It is a
 // full-document pass; run it opportunistically, not per update.
 func (ss *SecureStore) Vacuum() error {
 	last := xmltree.NodeID(ss.store.NumNodes() - 1)
-	return ss.SetRangeACL(0, last, func(old *bitset.Bitset) *bitset.Bitset {
-		// Interning the unchanged ACL canonicalizes the code: the
-		// codebook returns the first live entry with these bits.
-		return old
-	})
+	return ss.SetRangeACL(0, last, func(row []bitset.Run) []bitset.Run { return row })
 }
 
 // AddSubject appends a new subject with no access anywhere. Only the

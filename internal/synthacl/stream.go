@@ -6,6 +6,8 @@ import (
 	"sort"
 	"time"
 
+	"dolxml/internal/acl"
+	"dolxml/internal/bitset"
 	"dolxml/internal/dol"
 )
 
@@ -146,28 +148,28 @@ type StreamStats struct {
 	Folders     int   // distinct document-order intervals carrying an ACL
 	Entries     int   // live codebook entries (the paper's Figure 5 metric)
 	LiveRuns    int64 // total runs across live entries
-	MaxRuns     int   // widest row (runs) ever interned
+	MaxRuns     int   // widest live row (runs)
 	SparseBytes int64 // run-encoded size of the live dictionary
 	DenseBytes  int64 // the same dictionary as dense bit-vector rows
 	BuildTime   time.Duration
 }
 
-// StreamResult is a streamed build: the sparse codebook, the final code of
-// every folder, and the summary statistics.
+// StreamResult is a streamed build: the codebook, the final code of every
+// folder, and the summary statistics.
 type StreamResult struct {
-	Codebook *dol.RunCodebook
+	Codebook *dol.Codebook
 	Folders  []Folder
 	Codes    []dol.Code // final code per folder
 	Stats    StreamStats
 }
 
 // StreamCodebook runs the generator, interning every folder's evolving ACL
-// into a RunCodebook. Memory stays proportional to the folder partition:
-// the nodes×subjects matrix is never materialized.
+// into a codebook. Memory stays proportional to the folder partition: the
+// nodes×subjects matrix is never materialized.
 func StreamCodebook(cfg StreamConfig) *StreamResult {
 	cfg = cfg.normalized()
 	start := time.Now()
-	cb := dol.NewRunCodebook(cfg.Subjects)
+	cb := dol.NewCodebook(cfg.Subjects)
 	folders := cfg.Folders()
 	empty := cb.Intern(nil)
 	codes := make([]dol.Code, len(folders))
@@ -181,27 +183,33 @@ func StreamCodebook(cfg StreamConfig) *StreamResult {
 	}
 	StreamGrants(cfg, func(lo, _, subject int) {
 		i := sort.SearchInts(starts, lo)
-		next := cb.WithBit(codes[i], subject)
-		if next != codes[i] {
-			cb.Retain(next)
-			cb.Release(codes[i])
-			codes[i] = next
+		if cb.Accessible(codes[i], acl.SubjectID(subject)) {
+			return
 		}
+		next := cb.Intern(bitset.AddRunBit(cb.Row(codes[i]), uint32(subject)))
+		cb.Retain(next)
+		cb.Release(codes[i])
+		codes[i] = next
 	})
-	return &StreamResult{
-		Codebook: cb,
-		Folders:  folders,
-		Codes:    codes,
-		Stats: StreamStats{
-			Subjects:    cfg.Subjects,
-			Groups:      cfg.Groups(),
-			Folders:     len(folders),
-			Entries:     cb.Len(),
-			LiveRuns:    cb.LiveRuns(),
-			MaxRuns:     cb.MaxRuns(),
-			SparseBytes: cb.SparseBytes(),
-			DenseBytes:  cb.DenseBytes(),
-			BuildTime:   time.Since(start),
-		},
+	st := StreamStats{
+		Subjects:   cfg.Subjects,
+		Groups:     cfg.Groups(),
+		Folders:    len(folders),
+		Entries:    cb.Len(),
+		DenseBytes: int64(cb.Bytes()),
 	}
+	// Every live entry is some folder's final code.
+	seen := make(map[dol.Code]bool, cb.Len())
+	for _, c := range codes {
+		if seen[c] {
+			continue
+		}
+		seen[c] = true
+		row := cb.Row(c)
+		st.LiveRuns += int64(len(row))
+		st.MaxRuns = max(st.MaxRuns, len(row))
+		st.SparseBytes += int64(bitset.RunsSize(row))
+	}
+	st.BuildTime = time.Since(start)
+	return &StreamResult{Codebook: cb, Folders: folders, Codes: codes, Stats: st}
 }

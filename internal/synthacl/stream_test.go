@@ -27,7 +27,7 @@ func TestStreamSparseMatchesDenseOracle(t *testing.T) {
 	StreamGrants(cfg, func(lo, _, subject int) { dense[sort.SearchInts(starts, lo)].Set(subject) })
 	distinct := map[string]bool{}
 	for _, a := range dense {
-		distinct[a.Key()] = true
+		distinct[a.String()] = true
 	}
 	if res.Codebook.Len() != len(distinct) {
 		t.Fatalf("sparse has %d entries, dense oracle %d", res.Codebook.Len(), len(distinct))

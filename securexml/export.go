@@ -32,7 +32,6 @@ func (s *Store) ExportVisible(user, mode string, w io.Writer) error {
 
 	st := sn.st
 	vs := st.Values()
-	cb := sn.ss.Codebook()
 
 	var stack []exportFrame
 	allVisible := true // whether every frame on the stack is visible
@@ -66,7 +65,7 @@ func (s *Store) ExportVisible(user, mode string, w io.Writer) error {
 			return false
 		}
 		tag := st.TagName(ni.Entry.Tag)
-		accessible := cb.AccessibleAny(ni.Code, view.Effective())
+		accessible := view.CodeAllowed(ni.Code)
 		visible := allVisible && accessible
 
 		var value string

@@ -402,6 +402,9 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 		{"codebook that does not parse", sidecar(func(ps *persistedStore) {
 			ps.Codebook = []byte{0xff}
 		}), "corrupt codebook", false},
+		{"codebook whose two live slots hold one row", sidecar(func(ps *persistedStore) {
+			ps.Codebook = duplicateRow(t, ps.Codebook)
+		}), "securexml: corrupt metadata: codebook: dol: codebook rows 0 and", false},
 		{"directory of uneven lengths", sidecar(func(ps *persistedStore) {
 			ps.Dir.IsGroup = nil
 		}), "corrupt directory", false},

@@ -473,7 +473,7 @@ func Open(dir string, opts StoreOptions) (_ *Store, err error) {
 	applyDecodeCacheBudget(st, opts.DecodeCacheBytes)
 	cb := dol.NewCodebook(0)
 	if err := cb.UnmarshalBinary(ps.Codebook); err != nil {
-		return nil, fmt.Errorf("securexml: corrupt codebook: %w", err)
+		return nil, fmt.Errorf("securexml: corrupt metadata: codebook: %w", err)
 	}
 	d, err := acl.DirectoryFromSnapshot(ps.Dir)
 	if err != nil {

@@ -47,15 +47,11 @@ type Options struct {
 	// a crowded registry cannot starve a store below a working set.
 	MinPoolPages int
 	// Store is the template for per-tenant StoreOptions. Path, PageSize,
-	// PoolPages and DecodeCacheBytes are overridden per tenant.
+	// PoolPages and DecodeCacheBytes are overridden per tenant. Its
+	// SLOLatency defaults to 250ms, so every tenant's slo_* gauges (burn
+	// rate included) are meaningful out of the box; set it negative to
+	// disable them.
 	Store securexml.StoreOptions
-	// SLOLatencyByTenant overrides Store.SLOLatency for specific tenants:
-	// each tenant's store opens with its own latency objective, and its
-	// slo_* gauges (burn rate included) export under that tenant's metrics
-	// prefix. Tenants not in the map use Store.SLOLatency (default 250ms
-	// when serving through a registry, so burn-rate gauges are meaningful
-	// out of the box; set Store.SLOLatency negative to disable).
-	SLOLatencyByTenant map[string]time.Duration
 }
 
 func (o Options) withDefaults() Options {
@@ -269,9 +265,6 @@ func (r *Registry) Acquire(id string) (*Handle, error) {
 	}
 
 	opts := r.opts.Store
-	if d, ok := r.opts.SLOLatencyByTenant[id]; ok {
-		opts.SLOLatency = d
-	}
 	share := r.shareLocked(len(r.tenants) + 1)
 	opts.DecodeCacheBytes = share.decodeBytes
 	// PoolPages needs the page size, which lives in the store's meta; open

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"dolxml/internal/acl"
+	"dolxml/internal/bitset"
 	"dolxml/internal/nok"
 	"dolxml/internal/pathsum"
 	"dolxml/internal/wire"
@@ -194,6 +195,31 @@ func retiredCodebooks(cb []byte) map[string][]byte {
 		out[fmt.Sprintf("row header %d", h)] = slices.Concat(cb[:a+b], []byte{h}, cb[a+b+c:])
 	}
 	return out
+}
+
+// duplicateRow returns the codebook blob cb with a copy of its first slot
+// appended as one more, so two live slots hold one row: an image no writer
+// emits.
+func duplicateRow(t *testing.T, cb []byte) []byte {
+	t.Helper()
+	ns, a := binary.Uvarint(cb)
+	count, b := binary.Uvarint(cb[a:])
+	rows := cb[a+b:]
+	h, n := binary.Uvarint(rows)
+	switch h {
+	case 0:
+		t.Fatal("the first slot is freed")
+	case 1:
+		_, rest, err := bitset.DecodeRuns(rows[n:], uint32(ns))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n = len(rows) - len(rest)
+	default:
+		n += int(h)
+	}
+	_, r := binary.Uvarint(rows[n:])
+	return slices.Concat(cb[:a], binary.AppendUvarint(nil, count+1), rows, rows[:n+r])
 }
 
 // packRefs packs value refs, each {node, page, offset, length}, as the nok
