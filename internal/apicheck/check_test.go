@@ -1,5 +1,5 @@
 // Package apicheck holds the test that every function under internal/ has
-// a production caller (DESIGN.md §4). It type-checks the module's non-test
+// a production caller (DESIGN.md §2). It type-checks the module's non-test
 // packages with go/types and fails on an exported function or method under
 // internal/ that only tests reference, on an unexported one that nothing
 // references, and on a line of allowlist.txt that names neither.

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/fstest"
 )
 
 // source is one single-file package of an in-memory module "m".
@@ -203,5 +204,77 @@ func TestParseAllowlist(t *testing.T) {
 	}
 	if _, err := parseAllowlist(strings.NewReader("m/internal/a.F\n")); err == nil {
 		t.Fatal("an entry without a reason was accepted")
+	}
+}
+
+func TestDocCheckCore(t *testing.T) {
+	module := fstest.MapFS{
+		"go.mod":         {Data: []byte("module m\n")},
+		"BENCHMARK.json": {Data: []byte(`{"per_layer": [{"name": "store.open_ms"}]}`)},
+		"DESIGN.md":      {Data: []byte("# D\n\n## 1. Pager\n\n## 2. Store\n")},
+		"store/store.go": {Data: []byte(`package store
+
+import "strings"
+
+type Base struct{ Pages int }
+
+type Store struct {
+	Base
+	path string
+}
+
+func (s *Store) Query() string { return strings.ToLower(s.path) }
+
+func Open() *Store { return nil }
+`)},
+		"store/store_test.go": {Data: []byte(`package store
+
+import "testing"
+
+func TestOpen(t *testing.T) {}
+
+func BenchmarkOpen(b *testing.B) {}
+
+func FuzzOpen(f *testing.F) {}
+`)},
+	}
+	tr, err := loadTree(module)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := tr.designSections()
+	for _, tc := range []struct {
+		doc  string
+		want []string
+	}{
+		{doc: "`store.Open`, `store.Store.Query`, `Store.Pages` (promoted), `Store.path`, " +
+			"`strings.Builder.WriteString`, `store.open_ms`, `store.go:14`, `pages.db`, `e.g.`, " +
+			"TestOpen, `go test -run 'Open|^TestOpen$' -bench Open -fuzz=FuzzOpen ./store`, DESIGN.md §2\n"},
+		{doc: "`store.Close` and\n`Store.Close`, `s.Query`, `strings.NoSuch`\n", want: []string{
+			"doc.md:1: `store.Close`: names no declaration",
+			"doc.md:2: `Store.Close`: type Store has no member Close",
+			"doc.md:2: `s.Query`: s is no package and no type: name the type",
+			"doc.md:2: `strings.NoSuch`: names no declaration",
+		}},
+		{doc: "TestClose, `store.go:99`, `nosuch.go:1`\n", want: []string{
+			"doc.md:1: TestClose: no _test.go file declares it",
+			"doc.md:1: store.go:99: the file has 14 lines",
+			"doc.md:1: nosuch.go:1: no such file",
+		}},
+		{doc: "```\ngo test -fuzz=FuzzClose ./store\ngo test -run 'Open|Close' ./store\ngo test -bench Open\n```\n", want: []string{
+			"doc.md:2: FuzzClose: no _test.go file declares it",
+			"doc.md:2: go test -fuzz \"FuzzClose\" matches no Fuzz in ./store",
+			"doc.md:3: go test -run \"Close\" matches no Test/Fuzz/Example in ./store",
+			"doc.md:4: go test -bench names no package on its line",
+		}},
+		{doc: "DESIGN.md §3, DESIGN.md §\"Pager\", ROADMAP\nitem " + "4\n", want: []string{
+			"doc.md:1: DESIGN.md §3 names no numbered section",
+			"doc.md:1: DESIGN.md §\" names no numbered section",
+			"doc.md:1: cites a ROADMAP item by number; state its condition instead",
+		}},
+	} {
+		if got := tr.checkMarkdown("doc.md", tc.doc, sections); !slices.Equal(got, tc.want) {
+			t.Errorf("%q:\ngot\n%s\nwant\n%s", tc.doc, strings.Join(got, "\n"), strings.Join(tc.want, "\n"))
+		}
 	}
 }

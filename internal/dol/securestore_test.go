@@ -438,7 +438,7 @@ func TestSecureStoreUpdateProperty(t *testing.T) {
 }
 
 // prop1Bound is the most transitions op may add to a store (Proposition 1,
-// DESIGN.md §6): two for an access update; for an insert one more than the
+// DESIGN.md §4): two for an access update; for an insert one more than the
 // fragment's own, whose first node is one of the two; none for a delete;
 // three for a move, a delete and an insert of the subtree's own.
 func prop1Bound(op xmlmodel.Operation) int {

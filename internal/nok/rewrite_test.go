@@ -3,6 +3,7 @@ package nok
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -138,14 +139,16 @@ func TestRewriteRegionGrowSplits(t *testing.T) {
 }
 
 func TestRewriteRegionShrinkFreesPages(t *testing.T) {
-	doc := fig2doc(t)
+	// A root with 80 leaf children: about two bytes an entry, so the
+	// document spans several 64-byte blocks.
+	doc := xmltree.MustParseString("<a>" + strings.Repeat("<b/>", 80) + "</a>")
 	pool := storage.NewBufferPool(storage.NewMemPager(64), 64)
 	s, err := Build(pool, doc, BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.NumPages() < 2 {
-		t.Skip("need multiple blocks")
+	if s.NumPages() < 3 {
+		t.Fatalf("the document fills %d blocks; the test needs at least 3", s.NumPages())
 	}
 	// Collapse the last two blocks into the content of just the first of
 	// them.
@@ -181,6 +184,7 @@ func TestRewriteRegionShrinkFreesPages(t *testing.T) {
 	if s.NumNodes() != doc.Len()-dropped {
 		t.Fatalf("NumNodes = %d, want %d", s.NumNodes(), doc.Len()-dropped)
 	}
+	validate(t, s)
 	// Freed page is reused by a growing rewrite instead of allocating.
 	pagesBefore := pool.Pager().NumPages()
 	entries0, _ := blockEntries(s, 0)
@@ -197,6 +201,7 @@ func TestRewriteRegionShrinkFreesPages(t *testing.T) {
 	if pool.Pager().NumPages() != pagesBefore {
 		t.Fatalf("grow allocated new pages (%d -> %d) despite free list", pagesBefore, pool.Pager().NumPages())
 	}
+	validate(t, s)
 }
 
 func TestRewriteRegionErrors(t *testing.T) {

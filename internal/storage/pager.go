@@ -256,7 +256,7 @@ func (p *FilePager) WritePage(id PageID, buf []byte) error {
 // allocated since the last Sync that succeeded; a failed fsync leaves the
 // pager dirty, so the next Sync tries again. Pages written by an earlier
 // process are durable already: WAL recovery and every flush fsync the file
-// before the log that covers them is truncated (DESIGN.md §10). The fsync
+// before the log that covers them is truncated (DESIGN.md §3). The fsync
 // runs outside the lock, so page reads do not wait for it; a write that
 // lands meanwhile marks the pager dirty again.
 func (p *FilePager) Sync() error {

@@ -41,7 +41,7 @@ func (m Metrics) Get(name string) int64 {
 // MetricsSnapshot copies every registered metric: buffer-pool and I/O
 // traffic, WAL activity, decode-cache occupancy, access-decision cache
 // work, store shape, and the query-level counters and latency histogram.
-// See DESIGN.md §11 for the name table.
+// See DESIGN.md §7 for the name table.
 func (s *Store) MetricsSnapshot() Metrics {
 	snap := s.registry().Snapshot()
 	m := Metrics{

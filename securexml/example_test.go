@@ -262,3 +262,53 @@ func Example_updates() {
 	// after deleting the last book                   -> reader sees 3 books, 4 transition nodes
 	// after AddUserLike(reader2, reader)             -> reader2 sees 3 books (cloned rights, no page writes)
 }
+
+// In an organization with correlated rights — each department's group and
+// each of its users granted the department, every third user denied its
+// documents — the codebook and the transition count stay flat as the user
+// population grows (Figures 5 and 6).
+func Example_multiuser() {
+	const departments = 6
+	var doc strings.Builder
+	doc.WriteString("<org>")
+	for d := 0; d < departments; d++ {
+		fmt.Fprintf(&doc, `<dept name="d%d">`, d)
+		for f := 0; f < 40; f++ {
+			fmt.Fprintf(&doc, "<folder><doc>file-%d-%d</doc><doc>memo</doc></folder>", d, f)
+		}
+		doc.WriteString("</dept>")
+	}
+	doc.WriteString("</org>")
+
+	for _, usersPerDept := range []int{2, 8, 32} {
+		b := securexml.NewBuilder().LoadXMLString(doc.String())
+		for d := 0; d < departments; d++ {
+			group, dept := fmt.Sprintf("dept%d", d), fmt.Sprintf(`/org/dept[@name='d%d']`, d)
+			b.AddGroup(group).Grant(group, "read", dept)
+			for u := 0; u < usersPerDept; u++ {
+				user := fmt.Sprintf("u%d-%d", d, u)
+				b.AddUser(user).AddMember(group, user).Grant(user, "read", dept)
+				if u%3 == 0 {
+					b.Revoke(user, "read", dept+"/folder/doc")
+				}
+			}
+		}
+		store, err := b.Seal(securexml.StoreOptions{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		st, err := store.Stats()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("subjects=%d nodes=%d transitions=%d codebookEntries=%d codebookBytes=%d\n",
+			len(store.Subjects()), st.Nodes, st.Transitions, st.CodebookEntries, st.CodebookBytes)
+		if err := store.Close(); err != nil {
+			log.Fatal(err)
+		}
+	}
+	// Output:
+	// subjects=18 nodes=733 transitions=481 codebookEntries=13 codebookBytes=65
+	// subjects=54 nodes=733 transitions=481 codebookEntries=13 codebookBytes=182
+	// subjects=198 nodes=733 transitions=481 codebookEntries=13 codebookBytes=650
+}

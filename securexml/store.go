@@ -449,12 +449,12 @@ type QueryOptions struct {
 	// never read.
 	Limit int
 	// Parallelism is accepted and ignored: a query runs on the goroutine
-	// that asked for it. The field goes when ROADMAP item 1 unfreezes
-	// benchmark/, the one place that still assigns it.
+	// that asked for it. The field goes when benchmark/, the one place
+	// that still assigns it, stops assigning it.
 	Parallelism int
 	// DisableSummarySkip is accepted and ignored: scans skip pages on
-	// access grounds only. The field goes when ROADMAP item 1 unfreezes
-	// benchmark/, the one place that still assigns it.
+	// access grounds only. The field goes when benchmark/, the one place
+	// that still assigns it, stops assigning it.
 	DisableSummarySkip bool
 	// DisablePathSummary runs the paper's engine alone: no compile-time
 	// empty-query proof from the path summary and no index plan, so every
