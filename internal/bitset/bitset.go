@@ -40,9 +40,6 @@ func FromIndices(n int, idx ...int) *Bitset {
 	return b
 }
 
-// Len reports the logical length of the bitset in bits.
-func (b *Bitset) Len() int { return b.n }
-
 // grow extends the logical length to at least n bits.
 func (b *Bitset) grow(n int) {
 	if n <= b.n {
@@ -205,6 +202,15 @@ func (b *Bitset) Indices() []int {
 	return idx
 }
 
+// Indices32 is Indices as uint32s, the form a run list's bounds take.
+func (b *Bitset) Indices32() []uint32 {
+	idx := make([]uint32, 0, b.Count())
+	for i := b.NextSet(0); i >= 0; i = b.NextSet(i + 1) {
+		idx = append(idx, uint32(i))
+	}
+	return idx
+}
+
 // String renders the bitset as a left-to-right bit string ("10110"),
 // bit 0 first; useful in tests and debugging.
 func (b *Bitset) String() string {
@@ -247,30 +253,8 @@ func (b *Bitset) MarshalBinary() ([]byte, error) {
 	return out, nil
 }
 
-// UnmarshalBinary decodes data produced by MarshalBinary.
-func (b *Bitset) UnmarshalBinary(data []byte) error {
-	if len(data) < 4 {
-		return fmt.Errorf("bitset: truncated header (%d bytes)", len(data))
-	}
-	n := int(getU32(data))
-	words := (n + wordBits - 1) / wordBits
-	if len(data) < 4+8*words {
-		return fmt.Errorf("bitset: truncated body: need %d bytes, have %d", 4+8*words, len(data))
-	}
-	b.n = n
-	b.words = make([]uint64, words)
-	for i := range b.words {
-		b.words[i] = getU64(data[4+8*i:])
-	}
-	return nil
-}
-
 func putU32(p []byte, v uint32) {
 	p[0], p[1], p[2], p[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func getU32(p []byte) uint32 {
-	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
 }
 
 func putU64(p []byte, v uint64) {

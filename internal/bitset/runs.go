@@ -190,39 +190,78 @@ func uvarintLen(v uint64) int {
 }
 
 // DecodeRuns decodes a run list produced by AppendRuns from the front of
-// data, returning the runs, the unconsumed remainder, and an error on
-// malformed input. maxBit bounds the exclusive end of the last run (pass
-// the subject population); it rejects encodings whose runs overflow the
-// bitset they are destined for.
-func DecodeRuns(data []byte, maxBit uint32) ([]Run, []byte, error) {
+// data, appending the runs to dst, and returns them, the unconsumed
+// remainder, and an error on malformed input. It accepts exactly what
+// AppendRuns writes — every varint in its shortest form — so the bytes it
+// consumes are AppendRuns of the runs it returns. maxBit bounds the
+// exclusive end of the last run (pass the subject population); it rejects
+// encodings whose runs overflow the bitset they are destined for.
+func DecodeRuns(dst []Run, data []byte, maxBit uint32) ([]Run, []byte, error) {
 	count, n := binary.Uvarint(data)
-	if n <= 0 {
+	if n <= 0 || data[n-1] == 0 && n > 1 {
 		return nil, nil, fmt.Errorf("bitset: corrupt run count")
 	}
 	data = data[n:]
-	var runs []Run
 	prev := uint64(0)
 	for i := uint64(0); i < count; i++ {
 		gap, n := binary.Uvarint(data)
-		if n <= 0 {
+		if n <= 0 || data[n-1] == 0 && n > 1 {
 			return nil, nil, fmt.Errorf("bitset: corrupt run %d gap", i)
 		}
 		data = data[n:]
 		lenM1, n := binary.Uvarint(data)
-		if n <= 0 {
+		if n <= 0 || data[n-1] == 0 && n > 1 {
 			return nil, nil, fmt.Errorf("bitset: corrupt run %d length", i)
 		}
 		data = data[n:]
-		start := prev + gap
-		end := start + lenM1 + 1
 		if i > 0 && gap == 0 {
 			return nil, nil, fmt.Errorf("bitset: run %d not separated from predecessor", i)
 		}
-		if end > uint64(maxBit) {
-			return nil, nil, fmt.Errorf("bitset: run %d ends at %d beyond %d bits", i, end, maxBit)
+		// Each bound is checked before it is added to, so no sum wraps.
+		if gap > uint64(maxBit) || lenM1 >= uint64(maxBit) || prev+gap+lenM1+1 > uint64(maxBit) {
+			return nil, nil, fmt.Errorf("bitset: run %d ends beyond %d bits", i, maxBit)
 		}
-		runs = append(runs, Run{Start: uint32(start), Len: uint32(lenM1 + 1)})
-		prev = end
+		start := prev + gap
+		dst = append(dst, Run{Start: uint32(start), Len: uint32(lenM1 + 1)})
+		prev = start + lenM1 + 1
 	}
-	return runs, data, nil
+	return dst, data, nil
+}
+
+// AppendWordRuns appends to dst the maximal runs of set bits among the
+// first n bits of words, little-endian 64-bit words as MarshalBinary writes
+// them after its length (len(words) is 8 a word); bits at or past n are
+// ignored. It reads the words in place: no Bitset is made.
+func AppendWordRuns(dst []Run, words []byte, n int) []Run {
+	open, start := false, uint32(0)
+	for w := 0; w < len(words)/8 && w*wordBits < n; w++ {
+		word := getU64(words[8*w:])
+		if rest := n - w*wordBits; rest < wordBits {
+			word &= 1<<uint(rest) - 1
+		}
+		base := uint32(w * wordBits)
+		for {
+			if !open {
+				if word == 0 {
+					break
+				}
+				tz := bits.TrailingZeros64(word)
+				start, open = base+uint32(tz), true
+				// The bits below the run's start count as set: the search
+				// for its end starts there.
+				word |= 1<<uint(tz) - 1
+			}
+			if word == ^uint64(0) {
+				break // the run goes on into the next word
+			}
+			end := bits.TrailingZeros64(^word)
+			dst = append(dst, Run{Start: start, Len: base + uint32(end) - start})
+			open = false
+			word &= ^uint64(0) << uint(end)
+		}
+	}
+	if open {
+		dst = append(dst, Run{Start: start, Len: uint32(n) - start})
+	}
+	return dst
 }

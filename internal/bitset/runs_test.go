@@ -1,6 +1,7 @@
 package bitset
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -25,7 +26,7 @@ func TestRunsRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		runs := b.Runs()
-		back := FromRuns(b.Len(), runs)
+		back := FromRuns(b.n, runs)
 		if !b.Equal(back) {
 			t.Errorf("FromRuns(Runs(%q)) = %q", s, back.String())
 		}
@@ -33,7 +34,7 @@ func TestRunsRoundTrip(t *testing.T) {
 		if len(enc) != RunsSize(runs) {
 			t.Errorf("RunsSize(%q) = %d, encoded %d bytes", s, RunsSize(runs), len(enc))
 		}
-		dec, rest, err := DecodeRuns(enc, uint32(b.Len()))
+		dec, rest, err := DecodeRuns(nil, enc, uint32(b.n))
 		if err != nil {
 			t.Fatalf("DecodeRuns(%q): %v", s, err)
 		}
@@ -70,7 +71,7 @@ func TestRunsRandom(t *testing.T) {
 			t.Fatalf("trial %d: FromRuns mismatch", trial)
 		}
 		enc := AppendRuns(nil, runs)
-		dec, _, err := DecodeRuns(enc, uint32(n))
+		dec, _, err := DecodeRuns(nil, enc, uint32(n))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +159,7 @@ func TestRemoveRunBit(t *testing.T) {
 func TestDecodeRunsRejectsMalformed(t *testing.T) {
 	// Runs beyond maxBit.
 	enc := AppendRuns(nil, []Run{{Start: 10, Len: 5}})
-	if _, _, err := DecodeRuns(enc, 12); err == nil {
+	if _, _, err := DecodeRuns(nil, enc, 12); err == nil {
 		t.Error("runs beyond maxBit accepted")
 	}
 	// Adjacent (non-maximal) runs.
@@ -167,12 +168,47 @@ func TestDecodeRunsRejectsMalformed(t *testing.T) {
 	bad = append(bad, 2)    // count
 	bad = append(bad, 0, 1) // run [0,2)
 	bad = append(bad, 0, 0) // gap 0: adjacent run [2,3)
-	if _, _, err := DecodeRuns(bad, 100); err == nil {
+	if _, _, err := DecodeRuns(nil, bad, 100); err == nil {
 		t.Error("adjacent runs accepted")
 	}
 	// Truncated.
 	good := AppendRuns(nil, []Run{{Start: 3, Len: 4}})
-	if _, _, err := DecodeRuns(good[:1], 100); err == nil {
+	if _, _, err := DecodeRuns(nil, good[:1], 100); err == nil {
 		t.Error("truncated encoding accepted")
+	}
+	// A varint longer than it needs to be: the same runs in other bytes.
+	if _, _, err := DecodeRuns(nil, []byte{1, 0x83, 0x00, 3}, 100); err == nil {
+		t.Error("padded varint accepted")
+	}
+	// A gap that wraps the start below its predecessor's end.
+	wrap := binary.AppendUvarint([]byte{2, 10, 0}, 1<<64-5)
+	if _, _, err := DecodeRuns(nil, append(wrap, 0), 100); err == nil {
+		t.Error("wrapping gap accepted")
+	}
+}
+
+// AppendWordRuns reads a bitset's image into the runs Bitset.Runs gives,
+// whatever lies in the last word past the bitset's length.
+func TestAppendWordRuns(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(300)
+		b := New(n)
+		density := rng.Intn(4)
+		for i := 0; i < n; i++ {
+			if rng.Intn(4) < density {
+				b.Set(i)
+			}
+		}
+		img, _ := b.MarshalBinary()
+		if n%64 != 0 && rng.Intn(2) == 0 {
+			img[len(img)-1] |= 0x80 // a stray bit past the length
+		}
+		prefix := []Run{{Start: 7, Len: 1}}
+		got := AppendWordRuns(prefix, img[4:], n)
+		want := append(prefix, b.Runs()...)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d %s: AppendWordRuns gives %v, Runs %v", n, b, got, want)
+		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"sort"
 
 	"dolxml/internal/acl"
@@ -169,10 +170,12 @@ func (cb *Codebook) live(c Code) bool { return int(c) < len(cb.entries) && cb.en
 // The row is shared; callers must not modify it.
 func (cb *Codebook) Row(c Code) []bitset.Run {
 	if !cb.live(c) {
-		panic(fmt.Sprintf("dol: lookup of dead code %d", c))
+		deadCode(c)
 	}
 	return cb.entries[c]
 }
+
+func deadCode(c Code) { panic(fmt.Sprintf("dol: lookup of dead code %d", c)) }
 
 // ACL returns the access control list for code c as a new bitset over the
 // codebook's subjects.
@@ -189,18 +192,48 @@ func (cb *Codebook) Accessible(c Code, s acl.SubjectID) bool {
 }
 
 // AccessibleAny reports whether any subject of the effective set (user plus
-// transitive groups) is granted by code c. next is the effective set's
-// first subject at or after the current run's start, so the set is scanned
-// once across the row.
-func (cb *Codebook) AccessibleAny(c Code, effective *bitset.Bitset) bool {
-	next := -1
-	for _, r := range cb.Row(c) {
-		if next < int(r.Start) {
-			if next = effective.NextSet(int(r.Start)); next < 0 {
+// transitive groups), given as its sorted subjects, is granted by code c. It
+// merges the subjects with the row's runs, or, when that is shorter,
+// searches the row for each subject in turn, every search starting where
+// the last one ended.
+func (cb *Codebook) AccessibleAny(c Code, subjects []uint32) bool {
+	if !cb.live(c) {
+		deadCode(c)
+	}
+	row := cb.entries[c]
+	if len(subjects)*bits.Len(uint(len(row))) < len(row)+len(subjects) {
+		lo := 0
+		for _, s := range subjects {
+			// The first run at or after lo that ends past s: the one at lo
+			// itself, often, else found by halving.
+			if lo < len(row) && row[lo].End() <= s {
+				// row[lo] ends at or before s; halve [lo, len) keeping
+				// that so, then step past it.
+				for n := len(row) - lo; n > 1; {
+					half := n >> 1
+					if row[lo+half].End() <= s {
+						lo += half
+					}
+					n -= half
+				}
+				lo++
+			}
+			if lo == len(row) {
 				return false
 			}
+			if row[lo].Start <= s {
+				return true
+			}
 		}
-		if next < int(r.End()) {
+		return false
+	}
+	for i, k := 0, 0; i < len(subjects) && k < len(row); {
+		switch s := subjects[i]; {
+		case s < row[k].Start:
+			i++
+		case s >= row[k].End():
+			k++
+		default:
 			return true
 		}
 	}
@@ -296,8 +329,12 @@ func (cb *Codebook) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalBinary restores a codebook serialized by MarshalBinary. It
-// builds the index as it goes, and refuses an image in which two live
-// slots hold equal rows: no writer issues two codes for one ACL.
+// decodes every row straight into runs — a dense row's words without a
+// Bitset — all rows' runs into one array and their index keys into one
+// string, a run row's key the bytes it read (bitset.DecodeRuns accepts
+// exactly AppendRuns of the row). It refuses a dense row of another width
+// than the population's, and an image in which two live slots hold equal
+// rows: no writer issues two codes for one ACL.
 func (cb *Codebook) UnmarshalBinary(data []byte) error {
 	ns, n := binary.Uvarint(data)
 	if n <= 0 || ns > maxCodebookSubjects {
@@ -309,57 +346,77 @@ func (cb *Codebook) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("dol: corrupt codebook count")
 	}
 	data = data[n:]
-	*cb = Codebook{numSubjects: int(ns), index: make(map[string]Code)}
+	denseLen := uint64(minDenseRow + 8*((ns+63)/64))
+	// A slot takes at least a byte, so a corrupt count sizes nothing.
+	slots := int(min(count, uint64(len(data))))
+	*cb = Codebook{numSubjects: int(ns), entries: make([][]bitset.Run, 0, slots), refs: make([]int, 0, slots)}
+	// Row i's runs are runs[span[i].runs:span[i+1].runs], its key
+	// keys[span[i].key:span[i+1].key]; both arrays may move as they grow,
+	// so the rows are cut from them at the end.
+	type span struct{ runs, key int }
+	spans := make([]span, 1, slots+1)
+	var runs []bitset.Run
+	var keys []byte
 	for i := uint64(0); i < count; i++ {
 		h, n := binary.Uvarint(data)
 		if n <= 0 {
 			return fmt.Errorf("dol: corrupt codebook row %d header", i)
 		}
 		data = data[n:]
-		var row []bitset.Run
 		switch {
 		case h == rowFreed:
-			cb.entries = append(cb.entries, nil)
-			cb.refs = append(cb.refs, 0)
 			cb.free = append(cb.free, Code(i))
-			continue
 		case h == rowRuns:
 			var err error
-			if row, data, err = bitset.DecodeRuns(data, uint32(ns)); err != nil {
+			rest := data
+			if runs, data, err = bitset.DecodeRuns(runs, data, uint32(ns)); err != nil {
 				return fmt.Errorf("dol: codebook row %d: %w", i, err)
 			}
+			keys = append(keys, rest[:len(rest)-len(data)]...)
 		case h < minDenseRow:
 			return fmt.Errorf("dol: codebook row %d has header %d", i, h)
 		case uint64(len(data)) < h:
 			return fmt.Errorf("dol: truncated codebook row %d", i)
+		case h != denseLen || uint64(binary.LittleEndian.Uint32(data)) != ns:
+			return fmt.Errorf("dol: codebook row %d has %d bytes for %d of %d bits", i, h, binary.LittleEndian.Uint32(data), ns)
 		default:
-			b := new(bitset.Bitset)
-			if err := b.UnmarshalBinary(data[:h]); err != nil {
-				return err
+			from := len(runs)
+			runs = bitset.AppendWordRuns(runs, data[minDenseRow:h], int(ns))
+			keys = bitset.AppendRuns(keys, runs[from:])
+			data = data[h:]
+		}
+		refs := uint64(0)
+		if h != rowFreed {
+			if refs, n = binary.Uvarint(data); n <= 0 || refs > math.MaxInt {
+				return fmt.Errorf("dol: corrupt refcount for codebook row %d", i)
 			}
-			if b.Len() != int(ns) || h != uint64(minDenseRow+8*((ns+63)/64)) {
-				return fmt.Errorf("dol: codebook row %d has %d bytes for %d of %d bits", i, h, b.Len(), ns)
-			}
-			row, data = b.Runs(), data[h:]
+			data = data[n:]
 		}
-		refs, n := binary.Uvarint(data)
-		if n <= 0 || refs > math.MaxInt {
-			return fmt.Errorf("dol: corrupt refcount for codebook row %d", i)
-		}
-		data = data[n:]
-		key := rowKey(row)
-		if c, ok := cb.index[key]; ok {
-			return fmt.Errorf("dol: codebook rows %d and %d are equal", c, i)
-		}
-		cb.index[key] = Code(i)
-		if row == nil {
-			row = []bitset.Run{}
-		}
-		cb.entries = append(cb.entries, row)
 		cb.refs = append(cb.refs, int(refs))
+		spans = append(spans, span{len(runs), len(keys)})
 	}
 	if len(data) != 0 {
 		return fmt.Errorf("dol: %d bytes after the codebook's last row", len(data))
 	}
+	index := make(map[string]Code, len(cb.refs)-len(cb.free))
+	all := string(keys)
+	for i := range cb.refs {
+		a, b := spans[i], spans[i+1]
+		if a.key == b.key {
+			cb.entries = append(cb.entries, nil) // a freed slot
+			continue
+		}
+		key := all[a.key:b.key]
+		if c, ok := index[key]; ok {
+			return fmt.Errorf("dol: codebook rows %d and %d are equal", c, i)
+		}
+		index[key] = Code(i)
+		row := runs[a.runs:b.runs:b.runs]
+		if row == nil {
+			row = []bitset.Run{}
+		}
+		cb.entries = append(cb.entries, row)
+	}
+	cb.index = index
 	return nil
 }

@@ -76,7 +76,7 @@ func TestCodebookCloneSubjectColumns(t *testing.T) {
 	unmoved("AddSubjectLike")
 	clone := cb.Clone()
 	cb.AddSubject()
-	if clone.NumSubjects() != 3 || clone.ACL(c0).Len() != 3 {
+	if clone.NumSubjects() != 3 || len(clone.ACL(c0).String()) != 3 {
 		t.Fatal("AddSubject on the original resized its clone")
 	}
 }
@@ -156,10 +156,10 @@ func TestCodebookAccessible(t *testing.T) {
 		t.Fatal("Accessible wrong")
 	}
 	eff := bitset.FromIndices(8, 0, 5)
-	if !cb.AccessibleAny(c, eff) {
+	if !cb.AccessibleAny(c, eff.Indices32()) {
 		t.Fatal("AccessibleAny should see subject 5")
 	}
-	if cb.AccessibleAny(c, bitset.FromIndices(8, 0, 2)) {
+	if cb.AccessibleAny(c, []uint32{0, 2}) {
 		t.Fatal("AccessibleAny false positive")
 	}
 }
@@ -472,6 +472,17 @@ func TestCodebookUnmarshalErrors(t *testing.T) {
 	if err := cb.UnmarshalBinary(slices.Concat(row[:3], []byte{3}, row[4:])); err == nil {
 		t.Fatal("a dense row of 3 bits in a 4-subject codebook should fail")
 	}
+	if err := cb.UnmarshalBinary(row[:12]); err == nil {
+		t.Fatal("a dense row cut short should fail")
+	}
+	// One run row over 300 subjects, {0, 1}, its count padded: the same row
+	// in other bytes, and so another index key.
+	if err := cb.UnmarshalBinary([]byte{0xAC, 0x02, 1, 1, 0x81, 0x00, 0, 1, 1}); err == nil {
+		t.Fatal("a run row with a padded varint should fail")
+	}
+	if err := cb.UnmarshalBinary([]byte{0xAC, 0x02, 1, 1, 1, 0, 1, 1}); err != nil {
+		t.Fatalf("the run row unpadded: %v", err)
+	}
 	if err := cb.UnmarshalBinary(slices.Concat(row[:15], binary.AppendUvarint(nil, 1<<63))); err == nil {
 		t.Fatal("a reference count past int should fail")
 	}
@@ -547,11 +558,15 @@ func TestCodebookModelProperty(t *testing.T) {
 				}
 				release(slices.IndexFunc(lives, func(x live) bool { return x.code == l.code }))
 			case 3: // verify a random live code
-				l, eff := lives[k], bitset.New(n)
-				for j := rng.Intn(4); j > 0; j-- {
+				// A few subjects search the row, many merge with it.
+				l, eff, most := lives[k], bitset.New(n), 4
+				if rng.Intn(2) == 0 {
+					most = n
+				}
+				for j := rng.Intn(most); j > 0; j-- {
 					eff.Set(rng.Intn(n))
 				}
-				if !cb.ACL(l.code).EqualBits(l.acl) || cb.AccessibleAny(l.code, eff) != l.acl.Intersects(eff) {
+				if !cb.ACL(l.code).EqualBits(l.acl) || cb.AccessibleAny(l.code, eff.Indices32()) != l.acl.Intersects(eff) {
 					return false
 				}
 				for s := 0; s < n; s++ {

@@ -61,16 +61,17 @@ func benchStore(b *testing.B, nodes, subjects int, coarse bool) (*SecureStore, *
 }
 
 // BenchmarkAccessibleAnyNoCache resolves access decisions through the
-// codebook directly: one ACL lookup and bitset intersection per check. The
-// node→code resolution (identical on both paths) is excluded so the
-// benchmark isolates exactly the work the decision cache replaces.
+// codebook directly: one ACL lookup and one intersection of its runs with
+// the view's subjects per check. The node→code resolution (identical on
+// both paths) is excluded so the benchmark isolates exactly the work the
+// decision cache replaces.
 func BenchmarkAccessibleAnyNoCache(b *testing.B) {
 	ss, eff := benchStore(b, 4000, 2048, false)
-	cb := ss.Codebook()
+	cb, subjects := ss.Codebook(), ss.View(eff).subjects
 	codes := liveCodes(cb)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cb.AccessibleAny(codes[i%len(codes)], eff)
+		skipSink = cb.AccessibleAny(codes[i%len(codes)], subjects)
 	}
 }
 
@@ -108,12 +109,12 @@ func liveCodes(cb *Codebook) []Code {
 // that is a full-width bitset intersection per probe.
 func BenchmarkSkipPageNoCache(b *testing.B) {
 	ss, eff := benchStore(b, 4000, 2048, true)
-	st, cb := ss.Store(), ss.Codebook()
+	st, cb, subjects := ss.Store(), ss.Codebook(), ss.View(eff).subjects
 	pages := st.NumPages()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pi := st.PageInfoAt(i % pages)
-		skipSink = !pi.ChangeBit && !cb.AccessibleAny(pi.AccessCode, eff)
+		skipSink = !pi.ChangeBit && !cb.AccessibleAny(pi.AccessCode, subjects)
 	}
 }
 

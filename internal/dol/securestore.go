@@ -161,7 +161,10 @@ func (ss *SecureStore) Accessible(n xmltree.NodeID, s acl.SubjectID) (bool, erro
 type SubjectView struct {
 	ss        *SecureStore
 	effective *bitset.Bitset
-	cache     atomic.Pointer[viewCache]
+	// subjects is effective as its sorted subjects, the form a decision
+	// reads.
+	subjects []uint32
+	cache    atomic.Pointer[viewCache]
 }
 
 // decision-cache cell states; the zero state means "not yet computed".
@@ -209,7 +212,7 @@ func (v *SubjectView) accessibleCode(ca *viewCache, c Code) bool {
 		}
 	}
 	v.ss.stats.decisions.Inc()
-	ok := v.ss.cb.AccessibleAny(c, v.effective)
+	ok := v.ss.cb.AccessibleAny(c, v.subjects)
 	if int(c) < len(ca.decisions) {
 		if ok {
 			ca.decisions[c].Store(decAllow)
@@ -241,7 +244,7 @@ func (v *SubjectView) buildPageBitmap(ca *viewCache) {
 // View returns a SubjectView for the given effective subject set (a user's
 // own subject plus their transitive groups; see acl.Directory).
 func (ss *SecureStore) View(effective *bitset.Bitset) *SubjectView {
-	return &SubjectView{ss: ss, effective: effective}
+	return &SubjectView{ss: ss, effective: effective, subjects: effective.Indices32()}
 }
 
 // ViewSubject returns a SubjectView for a single subject.

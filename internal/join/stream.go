@@ -67,9 +67,10 @@ func (j *STDJoiner) Probe(d Item) []Pair {
 // which an inaccessible ancestor of its first node ends (the directory
 // shows that it may, not where). Every page is read at most once.
 type EpsJoiner struct {
-	st  *nok.Store
-	cb  *dol.Codebook
-	eff *bitset.Bitset
+	st *nok.Store
+	cb *dol.Codebook
+	// subjects is the effective set's subjects, ascending.
+	subjects []uint32
 
 	openStack
 	inaccLvls []int  // increasing levels of inaccessible ancestors
@@ -95,7 +96,7 @@ func NewEpsJoiner(ss *dol.SecureStore, effective *bitset.Bitset) *EpsJoiner {
 	return &EpsJoiner{
 		st:       st,
 		cb:       ss.Codebook(),
-		eff:      effective,
+		subjects: effective.Indices32(),
 		numPages: st.NumPages(),
 		cur:      st.NewCursor(),
 	}
@@ -129,7 +130,7 @@ func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (dropped
 					return false, err
 				}
 				j.popInacc(info.Level)
-				if !j.cb.AccessibleAny(info.Code, j.eff) {
+				if !j.cb.AccessibleAny(info.Code, j.subjects) {
 					j.inaccLvls = append(j.inaccLvls, info.Level)
 				}
 			}
@@ -148,7 +149,7 @@ func (j *EpsJoiner) advance(ctx context.Context, target xmltree.NodeID) (dropped
 		pi := j.st.PageInfoAt(j.pageIdx)
 		last := pi.FirstNode + xmltree.NodeID(pi.Count) - 1
 		if !pi.ChangeBit {
-			if j.cb.AccessibleAny(pi.AccessCode, j.eff) {
+			if j.cb.AccessibleAny(pi.AccessCode, j.subjects) {
 				// Uniformly accessible. The page's first node closes every
 				// open level from its own depth down. A shallower level
 				// still open closes inside the page if the page reaches

@@ -178,41 +178,39 @@ func decodeBlock(pi PageInfo, data []byte) ([]slot, error) {
 	return slots, nil
 }
 
-// checkIndex recomputes a decoded block's levels, codes in force and
-// successor offsets from its close counts and transition flags alone and
-// compares them with the index, returning the recomputed minimum level,
-// change bit and level after the last entry.
-func checkIndex(pi PageInfo, blk []slot) (min int, change bool, after int, err error) {
-	level := int(pi.StartDepth)
-	min = level
-	code := pi.AccessCode
-	for j := range blk {
-		sl := &blk[j]
-		if level < min {
-			min = level
-		}
-		if sl.hasCode() {
-			change = true
-			code = sl.code
-		}
-		if int(sl.level) != level || sl.code != code {
-			return 0, false, 0, fmt.Errorf("nok: page %d entry %d indexed at level %d code %d, recomputed %d and %d", pi.Page, j, sl.level, sl.code, level, code)
-		}
-		level += 1 - sl.closeCount()
-		if level < 0 {
-			return 0, false, 0, fmt.Errorf("nok: page %d closes below the root", pi.Page)
-		}
+// indexCheck recomputes a decoded block's levels and codes in force from
+// its close counts and transition flags alone, entry by entry, in the
+// caller's own pass over the block: start it with newIndexCheck and step it
+// through every slot in order.
+type indexCheck struct {
+	level, min int
+	code       uint32
+	change     bool
+}
+
+func newIndexCheck(pi PageInfo) indexCheck {
+	return indexCheck{level: int(pi.StartDepth), min: int(pi.StartDepth), code: pi.AccessCode}
+}
+
+// step checks sl against the recomputation and moves past it. It reports
+// false when sl is indexed at another level or code, or closes below the
+// root.
+func (c *indexCheck) step(sl *slot) bool {
+	c.min = min(c.min, c.level)
+	if sl.hasCode() {
+		c.change, c.code = true, sl.code
 	}
-	// Successors, back to front: the entries after j are verified, so
-	// their offsets may carry the search.
-	for j := len(blk) - 1; j >= 0; j-- {
-		k := j + 1
-		for k < len(blk) && blk[k].level > blk[j].level {
-			k = int(blk[k].next)
-		}
-		if int(blk[j].next) != k {
-			return 0, false, 0, fmt.Errorf("nok: page %d entry %d successor offset %d, recomputed %d", pi.Page, j, blk[j].next, k)
-		}
+	if int(sl.level) != c.level || sl.code != c.code {
+		return false
 	}
-	return min, change, level, nil
+	c.level += 1 - sl.closeCount()
+	return c.level >= 0
+}
+
+// fail describes the entry j, sl, that step refused.
+func (c *indexCheck) fail(pi PageInfo, j int, sl *slot) error {
+	if c.level < 0 {
+		return fmt.Errorf("nok: page %d closes below the root", pi.Page)
+	}
+	return fmt.Errorf("nok: page %d entry %d indexed at level %d code %d, recomputed %d and %d", pi.Page, j, sl.level, sl.code, c.level, c.code)
 }

@@ -3,7 +3,10 @@ package nok
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"dolxml/internal/storage"
@@ -103,8 +106,11 @@ func FuzzDecodeBlock(f *testing.F) {
 		if len(blk) != pi.Count {
 			t.Fatalf("decoded %d entries under a directory record of %d", len(blk), pi.Count)
 		}
-		if _, _, _, err := checkIndex(pi, blk); err != nil {
-			t.Fatal(err)
+		ic := newIndexCheck(pi)
+		for j := range blk {
+			if !ic.step(&blk[j]) {
+				t.Fatal(ic.fail(pi, j, &blk[j]))
+			}
 		}
 		for j := range blk {
 			if next := int(blk[j].next); next <= j || next > len(blk) {
@@ -118,9 +124,11 @@ func FuzzDecodeBlock(f *testing.F) {
 }
 
 // FuzzValueRefs hardens the sidecar's packed value refs: arbitrary bytes
-// must either fail to decode or to validate, or be exactly the packing of
-// refs that are sorted, inside the document, inside their pages and inside
-// the page file.
+// must either fail to unpack or be exactly the packing of the refs they
+// unpack to, and the packed check Open runs must accept them exactly when
+// they unpack to refs that are sorted, inside the document, inside their
+// pages and inside the page file; a checked image unpacks lazily to the
+// same refs.
 func FuzzValueRefs(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(packValueRefs([]valueRef{{2, 1, 0, 1}, {4, 1, 1, 2}, {5, 7, 0, 300}, {9, 3, 4000, 96}}))
@@ -130,26 +138,67 @@ func FuzzValueRefs(f *testing.F) {
 	f.Add([]byte{0x02, 0x02, 0x00})                              // cut short
 	f.Add([]byte{0x02, 0x02, 0x00, 0x81, 0x00})                  // padded varint
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0, 0, 1})
+	f.Add(packValueRefs([]valueRef{{1, 1, 0, 1}, {2, 1, 65535, 0}, {70000, 1 << 20, 300, 65535}})) // long varints
 	f.Fuzz(func(t *testing.T, data []byte) {
-		refs, err := unpackValueRefs(data)
+		want, wantErr := refUnpack(data)
+		if got, err := unpackValueRefs(data, 0); (err == nil) != (wantErr == nil) || !slices.Equal(got, want) {
+			t.Fatalf("%x unpacks to %v (%v), the reference decoder's %v (%v)", data, got, err, want, wantErr)
+		}
+		m := Meta{NumNodes: 1 << 20, StructurePages: []storage.PageID{0, 6}, ValueRefs: ValueRefs{&refImage{packed: data}}}
+		served, checked := m.checkValueRefs(4096, 1<<16)
+		if checked != nil && !errors.Is(checked, ErrValueRef) {
+			t.Fatalf("%x: the packed check fails with %v, which wraps no ErrValueRef", data, checked)
+		}
+		refs, err := unpackValueRefs(data, 0)
 		if err != nil {
+			if checked == nil {
+				t.Fatalf("%x does not unpack (%v), yet passed the packed check", data, err)
+			}
 			return
 		}
 		if re := packValueRefs(refs); !bytes.Equal(re, data) {
 			t.Fatalf("%x decodes to %v, which packs to %x", data, refs, re)
 		}
-		m := Meta{NumNodes: 1 << 20, StructurePages: []storage.PageID{0, 6}, ValueRefs: refs}
-		if m.CheckValueRefs(4096, 1<<16) != nil {
-			return
-		}
+		valid := true
 		prev := xmltree.NodeID(-1)
-		for i, r := range refs {
+		for _, r := range refs {
 			if r.Node <= prev || int(r.Node) >= m.NumNodes || r.Len == 0 || int(r.Off)+int(r.Len) > 4096 || r.Page == 0 || r.Page == 6 || r.Page >= 1<<16 {
-				t.Fatalf("ref %d = %+v after node %d passed validation", i, r, prev)
+				valid = false
+				break
 			}
 			prev = r.Node
 		}
+		if valid != (checked == nil) {
+			t.Fatalf("%x unpacks to %v, valid %v, but the packed check says %v", data, refs, valid, checked)
+		}
+		if lazy := served.All(); valid && !slices.Equal(lazy, refs) {
+			t.Fatalf("%x unpacks lazily to %v, at once to %v", data, lazy, refs)
+		}
 	})
+}
+
+// refUnpack is the byte-at-a-time decoder of packed value refs that
+// scanRefs replaced, the reference it is held to.
+func refUnpack(blob []byte) ([]valueRef, error) {
+	var refs []valueRef
+	var node, page int64
+	for len(blob) > 0 {
+		var f [4]uint64
+		for i := range f {
+			v, n := binary.Uvarint(blob)
+			if n <= 0 || n > 1 && blob[n-1] == 0 {
+				return nil, errors.New("malformed")
+			}
+			f[i], blob = v, blob[n:]
+		}
+		node += int64(f[0]>>1) ^ -int64(f[0]&1)
+		page += int64(f[1]>>1) ^ -int64(f[1]&1)
+		if node < 0 || node > math.MaxInt32 || page < 0 || page > math.MaxUint32 || f[2] > math.MaxUint16 || f[3] > math.MaxUint16 {
+			return nil, errors.New("malformed")
+		}
+		refs = append(refs, valueRef{xmltree.NodeID(node), storage.PageID(page), uint16(f[2]), uint16(f[3])})
+	}
+	return refs, nil
 }
 
 // FuzzRecodeSplice holds the splice against laying the block out again on
@@ -204,4 +253,30 @@ func FuzzRecodeSplice(f *testing.F) {
 		applyRecode(t, sa, sb, i, lo, old)
 		checkTwins(t, sa, sb, i)
 	})
+}
+
+// The walk's index check names what it refused: an entry indexed at
+// another level or code, or an entry that closes below the root.
+func TestIndexCheckNamesTheFault(t *testing.T) {
+	pi := PageInfo{Page: 7, StartDepth: 1, AccessCode: 3}
+	for _, c := range []struct {
+		name string
+		blk  []slot
+		want string
+	}{
+		{"level", []slot{{tag: 1, code: 3, level: 2, cf: 2}}, "entry 0 indexed at level 2 code 3, recomputed 1 and 3"},
+		{"code", []slot{{tag: 1, code: 3, level: 1}, {tag: 1, code: 4, level: 2, cf: 2}}, "entry 1 indexed at level 2 code 4, recomputed 2 and 3"},
+		{"below the root", []slot{{tag: 1, code: 3, level: 1, cf: 3 << 1}}, "closes below the root"},
+	} {
+		ic, err := newIndexCheck(pi), error(nil)
+		for j := range c.blk {
+			if !ic.step(&c.blk[j]) {
+				err = ic.fail(pi, j, &c.blk[j])
+				break
+			}
+		}
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: %v, want an error naming %q", c.name, err, c.want)
+		}
+	}
 }

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -309,8 +309,8 @@ func TestValues(t *testing.T) {
 			t.Errorf("Value(%d) = %q, want %q", n, got, doc.Value(xmltree.NodeID(n)))
 		}
 	}
-	if len(vs.refs) != 2 {
-		t.Errorf("%d value refs, want 2", len(vs.refs))
+	if n := len(vs.refs.All()); n != 2 {
+		t.Errorf("%d value refs, want 2", n)
 	}
 }
 
@@ -445,8 +445,8 @@ func TestMetaReopen(t *testing.T) {
 	if err := m.UnmarshalBinary(want.AppendTail(want.AppendHead(nil))); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(m.ValueRefs, s.Meta().ValueRefs) || len(m.ValueRefs) == 0 {
-		t.Fatalf("value refs came back as %v, want %v", m.ValueRefs, s.Meta().ValueRefs)
+	if got, want := m.ValueRefs.All(), s.Meta().ValueRefs.All(); !slices.Equal(got, want) || len(got) == 0 {
+		t.Fatalf("value refs came back as %v, want %v", got, want)
 	}
 	s2, err := Open(pool, m)
 	if err != nil {

@@ -133,34 +133,34 @@ func TestPathSummaryOracleAfterRandomUpdates(t *testing.T) {
 	}
 }
 
-// checkClassExtents holds the classes ForEachClassExtent reports against the
+// checkClassExtents holds the classes ClassExtents gives against the
 // store's summary: a node's class carries its tag and has its parent's class
 // as parent.
 func checkClassExtents(t *testing.T, s *Store) {
 	t.Helper()
-	type ext struct {
-		end        xmltree.NodeID
-		tag, class int32
-	}
-	exts := make([]ext, s.NumNodes())
-	if err := s.ForEachClassExtent(func(n, end xmltree.NodeID, _ int, tag, class int32) {
-		exts[n] = ext{end, tag, class}
-	}); err != nil {
+	x, err := s.ClassExtents()
+	if err != nil {
 		t.Fatal(err)
 	}
 	sum := s.Paths()
 	var open []xmltree.NodeID
-	for n := range exts {
-		for len(open) > 0 && exts[open[len(open)-1]].end < xmltree.NodeID(n) {
+	for n, p := range x.Postings {
+		if p.Node != xmltree.NodeID(n) {
+			t.Fatalf("posting %d is node %d's", n, p.Node)
+		}
+		for len(open) > 0 && x.Postings[open[len(open)-1]].End < xmltree.NodeID(n) {
 			open = open[:len(open)-1]
 		}
 		parent := int32(-1)
 		if len(open) > 0 {
-			parent = exts[open[len(open)-1]].class
+			parent = x.Classes[open[len(open)-1]]
 		}
-		e := exts[n]
-		if c := sum.NodeAt(e.class); c.Tag != e.tag || c.Parent != parent {
-			t.Fatalf("node %d (tag %d, parent class %d) has class %d = %+v", n, e.tag, parent, e.class, c)
+		tag, err := s.Tag(xmltree.NodeID(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c := sum.NodeAt(x.Classes[n]); c.Tag != tag || c.Parent != parent {
+			t.Fatalf("node %d (tag %d, parent class %d) has class %d = %+v", n, tag, parent, x.Classes[n], c)
 		}
 		open = append(open, xmltree.NodeID(n))
 	}

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"dolxml/internal/btree"
 	"dolxml/internal/obs"
 	"dolxml/internal/pathsum"
 	"dolxml/internal/storage"
@@ -395,16 +396,24 @@ func (s *Store) RebuildPathSummary() error {
 	return nil
 }
 
-// ExtentFunc receives one node as its subtree closes: the subtree's first
-// and last node, the node's level, its tag code and its path class.
-type ExtentFunc func(n, end xmltree.NodeID, level int, tag, class int32)
+// Extents is what an extent pass yields, by node ID: each node's posting —
+// its subtree's first and last node and its level — and its path class (its
+// tag code, in the pass ForEachExtent makes, which resolves no class).
+type Extents struct {
+	Postings []btree.Posting
+	Classes  []int32
+}
+
+func newExtents(numNodes int) *Extents {
+	return &Extents{Postings: make([]btree.Posting, numNodes), Classes: make([]int32, numNodes)}
+}
 
 // scanPathSummary builds a fresh path summary of about classes path
-// classes from the blocks, in a walk that reports to extent on the way, with
-// the classes of the summary built.
-func (s *Store) scanPathSummary(classes int, extent ExtentFunc) (*pathsum.Summary, error) {
+// classes from the blocks, in a walk that fills x (when non-nil) on the
+// way, with the classes of the summary built.
+func (s *Store) scanPathSummary(classes int, x *Extents) (*pathsum.Summary, error) {
 	psb := pathsum.NewBuilder(min(classes, s.numNodes))
-	if err := s.walk(psb, nil, extent); err != nil {
+	if err := s.walk(psb, nil, x); err != nil {
 		return nil, err
 	}
 	ps, err := psb.Finish()
@@ -427,24 +436,35 @@ func (s *Store) CheckConsistency() error {
 	return s.paths.VerifyAgainst(rebuilt)
 }
 
-// ForEachExtent reports every node's subtree extent, level and tag code,
-// each when its subtree closes, in a single pass over the structure blocks —
-// the input needed to (re)build a tag index over the store.
+// ForEachExtent reports every node's subtree extent, level and tag code, in
+// document order, from a single pass over the structure blocks — the input
+// needed to (re)build a tag index over the store.
 func (s *Store) ForEachExtent(visit func(n, end xmltree.NodeID, level int, tag int32)) error {
-	return s.walk(nil, nil, func(n, end xmltree.NodeID, level int, tag, _ int32) { visit(n, end, level, tag) })
+	x := newExtents(s.numNodes)
+	if err := s.walk(nil, nil, x); err != nil {
+		return err
+	}
+	for i, p := range x.Postings {
+		visit(p.Node, p.End, int(p.Level), x.Classes[i])
+	}
+	return nil
 }
 
-// ForEachClassExtent is ForEachExtent reporting each node's class in the
-// store's own path summary as well: the input of an index grouped by class,
-// numbered as the summary the store's queries embed into.
-func (s *Store) ForEachClassExtent(visit ExtentFunc) error {
-	return s.walk(nil, s.paths, visit)
+// ClassExtents is the extent pass with each node's class in the store's
+// own path summary: the input of an index grouped by class, numbered as the
+// summary the store's queries embed into.
+func (s *Store) ClassExtents() (*Extents, error) {
+	x := newExtents(s.numNodes)
+	if err := s.walk(nil, s.paths, x); err != nil {
+		return nil, err
+	}
+	return x, nil
 }
 
 // openNode is one still-open subtree during an extent walk.
 type openNode struct {
-	node       xmltree.NodeID
-	tag, class int32
+	node  xmltree.NodeID
+	class int32
 }
 
 // extentStackPool recycles the open-subtree stacks of walk: the stack grows
@@ -460,21 +480,27 @@ var extentStackPool = sync.Pool{
 // holds the in-memory page directory against the block contents — contiguous
 // node coverage, entry counts, header depths and change bits, tag codes,
 // balanced parenthesis structure, each block's positional index against a
-// recomputation — and on the way feeds psb (when non-nil) the entries a path
-// summary is built from and reports to extent (when non-nil) each node as
-// its subtree closes. A node's class is the one psb gives it, or else its
-// class in sum (-1 when both are nil).
-func (s *Store) walk(psb *pathsum.Builder, sum *pathsum.Summary, extent ExtentFunc) error {
+// recomputation, levels and codes by an indexCheck, successors from the
+// open elements — and on the way feeds psb (when non-nil) the nodes a path
+// summary is built from and fills x (when non-nil, sized to the store's
+// nodes) with each node's extent as its subtree closes. It keeps the open
+// elements itself, with their classes: the ones psb gives, or else their
+// classes in sum, or else, with neither, their tag codes.
+func (s *Store) walk(psb *pathsum.Builder, sum *pathsum.Summary, x *Extents) error {
 	stackBuf := extentStackPool.Get().(*[]openNode)
 	defer func() { extentStackPool.Put(stackBuf) }()
 	stack := (*stackBuf)[:0]
 	defer func() { *stackBuf = stack }()
+	numTags := uint32(len(s.tags))
 	next := xmltree.NodeID(0)
 	depth := 0
 	for i := range s.dir {
 		pi := s.dir[i]
 		if pi.FirstNode != next {
 			return fmt.Errorf("nok: block %d starts at node %d, want %d", i, pi.FirstNode, next)
+		}
+		if int(next)+pi.Count > s.numNodes {
+			return fmt.Errorf("nok: blocks cover more than the store's %d nodes", s.numNodes)
 		}
 		blk, err := s.block(context.Background(), i)
 		if err != nil {
@@ -492,52 +518,72 @@ func (s *Store) walk(psb *pathsum.Builder, sum *pathsum.Summary, extent ExtentFu
 		if int(pi.StartDepth) != depth {
 			return fmt.Errorf("nok: block %d starts at depth %d, carry-over is %d", i, pi.StartDepth, depth)
 		}
-		min, change, level, err := checkIndex(pi, blk)
-		if err != nil {
-			return err
+		// The stack holds one open element per level above the next entry's:
+		// the index check shows, entry by entry, that none closes more.
+		parent := int32(-1)
+		if len(stack) > 0 {
+			parent = stack[len(stack)-1].class
 		}
-		if int(pi.MinDepth) != min {
-			return fmt.Errorf("nok: block %d MinDepth %d, recomputed %d", i, pi.MinDepth, min)
+		if psb != nil {
+			psb.BeginBlock(parent)
 		}
-		if pi.ChangeBit != change {
-			return fmt.Errorf("nok: block %d change bit %v, recomputed %v", i, pi.ChangeBit, change)
-		}
+		ic := newIndexCheck(pi)
 		for j := range blk {
 			sl := &blk[j]
-			if sl.tag < 0 || int(sl.tag) >= len(s.tags) {
+			if !ic.step(sl) {
+				return ic.fail(pi, j, sl)
+			}
+			if uint32(sl.tag) >= numTags {
 				return fmt.Errorf("nok: block %d references unknown tag %d", i, sl.tag)
 			}
-			class := int32(-1)
-			if psb != nil {
-				class = psb.Entry(sl.tag, sl.closeCount(), sl.code)
-			}
-			if extent == nil {
-				continue
-			}
-			// The stack holds one open subtree per level above the next
-			// entry's: checkIndex has shown that no entry closes more.
 			id := next + xmltree.NodeID(j)
-			if psb == nil && sum != nil {
-				parent := int32(-1)
-				if len(stack) > 0 {
-					parent = stack[len(stack)-1].class
+			class := sl.tag
+			switch {
+			case psb != nil:
+				if class = psb.Hit(parent, sl.tag, sl.code); class < 0 {
+					class = psb.Child(parent, sl.tag, sl.code)
 				}
+			case sum != nil:
 				var ok bool
 				if class, ok = sum.ChildOf(parent, sl.tag); !ok {
 					return fmt.Errorf("nok: node %d (tag %d) has no class under class %d", id, sl.tag, parent)
 				}
 			}
-			stack = append(stack, openNode{id, sl.tag, class})
+			stack = append(stack, openNode{id, class})
 			for c := sl.closeCount(); c > 0; c-- {
 				top := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
-				extent(top.node, id, len(stack), top.tag, top.class)
+				// A node's successor in its block is the entry after the one
+				// that closes it.
+				if k := int(top.node - next); k >= 0 && int(blk[k].next) != j+1 {
+					return fmt.Errorf("nok: page %d entry %d successor offset %d, recomputed %d", pi.Page, k, blk[k].next, j+1)
+				}
+				if x != nil {
+					x.Postings[top.node] = btree.Posting{Node: top.node, End: id, Level: uint16(len(stack))}
+					x.Classes[top.node] = top.class
+				}
 			}
+			parent = -1
+			if len(stack) > 0 {
+				parent = stack[len(stack)-1].class
+			}
+		}
+		// The block ends inside the subtrees still open.
+		for k := len(stack) - 1; k >= 0 && stack[k].node >= next; k-- {
+			if j := int(stack[k].node - next); int(blk[j].next) != len(blk) {
+				return fmt.Errorf("nok: page %d entry %d successor offset %d, recomputed %d", pi.Page, j, blk[j].next, len(blk))
+			}
+		}
+		if int(pi.MinDepth) != ic.min {
+			return fmt.Errorf("nok: block %d MinDepth %d, recomputed %d", i, pi.MinDepth, ic.min)
+		}
+		if pi.ChangeBit != ic.change {
+			return fmt.Errorf("nok: block %d change bit %v, recomputed %v", i, pi.ChangeBit, ic.change)
 		}
 		if psb != nil {
 			psb.EndBlock()
 		}
-		depth = level
+		depth = ic.level
 		next += xmltree.NodeID(pi.Count)
 	}
 	if int(next) != s.numNodes {

@@ -1,7 +1,6 @@
 package nok
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -17,8 +16,9 @@ import (
 // index maps node IDs to their value's location.
 type ValueStore struct {
 	pool *storage.BufferPool
-	// refs is sorted by Node.
-	refs []valueRef
+	// refs is sorted by Node; an edit installs new ones, so frozen
+	// clones keep what they share.
+	refs ValueRefs
 }
 
 type valueRef struct {
@@ -32,6 +32,7 @@ type valueRef struct {
 // valueOf) into pages from pool, in document order.
 func BuildValues(pool *storage.BufferPool, numNodes int, valueOf func(xmltree.NodeID) string) (*ValueStore, error) {
 	vs := &ValueStore{pool: pool}
+	var refs []valueRef
 	pageSize := pool.Pager().PageSize()
 	var (
 		frame *storage.Frame
@@ -65,12 +66,13 @@ func BuildValues(pool *storage.BufferPool, numNodes int, valueOf func(xmltree.No
 			off = 0
 		}
 		copy(frame.Data[off:], v)
-		vs.refs = append(vs.refs, valueRef{Node: n, Page: frame.ID(), Off: uint16(off), Len: uint16(len(v))})
+		refs = append(refs, valueRef{Node: n, Page: frame.ID(), Off: uint16(off), Len: uint16(len(v))})
 		off += len(v)
 	}
 	if err := flush(); err != nil {
 		return nil, err
 	}
+	vs.refs = refsOf(refs)
 	return vs, nil
 }
 
@@ -81,11 +83,12 @@ func (vs *ValueStore) Value(n xmltree.NodeID) (string, error) {
 
 // ValueCtx is Value with cancellation at the page-fetch boundary.
 func (vs *ValueStore) ValueCtx(ctx context.Context, n xmltree.NodeID) (string, error) {
-	i := sort.Search(len(vs.refs), func(i int) bool { return vs.refs[i].Node >= n })
-	if i >= len(vs.refs) || vs.refs[i].Node != n {
+	refs := vs.refs.All()
+	i := sort.Search(len(refs), func(i int) bool { return refs[i].Node >= n })
+	if i >= len(refs) || refs[i].Node != n {
 		return "", nil
 	}
-	r := vs.refs[i]
+	r := refs[i]
 	f, err := vs.pool.GetCtx(ctx, r.Page)
 	if err != nil {
 		return "", err
@@ -98,9 +101,12 @@ func (vs *ValueStore) ValueCtx(ctx context.Context, n xmltree.NodeID) (string, e
 // ascending order ("" for a node that has none). Values are laid out in
 // document order, so the answers of one query sit on few pages: each run of
 // consecutive values on one page is read under one pin, and no pin outlives
-// the call.
+// the call. Asked for no node, it reads nothing, the refs included.
 func (vs *ValueStore) ValuesCtx(ctx context.Context, nodes []xmltree.NodeID) ([]string, error) {
 	out := make([]string, len(nodes))
+	if len(nodes) == 0 {
+		return out, nil
+	}
 	var held *storage.Frame
 	release := func() {
 		if held != nil {
@@ -108,18 +114,23 @@ func (vs *ValueStore) ValuesCtx(ctx context.Context, nodes []xmltree.NodeID) ([]
 		}
 	}
 	defer release()
-	refs := vs.refs
+	refs := vs.refs.All()
 	for k, n := range nodes {
 		// The next ref is usually near the last one found: gallop to a
-		// window that holds it, then search the window.
+		// window that holds it, then halve the window.
 		hi := 1
 		for hi < len(refs) && refs[hi-1].Node < n {
 			hi <<= 1
 		}
 		lo := hi / 2
-		i, ok := slices.BinarySearchFunc(refs[lo:min(hi, len(refs))], n, func(r valueRef, n xmltree.NodeID) int { return cmp.Compare(r.Node, n) })
-		refs = refs[lo+i:]
-		if !ok {
+		for hi = min(hi, len(refs)); lo < hi; {
+			if m := int(uint(lo+hi) >> 1); refs[m].Node < n {
+				lo = m + 1
+			} else {
+				hi = m
+			}
+		}
+		if refs = refs[lo:]; len(refs) == 0 || refs[0].Node != n {
 			continue
 		}
 		r := refs[0]
@@ -136,7 +147,11 @@ func (vs *ValueStore) ValuesCtx(ctx context.Context, nodes []xmltree.NodeID) ([]
 }
 
 // NumValues returns the number of stored (non-empty) values.
-func (vs *ValueStore) NumValues() int { return len(vs.refs) }
+func (vs *ValueStore) NumValues() int { return vs.refs.im.n }
+
+// Bytes is the memory the value refs hold: their packed image as read, plus
+// 12 bytes a ref once a value read has unpacked them.
+func (vs *ValueStore) Bytes() int64 { return vs.refs.bytes() }
 
 // DeleteRange removes the value references of nodes [lo, hi] and shifts the
 // node IDs of later references down, mirroring a structural subtree delete.
@@ -145,8 +160,9 @@ func (vs *ValueStore) NumValues() int { return len(vs.refs) }
 // slice while the live store installs the compacted one.
 func (vs *ValueStore) DeleteRange(lo, hi xmltree.NodeID) {
 	removed := hi - lo + 1
-	out := make([]valueRef, 0, len(vs.refs))
-	for _, r := range vs.refs {
+	refs := vs.refs.All()
+	out := make([]valueRef, 0, len(refs))
+	for _, r := range refs {
 		switch {
 		case r.Node < lo:
 			out = append(out, r)
@@ -155,23 +171,23 @@ func (vs *ValueStore) DeleteRange(lo, hi xmltree.NodeID) {
 			out = append(out, r)
 		}
 	}
-	vs.refs = out
+	vs.refs = refsOf(out)
 }
 
 // InsertValues shifts the node IDs of references at or after `at` up by
 // count and stores the values of the count inserted nodes (as reported by
 // valueOf for fragment-relative IDs 0..count-1) on freshly allocated pages.
 func (vs *ValueStore) InsertValues(at xmltree.NodeID, count int, valueOf func(xmltree.NodeID) string) error {
-	i := sort.Search(len(vs.refs), func(i int) bool { return vs.refs[i].Node >= at })
+	refs := vs.refs.All()
+	i := sort.Search(len(refs), func(i int) bool { return refs[i].Node >= at })
 	if valueOf == nil {
 		// Copy-on-write: shift into a fresh slice so frozen clones sharing
 		// the old one keep their node IDs.
-		out := make([]valueRef, len(vs.refs))
-		copy(out, vs.refs)
+		out := slices.Clone(refs)
 		for k := i; k < len(out); k++ {
 			out[k].Node += xmltree.NodeID(count)
 		}
-		vs.refs = out
+		vs.refs = refsOf(out)
 		return nil
 	}
 	// Validate every inserted value before mutating the index, so a
@@ -221,13 +237,13 @@ func (vs *ValueStore) InsertValues(at xmltree.NodeID, count int, valueOf func(xm
 	// All writes succeeded: splice head, new refs and shifted tail into a
 	// fresh slice (copy-on-write for frozen clones), keeping the index
 	// sorted by node.
-	out := make([]valueRef, 0, len(vs.refs)+len(added))
-	out = append(out, vs.refs[:i]...)
+	out := make([]valueRef, 0, len(refs)+len(added))
+	out = append(out, refs[:i]...)
 	out = append(out, added...)
-	for _, r := range vs.refs[i:] {
+	for _, r := range refs[i:] {
 		r.Node += xmltree.NodeID(count)
 		out = append(out, r)
 	}
-	vs.refs = out
+	vs.refs = refsOf(out)
 	return nil
 }

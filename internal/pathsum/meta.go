@@ -144,7 +144,7 @@ func (m *Meta) VerifyAgainst(rebuilt *Summary) error {
 			if p >= 0 {
 				parent = mapTo[p]
 			}
-			rid, ok = rebuilt.child[childKey{parent, tag}]
+			rid, ok = rebuilt.ChildOf(parent, tag)
 		}
 		if !ok {
 			k := childKey{p, tag}

@@ -3,6 +3,7 @@ package pathsum
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -18,7 +19,7 @@ func FromMeta(m *Meta) (*Summary, error) {
 	}
 	s := &Summary{
 		nodes:     make([]Node, n),
-		child:     make(map[childKey]int32, n),
+		child:     newChildIndex(n),
 		numbering: numberings.Add(1),
 	}
 	for i := 0; i < n; i++ {
@@ -32,8 +33,7 @@ func FromMeta(m *Meta) (*Summary, error) {
 		if m.Modes[i] > uint8(CodeMixed) {
 			return nil, fmt.Errorf("pathsum: class %d has mode %d", i, m.Modes[i])
 		}
-		k := childKey{p, m.Tags[i]}
-		if _, dup := s.child[k]; dup {
+		if _, dup := s.child.get(s.nodes[:i], p, m.Tags[i]); dup {
 			return nil, fmt.Errorf("pathsum: duplicate class (parent %d, tag %d)", p, m.Tags[i])
 		}
 		depth := int32(0)
@@ -41,7 +41,7 @@ func FromMeta(m *Meta) (*Summary, error) {
 			depth = s.nodes[p].Depth + 1
 		}
 		s.nodes[i] = Node{Tag: m.Tags[i], Parent: p, Depth: depth, Mode: CodeMode(m.Modes[i]), Code: m.Codes[i]}
-		s.child[k] = int32(i)
+		s.child.put(s.nodes[:i+1], int32(i))
 	}
 	s.starts = make([]int32, len(m.Blocks))
 	for i, b := range m.Blocks {
@@ -156,4 +156,29 @@ func TestMetaVerifyMatchesFromMeta(t *testing.T) {
 		t.Fatalf("%d images accepted and %d refused: the edits do not test both sides", accepted, refused)
 	}
 	t.Logf("%d accepted, %d refused", accepted, refused)
+}
+
+// ChildrenOf lists, for every class and the root context, exactly the
+// classes whose parent it is, ascending, and ChildOf finds each of them.
+func TestChildrenOfListsEachParentsClasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for round := 0; round < 300; round++ {
+		s := randomSummary(t, rng, 2+rng.Intn(80), 1+rng.Intn(6))
+		for p := int32(-1); p < int32(s.NumNodes()); p++ {
+			var want []int32
+			for id := range s.nodes {
+				if s.nodes[id].Parent == p {
+					want = append(want, int32(id))
+				}
+			}
+			if got := s.ChildrenOf(p); !slices.Equal(got, want) {
+				t.Fatalf("round %d: ChildrenOf(%d) = %v, want %v", round, p, got, want)
+			}
+			for _, c := range want {
+				if got, ok := s.ChildOf(p, s.nodes[c].Tag); !ok || got != c {
+					t.Fatalf("round %d: ChildOf(%d, %d) = %d, %v; want %d", round, p, s.nodes[c].Tag, got, ok, c)
+				}
+			}
+		}
+	}
 }

@@ -60,13 +60,72 @@ type childKey struct {
 	tag    int32
 }
 
+// childIndex maps a (parent, tag) path to its class: an open-addressed
+// table of class ids plus one (0 is an empty slot), probed linearly from
+// childHash, with the classes themselves — a summary's nodes — for keys. It
+// holds each class once and stays at most half full.
+type childIndex []int32
+
+func childHash(parent, tag int32) uint32 {
+	return uint32(parent)*0x9E3779B1 ^ uint32(tag)*0x85EBCA77
+}
+
+// newChildIndex returns an index for about n classes, a quarter full at n:
+// most paths then lie in their home slot, the one Builder.Hit reads.
+func newChildIndex(n int) childIndex {
+	size := 8
+	for size < 4*n {
+		size <<= 1
+	}
+	return make(childIndex, size)
+}
+
+// get returns the class of (parent, tag) among nodes.
+func (x childIndex) get(nodes []Node, parent, tag int32) (int32, bool) {
+	mask := uint32(len(x) - 1)
+	for h := childHash(parent, tag); ; h++ {
+		e := x[h&mask] - 1
+		if e < 0 {
+			return -1, false
+		}
+		if n := &nodes[e]; n.Parent == parent && n.Tag == tag {
+			return e, true
+		}
+	}
+}
+
+// put adds class id, the last of nodes and no path x holds, growing the
+// table first when that would make it over half full.
+func (x *childIndex) put(nodes []Node, id int32) {
+	if 2*len(nodes) > len(*x) {
+		grown := newChildIndex(len(nodes))
+		for _, e := range *x {
+			if e > 0 {
+				grown.insert(nodes, e-1)
+			}
+		}
+		*x = grown
+	}
+	x.insert(nodes, id)
+}
+
+func (x childIndex) insert(nodes []Node, id int32) {
+	mask := uint32(len(x) - 1)
+	h := childHash(nodes[id].Parent, nodes[id].Tag)
+	for x[h&mask] != 0 {
+		h++
+	}
+	x[h&mask] = id + 1
+}
+
 // Summary is the path summary of one store state. Installed summaries are
 // never mutated; updates build a clone via BeginRewrite.
 type Summary struct {
 	nodes []Node
-	child map[childKey]int32
-	// sharedChild marks child as the original's map on a rewrite's clone:
-	// intern copies it before adding the clone's first class of its own.
+	child childIndex
+	// sharedChild marks child as the original's index on a rewrite's
+	// clone: intern copies it before adding the clone's first class of its
+	// own.
 	sharedChild bool
 	// starts holds by structure block the class of the innermost element
 	// open when the block begins (-1 = document root context).
@@ -77,7 +136,9 @@ type Summary struct {
 	numbering uint64
 
 	childrenOnce sync.Once
-	childrenIdx  [][]int32
+	// children lists the classes by parent, a parent p's (-1 = root
+	// context) from childStart[p+1] to childStart[p+2].
+	children, childStart []int32
 }
 
 // NumNodes returns the number of path classes.
@@ -97,22 +158,34 @@ func (s *Summary) NodeAt(id int32) Node { return s.nodes[id] }
 
 // ChildOf returns the class for tag under parent (-1 = root context).
 func (s *Summary) ChildOf(parent, tag int32) (int32, bool) {
-	id, ok := s.child[childKey{parent, tag}]
-	return id, ok
+	return s.child.get(s.nodes, parent, tag)
 }
 
-// ChildrenOf returns the classes whose parent is p (-1 = root context).
-// The index is built lazily on first use; summaries are immutable by then.
+// ChildrenOf returns the classes whose parent is p (-1 = root context),
+// ascending; the slice is shared and read-only. The index is built lazily
+// on first use, summaries being immutable by then: one array of the
+// classes by parent and one of offsets, a counting sort of the parents.
 func (s *Summary) ChildrenOf(p int32) []int32 {
 	s.childrenOnce.Do(func() {
-		idx := make([][]int32, len(s.nodes)+1)
-		for id := range s.nodes {
-			slot := s.nodes[id].Parent + 1
-			idx[slot] = append(idx[slot], int32(id))
+		// Parent p's bucket is p+1; its count goes to start[p+3], so that
+		// after the sums start[p+2] is where it begins, and after the fill,
+		// where it ends.
+		start := make([]int32, len(s.nodes)+3)
+		for i := range s.nodes {
+			start[s.nodes[i].Parent+3]++
 		}
-		s.childrenIdx = idx
+		for k := 1; k < len(start); k++ {
+			start[k] += start[k-1]
+		}
+		kids := make([]int32, len(s.nodes))
+		for id := range s.nodes {
+			at := &start[s.nodes[id].Parent+2]
+			kids[*at] = int32(id)
+			*at++
+		}
+		s.childStart, s.children = start, kids
 	})
-	return s.childrenIdx[p+1]
+	return s.children[s.childStart[p+1]:s.childStart[p+2]:s.childStart[p+2]]
 }
 
 // Bytes estimates the summary's in-memory footprint.
@@ -123,20 +196,15 @@ func (s *Summary) Bytes() int {
 // intern returns the class of (parent, tag), appending a new one — with no
 // occurrence observed yet — when the path is new.
 func (s *Summary) intern(parent, tag, depth int32) int32 {
-	k := childKey{parent, tag}
-	if id, ok := s.child[k]; ok {
+	if id, ok := s.child.get(s.nodes, parent, tag); ok {
 		return id
 	}
 	id := int32(len(s.nodes))
 	s.nodes = append(s.nodes, Node{Tag: tag, Parent: parent, Depth: depth})
 	if s.sharedChild {
-		own := make(map[childKey]int32, len(s.child)+1)
-		for k, v := range s.child {
-			own[k] = v
-		}
-		s.child, s.sharedChild = own, false
+		s.child, s.sharedChild = slices.Clone(s.child), false
 	}
-	s.child[k] = id
+	s.child.put(s.nodes, id)
 	return id
 }
 
@@ -154,38 +222,20 @@ func (n *Node) observe(code uint32) {
 }
 
 // Builder constructs a summary from a stream of NoK entries in document
-// order. Feed every entry via Entry and seal each block boundary with
-// EndBlock; Finish validates the document closed cleanly.
+// order. Feed every entry via Entry — or, keeping the open elements
+// yourself, begin each block with BeginBlock and feed every node via Hit
+// and Child — and seal each block boundary with EndBlock; Finish validates
+// the document closed cleanly.
 type Builder struct {
 	s     *Summary
 	stack []int32
 	open  bool
 	err   error
-	// recent is a direct-mapped cache in front of s.child, which stays the
-	// authority: slot h(parent, tag) holds a class id plus one, trusted
-	// only when that class's parent and tag match. A document's paths
-	// repeat, so most entries resolve here without a map probe. It is
-	// allocated at the first class lookup: a code-only recode makes none.
-	recent *[1 << recentBits]int32
 }
-
-const recentBits = 8
 
 // class returns the class of tag under the innermost open element.
 func (b *Builder) class(tag int32) int32 {
-	parent := b.top()
-	h := (uint32(parent)*0x9E3779B1 ^ uint32(tag)*0x85EBCA77) >> (32 - recentBits)
-	if b.recent == nil {
-		b.recent = new([1 << recentBits]int32)
-	}
-	if e := b.recent[h] - 1; e >= 0 {
-		if n := &b.s.nodes[e]; n.Parent == parent && n.Tag == tag {
-			return e
-		}
-	}
-	id := b.s.intern(parent, tag, int32(len(b.stack)))
-	b.recent[h] = id + 1
-	return id
+	return b.s.intern(b.top(), tag, int32(len(b.stack)))
 }
 
 // NewBuilder returns a builder for an empty summary that is expected to
@@ -193,7 +243,7 @@ func (b *Builder) class(tag int32) int32 {
 func NewBuilder(classes int) *Builder {
 	return &Builder{s: &Summary{
 		nodes:     make([]Node, 0, classes),
-		child:     make(map[childKey]int32, classes),
+		child:     newChildIndex(classes),
 		numbering: numberings.Add(1),
 	}}
 }
@@ -213,8 +263,7 @@ func (b *Builder) Entry(tag int32, closeCount int, code uint32) int32 {
 		return -1
 	}
 	if !b.open {
-		b.open = true
-		b.s.starts = append(b.s.starts, b.top())
+		b.BeginBlock(b.top())
 	}
 	id := b.walk(tag, closeCount)
 	if id < 0 {
@@ -222,6 +271,42 @@ func (b *Builder) Entry(tag int32, closeCount int, code uint32) int32 {
 	}
 	b.s.nodes[id].observe(code)
 	return id
+}
+
+// BeginBlock begins a block whose first entry is under class parent (-1:
+// the root context), for a caller that feeds Child and keeps the open
+// elements itself; Entry begins its blocks on its own.
+func (b *Builder) BeginBlock(parent int32) {
+	b.open = true
+	b.s.starts = append(b.s.starts, parent)
+}
+
+// Child is Entry for a caller that keeps the open elements' classes
+// itself: it returns the class of tag under class parent (-1: the root
+// context), interned when new, having observed code at it. Such a caller
+// tries Hit first.
+func (b *Builder) Child(parent, tag int32, code uint32) int32 {
+	depth := int32(0)
+	if parent >= 0 {
+		depth = b.s.nodes[parent].Depth + 1
+	}
+	id := b.s.intern(parent, tag, depth)
+	b.s.nodes[id].observe(code)
+	return id
+}
+
+// Hit is Child for the common node, small enough to be inlined: a path in
+// its home slot of the summary's index, whose class is mixed already or
+// uniform at the node's code, so that recording the node changes nothing.
+// It returns -1 for any other node, which the caller then hands to Child.
+func (b *Builder) Hit(parent, tag int32, code uint32) int32 {
+	x := b.s.child
+	if e := x[childHash(parent, tag)&uint32(len(x)-1)] - 1; e >= 0 {
+		if nd := &b.s.nodes[e]; nd.Parent == parent && nd.Tag == tag && (nd.Code == code || nd.Mode == CodeMixed) && nd.Mode != CodeUnknown {
+			return e
+		}
+	}
+	return -1
 }
 
 // walk resolves the class of one entry and moves the open-element stack
@@ -424,7 +509,7 @@ func (s *Summary) VerifyAgainst(rebuilt *Summary) error {
 				continue
 			}
 		}
-		rid, ok := rebuilt.child[childKey{parent, n.Tag}]
+		rid, ok := rebuilt.ChildOf(parent, n.Tag)
 		if !ok {
 			mapTo[id] = -1
 			continue

@@ -200,6 +200,10 @@ type answers struct {
 	// c is the plan the pipeline was instantiated from.
 	c       *compiled
 	matches *int
+	// done is the Done channel of the context the pipeline was opened
+	// under, taken once: next polls it, where ctx.Err would take the
+	// context's lock for every answer.
+	done <-chan struct{}
 }
 
 // open builds the cursor pipeline for the pattern tree without draining
@@ -213,7 +217,7 @@ func (ev *Evaluator) open(ctx context.Context, t *PatternTree, opts Options) (*a
 	}
 	if c.empty() {
 		opts.Trace.Mark(obs.EvPathEmpty)
-		return &answers{p: emptyCursor{}, c: c, matches: new(int)}, nil
+		return &answers{p: emptyCursor{}, c: c, matches: new(int), done: ctx.Done()}, nil
 	}
 	if c.index != nil {
 		ic := newIndexCursor(obs.WithTrace(ctx, opts.Trace.ForOp(opIndex)), c, ev.store)
@@ -221,7 +225,7 @@ func (ev *Evaluator) open(ctx context.Context, t *PatternTree, opts Options) (*a
 		if opts.Limit > 0 {
 			top = &limitCursor{in: ic, remaining: opts.Limit}
 		}
-		return &answers{p: top, c: c, matches: &ic.matches}, nil
+		return &answers{p: top, c: c, matches: &ic.matches, done: ctx.Done()}, nil
 	}
 	subs := c.subs
 	m := ev.newMatcher(c)
@@ -267,7 +271,7 @@ func (ev *Evaluator) open(ctx context.Context, t *PatternTree, opts Options) (*a
 	if opts.Limit > 0 {
 		top = &limitCursor{in: dd, remaining: opts.Limit}
 	}
-	return &answers{p: top, c: c, matches: &dd.matches}, nil
+	return &answers{p: top, c: c, matches: &dd.matches, done: ctx.Done()}, nil
 }
 
 // newMatcher returns the immutable matcher of plan c, shared by its scans.
@@ -290,12 +294,15 @@ func (emptyCursor) Next(ctx context.Context) (Tuple, error) { return nil, nil }
 func (emptyCursor) Close() error                            { return nil }
 
 // next returns the next distinct answer; ok is false once the stream is
-// exhausted or the Limit was reached.
+// exhausted or the Limit was reached. ctx is the context the pipeline was
+// opened under.
 func (a *answers) next(ctx context.Context) (n xmltree.NodeID, ok bool, err error) {
 	// Asked here once per answer, and by each scan once per batch: a
 	// cancelled consumer gets ctx's error even while matched tuples remain.
-	if err := ctx.Err(); err != nil {
-		return xmltree.InvalidNode, false, err
+	select {
+	case <-a.done:
+		return xmltree.InvalidNode, false, ctx.Err()
+	default:
 	}
 	tp, err := a.p.Next(ctx)
 	if err != nil || tp == nil {

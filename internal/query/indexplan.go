@@ -943,6 +943,9 @@ type indexCursor struct {
 	shaped        bool
 	at            int
 	matches, owed int
+	// ctxDone is the Done channel of ctx, taken once, as answers takes
+	// it.
+	ctxDone <-chan struct{}
 }
 
 func newIndexCursor(ctx context.Context, c *compiled, st *nok.Store) *indexCursor {
@@ -950,7 +953,7 @@ func newIndexCursor(ctx context.Context, c *compiled, st *nok.Store) *indexCurso
 	for i := range ic.row {
 		ic.row[i] = unbound
 	}
-	ic.ix, ic.ctx = c.index, ctx
+	ic.ix, ic.ctx, ic.ctxDone = c.index, ctx, ctx.Done()
 	if !ic.shaped {
 		ic.init(c, st.NewCursor(), c.opts.Semantics == SemanticsPrunedSubtree)
 	}
@@ -967,8 +970,10 @@ func (ic *indexCursor) Next(ctx context.Context) (Tuple, error) {
 		a = ic.ix.answers[ic.at]
 		ic.at++
 	} else {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+		select {
+		case <-ic.ctxDone:
+			return nil, ctx.Err()
+		default:
 		}
 		var ok bool
 		var err error

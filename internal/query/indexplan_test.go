@@ -18,12 +18,7 @@ import (
 // values).
 func servedIndex(t testing.TB, st *nok.Store) (*btree.Runs, ValueIndex) {
 	t.Helper()
-	postings := make([]btree.Posting, st.NumNodes())
-	classes := make([]int32, st.NumNodes())
-	err := st.ForEachClassExtent(func(n, end xmltree.NodeID, level int, _, class int32) {
-		postings[n] = btree.Posting{Node: n, End: end, Level: uint16(level)}
-		classes[n] = class
-	})
+	x, err := st.ClassExtents()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +27,7 @@ func servedIndex(t testing.TB, st *nok.Store) (*btree.Runs, ValueIndex) {
 	for c := range tags {
 		tags[c] = sum.NodeAt(int32(c)).Tag
 	}
-	runs, err := btree.NewClassRuns(postings, st.NumTags(), btree.Classes{Of: classes, Tag: tags, Numbering: sum.Numbering()})
+	runs, err := btree.NewClassRuns(x.Postings, st.NumTags(), btree.Classes{Of: x.Classes, Tag: tags, Numbering: sum.Numbering()})
 	if err != nil {
 		t.Fatal(err)
 	}

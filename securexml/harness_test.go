@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -347,7 +346,7 @@ func (ms *modelStore) saved(what string, replace bool) *Store {
 			t.Fatalf("%s: reopen: %v", what, err)
 		}
 	}
-	if want, got := ms.s.cur.Load().st.Meta().ValueRefs, s.cur.Load().st.Meta().ValueRefs; !reflect.DeepEqual(got, want) {
+	if want, got := ms.s.cur.Load().st.Meta().ValueRefs.All(), s.cur.Load().st.Meta().ValueRefs.All(); !slices.Equal(got, want) {
 		t.Fatalf("%s: %d value refs came back as %d others", what, len(want), len(got))
 	}
 	for n, x := range ms.md.Nodes() {

@@ -65,6 +65,12 @@ func (s *Store) newRegistry() *obs.Registry {
 		{"plan_memo_bytes", func(sn *snapshot) int64 { return sn.idx.masks.Bytes() }},
 		{"index_bytes", func(sn *snapshot) int64 { return sn.idx.bytes() }},
 		{"path_summary_bytes", func(sn *snapshot) int64 { return int64(sn.st.PathSummaryBytes()) }},
+		{"value_ref_bytes", func(sn *snapshot) int64 {
+			if vs := sn.st.Values(); vs != nil {
+				return vs.Bytes()
+			}
+			return 0
+		}},
 	} {
 		fn := g.fn
 		must(reg.RegisterGauge(g.name, func() int64 {
@@ -156,6 +162,7 @@ var metricHelp = map[string]string{
 	"snapshot_versions_live":         "Live store versions (1 when quiescent).",
 	"snapshot_oldest_pin_age_us":     "Age of the oldest pinned snapshot in microseconds.",
 	"path_summary_bytes":             "Serialized path-summary size in bytes.",
+	"value_ref_bytes":                "Memory held by the current snapshot's value refs: their packed image, plus 12 bytes a ref once a value read has unpacked them.",
 	"sidecar_bytes":                  "Size of the last store.json image read at open, saved or journalled with a commit, in bytes.",
 	"io_reads":                       "Physical page reads issued by the pager.",
 	"io_writes":                      "Physical page writes issued by the pager.",

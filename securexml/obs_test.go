@@ -238,6 +238,7 @@ var (
 		"snapshot_oldest_pin_age_us", "snapshot_pin_us", "snapshot_pins",
 		"snapshot_unpins", "snapshot_versions_live",
 		"store_nodes", "store_pages",
+		"value_ref_bytes",
 		"view_bitmap_builds", "view_checks", "view_decisions_computed",
 	}
 	walMetricNames = []string{

@@ -381,12 +381,16 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 			ps.Nok.PathSummary.Blocks[mid].Start = -1
 		}), "start class mismatch", false},
 		{"value on a page past the end of the page file", sidecar(func(ps *persistedStore) {
-			refs := slices.Clone(ps.Nok.ValueRefs)
+			refs := ps.Nok.ValueRefs.All()
 			if len(refs) == 0 {
 				t.Fatal("no value refs")
 			}
-			refs[len(refs)-1].Page = storage.PageID(len(img[pageFile])/pageSize + 3)
-			ps.Nok.ValueRefs = refs
+			packed := make([][4]int64, len(refs))
+			for i, r := range refs {
+				packed[i] = [4]int64{int64(r.Node), int64(r.Page), int64(r.Off), int64(r.Len)}
+			}
+			packed[len(refs)-1][1] = int64(len(img[pageFile])/pageSize + 3)
+			ps.Nok = withValueRefs(t, ps.Nok, packRefs(packed...))
 		}), "securexml: corrupt metadata", false},
 		{"node count beyond the blocks", sidecar(func(ps *persistedStore) {
 			ps.Nok.NumNodes = 1000000000000
@@ -630,5 +634,106 @@ func TestUpdatedVisitSyncsOnClose(t *testing.T) {
 	got, err := r.QueryCtx(context.Background(), "u00", "read", q, QueryOptions{})
 	if err != nil || !slices.Equal(got, after) {
 		t.Fatalf("the reopened store answers %d matches, %v; the updated store answered %d", len(got), err, len(after))
+	}
+}
+
+// Open checks the value refs where they lie and leaves them packed: queries
+// with no answers unpack nothing, the first query with answers unpacks them
+// once, and a snapshot published by an access update shares them. Saved
+// packed or unpacked, the sidecar comes back as it was read.
+func TestOpenUnpacksValueRefsAtFirstRead(t *testing.T) {
+	dir := t.TempDir()
+	s := hospitalStore(t, StoreOptions{PageSize: 256})
+	if err := s.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s, err := Open(dir, StoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	gauge := func() int64 { return s.MetricsSnapshot().Get("value_ref_bytes") }
+	packed := gauge()
+	if packed <= 0 {
+		t.Fatalf("value_ref_bytes %d after Open", packed)
+	}
+	// A save writes back the image read, and one after the refs are
+	// unpacked writes it again.
+	resave := func() []byte {
+		t.Helper()
+		to := t.TempDir()
+		if err := s.Save(to); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(to, metaFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	saved, err := os.ReadFile(filepath.Join(dir, metaFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resave(), saved) || gauge() != packed {
+		t.Fatal("a save of refs never unpacked changed the sidecar, or unpacked them")
+	}
+	query := func(user, xpath string) int {
+		t.Helper()
+		ms, err := s.QueryCtx(context.Background(), user, "read", xpath, QueryOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(ms)
+	}
+	// No class holds the path; the view sees none of the nodes.
+	for _, q := range []struct{ user, xpath string }{
+		{"dave", "//patient/amount"}, {"betty", "//diagnosis"}, {"alice", "//pharmacy/drug"},
+	} {
+		if n := query(q.user, q.xpath); n != 0 {
+			t.Fatalf("%s %s: %d answers, want none", q.user, q.xpath, n)
+		}
+		if got := gauge(); got != packed {
+			t.Fatalf("value_ref_bytes %d after %s %s, which has no answer; %d after Open", got, q.user, q.xpath, packed)
+		}
+	}
+	if n := query("dave", "//patient/name"); n == 0 {
+		t.Fatal("//patient/name: no answers")
+	}
+	unpacked := gauge()
+	if unpacked <= packed {
+		t.Fatalf("value_ref_bytes %d after a query with answers, %d packed", unpacked, packed)
+	}
+	if !bytes.Equal(resave(), saved) {
+		t.Fatal("a save of unpacked refs changed the sidecar")
+	}
+	if err := s.SetAccess("alice", "read", 0, true, false); err != nil {
+		t.Fatal(err)
+	}
+	if got := gauge(); got != unpacked {
+		t.Fatalf("value_ref_bytes %d on the snapshot an access update published, %d before", got, unpacked)
+	}
+}
+
+// Open's allocations, pinned without a clock: the 3,600-node tenant of
+// BenchmarkOpen opens, and closes, in at most openAllocs allocations (the
+// figure this test was written at plus 10 %; it was 597 for the Open alone
+// when the codebook decoded each dense row into a Bitset, then into runs).
+func TestOpenAllocations(t *testing.T) {
+	const openAllocs = 323
+	dir, _ := churnTenant(t, 0, 5000, 3600, 4096)
+	allocs := testing.AllocsPerRun(20, func() {
+		s, err := Open(dir, StoreOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Open and Close: %.0f allocations", allocs)
+	if allocs > openAllocs {
+		t.Fatalf("Open and Close made %.0f allocations, over the %d pinned", allocs, openAllocs)
 	}
 }

@@ -463,8 +463,7 @@ func Open(dir string, opts StoreOptions) (_ *Store, err error) {
 	// checks), rebuilds the path summary and yields the tag index's entries.
 	// Before it, the value refs are held against the recovered page file: a
 	// value on a page past its end would fail the first query that reads it.
-	x := &extents{numNodes: ps.Nok.NumNodes}
-	st, err := nok.OpenScan(pool, ps.Nok, x.add)
+	st, x, err := nok.OpenScan(pool, ps.Nok)
 	if errors.Is(err, nok.ErrValueRef) {
 		return nil, fmt.Errorf("securexml: corrupt metadata: %w", err)
 	} else if err != nil {

@@ -8,28 +8,36 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
 	"dolxml/securexml"
 )
 
+// tenantIDRe is the tenant ID grammar validTenantID reads byte by byte.
+var tenantIDRe = regexp.MustCompile(`^[a-z0-9][a-z0-9_-]{0,63}$`)
+
 // FuzzRegistryPaths fuzzes the tenant-id → store-directory mapping, the
 // only place untrusted request bytes meet the filesystem. Whatever the
-// input, an accepted ID must resolve to a direct child of root — no
+// input, TenantPath accepts exactly the IDs of the grammar (tenantIDRe),
+// and an accepted ID must resolve to a direct child of root — no
 // traversal, no absolute escapes, no separator smuggling.
 func FuzzRegistryPaths(f *testing.F) {
 	for _, seed := range []string{
 		"tenant-01", "a", "..", "../../etc/passwd", "a/../b", "a/b",
 		"a\\b", "C:\\x", ".", ".hidden", "-", "_", "UPPER", "t\x00x",
 		strings.Repeat("a", 64), strings.Repeat("a", 65), "a..b", "a.b",
-		"%2e%2e%2f", "a\nb", "\u2025", "ｅｖｉｌ",
+		"%2e%2e%2f", "a\nb", "\u2025", "ｅｖｉｌ", "a-", "9_z", "a\u00e9",
 	} {
 		f.Add(seed)
 	}
 	const root = "/srv/dolxml/tenants"
 	f.Fuzz(func(t *testing.T, id string) {
 		p, err := TenantPath(root, id)
+		if want := tenantIDRe.MatchString(id); (err == nil) != want {
+			t.Fatalf("TenantPath(%q): %v, the grammar says %v", id, err, want)
+		}
 		if err != nil {
 			return // rejected — nothing else to hold
 		}
@@ -196,4 +204,15 @@ func FuzzServerParams(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkTenantPath times the tenant-id check and path join every
+// request makes, warm ones included.
+func BenchmarkTenantPath(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := TenantPath("/srv/dolxml/tenants", "tenant-07"); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -17,8 +17,8 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"os"
 	"path/filepath"
-	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -73,11 +73,25 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// tenantIDRe admits exactly the IDs TenantPath maps to store directories:
-// lowercase alphanumerics, underscore and dash, starting with an
-// alphanumeric, at most 64 runes. No dots, no separators — traversal is
-// unrepresentable.
-var tenantIDRe = regexp.MustCompile(`^[a-z0-9][a-z0-9_-]{0,63}$`)
+// validTenantID admits exactly the IDs TenantPath maps to store
+// directories, ^[a-z0-9][a-z0-9_-]{0,63}$: lowercase alphanumerics,
+// underscore and dash, starting with an alphanumeric, at most 64 bytes. No
+// dots, no separators — traversal is unrepresentable. It runs on every
+// request, so it is a loop over the bytes, not a regexp.
+func validTenantID(id string) bool {
+	if len(id) == 0 || len(id) > 64 {
+		return false
+	}
+	for i := 0; i < len(id); i++ {
+		switch c := id[i]; {
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9':
+		case (c == '_' || c == '-') && i > 0:
+		default:
+			return false
+		}
+	}
+	return true
+}
 
 // ErrNoTenant marks an Acquire of a tenant that does not exist: an ID
 // outside the grammar, or no store directory under the root. ErrClosed marks
@@ -90,15 +104,16 @@ var (
 
 // TenantPath maps a tenant ID to its store directory under root, rejecting
 // any ID that could escape it. The ID grammar contains no path separators
-// or dots, and the result is additionally verified to resolve to a direct
-// child of root.
+// or dots, and the result is additionally verified to end in the ID as its
+// own element.
 func TenantPath(root, id string) (string, error) {
-	if !tenantIDRe.MatchString(id) {
+	if !validTenantID(id) {
 		return "", fmt.Errorf("%w: invalid tenant id %q", ErrNoTenant, id)
 	}
 	p := filepath.Join(root, id)
-	// Defense in depth: the joined path must be exactly root/id again.
-	if rel, err := filepath.Rel(root, p); err != nil || rel != id {
+	// Defense in depth: the joined path must end in one more element, id
+	// (or be id, under a root of ".").
+	if cut := len(p) - len(id); cut < 0 || p[cut:] != id || cut > 0 && !os.IsPathSeparator(p[cut-1]) {
 		return "", fmt.Errorf("%w: tenant id %q escapes root", ErrNoTenant, id)
 	}
 	return p, nil

@@ -109,9 +109,9 @@ func retiredSidecars(tb testing.TB, ps persistedStore) map[string][]byte {
 	for i, b := range sum.Blocks {
 		blocks[i].S = b.Start
 	}
-	refs := make([]ref, len(ps.Nok.ValueRefs))
+	refs := make([]ref, len(ps.Nok.ValueRefs.All()))
 	packed := make([][4]int64, len(refs))
-	for i, r := range ps.Nok.ValueRefs {
+	for i, r := range ps.Nok.ValueRefs.All() {
 		refs[i] = ref{int64(r.Node), int64(r.Page), int64(r.Off), int64(r.Len)}
 		packed[i] = [4]int64{refs[i].N, refs[i].P, refs[i].O, refs[i].L}
 	}
@@ -210,7 +210,7 @@ func duplicateRow(t *testing.T, cb []byte) []byte {
 	case 0:
 		t.Fatal("the first slot is freed")
 	case 1:
-		_, rest, err := bitset.DecodeRuns(rows[n:], uint32(ns))
+		_, rest, err := bitset.DecodeRuns(nil, rows[n:], uint32(ns))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -251,8 +251,17 @@ func setValueRefs(t *testing.T, dir string, blob []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ps.Nok = withValueRefs(t, ps.Nok, blob)
+	if err := os.WriteFile(path, encodeSidecar(ps), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// withValueRefs returns m with blob, as it is, for its packed value refs.
+func withValueRefs(t *testing.T, m nok.Meta, blob []byte) nok.Meta {
+	t.Helper()
 	// The image's head is the node count, the tags and the refs' blob.
-	head := ps.Nok.AppendHead(nil)
+	head := m.AppendHead(nil)
 	r := wire.NewReader(head)
 	r.Int()
 	for n := r.Len(); n > 0; n-- {
@@ -263,16 +272,19 @@ func setValueRefs(t *testing.T, dir string, blob []byte) {
 		t.Fatal("the nok image's head does not end with the refs' blob")
 	}
 	head = head[:len(head)-len(wire.AppendBytes(nil, refs))]
-	nokImg := slices.Concat(wire.AppendBytes(slices.Clone(head), blob), ps.Nok.AppendTail(nil))
-	if err := os.WriteFile(path, appendEnvelope(nil, ps.PageSize, nil, nokImg, storeImage(ps)), 0o644); err != nil {
+	var out nok.Meta
+	if err := out.UnmarshalBinary(slices.Concat(wire.AppendBytes(head, blob), m.AppendTail(nil))); err != nil {
 		t.Fatal(err)
 	}
+	return out
 }
 
 // A sidecar whose value refs point outside the document, a page or the value
 // pages used to panic the index build inside Open (a length of 60000 sliced a
 // 4096-byte frame). It is now a corrupt-metadata error, as are refs that do
-// not decode and a nok image that is not base64.
+// not decode and a nok image that is not base64. Open finds each in the
+// packed refs it checks, though it unpacks none: the error comes from Open,
+// not from the first query that reads a value.
 func TestOpenRejectsCorruptValueRefs(t *testing.T) {
 	dir := t.TempDir()
 	s := hospitalStore(t, StoreOptions{PageSize: 256})
@@ -307,7 +319,12 @@ func TestOpenRejectsCorruptValueRefs(t *testing.T) {
 		{"nodes out of order", packRefs(first, [4]int64{1, 1, 1, 2})},
 		{"node twice", packRefs(first, [4]int64{2, 1, 1, 2})},
 		{"value on a structure page", packRefs(first, [4]int64{4, 0, 1, 2})},
+		{"value of no bytes", packRefs(first, [4]int64{4, 1, 1, 0})},
+		{"value on a page past the file", packRefs(first, [4]int64{4, 1000, 0, 1})},
+		{"value on a page below zero", packRefs(first, [4]int64{4, -2, 0, 1})},
+		{"offset past 16 bits", packRefs(first, [4]int64{4, 1, 70000, 1})},
 		{"blob cut short", []byte{2, 2, 0, 1, 4, 0, 1}},
+		{"blob cut inside a varint", []byte{2, 2, 0, 1, 4, 0, 0x81}},
 		{"bytes after the last ref", []byte{2, 2, 0, 1, 4, 0, 1, 2, 0}},
 		{"a padded varint", []byte{4, 2, 0, 0x81, 0x00}},
 	} {
@@ -358,7 +375,7 @@ func TestIndexBuildReadsEachValuePageOnce(t *testing.T) {
 	}
 	ix := newIndexState(nil)
 	gets("the index build", func() error { return ix.ensure(st, nil) }, st.NumPages())
-	refs := st.Meta().ValueRefs
+	refs := st.Meta().ValueRefs.All()
 	total := 0
 	for _, tag := range []string{"emailaddress", "name", "text", "site"} {
 		code, ok := st.LookupTag(tag)

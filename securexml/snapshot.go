@@ -78,35 +78,12 @@ func sharesIndex(prev, next *nok.Store, structural bool) bool {
 	return a.Numbering() == b.Numbering() && a.NumNodes() == b.NumNodes()
 }
 
-// extents gathers what an extent pass reports — each node when its subtree
-// closes — by node ID: the tag index's postings and the nodes' path classes,
-// in node order. The class names the tag; the class runs are sorted from
-// these two arrays in place.
-type extents struct {
-	numNodes int
-	postings []btree.Posting // allocated at the first report, with classes
-	classes  []int32
-	err      error
-}
-
-func (x *extents) add(n, end xmltree.NodeID, level int, _, class int32) {
-	if x.postings == nil {
-		x.postings, x.classes = make([]btree.Posting, x.numNodes), make([]int32, x.numNodes)
-	}
-	if n < 0 || int(n) >= len(x.postings) {
-		x.err = fmt.Errorf("securexml: extent pass reported node %d of %d", n, len(x.postings))
-		return
-	}
-	x.postings[n] = btree.Posting{Node: n, End: end, Level: uint16(level)}
-	x.classes[n] = class
-}
-
 // ensure builds the indexes on first use and returns the build outcome
 // (memoized; a failed build fails every query of this snapshot chain until
 // a structural update publishes a fresh indexState). x is a finished extent
 // pass over st, classes numbered as st's path summary numbers them, or nil
 // to have one made.
-func (ix *indexState) ensure(st *nok.Store, x *extents) error {
+func (ix *indexState) ensure(st *nok.Store, x *nok.Extents) error {
 	ix.once.Do(func() { ix.err = ix.build(st, x) })
 	return ix.err
 }
@@ -129,15 +106,12 @@ func (ix *indexState) bytes() int64 {
 // value pages of that tag's nodes once, when first asked for, under no
 // query's context — a cancelled first asker must not fail the tag for
 // everyone after.
-func (ix *indexState) build(st *nok.Store, x *extents) error {
+func (ix *indexState) build(st *nok.Store, x *nok.Extents) error {
 	if x == nil {
-		x = &extents{numNodes: st.NumNodes()}
-		if err := st.ForEachClassExtent(x.add); err != nil {
+		var err error
+		if x, err = st.ClassExtents(); err != nil {
 			return err
 		}
-	}
-	if x.err != nil {
-		return x.err
 	}
 	sum := st.Paths()
 	tags := make([]int32, sum.NumNodes())
@@ -145,8 +119,8 @@ func (ix *indexState) build(st *nok.Store, x *extents) error {
 		tags[c] = sum.NodeAt(int32(c)).Tag
 	}
 	var err error
-	ix.index, err = btree.NewClassRuns(x.postings, st.NumTags(), btree.Classes{
-		Of: x.classes, Tag: tags, Numbering: sum.Numbering(),
+	ix.index, err = btree.NewClassRuns(x.Postings, st.NumTags(), btree.Classes{
+		Of: x.Classes, Tag: tags, Numbering: sum.Numbering(),
 	})
 	if err != nil {
 		return err
