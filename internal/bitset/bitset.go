@@ -241,32 +241,3 @@ func Parse(s string) (*Bitset, error) {
 	}
 	return b, nil
 }
-
-// MarshalBinary encodes the bitset as 4 bytes of little-endian length
-// followed by the word data.
-func (b *Bitset) MarshalBinary() ([]byte, error) {
-	out := make([]byte, 4+len(b.words)*8)
-	putU32(out, uint32(b.n))
-	for i, w := range b.words {
-		putU64(out[4+8*i:], w)
-	}
-	return out, nil
-}
-
-func putU32(p []byte, v uint32) {
-	p[0], p[1], p[2], p[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func putU64(p []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		p[i] = byte(v >> uint(8*i))
-	}
-}
-
-func getU64(p []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(p[i]) << uint(8*i)
-	}
-	return v
-}

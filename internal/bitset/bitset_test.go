@@ -1,10 +1,7 @@
 package bitset
 
 import (
-	"encoding/binary"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestZeroValue(t *testing.T) {
@@ -197,45 +194,6 @@ func TestStringRoundTrip(t *testing.T) {
 		if got := b.String(); got != s {
 			t.Errorf("round trip %q -> %q", s, got)
 		}
-	}
-}
-
-// unmarshal reads a MarshalBinary image back the way a codebook reads a
-// dense row: its words straight into runs.
-func unmarshal(data []byte) *Bitset {
-	n := int(binary.LittleEndian.Uint32(data))
-	return FromRuns(n, AppendWordRuns(nil, data[4:], n))
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	b := FromIndices(100, 0, 50, 99)
-	data, err := b.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := unmarshal(data); !b.Equal(c) {
-		t.Fatalf("round trip mismatch: %s vs %s", b, c)
-	}
-}
-
-func TestMarshalProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(400)
-		b := New(n)
-		for i := 0; i < n; i++ {
-			if rng.Intn(3) == 0 {
-				b.Set(i)
-			}
-		}
-		data, err := b.MarshalBinary()
-		if err != nil {
-			return false
-		}
-		return b.Equal(unmarshal(data))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -227,41 +227,3 @@ func DecodeRuns(dst []Run, data []byte, maxBit uint32) ([]Run, []byte, error) {
 	}
 	return dst, data, nil
 }
-
-// AppendWordRuns appends to dst the maximal runs of set bits among the
-// first n bits of words, little-endian 64-bit words as MarshalBinary writes
-// them after its length (len(words) is 8 a word); bits at or past n are
-// ignored. It reads the words in place: no Bitset is made.
-func AppendWordRuns(dst []Run, words []byte, n int) []Run {
-	open, start := false, uint32(0)
-	for w := 0; w < len(words)/8 && w*wordBits < n; w++ {
-		word := getU64(words[8*w:])
-		if rest := n - w*wordBits; rest < wordBits {
-			word &= 1<<uint(rest) - 1
-		}
-		base := uint32(w * wordBits)
-		for {
-			if !open {
-				if word == 0 {
-					break
-				}
-				tz := bits.TrailingZeros64(word)
-				start, open = base+uint32(tz), true
-				// The bits below the run's start count as set: the search
-				// for its end starts there.
-				word |= 1<<uint(tz) - 1
-			}
-			if word == ^uint64(0) {
-				break // the run goes on into the next word
-			}
-			end := bits.TrailingZeros64(^word)
-			dst = append(dst, Run{Start: start, Len: base + uint32(end) - start})
-			open = false
-			word &= ^uint64(0) << uint(end)
-		}
-	}
-	if open {
-		dst = append(dst, Run{Start: start, Len: uint32(n) - start})
-	}
-	return dst
-}

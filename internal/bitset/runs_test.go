@@ -186,29 +186,3 @@ func TestDecodeRunsRejectsMalformed(t *testing.T) {
 		t.Error("wrapping gap accepted")
 	}
 }
-
-// AppendWordRuns reads a bitset's image into the runs Bitset.Runs gives,
-// whatever lies in the last word past the bitset's length.
-func TestAppendWordRuns(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 500; trial++ {
-		n := rng.Intn(300)
-		b := New(n)
-		density := rng.Intn(4)
-		for i := 0; i < n; i++ {
-			if rng.Intn(4) < density {
-				b.Set(i)
-			}
-		}
-		img, _ := b.MarshalBinary()
-		if n%64 != 0 && rng.Intn(2) == 0 {
-			img[len(img)-1] |= 0x80 // a stray bit past the length
-		}
-		prefix := []Run{{Start: 7, Len: 1}}
-		got := AppendWordRuns(prefix, img[4:], n)
-		want := append(prefix, b.Runs()...)
-		if !slices.Equal(got, want) {
-			t.Fatalf("n=%d %s: AppendWordRuns gives %v, Runs %v", n, b, got, want)
-		}
-	}
-}

@@ -20,6 +20,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"unsafe"
 
 	"dolxml/internal/acl"
 	"dolxml/internal/bitset"
@@ -31,10 +32,10 @@ type Code = uint32
 
 // Codebook is the in-memory dictionary of distinct access control lists
 // appearing in a secured tree (§2.1). Each entry holds its list as runs of
-// granted subjects, the form its row takes on disk once rows are wide
-// (MarshalBinary), so an entry costs a few bytes per run whatever the
-// subject population. Entries are reference counted so that updates can
-// garbage-collect lists that no longer occur.
+// granted subjects, the form its row takes on disk too (MarshalBinary), so
+// an entry costs a few bytes per run whatever the subject population.
+// Entries are reference counted so that updates can garbage-collect lists
+// that no longer occur.
 type Codebook struct {
 	numSubjects int
 	// entries maps a code to its ACL's set subjects as sorted, maximal
@@ -48,12 +49,6 @@ type Codebook struct {
 	index       map[string]Code
 	sharedIndex bool
 	free        []Code // freed codes available for reuse
-	// gen counts mutations that may invalidate externally cached access
-	// decisions (entry create/free/rewrite, subject add, reference
-	// releases accompanying block rewrites). SubjectView decision caches
-	// key themselves by this value. Mutations and Gen reads must not be
-	// concurrent (securexml serializes them behind its store lock).
-	gen uint64
 }
 
 // NewCodebook returns an empty codebook over numSubjects subjects.
@@ -78,7 +73,6 @@ func (cb *Codebook) Clone() *Codebook {
 		index:       cb.index,
 		sharedIndex: true,
 		free:        append([]Code(nil), cb.free...),
-		gen:         cb.gen,
 	}
 }
 
@@ -98,14 +92,6 @@ func (cb *Codebook) writableIndex() map[string]Code {
 // entries" metric (Figure 5).
 func (cb *Codebook) Len() int { return len(cb.entries) - len(cb.free) }
 
-// Cap returns the number of code slots ever issued (live + freed). Codes are
-// always smaller than Cap, so per-code caches may size themselves by it.
-func (cb *Codebook) Cap() int { return len(cb.entries) }
-
-// Gen returns the mutation generation. Caches of per-code access decisions
-// are valid only while Gen is unchanged.
-func (cb *Codebook) Gen() uint64 { return cb.gen }
-
 // Intern returns the code for the ACL whose set subjects are row, sorted
 // and maximal runs (Bitset.Runs, AddRunBit), adding an entry with
 // reference count zero if it has not been seen. A new entry keeps row, so
@@ -123,7 +109,6 @@ func (cb *Codebook) Intern(row []bitset.Run) Code {
 	if row == nil {
 		row = []bitset.Run{}
 	}
-	cb.gen++
 	var c Code
 	if n := len(cb.free); n > 0 {
 		c = cb.free[n-1]
@@ -151,10 +136,6 @@ func (cb *Codebook) Release(c Code) {
 		panic(fmt.Sprintf("dol: release of unreferenced code %d", c))
 	}
 	cb.refs[c]--
-	// Every Release accompanies a representation change (a block rewrite or
-	// an entry freeing), either of which can invalidate cached per-view
-	// decisions and page bitmaps, so the generation always advances.
-	cb.gen++
 	if cb.refs[c] == 0 {
 		var buf [64]byte
 		delete(cb.writableIndex(), string(bitset.AppendRuns(buf[:0], cb.entries[c])))
@@ -192,11 +173,18 @@ func (cb *Codebook) Accessible(c Code, s acl.SubjectID) bool {
 }
 
 // AccessibleAny reports whether any subject of the effective set (user plus
-// transitive groups), given as its sorted subjects, is granted by code c. It
-// merges the subjects with the row's runs, or, when that is shorter,
-// searches the row for each subject in turn, every search starting where
-// the last one ended.
+// transitive groups), given as its sorted subjects, is granted by code c.
 func (cb *Codebook) AccessibleAny(c Code, subjects []uint32) bool {
+	ok, _ := cb.grantsAny(c, subjects)
+	return ok
+}
+
+// grantsAny reports whether code c's row grants any of subjects, sorted,
+// and how many runs it visited to tell. It merges the subjects with the
+// runs, or, when that is shorter, searches the row for each subject in
+// turn, every search starting where the last one ended: then it visits
+// O(len(subjects) · log len(row)) runs, whatever the row's length.
+func (cb *Codebook) grantsAny(c Code, subjects []uint32) (ok bool, visits int) {
 	if !cb.live(c) {
 		deadCode(c)
 	}
@@ -204,12 +192,13 @@ func (cb *Codebook) AccessibleAny(c Code, subjects []uint32) bool {
 	if len(subjects)*bits.Len(uint(len(row))) < len(row)+len(subjects) {
 		lo := 0
 		for _, s := range subjects {
+			visits += 2 // row[lo], for its end and for its start
 			// The first run at or after lo that ends past s: the one at lo
 			// itself, often, else found by halving.
 			if lo < len(row) && row[lo].End() <= s {
 				// row[lo] ends at or before s; halve [lo, len) keeping
 				// that so, then step past it.
-				for n := len(row) - lo; n > 1; {
+				for n := len(row) - lo; n > 1; visits++ {
 					half := n >> 1
 					if row[lo+half].End() <= s {
 						lo += half
@@ -219,33 +208,45 @@ func (cb *Codebook) AccessibleAny(c Code, subjects []uint32) bool {
 				lo++
 			}
 			if lo == len(row) {
-				return false
+				return false, visits
 			}
 			if row[lo].Start <= s {
-				return true
+				return true, visits
 			}
 		}
-		return false
+		return false, visits
 	}
-	for i, k := 0, 0; i < len(subjects) && k < len(row); {
+	for i, k := 0, 0; i < len(subjects) && k < len(row); visits++ {
 		switch s := subjects[i]; {
 		case s < row[k].Start:
 			i++
 		case s >= row[k].End():
 			k++
 		default:
-			return true
+			return true, visits + 1
 		}
 	}
-	return false
+	return false, visits
 }
 
-// Bytes estimates the storage footprint of the codebook: one bit per
-// subject per live entry, as in the paper's 4 MB-for-LiveLink arithmetic
-// (§5.1.1).
+// Bytes is the paper's storage arithmetic for the codebook: one bit per
+// subject per live entry, as in its 4 MB-for-LiveLink estimate (§5.1.1).
+// HeapBytes is what the rows take in memory.
 func (cb *Codebook) Bytes() int {
 	perEntry := (cb.numSubjects + 7) / 8
 	return cb.Len() * perEntry
+}
+
+// HeapBytes is what the live rows hold on the heap: their runs, at
+// unsafe.Sizeof(bitset.Run{}) bytes each, plus their index keys.
+func (cb *Codebook) HeapBytes() int {
+	n := 0
+	for _, row := range cb.entries {
+		if row != nil {
+			n += len(row)*int(unsafe.Sizeof(bitset.Run{})) + bitset.RunsSize(row)
+		}
+	}
+	return n
 }
 
 // AddSubject appends a new subject column with no access anywhere (§3.4:
@@ -254,7 +255,6 @@ func (cb *Codebook) Bytes() int {
 func (cb *Codebook) AddSubject() acl.SubjectID {
 	s := acl.SubjectID(cb.numSubjects)
 	cb.numSubjects++
-	cb.gen++
 	return s
 }
 
@@ -285,68 +285,49 @@ func (cb *Codebook) AddSubjectLike(like acl.SubjectID) (acl.SubjectID, error) {
 // allocations before any row data is validated.
 const maxCodebookSubjects = 1 << 27
 
-// Row headers. Any other header is a dense row's byte count
-// (bitset.MarshalBinary: a 4-byte length, then exactly the words it needs),
-// which is at least minDenseRow: headers 2 and 3 are never written.
+// Row headers, the only two a slot can have.
 const (
-	rowFreed    = 0 // freed code slot, no payload
-	rowRuns     = 1 // run-length row: bitset.AppendRuns over the set bits
-	minDenseRow = 4 // a dense row of no words
+	rowFreed = 0 // freed code slot, no payload
+	rowRuns  = 1 // a live row: bitset.AppendRuns of its runs, then its reference count
 )
 
-// sparseRowMinSubjects is the population below which rows never encode
-// sparsely: dense rows are already a few dozen bytes there.
-const sparseRowMinSubjects = 256
-
 // MarshalBinary serializes the codebook: the subject count, the slot count,
-// then per slot a header, its row and its reference count. A row over a
-// population of at least sparseRowMinSubjects subjects is written
-// run-length encoded when that is smaller than its dense words, so
-// group-correlated ACLs over large populations take a few bytes per run
-// instead of subjects/8 per row.
+// then per slot a header byte, and for a live row its runs and its
+// reference count. A row takes a few bytes per run, whatever the subject
+// population.
 func (cb *Codebook) MarshalBinary() ([]byte, error) {
 	out := binary.AppendUvarint(nil, uint64(cb.numSubjects))
 	out = binary.AppendUvarint(out, uint64(len(cb.entries)))
 	for c, row := range cb.entries {
-		switch {
-		case row == nil:
-			out = binary.AppendUvarint(out, rowFreed)
+		if row == nil {
+			out = append(out, rowFreed)
 			continue
-		case cb.numSubjects >= sparseRowMinSubjects && bitset.RunsSize(row) < minDenseRow+8*((cb.numSubjects+63)/64):
-			out = binary.AppendUvarint(out, rowRuns)
-			out = bitset.AppendRuns(out, row)
-		default:
-			data, err := bitset.FromRuns(cb.numSubjects, row).MarshalBinary()
-			if err != nil {
-				return nil, err
-			}
-			out = binary.AppendUvarint(out, uint64(len(data)))
-			out = append(out, data...)
 		}
+		out = append(out, rowRuns)
+		out = bitset.AppendRuns(out, row)
 		out = binary.AppendUvarint(out, uint64(cb.refs[c]))
 	}
 	return out, nil
 }
 
-// UnmarshalBinary restores a codebook serialized by MarshalBinary. It
-// decodes every row straight into runs — a dense row's words without a
-// Bitset — all rows' runs into one array and their index keys into one
-// string, a run row's key the bytes it read (bitset.DecodeRuns accepts
-// exactly AppendRuns of the row). It refuses a dense row of another width
-// than the population's, and an image in which two live slots hold equal
-// rows: no writer issues two codes for one ACL.
+// UnmarshalBinary restores a codebook serialized by MarshalBinary,
+// accepting exactly the bytes MarshalBinary writes. It decodes all rows'
+// runs into one array and their index keys into one string, a row's key the
+// bytes it read (bitset.DecodeRuns accepts exactly AppendRuns of the row).
+// It refuses a header other than 0 or 1, a varint not in its shortest form,
+// and an image in which two live slots hold equal rows: no writer issues
+// two codes for one ACL.
 func (cb *Codebook) UnmarshalBinary(data []byte) error {
-	ns, n := binary.Uvarint(data)
+	ns, n := uvarint(data)
 	if n <= 0 || ns > maxCodebookSubjects {
 		return fmt.Errorf("dol: corrupt codebook header")
 	}
 	data = data[n:]
-	count, n := binary.Uvarint(data)
+	count, n := uvarint(data)
 	if n <= 0 {
 		return fmt.Errorf("dol: corrupt codebook count")
 	}
 	data = data[n:]
-	denseLen := uint64(minDenseRow + 8*((ns+63)/64))
 	// A slot takes at least a byte, so a corrupt count sizes nothing.
 	slots := int(min(count, uint64(len(data))))
 	*cb = Codebook{numSubjects: int(ns), entries: make([][]bitset.Run, 0, slots), refs: make([]int, 0, slots)}
@@ -358,39 +339,28 @@ func (cb *Codebook) UnmarshalBinary(data []byte) error {
 	var runs []bitset.Run
 	var keys []byte
 	for i := uint64(0); i < count; i++ {
-		h, n := binary.Uvarint(data)
-		if n <= 0 {
-			return fmt.Errorf("dol: corrupt codebook row %d header", i)
+		if len(data) == 0 {
+			return fmt.Errorf("dol: truncated codebook row %d", i)
 		}
-		data = data[n:]
-		switch {
-		case h == rowFreed:
+		h := data[0]
+		data = data[1:]
+		refs := uint64(0)
+		switch h {
+		case rowFreed:
 			cb.free = append(cb.free, Code(i))
-		case h == rowRuns:
+		case rowRuns:
 			var err error
 			rest := data
 			if runs, data, err = bitset.DecodeRuns(runs, data, uint32(ns)); err != nil {
 				return fmt.Errorf("dol: codebook row %d: %w", i, err)
 			}
 			keys = append(keys, rest[:len(rest)-len(data)]...)
-		case h < minDenseRow:
-			return fmt.Errorf("dol: codebook row %d has header %d", i, h)
-		case uint64(len(data)) < h:
-			return fmt.Errorf("dol: truncated codebook row %d", i)
-		case h != denseLen || uint64(binary.LittleEndian.Uint32(data)) != ns:
-			return fmt.Errorf("dol: codebook row %d has %d bytes for %d of %d bits", i, h, binary.LittleEndian.Uint32(data), ns)
-		default:
-			from := len(runs)
-			runs = bitset.AppendWordRuns(runs, data[minDenseRow:h], int(ns))
-			keys = bitset.AppendRuns(keys, runs[from:])
-			data = data[h:]
-		}
-		refs := uint64(0)
-		if h != rowFreed {
-			if refs, n = binary.Uvarint(data); n <= 0 || refs > math.MaxInt {
+			if refs, n = uvarint(data); n <= 0 || refs > math.MaxInt {
 				return fmt.Errorf("dol: corrupt refcount for codebook row %d", i)
 			}
 			data = data[n:]
+		default:
+			return fmt.Errorf("dol: codebook row %d has header %d", i, h)
 		}
 		cb.refs = append(cb.refs, int(refs))
 		spans = append(spans, span{len(runs), len(keys)})
@@ -419,4 +389,13 @@ func (cb *Codebook) UnmarshalBinary(data []byte) error {
 	}
 	cb.index = index
 	return nil
+}
+
+// uvarint is binary.Uvarint refusing, with n -1, a varint that is not in
+// its shortest form, the only one binary.AppendUvarint writes.
+func uvarint(data []byte) (v uint64, n int) {
+	if v, n = binary.Uvarint(data); n > 1 && data[n-1] == 0 {
+		return 0, -1
+	}
+	return v, n
 }

@@ -3,6 +3,7 @@ package dol
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sync"
@@ -182,8 +183,8 @@ func TestCodebookRefCountingAndReuse(t *testing.T) {
 	}
 	// Freed code is reused.
 	c1 := intern(cb, bitset.FromIndices(2, 1))
-	if c1 != c0 || cb.Cap() != 1 {
-		t.Fatalf("freed code not reused: got %d of %d slots, want %d of 1", c1, cb.Cap(), c0)
+	if c1 != c0 || len(cb.entries) != 1 {
+		t.Fatalf("freed code not reused: got %d of %d slots, want %d of 1", c1, len(cb.entries), c0)
 	}
 	// Re-interning the freed ACL makes a fresh entry.
 	if c2 := intern(cb, bitset.FromIndices(2, 0)); c2 == c1 {
@@ -201,8 +202,8 @@ func TestRunCodebookReleaseReusesSlots(t *testing.T) {
 	if cb.Len() != 0 || len(cb.index) != 0 || cb.entries[a] != nil {
 		t.Fatalf("free of last ref left Len=%d, %d indexed, row %v", cb.Len(), len(cb.index), cb.entries[a])
 	}
-	if b := cb.Intern([]bitset.Run{{Start: 5, Len: 1}}); b != a || cb.Cap() != 1 {
-		t.Fatalf("freed slot %d not reused (got %d of %d slots)", a, b, cb.Cap())
+	if b := cb.Intern([]bitset.Run{{Start: 5, Len: 1}}); b != a || len(cb.entries) != 1 {
+		t.Fatalf("freed slot %d not reused (got %d of %d slots)", a, b, len(cb.entries))
 	}
 }
 
@@ -254,6 +255,52 @@ func TestRunCodebookStats(t *testing.T) {
 	sparse := len(bitset.AppendRuns(nil, runs))
 	if data := mustMarshal(t, cb); len(data) > sparse+16 || cb.Bytes() < 1000*sparse {
 		t.Fatalf("sparse row not materially smaller: %d bytes serialized, run encoding %d, dense %d", len(data), sparse, cb.Bytes())
+	}
+}
+
+// HeapBytes is what the rows hold, Bytes the paper's bit per subject: on a
+// 2^20-subject book of two-run rows the first stays under 1 KB a row while
+// the second reads 128 KiB a row. A freed row holds nothing.
+func TestCodebookHeapBytes(t *testing.T) {
+	const n, rows = 1 << 20, 64
+	cb := NewCodebook(n)
+	for i := 0; i < rows; i++ {
+		cb.Retain(cb.Intern([]bitset.Run{{Start: uint32(i), Len: 3}, {Start: uint32(n - 1000 + i), Len: 5}}))
+	}
+	heap := cb.HeapBytes()
+	if cb.Bytes() != rows*128<<10 || heap >= rows*1024 || heap < rows*2*8 {
+		t.Fatalf("%d two-run rows: Bytes %d, HeapBytes %d; want %d and under %d", rows, cb.Bytes(), heap, rows*128<<10, rows*1024)
+	}
+	cb.Release(0)
+	if got := cb.HeapBytes(); got >= heap {
+		t.Fatalf("freeing a row left HeapBytes at %d of %d", got, heap)
+	}
+}
+
+// A decision visits O(len(subjects) · log runs) of a row's runs, whatever
+// the row's length: a 3-subject view on a 2^20-subject row of 10^4 runs.
+func TestAccessibleAnyReadsLogRuns(t *testing.T) {
+	const n, runs = 1 << 20, 10000
+	row := make([]bitset.Run, runs)
+	for i := range row {
+		row[i] = bitset.Run{Start: uint32(i * 100), Len: 50}
+	}
+	cb := NewCodebook(n)
+	c := cb.Intern(row)
+	bound := 3 * (bits.Len(runs) + 2)
+	for _, view := range [][]uint32{
+		{75, 500075, 999975},    // each denied, in a gap
+		{60, 70, 80},            // denied, in one gap
+		{0, 1 << 19, n - 1},     // the first granted
+		{999950, 999960, n - 1}, // denied, the last past every run
+		{75, 500075, 999925},    // the last granted
+	} {
+		ok, visits := cb.grantsAny(c, view)
+		want := slices.ContainsFunc(view, func(s uint32) bool { return s < runs*100 && s%100 < 50 })
+		t.Logf("view %v: %v after %d run visits", view, ok, visits)
+		if ok != want || cb.AccessibleAny(c, view) != want || visits > bound {
+			t.Fatalf("view %v: %v after %d run visits, want %v after at most %d", view, ok, visits, want, bound)
+		}
 	}
 }
 
@@ -383,8 +430,8 @@ func TestCodebookV2SparseRoundTrip(t *testing.T) {
 	if err := back.UnmarshalBinary(data); err != nil {
 		t.Fatal(err)
 	}
-	if back.NumSubjects() != n || back.Len() != cb.Len() || back.Cap() != cb.Cap() {
-		t.Fatalf("round-trip shape: subjects=%d len=%d cap=%d", back.NumSubjects(), back.Len(), back.Cap())
+	if back.NumSubjects() != n || back.Len() != cb.Len() || len(back.entries) != len(cb.entries) {
+		t.Fatalf("round-trip shape: subjects=%d len=%d cap=%d", back.NumSubjects(), back.Len(), len(back.entries))
 	}
 	sameEntries(t, cb, &back)
 	// Re-marshal is a byte fixpoint.
@@ -393,15 +440,16 @@ func TestCodebookV2SparseRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCodebookSmallStaysV1 pins the bytes of a population under the sparse
-// threshold: the subject count, the slot count, then each row dense, its
-// header its byte count.
-func TestCodebookSmallStaysV1(t *testing.T) {
+// TestCodebookSmallRowsAreRuns pins the bytes of a small population: the
+// subject count, the slot count, then the row as runs (header 1, two runs
+// of one subject, at 0 and 2) and its reference count. No population is
+// too small for runs.
+func TestCodebookSmallRowsAreRuns(t *testing.T) {
 	cb := NewCodebook(8)
 	c := intern(cb, mustBits("10100000"))
 	cb.Retain(c)
 	data := mustMarshal(t, cb)
-	if want := []byte{8, 1, 12, 8, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1}; !bytes.Equal(data, want) {
+	if want := []byte{8, 1, 1, 2, 0, 0, 1, 0, 1}; !bytes.Equal(data, want) {
 		t.Fatalf("small codebook is %v, want %v", data, want)
 	}
 	var back Codebook
@@ -413,9 +461,9 @@ func TestCodebookSmallStaysV1(t *testing.T) {
 	}
 }
 
-// TestCodebookV2DenseFallback pins that incompressible wide rows stay
-// dense beside run-length ones and still round-trip.
-func TestCodebookV2DenseFallback(t *testing.T) {
+// TestCodebookNoisyRowsAreRuns: a row with no long runs is written as runs
+// too, beside a one-run row, and both round-trip.
+func TestCodebookNoisyRowsAreRuns(t *testing.T) {
 	const n = 2048
 	rng := rand.New(rand.NewSource(9))
 	cb := NewCodebook(n)
@@ -432,9 +480,9 @@ func TestCodebookV2DenseFallback(t *testing.T) {
 	sc := intern(cb, sparse)
 	cb.Retain(sc)
 	data := mustMarshal(t, cb)
-	// Subjects, slots, then the noisy row (code 0): its header is its byte count.
+	// Subjects, slots, then the noisy row (code 0) under header 1.
 	r := data
-	for _, want := range []uint64{n, 2, 4 + 8*n/64} {
+	for _, want := range []uint64{n, 2, rowRuns} {
 		v, k := binary.Uvarint(r)
 		if k <= 0 || v != want {
 			t.Fatalf("codebook opens %x, want uvarint %d", data[:len(data)-len(r)+1], want)
@@ -446,7 +494,7 @@ func TestCodebookV2DenseFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !back.ACL(nc).EqualBits(noisy) || !back.ACL(sc).EqualBits(sparse) {
-		t.Fatal("mixed dense/sparse rows did not round-trip")
+		t.Fatal("noisy and one-run rows did not round-trip")
 	}
 }
 
@@ -461,19 +509,25 @@ func TestCodebookUnmarshalErrors(t *testing.T) {
 	if err := cb.UnmarshalBinary([]byte{4, 0, 0}); err == nil {
 		t.Fatal("a byte after the last row should fail")
 	}
-	// One row over 4 subjects: header 12, 4 bytes of length, one word, refs.
-	row := []byte{4, 1, 12, 4, 0, 0, 0, 5, 0, 0, 0, 0, 0, 0, 0, 1}
+	// One row over 4 subjects: header 1, the runs of {0, 2}, refs 1.
+	row := []byte{4, 1, 1, 2, 0, 0, 1, 0, 1}
 	if err := cb.UnmarshalBinary(row); err != nil {
 		t.Fatal(err)
 	}
-	if err := cb.UnmarshalBinary(slices.Concat(row[:2], []byte{13}, row[3:15], []byte{0, 1})); err == nil {
-		t.Fatal("a dense row longer than its bits should fail")
+	if err := cb.UnmarshalBinary(row[:1]); err == nil {
+		t.Fatal("a slot count with no slots should fail")
 	}
-	if err := cb.UnmarshalBinary(slices.Concat(row[:3], []byte{3}, row[4:])); err == nil {
-		t.Fatal("a dense row of 3 bits in a 4-subject codebook should fail")
+	if err := cb.UnmarshalBinary(row[:2]); err == nil {
+		t.Fatal("a slot with no header should fail")
 	}
-	if err := cb.UnmarshalBinary(row[:12]); err == nil {
-		t.Fatal("a dense row cut short should fail")
+	if err := cb.UnmarshalBinary(row[:7]); err == nil {
+		t.Fatal("a run row cut short should fail")
+	}
+	if err := cb.UnmarshalBinary(row[:8]); err == nil {
+		t.Fatal("a run row with no reference count should fail")
+	}
+	if err := cb.UnmarshalBinary(slices.Concat(row[:5], []byte{4}, row[6:])); err == nil {
+		t.Fatal("a run past the population should fail")
 	}
 	// One run row over 300 subjects, {0, 1}, its count padded: the same row
 	// in other bytes, and so another index key.
@@ -483,8 +537,19 @@ func TestCodebookUnmarshalErrors(t *testing.T) {
 	if err := cb.UnmarshalBinary([]byte{0xAC, 0x02, 1, 1, 1, 0, 1, 1}); err != nil {
 		t.Fatalf("the run row unpadded: %v", err)
 	}
-	if err := cb.UnmarshalBinary(slices.Concat(row[:15], binary.AppendUvarint(nil, 1<<63))); err == nil {
+	if err := cb.UnmarshalBinary(slices.Concat(row[:8], binary.AppendUvarint(nil, 1<<63))); err == nil {
 		t.Fatal("a reference count past int should fail")
+	}
+	// The same row with a padded reference count, subject count or slot
+	// count: other bytes for the same codebook.
+	for _, padded := range [][]byte{
+		slices.Concat(row[:8], []byte{0x81, 0x00}),
+		slices.Concat([]byte{0x84, 0x00}, row[1:]),
+		slices.Concat(row[:1], []byte{0x81, 0x00}, row[2:]),
+	} {
+		if err := cb.UnmarshalBinary(padded); err == nil {
+			t.Fatalf("%x, with a padded varint, decoded", padded)
+		}
 	}
 	if err := cb.UnmarshalBinary(duplicateRows()); err == nil {
 		t.Fatal("two live slots holding equal rows should fail")

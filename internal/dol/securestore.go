@@ -3,8 +3,6 @@ package dol
 import (
 	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"dolxml/internal/acl"
 	"dolxml/internal/bitset"
@@ -34,11 +32,9 @@ type SecureStore struct {
 }
 
 // viewStats holds the view-layer counters, registered under view_* via
-// RegisterMetrics. checks counts memoized access-decision lookups,
-// decisions the slow-path codebook intersections behind them, bitmapBuilds
-// the per-view page-deny bitmap constructions.
+// RegisterMetrics: decisions counts access decisions asked of the codebook,
+// bitmapBuilds page-deny bitmaps built.
 type viewStats struct {
-	checks       obs.Counter
 	decisions    obs.Counter
 	bitmapBuilds obs.Counter
 }
@@ -111,15 +107,14 @@ func (ss *SecureStore) WillMutate() {
 }
 
 // RegisterMetrics registers the view-layer counters with reg under prefix
-// (prefix "view" yields view_checks, view_decisions_computed,
-// view_bitmap_builds). Codebook-shape gauges are the facade's concern: it
-// reads them off its current snapshot so exports never race an update.
+// (prefix "view" yields view_decisions_computed and view_bitmap_builds).
+// Codebook-shape gauges are the facade's concern: it reads them off its
+// current snapshot so exports never race an update.
 func (ss *SecureStore) RegisterMetrics(reg *obs.Registry, prefix string) error {
 	for _, m := range []struct {
 		name, help string
 		c          *obs.Counter
 	}{
-		{"checks", "Node accessibility checks answered.", &ss.stats.checks},
 		{"decisions_computed", "Access decisions computed from the codebook.", &ss.stats.decisions},
 		{"bitmap_builds", "Page deny-bitmaps materialized.", &ss.stats.bitmapBuilds},
 	} {
@@ -148,113 +143,38 @@ func (ss *SecureStore) Accessible(n xmltree.NodeID, s acl.SubjectID) (bool, erro
 
 // SubjectView binds a SecureStore to one effective subject set, giving the
 // single-argument access predicate the secure query evaluator consumes.
-//
-// A view memoizes its access decisions: the first lookup of each distinct
-// DOL code pays one codebook intersection; every later node governed by the
-// same code is a table lookup. A lazily built per-page bitmap likewise
-// reduces the §3.3 page-skipping test to a single bit probe. Both caches key
-// themselves by the codebook's mutation generation, so a view observed
-// across updates transparently rebuilds rather than serving stale
-// decisions. Views are safe for concurrent readers; updates to the
-// underlying store must not run concurrently with view reads (securexml
-// serializes them behind its store lock).
+// Every decision is "the s-th bit in that codebook entry" (§3.3) for the
+// view's subjects, asked of the codebook when it is needed: a view holds no
+// memo, so one made before an update answers for the codebook after it.
+// Views are safe for concurrent readers; updates to the underlying store
+// must not run concurrently with view reads (securexml serializes them
+// behind its store lock).
 type SubjectView struct {
-	ss        *SecureStore
-	effective *bitset.Bitset
-	// subjects is effective as its sorted subjects, the form a decision
-	// reads.
+	ss *SecureStore
+	// subjects is the effective set as its sorted subjects, the form a
+	// decision reads.
 	subjects []uint32
-	cache    atomic.Pointer[viewCache]
 }
 
-// decision-cache cell states; the zero state means "not yet computed".
-const (
-	decUnknown uint32 = iota
-	decAllow
-	decDeny
-)
-
-// viewCache is one generation's worth of memoized decisions. It is replaced
-// wholesale (never mutated structurally) when the codebook generation moves.
-type viewCache struct {
-	gen uint64
-	// decisions[c] holds the memoized accessibility of code c.
-	decisions []atomic.Uint32
-	// pageOnce guards the lazy build of pageDeny, a bitmap with bit i set
-	// when block i is wholly inaccessible to the view's subject set.
-	pageOnce sync.Once
-	pageDeny []uint64
-}
-
-// cacheFor returns the current-generation cache, building a fresh one when
-// the codebook has mutated since the last lookup. Concurrent callers may
-// race to install the same generation; any winner is correct.
-func (v *SubjectView) cacheFor() *viewCache {
-	cb := v.ss.cb
-	gen := cb.Gen()
-	if c := v.cache.Load(); c != nil && c.gen == gen {
-		return c
-	}
-	c := &viewCache{gen: gen, decisions: make([]atomic.Uint32, cb.Cap())}
-	v.cache.Store(c)
-	return c
-}
-
-// accessibleCode resolves the access decision for code c through the cache.
-func (v *SubjectView) accessibleCode(ca *viewCache, c Code) bool {
-	v.ss.stats.checks.Inc()
-	if int(c) < len(ca.decisions) {
-		switch ca.decisions[c].Load() {
-		case decAllow:
-			return true
-		case decDeny:
-			return false
-		}
-	}
+// accessibleCode decides whether the view's subjects may access code c.
+func (v *SubjectView) accessibleCode(c Code) bool {
 	v.ss.stats.decisions.Inc()
-	ok := v.ss.cb.AccessibleAny(c, v.subjects)
-	if int(c) < len(ca.decisions) {
-		if ok {
-			ca.decisions[c].Store(decAllow)
-		} else {
-			ca.decisions[c].Store(decDeny)
-		}
-	}
-	return ok
-}
-
-// buildPageBitmap fills ca.pageDeny from the in-memory page directory: bit
-// i is set exactly when block i's change bit is clear and its header code
-// denies the view's subject set — the page-skipping test of §3.3. One pass
-// over the directory (no I/O) turns every later page test into a bit probe.
-func (v *SubjectView) buildPageBitmap(ca *viewCache) {
-	v.ss.stats.bitmapBuilds.Inc()
-	st := v.ss.store
-	n := st.NumPages()
-	bits := make([]uint64, (n+63)/64)
-	for i := 0; i < n; i++ {
-		pi := st.PageInfoAt(i)
-		if !pi.ChangeBit && !v.accessibleCode(ca, pi.AccessCode) {
-			bits[i/64] |= 1 << uint(i%64)
-		}
-	}
-	ca.pageDeny = bits
+	return v.ss.cb.AccessibleAny(c, v.subjects)
 }
 
 // View returns a SubjectView for the given effective subject set (a user's
 // own subject plus their transitive groups; see acl.Directory).
 func (ss *SecureStore) View(effective *bitset.Bitset) *SubjectView {
-	return &SubjectView{ss: ss, effective: effective, subjects: effective.Indices32()}
+	return &SubjectView{ss: ss, subjects: effective.Indices32()}
 }
 
 // ViewSubject returns a SubjectView for a single subject.
 func (ss *SecureStore) ViewSubject(s acl.SubjectID) *SubjectView {
-	return ss.View(bitset.FromIndices(ss.cb.NumSubjects(), int(s)))
+	return &SubjectView{ss: ss, subjects: []uint32{uint32(s)}}
 }
 
-// Accessible reports whether the view's subject set may access node n. The
-// governing code is located in n's block as usual (§3.3); the codebook
-// intersection is memoized per distinct code.
+// Accessible reports whether the view's subject set may access node n: the
+// governing code is located in n's block (§3.3), then decided.
 func (v *SubjectView) Accessible(n xmltree.NodeID) (bool, error) {
 	return v.AccessibleCtx(context.Background(), n)
 }
@@ -267,33 +187,40 @@ func (v *SubjectView) AccessibleCtx(ctx context.Context, n xmltree.NodeID) (bool
 	if err != nil {
 		return false, err
 	}
-	return v.accessibleCode(v.cacheFor(), c), nil
+	return v.accessibleCode(c), nil
 }
 
-// PageDenyBits returns the view's page-deny bitmap — bit i set exactly when
-// block i is wholly inaccessible to the view's subject set — building it on
-// first use. The slice is shared with the view's cache and must be treated
-// as read-only; it reflects the codebook generation current at the call, so
-// callers that must stay consistent across store updates should re-fetch it
-// per query (securexml's store lock already guarantees this).
+// PageDenyBits returns a new page-deny bitmap for the view: bit i is set
+// exactly when block i's change bit is clear and its header code denies the
+// view's subjects, the page-skipping test of §3.3. One pass over the
+// in-memory page directory (no I/O) turns every later page test of a query
+// into a bit probe; a query compiles it once.
 func (v *SubjectView) PageDenyBits() []uint64 {
-	ca := v.cacheFor()
-	ca.pageOnce.Do(func() { v.buildPageBitmap(ca) })
-	return ca.pageDeny
+	v.ss.stats.bitmapBuilds.Inc()
+	st := v.ss.store
+	n := st.NumPages()
+	bits := make([]uint64, (n+63)/64)
+	for i := 0; i < n; i++ {
+		pi := st.PageInfoAt(i)
+		if !pi.ChangeBit && !v.accessibleCode(pi.AccessCode) {
+			bits[i/64] |= 1 << uint(i%64)
+		}
+	}
+	return bits
 }
 
-// CodeAllowed resolves the view's access decision for a bare code, through
-// the same memoized cache AccessibleCtx uses, with no I/O. The path-summary
-// compiler uses it to pre-resolve whole path classes whose occurrences all
-// share one code. A dead code allows nothing: the summary keeps the uniform
-// claim of a class whose every occurrence is gone, and its code may have
-// been released since.
+// CodeAllowed decides the view's access to a bare code, with no I/O. The
+// path-summary compiler uses it to pre-resolve whole path classes whose
+// occurrences all share one code. A dead code allows nothing: the summary
+// keeps the uniform claim of a class whose every occurrence is gone, and
+// its code may have been released since.
 func (v *SubjectView) CodeAllowed(c Code) bool {
-	return v.ss.cb.live(c) && v.accessibleCode(v.cacheFor(), c)
+	return v.ss.cb.live(c) && v.accessibleCode(c)
 }
 
-// Effective returns the view's effective subject set (shared; read-only).
-func (v *SubjectView) Effective() *bitset.Bitset { return v.effective }
+// Subjects returns the view's effective subject set as its sorted subjects
+// (shared; read-only).
+func (v *SubjectView) Subjects() []uint32 { return v.subjects }
 
 // Store returns the view's secure store.
 func (v *SubjectView) Store() *SecureStore { return v.ss }

@@ -152,12 +152,13 @@ func TestPageFullyInaccessible(t *testing.T) {
 	}
 }
 
-// TestViewSeesSplicedChangeBit: a view's page bitmap, built before an
-// update, must not survive one that sets a block's change bit. The grant
-// below is spliced into a block that held no transition, and its new ACL
-// is one the codebook already has: no code is interned or freed, so only
-// the header code swapped at every splice advances the codebook
-// generation the bitmap is keyed by.
+// TestViewSeesSplicedChangeBit: a view made before an update answers for
+// the codebook after it. The grant below is spliced into a block that held
+// no transition, and its new ACL is one the codebook already has: no code
+// is interned or freed, yet the block's change bit flips. The revoke after
+// it frees a code, and the next update interns another row into its slot.
+// After each update every decision of the view — CodeAllowed, Accessible
+// and PageDenyBits — is the one the current rows give (viewAgrees).
 func TestViewSeesSplicedChangeBit(t *testing.T) {
 	b := xmltree.NewBuilder()
 	b.Begin("root")
@@ -177,11 +178,12 @@ func TestViewSeesSplicedChangeBit(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := ss.Store()
-	view := ss.ViewSubject(0)
+	view, eff := ss.ViewSubject(0), bitset.FromIndices(2, 0)
 	i := st.NumPages() / 2
 	if pi := st.PageInfoAt(i); pi.FirstNode <= 50 || pi.ChangeBit || !skipped(view, i) {
 		t.Fatalf("block %d (%+v) is not a wholly denied block past the granted run", i, pi)
 	}
+	viewAgrees(t, ss, view, eff)
 	n := st.PageInfoAt(i).FirstNode + 1
 	if err := ss.SetNodeAccess(n, 0, true); err != nil {
 		t.Fatal(err)
@@ -192,7 +194,59 @@ func TestViewSeesSplicedChangeBit(t *testing.T) {
 	if skipped(view, i) {
 		t.Fatalf("the view still skips block %d after node %d was granted", i, n)
 	}
+	viewAgrees(t, ss, view, eff)
 	checkStoreRefs(t, ss)
+
+	// Revoke subject 0 everywhere: the code granting it is freed, and a
+	// dead code allows nothing.
+	granted, err := st.AccessCodeAt(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ss.SetSubtreeAccess(0, 0, false); err != nil {
+		t.Fatal(err)
+	}
+	if ss.cb.live(granted) || view.CodeAllowed(granted) {
+		t.Fatalf("code %d is live or allowed after the revoke", granted)
+	}
+	viewAgrees(t, ss, view, eff)
+	// Revoke subject 1 on one node: its row, now empty, takes the freed
+	// slot, which the view allowed before.
+	if err := ss.SetNodeAccess(n, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := st.AccessCodeAt(n); err != nil || c != granted {
+		t.Fatalf("node %d has code %d (%v), want the freed slot %d", n, c, err, granted)
+	}
+	viewAgrees(t, ss, view, eff)
+	checkStoreRefs(t, ss)
+}
+
+// viewAgrees fails unless the view decides every live code, every node and
+// every block as the current rows do for eff.
+func viewAgrees(t *testing.T, ss *SecureStore, view *SubjectView, eff *bitset.Bitset) {
+	t.Helper()
+	cb, st := ss.Codebook(), ss.Store()
+	for c := range cb.entries {
+		if c := Code(c); cb.live(c) && view.CodeAllowed(c) != cb.ACL(c).Intersects(eff) {
+			t.Fatalf("CodeAllowed(%d) = %v, row %v", c, view.CodeAllowed(c), cb.Row(c))
+		}
+	}
+	for n := xmltree.NodeID(0); int(n) < st.NumNodes(); n++ {
+		c, err := st.AccessCodeAt(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := view.Accessible(n); err != nil || ok != cb.ACL(c).Intersects(eff) {
+			t.Fatalf("Accessible(%d) = %v (%v) under code %d, row %v", n, ok, err, c, cb.Row(c))
+		}
+	}
+	for i := 0; i < st.NumPages(); i++ {
+		pi := st.PageInfoAt(i)
+		if want := !pi.ChangeBit && !cb.ACL(pi.AccessCode).Intersects(eff); skipped(view, i) != want {
+			t.Fatalf("block %d (%+v): skipped %v, want %v", i, pi, !want, want)
+		}
+	}
 }
 
 // skipped reports whether bit i of the view's page-deny bitmap is set.

@@ -142,10 +142,11 @@ func (ss *SecureStore) spliceRange(i int, lo, hi xmltree.NodeID, recode func([]C
 	if err != nil {
 		return false, err
 	}
-	// The header's code is swapped even when it stays: every Release
-	// advances the codebook's generation, which is what tells views that
-	// their page bitmaps are stale.
-	oldCodes := append(ss.region.oldCodes[:0], pi.AccessCode)
+	// The header's code changes only when the window starts the block.
+	oldCodes := ss.region.oldCodes[:0]
+	if from == 0 {
+		oldCodes = append(oldCodes, pi.AccessCode)
+	}
 	w := from - first
 	for _, e := range entries[w:] {
 		if e.HasCode {
@@ -163,7 +164,9 @@ func (ss *SecureStore) spliceRange(i int, lo, hi xmltree.NodeID, recode func([]C
 	if spliced, err := st.RecodeBlock(i, from, window, head); !spliced || err != nil {
 		return false, err
 	}
-	ss.cb.Retain(head)
+	if from == 0 {
+		ss.cb.Retain(head)
+	}
 	for _, e := range window {
 		if e.HasCode {
 			ss.cb.Retain(e.Code)

@@ -377,7 +377,7 @@ func TestIncrementalJoinersMatchSliceForms(t *testing.T) {
 		}
 		pairs += len(wantSTD) + len(wantEps)
 		var std STDJoiner
-		eps := NewEpsJoiner(ss, eff)
+		eps := NewEpsJoiner(ss, eff.Indices32())
 		var gotSTD, gotEps []Pair
 		for _, d := range descs {
 			for ; len(ancs) > 0 && ancs[0].Node <= d.Node; ancs = ancs[1:] {

@@ -29,7 +29,7 @@ func SecureSTD(ctx context.Context, ss *dol.SecureStore, effective *bitset.Bitse
 	if len(ancs) == 0 || len(descs) == 0 {
 		return nil, nil
 	}
-	j := NewEpsJoiner(ss, effective)
+	j := NewEpsJoiner(ss, effective.Indices32())
 	var out []Pair
 	for _, d := range descs {
 		for ; len(ancs) > 0 && ancs[0].Node <= d.Node; ancs = ancs[1:] {

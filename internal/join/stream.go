@@ -3,7 +3,6 @@ package join
 import (
 	"context"
 
-	"dolxml/internal/bitset"
 	"dolxml/internal/dol"
 	"dolxml/internal/nok"
 	"dolxml/internal/xmltree"
@@ -90,13 +89,13 @@ type EpsJoiner struct {
 }
 
 // NewEpsJoiner returns an incremental ε-STD join for the effective subject
-// set.
-func NewEpsJoiner(ss *dol.SecureStore, effective *bitset.Bitset) *EpsJoiner {
+// set, given as its sorted subjects (dol.SubjectView.Subjects).
+func NewEpsJoiner(ss *dol.SecureStore, subjects []uint32) *EpsJoiner {
 	st := ss.Store()
 	return &EpsJoiner{
 		st:       st,
 		cb:       ss.Codebook(),
-		subjects: effective.Indices32(),
+		subjects: subjects,
 		numPages: st.NumPages(),
 		cur:      st.NewCursor(),
 	}

@@ -203,7 +203,7 @@ func (pc *pathFilterCursor) Next(ctx context.Context) (Tuple, error) {
 		default:
 			if pc.eps == nil {
 				ss := pc.view.Store()
-				pc.eps = join.NewEpsJoiner(ss, pc.view.Effective())
+				pc.eps = join.NewEpsJoiner(ss, pc.view.Subjects())
 				pc.eps.Push(join.Item{Node: 0, End: xmltree.NodeID(ss.Store().NumNodes() - 1), Level: 0})
 			}
 			// A subtree root's binding carries its posting's End.

@@ -261,7 +261,7 @@ func (ev *Evaluator) open(ctx context.Context, t *PatternTree, opts Options) (*a
 				nSlots:   len(c.slots[i]),
 			}
 			if opts.View != nil && opts.Semantics == SemanticsPrunedSubtree {
-				jc.eps = join.NewEpsJoiner(opts.View.Store(), opts.View.Effective())
+				jc.eps = join.NewEpsJoiner(opts.View.Store(), opts.View.Subjects())
 			}
 			cur = jc
 		}

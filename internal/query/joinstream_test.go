@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"dolxml/internal/bitset"
 	"dolxml/internal/btree"
 	"dolxml/internal/dol"
 	"dolxml/internal/join"
@@ -40,8 +41,12 @@ func drainedJoin(t *testing.T, doc *xmltree.Document, view *dol.SubjectView, lef
 	}
 	pairs := join.STD(ancs, descs)
 	if view != nil {
+		eff := bitset.New(view.Store().Codebook().NumSubjects())
+		for _, s := range view.Subjects() {
+			eff.Set(int(s))
+		}
 		var err error
-		if pairs, err = join.SecureSTD(context.Background(), view.Store(), view.Effective(), ancs, descs); err != nil {
+		if pairs, err = join.SecureSTD(context.Background(), view.Store(), eff, ancs, descs); err != nil {
 			t.Fatal(err)
 		}
 	}

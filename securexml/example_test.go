@@ -82,7 +82,7 @@ func Example() {
 	// betty  //diagnosis            ->  (0 answers)
 	// alice  //patient/name         -> <name>Ann <name>Bob  (2 answers)
 	//
-	// DOL encoding: 23 nodes, 10 transition nodes, 6 codebook entries (12 bytes)
+	// DOL encoding: 23 nodes, 10 transition nodes, 6 codebook entries (116 bytes)
 }
 
 // Run the paper's Table 1 benchmark queries (Q1–Q6) over a generated
@@ -308,7 +308,7 @@ func Example_multiuser() {
 		}
 	}
 	// Output:
-	// subjects=18 nodes=733 transitions=481 codebookEntries=13 codebookBytes=65
-	// subjects=54 nodes=733 transitions=481 codebookEntries=13 codebookBytes=182
-	// subjects=198 nodes=733 transitions=481 codebookEntries=13 codebookBytes=650
+	// subjects=18 nodes=733 transitions=481 codebookEntries=13 codebookBytes=313
+	// subjects=54 nodes=733 transitions=481 codebookEntries=13 codebookBytes=913
+	// subjects=198 nodes=733 transitions=481 codebookEntries=13 codebookBytes=3321
 }

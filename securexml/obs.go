@@ -59,7 +59,7 @@ func (s *Store) newRegistry() *obs.Registry {
 		{"store_nodes", func(sn *snapshot) int64 { return int64(sn.st.NumNodes()) }},
 		{"store_pages", func(sn *snapshot) int64 { return int64(sn.st.NumPages()) }},
 		{"directory_bytes", func(sn *snapshot) int64 { return int64(sn.st.DirectoryBytes()) }},
-		{"codebook_bytes", func(sn *snapshot) int64 { return int64(sn.ss.Codebook().Bytes()) }},
+		{"codebook_bytes", func(sn *snapshot) int64 { return int64(sn.ss.Codebook().HeapBytes()) }},
 		{"codebook_entries", func(sn *snapshot) int64 { return int64(sn.ss.Codebook().Len()) }},
 		{"codebook_subjects", func(sn *snapshot) int64 { return int64(sn.ss.Codebook().NumSubjects()) }},
 		{"plan_memo_bytes", func(sn *snapshot) int64 { return sn.idx.masks.Bytes() }},
@@ -171,7 +171,7 @@ var metricHelp = map[string]string{
 	"store_nodes":                    "Nodes in the current store snapshot.",
 	"store_pages":                    "Pages in the current store snapshot.",
 	"directory_bytes":                "In-memory page directory size in bytes.",
-	"codebook_bytes":                 "In-memory access codebook size in bytes.",
+	"codebook_bytes":                 "Heap bytes of the access codebook's rows: runs plus index keys.",
 	"codebook_entries":               "Distinct transition codes in the codebook.",
 	"codebook_subjects":              "Subjects covered by the codebook.",
 }

@@ -239,7 +239,7 @@ var (
 		"snapshot_unpins", "snapshot_versions_live",
 		"store_nodes", "store_pages",
 		"value_ref_bytes",
-		"view_bitmap_builds", "view_checks", "view_decisions_computed",
+		"view_bitmap_builds", "view_decisions_computed",
 	}
 	walMetricNames = []string{
 		"commit_wait_us",
@@ -304,6 +304,22 @@ func TestMetricNamesValidAndUnique(t *testing.T) {
 		}
 		check(t, tc.name+" first read after a query", queried, tc.want)
 		queried.Close()
+	}
+}
+
+// The codebook_bytes gauge and Stats.CodebookBytes report the heap the
+// codebook's rows hold (dol.Codebook.HeapBytes), not the paper's bit per
+// subject per row (dol.Codebook.Bytes).
+func TestCodebookBytesReportTheHeap(t *testing.T) {
+	s := hospitalStore(t, StoreOptions{})
+	defer s.Close()
+	st, err := s.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cb := s.cur.Load().ss.Codebook()
+	if gauge := s.MetricsSnapshot().Get("codebook_bytes"); gauge != int64(cb.HeapBytes()) || st.CodebookBytes != cb.HeapBytes() || cb.HeapBytes() == cb.Bytes() {
+		t.Fatalf("codebook_bytes %d, Stats.CodebookBytes %d; want the heap's %d, not the paper's %d", gauge, st.CodebookBytes, cb.HeapBytes(), cb.Bytes())
 	}
 }
 

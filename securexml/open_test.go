@@ -418,11 +418,12 @@ func TestOpenRejectsCorruptStores(t *testing.T) {
 	}
 	// Every form a reader once took and no writer emits is rejected too.
 	for name, b := range retiredSidecars(t, ps) {
-		cases = append(cases, caseT{name + " sidecar", file(b), "not a format-3 envelope", true})
+		cases = append(cases, caseT{name + " sidecar", file(b), "not a format-4 envelope", true})
 	}
 	want := map[string]string{
 		"no path summary": "has no path summary", "class words": "metadata image: malformed",
 		"v2 magic": "corrupt codebook header", "row header 2": "has header 2", "row header 3": "has header 3",
+		"dense row": "has header",
 	}
 	for name, nokImg := range retiredNokImages(ps) {
 		b := appendEnvelope(nil, ps.PageSize, nil, nokImg, storeImage(ps))

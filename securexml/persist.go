@@ -30,17 +30,17 @@ const pageFile = "pages.db"
 // walSuffix names the write-ahead log beside a page file.
 const walSuffix = ".wal"
 
-// store.json is sidecar format 3: a JSON envelope,
-// {"format":3,"page_size":N,"nok":"<base64>","store":"<base64>"}, around
+// store.json is sidecar format 4: a JSON envelope,
+// {"format":4,"page_size":N,"nok":"<base64>","store":"<base64>"}, around
 // two binary images: nok.Meta's (AppendHead, then AppendTail) and the
-// store's (appendStoreHead: modes, directory, then the codebook). It is
-// read only in exactly the bytes appendEnvelope writes; anything else, an
-// older format included, is corrupt metadata.
+// store's (appendStoreHead: modes, directory, then the codebook, every row
+// as runs). It is read only in exactly the bytes appendEnvelope writes;
+// anything else, an older format included, is corrupt metadata.
 //
 // The envelope, in the pieces appendEnvelope writes and splitEnvelope
 // recognises.
 const (
-	envelopeHead  = `{"format":3,"page_size":`
+	envelopeHead  = `{"format":4,"page_size":`
 	envelopeNok   = `,"nok":"`
 	envelopeStore = `","store":"`
 	envelopeEnd   = `"}`
@@ -190,7 +190,7 @@ func (s *Store) marshalMeta() ([]byte, error) {
 	return out, nil
 }
 
-// appendEnvelope appends a format-3 store.json. nokB64 is the base64 of
+// appendEnvelope appends a format-4 store.json. nokB64 is the base64 of
 // the nok image's first bytes, a multiple of three of them, and nokRest the
 // rest of that image.
 func appendEnvelope(b []byte, pageSize int, nokB64, nokRest, storeImg []byte) []byte {
@@ -320,7 +320,7 @@ func decodeSidecar(b []byte) (persistedStore, error) {
 	ps := persistedStore{}
 	pageSize, nokB64, storeB64, ok := splitEnvelope(b)
 	if !ok {
-		return ps, errors.New("securexml: corrupt metadata: not a format-3 envelope")
+		return ps, errors.New("securexml: corrupt metadata: not a format-4 envelope")
 	}
 	// Strict: padding bits other than zero would decode to the same image.
 	enc := base64.StdEncoding.Strict()
@@ -345,7 +345,7 @@ func decodeSidecar(b []byte) (persistedStore, error) {
 	return ps, nil
 }
 
-// splitEnvelope recognises the canonical format-3 envelope appendEnvelope
+// splitEnvelope recognises the canonical format-4 envelope appendEnvelope
 // writes, byte for byte, and returns its page size and the text of its two
 // images' strings. ok is false for anything else, even an equivalent JSON
 // text: whitespace, a page size over nine digits or with a leading zero.

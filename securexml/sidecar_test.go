@@ -75,7 +75,7 @@ func FuzzSidecarImage(f *testing.F) {
 	})
 }
 
-// encodeSidecar is ps as the canonical format-3 store.json marshalMeta
+// encodeSidecar is ps as the canonical format-4 store.json marshalMeta
 // writes.
 func encodeSidecar(ps persistedStore) []byte {
 	return appendEnvelope(nil, ps.PageSize, nil, nokImage(&ps.Nok), storeImage(ps))
@@ -92,7 +92,8 @@ func storeImage(ps persistedStore) []byte {
 // retiredSidecars are ps's store.json in the forms readers once took and no
 // writer emits: format 1 (the whole store spelled out in JSON, one object
 // per value ref), format 2 (format 1 with the value refs one packed base64
-// string) and format 3 re-indented.
+// string), the format-3 envelope, whose codebook could hold dense rows, and
+// format 4 re-indented.
 func retiredSidecars(tb testing.TB, ps persistedStore) map[string][]byte {
 	tb.Helper()
 	type block struct {
@@ -155,11 +156,12 @@ func retiredSidecars(tb testing.TB, ps persistedStore) map[string][]byte {
 		}
 		out[fmt.Sprintf("format %d", format)] = b
 	}
+	out["format 3"] = bytes.Replace(encodeSidecar(ps), []byte(`{"format":4,`), []byte(`{"format":3,`), 1)
 	var indented bytes.Buffer
 	if err := json.Indent(&indented, encodeSidecar(ps), "", "  "); err != nil {
 		tb.Fatal(err)
 	}
-	out["format 3 re-indented"] = indented.Bytes()
+	out["format 4 re-indented"] = indented.Bytes()
 	return out
 }
 
@@ -184,15 +186,31 @@ func retiredNokImages(ps persistedStore) map[string][]byte {
 }
 
 // retiredCodebooks are codebook blobs in the framings no writer emits, made
-// from the blob cb: the version-2 framing (its magic, then cb's body) and cb
-// with its first row's header 2 or 3, which no row can have.
+// from the blob cb: the version-2 framing (its magic, then cb's body), cb
+// with its first row's header 2 or 3, which no row can have, and cb with its
+// first row dense, under the header that was its byte count (a 4-byte bit
+// count, then its words).
 func retiredCodebooks(cb []byte) map[string][]byte {
-	_, a := binary.Uvarint(cb)
+	ns, a := binary.Uvarint(cb)
 	_, b := binary.Uvarint(cb[a:])
-	_, c := binary.Uvarint(cb[a+b:])
 	out := map[string][]byte{"v2 magic": append(binary.AppendUvarint(nil, 1<<62+2), cb...)}
 	for _, h := range []byte{2, 3} {
-		out[fmt.Sprintf("row header %d", h)] = slices.Concat(cb[:a+b], []byte{h}, cb[a+b+c:])
+		out[fmt.Sprintf("row header %d", h)] = slices.Concat(cb[:a+b], []byte{h}, cb[a+b+1:])
+	}
+	if runs, refs, err := bitset.DecodeRuns(nil, cb[a+b+1:], uint32(ns)); cb[a+b] == 1 && err == nil {
+		row, words := bitset.FromRuns(int(ns), runs), int(ns+63)/64
+		dense := binary.AppendUvarint(nil, uint64(4+8*words))
+		dense = binary.LittleEndian.AppendUint32(dense, uint32(ns))
+		for w := 0; w < words; w++ {
+			var word uint64
+			for i := 0; i < 64; i++ {
+				if row.Test(64*w + i) {
+					word |= 1 << i
+				}
+			}
+			dense = binary.LittleEndian.AppendUint64(dense, word)
+		}
+		out["dense row"] = slices.Concat(cb[:a+b], dense, refs)
 	}
 	return out
 }
@@ -205,19 +223,14 @@ func duplicateRow(t *testing.T, cb []byte) []byte {
 	ns, a := binary.Uvarint(cb)
 	count, b := binary.Uvarint(cb[a:])
 	rows := cb[a+b:]
-	h, n := binary.Uvarint(rows)
-	switch h {
-	case 0:
+	if rows[0] != 1 {
 		t.Fatal("the first slot is freed")
-	case 1:
-		_, rest, err := bitset.DecodeRuns(nil, rows[n:], uint32(ns))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n = len(rows) - len(rest)
-	default:
-		n += int(h)
 	}
+	_, rest, err := bitset.DecodeRuns(nil, rows[1:], uint32(ns))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(rows) - len(rest)
 	_, r := binary.Uvarint(rows[n:])
 	return slices.Concat(cb[:a], binary.AppendUvarint(nil, count+1), rows, rows[:n+r])
 }

@@ -948,8 +948,11 @@ type Stats struct {
 	StructurePages  int
 	Transitions     int
 	CodebookEntries int
-	CodebookBytes   int
-	DirectoryBytes  int
+	// CodebookBytes is what the codebook's rows hold on the heap: their
+	// runs plus their index keys (dol.Codebook.HeapBytes), not the paper's
+	// one bit per subject per row.
+	CodebookBytes  int
+	DirectoryBytes int
 	// SummaryBytes is always 0: the path summary keeps no per-block class
 	// sets any more. It stays only because the benchmark harness reads it.
 	SummaryBytes int
@@ -998,7 +1001,7 @@ func (s *Store) Stats() (Stats, error) {
 		StructurePages:   sn.st.NumPages(),
 		Transitions:      tr,
 		CodebookEntries:  sn.ss.Codebook().Len(),
-		CodebookBytes:    sn.ss.Codebook().Bytes(),
+		CodebookBytes:    sn.ss.Codebook().HeapBytes(),
 		DirectoryBytes:   sn.st.DirectoryBytes(),
 		PathSummaryBytes: sn.st.PathSummaryBytes(),
 		IndexBytes:       sn.idx.bytes(),
