@@ -34,7 +34,7 @@ var checkedDocs = []string{
 
 // checkedScripts hold `go test` command lines and test names in comments,
 // but no markdown.
-var checkedScripts = []string{".github/workflows/ci.yml"}
+var checkedScripts = []string{".github/workflows/ci.yml", ".github/workflows/mutants.yml"}
 
 // decls is what one package declares: its package-level names and the
 // members of its types, test files included.

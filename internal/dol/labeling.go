@@ -132,8 +132,3 @@ func (l *Labeling) IsTransition(n xmltree.NodeID) bool {
 	i := l.transIndex(n)
 	return i >= 0 && l.nodes[i] == n
 }
-
-// Accessible reports whether subject s may access node n.
-func (l *Labeling) Accessible(n xmltree.NodeID, s acl.SubjectID) bool {
-	return l.cb.Accessible(l.CodeInForce(n), s)
-}

@@ -10,6 +10,11 @@ import (
 	"dolxml/internal/xmltree"
 )
 
+// Accessible reports whether subject s may access node n.
+func (l *Labeling) Accessible(n xmltree.NodeID, s acl.SubjectID) bool {
+	return l.cb.Accessible(l.CodeInForce(n), s)
+}
+
 // figure1Matrix reproduces the two-subject secured tree of Figure 1(b):
 // 12 nodes a..l; left subject = 0, right subject = 1.
 // Accessibility (from the figure's shading, reconstructed): the example

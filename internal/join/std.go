@@ -24,22 +24,3 @@ type Pair struct {
 	Anc  xmltree.NodeID
 	Desc xmltree.NodeID
 }
-
-// STD performs the Stack-Tree-Desc structural join: it returns every pair
-// (a, d) with a ∈ ancs, d ∈ descs and a a proper ancestor of d. Both inputs
-// must be sorted by Node. Output is ordered by descendant.
-//
-// The algorithm merges the two sorted lists, maintaining a stack of nested
-// ancestors that enclose the current position; each descendant emits one
-// pair per stacked ancestor.
-func STD(ancs, descs []Item) []Pair {
-	var out []Pair
-	var j STDJoiner
-	for _, d := range descs {
-		for ; len(ancs) > 0 && ancs[0].Node <= d.Node; ancs = ancs[1:] {
-			j.Push(ancs[0])
-		}
-		out = append(out, j.Probe(d)...)
-	}
-	return out
-}

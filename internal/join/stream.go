@@ -35,8 +35,7 @@ func (s *openStack) popClosed(n xmltree.NodeID) {
 // streaming query pipeline: one merge pass over two document-ordered streams
 // with only the stack of open ancestors in memory. Ancestors arrive via Push
 // and descendants via Probe, in strictly increasing document order; the zero
-// value is ready. Pushing and probing two sorted lists in merge order
-// reproduces STD(ancs, descs) exactly.
+// value is ready.
 type STDJoiner struct {
 	openStack
 	pairs []Pair // Probe's result, reused by the next Probe

@@ -50,9 +50,9 @@ type checks struct {
 	// brute-force tuple multiset (an IDs document), each subtree root to
 	// its subtree end, and the rows of one candidate to pairwise distinct.
 	tuples bool
-	// joinOrder holds the paper's tuple stream, tuple for tuple, to the
-	// drained join it replaced.
-	joinOrder bool
+	// joinShapes counts the join shapes the paper's tuple stream took:
+	// chains, sorted left sides and right roots under nested links.
+	joinShapes bool
 	// sweep holds an index plan's sweep to the full reduction.
 	sweep bool
 	// noSkip adds the paper's engine without §3.3 page skipping as an arm.
@@ -310,7 +310,7 @@ func checkTwig(t *testing.T, what string, c twigCase, ck checks, st *harnessStat
 		if over {
 			continue
 		}
-		if ck.tuples || ck.joinOrder {
+		if ck.tuples || ck.joinShapes {
 			// A limit makes the matcher hand its rows on one at a time;
 			// drained whole, the stream below the limit is the one without.
 			opts := v.opts
@@ -322,8 +322,8 @@ func checkTwig(t *testing.T, what string, c twigCase, ck checks, st *harnessStat
 		if ck.tuples {
 			checkTuples(t, fmt.Sprintf("%s %s %s", what, xpath, v.name), ref.ev, doc, c.parse, v.opts, admit(v.bindable), drained[2].tuples, st)
 		}
-		if ck.joinOrder {
-			checkJoinOrder(t, fmt.Sprintf("%s %s %s", what, xpath, v.name), ref.ev, doc, c.parse(), v.opts, drained[2].tuples, st)
+		if ck.joinShapes {
+			countJoinShapes(t, ref.ev, c.parse(), v.opts, drained[2].tuples, st)
 		}
 	}
 	if n := pool.Pinned(); n != 0 {
@@ -675,10 +675,10 @@ func oracleTuples(doc *xmltree.Document, pt *PatternTree, ids []int, bindable fu
 	return out
 }
 
-// checkJoinOrder holds the paper's tuple stream below dedup, tuple for
-// tuple, to the drained join: every subtree's match stream drained by
-// itself and combined by drainedJoin.
-func checkJoinOrder(t *testing.T, what string, ev *Evaluator, doc *xmltree.Document, pt *PatternTree, opts Options, stream []Tuple, st *harnessStats) {
+// countJoinShapes counts what the paper's tuple stream below dedup
+// exercised: a plan whose joins all merge their left side as it arrives (a
+// chain) or one that sorts it, and a right root paired with two open links.
+func countJoinShapes(t *testing.T, ev *Evaluator, pt *PatternTree, opts Options, stream []Tuple, st *harnessStats) {
 	t.Helper()
 	c, err := ev.compile(pt, opts)
 	if err != nil {
@@ -687,9 +687,8 @@ func checkJoinOrder(t *testing.T, what string, ev *Evaluator, doc *xmltree.Docum
 	if c.empty() {
 		return
 	}
-	want := referenceStream(t, ev, doc, c)
 	st.checked++
-	st.tuples += len(want)
+	st.tuples += len(stream)
 	chain := true
 	for i := 1; i < len(c.subs); i++ {
 		chain = chain && !c.sortLeft(i)
@@ -699,18 +698,10 @@ func checkJoinOrder(t *testing.T, what string, ev *Evaluator, doc *xmltree.Docum
 	} else {
 		st.sorted++
 	}
-	for i := 1; i < len(want); i++ {
-		if a, b := want[i-1], want[i]; a[c.base[1]].node == b[c.base[1]].node && a[c.linkSlot[1]].node != b[c.linkSlot[1]].node {
+	for i := 1; i < len(stream); i++ {
+		if a, b := stream[i-1], stream[i]; a[c.base[1]].node == b[c.base[1]].node && a[c.linkSlot[1]].node != b[c.linkSlot[1]].node {
 			st.nested++ // one right root under two open links
 			break
-		}
-	}
-	if len(stream) != len(want) {
-		t.Fatalf("%s: %d tuples, the drained join has %d", what, len(stream), len(want))
-	}
-	for k := range stream {
-		if !slices.Equal(stream[k], want[k]) {
-			t.Fatalf("%s: tuple %d is %s, the drained join has %s", what, k, tupleKey(stream[k]), tupleKey(want[k]))
 		}
 	}
 }
@@ -835,9 +826,10 @@ func TestRowMatcherOracle(t *testing.T) {
 	}
 }
 
-// The streaming join against the drained one it replaced, tuple for tuple
-// in the same order, on bushy and on deep recursive documents, for chains
-// and for branches that need the sort operator.
+// The streaming joins on bushy and on deep recursive documents, for chains
+// and for branches that need the sort operator, with right roots under
+// nested links: every arm's answers equal the model's, and every paper arm
+// hands dedup the same tuple stream.
 func TestStreamingJoinOracle(t *testing.T) {
 	var st harnessStats
 	for seed := int64(0); seed < 48; seed++ {
@@ -847,7 +839,7 @@ func TestStreamingJoinOracle(t *testing.T) {
 			doc = xmlmodel.Doc(rng, 40+rng.Intn(50), xmlmodel.Deep)
 		}
 		xpath := xmlmodel.Instantiate(rng, doc, xmlmodel.Joins[int(seed/2)%len(xmlmodel.Joins)])
-		checkTwig(t, fmt.Sprintf("seed %d", seed), drawCase(rng, doc, xpath, false), checks{joinOrder: true}, &st)
+		checkTwig(t, fmt.Sprintf("seed %d", seed), drawCase(rng, doc, xpath, false), checks{joinShapes: true}, &st)
 	}
 	t.Logf("%+v", st)
 	if st.checked < 100 || st.tuples < 5000 || st.sorted < 40 || st.chains < 40 || st.nested < 40 || st.skipped*6 > st.cases {

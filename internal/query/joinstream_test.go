@@ -6,112 +6,11 @@ import (
 	"slices"
 	"testing"
 
-	"dolxml/internal/bitset"
 	"dolxml/internal/btree"
-	"dolxml/internal/dol"
-	"dolxml/internal/join"
 	"dolxml/internal/obs"
 	"dolxml/internal/xmark"
 	"dolxml/internal/xmltree"
 )
-
-// drainedJoin is the join as it ran before it streamed, kept as the
-// reference the stack merge's tuple order is held to: the left side whole,
-// ordered stably by link binding and grouped by it; the distinct right roots
-// joined against the distinct links by the slice-driven STD (SecureSTD when
-// view is set); and per right tuple one output for every left tuple of every
-// paired link, outermost link first, left tuples in arrival order.
-func drainedJoin(t *testing.T, doc *xmltree.Document, view *dol.SubjectView, left, right []Tuple, linkSlot, base, nSlots int) []Tuple {
-	t.Helper()
-	left = slices.Clone(left)
-	slices.SortStableFunc(left, func(a, b Tuple) int { return cmp.Compare(a[linkSlot].node, b[linkSlot].node) })
-	var ancs, descs []join.Item
-	groups := map[xmltree.NodeID][]Tuple{}
-	for _, tp := range left {
-		b := tp[linkSlot]
-		if groups[b.node] == nil {
-			ancs = append(ancs, join.Item{Node: b.node, End: doc.End(b.node), Level: int(b.level)})
-		}
-		groups[b.node] = append(groups[b.node], tp)
-	}
-	for i, rt := range right {
-		if b := rt[base]; i == 0 || b.node != right[i-1][base].node {
-			descs = append(descs, join.Item{Node: b.node, End: b.end, Level: int(b.level)})
-		}
-	}
-	pairs := join.STD(ancs, descs)
-	if view != nil {
-		eff := bitset.New(view.Store().Codebook().NumSubjects())
-		for _, s := range view.Subjects() {
-			eff.Set(int(s))
-		}
-		var err error
-		if pairs, err = join.SecureSTD(context.Background(), view.Store(), eff, ancs, descs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	paired := map[xmltree.NodeID][]xmltree.NodeID{}
-	for _, p := range pairs {
-		paired[p.Desc] = append(paired[p.Desc], p.Anc)
-	}
-	var out []Tuple
-	for _, rt := range right {
-		for _, anc := range paired[rt[base].node] {
-			for _, tp := range groups[anc] {
-				ntp := slices.Clone(tp)
-				copy(ntp[base:base+nSlots], rt[base:base+nSlots])
-				out = append(out, ntp)
-			}
-		}
-	}
-	return out
-}
-
-func drainCursor(t *testing.T, c Cursor) []Tuple {
-	t.Helper()
-	ctx := context.Background()
-	var out []Tuple
-	for {
-		tp, err := c.Next(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tp == nil {
-			break
-		}
-		out = append(out, tp)
-	}
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// referenceStream evaluates plan c below dedup the old way: every subtree's
-// match stream drained by itself (the root-path filter on the top one under
-// pruned semantics) and combined by drainedJoin.
-func referenceStream(t *testing.T, ev *Evaluator, doc *xmltree.Document, c *compiled) []Tuple {
-	t.Helper()
-	ctx := context.Background()
-	m := ev.newMatcher(c)
-	view := c.opts.View
-	if c.opts.Semantics != SemanticsPrunedSubtree {
-		view = nil
-	}
-	var cur []Tuple
-	for i := range c.subs {
-		var mc Cursor = newMatchCursor(ctx, ev.store, m, c, i)
-		if i == 0 {
-			if view != nil {
-				mc = &pathFilterCursor{view: view, in: mc, cur: ev.store.NewCursor()}
-			}
-			cur = drainCursor(t, mc)
-			continue
-		}
-		cur = drainedJoin(t, doc, view, cur, drainCursor(t, mc), c.linkSlot[i], c.base[i], len(c.slots[i]))
-	}
-	return cur
-}
 
 // opPins folds a trace's page pins by plan operator.
 func opPins(tr *obs.Trace) map[string]int64 {

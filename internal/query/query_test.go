@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"dolxml/internal/acl"
@@ -144,65 +143,6 @@ func TestDecompose(t *testing.T) {
 	}
 	if subs[2].Root.Tag != "f" || subs[2].Link.Tag != "d" || subs[2].Parent != 1 {
 		t.Fatalf("sub2 = root %s link %s parent %d", subs[2].Root.Tag, subs[2].Link.Tag, subs[2].Parent)
-	}
-}
-
-// The compiled tuple layout of Table 1 (and three twigs with interior link
-// sources) is what the per-tuple slot helpers it replaced derived; the
-// expected values were read off those helpers before they were deleted.
-func TestTupleLayout(t *testing.T) {
-	for _, tc := range []struct {
-		name, xpath string
-		slots       [][]string // tag#id per slot, per subtree
-		base        []int
-		width       int
-		retSlot     int
-		linkSlot    []int
-	}{
-		{"Q1", "/site/regions/africa/item[location][name][quantity]",
-			[][]string{{"site#0", "item#3"}}, []int{0}, 2, 1, []int{0}},
-		{"Q2", "/site/categories/category[name]/description/text/bold",
-			[][]string{{"site#0", "bold#6"}}, []int{0}, 2, 1, []int{0}},
-		{"Q3", "/site/categories/category/description/text/bold",
-			[][]string{{"site#0", "bold#5"}}, []int{0}, 2, 1, []int{0}},
-		{"Q4", "//parlist//parlist",
-			[][]string{{"parlist#0"}, {"parlist#1"}}, []int{0, 1}, 2, 1, []int{0, 0}},
-		{"Q5", "//listitem//keyword",
-			[][]string{{"listitem#0"}, {"keyword#1"}}, []int{0, 1}, 2, 1, []int{0, 0}},
-		{"Q6", "//item//emph",
-			[][]string{{"item#0"}, {"emph#1"}}, []int{0, 1}, 2, 1, []int{0, 0}},
-		{"shared link", "/site/regions[//item/name]//parlist/listitem",
-			[][]string{{"site#0", "regions#1"}, {"item#2"}, {"parlist#4", "listitem#5"}}, []int{0, 2, 3}, 5, 4, []int{0, 1, 1}},
-		{"link is returning", "//a/b[//c/d]/e[//f]",
-			[][]string{{"a#0", "b#1", "e#4"}, {"c#2"}, {"f#5"}}, []int{0, 3, 4}, 5, 2, []int{0, 1, 2}},
-		{"chain", "/a/b[c]//d[e]//f",
-			[][]string{{"a#0", "b#1"}, {"d#3"}, {"f#5"}}, []int{0, 2, 3}, 4, 3, []int{0, 1, 2}},
-	} {
-		pt := MustParse(tc.xpath)
-		l := layoutOf(pt, pt.Decompose())
-		slots := make([][]string, len(l.slots))
-		tracked := 0
-		for i, ns := range l.slots {
-			for _, n := range ns {
-				slots[i] = append(slots[i], fmt.Sprintf("%s#%d", n.Tag, n.id))
-				if l.slotOf[n.id] != tracked {
-					t.Errorf("%s: slot node %s#%d has slot %d, want %d", tc.name, n.Tag, n.id, l.slotOf[n.id], tracked)
-				}
-				tracked++
-			}
-		}
-		for _, s := range l.slotOf {
-			if s < 0 {
-				tracked++
-			}
-		}
-		if !reflect.DeepEqual(slots, tc.slots) || !reflect.DeepEqual(l.base, tc.base) ||
-			l.width != tc.width || l.retSlot != tc.retSlot || !reflect.DeepEqual(l.linkSlot, tc.linkSlot) ||
-			tracked != pt.Len() {
-			t.Errorf("%s: layout slots %v base %v width %d ret %d link %v slotOf %v,\nwant slots %v base %v width %d ret %d link %v",
-				tc.name, slots, l.base, l.width, l.retSlot, l.linkSlot, l.slotOf,
-				tc.slots, tc.base, tc.width, tc.retSlot, tc.linkSlot)
-		}
 	}
 }
 
@@ -454,32 +394,6 @@ func TestEvaluateSecureBindings(t *testing.T) {
 	}
 	if len(res1.Nodes) != 2 {
 		t.Fatalf("subject 1 answers = %v", res1.Nodes)
-	}
-}
-
-func TestEvaluateSemanticsDiffer(t *testing.T) {
-	// Paper §4.2 example: an accessible node under an inaccessible one is
-	// an answer under Cho semantics but not under Gabillon–Bruno.
-	doc := xmltree.MustParseString(`<a><e><h><k/></h></e></a>`)
-	m := allowAll(doc, 1)
-	m.Set(1, 0, false) // e inaccessible
-	e := newEnv(t, doc, m, 4096)
-	q := MustParse("//k")
-	view := e.ss.ViewSubject(0)
-
-	cho, err := e.ev.EvaluateCtx(context.Background(), q, Options{View: view, Semantics: SemanticsBindings})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cho.Nodes) != 1 {
-		t.Fatalf("bindings semantics answers = %v", cho.Nodes)
-	}
-	gb, err := e.ev.EvaluateCtx(context.Background(), q, Options{View: view, Semantics: SemanticsPrunedSubtree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gb.Nodes) != 0 {
-		t.Fatalf("pruned-subtree semantics answers = %v", gb.Nodes)
 	}
 }
 

@@ -39,46 +39,6 @@ func TestAnswersCursorEquivalence(t *testing.T) {
 	}
 }
 
-// Limit must truncate the answer stream to a subset of the full result and
-// never consume more tuples than needed.
-func TestLimitTruncates(t *testing.T) {
-	doc := miniXMark(t)
-	e := newEnv(t, doc, allowAll(doc, 1), 256)
-	pt := MustParse(`//item/name`)
-	full, err := e.ev.EvaluateCtx(context.Background(), pt, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Nodes) < 2 {
-		t.Fatalf("need >= 2 answers, got %d", len(full.Nodes))
-	}
-	fullSet := map[xmltree.NodeID]bool{}
-	for _, n := range full.Nodes {
-		fullSet[n] = true
-	}
-	for limit := 1; limit <= len(full.Nodes)+1; limit++ {
-		res, err := e.ev.EvaluateCtx(context.Background(), pt, Options{Limit: limit})
-		if err != nil {
-			t.Fatalf("limit %d: %v", limit, err)
-		}
-		wantLen := limit
-		if wantLen > len(full.Nodes) {
-			wantLen = len(full.Nodes)
-		}
-		if len(res.Nodes) != wantLen {
-			t.Errorf("limit %d: got %d answers, want %d", limit, len(res.Nodes), wantLen)
-		}
-		for _, n := range res.Nodes {
-			if !fullSet[n] {
-				t.Errorf("limit %d: answer %d not in full result", limit, n)
-			}
-		}
-		if res.Matches > full.Matches {
-			t.Errorf("limit %d: consumed %d tuples, full drain has %d", limit, res.Matches, full.Matches)
-		}
-	}
-}
-
 // Cancelling the context mid-scan must surface ctx.Err() on the next pull
 // and, after Close, leave no buffer-pool frame pinned.
 func TestCancellationMidScan(t *testing.T) {

@@ -312,3 +312,43 @@ func Example_multiuser() {
 	// subjects=54 nodes=733 transitions=481 codebookEntries=13 codebookBytes=913
 	// subjects=198 nodes=733 transitions=481 codebookEntries=13 codebookBytes=3321
 }
+
+// Selective dissemination (§7): each subscriber receives the part of a
+// feed they may read (its pruned view), written from the store in one
+// document-order pass.
+func ExampleStore_ExportVisible() {
+	const feed = `<newsfeed>
+  <public><story>Local team wins</story><story>Weather sunny</story></public>
+  <business><story>Quarterly numbers</story><analysis>Deep dive</analysis></business>
+  <internal><draft>Unpublished investigation</draft></internal>
+</newsfeed>`
+	store, err := securexml.NewBuilder().
+		LoadXMLString(feed).
+		AddGroup("subscribers").
+		AddGroup("premium").
+		AddUser("sam").
+		AddUser("pat").
+		AddMember("subscribers", "sam").
+		AddMember("subscribers", "pat").
+		AddMember("premium", "pat").
+		Grant("subscribers", "read", "/newsfeed").
+		Revoke("subscribers", "read", "//business").
+		Revoke("subscribers", "read", "//internal").
+		Grant("premium", "read", "//business").
+		Seal(securexml.StoreOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer store.Close()
+
+	for _, user := range []string{"sam", "pat"} {
+		var out strings.Builder
+		if err := store.ExportVisible(user, "read", &out); err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("%s: %s\n", user, out.String())
+	}
+	// Output:
+	// sam: <newsfeed><public><story>Local team wins</story><story>Weather sunny</story></public></newsfeed>
+	// pat: <newsfeed><public><story>Local team wins</story><story>Weather sunny</story></public><business><story>Quarterly numbers</story><analysis>Deep dive</analysis></business></newsfeed>
+}

@@ -148,70 +148,6 @@ func firstNode(t *testing.T, s *Store, xpath string) NodeID {
 	return ms[0].Node
 }
 
-func TestSealAndBasicQueries(t *testing.T) {
-	s := hospitalStore(t, StoreOptions{})
-	defer s.Close()
-
-	all, err := s.QueryUnrestricted("//patient")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 3 {
-		t.Fatalf("unrestricted patients = %d", len(all))
-	}
-
-	// Dave (doctor) sees all patients but no billing.
-	pats, err := s.QueryCtx(context.Background(), "dave", "read", "//patient", QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pats) != 3 {
-		t.Fatalf("dave sees %d patients", len(pats))
-	}
-	bills, err := s.QueryCtx(context.Background(), "dave", "read", "//billing/amount", QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bills) != 0 {
-		t.Fatalf("dave sees %d billing amounts", len(bills))
-	}
-
-	// Betty (billing) sees amounts but no diagnoses.
-	bills, err = s.QueryCtx(context.Background(), "betty", "read", "//billing/amount", QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bills) != 3 {
-		t.Fatalf("betty sees %d amounts", len(bills))
-	}
-	if bills[0].Tag != "amount" || bills[0].Value != "100" {
-		t.Fatalf("first amount = %+v", bills[0])
-	}
-	diags, _ := s.QueryCtx(context.Background(), "betty", "read", "//diagnosis", QueryOptions{})
-	if len(diags) != 0 {
-		t.Fatalf("betty sees %d diagnoses", len(diags))
-	}
-
-	// Alice sees only ward A patients.
-	pats, err = s.QueryCtx(context.Background(), "alice", "read", "//patient", QueryOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pats) != 2 {
-		t.Fatalf("alice sees %d patients", len(pats))
-	}
-
-	// Write mode is separate: dave can "write" diagnoses, alice cannot.
-	w, _ := s.QueryCtx(context.Background(), "dave", "write", "//diagnosis", QueryOptions{})
-	if len(w) != 3 {
-		t.Fatalf("dave writes %d diagnoses", len(w))
-	}
-	w, _ = s.QueryCtx(context.Background(), "alice", "write", "//diagnosis", QueryOptions{})
-	if len(w) != 0 {
-		t.Fatalf("alice writes %d diagnoses", len(w))
-	}
-}
-
 func TestQueryPrunedSemantics(t *testing.T) {
 	s := hospitalStore(t, StoreOptions{})
 	defer s.Close()
