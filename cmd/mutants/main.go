@@ -126,8 +126,7 @@ func runOne(root, tmp string, e *mutation.Entry) (string, []byte, error) {
 	}
 
 	args := []string{"test", "-count=1", "-vet=off", "-timeout=5m", "-overlay=" + overlayFile, "-run", e.RunPattern()}
-	args = append(append(args, e.Flags...), e.Packages()...)
-	cmd := exec.Command("go", args...)
+	cmd := exec.Command("go", append(args, e.Packages()...)...)
 	cmd.Dir = root
 	out, runErr := cmd.CombinedOutput()
 	if bytes.Contains(out, []byte("[build failed]")) || bytes.Contains(out, []byte("[setup failed]")) {

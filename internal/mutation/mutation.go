@@ -11,7 +11,6 @@
 //	file: internal/storage/pager.go
 //	test: ./internal/storage TestFilePagerSyncsOnlyWhenDirty
 //	test: ./securexml TestUpdatedVisitSyncsOnClose
-//	flags: -short
 //	survives
 //	-- old
 //	<lines replaced>
@@ -20,11 +19,11 @@
 //
 // file is module-relative. Each test line names a package and the tests in
 // it (top-level Test, Fuzz or Example functions) that the mutant must
-// fail; one go test run takes every package and test named. flags adds
-// go test flags, and survives marks a control entry, one that changes no
-// behaviour and must pass. The old block must occur exactly once in the
-// file. A block runs to the next line starting with "== ", "-- " or "#";
-// its trailing blank lines are dropped.
+// fail; one go test run takes every package and test named. survives
+// marks a control entry, one that changes no behaviour and must pass. The
+// old block must occur exactly once in the file. A block runs to the next
+// line starting with "== ", "-- " or "#"; its trailing blank lines are
+// dropped.
 package mutation
 
 import (
@@ -42,7 +41,6 @@ type Entry struct {
 	File     string
 	Old, New string
 	Tests    []PkgTests
-	Flags    []string
 	Survives bool
 }
 
@@ -176,8 +174,6 @@ func Parse(name string, src []byte) ([]Entry, error) {
 				}
 			}
 			cur.Tests = append(cur.Tests, PkgTests{Pkg: f[0], Names: f[1:]})
-		case strings.HasPrefix(line, "flags: "):
-			cur.Flags = append(cur.Flags, strings.Fields(line[len("flags: "):])...)
 		case line == "survives":
 			cur.Survives = true
 		case strings.TrimSpace(line) == "":

@@ -354,7 +354,7 @@ func TestWALFilePair(t *testing.T) {
 	dataPath := filepath.Join(dir, "pages.db")
 	walPath := filepath.Join(dir, "wal.log")
 
-	open := func() (*WALPager, func()) {
+	open := func() (*WALPager, *FaultPager) {
 		fp, err := OpenFilePager(dataPath, 256)
 		if err != nil {
 			t.Fatal(err)
@@ -363,14 +363,15 @@ func TestWALFilePair(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w, _, err := OpenWALPager(fp, lf, nil)
+		faults := NewFaultPager(fp)
+		w, _, err := OpenWALPager(faults, lf, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return w, func() { w.Close() }
+		return w, faults
 	}
 
-	w, done := open()
+	w, faults := open()
 	id, _ := w.Allocate()
 	if err := w.WritePage(id, pageBytes(256, 'a')); err != nil {
 		t.Fatal(err)
@@ -382,12 +383,22 @@ func TestWALFilePair(t *testing.T) {
 	if err := w.Commit(nil); err != nil {
 		t.Fatal(err)
 	}
-	done()
+	// The checkpoint truncated the log; the next batch is appended after
+	// its header and, crashed at its data write, redone from it.
+	faults.Arm(Fault{Op: FaultWrite, N: 1})
+	w.Begin()
+	if err := w.WritePage(id, pageBytes(256, 'c')); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Commit(nil); !errors.Is(err, ErrInjected) {
+		t.Fatalf("commit survived injected apply failure: %v", err)
+	}
+	w.Close()
 
-	w, done = open()
-	defer done()
-	if got := readPageOrFatal(t, w, id); got[0] != 'b' {
-		t.Fatalf("reopened page = %q, want b", got[0])
+	w, _ = open()
+	defer w.Close()
+	if got := readPageOrFatal(t, w, id); got[0] != 'c' {
+		t.Fatalf("reopened page = %q, want c", got[0])
 	}
 	info, err := os.Stat(walPath)
 	if err != nil {
